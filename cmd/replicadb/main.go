@@ -244,7 +244,6 @@ func serveMain(args []string) {
 		metrics = fs.String("metrics", "", "optional HTTP /metrics listen address")
 		batch   = fs.Bool("groupcommit", false, "batch commit certification on the certifier host (mm, id 0)")
 		groupW  = fs.Duration("groupwindow", 0, "cap the adaptive group-commit accumulation window (0: adaptive default; negative: flush backlog batches immediately; requires -groupcommit)")
-		nocomp  = fs.Bool("nocompress", false, "disable DEFLATE compression of propagated record bodies on v5 connections")
 		eager   = fs.Bool("eager", false, "eager certification on writes (mm; remote probe per write on non-primary nodes)")
 		walDir  = fs.String("wal-dir", "", "durable commits: write-ahead log directory (replayed on start; a restarted replica resumes via FetchSince)")
 		fsync   = fs.Bool("fsync", false, "fsync WAL commits (group commit) before acknowledging; requires -wal-dir")
@@ -359,7 +358,6 @@ func serveMain(args []string) {
 		MetricsAddr:  *metrics,
 		GroupCommit:  *batch,
 		GroupWindow:  *groupW,
-		NoCompress:   *nocomp,
 		EagerCert:    *eager,
 		Replicas:     len(peerList),
 		Members:      peerList,
@@ -519,7 +517,8 @@ func serveMain(args []string) {
 }
 
 // benchResult is the machine-readable record one bench run emits with
-// -json; BENCH_PR3.json aggregates these across scenarios.
+// -json. Repeatable performance measurements come from the bench/
+// harness instead (bench/README.md, bench/CALIBRATION.md).
 type benchResult struct {
 	Design        string  `json:"design"`
 	Mix           string  `json:"mix"`
@@ -651,54 +650,11 @@ func benchMain(args []string) {
 		pipe     = fs.Bool("pipeline", false, "pipeline update operations: stream writes without per-op acks, drain at commit")
 		ramp     = fs.Duration("ramp", 500*time.Millisecond, "with -json: exclude this warm-up window from steady_tps (0 disables)")
 		jsonOut  = fs.String("json", "", "write a machine-readable result to this file (\"-\" for stdout)")
-		matrix   = fs.Bool("matrix", false, "run the in-process scaling matrix (apply-workers x pipelining x compression) instead of targeting -servers")
-		matOut   = fs.String("matrix-out", "", "with -matrix: write the matrix report to this file (default BENCH_PR9.json, or BENCH_PR10.json with -shards; \"-\" for stdout)")
-		shards   = fs.String("shards", "", "with -matrix: run the shard-count dimension instead — comma-separated group counts to sweep (e.g. 1,2,4), each as a disjoint and a -cross mixed cell")
-		cross    = fs.Float64("cross", 0.10, "with -matrix -shards: fraction of transactions writing a second row on a different shard group (2PC path)")
 	)
 	fs.Parse(args)
 
 	if *design != "mm" && *design != "sm" {
 		usageExit(fs, "unknown design %q (mm|sm)", *design)
-	}
-	if *shards != "" && !*matrix {
-		usageExit(fs, "-shards requires -matrix (the shard dimension boots its own loopback groups)")
-	}
-	if *matrix {
-		if *design != "mm" {
-			usageExit(fs, "-matrix boots multi-master clusters (-design mm)")
-		}
-		if *servers != "" {
-			usageExit(fs, "-matrix boots its own loopback clusters; drop -servers")
-		}
-		if *clients < 1 || *txns < 1 || *factor < 1 {
-			usageExit(fs, "-clients, -txns and -factor must be >= 1")
-		}
-		if *shards != "" {
-			if *cross < 0 || *cross > 1 {
-				usageExit(fs, "-cross must be in [0,1] (got %g)", *cross)
-			}
-			var counts []int
-			for _, s := range splitAddrs(*shards) {
-				n, err := strconv.Atoi(s)
-				if err != nil || n < 1 {
-					usageExit(fs, "-shards: bad group count %q", s)
-				}
-				counts = append(counts, n)
-			}
-			out := *matOut
-			if out == "" {
-				out = "BENCH_PR10.json"
-			}
-			shardMatrixMain(counts, *cross, *clients, *txns, *seed, out)
-			return
-		}
-		out := *matOut
-		if out == "" {
-			out = "BENCH_PR9.json"
-		}
-		matrixMain(fs, *mixID, *clients, *txns, *factor, *seed, out)
-		return
 	}
 	if *servers == "" {
 		usageExit(fs, "bench requires -servers")

@@ -79,8 +79,8 @@ type Client struct {
 	reps      []*replicaConns
 	memberIdx map[int64]int // member id -> slot index
 	epoch     int64
-	// Shard-map fields as last published by the primary (protocol v6;
-	// all zero on unsharded or pre-v6 deployments).
+	// Shard-map fields as last published by the primary (all zero on
+	// unsharded deployments).
 	shardID    int64
 	shardCount int64
 	mapVersion int64
@@ -410,7 +410,7 @@ type Txn struct {
 var _ repl.Txn = (*Txn)(nil)
 
 // Trace returns the server-assigned trace id of this transaction, or
-// zero when the replica negotiated a pre-v4 protocol or runs with
+// zero for read-only transactions and when the replica runs with
 // tracing disabled. The id stitches the client's view of a commit to
 // the certify/apply spans exported at /debug/slowtxns on every node.
 func (t *Txn) Trace() uint64 { return t.trace }
@@ -660,9 +660,6 @@ func (t *Txn) Commit() error {
 		}}
 	case *wire.Err:
 		t.finish()
-		if m.Code == wire.CodeNotLeader {
-			return &repl.UnknownOutcomeError{Err: mapErr(m)}
-		}
 		return mapErr(m)
 	default:
 		return t.fail(fmt.Errorf("client: unexpected commit reply %T", reply))

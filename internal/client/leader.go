@@ -15,9 +15,8 @@ import (
 // longer) the certifier leader. It carries the redirect: the paxos id
 // of the node the contacted replica believes leads, the epoch round
 // that deposed it, and — when the server knows it — the leader's
-// address. Addr may be empty (the v2 Err{CodeNotLeader} fallback
-// carries neither id nor address); callers then discover the leader
-// through the Members protocol.
+// address. Addr may be empty (a replica mid-election knows no leader);
+// callers then discover the leader through the Members protocol.
 type NotLeaderError struct {
 	Leader int    // paxos id of the believed leader, -1 when unknown
 	Epoch  int64  // round of the deposing ballot, 0 when unknown

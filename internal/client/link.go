@@ -22,18 +22,15 @@ import (
 // loop its own Link rather than sharing the commit path's.
 type Link struct {
 	pool *connPool
-	// meta, when set, observes the v4 per-record trace id and leader
-	// commit timestamp during FetchSince decoding (both zero on
-	// downgraded connections or untraced leaders).
+	// meta, when set, observes the per-record trace id and leader
+	// commit timestamp during FetchSince decoding (both zero from
+	// untraced leaders).
 	meta func(version int64, trace uint64, commitNs int64)
 	// sinceWait is the long-poll window Since passes to FetchSince.
 	// Zero keeps Since immediate (commit-path latency); catch-up and
 	// sync loops set a small window so a caller already at the
 	// primary's version parks there instead of busy polling.
 	sinceWait time.Duration
-	// noCompress asks the primary to skip DEFLATE on Records replies
-	// (protocol v5; ignored by older servers).
-	noCompress bool
 }
 
 // linkRPCDeadline bounds ordinary link RPCs so a one-way partition
@@ -65,7 +62,7 @@ func (l *Link) Certify(snapshot int64, ws writeset.Writeset) (certifier.Outcome,
 }
 
 // CertifyTraced is Certify carrying the submitting transaction's trace
-// id (protocol v4; silently dropped on downgraded connections).
+// id.
 func (l *Link) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
 	reply, err := l.pool.rpc(&wire.Certify{Snapshot: snapshot, WS: ws, Trace: trace}, linkRPCDeadline)
 	if err != nil {
@@ -93,8 +90,8 @@ func (l *Link) Check(snapshot int64, ws writeset.Writeset) (conflict bool, with 
 	return m.Conflict, m.With
 }
 
-// PrepareTxn forwards a cross-shard fragment prepare to the primary
-// (protocol v6): the raw form carrying snapshot and writeset, used when
+// PrepareTxn forwards a cross-shard fragment prepare to the primary:
+// the raw form carrying snapshot and writeset, used when
 // this node is not the certifier host. The primary's vote is binding —
 // a transport failure leaves the outcome unknown and must surface as an
 // error, never as a silent no-vote.
@@ -116,7 +113,7 @@ func (l *Link) PrepareTxn(p certifier.PreparedTxn) (vote bool, conflictWith int6
 }
 
 // DecideTxn forwards the coordinator's commit/abort decision for a
-// prepared fragment (protocol v6).
+// prepared fragment.
 func (l *Link) DecideTxn(id string, commit bool) (int64, error) {
 	reply, err := l.pool.rpc(&wire.DecideTxn{TxnID: id, Commit: commit}, linkRPCDeadline)
 	if err != nil {
@@ -133,7 +130,7 @@ func (l *Link) DecideTxn(id string, commit bool) (int64, error) {
 }
 
 // ResolveTxn asks the primary for the recorded outcome of an in-doubt
-// cross-shard transaction (protocol v6; presumed abort if unrecorded).
+// cross-shard transaction (presumed abort if unrecorded).
 func (l *Link) ResolveTxn(id string) (bool, error) {
 	reply, err := l.pool.rpc(&wire.ResolveTxn{TxnID: id}, linkRPCDeadline)
 	if err != nil {
@@ -149,8 +146,7 @@ func (l *Link) ResolveTxn(id string) (bool, error) {
 	}
 }
 
-// ForgetTxn retires a fully acknowledged decision at the primary
-// (protocol v6).
+// ForgetTxn retires a fully acknowledged decision at the primary.
 func (l *Link) ForgetTxn(id string) error {
 	reply, err := l.pool.rpc(&wire.ForgetTxn{TxnID: id}, linkRPCDeadline)
 	if err != nil {
@@ -172,10 +168,6 @@ func (l *Link) ForgetTxn(id string) error {
 // replacement.
 func (l *Link) SetSinceWait(d time.Duration) { l.sinceWait = d }
 
-// SetNoCompress disables DEFLATE on this link's Records replies
-// (protocol v5; older servers ignore the request).
-func (l *Link) SetNoCompress(v bool) { l.noCompress = v }
-
 // RoundTrips returns the cumulative request/reply exchanges this link
 // has attempted — the observable a steady-state regression test pins
 // to prove catch-up long-polls instead of busy polling.
@@ -193,8 +185,8 @@ func (l *Link) Since(v int64) []certifier.Record {
 	return recs
 }
 
-// Join asks the primary to admit a new replica listening on addr
-// (protocol v2). It returns the assigned replica id, the membership
+// Join asks the primary to admit a new replica listening on addr. It
+// returns the assigned replica id, the membership
 // epoch and the member list after admission.
 func (l *Link) Join(addr string) (*wire.JoinOK, error) {
 	reply, err := l.pool.rpc(&wire.Join{Addr: addr}, linkRPCDeadline)
@@ -208,7 +200,7 @@ func (l *Link) Join(addr string) (*wire.JoinOK, error) {
 	return m, nil
 }
 
-// Leave deregisters replica id from the primary (protocol v2).
+// Leave deregisters replica id from the primary.
 func (l *Link) Leave(id int64) error {
 	reply, err := l.pool.rpc(&wire.Leave{ID: id}, linkRPCDeadline)
 	if err != nil {
@@ -220,8 +212,8 @@ func (l *Link) Leave(id int64) error {
 	return nil
 }
 
-// Snapshot fetches a consistent full-state snapshot from the primary
-// (protocol v2): every table at one applied version, streamed in
+// Snapshot fetches a consistent full-state snapshot from the primary:
+// every table at one applied version, streamed in
 // chunks. The whole stream runs on ONE checked-out connection — the
 // server pins the snapshot per connection, so switching connections
 // mid-stream would silently restart it at a different version. The
@@ -267,7 +259,7 @@ func (l *Link) Snapshot() (version int64, tables map[string]map[int64]string, er
 	return version, tables, nil
 }
 
-// Members polls the primary's membership (protocol v2).
+// Members polls the primary's membership.
 func (l *Link) Members() (epoch int64, members []wire.Member, err error) {
 	reply, err := l.pool.rpc(&wire.Members{}, linkRPCDeadline)
 	if err != nil {
@@ -280,7 +272,7 @@ func (l *Link) Members() (epoch int64, members []wire.Member, err error) {
 	return m.Epoch, m.Members, nil
 }
 
-// Stats polls a replica's cumulative serving counters (protocol v2).
+// Stats polls a replica's cumulative serving counters.
 func (l *Link) Stats() (*wire.StatsOK, error) {
 	reply, err := l.pool.rpc(&wire.Stats{}, linkRPCDeadline)
 	if err != nil {
@@ -294,7 +286,7 @@ func (l *Link) Stats() (*wire.StatsOK, error) {
 }
 
 // PaxosPrepare relays a Paxos phase-1a request to the acceptor
-// embedded in the peer server (protocol v3).
+// embedded in the peer server.
 func (l *Link) PaxosPrepare(b paxos.Ballot, slot int) (paxos.PrepareReply, error) {
 	reply, err := l.pool.rpc(&wire.PaxosPrepare{
 		Round: int64(b.Round), Proposer: int64(b.Proposer), Slot: int64(slot),
@@ -316,7 +308,7 @@ func (l *Link) PaxosPrepare(b paxos.Ballot, slot int) (paxos.PrepareReply, error
 }
 
 // PaxosAccept relays a Paxos phase-2a request to the acceptor embedded
-// in the peer server (protocol v3).
+// in the peer server.
 func (l *Link) PaxosAccept(b paxos.Ballot, slot int, v paxos.Value) (paxos.AcceptReply, error) {
 	reply, err := l.pool.rpc(&wire.PaxosAccept{
 		Round: int64(b.Round), Proposer: int64(b.Proposer), Slot: int64(slot), Value: string(v),
@@ -335,7 +327,7 @@ func (l *Link) PaxosAccept(b paxos.Ballot, slot int, v paxos.Value) (paxos.Accep
 }
 
 // PaxosLearn asks the peer's acceptor for its highest voted slot and
-// current promise (protocol v3), the first step of an election.
+// current promise, the first step of an election.
 func (l *Link) PaxosLearn() (paxos.LearnReply, error) {
 	reply, err := l.pool.rpc(&wire.PaxosLearn{}, linkRPCDeadline)
 	if err != nil {
@@ -354,7 +346,7 @@ func (l *Link) PaxosLearn() (paxos.LearnReply, error) {
 // FetchSince retrieves records with version > v; wait > 0 long-polls
 // at the primary until records arrive or the wait expires.
 func (l *Link) FetchSince(v int64, wait time.Duration) ([]certifier.Record, error) {
-	req := &wire.FetchSince{Version: v, NoCompress: l.noCompress}
+	req := &wire.FetchSince{Version: v}
 	if wait > 0 {
 		req.WaitMillis = uint32(wait / time.Millisecond)
 	}

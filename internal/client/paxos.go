@@ -8,7 +8,7 @@ import (
 )
 
 // PaxosTransport is the production paxos.Transport: it delivers
-// acceptor calls over the wire protocol's v3 Paxos frames to the
+// acceptor calls over the wire protocol's Paxos frames to the
 // acceptors embedded in each replica server. Calls addressed to the
 // local node short-circuit to the in-process acceptor — the leader's
 // own vote never crosses the network, so a single-node quorum check

@@ -223,8 +223,9 @@ func (p *connPool) closeAll() {
 	}
 }
 
-// handshake runs the client side of the versioned Hello exchange and
-// checks the server serves the design the caller expects.
+// handshake runs the client side of the Hello exchange: the server
+// must speak exactly this build's protocol version and serve the
+// design the caller expects.
 func handshake(c *wconn, wantDesign string, peerID int64) error {
 	if err := c.wc.Send(&wire.Hello{Proto: wire.ProtoVersion, PeerID: peerID}); err != nil {
 		return err
@@ -235,13 +236,9 @@ func handshake(c *wconn, wantDesign string, peerID int64) error {
 	}
 	switch m := msg.(type) {
 	case *wire.HelloOK:
-		// The server negotiates down to min(client, server); accept any
-		// version in [MinProto, ours] and pin the connection to it so
-		// version-dependent encodings (v4 trace fields) match both ends.
-		if m.Proto < wire.MinProto || m.Proto > wire.ProtoVersion {
+		if m.Proto != wire.ProtoVersion {
 			return fmt.Errorf("%w: server %d, client %d", wire.ErrVersionMismatch, m.Proto, wire.ProtoVersion)
 		}
-		c.wc.SetProto(m.Proto)
 		if wantDesign != "" && m.Design != wantDesign {
 			return fmt.Errorf("client: server replica %d serves design %q, client configured for %q",
 				m.ID, m.Design, wantDesign)
@@ -257,10 +254,9 @@ func handshake(c *wconn, wantDesign string, peerID int64) error {
 // rpc runs one request/reply exchange on a pooled connection, retrying
 // stale pooled connections with a bounded, jittered exponential
 // backoff between attempts. Err replies surface as errors; NotLeader
-// replies (and their v2 Err{CodeNotLeader} fallback) surface as a
-// typed NotLeaderError so callers can follow the redirect. A positive
-// deadline bounds the whole exchange (used by long polls so a one-way
-// partition cannot park the caller forever).
+// replies surface as a typed NotLeaderError so callers can follow the
+// redirect. A positive deadline bounds the whole exchange (used by
+// long polls so a one-way partition cannot park the caller forever).
 func (p *connPool) rpc(req wire.Message, deadline time.Duration) (wire.Message, error) {
 	var lastErr error
 	backoff := dialBackoffMin
@@ -298,9 +294,6 @@ func (p *connPool) rpc(req wire.Message, deadline time.Duration) (wire.Message, 
 		case *wire.NotLeader:
 			return nil, NotLeaderError{Leader: int(m.Leader), Epoch: m.Epoch, Addr: m.Addr}
 		case *wire.Err:
-			if m.Code == wire.CodeNotLeader {
-				return nil, NotLeaderError{Leader: -1}
-			}
 			return nil, fmt.Errorf("client: %s: %s", p.addr, m.Msg)
 		}
 		return reply, nil

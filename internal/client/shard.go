@@ -151,9 +151,9 @@ func (c *Client) ForgetTxn(id string) error {
 }
 
 // ShardInfo returns this group's place in the shard map as last
-// published over MembersOK/JoinOK (protocol v6): shard id, total
-// groups, and the map version. All zero until the first membership
-// exchange on an unsharded or pre-v6 deployment.
+// published over MembersOK/JoinOK: shard id, total groups, and the
+// map version. All zero on an unsharded deployment or before the first
+// membership exchange.
 func (c *Client) ShardInfo() (id, count, version int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

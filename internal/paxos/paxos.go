@@ -197,8 +197,8 @@ type LearnReply struct {
 }
 
 // Transport delivers acceptor calls, allowing tests to sever links.
-// The production implementation speaks the wire protocol's protocol-v3
-// Paxos frames to acceptors embedded in each replica server.
+// The production implementation speaks the wire protocol's Paxos
+// frames to acceptors embedded in each replica server.
 type Transport interface {
 	// Prepare sends a prepare to the acceptor with the given id.
 	Prepare(to int, b Ballot, slot int) (PrepareReply, error)

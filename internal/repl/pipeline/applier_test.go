@@ -229,7 +229,8 @@ func TestApplierJournalOrder(t *testing.T) {
 // BenchmarkApplyRecords measures apply throughput (records/sec via
 // b.N) at different worker counts on low- and high-conflict mixes.
 // The CI smoke step runs it with -benchtime=1x so a regression to
-// serial-only apply fails loudly; BENCH_PR5.json records full runs.
+// serial-only apply fails loudly; end-to-end apply numbers come from
+// the bench/ harness (bench/README.md, bench/CALIBRATION.md).
 func BenchmarkApplyRecords(b *testing.B) {
 	const batch = 256
 	for _, mix := range []struct {

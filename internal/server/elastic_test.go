@@ -3,7 +3,6 @@ package server_test
 import (
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/elastic"
 	"repro/internal/repl"
 	"repro/internal/server"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -334,61 +332,6 @@ func TestJoinerCrashMidStateTransfer(t *testing.T) {
 	_, members, _ = link.Members()
 	if len(members) != 1 || members[0].ID == jo.ID {
 		t.Fatalf("members after eviction: %+v", members)
-	}
-}
-
-// TestV1PeerRejectsMembershipMessages proves the version negotiation
-// story: a peer that negotiated protocol 1 gets a structured error —
-// not a hang, not a dropped connection — for every v2 membership
-// message, while the v1 surface keeps working on the same connection.
-func TestV1PeerRejectsMembershipMessages(t *testing.T) {
-	prim := startPrimary(t, nil)
-
-	nc, err := net.Dial("tcp", prim.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	wc := wire.NewConn(nc)
-	if err := wc.Send(&wire.Hello{Proto: 1, PeerID: -1}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := wc.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hello, ok := reply.(*wire.HelloOK)
-	if !ok || hello.Proto != 1 {
-		t.Fatalf("handshake did not negotiate down to v1: %+v", reply)
-	}
-	// Frame at the negotiated version, as any correct client does —
-	// v1 messages carry none of the v4 trace fields.
-	wc.SetProto(hello.Proto)
-
-	for _, msg := range []wire.Message{&wire.Members{}, &wire.Join{Addr: "x"}, &wire.Leave{ID: 1}, &wire.SnapshotReq{}, &wire.Stats{}} {
-		_ = nc.SetDeadline(time.Now().Add(2 * time.Second)) // a hang fails the test, not the suite
-		if err := wc.Send(msg); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := wc.Recv()
-		if err != nil {
-			t.Fatalf("%T: connection dropped instead of structured error: %v", msg, err)
-		}
-		e, ok := reply.(*wire.Err)
-		if !ok || e.Code != wire.CodeProto {
-			t.Fatalf("%T: reply = %+v, want Err{CodeProto}", msg, reply)
-		}
-	}
-
-	// The v1 transaction surface still works on this connection.
-	if err := wc.Send(&wire.Begin{ReadOnly: true}); err != nil {
-		t.Fatal(err)
-	}
-	if reply, err = wc.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := reply.(*wire.BeginOK); !ok {
-		t.Fatalf("v1 Begin after rejections: %+v", reply)
 	}
 }
 

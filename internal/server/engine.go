@@ -60,8 +60,8 @@ type engine interface {
 	check(snapshot int64, ws writeset.Writeset) (bool, int64, error)
 	fetchSince(peer int64, v int64, wait time.Duration) ([]certifier.Record, error)
 	// prepareTxn / decideTxn / resolveTxn / forgetTxn serve the
-	// cross-shard 2PC-over-certification surface (protocol v6, routed
-	// by a sharded client's coordinator). Like certify they answer
+	// cross-shard 2PC-over-certification surface (routed by a sharded
+	// client's coordinator). Like certify they answer
 	// errUnsupported unless this node hosts the certifier.
 	prepareTxn(p certifier.PreparedTxn) (vote bool, conflictWith int64, err error)
 	decideTxn(id string, commit bool) (version int64, err error)
@@ -87,7 +87,7 @@ type engine interface {
 	// selfLeave deregisters this node from its primary (drain path).
 	selfLeave(id int64) error
 	// paxosPrepare / paxosAccept / paxosLearn serve the embedded Paxos
-	// acceptor (protocol v3); errUnsupported unless this node runs one.
+	// acceptor; errUnsupported unless this node runs one.
 	paxosPrepare(b paxos.Ballot, slot int) (paxos.PrepareReply, error)
 	paxosAccept(b paxos.Ballot, slot int, v paxos.Value) (paxos.AcceptReply, error)
 	paxosLearn() (paxos.LearnReply, error)
@@ -156,9 +156,9 @@ func (r *remoteCert) Certify(snapshot int64, ws writeset.Writeset) (certifier.Ou
 	return r.CertifyTraced(snapshot, ws, 0)
 }
 
-// CertifyTraced forwards the transaction's trace id over the wire
-// (protocol v4; dropped on downgraded links) so the certifier host can
-// stitch its certify/paxos/journal/fsync spans under the same id.
+// CertifyTraced forwards the transaction's trace id over the wire so
+// the certifier host can stitch its certify/paxos/journal/fsync spans
+// under the same id.
 func (r *remoteCert) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
 	start := time.Now()
 	var out certifier.Outcome
@@ -349,9 +349,7 @@ func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, err
 	} else {
 		e.link = client.NewLink(opts.Primary, opts.Design, opts.ID, opts.DialTimeout)
 		e.link.SetSinceWait(syncLongPoll)
-		e.link.SetNoCompress(opts.NoCompress)
 		e.puller = client.NewLink(opts.Primary, opts.Design, opts.ID, opts.DialTimeout)
-		e.puller.SetNoCompress(opts.NoCompress)
 		e.puller.OnRecordMeta(m.tracer.NoteCommitMeta)
 		svc = &remoteCert{svc: e.link, m: m, t: m.tracer}
 		// The propagation loop applies writesets here; re-fetching the
@@ -909,9 +907,7 @@ func newSMEngine(opts Options, m *metrics, stop <-chan struct{}) (*smEngine, err
 			return nil, err
 		}
 		e.link = client.NewLink(opts.Primary, opts.Design, opts.ID, opts.DialTimeout)
-		e.link.SetNoCompress(opts.NoCompress)
 		e.puller = client.NewLink(opts.Primary, opts.Design, opts.ID, opts.DialTimeout)
-		e.puller.SetNoCompress(opts.NoCompress)
 		e.puller.OnRecordMeta(m.tracer.NoteCommitMeta)
 	}
 	return e, nil

@@ -89,8 +89,8 @@ func newMetrics(design string, id int, disableTrace bool, slowTxn time.Duration)
 		m.tracer = pipeline.NewTracer(reg, slowTxn)
 		// Commit-to-visible replication lag, observed at this replica
 		// for every applied version whose leader commit timestamp is
-		// known (protocol v4 peers; the certifier host observes its own
-		// apply lag the same way). The max gauge is the node's staleness
+		// known (the certifier host observes its own apply lag the same
+		// way). The max gauge is the node's staleness
 		// bound: no committed-elsewhere write has taken longer than this
 		// to become visible here.
 		replica := obs.L("replica", strconv.Itoa(id))

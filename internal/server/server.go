@@ -91,10 +91,6 @@ type Options struct {
 	// so every backlog batch cuts immediately). Ignored without
 	// GroupCommit.
 	GroupWindow time.Duration
-	// NoCompress disables DEFLATE on outgoing v5 Records bodies and
-	// asks this node's own propagation pulls to skip it too — for
-	// benchmarking the wire formats and for CPU-bound deployments.
-	NoCompress bool
 	// EagerCert enables eager certification on writes (mm only; on a
 	// non-primary node every probe is a network round trip).
 	EagerCert bool
@@ -154,10 +150,10 @@ type Options struct {
 	// hash-partitioned deployment: the group owns the keys that
 	// internal/router's table-aware hash maps to ShardID out of
 	// ShardCount groups. Both default to the unsharded single group
-	// (0 of 1). The values are stamped onto JoinOK/MembersOK replies
-	// (protocol v6) so clients learn the shard map from any member;
-	// routing itself happens client-side, the server only answers the
-	// per-fragment 2PC verbs for keys it owns.
+	// (0 of 1). The values are stamped onto JoinOK/MembersOK replies so
+	// clients learn the shard map from any member; routing itself
+	// happens client-side, the server only answers the per-fragment 2PC
+	// verbs for keys it owns.
 	ShardID    int
 	ShardCount int
 }
@@ -519,12 +515,10 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// connState is one connection's serving state: its negotiated
-// protocol version, its cursor key, its single open transaction, and
-// an in-progress snapshot stream.
+// connState is one connection's serving state: its cursor key, its
+// single open transaction, and an in-progress snapshot stream.
 type connState struct {
 	peer     int64
-	proto    uint32
 	cur      repl.Txn
 	readOnly bool
 	txStart  time.Time
@@ -574,16 +568,11 @@ func (ss *snapshotStream) next() *wire.SnapshotOK {
 	return reply
 }
 
-// handleConn runs the versioned handshake, then serves one request at
+// handleConn runs the Hello handshake, then serves one request at
 // a time; the connection owns at most one open transaction, which is
 // aborted if the connection dies.
 func (s *Server) handleConn(nc net.Conn) {
 	wc := wire.NewConn(nc)
-	// Decode the handshake at the floor version: the first frame must
-	// be Hello (whose shape is version-independent), and a misuse frame
-	// from any vintage still decodes far enough to be answered with a
-	// structured error instead of a dropped connection.
-	wc.SetProto(wire.MinProto)
 	_ = nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 	msg, err := wc.Recv()
 	if err != nil {
@@ -594,19 +583,14 @@ func (s *Server) handleConn(nc net.Conn) {
 		_ = wc.Send(&wire.Err{Code: wire.CodeBadRequest, Msg: "expected Hello"})
 		return
 	}
-	proto, err := wire.Negotiate(hello.Proto)
-	if err != nil {
+	if hello.Proto != wire.ProtoVersion {
 		_ = wc.Send(&wire.Err{Code: wire.CodeBadRequest,
-			Msg: fmt.Sprintf("protocol version %d not supported (want %d-%d)",
-				hello.Proto, wire.MinProto, wire.ProtoVersion)})
+			Msg: fmt.Sprintf("protocol version %d not supported (want %d)", hello.Proto, wire.ProtoVersion)})
 		return
 	}
-	if err := wc.Send(&wire.HelloOK{Proto: proto, Design: s.opts.Design, ID: int64(s.opts.ID)}); err != nil {
+	if err := wc.Send(&wire.HelloOK{Proto: wire.ProtoVersion, Design: s.opts.Design, ID: int64(s.opts.ID)}); err != nil {
 		return
 	}
-	// All subsequent frames encode at the negotiated version: v4 fields
-	// are dropped symmetrically on both ends of a downgraded connection.
-	wc.SetProto(proto)
 
 	// Peer links announce their replica id; that keys their
 	// propagation cursor so reconnects collapse onto one cursor.
@@ -616,7 +600,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	if peer < 0 {
 		peer = -s.connID.Add(1)
 	}
-	st := &connState{peer: peer, proto: proto}
+	st := &connState{peer: peer}
 	defer s.eng.peerGone(peer)
 	defer func() {
 		if st.cur != nil {
@@ -654,18 +638,10 @@ func newTraceID() uint64 {
 }
 
 // dispatch executes one request against the node engine and builds
-// the reply. st carries the connection's negotiated protocol, cursor
-// key (the announced replica id for peer links, a negative value for
-// clients) and open transaction slot.
+// the reply. st carries the connection's cursor key (the announced
+// replica id for peer links, a negative value for clients) and open
+// transaction slot.
 func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
-	if need := wire.MinProtoFor(msgType(msg)); st.proto < need {
-		// A membership message on a connection negotiated down to v1:
-		// refuse with a structured error instead of dropping the
-		// connection, so mixed-version clusters fail requests, not
-		// links.
-		return &wire.Err{Code: wire.CodeProto,
-			Msg: fmt.Sprintf("message %T requires protocol %d, connection negotiated %d", msg, need, st.proto)}
-	}
 	switch m := msg.(type) {
 	case *wire.Begin:
 		if st.cur != nil {
@@ -676,16 +652,16 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		}
 		tx, err := s.eng.begin(m.ReadOnly)
 		if err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		st.cur = tx
 		st.readOnly = m.ReadOnly
 		st.txStart = time.Now()
 		s.m.activeTxns.Add(1)
-		// Cross-node trace id: adopt the client's (v4 connections that
-		// pre-assign one), otherwise mint one here so the id exists even
-		// for untraced or downgraded clients. Read-only transactions
-		// never certify or propagate, so they carry no id.
+		// Cross-node trace id: adopt the client's when it pre-assigned
+		// one, otherwise mint one here so the id exists even for
+		// untraced clients. Read-only transactions never certify or
+		// propagate, so they carry no id.
 		trace := m.Trace
 		if !m.ReadOnly && s.m.tracer != nil {
 			if trace == 0 {
@@ -703,7 +679,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		}
 		value, ok, err := st.cur.Read(m.Table, m.Row)
 		if err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.ReadOK{OK: ok, Value: value}
 
@@ -712,7 +688,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 			return noTxn()
 		}
 		if err := st.cur.Write(m.Table, m.Row, m.Value); err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.WriteOK{}
 
@@ -721,7 +697,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 			return noTxn()
 		}
 		if err := st.cur.Delete(m.Table, m.Row); err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.WriteOK{}
 
@@ -747,8 +723,8 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 			s.m.aborts.Add(1)
 			return &wire.CommitAborted{ConflictWith: repl.ConflictWith(err)}
 		default:
-			reply := s.errReply(st, err)
-			if !isNotLeaderReply(reply) {
+			reply := s.errReply(err)
+			if _, redirect := reply.(*wire.NotLeader); !redirect {
 				// The commit failed without a verdict: the client must
 				// treat the outcome as unknown (a redirect is counted
 				// separately — the new leader still decides it).
@@ -771,20 +747,20 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 
 	case *wire.CreateTable:
 		if err := s.eng.createTable(m.Name); err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.CreateTableOK{}
 
 	case *wire.Load:
 		if err := s.eng.loadRows(m.Table, m.Start, m.Values); err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.LoadOK{}
 
 	case *wire.Dump:
 		rows, err := s.eng.dump(m.Table)
 		if err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		reply := &wire.DumpOK{Rows: make([]int64, 0, len(rows)), Values: make([]string, 0, len(rows))}
 		for r, v := range rows {
@@ -796,14 +772,14 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 	case *wire.Certify:
 		out, err := s.eng.certify(m.Snapshot, m.WS, m.Trace)
 		if err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.CertifyOK{Committed: out.Committed, Version: out.Version, ConflictWith: out.ConflictWith}
 
 	case *wire.Check:
 		conflict, with, err := s.eng.check(m.Snapshot, m.WS)
 		if err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.CheckOK{Conflict: conflict, With: with}
 
@@ -819,7 +795,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 				Prepare(id string, coord int64) (bool, int64, error)
 			})
 			if !ok {
-				return s.errReply(st, errUnsupported)
+				return s.errReply(errUnsupported)
 			}
 			// Prepare consumes the transaction either way: a yes-vote
 			// fragment lives on in the certifier, not on this conn.
@@ -827,7 +803,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 			st.cur = nil
 			s.m.activeTxns.Add(-1)
 			if err != nil {
-				return s.errReply(st, err)
+				return s.errReply(err)
 			}
 			return &wire.PrepareTxnOK{Vote: vote, ConflictWith: with}
 		}
@@ -835,27 +811,27 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 			ID: m.TxnID, Coord: m.Coord, Snapshot: m.Snapshot, Writeset: m.WS,
 		})
 		if err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.PrepareTxnOK{Vote: vote, ConflictWith: with}
 
 	case *wire.DecideTxn:
 		version, err := s.eng.decideTxn(m.TxnID, m.Commit)
 		if err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.DecideTxnOK{Version: version}
 
 	case *wire.ResolveTxn:
 		commit, err := s.eng.resolveTxn(m.TxnID)
 		if err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.ResolveTxnOK{Commit: commit}
 
 	case *wire.ForgetTxn:
 		if err := s.eng.forgetTxn(m.TxnID); err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.ForgetTxnOK{}
 
@@ -866,12 +842,9 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		}
 		recs, err := s.eng.fetchSince(st.peer, m.Version, wait)
 		if err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
-		reply := &wire.Records{
-			Recs:     make([]wire.Record, len(recs)),
-			Compress: !m.NoCompress && !s.opts.NoCompress,
-		}
+		reply := &wire.Records{Recs: make([]wire.Record, len(recs)), Compress: true}
 		for i, r := range recs {
 			trace, commitNs := s.m.tracer.CommitMeta(r.Version)
 			reply.Recs[i] = wire.Record{Version: r.Version, WS: r.Writeset, Trace: trace, CommitNs: commitNs}
@@ -881,7 +854,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 	case *wire.PaxosPrepare:
 		rep, err := s.eng.paxosPrepare(paxos.Ballot{Round: int(m.Round), Proposer: int(m.Proposer)}, int(m.Slot))
 		if err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.PaxosPrepareOK{
 			OK:               rep.OK,
@@ -896,7 +869,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 	case *wire.PaxosAccept:
 		rep, err := s.eng.paxosAccept(paxos.Ballot{Round: int(m.Round), Proposer: int(m.Proposer)}, int(m.Slot), paxos.Value(m.Value))
 		if err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.PaxosAcceptOK{
 			OK:               rep.OK,
@@ -907,7 +880,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 	case *wire.PaxosLearn:
 		rep, err := s.eng.paxosLearn()
 		if err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.PaxosLearnOK{
 			MaxSlot:          int64(rep.MaxSlot),
@@ -918,21 +891,21 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 	case *wire.Join:
 		jo, err := s.eng.join(m.Addr)
 		if err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		s.stampShard(&jo.ShardID, &jo.ShardCount, &jo.MapVersion)
 		return jo
 
 	case *wire.Leave:
 		if err := s.eng.leave(m.ID); err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		return &wire.LeaveOK{}
 
 	case *wire.Members:
 		epoch, members, err := s.eng.members()
 		if err != nil {
-			return s.errReply(st, err)
+			return s.errReply(err)
 		}
 		reply := &wire.MembersOK{Epoch: epoch, Members: members}
 		s.stampShard(&reply.ShardID, &reply.ShardCount, &reply.MapVersion)
@@ -943,7 +916,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		if st.snap == nil {
 			version, tables, err := s.eng.snapshot()
 			if err != nil {
-				return s.errReply(st, err)
+				return s.errReply(err)
 			}
 			stream := &snapshotStream{version: version}
 			names := make([]string, 0, len(tables))
@@ -978,41 +951,9 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 	}
 }
 
-// msgType extracts a message's type byte for protocol gating.
-func msgType(m wire.Message) wire.MsgType {
-	switch m.(type) {
-	case *wire.Join:
-		return wire.TJoin
-	case *wire.Leave:
-		return wire.TLeave
-	case *wire.SnapshotReq:
-		return wire.TSnapshotReq
-	case *wire.Members:
-		return wire.TMembers
-	case *wire.Stats:
-		return wire.TStats
-	case *wire.PaxosPrepare:
-		return wire.TPaxosPrepare
-	case *wire.PaxosAccept:
-		return wire.TPaxosAccept
-	case *wire.PaxosLearn:
-		return wire.TPaxosLearn
-	case *wire.PrepareTxn:
-		return wire.TPrepareTxn
-	case *wire.DecideTxn:
-		return wire.TDecideTxn
-	case *wire.ResolveTxn:
-		return wire.TResolveTxn
-	case *wire.ForgetTxn:
-		return wire.TForgetTxn
-	default:
-		return 0 // v1 message: no gating needed
-	}
-}
-
 // stampShard writes this group's place in the shard map onto a
 // membership reply. Unsharded deployments (ShardCount <= 1 and no
-// explicit id) publish all-zero fields, the exact v5 shape.
+// explicit id) publish all-zero fields.
 func (s *Server) stampShard(id, count, mapv *int64) {
 	if s.opts.ShardCount <= 1 && s.opts.ShardID == 0 {
 		return
@@ -1026,9 +967,25 @@ func noTxn() wire.Message {
 	return &wire.Err{Code: wire.CodeBadRequest, Msg: "no transaction open on this connection"}
 }
 
-// errReply maps engine errors onto the wire.
-func errReply(err error) wire.Message {
+// errReply maps engine errors onto the wire, turning not-leader errors
+// into structured NotLeader redirects (with the leader's address when
+// this node knows it).
+func (s *Server) errReply(err error) wire.Message {
+	var cnl certifier.NotLeaderError
+	var lnl client.NotLeaderError
 	switch {
+	case errors.As(err, &cnl):
+		return s.notLeaderReply(cnl.Leader, int64(cnl.Epoch.Round))
+	case errors.As(err, &lnl):
+		// A backup relaying through the ring saw a redirect itself;
+		// forward it so the client re-aims at the same place.
+		return s.notLeaderReply(lnl.Leader, lnl.Epoch)
+	case errors.Is(err, client.ErrNoLeader):
+		// The relay ran out its redirect budget mid-election: there is
+		// no leader to name, but the failure is a leadership gap, not
+		// an internal fault — redirect with the leader unknown so a
+		// commit caught in the gap counts as unknown-outcome.
+		return s.notLeaderReply(-1, 0)
 	case errors.Is(err, repl.ErrAborted):
 		return &wire.CommitAborted{ConflictWith: repl.ConflictWith(err)}
 	case errors.Is(err, repl.ErrReadOnlyTxn):
@@ -1042,52 +999,11 @@ func errReply(err error) wire.Message {
 	}
 }
 
-// errReply maps engine errors onto the wire for one connection,
-// turning not-leader errors into structured redirects: a NotLeader
-// frame (with the leader's address when this node knows it) on
-// protocol-v3 connections, the CodeNotLeader error on older ones.
-func (s *Server) errReply(st *connState, err error) wire.Message {
-	var cnl certifier.NotLeaderError
-	if errors.As(err, &cnl) {
-		return s.notLeaderReply(st, cnl.Leader, int64(cnl.Epoch.Round))
-	}
-	var lnl client.NotLeaderError
-	if errors.As(err, &lnl) {
-		// A backup relaying through the ring saw a redirect itself;
-		// forward it so the client re-aims at the same place.
-		return s.notLeaderReply(st, lnl.Leader, lnl.Epoch)
-	}
-	if errors.Is(err, client.ErrNoLeader) {
-		// The relay ran out its redirect budget mid-election: there is
-		// no leader to name, but the failure is a leadership gap, not
-		// an internal fault — redirect with the leader unknown so a
-		// commit caught in the gap counts as unknown-outcome.
-		return s.notLeaderReply(st, -1, 0)
-	}
-	return errReply(err)
-}
-
-// isNotLeaderReply reports whether a reply is a NotLeader redirect in
-// either protocol encoding.
-func isNotLeaderReply(msg wire.Message) bool {
-	switch t := msg.(type) {
-	case *wire.NotLeader:
-		return true
-	case *wire.Err:
-		return t.Code == wire.CodeNotLeader
-	}
-	return false
-}
-
-func (s *Server) notLeaderReply(st *connState, leader int, epoch int64) wire.Message {
+func (s *Server) notLeaderReply(leader int, epoch int64) wire.Message {
 	s.m.notLeaderRedirects.Inc()
-	if st.proto >= 3 {
-		return &wire.NotLeader{
-			Leader: int64(leader),
-			Epoch:  epoch,
-			Addr:   s.eng.leaderAddr(leader),
-		}
+	return &wire.NotLeader{
+		Leader: int64(leader),
+		Epoch:  epoch,
+		Addr:   s.eng.leaderAddr(leader),
 	}
-	return &wire.Err{Code: wire.CodeNotLeader,
-		Msg: fmt.Sprintf("replica is not the certifier leader (leader %d, epoch round %d)", leader, epoch)}
 }

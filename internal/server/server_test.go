@@ -13,6 +13,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/repl"
 	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -397,8 +398,9 @@ func TestWireLevelValidation(t *testing.T) {
 	}
 	defer nc.Close()
 	// Skipping the handshake: first frame must be Hello.
-	// Build a Begin frame by hand: length 2, type TBegin, readonly=1.
-	if _, err := nc.Write([]byte{0, 0, 0, 2, 4 /*TBegin*/, 1}); err != nil {
+	// Build a Begin frame by hand: length 3, type TBegin, readonly=1,
+	// trace=0.
+	if _, err := nc.Write([]byte{0, 0, 0, 3, 4 /*TBegin*/, 1, 0}); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 256)
@@ -409,6 +411,35 @@ func TestWireLevelValidation(t *testing.T) {
 	}
 	if n < 5 || buf[4] != 1 /*TErr*/ {
 		t.Fatalf("expected Err frame, got % x", buf[:n])
+	}
+}
+
+// TestHelloRejectsOtherProtocolVersion pins the handshake rule: a
+// Hello announcing any version but wire.ProtoVersion gets a structured
+// Err{CodeBadRequest}, then the server closes the connection.
+func TestHelloRejectsOtherProtocolVersion(t *testing.T) {
+	servers, _ := startCluster(t, "mm", 1, nil)
+	for _, proto := range []uint32{wire.ProtoVersion - 1, wire.ProtoVersion + 1} {
+		nc, err := net.Dial("tcp", servers[0].Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = nc.SetDeadline(time.Now().Add(2 * time.Second)) // a hang fails the test, not the suite
+		wc := wire.NewConn(nc)
+		if err := wc.Send(&wire.Hello{Proto: proto, PeerID: -1}); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := wc.Recv()
+		if err != nil {
+			t.Fatalf("proto %d: connection dropped instead of structured error: %v", proto, err)
+		}
+		if e, ok := reply.(*wire.Err); !ok || e.Code != wire.CodeBadRequest {
+			t.Fatalf("proto %d: reply = %+v, want Err{CodeBadRequest}", proto, reply)
+		}
+		if _, err := wc.Recv(); !errors.Is(err, io.EOF) {
+			t.Fatalf("proto %d: after the refusal: err = %v, want EOF", proto, err)
+		}
+		nc.Close()
 	}
 }
 

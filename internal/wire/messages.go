@@ -38,8 +38,8 @@ const (
 	TFetchSince    MsgType = 28
 	TRecords       MsgType = 29
 
-	// Protocol version 2: elastic membership (online join/leave,
-	// snapshot transfer, membership discovery, live stats).
+	// Elastic membership: online join/leave, snapshot transfer,
+	// membership discovery, live stats.
 	TJoin        MsgType = 30
 	TJoinOK      MsgType = 31
 	TLeave       MsgType = 32
@@ -51,9 +51,9 @@ const (
 	TStats       MsgType = 38
 	TStatsOK     MsgType = 39
 
-	// Protocol version 3: replicated certification. Paxos phase frames
-	// let acceptors run inside each replica's server, and NotLeader is
-	// the structured redirect a deposed certifier leader answers with.
+	// Replicated certification. Paxos phase frames let acceptors run
+	// inside each replica's server, and NotLeader is the structured
+	// redirect a deposed certifier leader answers with.
 	TPaxosPrepare   MsgType = 40
 	TPaxosPrepareOK MsgType = 41
 	TPaxosAccept    MsgType = 42
@@ -62,11 +62,10 @@ const (
 	TPaxosLearnOK   MsgType = 45
 	TNotLeader      MsgType = 46
 
-	// Protocol version 6: horizontal partitioning. The router's
-	// cross-shard two-phase commit speaks these against each
-	// participating shard group's certifier leader; the shard map
-	// itself rides on JoinOK/MembersOK/StatsOK fields appended at
-	// proto >= 6.
+	// Horizontal partitioning. The router's cross-shard two-phase
+	// commit speaks these against each participating shard group's
+	// certifier leader; the shard map itself rides on JoinOK/MembersOK/
+	// StatsOK fields.
 	TPrepareTxn   MsgType = 47
 	TPrepareTxnOK MsgType = 48
 	TDecideTxn    MsgType = 49
@@ -85,8 +84,6 @@ const (
 	CodeUnsupported uint8 = 4 // operation this node does not serve
 	CodeNoTable     uint8 = 5 // unknown table
 	CodeDraining    uint8 = 6 // replica is leaving; reroute and retry elsewhere
-	CodeProto       uint8 = 7 // message requires a newer negotiated protocol
-	CodeNotLeader   uint8 = 8 // certifier leadership moved; v2 fallback for NotLeader
 )
 
 // Message is one protocol message; concrete types below implement it.
@@ -273,59 +270,40 @@ func (m *HelloOK) decode(d *decoder) {
 }
 
 // Begin starts a transaction on this connection (one at a time).
-// Trace (protocol v4) is the client-chosen commit-path trace id; 0
-// asks the server to assign one. On v3 connections the field is
-// neither sent nor expected.
+// Trace is the client-chosen commit-path trace id; 0 asks the server
+// to assign one.
 type Begin struct {
 	ReadOnly bool
 	Trace    uint64
 }
 
-func (*Begin) msgType() MsgType         { return TBegin }
-func (m *Begin) encode(b []byte) []byte { return m.encodeV(b, ProtoVersion) }
-func (m *Begin) decode(d *decoder)      { m.decodeV(d, ProtoVersion) }
-func (m *Begin) encodeV(b []byte, proto uint32) []byte {
+func (*Begin) msgType() MsgType { return TBegin }
+func (m *Begin) encode(b []byte) []byte {
 	b = appendBool(b, m.ReadOnly)
-	if proto >= 4 {
-		b = appendUvarint(b, m.Trace)
-	}
-	return b
+	return appendUvarint(b, m.Trace)
 }
-func (m *Begin) decodeV(d *decoder, proto uint32) {
+func (m *Begin) decode(d *decoder) {
 	m.ReadOnly = d.bool()
-	if proto >= 4 {
-		m.Trace = d.uvarint()
-	} else {
-		m.Trace = 0
-	}
+	m.Trace = d.uvarint()
 }
 
 // BeginOK acknowledges Begin; Applied is the replica's applied global
 // version at begin time (informational — the GSI snapshot). Trace
-// (protocol v4) echoes the transaction's trace id, server-assigned
-// when the Begin carried 0.
+// echoes the transaction's trace id, server-assigned when the Begin
+// carried 0.
 type BeginOK struct {
 	Applied int64
 	Trace   uint64
 }
 
-func (*BeginOK) msgType() MsgType         { return TBeginOK }
-func (m *BeginOK) encode(b []byte) []byte { return m.encodeV(b, ProtoVersion) }
-func (m *BeginOK) decode(d *decoder)      { m.decodeV(d, ProtoVersion) }
-func (m *BeginOK) encodeV(b []byte, proto uint32) []byte {
+func (*BeginOK) msgType() MsgType { return TBeginOK }
+func (m *BeginOK) encode(b []byte) []byte {
 	b = appendVarint(b, m.Applied)
-	if proto >= 4 {
-		b = appendUvarint(b, m.Trace)
-	}
-	return b
+	return appendUvarint(b, m.Trace)
 }
-func (m *BeginOK) decodeV(d *decoder, proto uint32) {
+func (m *BeginOK) decode(d *decoder) {
 	m.Applied = d.varint()
-	if proto >= 4 {
-		m.Trace = d.uvarint()
-	} else {
-		m.Trace = 0
-	}
+	m.Trace = d.uvarint()
 }
 
 // Read asks for one row inside the connection's transaction.
@@ -562,8 +540,8 @@ func (m *DumpOK) decode(d *decoder) {
 }
 
 // Certify submits a commit-time certification request to the
-// certifier host (replica 0 in the mm design). Trace (protocol v4)
-// carries the submitting transaction's trace id so the leader's
+// certifier host (replica 0 in the mm design). Trace carries the
+// submitting transaction's trace id so the leader's
 // certify/paxos/journal/fsync spans stitch to the client's.
 type Certify struct {
 	Snapshot int64
@@ -573,27 +551,14 @@ type Certify struct {
 
 func (*Certify) msgType() MsgType { return TCertify }
 func (m *Certify) encode(b []byte) []byte {
-	return m.encodeV(b, ProtoVersion)
-}
-func (m *Certify) decode(d *decoder) {
-	m.decodeV(d, ProtoVersion)
-}
-func (m *Certify) encodeV(b []byte, proto uint32) []byte {
 	b = appendVarint(b, m.Snapshot)
 	b = appendWriteset(b, m.WS)
-	if proto >= 4 {
-		b = appendUvarint(b, m.Trace)
-	}
-	return b
+	return appendUvarint(b, m.Trace)
 }
-func (m *Certify) decodeV(d *decoder, proto uint32) {
+func (m *Certify) decode(d *decoder) {
 	m.Snapshot = d.varint()
 	m.WS = decodeWriteset(d)
-	if proto >= 4 {
-		m.Trace = d.uvarint()
-	} else {
-		m.Trace = 0
-	}
+	m.Trace = d.uvarint()
 }
 
 // CertifyOK carries the certification outcome.
@@ -655,39 +620,24 @@ func (m *CheckOK) decode(d *decoder) {
 type FetchSince struct {
 	Version    int64
 	WaitMillis uint32
-	// NoCompress (protocol v5) asks the server to skip DEFLATE on the
-	// Records reply body for this fetch — for benchmarking and
-	// CPU-bound pullers. Older connections never carry it.
-	NoCompress bool
 }
 
-func (*FetchSince) msgType() MsgType         { return TFetchSince }
-func (m *FetchSince) encode(b []byte) []byte { return m.encodeV(b, ProtoVersion) }
-func (m *FetchSince) decode(d *decoder)      { m.decodeV(d, ProtoVersion) }
-func (m *FetchSince) encodeV(b []byte, proto uint32) []byte {
+func (*FetchSince) msgType() MsgType { return TFetchSince }
+func (m *FetchSince) encode(b []byte) []byte {
 	b = appendVarint(b, m.Version)
-	b = appendUvarint(b, uint64(m.WaitMillis))
-	if proto >= 5 {
-		b = appendBool(b, m.NoCompress)
-	}
-	return b
+	return appendUvarint(b, uint64(m.WaitMillis))
 }
-func (m *FetchSince) decodeV(d *decoder, proto uint32) {
+func (m *FetchSince) decode(d *decoder) {
 	m.Version = d.varint()
 	m.WaitMillis = uint32(d.uvarint())
-	if proto >= 5 {
-		m.NoCompress = d.bool()
-	} else {
-		m.NoCompress = false
-	}
 }
 
 // Record is one certified writeset with its global version. Trace and
-// CommitNs (protocol v4) carry the originating transaction's trace id
-// and the leader's commit wall-clock (UnixNano), letting every
-// replica stitch its apply span onto the transaction's trace and
-// measure commit-to-visible replication lag. Both are 0 on v3
-// connections or when the leader has tracing disabled.
+// CommitNs carry the originating transaction's trace id and the
+// leader's commit wall-clock (UnixNano), letting every replica stitch
+// its apply span onto the transaction's trace and measure
+// commit-to-visible replication lag. Both are 0 when the leader has
+// tracing disabled.
 type Record struct {
 	Version  int64
 	WS       writeset.Writeset
@@ -695,67 +645,20 @@ type Record struct {
 	CommitNs int64
 }
 
-// Records answers FetchSince with an ascending run of records. On
-// protocol v5 connections the payload uses the compact propagation
-// shape (per-frame table dictionary, delta-encoded versions, optional
-// DEFLATE body — see records_v5.go); older connections keep the flat
-// per-record shape.
+// Records answers FetchSince with an ascending run of records in the
+// compact propagation shape: a per-frame table dictionary,
+// delta-encoded versions and an optional DEFLATE body (see
+// records.go).
 type Records struct {
 	Recs []Record
-	// Compress asks the encoder to DEFLATE the v5 body. It is
-	// sender-side intent, never transmitted: the frame's flags byte
-	// records what actually happened (the encoder falls back to the
-	// plain body when compression does not pay).
+	// Compress asks the encoder to DEFLATE the body. It is sender-side
+	// intent, never transmitted: the frame's flags byte records what
+	// actually happened (the encoder falls back to the plain body when
+	// compression does not pay).
 	Compress bool
 }
 
 func (*Records) msgType() MsgType { return TRecords }
-func (m *Records) encode(b []byte) []byte {
-	return m.encodeV(b, ProtoVersion)
-}
-func (m *Records) decode(d *decoder) {
-	m.decodeV(d, ProtoVersion)
-}
-func (m *Records) encodeV(b []byte, proto uint32) []byte {
-	if proto >= 5 {
-		return m.encodeV5(b)
-	}
-	b = appendUvarint(b, uint64(len(m.Recs)))
-	for _, r := range m.Recs {
-		b = appendVarint(b, r.Version)
-		b = appendWriteset(b, r.WS)
-		if proto >= 4 {
-			b = appendUvarint(b, r.Trace)
-			b = appendVarint(b, r.CommitNs)
-		}
-	}
-	return b
-}
-func (m *Records) decodeV(d *decoder, proto uint32) {
-	if proto >= 5 {
-		m.decodeV5(d)
-		return
-	}
-	n := d.uvarint()
-	if d.err != nil {
-		return
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
-		return
-	}
-	m.Recs = make([]Record, 0, prealloc(n))
-	for i := uint64(0); i < n; i++ {
-		var r Record
-		r.Version = d.varint()
-		r.WS = decodeWriteset(d)
-		if proto >= 4 {
-			r.Trace = d.uvarint()
-			r.CommitNs = d.varint()
-		}
-		m.Recs = append(m.Recs, r)
-	}
-}
 
 // Member is one cluster member as published by the primary: the
 // replica id and the address its server listens on.
@@ -795,9 +698,9 @@ func decodeMembers(d *decoder) []Member {
 	return out
 }
 
-// Join asks the primary to admit a new replica into the cluster
-// (protocol v2). Addr is the address the joiner's own server listens
-// on, which the primary publishes to clients via Members. The primary
+// Join asks the primary to admit a new replica into the cluster. Addr
+// is the address the joiner's own server listens on, which the
+// primary publishes to clients via Members. The primary
 // assigns the replica id, registers a propagation cursor expectation
 // (blocking certification-log GC until the joiner starts pulling) and
 // bumps the membership epoch.
@@ -816,44 +719,35 @@ type JoinOK struct {
 	ID      int64
 	Epoch   int64
 	Members []Member
-	// Shard map block (protocol v6): which shard group this server
-	// belongs to, how many groups partition the keyspace, and the map
-	// version clients use to detect a re-partition. ShardCount 0 means
-	// unsharded (a pre-v6 server or a standalone deployment).
+	// Shard map block: which shard group this server belongs to, how
+	// many groups partition the keyspace, and the map version clients
+	// use to detect a re-partition. ShardCount 0 means unsharded.
 	ShardID    int64
 	ShardCount int64
 	MapVersion int64
 }
 
-func (*JoinOK) msgType() MsgType         { return TJoinOK }
-func (m *JoinOK) encode(b []byte) []byte { return m.encodeV(b, ProtoVersion) }
-func (m *JoinOK) decode(d *decoder)      { m.decodeV(d, ProtoVersion) }
-func (m *JoinOK) encodeV(b []byte, proto uint32) []byte {
+func (*JoinOK) msgType() MsgType { return TJoinOK }
+func (m *JoinOK) encode(b []byte) []byte {
 	b = appendVarint(b, m.ID)
 	b = appendVarint(b, m.Epoch)
 	b = appendMembers(b, m.Members)
-	if proto >= 6 {
-		b = appendVarint(b, m.ShardID)
-		b = appendVarint(b, m.ShardCount)
-		b = appendVarint(b, m.MapVersion)
-	}
-	return b
+	b = appendVarint(b, m.ShardID)
+	b = appendVarint(b, m.ShardCount)
+	return appendVarint(b, m.MapVersion)
 }
-func (m *JoinOK) decodeV(d *decoder, proto uint32) {
+func (m *JoinOK) decode(d *decoder) {
 	m.ID = d.varint()
 	m.Epoch = d.varint()
 	m.Members = decodeMembers(d)
-	m.ShardID, m.ShardCount, m.MapVersion = 0, 0, 0
-	if proto >= 6 {
-		m.ShardID = d.varint()
-		m.ShardCount = d.varint()
-		m.MapVersion = d.varint()
-	}
+	m.ShardID = d.varint()
+	m.ShardCount = d.varint()
+	m.MapVersion = d.varint()
 }
 
-// Leave deregisters replica ID from the cluster (protocol v2): its
-// propagation cursor stops gating certification-log GC and clients
-// learn the departure through the next Members poll.
+// Leave deregisters replica ID from the cluster: its propagation
+// cursor stops gating certification-log GC and clients learn the
+// departure through the next Members poll.
 type Leave struct {
 	ID int64
 }
@@ -869,12 +763,12 @@ func (*LeaveOK) msgType() MsgType         { return TLeaveOK }
 func (m *LeaveOK) encode(b []byte) []byte { return b }
 func (m *LeaveOK) decode(*decoder)        {}
 
-// SnapshotReq asks the primary for a consistent full-state snapshot
-// (protocol v2): every table's contents at one applied version. The
-// snapshot streams as a sequence of SnapshotOK chunks over ONE
-// connection — the server pins the whole snapshot on the first
-// request and each further SnapshotReq on the same connection fetches
-// the next chunk until More is false. The joiner installs the merged
+// SnapshotReq asks the primary for a consistent full-state snapshot:
+// every table's contents at one applied version. The snapshot streams
+// as a sequence of SnapshotOK chunks over ONE connection — the server
+// pins the whole snapshot on the first request and each further
+// SnapshotReq on the same connection fetches the next chunk until More
+// is false. The joiner installs the merged
 // chunks, then catches up from Version via FetchSince — the
 // state-transfer half of the join protocol.
 type SnapshotReq struct{}
@@ -951,9 +845,9 @@ func (m *SnapshotOK) decode(d *decoder) {
 	}
 }
 
-// Members asks the primary for the current membership (protocol v2).
-// Clients poll it to resize their connection pools when replicas join
-// or leave; the epoch lets them skip unchanged replies cheaply.
+// Members asks the primary for the current membership. Clients poll it
+// to resize their connection pools when replicas join or leave; the
+// epoch lets them skip unchanged replies cheaply.
 type Members struct{}
 
 func (*Members) msgType() MsgType         { return TMembers }
@@ -965,42 +859,34 @@ func (m *Members) decode(*decoder)        {}
 type MembersOK struct {
 	Epoch   int64
 	Members []Member
-	// Shard map block (protocol v6), mirroring JoinOK: the answering
-	// group's shard id, the group count and the map version. Clients
-	// poll Members anyway for membership churn, so the shard map rides
-	// along for free.
+	// Shard map block, mirroring JoinOK: the answering group's shard
+	// id, the group count and the map version. Clients poll Members
+	// anyway for membership churn, so the shard map rides along for
+	// free.
 	ShardID    int64
 	ShardCount int64
 	MapVersion int64
 }
 
-func (*MembersOK) msgType() MsgType         { return TMembersOK }
-func (m *MembersOK) encode(b []byte) []byte { return m.encodeV(b, ProtoVersion) }
-func (m *MembersOK) decode(d *decoder)      { m.decodeV(d, ProtoVersion) }
-func (m *MembersOK) encodeV(b []byte, proto uint32) []byte {
+func (*MembersOK) msgType() MsgType { return TMembersOK }
+func (m *MembersOK) encode(b []byte) []byte {
 	b = appendVarint(b, m.Epoch)
 	b = appendMembers(b, m.Members)
-	if proto >= 6 {
-		b = appendVarint(b, m.ShardID)
-		b = appendVarint(b, m.ShardCount)
-		b = appendVarint(b, m.MapVersion)
-	}
-	return b
+	b = appendVarint(b, m.ShardID)
+	b = appendVarint(b, m.ShardCount)
+	return appendVarint(b, m.MapVersion)
 }
-func (m *MembersOK) decodeV(d *decoder, proto uint32) {
+func (m *MembersOK) decode(d *decoder) {
 	m.Epoch = d.varint()
 	m.Members = decodeMembers(d)
-	m.ShardID, m.ShardCount, m.MapVersion = 0, 0, 0
-	if proto >= 6 {
-		m.ShardID = d.varint()
-		m.ShardCount = d.varint()
-		m.MapVersion = d.varint()
-	}
+	m.ShardID = d.varint()
+	m.ShardCount = d.varint()
+	m.MapVersion = d.varint()
 }
 
-// Stats asks a replica for its cumulative serving counters (protocol
-// v2). The elastic controller polls these and differences successive
-// samples into a live workload profile.
+// Stats asks a replica for its cumulative serving counters. The
+// elastic controller polls these and differences successive samples
+// into a live workload profile.
 type Stats struct{}
 
 func (*Stats) msgType() MsgType         { return TStats }
@@ -1013,10 +899,7 @@ func (m *Stats) decode(*decoder)        {}
 // apply stage's cumulative throughput counter and current lag.
 // AppliedTotal is monotone, so pollers difference successive samples
 // into applied-versions/sec the same way the elastic profiler
-// differences commit counts. (Stats consumers — the profiler, the
-// autoscaler and the bench watcher — are build-lockstep tools polling
-// their own cluster, which is what permits growing this message in
-// place.)
+// differences commit counts.
 type StatsOK struct {
 	ReadCommits   int64
 	UpdateCommits int64
@@ -1035,27 +918,24 @@ type StatsOK struct {
 	// is disabled at the replica.
 	StageCounts [6]int64
 	StageNs     [6]int64
-	// Identity and replication-lag block (added with protocol v4,
-	// though the message itself grows in place per the lockstep note
-	// above): the answering replica's id, its view of the certifier
-	// election epoch and whether it currently leads, and cumulative
-	// commit-to-visible replication-lag observations (count, summed
-	// nanoseconds, worst single observation).
+	// Identity and replication-lag block: the answering replica's id,
+	// its view of the certifier election epoch and whether it
+	// currently leads, and cumulative commit-to-visible
+	// replication-lag observations (count, summed nanoseconds, worst
+	// single observation).
 	ReplicaID int64
 	Epoch     int64
 	Leading   bool
 	LagCount  int64
 	LagSumNs  int64
 	LagMaxNs  int64
-	// ShardID identifies the shard group this replica serves
-	// (protocol v6; 0 in unsharded deployments).
+	// ShardID identifies the shard group this replica serves (0 in
+	// unsharded deployments).
 	ShardID int64
 }
 
-func (*StatsOK) msgType() MsgType         { return TStatsOK }
-func (m *StatsOK) encode(b []byte) []byte { return m.encodeV(b, ProtoVersion) }
-func (m *StatsOK) decode(d *decoder)      { m.decodeV(d, ProtoVersion) }
-func (m *StatsOK) encodeV(b []byte, proto uint32) []byte {
+func (*StatsOK) msgType() MsgType { return TStatsOK }
+func (m *StatsOK) encode(b []byte) []byte {
 	b = appendVarint(b, m.ReadCommits)
 	b = appendVarint(b, m.UpdateCommits)
 	b = appendVarint(b, m.Aborts)
@@ -1078,12 +958,9 @@ func (m *StatsOK) encodeV(b []byte, proto uint32) []byte {
 	b = appendVarint(b, m.LagCount)
 	b = appendVarint(b, m.LagSumNs)
 	b = appendVarint(b, m.LagMaxNs)
-	if proto >= 6 {
-		b = appendVarint(b, m.ShardID)
-	}
-	return b
+	return appendVarint(b, m.ShardID)
 }
-func (m *StatsOK) decodeV(d *decoder, proto uint32) {
+func (m *StatsOK) decode(d *decoder) {
 	m.ReadCommits = d.varint()
 	m.UpdateCommits = d.varint()
 	m.Aborts = d.varint()
@@ -1106,14 +983,11 @@ func (m *StatsOK) decodeV(d *decoder, proto uint32) {
 	m.LagCount = d.varint()
 	m.LagSumNs = d.varint()
 	m.LagMaxNs = d.varint()
-	m.ShardID = 0
-	if proto >= 6 {
-		m.ShardID = d.varint()
-	}
+	m.ShardID = d.varint()
 }
 
-// PaxosPrepare is phase 1a of the replicated certification log
-// (protocol v3), addressed to the acceptor embedded in this server.
+// PaxosPrepare is phase 1a of the replicated certification log,
+// addressed to the acceptor embedded in this server.
 type PaxosPrepare struct {
 	Round    int64
 	Proposer int64
@@ -1234,11 +1108,10 @@ func (m *PaxosLearnOK) decode(d *decoder) {
 }
 
 // NotLeader is the structured redirect a deposed certifier leader
-// answers certification requests with (protocol v3; v2 peers get
-// Err{CodeNotLeader}): the paxos id of the node that deposed it, the
-// deposing epoch (round of the winning ballot), and that node's
-// address when known ("" otherwise — the client falls back to the
-// Members protocol).
+// answers certification requests with: the paxos id of the node that
+// deposed it (-1 when unknown), the deposing epoch (round of the
+// winning ballot), and that node's address when known ("" otherwise —
+// the client falls back to the Members protocol).
 type NotLeader struct {
 	Leader int64
 	Epoch  int64
@@ -1258,10 +1131,10 @@ func (m *NotLeader) decode(d *decoder) {
 }
 
 // PrepareTxn runs the first two-phase-commit phase for one fragment
-// of cross-shard transaction TxnID at this shard group (protocol v6):
-// certify WS against Snapshot and, on a yes vote, journal the fragment
-// in doubt and lock its keys until the decision arrives. Coord is the
-// shard group id coordinating the transaction — where a recovering
+// of cross-shard transaction TxnID at this shard group: certify WS
+// against Snapshot and, on a yes vote, journal the fragment in doubt
+// and lock its keys until the decision arrives. Coord is the shard
+// group id coordinating the transaction — where a recovering
 // participant sends ResolveTxn.
 type PrepareTxn struct {
 	TxnID    string
@@ -1305,7 +1178,7 @@ func (m *PrepareTxnOK) decode(d *decoder) {
 }
 
 // DecideTxn delivers the coordinator's decision for a prepared
-// transaction to a participant group (protocol v6). Commit routes the
+// transaction to a participant group. Commit routes the
 // fragment through the group's ordinary record log; abort releases
 // its locks.
 type DecideTxn struct {
@@ -1334,7 +1207,7 @@ func (m *DecideTxnOK) encode(b []byte) []byte { return appendVarint(b, m.Version
 func (m *DecideTxnOK) decode(d *decoder)      { m.Version = d.varint() }
 
 // ResolveTxn asks the coordinator group for the fate of an in-doubt
-// transaction (protocol v6). A coordinator with no durable decision
+// transaction. A coordinator with no durable decision
 // answers abort — and records that abort durably first (presumed
 // abort), so a late commit can never contradict the answer.
 type ResolveTxn struct {
@@ -1354,8 +1227,8 @@ func (*ResolveTxnOK) msgType() MsgType         { return TResolveTxnOK }
 func (m *ResolveTxnOK) encode(b []byte) []byte { return appendBool(b, m.Commit) }
 func (m *ResolveTxnOK) decode(d *decoder)      { m.Commit = d.bool() }
 
-// ForgetTxn retires a fully acknowledged decision at a group
-// (protocol v6): every participant has applied the outcome, so the
+// ForgetTxn retires a fully acknowledged decision at a group: every
+// participant has applied the outcome, so the
 // decision record can stop occupying the journal and the decisions
 // map.
 type ForgetTxn struct {

@@ -11,27 +11,26 @@ import (
 	"repro/internal/writeset"
 )
 
-// Protocol v5 re-frames Records for propagation efficiency. The
-// payload is one flags byte followed by a body:
+// Records is framed for propagation efficiency. The payload is one
+// flags byte followed by a body:
 //
 //	count uvarint
 //	table dictionary: ntables uvarint, then each distinct table name
 //	per record (delta-encoded against the previous record):
 //	  version varint   — delta vs the previous record (first absolute)
-//	  trace uvarint, commitNs varint (the v4 metadata)
+//	  trace uvarint, commitNs varint
 //	  entry count uvarint, then per entry:
 //	    table dictionary index uvarint, row varint, delete bool, value
 //
 // When recFlate is set the body is DEFLATE-compressed (stdlib flate,
 // BestSpeed). The sender requests compression via Records.Compress and
 // falls back to the plain body whenever compression does not shrink
-// it, so a v5 frame never exceeds its v4 size by more than the flags
-// byte and the dictionary savings.
+// it, so compression never costs more than the flags byte.
 
-// recFlate marks a DEFLATE-compressed v5 Records body.
+// recFlate marks a DEFLATE-compressed Records body.
 const recFlate byte = 1 << 0
 
-// compressMin is the smallest v5 body worth compressing; below it the
+// compressMin is the smallest body worth compressing; below it the
 // DEFLATE header overhead dominates.
 const compressMin = 128
 
@@ -40,11 +39,11 @@ var (
 	errRecordDict  = errors.New("wire: record table index out of range")
 )
 
-// v5Scratch holds transient body buffers: the plain body before
+// recScratch holds transient body buffers: the plain body before
 // optional compression on the encode side, the inflated body on the
 // decode side. Decoded messages copy every retained byte out, so the
 // buffers recycle safely.
-var v5Scratch = sync.Pool{New: func() any {
+var recScratch = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4<<10)
 	return &b
 }}
@@ -58,24 +57,24 @@ var flateReaders = sync.Pool{New: func() any {
 	return flate.NewReader(bytes.NewReader(nil))
 }}
 
-func (m *Records) encodeV5(b []byte) []byte {
-	sp := v5Scratch.Get().(*[]byte)
+func (m *Records) encode(b []byte) []byte {
+	sp := recScratch.Get().(*[]byte)
 	body := appendRecordsBody((*sp)[:0], m.Recs)
 	if m.Compress && len(body) >= compressMin {
 		if out, ok := appendFlate(b, body); ok {
 			*sp = body
-			v5Scratch.Put(sp)
+			recScratch.Put(sp)
 			return out
 		}
 	}
 	b = append(b, 0)
 	b = append(b, body...)
 	*sp = body
-	v5Scratch.Put(sp)
+	recScratch.Put(sp)
 	return b
 }
 
-func (m *Records) decodeV5(d *decoder) {
+func (m *Records) decode(d *decoder) {
 	flags := d.byte()
 	if d.err != nil {
 		return
@@ -90,11 +89,11 @@ func (m *Records) decodeV5(d *decoder) {
 	}
 	comp := d.b[d.off:]
 	d.off = len(d.b)
-	sp := v5Scratch.Get().(*[]byte)
+	sp := recScratch.Get().(*[]byte)
 	plain, err := inflateInto((*sp)[:0], comp)
 	*sp = plain
 	if err != nil {
-		v5Scratch.Put(sp)
+		recScratch.Put(sp)
 		d.err = err
 		return
 	}
@@ -106,10 +105,10 @@ func (m *Records) decodeV5(d *decoder) {
 	case sub.off != len(sub.b):
 		d.err = ErrTrailingBytes
 	}
-	v5Scratch.Put(sp)
+	recScratch.Put(sp)
 }
 
-// appendRecordsBody encodes the plain (uncompressed) v5 body.
+// appendRecordsBody encodes the plain (uncompressed) body.
 func appendRecordsBody(b []byte, recs []Record) []byte {
 	b = appendUvarint(b, uint64(len(recs)))
 	// Per-frame table dictionary: each distinct name ships once and

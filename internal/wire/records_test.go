@@ -43,9 +43,9 @@ func recordsEqual(t *testing.T, got, want []Record) {
 	}
 }
 
-// TestRecordsRoundTripV5 round-trips the compact propagation shape at
-// the newest protocol, plain and compressed, including the awkward
-// cases: version deltas that run backwards, empty writesets, deletes.
+// TestRecordsRoundTripV5 round-trips the compact propagation shape,
+// plain and compressed, including the awkward cases: version deltas
+// that run backwards, empty writesets, deletes.
 func TestRecordsRoundTripV5(t *testing.T) {
 	recs := []Record{
 		{Version: 50, WS: writeset.New([]writeset.Entry{
@@ -58,22 +58,21 @@ func TestRecordsRoundTripV5(t *testing.T) {
 		})},
 	}
 	for _, compress := range []bool{false, true} {
-		got := roundTripAt(t, ProtoVersion, &Records{Recs: recs, Compress: compress}).(*Records)
+		got := roundTrip(t, &Records{Recs: recs, Compress: compress}).(*Records)
 		recordsEqual(t, got.Recs, recs)
 	}
-	if got := roundTripAt(t, ProtoVersion, &Records{}).(*Records); len(got.Recs) != 0 {
+	if got := roundTrip(t, &Records{}).(*Records); len(got.Recs) != 0 {
 		t.Fatalf("empty Records came back with %d records", len(got.Recs))
 	}
 }
 
-// TestRecordsV5Compresses pins the two sides of the compression
-// bargain: a body with real redundancy gets smaller than both its
-// plain-v5 and its v4 encoding, and the frame is marked compressed.
+// TestRecordsV5Compresses pins the compression bargain: a body with
+// real redundancy gets smaller than its plain encoding, and the frame
+// is marked compressed.
 func TestRecordsV5Compresses(t *testing.T) {
 	recs := propagationRun(200)
-	plain := (&Records{Recs: recs}).encodeV(nil, ProtoVersion)
-	comp := (&Records{Recs: recs, Compress: true}).encodeV(nil, ProtoVersion)
-	v4 := (&Records{Recs: recs}).encodeV(nil, 4)
+	plain := (&Records{Recs: recs}).encode(nil)
+	comp := (&Records{Recs: recs, Compress: true}).encode(nil)
 	if plain[0] != 0 {
 		t.Fatalf("plain payload flags = %#x", plain[0])
 	}
@@ -82,9 +81,6 @@ func TestRecordsV5Compresses(t *testing.T) {
 	}
 	if len(comp) >= len(plain) {
 		t.Fatalf("compression did not shrink: %d -> %d bytes", len(plain), len(comp))
-	}
-	if len(plain) >= len(v4) {
-		t.Fatalf("v5 dictionary+delta shape not smaller than v4: %d vs %d", len(plain), len(v4))
 	}
 }
 
@@ -95,74 +91,20 @@ func TestRecordsV5CompressionFallback(t *testing.T) {
 	tiny := []Record{{Version: 1, WS: writeset.New([]writeset.Entry{
 		{Key: writeset.Key{Table: "t", Row: 1}, Value: "v"},
 	})}}
-	if b := (&Records{Recs: tiny, Compress: true}).encodeV(nil, ProtoVersion); b[0] != 0 {
+	if b := (&Records{Recs: tiny, Compress: true}).encode(nil); b[0] != 0 {
 		t.Fatalf("tiny body was compressed (flags %#x)", b[0])
 	}
-	got := roundTripAt(t, ProtoVersion, &Records{Recs: tiny, Compress: true}).(*Records)
+	got := roundTrip(t, &Records{Recs: tiny, Compress: true}).(*Records)
 	recordsEqual(t, got.Recs, tiny)
 }
 
-// TestRecordsDowngradeV5toV4 proves interop with a v4 peer: on a
-// connection negotiated at protocol 4 the Records keep the flat shape
-// with trace metadata, FetchSince drops the v5 opt-out silently, and
-// the connection keeps framing afterwards.
-func TestRecordsDowngradeV5toV4(t *testing.T) {
-	recs := propagationRun(8)
-	ca, cb, done := pipeConnsAt(t, 4)
-	defer done()
-	msgs := []Message{
-		&FetchSince{Version: 3, WaitMillis: 250, NoCompress: true},
-		&Records{Recs: recs, Compress: true}, // intent must be ignored at v4
-		&Commit{},                            // the next frame must still align
-	}
-	errc := make(chan error, 1)
-	go func() {
-		for _, m := range msgs {
-			if err := ca.Send(m); err != nil {
-				errc <- err
-				return
-			}
-		}
-		errc <- nil
-	}()
-	for i := range msgs {
-		got, err := cb.Recv()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		switch g := got.(type) {
-		case *FetchSince:
-			if g.NoCompress || g.Version != 3 || g.WaitMillis != 250 {
-				t.Fatalf("v4 FetchSince = %+v (NoCompress must be dropped)", g)
-			}
-		case *Records:
-			recordsEqual(t, g.Recs, recs)
-		}
-	}
-	if err := <-errc; err != nil {
-		t.Fatalf("send: %v", err)
-	}
-}
-
-// TestFetchSinceNoCompressV5 pins the new field's version gate.
-func TestFetchSinceNoCompressV5(t *testing.T) {
-	for _, proto := range []uint32{1, 3, 4, ProtoVersion} {
-		got := roundTripAt(t, proto, &FetchSince{Version: 11, NoCompress: true}).(*FetchSince)
-		want := proto >= 5
-		if got.NoCompress != want || got.Version != 11 {
-			t.Fatalf("proto %d: FetchSince = %+v, want NoCompress=%v", proto, got, want)
-		}
-	}
-}
-
 // TestRecordsV5RejectsUnknownFlags: a flags byte with bits this decoder
-// does not understand is a hard error, not silent misparsing — the
-// escape hatch for future codec changes.
+// does not understand is a hard error, not silent misparsing.
 func TestRecordsV5RejectsUnknownFlags(t *testing.T) {
-	payload := (&Records{Recs: propagationRun(1)}).encodeV(nil, ProtoVersion)
+	payload := (&Records{Recs: propagationRun(1)}).encode(nil)
 	payload[0] = 0x80
 	d := &decoder{b: payload}
-	(&Records{}).decodeV(d, ProtoVersion)
+	(&Records{}).decode(d)
 	if d.err == nil {
 		t.Fatal("unknown flags decoded without error")
 	}
@@ -181,7 +123,7 @@ func TestRecordsV5BadDictIndex(t *testing.T) {
 	body = appendUvarint(body, 0) // table index 0 — out of range
 	payload := append([]byte{0}, body...)
 	d := &decoder{b: payload}
-	(&Records{}).decodeV(d, ProtoVersion)
+	(&Records{}).decode(d)
 	if d.err == nil {
 		t.Fatal("out-of-range dictionary index decoded without error")
 	}
@@ -198,15 +140,14 @@ func TestRecordsV5CompressedTrailing(t *testing.T) {
 		t.Skip("junk body did not compress; cannot exercise the path")
 	}
 	d := &decoder{b: payload}
-	(&Records{}).decodeV(d, ProtoVersion)
+	(&Records{}).decode(d)
 	if d.err == nil {
 		t.Fatal("trailing bytes inside the compressed body decoded without error")
 	}
 }
 
 // FuzzRecordsV5 fuzzes the delta/dictionary/compression codec through
-// full frames at the newest protocol and at v4, mirroring
-// FuzzTraceRecordV4 for the new shape.
+// full frames.
 func FuzzRecordsV5(f *testing.F) {
 	f.Add(int64(1), int64(1), uint64(0), int64(0), "item", int64(7), "v", false, false)
 	f.Add(int64(-9), int64(-1), ^uint64(0), int64(-5), "", int64(0), "", true, true)
@@ -223,10 +164,7 @@ func FuzzRecordsV5(f *testing.F) {
 				{Key: writeset.Key{Table: table, Row: row + 1}, Value: value},
 			})},
 		}
-		got := roundTripAt(t, ProtoVersion, &Records{Recs: recs, Compress: compress}).(*Records)
+		got := roundTrip(t, &Records{Recs: recs, Compress: compress}).(*Records)
 		recordsEqual(t, got.Recs, recs)
-
-		old := roundTripAt(t, 4, &Records{Recs: recs, Compress: compress}).(*Records)
-		recordsEqual(t, old.Recs, recs)
 	})
 }

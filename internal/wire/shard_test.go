@@ -8,7 +8,7 @@ import (
 )
 
 // TestShardMapV6RoundTrip: the shard-map block on JoinOK/MembersOK and
-// the shard id on StatsOK survive a proto-6 connection intact.
+// the shard id on StatsOK survive the wire intact.
 func TestShardMapV6RoundTrip(t *testing.T) {
 	msgs := []Message{
 		&JoinOK{ID: 3, Epoch: 5, Members: []Member{{ID: 0, Addr: "a:1"}},
@@ -18,65 +18,15 @@ func TestShardMapV6RoundTrip(t *testing.T) {
 		&StatsOK{ReadCommits: 10, ReplicaID: 2, ShardID: 3},
 	}
 	for _, m := range msgs {
-		got := roundTripAt(t, ProtoVersion, m)
+		got := roundTrip(t, m)
 		if !reflect.DeepEqual(got, m) {
 			t.Fatalf("%T mismatch: %+v vs %+v", m, got, m)
 		}
 	}
 }
 
-// TestShardMapDowngradeV5: on a proto-5 connection the shard fields
-// are neither sent nor expected — a v5 peer sees the exact v5 shape,
-// the fields come back zero, and the connection keeps framing.
-func TestShardMapDowngradeV5(t *testing.T) {
-	ca, cb, done := pipeConnsAt(t, 5)
-	defer done()
-	msgs := []Message{
-		&JoinOK{ID: 3, Epoch: 5, Members: []Member{{ID: 0, Addr: "a:1"}},
-			ShardID: 2, ShardCount: 4, MapVersion: 9},
-		&MembersOK{Epoch: 9, ShardID: 1, ShardCount: 2, MapVersion: 3},
-		&StatsOK{ReadCommits: 10, ReplicaID: 2, ShardID: 3},
-		&Commit{}, // the next frame must still align
-	}
-	errc := make(chan error, 1)
-	go func() {
-		for _, m := range msgs {
-			if err := ca.Send(m); err != nil {
-				errc <- err
-				return
-			}
-		}
-		errc <- nil
-	}()
-	for i := range msgs {
-		got, err := cb.Recv()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		switch g := got.(type) {
-		case *JoinOK:
-			if g.ShardID != 0 || g.ShardCount != 0 || g.MapVersion != 0 {
-				t.Fatalf("v5 JoinOK leaked shard fields: %+v", g)
-			}
-			if g.ID != 3 || g.Epoch != 5 || len(g.Members) != 1 {
-				t.Fatalf("v5 JoinOK base fields mangled: %+v", g)
-			}
-		case *MembersOK:
-			if g.ShardID != 0 || g.ShardCount != 0 || g.MapVersion != 0 || g.Epoch != 9 {
-				t.Fatalf("v5 MembersOK = %+v", g)
-			}
-		case *StatsOK:
-			if g.ShardID != 0 || g.ReadCommits != 10 || g.ReplicaID != 2 {
-				t.Fatalf("v5 StatsOK = %+v", g)
-			}
-		}
-	}
-	if err := <-errc; err != nil {
-		t.Fatalf("send: %v", err)
-	}
-}
-
-// TestTwoPCFramesRoundTrip covers the new v6 request/reply pairs.
+// TestTwoPCFramesRoundTrip covers the two-phase-commit request/reply
+// pairs.
 func TestTwoPCFramesRoundTrip(t *testing.T) {
 	ws := writeset.New([]writeset.Entry{
 		{Key: writeset.Key{Table: "item", Row: 7}, Value: "v7"},
@@ -94,7 +44,7 @@ func TestTwoPCFramesRoundTrip(t *testing.T) {
 		&ForgetTxnOK{},
 	}
 	for _, m := range msgs {
-		got := roundTripAt(t, ProtoVersion, m)
+		got := roundTrip(t, m)
 		if got.msgType() != m.msgType() {
 			t.Fatalf("%T came back as %T", m, got)
 		}
@@ -112,25 +62,8 @@ func TestTwoPCFramesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTwoPCFramesRequireV6 pins the version gate servers enforce.
-func TestTwoPCFramesRequireV6(t *testing.T) {
-	for _, typ := range []MsgType{TPrepareTxn, TPrepareTxnOK, TDecideTxn,
-		TDecideTxnOK, TResolveTxn, TResolveTxnOK, TForgetTxn, TForgetTxnOK} {
-		if got := MinProtoFor(typ); got != 6 {
-			t.Fatalf("MinProtoFor(%d) = %d, want 6", typ, got)
-		}
-	}
-	// The grown v2 messages must NOT move: the shard block is gated by
-	// connection version, not by message type.
-	for _, typ := range []MsgType{TJoinOK, TMembersOK, TStatsOK} {
-		if got := MinProtoFor(typ); got != 2 {
-			t.Fatalf("MinProtoFor(%d) = %d, want 2", typ, got)
-		}
-	}
-}
-
-// FuzzShardMapV6 fuzzes the grown membership replies through full
-// frames at v6 and v5, mirroring FuzzRecordsV5.
+// FuzzShardMapV6 fuzzes the membership replies' shard-map block
+// through full frames.
 func FuzzShardMapV6(f *testing.F) {
 	f.Add(int64(0), int64(1), "a:1", int64(0), int64(0), int64(0))
 	f.Add(int64(3), int64(5), "10.0.0.1:7001", int64(2), int64(4), int64(9))
@@ -139,29 +72,22 @@ func FuzzShardMapV6(f *testing.F) {
 		m := &JoinOK{ID: id, Epoch: epoch,
 			Members: []Member{{ID: id, Addr: addr}},
 			ShardID: shard, ShardCount: count, MapVersion: mapv}
-		got := roundTripAt(t, ProtoVersion, m).(*JoinOK)
+		got := roundTrip(t, m).(*JoinOK)
 		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("v6 JoinOK mismatch: %+v vs %+v", got, m)
-		}
-		old := roundTripAt(t, 5, m).(*JoinOK)
-		if old.ShardID != 0 || old.ShardCount != 0 || old.MapVersion != 0 {
-			t.Fatalf("v5 JoinOK leaked shard fields: %+v", old)
-		}
-		if old.ID != id || old.Epoch != epoch {
-			t.Fatalf("v5 JoinOK base fields mangled: %+v", old)
+			t.Fatalf("JoinOK mismatch: %+v vs %+v", got, m)
 		}
 
 		mo := &MembersOK{Epoch: epoch, Members: m.Members,
 			ShardID: shard, ShardCount: count, MapVersion: mapv}
-		gmo := roundTripAt(t, ProtoVersion, mo).(*MembersOK)
+		gmo := roundTrip(t, mo).(*MembersOK)
 		if !reflect.DeepEqual(gmo, mo) {
-			t.Fatalf("v6 MembersOK mismatch: %+v vs %+v", gmo, mo)
+			t.Fatalf("MembersOK mismatch: %+v vs %+v", gmo, mo)
 		}
 	})
 }
 
 // FuzzTwoPCFramesV6 fuzzes the prepare/decide codec through full
-// frames at the newest protocol.
+// frames.
 func FuzzTwoPCFramesV6(f *testing.F) {
 	f.Add("t1", int64(0), int64(0), "item", int64(7), "v", false, true, int64(8))
 	f.Add("", int64(-2), int64(1<<50), "", int64(-1), "", true, false, int64(0))
@@ -171,16 +97,16 @@ func FuzzTwoPCFramesV6(f *testing.F) {
 			WS: writeset.New([]writeset.Entry{
 				{Key: writeset.Key{Table: table, Row: row}, Delete: del, Value: value},
 			})}
-		gp := roundTripAt(t, ProtoVersion, p).(*PrepareTxn)
+		gp := roundTrip(t, p).(*PrepareTxn)
 		if gp.TxnID != id || gp.Coord != coord || gp.Snapshot != snap || !wsEqual(gp.WS, p.WS) {
 			t.Fatalf("PrepareTxn mismatch: %+v vs %+v", gp, p)
 		}
 		d := &DecideTxn{TxnID: id, Commit: commit}
-		if gd := roundTripAt(t, ProtoVersion, d).(*DecideTxn); !reflect.DeepEqual(gd, d) {
+		if gd := roundTrip(t, d).(*DecideTxn); !reflect.DeepEqual(gd, d) {
 			t.Fatalf("DecideTxn mismatch: %+v vs %+v", gd, d)
 		}
 		dok := &DecideTxnOK{Version: version}
-		if gdok := roundTripAt(t, ProtoVersion, dok).(*DecideTxnOK); !reflect.DeepEqual(gdok, dok) {
+		if gdok := roundTrip(t, dok).(*DecideTxnOK); !reflect.DeepEqual(gdok, dok) {
 			t.Fatalf("DecideTxnOK mismatch: %+v vs %+v", gdok, dok)
 		}
 	})

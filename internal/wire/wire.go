@@ -5,9 +5,9 @@
 // (FetchSince), the messages the paper's prototypes exchange between
 // proxies, the certifier and the load balancer (§5).
 //
-// Framing is versioned: every connection opens with a Hello carrying a
-// 4-byte magic and the protocol version, and the server refuses
-// mismatches before any other traffic. Each subsequent frame is
+// Every connection opens with a Hello carrying a 4-byte magic and the
+// protocol version, and the server refuses any version but its own
+// (ProtoVersion) before other traffic. Each subsequent frame is
 //
 //	[4-byte big-endian length] [1-byte message type] [payload]
 //
@@ -29,76 +29,19 @@ import (
 )
 
 const (
-	// ProtoVersion is the newest protocol spoken by this build. Hello
-	// exchanges it; the server negotiates down to the client's version
-	// as long as it is at least MinProto. Version 2 added the elastic
-	// membership messages (Join/Leave/Snapshot/Members/Stats); version
-	// 3 adds replicated certification (Paxos Prepare/Accept/Learn
-	// frames and the NotLeader redirect); version 4 adds commit-path
-	// trace ids on Begin/BeginOK/Certify and trace ids + commit
-	// timestamps on propagated Records, so spans stitch across nodes.
-	// Version 5 re-frames Records for propagation efficiency — a
-	// per-frame table dictionary, delta-encoded versions and an
-	// optional DEFLATE-compressed body (see records_v5.go) — and adds
-	// a client-side compression opt-out on FetchSince. No new message
-	// types: an older peer simply never sees the extra fields or the
-	// compact shape (they are used only on new-enough connections).
-	// Version 6 adds horizontal partitioning: JoinOK/MembersOK carry
-	// the shard map (this group's id, the group count and the map
-	// version), StatsOK identifies its shard, and the cross-shard
-	// two-phase-commit frames (PrepareTxn/DecideTxn/ResolveTxn/
-	// ForgetTxn) let a router coordinate one transaction across
-	// several groups. A v5 peer sees none of it — the shard fields are
-	// appended only on proto>=6 connections and the 2PC messages are
-	// refused below 6.
-	ProtoVersion = 6
-
-	// MinProto is the oldest protocol version this build still
-	// accepts. A v1 peer can run the full transaction, load and
-	// propagation surface; only the membership messages are refused
-	// (with a structured Err), so mixed-version clusters degrade
-	// cleanly instead of hanging.
-	MinProto = 1
+	// ProtoVersion is the one protocol version this build speaks. Every
+	// node and client of a deployment is built from the same source, so
+	// nothing is negotiated: Hello carries ProtoVersion, and a server
+	// answers any other version with Err{CodeBadRequest} and closes the
+	// connection. Each message has exactly one payload shape. Any change
+	// to a frame's shape — a field added, removed or re-encoded, or a
+	// message type added — bumps ProtoVersion.
+	ProtoVersion = 7
 
 	// MaxFrame bounds one frame (type byte + payload) to keep a
 	// misbehaving peer from forcing unbounded allocation.
 	MaxFrame = 16 << 20
 )
-
-// Negotiate returns the protocol version a server speaking
-// [MinProto, ProtoVersion] should use with a client that announced
-// clientProto, or an error when no common version exists. The result
-// is min(clientProto, ProtoVersion).
-func Negotiate(clientProto uint32) (uint32, error) {
-	if clientProto < MinProto {
-		return 0, fmt.Errorf("%w: peer speaks %d, need at least %d",
-			ErrVersionMismatch, clientProto, MinProto)
-	}
-	if clientProto > ProtoVersion {
-		return ProtoVersion, nil
-	}
-	return clientProto, nil
-}
-
-// MinProtoFor returns the protocol version a message type requires.
-// The membership messages of the elastic subsystem need version 2 and
-// the replicated-certification messages need version 3; everything
-// else is part of the version-1 surface.
-func MinProtoFor(t MsgType) uint32 {
-	switch t {
-	case TPrepareTxn, TPrepareTxnOK, TDecideTxn, TDecideTxnOK,
-		TResolveTxn, TResolveTxnOK, TForgetTxn, TForgetTxnOK:
-		return 6
-	case TPaxosPrepare, TPaxosPrepareOK, TPaxosAccept, TPaxosAcceptOK,
-		TPaxosLearn, TPaxosLearnOK, TNotLeader:
-		return 3
-	case TJoin, TJoinOK, TLeave, TLeaveOK, TSnapshotReq, TSnapshotOK,
-		TMembers, TMembersOK, TStats, TStatsOK:
-		return 2
-	default:
-		return 1
-	}
-}
 
 // magic opens every Hello payload.
 var magic = [4]byte{'R', 'D', 'B', '1'}
@@ -125,54 +68,30 @@ var (
 // for concurrent use; callers own a connection for the duration of a
 // transaction or RPC, which is how the client pool hands them out.
 type Conn struct {
-	rw    io.ReadWriter
-	rbuf  []byte
-	wbuf  []byte
-	hdr   [4]byte
-	proto uint32
+	rw   io.ReadWriter
+	rbuf []byte
+	wbuf []byte
+	hdr  [4]byte
 	// hot caches one reusable decode target per hot message type so
 	// steady-state Recv does not allocate a fresh struct per frame.
 	// Indexed by MsgType; only types marked in hotReusable are cached.
 	hot [TRecords + 1]Message
 	// dec is Recv's decoder. It lives on the Conn because handing a
-	// stack decoder to the dynamic decodeV call makes it escape — one
+	// stack decoder to the dynamic decode call makes it escape — one
 	// heap allocation per received frame.
 	dec decoder
 }
 
-// NewConn wraps a byte stream (normally a *net.TCPConn). The
-// connection assumes ProtoVersion until SetProto records the
-// handshake's negotiated version.
+// NewConn wraps a byte stream (normally a *net.TCPConn).
 func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{rw: rw, proto: ProtoVersion}
-}
-
-// SetProto records the negotiated protocol version; messages whose
-// encoding is version-dependent (the versioned interface) encode and
-// decode against it. Both ends call it right after Hello/HelloOK.
-func (c *Conn) SetProto(v uint32) { c.proto = v }
-
-// Proto returns the connection's negotiated protocol version.
-func (c *Conn) Proto() uint32 { return c.proto }
-
-// versioned is implemented by messages whose payload depends on the
-// negotiated protocol version. Plain encode/decode remain the
-// ProtoVersion shape (used by tests and by callers without a Conn);
-// Send/Recv route through the versioned variants.
-type versioned interface {
-	encodeV(b []byte, proto uint32) []byte
-	decodeV(d *decoder, proto uint32)
+	return &Conn{rw: rw}
 }
 
 // Send encodes and writes one message as a single frame.
 func (c *Conn) Send(m Message) error {
 	c.wbuf = c.wbuf[:0]
 	c.wbuf = append(c.wbuf, 0, 0, 0, 0, byte(m.msgType()))
-	if vm, ok := m.(versioned); ok {
-		c.wbuf = vm.encodeV(c.wbuf, c.proto)
-	} else {
-		c.wbuf = m.encode(c.wbuf)
-	}
+	c.wbuf = m.encode(c.wbuf)
 	n := len(c.wbuf) - 4
 	if n > MaxFrame {
 		return ErrFrameTooLarge
@@ -242,11 +161,7 @@ func (c *Conn) Recv() (Message, error) {
 	}
 	c.dec = decoder{b: buf[1:]}
 	d := &c.dec
-	if vm, ok := m.(versioned); ok {
-		vm.decodeV(d, c.proto)
-	} else {
-		m.decode(d)
-	}
+	m.decode(d)
 	if d.err != nil {
 		return nil, d.err
 	}

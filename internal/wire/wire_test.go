@@ -53,18 +53,22 @@ func wsEqual(a, b writeset.Writeset) bool {
 	return true
 }
 
-func TestRoundTripAllMessages(t *testing.T) {
+// allMessages returns one or more instances of every message type,
+// with every field of each message set at least once.
+func allMessages() []Message {
 	ws := writeset.New([]writeset.Entry{
 		{Key: writeset.Key{Table: "item", Row: 7}, Value: "v7"},
 		{Key: writeset.Key{Table: "order_line", Row: -3}, Delete: true},
 		{Key: writeset.Key{Table: "item", Row: 1 << 40}, Value: ""},
 	})
-	msgs := []Message{
+	return []Message{
 		&Err{Code: CodeReadOnly, Msg: "read only"},
 		&Hello{Proto: ProtoVersion},
 		&HelloOK{Proto: ProtoVersion, Design: "mm", ID: 2},
 		&Begin{ReadOnly: true},
+		&Begin{Trace: 0xDEADBEEF},
 		&BeginOK{Applied: 42},
+		&BeginOK{Applied: 42, Trace: 0xDEADBEEF},
 		&Read{Table: "item", Row: 9},
 		&ReadOK{OK: true, Value: "hello"},
 		&ReadOK{OK: false},
@@ -85,14 +89,16 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&Dump{Table: "item"},
 		&DumpOK{Rows: []int64{1, 2, 3}, Values: []string{"a", "b", "c"}},
 		&Certify{Snapshot: 12, WS: ws},
+		&Certify{Snapshot: 12, WS: ws, Trace: 99},
 		&CertifyOK{Committed: true, Version: 13},
 		&CertifyOK{Committed: false, ConflictWith: 12},
 		&Check{Snapshot: 3, WS: ws},
 		&CheckOK{Conflict: true, With: 4},
 		&FetchSince{Version: 9, WaitMillis: 250},
-		&Records{Recs: []Record{{Version: 10, WS: ws}, {Version: 11}}},
+		&Records{Recs: []Record{{Version: 10, WS: ws, Trace: 5, CommitNs: 1e18}, {Version: 11}}},
 		&Join{Addr: "127.0.0.1:7003"},
 		&JoinOK{ID: 3, Epoch: 5, Members: []Member{{ID: 0, Addr: "a:1"}, {ID: 3, Addr: "b:2"}}},
+		&JoinOK{ID: 3, Epoch: 5, ShardID: 1, ShardCount: 2, MapVersion: 1},
 		&Leave{ID: 3},
 		&LeaveOK{},
 		&SnapshotReq{},
@@ -103,12 +109,15 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&SnapshotOK{Version: 41},
 		&Members{},
 		&MembersOK{Epoch: 9, Members: []Member{{ID: 0, Addr: "a:1"}}},
+		&MembersOK{Epoch: 9, ShardID: 1, ShardCount: 2, MapVersion: 1},
 		&Stats{},
 		&StatsOK{ReadCommits: 10, UpdateCommits: 4, Aborts: 1, ReadNs: 1e9,
 			UpdateNs: 5e8, Applied: 44, QueueDepth: 2, ActiveTxns: 3,
 			AppliedTotal: 123, ApplyLag: 7,
 			StageCounts: [6]int64{100, 0, 90, 90, 80, 100},
-			StageNs:     [6]int64{5e6, 0, 2e6, 9e6, 1e6, 3e5}},
+			StageNs:     [6]int64{5e6, 0, 2e6, 9e6, 1e6, 3e5},
+			ReplicaID:   2, Epoch: 3, Leading: true,
+			LagCount: 50, LagSumNs: 4e7, LagMaxNs: 3e6, ShardID: 1},
 		&StatsOK{}, // tracing disabled: all stage fields zero
 		&PaxosPrepare{Round: 3, Proposer: 1, Slot: 12},
 		&PaxosPrepareOK{OK: true, PromisedRound: 3, PromisedProposer: 1,
@@ -120,8 +129,19 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&PaxosLearnOK{MaxSlot: -1, PromisedRound: 0, PromisedProposer: 0},
 		&PaxosLearnOK{MaxSlot: 41, PromisedRound: 7, PromisedProposer: 2},
 		&NotLeader{Leader: 2, Epoch: 7, Addr: "127.0.0.1:7002"},
+		&PrepareTxn{TxnID: "r0-17-1", Coord: 2, Snapshot: 41, WS: ws},
+		&PrepareTxnOK{Vote: false, ConflictWith: 40},
+		&DecideTxn{TxnID: "r0-17-1", Commit: true},
+		&DecideTxnOK{Version: 42},
+		&ResolveTxn{TxnID: "r0-17-1"},
+		&ResolveTxnOK{Commit: true},
+		&ForgetTxn{TxnID: "r0-17-1"},
+		&ForgetTxnOK{},
 	}
-	for _, m := range msgs {
+}
+
+func TestRoundTripAllMessages(t *testing.T) {
+	for _, m := range allMessages() {
 		got := roundTrip(t, m)
 		if got.msgType() != m.msgType() {
 			t.Fatalf("%T came back as %T", m, got)
@@ -129,7 +149,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 		switch want := m.(type) {
 		case *Certify:
 			g := got.(*Certify)
-			if g.Snapshot != want.Snapshot || !wsEqual(g.WS, want.WS) {
+			if g.Snapshot != want.Snapshot || g.Trace != want.Trace || !wsEqual(g.WS, want.WS) {
 				t.Fatalf("Certify mismatch: %+v vs %+v", g, want)
 			}
 		case *Check:
@@ -137,16 +157,14 @@ func TestRoundTripAllMessages(t *testing.T) {
 			if g.Snapshot != want.Snapshot || !wsEqual(g.WS, want.WS) {
 				t.Fatalf("Check mismatch: %+v vs %+v", g, want)
 			}
+		case *PrepareTxn:
+			g := got.(*PrepareTxn)
+			if g.TxnID != want.TxnID || g.Coord != want.Coord ||
+				g.Snapshot != want.Snapshot || !wsEqual(g.WS, want.WS) {
+				t.Fatalf("PrepareTxn mismatch: %+v vs %+v", g, want)
+			}
 		case *Records:
-			g := got.(*Records)
-			if len(g.Recs) != len(want.Recs) {
-				t.Fatalf("Records len %d vs %d", len(g.Recs), len(want.Recs))
-			}
-			for i := range g.Recs {
-				if g.Recs[i].Version != want.Recs[i].Version || !wsEqual(g.Recs[i].WS, want.Recs[i].WS) {
-					t.Fatalf("Records[%d] mismatch", i)
-				}
-			}
+			recordsEqual(t, got.(*Records).Recs, want.Recs)
 		default:
 			if !reflect.DeepEqual(got, m) {
 				t.Fatalf("%T mismatch: %+v vs %+v", m, got, m)
@@ -233,26 +251,19 @@ func TestRecvRejectsMalformedFrames(t *testing.T) {
 	}
 }
 
-// TestStatsOKTruncatedStages chops bytes off an encoded StatsOK frame:
-// every prefix that cuts into the stage breakdown must fail with
-// ErrTruncated, never decode into a short message.
-func TestStatsOKTruncatedStages(t *testing.T) {
-	full := &StatsOK{ReadCommits: 10, UpdateCommits: 4, Aborts: 1, ReadNs: 1e9,
-		UpdateNs: 5e8, Applied: 44, QueueDepth: 2, ActiveTxns: 3,
-		AppliedTotal: 123, ApplyLag: 7,
-		StageCounts: [6]int64{100, 11, 90, 90, 80, 100},
-		StageNs:     [6]int64{5e6, 4e4, 2e6, 9e6, 1e6, 3e5}}
-	payload := full.encode([]byte{byte(TStatsOK)})
-	// The stage fields are the final 12 varints; every one is non-zero
-	// above, so each drops at least one byte when truncated.
-	for cut := 1; cut <= 12; cut++ {
-		a, b := net.Pipe()
-		go sendRaw(a, frame(payload[:len(payload)-cut]))
-		_, err := NewConn(b).Recv()
-		a.Close()
-		b.Close()
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut %d bytes: err = %v, want ErrTruncated", cut, err)
+// TestRecvRejectsTruncatedPrefixes frames every proper prefix of every
+// message's payload: each has one shape with no optional trailing
+// field, so every cut must fail with ErrTruncated, never decode into a
+// short message.
+func TestRecvRejectsTruncatedPrefixes(t *testing.T) {
+	for _, m := range allMessages() {
+		payload := m.encode([]byte{byte(m.msgType())})
+		for n := 0; n < len(payload); n++ {
+			c := NewConn(readWriter{bytes.NewBuffer(frame(payload[:n]))})
+			if _, err := c.Recv(); !errors.Is(err, ErrTruncated) {
+				t.Fatalf("%T cut to %d of %d bytes: err = %v, want ErrTruncated",
+					m, n, len(payload), err)
+			}
 		}
 	}
 }
@@ -290,48 +301,6 @@ func TestSendRejectsOversizedFrame(t *testing.T) {
 	big := &Load{Table: "t", Values: []string{string(make([]byte, MaxFrame))}}
 	if err := c.Send(big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
-	}
-}
-
-func TestNegotiate(t *testing.T) {
-	cases := []struct {
-		client uint32
-		want   uint32
-		ok     bool
-	}{
-		{MinProto, MinProto, true},
-		{ProtoVersion, ProtoVersion, true},
-		{ProtoVersion + 5, ProtoVersion, true}, // future client: serve our newest
-		{0, 0, false},                          // below MinProto: no common version
-	}
-	for _, tc := range cases {
-		got, err := Negotiate(tc.client)
-		if tc.ok && (err != nil || got != tc.want) {
-			t.Fatalf("Negotiate(%d) = %d, %v; want %d", tc.client, got, err, tc.want)
-		}
-		if !tc.ok && !errors.Is(err, ErrVersionMismatch) {
-			t.Fatalf("Negotiate(%d) err = %v, want ErrVersionMismatch", tc.client, err)
-		}
-	}
-}
-
-func TestMinProtoFor(t *testing.T) {
-	for _, tt := range []MsgType{TJoin, TJoinOK, TLeave, TLeaveOK, TSnapshotReq,
-		TSnapshotOK, TMembers, TMembersOK, TStats, TStatsOK} {
-		if MinProtoFor(tt) != 2 {
-			t.Fatalf("membership message %d should require protocol 2", tt)
-		}
-	}
-	for _, tt := range []MsgType{TPaxosPrepare, TPaxosPrepareOK, TPaxosAccept,
-		TPaxosAcceptOK, TPaxosLearn, TPaxosLearnOK, TNotLeader} {
-		if MinProtoFor(tt) != 3 {
-			t.Fatalf("replication message %d should require protocol 3", tt)
-		}
-	}
-	for _, tt := range []MsgType{THello, TBegin, TCommit, TCertify, TFetchSince} {
-		if MinProtoFor(tt) != 1 {
-			t.Fatalf("v1 message %d should require protocol 1", tt)
-		}
 	}
 }
 
