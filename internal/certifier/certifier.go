@@ -793,6 +793,15 @@ func (c *Certifier) Since(v int64) []Record {
 // GC prunes records with versions at or below upTo. Callers must
 // guarantee every replica has applied those versions and no active
 // snapshot predates them.
+//
+// Records are only ever appended at the tail and pruned at the head,
+// so pruning trims the head of the slice in place instead of copying
+// the retained suffix: a horizon that advances once per commit costs
+// O(pruned) here, and the retained log is copied only when append
+// outgrows the backing array (amortised O(1) per record). The trimmed
+// prefix is zeroed so the pruned writesets are released to the
+// collector, and a backing array left mostly empty by a large prune
+// is reallocated so a long-stalled horizon does not pin its peak size.
 func (c *Certifier) GC(upTo int64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -810,7 +819,11 @@ func (c *Certifier) GC(upTo int64) int {
 			}
 		}
 	}
-	c.records = append(c.records[:0:0], c.records[cut:]...)
+	clear(c.records[:cut])
+	c.records = c.records[cut:]
+	if cap(c.records) > 2*len(c.records)+256 {
+		c.records = append([]Record(nil), c.records...)
+	}
 	c.lowWater = upTo
 	return cut
 }

@@ -65,22 +65,53 @@ func (n *Notify) Bump(v int64) {
 	n.mu.Unlock()
 }
 
+// published reports whether a version > v has been published and, if
+// not, returns the channel the next Bump closes.
+func (n *Notify) published(v int64) (bool, chan struct{}) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.latest > v, n.ch
+}
+
+// timers recycles WaitBeyond's deadline timers. Under the timer
+// semantics go.mod selects (Go 1.23+), Stop and Reset discard any
+// pending expiry, so a recycled timer never delivers a stale tick.
+var timers sync.Pool
+
+// takeTimer returns a timer armed to fire after d.
+func takeTimer(d time.Duration) *time.Timer {
+	if t, ok := timers.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// putTimer disarms t and returns it to the pool.
+func putTimer(t *time.Timer) {
+	t.Stop()
+	timers.Put(t)
+}
+
 // WaitBeyond blocks until a version > v has been published, the
 // timeout expires, or stop closes (so server shutdown interrupts
-// parked long polls instead of waiting out their timers).
+// parked long polls instead of waiting out their timers). A long poll
+// runs once per peer fetch, so it allocates nothing: it returns before
+// arming a timer when a newer version is already published, and
+// otherwise borrows a pooled timer.
 func (n *Notify) WaitBeyond(v int64, timeout time.Duration, stop <-chan struct{}) {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
+	done, ch := n.published(v)
+	if done {
+		return
+	}
+	deadline := takeTimer(timeout)
+	defer putTimer(deadline)
 	for {
-		n.mu.Lock()
-		if n.latest > v {
-			n.mu.Unlock()
-			return
-		}
-		ch := n.ch
-		n.mu.Unlock()
 		select {
 		case <-ch:
+			if done, ch = n.published(v); done {
+				return
+			}
 		case <-deadline.C:
 			return
 		case <-stop:

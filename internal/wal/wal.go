@@ -293,7 +293,7 @@ func Open(opts Options) (*WAL, *Recovered, error) {
 			return nil, nil, fmt.Errorf("wal: create: %w", err)
 		}
 		w.f, w.epoch, w.base = f, 1, 0
-		hdr := frame(encodeBeginEpoch(nil, 1, 0))
+		hdr := closeFrame(encodeBeginEpoch(openFrame(nil), 1, 0), 0)
 		if _, err := f.Write(hdr); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("wal: write epoch header: %w", err)
@@ -530,21 +530,41 @@ func dropPrepared(rec *Recovered, id string) {
 	}
 }
 
-// frame wraps a payload in its length+CRC header.
-func frame(payload []byte) []byte {
-	out := make([]byte, headerSize, headerSize+len(payload))
-	binary.BigEndian.PutUint32(out, uint32(len(payload)))
-	binary.BigEndian.PutUint32(out[4:], crc32.Checksum(payload, crcTable))
-	return append(out, payload...)
+// Frames are built in place: openFrame reserves the header at the end
+// of buf, the payload is encoded straight after it, and closeFrame
+// fills in the length and CRC, so a payload is encoded once, where it
+// is written from:
+//
+//	start := len(buf)
+//	buf = closeFrame(encodeCommit(openFrame(buf), v), start)
+
+// openFrame reserves a frame header at the end of buf.
+func openFrame(buf []byte) []byte {
+	return append(buf, make([]byte, headerSize)...)
 }
 
-// appendFrame appends one framed payload to buf.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+// closeFrame fills in the header of the frame opened at buf[start:],
+// whose payload runs to the end of buf.
+func closeFrame(buf []byte, start int) []byte {
+	payload := buf[start+headerSize:]
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
+	return buf
+}
+
+// appendBatchFrames appends one writeset frame per record followed by
+// the commit marker covering them all.
+func appendBatchFrames(buf []byte, recs []certifier.Record) []byte {
+	max := int64(0)
+	for _, r := range recs {
+		start := len(buf)
+		buf = closeFrame(encodeWriteset(openFrame(buf), r.Version, r.Writeset), start)
+		if r.Version > max {
+			max = r.Version
+		}
+	}
+	start := len(buf)
+	return closeFrame(encodeCommit(openFrame(buf), max), start)
 }
 
 // write appends buf to the segment under mu, returning the covering
@@ -573,34 +593,25 @@ func (w *WAL) Append(recs []certifier.Record) (int64, error) {
 	if len(recs) == 0 {
 		return w.seq.Load(), w.stickyErr()
 	}
-	buf := w.takeBuf()
-	max := int64(0)
-	for _, r := range recs {
-		buf = appendFrame(buf, encodeWriteset(nil, r.Version, r.Writeset))
-		if r.Version > max {
-			max = r.Version
-		}
-	}
-	buf = appendFrame(buf, encodeCommit(nil, max))
-	seq, err := w.write(buf)
-	w.putBuf(buf)
-	return seq, err
+	buf := takeBuf()
+	*buf = appendBatchFrames(*buf, recs)
+	return w.writeBuf(buf)
 }
 
 // AppendApply journals one local database installation (no sync: the
 // apply stream is lazily durable; acks ride the certified stream).
 func (w *WAL) AppendApply(local int64, ws writeset.Writeset) error {
-	buf := w.takeBuf()
-	buf = appendFrame(buf, encodeApply(nil, local, ws))
-	_, err := w.write(buf)
-	w.putBuf(buf)
+	buf := takeBuf()
+	*buf = closeFrame(encodeApply(openFrame(*buf), local, ws), 0)
+	_, err := w.writeBuf(buf)
 	return err
 }
 
 // AppendTable journals a table creation.
 func (w *WAL) AppendTable(name string) error {
-	buf := appendFrame(nil, encodeTable(nil, name))
-	_, err := w.write(buf)
+	buf := takeBuf()
+	*buf = closeFrame(encodeTable(openFrame(*buf), name), 0)
+	_, err := w.writeBuf(buf)
 	return err
 }
 
@@ -608,19 +619,18 @@ func (w *WAL) AppendTable(name string) error {
 // this replica has applied. A restarted replica resumes FetchSince
 // from the highest cursor on disk.
 func (w *WAL) AppendCursor(global int64) error {
-	buf := appendFrame(nil, encodeCursor(nil, global))
-	_, err := w.write(buf)
+	buf := takeBuf()
+	*buf = closeFrame(encodeCursor(openFrame(*buf), global), 0)
+	_, err := w.writeBuf(buf)
 	return err
 }
 
 // AppendPrepare journals an in-doubt cross-shard fragment; implements
 // certifier.TxnJournal. Sync the returned sequence before voting yes.
 func (w *WAL) AppendPrepare(p certifier.PreparedTxn) (int64, error) {
-	buf := w.takeBuf()
-	buf = appendFrame(buf, encodePrepare(nil, p))
-	seq, err := w.write(buf)
-	w.putBuf(buf)
-	return seq, err
+	buf := takeBuf()
+	*buf = closeFrame(encodePrepare(openFrame(*buf), p), 0)
+	return w.writeBuf(buf)
 }
 
 // AppendDecision journals a 2PC decision and, for commits, the decided
@@ -631,42 +641,50 @@ func (w *WAL) AppendPrepare(p certifier.PreparedTxn) (int64, error) {
 // outlive its decision, while a record-less commit decision is
 // re-committed from the prepared writeset at recovery.
 func (w *WAL) AppendDecision(txn string, commit bool, version int64, recs []certifier.Record) (int64, error) {
-	buf := w.takeBuf()
-	buf = appendFrame(buf, encodeDecision(nil, txn, commit, version))
+	buf := takeBuf()
+	*buf = closeFrame(encodeDecision(openFrame(*buf), txn, commit, version), 0)
 	if commit && len(recs) > 0 {
-		max := int64(0)
-		for _, r := range recs {
-			buf = appendFrame(buf, encodeWriteset(nil, r.Version, r.Writeset))
-			if r.Version > max {
-				max = r.Version
-			}
-		}
-		buf = appendFrame(buf, encodeCommit(nil, max))
+		*buf = appendBatchFrames(*buf, recs)
 	}
-	seq, err := w.write(buf)
-	w.putBuf(buf)
-	return seq, err
+	return w.writeBuf(buf)
 }
 
 // AppendForget journals the retirement of a decision record.
 func (w *WAL) AppendForget(txn string) (int64, error) {
-	buf := appendFrame(nil, encodeForget(nil, txn))
-	return w.write(buf)
+	buf := takeBuf()
+	*buf = closeFrame(encodeForget(openFrame(*buf), txn), 0)
+	return w.writeBuf(buf)
 }
 
-// takeBuf/putBuf reuse one append buffer across calls (appends already
-// serialize on mu, contention just falls back to allocating).
+// takeBuf/putBuf reuse append buffers across calls: every Append*
+// frames its records in place in a pooled buffer, writes it with one
+// write, and returns it (appends already serialize on mu, so the pool
+// usually holds one warm buffer; contention just falls back to
+// allocating). The pool holds the *[]byte itself, so returning a
+// buffer boxes nothing, and a steady-state append allocates nothing.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-func (w *WAL) takeBuf() []byte {
+// takeBuf returns an empty pooled buffer.
+func takeBuf() *[]byte {
 	b := bufPool.Get().(*[]byte)
-	return (*b)[:0]
+	*b = (*b)[:0]
+	return b
 }
 
-func (w *WAL) putBuf(b []byte) {
-	if cap(b) <= maxRecord {
-		bufPool.Put(&b)
+// putBuf returns b to the pool, dropping buffers a huge batch grew
+// past one record's bound so the pool never pins them.
+func putBuf(b *[]byte) {
+	if cap(*b) <= maxRecord {
+		bufPool.Put(b)
 	}
+}
+
+// writeBuf writes a pooled buffer as one write and returns it to the
+// pool.
+func (w *WAL) writeBuf(buf *[]byte) (int64, error) {
+	seq, err := w.write(*buf)
+	putBuf(buf)
+	return seq, err
 }
 
 // Sync blocks until every write at or before seq is durable. With
@@ -769,12 +787,13 @@ func (w *WAL) Compact(base, snapGlobal, snapLocal, keepApplies int64, tables []s
 		return fmt.Errorf("wal: compact read: %w", err)
 	}
 
-	var buf []byte
-	buf = appendFrame(buf, encodeBeginEpoch(nil, w.epoch+1, base))
+	buf := closeFrame(encodeBeginEpoch(openFrame(nil), w.epoch+1, base), 0)
 	for _, t := range tables {
-		buf = appendFrame(buf, encodeTable(nil, t))
+		start := len(buf)
+		buf = closeFrame(encodeTable(openFrame(buf), t), start)
 	}
-	buf = appendFrame(buf, encodeSnapshot(nil, snapGlobal, snapLocal, state))
+	start := len(buf)
+	buf = closeFrame(encodeSnapshot(openFrame(buf), snapGlobal, snapLocal, state), start)
 
 	// Carry over the still-needed tail of the old segment, frame by
 	// frame, bytes verbatim. The pre-pass collects settled 2PC txns so

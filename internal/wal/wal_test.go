@@ -19,6 +19,12 @@ func ws(table string, row int64, value string) writeset.Writeset {
 	})
 }
 
+// frame wraps an already-encoded payload in its length+CRC header, for
+// tests that hand-craft segments.
+func frame(payload []byte) []byte {
+	return closeFrame(append(openFrame(nil), payload...), 0)
+}
+
 // reopen power-cycles the fs (keeping unsynced bytes: a process kill)
 // and opens a fresh WAL over it.
 func reopen(t *testing.T, fs *MemFS, fsync bool) (*WAL, *Recovered) {

@@ -176,9 +176,9 @@ func BenchmarkHotFrameDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordsV5 measures the propagation codec itself: encode and
+// BenchmarkRecords measures the propagation codec itself: encode and
 // decode of a 64-record stream, plain and compressed.
-func BenchmarkRecordsV5(b *testing.B) {
+func BenchmarkRecords(b *testing.B) {
 	recs := propagationRun(64)
 	for _, compress := range []bool{false, true} {
 		name := "plain"

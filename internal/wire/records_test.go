@@ -146,9 +146,9 @@ func TestRecordsV5CompressedTrailing(t *testing.T) {
 	}
 }
 
-// FuzzRecordsV5 fuzzes the delta/dictionary/compression codec through
+// FuzzRecords fuzzes the delta/dictionary/compression codec through
 // full frames.
-func FuzzRecordsV5(f *testing.F) {
+func FuzzRecords(f *testing.F) {
 	f.Add(int64(1), int64(1), uint64(0), int64(0), "item", int64(7), "v", false, false)
 	f.Add(int64(-9), int64(-1), ^uint64(0), int64(-5), "", int64(0), "", true, true)
 	f.Add(int64(1<<40), int64(3), uint64(77), int64(1<<50), "orders", int64(-2),

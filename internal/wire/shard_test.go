@@ -62,9 +62,9 @@ func TestTwoPCFramesRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzShardMapV6 fuzzes the membership replies' shard-map block
+// FuzzShardMap fuzzes the membership replies' shard-map block
 // through full frames.
-func FuzzShardMapV6(f *testing.F) {
+func FuzzShardMap(f *testing.F) {
 	f.Add(int64(0), int64(1), "a:1", int64(0), int64(0), int64(0))
 	f.Add(int64(3), int64(5), "10.0.0.1:7001", int64(2), int64(4), int64(9))
 	f.Add(int64(-1), int64(-7), "", int64(-3), int64(1<<40), int64(-9))
@@ -86,9 +86,9 @@ func FuzzShardMapV6(f *testing.F) {
 	})
 }
 
-// FuzzTwoPCFramesV6 fuzzes the prepare/decide codec through full
+// FuzzTwoPCFrames fuzzes the prepare/decide codec through full
 // frames.
-func FuzzTwoPCFramesV6(f *testing.F) {
+func FuzzTwoPCFrames(f *testing.F) {
 	f.Add("t1", int64(0), int64(0), "item", int64(7), "v", false, true, int64(8))
 	f.Add("", int64(-2), int64(1<<50), "", int64(-1), "", true, false, int64(0))
 	f.Fuzz(func(t *testing.T, id string, coord, snap int64,

@@ -34,9 +34,9 @@ func TestTraceRoundTripV4(t *testing.T) {
 	}
 }
 
-// FuzzTraceRecordV4 fuzzes the Record trace metadata through a full
+// FuzzTraceRecord fuzzes the Record trace metadata through a full
 // encode/decode cycle.
-func FuzzTraceRecordV4(f *testing.F) {
+func FuzzTraceRecord(f *testing.F) {
 	f.Add(uint64(0), int64(0), int64(1), "item", int64(7), "v")
 	f.Add(uint64(1), int64(-1), int64(1<<40), "", int64(-9), "")
 	f.Add(^uint64(0), int64(1<<62), int64(2), "orders", int64(0), "long value \x00 with bytes")
