@@ -193,22 +193,25 @@ func TestReplicadbFlagValidation(t *testing.T) {
 		{"unknown design", []string{"-design", "nope"}, "unknown design"},
 		{"zero replicas", []string{"-replicas", "0"}, "-replicas must be >= 1"},
 		{"unknown mix", []string{"-mix", "nope"}, "unknown mix"},
-		{"serve without listen", []string{"serve", "-design", "mm", "-peers", "a:1,b:2"}, "requires -listen"},
+		{"serve without listen", []string{"serve", "-design", "mm", "-peers", "a:1,b:2"}, "listen address required"},
 		{"serve without peers", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0"}, "requires -peers"},
-		{"serve id out of range", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-peers", "a:1,b:2", "-id", "5"}, "out of range"},
-		{"serve groupcommit on sm", []string{"serve", "-design", "sm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-groupcommit"}, "require -design mm"},
+		{"serve id out of range", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-peers", "a:1,b:2", "-id", "5"}, "replica id 5 out of range for 2 members"},
+		{"serve groupcommit on sm", []string{"serve", "-design", "sm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-groupcommit"}, "group commit requires the mm design"},
 		{"bench without servers", []string{"bench", "-design", "mm"}, "requires -servers"},
 		{"join with peers", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-join", "b:2"}, "mutually exclusive"},
-		{"join with sm", []string{"serve", "-design", "sm", "-listen", "127.0.0.1:0", "-join", "b:2"}, "-join requires -design mm"},
+		{"join with sm", []string{"serve", "-design", "sm", "-listen", "127.0.0.1:0", "-join", "b:2"}, "elastic join requires the mm design"},
 		{"autoscale on joiner", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-join", "b:2", "-autoscale"}, "on the primary"},
 		{"autoscale on replica", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-peers", "a:1,b:2", "-id", "1", "-autoscale"}, "-autoscale requires"},
 		{"autoscale bad bounds", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-autoscale", "-min", "3", "-max", "2"}, "min <= max"},
 		{"bench watch on sm", []string{"bench", "-design", "sm", "-servers", "a:1", "-watch"}, "-watch requires -design mm"},
-		{"fsync without wal-dir", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-fsync"}, "-fsync requires -wal-dir"},
-		{"serve paxos with sm", []string{"serve", "-design", "sm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-paxos"}, "-paxos requires -design mm"},
-		{"serve paxos with join", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-join", "b:2", "-paxos"}, "-paxos and -join are mutually exclusive"},
+		{"fsync without wal-dir", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-fsync"}, "fsync requires a WAL directory"},
+		{"serve paxos with sm", []string{"serve", "-design", "sm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-paxos"}, "replicated certifier requires the mm design"},
+		{"serve paxos with join", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-join", "b:2", "-paxos"}, "elastic join is not supported with a replicated certifier"},
 		{"serve paxos with autoscale", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-paxos", "-autoscale"}, "not supported with -paxos"},
-		{"serve paxos bad elect-timeout", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-paxos", "-elect-timeout", "-1s"}, "-elect-timeout must be positive"},
+		{"serve paxos bad elect-timeout", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-paxos", "-elect-timeout", "-1s"}, "negative election timeout"},
+		{"serve sharded sm", []string{"serve", "-design", "sm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-shards", "2"}, "sharding requires the mm design"},
+		{"serve apply-workers removed", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-apply-workers", "2"}, "flag provided but not defined: -apply-workers"},
+		{"serve groupwindow removed", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-groupcommit", "-groupwindow", "1ms"}, "flag provided but not defined: -groupwindow"},
 		{"unknown mode", []string{"frobnicate"}, "unknown mode"},
 	}
 	for _, tc := range cases {

@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -242,12 +241,10 @@ func serveMain(args []string) {
 		peers   = fs.String("peers", "", "comma-separated replica addresses indexed by id (peers[0] is the primary; required unless -join)")
 		join    = fs.String("join", "", "elastic join: primary address to join at startup (mm; the primary assigns the id and transfers a snapshot)")
 		metrics = fs.String("metrics", "", "optional HTTP /metrics listen address")
-		batch   = fs.Bool("groupcommit", false, "batch commit certification on the certifier host (mm, id 0)")
-		groupW  = fs.Duration("groupwindow", 0, "cap the adaptive group-commit accumulation window (0: adaptive default; negative: flush backlog batches immediately; requires -groupcommit)")
+		batch   = fs.Bool("groupcommit", false, "batch commit certification on the certifier host (mm: id 0, or any node with -paxos)")
 		eager   = fs.Bool("eager", false, "eager certification on writes (mm; remote probe per write on non-primary nodes)")
 		walDir  = fs.String("wal-dir", "", "durable commits: write-ahead log directory (replayed on start; a restarted replica resumes via FetchSince)")
 		fsync   = fs.Bool("fsync", false, "fsync WAL commits (group commit) before acknowledging; requires -wal-dir")
-		workers = fs.Int("apply-workers", runtime.GOMAXPROCS(0), "parallel writeset appliers: non-conflicting propagated writesets install concurrently (1 = serial apply)")
 		paxos   = fs.Bool("paxos", false, "replicate the certifier over the -peers group with leader election and automatic failover (mm; composes with -wal-dir/-fsync)")
 		electTO = fs.Duration("elect-timeout", time.Second, "paxos: how long a backup goes without leader progress before campaigning")
 
@@ -267,57 +264,21 @@ func serveMain(args []string) {
 	)
 	fs.Parse(args)
 
-	if *design != "mm" && *design != "sm" {
-		usageExit(fs, "unknown design %q (mm|sm)", *design)
-	}
-	if *listen == "" {
-		usageExit(fs, "serve requires -listen")
-	}
+	// Rules on flags that map onto server.Options live in
+	// Options.Validate; only the flags with no Options field are checked
+	// here.
 	if *join != "" && *peers != "" {
 		usageExit(fs, "-join and -peers are mutually exclusive")
 	}
-	if *join != "" && *design != "mm" {
-		usageExit(fs, "-join requires -design mm (single-master clusters are fixed at boot)")
+	peerList := splitAddrs(*peers)
+	if *join == "" && len(peerList) == 0 {
+		usageExit(fs, "serve requires -peers (all replica addresses, indexed by id) or -join")
 	}
 	if *join != "" && *autoscale {
 		usageExit(fs, "-autoscale runs on the primary, not on a joiner")
 	}
-	var peerList []string
-	if *join == "" {
-		if *peers == "" {
-			usageExit(fs, "serve requires -peers (all replica addresses, indexed by id) or -join")
-		}
-		peerList = splitAddrs(*peers)
-		if *id < 0 || *id >= len(peerList) {
-			usageExit(fs, "-id %d out of range for %d peers", *id, len(peerList))
-		}
-	}
-	if *design == "sm" && (*batch || *eager) {
-		usageExit(fs, "-groupcommit and -eager require -design mm")
-	}
-	if *paxos {
-		// -paxos deliberately composes with -wal-dir/-fsync: the quorum
-		// is the durability authority and the WAL doubles as the
-		// acceptor's persistent store, so a restarted node rejoins with
-		// its promises intact.
-		if *design != "mm" {
-			usageExit(fs, "-paxos requires -design mm (the single-master design has no certifier)")
-		}
-		if *join != "" {
-			usageExit(fs, "-paxos and -join are mutually exclusive (the replicated-certifier group is fixed at boot)")
-		}
-		if *autoscale {
-			usageExit(fs, "-autoscale is not supported with -paxos (the replicated-certifier group is fixed at boot)")
-		}
-		if *electTO <= 0 {
-			usageExit(fs, "-elect-timeout must be positive (got %s)", *electTO)
-		}
-	}
-	if *batch && !*paxos && (*id != 0 || *join != "") {
-		usageExit(fs, "-groupcommit only applies to the certifier host (id 0, or any node with -paxos)")
-	}
-	if *groupW != 0 && !*batch {
-		usageExit(fs, "-groupwindow requires -groupcommit")
+	if *autoscale && *paxos {
+		usageExit(fs, "-autoscale is not supported with -paxos (the replicated-certifier group is fixed at boot)")
 	}
 	if *autoscale && (*design != "mm" || *id != 0) {
 		usageExit(fs, "-autoscale requires -design mm and -id 0 (the membership authority)")
@@ -328,26 +289,8 @@ func serveMain(args []string) {
 	if *autoscale && *maxRep < len(peerList) {
 		usageExit(fs, "-max %d below the %d statically configured replicas (they are never scaled away)", *maxRep, len(peerList))
 	}
-	if *fsync && *walDir == "" {
-		usageExit(fs, "-fsync requires -wal-dir")
-	}
-	if *slowMs < 0 {
-		usageExit(fs, "-slow-ms must be >= 0 (got %d)", *slowMs)
-	}
 	if *modelcheck && (*design != "mm" || *id != 0) {
 		usageExit(fs, "-modelcheck requires -design mm and -id 0 (the model predicts the multi-master design and needs the membership authority)")
-	}
-	if *workers < 1 {
-		usageExit(fs, "-apply-workers must be >= 1 (got %d; 1 disables parallel apply)", *workers)
-	}
-	if *shards < 1 {
-		usageExit(fs, "-shards must be >= 1 (got %d)", *shards)
-	}
-	if *shard < 0 || *shard >= *shards {
-		usageExit(fs, "-shard %d out of range for %d shard groups", *shard, *shards)
-	}
-	if *shards > 1 && *design != "mm" {
-		usageExit(fs, "-shards requires -design mm (cross-shard commit runs 2PC over certification)")
 	}
 	baseMix := mustMix(fs, *profMix)
 
@@ -357,28 +300,26 @@ func serveMain(args []string) {
 		Listen:       *listen,
 		MetricsAddr:  *metrics,
 		GroupCommit:  *batch,
-		GroupWindow:  *groupW,
 		EagerCert:    *eager,
 		Replicas:     len(peerList),
 		Members:      peerList,
+		Join:         *join != "",
 		WALDir:       *walDir,
 		Fsync:        *fsync,
-		ApplyWorkers: *workers,
+		Paxos:        *paxos,
+		ElectTimeout: *electTO,
 		DisableTrace: *notrace,
 		SlowTxn:      time.Duration(*slowMs) * time.Millisecond,
 		ShardID:      *shard,
 		ShardCount:   *shards,
 	}
-	if *paxos {
-		opts.Paxos = true
-		opts.PaxosPeers = peerList
-		opts.ElectTimeout = *electTO
-	}
 	if *join != "" {
-		opts.Join = true
 		opts.Primary = *join
 	} else if *id > 0 && !*paxos {
 		opts.Primary = peerList[0]
+	}
+	if err := opts.Validate(); err != nil {
+		usageExit(fs, "%v", err)
 	}
 	srv, err := server.New(opts)
 	if err != nil {

@@ -23,7 +23,7 @@ func openDurability(opts Options) (*pipeline.Durability, *wal.Recovered, error) 
 		return nil, nil, fmt.Errorf("server: -join requires an empty WAL directory "+
 			"(found state at epoch %d — restart with -id/-peers to recover it instead)", rec.Epoch)
 	}
-	return pipeline.NewDurability(w, opts.WALCompactBytes), rec, nil
+	return pipeline.NewDurability(w, walCompactBytes), rec, nil
 }
 
 // consistentDump captures one database's full contents plus the local

@@ -228,6 +228,41 @@ func TestLeaveMidTransactionDrains(t *testing.T) {
 	})
 }
 
+// TestLeaveRefusedWithoutDraining: a node that cannot leave — the mm
+// primary, or any single-master node — refuses Leave every time and
+// keeps admitting transactions instead of draining forever.
+func TestLeaveRefusedWithoutDraining(t *testing.T) {
+	mmNodes, _ := startCluster(t, "mm", 1, nil)
+	smNodes, _ := startCluster(t, "sm", 2, nil)
+	for _, tc := range []struct {
+		name   string
+		srv    *server.Server
+		design string
+	}{
+		{"mm primary", mmNodes[0], "mm"},
+		{"sm master", smNodes[0], "sm"},
+		{"sm slave", smNodes[1], "sm"},
+	} {
+		for i := 0; i < 2; i++ {
+			if err := tc.srv.Leave(); err == nil {
+				t.Fatalf("%s: Leave #%d = nil, want a refusal", tc.name, i+1)
+			}
+		}
+		cl, err := client.New(client.Options{Servers: []string{tc.srv.Addr()}, Design: tc.design})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx, err := cl.BeginRead()
+		if err != nil {
+			t.Fatalf("%s: begin after a refused Leave: %v", tc.name, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("%s: commit after a refused Leave: %v", tc.name, err)
+		}
+		cl.Close()
+	}
+}
+
 // TestReplicaCrashMidTransactionAborts covers the ungraceful path: a
 // replica dying under an open transaction surfaces repl.ErrAborted on
 // the next operation (so closed-loop drivers retry elsewhere), and

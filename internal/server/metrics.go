@@ -212,7 +212,7 @@ func (m *metrics) bindEngine(eng engine) {
 	reg.GaugeFunc("replicadb_applied_version", "This node's applied version.",
 		func() float64 { return float64(eng.applied()) })
 	reg.GaugeFunc("replicadb_writeset_queue_depth", "Certified writesets not yet applied locally.",
-		func() float64 { return float64(eng.queueDepth()) })
+		func() float64 { return float64(eng.applyStats().Lag) })
 	reg.GaugeFunc("replicadb_retained_writesets", "Writesets retained for propagation.",
 		func() float64 { return float64(eng.logLen()) })
 	reg.GaugeFunc("replicadb_apply_workers", "Apply-stage worker count.",
@@ -234,9 +234,13 @@ func (m *metrics) bindEngine(eng engine) {
 			}
 			return 0
 		})
+	e, isMM := eng.(*mmEngine)
+	if !isMM {
+		return // single-master membership is fixed at boot
+	}
 	reg.CollectFunc("replicadb_membership_epoch", "Elastic membership epoch.", "gauge",
 		func() []obs.Sample {
-			epoch, _, err := eng.members()
+			epoch, _, err := e.members()
 			if err != nil {
 				return nil
 			}
@@ -244,7 +248,7 @@ func (m *metrics) bindEngine(eng engine) {
 		})
 	reg.CollectFunc("replicadb_members", "Cluster members known to this node.", "gauge",
 		func() []obs.Sample {
-			_, members, err := eng.members()
+			_, members, err := e.members()
 			if err != nil {
 				return nil
 			}
@@ -296,7 +300,7 @@ func (m *metrics) statsOK(eng engine) *wire.StatsOK {
 		ReadNs:        rns,
 		UpdateNs:      uns,
 		Applied:       eng.applied(),
-		QueueDepth:    eng.queueDepth(),
+		QueueDepth:    ap.Lag,
 		ActiveTxns:    m.activeTxns.Load(),
 		AppliedTotal:  ap.Total,
 		ApplyLag:      ap.Lag,

@@ -88,10 +88,10 @@ type paxosNode struct {
 // newPaxosNode opens this node's acceptor (restored from its durable
 // store when a WAL directory is configured) and dials the peer links.
 func newPaxosNode(opts Options) (*paxosNode, error) {
-	n := len(opts.PaxosPeers)
+	n := len(opts.Members)
 	px := &paxosNode{
 		id:     opts.ID,
-		addrs:  append([]string(nil), opts.PaxosPeers...),
+		addrs:  append([]string(nil), opts.Members...),
 		leader: -1,
 		// Staggered election timeouts: lower ids campaign first, and
 		// each successive id waits a full extra ElectTimeout, giving
@@ -207,7 +207,6 @@ func (e *mmEngine) promoteSelf() error {
 	var batcher *certifier.Batcher
 	if e.groupCommit {
 		batcher = certifier.NewBatcher(cert, 0)
-		applyGroupWindow(batcher, e.groupWindow)
 	}
 	h := &pipeline.HostCert{Base: cert, Notify: pipeline.NewNotify(), Batcher: batcher, Observe: e.m.observeCert, Tracer: e.m.tracer}
 	e.hostMu.Lock()

@@ -20,7 +20,6 @@ import (
 	"math/rand/v2"
 	"net"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,11 +58,13 @@ type Options struct {
 	// propagation cursors (0 disables pruning, retaining everything).
 	// Elastic joins and leaves adjust the expectation at runtime.
 	Replicas int
-	// Members optionally lists the boot-time replica addresses
-	// indexed by id. The primary publishes them (plus elastic
-	// joiners) through the Members message so clients can resize
-	// their pools; without it only elastically joined replicas are
-	// discoverable.
+	// Members lists the boot-time replica addresses indexed by id. The
+	// primary publishes them (plus elastic joiners) through the Members
+	// message so clients can resize their pools; without it only
+	// elastically joined replicas are discoverable. Required with
+	// Paxos, where it is the certification group: every member's client
+	// address including this node's own, and elections need a
+	// reachable majority of it.
 	Members []string
 	// Join, on an mm non-primary, asks the primary to admit this node
 	// at startup: the primary assigns the replica id (ID is ignored),
@@ -75,32 +76,19 @@ type Options struct {
 	// joiner that crashed mid-state-transfer would otherwise block
 	// certification-log GC forever.
 	StaleAfter time.Duration
-	// DrainTimeout bounds how long Leave waits for in-flight
-	// transactions to finish before giving up on them (default 5s).
-	DrainTimeout time.Duration
 	// GCLag is how many versions below the cluster-wide applied
 	// horizon the primary retains anyway, protecting certification
 	// requests from transactions that began before the horizon moved
 	// (default 256).
 	GCLag int
 	// GroupCommit batches commit certification on the certifier host
-	// (mm, ID 0 only).
+	// (mm, ID 0 only, or any node with Paxos).
 	GroupCommit bool
-	// GroupWindow caps the batcher's adaptive accumulation window
-	// (default certifier.DefaultMaxWindow; < 0 disables accumulation
-	// so every backlog batch cuts immediately). Ignored without
-	// GroupCommit.
-	GroupWindow time.Duration
 	// EagerCert enables eager certification on writes (mm only; on a
 	// non-primary node every probe is a network round trip).
 	EagerCert bool
 	// DialTimeout bounds peer-link dials (default 2s).
 	DialTimeout time.Duration
-	// IdleTimeout closes connections that send nothing for this long
-	// (default 5m), so half-open peers cannot hold MaxConns slots
-	// forever; clients transparently redial pooled connections the
-	// server reaped.
-	IdleTimeout time.Duration
 	// WALDir enables durable commits: the node journals its state into
 	// a write-ahead log in this directory, replays it on start, and —
 	// on the certifier host — acknowledges commits only once their
@@ -110,31 +98,16 @@ type Options struct {
 	// in-memory behavior).
 	WALDir string
 	// Fsync makes WAL commits wait on a (group) fsync, surviving
-	// machine crashes rather than just process kills. Ignored without
-	// WALDir.
+	// machine crashes rather than just process kills. Requires WALDir.
 	Fsync bool
-	// WALCompactBytes compacts the WAL around a full-state snapshot
-	// once the segment exceeds this size (default 64 MiB; < 0 disables
-	// compaction). Ignored without WALDir.
-	WALCompactBytes int64
-	// ApplyWorkers sizes the conflict-aware parallel applier that
-	// installs propagated writesets: non-conflicting writesets install
-	// concurrently across the database's lock shards while versions
-	// retire strictly in order. Defaults to GOMAXPROCS; 1 applies
-	// serially.
-	ApplyWorkers int
 	// Paxos turns certification into a replicated state machine (mm
 	// only): this node embeds a Paxos acceptor, the group elects a
 	// certification leader with epoch fencing, and leadership fails
 	// over automatically when the leader dies. Composes with WALDir /
 	// Fsync — the acceptor state then persists next to the WAL, so a
-	// restarted node rejoins with its promises and votes intact.
+	// restarted node rejoins with its promises and votes intact. The
+	// group is Members.
 	Paxos bool
-	// PaxosPeers lists every group member's client address indexed by
-	// replica id, including this node's own. Required with Paxos; the
-	// group size is len(PaxosPeers) and elections need a reachable
-	// majority.
-	PaxosPeers []string
 	// ElectTimeout is how long a backup goes without leader progress
 	// before campaigning (default 1s); node id waits an extra
 	// id*ElectTimeout/2 so elections stagger instead of colliding.
@@ -162,6 +135,67 @@ type Options struct {
 // The map is boot-static in this PR (resharding would bump it), so a
 // constant marks "a sharded deployment" vs the zero "unsharded".
 const shardMapVersion = 1
+
+const (
+	// idleTimeout closes connections that send nothing for this long, so
+	// half-open peers cannot hold MaxConns slots forever; clients
+	// transparently redial pooled connections the server reaped.
+	idleTimeout = 5 * time.Minute
+	// drainTimeout bounds how long Leave waits for in-flight
+	// transactions to finish before giving up on them.
+	drainTimeout = 5 * time.Second
+	// walCompactBytes is the WAL segment size past which a node
+	// compacts its log around a full-state snapshot.
+	walCompactBytes = 64 << 20
+)
+
+// Validate reports the first rule the options break; New refuses such
+// options. Zero values are valid and select the documented defaults.
+func (o Options) Validate() error {
+	isMM := o.Design == "mm"
+	shards := max(o.ShardCount, 1)
+	switch {
+	case !isMM && o.Design != "sm":
+		return fmt.Errorf("server: unknown design %q (mm|sm)", o.Design)
+	case o.Listen == "":
+		return errors.New("server: listen address required")
+	case o.ID < 0:
+		return fmt.Errorf("server: negative replica id %d", o.ID)
+	case len(o.Members) > 0 && o.ID >= len(o.Members):
+		return fmt.Errorf("server: replica id %d out of range for %d members", o.ID, len(o.Members))
+	case o.Join && !isMM:
+		return errors.New("server: elastic join requires the mm design (single-master clusters are fixed at boot)")
+	case o.Join && o.Primary == "":
+		return errors.New("server: elastic join requires the primary's address")
+	case o.Paxos && !isMM:
+		return errors.New("server: a replicated certifier requires the mm design (the single-master design has no certifier)")
+	case o.Paxos && o.Join:
+		return errors.New("server: elastic join is not supported with a replicated certifier (the group is fixed at boot)")
+	case o.Paxos && len(o.Members) == 0:
+		return errors.New("server: a replicated certifier requires the member address list")
+	case !o.Join && !o.Paxos && o.ID > 0 && o.Primary == "":
+		return errors.New("server: replica id > 0 requires the primary's address")
+	case o.GroupCommit && !isMM:
+		return errors.New("server: group commit requires the mm design")
+	case o.EagerCert && !isMM:
+		return errors.New("server: eager certification requires the mm design")
+	case o.GroupCommit && !o.Paxos && (o.ID != 0 || o.Join):
+		return errors.New("server: group commit runs only on the certifier host (id 0, or any node with a replicated certifier)")
+	case o.Fsync && o.WALDir == "":
+		return errors.New("server: fsync requires a WAL directory")
+	case o.ShardCount < 0:
+		return fmt.Errorf("server: negative shard count %d", o.ShardCount)
+	case o.ShardID < 0 || o.ShardID >= shards:
+		return fmt.Errorf("server: shard %d out of range for %d shard groups", o.ShardID, shards)
+	case shards > 1 && !isMM:
+		return errors.New("server: sharding requires the mm design (cross-shard commit runs 2PC over certification)")
+	case o.ElectTimeout < 0:
+		return fmt.Errorf("server: negative election timeout %s", o.ElectTimeout)
+	case o.SlowTxn < 0:
+		return fmt.Errorf("server: negative slow-transaction threshold %s", o.SlowTxn)
+	}
+	return nil
+}
 
 // Server is a running replica server.
 type Server struct {
@@ -191,39 +225,8 @@ type Server struct {
 // to its snapshot version and ready to serve once Start launches its
 // propagation loop. The server does not accept traffic until Start.
 func New(opts Options) (*Server, error) {
-	if opts.Design != "mm" && opts.Design != "sm" {
-		return nil, fmt.Errorf("server: unknown design %q (mm|sm)", opts.Design)
-	}
-	if opts.ID < 0 {
-		return nil, fmt.Errorf("server: negative replica id %d", opts.ID)
-	}
-	if opts.Join {
-		if opts.Design != "mm" {
-			return nil, errors.New("server: elastic join requires the mm design")
-		}
-		if opts.Primary == "" {
-			return nil, errors.New("server: elastic join requires the primary's address")
-		}
-	}
-	if opts.Paxos {
-		if opts.Design != "mm" {
-			return nil, errors.New("server: a replicated certifier requires the mm design")
-		}
-		if len(opts.PaxosPeers) == 0 {
-			return nil, errors.New("server: a replicated certifier requires the peer address list")
-		}
-		if opts.ID >= len(opts.PaxosPeers) {
-			return nil, fmt.Errorf("server: replica id %d outside the %d-member paxos group", opts.ID, len(opts.PaxosPeers))
-		}
-		if opts.Join {
-			return nil, errors.New("server: elastic join is not supported with a replicated certifier (the group is fixed at boot)")
-		}
-	}
-	if !opts.Join && opts.ID > 0 && opts.Primary == "" && !opts.Paxos {
-		return nil, errors.New("server: replica id > 0 requires the primary's address")
-	}
-	if opts.Listen == "" {
-		return nil, errors.New("server: listen address required")
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	if opts.MaxConns <= 0 {
 		opts.MaxConns = 256
@@ -231,22 +234,10 @@ func New(opts Options) (*Server, error) {
 	if opts.GCLag <= 0 {
 		opts.GCLag = 256
 	}
-	if opts.IdleTimeout <= 0 {
-		opts.IdleTimeout = 5 * time.Minute
-	}
 	if opts.StaleAfter <= 0 {
 		opts.StaleAfter = 5 * time.Second
 	}
-	if opts.DrainTimeout <= 0 {
-		opts.DrainTimeout = 5 * time.Second
-	}
-	if opts.WALCompactBytes == 0 {
-		opts.WALCompactBytes = 64 << 20
-	}
-	if opts.ApplyWorkers <= 0 {
-		opts.ApplyWorkers = runtime.GOMAXPROCS(0)
-	}
-	if opts.ElectTimeout <= 0 {
+	if opts.ElectTimeout == 0 {
 		opts.ElectTimeout = time.Second
 	}
 
@@ -281,7 +272,8 @@ func New(opts Options) (*Server, error) {
 	}
 	m.bindEngine(eng)
 	if snapTables != nil {
-		if err := eng.installSnapshot(snapVersion, snapTables); err != nil {
+		// Validate admits Join only under the mm design.
+		if err := eng.(*mmEngine).installSnapshot(snapVersion, snapTables); err != nil {
 			ln.Close()
 			eng.disconnect()
 			eng.close()
@@ -399,26 +391,27 @@ func (s *Server) Start() {
 
 // Leave gracefully departs the cluster: new transactions are refused
 // with CodeDraining (clients reroute to surviving replicas),
-// in-flight transactions get up to DrainTimeout to finish, and the
+// in-flight transactions get up to drainTimeout to finish, and the
 // node deregisters from the primary so its propagation cursor stops
 // gating certification-log GC and clients drop it from their pools.
 // Call Close afterwards to release the process state. Leave is
 // idempotent; it returns an error if the deregistration failed or the
 // drain timed out (remaining transactions are then aborted by Close).
+// Only an mm replica that certifies through the primary can leave: the
+// primary, sm nodes and Paxos members refuse without draining.
 func (s *Server) Leave() error {
+	e, ok := s.eng.(*mmEngine)
+	if !ok || e.link == nil {
+		return fmt.Errorf("%w: only an mm replica certifying through the primary can leave the cluster", errUnsupported)
+	}
 	if s.draining.Swap(true) {
 		return nil
 	}
 	// Deregister first: routing stops cluster-wide as soon as clients
 	// observe the epoch bump, while the draining flag already refuses
 	// anything that races in over existing connections.
-	var err error
-	if s.opts.ID == 0 {
-		err = errors.New("server: the primary cannot leave the cluster")
-	} else {
-		err = s.eng.selfLeave(int64(s.opts.ID))
-	}
-	deadline := time.Now().Add(s.opts.DrainTimeout)
+	err := e.link.Leave(int64(s.opts.ID))
+	deadline := time.Now().Add(drainTimeout)
 	for s.m.activeTxns.Load() > 0 {
 		if time.Now().After(deadline) {
 			drainErr := fmt.Errorf("server: drain timed out with %d transactions in flight", s.m.activeTxns.Load())
@@ -573,7 +566,7 @@ func (ss *snapshotStream) next() *wire.SnapshotOK {
 // aborted if the connection dies.
 func (s *Server) handleConn(nc net.Conn) {
 	wc := wire.NewConn(nc)
-	_ = nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+	_ = nc.SetReadDeadline(time.Now().Add(idleTimeout))
 	msg, err := wc.Recv()
 	if err != nil {
 		return
@@ -609,7 +602,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		}
 	}()
 	for {
-		_ = nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+		_ = nc.SetReadDeadline(time.Now().Add(idleTimeout))
 		msg, err := wc.Recv()
 		if err != nil {
 			return
@@ -769,15 +762,58 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		}
 		return reply
 
+	case *wire.FetchSince:
+		wait := time.Duration(m.WaitMillis) * time.Millisecond
+		if wait > maxFetchWait {
+			wait = maxFetchWait
+		}
+		recs, err := s.eng.fetchSince(st.peer, m.Version, wait)
+		if err != nil {
+			return s.errReply(err)
+		}
+		reply := &wire.Records{Recs: make([]wire.Record, len(recs)), Compress: true}
+		for i, r := range recs {
+			trace, commitNs := s.m.tracer.CommitMeta(r.Version)
+			reply.Recs[i] = wire.Record{Version: r.Version, WS: r.Writeset, Trace: trace, CommitNs: commitNs}
+		}
+		return reply
+
+	case *wire.Stats:
+		reply := s.m.statsOK(s.eng)
+		reply.ShardID = int64(s.opts.ShardID)
+		return reply
+
+	case *wire.Certify, *wire.Check, *wire.PrepareTxn, *wire.DecideTxn, *wire.ResolveTxn, *wire.ForgetTxn,
+		*wire.Join, *wire.Leave, *wire.Members, *wire.SnapshotReq,
+		*wire.PaxosPrepare, *wire.PaxosAccept, *wire.PaxosLearn:
+		e, ok := s.eng.(*mmEngine)
+		if !ok {
+			// The single-master design needs no certifier (§2) and keeps
+			// its boot-time membership: the paper scales its master by
+			// buying a bigger machine (§6.2.1), not by elastic joins.
+			return s.errReply(errUnsupported)
+		}
+		return s.dispatchMM(e, st, msg)
+
+	default:
+		return unexpected(msg)
+	}
+}
+
+// dispatchMM serves the verbs only the multi-master design implements:
+// certification, the cross-shard 2PC surface, elastic membership and
+// the embedded Paxos acceptor.
+func (s *Server) dispatchMM(e *mmEngine, st *connState, msg wire.Message) wire.Message {
+	switch m := msg.(type) {
 	case *wire.Certify:
-		out, err := s.eng.certify(m.Snapshot, m.WS, m.Trace)
+		out, err := e.certify(m.Snapshot, m.WS, m.Trace)
 		if err != nil {
 			return s.errReply(err)
 		}
 		return &wire.CertifyOK{Committed: out.Committed, Version: out.Version, ConflictWith: out.ConflictWith}
 
 	case *wire.Check:
-		conflict, with, err := s.eng.check(m.Snapshot, m.WS)
+		conflict, with, err := e.check(m.Snapshot, m.WS)
 		if err != nil {
 			return s.errReply(err)
 		}
@@ -807,7 +843,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 			}
 			return &wire.PrepareTxnOK{Vote: vote, ConflictWith: with}
 		}
-		vote, with, err := s.eng.prepareTxn(certifier.PreparedTxn{
+		vote, with, err := e.prepareTxn(certifier.PreparedTxn{
 			ID: m.TxnID, Coord: m.Coord, Snapshot: m.Snapshot, Writeset: m.WS,
 		})
 		if err != nil {
@@ -816,43 +852,27 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		return &wire.PrepareTxnOK{Vote: vote, ConflictWith: with}
 
 	case *wire.DecideTxn:
-		version, err := s.eng.decideTxn(m.TxnID, m.Commit)
+		version, err := e.decideTxn(m.TxnID, m.Commit)
 		if err != nil {
 			return s.errReply(err)
 		}
 		return &wire.DecideTxnOK{Version: version}
 
 	case *wire.ResolveTxn:
-		commit, err := s.eng.resolveTxn(m.TxnID)
+		commit, err := e.resolveTxn(m.TxnID)
 		if err != nil {
 			return s.errReply(err)
 		}
 		return &wire.ResolveTxnOK{Commit: commit}
 
 	case *wire.ForgetTxn:
-		if err := s.eng.forgetTxn(m.TxnID); err != nil {
+		if err := e.forgetTxn(m.TxnID); err != nil {
 			return s.errReply(err)
 		}
 		return &wire.ForgetTxnOK{}
 
-	case *wire.FetchSince:
-		wait := time.Duration(m.WaitMillis) * time.Millisecond
-		if wait > maxFetchWait {
-			wait = maxFetchWait
-		}
-		recs, err := s.eng.fetchSince(st.peer, m.Version, wait)
-		if err != nil {
-			return s.errReply(err)
-		}
-		reply := &wire.Records{Recs: make([]wire.Record, len(recs)), Compress: true}
-		for i, r := range recs {
-			trace, commitNs := s.m.tracer.CommitMeta(r.Version)
-			reply.Recs[i] = wire.Record{Version: r.Version, WS: r.Writeset, Trace: trace, CommitNs: commitNs}
-		}
-		return reply
-
 	case *wire.PaxosPrepare:
-		rep, err := s.eng.paxosPrepare(paxos.Ballot{Round: int(m.Round), Proposer: int(m.Proposer)}, int(m.Slot))
+		rep, err := e.paxosPrepare(paxos.Ballot{Round: int(m.Round), Proposer: int(m.Proposer)}, int(m.Slot))
 		if err != nil {
 			return s.errReply(err)
 		}
@@ -867,7 +887,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		}
 
 	case *wire.PaxosAccept:
-		rep, err := s.eng.paxosAccept(paxos.Ballot{Round: int(m.Round), Proposer: int(m.Proposer)}, int(m.Slot), paxos.Value(m.Value))
+		rep, err := e.paxosAccept(paxos.Ballot{Round: int(m.Round), Proposer: int(m.Proposer)}, int(m.Slot), paxos.Value(m.Value))
 		if err != nil {
 			return s.errReply(err)
 		}
@@ -878,7 +898,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		}
 
 	case *wire.PaxosLearn:
-		rep, err := s.eng.paxosLearn()
+		rep, err := e.paxosLearn()
 		if err != nil {
 			return s.errReply(err)
 		}
@@ -889,7 +909,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		}
 
 	case *wire.Join:
-		jo, err := s.eng.join(m.Addr)
+		jo, err := e.join(m.Addr)
 		if err != nil {
 			return s.errReply(err)
 		}
@@ -897,13 +917,13 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		return jo
 
 	case *wire.Leave:
-		if err := s.eng.leave(m.ID); err != nil {
+		if err := e.leave(m.ID); err != nil {
 			return s.errReply(err)
 		}
 		return &wire.LeaveOK{}
 
 	case *wire.Members:
-		epoch, members, err := s.eng.members()
+		epoch, members, err := e.members()
 		if err != nil {
 			return s.errReply(err)
 		}
@@ -912,9 +932,9 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		return reply
 
 	case *wire.SnapshotReq:
-		s.eng.touch(st.peer) // a chunk request is liveness proof mid-transfer
+		e.touch(st.peer) // a chunk request is liveness proof mid-transfer
 		if st.snap == nil {
-			version, tables, err := s.eng.snapshot()
+			version, tables, err := e.snapshot()
 			if err != nil {
 				return s.errReply(err)
 			}
@@ -941,14 +961,8 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		}
 		return reply
 
-	case *wire.Stats:
-		reply := s.m.statsOK(s.eng)
-		reply.ShardID = int64(s.opts.ShardID)
-		return reply
-
-	default:
-		return &wire.Err{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("unexpected message %T", msg)}
 	}
+	return unexpected(msg)
 }
 
 // stampShard writes this group's place in the shard map onto a
@@ -961,6 +975,10 @@ func (s *Server) stampShard(id, count, mapv *int64) {
 	*id = int64(s.opts.ShardID)
 	*count = int64(s.opts.ShardCount)
 	*mapv = shardMapVersion
+}
+
+func unexpected(msg wire.Message) wire.Message {
+	return &wire.Err{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("unexpected message %T", msg)}
 }
 
 func noTxn() wire.Message {
@@ -1001,9 +1019,9 @@ func (s *Server) errReply(err error) wire.Message {
 
 func (s *Server) notLeaderReply(leader int, epoch int64) wire.Message {
 	s.m.notLeaderRedirects.Inc()
-	return &wire.NotLeader{
-		Leader: int64(leader),
-		Epoch:  epoch,
-		Addr:   s.eng.leaderAddr(leader),
+	reply := &wire.NotLeader{Leader: int64(leader), Epoch: epoch}
+	if e, ok := s.eng.(*mmEngine); ok {
+		reply.Addr = e.leaderAddr(leader)
 	}
+	return reply
 }

@@ -443,6 +443,56 @@ func TestHelloRejectsOtherProtocolVersion(t *testing.T) {
 	}
 }
 
+// TestSMAnswersMMVerbsUnsupported pins the single-master wire surface:
+// every verb only the multi-master design serves (certification, 2PC,
+// elastic membership, the Paxos acceptor) gets Err{CodeUnsupported}
+// from both the master and a slave, and the connection stays usable.
+func TestSMAnswersMMVerbsUnsupported(t *testing.T) {
+	servers, _ := startCluster(t, "sm", 2, nil)
+	verbs := []wire.Message{
+		&wire.Certify{Snapshot: 1},
+		&wire.Check{Snapshot: 1},
+		&wire.PrepareTxn{TxnID: "x", Snapshot: 1},
+		&wire.DecideTxn{TxnID: "x", Commit: true},
+		&wire.ResolveTxn{TxnID: "x"},
+		&wire.ForgetTxn{TxnID: "x"},
+		&wire.Join{Addr: "127.0.0.1:1"},
+		&wire.Leave{ID: 1},
+		&wire.Members{},
+		&wire.SnapshotReq{},
+		&wire.PaxosPrepare{Round: 1},
+		&wire.PaxosAccept{Round: 1, Value: "v"},
+		&wire.PaxosLearn{},
+	}
+	for _, srv := range servers {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = nc.SetDeadline(time.Now().Add(5 * time.Second)) // a hang fails the test, not the suite
+		wc := wire.NewConn(nc)
+		if err := wc.Send(&wire.Hello{Proto: wire.ProtoVersion, PeerID: -1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wc.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		for _, verb := range verbs {
+			if err := wc.Send(verb); err != nil {
+				t.Fatal(err)
+			}
+			reply, err := wc.Recv()
+			if err != nil {
+				t.Fatalf("%s: %T: %v", srv.Addr(), verb, err)
+			}
+			if e, ok := reply.(*wire.Err); !ok || e.Code != wire.CodeUnsupported {
+				t.Fatalf("%s: %T answered %+v, want Err{CodeUnsupported}", srv.Addr(), verb, reply)
+			}
+		}
+		nc.Close()
+	}
+}
+
 // TestCertLogGC verifies the certifier host prunes its retained
 // writeset log once every peer's propagation cursor has moved past
 // them (minus the safety lag), so a long-running serve process does
