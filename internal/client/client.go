@@ -279,14 +279,16 @@ func (c *Client) markDown(idx int) {
 
 // reviveDue optimistically re-admits down replicas whose probe
 // interval has passed; a still-dead replica is re-marked on the next
-// failed begin.
+// failed begin. It runs on every Begin, so it walks the slot table in
+// place rather than copying it.
 func (c *Client) reviveDue() {
 	now := time.Now()
-	for _, i := range c.liveSlots() {
-		if c.bal.Healthy(i) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, r := range c.reps {
+		if c.bal.Removed(i) || c.bal.Healthy(i) {
 			continue
 		}
-		r := c.rep(i)
 		r.mu.Lock()
 		due := now.After(r.downUntil)
 		r.mu.Unlock()
@@ -360,7 +362,8 @@ func (c *Client) beginOn(idx int, readOnly bool) (*Txn, error) {
 		if err != nil {
 			return nil, err
 		}
-		reply, err := roundTrip(conn, &wire.Begin{ReadOnly: readOnly})
+		conn.begin = wire.Begin{ReadOnly: readOnly}
+		reply, err := roundTrip(conn, &conn.begin)
 		if err != nil {
 			pool.discard(conn)
 			lastErr = err
@@ -386,9 +389,13 @@ func (c *Client) beginOn(idx int, readOnly bool) (*Txn, error) {
 
 // Txn is one transaction bound to one checked-out connection.
 type Txn struct {
-	client   *Client
-	idx      int
-	rep      *replicaConns
+	client *Client
+	idx    int
+	rep    *replicaConns
+	// conn is this transaction's alone until done is set; after that it
+	// may already serve another transaction, so every method checks
+	// done before touching it (Read, Write and Delete fill in its
+	// request scratch).
 	conn     *wconn
 	readOnly bool
 	done     bool
@@ -538,10 +545,15 @@ func (t *Txn) syncPoint() error {
 
 // Read implements repl.Txn.
 func (t *Txn) Read(table string, row int64) (string, bool, error) {
+	if t.done {
+		return "", false, errDone
+	}
 	if err := t.syncPoint(); err != nil {
 		return "", false, err
 	}
-	reply, err := t.exchange(&wire.Read{Table: table, Row: row})
+	req := &t.conn.read
+	req.Table, req.Row = table, row
+	reply, err := t.exchange(req)
 	if err != nil {
 		return "", false, err
 	}
@@ -561,11 +573,16 @@ func (t *Txn) Read(table string, row int64) (string, bool, error) {
 // sync point), so errors — including eager-certification aborts —
 // surface there instead of here.
 func (t *Txn) Write(table string, row int64, value string) error {
-	t.writes++
-	if t.pipeline {
-		return t.pipelineOp(&wire.Write{Table: table, Row: row, Value: value})
+	if t.done {
+		return errDone
 	}
-	reply, err := t.exchange(&wire.Write{Table: table, Row: row, Value: value})
+	t.writes++
+	req := &t.conn.write
+	req.Table, req.Row, req.Value = table, row, value
+	if t.pipeline {
+		return t.pipelineOp(req)
+	}
+	reply, err := t.exchange(req)
 	if err != nil {
 		return err
 	}
@@ -588,11 +605,16 @@ func (t *Txn) Write(table string, row int64, value string) error {
 
 // Delete implements repl.Txn.
 func (t *Txn) Delete(table string, row int64) error {
-	t.writes++
-	if t.pipeline {
-		return t.pipelineOp(&wire.Delete{Table: table, Row: row})
+	if t.done {
+		return errDone
 	}
-	reply, err := t.exchange(&wire.Delete{Table: table, Row: row})
+	t.writes++
+	req := &t.conn.del
+	req.Table, req.Row = table, row
+	if t.pipeline {
+		return t.pipelineOp(req)
+	}
+	reply, err := t.exchange(req)
 	if err != nil {
 		return err
 	}

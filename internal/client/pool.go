@@ -32,10 +32,18 @@ func jitter(d time.Duration) time.Duration {
 	return half + rand.N(half+1)
 }
 
-// wconn is one established, handshaken protocol connection.
+// wconn is one established, handshaken protocol connection, plus one
+// reusable request struct per per-transaction verb. The transaction
+// holding the connection fills one in and sends it; wire.Conn.Send
+// encodes synchronously, so the struct is free again when Send returns.
 type wconn struct {
 	nc net.Conn
 	wc *wire.Conn
+
+	begin wire.Begin
+	read  wire.Read
+	write wire.Write
+	del   wire.Delete
 }
 
 func (c *wconn) close() {

@@ -205,7 +205,9 @@ func (r *Router) BeginRead() (repl.Txn, error) { return r.begin(true) }
 func (r *Router) BeginUpdate() (repl.Txn, error) { return r.begin(false) }
 
 func (r *Router) begin(readOnly bool) (repl.Txn, error) {
-	return &rtxn{r: r, readOnly: readOnly, subs: make(map[int]repl.Txn)}, nil
+	t := &rtxn{r: r, readOnly: readOnly, subs: make([]repl.Txn, len(r.groups))}
+	t.order = t.orderBuf[:0]
+	return t, nil
 }
 
 // rtxn is one routed transaction: per-group sub-transactions are begun
@@ -215,16 +217,17 @@ func (r *Router) begin(readOnly bool) (repl.Txn, error) {
 type rtxn struct {
 	r        *Router
 	readOnly bool
-	subs     map[int]repl.Txn
-	order    []int // groups in first-touch order
 	done     bool
+	subs     []repl.Txn // indexed by group; nil until first touch
+	order    []int      // touched groups in first-touch order
+	orderBuf [4]int     // backs order while few groups are touched
 }
 
 // sub returns (beginning if needed) the sub-transaction at the group
 // owning (table, row).
 func (t *rtxn) sub(table string, row int64) (repl.Txn, error) {
 	gi := t.r.m.Locate(table, row)
-	if s, ok := t.subs[gi]; ok {
+	if s := t.subs[gi]; s != nil {
 		return s, nil
 	}
 	var s repl.Txn
@@ -272,8 +275,8 @@ func (t *rtxn) Abort() {
 		return
 	}
 	t.done = true
-	for _, s := range t.subs {
-		s.Abort()
+	for _, gi := range t.order {
+		t.subs[gi].Abort()
 	}
 }
 
@@ -287,7 +290,8 @@ func (t *rtxn) Commit() error {
 		return fmt.Errorf("router: transaction already finished")
 	}
 	t.done = true
-	var writers []int
+	var buf [4]int
+	writers := buf[:0]
 	for _, gi := range t.order {
 		if p, ok := t.subs[gi].(Preparer); !ok || p.HasWrites() {
 			writers = append(writers, gi)

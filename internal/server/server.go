@@ -509,13 +509,20 @@ func (s *Server) acceptLoop() {
 }
 
 // connState is one connection's serving state: its cursor key, its
-// single open transaction, and an in-progress snapshot stream.
+// single open transaction, an in-progress snapshot stream, and one
+// reusable reply struct per hot reply type. dispatch returns pointers
+// to those; handleConn sends each reply before it receives the next
+// request, so a reply is always encoded before its struct is refilled.
 type connState struct {
 	peer     int64
 	cur      repl.Txn
 	readOnly bool
 	txStart  time.Time
 	snap     *snapshotStream
+
+	beginOK  wire.BeginOK
+	readOK   wire.ReadOK
+	commitOK wire.CommitOK
 }
 
 // snapshotStream is a pinned snapshot being streamed in chunks over
@@ -664,7 +671,8 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 				tt.SetTrace(trace)
 			}
 		}
-		return &wire.BeginOK{Applied: s.eng.applied(), Trace: trace}
+		st.beginOK = wire.BeginOK{Applied: s.eng.applied(), Trace: trace}
+		return &st.beginOK
 
 	case *wire.Read:
 		if st.cur == nil {
@@ -674,7 +682,8 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		if err != nil {
 			return s.errReply(err)
 		}
-		return &wire.ReadOK{OK: ok, Value: value}
+		st.readOK = wire.ReadOK{OK: ok, Value: value}
+		return &st.readOK
 
 	case *wire.Write:
 		if st.cur == nil {
@@ -711,7 +720,8 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 				// commit acknowledgement.
 				s.m.tracer.Ack(cv.CommitVersion(), time.Now())
 			}
-			return &wire.CommitOK{Applied: s.eng.applied()}
+			st.commitOK = wire.CommitOK{Applied: s.eng.applied()}
+			return &st.commitOK
 		case errors.Is(err, repl.ErrAborted):
 			s.m.aborts.Add(1)
 			return &wire.CommitAborted{ConflictWith: repl.ConflictWith(err)}

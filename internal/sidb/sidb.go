@@ -250,11 +250,7 @@ func (db *DB) BeginAt(snapshot int64) *Txn {
 
 func (db *DB) beginLocked(snapshot int64) *Txn {
 	db.active[snapshot]++
-	return &Txn{
-		db:       db,
-		snapshot: snapshot,
-		writes:   make(map[writeset.Key]writeset.Entry),
-	}
+	return &Txn{db: db, snapshot: snapshot}
 }
 
 // oldestActiveLocked returns the oldest snapshot still in use, or the

@@ -75,8 +75,13 @@ func (tx *Txn) Delete(tableName string, key int64) error {
 	return nil
 }
 
-// record stores a pending write, keeping first-write order.
+// record stores a pending write, keeping first-write order. The write
+// map is made on the first write, so read-only transactions never
+// allocate one.
 func (tx *Txn) record(e writeset.Entry) {
+	if tx.writes == nil {
+		tx.writes = make(map[writeset.Key]writeset.Entry)
+	}
 	if _, ok := tx.writes[e.Key]; !ok {
 		tx.order = append(tx.order, e.Key)
 	}

@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/writeset"
 )
@@ -28,13 +31,14 @@ var hotWS = writeset.New([]writeset.Entry{
 	{Key: writeset.Key{Table: "item", Row: 42}, Value: "stock=91 qty=3"},
 })
 
-// hotFrames are the commit-path messages a loaded cluster exchanges
-// per transaction; their encode path must not allocate.
+// hotFrames are the read- and commit-path messages a loaded cluster
+// exchanges per transaction; their encode path must not allocate.
 var hotFrames = []struct {
 	name string
 	msg  Message
 }{
 	{"Begin", &Begin{Trace: 7}},
+	{"Read", &Read{Table: "item", Row: 42}},
 	{"Write", &Write{Table: "item", Row: 42, Value: "stock=91 qty=3"}},
 	{"Commit", &Commit{}},
 	{"Certify", &Certify{Snapshot: 99, WS: hotWS, Trace: 7}},
@@ -65,9 +69,11 @@ func TestHotFrameEncodeAllocs(t *testing.T) {
 
 // TestHotFrameDecodeAllocs pins the decode side. Scalar-only frames
 // decode with zero allocations (the read buffer and the message struct
-// are both reused). Frames that carry strings or writesets must copy
-// them out of the reused buffer — the caller retains them — so their
-// floor is the retained data itself, nothing more.
+// are both reused), and so do frames whose only string is a table name
+// the connection has already interned. Frames that carry values or
+// writesets must copy them out of the reused buffer — the caller
+// retains them — so their floor is the retained data itself, nothing
+// more.
 func TestHotFrameDecodeAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -76,14 +82,17 @@ func TestHotFrameDecodeAllocs(t *testing.T) {
 	}{
 		{"Begin", &Begin{Trace: 7}, 0},
 		{"BeginOK", &BeginOK{Applied: 12, Trace: 7}, 0},
+		{"Read", &Read{Table: "item", Row: 42}, 0},
+		{"Delete", &Delete{Table: "item", Row: 42}, 0},
 		{"Commit", &Commit{}, 0},
 		{"CommitOK", &CommitOK{Applied: 13}, 0},
 		{"FetchSince", &FetchSince{Version: 12, WaitMillis: 250}, 0},
-		// Write retains two strings (table, value).
-		{"Write", &Write{Table: "item", Row: 42, Value: "stock=91 qty=3"}, 2},
+		// ReadOK and Write retain only their value.
+		{"ReadOK", &ReadOK{OK: true, Value: "stock=91 qty=3"}, 1},
+		{"Write", &Write{Table: "item", Row: 42, Value: "stock=91 qty=3"}, 1},
 		// Certify retains the writeset: entries slice, writeset
-		// internals, and the entry strings.
-		{"Certify", &Certify{Snapshot: 99, WS: hotWS, Trace: 7}, 5},
+		// internals, and the entry values (table names are interned).
+		{"Certify", &Certify{Snapshot: 99, WS: hotWS, Trace: 7}, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -107,6 +116,106 @@ func TestHotFrameDecodeAllocs(t *testing.T) {
 				t.Fatalf("%s decode: %.2f allocs/op, want <= %.0f", tc.name, allocs, tc.max)
 			}
 		})
+	}
+}
+
+// TestDecodeInternsTableNames: every table-name decode site hands back
+// the connection's one copy of a name it has seen; distinct names stay
+// distinct; past the intern bounds names still decode correctly, just
+// copied; and interning is per connection.
+func TestDecodeInternsTableNames(t *testing.T) {
+	var stream bytes.Buffer
+	enc := NewConn(&stream)
+	dec := NewConn(&stream)
+	if len(dec.names) != 0 {
+		t.Fatalf("fresh Conn interns %d names, want 0", len(dec.names))
+	}
+	// tables sends m and returns every table name c decodes from it.
+	tables := func(c *Conn, m Message) []string {
+		t.Helper()
+		if err := enc.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch g := got.(type) {
+		case *Read:
+			return []string{g.Table}
+		case *Write:
+			return []string{g.Table}
+		case *Delete:
+			return []string{g.Table}
+		case *Certify:
+			var out []string
+			for _, e := range g.WS.Entries {
+				out = append(out, e.Key.Table)
+			}
+			return out
+		case *Records:
+			var out []string
+			for _, r := range g.Recs {
+				for _, e := range r.WS.Entries {
+					out = append(out, e.Key.Table)
+				}
+			}
+			return out
+		}
+		t.Fatalf("unexpected %T", got)
+		return nil
+	}
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+
+	item := tables(dec, &Read{Table: "item", Row: 1})[0]
+	var names []string
+	for _, m := range []Message{
+		&Read{Table: "item", Row: 2},
+		&Write{Table: "item", Row: 3, Value: "v"},
+		&Delete{Table: "item", Row: 4},
+		&Certify{Snapshot: 1, WS: hotWS},
+		&Records{Recs: propagationRun(4)},
+		&Records{Recs: propagationRun(40), Compress: true},
+	} {
+		names = append(names, tables(dec, m)...)
+	}
+	for _, name := range names {
+		if name == "item" && !same(name, item) {
+			t.Fatalf("a second decode of %q did not reuse the interned copy", name)
+		}
+	}
+	orders := tables(dec, &Read{Table: "orders", Row: 1})[0]
+	if orders != "orders" || same(orders, item) {
+		t.Fatalf("distinct names collapsed: %q", orders)
+	}
+
+	// Fill the set past its bound: every name still decodes exactly, and
+	// the set stops growing.
+	for i := 0; i < maxInterned+8; i++ {
+		want := fmt.Sprintf("t%03d", i)
+		if got := tables(dec, &Read{Table: want, Row: 1})[0]; got != want {
+			t.Fatalf("decoded %q, want %q", got, want)
+		}
+	}
+	if len(dec.names) != maxInterned {
+		t.Fatalf("intern set holds %d names, want the cap %d", len(dec.names), maxInterned)
+	}
+	late := fmt.Sprintf("t%03d", maxInterned+7)
+	a, b := tables(dec, &Read{Table: late, Row: 2})[0], tables(dec, &Read{Table: late, Row: 3})[0]
+	if a != late || b != late || same(a, b) {
+		t.Fatalf("past the cap: decoded %q and %q (shared %v), want two copies of %q", a, b, same(a, b), late)
+	}
+	long := string(bytes.Repeat([]byte{'x'}, maxInternLen+1))
+	short := NewConn(&stream)
+	a, b = tables(short, &Read{Table: long, Row: 1})[0], tables(short, &Read{Table: long, Row: 2})[0]
+	if a != long || b != long || same(a, b) || len(short.names) != 0 {
+		t.Fatal("a name over maxInternLen was interned or decoded wrong")
+	}
+
+	// A fresh connection shares nothing with the first.
+	fresh := NewConn(&stream)
+	if got := tables(fresh, &Read{Table: "item", Row: 1})[0]; got != "item" || same(got, item) {
+		t.Fatalf("a fresh Conn returned %q from another connection's intern set", got)
 	}
 }
 

@@ -318,7 +318,7 @@ func (m *Read) encode(b []byte) []byte {
 	return appendVarint(b, m.Row)
 }
 func (m *Read) decode(d *decoder) {
-	m.Table = d.str()
+	m.Table = d.table()
 	m.Row = d.varint()
 }
 
@@ -352,7 +352,7 @@ func (m *Write) encode(b []byte) []byte {
 	return appendString(b, m.Value)
 }
 func (m *Write) decode(d *decoder) {
-	m.Table = d.str()
+	m.Table = d.table()
 	m.Row = d.varint()
 	m.Value = d.str()
 }
@@ -376,7 +376,7 @@ func (m *Delete) encode(b []byte) []byte {
 	return appendVarint(b, m.Row)
 }
 func (m *Delete) decode(d *decoder) {
-	m.Table = d.str()
+	m.Table = d.table()
 	m.Row = d.varint()
 }
 

@@ -97,7 +97,7 @@ func (m *Records) decode(d *decoder) {
 		d.err = err
 		return
 	}
-	sub := decoder{b: plain}
+	sub := decoder{b: plain, names: d.names}
 	m.decodeRecordsBody(&sub)
 	switch {
 	case sub.err != nil:
@@ -166,7 +166,7 @@ func (m *Records) decodeRecordsBody(d *decoder) {
 	if nt > 0 {
 		tables = make([]string, 0, prealloc(nt))
 		for i := uint64(0); i < nt; i++ {
-			tables = append(tables, d.str())
+			tables = append(tables, d.table())
 		}
 	}
 	if d.err != nil {

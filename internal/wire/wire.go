@@ -15,7 +15,11 @@
 // MaxFrame. Encoding is allocation-conscious: a Conn reuses one read
 // and one write buffer, messages append themselves to the write buffer
 // in place, and integers use varints so typical transaction frames fit
-// in a few dozen bytes.
+// in a few dozen bytes. Decoding is too: Recv reuses the struct of each
+// hot message type, and table names are interned per connection, so a
+// name seen before costs no copy. Send encodes synchronously, so the
+// owner of a hot request or reply struct may refill and resend it as
+// soon as Send returns.
 package wire
 
 import (
@@ -80,14 +84,19 @@ type Conn struct {
 	// stack decoder to the dynamic decode call makes it escape — one
 	// heap allocation per received frame.
 	dec decoder
+	// names interns the table names this connection has decoded (see
+	// decoder.table).
+	names map[string]string
 }
 
 // NewConn wraps a byte stream (normally a *net.TCPConn).
 func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{rw: rw}
+	return &Conn{rw: rw, names: make(map[string]string)}
 }
 
-// Send encodes and writes one message as a single frame.
+// Send encodes and writes one message as a single frame. The message
+// is fully encoded before Send returns and is not retained, so the
+// caller may reuse it for the next Send.
 func (c *Conn) Send(m Message) error {
 	c.wbuf = c.wbuf[:0]
 	c.wbuf = append(c.wbuf, 0, 0, 0, 0, byte(m.msgType()))
@@ -130,6 +139,9 @@ func grabBig(n int) *[]byte {
 // hot message structs themselves are reused by the next Recv of the
 // same type on this connection — callers must not retain them across
 // Recv calls (the request/reply discipline already guarantees this).
+// Table names are interned: a name this connection has decoded before
+// comes back as the same string, not a fresh copy. Strings are
+// immutable, so sharing them is invisible to callers.
 func (c *Conn) Recv() (Message, error) {
 	if _, err := io.ReadFull(c.rw, c.hdr[:]); err != nil {
 		return nil, err
@@ -159,7 +171,7 @@ func (c *Conn) Recv() (Message, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownMessage, buf[0])
 	}
-	c.dec = decoder{b: buf[1:]}
+	c.dec = decoder{b: buf[1:], names: c.names}
 	d := &c.dec
 	m.decode(d)
 	if d.err != nil {
@@ -204,7 +216,19 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
+	// names is the connection's table-name intern set; nil (a decoder
+	// built outside Recv) copies every name.
+	names map[string]string
 }
+
+// Interning bounds: a connection keeps at most maxInterned table names
+// of at most maxInternLen bytes each, so a peer cycling through names
+// cannot grow the set without limit. Names past either bound are
+// copied per frame.
+const (
+	maxInterned  = 64
+	maxInternLen = 128
+)
 
 func (d *decoder) fail() {
 	if d.err == nil {
@@ -264,19 +288,38 @@ func (d *decoder) byte() byte {
 	return v
 }
 
-// str copies a length-prefixed string out of the payload (the buffer
-// is reused, so retained strings must own their bytes).
-func (d *decoder) str() string {
+// raw returns a length-prefixed byte string still inside the payload.
+func (d *decoder) raw() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.b)-d.off) {
 		d.fail()
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+int(n)])
+	b := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
+	return b
+}
+
+// str copies a length-prefixed string out of the payload (the buffer
+// is reused, so retained strings must own their bytes).
+func (d *decoder) str() string { return string(d.raw()) }
+
+// table decodes a table name. A connection sees the same few names on
+// every frame, so a name already in the intern set comes back as the
+// set's copy — the lookup by string(b) does not allocate — and only a
+// new name is copied (and interned while the set has room).
+func (d *decoder) table() string {
+	b := d.raw()
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if d.err == nil && d.names != nil && len(d.names) < maxInterned && len(s) <= maxInternLen {
+		d.names[s] = s
+	}
 	return s
 }
 
@@ -346,7 +389,7 @@ func decodeWriteset(d *decoder) writeset.Writeset {
 	entries := make([]writeset.Entry, 0, prealloc(n))
 	for i := uint64(0); i < n; i++ {
 		var e writeset.Entry
-		e.Key.Table = d.str()
+		e.Key.Table = d.table()
 		e.Key.Row = d.varint()
 		e.Delete = d.bool()
 		e.Value = d.str()
