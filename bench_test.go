@@ -309,7 +309,11 @@ func BenchmarkSIDBParallelReads(b *testing.B) {
 		b.Fatal(err)
 	}
 	const rows = 65536
-	if err := db.BulkLoad("item", rows, func(i int64) string { return "value" }); err != nil {
+	values := make([]string, rows)
+	for i := range values {
+		values[i] = "value"
+	}
+	if err := db.ApplyWriteset(writeset.FromRows("item", 0, values), 1); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

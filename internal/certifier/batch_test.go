@@ -67,8 +67,8 @@ func TestCertifyBatchPerRequestErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Err == nil {
-		t.Fatal("pre-horizon snapshot accepted in batch")
+	if results[0].Err != nil || results[0].Outcome.Committed {
+		t.Fatalf("pre-horizon snapshot in batch: %+v; want an abort", results[0])
 	}
 	if results[1].Err == nil {
 		t.Fatal("empty writeset accepted in batch")
@@ -296,8 +296,8 @@ func TestRecoverRestoresLowWater(t *testing.T) {
 	if c.Version() != 10 {
 		t.Fatalf("recovered version = %d", c.Version())
 	}
-	if _, err := c.Certify(3, ws(99)); err == nil {
-		t.Fatal("recovered certifier accepted a pre-horizon snapshot")
+	if out, err := c.Certify(3, ws(99)); err != nil || out.Committed {
+		t.Fatalf("recovered certifier on a pre-horizon snapshot: %+v, %v; want an abort", out, err)
 	}
 	out, err := c.Certify(7, ws(99))
 	if err != nil || !out.Committed || out.Version != 11 {

@@ -78,7 +78,7 @@ type Request struct {
 }
 
 // Result pairs a certification outcome with a per-request error (an
-// empty writeset or a snapshot below the pruning horizon).
+// empty writeset).
 type Result struct {
 	Outcome Outcome
 	Err     error
@@ -427,6 +427,12 @@ func (c *Certifier) Check(snapshot int64, ws writeset.Writeset) (conflict bool, 
 // reports the newest such version, matching what a newest-first log
 // scan would attribute the abort to.
 func (c *Certifier) conflictLocked(snapshot int64, ws writeset.Writeset) (bool, int64) {
+	if snapshot < c.lowWater {
+		// The commits between snapshot and the pruning horizon are gone
+		// from the index, and any of them may have written ws's rows:
+		// abort, and the retry runs on a fresh snapshot.
+		return true, c.lowWater
+	}
 	newest := int64(0)
 	for _, e := range ws.Entries {
 		if v, ok := c.index[e.Key]; ok && v > snapshot && v > newest {
@@ -438,12 +444,9 @@ func (c *Certifier) conflictLocked(snapshot int64, ws writeset.Writeset) (bool, 
 
 // admitLocked validates a request against invariants that are errors
 // rather than aborts.
-func (c *Certifier) admitLocked(snapshot int64, ws writeset.Writeset) error {
+func (c *Certifier) admitLocked(ws writeset.Writeset) error {
 	if ws.Empty() {
 		return fmt.Errorf("certifier: empty writeset (read-only transactions commit locally)")
-	}
-	if snapshot < c.lowWater {
-		return fmt.Errorf("certifier: snapshot %d below pruning horizon %d", snapshot, c.lowWater)
 	}
 	return nil
 }
@@ -460,14 +463,14 @@ func (c *Certifier) applyLocked(rec Record) {
 
 // Certify decides an update transaction: commit (assigning the next
 // global version and persisting the writeset) or abort on conflict.
-// A snapshot older than the pruning horizon is an error: the certifier
-// can no longer certify against the full set of concurrent commits.
+// A snapshot older than the pruning horizon aborts: the certifier can
+// no longer certify against the full set of concurrent commits.
 // With a journal attached, a commit is acknowledged only after its
 // record is durable; journal staging happens under the lock (version
 // order) while the sync happens outside it (group commit).
 func (c *Certifier) Certify(snapshot int64, ws writeset.Writeset) (Outcome, error) {
 	c.mu.Lock()
-	if err := c.admitLocked(snapshot, ws); err != nil {
+	if err := c.admitLocked(ws); err != nil {
 		c.mu.Unlock()
 		return Outcome{}, err
 	}
@@ -649,7 +652,7 @@ func (c *Certifier) CertifyBatch(reqs []Request) ([]Result, error) {
 		version := c.version
 		aborts = 0
 		for i, req := range reqs {
-			if err := c.admitLocked(req.Snapshot, req.Writeset); err != nil {
+			if err := c.admitLocked(req.Writeset); err != nil {
 				results[i].Err = err
 				continue
 			}

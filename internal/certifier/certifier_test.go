@@ -112,9 +112,10 @@ func TestGCAndPruningHorizon(t *testing.T) {
 	if removed != 7 || c.LogLen() != 3 {
 		t.Fatalf("GC removed %d, log %d", removed, c.LogLen())
 	}
-	// Snapshots below the horizon can no longer be certified.
-	if _, err := c.Certify(3, ws(99)); err == nil {
-		t.Fatal("pre-horizon snapshot accepted")
+	// Snapshots below the horizon can no longer be certified: they
+	// abort, and the retry takes a fresh snapshot.
+	if out, err := c.Certify(3, ws(99)); err != nil || out.Committed || out.ConflictWith != 7 {
+		t.Fatalf("pre-horizon snapshot: %+v, %v; want an abort at the horizon", out, err)
 	}
 	// At or above the horizon is fine.
 	if _, err := c.Certify(7, ws(99)); err != nil {

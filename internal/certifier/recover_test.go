@@ -219,13 +219,13 @@ func TestRecoverMixedLogWithCompactedPrefix(t *testing.T) {
 			}
 		}
 	}
-	// Both reject pre-horizon snapshots the same way.
-	_, errR := r.Certify(2, ws(99))
-	_, errRef := ref.Certify(2, ws(99))
-	if (errR == nil) != (errRef == nil) {
-		t.Fatalf("pre-horizon admit differs: recovered %v, reference %v", errR, errRef)
+	// Both abort pre-horizon snapshots the same way.
+	preR, errR := r.Certify(2, ws(99))
+	preRef, errRef := ref.Certify(2, ws(99))
+	if preR != preRef || errR != nil || errRef != nil {
+		t.Fatalf("pre-horizon verdict differs: recovered %+v/%v, reference %+v/%v", preR, errR, preRef, errRef)
 	}
-	if errR == nil {
+	if preR.Committed {
 		t.Fatal("pre-horizon snapshot accepted")
 	}
 	// And both accept an at-horizon snapshot with the same next version.

@@ -162,7 +162,7 @@ func (c *Certifier) unlockLocked(id string) {
 func (c *Certifier) Prepare(p PreparedTxn) (vote bool, conflictWith int64, err error) {
 	c.mu.Lock()
 	c.ensureTwoPCLocked()
-	if err := c.admitLocked(p.Snapshot, p.Writeset); err != nil {
+	if err := c.admitLocked(p.Writeset); err != nil {
 		c.mu.Unlock()
 		return false, 0, err
 	}

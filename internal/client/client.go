@@ -23,7 +23,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -710,50 +709,51 @@ func (t *Txn) Abort() {
 	t.finish()
 }
 
-// Sync implements repl.System: every reachable replica is asked to
-// apply all writesets committed so far (each pulls from the certifier
-// host or master). A backup's pull can transiently fail — a leader
-// election in progress, a ring connection riding over a dead member —
-// and the wire handler cannot distinguish "nothing new" from "could
-// not reach the log", so it acks either way. Agreement is therefore
-// verified here: Sync re-issues the request until every reachable
-// replica reports the same applied version (bounded, so a genuinely
-// wedged replica still surfaces through its table dump rather than
-// hanging the caller). Unreachable replicas are skipped — their table
-// dumps will fail loudly if anyone asks.
+// syncWait bounds how long Sync waits for replicas to catch up: a
+// wedged replica surfaces through its table dump rather than hanging
+// the caller.
+const syncWait = 8 * time.Second
+
+// Sync implements repl.System. The primary first applies everything it
+// can reach and reports its applied version, the head: it covers every
+// acknowledged commit. Each replica is then asked to apply through the
+// head; one already there answers at once, one behind pulls from its
+// primary until it gets there or the shared deadline passes. A replica
+// that reports more than the head (a Paxos backup in slot 0 can lag the
+// leader; without a primary the head starts at zero) raises it, and
+// the replicas below it are asked again. Unreachable replicas are
+// skipped — their table dumps will fail loudly if anyone asks.
 func (c *Client) Sync() {
-	deadline := time.Now().Add(8 * time.Second)
-	// Each re-check costs one Sync RPC per replica (and each of those
-	// can trigger a fetch at the primary), so the disagreement loop
-	// backs off exponentially instead of polling at a fixed beat.
-	backoff := 25 * time.Millisecond
-	for {
-		agree := true
-		var v int64
-		seen := false
-		for _, i := range c.liveSlots() {
-			reply, err := c.rep(i).pool.rpc(&wire.Sync{}, 0)
-			if err != nil {
+	deadline := time.Now().Add(syncWait)
+	live := c.liveSlots()
+	applied := make([]int64, len(live))
+	head := c.syncOne(c.primarySlot(), &wire.Sync{})
+	for raised := true; raised && time.Now().Before(deadline); {
+		raised = false
+		for i, slot := range live {
+			if head > 0 && applied[i] >= head {
 				continue
 			}
-			ok, isOK := reply.(*wire.SyncOK)
-			if !isOK {
-				continue
+			wait := uint32(time.Until(deadline) / time.Millisecond)
+			if applied[i] = c.syncOne(slot, &wire.Sync{Through: head, WaitMillis: wait}); applied[i] > head {
+				head, raised = applied[i], true
 			}
-			if !seen {
-				v, seen = ok.Applied, true
-			} else if ok.Applied != v {
-				agree = false
-			}
-		}
-		if agree || time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(backoff)
-		if backoff < 200*time.Millisecond {
-			backoff *= 2
 		}
 	}
+}
+
+// syncOne sends one Sync request and returns the applied version the
+// replica reported, or -1 when it did not answer (or slot is -1).
+func (c *Client) syncOne(slot int, req *wire.Sync) int64 {
+	if slot < 0 {
+		return -1
+	}
+	if reply, err := c.rep(slot).pool.rpc(req, 0); err == nil {
+		if ok, isOK := reply.(*wire.SyncOK); isOK {
+			return ok.Applied
+		}
+	}
+	return -1
 }
 
 // RoundTrips sums the pooled request/reply exchanges across every
@@ -789,66 +789,38 @@ func (c *Client) TableDump(replica int, table string) (map[int64]string, error) 
 	return out, nil
 }
 
-// CreateTable implements repl.Loader: the table is created on every
-// replica.
+// CreateTable implements repl.Loader: the primary commits the table's
+// schema as a record of the group's log, and Sync waits until the
+// replicas in view have applied it. Replicas this client has not
+// discovered get it from the log like any commit.
 func (c *Client) CreateTable(name string) error {
-	for _, i := range c.liveSlots() {
-		if _, err := c.rep(i).pool.rpc(&wire.CreateTable{Name: name}, 0); err != nil {
-			return fmt.Errorf("client: create %q on replica %d: %w", name, i, err)
-		}
+	if _, err := c.rpcPrimary(&wire.CreateTable{Name: name}, 0); err != nil {
+		return fmt.Errorf("client: create %q: %w", name, err)
 	}
+	c.Sync()
 	return nil
 }
 
-// loadChunk bounds one Load frame; at typical row-value sizes a chunk
-// stays well under a kilobyte-per-row budget.
-const loadChunk = 512
-
-// Load implements repl.Loader: values are evaluated client-side once
-// and streamed in identical chunk sequences to every replica, which
-// keeps their local version counters aligned (the networked
-// equivalent of the in-process bulk load). Replicas load in parallel —
-// ordering only matters per replica — so wall time does not multiply
-// by the replica count.
+// Load implements repl.Loader: LoadRows, then Sync waits for the
+// replicas in view.
 func (c *Client) Load(table string, rows int, value func(int64) string) error {
-	var chunks []*wire.Load
-	for start := 0; start < rows; start += loadChunk {
-		end := start + loadChunk
-		if end > rows {
-			end = rows
-		}
-		values := make([]string, 0, end-start)
-		for r := start; r < end; r++ {
-			values = append(values, value(int64(r)))
-		}
-		chunks = append(chunks, &wire.Load{Table: table, Start: int64(start), Values: values})
+	ids, values := repl.Rows(rows, value)
+	if err := c.LoadRows(table, ids, values); err != nil {
+		return err
 	}
-	live := c.liveSlots()
-	errs := make([]error, len(live))
-	var wg sync.WaitGroup
-	for i, slot := range live {
-		r := c.rep(slot)
-		wg.Add(1)
-		go func(i int, r *replicaConns) {
-			defer wg.Done()
-			for _, msg := range chunks {
-				if _, err := r.pool.rpc(msg, 0); err != nil {
-					errs[i] = fmt.Errorf("client: load %q rows [%d,%d) on replica %d: %w",
-						table, msg.Start, msg.Start+int64(len(msg.Values)), i, err)
-					return
-				}
-			}
-		}(i, r)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	c.Sync()
+	return nil
 }
 
-// Addrs returns the live server addresses (for logs).
-func (c *Client) Addrs() string {
-	var addrs []string
-	for _, i := range c.liveSlots() {
-		addrs = append(addrs, c.rep(i).pool.addr)
-	}
-	return strings.Join(addrs, ",")
+// LoadRows installs values[i] at (table, rows[i]): each repl.Chunks
+// chunk is one Load frame to the primary, which commits it as a record
+// of the group's log. Like a commit, it reaches every replica through
+// the log; Sync waits for that.
+func (c *Client) LoadRows(table string, rows []int64, values []string) error {
+	return repl.Chunks(rows, values, func(rows []int64, values []string) error {
+		if _, err := c.rpcPrimary(&wire.Load{Table: table, Rows: rows, Values: values}, 0); err != nil {
+			return fmt.Errorf("client: load %q (%d rows from row %d): %w", table, len(rows), rows[0], err)
+		}
+		return nil
+	})
 }

@@ -87,22 +87,32 @@ func (t *Txn) Prepare(id string, coord int64) (bool, int64, error) {
 }
 
 // rpcPrimary round-trips one request on the primary's pool (member id
-// 0 — the certifier host, where the 2PC decision verbs land directly;
-// any member would forward, the primary just skips the hop).
-func (c *Client) rpcPrimary(req wire.Message) (wire.Message, error) {
-	c.mu.Lock()
-	idx, ok := c.memberIdx[0]
-	c.mu.Unlock()
-	if !ok {
+// 0 — the certifier host or master, where the 2PC decision verbs,
+// schema and load frames land directly; any mm member would forward,
+// the primary just skips the hop). A positive deadline bounds the
+// exchange.
+func (c *Client) rpcPrimary(req wire.Message, deadline time.Duration) (wire.Message, error) {
+	idx := c.primarySlot()
+	if idx < 0 {
 		return nil, errors.New("client: primary membership unknown")
 	}
-	return c.rep(idx).pool.rpc(req, shardRPCDeadline)
+	return c.rep(idx).pool.rpc(req, deadline)
+}
+
+// primarySlot returns the slot of member id 0, or -1 when unknown.
+func (c *Client) primarySlot() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if idx, ok := c.memberIdx[0]; ok {
+		return idx
+	}
+	return -1
 }
 
 // DecideTxn delivers the coordinator's commit/abort decision for a
 // prepared fragment to this group. Implements router.Group.
 func (c *Client) DecideTxn(id string, commit bool) (int64, error) {
-	reply, err := c.rpcPrimary(&wire.DecideTxn{TxnID: id, Commit: commit})
+	reply, err := c.rpcPrimary(&wire.DecideTxn{TxnID: id, Commit: commit}, shardRPCDeadline)
 	if err != nil {
 		return 0, err
 	}
@@ -119,7 +129,7 @@ func (c *Client) DecideTxn(id string, commit bool) (int64, error) {
 // ResolveTxn asks this group (as coordinator) for the recorded outcome
 // of an in-doubt cross-shard transaction. Implements router.Group.
 func (c *Client) ResolveTxn(id string) (bool, error) {
-	reply, err := c.rpcPrimary(&wire.ResolveTxn{TxnID: id})
+	reply, err := c.rpcPrimary(&wire.ResolveTxn{TxnID: id}, shardRPCDeadline)
 	if err != nil {
 		return false, err
 	}
@@ -136,7 +146,7 @@ func (c *Client) ResolveTxn(id string) (bool, error) {
 // ForgetTxn retires a fully acknowledged decision at this group.
 // Implements router.Group.
 func (c *Client) ForgetTxn(id string) error {
-	reply, err := c.rpcPrimary(&wire.ForgetTxn{TxnID: id})
+	reply, err := c.rpcPrimary(&wire.ForgetTxn{TxnID: id}, shardRPCDeadline)
 	if err != nil {
 		return err
 	}
@@ -164,7 +174,7 @@ func (c *Client) ShardInfo() (id, count, version int64) {
 // shard-map fields — for clients that run without Options.Watch but
 // still need to learn the topology before routing.
 func (c *Client) FetchShardInfo() (id, count, version int64, err error) {
-	reply, err := c.rpcPrimary(&wire.Members{})
+	reply, err := c.rpcPrimary(&wire.Members{}, shardRPCDeadline)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -14,6 +14,7 @@ package mm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -152,6 +153,8 @@ type Cluster struct {
 	// shared with the balancer (removed slots are tombstoned there).
 	mu    sync.RWMutex
 	slots []*replica
+
+	ddlMu sync.Mutex // serializes CreateTable's existence check and commit
 }
 
 // New creates a multi-master cluster.
@@ -317,40 +320,67 @@ func (c *Cluster) Certifier() *certifier.Certifier {
 	return cert
 }
 
-// CertSvc exposes the certification service the cluster uses,
-// whatever its implementation.
-func (c *Cluster) CertSvc() CertService { return c.cert }
-
 // Transport returns the Paxos transport when the certifier is
 // replicated, else nil.
 func (c *Cluster) Transport() *paxos.LocalTransport { return c.transport }
 
-// CreateTable creates the table on every replica.
+// CreateTable commits the table's schema writeset (writeset.Schema)
+// through certification, so every replica — present, joining or
+// recovering — creates it from the log like any commit. It refuses a
+// table live replica 0 already has once caught up; ddlMu makes that
+// check and the commit one step for concurrent callers.
 func (c *Cluster) CreateTable(name string) error {
-	for _, r := range c.live() {
-		if err := r.db.CreateTable(name); err != nil {
-			return err
-		}
+	c.ddlMu.Lock()
+	defer c.ddlMu.Unlock()
+	r, err := c.liveAt(0)
+	if err != nil {
+		return err
 	}
+	c.syncTo(r)
+	if slices.Contains(r.db.Tables(), name) {
+		return fmt.Errorf("mm: table %q already exists", name)
+	}
+	if err := c.certifyWriteset(writeset.Schema(name)); err != nil {
+		return err
+	}
+	c.Sync()
 	return nil
 }
 
-// Load bulk-fills a table identically on every replica (initial load,
-// outside concurrency control).
+// Load fills rows [0, rows) of a table with value(row) on every
+// replica (LoadRows, then Sync).
 func (c *Cluster) Load(table string, rows int, value func(int64) string) error {
-	live := c.live()
-	for _, r := range live {
-		if err := r.db.BulkLoad(table, rows, value); err != nil {
-			return err
-		}
+	ids, values := repl.Rows(rows, value)
+	if err := c.LoadRows(table, ids, values); err != nil {
+		return err
 	}
-	// The load bumped each replica's local version identically; the
-	// certifier's global counter stays at zero, so the applied
-	// counters remain aligned at zero as well.
-	for _, r := range live {
-		if err := r.ap.Reset(func(int64) (int64, error) { return 0, nil }); err != nil {
-			return err
-		}
+	c.Sync()
+	return nil
+}
+
+// LoadRows certifies values[i] at (table, rows[i]), one record per
+// repl.Chunks chunk: the load takes versions and propagates exactly
+// like commits do, and like a commit under AsyncApply it is applied by
+// the next Sync (or the node's propagation loop), not before returning.
+func (c *Cluster) LoadRows(table string, rows []int64, values []string) error {
+	return repl.Chunks(rows, values, func(rows []int64, values []string) error {
+		return c.certifyWriteset(writeset.Rows(table, rows, values))
+	})
+}
+
+// certifyWriteset certifies ws outside any transaction, at live
+// replica 0's applied snapshot.
+func (c *Cluster) certifyWriteset(ws writeset.Writeset) error {
+	r, err := c.liveAt(0)
+	if err != nil {
+		return err
+	}
+	out, err := c.certify(r.ap.Applied(), ws, 0)
+	if err != nil {
+		return err
+	}
+	if !out.Committed {
+		return &repl.AbortedError{ConflictWith: out.ConflictWith}
 	}
 	return nil
 }
@@ -375,17 +405,6 @@ func (c *Cluster) Sync() {
 	}
 }
 
-// Applied returns the global version the ridx-th live replica has
-// applied. The networked server's propagation loop uses it as the
-// FetchSince cursor.
-func (c *Cluster) Applied(ridx int) int64 {
-	r, err := c.liveAt(ridx)
-	if err != nil {
-		panic(err)
-	}
-	return r.ap.Applied()
-}
-
 // Applier exposes the ridx-th live replica's apply stage — the
 // networked server feeds its propagation pipeline through it and
 // reports its stats.
@@ -408,24 +427,6 @@ func (c *Cluster) ApplyRecords(ridx int, recs []certifier.Record) int {
 		panic(err)
 	}
 	return r.ap.Apply(recs)
-}
-
-// LoadRows bulk-installs explicit row values [start, start+len(values))
-// on every replica, bypassing concurrency control — the wire
-// protocol's chunked initial-load path. Chunks must arrive in the same
-// order on every replica of the networked cluster so local versions
-// stay aligned; like Load, this must finish before traffic starts.
-func (c *Cluster) LoadRows(table string, start int64, values []string) error {
-	ws := writeset.FromRows(table, start, values)
-	for _, r := range c.live() {
-		err := r.ap.Reset(func(cur int64) (int64, error) {
-			return cur, r.db.ApplyWriteset(ws, r.db.Version()+1)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // GC prunes the certification log up to the oldest version every
@@ -513,24 +514,25 @@ func (c *Cluster) InstallSnapshot(ridx int, version int64, tables map[string]map
 }
 
 // installSnapshot installs snapshot contents into r under its apply
-// lock and marks it ready.
+// lock, as one writeset at the snapshot version (so the local database
+// version equals the global one), and marks it ready. Version 0 is the
+// empty log: no table exists before the first record.
 func installSnapshot(r *replica, version int64, tables map[string]map[int64]string) error {
 	err := r.ap.Reset(func(int64) (int64, error) {
+		var entries []writeset.Entry
 		for name, rows := range tables {
 			if err := r.db.CreateTable(name); err != nil {
 				return 0, err
 			}
-			entries := make([]writeset.Entry, 0, len(rows))
 			for row, value := range rows {
 				entries = append(entries, writeset.Entry{
 					Key:   writeset.Key{Table: name, Row: row},
 					Value: value,
 				})
 			}
-			if len(entries) == 0 {
-				continue
-			}
-			if err := r.db.ApplyWriteset(writeset.New(entries), r.db.Version()+1); err != nil {
+		}
+		if version > 0 {
+			if err := r.db.ApplyWriteset(writeset.New(entries), version); err != nil {
 				return 0, err
 			}
 		}

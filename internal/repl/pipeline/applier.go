@@ -18,7 +18,7 @@ import (
 // installation work on the inside.
 //
 // Parallelism is conflict-aware: a dependency graph is built over the
-// batch using the writesets' precomputed key sets (record j depends on
+// batch from the writesets' row keys (record j depends on
 // the latest earlier record that wrote any of j's rows), and a bounded
 // worker pool installs records whose dependencies have retired. Two
 // writesets that share no row may install in either order — their row
@@ -107,8 +107,8 @@ func (a *Applier) Pin(f func(applied int64)) {
 }
 
 // Reset runs f under the apply lock and moves the cursor to the
-// version f returns — the bulk-load, snapshot-install and WAL-restore
-// paths, which rebuild database state outside the record stream.
+// version f returns — the snapshot-install and WAL-restore paths,
+// which rebuild database state outside the record stream.
 func (a *Applier) Reset(f func(applied int64) (int64, error)) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -77,16 +77,6 @@ func (d *Durability) ApplyHook() func(ws writeset.Writeset, version int64) error
 // Sync blocks on the group fsync covering everything journaled so far.
 func (d *Durability) Sync() error { return d.W.Sync(d.W.Seq()) }
 
-// Table journals a created table and blocks on the group fsync before
-// the caller acknowledges: DDL is acked to the client, so like a commit
-// it must not evaporate in a power loss.
-func (d *Durability) Table(name string) error {
-	if err := d.W.AppendTable(name); err != nil {
-		return err
-	}
-	return d.Sync()
-}
-
 // Cursor journals the propagation cursor (the global version this
 // replica has applied), skipping repeats so an idle poll loop does not
 // grow the log. Cursor records are advisory: a crash before the latest

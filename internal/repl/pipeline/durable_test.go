@@ -78,28 +78,3 @@ func TestMaybeCompactSerializesCaptureAndRewrite(t *testing.T) {
 		t.Fatalf("recovered snapshot local %d %+v, want the newer capture (local 4)", rec.SnapLocal, rec.Snapshot)
 	}
 }
-
-// TestCreateTableDurableBeforeAck: Durability.Table backs the
-// CreateTable acknowledgement, so it must block on the group fsync —
-// an acked table creation may not vanish in a power loss.
-func TestCreateTableDurableBeforeAck(t *testing.T) {
-	fs := wal.NewMemFS()
-	w, _, err := wal.Open(wal.Options{FS: fs, Fsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := pipeline.NewDurability(w, 0)
-	if err := d.Table("acked"); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-
-	fs.PowerCycle(false) // power loss: unsynced bytes vanish
-	_, rec, err := wal.Open(wal.Options{FS: fs, Fsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Tables) != 1 || rec.Tables[0] != "acked" {
-		t.Fatalf("recovered tables %v, want [acked]", rec.Tables)
-	}
-}

@@ -106,13 +106,54 @@ type System interface {
 	TableDump(replica int, table string) (map[int64]string, error)
 }
 
-// Loader populates tables; both designs implement it.
+// Loader populates tables; both designs implement it. Schema and rows
+// enter the replicated log like commits, so every replica — including
+// one that joins or recovers later — receives them from the log.
 type Loader interface {
 	// CreateTable makes an empty table on every replica.
 	CreateTable(name string) error
 	// Load fills table rows [0, rows) with value(row) on every
-	// replica, bypassing concurrency control (initial load).
+	// replica (initial load).
 	Load(table string, rows int, value func(int64) string) error
+}
+
+// Load-record bounds: a loader splits its rows into chunks of at most
+// LoadChunkRows rows and LoadChunkBytes value bytes (a single larger
+// value travels alone). Each chunk is one record of the replicated log
+// and, on the networked stack, one wire.Load frame, comfortably under
+// wire.MaxFrame.
+const (
+	LoadChunkRows  = 512
+	LoadChunkBytes = 1 << 20
+)
+
+// Rows evaluates value for rows [0, n), returning the row ids and
+// values a chunked loader installs.
+func Rows(n int, value func(int64) string) ([]int64, []string) {
+	rows := make([]int64, n)
+	values := make([]string, n)
+	for i := range rows {
+		rows[i] = int64(i)
+		values[i] = value(int64(i))
+	}
+	return rows, values
+}
+
+// Chunks calls load on consecutive chunks of rows and their values
+// within the load-record bounds, stopping at the first error.
+func Chunks(rows []int64, values []string, load func(rows []int64, values []string) error) error {
+	for start := 0; start < len(rows); {
+		end, size := start, 0
+		for end < len(rows) && end-start < LoadChunkRows && (end == start || size+len(values[end]) <= LoadChunkBytes) {
+			size += len(values[end])
+			end++
+		}
+		if err := load(rows[start:end], values[start:end]); err != nil {
+			return err
+		}
+		start = end
+	}
+	return nil
 }
 
 // LoadCatalog creates and populates every table of a workload catalog

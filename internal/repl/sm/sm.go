@@ -15,7 +15,6 @@ package sm
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/lb"
 	"repro/internal/repl"
@@ -87,12 +86,8 @@ type Cluster struct {
 	slaves []*slave
 
 	// wlog retains committed master writesets for propagation, keyed
-	// by absolute master version; base is the master version after
-	// the initial load (slave apply cursors are seeded to it and hold
-	// absolute master versions from then on).
-	wlog   *Log
-	baseMu sync.Mutex
-	base   int64
+	// by master version; slave apply cursors hold master versions.
+	wlog *Log
 
 	balancer *lb.Balancer // over all nodes: 0 = master, i>0 = slave i-1
 }
@@ -127,46 +122,62 @@ func New(opts Options) (*Cluster, error) {
 // Replicas returns the total node count.
 func (c *Cluster) Replicas() int { return 1 + len(c.slaves) }
 
-// CreateTable creates the table on the master and every slave.
+// CreateTable creates the table on the master and commits its schema
+// writeset (writeset.Schema) there, so the slaves create it from the
+// propagation log. The master refuses a table it already has.
 func (c *Cluster) CreateTable(name string) error {
 	if err := c.master.CreateTable(name); err != nil {
 		return err
 	}
-	for _, s := range c.slaves {
-		if err := s.db.CreateTable(name); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.commit(writeset.Schema(name))
 }
 
-// Load bulk-fills a table identically everywhere (initial load).
+// Load fills rows [0, rows) of a table with value(row), one master
+// commit per repl.Chunks chunk.
 func (c *Cluster) Load(table string, rows int, value func(int64) string) error {
-	if err := c.master.BulkLoad(table, rows, value); err != nil {
+	ids, values := repl.Rows(rows, value)
+	return repl.Chunks(ids, values, func(rows []int64, values []string) error {
+		return c.commit(writeset.Rows(table, rows, values))
+	})
+}
+
+// commit installs ws on the master (Install) and publishes it.
+func (c *Cluster) commit(ws writeset.Writeset) error {
+	version, err := Install(c.master, ws)
+	if err != nil {
 		return err
 	}
-	for _, s := range c.slaves {
-		if err := s.db.BulkLoad(table, rows, value); err != nil {
-			return err
-		}
-	}
-	c.baseMu.Lock()
-	c.base = c.master.Version()
-	base := c.base
-	c.baseMu.Unlock()
-	// Slave cursors hold absolute master versions; the load is the
-	// starting point.
-	for _, s := range c.slaves {
-		if err := s.ap.Reset(func(int64) (int64, error) { return base, nil }); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.publish(version, ws)
 }
 
-// record stores a committed writeset for propagation.
-func (c *Cluster) record(version int64, ws writeset.Writeset) {
+// Install commits ws on the master database db at the next version,
+// outside any transaction: the blind write of a schema or load record.
+// A version a concurrent commit took first is retried at the next one.
+func Install(db *sidb.DB, ws writeset.Writeset) (int64, error) {
+	for {
+		version := db.Version() + 1
+		if err := db.ApplyWriteset(ws, version); !errors.Is(err, sidb.ErrStaleVersion) {
+			return version, err
+		}
+	}
+}
+
+// publish makes a master commit durable (with Durable) and relays it
+// to the slaves.
+func (c *Cluster) publish(version int64, ws writeset.Writeset) error {
+	if c.opts.Durable {
+		// The writeset was journaled by the apply hook inside the
+		// database commit; block on the group fsync before the commit
+		// is acknowledged (or propagated).
+		if err := SyncCommit(c.opts.Journal, version); err != nil {
+			return err
+		}
+	}
 	c.wlog.Append(version, ws)
+	for _, s := range c.slaves {
+		c.syncSlave(s)
+	}
+	return nil
 }
 
 // syncSlave applies the dense prefix of pending writesets at s. Master
@@ -174,12 +185,6 @@ func (c *Cluster) record(version int64, ws writeset.Writeset) {
 // apply stage drains the contiguous run past its cursor.
 func (c *Cluster) syncSlave(s *slave) {
 	s.ap.Apply(c.wlog.SinceDense(s.ap.Applied()))
-}
-
-func (c *Cluster) baseVersion() int64 {
-	c.baseMu.Lock()
-	defer c.baseMu.Unlock()
-	return c.base
 }
 
 // Sync drains the propagation log into every slave.
@@ -192,14 +197,9 @@ func (c *Cluster) Sync() {
 // GCLog prunes propagated writesets every slave has applied, returning
 // the number of entries removed.
 func (c *Cluster) GCLog() int {
-	minApplied := int64(1<<62 - 1)
+	minApplied := c.master.Version() // no slave is ahead of the master
 	for _, s := range c.slaves {
-		if v := s.ap.Applied(); v < minApplied {
-			minApplied = v
-		}
-	}
-	if len(c.slaves) == 0 {
-		minApplied = c.baseVersion()
+		minApplied = min(minApplied, s.ap.Applied())
 	}
 	return c.wlog.GCBelow(minApplied)
 }
@@ -297,19 +297,7 @@ func (t *Txn) Commit() error {
 	if ws.Empty() {
 		return nil
 	}
-	if t.cluster.opts.Durable {
-		// The writeset was journaled by the apply hook inside the
-		// database commit; block on the group fsync before the commit
-		// is acknowledged (or propagated).
-		if err := SyncCommit(t.cluster.opts.Journal, version); err != nil {
-			return err
-		}
-	}
-	t.cluster.record(version, ws)
-	for _, s := range t.cluster.slaves {
-		t.cluster.syncSlave(s)
-	}
-	return nil
+	return t.cluster.publish(version, ws)
 }
 
 // Abort implements repl.Txn.

@@ -99,17 +99,24 @@ func TestConflictAtMasterAborts(t *testing.T) {
 func TestSlaveWritesRejected(t *testing.T) {
 	c := newCluster(t, 3)
 	seedTable(t, c, "item", 10)
-	// Saturate node 0 so a read lands on a slave.
-	hold, _ := c.BeginRead() // node 0
-	ro, _ := c.BeginRead()   // node 1 (slave)
-	if ro.(*Txn).node == 0 {
-		t.Fatal("expected slave routing")
+	// Hold reads until one lands on a slave.
+	var held []repl.Txn
+	var ro repl.Txn
+	for ro == nil {
+		tx, _ := c.BeginRead()
+		if tx.(*Txn).node == 0 {
+			held = append(held, tx)
+		} else {
+			ro = tx
+		}
 	}
 	if err := ro.Write("item", 1, "x"); !errors.Is(err, repl.ErrReadOnlyTxn) {
 		t.Fatalf("slave write: %v", err)
 	}
 	ro.Abort()
-	hold.Abort()
+	for _, tx := range held {
+		tx.Abort()
+	}
 }
 
 func TestReadsBalanceAcrossMasterAndSlaves(t *testing.T) {
@@ -182,6 +189,7 @@ func TestSingleNodeCluster(t *testing.T) {
 func TestGCLog(t *testing.T) {
 	c := newCluster(t, 3)
 	seedTable(t, c, "item", 10)
+	c.GCLog() // prune the schema and load commits first
 	for i := 0; i < 10; i++ {
 		tx, _ := c.BeginUpdate()
 		tx.Write("item", int64(i), "v")

@@ -54,8 +54,10 @@ func (m Map) Locate(table string, row int64) int {
 type Group interface {
 	repl.System
 	repl.Loader
-	// TableDump with the repl.System signature dumps the group's own
-	// replica state; the router filters it by ownership.
+	// LoadRows installs values[i] at (table, rows[i]) through the
+	// group's log, visible after Sync: the router loads each group with
+	// the rows it owns.
+	LoadRows(table string, rows []int64, values []string) error
 
 	// DecideTxn applies a coordinator decision at this group.
 	DecideTxn(id string, commit bool) (version int64, err error)
@@ -143,18 +145,23 @@ func (r *Router) CreateTable(name string) error {
 	return nil
 }
 
-// Load implements repl.Loader. The initial load goes to EVERY group in
-// full: load bypasses concurrency control, rows a group does not own
-// are simply never written there again, and the convergence dump
-// filters by ownership — so routing alone governs which copy is live,
-// and the loader surface stays byte-compatible with the unsharded
-// stack.
+// Load implements repl.Loader: values are evaluated once, each group
+// loads only the rows Locate assigns it, and Sync waits for every
+// group's replicas.
 func (r *Router) Load(table string, rows int, value func(int64) string) error {
+	ids := make([][]int64, len(r.groups))
+	values := make([][]string, len(r.groups))
+	for row := int64(0); row < int64(rows); row++ {
+		gi := r.m.Locate(table, row)
+		ids[gi] = append(ids[gi], row)
+		values[gi] = append(values[gi], value(row))
+	}
 	for i, g := range r.groups {
-		if err := g.Load(table, rows, value); err != nil {
+		if err := g.LoadRows(table, ids[i], values[i]); err != nil {
 			return fmt.Errorf("router: load %s at group %d: %w", table, i, err)
 		}
 	}
+	r.Sync()
 	return nil
 }
 
@@ -178,10 +185,9 @@ func (r *Router) Replicas() int {
 	return min
 }
 
-// TableDump implements repl.System: replica i's view of a table is
-// the union, across groups, of the rows each group OWNS — the copy
-// routing keeps live. A row's value must come from its owner; the
-// other groups' copies are load-time fossils.
+// TableDump implements repl.System: replica i's view of a table is the
+// union, across groups, of replica i's rows in each group — every row
+// lives only in the group that owns it.
 func (r *Router) TableDump(replica int, table string) (map[int64]string, error) {
 	out := make(map[int64]string)
 	for gi, g := range r.groups {
@@ -190,9 +196,7 @@ func (r *Router) TableDump(replica int, table string) (map[int64]string, error) 
 			return nil, fmt.Errorf("router: dump %s at group %d: %w", table, gi, err)
 		}
 		for row, v := range dump {
-			if r.m.Locate(table, row) == gi {
-				out[row] = v
-			}
+			out[row] = v
 		}
 	}
 	return out, nil

@@ -86,6 +86,7 @@ func TestSingleShardFastPath(t *testing.T) {
 	r, clusters := groupsOf(t, 2, 64)
 	owned := rowsOwnedBy(r, 64)
 	row := owned[0][0]
+	v0, v1 := clusters[0].Certifier().Version(), clusters[1].Certifier().Version() // schema and load
 
 	txn, err := r.BeginUpdate()
 	if err != nil {
@@ -98,11 +99,11 @@ func TestSingleShardFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Group 0 certified one commit, group 1 saw nothing.
-	if v := clusters[0].Certifier().Version(); v != 1 {
-		t.Fatalf("group 0 version %d, want 1", v)
+	if v := clusters[0].Certifier().Version(); v != v0+1 {
+		t.Fatalf("group 0 version %d, want %d", v, v0+1)
 	}
-	if v := clusters[1].Certifier().Version(); v != 0 {
-		t.Fatalf("group 1 version %d, want 0 (fast path leaked)", v)
+	if v := clusters[1].Certifier().Version(); v != v1 {
+		t.Fatalf("group 1 version %d, want %d (fast path leaked)", v, v1)
 	}
 
 	rt, err := r.BeginRead()
@@ -169,6 +170,7 @@ func TestCrossShardConflictAborts(t *testing.T) {
 	r, clusters := groupsOf(t, 2, 64)
 	owned := rowsOwnedBy(r, 64)
 	r0, r1 := owned[0][0], owned[1][0]
+	v0 := clusters[0].Certifier().Version() // schema and load
 
 	// Open the doomed transaction first so its snapshot predates the
 	// conflicting commit.
@@ -208,8 +210,8 @@ func TestCrossShardConflictAborts(t *testing.T) {
 	if dump[r0] != fmt.Sprintf("load-%d", r0) {
 		t.Fatalf("aborted fragment leaked into group 0: row %d = %q", r0, dump[r0])
 	}
-	if v := clusters[0].Certifier().Version(); v != 0 {
-		t.Fatalf("group 0 version %d, want 0", v)
+	if v := clusters[0].Certifier().Version(); v != v0 {
+		t.Fatalf("group 0 version %d, want %d", v, v0)
 	}
 	for gi, c := range clusters {
 		if n := len(c.Certifier().InDoubt()); n != 0 {
@@ -276,6 +278,31 @@ func TestReadOnlySpansShards(t *testing.T) {
 	}
 	if err := rt.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadShipsEachGroupItsOwnRows: the initial load installs every
+// row exactly once, in the group that owns it.
+func TestLoadShipsEachGroupItsOwnRows(t *testing.T) {
+	r, clusters := groupsOf(t, 2, 64)
+	seen := 0
+	for gi, c := range clusters {
+		dump, err := c.TableDump(0, "item")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for row, v := range dump {
+			if owner := r.Map().Locate("item", row); owner != gi {
+				t.Fatalf("group %d holds row %d owned by group %d", gi, row, owner)
+			}
+			if v != fmt.Sprintf("load-%d", row) {
+				t.Fatalf("group %d row %d = %q", gi, row, v)
+			}
+		}
+		seen += len(dump)
+	}
+	if seen != 64 {
+		t.Fatalf("groups hold %d rows in total, want 64", seen)
 	}
 }
 

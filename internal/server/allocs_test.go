@@ -26,7 +26,8 @@ func TestDispatchReadAllocs(t *testing.T) {
 			st := &connState{peer: -1}
 			for _, req := range []wire.Message{
 				&wire.CreateTable{Name: "item"},
-				&wire.Load{Table: "item", Values: []string{"stock=90", "stock=91"}},
+				&wire.Load{Table: "item", Rows: []int64{0, 1}, Values: []string{"stock=90", "stock=91"}},
+				&wire.Sync{}, // a load, like a commit, is applied by the next pull
 				&wire.Begin{ReadOnly: true},
 			} {
 				if reply, isErr := s.dispatch(st, req).(*wire.Err); isErr {

@@ -155,8 +155,9 @@ func TestDurableHostRestart(t *testing.T) {
 
 	srv2 := boot()
 	defer srv2.Close()
-	if v, ok := srv2.Resumed(); !ok || v != 10 {
-		t.Fatalf("host resumed at %d (ok %v), want 10", v, ok)
+	// The schema record is version 1, the commits 2..11.
+	if v, ok := srv2.Resumed(); !ok || v != 11 {
+		t.Fatalf("host resumed at %d (ok %v), want 11", v, ok)
 	}
 	cl2, err := client.New(client.Options{Servers: []string{srv2.Addr()}, Design: "mm"})
 	if err != nil {
@@ -320,8 +321,8 @@ func TestWALSurvivesTornTailOnDisk(t *testing.T) {
 	}
 	defer srv2.Close()
 	srv2.Start()
-	if v, ok := srv2.Resumed(); !ok || v != 5 {
-		t.Fatalf("resumed at %d (ok %v), want 5", v, ok)
+	if v, ok := srv2.Resumed(); !ok || v != 6 { // schema record + 5 commits
+		t.Fatalf("resumed at %d (ok %v), want 6", v, ok)
 	}
 }
 

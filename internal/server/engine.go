@@ -35,9 +35,11 @@ var errUnsupported = errors.New("server: operation not supported by this node")
 type engine interface {
 	// begin opens a transaction for one connection.
 	begin(readOnly bool) (repl.Txn, error)
-	// createTable / loadRows / dump are the load and convergence paths.
+	// createTable and loadRows commit schema and rows as records of the
+	// group's log (refused where updates cannot run); dump is the
+	// convergence path.
 	createTable(name string) error
-	loadRows(table string, start int64, values []string) error
+	loadRows(table string, rows []int64, values []string) error
 	dump(table string) (map[int64]string, error)
 	// sync applies everything committed so far (one pull).
 	sync()
@@ -365,27 +367,10 @@ func (e *mmEngine) begin(readOnly bool) (repl.Txn, error) {
 	return e.cl.BeginUpdate()
 }
 
-func (e *mmEngine) createTable(name string) error {
-	if err := e.cl.CreateTable(name); err != nil {
-		return err
-	}
-	if e.dur != nil {
-		return e.dur.Table(name)
-	}
-	return nil
-}
+func (e *mmEngine) createTable(name string) error { return e.cl.CreateTable(name) }
 
-func (e *mmEngine) loadRows(table string, start int64, values []string) error {
-	if err := e.cl.LoadRows(table, start, values); err != nil {
-		return err
-	}
-	if e.dur != nil {
-		// Loaded rows are acked but, unlike certified commits, not in
-		// the certifier log — FetchSince can never re-deliver them — so
-		// like DDL they must be durable before the ack.
-		return e.dur.Sync()
-	}
-	return nil
+func (e *mmEngine) loadRows(table string, rows []int64, values []string) error {
+	return e.cl.LoadRows(table, rows, values)
 }
 
 func (e *mmEngine) dump(table string) (map[int64]string, error) { return e.cl.TableDump(0, table) }
@@ -846,9 +831,9 @@ func newSMEngine(opts Options, m *metrics, stop <-chan struct{}) (*smEngine, err
 			}
 		}
 	} else {
-		// The slave cursor is the absolute master version, which the
-		// local database version tracks exactly (the slave loaded
-		// identically and applies in commit order).
+		// The slave cursor is the master version, which the local
+		// database version tracks exactly: every change, schema and load
+		// included, arrives as a master commit applied in commit order.
 		e.ap = pipeline.NewApplier(e.db, runtime.GOMAXPROCS(0))
 		e.ap.SetTracer(m.tracer)
 		if err := e.ap.Reset(func(int64) (int64, error) { return e.db.Version(), nil }); err != nil {
@@ -873,13 +858,53 @@ func (e *smEngine) begin(readOnly bool) (repl.Txn, error) {
 	return &smTxn{e: e, inner: e.db.Begin(), readOnly: readOnly}, nil
 }
 
+// createTable and loadRows commit on the master (sm.Install), so
+// slaves receive schema and rows from the propagation log; the master
+// refuses a table it already has.
 func (e *smEngine) createTable(name string) error {
-	if err := e.db.CreateTable(name); err != nil {
+	if e.isMaster {
+		if err := e.db.CreateTable(name); err != nil {
+			return err
+		}
+	}
+	return e.commit(writeset.Schema(name))
+}
+
+func (e *smEngine) loadRows(table string, rows []int64, values []string) error {
+	return e.commit(writeset.Rows(table, rows, values))
+}
+
+// commit installs ws on the master outside any transaction and
+// publishes it; slaves refuse.
+func (e *smEngine) commit(ws writeset.Writeset) error {
+	if !e.isMaster {
+		return fmt.Errorf("%w: updates must run on the master", errUnsupported)
+	}
+	version, err := sm.Install(e.db, ws)
+	if err != nil {
 		return err
 	}
-	if e.dur != nil {
-		return e.dur.Table(name)
+	return e.publish(version, ws, 0)
+}
+
+// publish gates a master commit on the group fsync (with a WAL) and
+// hands it to the propagation log, waking the slaves' long polls.
+func (e *smEngine) publish(version int64, ws writeset.Writeset, trace uint64) error {
+	if d := e.dur; d != nil {
+		// The writeset was journaled by the database's apply hook inside
+		// the install; block on the group fsync before the commit is
+		// acknowledged or propagated (fail-stop on real disk failures,
+		// ambiguous outcome on a clean-shutdown race — see
+		// sm.SyncCommit).
+		syncStart := time.Now()
+		if err := sm.SyncCommit(d.W, version); err != nil {
+			return err
+		}
+		e.m.tracer.ObserveStage(pipeline.StageFsync, time.Since(syncStart), 1)
 	}
+	e.wlog.Append(version, ws)
+	e.m.tracer.NoteCommitMeta(version, trace, time.Now().UnixNano())
+	e.notify.Bump(version)
 	return nil
 }
 
@@ -910,31 +935,6 @@ func (e *smEngine) maybeCompact() {
 		// applies above the slave horizon, not just above the snapshot.
 		return base, local, local, base, state, nil
 	})
-}
-
-func (e *smEngine) loadRows(table string, start int64, values []string) error {
-	ws := writeset.FromRows(table, start, values)
-	if e.ap != nil {
-		// The slave's apply cursor tracks the database version, so the
-		// load moves both together under the apply lock.
-		err := e.ap.Reset(func(int64) (int64, error) {
-			if err := e.db.ApplyWriteset(ws, e.db.Version()+1); err != nil {
-				return 0, err
-			}
-			return e.db.Version(), nil
-		})
-		if err != nil {
-			return err
-		}
-	} else if err := e.db.ApplyWriteset(ws, e.db.Version()+1); err != nil {
-		return err
-	}
-	if e.dur != nil {
-		// Loaded rows are acked but not re-fetchable from the master's
-		// propagation log, so they must be durable before the ack.
-		return e.dur.Sync()
-	}
-	return nil
 }
 
 func (e *smEngine) dump(table string) (map[int64]string, error) { return e.db.Dump(table) }
@@ -1097,25 +1097,11 @@ func (t *smTxn) Commit() error {
 		}
 		return err
 	}
-	if !ws.Empty() {
-		t.version = version
-		if d := t.e.dur; d != nil {
-			// The writeset was journaled by the database's apply hook
-			// inside Commit; block on the group fsync before the commit
-			// is acknowledged or propagated (fail-stop on real disk
-			// failures, ambiguous outcome on a clean-shutdown race —
-			// see sm.SyncCommit).
-			syncStart := time.Now()
-			if err := sm.SyncCommit(d.W, version); err != nil {
-				return err
-			}
-			t.e.m.tracer.ObserveStage(pipeline.StageFsync, time.Since(syncStart), 1)
-		}
-		t.e.wlog.Append(version, ws)
-		t.e.m.tracer.NoteCommitMeta(version, t.trace, time.Now().UnixNano())
-		t.e.notify.Bump(version)
+	if ws.Empty() {
+		return nil
 	}
-	return nil
+	t.version = version
+	return t.e.publish(version, ws, t.trace)
 }
 
 // CommitVersion returns the master version a successful update commit

@@ -214,7 +214,10 @@ func TestFailoverMetrics(t *testing.T) {
 		t.Fatalf("pre-failover drive errors: %+v", res)
 	}
 
-	// The replicated certifier host measures the paxos stage.
+	// The replicated certifier host measures the paxos stage. Schema and
+	// load certify through the group like commits, so an election during
+	// set-up may have moved leadership: check whoever leads now.
+	lead = waitOneLeader(t, servers, -1)
 	leadBody = httpGet(t, "http://"+servers[lead].MetricsAddr()+"/metrics")
 	if n := stageCount(t, leadBody, "paxos"); n <= 0 {
 		t.Errorf("leader paxos stage count = %v, want > 0", n)

@@ -533,17 +533,31 @@ type snapshotStream struct {
 	tables  []wire.TableSnap // remaining contents, consumed front to back
 }
 
-// snapshotChunkBytes bounds the approximate payload of one SnapshotOK
-// chunk, comfortably under wire.MaxFrame so join state transfer works
-// for databases of any size (a single row larger than the remaining
-// frame budget still goes out alone and is only limited by MaxFrame).
-const snapshotChunkBytes = 4 << 20
+// replyBudget bounds the approximate payload of one SnapshotOK chunk
+// or Records reply, comfortably under wire.MaxFrame, so join state
+// transfer and catch-up work for databases and backlogs of any size (a
+// single row or record larger than the remaining budget still goes out
+// alone and is only limited by MaxFrame).
+const replyBudget = 4 << 20
+
+// capRecords trims a FetchSince reply to the records that fit the
+// reply budget; the fetcher asks again from the last one it applied.
+func capRecords(recs []certifier.Record) []certifier.Record {
+	budget := replyBudget
+	for i, r := range recs {
+		budget -= 16 + r.Writeset.Bytes()
+		if budget < 0 && i > 0 {
+			return recs[:i]
+		}
+	}
+	return recs
+}
 
 // next builds the next chunk, removing what it takes. More is set
 // while contents remain.
 func (ss *snapshotStream) next() *wire.SnapshotOK {
 	reply := &wire.SnapshotOK{Version: ss.version}
-	budget := snapshotChunkBytes
+	budget := replyBudget
 	for budget > 0 && len(ss.tables) > 0 {
 		t := &ss.tables[0]
 		take := 0
@@ -621,9 +635,35 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 }
 
-// maxFetchWait caps client-requested long polls so a hostile or buggy
-// peer cannot park a connection goroutine for arbitrarily long.
-const maxFetchWait = 5 * time.Second
+// maxFetchWait and maxSyncWait cap client-requested long polls and
+// catch-up waits so a hostile or buggy peer cannot park a connection
+// goroutine for arbitrarily long.
+const (
+	maxFetchWait = 5 * time.Second
+	maxSyncWait  = 8 * time.Second
+)
+
+// syncThrough serves Sync. Without a target it pulls once: everything
+// committed so far. With one it pulls only while this node has applied
+// less, until it gets there or the wait (capped at maxSyncWait) ends. A
+// pull long-polls the primary when nothing is new; one that fails fast
+// (primary unreachable) is retried after the same window, not in a
+// tight loop.
+func (s *Server) syncThrough(through int64, wait time.Duration) {
+	if through <= 0 {
+		s.eng.sync()
+		return
+	}
+	deadline := time.Now().Add(min(wait, maxSyncWait))
+	for prev := s.eng.applied(); prev < through && time.Now().Before(deadline); {
+		s.eng.sync()
+		if cur := s.eng.applied(); cur > prev {
+			prev = cur
+		} else {
+			time.Sleep(syncLongPoll)
+		}
+	}
+}
 
 // newTraceID mints a nonzero random cross-node trace id. 64 random
 // bits collide with ~10^-9 probability at a million concurrent
@@ -745,7 +785,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		return &wire.AbortOK{}
 
 	case *wire.Sync:
-		s.eng.sync()
+		s.syncThrough(m.Through, time.Duration(m.WaitMillis)*time.Millisecond)
 		return &wire.SyncOK{Applied: s.eng.applied()}
 
 	case *wire.CreateTable:
@@ -755,7 +795,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		return &wire.CreateTableOK{}
 
 	case *wire.Load:
-		if err := s.eng.loadRows(m.Table, m.Start, m.Values); err != nil {
+		if err := s.eng.loadRows(m.Table, m.Rows, m.Values); err != nil {
 			return s.errReply(err)
 		}
 		return &wire.LoadOK{}
@@ -781,6 +821,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		if err != nil {
 			return s.errReply(err)
 		}
+		recs = capRecords(recs)
 		reply := &wire.Records{Recs: make([]wire.Record, len(recs)), Compress: true}
 		for i, r := range recs {
 			trace, commitNs := s.m.tracer.CommitMeta(r.Version)

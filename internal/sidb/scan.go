@@ -3,8 +3,6 @@ package sidb
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/writeset"
 )
 
 // Scan returns every row of the table visible to the transaction's
@@ -67,30 +65,4 @@ func (db *DB) Dump(tableName string) (map[int64]string, error) {
 	tx := db.Begin()
 	defer tx.Abort()
 	return tx.Scan(tableName)
-}
-
-// BulkLoad fills rows [0, rows) of a table with value(row) in one
-// internally versioned installation, bypassing concurrency control.
-// It is the initial-load path replicas use before traffic starts.
-func (db *DB) BulkLoad(tableName string, rows int, value func(int64) string) error {
-	if !db.hasTable(tableName) {
-		return fmt.Errorf("%w: %q", ErrNoTable, tableName)
-	}
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
-	entries := make([]writeset.Entry, 0, rows)
-	for i := int64(0); i < int64(rows); i++ {
-		entries = append(entries, writeset.Entry{
-			Key:   writeset.Key{Table: tableName, Row: i},
-			Value: value(i),
-		})
-	}
-	v := db.version + 1
-	ws := writeset.New(entries)
-	if err := db.journalInstall(ws, v); err != nil {
-		return err
-	}
-	db.install(ws, v, false)
-	db.advance(v, false)
-	return nil
 }

@@ -2,15 +2,28 @@ package sidb
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/writeset"
 )
+
+// load fills rows [0, n) of table with value at the next version.
+func load(t testing.TB, db *DB, table string, n int, value string) {
+	t.Helper()
+	values := make([]string, n)
+	for i := range values {
+		values[i] = value
+	}
+	if err := db.ApplyWriteset(writeset.FromRows(table, 0, values), db.Version()+1); err != nil {
+		t.Fatal(fmt.Errorf("load %s: %w", table, err))
+	}
+}
 
 func TestScanVisibleRows(t *testing.T) {
 	db := newDB(t, "item")
-	if err := db.BulkLoad("item", 5, func(i int64) string { return "v" }); err != nil {
-		t.Fatal(err)
-	}
+	load(t, db, "item", 5, "v")
 	tx := db.Begin()
 	rows, err := tx.Scan("item")
 	if err != nil {
@@ -24,7 +37,7 @@ func TestScanVisibleRows(t *testing.T) {
 
 func TestScanRespectsSnapshot(t *testing.T) {
 	db := newDB(t, "item")
-	db.BulkLoad("item", 3, func(i int64) string { return "old" })
+	load(t, db, "item", 3, "old")
 	reader := db.Begin()
 	w := db.Begin()
 	w.Write("item", 0, "new")
@@ -42,7 +55,7 @@ func TestScanRespectsSnapshot(t *testing.T) {
 
 func TestScanIncludesOwnWrites(t *testing.T) {
 	db := newDB(t, "item")
-	db.BulkLoad("item", 2, func(i int64) string { return "base" })
+	load(t, db, "item", 2, "base")
 	tx := db.Begin()
 	tx.Write("item", 5, "mine")
 	tx.Delete("item", 0)
@@ -64,7 +77,7 @@ func TestScanIncludesOwnWrites(t *testing.T) {
 
 func TestScanKeysSorted(t *testing.T) {
 	db := newDB(t, "item")
-	db.BulkLoad("item", 4, func(i int64) string { return "v" })
+	load(t, db, "item", 4, "v")
 	tx := db.Begin()
 	keys, err := tx.ScanKeys("item")
 	if err != nil {
@@ -92,26 +105,10 @@ func TestScanErrors(t *testing.T) {
 
 func TestDumpMatchesScan(t *testing.T) {
 	db := newDB(t, "item")
-	db.BulkLoad("item", 10, func(i int64) string { return "v" })
+	load(t, db, "item", 10, "v")
 	d, err := db.Dump("item")
 	if err != nil || len(d) != 10 {
 		t.Fatalf("dump: %v %v", len(d), err)
-	}
-}
-
-func TestBulkLoadRequiresTable(t *testing.T) {
-	db := New()
-	if err := db.BulkLoad("nope", 1, func(int64) string { return "" }); !errors.Is(err, ErrNoTable) {
-		t.Fatalf("bulk load into missing table: %v", err)
-	}
-}
-
-func TestBulkLoadAdvancesVersionOnce(t *testing.T) {
-	db := newDB(t, "item")
-	v0 := db.Version()
-	db.BulkLoad("item", 100, func(i int64) string { return "v" })
-	if db.Version() != v0+1 {
-		t.Fatalf("bulk load advanced version by %d", db.Version()-v0)
 	}
 }
 

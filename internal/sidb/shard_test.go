@@ -193,9 +193,7 @@ func TestStressShardedReadersWriters(t *testing.T) {
 	// same value; a reader seeing two different values in one snapshot
 	// has observed a torn commit.
 	const pairs = 64
-	if err := db.BulkLoad("acct", 2*pairs, func(i int64) string { return "init" }); err != nil {
-		t.Fatal(err)
-	}
+	load(t, db, "acct", 2*pairs, "init")
 
 	const writers = 4
 	const readers = 8

@@ -121,12 +121,12 @@ func shardIndex(k writeset.Key) int {
 // DB is a snapshot-isolated multi-version database.
 type DB struct {
 	// commitMu serializes state mutation: update commits, writeset
-	// application, bulk loads and GC. Read-only transactions never
+	// application and GC. Read-only transactions never
 	// take it.
 	commitMu sync.Mutex
 
 	// journal, when set, observes every writeset about to be installed
-	// (local commits, applied remote writesets and bulk loads alike)
+	// (local commits and applied remote writesets alike)
 	// with the version it will be installed at. It runs under commitMu,
 	// so invocations arrive in exact version order — the apply stream a
 	// write-ahead log replays to rebuild this database. A journal error

@@ -45,18 +45,19 @@ import (
 type step struct {
 	kind string // "table", "load", "commit", "batch", "conflict", "compact"
 	n    int    // batch size (batch), rows (load)
-	key  int64  // row written (commit/conflict)
+	key  int64  // row written (commit/conflict), first row (load)
 }
 
-// crashScript is the workload every crash run executes: schema, loads,
-// single commits, a group-commit batch, a compaction, more commits and
-// a second batch, with certification aborts sprinkled in. Deterministic
+// crashScript is the workload every crash run executes: schema, two
+// load chunks, single commits, a group-commit batch, a compaction, more
+// commits and a second batch, with certification aborts sprinkled in.
+// Schema and load chunks are certified records like commits. Deterministic
 // by construction — no clocks, no randomness.
 func crashScript() []step {
 	s := []step{
 		{kind: "table"},
-		{kind: "load", n: 8},
-		{kind: "load", n: 8},
+		{kind: "load", n: 8, key: 0},
+		{kind: "load", n: 8, key: 8},
 	}
 	for i := 0; i < 6; i++ {
 		s = append(s, step{kind: "commit", key: int64(i % 5)})
@@ -87,12 +88,26 @@ type crashRun struct {
 	// postCrash are writesets submitted after the crash had already
 	// fired; none of them may ever be recovered.
 	postCrash []writeset.Writeset
-	loadDone  bool // both loads applied before the crash
 }
 
 // value derives the deterministic row value written by the i-th
 // certified attempt.
 func value(attempt int) string { return fmt.Sprintf("w%d", attempt) }
+
+// certified returns the writeset a table, load or commit step submits
+// for certification (attempt numbers the commits).
+func (st step) certified(attempt int) writeset.Writeset {
+	switch st.kind {
+	case "table":
+		return writeset.Schema("t")
+	case "load":
+		return writeset.FromRows("t", st.key, loadValues(st.n, st.key))
+	}
+	return writeset.New([]writeset.Entry{{
+		Key:   writeset.Key{Table: "t", Row: st.key},
+		Value: value(attempt),
+	}})
+}
 
 // runCrashScript executes the workload with a crash armed at op index
 // armAt (-1 = never) and cut torn-write bytes, applying serially.
@@ -167,22 +182,11 @@ func runCrashScriptWorkers(t *testing.T, armAt, cut, workers int) *crashRun {
 
 	for _, st := range crashScript() {
 		switch st.kind {
-		case "table":
-			if db.CreateTable("t") == nil {
-				_ = w.AppendTable("t")
+		case "table", "load", "commit":
+			if st.kind == "commit" {
+				attempt++
 			}
-		case "load":
-			start := 8 * db.Version() // loads are the first two applies
-			lws := writeset.FromRows("t", start, loadValues(st.n, start))
-			if err := db.ApplyWriteset(lws, db.Version()+1); err == nil && start == 8 {
-				r.loadDone = true
-			}
-		case "commit":
-			attempt++
-			ws := writeset.New([]writeset.Entry{{
-				Key:   writeset.Key{Table: "t", Row: st.key},
-				Value: value(attempt),
-			}})
+			ws := st.certified(attempt)
 			submit(ws)
 			out, err := cert.Certify(cert.Version(), ws)
 			if err == nil && out.Committed {
@@ -250,7 +254,7 @@ func runCrashScriptWorkers(t *testing.T, armAt, cut, workers int) *crashRun {
 	return r
 }
 
-// loadValues builds the deterministic bulk-load values for rows
+// loadValues builds the deterministic load values for rows
 // [start, start+n).
 func loadValues(n int, start int64) []string {
 	out := make([]string, n)
@@ -320,9 +324,6 @@ func referenceNode(t *testing.T, upTo int64, base int64) (*certifier.Certifier, 
 	t.Helper()
 	cert := certifier.New()
 	db := sidb.New()
-	if err := db.CreateTable("t"); err != nil {
-		t.Fatal(err)
-	}
 	attempt := 0
 	commit := func(ws writeset.Writeset, snap int64) {
 		if cert.Version() >= upTo {
@@ -340,17 +341,11 @@ func referenceNode(t *testing.T, upTo int64, base int64) (*certifier.Certifier, 
 	}
 	for _, st := range crashScript() {
 		switch st.kind {
-		case "load":
-			start := 8 * db.Version()
-			if err := db.ApplyWriteset(writeset.FromRows("t", start, loadValues(st.n, start)), db.Version()+1); err != nil {
-				t.Fatal(err)
+		case "table", "load", "commit":
+			if st.kind == "commit" {
+				attempt++
 			}
-		case "commit":
-			attempt++
-			commit(writeset.New([]writeset.Entry{{
-				Key:   writeset.Key{Table: "t", Row: st.key},
-				Value: value(attempt),
-			}}), cert.Version())
+			commit(st.certified(attempt), cert.Version())
 		case "conflict":
 			attempt++
 			if cert.Version() >= upTo {
@@ -486,9 +481,8 @@ func checkInvariantsWorkers(t *testing.T, label string, r *crashRun, keepUnsynce
 		}
 	}
 
-	// (5) the recovered database equals the reference after catch-up.
-	// Loads are lazily durable (their fsync rides the first commit), so
-	// the comparison is meaningful once any commit was acknowledged.
+	// (5) the recovered database equals the reference after catch-up
+	// (once anything — the schema record first — was acknowledged).
 	if len(r.acked) > 0 {
 		gotRows, err := db.Dump("t")
 		if err != nil {
@@ -599,33 +593,29 @@ func TestCrashNamedPoints(t *testing.T) {
 		t.Fatalf("named point not found in trace %v", trace)
 		return -1
 	}
-	isSegWrite := func(op Op) bool { return op.Kind == "write" && op.Name == segName }
-	isSegSync := func(op Op) bool { return op.Kind == "sync" && op.Name == segName }
-	// The first commit's journal write: the first seg write after the
-	// epoch header (write 0) and the table/load applies (writes 1-3).
-	firstCommitWrite := nthMatch(4, isSegWrite)
+	// Certified records in script order: the schema (0), the two load
+	// chunks (1, 2), the first commit (3), ... Each journal write is
+	// followed by its fsync.
+	recs := recordWrites(trace)
+	if len(recs) != 16 { // schema, 2 loads, 11 commits, 2 batches
+		t.Fatalf("found %d record writes in trace %v, want 16", len(recs), trace)
+	}
+	secondLoadWrite := recs[2]
+	firstCommitWrite := recs[3]
 	if got := trace[firstCommitWrite]; got.Bytes < 2*headerSize {
 		t.Fatalf("misidentified commit write: %+v", got)
 	}
-	firstCommitSync := -1
-	for i := firstCommitWrite; i < len(trace); i++ {
-		if isSegSync(trace[i]) {
-			firstCommitSync = i
-			break
-		}
-	}
-	if firstCommitSync < 0 {
-		t.Fatal("no fsync after first commit write")
-	}
-	// The batch write: the largest single segment write (three staged
-	// writesets + marker in one buffer).
-	batchWrite, batchBytes := -1, 0
-	for i, op := range trace {
-		if isSegWrite(op) && op.Bytes > batchBytes {
-			batchWrite, batchBytes = i, op.Bytes
-		}
-	}
+	firstCommitSync := firstCommitWrite + 1
 	tmpCreate := nthMatch(0, func(op Op) bool { return op.Kind == "create" && op.Name == tmpName })
+	// The batch write: the last record write before compaction (three
+	// staged writesets + marker in one buffer).
+	batchWrite := -1
+	for _, i := range recs {
+		if i < tmpCreate {
+			batchWrite = i
+		}
+	}
+	batchBytes := trace[batchWrite].Bytes
 	tmpWrite := nthMatch(0, func(op Op) bool { return op.Kind == "write" && op.Name == tmpName })
 	tmpSync := nthMatch(0, func(op Op) bool { return op.Kind == "sync" && op.Name == tmpName })
 	rename := nthMatch(0, func(op Op) bool { return op.Kind == "rename" })
@@ -645,6 +635,8 @@ func TestCrashNamedPoints(t *testing.T) {
 		// recovered (the in-flight request provably never persisted).
 		strict bool
 	}{
+		{"load-between-chunks", secondLoadWrite, 0, true, true},
+		{"load-between-chunks-powerloss", secondLoadWrite, 0, false, true},
 		{"commit-pre-write", firstCommitWrite, 0, true, true},
 		{"commit-mid-record-torn", firstCommitWrite, 5, true, true},
 		{"commit-mid-record-torn-powerloss", firstCommitWrite, 5, false, true},
@@ -687,6 +679,21 @@ func TestCrashNamedPoints(t *testing.T) {
 	}
 }
 
+// recordWrites locates the certifier's journal writes in a trace: the
+// segment writes immediately followed by a segment fsync (apply and
+// cursor frames are never synced on their own), in script order. The
+// epoch header Open writes and syncs first is not a record.
+func recordWrites(trace []Op) []int {
+	var out []int
+	for i := 0; i+1 < len(trace); i++ {
+		if trace[i].Kind == "write" && trace[i].Name == segName &&
+			trace[i+1].Kind == "sync" && trace[i+1].Name == segName {
+			out = append(out, i)
+		}
+	}
+	return out[1:]
+}
+
 func ackedMax(r *crashRun) int64 {
 	max := int64(0)
 	for _, a := range r.acked {
@@ -702,23 +709,10 @@ func ackedMax(r *crashRun) int64 {
 // second recovery still satisfies the contract — recovery is
 // idempotent.
 func TestCrashDuringRecovery(t *testing.T) {
-	// First crash: torn tail mid-commit-record.
+	// First crash: torn tail mid-commit-record, deep into the commit
+	// sequence (the third commit after schema and loads).
 	dry := runCrashScript(t, -1, 0)
-	trace := dry.cfs.Trace()
-	target := -1
-	writes := 0
-	for i, op := range trace {
-		if op.Kind == "write" && op.Name == segName {
-			if writes == 6 { // deep into the commit sequence
-				target = i
-				break
-			}
-			writes++
-		}
-	}
-	if target < 0 {
-		t.Fatal("target write not found")
-	}
+	target := recordWrites(dry.cfs.Trace())[5]
 	r := runCrashScript(t, target, 7)
 	if !r.cfs.Crashed() {
 		t.Fatal("crash never fired")

@@ -69,7 +69,8 @@ const (
 	// version, writeset} — loads, snapshot installs and propagated
 	// writesets alike, in commitMu order.
 	KindApply byte = 5
-	// KindTable journals a table creation: {name}.
+	// KindTable journals a table of an installed snapshot: {name}. (A
+	// CREATE TABLE itself is a certified writeset, writeset.Schema.)
 	KindTable byte = 6
 	// KindCursor journals the propagation cursor: {global version this
 	// replica has applied}, written after a batch of applies lands.

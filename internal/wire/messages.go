@@ -423,12 +423,23 @@ func (*AbortOK) msgType() MsgType         { return TAbortOK }
 func (m *AbortOK) encode(b []byte) []byte { return b }
 func (m *AbortOK) decode(*decoder)        {}
 
-// Sync asks the replica to apply every writeset committed so far.
-type Sync struct{}
+// Sync asks the replica to catch up. Without Through it pulls once:
+// every writeset committed so far. With Through positive it pulls only
+// while it has applied less, until it gets there or WaitMillis passes.
+type Sync struct {
+	Through    int64
+	WaitMillis uint32
+}
 
-func (*Sync) msgType() MsgType         { return TSync }
-func (m *Sync) encode(b []byte) []byte { return b }
-func (m *Sync) decode(*decoder)        {}
+func (*Sync) msgType() MsgType { return TSync }
+func (m *Sync) encode(b []byte) []byte {
+	b = appendVarint(b, m.Through)
+	return appendUvarint(b, uint64(m.WaitMillis))
+}
+func (m *Sync) decode(d *decoder) {
+	m.Through = d.varint()
+	m.WaitMillis = uint32(d.uvarint())
+}
 
 // SyncOK reports the applied version after the sync.
 type SyncOK struct {
@@ -439,7 +450,9 @@ func (*SyncOK) msgType() MsgType         { return TSyncOK }
 func (m *SyncOK) encode(b []byte) []byte { return appendVarint(b, m.Applied) }
 func (m *SyncOK) decode(d *decoder)      { m.Applied = d.varint() }
 
-// CreateTable makes an empty table (initial load path).
+// CreateTable makes an empty table on every replica of the group: the
+// receiving node commits it as a writeset (writeset.Schema) through the
+// replicated log.
 type CreateTable struct {
 	Name string
 }
@@ -455,28 +468,31 @@ func (*CreateTableOK) msgType() MsgType         { return TCreateTableOK }
 func (m *CreateTableOK) encode(b []byte) []byte { return b }
 func (m *CreateTableOK) decode(*decoder)        {}
 
-// Load bulk-installs one chunk of rows [Start, Start+len(Values)),
-// bypassing concurrency control — the initial load path. Chunks must
-// be sent in the same order to every replica so versions stay aligned.
+// Load installs one chunk of rows, Values[i] at Rows[i], through the
+// group's replicated log: the receiving node certifies the chunk (mm)
+// or commits it at the master (sm) like any update, and every replica
+// applies it from the log. Rows need not be contiguous; consecutive
+// row ids encode as one-byte deltas.
 type Load struct {
 	Table  string
-	Start  int64
+	Rows   []int64
 	Values []string
 }
 
 func (*Load) msgType() MsgType { return TLoad }
 func (m *Load) encode(b []byte) []byte {
 	b = appendString(b, m.Table)
-	b = appendVarint(b, m.Start)
-	b = appendUvarint(b, uint64(len(m.Values)))
-	for _, v := range m.Values {
-		b = appendString(b, v)
+	b = appendUvarint(b, uint64(len(m.Rows)))
+	prev := int64(0)
+	for i, row := range m.Rows {
+		b = appendVarint(b, row-prev)
+		b = appendString(b, m.Values[i])
+		prev = row
 	}
 	return b
 }
 func (m *Load) decode(d *decoder) {
 	m.Table = d.str()
-	m.Start = d.varint()
 	n := d.uvarint()
 	if d.err != nil {
 		return
@@ -485,8 +501,12 @@ func (m *Load) decode(d *decoder) {
 		d.fail()
 		return
 	}
+	m.Rows = make([]int64, 0, prealloc(n))
 	m.Values = make([]string, 0, prealloc(n))
-	for i := uint64(0); i < n; i++ {
+	prev := int64(0)
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		prev += d.varint()
+		m.Rows = append(m.Rows, prev)
 		m.Values = append(m.Values, d.str())
 	}
 }

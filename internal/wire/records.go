@@ -223,7 +223,9 @@ func decodeWSDict(d *decoder, tables []string) writeset.Writeset {
 		}
 		entries = append(entries, e)
 	}
-	return writeset.New(entries)
+	// No key set: a propagated writeset is only applied, and the
+	// applier walks entries.
+	return writeset.Writeset{Entries: entries}
 }
 
 // sliceWriter adapts append to io.Writer for the pooled flate writer.

@@ -1,6 +1,6 @@
 // Package wire implements the length-prefixed binary protocol the
 // networked replica servers and their clients speak: transaction
-// operations (begin/read/write/delete/commit/abort), bulk loading and
+// operations (begin/read/write/delete/commit/abort), schema, loading and
 // dumping, remote certification, and writeset propagation
 // (FetchSince), the messages the paper's prototypes exchange between
 // proxies, the certifier and the load balancer (§5).
@@ -40,7 +40,7 @@ const (
 	// connection. Each message has exactly one payload shape. Any change
 	// to a frame's shape — a field added, removed or re-encoded, or a
 	// message type added — bumps ProtoVersion.
-	ProtoVersion = 7
+	ProtoVersion = 8
 
 	// MaxFrame bounds one frame (type byte + payload) to keep a
 	// misbehaving peer from forcing unbounded allocation.

@@ -81,10 +81,11 @@ func allMessages() []Message {
 		&Abort{},
 		&AbortOK{},
 		&Sync{},
+		&Sync{Through: 42, WaitMillis: 8000},
 		&SyncOK{Applied: 5},
 		&CreateTable{Name: "item"},
 		&CreateTableOK{},
-		&Load{Table: "item", Start: 100, Values: []string{"a", "", "c"}},
+		&Load{Table: "item", Rows: []int64{100, 101, 7, -3}, Values: []string{"a", "", "c", "d"}},
 		&LoadOK{},
 		&Dump{Table: "item"},
 		&DumpOK{Rows: []int64{1, 2, 3}, Values: []string{"a", "b", "c"}},
@@ -298,7 +299,7 @@ func TestHelloRejectsBadMagic(t *testing.T) {
 func TestSendRejectsOversizedFrame(t *testing.T) {
 	var sink bytes.Buffer
 	c := NewConn(readWriter{&sink})
-	big := &Load{Table: "t", Values: []string{string(make([]byte, MaxFrame))}}
+	big := &Load{Table: "t", Rows: []int64{0}, Values: []string{string(make([]byte, MaxFrame))}}
 	if err := c.Send(big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}

@@ -59,15 +59,41 @@ func New(entries []Entry) Writeset {
 	return ws
 }
 
-// FromRows builds the writeset of a bulk row load: values[i] installed
-// at (table, start+i). Both the in-process clusters and the networked
-// servers use it for the chunked initial-load path.
+// FromRows builds the writeset of a contiguous row load: values[i]
+// installed at (table, start+i).
 func FromRows(table string, start int64, values []string) Writeset {
 	entries := make([]Entry, len(values))
 	for i, v := range values {
 		entries[i] = Entry{Key: Key{Table: table, Row: start + int64(i)}, Value: v}
 	}
 	return New(entries)
+}
+
+// Rows builds the writeset of one load chunk: values[i] installed at
+// (table, rows[i]). A chunk is certified and propagated like any
+// commit, so the rows need not be contiguous (a shard group loads only
+// the rows it owns). Like a transaction's writeset it carries no key
+// set: certification and apply only walk its entries.
+func Rows(table string, rows []int64, values []string) Writeset {
+	entries := make([]Entry, len(rows))
+	for i, row := range rows {
+		entries[i] = Entry{Key: Key{Table: table, Row: row}, Value: values[i]}
+	}
+	return Writeset{Entries: entries}
+}
+
+// SchemaRow is the row a CREATE TABLE writeset deletes. No loader or
+// workload uses negative rows, so the tombstone it leaves is never
+// visible and never conflicts with a real write.
+const SchemaRow = -1
+
+// Schema is the writeset of CREATE TABLE name: the deletion of a row
+// that never existed. Applying a writeset creates the tables it names
+// (sidb.DB.ApplyWriteset), so this one creates the table and nothing
+// else — DDL needs no record kind of its own to be certified, journaled,
+// propagated and replayed like a commit.
+func Schema(name string) Writeset {
+	return Writeset{Entries: []Entry{{Key: Key{Table: name, Row: SchemaRow}, Delete: true}}}
 }
 
 // keySet returns the cached key set, building one if the writeset was
