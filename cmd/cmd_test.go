@@ -144,7 +144,7 @@ func TestCommandLineTools(t *testing.T) {
 		if !strings.Contains(out, "all replicas identical") {
 			t.Fatalf("convergence not reported:\n%s", out)
 		}
-		if !strings.Contains(out, "certifier:") {
+		if !strings.Contains(out, "certifier:") || !strings.Contains(out, "certifier leader: replica") {
 			t.Fatalf("certifier stats missing:\n%s", out)
 		}
 	})
@@ -188,8 +188,8 @@ func TestReplicadbFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"paxos with sm", []string{"-design", "sm", "-paxos"}, "-paxos requires -design mm"},
-		{"groupcommit with sm", []string{"-design", "sm", "-groupcommit"}, "-groupcommit requires -design mm"},
+		{"paxos with sm", []string{"-design", "sm", "-paxos"}, "replicated certifier requires the mm design"},
+		{"groupcommit with sm", []string{"-design", "sm", "-groupcommit"}, "group commit requires the mm design"},
 		{"unknown design", []string{"-design", "nope"}, "unknown design"},
 		{"zero replicas", []string{"-replicas", "0"}, "-replicas must be >= 1"},
 		{"unknown mix", []string{"-mix", "nope"}, "unknown mix"},

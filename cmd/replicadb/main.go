@@ -1,11 +1,11 @@
 // Command replicadb runs the live replicated-database middleware (the
 // functional prototypes of §5, not the performance simulation) in
-// three modes:
+// four modes:
 //
-//   - the default in-process mode builds a multi-master or
-//     single-master cluster over the in-memory snapshot-isolation
-//     engine, drives concurrent closed-loop clients through the load
-//     balancer and verifies convergence;
+//   - the default "run" mode boots a multi-master or single-master
+//     cluster of replica servers on loopback inside this process,
+//     drives concurrent closed-loop clients through the pooled client
+//     and verifies convergence;
 //   - "serve" runs ONE replica as a TCP server process, so an
 //     N-replica cluster is N processes connected by the wire protocol
 //     (replica 0 hosts the certifier for mm / is the master for sm);
@@ -20,7 +20,7 @@
 //
 //	replicadb -design mm -replicas 4 -mix tpcw-shopping -txns 200
 //	replicadb -design sm -replicas 3 -mix rubis-bidding -clients 16
-//	replicadb -design mm -replicas 2 -paxos       # replicated certifier
+//	replicadb -design mm -replicas 3 -paxos       # replicated certifier
 //
 //	replicadb serve -design mm -id 0 -listen 127.0.0.1:7000 \
 //	    -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002
@@ -49,11 +49,10 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/elastic"
+	"repro/internal/launch"
 	"repro/internal/obs/events"
 	"repro/internal/repl"
-	"repro/internal/repl/mm"
 	"repro/internal/repl/pipeline"
-	"repro/internal/repl/sm"
 	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -109,7 +108,7 @@ func mustMix(fs *flag.FlagSet, id string) workload.Mix {
 }
 
 // printDriveResult renders commit counts and the per-class latency
-// percentiles shared by the in-process and networked drivers.
+// percentiles shared by the run and bench drivers.
 func printDriveResult(res repl.DriveResult, elapsed time.Duration) {
 	fmt.Printf("\ncommitted %d transactions in %.2fs (%.0f tps wall-clock)\n",
 		res.Commits, elapsed.Seconds(), float64(res.Commits)/elapsed.Seconds())
@@ -133,7 +132,9 @@ func printLatency(class string, l *stats.Latency) {
 	fmt.Printf("  %s latency: %s\n", class, l.Summary())
 }
 
-// runMain is the original in-process mode.
+// runMain boots a loopback cluster of real replica servers in this
+// process, drives it through the pooled client and verifies
+// convergence.
 func runMain(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	var (
@@ -143,22 +144,14 @@ func runMain(args []string) {
 		clients  = fs.Int("clients", 8, "concurrent clients")
 		txns     = fs.Int("txns", 100, "committed transactions per client")
 		factor   = fs.Int("factor", 100, "table scale-down factor (1 = full benchmark size)")
-		paxos    = fs.Bool("paxos", false, "replicate the MM certifier over a 3-node Paxos group")
-		batch    = fs.Bool("groupcommit", false, "batch MM commit certification (one Paxos round per batch)")
+		paxos    = fs.Bool("paxos", false, "replicate the certifier over the replicas with leader election (mm)")
+		batch    = fs.Bool("groupcommit", false, "batch commit certification on the certifier host (mm)")
 		seed     = fs.Uint64("seed", 1, "workload seed")
 	)
 	fs.Parse(args)
 
-	// Validate the flag combination before building anything.
-	if *design != "mm" && *design != "sm" {
-		usageExit(fs, "unknown design %q (mm|sm)", *design)
-	}
-	if *design == "sm" && *paxos {
-		usageExit(fs, "-paxos requires -design mm (the single-master design has no certifier)")
-	}
-	if *design == "sm" && *batch {
-		usageExit(fs, "-groupcommit requires -design mm")
-	}
+	// Validate the flag combination before building anything: the
+	// replica rules live in server.Options.Validate.
 	if *replicas < 1 {
 		usageExit(fs, "-replicas must be >= 1 (got %d)", *replicas)
 	}
@@ -168,64 +161,76 @@ func runMain(args []string) {
 	if *factor < 1 {
 		usageExit(fs, "-factor must be >= 1 (got %d)", *factor)
 	}
+	tmpl := server.Options{
+		Design:      *design,
+		Paxos:       *paxos,
+		GroupCommit: *batch,
+		EagerCert:   *design == "mm",
+	}
+	if err := launch.Validate(1, *replicas, tmpl); err != nil {
+		usageExit(fs, "%v", err)
+	}
 	mix := mustMix(fs, *mixID)
 	cat, err := workload.CatalogFor(mix)
 	if err != nil {
 		fatal("%v", err)
 	}
 
-	var sys repl.System
-	var loader repl.Loader
-	switch *design {
-	case "mm":
-		c, err := mm.New(mm.Options{
-			Replicas:            *replicas,
-			ReplicatedCertifier: *paxos,
-			EagerCertification:  true,
-			GroupCommit:         *batch,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		sys, loader = c, c
-	case "sm":
-		c, err := sm.New(sm.Options{Replicas: *replicas})
-		if err != nil {
-			fatal("%v", err)
-		}
-		sys, loader = c, c
+	c, err := launch.Start(1, *replicas, tmpl)
+	if err != nil {
+		fatal("%v", err)
 	}
+	defer c.Close()
+	cl := c.Clients[0]
 
 	fmt.Printf("loading %s schema (scale 1/%d) on %d replicas...\n", cat.Benchmark, *factor, *replicas)
-	if err := repl.LoadCatalog(loader, cat, *factor); err != nil {
+	if err := repl.LoadCatalog(cl, cat, *factor); err != nil {
 		fatal("load: %v", err)
 	}
 
 	fmt.Printf("driving %d clients x %d transactions (%s mix: %.0f%% reads / %.0f%% updates)...\n",
 		*clients, *txns, mix.Name, mix.Pr*100, mix.Pw*100)
 	start := time.Now()
-	res := repl.Drive(sys, cat, mix, *clients, *txns, *factor, *seed)
+	res := repl.Drive(cl, cat, mix, *clients, *txns, *factor, *seed)
 	printDriveResult(res, time.Since(start))
 	if res.Errors > 0 {
 		fatal("unexpected errors during the run")
 	}
 
 	fmt.Print("checking replica convergence... ")
-	if err := repl.CheckConvergence(sys, tableNames(cat)); err != nil {
+	if err := repl.CheckConvergence(cl, tableNames(cat)); err != nil {
 		fmt.Println("FAILED")
 		fatal("%v", err)
 	}
 	fmt.Println("ok: all replicas identical")
 
-	if c, ok := sys.(*mm.Cluster); ok {
-		if cert := c.Certifier(); cert != nil {
-			commits, aborts := cert.Stats()
-			fmt.Printf("certifier: %d commits, %d aborts, version %d\n",
-				commits, aborts, cert.Version())
-			if slots := cert.ReplicationSlots(); slots > 0 {
-				fmt.Printf("certifier log: %d Paxos slots for %d commits\n", slots, commits)
-			}
+	if *design == "mm" {
+		printCertifier(c)
+	}
+}
+
+// printCertifier sums the replicas' Stats counters into the
+// certifier's totals: update commits, certification aborts, and the
+// version the log reached (the highest applied version after the
+// convergence check's sync), plus the elected leader under Paxos.
+func printCertifier(c *launch.Cluster) {
+	stats, err := c.Stats(0)
+	if err != nil {
+		fatal("%v", err)
+	}
+	var commits, aborts, version int64
+	leader := int64(-1)
+	for _, st := range stats {
+		commits += st.UpdateCommits
+		aborts += st.Aborts
+		version = max(version, st.Applied)
+		if st.Leading && st.Epoch > 0 {
+			leader = st.ReplicaID
 		}
+	}
+	fmt.Printf("certifier: %d commits, %d aborts, version %d\n", commits, aborts, version)
+	if leader >= 0 {
+		fmt.Printf("certifier leader: replica %d (Paxos over %d replicas)\n", leader, len(stats))
 	}
 }
 

@@ -1,9 +1,10 @@
-// Auction invariants: run the RUBiS auction application on the live
-// multi-master middleware with concurrent bidders and prove the
-// integrity properties that snapshot-isolation replication must
-// provide — the recorded highest bid always equals the maximum over
-// the bid records, buy-now never oversells, user ratings equal the sum
-// of their comments, and every replica converges to identical state.
+// Auction invariants: run the RUBiS auction application on four
+// multi-master replica servers with a Paxos-replicated certifier and
+// concurrent bidders, and prove the integrity properties that
+// snapshot-isolation replication must provide — the recorded highest
+// bid always equals the maximum over the bid records, buy-now never
+// oversells, user ratings equal the sum of their comments, and every
+// replica converges to identical state.
 package main
 
 import (
@@ -11,31 +12,25 @@ import (
 	"os"
 
 	"repro/internal/app"
-	"repro/internal/repl/mm"
+	"repro/internal/launch"
+	"repro/internal/server"
 )
 
 func main() {
-	cluster, err := mm.New(mm.Options{
-		Replicas:            4,
-		ReplicatedCertifier: true,
-		EagerCertification:  true,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	const replicas = 4
+	c, err := launch.Start(1, replicas, server.Options{Design: "mm", Paxos: true, EagerCert: true})
+	check(err)
+	defer c.Close()
+	cl := c.Clients[0]
 
 	const (
 		items = 25
 		users = 40
 	)
-	site, err := app.NewRUBiS(cluster, cluster, items, users)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	site, err := app.NewRUBiS(cl, cl, items, users)
+	check(err)
 
-	fmt.Printf("auction site: %d items, %d users, 4 replicas, Paxos-replicated certifier\n", items, users)
+	fmt.Printf("auction site: %d items, %d users, %d replicas, Paxos-replicated certifier\n", items, users, replicas)
 	fmt.Println("running 12 concurrent bidders, 30 interaction cycles each...")
 
 	inv, err := site.RunMixed(12, 30, 2026)
@@ -48,13 +43,24 @@ func main() {
 	fmt.Printf("  items audited:       %d\n", inv.Items)
 	fmt.Printf("  bids recorded:       %d (every item's maxbid == max of its bids)\n", inv.Bids)
 	fmt.Printf("  comments recorded:   %d (every rating == sum of comments)\n", inv.Comments)
-	fmt.Printf("  sum of maxbids:      %d (identical on all 4 replicas)\n", inv.MaxBids)
+	fmt.Printf("  sum of maxbids:      %d (identical on all %d replicas)\n", inv.MaxBids, replicas)
 
-	commits, aborts := cluster.Certifier().Stats()
+	stats, err := c.Stats(0)
+	check(err)
+	var commits, aborts int64
+	for _, st := range stats {
+		commits += st.UpdateCommits
+		aborts += st.Aborts
+	}
 	fmt.Printf("\ncertifier: %d commits, %d write-write aborts (retried by clients)\n", commits, aborts)
 	if aborts == 0 {
 		fmt.Println("note: contention was low this run; raise bidders or shrink items to see aborts")
 	}
-	removed := cluster.GC()
-	fmt.Printf("certification log GC reclaimed %d records after all replicas caught up\n", removed)
+}
+
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }

@@ -1,73 +1,86 @@
 // Live cluster: run the actual replication middleware (§5), not the
-// performance simulation — a multi-master cluster over the in-memory
-// snapshot-isolation engine with a Paxos-replicated certifier. The
-// example drives concurrent clients, kills a certifier backup
-// mid-run, verifies the system keeps committing, and checks that all
-// replicas converge to identical contents.
+// performance simulation — four multi-master replica servers on
+// loopback whose certifier is replicated over all of them with Paxos.
+// The example drives concurrent clients, stops a replica that does not
+// lead certification, verifies the system keeps committing, and checks
+// that the surviving replicas converge to identical contents.
 package main
 
 import (
 	"fmt"
 	"os"
+	"slices"
 
+	"repro/internal/client"
+	"repro/internal/launch"
 	"repro/internal/repl"
-	"repro/internal/repl/mm"
+	"repro/internal/server"
 	"repro/internal/workload"
 )
 
 func main() {
-	cluster, err := mm.New(mm.Options{
-		Replicas:            4,
-		ReplicatedCertifier: true, // leader + two backups, as deployed in the paper
-		EagerCertification:  true,
+	const replicas = 4
+	c, err := launch.Start(1, replicas, server.Options{
+		Design:    "mm",
+		Paxos:     true, // a leader and three backups, elected among the replicas
+		EagerCert: true,
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
+	defer c.Close()
+	cl := c.Clients[0]
 
 	cat := workload.TPCWCatalog()
 	const scale = 100 // 1/100th of the standard table sizes
-	fmt.Println("loading TPC-W schema on 4 replicas...")
-	if err := repl.LoadCatalog(cluster, cat, scale); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	fmt.Printf("loading TPC-W schema on %d replicas...\n", replicas)
+	check(repl.LoadCatalog(cl, cat, scale))
 
 	mix := workload.TPCWShopping()
 	fmt.Println("phase 1: 8 clients, healthy certifier group")
-	res := repl.Drive(cluster, cat, mix, 8, 50, scale, 7)
-	fmt.Printf("  committed %d (reads %d, updates %d), aborts retried %d, errors %d\n",
-		res.Commits, res.ReadCommits, res.UpdateCommits, res.Aborts, res.Errors)
+	res := repl.Drive(cl, cat, mix, 8, 50, scale, 7)
+	report(res)
 
-	fmt.Println("phase 2: certifier backup 2 fails; commits must continue (majority holds)")
-	cluster.Transport().SetDown(2, true)
-	res = repl.Drive(cluster, cat, mix, 8, 50, scale, 8)
-	fmt.Printf("  committed %d (reads %d, updates %d), aborts retried %d, errors %d\n",
-		res.Commits, res.ReadCommits, res.UpdateCommits, res.Aborts, res.Errors)
+	// Stop a backup: the three survivors still hold a Paxos majority.
+	down := -1
+	for i, srv := range c.Servers[0] {
+		if leading, _, _, _ := srv.Leader(); !leading {
+			down = i
+			break
+		}
+	}
+	fmt.Printf("phase 2: replica %d (a certifier backup) stops; commits must continue (majority holds)\n", down)
+	check(c.Servers[0][down].Close())
+	res = repl.Drive(cl, cat, mix, 8, 50, scale, 8)
+	report(res)
 	if res.Errors > 0 {
 		fmt.Fprintln(os.Stderr, "commits failed with one backup down")
 		os.Exit(1)
 	}
 
-	fmt.Println("phase 3: backup returns")
-	cluster.Transport().SetDown(2, false)
-	res = repl.Drive(cluster, cat, mix, 8, 50, scale, 9)
-	fmt.Printf("  committed %d, errors %d\n", res.Commits, res.Errors)
-
-	fmt.Print("convergence check across all 4 replicas... ")
+	survivors := slices.Delete(c.Addrs(0), down, down+1)
+	fmt.Printf("convergence check across the %d surviving replicas... ", len(survivors))
+	sc, err := client.New(client.Options{Servers: survivors, Design: "mm"})
+	check(err)
+	defer sc.Close()
 	tables := make([]string, 0, len(cat.Tables))
 	for name := range cat.Tables {
 		tables = append(tables, name)
 	}
-	if err := repl.CheckConvergence(cluster, tables); err != nil {
+	if err := repl.CheckConvergence(sc, tables); err != nil {
 		fmt.Println("FAILED")
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Println("ok")
+}
 
-	commits, aborts := cluster.Certifier().Stats()
-	fmt.Printf("certifier totals: %d commits, %d aborts, final version %d\n",
-		commits, aborts, cluster.Certifier().Version())
+func report(res repl.DriveResult) {
+	fmt.Printf("  committed %d (reads %d, updates %d), aborts retried %d, errors %d\n",
+		res.Commits, res.ReadCommits, res.UpdateCommits, res.Aborts, res.Errors)
+}
+
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }

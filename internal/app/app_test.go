@@ -5,32 +5,37 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/launch"
 	"repro/internal/repl"
-	"repro/internal/repl/mm"
-	"repro/internal/repl/sm"
+	"repro/internal/server"
 )
 
-// systems builds both replicated designs for cross-design tests.
+// systems boots both replicated designs as loopback clusters of real
+// replica servers for cross-design tests.
 func systems(t *testing.T, replicas int) map[string]struct {
 	sys    repl.System
 	loader repl.Loader
 } {
 	t.Helper()
-	mmc, err := mm.New(mm.Options{Replicas: replicas, EagerCertification: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	smc, err := sm.New(sm.Options{Replicas: replicas})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]struct {
+	out := make(map[string]struct {
 		sys    repl.System
 		loader repl.Loader
-	}{
-		"multi-master":  {mmc, mmc},
-		"single-master": {smc, smc},
+	})
+	for name, tmpl := range map[string]server.Options{
+		"multi-master":  {Design: "mm", EagerCert: true},
+		"single-master": {Design: "sm"},
+	} {
+		c, err := launch.Start(1, replicas, tmpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		out[name] = struct {
+			sys    repl.System
+			loader repl.Loader
+		}{c.Clients[0], c.Clients[0]}
 	}
+	return out
 }
 
 func TestRecordCodec(t *testing.T) {

@@ -18,10 +18,13 @@
 package app
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/repl"
 )
 
 // Record is a row's attribute map with integer values (cents,
@@ -69,4 +72,40 @@ func (r Record) Clone() Record {
 		out[k] = v
 	}
 	return out
+}
+
+// update runs body in an update transaction, retrying certification
+// aborts with a fresh snapshot (the servlet behaviour, §6.1).
+// Application-level failures (e.g. ErrOutOfStock) abort and return.
+//
+// A committed update is applied everywhere (sys.Sync) before update
+// returns. The interactions read their own earlier writes — checkout
+// reads the cart the previous step filled, a bid must beat the last
+// one — but generalized snapshot isolation gives a transaction only
+// what its replica has applied, and a multi-master replica applies
+// other replicas' commits asynchronously. Waiting here gives each
+// session read-your-writes on any replica.
+func update(sys repl.System, body func(tx repl.Txn) error) error {
+	for {
+		tx, err := sys.BeginUpdate()
+		if err != nil {
+			return err
+		}
+		if err := body(tx); err != nil {
+			tx.Abort()
+			if errors.Is(err, repl.ErrAborted) {
+				continue // eager certification killed it; retry
+			}
+			return err
+		}
+		switch err := tx.Commit(); {
+		case err == nil:
+			sys.Sync()
+			return nil
+		case errors.Is(err, repl.ErrAborted):
+			// Retry with a fresh snapshot.
+		default:
+			return err
+		}
+	}
 }

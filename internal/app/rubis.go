@@ -76,7 +76,7 @@ var ErrBidTooLow = errors.New("app: bid below current maximum")
 // item conflict on the item row, so first-committer-wins serializes
 // them and the maxbid invariant (item.maxbid == max over bids) holds.
 func (r *RUBiS) PlaceBid(item, user, amount int64) (bidID int64, err error) {
-	err = r.retry(func(tx repl.Txn) error {
+	err = update(r.sys, func(tx repl.Txn) error {
 		rec, ok, err := readRecord(tx, rubisItems, item)
 		if err != nil || !ok {
 			if err == nil {
@@ -102,7 +102,7 @@ func (r *RUBiS) PlaceBid(item, user, amount int64) (bidID int64, err error) {
 // BuyNow purchases one unit of the item, never driving quantity
 // negative.
 func (r *RUBiS) BuyNow(item, user int64) error {
-	return r.retry(func(tx repl.Txn) error {
+	return update(r.sys, func(tx repl.Txn) error {
 		rec, ok, err := readRecord(tx, rubisItems, item)
 		if err != nil || !ok {
 			if err == nil {
@@ -122,7 +122,7 @@ func (r *RUBiS) BuyNow(item, user int64) error {
 // rating in one transaction (rating conservation: a user's rating is
 // the sum of comment ratings about them).
 func (r *RUBiS) StoreComment(about int64, rating int64) error {
-	return r.retry(func(tx repl.Txn) error {
+	return update(r.sys, func(tx repl.Txn) error {
 		rec, ok, err := readRecord(tx, rubisUsers, about)
 		if err != nil || !ok {
 			if err == nil {
@@ -139,31 +139,6 @@ func (r *RUBiS) StoreComment(about int64, rating int64) error {
 		return writeRecord(tx, rubisComments, id,
 			Record{"about": about, "rating": rating})
 	})
-}
-
-// retry mirrors TPCW.retry for the auction application.
-func (r *RUBiS) retry(body func(tx repl.Txn) error) error {
-	for {
-		tx, err := r.sys.BeginUpdate()
-		if err != nil {
-			return err
-		}
-		if err := body(tx); err != nil {
-			tx.Abort()
-			if errors.Is(err, repl.ErrAborted) {
-				continue
-			}
-			return err
-		}
-		switch err := tx.Commit(); {
-		case err == nil:
-			return nil
-		case errors.Is(err, repl.ErrAborted):
-			// fresh snapshot, retry
-		default:
-			return err
-		}
-	}
 }
 
 // RUBiSInvariants summarizes an integrity audit of one replica.

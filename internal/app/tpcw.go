@@ -112,7 +112,7 @@ func (t *TPCW) AddToCart(cart, item int64, qty int64) error {
 	if qty <= 0 {
 		return fmt.Errorf("app: non-positive quantity %d", qty)
 	}
-	return t.retry(func(tx repl.Txn) error {
+	return update(t.sys, func(tx repl.Txn) error {
 		return writeRecord(tx, tpcwCarts, cart, Record{"item": item, "qty": qty})
 	})
 }
@@ -127,7 +127,7 @@ var ErrOutOfStock = errors.New("app: out of stock")
 // under snapshot isolation the stock conservation invariant holds
 // exactly despite concurrent buyers.
 func (t *TPCW) BuyConfirm(cart int64) (orderID int64, err error) {
-	err = t.retry(func(tx repl.Txn) error {
+	err = update(t.sys, func(tx repl.Txn) error {
 		cartRec, ok, err := readRecord(tx, tpcwCarts, cart)
 		if err != nil {
 			return err
@@ -167,7 +167,7 @@ func (t *TPCW) BuyConfirm(cart int64) (orderID int64, err error) {
 
 // AdminUpdate changes an item's price (update interaction).
 func (t *TPCW) AdminUpdate(item int64, price int64) error {
-	return t.retry(func(tx repl.Txn) error {
+	return update(t.sys, func(tx repl.Txn) error {
 		rec, ok, err := readRecord(tx, tpcwItems, item)
 		if err != nil || !ok {
 			if err == nil {
@@ -178,33 +178,6 @@ func (t *TPCW) AdminUpdate(item int64, price int64) error {
 		rec["price"] = price
 		return writeRecord(tx, tpcwItems, item, rec)
 	})
-}
-
-// retry runs body in an update transaction, retrying certification
-// aborts with a fresh snapshot (the servlet behaviour, §6.1).
-// Application-level failures (e.g. ErrOutOfStock) abort and return.
-func (t *TPCW) retry(body func(tx repl.Txn) error) error {
-	for {
-		tx, err := t.sys.BeginUpdate()
-		if err != nil {
-			return err
-		}
-		if err := body(tx); err != nil {
-			tx.Abort()
-			if errors.Is(err, repl.ErrAborted) {
-				continue // eager certification killed it; retry
-			}
-			return err
-		}
-		switch err := tx.Commit(); {
-		case err == nil:
-			return nil
-		case errors.Is(err, repl.ErrAborted):
-			// Retry with a fresh snapshot.
-		default:
-			return err
-		}
-	}
 }
 
 // TPCWInvariants summarizes an integrity audit of one replica.

@@ -1,15 +1,14 @@
 // Package client implements the connection-pooled network driver for
-// the replica servers in internal/server: it satisfies the same
-// repl.System and repl.Loader interfaces the in-process clusters do,
-// so the workload driver (repl.Drive), catalog loader and convergence
-// checker run unchanged over TCP.
+// the replica servers in internal/server: it satisfies the
+// repl.System and repl.Loader interfaces, so the workload driver
+// (repl.Drive), catalog loader and convergence checker run over TCP.
 //
-// Routing mirrors the in-process load balancer: transactions go to the
-// least-loaded replica (updates pinned to the master for the
-// single-master design), one pooled connection is checked out per
-// transaction, and a replica that stops answering is marked down and
-// routed around until a later probe revives it — the behavior the
-// kill-one-replica test exercises.
+// Routing is the paper's least-loaded balancing (internal/lb):
+// transactions go to the least-loaded replica (updates pinned to the
+// master for the single-master design), one pooled connection is
+// checked out per transaction, and a replica that stops answering is
+// marked down and routed around until a later probe revives it — the
+// behavior the kill-one-replica test exercises.
 //
 // Membership is elastic (mm design): with Options.Watch the client
 // polls the primary's member list and resizes its pool set live —
@@ -748,12 +747,14 @@ func (c *Client) syncOne(slot int, req *wire.Sync) int64 {
 	if slot < 0 {
 		return -1
 	}
-	if reply, err := c.rep(slot).pool.rpc(req, 0); err == nil {
+	applied := int64(-1)
+	_ = c.rep(slot).pool.do(req, 0, func(reply wire.Message) error {
 		if ok, isOK := reply.(*wire.SyncOK); isOK {
-			return ok.Applied
+			applied = ok.Applied
 		}
-	}
-	return -1
+		return nil
+	})
+	return applied
 }
 
 // RoundTrips sums the pooled request/reply exchanges across every

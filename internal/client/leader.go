@@ -39,9 +39,10 @@ func (e NotLeaderError) Error() string {
 // jitter, so a cluster mid-election sees polite retries instead of a
 // redirect storm.
 //
-// LeaderRing satisfies mm.CertService (Certify/Check/Since) plus the
-// FetchSince long poll, so a server's peer link can point at the ring
-// instead of a fixed primary and survive failover transparently.
+// LeaderRing serves the same certification surface as a Link
+// (CertifyTraced/Check/Since) plus the FetchSince long poll, so a
+// server's peer link can point at the ring instead of a fixed primary
+// and survive failover transparently.
 type LeaderRing struct {
 	design      string
 	peerID      int
@@ -225,13 +226,9 @@ func asNotLeader(err error) (NotLeaderError, bool) {
 	return nle, ok
 }
 
-// Certify submits a commit-time certification to the leader, following
-// redirects across a failover.
-func (r *LeaderRing) Certify(snapshot int64, ws writeset.Writeset) (certifier.Outcome, error) {
-	return r.CertifyTraced(snapshot, ws, 0)
-}
-
-// CertifyTraced is Certify carrying the transaction's trace id.
+// CertifyTraced submits a commit-time certification to the leader,
+// carrying the transaction's trace id and following redirects across a
+// failover.
 func (r *LeaderRing) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
 	var out certifier.Outcome
 	err := r.do(func(l *Link) error {

@@ -12,9 +12,9 @@ import (
 
 // Link is a replica server's connection to its primary (the certifier
 // host in the mm design, the master in sm): remote certification, the
-// eager conflict probe, and writeset retrieval. It satisfies
-// mm.CertService, which is how a single-replica mm.Cluster becomes one
-// node of a multi-process cluster.
+// eager conflict probe, and writeset retrieval — the certification
+// service a non-primary mm server commits through, which is how one
+// server process becomes one node of a multi-process cluster.
 //
 // A Link is safe for concurrent use; each call checks a connection out
 // of the underlying pool. Long-polling FetchSince calls hold their
@@ -56,38 +56,33 @@ func (l *Link) OnRecordMeta(fn func(version int64, trace uint64, commitNs int64)
 	l.meta = fn
 }
 
-// Certify submits a commit-time certification request to the primary.
-func (l *Link) Certify(snapshot int64, ws writeset.Writeset) (certifier.Outcome, error) {
-	return l.CertifyTraced(snapshot, ws, 0)
-}
-
-// CertifyTraced is Certify carrying the submitting transaction's trace
-// id.
+// CertifyTraced submits a commit-time certification request to the
+// primary, carrying the submitting transaction's trace id (0
+// untraced).
 func (l *Link) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
-	reply, err := l.pool.rpc(&wire.Certify{Snapshot: snapshot, WS: ws, Trace: trace}, linkRPCDeadline)
-	if err != nil {
-		return certifier.Outcome{}, err
-	}
-	m, ok := reply.(*wire.CertifyOK)
-	if !ok {
-		return certifier.Outcome{}, fmt.Errorf("client: unexpected certify reply %T", reply)
-	}
-	return certifier.Outcome{Committed: m.Committed, Version: m.Version, ConflictWith: m.ConflictWith}, nil
+	var out certifier.Outcome
+	err := l.pool.do(&wire.Certify{Snapshot: snapshot, WS: ws, Trace: trace}, linkRPCDeadline, func(reply wire.Message) error {
+		m, ok := reply.(*wire.CertifyOK)
+		if !ok {
+			return fmt.Errorf("client: unexpected certify reply %T", reply)
+		}
+		out = certifier.Outcome{Committed: m.Committed, Version: m.Version, ConflictWith: m.ConflictWith}
+		return nil
+	})
+	return out, err
 }
 
 // Check probes a partial writeset for an already-certain conflict.
 // Transport failures degrade to "no conflict": the probe is an
 // optimization, commit-time certification remains authoritative.
 func (l *Link) Check(snapshot int64, ws writeset.Writeset) (conflict bool, with int64) {
-	reply, err := l.pool.rpc(&wire.Check{Snapshot: snapshot, WS: ws}, linkRPCDeadline)
-	if err != nil {
-		return false, 0
-	}
-	m, ok := reply.(*wire.CheckOK)
-	if !ok {
-		return false, 0
-	}
-	return m.Conflict, m.With
+	_ = l.pool.do(&wire.Check{Snapshot: snapshot, WS: ws}, linkRPCDeadline, func(reply wire.Message) error {
+		if m, ok := reply.(*wire.CheckOK); ok {
+			conflict, with = m.Conflict, m.With
+		}
+		return nil
+	})
+	return conflict, with
 }
 
 // PrepareTxn forwards a cross-shard fragment prepare to the primary:
@@ -350,20 +345,20 @@ func (l *Link) FetchSince(v int64, wait time.Duration) ([]certifier.Record, erro
 	if wait > 0 {
 		req.WaitMillis = uint32(wait / time.Millisecond)
 	}
-	reply, err := l.pool.rpc(req, wait+linkRPCDeadline)
-	if err != nil {
-		return nil, err
-	}
-	m, ok := reply.(*wire.Records)
-	if !ok {
-		return nil, fmt.Errorf("client: unexpected fetch reply %T", reply)
-	}
-	recs := make([]certifier.Record, len(m.Recs))
-	for i, r := range m.Recs {
-		recs[i] = certifier.Record{Version: r.Version, Writeset: r.WS}
-		if l.meta != nil && (r.Trace != 0 || r.CommitNs != 0) {
-			l.meta(r.Version, r.Trace, r.CommitNs)
+	var recs []certifier.Record
+	err := l.pool.do(req, wait+linkRPCDeadline, func(reply wire.Message) error {
+		m, ok := reply.(*wire.Records)
+		if !ok {
+			return fmt.Errorf("client: unexpected fetch reply %T", reply)
 		}
-	}
-	return recs, nil
+		recs = make([]certifier.Record, len(m.Recs))
+		for i, r := range m.Recs {
+			recs[i] = certifier.Record{Version: r.Version, Writeset: r.WS}
+			if l.meta != nil && (r.Trace != 0 || r.CommitNs != 0) {
+				l.meta(r.Version, r.Trace, r.CommitNs)
+			}
+		}
+		return nil
+	})
+	return recs, err
 }

@@ -259,13 +259,33 @@ func handshake(c *wconn, wantDesign string, peerID int64) error {
 	}
 }
 
-// rpc runs one request/reply exchange on a pooled connection, retrying
+// rpc runs one request/reply exchange on a pooled connection and
+// returns the reply (see do). It refuses a reply the connection reuses
+// as a decode target (wire.Reused): once the connection is back in the
+// pool, its next caller could overwrite that reply. Such exchanges go
+// through do.
+func (p *connPool) rpc(req wire.Message, deadline time.Duration) (wire.Message, error) {
+	var reply wire.Message
+	err := p.do(req, deadline, func(m wire.Message) error {
+		if wire.Reused(m) {
+			return fmt.Errorf("client: %T reply to %T is a reused frame; exchange it through do", m, req)
+		}
+		reply = m
+		return nil
+	})
+	return reply, err
+}
+
+// do runs one request/reply exchange on a pooled connection, retrying
 // stale pooled connections with a bounded, jittered exponential
 // backoff between attempts. Err replies surface as errors; NotLeader
 // replies surface as a typed NotLeaderError so callers can follow the
-// redirect. A positive deadline bounds the whole exchange (used by
-// long polls so a one-way partition cannot park the caller forever).
-func (p *connPool) rpc(req wire.Message, deadline time.Duration) (wire.Message, error) {
+// redirect; any other reply goes to use, which runs before the
+// connection returns to the pool — the reply may be a decode target
+// the connection reuses for its next frame, so use must not retain it.
+// A positive deadline bounds the whole exchange (used by long polls so
+// a one-way partition cannot park the caller forever).
+func (p *connPool) do(req wire.Message, deadline time.Duration, use func(wire.Message) error) error {
 	var lastErr error
 	backoff := dialBackoffMin
 	// Retry enough times to drain a pool full of stale connections
@@ -279,7 +299,7 @@ func (p *connPool) rpc(req wire.Message, deadline time.Duration) (wire.Message, 
 		}
 		c, fresh, err := p.get()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if deadline > 0 {
 			_ = c.nc.SetDeadline(time.Now().Add(deadline))
@@ -293,20 +313,22 @@ func (p *connPool) rpc(req wire.Message, deadline time.Duration) (wire.Message, 
 			p.discard(c)
 			lastErr = err
 			if fresh {
-				return nil, err
+				return err
 			}
 			continue
 		}
-		p.put(c)
 		switch m := reply.(type) {
 		case *wire.NotLeader:
-			return nil, NotLeaderError{Leader: int(m.Leader), Epoch: m.Epoch, Addr: m.Addr}
+			err = NotLeaderError{Leader: int(m.Leader), Epoch: m.Epoch, Addr: m.Addr}
 		case *wire.Err:
-			return nil, fmt.Errorf("client: %s: %s", p.addr, m.Msg)
+			err = fmt.Errorf("client: %s: %s", p.addr, m.Msg)
+		default:
+			err = use(reply)
 		}
-		return reply, nil
+		p.put(c)
+		return err
 	}
-	return nil, fmt.Errorf("client: rpc to %s failed: %w", p.addr, lastErr)
+	return fmt.Errorf("client: rpc to %s failed: %w", p.addr, lastErr)
 }
 
 func roundTrip(c *wconn, req wire.Message) (wire.Message, error) {

@@ -142,3 +142,22 @@ func TestFinishedTxnLeavesReusedConnAlone(t *testing.T) {
 		})
 	}
 }
+
+// TestRPCRefusesReusedReply: rpc hands its reply back after the
+// connection returns to the pool, so it must refuse a reply type the
+// connection reuses as a decode target; do serves those.
+func TestRPCRefusesReusedReply(t *testing.T) {
+	p := newConnPool(fakeServer(t), "mm", 0, 0, 0)
+	t.Cleanup(p.closeAll)
+	if reply, err := p.rpc(&wire.Commit{}, 0); err == nil {
+		t.Fatalf("rpc returned the reused %T", reply)
+	}
+	if err := p.do(&wire.Commit{}, 0, func(m wire.Message) error {
+		if _, ok := m.(*wire.CommitOK); !ok {
+			return fmt.Errorf("reply %T", m)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

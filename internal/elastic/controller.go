@@ -10,10 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Scaler changes the cluster size one replica at a time. The
-// networked implementation spawns a joiner server (join + snapshot +
-// catch-up) or drains and deregisters the newest one; the in-process
-// implementation calls mm.Cluster.AddReplica/RemoveReplica.
+// Scaler changes the cluster size one replica at a time: LocalScaler
+// spawns a joiner server (join + snapshot + catch-up) or drains and
+// deregisters the newest one.
 type Scaler interface {
 	// Replicas is the current cluster size.
 	Replicas() int

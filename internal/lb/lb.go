@@ -1,7 +1,8 @@
-// Package lb provides the least-loaded load balancer both replicated
-// designs place in front of their replicas (§5). Load is the number of
-// outstanding transactions per replica; the balancer routes each new
-// transaction to a replica with minimal load among the eligible set.
+// Package lb provides the least-loaded load balancer the pooled client
+// places in front of the replicas of both designs (§5). Load is the
+// number of outstanding transactions per replica; the balancer routes
+// each new transaction to a replica with minimal load among the
+// eligible set.
 package lb
 
 import (
@@ -45,18 +46,11 @@ func New(n int) *Balancer {
 }
 
 // Add appends a new healthy replica slot and returns its index.
-func (b *Balancer) Add() int { return b.add(true) }
-
-// AddDown appends a new slot already marked unhealthy, so it receives
-// no traffic until SetHealthy — the window a joining replica needs to
-// install its state transfer before serving.
-func (b *Balancer) AddDown() int { return b.add(false) }
-
-func (b *Balancer) add(healthy bool) int {
+func (b *Balancer) Add() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.counts = append(b.counts, 0)
-	b.down = append(b.down, !healthy)
+	b.down = append(b.down, false)
 	b.removed = append(b.removed, false)
 	return len(b.counts) - 1
 }
@@ -75,13 +69,6 @@ func (b *Balancer) Removed(i int) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.removed[i]
-}
-
-// Acquire picks a least-loaded replica, increments its load, and
-// returns its index.
-func (b *Balancer) Acquire() int {
-	i, _ := b.AcquireWhere(func(int) bool { return true })
-	return i
 }
 
 // AcquireWhere picks the least-loaded healthy replica among those for
@@ -151,30 +138,10 @@ func (b *Balancer) Release(i int) {
 	b.counts[i]--
 }
 
-// Load returns the current outstanding count of replica i.
-func (b *Balancer) Load(i int) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.counts[i]
-}
-
 // Size returns the number of replica slots, including removed ones
 // (slot indices are stable).
 func (b *Balancer) Size() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.counts)
-}
-
-// Live returns the number of slots that have not been removed.
-func (b *Balancer) Live() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	live := 0
-	for _, r := range b.removed {
-		if !r {
-			live++
-		}
-	}
-	return live
 }

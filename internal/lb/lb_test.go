@@ -5,20 +5,37 @@ import (
 	"testing"
 )
 
+// acquire is AcquireWhere over every replica.
+func acquire(b *Balancer) int {
+	i, err := b.AcquireWhere(func(int) bool { return true })
+	if err != nil {
+		panic(err)
+	}
+	return i
+}
+
+// releasePanics reports whether releasing slot i panics (its load is
+// already zero).
+func releasePanics(b *Balancer, i int) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	b.Release(i)
+	return false
+}
+
 func TestAcquirePicksLeastLoaded(t *testing.T) {
 	b := New(3)
-	if b.Acquire() != 0 {
+	if acquire(b) != 0 {
 		t.Fatal("first acquire should pick index 0")
 	}
-	if b.Acquire() != 1 || b.Acquire() != 2 {
+	if acquire(b) != 1 || acquire(b) != 2 {
 		t.Fatal("acquires did not spread")
 	}
 	// All at load 1; tie goes to 0.
-	if b.Acquire() != 0 {
+	if acquire(b) != 0 {
 		t.Fatal("tie break wrong")
 	}
 	b.Release(1)
-	if b.Acquire() != 1 {
+	if acquire(b) != 1 {
 		t.Fatal("release did not make replica 1 least loaded")
 	}
 }
@@ -36,11 +53,15 @@ func TestAcquireWhere(t *testing.T) {
 
 func TestLoadAndSize(t *testing.T) {
 	b := New(2)
-	b.Acquire()
-	b.Acquire()
-	b.Acquire()
-	if b.Load(0) != 2 || b.Load(1) != 1 {
-		t.Fatalf("loads = %d, %d", b.Load(0), b.Load(1))
+	acquire(b)
+	acquire(b)
+	acquire(b)
+	// Loads 2 and 1: slot 0 releases twice, slot 1 once, and no more.
+	if releasePanics(b, 0) || releasePanics(b, 0) || releasePanics(b, 1) {
+		t.Fatal("release of an acquired slot panicked")
+	}
+	if !releasePanics(b, 0) || !releasePanics(b, 1) {
+		t.Fatal("loads exceeded the acquisitions")
 	}
 	if b.Size() != 2 {
 		t.Fatalf("size = %d", b.Size())
@@ -71,13 +92,13 @@ func TestAddGrowsMembership(t *testing.T) {
 	if idx := b.Add(); idx != 1 {
 		t.Fatalf("Add = %d, want 1", idx)
 	}
-	if b.Size() != 2 || b.Live() != 2 {
-		t.Fatalf("size = %d live = %d", b.Size(), b.Live())
+	if b.Size() != 2 || b.Removed(1) || !b.Healthy(1) {
+		t.Fatalf("size = %d, added slot removed=%v healthy=%v", b.Size(), b.Removed(1), b.Healthy(1))
 	}
 	// The new slot starts empty and healthy, so it receives traffic.
 	seen := map[int]int{}
 	for i := 0; i < 4; i++ {
-		seen[b.Acquire()]++
+		seen[acquire(b)]++
 	}
 	if seen[0] != 2 || seen[1] != 2 {
 		t.Fatalf("acquires did not spread onto the added slot: %v", seen)
@@ -86,16 +107,16 @@ func TestAddGrowsMembership(t *testing.T) {
 
 func TestRemoveTombstonesSlot(t *testing.T) {
 	b := New(3)
-	idx := b.Acquire() // outstanding txn on some replica
+	idx := acquire(b) // outstanding txn on some replica
 	b.Remove(1)
 	if !b.Removed(1) || b.Removed(0) || b.Removed(2) {
 		t.Fatal("removed flags wrong")
 	}
-	if b.Size() != 3 || b.Live() != 2 {
-		t.Fatalf("size = %d live = %d", b.Size(), b.Live())
+	if b.Size() != 3 {
+		t.Fatalf("size = %d, want 3 (indices are stable)", b.Size())
 	}
 	for i := 0; i < 10; i++ {
-		if got := b.Acquire(); got == 1 {
+		if got := acquire(b); got == 1 {
 			t.Fatal("acquired a removed slot")
 		}
 	}
@@ -119,7 +140,7 @@ func TestRemovalDoesNotBiasLowIndices(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		held := make([]int, 0, 3)
 		for i := 0; i < 3; i++ {
-			idx := b.Acquire()
+			idx := acquire(b)
 			seen[idx]++
 			held = append(held, idx)
 		}
@@ -142,11 +163,11 @@ func TestRotationIsDeterministic(t *testing.T) {
 		b := New(3)
 		out := make([]int, 0, 8)
 		for i := 0; i < 4; i++ {
-			out = append(out, b.Acquire())
+			out = append(out, acquire(b))
 		}
 		b.Release(out[0])
 		for i := 0; i < 4; i++ {
-			out = append(out, b.Acquire())
+			out = append(out, acquire(b))
 		}
 		return out
 	}
@@ -166,15 +187,15 @@ func TestConcurrentBalance(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				idx := b.Acquire()
+				idx := acquire(b)
 				b.Release(idx)
 			}
 		}()
 	}
 	wg.Wait()
 	for i := 0; i < 4; i++ {
-		if b.Load(i) != 0 {
-			t.Fatalf("replica %d load = %d after all released", i, b.Load(i))
+		if !releasePanics(b, i) {
+			t.Fatalf("replica %d still loaded after all released", i)
 		}
 	}
 }
@@ -188,7 +209,7 @@ func TestHealthRouting(t *testing.T) {
 	// With replica 1 down, acquisitions spread over 0 and 2 only.
 	seen := map[int]int{}
 	for i := 0; i < 6; i++ {
-		seen[b.Acquire()]++
+		seen[acquire(b)]++
 	}
 	if seen[1] != 0 || seen[0] != 3 || seen[2] != 3 {
 		t.Fatalf("acquired %v with replica 1 down", seen)

@@ -1,182 +1,192 @@
-package mm
+package mm_test
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/certifier"
+	"repro/internal/client"
+	"repro/internal/launch"
+	"repro/internal/repl/pipeline"
+	"repro/internal/server"
 	"repro/internal/wal"
+	"repro/internal/writeset"
 )
 
-// TestDurableCommitsJournalBeforeAck: with Options.Durable every
-// certified writeset is in the journal by the time Commit returns, and
-// a restarted certifier rebuilt from that journal carries the full
-// log. Group commit batches the journal appends exactly as it batches
-// certification.
-func TestDurableCommitsJournalBeforeAck(t *testing.T) {
-	fs := wal.NewMemFS()
-	w, _, err := wal.Open(wal.Options{FS: fs, Fsync: true})
-	if err != nil {
+// commitRows seeds table t and commits n row writes through cl.
+func commitRows(t *testing.T, cl *client.Client, n int) {
+	t.Helper()
+	if err := cl.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Options{
-		Replicas:    2,
-		GroupCommit: true,
-		Durable:     true,
-		Journal:     w,
-	})
-	if err != nil {
+	if err := cl.Load("t", 10, func(int64) string { return "seed" }); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateTable("t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Load("t", 10, func(r int64) string { return "seed" }); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		tx, err := c.BeginUpdate()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < n; i++ {
+		tx := begin(t, cl)
 		if err := tx.Write("t", int64(i%10), "x"); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}
-	}
-	c.Sync()
-	w.Close()
-
-	fs.PowerCycle(false) // power loss: only fsynced state survives
-	_, rec, err := wal.Open(wal.Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered := certifier.NewFromRecords(rec.Records, rec.Base)
-	if got, want := recovered.Version(), c.Certifier().Version(); got != want {
-		t.Fatalf("journal recovered version %d, live certifier %d", got, want)
-	}
-	if got, want := recovered.LogLen(), c.Certifier().LogLen(); got != want {
-		t.Fatalf("journal recovered %d records, live certifier %d", got, want)
 	}
 }
 
-// TestDurableComposesWithReplicatedCertifier: Durable and
-// ReplicatedCertifier run together — every commit goes through a Paxos
-// round AND lands in the journal, a restart from the journal alone
-// recovers the full log, and because the quorum (not the journal) is
-// the durability authority, a dead journal detaches instead of
-// withholding acks.
-func TestDurableComposesWithReplicatedCertifier(t *testing.T) {
-	fs := wal.NewMemFS()
-	w, _, err := wal.Open(wal.Options{FS: fs, Fsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Options{
-		Replicas:            2,
-		ReplicatedCertifier: true,
-		GroupCommit:         true,
-		Durable:             true,
-		Journal:             w,
+// TestDurableCommitsJournalBeforeAck: with a WAL, fsync and group
+// commit, the certifier host's journal alone rebuilds a certifier at
+// the live version. The servers shut down cleanly here, so this checks
+// what the journal holds, not the fsync-before-ack order; that order
+// (acked ⊆ recovered at every kill point, group-commit batches
+// included) is TestCrashSweep's in internal/wal.
+func TestDurableCommitsJournalBeforeAck(t *testing.T) {
+	c, cl := newCluster(t, 2, func(o *server.Options) {
+		o.WALDir = t.TempDir()
+		o.Fsync = true
+		o.GroupCommit = true
 	})
+	commitRows(t, cl, 12)
+	live := hostVersion(t, c)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w, rec, err := wal.Open(wal.Options{Dir: c.Options[0][0].WALDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateTable("t"); err != nil {
+	defer w.Close()
+	recovered := certifier.NewFromRecords(rec.Records, rec.Base)
+	if got := recovered.Version(); got != live {
+		t.Fatalf("journal recovered version %d, live certifier %d", got, live)
+	}
+}
+
+// TestDurableComposesWithReplicatedCertifier: a WAL and the
+// Paxos-replicated certifier run together — every commit goes through
+// a Paxos round AND lands in the journals, and a group restarted from
+// its journals and acceptor logs alone recovers every commit and keeps
+// certifying. Because the quorum, not the journal, is the durability
+// authority, a dead journal under a replicated certifier detaches
+// instead of withholding acks.
+func TestDurableComposesWithReplicatedCertifier(t *testing.T) {
+	c, cl := newCluster(t, 3, func(o *server.Options) {
+		o.Paxos = true
+		o.ElectTimeout = 200 * time.Millisecond
+		o.WALDir = t.TempDir()
+		o.Fsync = true
+		o.GroupCommit = true
+	})
+	commitRows(t, cl, 8)
+	cl.Sync()
+	want, err := cl.TableDump(0, "t")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load("t", 10, func(r int64) string { return "seed" }); err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	commit := func(i int) {
-		t.Helper()
-		tx, err := c.BeginUpdate()
+
+	// Restart every member from its options: same ids, addresses and
+	// WAL directories.
+	for i, opts := range c.Options[0] {
+		srv, err := server.New(opts)
+		if err != nil {
+			t.Fatalf("restart %d: %v", i, err)
+		}
+		srv.Start()
+		t.Cleanup(func() { srv.Close() })
+		if _, ok := srv.Resumed(); !ok {
+			t.Fatalf("member %d did not resume from its WAL", i)
+		}
+	}
+	again, err := client.New(client.Options{Servers: c.Addrs(0), Design: "mm", ProbeAfter: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(again.Close)
+	// The first commit after the restart waits out the new election.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		tx := begin(t, again)
+		tx.Write("t", 0, "after-restart")
+		err := tx.Commit()
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no commit after the restart: %v", err)
+		}
+	}
+	again.Sync()
+	for r := 0; r < 3; r++ {
+		got, err := again.TableDump(r, "t")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.Write("t", int64(i%10), "x"); err != nil {
-			t.Fatal(err)
+		for row, v := range want {
+			if row != 0 && got[row] != v {
+				t.Fatalf("member %d row %d: recovered %q, had %q", r, row, got[row], v)
+			}
 		}
-		if err := tx.Commit(); err != nil {
-			t.Fatalf("commit %d: %v", i, err)
+		if got[0] != "after-restart" {
+			t.Fatalf("member %d missed the post-restart commit: %q", r, got[0])
 		}
 	}
-	for i := 0; i < 8; i++ {
-		commit(i)
-	}
-	c.Sync()
-	w.Close()
 
-	fs.PowerCycle(false)
-	_, rec, err := wal.Open(wal.Options{FS: fs})
+	// A dead journal under the replicated certifier: the commit is still
+	// acknowledged and the journal detaches.
+	w, _, err := wal.Open(wal.Options{FS: wal.NewMemFS(), Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recovered := certifier.NewFromRecords(rec.Records, rec.Base)
-	if got, want := recovered.Version(), c.Certifier().Version(); got != want {
-		t.Fatalf("journal recovered version %d, live certifier %d", got, want)
+	cert, _, err := certifier.NewReplicated(3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := recovered.LogLen(), c.Certifier().LogLen(); got != want {
-		t.Fatalf("journal recovered %d records, live certifier %d", got, want)
+	cert.SetJournal(w)
+	certify := func(label string) {
+		t.Helper()
+		ws := writeset.Rows("t", []int64{1}, []string{label})
+		if out, err := cert.Certify(cert.Version(), ws); err != nil || !out.Committed {
+			t.Fatalf("%s: %+v %v", label, out, err)
+		}
 	}
-
-	// The journal is already closed: with replication the commit must
-	// still be acknowledged (the quorum is the authority) and the dead
-	// journal detaches.
-	commit(100)
-	if c.Certifier().JournalError() == nil {
+	certify("live journal")
+	w.Close() // the journal dies
+	certify("dead journal")
+	if cert.JournalError() == nil {
 		t.Fatal("dead journal did not detach")
 	}
-	commit(101)
+	certify("detached journal")
 }
 
-// TestDurableRequiresJournal pins the option validation.
+// TestDurableRequiresJournal pins the option validation: fsync needs a
+// WAL directory.
 func TestDurableRequiresJournal(t *testing.T) {
-	if _, err := New(Options{Replicas: 1, Durable: true}); err == nil {
-		t.Fatal("Durable without Journal accepted")
+	_, err := launch.Start(1, 1, server.Options{Design: "mm", Fsync: true})
+	if err == nil || !strings.Contains(err.Error(), "fsync requires a WAL directory") {
+		t.Fatalf("fsync without a WAL accepted: %v", err)
 	}
 }
 
-// TestDurableJournalFailureWithholdsAck: once the journal dies, update
-// commits must fail rather than acknowledge a non-durable commit;
-// read-only transactions are unaffected.
+// TestDurableJournalFailureWithholdsAck: once the journal of an
+// unreplicated certifier dies, certification through the host's commit
+// stage fails rather than acknowledging a commit that is not durable.
 func TestDurableJournalFailureWithholdsAck(t *testing.T) {
-	fs := wal.NewMemFS()
-	cfs := wal.NewCrashFS(fs, -1, 0)
-	w, _, err := wal.Open(wal.Options{FS: cfs, Fsync: true})
+	w, _, err := wal.Open(wal.Options{FS: wal.NewMemFS(), Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Options{Replicas: 1, Durable: true, Journal: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateTable("t"); err != nil {
-		t.Fatal(err)
+	base := certifier.New()
+	base.SetJournal(w)
+	host := &pipeline.HostCert{Base: base, Notify: pipeline.NewNotify()}
+	ws := writeset.Rows("t", []int64{1}, []string{"x"})
+	if out, err := host.CertifyTraced(0, ws, 0); err != nil || !out.Committed {
+		t.Fatalf("commit with a live journal: %+v %v", out, err)
 	}
 	w.Close() // the journal dies
-
-	tx, err := c.BeginUpdate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Write("t", 1, "x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err == nil {
-		t.Fatal("commit acknowledged with a dead journal")
-	}
-
-	ro, err := c.BeginRead()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ro.Read("t", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ro.Commit(); err != nil {
-		t.Fatalf("read-only commit needs no journal: %v", err)
+	if out, err := host.CertifyTraced(base.Version(), ws, 0); err == nil {
+		t.Fatalf("commit acknowledged with a dead journal: %+v", out)
 	}
 }

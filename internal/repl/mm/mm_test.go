@@ -1,43 +1,98 @@
-package mm
+// Package mm_test checks the multi-master design of §5.1 (Tashkent
+// style) end to end: every replica executes read-only and update
+// transactions against its local snapshot-isolated database, the
+// certifier detects system-wide write-write conflicts and assigns
+// global versions, and committed writesets are applied at every replica
+// in commit order. The design is implemented by the replica server's
+// multi-master engine (internal/server); these tests run it the way it
+// is deployed — real replica servers on loopback (internal/launch)
+// driven through the pooled client.
+package mm_test
 
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/client"
+	"repro/internal/launch"
 	"repro/internal/repl"
+	"repro/internal/server"
 	"repro/internal/workload"
 )
 
-func newCluster(t *testing.T, n int, opts ...func(*Options)) *Cluster {
+// newCluster boots n mm replica servers with tweak applied to the
+// template and returns the cluster and its pooled client.
+func newCluster(t *testing.T, n int, tweak ...func(*server.Options)) (*launch.Cluster, *client.Client) {
 	t.Helper()
-	o := Options{Replicas: n, EagerCertification: false}
-	for _, f := range opts {
-		f(&o)
+	tmpl := server.Options{Design: "mm"}
+	for _, f := range tweak {
+		f(&tmpl)
 	}
-	c, err := New(o)
+	c, err := launch.Start(1, n, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	t.Cleanup(func() { c.Close() })
+	return c, c.Clients[0]
 }
 
-func seedTable(t *testing.T, c *Cluster, table string, rows int) {
+func seedTable(t *testing.T, cl *client.Client, table string, rows int) {
 	t.Helper()
-	if err := c.CreateTable(table); err != nil {
+	if err := cl.CreateTable(table); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load(table, rows, func(i int64) string { return fmt.Sprintf("init-%d", i) }); err != nil {
+	if err := cl.Load(table, rows, func(i int64) string { return fmt.Sprintf("init-%d", i) }); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// begin opens an update transaction or fails the test.
+func begin(t *testing.T, sys repl.System) repl.Txn {
+	t.Helper()
+	tx, err := sys.BeginUpdate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tx
+}
+
+// hostVersion is the certifier's version once every replica applied
+// everything: the host's applied version after a cluster-wide sync.
+func hostVersion(t *testing.T, c *launch.Cluster) int64 {
+	t.Helper()
+	c.Clients[0].Sync()
+	stats, err := c.Stats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats[0].Applied
+}
+
+// aborts sums the certification aborts every replica reported.
+func aborts(t *testing.T, c *launch.Cluster) int64 {
+	t.Helper()
+	stats, err := c.Stats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, st := range stats {
+		n += st.Aborts
+	}
+	return n
 }
 
 func TestReadSeesLoadedData(t *testing.T) {
-	c := newCluster(t, 3)
-	seedTable(t, c, "item", 100)
+	_, cl := newCluster(t, 3)
+	seedTable(t, cl, "item", 100)
 	for i := 0; i < 6; i++ { // rotate across replicas
-		tx, err := c.BeginRead()
+		tx, err := cl.BeginRead()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,18 +107,18 @@ func TestReadSeesLoadedData(t *testing.T) {
 }
 
 func TestUpdatePropagatesToAllReplicas(t *testing.T) {
-	c := newCluster(t, 4)
-	seedTable(t, c, "item", 10)
-	tx, _ := c.BeginUpdate()
+	_, cl := newCluster(t, 4)
+	seedTable(t, cl, "item", 10)
+	tx := begin(t, cl)
 	if err := tx.Write("item", 5, "updated"); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	c.Sync()
+	cl.Sync()
 	for r := 0; r < 4; r++ {
-		dump, err := c.TableDump(r, "item")
+		dump, err := cl.TableDump(r, "item")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,11 +129,10 @@ func TestUpdatePropagatesToAllReplicas(t *testing.T) {
 }
 
 func TestConflictingUpdatesOneWins(t *testing.T) {
-	c := newCluster(t, 2)
-	seedTable(t, c, "item", 10)
-	seeded, _ := c.Certifier().Stats() // schema and load records
-	a, _ := c.BeginUpdate()
-	b, _ := c.BeginUpdate()
+	c, cl := newCluster(t, 2)
+	seedTable(t, cl, "item", 10)
+	seeded := hostVersion(t, c) // schema and load records
+	a, b := begin(t, cl), begin(t, cl)
 	a.Write("item", 1, "from-a")
 	b.Write("item", 1, "from-b")
 	errA := a.Commit()
@@ -93,17 +147,18 @@ func TestConflictingUpdatesOneWins(t *testing.T) {
 	if !errors.Is(loser, repl.ErrAborted) {
 		t.Fatalf("loser error = %v", loser)
 	}
-	commits, aborts := c.Certifier().Stats()
-	if commits-seeded != 1 || aborts != 1 {
-		t.Fatalf("certifier stats %d/%d", commits, aborts)
+	if v := hostVersion(t, c); v-seeded != 1 {
+		t.Fatalf("certifier advanced %d versions, want 1", v-seeded)
+	}
+	if n := aborts(t, c); n != 1 {
+		t.Fatalf("replicas report %d aborts, want 1", n)
 	}
 }
 
 func TestDisjointUpdatesBothCommit(t *testing.T) {
-	c := newCluster(t, 2)
-	seedTable(t, c, "item", 10)
-	a, _ := c.BeginUpdate()
-	b, _ := c.BeginUpdate()
+	_, cl := newCluster(t, 2)
+	seedTable(t, cl, "item", 10)
+	a, b := begin(t, cl), begin(t, cl)
 	a.Write("item", 1, "a")
 	b.Write("item", 2, "b")
 	if err := a.Commit(); err != nil {
@@ -115,12 +170,15 @@ func TestDisjointUpdatesBothCommit(t *testing.T) {
 }
 
 func TestReadOnlyNeverAborts(t *testing.T) {
-	c := newCluster(t, 2)
-	seedTable(t, c, "item", 10)
-	ro, _ := c.BeginRead()
+	_, cl := newCluster(t, 2)
+	seedTable(t, cl, "item", 10)
+	ro, err := cl.BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ro.Read("item", 1)
 	// Concurrent update commits.
-	up, _ := c.BeginUpdate()
+	up := begin(t, cl)
 	up.Write("item", 1, "x")
 	if err := up.Commit(); err != nil {
 		t.Fatal(err)
@@ -132,17 +190,20 @@ func TestReadOnlyNeverAborts(t *testing.T) {
 
 func TestGSISnapshotIsReplicaLocal(t *testing.T) {
 	// A transaction started before a commit reads the old value even
-	// after the writeset lands.
-	c := newCluster(t, 2)
-	seedTable(t, c, "item", 10)
-	ro, _ := c.BeginRead()
+	// after the writeset lands on its replica.
+	_, cl := newCluster(t, 2)
+	seedTable(t, cl, "item", 10)
+	ro, err := cl.BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	up, _ := c.BeginUpdate()
+	up := begin(t, cl)
 	up.Write("item", 3, "new")
 	if err := up.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	c.Sync()
+	cl.Sync()
 
 	v, ok, err := ro.Read("item", 3)
 	if err != nil || !ok || v != "init-3" {
@@ -152,9 +213,12 @@ func TestGSISnapshotIsReplicaLocal(t *testing.T) {
 }
 
 func TestWriteOnReadOnlyTxnRejected(t *testing.T) {
-	c := newCluster(t, 2)
-	seedTable(t, c, "item", 10)
-	ro, _ := c.BeginRead()
+	_, cl := newCluster(t, 2)
+	seedTable(t, cl, "item", 10)
+	ro, err := cl.BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ro.Write("item", 1, "x"); !errors.Is(err, repl.ErrReadOnlyTxn) {
 		t.Fatalf("write on read txn: %v", err)
 	}
@@ -162,15 +226,12 @@ func TestWriteOnReadOnlyTxnRejected(t *testing.T) {
 }
 
 func TestStaleReplicaConflictDetected(t *testing.T) {
-	// Update committed via replica A; replica B hasn't applied it yet
-	// when a transaction on B writes the same row -> certifier abort.
-	c := newCluster(t, 2)
-	seedTable(t, c, "item", 10)
-
-	// Pin a transaction on replica 1 (least-loaded routing: first txn
-	// goes to 0, second to 1).
-	txA, _ := c.BeginUpdate() // replica 0
-	txB, _ := c.BeginUpdate() // replica 1
+	// Two transactions share a snapshot; one commits a row, and the
+	// other — wherever it runs, its snapshot predates the commit —
+	// writes the same row and must be aborted by the certifier.
+	_, cl := newCluster(t, 2)
+	seedTable(t, cl, "item", 10)
+	txA, txB := begin(t, cl), begin(t, cl) // least-loaded: one per replica
 	txA.Write("item", 7, "a")
 	if err := txA.Commit(); err != nil {
 		t.Fatal(err)
@@ -182,10 +243,9 @@ func TestStaleReplicaConflictDetected(t *testing.T) {
 }
 
 func TestEagerCertificationAbortsEarly(t *testing.T) {
-	c := newCluster(t, 2, func(o *Options) { o.EagerCertification = true })
-	seedTable(t, c, "item", 10)
-	txA, _ := c.BeginUpdate()
-	txB, _ := c.BeginUpdate()
+	_, cl := newCluster(t, 2, func(o *server.Options) { o.EagerCert = true })
+	seedTable(t, cl, "item", 10)
+	txA, txB := begin(t, cl), begin(t, cl)
 	txA.Write("item", 1, "a")
 	if err := txA.Commit(); err != nil {
 		t.Fatal(err)
@@ -200,32 +260,41 @@ func TestEagerCertificationAbortsEarly(t *testing.T) {
 }
 
 func TestAbortDiscardsEverything(t *testing.T) {
-	c := newCluster(t, 2)
-	seedTable(t, c, "item", 10)
-	seeded := c.Certifier().Version()
-	tx, _ := c.BeginUpdate()
+	c, cl := newCluster(t, 2)
+	seedTable(t, cl, "item", 10)
+	seeded := hostVersion(t, c)
+	tx := begin(t, cl)
 	tx.Write("item", 1, "phantom")
 	tx.Abort()
-	c.Sync()
+	cl.Sync()
 	for r := 0; r < 2; r++ {
-		dump, _ := c.TableDump(r, "item")
+		dump, _ := cl.TableDump(r, "item")
 		if dump[1] != "init-1" {
 			t.Fatalf("aborted write visible on replica %d: %q", r, dump[1])
 		}
 	}
-	if v := c.Certifier().Version(); v != seeded {
+	if v := hostVersion(t, c); v != seeded {
 		t.Fatalf("certifier advanced to %d", v)
 	}
 }
 
+// catalogTables lists a catalog's tables for convergence checks.
+func catalogTables(cat workload.Catalog) []string {
+	tables := make([]string, 0, len(cat.Tables))
+	for name := range cat.Tables {
+		tables = append(tables, name)
+	}
+	return tables
+}
+
 func TestWorkloadConvergence(t *testing.T) {
-	c := newCluster(t, 3)
+	_, cl := newCluster(t, 3)
 	cat := workload.TPCWCatalog()
-	if err := repl.LoadCatalog(c, cat, 1000); err != nil {
+	if err := repl.LoadCatalog(cl, cat, 1000); err != nil {
 		t.Fatal(err)
 	}
 	mix := workload.TPCWShopping()
-	res := repl.Drive(c, cat, mix, 8, 40, 1000, 42)
+	res := repl.Drive(cl, cat, mix, 8, 40, 1000, 42)
 	if res.Errors != 0 {
 		t.Fatalf("driver errors: %+v", res)
 	}
@@ -235,33 +304,34 @@ func TestWorkloadConvergence(t *testing.T) {
 	if res.UpdateCommits == 0 {
 		t.Fatal("no updates committed")
 	}
-	if err := repl.CheckConvergence(c, c.db0Tables()); err != nil {
+	if err := repl.CheckConvergence(cl, catalogTables(cat)); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// db0Tables lists replica 0's tables for convergence checks.
-func (c *Cluster) db0Tables() []string {
-	return c.slot(0).db.Tables()
 }
 
 func TestWorkloadWithReplicatedCertifier(t *testing.T) {
-	c := newCluster(t, 2, func(o *Options) { o.ReplicatedCertifier = true })
+	c, cl := newCluster(t, 3, func(o *server.Options) { o.Paxos = true })
 	cat := workload.RUBiSCatalog()
-	if err := repl.LoadCatalog(c, cat, 1000); err != nil {
+	if err := repl.LoadCatalog(cl, cat, 1000); err != nil {
 		t.Fatal(err)
 	}
 	mix := workload.RUBiSBidding()
-	res := repl.Drive(c, cat, mix, 4, 25, 1000, 7)
+	res := repl.Drive(cl, cat, mix, 4, 25, 1000, 7)
 	if res.Errors != 0 {
 		t.Fatalf("driver errors: %+v", res)
 	}
-	if err := repl.CheckConvergence(c, c.db0Tables()); err != nil {
+	if err := repl.CheckConvergence(cl, catalogTables(cat)); err != nil {
 		t.Fatal(err)
 	}
-	// A backup failure mid-flight must not block commits.
-	c.Transport().SetDown(2, true)
-	tx, _ := c.BeginUpdate()
+	// A backup failure mid-flight must not block commits: the other two
+	// members still form a majority.
+	for _, srv := range c.Servers[0] {
+		if leading, _, _, _ := srv.Leader(); !leading {
+			srv.Close()
+			break
+		}
+	}
+	tx := begin(t, cl)
 	tx.Write("items", 1, "after-failure")
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("commit with one backup down: %v", err)
@@ -271,11 +341,11 @@ func TestWorkloadWithReplicatedCertifier(t *testing.T) {
 func TestConcurrentMixedWorkloadNoLostUpdates(t *testing.T) {
 	// All clients increment disjoint-ish counters with retry; total
 	// committed increments must equal the final sum across rows.
-	c := newCluster(t, 3)
-	seedTable(t, c, "counter", 4)
+	_, cl := newCluster(t, 3)
+	seedTable(t, cl, "counter", 4)
 	// Overwrite values to "0".
 	for i := int64(0); i < 4; i++ {
-		tx, _ := c.BeginUpdate()
+		tx := begin(t, cl)
 		tx.Write("counter", i, "0")
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
@@ -285,14 +355,17 @@ func TestConcurrentMixedWorkloadNoLostUpdates(t *testing.T) {
 	const perWorker = 25
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				row := int64((w + i) % 4)
 				for {
-					tx, _ := c.BeginUpdate()
+					tx, err := cl.BeginUpdate()
+					if err != nil {
+						t.Error(err)
+						return
+					}
 					v, _, err := tx.Read("counter", row)
 					if err != nil {
 						t.Error(err)
@@ -315,9 +388,9 @@ func TestConcurrentMixedWorkloadNoLostUpdates(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	c.Sync()
+	cl.Sync()
 	total := 0
-	dump, err := c.TableDump(1, "counter")
+	dump, err := cl.TableDump(1, "counter")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,49 +402,87 @@ func TestConcurrentMixedWorkloadNoLostUpdates(t *testing.T) {
 	if total != workers*perWorker {
 		t.Fatalf("lost updates: sum=%d want %d", total, workers*perWorker)
 	}
-	if err := repl.CheckConvergence(c, []string{"counter"}); err != nil {
+	if err := repl.CheckConvergence(cl, []string{"counter"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Options{Replicas: 0}); err == nil {
+	if _, err := launch.Start(1, 0, server.Options{Design: "mm"}); err == nil {
 		t.Fatal("zero replicas accepted")
 	}
 }
 
 func TestTableDumpBounds(t *testing.T) {
-	c := newCluster(t, 1)
-	if _, err := c.TableDump(5, "x"); err == nil {
+	_, cl := newCluster(t, 1)
+	if _, err := cl.TableDump(5, "x"); err == nil {
 		t.Fatal("out-of-range replica accepted")
 	}
-	if _, err := c.TableDump(0, "missing"); err == nil {
+	if _, err := cl.TableDump(0, "missing"); err == nil {
 		t.Fatal("missing table accepted")
 	}
 }
 
+// retained reads the certifier host's retained-writeset gauge.
+func retained(t *testing.T, srv *server.Server) int64 {
+	t.Helper()
+	resp, err := http.Get("http://" + srv.MetricsAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		var n int64
+		if _, err := fmt.Sscanf(line, "replicadb_retained_writesets %d", &n); err == nil {
+			return n
+		}
+	}
+	t.Fatal("retained-writeset gauge missing")
+	return 0
+}
+
+// waitPruned polls until the host retains at most max writesets.
+func waitPruned(t *testing.T, srv *server.Server, max int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		n := retained(t, srv)
+		if n <= max {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("certification log never pruned: %d writesets retained", n)
+		}
+	}
+}
+
+// gcOptions prunes the certification log down to one version below the
+// cluster-wide applied horizon and exposes the retained-log gauge.
+func gcOptions(o *server.Options) {
+	o.GCLag = 1
+	o.MetricsAddr = "127.0.0.1:0"
+}
+
 func TestClusterGCPrunesAppliedLog(t *testing.T) {
-	c := newCluster(t, 3)
-	seedTable(t, c, "item", 20)
-	c.GC() // prune the schema and load records first
+	c, cl := newCluster(t, 3, gcOptions)
+	seedTable(t, cl, "item", 20)
 	for i := 0; i < 15; i++ {
-		tx, _ := c.BeginUpdate()
+		tx := begin(t, cl)
 		tx.Write("item", int64(i), "v")
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.Sync()
-	removed := c.GC()
-	if removed != 15 {
-		t.Fatalf("GC removed %d records, want 15", removed)
-	}
-	if c.Certifier().LogLen() != 0 {
-		t.Fatalf("log length %d after full GC", c.Certifier().LogLen())
-	}
+	cl.Sync()
+	// The replicas' propagation polls carry their applied cursors; once
+	// everyone applied all 17 records the host prunes down to the lag.
+	waitPruned(t, c.Servers[0][0], 1)
 	// The system keeps working after pruning: new snapshots are at the
 	// horizon, not below it.
-	tx, _ := c.BeginUpdate()
+	tx := begin(t, cl)
 	tx.Write("item", 1, "post-gc")
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("post-GC commit: %v", err)
@@ -379,23 +490,22 @@ func TestClusterGCPrunesAppliedLog(t *testing.T) {
 }
 
 func TestClusterGCSafeWithLaggingReplica(t *testing.T) {
-	// Nothing may be pruned past the slowest replica, and a stale
-	// transaction begun before GC must still certify correctly.
-	c := newCluster(t, 2)
-	seedTable(t, c, "item", 10)
-	stale, _ := c.BeginUpdate() // snapshot 0 on replica 0
-	up, _ := c.BeginUpdate()    // replica 1
-	up.Write("item", 3, "x")
-	if err := up.Commit(); err != nil {
-		t.Fatal(err)
+	// A stale transaction begun before GC must still certify correctly
+	// even though the log below the horizon is gone.
+	c, cl := newCluster(t, 2, gcOptions)
+	seedTable(t, cl, "item", 10)
+	stale := begin(t, cl)
+	for i := 0; i < 5; i++ {
+		up := begin(t, cl)
+		up.Write("item", 3, fmt.Sprintf("x%d", i))
+		if err := up.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		cl.Sync()
 	}
-	// All replicas applied version 1, but the stale transaction's
-	// snapshot predates it; GC must keep certification sound for it.
-	c.Sync()
-	c.GC()
+	waitPruned(t, c.Servers[0][0], 1)
 	stale.Write("item", 3, "conflict")
-	err := stale.Commit()
-	if err == nil {
+	if err := stale.Commit(); err == nil {
 		t.Fatal("stale conflicting transaction committed after GC")
 	}
 }
@@ -404,44 +514,40 @@ func TestWorkloadWithGroupCommit(t *testing.T) {
 	// The full driver workload through the batching certifier, on top
 	// of a replicated Paxos group: decisions and convergence must be
 	// indistinguishable from the sequential path.
-	c := newCluster(t, 3, func(o *Options) {
-		o.ReplicatedCertifier = true
+	c, cl := newCluster(t, 3, func(o *server.Options) {
+		o.Paxos = true
 		o.GroupCommit = true
 	})
 	cat := workload.TPCWCatalog()
-	if err := repl.LoadCatalog(c, cat, 1000); err != nil {
+	if err := repl.LoadCatalog(cl, cat, 1000); err != nil {
 		t.Fatal(err)
 	}
-	seeded, _ := c.Certifier().Stats() // schema and load records
-	mix := workload.TPCWOrdering()     // update-heavy: maximizes batching
-	res := repl.Drive(c, cat, mix, 8, 30, 1000, 11)
+	seeded := hostVersion(t, c)    // schema and load records
+	mix := workload.TPCWOrdering() // update-heavy: maximizes batching
+	res := repl.Drive(cl, cat, mix, 8, 30, 1000, 11)
 	if res.Errors != 0 {
 		t.Fatalf("driver errors: %+v", res)
 	}
-	if res.Commits != 8*30 {
-		t.Fatalf("commits = %d", res.Commits)
+	if res.Commits+res.Unknown != 8*30 {
+		t.Fatalf("commits+unknown = %d+%d", res.Commits, res.Unknown)
 	}
 	if res.UpdateCommits == 0 {
 		t.Fatal("no updates committed")
 	}
-	if err := repl.CheckConvergence(c, c.db0Tables()); err != nil {
+	if err := repl.CheckConvergence(cl, catalogTables(cat)); err != nil {
 		t.Fatal(err)
 	}
-	commits, _ := c.Certifier().Stats()
-	if commits-seeded != res.UpdateCommits {
-		t.Fatalf("certifier commits %d != driver update commits %d", commits-seeded, res.UpdateCommits)
-	}
-	// Group commit must never use more Paxos slots than commits.
-	if slots := c.Certifier().ReplicationSlots(); int64(slots) > commits {
-		t.Fatalf("%d slots for %d commits", slots, commits)
+	// Every acknowledged update took exactly one version (an unknown
+	// outcome may or may not have).
+	if v := hostVersion(t, c) - seeded; v < res.UpdateCommits || v > res.UpdateCommits+res.Unknown {
+		t.Fatalf("certifier advanced %d versions for %d update commits (%d unknown)", v, res.UpdateCommits, res.Unknown)
 	}
 }
 
 func TestGroupCommitConflictsStillAbort(t *testing.T) {
-	c := newCluster(t, 2, func(o *Options) { o.GroupCommit = true })
-	seedTable(t, c, "item", 10)
-	t1, _ := c.BeginUpdate()
-	t2, _ := c.BeginUpdate()
+	_, cl := newCluster(t, 2, func(o *server.Options) { o.GroupCommit = true })
+	seedTable(t, cl, "item", 10)
+	t1, t2 := begin(t, cl), begin(t, cl)
 	if err := t1.Write("item", 3, "one"); err != nil {
 		t.Fatal(err)
 	}
@@ -457,23 +563,30 @@ func TestGroupCommitConflictsStillAbort(t *testing.T) {
 }
 
 func TestAddReplicaClonesStateAndServes(t *testing.T) {
-	c := newCluster(t, 1)
-	seedTable(t, c, "item", 50)
+	c, cl := newCluster(t, 1)
+	seedTable(t, cl, "item", 50)
 	// Commit past the load so the snapshot carries certified state.
-	tx, _ := c.BeginUpdate()
+	tx := begin(t, cl)
 	tx.Write("item", 7, "pre-join")
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 
-	idx, err := c.AddReplica()
+	// An elastic join: the primary admits the node and transfers a
+	// consistent snapshot before the node serves.
+	prim := c.Servers[0][0].Addr()
+	joiner, err := server.New(server.Options{Design: "mm", Listen: "127.0.0.1:0", Join: true, Primary: prim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx != 1 || c.Replicas() != 2 {
-		t.Fatalf("idx = %d replicas = %d", idx, c.Replicas())
+	joiner.Start()
+	t.Cleanup(func() { joiner.Close() })
+	both, err := client.New(client.Options{Servers: []string{prim, joiner.Addr()}, Design: "mm"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	dump, err := c.TableDump(1, "item")
+	t.Cleanup(both.Close)
+	dump, err := both.TableDump(1, "item")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,72 +595,91 @@ func TestAddReplicaClonesStateAndServes(t *testing.T) {
 	}
 
 	// Commits after the join propagate to the new replica too.
-	tx, _ = c.BeginUpdate()
+	tx = begin(t, both)
 	tx.Write("item", 8, "post-join")
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	c.Sync()
-	if err := repl.CheckConvergence(c, []string{"item"}); err != nil {
+	both.Sync()
+	if err := repl.CheckConvergence(both, []string{"item"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRemoveReplicaStopsRoutingKeepsInFlight(t *testing.T) {
-	c := newCluster(t, 3)
-	seedTable(t, c, "item", 20)
-	// Hold a transaction on replica 1, then remove it.
-	var onOne repl.Txn
-	var held []repl.Txn
-	for i := 0; i < 6 && onOne == nil; i++ {
-		tx, _ := c.BeginUpdate()
-		if tx.(*Txn).replica.id == 1 {
-			onOne = tx
-		} else {
-			held = append(held, tx)
-		}
-	}
-	if onOne == nil {
-		t.Fatal("no transaction landed on replica 1")
-	}
-	for _, tx := range held {
-		tx.Abort()
-	}
-	if err := c.RemoveReplica(1); err != nil {
+	c, cl := newCluster(t, 3)
+	seedTable(t, cl, "item", 20)
+	addrs := c.Addrs(0)
+	// Hold a transaction on replica 1, then make it leave.
+	on1, err := client.New(client.Options{Servers: addrs[1:2], Design: "mm"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RemoveReplica(0); err == nil {
+	t.Cleanup(on1.Close)
+	inFlight := begin(t, on1)
+	left := make(chan error, 1)
+	go func() { left <- c.Servers[0][1].Leave() }()
+	// Wait until replica 1 refuses new transactions: it is draining, and
+	// the drain now waits on inFlight.
+	probe, err := client.New(client.Options{Servers: addrs[1:2], Design: "mm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(probe.Close)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		tx, err := probe.BeginRead()
+		if err != nil {
+			break
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("departing replica never started draining")
+		}
+	}
+	if err := c.Servers[0][0].Leave(); err == nil {
 		t.Fatal("primary removal allowed")
 	}
-	if err := c.RemoveReplica(1); err == nil {
-		t.Fatal("double removal allowed")
-	}
-	if c.Replicas() != 2 {
-		t.Fatalf("replicas = %d, want 2", c.Replicas())
-	}
-	// The in-flight transaction on the removed replica finishes.
-	if err := onOne.Write("item", 3, "from-removed"); err != nil {
+	// The in-flight transaction on the departing replica finishes.
+	if err := inFlight.Write("item", 3, "from-removed"); err != nil {
 		t.Fatal(err)
 	}
-	if err := onOne.Commit(); err != nil {
+	if err := inFlight.Commit(); err != nil {
 		t.Fatalf("in-flight commit on removed replica: %v", err)
 	}
-	// New transactions never route to the removed slot.
-	for i := 0; i < 12; i++ {
-		tx, _ := c.BeginRead()
-		if tx.(*Txn).replica.id == 1 {
-			t.Fatal("routed to removed replica")
-		}
-		tx.Abort()
+	if err := <-left; err != nil {
+		t.Fatalf("leave: %v", err)
 	}
-	// Survivors converge, including the commit from the removed node,
-	// and GC is not blocked by the departed replica.
-	c.Sync()
-	if err := repl.CheckConvergence(c, []string{"item"}); err != nil {
+	// New transactions never run on the departed replica: it refuses
+	// them and the client routes around it.
+	for i := 0; i < 12; i++ {
+		tx, err := cl.BeginRead()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := c.Stats(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if dump, _ := c.TableDump(0, "item"); dump[3] != "from-removed" {
+	if n := stats[1].ReadCommits; n != 0 {
+		t.Fatalf("departed replica served %d reads", n)
+	}
+	// Survivors converge, including the commit from the removed node.
+	survivors, err := client.New(client.Options{Servers: []string{addrs[0], addrs[2]}, Design: "mm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(survivors.Close)
+	survivors.Sync()
+	if err := repl.CheckConvergence(survivors, []string{"item"}); err != nil {
+		t.Fatal(err)
+	}
+	if dump, _ := survivors.TableDump(0, "item"); dump[3] != "from-removed" {
 		t.Fatalf("in-flight commit lost: %q", dump[3])
 	}
-	c.GC()
 }

@@ -1,6 +1,6 @@
 // Package pipeline is the shared replication pipeline every engine in
-// this repository is built on. A replica — in-process or networked,
-// multi-master or single-master, durable or in-memory — moves every
+// this repository is built on. A replica — multi-master or
+// single-master, durable or in-memory — moves every
 // committed writeset through the same four stages:
 //
 //	certify → journal → apply → ack/compact
@@ -127,8 +127,7 @@ func (n *Notify) WaitBeyond(v int64, timeout time.Duration, stop <-chan struct{}
 // active cursor, the primary can prune writesets everyone has applied
 // — minus a safety lag, so certification requests from transactions
 // that began a little while ago still find the versions they must be
-// compared against (the same snapshot-below-horizon hazard the
-// in-process GC has).
+// compared against (a snapshot below the pruned horizon).
 type PeerCursors struct {
 	// expected returns the number of pullers required before pruning
 	// may run; it is a function because elastic membership changes it
@@ -180,7 +179,7 @@ func (p *PeerCursors) Drop(peer int64) {
 // Horizon returns the safe pruning bound given the primary's own
 // applied version; ok is false while any expected peer lacks an
 // active cursor (a dead or unjoined replica conservatively blocks
-// pruning, exactly like the in-process GC).
+// pruning).
 func (p *PeerCursors) Horizon(own int64) (int64, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -253,13 +252,8 @@ type HostCert struct {
 	Tracer  *Tracer             // commit-path stage tracer (may be nil)
 }
 
-// Certify submits one commit-time certification request, waking
-// long-pollers on commit.
-func (h *HostCert) Certify(snapshot int64, ws writeset.Writeset) (certifier.Outcome, error) {
-	return h.CertifyTraced(snapshot, ws, 0)
-}
-
-// CertifyTraced is Certify carrying the submitting transaction's
+// CertifyTraced submits one commit-time certification request, waking
+// long-pollers on commit. trace is the submitting transaction's
 // cross-node trace id (0 for untraced callers). On commit the host
 // stamps the authoritative commit wall-clock and records both against
 // the assigned version, which is what propagated Records carry to the

@@ -1,9 +1,9 @@
 // Package repl defines the common surface of the two replicated
-// database designs (multi-master in repl/mm, single-master in repl/sm)
-// and a workload driver that exercises either through real concurrent
-// clients. These are the functional counterparts of the paper's
-// prototypes (§5); the performance counterparts live in
-// internal/cluster.
+// database designs (multi-master and single-master, both served by
+// internal/server and reached through internal/client) and a workload
+// driver that exercises either through real concurrent clients. These
+// are the functional counterparts of the paper's prototypes (§5); the
+// performance counterparts live in internal/cluster.
 package repl
 
 import (

@@ -9,9 +9,8 @@ import (
 
 // Log is the master's writeset propagation log: committed master
 // writesets keyed by their (dense) master commit version, retained
-// until every slave has applied them. The in-process Cluster and the
-// networked single-master server both feed their slave proxies from
-// one of these. It is safe for concurrent use.
+// until every slave has applied them; the single-master server's
+// slaves pull from it over FetchSince. It is safe for concurrent use.
 type Log struct {
 	mu   sync.Mutex
 	recs map[int64]writeset.Writeset
@@ -30,14 +29,6 @@ func (l *Log) Append(version int64, ws writeset.Writeset) {
 	l.mu.Lock()
 	l.recs[version] = ws
 	l.mu.Unlock()
-}
-
-// Get fetches the writeset for one version, if present.
-func (l *Log) Get(version int64) (writeset.Writeset, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ws, ok := l.recs[version]
-	return ws, ok
 }
 
 // SinceDense returns the contiguous run of records with versions

@@ -49,8 +49,8 @@ func (m Map) Locate(table string, row int64) int {
 }
 
 // Group is one shard group as the router sees it: the full replicated
-// system and loader surface plus the participant-side 2PC calls. Both
-// the in-process mm.Cluster and the networked client satisfy it.
+// system and loader surface plus the participant-side 2PC calls. The
+// pooled client satisfies it.
 type Group interface {
 	repl.System
 	repl.Loader
@@ -71,8 +71,7 @@ type Group interface {
 // the staged writeset and run the first phase at the group's
 // certifier. HasWrites distinguishes real participants from read-side
 // bystanders — a group a cross-shard transaction only read from never
-// joins the 2PC. mm.Txn and the networked client transaction
-// implement it.
+// joins the 2PC. The pooled client's transaction implements it.
 type Preparer interface {
 	Prepare(id string, coord int64) (vote bool, conflictWith int64, err error)
 	HasWrites() bool

@@ -5,23 +5,23 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/launch"
 	"repro/internal/repl"
-	"repro/internal/repl/mm"
+	"repro/internal/server"
 )
 
-// twoGroups builds a router over n in-process mm clusters with two
-// replicas each and one loaded table.
-func groupsOf(t *testing.T, n, rows int) (*Router, []*mm.Cluster) {
+// groupsOf boots n loopback groups of two mm replica servers each and
+// returns a router over their clients with one loaded table.
+func groupsOf(t *testing.T, n, rows int) (*Router, *launch.Cluster) {
 	t.Helper()
-	var clusters []*mm.Cluster
-	var gs []Group
-	for i := 0; i < n; i++ {
-		c, err := mm.New(mm.Options{Replicas: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		clusters = append(clusters, c)
-		gs = append(gs, c)
+	c, err := launch.Start(n, 2, server.Options{Design: "mm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	gs := make([]Group, n)
+	for i, cl := range c.Clients {
+		gs[i] = cl
 	}
 	r, err := New(1, gs)
 	if err != nil {
@@ -35,7 +35,40 @@ func groupsOf(t *testing.T, n, rows int) (*Router, []*mm.Cluster) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return r, clusters
+	return r, c
+}
+
+// version returns group g's certified version once every replica has
+// applied everything: the certifier host's applied version after a
+// router-wide sync.
+func version(t *testing.T, r *Router, c *launch.Cluster, g int) int64 {
+	t.Helper()
+	r.Sync()
+	stats, err := c.Stats(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats[0].Applied
+}
+
+// writeBoth commits one cross-shard transaction writing rows a and b:
+// it can only certify once no prepared fragment still locks them, so
+// it doubles as the check that 2PC bookkeeping was retired.
+func writeBoth(t *testing.T, r *Router, a, b int64, value string) {
+	t.Helper()
+	txn, err := r.BeginUpdate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Write("item", a, value); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Write("item", b, value); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatalf("follow-up cross-shard commit: %v", err)
+	}
 }
 
 // rowsOwnedBy returns rows of table item owned by each group, enough
@@ -83,10 +116,10 @@ func TestLocateDeterministicAndSpread(t *testing.T) {
 // begins exactly one sub-transaction and commits through that group's
 // ordinary path.
 func TestSingleShardFastPath(t *testing.T) {
-	r, clusters := groupsOf(t, 2, 64)
+	r, c := groupsOf(t, 2, 64)
 	owned := rowsOwnedBy(r, 64)
 	row := owned[0][0]
-	v0, v1 := clusters[0].Certifier().Version(), clusters[1].Certifier().Version() // schema and load
+	v0, v1 := version(t, r, c, 0), version(t, r, c, 1) // schema and load
 
 	txn, err := r.BeginUpdate()
 	if err != nil {
@@ -99,10 +132,10 @@ func TestSingleShardFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Group 0 certified one commit, group 1 saw nothing.
-	if v := clusters[0].Certifier().Version(); v != v0+1 {
+	if v := version(t, r, c, 0); v != v0+1 {
 		t.Fatalf("group 0 version %d, want %d", v, v0+1)
 	}
-	if v := clusters[1].Certifier().Version(); v != v1 {
+	if v := version(t, r, c, 1); v != v1 {
 		t.Fatalf("group 1 version %d, want %d (fast path leaked)", v, v1)
 	}
 
@@ -121,7 +154,7 @@ func TestSingleShardFastPath(t *testing.T) {
 // atomically — both fragments become visible, each in its owning
 // group's record log.
 func TestCrossShardCommit(t *testing.T) {
-	r, clusters := groupsOf(t, 2, 64)
+	r, c := groupsOf(t, 2, 64)
 	owned := rowsOwnedBy(r, 64)
 	r0, r1 := owned[0][0], owned[1][0]
 
@@ -143,7 +176,7 @@ func TestCrossShardCommit(t *testing.T) {
 		row int64
 		val string
 	}{0: {r0, "x0"}, 1: {r1, "x1"}} {
-		dump, err := clusters[gi].TableDump(0, "item")
+		dump, err := c.Clients[gi].TableDump(0, "item")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,26 +184,23 @@ func TestCrossShardCommit(t *testing.T) {
 			t.Fatalf("group %d row %d = %q, want %q", gi, want.row, dump[want.row], want.val)
 		}
 	}
-	// The 2PC bookkeeping is fully retired.
-	for gi, c := range clusters {
-		if n := len(c.Certifier().InDoubt()); n != 0 {
-			t.Fatalf("group %d left %d txns in doubt", gi, n)
-		}
-	}
 	// Convergence through the router's ownership-filtered dump.
 	if err := repl.CheckConvergence(r, []string{"item"}); err != nil {
 		t.Fatal(err)
 	}
+	// The 2PC bookkeeping is fully retired: no fragment still locks the
+	// rows.
+	writeBoth(t, r, r0, r1, "after")
 }
 
 // TestCrossShardConflictAborts: a cross-shard transaction that loses
 // certification at one group aborts at EVERY group — no half-applied
 // state.
 func TestCrossShardConflictAborts(t *testing.T) {
-	r, clusters := groupsOf(t, 2, 64)
+	r, c := groupsOf(t, 2, 64)
 	owned := rowsOwnedBy(r, 64)
 	r0, r1 := owned[0][0], owned[1][0]
-	v0 := clusters[0].Certifier().Version() // schema and load
+	v0 := version(t, r, c, 0) // schema and load
 
 	// Open the doomed transaction first so its snapshot predates the
 	// conflicting commit.
@@ -203,28 +233,23 @@ func TestCrossShardConflictAborts(t *testing.T) {
 	}
 	r.Sync()
 	// Group 0's fragment must not have applied.
-	dump, err := clusters[0].TableDump(0, "item")
+	dump, err := c.Clients[0].TableDump(0, "item")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dump[r0] != fmt.Sprintf("load-%d", r0) {
 		t.Fatalf("aborted fragment leaked into group 0: row %d = %q", r0, dump[r0])
 	}
-	if v := clusters[0].Certifier().Version(); v != v0 {
+	if v := version(t, r, c, 0); v != v0 {
 		t.Fatalf("group 0 version %d, want %d", v, v0)
 	}
-	for gi, c := range clusters {
-		if n := len(c.Certifier().InDoubt()); n != 0 {
-			t.Fatalf("group %d left %d txns in doubt after abort", gi, n)
-		}
-	}
+	// Group 0's yes-vote was rolled back: its prepared lock is gone.
+	writeBoth(t, r, r0, r1, "after")
 }
 
-// TestCrossShardLockBlocksBystander: between prepare and decide, a
-// third transaction touching a prepared key must abort rather than
-// certify past the binding vote. Exercised indirectly: two cross-shard
-// transactions over the same keys, serialized by the router, both
-// succeed (the locks release at decide time).
+// TestCrossShardSequential: cross-shard transactions over the same
+// keys, serialized by the router, all succeed — the prepared locks
+// release at decide time.
 func TestCrossShardSequential(t *testing.T) {
 	r, _ := groupsOf(t, 2, 64)
 	owned := rowsOwnedBy(r, 64)
@@ -243,6 +268,9 @@ func TestCrossShardSequential(t *testing.T) {
 		if err := txn.Commit(); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
+		// Every replica applies the round, so the next one begins at a
+		// snapshot past it and can only fail on a lock left behind.
+		r.Sync()
 	}
 	rt, err := r.BeginRead()
 	if err != nil {
@@ -284,10 +312,10 @@ func TestReadOnlySpansShards(t *testing.T) {
 // TestLoadShipsEachGroupItsOwnRows: the initial load installs every
 // row exactly once, in the group that owns it.
 func TestLoadShipsEachGroupItsOwnRows(t *testing.T) {
-	r, clusters := groupsOf(t, 2, 64)
+	r, c := groupsOf(t, 2, 64)
 	seen := 0
-	for gi, c := range clusters {
-		dump, err := c.TableDump(0, "item")
+	for gi, cl := range c.Clients {
+		dump, err := cl.TableDump(0, "item")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,15 +46,12 @@ func commitRow(t *testing.T, cl *client.Client, table string, row int64, value s
 // cursor over FetchSince — no snapshot transfer (a static replica has
 // no join path at all) — converging row-for-row with the survivor.
 func TestDurableReplicaRestartResumesViaFetchSince(t *testing.T) {
-	hostDir, repDir := t.TempDir(), t.TempDir()
+	dir := t.TempDir()
 	servers, cl := startCluster(t, "mm", 2, func(o *server.Options) {
-		if o.ID == 0 {
-			o.WALDir = hostDir
-		} else {
-			o.WALDir = repDir
-		}
+		o.WALDir = dir
 		o.Fsync = true
 	})
+	repDir := filepath.Join(dir, "g0-r1") // launch.Start's directory for replica 1
 	if err := cl.CreateTable("acct"); err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,8 @@ func openDurability(opts Options) (*pipeline.Durability, *wal.Recovered, error) 
 
 // consistentDump captures one database's full contents plus the local
 // version they are consistent at, through a single read transaction —
-// the sm engines' compaction capture (the mm engines capture through
-// Cluster.SnapshotDurable, which also pins the global cursor).
+// the sm engines' compaction capture (the mm engines call it under the
+// apply lock, which also pins the global cursor).
 func consistentDump(db *sidb.DB) (local int64, state map[string]map[int64]string, err error) {
 	tx := db.Begin()
 	defer tx.Abort()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/obs/events"
 	"repro/internal/paxos"
 	"repro/internal/repl"
-	"repro/internal/repl/mm"
 	"repro/internal/repl/pipeline"
 	"repro/internal/repl/sm"
 	"repro/internal/sidb"
@@ -94,21 +94,52 @@ const pollInterval = 250 * time.Millisecond
 // spinning wait=0 round trips.
 const syncLongPoll = 25 * time.Millisecond
 
+// certService is the certification surface the multi-master commit
+// path depends on: commit-time certification carrying the
+// transaction's cross-node trace id, the eager conflict probe, and
+// writeset retrieval for propagation. The certifier host serves it
+// from a pipeline.HostCert; other nodes reach the host through a
+// client.Link, or follow the leader through a client.LeaderRing under
+// Paxos.
+type certService interface {
+	// CertifyTraced submits a commit-time certification request; trace
+	// is the transaction's cross-node trace id (0 untraced).
+	CertifyTraced(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error)
+	// Check probes a partial writeset for an already-certain conflict
+	// (eager certification, §5.1) without committing anything.
+	Check(snapshot int64, ws writeset.Writeset) (conflict bool, with int64)
+	// Since returns every certified record with version > v in
+	// ascending version order.
+	Since(v int64) []certifier.Record
+}
+
+// twoPCService is the cross-shard two-phase commit surface
+// (pipeline.HostCert on the host, client.Link elsewhere).
+type twoPCService interface {
+	PrepareTxn(p certifier.PreparedTxn) (vote bool, conflictWith int64, err error)
+	DecideTxn(id string, commit bool) (version int64, err error)
+	ResolveTxn(id string) (commit bool, err error)
+	ForgetTxn(id string) error
+}
+
+var (
+	_ certService  = (*pipeline.HostCert)(nil)
+	_ certService  = (*client.Link)(nil)
+	_ certService  = (*client.LeaderRing)(nil)
+	_ certService  = (*remoteCert)(nil)
+	_ certService  = (*switchCert)(nil)
+	_ twoPCService = (*pipeline.HostCert)(nil)
+	_ twoPCService = (*client.Link)(nil)
+)
+
 // remoteCert instruments a remote certification service (a Link to
 // the certifier host, or a LeaderRing under Paxos) with the local
 // certification-latency histogram (which then measures the full
 // network round trip).
 type remoteCert struct {
-	svc mm.CertService
+	svc certService
 	m   *metrics
 	t   *pipeline.Tracer
-}
-
-var _ mm.CertService = (*remoteCert)(nil)
-var _ mm.TracedCertService = (*remoteCert)(nil)
-
-func (r *remoteCert) Certify(snapshot int64, ws writeset.Writeset) (certifier.Outcome, error) {
-	return r.CertifyTraced(snapshot, ws, 0)
 }
 
 // CertifyTraced forwards the transaction's trace id over the wire so
@@ -116,13 +147,7 @@ func (r *remoteCert) Certify(snapshot int64, ws writeset.Writeset) (certifier.Ou
 // under the same id.
 func (r *remoteCert) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
 	start := time.Now()
-	var out certifier.Outcome
-	var err error
-	if tc, ok := r.svc.(mm.TracedCertService); ok {
-		out, err = tc.CertifyTraced(snapshot, ws, trace)
-	} else {
-		out, err = r.svc.Certify(snapshot, ws)
-	}
+	out, err := r.svc.CertifyTraced(snapshot, ws, trace)
 	r.m.observeCert(time.Since(start))
 	if err == nil && out.Committed {
 		// The commit span at a non-host node: the certify stage spans
@@ -142,49 +167,34 @@ func (r *remoteCert) Check(snapshot int64, ws writeset.Writeset) (bool, int64) {
 
 func (r *remoteCert) Since(v int64) []certifier.Record { return r.svc.Since(v) }
 
-// The 2PC verbs forward to the primary when the underlying service
-// supports them (a Link on a plain non-primary node); under Paxos the
-// leader serves them directly through its hosted certifier instead.
-func (r *remoteCert) PrepareTxn(p certifier.PreparedTxn) (bool, int64, error) {
-	tp, ok := r.svc.(mm.TwoPCService)
-	if !ok {
-		return false, 0, errUnsupported
-	}
-	return tp.PrepareTxn(p)
-}
-
-func (r *remoteCert) DecideTxn(id string, commit bool) (int64, error) {
-	tp, ok := r.svc.(mm.TwoPCService)
-	if !ok {
-		return 0, errUnsupported
-	}
-	return tp.DecideTxn(id, commit)
-}
-
-func (r *remoteCert) ResolveTxn(id string) (bool, error) {
-	tp, ok := r.svc.(mm.TwoPCService)
-	if !ok {
-		return false, errUnsupported
-	}
-	return tp.ResolveTxn(id)
-}
-
-func (r *remoteCert) ForgetTxn(id string) error {
-	tp, ok := r.svc.(mm.TwoPCService)
-	if !ok {
-		return errUnsupported
-	}
-	return tp.ForgetTxn(id)
-}
-
-// mmEngine is one multi-master node: a single-replica mm.Cluster whose
-// certification service is either hosted here (node 0) or reached over
-// a Link. The commit/apply machinery — certify stage, apply stage,
+// mmEngine is one multi-master node (§5.1): a local snapshot-isolated
+// database whose proxy extracts writesets, certifies them with the
+// certification service — hosted here (node 0, or the Paxos leader) or
+// reached over a Link — and applies certified writesets in version
+// order. The commit/apply machinery — certify stage, apply stage,
 // propagation pull loop, peer cursors, journal — all comes from
 // internal/repl/pipeline; this engine only wires the stages together.
+//
+// Under generalized snapshot isolation a transaction's snapshot is the
+// latest version this node has applied — possibly older than the
+// globally latest — so it is available without communication; the
+// certifier closes the gap at commit time.
 type mmEngine struct {
-	cl       *mm.Cluster
-	ap       *pipeline.Applier // the local replica's apply stage
+	db   *sidb.DB
+	ap   *pipeline.Applier // the local replica's apply stage
+	cert certService
+	// eager certifies partial writesets on every write, aborting doomed
+	// transactions early (§5.1).
+	eager bool
+	// async acknowledges a commit once its writeset is certified,
+	// leaving its application to the propagation loop like every other
+	// record — the paper's commit rule. Every node but the static
+	// certifier host runs this way, so a commit does not re-download
+	// the backlog its puller is already fetching; the next transaction
+	// on the same node may not yet see the commit (GSI allows that).
+	async bool
+	ddlMu sync.Mutex // serializes createTable's existence check and commit
+
 	stop     <-chan struct{}
 	cursors  *pipeline.PeerCursors // non-nil on the certifier host
 	link     *client.Link          // non-nil elsewhere: the commit path's link
@@ -202,7 +212,7 @@ type mmEngine struct {
 
 	// Replicated certification (nil without Options.Paxos): the
 	// embedded acceptor + transport + leader ring, the switchable
-	// certification service the cluster commits through, and what
+	// certification service the node commits through, and what
 	// promoteSelf needs to rebuild a host.
 	px          *paxosNode
 	sw          *switchCert
@@ -217,7 +227,15 @@ type mmEngine struct {
 }
 
 func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, error) {
-	e := &mmEngine{stop: stop, staleAfter: opts.StaleAfter, m: m}
+	e := &mmEngine{
+		db:         sidb.New(),
+		eager:      opts.EagerCert,
+		stop:       stop,
+		staleAfter: opts.StaleAfter,
+		m:          m,
+	}
+	e.ap = pipeline.NewApplier(e.db, runtime.GOMAXPROCS(0))
+	e.ap.SetTracer(m.tracer)
 	var rec *wal.Recovered
 	if opts.WALDir != "" {
 		var err error
@@ -226,8 +244,6 @@ func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, err
 		}
 		e.dur.OnCompact = m.compactEvent
 	}
-	var svc mm.CertService
-	async := false
 	if opts.Paxos {
 		// Replicated certification: this node hosts a Paxos acceptor
 		// and starts as a backup; leadership comes only from winning an
@@ -250,7 +266,7 @@ func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, err
 		}, int64(opts.GCLag))
 		e.sw = &switchCert{}
 		e.sw.set(&remoteCert{svc: px.ring, m: m, t: m.tracer})
-		svc = e.sw
+		e.cert = e.sw
 		// Backup-side propagation decodes the leader's trace id and
 		// commit timestamp per record; feed them to the tracer so
 		// replication lag is measured against the leader's clock.
@@ -260,7 +276,7 @@ func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, err
 		px.ring.SetSinceWait(syncLongPoll)
 		// The role loop applies the log (as leader) or pulls it (as
 		// backup); commits must not synchronously re-fetch the backlog.
-		async = true
+		e.async = true
 	} else if opts.ID == 0 {
 		// The certification log recovers from the WAL: the restarted
 		// certifier resumes at the last durably logged version, with
@@ -297,34 +313,18 @@ func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, err
 			}
 			return e.membership.Peers()
 		}, int64(opts.GCLag))
-		svc = e.host
+		e.cert = e.host
 	} else {
 		e.link = client.NewLink(opts.Primary, opts.Design, opts.ID, opts.DialTimeout)
 		e.link.SetSinceWait(syncLongPoll)
 		e.puller = client.NewLink(opts.Primary, opts.Design, opts.ID, opts.DialTimeout)
 		e.puller.OnRecordMeta(m.tracer.NoteCommitMeta)
-		svc = &remoteCert{svc: e.link, m: m, t: m.tracer}
+		e.cert = &remoteCert{svc: e.link, m: m, t: m.tracer}
 		// The propagation loop applies writesets here; re-fetching the
 		// backlog synchronously on every commit would double the
 		// traffic for nothing.
-		async = true
+		e.async = true
 	}
-	cl, err := mm.New(mm.Options{
-		Replicas:           1,
-		EagerCertification: opts.EagerCert,
-		Cert:               svc,
-		AsyncApply:         async,
-		ApplyWorkers:       runtime.GOMAXPROCS(0),
-	})
-	if err != nil {
-		if e.dur != nil {
-			e.dur.W.Close()
-		}
-		return nil, err
-	}
-	e.cl = cl
-	e.ap = cl.Applier(0)
-	e.ap.SetTracer(m.tracer)
 	if rec != nil {
 		// Rebuild the local database from the apply stream, then (and
 		// only then) attach the journal hook — replay must not journal
@@ -332,12 +332,12 @@ func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, err
 		// propagation position: a restarted replica resumes FetchSince
 		// from here instead of transferring a snapshot.
 		d := e.dur
-		err := cl.RestoreDurable(0, rec.Cursor, func(db *sidb.DB) error {
-			if err := rec.Restore(db); err != nil {
-				return err
+		err := e.ap.Reset(func(cur int64) (int64, error) {
+			if err := rec.Restore(e.db); err != nil {
+				return 0, err
 			}
-			db.SetJournal(d.ApplyHook())
-			return nil
+			e.db.SetJournal(d.ApplyHook())
+			return max(cur, rec.Cursor), nil
 		})
 		if err != nil {
 			d.W.Close()
@@ -360,26 +360,77 @@ func (e *mmEngine) epochInfo() (int64, bool) {
 	return 0, e.hostCert() != nil
 }
 
+// begin opens a transaction at this node's applied snapshot. GSI: no
+// communication with the certifier is needed. Taking the applied
+// cursor and the local snapshot under the apply lock pins them to the
+// same point in the version order — a writeset applied a moment later
+// must count as concurrent.
 func (e *mmEngine) begin(readOnly bool) (repl.Txn, error) {
-	if readOnly {
-		return e.cl.BeginRead()
+	t := &mmTxn{e: e, readOnly: readOnly}
+	e.ap.Pin(func(applied int64) {
+		t.snapshot = applied
+		t.inner = e.db.Begin()
+	})
+	return t, nil
+}
+
+// createTable commits the table's schema writeset (writeset.Schema)
+// through certification, so every replica — present, joining or
+// recovering — creates it from the log like any commit. It refuses a
+// table this node already has once caught up; ddlMu makes that check
+// and the commit one step for concurrent callers.
+func (e *mmEngine) createTable(name string) error {
+	e.ddlMu.Lock()
+	defer e.ddlMu.Unlock()
+	e.catchUp()
+	if slices.Contains(e.db.Tables(), name) {
+		return fmt.Errorf("server: table %q already exists", name)
 	}
-	return e.cl.BeginUpdate()
+	if err := e.certifyWriteset(writeset.Schema(name)); err != nil {
+		return err
+	}
+	e.catchUp()
+	return nil
 }
 
-func (e *mmEngine) createTable(name string) error { return e.cl.CreateTable(name) }
-
+// loadRows certifies values[i] at (table, rows[i]), one record per
+// repl.Chunks chunk: the load takes versions and propagates exactly
+// like commits do.
 func (e *mmEngine) loadRows(table string, rows []int64, values []string) error {
-	return e.cl.LoadRows(table, rows, values)
+	return repl.Chunks(rows, values, func(rows []int64, values []string) error {
+		return e.certifyWriteset(writeset.Rows(table, rows, values))
+	})
 }
 
-func (e *mmEngine) dump(table string) (map[int64]string, error) { return e.cl.TableDump(0, table) }
+// certifyWriteset certifies ws outside any transaction, at this node's
+// applied snapshot.
+func (e *mmEngine) certifyWriteset(ws writeset.Writeset) error {
+	out, err := e.cert.CertifyTraced(e.ap.Applied(), ws, 0)
+	if err != nil {
+		return err
+	}
+	if !out.Committed {
+		return &repl.AbortedError{ConflictWith: out.ConflictWith}
+	}
+	return nil
+}
+
+// catchUp applies every certified writeset past the applied version.
+// The fetch happens outside the application lock: on a non-host node
+// Since is a network round trip, and holding the apply lock across it
+// would stall every begin for the duration (the applier's version
+// guards make the unlocked window safe against concurrent appliers).
+func (e *mmEngine) catchUp() {
+	e.ap.Apply(e.cert.Since(e.ap.Applied()))
+}
+
+func (e *mmEngine) dump(table string) (map[int64]string, error) { return e.db.Dump(table) }
 
 // sync drains the certify stage into the apply stage (one pull); the
 // wire Sync handlers and the propagation loop both land here, so all
 // application serializes on the pipeline applier's lock.
 func (e *mmEngine) sync() {
-	e.cl.Sync()
+	e.catchUp()
 	e.noteApplied()
 }
 
@@ -419,51 +470,59 @@ func (e *mmEngine) check(snapshot int64, ws writeset.Writeset) (bool, int64, err
 	return conflict, with, nil
 }
 
-// The 2PC verbs route through the cluster: on the certifier host the
-// service is the hosted certifier itself (and a commit decision applies
-// locally before acking, like any commit); on a plain non-primary node
-// it is a remoteCert forwarding over the link to the primary, so a
-// sharded client may address any member of a group. Under Paxos the
-// leader serves from its hosted certifier and everyone else redirects —
-// the leader's log is the only authority.
-func (e *mmEngine) prepareTxn(p certifier.PreparedTxn) (bool, int64, error) {
-	if e.px != nil {
-		if h := e.hostCert(); h != nil {
-			return h.PrepareTxn(p)
-		}
-		return false, 0, e.px.notLeaderErr()
+// twoPC resolves where the 2PC verbs run: on the certifier host the
+// hosted certifier itself (and a commit decision applies locally before
+// acking, like any commit); on a plain non-primary node the link to the
+// primary, so a sharded client may address any member of a group.
+// Under Paxos the leader serves from its hosted certifier and everyone
+// else redirects — the leader's log is the only authority.
+func (e *mmEngine) twoPC() (twoPCService, error) {
+	if h := e.hostCert(); h != nil {
+		return h, nil
 	}
-	return e.cl.PrepareTxn(p)
+	if e.px != nil {
+		return nil, e.px.notLeaderErr()
+	}
+	return e.link, nil
 }
 
-func (e *mmEngine) decideTxn(id string, commit bool) (int64, error) {
-	if e.px != nil {
-		if h := e.hostCert(); h != nil {
-			return h.DecideTxn(id, commit)
-		}
-		return 0, e.px.notLeaderErr()
+func (e *mmEngine) prepareTxn(p certifier.PreparedTxn) (bool, int64, error) {
+	s, err := e.twoPC()
+	if err != nil {
+		return false, 0, err
 	}
-	return e.cl.DecideTxn(id, commit)
+	return s.PrepareTxn(p)
+}
+
+// decideTxn applies the coordinator's decision at this group. A commit
+// enters the record log like any certified writeset; the static host
+// applies it before acking so the fragment is immediately readable.
+func (e *mmEngine) decideTxn(id string, commit bool) (int64, error) {
+	s, err := e.twoPC()
+	if err != nil {
+		return 0, err
+	}
+	version, err := s.DecideTxn(id, commit)
+	if err == nil && commit && !e.async {
+		e.catchUp()
+	}
+	return version, err
 }
 
 func (e *mmEngine) resolveTxn(id string) (bool, error) {
-	if e.px != nil {
-		if h := e.hostCert(); h != nil {
-			return h.ResolveTxn(id)
-		}
-		return false, e.px.notLeaderErr()
+	s, err := e.twoPC()
+	if err != nil {
+		return false, err
 	}
-	return e.cl.ResolveTxn(id)
+	return s.ResolveTxn(id)
 }
 
 func (e *mmEngine) forgetTxn(id string) error {
-	if e.px != nil {
-		if h := e.hostCert(); h != nil {
-			return h.ForgetTxn(id)
-		}
-		return e.px.notLeaderErr()
+	s, err := e.twoPC()
+	if err != nil {
+		return err
 	}
-	return e.cl.ForgetTxn(id)
+	return s.ForgetTxn(id)
 }
 
 func (e *mmEngine) logLen() int {
@@ -562,7 +621,19 @@ func (e *mmEngine) snapshot() (int64, map[string]map[int64]string, error) {
 	if e.hostCert() == nil {
 		return 0, nil, errUnsupported
 	}
-	return e.cl.Snapshot(0)
+	applied, _, tables, err := e.pinnedDump()
+	return applied, tables, err
+}
+
+// pinnedDump captures, atomically with writeset application, the
+// applied global version, the local database version and every table's
+// contents: the joiner's state transfer and the WAL compaction image.
+func (e *mmEngine) pinnedDump() (applied, local int64, tables map[string]map[int64]string, err error) {
+	e.ap.Pin(func(v int64) {
+		applied = v
+		local, tables, err = consistentDump(e.db)
+	})
+	return applied, local, tables, err
 }
 
 // touch records liveness proof from peer: a snapshot chunk request
@@ -574,9 +645,34 @@ func (e *mmEngine) touch(peer int64) {
 	}
 }
 
-// installSnapshot is the joiner-side inverse of snapshot.
+// installSnapshot is the joiner-side inverse of snapshot: under the
+// apply lock the tables are created and their contents installed as one
+// writeset at the snapshot version (so the local database version
+// equals the global one), and the applied cursor moves there so
+// catch-up resumes from it. Version 0 is the empty log: no table exists
+// before the first record.
 func (e *mmEngine) installSnapshot(version int64, tables map[string]map[int64]string) error {
-	if err := e.cl.InstallSnapshot(0, version, tables); err != nil {
+	err := e.ap.Reset(func(int64) (int64, error) {
+		var entries []writeset.Entry
+		for name, rows := range tables {
+			if err := e.db.CreateTable(name); err != nil {
+				return 0, err
+			}
+			for row, value := range rows {
+				entries = append(entries, writeset.Entry{
+					Key:   writeset.Key{Table: name, Row: row},
+					Value: value,
+				})
+			}
+		}
+		if version > 0 {
+			if err := e.db.ApplyWriteset(writeset.New(entries), version); err != nil {
+				return 0, err
+			}
+		}
+		return version, nil
+	})
+	if err != nil {
 		return err
 	}
 	if e.dur != nil {
@@ -629,7 +725,7 @@ func (e *mmEngine) ingest(recs []certifier.Record) {
 		last := recs[len(recs)-1]
 		e.m.tracer.PropagateSpan(last.Version, len(last.Writeset.Entries), time.Now())
 	}
-	if e.cl.ApplyRecords(0, recs) > 0 {
+	if e.ap.Apply(recs) > 0 {
 		e.noteApplied()
 	}
 }
@@ -657,7 +753,7 @@ func (e *mmEngine) maybeCompactDurable() {
 		return
 	}
 	e.dur.MaybeCompact(func() (int64, int64, int64, int64, map[string]map[int64]string, error) {
-		applied, local, state, err := e.cl.SnapshotDurable(0)
+		applied, local, state, err := e.pinnedDump()
 		if err != nil {
 			return 0, 0, 0, 0, nil, err
 		}
@@ -693,7 +789,7 @@ func (e *mmEngine) run(stop <-chan struct{}) {
 			default:
 			}
 			e.host.Notify.WaitBeyond(e.applied(), pollInterval, stop)
-			if e.cl.Sync(); e.dur != nil {
+			if e.catchUp(); e.dur != nil {
 				e.noteApplied()
 				e.maybeCompactDurable()
 			}
@@ -772,6 +868,132 @@ func (e *mmEngine) leaderAddr(id int) string {
 		return ""
 	}
 	return e.px.addrOf(id)
+}
+
+// mmTxn is a client transaction proxied onto this node's database.
+type mmTxn struct {
+	e        *mmEngine
+	inner    *sidb.Txn
+	snapshot int64  // global (certifier) version of the GSI snapshot
+	version  int64  // global version assigned at commit (0 until then)
+	trace    uint64 // cross-node trace id (0 untraced)
+	readOnly bool
+	done     bool
+}
+
+var _ repl.Txn = (*mmTxn)(nil)
+
+// SetTrace attaches the transaction's cross-node trace id; the commit
+// path forwards it to the certification service so spans stitch
+// end-to-end. Call before Commit.
+func (t *mmTxn) SetTrace(trace uint64) { t.trace = trace }
+
+func (t *mmTxn) Read(table string, row int64) (string, bool, error) {
+	return t.inner.Read(table, row)
+}
+
+// Write stages a write. With eager certification the partial writeset
+// is checked against the certifier immediately and a doomed transaction
+// aborts early with repl.ErrAborted.
+func (t *mmTxn) Write(table string, row int64, value string) error {
+	if t.readOnly {
+		return repl.ErrReadOnlyTxn
+	}
+	if err := t.inner.Write(table, row, value); err != nil {
+		return err
+	}
+	if t.e.eager {
+		partial := writeset.Writeset{Entries: []writeset.Entry{
+			{Key: writeset.Key{Table: table, Row: row}, Value: value},
+		}}
+		if conflict, with := t.e.cert.Check(t.snapshot, partial); conflict {
+			return &repl.AbortedError{ConflictWith: with}
+		}
+	}
+	return nil
+}
+
+func (t *mmTxn) Delete(table string, row int64) error {
+	if t.readOnly {
+		return repl.ErrReadOnlyTxn
+	}
+	return t.inner.Delete(table, row)
+}
+
+// Commit: a read-only transaction commits locally (§5.1); an update
+// transaction extracts its writeset and certifies it with its snapshot
+// version, and is acknowledged once the writeset is durable at the
+// certifier. The writeset then applies here in commit order — at once
+// on the static certifier host, through the propagation loop elsewhere.
+func (t *mmTxn) Commit() error {
+	if t.done {
+		return sidb.ErrTxnDone
+	}
+	t.done = true
+	ws := t.inner.Writeset()
+	if ws.Empty() {
+		_, _, err := t.inner.Commit()
+		return err
+	}
+	outcome, err := t.e.cert.CertifyTraced(t.snapshot, ws, t.trace)
+	// The local speculative state is discarded whatever the verdict: a
+	// certified writeset installs through the apply stage in version
+	// order.
+	t.inner.Abort()
+	if err != nil {
+		return err
+	}
+	if !outcome.Committed {
+		return &repl.AbortedError{ConflictWith: outcome.ConflictWith}
+	}
+	t.version = outcome.Version
+	if !t.e.async {
+		t.e.catchUp()
+	}
+	return nil
+}
+
+// HasWrites reports whether the transaction has staged any writes —
+// the router's test for whether this group is a real participant of a
+// cross-shard commit or just a read-side bystander.
+func (t *mmTxn) HasWrites() bool {
+	if t.done || t.readOnly {
+		return false
+	}
+	return !t.inner.Writeset().Empty()
+}
+
+// Prepare runs the first 2PC phase for this transaction's writeset as
+// one fragment of cross-shard transaction id, coordinated by shard
+// group coord. The local speculative state is discarded either way — on
+// a yes-vote the fragment lives on, locked and journaled, in the
+// group's certifier until the coordinator's decision arrives through
+// decideTxn. An empty writeset votes yes with nothing to lock.
+func (t *mmTxn) Prepare(id string, coord int64) (vote bool, conflictWith int64, err error) {
+	if t.done {
+		return false, 0, sidb.ErrTxnDone
+	}
+	t.done = true
+	ws := t.inner.Writeset()
+	t.inner.Abort()
+	if ws.Empty() {
+		return true, 0, nil
+	}
+	return t.e.prepareTxn(certifier.PreparedTxn{
+		ID: id, Coord: coord, Snapshot: t.snapshot, Writeset: ws,
+	})
+}
+
+// CommitVersion returns the global version a successful update commit
+// was assigned, or 0 for read-only transactions and before Commit.
+func (t *mmTxn) CommitVersion() int64 { return t.version }
+
+func (t *mmTxn) Abort() {
+	if t.done {
+		return
+	}
+	t.done = true
+	t.inner.Abort()
 }
 
 // smEngine is one single-master node: the master executes updates

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -11,53 +10,21 @@ import (
 	"repro/internal/workload"
 )
 
-// startPaxosCluster boots an n-node replicated-certifier cluster.
-// Every node needs the complete peer address list before any of them
-// listens, so the loopback ports are reserved (and released) up front
-// and each server binds its pre-assigned address. All nodes run a WAL,
-// proving Durable and the replicated certifier compose end to end.
+// startPaxosCluster boots an n-node replicated-certifier cluster
+// (launch.Start reserves the member addresses up front). All nodes run
+// a WAL, proving Durable and the replicated certifier compose end to
+// end. It returns the servers, their addresses and their options, from
+// which a killed node restarts with its identity and WAL.
 func startPaxosCluster(t *testing.T, n int, tweak func(*server.Options)) ([]*server.Server, []string, []server.Options) {
 	t.Helper()
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	servers := make([]*server.Server, n)
-	optsAll := make([]server.Options, n)
-	for i := 0; i < n; i++ {
-		opts := server.Options{
-			Design:       "mm",
-			ID:           i,
-			Listen:       addrs[i],
-			Replicas:     n,
-			Members:      addrs,
-			Paxos:        true,
-			ElectTimeout: 200 * time.Millisecond,
-			WALDir:       t.TempDir(),
-			GroupCommit:  true,
-		}
-		if tweak != nil {
-			tweak(&opts)
-		}
-		srv, err := server.New(opts)
-		if err != nil {
-			t.Fatalf("server %d: %v", i, err)
-		}
-		srv.Start()
-		servers[i] = srv
-		optsAll[i] = opts
-		t.Cleanup(func() { srv.Close() })
-	}
-	return servers, addrs, optsAll
+	c := launchCluster(t, 1, n, server.Options{
+		Design:       "mm",
+		Paxos:        true,
+		ElectTimeout: 200 * time.Millisecond,
+		WALDir:       t.TempDir(),
+		GroupCommit:  true,
+	}, tweak)
+	return c.Servers[0], c.Addrs(0), c.Options[0]
 }
 
 // waitOneLeader polls until exactly one live server reports leading

@@ -11,7 +11,6 @@ import (
 	"repro/internal/obs/events"
 	"repro/internal/paxos"
 	"repro/internal/paxoslog"
-	"repro/internal/repl/mm"
 	"repro/internal/repl/pipeline"
 	"repro/internal/wal"
 	"repro/internal/writeset"
@@ -25,36 +24,23 @@ import (
 // them with NotLeaderError, which is exactly the fencing contract).
 type switchCert struct {
 	mu  sync.RWMutex
-	svc mm.CertService
+	svc certService
 }
 
-var _ mm.CertService = (*switchCert)(nil)
-var _ mm.TracedCertService = (*switchCert)(nil)
-
-func (s *switchCert) set(svc mm.CertService) {
+func (s *switchCert) set(svc certService) {
 	s.mu.Lock()
 	s.svc = svc
 	s.mu.Unlock()
 }
 
-func (s *switchCert) get() mm.CertService {
+func (s *switchCert) get() certService {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.svc
 }
 
-func (s *switchCert) Certify(snapshot int64, ws writeset.Writeset) (certifier.Outcome, error) {
-	return s.CertifyTraced(snapshot, ws, 0)
-}
-
-// CertifyTraced forwards the trace id when the current role's service
-// accepts one (both the hosted certifier and the remote ring do).
 func (s *switchCert) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
-	svc := s.get()
-	if tc, ok := svc.(mm.TracedCertService); ok {
-		return tc.CertifyTraced(snapshot, ws, trace)
-	}
-	return svc.Certify(snapshot, ws)
+	return s.get().CertifyTraced(snapshot, ws, trace)
 }
 
 func (s *switchCert) Check(snapshot int64, ws writeset.Writeset) (bool, int64) {
@@ -269,7 +255,7 @@ func (e *mmEngine) runPaxos(stop <-chan struct{}) {
 				continue
 			}
 			h.Notify.WaitBeyond(e.applied(), pollInterval, stop)
-			e.cl.Sync()
+			e.catchUp()
 			if e.dur != nil {
 				e.noteApplied()
 				e.maybeCompactDurable()

@@ -51,11 +51,7 @@ func TestLoopbackMMPipelinedEagerCert(t *testing.T) {
 // TestLoopbackMMPipelinedGroupCommit exercises pipelining against the
 // adaptive group-commit certifier.
 func TestLoopbackMMPipelinedGroupCommit(t *testing.T) {
-	servers, _ := startCluster(t, "mm", 3, func(o *server.Options) {
-		if o.ID == 0 {
-			o.GroupCommit = true
-		}
-	})
+	servers, _ := startCluster(t, "mm", 3, func(o *server.Options) { o.GroupCommit = true })
 	driveAndCheck(t, pipelinedClient(t, servers, "mm"), 6, 20)
 }
 

@@ -1,10 +1,9 @@
 // Package server implements the TCP replica server of the networked
-// deployment: each process fronts one database replica with the same
-// middleware the in-process prototypes use (a single-replica
-// mm.Cluster with a local or remote certifier, or a single-master
-// master/slave node), speaks the internal/wire protocol to clients,
-// and maintains peer links to the primary for remote certification and
-// writeset propagation — the paper's deployment shape (§5), where
+// deployment: each process fronts one database replica with the
+// design's middleware (a multi-master node with a local or remote
+// certifier, or a single-master master/slave node), speaks the
+// internal/wire protocol to clients, and maintains peer links to the
+// primary for remote certification and writeset propagation — the paper's deployment shape (§5), where
 // replicas, the certifier and the clients are separate machines.
 //
 // Concurrency model: one goroutine per accepted connection with a

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/launch"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -18,44 +19,29 @@ import (
 )
 
 // startCluster brings up n replica servers of the given design on
-// loopback ports and a pooled client over all of them. Cleanup tears
-// everything down.
+// loopback ports and returns them with a pooled client over all of
+// them. tweak edits the launch template once, before launch.Start
+// derives every replica from it, so it cannot single out one replica.
+// Cleanup tears everything down.
 func startCluster(t *testing.T, design string, n int, tweak func(*server.Options)) ([]*server.Server, *client.Client) {
 	t.Helper()
-	servers := make([]*server.Server, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		opts := server.Options{
-			Design:   design,
-			ID:       i,
-			Listen:   "127.0.0.1:0",
-			Replicas: n,
-		}
-		if i > 0 {
-			opts.Primary = addrs[0]
-		}
-		if tweak != nil {
-			tweak(&opts)
-		}
-		srv, err := server.New(opts)
-		if err != nil {
-			t.Fatalf("server %d: %v", i, err)
-		}
-		srv.Start()
-		servers[i] = srv
-		addrs[i] = srv.Addr()
-		t.Cleanup(func() { srv.Close() })
+	c := launchCluster(t, 1, n, server.Options{Design: design}, tweak)
+	return c.Servers[0], c.Clients[0]
+}
+
+// launchCluster applies tweak to the template tmpl, starts groups x n
+// servers derived from it and registers their teardown.
+func launchCluster(t *testing.T, groups, n int, tmpl server.Options, tweak func(*server.Options)) *launch.Cluster {
+	t.Helper()
+	if tweak != nil {
+		tweak(&tmpl)
 	}
-	cl, err := client.New(client.Options{
-		Servers:    addrs,
-		Design:     design,
-		ProbeAfter: 100 * time.Millisecond,
-	})
+	c, err := launch.Start(groups, n, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(cl.Close)
-	return servers, cl
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 // driveAndCheck loads the catalog, drives a workload through the
@@ -111,11 +97,7 @@ func TestLoopbackMM(t *testing.T) {
 // TestLoopbackMMGroupCommit runs the same cluster with group commit
 // batching on the certifier host.
 func TestLoopbackMMGroupCommit(t *testing.T) {
-	_, cl := startCluster(t, "mm", 3, func(o *server.Options) {
-		if o.ID == 0 {
-			o.GroupCommit = true
-		}
-	})
+	_, cl := startCluster(t, "mm", 3, func(o *server.Options) { o.GroupCommit = true })
 	driveAndCheck(t, cl, 6, 20)
 }
 
@@ -500,9 +482,7 @@ func TestSMAnswersMMVerbsUnsupported(t *testing.T) {
 func TestCertLogGC(t *testing.T) {
 	servers, cl := startCluster(t, "mm", 3, func(o *server.Options) {
 		o.GCLag = 4
-		if o.ID == 0 {
-			o.MetricsAddr = "127.0.0.1:0"
-		}
+		o.MetricsAddr = "127.0.0.1:0"
 	})
 	mix := workload.TPCWShopping()
 	cat, err := workload.CatalogFor(mix)

@@ -18,18 +18,10 @@ import (
 // sharded deployment on loopback.
 func startShardedGroups(t *testing.T, n int, tweak func(*server.Options)) (*router.Router, []*client.Client) {
 	t.Helper()
-	var groups []router.Group
-	var clients []*client.Client
-	for g := 0; g < n; g++ {
-		_, cl := startCluster(t, "mm", 2, func(o *server.Options) {
-			o.ShardID = g
-			o.ShardCount = n
-			if tweak != nil {
-				tweak(o)
-			}
-		})
-		clients = append(clients, cl)
-		groups = append(groups, cl)
+	c := launchCluster(t, n, 2, server.Options{Design: "mm"}, tweak)
+	groups := make([]router.Group, n)
+	for g, cl := range c.Clients {
+		groups[g] = cl
 	}
 	r, err := router.New(1, groups)
 	if err != nil {
@@ -43,7 +35,7 @@ func startShardedGroups(t *testing.T, n int, tweak func(*server.Options)) (*rout
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return r, clients
+	return r, c.Clients
 }
 
 // ownedRows splits the loaded rows by owning group.

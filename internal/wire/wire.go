@@ -197,6 +197,14 @@ var hotReusable = [TRecords + 1]bool{
 	TCheck: true, TCheckOK: true, TFetchSince: true, TRecords: true,
 }
 
+// Reused reports whether Recv decodes m's type into a struct the Conn
+// reuses for the next frame of that type, so a caller must finish with
+// m before the connection receives again.
+func Reused(m Message) bool {
+	t := m.msgType()
+	return int(t) < len(hotReusable) && hotReusable[t]
+}
+
 // messageFor returns the decode target for a type byte: the cached
 // hot struct when the type is reusable, a fresh one otherwise.
 func (c *Conn) messageFor(t MsgType) Message {
