@@ -302,7 +302,8 @@ func BenchmarkWritesetConflicts(b *testing.B) {
 
 // BenchmarkSIDBParallelReads drives read-only transactions from all
 // procs against one database — the dominant operation of the TPC-W
-// browsing mix. Sharded storage should scale this with GOMAXPROCS.
+// browsing mix. Readers share one RWMutex and never block one
+// another.
 func BenchmarkSIDBParallelReads(b *testing.B) {
 	db := sidb.New()
 	if err := db.CreateTable("item"); err != nil {

@@ -487,7 +487,6 @@ type benchResult struct {
 	ReplicasStart int     `json:"replicas_start"`
 	ReplicasEnd   int     `json:"replicas_end"`
 	Converged     bool    `json:"converged"`
-	Pipelined     bool    `json:"pipelined"`
 	// Ramp-up exclusion: TPS above includes connection warm-up and
 	// joiner catch-up inside its window. RampSec/RampCommits report the
 	// excluded warm-up slice, and SteadyTPS is the cluster commit rate
@@ -593,7 +592,6 @@ func benchMain(args []string) {
 		load     = fs.Bool("load", true, "create and load the schema before driving")
 		converge = fs.Bool("converge", true, "verify replica convergence after the run")
 		watch    = fs.Bool("watch", false, "watch cluster membership and spread load onto replicas that join mid-run (mm)")
-		pipe     = fs.Bool("pipeline", false, "pipeline update operations: stream writes without per-op acks, drain at commit")
 		ramp     = fs.Duration("ramp", 500*time.Millisecond, "with -json: exclude this warm-up window from steady_tps (0 disables)")
 		jsonOut  = fs.String("json", "", "write a machine-readable result to this file (\"-\" for stdout)")
 	)
@@ -621,10 +619,9 @@ func benchMain(args []string) {
 	}
 
 	cl, err := client.New(client.Options{
-		Servers:  splitAddrs(*servers),
-		Design:   *design,
-		Watch:    *watch,
-		Pipeline: *pipe,
+		Servers: splitAddrs(*servers),
+		Design:  *design,
+		Watch:   *watch,
 	})
 	if err != nil {
 		fatal("%v", err)
@@ -714,7 +711,6 @@ func benchMain(args []string) {
 			ReplicasStart: replicasStart,
 			ReplicasEnd:   cl.Replicas(),
 			Converged:     converged,
-			Pipelined:     *pipe,
 		}
 		var rp rampPoint
 		select {

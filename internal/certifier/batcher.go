@@ -2,7 +2,6 @@ package certifier
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/writeset"
 )
@@ -21,25 +20,16 @@ import (
 // rides the first batch it flushes, after which any backlog that
 // accumulated mid-flush is handed to a background drainer — so no
 // client's commit latency is hostage to other clients' sustained
-// load. Under low concurrency a request flushes immediately in a
-// batch of one, adding no latency.
-//
-// The group-commit window is adaptive: when no flush (no Paxos round)
-// is in flight a request flushes immediately, but the background
-// drainer waits an accumulation window before cutting each backlog
-// batch. The window widens under queue pressure (full batches, or a
-// queue that outpaces flushing) so more requests amortize each Paxos
-// round, and shrinks back toward zero when batches run small — the
-// fixed-window latency tax at low load disappears.
+// load. Nothing waits to accumulate: a batch holds whatever arrived
+// while the previous flush ran, so under low concurrency a request
+// flushes immediately in a batch of one, adding no latency.
 type Batcher struct {
-	cert      *Certifier
-	maxBatch  int
-	maxWindow time.Duration
+	cert     *Certifier
+	maxBatch int
 
 	mu        sync.Mutex
 	pending   []*pendingCert
 	flushing  bool
-	window    time.Duration // current adaptive accumulation window
 	batches   int64
 	certified int64
 }
@@ -56,43 +46,13 @@ type pendingCert struct {
 // add commit latency.
 const DefaultMaxBatch = 256
 
-// Adaptive window bounds: the accumulation window starts at zero
-// (immediate flush), first widens to minWindow, doubles up to
-// DefaultMaxWindow under sustained pressure, and collapses back to
-// zero when batches run small.
-const (
-	minWindow        = 100 * time.Microsecond
-	DefaultMaxWindow = 2 * time.Millisecond
-)
-
 // NewBatcher wraps cert with a group-commit front end. maxBatch <= 0
-// selects DefaultMaxBatch. The adaptive accumulation window is capped
-// at DefaultMaxWindow; SetMaxWindow overrides.
+// selects DefaultMaxBatch.
 func NewBatcher(cert *Certifier, maxBatch int) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
-	return &Batcher{cert: cert, maxBatch: maxBatch, maxWindow: DefaultMaxWindow}
-}
-
-// SetMaxWindow caps the adaptive accumulation window; 0 disables
-// accumulation entirely (every backlog batch cuts immediately).
-// Install before the batcher takes traffic.
-func (b *Batcher) SetMaxWindow(d time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.maxWindow = d
-	if b.window > d {
-		b.window = d
-	}
-}
-
-// BatchStats reports cumulative flushed batches, the requests they
-// carried, and the current adaptive window.
-func (b *Batcher) BatchStats() (batches, requests int64, window time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.batches, b.certified, b.window
+	return &Batcher{cert: cert, maxBatch: maxBatch}
 }
 
 // Certifier returns the underlying certification service.
@@ -135,22 +95,11 @@ func (b *Batcher) Certify(snapshot int64, ws writeset.Writeset) (Outcome, error)
 	return p.res.Outcome, p.res.Err
 }
 
-// drain flushes the backlog a retiring flusher left behind. Before
-// cutting each partial batch it waits the current adaptive window so
-// concurrent arrivals coalesce into the same Paxos round; a full
-// queue cuts immediately (waiting could not grow the batch further).
+// drain flushes the backlog a retiring flusher left behind, cutting
+// each batch as soon as it runs: requests that arrive during one flush
+// ride the next.
 func (b *Batcher) drain() {
-	for {
-		b.mu.Lock()
-		w := b.window
-		n := len(b.pending)
-		b.mu.Unlock()
-		if w > 0 && n > 0 && n < b.maxBatch {
-			time.Sleep(w)
-		}
-		if !b.flushOnce() {
-			return
-		}
+	for b.flushOnce() {
 	}
 }
 
@@ -173,30 +122,6 @@ func (b *Batcher) flushOnce() bool {
 		b.pending = nil // release the backing array
 	} else {
 		b.pending = b.pending[n:]
-	}
-	// Adapt the accumulation window the drainer waits before cutting
-	// the next batch: widen under queue pressure (a full batch, or a
-	// queue growing faster than it drains), shrink toward immediate
-	// flushes when batches run small.
-	switch {
-	case b.maxWindow <= 0:
-	case n >= b.maxBatch || len(b.pending) > n:
-		switch {
-		case b.window == 0:
-			b.window = minWindow
-		case b.window < b.maxWindow:
-			b.window *= 2
-			if b.window > b.maxWindow {
-				b.window = b.maxWindow
-			}
-		}
-	case n <= 1:
-		b.window = 0
-	case n < b.maxBatch/4:
-		b.window /= 2
-		if b.window < minWindow {
-			b.window = 0
-		}
 	}
 	b.batches++
 	b.certified += int64(n)

@@ -28,85 +28,10 @@ func fillPending(b *Batcher, start int64, n int) {
 	b.mu.Unlock()
 }
 
-func window(b *Batcher) time.Duration {
-	_, _, w := b.BatchStats()
-	return w
-}
-
-// TestAdaptiveWindowWidensAndCollapses drives flushOnce directly and
-// pins the window state machine: zero at rest, minWindow after the
-// first full batch, doubling up to the cap under sustained pressure,
-// collapsing back to zero once batches run down to one request.
-func TestAdaptiveWindowWidensAndCollapses(t *testing.T) {
-	const maxBatch = 16
-	b := NewBatcher(New(), maxBatch)
-	if w := window(b); w != 0 {
-		t.Fatalf("initial window = %v, want 0", w)
-	}
-
-	row := int64(0)
-	full := func() {
-		fillPending(b, row, maxBatch)
-		row += maxBatch
-		b.flushOnce()
-	}
-	full()
-	if w := window(b); w != minWindow {
-		t.Fatalf("window after first full batch = %v, want %v", w, minWindow)
-	}
-	full()
-	if w := window(b); w != 2*minWindow {
-		t.Fatalf("window after second full batch = %v, want %v", w, 2*minWindow)
-	}
-	for i := 0; i < 10; i++ {
-		full()
-	}
-	if w := window(b); w != DefaultMaxWindow {
-		t.Fatalf("window under sustained pressure = %v, want cap %v", w, DefaultMaxWindow)
-	}
-
-	// Small partial batches (n < maxBatch/4) halve the window...
-	fillPending(b, row, 3)
-	row += 3
-	b.flushOnce()
-	if w := window(b); w != DefaultMaxWindow/2 {
-		t.Fatalf("window after small batch = %v, want %v", w, DefaultMaxWindow/2)
-	}
-	// ...and a batch of one collapses it outright.
-	fillPending(b, row, 1)
-	row++
-	b.flushOnce()
-	if w := window(b); w != 0 {
-		t.Fatalf("window after batch of one = %v, want 0", w)
-	}
-}
-
-// TestSetMaxWindowDisables: a zero cap pins the window at zero no
-// matter the pressure, and clamps an already-widened window down.
-func TestSetMaxWindowDisables(t *testing.T) {
-	const maxBatch = 8
-	b := NewBatcher(New(), maxBatch)
-	fillPending(b, 0, maxBatch)
-	b.flushOnce()
-	if w := window(b); w == 0 {
-		t.Fatal("precondition: window should have widened")
-	}
-	b.SetMaxWindow(0)
-	if w := window(b); w != 0 {
-		t.Fatalf("SetMaxWindow(0) left window at %v", w)
-	}
-	fillPending(b, 100, maxBatch)
-	b.flushOnce()
-	if w := window(b); w != 0 {
-		t.Fatalf("window widened to %v with a zero cap", w)
-	}
-}
-
 // TestFirstArriverFlushesImmediately: with no flush in flight a lone
-// request must not wait out any accumulation window.
+// request flushes at once, in a batch of one.
 func TestFirstArriverFlushesImmediately(t *testing.T) {
 	b := NewBatcher(New(), 0)
-	b.SetMaxWindow(500 * time.Millisecond)
 	start := time.Now()
 	out, err := b.Certify(b.cert.Version(), oneRow(1))
 	if err != nil || !out.Committed {
@@ -115,13 +40,16 @@ func TestFirstArriverFlushesImmediately(t *testing.T) {
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Fatalf("lone request took %v; the first arriver must flush immediately", d)
 	}
+	if b.batches != 1 || b.certified != 1 {
+		t.Fatalf("lone request flushed as %d batches of %d requests, want 1 of 1", b.batches, b.certified)
+	}
 }
 
 // TestDrainCutsBatches parks a backlog the way arrivals during a flush
 // do, runs the backlog drainer exactly as a retiring flusher would,
 // and checks the batching arithmetic: every request answered, one
-// batch per maxBatch requests (so the accumulation window actually
-// amortizes), and the flusher role released at the end.
+// batch per maxBatch requests, and the flusher role released at the
+// end.
 func TestDrainCutsBatches(t *testing.T) {
 	const maxBatch = 64
 	const n = 400
@@ -144,9 +72,11 @@ func TestDrainCutsBatches(t *testing.T) {
 			t.Fatalf("disjoint request %d = %+v", i, p.res)
 		}
 	}
-	batches, requests, _ := b.BatchStats()
+	b.mu.Lock()
+	batches, requests, flushing := b.batches, b.certified, b.flushing
+	b.mu.Unlock()
 	if requests != n {
-		t.Fatalf("BatchStats requests = %d, want %d", requests, n)
+		t.Fatalf("batched requests = %d, want %d", requests, n)
 	}
 	if want := int64((n + maxBatch - 1) / maxBatch); batches != want {
 		t.Fatalf("backlog of %d cut into %d batches, want %d", n, batches, want)
@@ -154,9 +84,6 @@ func TestDrainCutsBatches(t *testing.T) {
 	if v := b.cert.Version(); v != n {
 		t.Fatalf("certifier version = %d, want %d", v, n)
 	}
-	b.mu.Lock()
-	flushing := b.flushing
-	b.mu.Unlock()
 	if flushing {
 		t.Fatal("drain retired without releasing the flusher role")
 	}

@@ -51,17 +51,23 @@ type Options struct {
 	Watch bool
 	// WatchInterval is the membership poll period (default 250ms).
 	WatchInterval time.Duration
-	// Pipeline streams a transaction's Write/Delete frames without
-	// waiting for each ack; the acks are drained at the next
-	// synchronous point (Read, Commit or Abort — the wire protocol is
-	// strict in-order request/reply, so frame alignment is preserved).
-	// One round trip per transaction's write burst instead of one per
-	// op. Typed semantics are preserved: a drained non-ack dooms the
-	// transaction with the same error the unpipelined op would have
-	// returned, surfaced before Commit is ever sent — except that an
-	// eager-certification abort now surfaces at the next sync point
-	// rather than at the offending Write.
-	Pipeline bool
+}
+
+// Validate reports the first rule the options break: no servers, an
+// unknown design, or membership watching outside the mm design.
+func (o Options) Validate() error {
+	if len(o.Servers) == 0 {
+		return errors.New("client: no servers")
+	}
+	switch o.Design {
+	case "mm", "sm":
+	default:
+		return fmt.Errorf("client: unknown design %q (mm|sm)", o.Design)
+	}
+	if o.Watch && o.Design != "mm" {
+		return errors.New("client: membership watching requires the mm design")
+	}
+	return nil
 }
 
 // Client is a pooled driver over a set of replica servers. It is safe
@@ -99,19 +105,11 @@ type replicaConns struct {
 var _ repl.System = (*Client)(nil)
 var _ repl.Loader = (*Client)(nil)
 
-// New creates a driver over the given servers. No connections are
-// dialed until first use.
+// New creates a driver over the given servers, once opts.Validate
+// passes. No connections are dialed until first use.
 func New(opts Options) (*Client, error) {
-	if len(opts.Servers) == 0 {
-		return nil, errors.New("client: no servers")
-	}
-	switch opts.Design {
-	case "mm", "sm":
-	default:
-		return nil, fmt.Errorf("client: unknown design %q (mm|sm)", opts.Design)
-	}
-	if opts.Watch && opts.Design != "mm" {
-		return nil, errors.New("client: membership watching requires the mm design")
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	if opts.ProbeAfter <= 0 {
 		opts.ProbeAfter = 500 * time.Millisecond
@@ -372,8 +370,7 @@ func (c *Client) beginOn(idx int, readOnly bool) (*Txn, error) {
 		}
 		switch m := reply.(type) {
 		case *wire.BeginOK:
-			return &Txn{client: c, idx: idx, rep: rep, conn: conn, readOnly: readOnly,
-				trace: m.Trace, pipeline: c.opts.Pipeline}, nil
+			return &Txn{client: c, idx: idx, rep: rep, conn: conn, readOnly: readOnly, trace: m.Trace}, nil
 		case *wire.Err:
 			pool.put(conn)
 			return nil, &protocolError{code: m.Code, msg: fmt.Sprintf("client: begin on %s: %s", pool.addr, m.Msg)}
@@ -398,13 +395,6 @@ type Txn struct {
 	readOnly bool
 	done     bool
 	trace    uint64
-
-	// Pipelining state (Options.Pipeline): Write/Delete frames are
-	// sent without waiting for their acks; inflight counts acks owed,
-	// and doomed records the first typed error a drained ack carried.
-	pipeline bool
-	inflight int
-	doomed   error
 
 	// writes counts staged Write/Delete ops — the client-side signal a
 	// sharded router uses to tell writing participants from read-only
@@ -480,74 +470,10 @@ func mapErr(m *wire.Err) error {
 	}
 }
 
-// pipelineOp streams one Write/Delete frame without waiting for its
-// ack. The wire protocol is strict in-order request/reply, so the acks
-// arrive in send order and are drained at the next synchronous point.
-func (t *Txn) pipelineOp(req wire.Message) error {
-	if t.done {
-		return errDone
-	}
-	if t.doomed != nil {
-		return t.doomed
-	}
-	if err := t.conn.wc.Send(req); err != nil {
-		return t.failAborted(err)
-	}
-	t.inflight++
-	return nil
-}
-
-// drainAcks consumes the acks owed for pipelined ops. The first
-// non-WriteOK reply dooms the transaction with the typed error the
-// unpipelined op would have returned; draining continues regardless so
-// the connection stays frame-aligned. A transport failure here is
-// retry-safe (Commit has not been sent), so it surfaces as an abort.
-func (t *Txn) drainAcks() error {
-	for t.inflight > 0 {
-		reply, err := t.conn.wc.Recv()
-		if err != nil {
-			t.inflight = 0
-			return t.failAborted(err)
-		}
-		t.inflight--
-		if t.doomed != nil {
-			continue
-		}
-		switch m := reply.(type) {
-		case *wire.WriteOK:
-		case *wire.CommitAborted:
-			// Eager certification doomed the transaction at the server.
-			t.doomed = &repl.AbortedError{ConflictWith: m.ConflictWith}
-		case *wire.NotLeader:
-			t.doomed = &repl.AbortedError{}
-		case *wire.Err:
-			t.doomed = mapErr(m)
-		default:
-			t.inflight = 0
-			return t.fail(fmt.Errorf("client: unexpected pipelined ack %T", reply))
-		}
-	}
-	return nil
-}
-
-// syncPoint drains pipelined acks and surfaces a recorded doom before
-// the caller issues a synchronous exchange.
-func (t *Txn) syncPoint() error {
-	if t.inflight > 0 {
-		if err := t.drainAcks(); err != nil {
-			return err
-		}
-	}
-	return t.doomed
-}
-
 // Read implements repl.Txn.
 func (t *Txn) Read(table string, row int64) (string, bool, error) {
 	if t.done {
 		return "", false, errDone
-	}
-	if err := t.syncPoint(); err != nil {
-		return "", false, err
 	}
 	req := &t.conn.read
 	req.Table, req.Row = table, row
@@ -566,10 +492,7 @@ func (t *Txn) Read(table string, row int64) (string, bool, error) {
 }
 
 // Write implements repl.Txn. A CommitAborted reply means eager
-// certification already doomed the transaction. With Options.Pipeline
-// the frame streams without waiting for its ack (drained at the next
-// sync point), so errors — including eager-certification aborts —
-// surface there instead of here.
+// certification already doomed the transaction.
 func (t *Txn) Write(table string, row int64, value string) error {
 	if t.done {
 		return errDone
@@ -577,9 +500,6 @@ func (t *Txn) Write(table string, row int64, value string) error {
 	t.writes++
 	req := &t.conn.write
 	req.Table, req.Row, req.Value = table, row, value
-	if t.pipeline {
-		return t.pipelineOp(req)
-	}
 	reply, err := t.exchange(req)
 	if err != nil {
 		return err
@@ -609,9 +529,6 @@ func (t *Txn) Delete(table string, row int64) error {
 	t.writes++
 	req := &t.conn.del
 	req.Table, req.Row = table, row
-	if t.pipeline {
-		return t.pipelineOp(req)
-	}
 	reply, err := t.exchange(req)
 	if err != nil {
 		return err
@@ -646,21 +563,6 @@ func (t *Txn) Commit() error {
 	if t.done {
 		return errDone
 	}
-	// Drain pipelined acks BEFORE sending Commit: a transport failure
-	// here is still retry-safe (abort, not unknown outcome), and a
-	// doomed transaction must not be committed — the server kept it
-	// open after the failed op, so close it out and surface the typed
-	// error the unpipelined path would have returned from the op.
-	if t.inflight > 0 {
-		if err := t.drainAcks(); err != nil {
-			return err
-		}
-	}
-	if t.doomed != nil {
-		err := t.doomed
-		t.Abort()
-		return err
-	}
 	reply, err := roundTrip(t.conn, &wire.Commit{})
 	if err != nil {
 		t.fail(err)
@@ -690,11 +592,6 @@ func (t *Txn) Commit() error {
 func (t *Txn) Abort() {
 	if t.done {
 		return
-	}
-	if t.inflight > 0 {
-		if t.drainAcks() != nil {
-			return // transport failure already tore the txn down
-		}
 	}
 	reply, err := roundTrip(t.conn, &wire.Abort{})
 	if err != nil {

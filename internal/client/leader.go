@@ -115,7 +115,7 @@ func (r *LeaderRing) leader() (*Link, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.ring) == 0 {
-		return nil, fmt.Errorf("client: leader ring has no addresses")
+		return nil, errEmptyRing
 	}
 	return r.linkForLocked(r.ring[r.cur]), nil
 }
@@ -200,23 +200,39 @@ func (r *LeaderRing) do(op func(l *Link) error) error {
 				backoff *= 2
 			}
 		}
-		l, err := r.leader()
-		if err != nil {
-			return err
-		}
-		err = op(l)
+		err := r.try(op)
 		if err == nil {
 			return nil
 		}
-		lastErr = err
-		if nle, ok := asNotLeader(err); ok {
-			r.follow(l, nle)
-			continue
+		if errors.Is(err, errEmptyRing) {
+			return err
 		}
-		// Unreachable or failed outright: try the next ring member.
-		r.rotate()
+		lastErr = err
 	}
 	return fmt.Errorf("%w after %d attempts: %w", ErrNoLeader, maxRedirects+1, lastErr)
+}
+
+var errEmptyRing = errors.New("client: leader ring has no addresses")
+
+// try runs op once against the current leader guess. On failure it
+// moves the guess for the next attempt: along the redirect of a
+// NotLeaderError, or to the next ring member when the guess is
+// unreachable or failed outright.
+func (r *LeaderRing) try(op func(l *Link) error) error {
+	l, err := r.leader()
+	if err != nil {
+		return err
+	}
+	err = op(l)
+	if err == nil {
+		return nil
+	}
+	if nle, ok := asNotLeader(err); ok {
+		r.follow(l, nle)
+	} else {
+		r.rotate()
+	}
+	return err
 }
 
 // asNotLeader unwraps a NotLeaderError from an RPC error chain.
@@ -293,6 +309,24 @@ func (r *LeaderRing) Since(v int64) []certifier.Record {
 func (r *LeaderRing) FetchSince(v int64, wait time.Duration) ([]certifier.Record, error) {
 	var recs []certifier.Record
 	err := r.do(func(l *Link) error {
+		rs, err := l.FetchSince(v, wait)
+		if err != nil {
+			return err
+		}
+		recs = rs
+		return nil
+	})
+	return recs, err
+}
+
+// FetchSinceOnce is FetchSince with a single attempt: it asks the
+// current leader guess once and, on failure, moves the guess for the
+// next call. A backup's election timer polls with it, so a dead leader
+// costs one round trip per poll instead of the whole redirect budget,
+// and the timer measures how long since a leader last answered.
+func (r *LeaderRing) FetchSinceOnce(v int64, wait time.Duration) ([]certifier.Record, error) {
+	var recs []certifier.Record
+	err := r.try(func(l *Link) error {
 		rs, err := l.FetchSince(v, wait)
 		if err != nil {
 			return err

@@ -42,24 +42,6 @@ func (t *Txn) Prepare(id string, coord int64) (bool, int64, error) {
 	if t.done {
 		return false, 0, errDone
 	}
-	if t.inflight > 0 {
-		if err := t.drainAcks(); err != nil {
-			// The transport died before Prepare was sent: nothing is
-			// prepared, a no-vote is safe.
-			return false, 0, err
-		}
-	}
-	if t.doomed != nil {
-		// Eager certification already doomed the transaction; close out
-		// the server side and convert the doom into a binding no-vote.
-		err := t.doomed
-		t.Abort()
-		var ab *repl.AbortedError
-		if errors.As(err, &ab) {
-			return false, ab.ConflictWith, nil
-		}
-		return false, 0, err
-	}
 	reply, err := roundTrip(t.conn, &wire.PrepareTxn{TxnID: id, Coord: coord})
 	if err != nil {
 		t.fail(err)

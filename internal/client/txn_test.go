@@ -11,8 +11,9 @@ import (
 )
 
 // fakeServer serves the per-transaction verbs on loopback: Begin,
-// Commit and Abort succeed, Write and Delete ack, and Read returns
-// "<table>/<row>". It stops once the test's client has closed its
+// Commit and Abort succeed, Write and Delete ack, Read returns
+// "<table>/<row>", and FetchSince answers with no records, as a leader
+// with nothing new would. It stops once the test's client has closed its
 // connections.
 func fakeServer(t *testing.T) string {
 	t.Helper()
@@ -65,6 +66,8 @@ func serveFake(nc net.Conn) {
 			reply = &wire.CommitOK{}
 		case *wire.Abort:
 			reply = &wire.AbortOK{}
+		case *wire.FetchSince:
+			reply = &wire.Records{}
 		default:
 			reply = &wire.Err{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("unexpected %T", msg)}
 		}
@@ -80,67 +83,66 @@ func serveFake(nc net.Conn) {
 // use-after-finish error without touching the connection's request
 // scratch, and B's reads must come back intact. Run with -race: an
 // operation that fills the scratch before checking done races with
-// B's Send.
+// B's Send. The subtest names the lockstep client, the only mode the
+// client has.
 func TestFinishedTxnLeavesReusedConnAlone(t *testing.T) {
-	for _, pipeline := range []bool{false, true} {
-		t.Run(fmt.Sprintf("pipeline=%v", pipeline), func(t *testing.T) {
-			cl, err := New(Options{Servers: []string{fakeServer(t)}, Design: "mm", Pipeline: pipeline})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(cl.Close)
-			ta, err := cl.BeginUpdate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ta.Write("item", 1, "x"); err != nil {
-				t.Fatal(err)
-			}
-			if err := ta.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			tb, err := cl.BeginRead()
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, b := ta.(*Txn), tb.(*Txn)
-			if a.conn != b.conn {
-				t.Fatal("B did not take A's pooled connection")
-			}
+	t.Run("pipeline=false", func(t *testing.T) {
+		cl, err := New(Options{Servers: []string{fakeServer(t)}, Design: "mm"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cl.Close)
+		ta, err := cl.BeginUpdate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ta.Write("item", 1, "x"); err != nil {
+			t.Fatal(err)
+		}
+		if err := ta.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		tb, err := cl.BeginRead()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := ta.(*Txn), tb.(*Txn)
+		if a.conn != b.conn {
+			t.Fatal("B did not take A's pooled connection")
+		}
 
-			const rounds = 200
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < rounds; i++ {
-					if _, _, err := a.Read("stale", 1); !errors.Is(err, errDone) {
-						t.Errorf("finished Read: %v, want errDone", err)
-						return
-					}
-					if err := a.Write("stale", 1, "x"); !errors.Is(err, errDone) {
-						t.Errorf("finished Write: %v, want errDone", err)
-						return
-					}
-					if err := a.Delete("stale", 1); !errors.Is(err, errDone) {
-						t.Errorf("finished Delete: %v, want errDone", err)
-						return
-					}
-				}
-			}()
+		const rounds = 200
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				want := fmt.Sprintf("item/%d", i)
-				if v, ok, err := b.Read("item", int64(i)); err != nil || !ok || v != want {
-					t.Errorf("B read %d = %q, %v, %v; want %q", i, v, ok, err, want)
-					break
+				if _, _, err := a.Read("stale", 1); !errors.Is(err, errDone) {
+					t.Errorf("finished Read: %v, want errDone", err)
+					return
+				}
+				if err := a.Write("stale", 1, "x"); !errors.Is(err, errDone) {
+					t.Errorf("finished Write: %v, want errDone", err)
+					return
+				}
+				if err := a.Delete("stale", 1); !errors.Is(err, errDone) {
+					t.Errorf("finished Delete: %v, want errDone", err)
+					return
 				}
 			}
-			wg.Wait()
-			if err := b.Commit(); err != nil {
-				t.Fatal(err)
+		}()
+		for i := 0; i < rounds; i++ {
+			want := fmt.Sprintf("item/%d", i)
+			if v, ok, err := b.Read("item", int64(i)); err != nil || !ok || v != want {
+				t.Errorf("B read %d = %q, %v, %v; want %q", i, v, ok, err, want)
+				break
 			}
-		})
-	}
+		}
+		wg.Wait()
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestRPCRefusesReusedReply: rpc hands its reply back after the

@@ -13,39 +13,27 @@ import (
 
 // Applier is the apply stage of the replication pipeline: it installs
 // certified records into the local database strictly in version order
-// from the outside — the applied cursor is dense, duplicates are
-// skipped and a gap stops the run — while parallelizing the
-// installation work on the inside.
-//
-// Parallelism is conflict-aware: a dependency graph is built over the
-// batch from the writesets' row keys (record j depends on
-// the latest earlier record that wrote any of j's rows), and a bounded
-// worker pool installs records whose dependencies have retired. Two
-// writesets that share no row may install in either order — their row
-// version chains are disjoint, so the resulting database state is
-// byte-identical to serial apply — and sidb's shard locks let them
-// proceed on different cores. Version markers still retire strictly in
-// order: the database's version counter and the applied cursor advance
-// only once the whole dense run is installed, so Applied()/FetchSince
-// cursors, GC horizons and the WAL's version-dense-prefix invariant
-// are exactly what a serial applier would produce. Journaling happens
-// version-ordered ahead of the parallel stage (sidb.ApplyBatch fires
-// the journal hook for the full run before the first install starts).
+// — the applied cursor is dense, duplicates are skipped and a gap stops
+// the run. Each batch is one sidb.ApplyBatch: journal then install,
+// record by record, with the database version advancing once the
+// whole dense run is in, so Applied()/FetchSince cursors, GC horizons
+// and the WAL's version-dense-prefix invariant follow the record
+// stream exactly. Replay is serial, as the paper's model treats it:
+// one service demand per replica for the remote writesets.
 //
 // All mutation of the underlying database on an applying replica must
 // flow through one Applier: its lock is what serializes racing apply
 // paths (the propagation loop and wire Sync handlers), and Pin/Reset
 // give engines the same lock for snapshot pinning and state installs.
 type Applier struct {
-	db      *sidb.DB
-	workers int
+	db *sidb.DB
 
 	mu      sync.Mutex
 	applied int64 // version cursor (global for mm, absolute master version for sm)
 
 	head    atomic.Int64 // newest version observed (fetched or certified)
 	total   atomic.Int64 // versions applied since start
-	pending atomic.Int64 // records admitted to the in-flight batch, not yet installed
+	pending atomic.Int64 // records in the batch being installed
 
 	// applied-versions/sec over a sliding window, sampled on read.
 	rateMu    sync.Mutex
@@ -56,15 +44,8 @@ type Applier struct {
 	tracer *Tracer // commit-path stage tracer (may be nil)
 }
 
-// NewApplier wraps db with an apply stage running the given number of
-// workers; workers <= 1 applies serially (identical code path to the
-// pre-pipeline engines).
-func NewApplier(db *sidb.DB, workers int) *Applier {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Applier{db: db, workers: workers}
-}
+// NewApplier wraps db with an apply stage.
+func NewApplier(db *sidb.DB) *Applier { return &Applier{db: db} }
 
 // DB returns the wrapped database.
 func (a *Applier) DB() *sidb.DB { return a.db }
@@ -72,9 +53,6 @@ func (a *Applier) DB() *sidb.DB { return a.db }
 // SetTracer attaches the stage tracer; Apply stamps batch install
 // times on it. Set once at wiring time, before the applier runs.
 func (a *Applier) SetTracer(t *Tracer) { a.tracer = t }
-
-// Workers returns the configured worker count.
-func (a *Applier) Workers() int { return a.workers }
 
 // Applied returns the version cursor: every record at or below it has
 // been installed.
@@ -155,16 +133,12 @@ func (a *Applier) Apply(recs []certifier.Record) int {
 	}
 	a.pending.Store(int64(n))
 	defer a.pending.Store(0)
-	var sched func(install func(i int))
-	if a.workers > 1 && n > 1 {
-		sched = a.schedule(wss)
-	}
 	from := a.applied
 	var t0 time.Time
 	if a.tracer != nil {
 		t0 = time.Now()
 	}
-	applied, err := a.db.ApplyBatch(wss, sched)
+	applied, err := a.db.ApplyBatch(wss)
 	a.applied += int64(applied)
 	a.total.Add(int64(applied))
 	if err != nil {
@@ -177,102 +151,12 @@ func (a *Applier) Apply(recs []certifier.Record) int {
 	return applied
 }
 
-// schedule builds the conflict-dependency schedule for one batch:
-// record j gets an edge from the latest earlier record that wrote any
-// row j writes (transitively ordering every pair of conflicting
-// records), and the returned function drains the resulting DAG with a
-// bounded worker pool. Install order across non-conflicting records is
-// unconstrained — they touch disjoint rows. A batch with no edges at
-// all (the common low-conflict case) skips the ready-queue machinery
-// entirely and stripes the records statically across the workers.
-func (a *Applier) schedule(wss []writeset.Writeset) func(install func(i int)) {
-	n := len(wss)
-	deps := make([]atomic.Int32, n)      // unretired dependencies per record
-	dependents := make([][]int32, n)     // edges out: who waits on me
-	last := make(map[writeset.Key]int32) // newest earlier writer per row
-	mark := make([]int32, n)             // dedupes edges per record (stamped j+1)
-	edges := 0
-	for j := int32(0); j < int32(n); j++ {
-		for _, e := range wss[j].Entries {
-			if i, ok := last[e.Key]; ok && i != j && mark[i] != j+1 {
-				mark[i] = j + 1
-				deps[j].Add(1)
-				dependents[i] = append(dependents[i], j)
-				edges++
-			}
-			last[e.Key] = j
-		}
-	}
-	if edges == 0 {
-		return func(install func(i int)) {
-			workers := a.workers
-			if workers > n {
-				workers = n
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := w; i < n; i += workers {
-						install(i)
-						a.pending.Add(-1)
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
-	}
-	return func(install func(i int)) {
-		// Buffered to n, so sends never block and no worker can stall
-		// holding an unretired record.
-		ready := make(chan int32, n)
-		for j := int32(0); j < int32(n); j++ {
-			if deps[j].Load() == 0 {
-				ready <- j
-			}
-		}
-		var remaining atomic.Int32
-		remaining.Store(int32(n))
-		workers := a.workers
-		if workers > n {
-			workers = n
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range ready {
-					install(int(j))
-					a.pending.Add(-1)
-					// Release dependents only after the install returned:
-					// that is the ordering guarantee conflicting records
-					// rely on.
-					for _, d := range dependents[j] {
-						if deps[d].Add(-1) == 0 {
-							ready <- d
-						}
-					}
-					if remaining.Add(-1) == 0 {
-						// Everything installed; no further sends are
-						// possible, so closing wakes the other workers.
-						close(ready)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-}
-
 // ApplyStats is a point-in-time view of the apply stage, feeding
 // /metrics and the wire Stats reply.
 type ApplyStats struct {
-	Workers int
 	Applied int64   // version cursor
 	Total   int64   // versions applied since start (monotone)
-	Pending int64   // records admitted to the in-flight batch, not yet installed
+	Pending int64   // records in the batch being installed
 	Lag     int64   // newest observed version minus the cursor
 	Rate    float64 // applied versions/sec over the recent window
 }
@@ -285,7 +169,6 @@ func (a *Applier) Stats() ApplyStats {
 		lag = 0
 	}
 	return ApplyStats{
-		Workers: a.workers,
 		Applied: applied,
 		Total:   a.total.Load(),
 		Pending: a.pending.Load(),

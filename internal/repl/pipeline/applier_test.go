@@ -49,13 +49,12 @@ func genRecords(t testing.TB, count, wsLen, keyspace, tables int, theta float64,
 	return recs, cert
 }
 
-// applyAll drains recs into a fresh database through an applier with
-// the given worker count, in chunks (so batches have interesting
-// sizes), and returns the database.
-func applyAll(t testing.TB, recs []certifier.Record, workers, chunk int) (*sidb.DB, *pipeline.Applier) {
+// applyAll drains recs into a fresh database through an applier, in
+// chunks (so batches have interesting sizes), and returns the database.
+func applyAll(t testing.TB, recs []certifier.Record, chunk int) *sidb.DB {
 	t.Helper()
 	db := sidb.New()
-	ap := pipeline.NewApplier(db, workers)
+	ap := pipeline.NewApplier(db)
 	for i := 0; i < len(recs); i += chunk {
 		end := i + chunk
 		if end > len(recs) {
@@ -65,7 +64,7 @@ func applyAll(t testing.TB, recs []certifier.Record, workers, chunk int) (*sidb.
 			t.Fatalf("applied %d of %d", n, end-i)
 		}
 	}
-	return db, ap
+	return db
 }
 
 func dumpAll(t testing.TB, db *sidb.DB) map[string]map[int64]string {
@@ -81,56 +80,17 @@ func dumpAll(t testing.TB, db *sidb.DB) map[string]map[int64]string {
 	return out
 }
 
-// TestParallelApplyEquivalence is the reference-equivalence proof the
-// parallel applier ships under: on a high-conflict Zipf workload
-// (theta 0.95 over 64 rows, so nearly every batch carries chained
-// conflicts), a workers=8 applier must produce row-for-row identical
-// tables, the same database version and the same applied cursor as
-// serial apply — and both must agree with the certifier that produced
-// the stream. Run under -race this also proves the worker pool's
-// install ordering is properly synchronized.
-func TestParallelApplyEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		keyspace int
-		theta    float64
-	}{
-		{"high-conflict-zipf", 64, 0.95},
-		{"low-conflict", 1 << 16, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			recs, cert := genRecords(t, 500, 8, tc.keyspace, 3, tc.theta, 42)
-			serialDB, serialAp := applyAll(t, recs, 1, 37)
-			parDB, parAp := applyAll(t, recs, 8, 37)
-
-			if got, want := parAp.Applied(), serialAp.Applied(); got != want {
-				t.Fatalf("parallel cursor %d, serial %d", got, want)
-			}
-			if got, want := parAp.Applied(), cert.Version(); got != want {
-				t.Fatalf("cursor %d, certifier version %d", got, want)
-			}
-			if got, want := parDB.Version(), serialDB.Version(); got != want {
-				t.Fatalf("parallel db version %d, serial %d", got, want)
-			}
-			got, want := dumpAll(t, parDB), dumpAll(t, serialDB)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("parallel tables diverge from serial apply:\n got %v\nwant %v", got, want)
-			}
-		})
-	}
-}
-
 // TestParallelApplyConcurrentIngest hammers one applier from many
 // goroutines handing it overlapping slices of the same record stream —
 // the puller-vs-Sync-handler race the pipeline serializes. Every
-// record must apply exactly once and the result must equal serial
-// apply.
+// record must apply exactly once and the result must equal applying
+// the stream from one caller.
 func TestParallelApplyConcurrentIngest(t *testing.T) {
 	recs, _ := genRecords(t, 400, 4, 128, 2, 0.8, 7)
-	serialDB, _ := applyAll(t, recs, 1, len(recs))
+	serialDB := applyAll(t, recs, len(recs))
 
 	db := sidb.New()
-	ap := pipeline.NewApplier(db, 8)
+	ap := pipeline.NewApplier(db)
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
@@ -160,7 +120,7 @@ func TestParallelApplyConcurrentIngest(t *testing.T) {
 		t.Fatalf("total applied %d, want %d (records must apply exactly once)", total, len(recs))
 	}
 	if got, want := dumpAll(t, db), dumpAll(t, serialDB); !reflect.DeepEqual(got, want) {
-		t.Fatalf("concurrent ingest diverges from serial apply")
+		t.Fatalf("concurrent ingest diverges from single-caller apply")
 	}
 }
 
@@ -170,7 +130,7 @@ func TestParallelApplyConcurrentIngest(t *testing.T) {
 func TestApplierGapAndDuplicate(t *testing.T) {
 	recs, _ := genRecords(t, 10, 2, 1<<10, 1, 0, 3)
 	db := sidb.New()
-	ap := pipeline.NewApplier(db, 4)
+	ap := pipeline.NewApplier(db)
 
 	if n := ap.Apply(recs[:4]); n != 4 {
 		t.Fatalf("applied %d, want 4", n)
@@ -196,11 +156,9 @@ func TestApplierGapAndDuplicate(t *testing.T) {
 	}
 }
 
-// TestApplierJournalOrder proves journaling stays version-ordered
-// ahead of the parallel stage: with a journal hook attached, a
-// workers=8 batch must journal every writeset in strictly ascending
-// version order before any install completes out of order could
-// disturb it.
+// TestApplierJournalOrder proves journaling stays version-ordered:
+// with a journal hook attached, one batch must journal every writeset
+// in strictly ascending version order.
 func TestApplierJournalOrder(t *testing.T) {
 	recs, _ := genRecords(t, 200, 4, 1<<12, 2, 0, 11)
 	db := sidb.New()
@@ -212,7 +170,7 @@ func TestApplierJournalOrder(t *testing.T) {
 		mu.Unlock()
 		return nil
 	})
-	ap := pipeline.NewApplier(db, 8)
+	ap := pipeline.NewApplier(db)
 	if n := ap.Apply(recs); n != len(recs) {
 		t.Fatalf("applied %d of %d", n, len(recs))
 	}
@@ -227,10 +185,9 @@ func TestApplierJournalOrder(t *testing.T) {
 }
 
 // BenchmarkApplyRecords measures apply throughput (records/sec via
-// b.N) at different worker counts on low- and high-conflict mixes.
-// The CI smoke step runs it with -benchtime=1x so a regression to
-// serial-only apply fails loudly; end-to-end apply numbers come from
-// the bench/ harness (bench/README.md, bench/CALIBRATION.md).
+// b.N) on low- and high-conflict mixes. The CI smoke step runs it with
+// -benchtime=1x; end-to-end apply numbers come from the bench/ harness
+// (bench/README.md, bench/CALIBRATION.md).
 func BenchmarkApplyRecords(b *testing.B) {
 	const batch = 256
 	for _, mix := range []struct {
@@ -242,24 +199,17 @@ func BenchmarkApplyRecords(b *testing.B) {
 		{"high-conflict", 64, 0.95},
 	} {
 		recs, _ := genRecords(b, 4096, 8, mix.keyspace, 3, mix.theta, 1)
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", mix.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					db := sidb.New()
-					ap := pipeline.NewApplier(db, workers)
-					b.StartTimer()
-					for off := 0; off < len(recs); off += batch {
-						end := off + batch
-						if end > len(recs) {
-							end = len(recs)
-						}
-						ap.Apply(recs[off:end])
-					}
+		b.Run(mix.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ap := pipeline.NewApplier(sidb.New())
+				b.StartTimer()
+				for off := 0; off < len(recs); off += batch {
+					ap.Apply(recs[off:min(off+batch, len(recs))])
 				}
-				b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		})
 	}
 }

@@ -64,10 +64,8 @@ func NewDurability(w Log, compactAfter int64) *Durability {
 
 // ApplyHook returns the sidb journal hook that feeds the local apply
 // stream into the WAL. Attach it only after replay, or recovery would
-// re-journal its own restoration. With a parallel applier the hook
-// still fires in exact version order: sidb.ApplyBatch journals the
-// whole run under the commit mutex before the first concurrent
-// install starts.
+// re-journal its own restoration. The hook fires in exact version
+// order: sidb journals every install under its commit mutex.
 func (d *Durability) ApplyHook() func(ws writeset.Writeset, version int64) error {
 	return func(ws writeset.Writeset, version int64) error {
 		return d.W.AppendApply(version, ws)

@@ -1,6 +1,6 @@
 // Package router partitions the keyspace across independent shard
 // groups, each running the full replicated stack (certifier + Paxos +
-// WAL + parallel apply), and routes transactions to the groups that
+// WAL + apply), and routes transactions to the groups that
 // own their keys. Single-shard transactions — the common case a sane
 // partitioning makes overwhelming — take the owning group's ordinary
 // commit path with zero extra hops, so aggregate write throughput

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -46,8 +45,8 @@ type engine interface {
 	// applied is this node's applied version (global for mm, master
 	// version for sm).
 	applied() int64
-	// applyStats snapshots the apply stage (worker count, throughput,
-	// queue depth and lag) for /metrics and the wire Stats reply.
+	// applyStats snapshots the apply stage (throughput, queue depth
+	// and lag) for /metrics and the wire Stats reply.
 	applyStats() pipeline.ApplyStats
 	// logLen is the number of writesets retained for propagation
 	// (certification log on the mm host, sm.Log on the sm master).
@@ -234,7 +233,7 @@ func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, err
 		staleAfter: opts.StaleAfter,
 		m:          m,
 	}
-	e.ap = pipeline.NewApplier(e.db, runtime.GOMAXPROCS(0))
+	e.ap = pipeline.NewApplier(e.db)
 	e.ap.SetTracer(m.tracer)
 	var rec *wal.Recovered
 	if opts.WALDir != "" {
@@ -1056,7 +1055,7 @@ func newSMEngine(opts Options, m *metrics, stop <-chan struct{}) (*smEngine, err
 		// The slave cursor is the master version, which the local
 		// database version tracks exactly: every change, schema and load
 		// included, arrives as a master commit applied in commit order.
-		e.ap = pipeline.NewApplier(e.db, runtime.GOMAXPROCS(0))
+		e.ap = pipeline.NewApplier(e.db)
 		e.ap.SetTracer(m.tracer)
 		if err := e.ap.Reset(func(int64) (int64, error) { return e.db.Version(), nil }); err != nil {
 			return nil, err

@@ -215,8 +215,6 @@ func (m *metrics) bindEngine(eng engine) {
 		func() float64 { return float64(eng.applyStats().Lag) })
 	reg.GaugeFunc("replicadb_retained_writesets", "Writesets retained for propagation.",
 		func() float64 { return float64(eng.logLen()) })
-	reg.GaugeFunc("replicadb_apply_workers", "Apply-stage worker count.",
-		func() float64 { return float64(eng.applyStats().Workers) })
 	reg.GaugeFunc("replicadb_applied_versions_total", "Versions applied since start.",
 		func() float64 { return float64(eng.applyStats().Total) })
 	reg.GaugeFunc("replicadb_apply_queue_depth", "Records admitted to the in-flight apply batch.",

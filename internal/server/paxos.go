@@ -264,8 +264,12 @@ func (e *mmEngine) runPaxos(stop <-chan struct{}) {
 			continue
 		}
 		// Backup: long-poll the leader for writesets. Any successful
-		// round trip counts as leader progress.
-		recs, err := e.px.ring.FetchSince(e.applied(), pollInterval)
+		// round trip counts as leader progress. One attempt per pass:
+		// a failed poll moves the ring's guess, and the next pass asks
+		// the next member, so the timer below measures time since a
+		// leader last answered and a new leader is found within a few
+		// passes — well inside the stagger between election timers.
+		recs, err := e.px.ring.FetchSinceOnce(e.applied(), pollInterval)
 		if err == nil {
 			if len(recs) > 0 {
 				e.ingest(recs)

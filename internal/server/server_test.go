@@ -101,6 +101,52 @@ func TestLoopbackMMGroupCommit(t *testing.T) {
 	driveAndCheck(t, cl, 6, 20)
 }
 
+// TestLoopbackMMEagerCert runs the cluster with eager certification:
+// a Write can come back aborted before Commit, and the driver's retry
+// loop must still converge every replica.
+func TestLoopbackMMEagerCert(t *testing.T) {
+	_, cl := startCluster(t, "mm", 3, func(o *server.Options) { o.EagerCert = true })
+	driveAndCheck(t, cl, 4, 25)
+}
+
+// TestConflictAbortsTyped pins the abort semantics over the wire: a
+// write-write conflict with a commit newer than the transaction's
+// snapshot, caught at commit certification, comes back as a typed,
+// retryable *repl.AbortedError carrying the conflicting version.
+func TestConflictAbortsTyped(t *testing.T) {
+	_, cl := startCluster(t, "mm", 2, nil)
+	if err := cl.CreateTable("item"); err != nil {
+		t.Fatal(err)
+	}
+	tx1, err := cl.BeginUpdate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx2, err := cl.BeginUpdate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx1.Write("item", 1, "first"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// tx2 snapshotted before tx1 committed, so writing the same row
+	// must lose certification.
+	if err := tx2.Write("item", 1, "second"); err != nil {
+		t.Fatalf("write without eager certification failed: %v", err)
+	}
+	err = tx2.Commit()
+	var ab *repl.AbortedError
+	if !errors.As(err, &ab) || !errors.Is(err, repl.ErrAborted) {
+		t.Fatalf("conflicting commit = %T %v, want *repl.AbortedError", err, err)
+	}
+	if ab.ConflictWith <= 0 {
+		t.Fatalf("abort carries no conflicting version: %+v", ab)
+	}
+}
+
 // TestLoopbackSM runs the single-master design: updates pinned to the
 // master over TCP, slaves fed through the propagation link.
 func TestLoopbackSM(t *testing.T) {
@@ -220,7 +266,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		for _, want := range []string{
 			"replicadb_commits", "replicadb_aborts", "replicadb_active_connections",
 			"replicadb_writeset_queue_depth", "replicadb_cert_latency_seconds",
-			"replicadb_apply_workers", "replicadb_applied_versions_total",
+			"replicadb_applied_versions_total",
 			"replicadb_apply_queue_depth", "replicadb_apply_lag",
 			"replicadb_applied_versions_per_sec",
 		} {
@@ -517,5 +563,49 @@ func TestCertLogGC(t *testing.T) {
 			t.Fatalf("certification log never pruned: retained=%d of %d commits", retained, res.UpdateCommits)
 		}
 		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// TestCatchUpLongPolls is the busy-poll regression test: a caught-up
+// consumer running Since in a tight loop must park on the server's
+// long-poll window, not spin wait=0 round trips. Counted through the
+// link's RPC counter at steady state.
+func TestCatchUpLongPolls(t *testing.T) {
+	servers, cl := startCluster(t, "mm", 2, nil)
+	mix := workload.TPCWShopping()
+	cat, err := workload.CatalogFor(mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repl.LoadCatalog(cl, cat, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if res := repl.Drive(cl, cat, mix, 2, 5, 1000, 1); res.Errors != 0 {
+		t.Fatalf("drive errors: %+v", res)
+	}
+
+	l := client.NewLink(servers[0].Addr(), "mm", -1, 2*time.Second)
+	defer l.Close()
+	const wait = 100 * time.Millisecond
+	l.SetSinceWait(wait)
+	st, err := l.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := l.RoundTrips() // handshake-time RPCs plus the Stats call
+	deadline := time.Now().Add(5 * wait)
+	for time.Now().Before(deadline) {
+		if recs := l.Since(st.Applied); len(recs) != 0 {
+			t.Fatalf("unexpected new records at steady state: %d", len(recs))
+		}
+	}
+	rpcs := l.RoundTrips() - base
+	// Each steady-state fetch parks ~wait on the server, so ~5 fit in
+	// the window; a busy-polling regression would issue hundreds.
+	if rpcs > 20 {
+		t.Fatalf("steady-state catch-up issued %d round trips in %v; long poll is not engaging", rpcs, 5*wait)
+	}
+	if rpcs == 0 {
+		t.Fatal("no fetches counted; the regression test is not exercising the loop")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/repl"
@@ -188,61 +187,5 @@ func TestShardedCrossShardConflict(t *testing.T) {
 	}
 	if dump[r0] != fmt.Sprintf("load-%d", r0) {
 		t.Fatalf("aborted fragment leaked: %q", dump[r0])
-	}
-}
-
-// TestShardedPipelinedCrossShard: the pipelined client streams its
-// writes; prepare must drain the acks before converting the open
-// transactions into fragments.
-func TestShardedPipelinedCrossShard(t *testing.T) {
-	var groups []router.Group
-	for g := 0; g < 2; g++ {
-		servers, _ := startCluster(t, "mm", 2, func(o *server.Options) {
-			o.ShardID = g
-			o.ShardCount = 2
-		})
-		cl, err := client.New(client.Options{
-			Servers:    []string{servers[0].Addr(), servers[1].Addr()},
-			Design:     "mm",
-			Pipeline:   true,
-			ProbeAfter: 100 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(cl.Close)
-		groups = append(groups, cl)
-	}
-	r, err := router.New(1, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.CreateTable("item"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Load("item", 64, func(row int64) string {
-		return fmt.Sprintf("load-%d", row)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	owned := ownedRows(r, 64)
-	for i := 0; i < 3; i++ {
-		txn, err := r.BeginUpdate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := txn.Write("item", owned[0][i], fmt.Sprintf("p0-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := txn.Write("item", owned[1][i], fmt.Sprintf("p1-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := txn.Commit(); err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-	}
-	r.Sync()
-	if err := repl.CheckConvergence(r, []string{"item"}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -8,14 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/stats"
-	"repro/internal/writeset"
 )
 
-// refDB is an unsharded reference model of first-committer-wins SI:
-// a last-writer version per row plus a value map per version horizon.
+// refDB is a lock-free reference model of first-committer-wins SI: a
+// last-writer version per row plus a value map per version horizon.
 // It decides commit/abort exactly as the specification says the
 // engine must, so driving both with the same operation stream checks
-// that sharding changed the locking, not the semantics.
+// the engine's semantics apart from its locking.
 type refDB struct {
 	version    int64
 	lastWriter map[int64]int64
@@ -71,7 +70,7 @@ func (r *refDB) commit(snapshot int64, writes map[int64]string, deletes map[int6
 }
 
 // TestShardedMatchesReference drives an identical randomized
-// single-stream workload through the sharded engine and the reference
+// single-stream workload through the engine and the reference
 // model: every commit/abort decision, returned version, and read
 // result must match.
 func TestShardedMatchesReference(t *testing.T) {
@@ -147,7 +146,7 @@ func TestShardedMatchesReference(t *testing.T) {
 			}
 			wantCommit := ref.commit(q.refSnap, q.writes, q.deletes)
 			if committed != wantCommit {
-				t.Fatalf("step %d: sharded committed=%v, reference=%v (snap %d writes %v deletes %v)",
+				t.Fatalf("step %d: engine committed=%v, reference=%v (snap %d writes %v deletes %v)",
 					step, committed, wantCommit, q.refSnap, q.writes, q.deletes)
 			}
 			if committed && v != ref.version {
@@ -174,15 +173,15 @@ func TestShardedMatchesReference(t *testing.T) {
 			gotOK = true
 		}
 		if gotOK != wantOK || (wantOK && got != want) {
-			t.Fatalf("row %d: sharded %q/%v, reference %q/%v", row, got, gotOK, want, wantOK)
+			t.Fatalf("row %d: engine %q/%v, reference %q/%v", row, got, gotOK, want, wantOK)
 		}
 	}
 }
 
 // TestStressShardedReadersWriters hammers one database with parallel
 // read-only transactions, update committers, writeset application and
-// GC. Run under -race it exercises every lock edge of the sharded
-// design; the invariants detect torn commits (a snapshot observing
+// GC. Run under -race it exercises every lock edge of the engine; the
+// invariants detect torn commits (a snapshot observing
 // half of a transaction's writes).
 func TestStressShardedReadersWriters(t *testing.T) {
 	db := New()
@@ -265,7 +264,7 @@ func TestStressShardedReadersWriters(t *testing.T) {
 		}
 	}()
 	// A competing single-row update stream outside the pair space, so
-	// shard write locks interleave with the pair commits.
+	// its installs interleave with the pair commits.
 	bgWg.Add(1)
 	go func() {
 		defer bgWg.Done()
@@ -289,17 +288,5 @@ func TestStressShardedReadersWriters(t *testing.T) {
 	dbCommits, _ := db.Stats()
 	if dbCommits < commits.Load() {
 		t.Fatalf("db counted %d commits, writers observed %d", dbCommits, commits.Load())
-	}
-}
-
-func TestShardDistribution(t *testing.T) {
-	// Sanity: sequential row ids of one table must not all hash into
-	// one shard, or the sharding buys nothing.
-	counts := make(map[int]int)
-	for i := int64(0); i < 1024; i++ {
-		counts[shardIndex(writeset.Key{Table: "item", Row: i})]++
-	}
-	if len(counts) < shardCount/2 {
-		t.Fatalf("1024 sequential rows landed in only %d/%d shards", len(counts), shardCount)
 	}
 }

@@ -7,29 +7,24 @@ import (
 
 // Scan returns every row of the table visible to the transaction's
 // snapshot (including the transaction's own writes), keyed by row id.
-// The result is a private copy. Shards are visited one at a time
-// under their shared locks; snapshot visibility makes the union
-// consistent even though the locks are not held simultaneously.
+// The result is a private copy.
 func (tx *Txn) Scan(tableName string) (map[int64]string, error) {
 	if tx.done {
 		return nil, ErrTxnDone
 	}
-	if !tx.db.hasTable(tableName) {
+	tx.db.mu.RLock()
+	t, ok := tx.db.tables[tableName]
+	if !ok {
+		tx.db.mu.RUnlock()
 		return nil, fmt.Errorf("%w: %q", ErrNoTable, tableName)
 	}
-	out := make(map[int64]string)
-	for i := range tx.db.shards {
-		s := &tx.db.shards[i]
-		s.mu.RLock()
-		if t, ok := s.tables[tableName]; ok {
-			for key, r := range t.rows {
-				if v, ok := r.visible(tx.snapshot); ok && !v.deleted {
-					out[key] = v.value
-				}
-			}
+	out := make(map[int64]string, len(t.rows))
+	for key, r := range t.rows {
+		if v, ok := r.visible(tx.snapshot); ok && !v.deleted {
+			out[key] = v.value
 		}
-		s.mu.RUnlock()
 	}
+	tx.db.mu.RUnlock()
 
 	// Overlay the transaction's own pending writes.
 	for k, e := range tx.writes {

@@ -21,14 +21,12 @@
 //   - ApplyWriteset installs a remote transaction's effects at an
 //     explicit global version, the slave/replica proxy path.
 //
-// The engine is safe for concurrent use. Rows are hash-partitioned
-// across shardCount shards, each guarded by its own RWMutex, so the
-// read-only transactions that dominate the TPC-W and RUBiS mixes
-// proceed in parallel and only ever share a read lock; update commits
-// serialize on a single commit mutex (version assignment must be
-// total), touching shard write locks only while installing their rows.
-// The version counter and active-snapshot table live under a small
-// dedicated lock of their own.
+// The engine is safe for concurrent use. One RWMutex guards the table
+// registry and every row: the read-only transactions that dominate the
+// TPC-W and RUBiS mixes share it, and update commits serialize on a
+// commit mutex (version assignment must be total), taking the write
+// lock only while installing their rows. The version counter and
+// active-snapshot table live under a small dedicated lock of their own.
 package sidb
 
 import (
@@ -86,36 +84,9 @@ func (r *row) latest() int64 {
 	return r.versions[len(r.versions)-1].version
 }
 
-// table is a shard's slice of a named table: the rows whose keys hash
-// into the shard.
+// table is one named table's rows.
 type table struct {
 	rows map[int64]*row
-}
-
-// shardCount is the number of row partitions. It is a power of two so
-// the hash reduces with a mask; 32 comfortably exceeds the core counts
-// the paper's 16-machine cluster models.
-const shardCount = 32
-
-// shard is one row partition with its own reader-writer lock.
-type shard struct {
-	mu     sync.RWMutex
-	tables map[string]*table
-}
-
-// shardIndex hashes a row key onto its shard (FNV-1a over the table
-// name and row id).
-func shardIndex(k writeset.Key) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(k.Table); i++ {
-		h = (h ^ uint32(k.Table[i])) * 16777619
-	}
-	r := uint64(k.Row)
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint32(r&0xff)) * 16777619
-		r >>= 8
-	}
-	return int(h & (shardCount - 1))
 }
 
 // DB is a snapshot-isolated multi-version database.
@@ -133,11 +104,10 @@ type DB struct {
 	// aborts the installation.
 	journal func(ws writeset.Writeset, version int64) error
 
-	shards [shardCount]shard
-
-	// tableMu guards the table registry; reads take it shared.
-	tableMu sync.RWMutex
-	tables  map[string]struct{}
+	// mu guards tables, the registry and every row in it; reads take
+	// it shared.
+	mu     sync.RWMutex
+	tables map[string]*table
 
 	// stateMu guards the version counter, the active-snapshot table
 	// and the commit/abort counters.
@@ -150,14 +120,10 @@ type DB struct {
 
 // New creates an empty database.
 func New() *DB {
-	db := &DB{
-		tables: make(map[string]struct{}),
+	return &DB{
+		tables: make(map[string]*table),
 		active: make(map[int64]int),
 	}
-	for i := range db.shards {
-		db.shards[i].tables = make(map[string]*table)
-	}
-	return db
 }
 
 // SetJournal attaches the apply-time journal hook. Set it before the
@@ -182,31 +148,31 @@ func (db *DB) journalInstall(ws writeset.Writeset, version int64) error {
 // CreateTable adds an empty table; creating an existing table is an
 // error.
 func (db *DB) CreateTable(name string) error {
-	db.tableMu.Lock()
-	defer db.tableMu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if _, ok := db.tables[name]; ok {
 		return fmt.Errorf("sidb: table %q already exists", name)
 	}
-	db.tables[name] = struct{}{}
+	db.tables[name] = &table{rows: make(map[int64]*row)}
 	return nil
 }
 
 // hasTable reports whether the table exists.
 func (db *DB) hasTable(name string) bool {
-	db.tableMu.RLock()
+	db.mu.RLock()
 	_, ok := db.tables[name]
-	db.tableMu.RUnlock()
+	db.mu.RUnlock()
 	return ok
 }
 
 // Tables returns the table names in sorted order.
 func (db *DB) Tables() []string {
-	db.tableMu.RLock()
+	db.mu.RLock()
 	names := make([]string, 0, len(db.tables))
 	for n := range db.tables {
 		names = append(names, n)
 	}
-	db.tableMu.RUnlock()
+	db.mu.RUnlock()
 	sort.Strings(names)
 	return names
 }
@@ -280,32 +246,32 @@ func (db *DB) releaseLocked(snapshot int64) {
 	}
 }
 
-// readRow returns the version chain state of one row under its
-// shard's read lock, reporting whether the row exists at all.
-func (db *DB) readRow(k writeset.Key, snapshot int64) (rowVersion, bool) {
-	s := &db.shards[shardIndex(k)]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tables[k.Table]
+// readRow returns the row version visible at snapshot under one
+// shared lock. ok reports whether the table exists; visible whether
+// the row has a version at or below snapshot.
+func (db *DB) readRow(k writeset.Key, snapshot int64) (v rowVersion, visible, ok bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	t, ok := db.tables[k.Table]
 	if !ok {
-		return rowVersion{}, false
+		return rowVersion{}, false, false
 	}
-	r, ok := t.rows[k.Row]
-	if !ok {
-		return rowVersion{}, false
+	r, found := t.rows[k.Row]
+	if !found {
+		return rowVersion{}, false, true
 	}
-	return r.visible(snapshot)
+	v, visible = r.visible(snapshot)
+	return v, visible, true
 }
 
 // latestVersion returns the newest committed version of a row, 0 when
 // the row has never been written. Callers hold commitMu, so the chain
-// cannot change underfoot; the shard read lock is still taken to
-// order the read after any in-flight chain append.
+// cannot change underfoot; the shared lock orders the lookup after a
+// concurrent CreateTable.
 func (db *DB) latestVersion(k writeset.Key) int64 {
-	s := &db.shards[shardIndex(k)]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tables[k.Table]
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	t, ok := db.tables[k.Table]
 	if !ok {
 		return 0
 	}
@@ -329,87 +295,56 @@ func (db *DB) ApplyWriteset(ws writeset.Writeset, version int64) error {
 	if err := db.journalInstall(ws, version); err != nil {
 		return err
 	}
-	db.install(ws, version, true)
+	db.install(ws, version)
 	db.advance(version, false)
 	return nil
 }
 
 // ApplyBatch installs a run of writesets at the next consecutive
 // versions (current+1 .. current+len(wss)) as one atomic batch — the
-// parallel applier's entry point. The journal hook fires for every
-// writeset up front, in version order under commitMu, so a write-ahead
-// log observes exactly the stream a serial ApplyWriteset loop would
-// have produced. Installation is then delegated to run, which must
-// call install(i) exactly once for each i in [0, len(wss)) and may do
-// so from multiple goroutines, PROVIDED that for any two writesets
-// sharing a row key the lower-indexed install returns before the
-// higher-indexed one starts (row version chains are append-ordered
-// ascending). A nil run installs serially. The version counter
-// advances only after every install returned, so a concurrent reader's
-// snapshot never admits a half-installed batch.
+// applier's entry point. Each writeset is journaled and then installed
+// in version order under commitMu, so a write-ahead log observes
+// exactly the stream a serial ApplyWriteset loop would have produced.
+// The version counter advances once, after the last install, so a
+// concurrent reader's snapshot never admits a half-installed batch.
 //
 // It returns how many writesets were applied: on a journal error the
-// already-journaled prefix is still installed (matching the serial
-// loop, where earlier records were already applied when a later
-// journal append failed) and the error is returned with the count.
-func (db *DB) ApplyBatch(wss []writeset.Writeset, run func(install func(i int))) (int, error) {
-	if len(wss) == 0 {
-		return 0, nil
-	}
+// writesets before the failing one stay installed and the error is
+// returned with their count.
+func (db *DB) ApplyBatch(wss []writeset.Writeset) (int, error) {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
 	// All writers hold commitMu, so the version counter is stable here
 	// without taking stateMu.
 	base := db.version
-	n := len(wss)
-	var jerr error
-	for i := 0; i < n; i++ {
-		if err := db.journalInstall(wss[i], base+int64(i)+1); err != nil {
-			jerr, n = err, i
+	n := 0
+	var err error
+	for ; n < len(wss); n++ {
+		if err = db.journalInstall(wss[n], base+int64(n)+1); err != nil {
 			break
 		}
+		db.install(wss[n], base+int64(n)+1)
 	}
-	if n == 0 {
-		return 0, jerr
+	if n > 0 {
+		db.advance(base+int64(n), false)
 	}
-	if run == nil || n == 1 {
-		for i := 0; i < n; i++ {
-			db.install(wss[i], base+int64(i)+1, true)
-		}
-	} else {
-		limit := n // journal may have truncated the batch
-		run(func(i int) {
-			if i < limit {
-				db.install(wss[i], base+int64(i)+1, true)
-			}
-		})
-	}
-	db.advance(base+int64(n), false)
-	return n, jerr
+	return n, err
 }
 
-// install writes every entry of ws as version v. The caller must hold
-// commitMu, and must advance the version counter (under stateMu)
-// after install returns, so a concurrent reader's snapshot never
-// admits a half-installed commit. Shard write locks are taken per
-// entry.
-func (db *DB) install(ws writeset.Writeset, v int64, createTables bool) {
-	if createTables {
-		for _, e := range ws.Entries {
-			if !db.hasTable(e.Key.Table) {
-				db.tableMu.Lock()
-				db.tables[e.Key.Table] = struct{}{}
-				db.tableMu.Unlock()
-			}
-		}
-	}
+// install writes every entry of ws as version v under the write lock.
+// The caller must hold commitMu, and must advance the version counter
+// (under stateMu) after install returns, so a concurrent reader's
+// snapshot never admits a half-installed commit. Unknown tables are
+// created: a propagated writeset is authoritative, and a local commit
+// only writes tables it checked exist.
+func (db *DB) install(ws writeset.Writeset, v int64) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for _, e := range ws.Entries {
-		s := &db.shards[shardIndex(e.Key)]
-		s.mu.Lock()
-		t, ok := s.tables[e.Key.Table]
+		t, ok := db.tables[e.Key.Table]
 		if !ok {
 			t = &table{rows: make(map[int64]*row)}
-			s.tables[e.Key.Table] = t
+			db.tables[e.Key.Table] = t
 		}
 		r, ok := t.rows[e.Key.Row]
 		if !ok {
@@ -417,7 +352,6 @@ func (db *DB) install(ws writeset.Writeset, v int64, createTables bool) {
 			t.rows[e.Key.Row] = r
 		}
 		r.versions = append(r.versions, rowVersion{version: v, value: e.Value, deleted: e.Delete})
-		s.mu.Unlock()
 	}
 }
 
@@ -447,28 +381,25 @@ func (db *DB) GC() int {
 	db.stateMu.Lock()
 	defer db.stateMu.Unlock()
 	horizon := db.oldestActiveLocked()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	removed := 0
-	for i := range db.shards {
-		s := &db.shards[i]
-		s.mu.Lock()
-		for _, t := range s.tables {
-			for _, r := range t.rows {
-				keep := 0
-				// Find the newest version <= horizon; everything before
-				// it is invisible to every present and future snapshot.
-				for i := len(r.versions) - 1; i >= 0; i-- {
-					if r.versions[i].version <= horizon {
-						keep = i
-						break
-					}
-				}
-				if keep > 0 {
-					removed += keep
-					r.versions = append([]rowVersion(nil), r.versions[keep:]...)
+	for _, t := range db.tables {
+		for _, r := range t.rows {
+			keep := 0
+			// Find the newest version <= horizon; everything before it
+			// is invisible to every present and future snapshot.
+			for i := len(r.versions) - 1; i >= 0; i-- {
+				if r.versions[i].version <= horizon {
+					keep = i
+					break
 				}
 			}
+			if keep > 0 {
+				removed += keep
+				r.versions = append([]rowVersion(nil), r.versions[keep:]...)
+			}
 		}
-		s.mu.Unlock()
 	}
 	return removed
 }
@@ -477,23 +408,19 @@ func (db *DB) GC() int {
 // version not deleted), for tests and loaders. It holds commitMu so
 // the count never observes a half-installed commit.
 func (db *DB) RowCount(tableName string) (int, error) {
-	if !db.hasTable(tableName) {
-		return 0, fmt.Errorf("%w: %q", ErrNoTable, tableName)
-	}
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	t, ok := db.tables[tableName]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNoTable, tableName)
+	}
 	n := 0
-	for i := range db.shards {
-		s := &db.shards[i]
-		s.mu.RLock()
-		if t, ok := s.tables[tableName]; ok {
-			for _, r := range t.rows {
-				if len(r.versions) > 0 && !r.versions[len(r.versions)-1].deleted {
-					n++
-				}
-			}
+	for _, r := range t.rows {
+		if len(r.versions) > 0 && !r.versions[len(r.versions)-1].deleted {
+			n++
 		}
-		s.mu.RUnlock()
 	}
 	return n, nil
 }

@@ -27,8 +27,8 @@ func (tx *Txn) ReadOnly() bool { return len(tx.writes) == 0 }
 // Read returns the value of (table, key) visible to the transaction:
 // its own write if present, else the newest committed version at or
 // below its snapshot. ok is false for rows absent or deleted in the
-// snapshot. Only the row's shard is locked (shared), so concurrent
-// readers over different shards do not contend at all.
+// snapshot. It takes the database's lock once, shared, so concurrent
+// readers do not block one another.
 func (tx *Txn) Read(tableName string, key int64) (value string, ok bool, err error) {
 	if tx.done {
 		return "", false, ErrTxnDone
@@ -40,10 +40,10 @@ func (tx *Txn) Read(tableName string, key int64) (value string, ok bool, err err
 		}
 		return e.Value, true, nil
 	}
-	if !tx.db.hasTable(tableName) {
+	v, visible, ok := tx.db.readRow(k, tx.snapshot)
+	if !ok {
 		return "", false, fmt.Errorf("%w: %q", ErrNoTable, tableName)
 	}
-	v, visible := tx.db.readRow(k, tx.snapshot)
 	if !visible || v.deleted {
 		return "", false, nil
 	}
@@ -140,7 +140,7 @@ func (tx *Txn) Commit() (writeset.Writeset, int64, error) {
 	if err := tx.db.journalInstall(ws, v); err != nil {
 		return writeset.Writeset{}, 0, err
 	}
-	tx.db.install(ws, v, false)
+	tx.db.install(ws, v)
 	tx.db.advance(v, true)
 	return ws, v, nil
 }
@@ -170,7 +170,7 @@ func (tx *Txn) CommitAt(version int64) (writeset.Writeset, error) {
 	if err := tx.db.journalInstall(ws, version); err != nil {
 		return writeset.Writeset{}, err
 	}
-	tx.db.install(ws, version, false)
+	tx.db.install(ws, version)
 	tx.db.advance(version, true)
 	return ws, nil
 }

@@ -109,13 +109,6 @@ func (st step) certified(attempt int) writeset.Writeset {
 	}})
 }
 
-// runCrashScript executes the workload with a crash armed at op index
-// armAt (-1 = never) and cut torn-write bytes, applying serially.
-func runCrashScript(t *testing.T, armAt, cut int) *crashRun {
-	t.Helper()
-	return runCrashScriptWorkers(t, armAt, cut, 1)
-}
-
 // tryApply drains recs through the pipeline applier, tolerating the
 // injected crash: after the CrashFS fired, the journal hook fails and
 // the applier's invariant panic is expected — anything else is a real
@@ -133,14 +126,10 @@ func tryApply(cfs *CrashFS, ap *pipeline.Applier, recs []certifier.Record) int {
 	return int(ap.Applied() - before)
 }
 
-// runCrashScriptWorkers executes the workload with the local apply
-// stream flowing through a pipeline applier with the given worker
-// count. workers == 1 produces exactly the serial harness's WAL
-// operation sequence (the named-point locators depend on that);
-// workers > 1 journals each group-commit batch version-ordered ahead
-// of the conflict-aware parallel install, which is precisely the
-// ordering claim TestCrashSweepParallel exists to break.
-func runCrashScriptWorkers(t *testing.T, armAt, cut, workers int) *crashRun {
+// runCrashScript executes the workload with a crash armed at op index
+// armAt (-1 = never) and cut torn-write bytes, the local apply stream
+// flowing through a pipeline applier one record at a time.
+func runCrashScript(t *testing.T, armAt, cut int) *crashRun {
 	t.Helper()
 	r := &crashRun{fs: NewMemFS()}
 	r.cfs = NewCrashFS(r.fs, armAt, cut)
@@ -157,7 +146,7 @@ func runCrashScriptWorkers(t *testing.T, armAt, cut, workers int) *crashRun {
 	db.SetJournal(func(ws writeset.Writeset, version int64) error {
 		return w.AppendApply(version, ws)
 	})
-	ap := pipeline.NewApplier(db, workers)
+	ap := pipeline.NewApplier(db)
 	attempt := 0
 
 	submit := func(ws writeset.Writeset) {
@@ -227,16 +216,8 @@ func runCrashScriptWorkers(t *testing.T, armAt, cut, workers int) *crashRun {
 						committed = append(committed, certifier.Record{Version: res.Outcome.Version, Writeset: reqs[i].Writeset})
 					}
 				}
-				if workers > 1 {
-					// One applier batch: the parallel install the sweep
-					// is probing. A single cursor retires the batch.
-					ack(committed...)
-				} else {
-					// Record-at-a-time, preserving the serial harness's
-					// exact WAL operation sequence.
-					for _, rec := range committed {
-						ack(rec)
-					}
+				for _, rec := range committed {
+					ack(rec)
 				}
 			}
 		case "compact":
@@ -285,14 +266,6 @@ func consistentDumpForTest(db *sidb.DB) (int64, map[string]map[int64]string, err
 // records, database catch-up from the recovered log.
 func recoverNode(t *testing.T, fs *MemFS, keepUnsynced bool) (*Recovered, *certifier.Certifier, *sidb.DB) {
 	t.Helper()
-	return recoverNodeWorkers(t, fs, keepUnsynced, 1)
-}
-
-// recoverNodeWorkers is recoverNode with the catch-up apply running
-// through a pipeline applier at the given worker count — a restarted
-// replica's parallel catch-up.
-func recoverNodeWorkers(t *testing.T, fs *MemFS, keepUnsynced bool, workers int) (*Recovered, *certifier.Certifier, *sidb.DB) {
-	t.Helper()
 	fs.PowerCycle(keepUnsynced)
 	w, rec, err := Open(Options{FS: fs, Fsync: true})
 	if err != nil {
@@ -306,7 +279,7 @@ func recoverNodeWorkers(t *testing.T, fs *MemFS, keepUnsynced bool, workers int)
 	}
 	// Catch up like a restarted replica: apply every certified record
 	// past the recovered cursor.
-	ap := pipeline.NewApplier(db, workers)
+	ap := pipeline.NewApplier(db)
 	if err := ap.Reset(func(int64) (int64, error) { return rec.Cursor, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -378,14 +351,7 @@ func referenceNode(t *testing.T, upTo int64, base int64) (*certifier.Certifier, 
 // checkInvariants asserts the durability contract for one crash run.
 func checkInvariants(t *testing.T, label string, r *crashRun, keepUnsynced bool) {
 	t.Helper()
-	checkInvariantsWorkers(t, label, r, keepUnsynced, 1)
-}
-
-// checkInvariantsWorkers asserts the durability contract with the
-// recovery catch-up applying at the given worker count.
-func checkInvariantsWorkers(t *testing.T, label string, r *crashRun, keepUnsynced bool, workers int) {
-	t.Helper()
-	rec, cert, db := recoverNodeWorkers(t, r.fs, keepUnsynced, workers)
+	rec, cert, db := recoverNode(t, r.fs, keepUnsynced)
 
 	// (3) dense prefix above the compaction base.
 	for i, c := range rec.Records {
@@ -527,46 +493,6 @@ func TestCrashSweep(t *testing.T) {
 					t.Fatalf("%s: crash never fired", label)
 				}
 				checkInvariants(t, label, r, keep)
-			}
-		}
-	}
-}
-
-// TestCrashSweepParallel re-runs the full crash sweep with the apply
-// stage at workers=8, both during the live run (group-commit batches
-// install through the conflict-aware parallel applier) and during
-// recovery catch-up. The WAL ordering invariants — acked ⊆ recovered,
-// dense version prefix, recovered state equal to the never-crashed
-// reference — must be indistinguishable from serial apply: journaling
-// runs version-ordered ahead of the parallel stage and the version
-// counter retires batches whole, so no kill point may expose a torn
-// or reordered apply stream.
-func TestCrashSweepParallel(t *testing.T) {
-	const workers = 8
-	dry := runCrashScriptWorkers(t, -1, 0, workers)
-	if dry.cfs.Crashed() {
-		t.Fatal("dry run crashed")
-	}
-	trace := dry.cfs.Trace()
-	if len(trace) < 30 {
-		t.Fatalf("suspiciously small trace: %d ops", len(trace))
-	}
-	checkInvariantsWorkers(t, "dry", dry, true, workers)
-
-	for op, desc := range trace {
-		cuts := []int{0}
-		if desc.Kind == "write" && desc.Bytes > 1 {
-			cuts = append(cuts, desc.Bytes/2)
-		}
-		for _, cut := range cuts {
-			for _, keep := range []bool{false, true} {
-				label := fmt.Sprintf("op%d(%s %s %dB) cut=%d keep=%v workers=%d",
-					op, desc.Kind, desc.Name, desc.Bytes, cut, keep, workers)
-				r := runCrashScriptWorkers(t, op, cut, workers)
-				if !r.cfs.Crashed() {
-					t.Fatalf("%s: crash never fired", label)
-				}
-				checkInvariantsWorkers(t, label, r, keep, workers)
 			}
 		}
 	}
