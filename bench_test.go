@@ -15,6 +15,7 @@ package repro
 
 import (
 	"io"
+	"strconv"
 	"testing"
 
 	"repro/internal/certifier"
@@ -347,10 +348,32 @@ func BenchmarkSIDBUpdateCommit(b *testing.B) {
 		if _, _, err := tx.Commit(); err != nil {
 			b.Fatal(err)
 		}
-		if i%8192 == 8191 {
-			db.GC()
+	}
+}
+
+// BenchmarkSIDBLoad installs a 4096-row table as eight 512-row load
+// chunks (repl.LoadChunkRows) into a fresh database, the apply
+// work of loading a catalog table on every replica.
+func BenchmarkSIDBLoad(b *testing.B) {
+	const chunk, chunks = 512, 8
+	wss := make([]writeset.Writeset, chunks)
+	for c := range wss {
+		rows := make([]int64, chunk)
+		values := make([]string, chunk)
+		for i := range rows {
+			rows[i] = int64(c*chunk + i)
+			values[i] = "item-row-" + strconv.FormatInt(rows[i], 10)
+		}
+		wss[c] = writeset.Rows("item", rows, values)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err := sidb.New().ApplyBatch(wss); n != chunks || err != nil {
+			b.Fatalf("ApplyBatch = %d, %v", n, err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk*chunks), "ns/row")
 }
 
 func BenchmarkSIDBRead(b *testing.B) {

@@ -9,6 +9,7 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -171,13 +172,20 @@ func LoadCatalog(l Loader, cat workload.Catalog, factor int) error {
 		if err := l.CreateTable(name); err != nil {
 			return err
 		}
-		if err := l.Load(name, rows, func(r int64) string {
-			return fmt.Sprintf("%s-row-%d", name, r)
-		}); err != nil {
+		if err := l.Load(name, rows, func(r int64) string { return loadValue(name, r) }); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// loadValue is the value LoadCatalog gives a row: "<table>-row-<r>",
+// the bytes the bench's correctness check (bench/drive.go) expects of
+// a row no transaction wrote. It is concatenated rather than formatted
+// because it runs once per loaded row, inside the cluster's set-up
+// time.
+func loadValue(table string, r int64) string {
+	return table + "-row-" + strconv.FormatInt(r, 10)
 }
 
 // sortedTables returns catalog table names in deterministic order.

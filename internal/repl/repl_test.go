@@ -176,6 +176,16 @@ func TestLoadCatalogFactorClamps(t *testing.T) {
 	}
 }
 
+// TestLoadValueMatchesFormat: the concatenated load value is byte for
+// byte the "%s-row-%d" form that load checks (bench's loadValue) expect.
+func TestLoadValueMatchesFormat(t *testing.T) {
+	for _, r := range []int64{0, 9, 1 << 40} {
+		if got, want := loadValue("items", r), fmt.Sprintf("%s-row-%d", "items", r); got != want {
+			t.Errorf("loadValue(items, %d) = %q, want %q", r, got, want)
+		}
+	}
+}
+
 func TestDriveCommitsExactly(t *testing.T) {
 	f := newFake(1)
 	cat := workload.TPCWCatalog()

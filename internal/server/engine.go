@@ -51,6 +51,9 @@ type engine interface {
 	// logLen is the number of writesets retained for propagation
 	// (certification log on the mm host, sm.Log on the sm master).
 	logLen() int
+	// rowVersions is the number of row versions the local database
+	// holds (sidb.DB.Versions): live rows plus what open snapshots pin.
+	rowVersions() int64
 	// fetchSince serves a peer's propagation pull; it fails unless this
 	// node is the primary. peer is the requester's replica id (negative
 	// for non-peer clients): long-poll cursors are tracked per replica
@@ -531,6 +534,8 @@ func (e *mmEngine) logLen() int {
 	}
 	return h.Base.LogLen()
 }
+
+func (e *mmEngine) rowVersions() int64 { return e.db.Versions() }
 
 func (e *mmEngine) fetchSince(peer int64, v int64, wait time.Duration) ([]certifier.Record, error) {
 	h := e.hostCert()
@@ -1199,6 +1204,8 @@ func (e *smEngine) logLen() int {
 	}
 	return e.wlog.Len()
 }
+
+func (e *smEngine) rowVersions() int64 { return e.db.Versions() }
 
 func (e *smEngine) fetchSince(peer int64, v int64, wait time.Duration) ([]certifier.Record, error) {
 	if !e.isMaster {

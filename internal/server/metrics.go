@@ -215,6 +215,8 @@ func (m *metrics) bindEngine(eng engine) {
 		func() float64 { return float64(eng.applyStats().Lag) })
 	reg.GaugeFunc("replicadb_retained_writesets", "Writesets retained for propagation.",
 		func() float64 { return float64(eng.logLen()) })
+	reg.GaugeFunc("replicadb_sidb_row_versions", "Row versions held by the local database, live rows and pinned older versions.",
+		func() float64 { return float64(eng.rowVersions()) })
 	reg.GaugeFunc("replicadb_applied_versions_total", "Versions applied since start.",
 		func() float64 { return float64(eng.applyStats().Total) })
 	reg.GaugeFunc("replicadb_apply_queue_depth", "Records admitted to the in-flight apply batch.",

@@ -268,7 +268,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			"replicadb_writeset_queue_depth", "replicadb_cert_latency_seconds",
 			"replicadb_applied_versions_total",
 			"replicadb_apply_queue_depth", "replicadb_apply_lag",
-			"replicadb_applied_versions_per_sec",
+			"replicadb_applied_versions_per_sec", "replicadb_sidb_row_versions",
 		} {
 			if !strings.Contains(body, want) {
 				t.Fatalf("server %d metrics missing %q:\n%s", i, want, body)

@@ -72,7 +72,9 @@ func (r *refDB) commit(snapshot int64, writes map[int64]string, deletes map[int6
 // TestShardedMatchesReference drives an identical randomized
 // single-stream workload through the engine and the reference
 // model: every commit/abort decision, returned version, and read
-// result must match.
+// result must match. Long-lived readers stay open across hundreds of
+// commits and keep checking their snapshot against the reference, so
+// pruning on install is held to what open snapshots can see.
 func TestShardedMatchesReference(t *testing.T) {
 	db := New()
 	if err := db.CreateTable("t"); err != nil {
@@ -91,6 +93,13 @@ func TestShardedMatchesReference(t *testing.T) {
 		deletes map[int64]bool
 	}
 	var window []pending
+
+	// Long-lived read-only transactions and the steps they have left.
+	type reader struct {
+		tx   *Txn
+		left int
+	}
+	var readers []reader
 
 	for step := 0; step < 4000; step++ {
 		// Open a transaction and buffer a few writes.
@@ -153,12 +162,34 @@ func TestShardedMatchesReference(t *testing.T) {
 				t.Fatalf("step %d: version %d, reference %d", step, v, ref.version)
 			}
 		}
-		if step%512 == 511 {
-			db.GC()
+		if len(readers) < 3 && rng.Intn(64) == 0 {
+			readers = append(readers, reader{tx: db.Begin(), left: 50 + rng.Intn(1000)})
 		}
+		live := readers[:0]
+		for _, r := range readers {
+			row := int64(rng.Intn(rows))
+			got, gotOK, err := r.tx.Read("t", row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantOK := ref.read(row, r.tx.Snapshot())
+			if got != want || gotOK != wantOK {
+				t.Fatalf("step %d: long reader read(%d)@%d = %q/%v, reference %q/%v",
+					step, row, r.tx.Snapshot(), got, gotOK, want, wantOK)
+			}
+			if r.left--; r.left == 0 {
+				r.tx.Abort()
+				continue
+			}
+			live = append(live, r)
+		}
+		readers = live
 	}
 	for _, q := range window {
 		q.tx.Abort()
+	}
+	for _, r := range readers {
+		r.tx.Abort()
 	}
 
 	// Final convergence: latest state must match row for row.
@@ -179,10 +210,11 @@ func TestShardedMatchesReference(t *testing.T) {
 }
 
 // TestStressShardedReadersWriters hammers one database with parallel
-// read-only transactions, update committers, writeset application and
-// GC. Run under -race it exercises every lock edge of the engine; the
-// invariants detect torn commits (a snapshot observing
-// half of a transaction's writes).
+// read-only transactions, update committers and long-lived readers
+// whose snapshots hold back install's pruning. Run under -race it
+// exercises every lock edge of the engine; the invariants detect torn
+// commits (a snapshot observing half of a transaction's writes) and
+// versions pruned from under an open snapshot.
 func TestStressShardedReadersWriters(t *testing.T) {
 	db := New()
 	if err := db.CreateTable("acct"); err != nil {
@@ -256,11 +288,30 @@ func TestStressShardedReadersWriters(t *testing.T) {
 			}
 		}()
 	}
+	// A long-lived reader takes a whole-table view, then re-reads
+	// random pairs of it while the writers commit: every re-read must
+	// match.
 	bgWg.Add(1)
 	go func() {
 		defer bgWg.Done()
+		rng := stats.NewRand(0xACE)
 		for !stop.Load() {
-			db.GC()
+			tx := db.Begin()
+			first, err := tx.Scan("acct")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < 200 && !stop.Load(); i++ {
+				row := int64(rng.Intn(2 * pairs))
+				v, ok, err := tx.Read("acct", row)
+				if err != nil || !ok || v != first[row] || v != first[row^1] {
+					t.Errorf("long reader @%d: row %d = %q %v %v, first saw %q (pair %q)",
+						tx.Snapshot(), row, v, ok, err, first[row], first[row^1])
+					return
+				}
+			}
+			tx.Abort()
 		}
 	}()
 	// A competing single-row update stream outside the pair space, so

@@ -20,7 +20,7 @@ func (tx *Txn) Scan(tableName string) (map[int64]string, error) {
 	}
 	out := make(map[int64]string, len(t.rows))
 	for key, r := range t.rows {
-		if v, ok := r.visible(tx.snapshot); ok && !v.deleted {
+		if v, ok := r.visible(tx.snapshot); ok && !v.deleted() {
 			out[key] = v.value
 		}
 	}

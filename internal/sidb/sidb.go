@@ -7,9 +7,11 @@
 // Semantics implemented:
 //
 //   - Every transaction receives a snapshot: the version of the last
-//     committed state visible at begin time (Begin), or an explicitly
-//     older version for GSI replicas (BeginAt), and reads exclusively
-//     from it plus its own writes.
+//     committed state at begin time, and reads exclusively from it
+//     plus its own writes. Under GSI a replica's snapshot may be older
+//     than the globally latest version; that staleness comes from the
+//     applier's pin (the replica begins at the version it has applied),
+//     not from an older snapshot of this database.
 //   - Read-only transactions always commit; they never block or abort
 //     and never cause update transactions to block or abort.
 //   - Update transactions commit only if no concurrent committed
@@ -27,6 +29,11 @@
 // commit mutex (version assignment must be total), taking the write
 // lock only while installing their rows. The version counter and
 // active-snapshot table live under a small dedicated lock of their own.
+//
+// A row keeps its newest version inline and older versions in a short
+// chain that every install prunes to what open snapshots can still
+// see, so memory tracks the live data plus the open readers' view of
+// it rather than the write history.
 package sidb
 
 import (
@@ -52,48 +59,97 @@ var (
 	ErrStaleVersion = errors.New("sidb: writeset version not newer than database version")
 )
 
-// rowVersion is one committed version of a row.
+// rowVersion is one committed version of a row. A deletion is a
+// tombstone stored as the negated version, so no flag pads the struct
+// to 32 bytes; installed versions start at 1, so the sign is
+// unambiguous.
 type rowVersion struct {
-	version int64
-	value   string
-	deleted bool
+	stamp int64 // the version, negated for a tombstone
+	value string
 }
 
-// row is a version chain, ascending by version.
+func newVersion(v int64, value string, deleted bool) rowVersion {
+	if deleted {
+		return rowVersion{stamp: -v}
+	}
+	return rowVersion{stamp: v, value: value}
+}
+
+func (rv rowVersion) version() int64 {
+	if rv.stamp < 0 {
+		return -rv.stamp
+	}
+	return rv.stamp
+}
+
+func (rv rowVersion) deleted() bool { return rv.stamp < 0 }
+
+// row is a version chain: the newest committed version inline, and
+// the older versions some open snapshot may still need, ascending by
+// version. older stays nil until the row's first overwrite, so loading
+// a table allocates nothing per row beyond its map slot. The chain
+// sits behind a pointer to keep the row at 32 bytes: a table's map
+// holds rows by value, slack slots included.
 type row struct {
-	versions []rowVersion
+	head  rowVersion
+	older *[]rowVersion
 }
 
 // visible returns the newest version at or below snapshot.
 func (r *row) visible(snapshot int64) (rowVersion, bool) {
-	// Version chains are short (GC keeps them trimmed); scan from the
-	// newest end.
-	for i := len(r.versions) - 1; i >= 0; i-- {
-		if r.versions[i].version <= snapshot {
-			return r.versions[i], true
+	if r.head.version() <= snapshot {
+		return r.head, true
+	}
+	if r.older != nil {
+		older := *r.older
+		for i := len(older) - 1; i >= 0; i-- {
+			if older[i].version() <= snapshot {
+				return older[i], true
+			}
 		}
 	}
 	return rowVersion{}, false
 }
 
-// latest returns the newest committed version number of the row.
-func (r *row) latest() int64 {
-	if len(r.versions) == 0 {
-		return 0
+// push makes nv the row's head and prunes the chain to what a snapshot
+// at or above horizon can see: the newest version at or below horizon
+// and everything after it. The backing array is reused and the dropped
+// tail cleared, so an overwrite allocates nothing once the chain has
+// reached its working length and dropped values become garbage. nv
+// must be newer than horizon (installs always are). It returns the
+// change in the number of versions the row holds.
+func (r *row) push(nv rowVersion, horizon int64) int {
+	if r.older == nil {
+		r.older = new([]rowVersion)
 	}
-	return r.versions[len(r.versions)-1].version
+	before := len(*r.older)
+	older := append(*r.older, r.head)
+	r.head = nv
+	// The versions at or below horizon are a prefix of the ascending
+	// chain; keep its last one. Scanning from the front stops at once
+	// when a long-lived reader holds the horizon back.
+	keep := 0
+	for keep+1 < len(older) && older[keep+1].version() <= horizon {
+		keep++
+	}
+	if keep > 0 {
+		n := copy(older, older[keep:])
+		clear(older[n:])
+		older = older[:n]
+	}
+	*r.older = older
+	return len(older) - before
 }
 
 // table is one named table's rows.
 type table struct {
-	rows map[int64]*row
+	rows map[int64]row
 }
 
 // DB is a snapshot-isolated multi-version database.
 type DB struct {
-	// commitMu serializes state mutation: update commits, writeset
-	// application and GC. Read-only transactions never
-	// take it.
+	// commitMu serializes state mutation: update commits and writeset
+	// application. Read-only transactions never take it.
 	commitMu sync.Mutex
 
 	// journal, when set, observes every writeset about to be installed
@@ -104,10 +160,11 @@ type DB struct {
 	// aborts the installation.
 	journal func(ws writeset.Writeset, version int64) error
 
-	// mu guards tables, the registry and every row in it; reads take
-	// it shared.
-	mu     sync.RWMutex
-	tables map[string]*table
+	// mu guards tables, the registry and every row in it, and the
+	// count of versions those rows hold; reads take it shared.
+	mu       sync.RWMutex
+	tables   map[string]*table
+	versions int64
 
 	// stateMu guards the version counter, the active-snapshot table
 	// and the commit/abort counters.
@@ -153,7 +210,7 @@ func (db *DB) CreateTable(name string) error {
 	if _, ok := db.tables[name]; ok {
 		return fmt.Errorf("sidb: table %q already exists", name)
 	}
-	db.tables[name] = &table{rows: make(map[int64]*row)}
+	db.tables[name] = &table{rows: make(map[int64]row)}
 	return nil
 }
 
@@ -192,29 +249,22 @@ func (db *DB) Stats() (commits, aborts int64) {
 	return db.commits, db.aborts
 }
 
-// Begin starts a transaction on the latest committed snapshot (SI).
+// Versions returns the number of row versions the database holds,
+// deleted-row tombstones included: one per row plus whatever older
+// versions open snapshots still pin.
+func (db *DB) Versions() int64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.versions
+}
+
+// Begin starts a transaction on the latest committed snapshot. Every
+// snapshot is taken here, at the current version; install's pruning
+// relies on that (see install).
 func (db *DB) Begin() *Txn {
 	db.stateMu.Lock()
 	defer db.stateMu.Unlock()
-	return db.beginLocked(db.version)
-}
-
-// BeginAt starts a transaction on an explicit snapshot version, which
-// may be older than the latest (GSI). It is capped at the current
-// version: a replica cannot observe the future.
-func (db *DB) BeginAt(snapshot int64) *Txn {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
-	if snapshot > db.version {
-		snapshot = db.version
-	}
-	if snapshot < 0 {
-		snapshot = 0
-	}
-	return db.beginLocked(snapshot)
-}
-
-func (db *DB) beginLocked(snapshot int64) *Txn {
+	snapshot := db.version
 	db.active[snapshot]++
 	return &Txn{db: db, snapshot: snapshot}
 }
@@ -279,7 +329,7 @@ func (db *DB) latestVersion(k writeset.Key) int64 {
 	if !ok {
 		return 0
 	}
-	return r.latest()
+	return r.head.version()
 }
 
 // ApplyWriteset installs a remote transaction's writeset at the given
@@ -331,27 +381,44 @@ func (db *DB) ApplyBatch(wss []writeset.Writeset) (int, error) {
 	return n, err
 }
 
-// install writes every entry of ws as version v under the write lock.
+// install writes every entry of ws as version v under the write lock,
+// pruning each written row's chain to what open snapshots can see.
 // The caller must hold commitMu, and must advance the version counter
 // (under stateMu) after install returns, so a concurrent reader's
 // snapshot never admits a half-installed commit. Unknown tables are
 // created: a propagated writeset is authoritative, and a local commit
 // only writes tables it checked exist.
+//
+// The horizon is the oldest open snapshot, read once under stateMu,
+// which is then released before mu is taken. That is safe because
+// Begin is the only way to open a snapshot and it always takes the
+// current version, and the current version cannot move while the
+// caller holds commitMu: a transaction that begins after the horizon
+// is read gets a snapshot at or above it, which sees only the newest
+// version at or below the horizon or later ones — exactly what the
+// prune keeps.
 func (db *DB) install(ws writeset.Writeset, v int64) {
+	db.stateMu.Lock()
+	horizon := db.oldestActiveLocked()
+	db.stateMu.Unlock()
+
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, e := range ws.Entries {
 		t, ok := db.tables[e.Key.Table]
 		if !ok {
-			t = &table{rows: make(map[int64]*row)}
+			t = &table{rows: make(map[int64]row)}
 			db.tables[e.Key.Table] = t
 		}
+		nv := newVersion(v, e.Value, e.Delete)
 		r, ok := t.rows[e.Key.Row]
 		if !ok {
-			r = &row{}
-			t.rows[e.Key.Row] = r
+			t.rows[e.Key.Row] = row{head: nv}
+			db.versions++
+			continue
 		}
-		r.versions = append(r.versions, rowVersion{version: v, value: e.Value, deleted: e.Delete})
+		db.versions += int64(r.push(nv, horizon))
+		t.rows[e.Key.Row] = r
 	}
 }
 
@@ -364,44 +431,6 @@ func (db *DB) advance(v int64, countCommit bool) {
 		db.commits++
 	}
 	db.stateMu.Unlock()
-}
-
-// GC prunes row versions that no active or future snapshot can see:
-// for each row, versions strictly older than the newest version at or
-// below the oldest active snapshot are dropped. It returns the number
-// of versions removed.
-func (db *DB) GC() int {
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
-	// stateMu is held for the whole prune: a BeginAt racing the GC
-	// could otherwise register a pre-horizon snapshot after the
-	// horizon was computed and then read pruned state. Holding it
-	// blocks Begin/Abort for the duration, which is what the seed's
-	// single mutex did too.
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
-	horizon := db.oldestActiveLocked()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	removed := 0
-	for _, t := range db.tables {
-		for _, r := range t.rows {
-			keep := 0
-			// Find the newest version <= horizon; everything before it
-			// is invisible to every present and future snapshot.
-			for i := len(r.versions) - 1; i >= 0; i-- {
-				if r.versions[i].version <= horizon {
-					keep = i
-					break
-				}
-			}
-			if keep > 0 {
-				removed += keep
-				r.versions = append([]rowVersion(nil), r.versions[keep:]...)
-			}
-		}
-	}
-	return removed
 }
 
 // RowCount returns the number of live rows in a table (latest visible
@@ -418,7 +447,7 @@ func (db *DB) RowCount(tableName string) (int, error) {
 	}
 	n := 0
 	for _, r := range t.rows {
-		if len(r.versions) > 0 && !r.versions[len(r.versions)-1].deleted {
+		if !r.head.deleted() {
 			n++
 		}
 	}

@@ -174,30 +174,27 @@ func TestWriteSkewPermitted(t *testing.T) {
 }
 
 func TestGSIStaleSnapshot(t *testing.T) {
+	// A reader opened at v1 stays open across later commits and keeps
+	// reading v1: its snapshot goes stale the way a GSI replica's does.
 	db := newDB(t, "item")
 	tx := db.Begin()
 	tx.Write("item", 1, "v1")
 	v1 := mustCommit(t, tx)
-	tx = db.Begin()
-	tx.Write("item", 1, "v2")
-	mustCommit(t, tx)
 
-	old := db.BeginAt(v1)
-	v, ok, _ := old.Read("item", 1)
-	if !ok || v != "v1" {
-		t.Fatalf("stale snapshot read %q %v", v, ok)
+	old := db.Begin()
+	for i := 2; i <= 4; i++ {
+		tx = db.Begin()
+		tx.Write("item", 1, fmt.Sprintf("v%d", i))
+		mustCommit(t, tx)
+		v, ok, _ := old.Read("item", 1)
+		if !ok || v != "v1" {
+			t.Fatalf("after commit %d: stale snapshot read %q %v", i, v, ok)
+		}
+	}
+	if old.Snapshot() != v1 {
+		t.Fatalf("snapshot = %d, want %d", old.Snapshot(), v1)
 	}
 	old.Abort()
-
-	// Snapshots are capped at the current version.
-	future := db.BeginAt(db.Version() + 100)
-	if future.Snapshot() != db.Version() {
-		t.Fatalf("future snapshot = %d, want %d", future.Snapshot(), db.Version())
-	}
-	future.Abort()
-	if neg := db.BeginAt(-5); neg.Snapshot() != 0 {
-		t.Fatalf("negative snapshot = %d", neg.Snapshot())
-	}
 }
 
 func TestGSIStaleWriterAborts(t *testing.T) {
@@ -206,12 +203,12 @@ func TestGSIStaleWriterAborts(t *testing.T) {
 	db := newDB(t, "item")
 	tx := db.Begin()
 	tx.Write("item", 1, "v1")
-	v1 := mustCommit(t, tx)
+	mustCommit(t, tx)
+	stale := db.Begin()
 	tx = db.Begin()
 	tx.Write("item", 1, "v2")
 	mustCommit(t, tx)
 
-	stale := db.BeginAt(v1)
 	stale.Write("item", 1, "late")
 	if _, _, err := stale.Commit(); !errors.Is(err, ErrConflict) {
 		t.Fatalf("stale writer got %v", err)
@@ -347,33 +344,127 @@ func TestWritesetExtraction(t *testing.T) {
 	tx.Abort()
 }
 
+// olderLen returns how many versions behind its head a row holds.
+func olderLen(t *testing.T, db *DB, table string, key int64) int {
+	t.Helper()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	r, ok := db.tables[table].rows[key]
+	if !ok {
+		t.Fatalf("row %s/%d missing", table, key)
+	}
+	if r.older == nil {
+		return 0
+	}
+	return len(*r.older)
+}
+
+func overwrite(t *testing.T, db *DB, table string, key int64, value string) {
+	t.Helper()
+	tx := db.Begin()
+	if err := tx.Write(table, key, value); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+}
+
 func TestGCKeepsVisibleVersions(t *testing.T) {
 	db := newDB(t, "item")
-	for i := 0; i < 5; i++ {
-		tx := db.Begin()
-		tx.Write("item", 1, fmt.Sprintf("v%d", i))
-		mustCommit(t, tx)
+	for i := 0; i < 2; i++ {
+		overwrite(t, db, "item", 1, fmt.Sprintf("v%d", i))
 	}
-	// An old reader pins version 2's visibility horizon.
-	old := db.BeginAt(2)
-	removed := db.GC()
-	if removed == 0 {
-		t.Fatal("GC removed nothing")
+	// An open reader pins version 2's visibility horizon while later
+	// commits prune the chain.
+	old := db.Begin()
+	for i := 2; i < 5; i++ {
+		overwrite(t, db, "item", 1, fmt.Sprintf("v%d", i))
 	}
 	v, ok, _ := old.Read("item", 1)
 	if !ok || v != "v1" { // commit i wrote version i+1
-		t.Fatalf("pinned snapshot read %q %v after GC", v, ok)
+		t.Fatalf("pinned snapshot read %q %v after pruning", v, ok)
+	}
+	// Pruning keeps the reader's v1 and everything after it.
+	if n := olderLen(t, db, "item", 1); n != 3 {
+		t.Fatalf("chain holds %d older versions, want 3 (v1..v3)", n)
 	}
 	old.Abort()
 
-	// With no active transactions everything but the newest goes.
-	db.GC()
+	// With no reader open the next write keeps only the version a
+	// snapshot at the current version could still read.
+	overwrite(t, db, "item", 1, "v5")
+	if n := olderLen(t, db, "item", 1); n != 1 {
+		t.Fatalf("chain holds %d older versions after the reader left, want 1", n)
+	}
+	if got := db.Versions(); got != 2 {
+		t.Fatalf("Versions = %d, want 2", got)
+	}
 	tx := db.Begin()
 	v, _, _ = tx.Read("item", 1)
-	if v != "v4" {
-		t.Fatalf("latest after GC = %q", v)
+	if v != "v5" {
+		t.Fatalf("latest after pruning = %q", v)
 	}
 	tx.Abort()
+}
+
+// TestPruneBoundsChains: overwriting one row 10,000 times with no
+// reader open leaves at most one version behind the head; a reader
+// opened before the overwrites keeps reading its own value throughout,
+// and the first write after it aborts drops that value.
+func TestPruneBoundsChains(t *testing.T) {
+	db := newDB(t, "item")
+	overwrite(t, db, "item", 1, "base")
+	for i := 0; i < 10000; i++ {
+		overwrite(t, db, "item", 1, fmt.Sprintf("w%d", i))
+		if n := olderLen(t, db, "item", 1); n > 1 {
+			t.Fatalf("overwrite %d: chain holds %d older versions", i, n)
+		}
+	}
+	if got := db.Versions(); got > 2 {
+		t.Fatalf("Versions = %d after 10000 overwrites, want <= 2", got)
+	}
+
+	reader := db.Begin()
+	want, _, _ := reader.Read("item", 1)
+	for i := 0; i < 10000; i++ {
+		overwrite(t, db, "item", 1, fmt.Sprintf("r%d", i))
+		if v, ok, err := reader.Read("item", 1); err != nil || !ok || v != want {
+			t.Fatalf("overwrite %d: reader saw %q %v %v, want %q", i, v, ok, err, want)
+		}
+	}
+	reader.Abort()
+	overwrite(t, db, "item", 1, "after")
+	db.mu.RLock()
+	older := *db.tables["item"].rows[1].older
+	db.mu.RUnlock()
+	if len(older) > 1 || db.Versions() > 2 {
+		t.Fatalf("chain holds %d older versions (%d in all) after the reader aborted", len(older), db.Versions())
+	}
+	for _, ov := range older {
+		if ov.value == want {
+			t.Fatalf("reader's value %q survived its abort", want)
+		}
+	}
+}
+
+// TestVersionsCountsRowsAndTombstones: a load counts one version per
+// row, and deletes keep their tombstone as the row's head.
+func TestVersionsCountsRowsAndTombstones(t *testing.T) {
+	db := newDB(t, "item")
+	load(t, db, "item", 100, "v")
+	if got := db.Versions(); got != 100 {
+		t.Fatalf("Versions after load = %d, want 100", got)
+	}
+	tx := db.Begin()
+	for row := int64(0); row < 10; row++ {
+		tx.Delete("item", row)
+	}
+	mustCommit(t, tx)
+	if got := db.Versions(); got != 110 {
+		t.Fatalf("Versions after deletes = %d, want 110 (10 tombstones over their rows)", got)
+	}
+	if n, _ := db.RowCount("item"); n != 90 {
+		t.Fatalf("RowCount = %d, want 90", n)
+	}
 }
 
 func TestStatsCounting(t *testing.T) {

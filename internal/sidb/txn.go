@@ -44,7 +44,7 @@ func (tx *Txn) Read(tableName string, key int64) (value string, ok bool, err err
 	if !ok {
 		return "", false, fmt.Errorf("%w: %q", ErrNoTable, tableName)
 	}
-	if !visible || v.deleted {
+	if !visible || v.deleted() {
 		return "", false, nil
 	}
 	return v.value, true, nil
