@@ -282,21 +282,26 @@ func BenchmarkCertifyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkWritesetConflicts intersects two 16-row writesets, the
-// certifier's inner loop before the inverted index existed.
-func BenchmarkWritesetConflicts(b *testing.B) {
-	mk := func(base int64) writeset.Writeset {
-		bld := writeset.NewBuilder()
-		for i := int64(0); i < 16; i++ {
-			bld.Put(writeset.Key{Table: "item", Row: base + i}, "v")
-		}
-		return bld.Writeset()
+// BenchmarkSIDBUpdateTxn runs the update-transaction path of one
+// replica's database: Begin, four writes to distinct rows (the paper's
+// largest TPC-W and RUBiS update templates), Commit.
+func BenchmarkSIDBUpdateTxn(b *testing.B) {
+	db := sidb.New()
+	if err := db.CreateTable("item"); err != nil {
+		b.Fatal(err)
 	}
-	x, y := mk(0), mk(1000)
+	const rows = 4096
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if x.Conflicts(y) {
-			b.Fatal("disjoint writesets reported conflicting")
+		tx := db.Begin()
+		base := int64(i*4) % rows
+		for j := int64(0); j < 4; j++ {
+			if err := tx.Write("item", base+j, "stock=91"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, _, err := tx.Commit(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -74,7 +74,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v", err)
 		}
-		if !reflect.DeepEqual(normalize(rec), normalize(rec2)) {
+		if !reflect.DeepEqual(rec, rec2) {
 			t.Fatalf("round-trip diverged:\n%+v\nvs\n%+v", rec, rec2)
 		}
 	})
@@ -117,11 +117,4 @@ func FuzzDecodeRecords(f *testing.F) {
 			}
 		}
 	})
-}
-
-// normalize strips the writeset's derived key set, which encoding does
-// not carry, so DeepEqual compares only what the codec owns.
-func normalize(r Record) Record {
-	r.Writeset = writeset.New(r.Writeset.Entries)
-	return r
 }

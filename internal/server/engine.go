@@ -964,7 +964,7 @@ func (t *mmTxn) HasWrites() bool {
 	if t.done || t.readOnly {
 		return false
 	}
-	return !t.inner.Writeset().Empty()
+	return !t.inner.ReadOnly()
 }
 
 // Prepare runs the first 2PC phase for this transaction's writeset as

@@ -7,7 +7,8 @@ import (
 )
 
 // TestReadOnlyTxnAllocs: a read-only Begin/Read/Commit allocates only
-// its Txn — no write map and no writeset — however many rows it reads.
+// its Txn — no write slice and no writeset — however many rows it
+// reads.
 func TestReadOnlyTxnAllocs(t *testing.T) {
 	db := newDB(t, "item")
 	w := db.Begin()
@@ -28,6 +29,30 @@ func TestReadOnlyTxnAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("read-only transaction: %.2f allocs/op, want 1 (the Txn)", allocs)
+	}
+}
+
+// TestUpdateTxnAllocs: an update transaction that writes up to 4 rows
+// and extracts its writeset allocates its Txn and one array of writes,
+// nothing more — Writeset hands the array over uncopied.
+func TestUpdateTxnAllocs(t *testing.T) {
+	db := newDB(t, "item")
+	for _, n := range []int64{1, 2, 4} {
+		allocs := testing.AllocsPerRun(200, func() {
+			tx := db.Begin()
+			for row := int64(0); row < n; row++ {
+				if err := tx.Write("item", row, "stock=91"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ws := tx.Writeset(); ws.Len() != int(n) {
+				t.Fatalf("writeset has %d entries, want %d", ws.Len(), n)
+			}
+			tx.Abort()
+		})
+		if allocs > 2 {
+			t.Fatalf("%d writes: %.2f allocs/op, want <= 2 (the Txn and its writes)", n, allocs)
+		}
 	}
 }
 

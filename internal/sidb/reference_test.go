@@ -45,8 +45,12 @@ func (r *refDB) read(row, snapshot int64) (string, bool) {
 }
 
 // commit applies an update of rows at the given snapshot; it reports
-// whether first-committer-wins allows the commit.
+// whether first-committer-wins allows the commit. A transaction that
+// wrote nothing is read-only: it commits and makes no version.
 func (r *refDB) commit(snapshot int64, writes map[int64]string, deletes map[int64]bool) bool {
+	if len(writes)+len(deletes) == 0 {
+		return true
+	}
 	for row := range writes {
 		if r.lastWriter[row] > snapshot {
 			return false
@@ -110,9 +114,18 @@ func TestShardedMatchesReference(t *testing.T) {
 			writes:  make(map[int64]string),
 			deletes: make(map[int64]bool),
 		}
-		nWrites := 1 + rng.Intn(3)
+		// 0 to 20 writes, so transactions cross the write-index
+		// threshold; one write in four revisits a row the transaction
+		// already wrote, rewriting or deleting it.
+		nWrites := rng.Intn(21)
+		var mine []int64
 		for i := 0; i < nWrites; i++ {
 			row := int64(rng.Intn(rows))
+			if len(mine) > 0 && rng.Intn(4) == 0 {
+				row = mine[rng.Intn(len(mine))]
+			} else {
+				mine = append(mine, row)
+			}
 			if rng.Intn(8) == 0 {
 				if err := tx.Delete("t", row); err != nil {
 					t.Fatal(err)
@@ -128,18 +141,29 @@ func TestShardedMatchesReference(t *testing.T) {
 				p.writes[row] = val
 			}
 		}
-		// Cross-check a read against the reference at the snapshot.
+		// Cross-check a read against the reference at the snapshot,
+		// overlaid with the transaction's own latest write, and the
+		// writeset against the rows written.
 		row := int64(rng.Intn(rows))
-		if _, own := p.writes[row]; !own && !p.deletes[row] {
-			got, gotOK, err := tx.Read("t", row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantOK := ref.read(row, p.refSnap)
-			if got != want || gotOK != wantOK {
-				t.Fatalf("step %d: read(%d)@%d = %q/%v, reference %q/%v",
-					step, row, p.refSnap, got, gotOK, want, wantOK)
-			}
+		if len(mine) > 0 && rng.Intn(2) == 0 {
+			row = mine[rng.Intn(len(mine))]
+		}
+		got, gotOK, err := tx.Read("t", row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantOK := ref.read(row, p.refSnap)
+		if v, own := p.writes[row]; own {
+			want, wantOK = v, true
+		} else if p.deletes[row] {
+			want, wantOK = "", false
+		}
+		if got != want || gotOK != wantOK {
+			t.Fatalf("step %d: read(%d)@%d = %q/%v, want %q/%v",
+				step, row, p.refSnap, got, gotOK, want, wantOK)
+		}
+		if ws := tx.Writeset(); ws.Len() != len(p.writes)+len(p.deletes) {
+			t.Fatalf("step %d: writeset has %d entries for %d rows", step, ws.Len(), len(p.writes)+len(p.deletes))
 		}
 		window = append(window, p)
 
@@ -158,8 +182,12 @@ func TestShardedMatchesReference(t *testing.T) {
 				t.Fatalf("step %d: engine committed=%v, reference=%v (snap %d writes %v deletes %v)",
 					step, committed, wantCommit, q.refSnap, q.writes, q.deletes)
 			}
-			if committed && v != ref.version {
-				t.Fatalf("step %d: version %d, reference %d", step, v, ref.version)
+			wantV := ref.version
+			if len(q.writes)+len(q.deletes) == 0 {
+				wantV = q.refSnap
+			}
+			if committed && v != wantV {
+				t.Fatalf("step %d: version %d, reference %d", step, v, wantV)
 			}
 		}
 		if len(readers) < 3 && rng.Intn(64) == 0 {

@@ -27,14 +27,14 @@ func (tx *Txn) Scan(tableName string) (map[int64]string, error) {
 	tx.db.mu.RUnlock()
 
 	// Overlay the transaction's own pending writes.
-	for k, e := range tx.writes {
-		if k.Table != tableName {
+	for _, e := range tx.writes {
+		if e.Key.Table != tableName {
 			continue
 		}
 		if e.Delete {
-			delete(out, k.Row)
+			delete(out, e.Key.Row)
 		} else {
-			out[k.Row] = e.Value
+			out[e.Key.Row] = e.Value
 		}
 	}
 	return out, nil

@@ -39,6 +39,7 @@ package sidb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -111,13 +112,19 @@ func (r *row) visible(snapshot int64) (rowVersion, bool) {
 	return rowVersion{}, false
 }
 
+// chainKeepCap is the chain capacity push never gives back: below it
+// a steady-state chain reuses its backing array on every overwrite.
+const chainKeepCap = 8
+
 // push makes nv the row's head and prunes the chain to what a snapshot
 // at or above horizon can see: the newest version at or below horizon
 // and everything after it. The backing array is reused and the dropped
 // tail cleared, so an overwrite allocates nothing once the chain has
-// reached its working length and dropped values become garbage. nv
-// must be newer than horizon (installs always are). It returns the
-// change in the number of versions the row holds.
+// reached its working length and dropped values become garbage. A
+// chain a long-lived reader grew past chainKeepCap is reallocated to
+// fit once its kept versions fill at most a quarter of it. nv must be
+// newer than horizon (installs always are). It returns the change in
+// the number of versions the row holds.
 func (r *row) push(nv rowVersion, horizon int64) int {
 	if r.older == nil {
 		r.older = new([]rowVersion)
@@ -132,8 +139,12 @@ func (r *row) push(nv rowVersion, horizon int64) int {
 	for keep+1 < len(older) && older[keep+1].version() <= horizon {
 		keep++
 	}
-	if keep > 0 {
-		n := copy(older, older[keep:])
+	kept := older[keep:]
+	switch {
+	case cap(older) > chainKeepCap && len(kept) <= cap(older)/4:
+		older = slices.Clone(kept)
+	case keep > 0:
+		n := copy(older, kept)
 		clear(older[n:])
 		older = older[:n]
 	}

@@ -3,6 +3,7 @@ package sidb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -344,6 +345,142 @@ func TestWritesetExtraction(t *testing.T) {
 	tx.Abort()
 }
 
+// TestTxnWritesetFirstWriteOrder: a writeset lists one entry per row
+// in the order the rows were first written, deletes flagged.
+func TestTxnWritesetFirstWriteOrder(t *testing.T) {
+	db := newDB(t, "item", "orders")
+	tx := db.Begin()
+	tx.Write("item", 1, "a")
+	tx.Write("item", 2, "b")
+	tx.Delete("orders", 9)
+	ws := tx.Writeset()
+	want := []writeset.Entry{
+		{Key: writeset.Key{Table: "item", Row: 1}, Value: "a"},
+		{Key: writeset.Key{Table: "item", Row: 2}, Value: "b"},
+		{Key: writeset.Key{Table: "orders", Row: 9}, Delete: true},
+	}
+	if !slices.Equal(ws.Entries, want) {
+		t.Fatalf("writeset = %v, want %v", ws.Entries, want)
+	}
+	tx.Abort()
+}
+
+// TestTxnOverwriteKeepsOneEntry: rewriting a row replaces its entry in
+// place; the writeset keeps the row's first-write position and its
+// last value.
+func TestTxnOverwriteKeepsOneEntry(t *testing.T) {
+	db := newDB(t, "item")
+	tx := db.Begin()
+	tx.Write("item", 1, "a")
+	tx.Write("item", 2, "x")
+	tx.Write("item", 1, "b")
+	ws := tx.Writeset()
+	if ws.Len() != 2 || ws.Entries[0].Key.Row != 1 || ws.Entries[0].Value != "b" {
+		t.Fatalf("overwrite: writeset = %v", ws.Entries)
+	}
+	tx.Abort()
+}
+
+// TestTxnPutThenDelete: a delete after a write leaves one delete entry,
+// and a write after a delete one write entry.
+func TestTxnPutThenDelete(t *testing.T) {
+	db := newDB(t, "t")
+	tx := db.Begin()
+	tx.Write("t", 1, "x")
+	tx.Delete("t", 1)
+	tx.Delete("t", 2)
+	tx.Write("t", 2, "y")
+	ws := tx.Writeset()
+	if ws.Len() != 2 || !ws.Entries[0].Delete || ws.Entries[1].Delete || ws.Entries[1].Value != "y" {
+		t.Fatalf("last write per row lost: %v", ws.Entries)
+	}
+	tx.Abort()
+}
+
+// TestWritesetTakenMidTxn: a writeset taken mid-transaction is not
+// changed by later writes to new rows or rewrites and deletes of rows
+// it holds, while Read, Scan and Commit see the latest own write. Run
+// with transactions small enough to scan their writes and large enough
+// to index them.
+func TestWritesetTakenMidTxn(t *testing.T) {
+	for _, rows := range []int64{2, indexAbove + 4} {
+		t.Run(fmt.Sprint(rows), func(t *testing.T) {
+			db := newDB(t, "item")
+			tx := db.Begin()
+			for row := int64(0); row < rows; row++ {
+				tx.Write("item", row, "first")
+			}
+			mid := tx.Writeset()
+			snap := slices.Clone(mid.Entries)
+			for row := int64(0); row < rows; row++ {
+				tx.Write("item", row, "second") // rewrite a row mid holds
+			}
+			tx.Delete("item", 0)
+			tx.Write("item", rows, "new") // a row mid does not hold
+			if !slices.Equal(mid.Entries, snap) {
+				t.Fatalf("mid-transaction writeset changed: %v, was %v", mid.Entries, snap)
+			}
+			if v, ok, _ := tx.Read("item", 1); !ok || v != "second" {
+				t.Fatalf("Read own rewrite = %q %v", v, ok)
+			}
+			if _, ok, _ := tx.Read("item", 0); ok {
+				t.Fatal("Read sees a row the transaction deleted")
+			}
+			scan, err := tx.Scan("item")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(scan) != int(rows) || scan[1] != "second" || scan[rows] != "new" {
+				t.Fatalf("Scan = %v", scan)
+			}
+			ws, _, err := tx.Commit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ws.Len() != int(rows)+1 {
+				t.Fatalf("committed writeset has %d entries, want %d", ws.Len(), rows+1)
+			}
+			dump, _ := db.Dump("item")
+			if len(dump) != int(rows) || dump[1] != "second" || dump[rows] != "new" {
+				t.Fatalf("installed rows = %v", dump)
+			}
+			if _, ok := dump[0]; ok {
+				t.Fatal("deleted row installed")
+			}
+		})
+	}
+}
+
+// TestManyWritesDedupe: a transaction far past the index threshold
+// keeps one entry per row in first-write order, and its own reads see
+// every rewrite.
+func TestManyWritesDedupe(t *testing.T) {
+	const rows = 500
+	db := newDB(t, "item")
+	tx := db.Begin()
+	for pass := 0; pass < 3; pass++ {
+		for row := int64(0); row < rows; row++ {
+			tx.Write("item", row, fmt.Sprintf("p%d-%d", pass, row))
+		}
+	}
+	if tx.index == nil {
+		t.Fatalf("no write index after %d rows (threshold %d)", rows, indexAbove)
+	}
+	ws := tx.Writeset()
+	if ws.Len() != rows {
+		t.Fatalf("writeset has %d entries, want %d", ws.Len(), rows)
+	}
+	for i, e := range ws.Entries {
+		if e.Key.Row != int64(i) || e.Value != fmt.Sprintf("p2-%d", i) {
+			t.Fatalf("entry %d = %v", i, e)
+		}
+		if v, ok, _ := tx.Read("item", int64(i)); !ok || v != e.Value {
+			t.Fatalf("Read(%d) = %q %v, want %q", i, v, ok, e.Value)
+		}
+	}
+	tx.Abort()
+}
+
 // olderLen returns how many versions behind its head a row holds.
 func olderLen(t *testing.T, db *DB, table string, key int64) int {
 	t.Helper()
@@ -443,6 +580,36 @@ func TestPruneBoundsChains(t *testing.T) {
 		if ov.value == want {
 			t.Fatalf("reader's value %q survived its abort", want)
 		}
+	}
+}
+
+// TestChainShrinksAfterReader: a reader held open across 1,000
+// overwrites grows the row's chain; once it is released, the next
+// write gives the peak capacity back.
+func TestChainShrinksAfterReader(t *testing.T) {
+	db := newDB(t, "item")
+	overwrite(t, db, "item", 1, "base")
+	reader := db.Begin()
+	for i := 0; i < 1000; i++ {
+		overwrite(t, db, "item", 1, fmt.Sprintf("r%d", i))
+	}
+	chainCap := func() int {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		return cap(*db.tables["item"].rows[1].older)
+	}
+	if c := chainCap(); c < 1000 {
+		t.Fatalf("chain capacity %d with the reader open, want >= 1000", c)
+	}
+	reader.Abort()
+	overwrite(t, db, "item", 1, "after")
+	if c := chainCap(); c > chainKeepCap {
+		t.Fatalf("chain capacity %d after the reader left, want <= %d", c, chainKeepCap)
+	}
+	tx := db.Begin()
+	defer tx.Abort()
+	if v, ok, _ := tx.Read("item", 1); !ok || v != "after" {
+		t.Fatalf("latest = %q %v", v, ok)
 	}
 }
 

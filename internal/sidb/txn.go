@@ -2,8 +2,20 @@ package sidb
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/writeset"
+)
+
+const (
+	// firstWrites is the room a transaction's first write reserves:
+	// the paper's TPC-W and RUBiS update templates write at most 4 rows.
+	firstWrites = 4
+	// indexAbove is the number of distinct rows past which a
+	// transaction indexes its writes by key, so a client that sends
+	// many writes never makes dedupe quadratic. Below it a scan of the
+	// write slice is cheaper than a map.
+	indexAbove = 8
 )
 
 // Txn is a snapshot-isolated transaction. It is not safe for
@@ -13,9 +25,18 @@ import (
 type Txn struct {
 	db       *DB
 	snapshot int64
-	writes   map[writeset.Key]writeset.Entry
-	order    []writeset.Key
-	done     bool
+	// writes holds one entry per written row, in first-write order; a
+	// rewrite replaces its row's entry in place. It is nil until the
+	// first write, so read-only transactions never allocate it.
+	writes []writeset.Entry
+	// index maps a key to its entry in writes once the transaction has
+	// written more than indexAbove rows; nil before that.
+	index map[writeset.Key]int
+	// shared is set once Writeset has handed writes out; the next
+	// in-place rewrite copies the slice first, so a writeset taken
+	// mid-transaction never changes.
+	shared bool
+	done   bool
 }
 
 // Snapshot returns the version this transaction reads from.
@@ -34,7 +55,8 @@ func (tx *Txn) Read(tableName string, key int64) (value string, ok bool, err err
 		return "", false, ErrTxnDone
 	}
 	k := writeset.Key{Table: tableName, Row: key}
-	if e, mine := tx.writes[k]; mine {
+	if i := tx.find(k); i >= 0 {
+		e := tx.writes[i]
 		if e.Delete {
 			return "", false, nil
 		}
@@ -75,30 +97,62 @@ func (tx *Txn) Delete(tableName string, key int64) error {
 	return nil
 }
 
-// record stores a pending write, keeping first-write order. The write
-// map is made on the first write, so read-only transactions never
-// allocate one.
+// find returns the index of key's entry in writes, -1 if the
+// transaction has not written it.
+func (tx *Txn) find(key writeset.Key) int {
+	if tx.index != nil {
+		if i, ok := tx.index[key]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range tx.writes {
+		if tx.writes[i].Key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// record stores a pending write, keeping first-write order. Appending
+// never disturbs a writeset already handed out (Writeset clips it to
+// its length), so only a rewrite of an existing entry copies a shared
+// slice.
 func (tx *Txn) record(e writeset.Entry) {
+	if i := tx.find(e.Key); i >= 0 {
+		if tx.shared {
+			tx.writes = slices.Clone(tx.writes)
+			tx.shared = false
+		}
+		tx.writes[i] = e
+		return
+	}
 	if tx.writes == nil {
-		tx.writes = make(map[writeset.Key]writeset.Entry)
+		tx.writes = make([]writeset.Entry, 0, firstWrites)
 	}
-	if _, ok := tx.writes[e.Key]; !ok {
-		tx.order = append(tx.order, e.Key)
+	tx.writes = append(tx.writes, e)
+	switch {
+	case tx.index != nil:
+		tx.index[e.Key] = len(tx.writes) - 1
+	case len(tx.writes) > indexAbove:
+		tx.index = make(map[writeset.Key]int, 2*len(tx.writes))
+		for i, w := range tx.writes {
+			tx.index[w.Key] = i
+		}
 	}
-	tx.writes[e.Key] = e
 }
 
 // Writeset extracts the transaction's current writeset without
 // finishing the transaction — the proxy's "eager writeset extraction"
-// used for early certification (§5.1). No key set is precomputed:
-// the certifier's inverted index probes entries directly, so the
-// commit path never compares writesets pairwise.
+// used for early certification (§5.1). It hands out the transaction's
+// own write slice, clipped to its length and uncopied; later writes
+// leave it unchanged (see record). Commit, CommitAt and the
+// multi-master proxy take it as their last step, so committing never
+// copies the writes.
 func (tx *Txn) Writeset() writeset.Writeset {
-	entries := make([]writeset.Entry, 0, len(tx.order))
-	for _, k := range tx.order {
-		entries = append(entries, tx.writes[k])
-	}
-	return writeset.Writeset{Entries: entries}
+	n := len(tx.writes)
+	tx.shared = true
+	return writeset.New(tx.writes[:n:n])
 }
 
 // Commit finishes the transaction under first-committer-wins SI.

@@ -90,9 +90,9 @@ func TestHotFrameDecodeAllocs(t *testing.T) {
 		// ReadOK and Write retain only their value.
 		{"ReadOK", &ReadOK{OK: true, Value: "stock=91 qty=3"}, 1},
 		{"Write", &Write{Table: "item", Row: 42, Value: "stock=91 qty=3"}, 1},
-		// Certify retains the writeset: entries slice, writeset
-		// internals, and the entry values (table names are interned).
-		{"Certify", &Certify{Snapshot: 99, WS: hotWS, Trace: 7}, 4},
+		// Certify retains the writeset: its entries slice and one
+		// value string (table names are interned).
+		{"Certify", &Certify{Snapshot: 99, WS: hotWS, Trace: 7}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -223,9 +223,7 @@ func decodeWSDict(d *decoder, tables []string) writeset.Writeset {
 		}
 		entries = append(entries, e)
 	}
-	// No key set: a propagated writeset is only applied, and the
-	// applier walks entries.
-	return writeset.Writeset{Entries: entries}
+	return writeset.New(entries)
 }
 
 // sliceWriter adapts append to io.Writer for the pooled flate writer.

@@ -383,8 +383,7 @@ func prealloc(n uint64) int {
 	return int(n)
 }
 
-// decodeWriteset is the inverse of appendWriteset; the result carries
-// a precomputed key set (writeset.New), ready for certification.
+// decodeWriteset is the inverse of appendWriteset.
 func decodeWriteset(d *decoder) writeset.Writeset {
 	n := d.uvarint()
 	if d.err != nil || n == 0 {

@@ -39,8 +39,8 @@ func roundTrip(t *testing.T, m Message) Message {
 	return got
 }
 
-// wsEqual compares writesets by entries (the cached key set is an
-// internal detail reflect.DeepEqual must not see).
+// wsEqual compares writesets by entries, so a nil and an empty entry
+// slice compare equal.
 func wsEqual(a, b writeset.Writeset) bool {
 	if len(a.Entries) != len(b.Entries) {
 		return false
@@ -175,8 +175,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 }
 
 // TestRoundTripRandomWritesets is the fuzz-style encode/decode check:
-// random writesets of varying shapes must survive the wire intact and
-// arrive with a working key set.
+// random writesets of varying shapes must survive the wire intact.
 func TestRoundTripRandomWritesets(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tables := []string{"item", "customer", "orders", "bids", "weird table \x00 name"}
@@ -199,12 +198,6 @@ func TestRoundTripRandomWritesets(t *testing.T) {
 		got := roundTrip(t, &Certify{Snapshot: rng.Int63n(1000), WS: want}).(*Certify)
 		if !wsEqual(got.WS, want) {
 			t.Fatalf("iter %d: writeset corrupted over the wire", iter)
-		}
-		// The decoded writeset must have a functional key set.
-		for _, e := range entries {
-			if !got.WS.Contains(e.Key) {
-				t.Fatalf("iter %d: decoded writeset missing key %v", iter, e.Key)
-			}
 		}
 	}
 }

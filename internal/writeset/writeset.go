@@ -29,35 +29,15 @@ type Entry struct {
 	Delete bool
 }
 
-// Writeset captures an update transaction's effects.
-//
-// A writeset is logically immutable once constructed. Writesets built
-// through New or Builder.Writeset carry a precomputed key set, which
-// makes Conflicts and the certifier's inverted index O(len) without
-// rebuilding hash maps per comparison; zero-value construction from an
-// Entries literal remains valid and falls back to building the set on
-// demand.
+// Writeset captures an update transaction's effects: one entry per
+// modified row. A writeset is immutable once constructed.
 type Writeset struct {
 	Entries []Entry
-
-	// keys is the cached key set, nil when the writeset was built from
-	// a literal. It is never mutated after construction, so copying the
-	// struct (and the map pointer with it) is safe.
-	keys map[Key]struct{}
 }
 
-// New constructs a writeset from entries and precomputes its key set.
-// The caller must not mutate entries afterwards.
-func New(entries []Entry) Writeset {
-	ws := Writeset{Entries: entries}
-	if len(entries) > 0 {
-		ws.keys = make(map[Key]struct{}, len(entries))
-		for _, e := range entries {
-			ws.keys[e.Key] = struct{}{}
-		}
-	}
-	return ws
-}
+// New wraps entries as a writeset. The caller must not mutate entries
+// afterwards.
+func New(entries []Entry) Writeset { return Writeset{Entries: entries} }
 
 // FromRows builds the writeset of a contiguous row load: values[i]
 // installed at (table, start+i).
@@ -72,14 +52,13 @@ func FromRows(table string, start int64, values []string) Writeset {
 // Rows builds the writeset of one load chunk: values[i] installed at
 // (table, rows[i]). A chunk is certified and propagated like any
 // commit, so the rows need not be contiguous (a shard group loads only
-// the rows it owns). Like a transaction's writeset it carries no key
-// set: certification and apply only walk its entries.
+// the rows it owns).
 func Rows(table string, rows []int64, values []string) Writeset {
 	entries := make([]Entry, len(rows))
 	for i, row := range rows {
 		entries[i] = Entry{Key: Key{Table: table, Row: row}, Value: values[i]}
 	}
-	return Writeset{Entries: entries}
+	return New(entries)
 }
 
 // SchemaRow is the row a CREATE TABLE writeset deletes. No loader or
@@ -94,33 +73,6 @@ const SchemaRow = -1
 // propagated and replayed like a commit.
 func Schema(name string) Writeset {
 	return Writeset{Entries: []Entry{{Key: Key{Table: name, Row: SchemaRow}, Delete: true}}}
-}
-
-// keySet returns the cached key set, building one if the writeset was
-// constructed from a literal.
-func (ws Writeset) keySet() map[Key]struct{} {
-	if ws.keys != nil {
-		return ws.keys
-	}
-	set := make(map[Key]struct{}, len(ws.Entries))
-	for _, e := range ws.Entries {
-		set[e.Key] = struct{}{}
-	}
-	return set
-}
-
-// Contains reports whether the writeset touches key.
-func (ws Writeset) Contains(key Key) bool {
-	if ws.keys != nil {
-		_, ok := ws.keys[key]
-		return ok
-	}
-	for _, e := range ws.Entries {
-		if e.Key == key {
-			return true
-		}
-	}
-	return false
 }
 
 // Empty reports whether the transaction modified nothing (i.e. it is
@@ -158,32 +110,15 @@ func (ws Writeset) Bytes() int {
 }
 
 // Conflicts reports whether two writesets modify any common row.
+// Transactions write a handful of rows, so a nested scan beats
+// building a set; the commit path never calls it (the certifier's
+// inverted index finds conflicts).
 func (ws Writeset) Conflicts(other Writeset) bool {
-	if len(ws.Entries) == 0 || len(other.Entries) == 0 {
-		return false
-	}
-	// Probe the side that already has a key set with the other side's
-	// entries; when both (or neither) have one, probe the larger set
-	// with the smaller entry list.
-	switch {
-	case ws.keys != nil && other.keys == nil:
-		return probe(other.Entries, ws.keys)
-	case ws.keys == nil && other.keys != nil:
-		return probe(ws.Entries, other.keys)
-	default:
-		small, large := ws, other
-		if len(small.Entries) > len(large.Entries) {
-			small, large = large, small
-		}
-		return probe(small.Entries, large.keySet())
-	}
-}
-
-// probe reports whether any entry's key is in set.
-func probe(entries []Entry, set map[Key]struct{}) bool {
-	for _, e := range entries {
-		if _, ok := set[e.Key]; ok {
-			return true
+	for _, a := range ws.Entries {
+		for _, b := range other.Entries {
+			if a.Key == b.Key {
+				return true
+			}
 		}
 	}
 	return false
@@ -199,46 +134,4 @@ func (ws Writeset) String() string {
 		parts = append(parts, k.String())
 	}
 	return "{" + strings.Join(parts, " ") + "}"
-}
-
-// Builder accumulates entries while a transaction executes, the role
-// the prototype's triggers play (§5.1). Later writes to the same key
-// overwrite earlier ones, so a writeset holds one entry per row.
-type Builder struct {
-	order   []Key
-	entries map[Key]Entry
-}
-
-// NewBuilder returns an empty builder.
-func NewBuilder() *Builder {
-	return &Builder{entries: make(map[Key]Entry)}
-}
-
-// Put records a write of value to key.
-func (b *Builder) Put(key Key, value string) {
-	if _, ok := b.entries[key]; !ok {
-		b.order = append(b.order, key)
-	}
-	b.entries[key] = Entry{Key: key, Value: value}
-}
-
-// Delete records a row deletion.
-func (b *Builder) Delete(key Key) {
-	if _, ok := b.entries[key]; !ok {
-		b.order = append(b.order, key)
-	}
-	b.entries[key] = Entry{Key: key, Delete: true}
-}
-
-// Len returns the number of distinct rows recorded.
-func (b *Builder) Len() int { return len(b.entries) }
-
-// Writeset returns the accumulated writeset in first-write order, with
-// its key set precomputed.
-func (b *Builder) Writeset() Writeset {
-	entries := make([]Entry, 0, len(b.order))
-	for _, k := range b.order {
-		entries = append(entries, b.entries[k])
-	}
-	return New(entries)
 }

@@ -18,49 +18,6 @@ func TestEmptyWriteset(t *testing.T) {
 	}
 }
 
-func TestBuilderBasics(t *testing.T) {
-	b := NewBuilder()
-	b.Put(Key{"item", 1}, "a")
-	b.Put(Key{"item", 2}, "b")
-	b.Delete(Key{"orders", 9})
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d", b.Len())
-	}
-	ws := b.Writeset()
-	if ws.Len() != 3 {
-		t.Fatalf("writeset len = %d", ws.Len())
-	}
-	if ws.Entries[0].Key != (Key{"item", 1}) || ws.Entries[2].Key != (Key{"orders", 9}) {
-		t.Fatalf("order lost: %v", ws.Entries)
-	}
-	if !ws.Entries[2].Delete {
-		t.Fatal("delete flag lost")
-	}
-}
-
-func TestBuilderOverwriteKeepsOneEntry(t *testing.T) {
-	b := NewBuilder()
-	b.Put(Key{"item", 1}, "a")
-	b.Put(Key{"item", 1}, "b")
-	ws := b.Writeset()
-	if ws.Len() != 1 {
-		t.Fatalf("duplicate rows: %v", ws.Entries)
-	}
-	if ws.Entries[0].Value != "b" {
-		t.Fatalf("last write lost: %v", ws.Entries[0])
-	}
-}
-
-func TestBuilderPutThenDelete(t *testing.T) {
-	b := NewBuilder()
-	b.Put(Key{"t", 1}, "x")
-	b.Delete(Key{"t", 1})
-	ws := b.Writeset()
-	if ws.Len() != 1 || !ws.Entries[0].Delete {
-		t.Fatalf("delete should supersede put: %v", ws.Entries)
-	}
-}
-
 func TestConflicts(t *testing.T) {
 	a := Writeset{Entries: []Entry{{Key: Key{"t", 1}}, {Key: Key{"t", 2}}}}
 	b := Writeset{Entries: []Entry{{Key: Key{"t", 2}}}}
@@ -155,37 +112,19 @@ func TestQuickConflictMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestNewPrecomputesKeySet(t *testing.T) {
-	ws := New([]Entry{
+// TestNewWrapsEntries: New hands back exactly the entries it was
+// given, and the empty writeset stays empty.
+func TestNewWrapsEntries(t *testing.T) {
+	entries := []Entry{
 		{Key: Key{Table: "a", Row: 1}, Value: "x"},
-		{Key: Key{Table: "b", Row: 2}, Value: "y"},
-	})
-	if ws.keys == nil {
-		t.Fatal("New did not precompute the key set")
+		{Key: Key{Table: "b", Row: 2}, Delete: true},
 	}
-	if !ws.Contains(Key{Table: "a", Row: 1}) || ws.Contains(Key{Table: "a", Row: 2}) {
-		t.Fatal("Contains wrong")
+	ws := New(entries)
+	if ws.Len() != 2 || &ws.Entries[0] != &entries[0] {
+		t.Fatalf("New copied or dropped entries: %v", ws.Entries)
 	}
-	// Copies share the cache (the map is never mutated).
-	cp := ws
-	if cp.keys == nil || !cp.Contains(Key{Table: "b", Row: 2}) {
-		t.Fatal("copy lost the cache")
-	}
-	if New(nil).keys != nil {
-		t.Fatal("empty writeset allocated a key set")
-	}
-}
-
-func TestBuilderWritesetCachesKeys(t *testing.T) {
-	b := NewBuilder()
-	b.Put(Key{Table: "t", Row: 1}, "v")
-	b.Delete(Key{Table: "t", Row: 2})
-	ws := b.Writeset()
-	if ws.keys == nil {
-		t.Fatal("Builder.Writeset did not precompute the key set")
-	}
-	if !ws.Contains(Key{Table: "t", Row: 2}) {
-		t.Fatal("deleted key missing from set")
+	if !New(nil).Empty() {
+		t.Fatal("New(nil) not empty")
 	}
 }
 
@@ -216,12 +155,5 @@ func TestConflictsAllCacheCombinations(t *testing.T) {
 				t.Fatalf("cached=%v/%v: empty conflicted", aCached, bCached)
 			}
 		}
-	}
-}
-
-func TestContainsUncached(t *testing.T) {
-	ws := Writeset{Entries: []Entry{{Key: Key{Table: "t", Row: 7}, Value: "v"}}}
-	if !ws.Contains(Key{Table: "t", Row: 7}) || ws.Contains(Key{Table: "t", Row: 8}) {
-		t.Fatal("uncached Contains wrong")
 	}
 }
