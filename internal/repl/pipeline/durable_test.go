@@ -11,14 +11,13 @@ import (
 )
 
 // TestMaybeCompactSerializesCaptureAndRewrite pins the fix for the
-// concurrent-compaction data loss: cursor journaling runs from both
-// the propagation run loop and the wire Sync handlers, so two
-// goroutines could capture snapshots out of order and the one holding
-// the OLDER capture could rewrite the WAL after its competitor
-// compacted with a newer one — dropping the newer snapshot while the
-// applies it superseded were already gone. MaybeCompact must hold its
-// lock across BOTH the capture and the rewrite: a second caller may
-// not start its capture while the first is mid-compaction.
+// concurrent-compaction data loss: two goroutines could capture
+// snapshots out of order and the one holding the OLDER capture could
+// rewrite the WAL after its competitor compacted with a newer one —
+// dropping the newer snapshot while the records it superseded were
+// already gone. MaybeCompact must hold its lock across BOTH the
+// capture and the rewrite: a second caller may not start its capture
+// while the first is mid-compaction.
 func TestMaybeCompactSerializesCaptureAndRewrite(t *testing.T) {
 	fs := wal.NewMemFS()
 	w, _, err := wal.Open(wal.Options{FS: fs, Fsync: true})
@@ -27,7 +26,7 @@ func TestMaybeCompactSerializesCaptureAndRewrite(t *testing.T) {
 	}
 	d := pipeline.NewDurability(w, 1) // any growth makes compaction due
 	for v := int64(1); v <= 4; v++ {
-		if err := w.AppendApply(v, writeset.FromRows("t", v, []string{"x"})); err != nil {
+		if err := w.AppendRecord(writeset.FromRows("t", v, []string{"x"}), v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,11 +38,11 @@ func TestMaybeCompactSerializesCaptureAndRewrite(t *testing.T) {
 	firstDone := make(chan struct{})
 	go func() {
 		defer close(firstDone)
-		d.MaybeCompact(func() (int64, int64, int64, int64, map[string]map[int64]string, error) {
+		d.MaybeCompact(func() (int64, int64, map[string]map[int64]string, error) {
 			captures.Add(1)
 			close(entered)
 			<-release
-			return 4, 4, 4, 4, map[string]map[int64]string{"t": {1: "new"}}, nil
+			return 4, 4, map[string]map[int64]string{"t": {1: "new"}}, nil
 		})
 	}()
 	<-entered
@@ -53,9 +52,9 @@ func TestMaybeCompactSerializesCaptureAndRewrite(t *testing.T) {
 	secondDone := make(chan struct{})
 	go func() {
 		defer close(secondDone)
-		d.MaybeCompact(func() (int64, int64, int64, int64, map[string]map[int64]string, error) {
+		d.MaybeCompact(func() (int64, int64, map[string]map[int64]string, error) {
 			captures.Add(1)
-			return 2, 2, 2, 2, map[string]map[int64]string{"t": {1: "old"}}, nil
+			return 2, 2, map[string]map[int64]string{"t": {1: "old"}}, nil
 		})
 	}()
 	time.Sleep(20 * time.Millisecond) // give an unserialized capture time to run
@@ -74,7 +73,7 @@ func TestMaybeCompactSerializesCaptureAndRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.SnapLocal != 4 || rec.Snapshot["t"][1] != "new" {
-		t.Fatalf("recovered snapshot local %d %+v, want the newer capture (local 4)", rec.SnapLocal, rec.Snapshot)
+	if rec.SnapVersion != 4 || rec.Snapshot["t"][1] != "new" {
+		t.Fatalf("recovered snapshot version %d %+v, want the newer capture (version 4)", rec.SnapVersion, rec.Snapshot)
 	}
 }

@@ -33,9 +33,9 @@ func TestGCLog(t *testing.T) {
 }
 
 // TestDurableMasterJournalsCommits: the master's commits — blind
-// installs and transactions alike — ride the WAL's apply stream in
-// commit order, SyncCommit gates each on the group fsync, and a
-// database rebuilt from the journal after a power loss matches the
+// installs and transactions alike — are journaled as records in commit
+// order, one per version, SyncCommit gates each on the group fsync, and
+// a database rebuilt from the journal after a power loss matches the
 // master.
 func TestDurableMasterJournalsCommits(t *testing.T) {
 	fs := wal.NewMemFS()
@@ -44,9 +44,7 @@ func TestDurableMasterJournalsCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	master := sidb.New()
-	master.SetJournal(func(ws writeset.Writeset, version int64) error {
-		return w.AppendApply(version, ws)
-	})
+	master.SetJournal(w.AppendRecord)
 	install := func(ws writeset.Writeset) {
 		t.Helper()
 		version, err := Install(master, ws)
@@ -86,6 +84,9 @@ func TestDurableMasterJournalsCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got, want := rec.LastVersion(), master.Version(); got != want || int64(len(rec.Records)) != want {
+		t.Fatalf("journal holds %d records up to %d, master at version %d", len(rec.Records), got, want)
+	}
 	db := sidb.New()
 	if err := rec.Restore(db); err != nil {
 		t.Fatal(err)
@@ -108,9 +109,8 @@ func TestDurableMasterJournalsCommits(t *testing.T) {
 // commit: the append landed, but the group fsync reports ErrClosed.
 type closedJournal struct{}
 
-func (closedJournal) AppendApply(int64, writeset.Writeset) error { return nil }
-func (closedJournal) Seq() int64                                 { return 1 }
-func (closedJournal) Sync(int64) error                           { return wal.ErrClosed }
+func (closedJournal) Seq() int64       { return 1 }
+func (closedJournal) Sync(int64) error { return wal.ErrClosed }
 
 // TestCommitDuringCloseReturnsAmbiguousOutcome: a Sync failing with
 // wal.ErrClosed is a clean-shutdown race, not a disk failure — the

@@ -23,11 +23,11 @@ import (
 
 // Journal is the durability surface a single-master node needs
 // from a write-ahead log: the master's committed writesets are
-// journaled through the database's apply-time hook (AppendApply, in
-// commit order under the commit mutex) and Commit acknowledges only
-// after Sync(Seq()) reports them durable. *wal.WAL implements it.
+// journaled as records through the database's journal hook
+// (wal.WAL.AppendRecord, in commit order under the commit mutex) and
+// Commit acknowledges only after Sync(Seq()) reports them durable.
+// *wal.WAL implements it.
 type Journal interface {
-	AppendApply(local int64, ws writeset.Writeset) error
 	Seq() int64
 	Sync(seq int64) error
 }

@@ -18,7 +18,7 @@ func openDurability(opts Options) (*pipeline.Durability, *wal.Recovered, error) 
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: open wal: %w", err)
 	}
-	if opts.Join && (len(rec.Applies) > 0 || len(rec.Records) > 0 || rec.Snapshot != nil || len(rec.Tables) > 0) {
+	if opts.Join && (len(rec.Records) > 0 || rec.Snapshot != nil) {
 		w.Close()
 		return nil, nil, fmt.Errorf("server: -join requires an empty WAL directory "+
 			"(found state at epoch %d — restart with -id/-peers to recover it instead)", rec.Epoch)
@@ -26,11 +26,10 @@ func openDurability(opts Options) (*pipeline.Durability, *wal.Recovered, error) 
 	return pipeline.NewDurability(w, walCompactBytes), rec, nil
 }
 
-// consistentDump captures one database's full contents plus the local
-// version they are consistent at, through a single read transaction —
-// the sm engines' compaction capture (the mm engines call it under the
-// apply lock, which also pins the global cursor).
-func consistentDump(db *sidb.DB) (local int64, state map[string]map[int64]string, err error) {
+// consistentDump captures one database's full contents plus the
+// version they are consistent at, through a single read transaction:
+// the joiner's state transfer and the WAL compaction image.
+func consistentDump(db *sidb.DB) (version int64, state map[string]map[int64]string, err error) {
 	tx := db.Begin()
 	defer tx.Abort()
 	state = make(map[string]map[int64]string)
@@ -42,4 +41,21 @@ func consistentDump(db *sidb.DB) (local int64, state map[string]map[int64]string
 		state[name] = rows
 	}
 	return tx.Snapshot(), state, nil
+}
+
+// compactCapture is a node's compaction capture: a consistent dump of
+// db, dropping records up to the snapshot — or, on a primary (cursors
+// non-nil), only up to its peer-cursor horizon, so a lagging peer's
+// pending records survive compaction and it can still FetchSince its
+// way back.
+func compactCapture(db *sidb.DB, cursors *pipeline.PeerCursors) (base, snap int64, state map[string]map[int64]string, err error) {
+	snap, state, err = consistentDump(db)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	base = snap
+	if cursors != nil {
+		base, _ = cursors.Horizon(snap) // 0 until every peer has reported
+	}
+	return base, snap, state, nil
 }

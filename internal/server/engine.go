@@ -328,25 +328,25 @@ func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, err
 		e.async = true
 	}
 	if rec != nil {
-		// Rebuild the local database from the apply stream, then (and
-		// only then) attach the journal hook — replay must not journal
-		// its own restoration. The recovered cursor seeds the
-		// propagation position: a restarted replica resumes FetchSince
-		// from here instead of transferring a snapshot.
+		// Rebuild the local database from the log (snapshot + records),
+		// then — and only then — attach the journal hook, so replay does
+		// not journal its own restoration. The recovered version seeds
+		// the propagation position: a restarted replica resumes
+		// FetchSince from here instead of transferring a snapshot.
 		d := e.dur
-		err := e.ap.Reset(func(cur int64) (int64, error) {
+		err := e.ap.Reset(func(int64) (int64, error) {
 			if err := rec.Restore(e.db); err != nil {
 				return 0, err
 			}
-			e.db.SetJournal(d.ApplyHook())
-			return max(cur, rec.Cursor), nil
+			e.db.SetJournal(d.W.AppendRecord)
+			return rec.LastVersion(), nil
 		})
 		if err != nil {
 			d.W.Close()
 			return nil, fmt.Errorf("server: wal replay: %w", err)
 		}
-		if rec.Cursor > 0 || len(rec.Applies) > 0 || len(rec.Records) > 0 {
-			e.resumed, e.resumeOK = rec.Cursor, true
+		if v := rec.LastVersion(); v > 0 {
+			e.resumed, e.resumeOK = v, true
 		}
 	}
 	return e, nil
@@ -431,10 +431,7 @@ func (e *mmEngine) dump(table string) (map[int64]string, error) { return e.db.Du
 // sync drains the certify stage into the apply stage (one pull); the
 // wire Sync handlers and the propagation loop both land here, so all
 // application serializes on the pipeline applier's lock.
-func (e *mmEngine) sync() {
-	e.catchUp()
-	e.noteApplied()
-}
+func (e *mmEngine) sync() { e.catchUp() }
 
 func (e *mmEngine) applied() int64 { return e.ap.Applied() }
 
@@ -619,25 +616,13 @@ func (e *mmEngine) members() (int64, []wire.Member, error) {
 	return epoch, members, nil
 }
 
-// snapshot captures a consistent full-state snapshot (applied version
-// plus all tables) for a joiner's state transfer.
+// snapshot captures a consistent full-state snapshot (version plus all
+// tables) for a joiner's state transfer.
 func (e *mmEngine) snapshot() (int64, map[string]map[int64]string, error) {
 	if e.hostCert() == nil {
 		return 0, nil, errUnsupported
 	}
-	applied, _, tables, err := e.pinnedDump()
-	return applied, tables, err
-}
-
-// pinnedDump captures, atomically with writeset application, the
-// applied global version, the local database version and every table's
-// contents: the joiner's state transfer and the WAL compaction image.
-func (e *mmEngine) pinnedDump() (applied, local int64, tables map[string]map[int64]string, err error) {
-	e.ap.Pin(func(v int64) {
-		applied = v
-		local, tables, err = consistentDump(e.db)
-	})
-	return applied, local, tables, err
+	return consistentDump(e.db)
 }
 
 // touch records liveness proof from peer: a snapshot chunk request
@@ -650,52 +635,26 @@ func (e *mmEngine) touch(peer int64) {
 }
 
 // installSnapshot is the joiner-side inverse of snapshot: under the
-// apply lock the tables are created and their contents installed as one
-// writeset at the snapshot version (so the local database version
-// equals the global one), and the applied cursor moves there so
-// catch-up resumes from it. Version 0 is the empty log: no table exists
-// before the first record.
+// apply lock the database is restored from the snapshot exactly as a
+// recovering node restores its log's snapshot (every table created,
+// the rows installed as one writeset at the snapshot version), and the
+// applied cursor moves there so catch-up resumes from it. Version 0 is
+// the empty log: no table exists before the first record.
+//
+// With a WAL the snapshot is journaled first, as a snapshot frame on
+// the joiner's empty log (Compact writes and syncs it before
+// returning). The install then finds its version already in the log
+// and journals no record for it, and a restart resumes past it.
 func (e *mmEngine) installSnapshot(version int64, tables map[string]map[int64]string) error {
-	err := e.ap.Reset(func(int64) (int64, error) {
-		var entries []writeset.Entry
-		for name, rows := range tables {
-			if err := e.db.CreateTable(name); err != nil {
-				return 0, err
-			}
-			for row, value := range rows {
-				entries = append(entries, writeset.Entry{
-					Key:   writeset.Key{Table: name, Row: row},
-					Value: value,
-				})
-			}
-		}
-		if version > 0 {
-			if err := e.db.ApplyWriteset(writeset.New(entries), version); err != nil {
-				return 0, err
-			}
-		}
-		return version, nil
-	})
-	if err != nil {
-		return err
-	}
 	if e.dur != nil {
-		// The installed rows were journaled through the apply hook;
-		// record the table set and the cursor so a restart resumes
-		// past the snapshot. One fsync at the end covers the whole
-		// install before it is acknowledged (not one Table call per
-		// name, which would fsync once per table).
-		for name := range tables {
-			if err := e.dur.W.AppendTable(name); err != nil {
-				return err
-			}
-		}
-		e.dur.Cursor(version)
-		if err := e.dur.Sync(); err != nil {
+		if err := e.dur.W.Compact(version, version, tables); err != nil {
 			return err
 		}
 	}
-	return nil
+	return e.ap.Reset(func(int64) (int64, error) {
+		snap := &wal.Recovered{Snapshot: tables, SnapVersion: version}
+		return version, snap.Restore(e.db)
+	})
 }
 
 // evictStale evicts elastic members that stopped proving liveness and
@@ -721,59 +680,34 @@ func (e *mmEngine) maybeGC() {
 	}
 }
 
-// ingest hands fetched records to the apply stage and journals the
-// cursor when any landed — the puller's sink.
+// ingest hands fetched records to the apply stage — the puller's sink.
 func (e *mmEngine) ingest(recs []certifier.Record) {
 	if len(recs) > 0 {
 		// Propagation-side span, sampled once per fetched batch.
 		last := recs[len(recs)-1]
 		e.m.tracer.PropagateSpan(last.Version, len(last.Writeset.Entries), time.Now())
 	}
-	if e.ap.Apply(recs) > 0 {
-		e.noteApplied()
-	}
-}
-
-// noteApplied journals the propagation cursor after applies landed —
-// a cheap append. Compaction is deliberately NOT triggered here:
-// noteApplied runs on the wire Sync request path, and a full-segment
-// rewrite (dump, rewrite, fsync, rename) would stall one unlucky
-// client for the whole of it. The background run loop compacts within
-// one poll interval instead (maybeCompactDurable).
-func (e *mmEngine) noteApplied() {
-	if e.dur == nil {
-		return
-	}
-	e.dur.Cursor(e.applied())
+	e.ap.Apply(recs)
 }
 
 // maybeCompactDurable rewrites the WAL around a fresh consistent
-// snapshot once the segment outgrows its bound (background loops
-// only; see noteApplied). The capture and rewrite go through
-// durability.maybeCompact, which serializes them as one unit so
-// racing callers cannot regress the log.
+// snapshot once the segment outgrows its bound. Only the background
+// loops call it: on the wire Sync request path a full-segment rewrite
+// (dump, rewrite, fsync, rename) would stall one unlucky client for
+// the whole of it. Only the node hosting the certifier keeps records
+// for its peers: a Paxos backup's cursors are never updated (its peers
+// fetch from the leader), so it compacts to its snapshot like any
+// other replica.
 func (e *mmEngine) maybeCompactDurable() {
 	if e.dur == nil {
 		return
 	}
-	e.dur.MaybeCompact(func() (int64, int64, int64, int64, map[string]map[int64]string, error) {
-		applied, local, state, err := e.pinnedDump()
-		if err != nil {
-			return 0, 0, 0, 0, nil, err
+	e.dur.MaybeCompact(func() (int64, int64, map[string]map[int64]string, error) {
+		var cursors *pipeline.PeerCursors
+		if e.hostCert() != nil {
+			cursors = e.cursors
 		}
-		// On the certifier host, drop certified history only up to the
-		// peer-cursor GC horizon: a disconnected replica's pending
-		// records must survive compaction so it can still FetchSince its
-		// way back.
-		base := applied
-		if e.cursors != nil {
-			h, ok := e.cursors.Horizon(applied)
-			if !ok {
-				h = 0
-			}
-			base = h
-		}
-		return base, applied, local, local, state, nil
+		return compactCapture(e.db, cursors)
 	})
 }
 
@@ -793,10 +727,8 @@ func (e *mmEngine) run(stop <-chan struct{}) {
 			default:
 			}
 			e.host.Notify.WaitBeyond(e.applied(), pollInterval, stop)
-			if e.catchUp(); e.dur != nil {
-				e.noteApplied()
-				e.maybeCompactDurable()
-			}
+			e.catchUp()
+			e.maybeCompactDurable()
 			// Evict elastic members that stopped proving liveness — a
 			// joiner that crashed mid-state-transfer, or a replica
 			// that died without a Leave. Their ghost cursors would
@@ -1039,8 +971,8 @@ func newSMEngine(opts Options, m *metrics, stop <-chan struct{}) (*smEngine, err
 			e.dur.W.Close()
 			return nil, fmt.Errorf("server: wal replay: %w", err)
 		}
-		e.db.SetJournal(e.dur.ApplyHook())
-		if v := e.db.Version(); v > 0 {
+		e.db.SetJournal(e.dur.W.AppendRecord)
+		if v := rec.LastVersion(); v > 0 {
 			e.resumed, e.resumeOK = v, true
 		}
 	}
@@ -1050,10 +982,10 @@ func newSMEngine(opts Options, m *metrics, stop <-chan struct{}) (*smEngine, err
 		e.cursors = pipeline.NewPeerCursors(opts.Replicas-1, int64(opts.GCLag))
 		if rec != nil {
 			// Rebuild the propagation log so restarted slaves resume
-			// their FetchSince cursors. Master versions are absolute,
-			// so the recovered apply stream is the log verbatim.
-			for _, a := range rec.Applies {
-				e.wlog.Append(a.Local, a.WS)
+			// their FetchSince cursors: the recovered records are the
+			// log verbatim.
+			for _, r := range rec.Records {
+				e.wlog.Append(r.Version, r.Writeset)
 			}
 		}
 	} else {
@@ -1117,8 +1049,8 @@ func (e *smEngine) commit(ws writeset.Writeset) error {
 // hands it to the propagation log, waking the slaves' long polls.
 func (e *smEngine) publish(version int64, ws writeset.Writeset, trace uint64) error {
 	if d := e.dur; d != nil {
-		// The writeset was journaled by the database's apply hook inside
-		// the install; block on the group fsync before the commit is
+		// The writeset was journaled as a record by the database's
+		// journal hook inside the install; block on the group fsync before the commit is
 		// acknowledged or propagated (fail-stop on real disk failures,
 		// ambiguous outcome on a clean-shutdown race — see
 		// sm.SyncCommit).
@@ -1135,31 +1067,14 @@ func (e *smEngine) publish(version int64, ws writeset.Writeset, trace uint64) er
 }
 
 // maybeCompact rewrites the WAL around a consistent dump once the
-// segment outgrows its bound. Master versions are absolute, so the
-// snapshot's local version doubles as the global one; on the master
-// the drop horizon additionally respects the slave cursors, exactly
-// like propagation-log GC. The capture and rewrite go through
-// durability.maybeCompact so racing callers cannot regress the log.
+// segment outgrows its bound; the master keeps the records above its
+// slave horizon, exactly like propagation-log GC.
 func (e *smEngine) maybeCompact() {
 	if e.dur == nil {
 		return
 	}
-	e.dur.MaybeCompact(func() (int64, int64, int64, int64, map[string]map[int64]string, error) {
-		local, state, err := consistentDump(e.db)
-		if err != nil {
-			return 0, 0, 0, 0, nil, err
-		}
-		base := local
-		if e.isMaster && e.cursors != nil {
-			h, ok := e.cursors.Horizon(local)
-			if !ok {
-				h = 0
-			}
-			base = h
-		}
-		// The master's apply stream doubles as the propagation log: keep
-		// applies above the slave horizon, not just above the snapshot.
-		return base, local, local, base, state, nil
+	e.dur.MaybeCompact(func() (int64, int64, map[string]map[int64]string, error) {
+		return compactCapture(e.db, e.cursors)
 	})
 }
 

@@ -192,3 +192,112 @@ func TestPaxosLeaderRestartRejoins(t *testing.T) {
 		t.Fatalf("post-restart convergence: %v", err)
 	}
 }
+
+// TestPaxosLaggingBackupPromotesAndRestarts: a backup that restarts
+// behind the group and then wins the election must still journal one
+// dense record stream — the versions it had not yet applied reach its
+// log through its own apply path before its certifier journals newer
+// ones — so it restarts from that log again and converges.
+func TestPaxosLaggingBackupPromotesAndRestarts(t *testing.T) {
+	servers, addrs, opts := startPaxosCluster(t, 3, nil)
+	lead := waitOneLeader(t, servers, -1)
+	var b, c int
+	switch lead {
+	case 0:
+		b, c = 1, 2
+	case 1:
+		b, c = 0, 2
+	default:
+		b, c = 0, 1
+	}
+	clientOf := func(nodes ...int) *client.Client {
+		t.Helper()
+		var sv []string
+		for _, i := range nodes {
+			sv = append(sv, addrs[i])
+		}
+		cl, err := client.New(client.Options{Servers: sv, Design: "mm", ProbeAfter: 100 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cl.Close)
+		return cl
+	}
+	// commitSettled commits one row, retrying the unknown outcomes an
+	// election in progress leaves.
+	commitSettled := func(cl *client.Client, row int64, value string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+			tx, err := cl.BeginUpdate()
+			if err == nil {
+				if err = tx.Write("t", row, value); err == nil {
+					err = tx.Commit()
+				}
+			}
+			if err == nil {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("commit row %d: %v", row, err)
+			}
+		}
+	}
+	restart := func(i int, o server.Options) {
+		t.Helper()
+		srv, err := server.New(o)
+		if err != nil {
+			t.Fatalf("restart node %d from its WAL: %v", i, err)
+		}
+		srv.Start()
+		servers[i] = srv
+		t.Cleanup(func() { srv.Close() })
+	}
+
+	all := clientOf(0, 1, 2)
+	if err := all.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 5; i++ {
+		commitSettled(all, i, "all")
+	}
+	all.Sync()
+
+	// b falls behind, then the leader dies: b restarts lagging while the
+	// quorum's log (on c) holds versions b never applied. c restarts too,
+	// with an election timer that does not fire within the test, so the
+	// lagging b is the one candidate and must win.
+	servers[b].Close()
+	pair := clientOf(lead, c)
+	for i := int64(5); i < 10; i++ {
+		commitSettled(pair, i, "without-b")
+	}
+	servers[lead].Close()
+	servers[c].Close()
+	restart(b, opts[b])
+	patient := opts[c]
+	patient.ElectTimeout = time.Hour
+	restart(c, patient)
+	if newLead := waitOneLeader(t, servers, lead); newLead != b {
+		t.Fatalf("node %d leads after the failover; the lagging node %d should", newLead, b)
+	}
+	commitSettled(clientOf(b, c), 10, "after-failover")
+
+	// Both survivors restart from their logs and converge.
+	servers[b].Close()
+	servers[c].Close()
+	restart(b, opts[b])
+	restart(c, opts[c])
+	waitOneLeader(t, servers, lead)
+	final := clientOf(b, c)
+	commitSettled(final, 11, "after-restart")
+	final.Sync()
+	for i := 0; i < 2; i++ {
+		rows, err := final.TableDump(i, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 12 || rows[9] != "without-b" || rows[10] != "after-failover" || rows[11] != "after-restart" {
+			t.Fatalf("survivor %d holds %v", i, rows)
+		}
+	}
+}

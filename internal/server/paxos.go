@@ -187,6 +187,13 @@ func (e *mmEngine) promoteSelf() error {
 		return err
 	}
 	if e.dur != nil {
+		// Install the recovered log up to the certifier's version before
+		// attaching the journal. The certifier journals only the versions
+		// it certifies from here on; the ones below reach the log through
+		// the apply path, and only while the log holds nothing above
+		// them. Applying them first keeps the log one dense record
+		// stream.
+		e.ap.Apply(cert.Since(e.ap.Applied()))
 		cert.SetJournal(e.dur.W)
 	}
 	cert.SetStageObserver(e.m.tracer.CertStages())
@@ -256,10 +263,7 @@ func (e *mmEngine) runPaxos(stop <-chan struct{}) {
 			}
 			h.Notify.WaitBeyond(e.applied(), pollInterval, stop)
 			e.catchUp()
-			if e.dur != nil {
-				e.noteApplied()
-				e.maybeCompactDurable()
-			}
+			e.maybeCompactDurable()
 			e.evictStale()
 			continue
 		}

@@ -92,7 +92,7 @@ type Options struct {
 	// a write-ahead log in this directory, replays it on start, and —
 	// on the certifier host — acknowledges commits only once their
 	// writesets are logged. A restarted replica resumes propagation
-	// from its last journaled cursor over FetchSince instead of
+	// from the last version in its log over FetchSince instead of
 	// transferring a snapshot. Empty disables durability (the seed's
 	// in-memory behavior).
 	WALDir string

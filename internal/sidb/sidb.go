@@ -164,11 +164,12 @@ type DB struct {
 	commitMu sync.Mutex
 
 	// journal, when set, observes every writeset about to be installed
-	// (local commits and applied remote writesets alike)
-	// with the version it will be installed at. It runs under commitMu,
-	// so invocations arrive in exact version order — the apply stream a
-	// write-ahead log replays to rebuild this database. A journal error
-	// aborts the installation.
+	// (local commits and applied remote writesets alike) with the
+	// version it will be installed at. It runs under commitMu, so
+	// invocations arrive in exact version order. A node's write-ahead
+	// log journals each as a record (wal.WAL.AppendRecord), writing
+	// nothing for a version it already holds, such as one the certifier
+	// journaled. A journal error aborts the installation.
 	journal func(ws writeset.Writeset, version int64) error
 
 	// mu guards tables, the registry and every row in it, and the

@@ -25,13 +25,21 @@ func TestWALAppendAllocs(t *testing.T) {
 		{Version: 2, Writeset: ws("orders", 8, "status=shipped")},
 	}
 	apply := ws("item", 7, "stock=91 qty=3")
+	version := int64(0)
 	for _, c := range []struct {
 		name string
 		op   func() error
 	}{
-		{"Append", func() error { _, err := w.Append(batch); return err }},
-		{"AppendApply", func() error { return w.AppendApply(3, apply) }},
-		{"AppendCursor", func() error { return w.AppendCursor(2) }},
+		// The certifier's call: each frames fresh versions.
+		{"Append", func() error {
+			version += 2
+			batch[0].Version, batch[1].Version = version-1, version
+			_, err := w.Append(batch)
+			return err
+		}},
+		// The apply path's journal call, as sidb's hook makes it.
+		{"AppendRecord", func() error { version++; return w.AppendRecord(apply, version) }},
+		{"AppendRecord/held", func() error { return w.AppendRecord(apply, version) }},
 	} {
 		for i := 0; i < 10; i++ { // warm the buffer pool
 			if err := c.op(); err != nil {

@@ -1,8 +1,9 @@
 package wal
 
 // The crash-injection harness: a miniature durable certifier host
-// (certifier + WAL journal + snapshot-isolated database with the
-// apply hook) runs a deterministic workload while a CrashFS kills the
+// (certifier + WAL journal + snapshot-isolated database journaling
+// through the same WAL, as a server's host does) runs a deterministic
+// workload while a CrashFS kills the
 // "process" at an armed filesystem operation. The harness then
 // power-cycles the filesystem — dropping unsynced state (power loss)
 // or keeping it (pure process kill) — reopens the WAL, rebuilds the
@@ -17,8 +18,9 @@ package wal
 //  4. the recovered certifier state equals a reference certifier that
 //     processed exactly the recovered prefix and never crashed
 //     (records, version, pruning horizon and conflict decisions);
-//  5. the recovered database, after catching up from the recovered
-//     certification log, is row-for-row identical to the reference.
+//  5. the recovered database — restored from the log, then caught up
+//     from the recovered certifier — is at the certifier's version and
+//     row-for-row identical to the reference.
 //
 // TestCrashSweep arms every operation the workload performs (and, for
 // writes, a torn mid-write variant) under both power-cycle models —
@@ -110,9 +112,10 @@ func (st step) certified(attempt int) writeset.Writeset {
 }
 
 // tryApply drains recs through the pipeline applier, tolerating the
-// injected crash: after the CrashFS fired, the journal hook fails and
-// the applier's invariant panic is expected — anything else is a real
-// bug and re-panics. It returns how many records applied.
+// injected crash: after the CrashFS fired, the journal hook reports the
+// dead log and the applier's invariant panic is expected — anything
+// else is a real bug and re-panics. It returns how many records
+// applied.
 func tryApply(cfs *CrashFS, ap *pipeline.Applier, recs []certifier.Record) int {
 	before := ap.Applied()
 	func() {
@@ -127,8 +130,11 @@ func tryApply(cfs *CrashFS, ap *pipeline.Applier, recs []certifier.Record) int {
 }
 
 // runCrashScript executes the workload with a crash armed at op index
-// armAt (-1 = never) and cut torn-write bytes, the local apply stream
-// flowing through a pipeline applier one record at a time.
+// armAt (-1 = never) and cut torn-write bytes, acked records flowing
+// through a pipeline applier one record at a time. The database
+// journals through the WAL's apply-path call like a server's host, so
+// it finds every version it installs already journaled by the
+// certifier and writes nothing.
 func runCrashScript(t *testing.T, armAt, cut int) *crashRun {
 	t.Helper()
 	r := &crashRun{fs: NewMemFS()}
@@ -143,9 +149,7 @@ func runCrashScript(t *testing.T, armAt, cut int) *crashRun {
 	cert := certifier.New()
 	cert.SetJournal(w)
 	db := sidb.New()
-	db.SetJournal(func(ws writeset.Writeset, version int64) error {
-		return w.AppendApply(version, ws)
-	})
+	db.SetJournal(w.AppendRecord)
 	ap := pipeline.NewApplier(db)
 	attempt := 0
 
@@ -157,16 +161,13 @@ func runCrashScript(t *testing.T, armAt, cut int) *crashRun {
 		}
 	}
 	// ack records acknowledged commits and applies them locally in
-	// version order (journaling the applies, then the cursor — the
-	// cursor means "everything at or below me is applied").
+	// version order.
 	ack := func(recs ...certifier.Record) {
 		if len(recs) == 0 {
 			return // a batch whose requests all aborted
 		}
 		r.acked = append(r.acked, recs...)
-		if n := tryApply(r.cfs, ap, recs); n == len(recs) {
-			_ = w.AppendCursor(recs[n-1].Version)
-		}
+		tryApply(r.cfs, ap, recs)
 	}
 
 	for _, st := range crashScript() {
@@ -221,13 +222,9 @@ func runCrashScript(t *testing.T, armAt, cut int) *crashRun {
 				}
 			}
 		case "compact":
-			applied := int64(0)
-			if n := len(r.acked); n > 0 {
-				applied = r.acked[n-1].Version
-			}
-			local, state, err := consistentDumpForTest(db)
+			snap, state, err := consistentDumpForTest(db)
 			if err == nil {
-				_ = w.Compact(applied, applied, local, local, db.Tables(), state)
+				_ = w.Compact(snap, snap, state)
 			}
 		}
 	}
@@ -262,8 +259,9 @@ func consistentDumpForTest(db *sidb.DB) (int64, map[string]map[int64]string, err
 }
 
 // recoverNode reopens the WAL after a power cycle and rebuilds the
-// node: database from the apply stream, certifier from the certified
-// records, database catch-up from the recovered log.
+// node: certifier and database from the same records (the database
+// from the snapshot plus the records above it), then the database's
+// catch-up from the recovered certifier, which must find nothing left.
 func recoverNode(t *testing.T, fs *MemFS, keepUnsynced bool) (*Recovered, *certifier.Certifier, *sidb.DB) {
 	t.Helper()
 	fs.PowerCycle(keepUnsynced)
@@ -277,15 +275,17 @@ func recoverNode(t *testing.T, fs *MemFS, keepUnsynced bool) (*Recovered, *certi
 	if err := rec.Restore(db); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	// Catch up like a restarted replica: apply every certified record
-	// past the recovered cursor.
+	if got, want := db.Version(), rec.LastVersion(); got != want {
+		t.Fatalf("restored database at version %d, log ends at %d", got, want)
+	}
+	// Catch up like a restarted node: apply every certified record past
+	// the recovered version.
 	ap := pipeline.NewApplier(db)
-	if err := ap.Reset(func(int64) (int64, error) { return rec.Cursor, nil }); err != nil {
+	if err := ap.Reset(func(int64) (int64, error) { return rec.LastVersion(), nil }); err != nil {
 		t.Fatal(err)
 	}
-	pending := cert.Since(rec.Cursor)
-	if n := ap.Apply(pending); n != len(pending) {
-		t.Fatalf("catch-up applied %d of %d records", n, len(pending))
+	if pending := cert.Since(rec.LastVersion()); len(pending) != 0 {
+		t.Fatalf("certifier holds %d records past the restored database", len(pending))
 	}
 	return rec, cert, db
 }
@@ -606,9 +606,8 @@ func TestCrashNamedPoints(t *testing.T) {
 }
 
 // recordWrites locates the certifier's journal writes in a trace: the
-// segment writes immediately followed by a segment fsync (apply and
-// cursor frames are never synced on their own), in script order. The
-// epoch header Open writes and syncs first is not a record.
+// segment writes immediately followed by a segment fsync, in script
+// order. The epoch header Open writes and syncs first is not a record.
 func recordWrites(trace []Op) []int {
 	var out []int
 	for i := 0; i+1 < len(trace); i++ {

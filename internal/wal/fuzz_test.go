@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -9,8 +10,9 @@ import (
 	"repro/internal/writeset"
 )
 
-// fuzzSeedLog builds a representative valid log covering every record
-// kind, for the fuzz corpus.
+// fuzzSeedLog builds a representative valid log covering the record
+// kinds — certifier and apply-path records, a 2PC prepare and a
+// compaction snapshot with an empty table — for the fuzz corpus.
 func fuzzSeedLog(tb testing.TB) []byte {
 	tb.Helper()
 	fs := NewMemFS()
@@ -18,15 +20,15 @@ func fuzzSeedLog(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w.AppendTable("items")
-	w.AppendApply(1, writeset.FromRows("items", 0, []string{"a", "b", "c"}))
+	w.AppendRecord(writeset.Schema("items"), 1)
 	w.Append([]certifier.Record{
-		{Version: 1, Writeset: ws("items", 0, "x")},
-		{Version: 2, Writeset: ws("items", 1, "y")},
+		{Version: 2, Writeset: writeset.FromRows("items", 0, []string{"a", "b", "c"})},
+		{Version: 3, Writeset: ws("items", 1, "y")},
 	})
-	w.AppendCursor(2)
-	w.Compact(1, 1, 1, 1, []string{"items"}, map[string]map[int64]string{"items": {0: "x", 1: "b"}})
-	w.Append([]certifier.Record{{Version: 3, Writeset: ws("items", 2, "z")}})
+	w.AppendRecord(ws("items", 1, "y"), 3) // already held: writes nothing
+	w.AppendPrepare(certifier.PreparedTxn{ID: "x1", Coord: 1, Snapshot: 3, Writeset: ws("items", 4, "p")})
+	w.Compact(2, 2, map[string]map[int64]string{"items": {0: "a", 1: "b", 2: "c"}, "empty": {}})
+	w.AppendRecord(ws("items", 2, "z"), 4)
 	w.Close()
 	data, err := fs.ReadFile(segName)
 	if err != nil {
@@ -55,7 +57,14 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(append(append([]byte(nil), seed...), 0x00, 0x00))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, good := replay(data) // must not panic
+		rec, good, err := replay(data) // must not panic
+		if err != nil {
+			// Only a retired frame kind fails replay outright.
+			if !errors.Is(err, ErrRetiredFrame) || rec != nil || good != 0 {
+				t.Fatalf("replay failed with %v (rec %v, good %d)", err, rec, good)
+			}
+			return
+		}
 		if good < 0 || good > int64(len(data)) {
 			t.Fatalf("accepted prefix %d outside input of %d bytes", good, len(data))
 		}
@@ -63,7 +72,10 @@ func FuzzWALDecode(f *testing.F) {
 		// accepted prefix yields the same state and consumes all of it
 		// — i.e. replay stopped at the first bad frame and nothing
 		// after it leaked into the result.
-		rec2, good2 := replay(data[:good])
+		rec2, good2, err := replay(data[:good])
+		if err != nil {
+			t.Fatalf("re-parse of accepted prefix: %v", err)
+		}
 		if good2 != good {
 			t.Fatalf("re-parse of accepted prefix stops at %d, not %d", good2, good)
 		}
@@ -85,25 +97,28 @@ func FuzzWALDecode(f *testing.F) {
 // `go test` runs (the CI path does not run the fuzz engine).
 func TestFuzzCorpusSmoke(t *testing.T) {
 	seed := fuzzSeedLog(t)
-	rec, good := replay(seed)
-	if good != int64(len(seed)) {
-		t.Fatalf("seed log torn at %d/%d", good, len(seed))
+	rec, good, err := replay(seed)
+	if err != nil || good != int64(len(seed)) {
+		t.Fatalf("seed log torn at %d/%d (%v)", good, len(seed), err)
 	}
-	if len(rec.Records) != 2 || rec.Records[0].Version != 2 || rec.Records[1].Version != 3 || rec.Base != 1 {
+	if len(rec.Records) != 2 || rec.Records[0].Version != 3 || rec.Records[1].Version != 4 ||
+		rec.Base != 2 || rec.SnapVersion != 2 || len(rec.Snapshot) != 2 || len(rec.Prepared) != 1 {
 		t.Fatalf("seed log recovered %+v", rec)
 	}
 	// Every single-byte corruption still yields a clean prefix parse.
 	for i := range seed {
 		mut := append([]byte(nil), seed...)
 		mut[i] ^= 0xa5
-		rec, good := replay(mut)
+		_, good, err := replay(mut)
+		if err != nil {
+			t.Fatalf("byte %d: %v", i, err)
+		}
 		if good > int64(len(mut)) {
 			t.Fatalf("byte %d: accepted beyond input", i)
 		}
-		_, good2 := replay(mut[:good])
-		if good2 != good {
-			t.Fatalf("byte %d: unstable prefix %d vs %d", i, good, good2)
+		_, good2, err := replay(mut[:good])
+		if err != nil || good2 != good {
+			t.Fatalf("byte %d: unstable prefix %d vs %d (%v)", i, good, good2, err)
 		}
-		_ = rec
 	}
 }

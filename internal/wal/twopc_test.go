@@ -213,7 +213,7 @@ func TestCompactRetiresSettledTwoPC(t *testing.T) {
 	if err := w.Sync(seq); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Compact(0, 0, 0, 0, nil, map[string]map[int64]string{}); err != nil {
+	if err := w.Compact(0, 0, map[string]map[int64]string{}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

@@ -1,8 +1,9 @@
-// Package wal implements the per-replica write-ahead log that makes
+// Package wal implements the per-node write-ahead log that makes
 // commits durable: a single append-only segment of length-prefixed,
-// CRC-framed records holding the certifier's decision log (certified
-// writesets with commit markers), the local database's apply stream,
-// and full-state snapshot markers written by compaction.
+// CRC-framed records holding one stream — the committed versions as
+// certified writesets with commit markers, full-state snapshots written
+// by compaction (or by a joiner's state transfer), and the cross-shard
+// 2PC frames.
 //
 // Framing. Every record is one frame:
 //
@@ -13,6 +14,15 @@
 // that is short, oversized or fails its CRC — the torn tail a crash
 // mid-write leaves behind — and Open truncates the file there, so a
 // recovered log is always a valid prefix of what was written.
+//
+// One stream. Every node journals each committed version once, as the
+// same writeset-plus-commit-marker frames. The certifier stages its
+// records through Append; the apply path journals what the database
+// installs through AppendRecord, which writes nothing for a version at
+// or below the highest one the log holds. On the certifier host the
+// certifier always journals a version before the database installs
+// it, so the apply path writes nothing there; on every other node the
+// apply path is the only writer.
 //
 // Durability contract. Append stages certified writesets followed by a
 // commit marker in one write; Sync blocks until everything staged at
@@ -30,9 +40,11 @@
 // from the segment, which is what makes a torn group-commit batch
 // atomic — recovery reuses their versions, so a stale staged frame
 // left on disk would be retroactively committed by the next marker at
-// a reused version and resurrect a never-acked writeset. The apply stream (KindApply)
-// replays the local database byte-for-byte; snapshot records replace
-// replay below their version after compaction.
+// a reused version and resurrect a never-acked writeset. Recovery
+// rebuilds the database as the latest snapshot plus the records above
+// it, and resumes at Recovered.LastVersion. Kinds 5–7 (the apply,
+// table and cursor frames of the retired two-stream format) are
+// refused with ErrRetiredFrame rather than skipped.
 package wal
 
 import (
@@ -52,9 +64,9 @@ import (
 
 // Record kinds.
 const (
-	// KindBeginEpoch opens a segment: {epoch, base}. Base is the global
-	// version the segment's history starts from (0 for a fresh log, the
-	// snapshot version after compaction).
+	// KindBeginEpoch opens a segment: {epoch, base}. Base is the
+	// version the segment's records start above (0 for a fresh log, at
+	// most the snapshot version after compaction).
 	KindBeginEpoch byte = 1
 	// KindWriteset stages one certified writeset: {version, writeset}.
 	// It is not committed until a KindCommit at or above version.
@@ -62,19 +74,14 @@ const (
 	// KindCommit commits every staged writeset with version <= its
 	// {version} — the marker that makes a group-commit batch atomic.
 	KindCommit byte = 3
-	// KindSnapshot is a compaction marker: {global, local, full state}.
-	// Replay installs it instead of the applies it replaced.
+	// KindSnapshot is the full state at a version: {version, tables}.
+	// Compaction writes it in place of the records it replaces, and a
+	// joiner journals the snapshot it was sent. Every table it names is
+	// restored, empty ones included.
 	KindSnapshot byte = 4
-	// KindApply journals one local database installation: {local
-	// version, writeset} — loads, snapshot installs and propagated
-	// writesets alike, in commitMu order.
-	KindApply byte = 5
-	// KindTable journals a table of an installed snapshot: {name}. (A
-	// CREATE TABLE itself is a certified writeset, writeset.Schema.)
-	KindTable byte = 6
-	// KindCursor journals the propagation cursor: {global version this
-	// replica has applied}, written after a batch of applies lands.
-	KindCursor byte = 7
+	// Kinds 5–7 are retired (the old apply, table and cursor frames);
+	// Open refuses a segment holding one.
+
 	// KindPrepare journals an in-doubt cross-shard fragment: {txn id,
 	// coordinator shard, snapshot, writeset}. The fragment holds key
 	// locks until a KindDecision (or, on recovery, a coordinator
@@ -111,8 +118,15 @@ var ErrClosed = errors.New("wal: closed")
 // older than the one already in the segment: a concurrent compaction
 // won with a newer capture, and rewriting the log around the stale one
 // would drop durable history (the newer snapshot's frame is discarded
-// while the applies it superseded are already gone).
+// while the records it superseded are already gone).
 var ErrStaleSnapshot = errors.New("wal: compact: snapshot older than the segment's current one")
+
+// ErrRetiredFrame is returned by Open for a segment holding a CRC-valid
+// frame of a retired kind (5–7: the apply, table and cursor frames of
+// the old two-stream format). Replaying such a log without them would
+// bring the node up with an empty database, so Open refuses it and
+// leaves the file untouched.
+var ErrRetiredFrame = errors.New("wal: segment holds a retired frame kind")
 
 // Options configure Open.
 type Options struct {
@@ -127,37 +141,20 @@ type Options struct {
 	Fsync bool
 }
 
-// Apply is one entry of the recovered local apply stream.
-type Apply struct {
-	// Local is the local database version the writeset was installed
-	// at.
-	Local int64
-	WS    writeset.Writeset
-}
-
 // Recovered is the state replayed from a WAL at Open.
 type Recovered struct {
-	// Epoch counts compactions; Base is the global version the log's
-	// history starts from (snapshot version after compaction).
+	// Epoch counts compactions; Base is the version the log's record
+	// history starts from (at most the snapshot version: the certifier
+	// host keeps records a lagging peer still needs).
 	Epoch int64
 	Base  int64
-	// Tables are the created table names, in creation order.
-	Tables []string
-	// Snapshot is the compacted full state at (SnapGlobal, SnapLocal),
-	// nil when the log has never been compacted.
-	Snapshot   map[string]map[int64]string
-	SnapGlobal int64
-	SnapLocal  int64
-	// Applies is the local apply stream after the snapshot, in
-	// installation order.
-	Applies []Apply
-	// Records are the committed certified writesets (version order,
-	// versions > Base); staged writesets without a commit marker are
-	// not included.
+	// Snapshot is the full state at SnapVersion, nil when the log holds
+	// no snapshot.
+	Snapshot    map[string]map[int64]string
+	SnapVersion int64
+	// Records are the committed records (version order, versions >
+	// Base); staged writesets without a commit marker are not included.
 	Records []certifier.Record
-	// Cursor is the highest propagation cursor on disk (global version
-	// this replica had applied), at least Base.
-	Cursor int64
 	// Prepared are the cross-shard fragments still relevant at the end
 	// of replay: in-doubt (no decision on disk) or commit-decided —
 	// the latter kept so RestoreTwoPC can re-commit a decision whose
@@ -171,49 +168,48 @@ type Recovered struct {
 	TornBytes int64
 }
 
-// LastVersion returns the newest committed certified version in the
-// log, or Base when it holds none.
+// LastVersion returns the newest version the log holds — its last
+// committed record, or the snapshot version when no record is above
+// it. A restarted node resumes from here.
 func (r *Recovered) LastVersion() int64 {
-	if n := len(r.Records); n > 0 {
+	if n := len(r.Records); n > 0 && r.Records[n-1].Version > r.SnapVersion {
 		return r.Records[n-1].Version
 	}
-	return r.Base
+	return r.SnapVersion
 }
 
-// Restore rebuilds a local database from the recovered state: tables,
-// the compacted snapshot, then the apply stream at its recorded
-// versions. The database must be fresh.
+// Restore rebuilds a fresh database from the recovered state: every
+// table the snapshot names (empty ones included), the snapshot rows at
+// its version, then each record above it in version order. Records the
+// snapshot already covers (the certifier host retains them for lagging
+// peers) are skipped; a hole in the versions is an error.
 func (r *Recovered) Restore(db *sidb.DB) error {
-	for _, name := range r.Tables {
+	var entries []writeset.Entry
+	for name, rows := range r.Snapshot {
 		if err := db.CreateTable(name); err != nil {
 			return fmt.Errorf("wal: restore table: %w", err)
 		}
-	}
-	if r.Snapshot != nil {
-		var entries []writeset.Entry
-		for name, rows := range r.Snapshot {
-			for row, value := range rows {
-				entries = append(entries, writeset.Entry{
-					Key:   writeset.Key{Table: name, Row: row},
-					Value: value,
-				})
-			}
-		}
-		if len(entries) > 0 || r.SnapLocal > 0 {
-			if err := db.ApplyWriteset(writeset.New(entries), r.SnapLocal); err != nil {
-				return fmt.Errorf("wal: restore snapshot: %w", err)
-			}
+		for row, value := range rows {
+			entries = append(entries, writeset.Entry{
+				Key:   writeset.Key{Table: name, Row: row},
+				Value: value,
+			})
 		}
 	}
-	for _, a := range r.Applies {
-		if a.Local <= db.Version() {
-			// Already covered by the snapshot (compaction may retain
-			// applies below it when they double as the single-master
-			// propagation log).
+	if r.SnapVersion > 0 {
+		if err := db.ApplyWriteset(writeset.New(entries), r.SnapVersion); err != nil {
+			return fmt.Errorf("wal: restore snapshot: %w", err)
+		}
+	}
+	for _, rec := range r.Records {
+		if rec.Version <= db.Version() {
 			continue
 		}
-		if err := db.ApplyWriteset(a.WS, a.Local); err != nil {
-			return fmt.Errorf("wal: restore apply at %d: %w", a.Local, err)
+		if rec.Version != db.Version()+1 {
+			return fmt.Errorf("wal: restore: record %d does not follow version %d", rec.Version, db.Version())
+		}
+		if err := db.ApplyWriteset(rec.Writeset, rec.Version); err != nil {
+			return fmt.Errorf("wal: restore record %d: %w", rec.Version, err)
 		}
 	}
 	return nil
@@ -230,13 +226,14 @@ type WAL struct {
 	fsys  FS
 	fsync bool
 
-	mu        sync.Mutex // serializes writes, compaction and close
-	f         File
-	size      int64
-	epoch     int64
-	base      int64
-	snapLocal int64 // local version of the segment's snapshot (0: none)
-	closed    bool
+	mu     sync.Mutex // serializes writes, compaction and close
+	f      File
+	size   int64
+	epoch  int64
+	base   int64
+	snap   int64 // version of the segment's snapshot (0: none)
+	last   int64 // highest version the log holds: AppendRecord skips versions at or below it
+	closed bool
 
 	seq atomic.Int64 // bumped per completed buffered write
 
@@ -313,14 +310,17 @@ func Open(opts Options) (*WAL, *Recovered, error) {
 		return nil, nil, fmt.Errorf("wal: read: %w", err)
 	}
 
-	rec, good := replay(data)
+	rec, good, err := replay(data)
+	if err != nil {
+		return nil, nil, err
+	}
 	rec.TornBytes = int64(len(data)) - good
 	f, err := fsys.OpenAppend(segName, good)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: reopen: %w", err)
 	}
 	w.f, w.size = f, good
-	w.epoch, w.base, w.snapLocal = rec.Epoch, rec.Base, rec.SnapLocal
+	w.epoch, w.base, w.snap, w.last = rec.Epoch, rec.Base, rec.SnapVersion, rec.LastVersion()
 	return w, rec, nil
 }
 
@@ -339,7 +339,9 @@ func Open(opts Options) (*WAL, *Recovered, error) {
 // settles the run — this writer appends each batch's writesets and
 // marker in a single write, so an unsettled run can only be the torn
 // tail — and a run still pending at the end of the log is dropped.
-func replay(data []byte) (*Recovered, int64) {
+// A frame of a retired kind fails the whole replay with
+// ErrRetiredFrame.
+func replay(data []byte) (*Recovered, int64, error) {
 	rec := &Recovered{Epoch: 1}
 	var staged []certifier.Record
 	var pending [][]byte // frames since the first uncovered staged writeset
@@ -348,6 +350,9 @@ func replay(data []byte) (*Recovered, int64) {
 		payload, n := nextFrame(data[off:])
 		if payload == nil {
 			break
+		}
+		if k := payload[0]; k >= 5 && k <= 7 {
+			return nil, 0, fmt.Errorf("%w: kind %d at offset %d", ErrRetiredFrame, k, off)
 		}
 		off += n
 		switch {
@@ -378,10 +383,7 @@ func replay(data []byte) (*Recovered, int64) {
 	sort.SliceStable(rec.Records, func(i, j int) bool {
 		return rec.Records[i].Version < rec.Records[j].Version
 	})
-	if rec.Cursor < rec.Base {
-		rec.Cursor = rec.Base
-	}
-	return rec, good
+	return rec, good, nil
 }
 
 // nextFrame returns the next frame's payload and total size, or nil at
@@ -411,14 +413,6 @@ func decodeInto(rec *Recovered, staged *[]certifier.Record, payload []byte) {
 	case KindBeginEpoch:
 		rec.Epoch = d.varint()
 		rec.Base = d.varint()
-	case KindTable:
-		name := d.str()
-		for _, t := range rec.Tables {
-			if t == name {
-				return
-			}
-		}
-		rec.Tables = append(rec.Tables, name)
 	case KindWriteset:
 		v := d.varint()
 		ws := d.writeset()
@@ -440,8 +434,7 @@ func decodeInto(rec *Recovered, staged *[]certifier.Record, payload []byte) {
 		}
 		*staged = keep
 	case KindSnapshot:
-		global := d.varint()
-		local := d.varint()
+		version := d.varint()
 		nt := d.uvarint()
 		tables := make(map[string]map[int64]string)
 		for i := uint64(0); i < nt && d.err == nil; i++ {
@@ -457,30 +450,15 @@ func decodeInto(rec *Recovered, staged *[]certifier.Record, payload []byte) {
 		if d.err != nil {
 			return
 		}
-		rec.Snapshot, rec.SnapGlobal, rec.SnapLocal = tables, global, local
+		rec.Snapshot, rec.SnapVersion = tables, version
 		// The snapshot supersedes everything replayed so far. 2PC state
 		// is reset too: compaction rewrites the segment with the
 		// snapshot first and re-carries still-live prepare/decision
 		// frames after it.
-		rec.Applies = nil
 		rec.Records = nil
 		rec.Prepared = nil
 		rec.Decisions = nil
 		*staged = nil
-		if rec.Cursor < global {
-			rec.Cursor = global
-		}
-	case KindApply:
-		v := d.varint()
-		ws := d.writeset()
-		if d.err == nil {
-			rec.Applies = append(rec.Applies, Apply{Local: v, WS: ws})
-		}
-	case KindCursor:
-		v := d.varint()
-		if d.err == nil && v > rec.Cursor {
-			rec.Cursor = v
-		}
 	case KindPrepare:
 		id := d.str()
 		coord := d.varint()
@@ -553,26 +531,33 @@ func closeFrame(buf []byte, start int) []byte {
 	return buf
 }
 
-// appendBatchFrames appends one writeset frame per record followed by
-// the commit marker covering them all.
-func appendBatchFrames(buf []byte, recs []certifier.Record) []byte {
-	max := int64(0)
+// appendRecords appends one writeset frame per record, then one
+// commit marker covering them all, and returns the buffer with the
+// highest version it framed.
+func appendRecords(buf []byte, recs []certifier.Record) ([]byte, int64) {
+	var top int64
 	for _, r := range recs {
 		start := len(buf)
 		buf = closeFrame(encodeWriteset(openFrame(buf), r.Version, r.Writeset), start)
-		if r.Version > max {
-			max = r.Version
-		}
+		top = max(top, r.Version)
 	}
 	start := len(buf)
-	return closeFrame(encodeCommit(openFrame(buf), max), start)
+	return closeFrame(encodeCommit(openFrame(buf), top), start), top
 }
 
-// write appends buf to the segment under mu, returning the covering
-// sequence number for Sync.
-func (w *WAL) write(buf []byte) (int64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// writeRecordsLocked writes buf, whose record frames end at version
+// top, and raises last to top. The caller holds mu.
+func (w *WAL) writeRecordsLocked(buf []byte, top int64) (int64, error) {
+	seq, err := w.writeLocked(buf)
+	if err == nil {
+		w.last = max(w.last, top)
+	}
+	return seq, err
+}
+
+// writeLocked appends buf to the segment, returning the covering
+// sequence number for Sync. The caller holds mu.
+func (w *WAL) writeLocked(buf []byte) (int64, error) {
 	if w.closed {
 		return 0, ErrClosed
 	}
@@ -586,52 +571,52 @@ func (w *WAL) write(buf []byte) (int64, error) {
 	return w.seq.Add(1), nil
 }
 
-// Append stages recs (certified writesets in version order) followed
-// by one commit marker, in a single write. It implements the staging
-// half of certifier.Journal; call Sync with the returned sequence to
-// make the batch durable before acknowledging.
+// Append stages certified writesets (in version order) followed by one
+// commit marker, in a single write. It implements the staging half of
+// certifier.Journal; call Sync with the returned sequence to make the
+// batch durable before acknowledging.
 func (w *WAL) Append(recs []certifier.Record) (int64, error) {
 	if len(recs) == 0 {
 		return w.seq.Load(), w.stickyErr()
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	buf := takeBuf()
-	*buf = appendBatchFrames(*buf, recs)
-	return w.writeBuf(buf)
+	defer putBuf(buf)
+	var top int64
+	*buf, top = appendRecords(*buf, recs)
+	return w.writeRecordsLocked(*buf, top)
 }
 
-// AppendApply journals one local database installation (no sync: the
-// apply stream is lazily durable; acks ride the certified stream).
-func (w *WAL) AppendApply(local int64, ws writeset.Writeset) error {
+// AppendRecord journals one installed version: the apply path's call,
+// with the signature of sidb's journal hook. It writes nothing for a
+// version the log already holds — on the certifier host, whose
+// certifier journaled the version before handing it out, that is every
+// version. It does not sync; the record is durable with the next Sync.
+// It does not allocate.
+func (w *WAL) AppendRecord(ws writeset.Writeset, version int64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if version <= w.last {
+		return w.stickyErr()
+	}
 	buf := takeBuf()
-	*buf = closeFrame(encodeApply(openFrame(*buf), local, ws), 0)
-	_, err := w.writeBuf(buf)
-	return err
-}
-
-// AppendTable journals a table creation.
-func (w *WAL) AppendTable(name string) error {
-	buf := takeBuf()
-	*buf = closeFrame(encodeTable(openFrame(*buf), name), 0)
-	_, err := w.writeBuf(buf)
-	return err
-}
-
-// AppendCursor journals the propagation cursor: the global version
-// this replica has applied. A restarted replica resumes FetchSince
-// from the highest cursor on disk.
-func (w *WAL) AppendCursor(global int64) error {
-	buf := takeBuf()
-	*buf = closeFrame(encodeCursor(openFrame(*buf), global), 0)
-	_, err := w.writeBuf(buf)
+	defer putBuf(buf)
+	one := [1]certifier.Record{{Version: version, Writeset: ws}}
+	*buf, _ = appendRecords(*buf, one[:])
+	_, err := w.writeRecordsLocked(*buf, version)
 	return err
 }
 
 // AppendPrepare journals an in-doubt cross-shard fragment; implements
 // certifier.TxnJournal. Sync the returned sequence before voting yes.
 func (w *WAL) AppendPrepare(p certifier.PreparedTxn) (int64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	buf := takeBuf()
+	defer putBuf(buf)
 	*buf = closeFrame(encodePrepare(openFrame(*buf), p), 0)
-	return w.writeBuf(buf)
+	return w.writeLocked(*buf)
 }
 
 // AppendDecision journals a 2PC decision and, for commits, the decided
@@ -642,27 +627,34 @@ func (w *WAL) AppendPrepare(p certifier.PreparedTxn) (int64, error) {
 // outlive its decision, while a record-less commit decision is
 // re-committed from the prepared writeset at recovery.
 func (w *WAL) AppendDecision(txn string, commit bool, version int64, recs []certifier.Record) (int64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	buf := takeBuf()
+	defer putBuf(buf)
 	*buf = closeFrame(encodeDecision(openFrame(*buf), txn, commit, version), 0)
+	var top int64
 	if commit && len(recs) > 0 {
-		*buf = appendBatchFrames(*buf, recs)
+		*buf, top = appendRecords(*buf, recs)
 	}
-	return w.writeBuf(buf)
+	return w.writeRecordsLocked(*buf, top)
 }
 
 // AppendForget journals the retirement of a decision record.
 func (w *WAL) AppendForget(txn string) (int64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	buf := takeBuf()
+	defer putBuf(buf)
 	*buf = closeFrame(encodeForget(openFrame(*buf), txn), 0)
-	return w.writeBuf(buf)
+	return w.writeLocked(*buf)
 }
 
 // takeBuf/putBuf reuse append buffers across calls: every Append*
 // frames its records in place in a pooled buffer, writes it with one
-// write, and returns it (appends already serialize on mu, so the pool
-// usually holds one warm buffer; contention just falls back to
-// allocating). The pool holds the *[]byte itself, so returning a
-// buffer boxes nothing, and a steady-state append allocates nothing.
+// write, and returns it (appends serialize on mu, so the pool usually
+// holds one warm buffer). The pool holds the *[]byte itself, so
+// returning a buffer boxes nothing, and a steady-state append
+// allocates nothing.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // takeBuf returns an empty pooled buffer.
@@ -678,14 +670,6 @@ func putBuf(b *[]byte) {
 	if cap(*b) <= maxRecord {
 		bufPool.Put(b)
 	}
-}
-
-// writeBuf writes a pooled buffer as one write and returns it to the
-// pool.
-func (w *WAL) writeBuf(buf *[]byte) (int64, error) {
-	seq, err := w.write(*buf)
-	putBuf(buf)
-	return seq, err
 }
 
 // Sync blocks until every write at or before seq is durable. With
@@ -723,7 +707,7 @@ func (w *WAL) Sync(seq int64) error {
 // Seq returns the sequence of the latest completed append, so
 // Sync(Seq()) is the barrier "everything journaled so far is durable"
 // — what a single-master commit waits on after its writeset was
-// journaled through the apply hook.
+// journaled through the database's journal hook.
 func (w *WAL) Seq() int64 { return w.seq.Load() }
 
 // Size returns the current segment size in bytes (the compaction
@@ -742,35 +726,27 @@ func (w *WAL) Epoch() int64 {
 }
 
 // Compact rewrites the log around a full-state snapshot taken at
-// global version snapGlobal / local version snapLocal: the new segment
-// holds a fresh epoch header, the table set, the snapshot, and every
-// record of the old segment still needed — certified writesets (and
-// their markers and cursors) above base, applies above keepApplies.
-// base <= snapGlobal bounds which certified history is dropped: a
-// certifier host passes its peer-cursor GC horizon so a disconnected
-// replica's pending records survive compaction even though the
-// snapshot already contains their effects. keepApplies is normally
-// snapLocal (the snapshot supersedes the local stream below itself)
-// but a single-master node, whose apply stream doubles as the
-// propagation log, passes its slave horizon instead; Restore skips
-// retained applies the snapshot already covers. The swap is
-// crash-atomic: the new segment is fully written and synced as a tmp
-// file, renamed over the old one, and the directory synced; a crash
-// anywhere leaves either the complete old log or the complete new one.
+// version snap: the new segment holds a fresh epoch header, the
+// snapshot, and every frame of the old segment still needed — records
+// (and their markers) above base, live 2PC frames. base <= snap bounds
+// which records are dropped: a primary (the certifier host, the
+// single-master master) passes its peer-cursor horizon so a lagging
+// peer's pending records survive compaction even though the snapshot
+// already contains their effects; Restore skips retained records the
+// snapshot covers. The swap is crash-atomic: the new segment is fully
+// written and synced as a tmp file, renamed over the old one, and the
+// directory synced; a crash anywhere leaves either the complete old
+// log or the complete new one.
 //
 // The snapshot must be captured before calling (under the engine's
 // apply lock); records that commit between the capture and the swap
-// are above the snapshot versions and therefore carried over. A
-// snapshot below the segment's current one — a capture that raced a
-// competitor's compaction — is rejected with ErrStaleSnapshot rather
-// than regressing the log.
-func (w *WAL) Compact(base, snapGlobal, snapLocal, keepApplies int64, tables []string, state map[string]map[int64]string) error {
-	if base > snapGlobal {
-		base = snapGlobal
-	}
-	if keepApplies > snapLocal {
-		keepApplies = snapLocal
-	}
+// are above snap and therefore carried over. A snapshot below the
+// segment's current one — a capture that raced a competitor's
+// compaction — is rejected with ErrStaleSnapshot rather than
+// regressing the log. A joiner journals the snapshot it was sent the
+// same way, on its empty log.
+func (w *WAL) Compact(base, snap int64, state map[string]map[int64]string) error {
+	base = min(base, snap)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -779,8 +755,8 @@ func (w *WAL) Compact(base, snapGlobal, snapLocal, keepApplies int64, tables []s
 	if err := w.stickyErr(); err != nil {
 		return err
 	}
-	if snapLocal < w.snapLocal {
-		return fmt.Errorf("%w (offered local %d, segment has %d)", ErrStaleSnapshot, snapLocal, w.snapLocal)
+	if snap < w.snap {
+		return fmt.Errorf("%w (offered %d, segment has %d)", ErrStaleSnapshot, snap, w.snap)
 	}
 
 	old, err := w.fsys.ReadFile(segName)
@@ -789,12 +765,8 @@ func (w *WAL) Compact(base, snapGlobal, snapLocal, keepApplies int64, tables []s
 	}
 
 	buf := closeFrame(encodeBeginEpoch(openFrame(nil), w.epoch+1, base), 0)
-	for _, t := range tables {
-		start := len(buf)
-		buf = closeFrame(encodeTable(openFrame(buf), t), start)
-	}
 	start := len(buf)
-	buf = closeFrame(encodeSnapshot(openFrame(buf), snapGlobal, snapLocal, state), start)
+	buf = closeFrame(encodeSnapshot(openFrame(buf), snap, state), start)
 
 	// Carry over the still-needed tail of the old segment, frame by
 	// frame, bytes verbatim. The pre-pass collects settled 2PC txns so
@@ -806,7 +778,7 @@ func (w *WAL) Compact(base, snapGlobal, snapLocal, keepApplies int64, tables []s
 		if payload == nil {
 			break
 		}
-		if keepFrame(payload, base, keepApplies, settled) {
+		if keepFrame(payload, base, settled) {
 			buf = append(buf, old[off:off+n]...)
 		}
 		off += n
@@ -859,7 +831,8 @@ func (w *WAL) Compact(base, snapGlobal, snapLocal, keepApplies int64, tables []s
 	w.size = int64(len(buf))
 	w.epoch++
 	w.base = base
-	w.snapLocal = snapLocal
+	w.snap = snap
+	w.last = max(w.last, snap)
 	return nil
 }
 
@@ -904,21 +877,14 @@ func settledTxns(data []byte) settledSet {
 // can only cover dropped writesets. Prepare and decision frames of
 // settled transactions are dropped; live ones are carried so recovery
 // still finds every in-doubt lock and unforgotten decision.
-func keepFrame(payload []byte, base, keepApplies int64, settled settledSet) bool {
+func keepFrame(payload []byte, base int64, settled settledSet) bool {
 	if len(payload) == 0 {
 		return false
 	}
 	d := &walDecoder{b: payload[1:]}
 	switch payload[0] {
-	case KindWriteset, KindCommit, KindCursor:
+	case KindWriteset, KindCommit:
 		return d.varint() > base
-	case KindApply:
-		return d.varint() > keepApplies
-	case KindTable:
-		// A table created between the snapshot capture and the swap is
-		// in the old segment but not in the captured state; keep every
-		// table frame (replay dedups) so it cannot be lost.
-		return true
 	case KindPrepare:
 		return !settled.prepDone[d.str()]
 	case KindDecision:
@@ -952,11 +918,6 @@ func encodeBeginEpoch(b []byte, epoch, base int64) []byte {
 	return binary.AppendVarint(b, base)
 }
 
-func encodeTable(b []byte, name string) []byte {
-	b = append(b, KindTable)
-	return appendWALString(b, name)
-}
-
 func encodeWriteset(b []byte, version int64, ws writeset.Writeset) []byte {
 	b = append(b, KindWriteset)
 	b = binary.AppendVarint(b, version)
@@ -966,17 +927,6 @@ func encodeWriteset(b []byte, version int64, ws writeset.Writeset) []byte {
 func encodeCommit(b []byte, version int64) []byte {
 	b = append(b, KindCommit)
 	return binary.AppendVarint(b, version)
-}
-
-func encodeApply(b []byte, local int64, ws writeset.Writeset) []byte {
-	b = append(b, KindApply)
-	b = binary.AppendVarint(b, local)
-	return appendWALWriteset(b, ws)
-}
-
-func encodeCursor(b []byte, global int64) []byte {
-	b = append(b, KindCursor)
-	return binary.AppendVarint(b, global)
 }
 
 func encodePrepare(b []byte, p certifier.PreparedTxn) []byte {
@@ -1003,10 +953,9 @@ func encodeForget(b []byte, txn string) []byte {
 	return appendWALString(b, txn)
 }
 
-func encodeSnapshot(b []byte, global, local int64, state map[string]map[int64]string) []byte {
+func encodeSnapshot(b []byte, version int64, state map[string]map[int64]string) []byte {
 	b = append(b, KindSnapshot)
-	b = binary.AppendVarint(b, global)
-	b = binary.AppendVarint(b, local)
+	b = binary.AppendVarint(b, version)
 	names := make([]string, 0, len(state))
 	for n := range state {
 		names = append(names, n)

@@ -43,15 +43,10 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Epoch != 1 || len(rec.Records) != 0 || rec.Cursor != 0 {
+	if rec.Epoch != 1 || len(rec.Records) != 0 || rec.LastVersion() != 0 {
 		t.Fatalf("fresh log recovered %+v", rec)
 	}
-	if err := w.AppendTable("item"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendApply(1, ws("item", 7, "load-7")); err != nil {
-		t.Fatal(err)
-	}
+	// The certifier stages versions 1 and 2 ...
 	seq, err := w.Append([]certifier.Record{
 		{Version: 1, Writeset: ws("item", 7, "v1")},
 		{Version: 2, Writeset: ws("item", 8, "v2")},
@@ -62,32 +57,74 @@ func TestRoundTrip(t *testing.T) {
 	if err := w.Sync(seq); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendApply(2, ws("item", 7, "v1")); err != nil {
+	// ... so the apply path installing them writes nothing, ...
+	size := w.Size()
+	if err := w.AppendRecord(ws("item", 7, "v1"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendCursor(1); err != nil {
+	if err := w.AppendRecord(ws("item", 8, "v2"), 2); err != nil {
+		t.Fatal(err)
+	}
+	if w.Size() != size {
+		t.Fatalf("apply path re-journaled held versions: %d -> %d bytes", size, w.Size())
+	}
+	// ... and journals the next version it installs as the same record.
+	if err := w.AppendRecord(ws("item", 9, "v3"), 3); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
 
 	_, rec = reopen(t, fs, true)
-	if got, want := rec.Tables, []string{"item"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("tables %v, want %v", got, want)
-	}
-	if len(rec.Records) != 2 || rec.Records[0].Version != 1 || rec.Records[1].Version != 2 {
+	if len(rec.Records) != 3 || rec.Records[0].Version != 1 || rec.Records[2].Version != 3 {
 		t.Fatalf("records %+v", rec.Records)
 	}
-	if rec.Records[1].Writeset.Entries[0].Value != "v2" {
-		t.Fatalf("writeset content lost: %+v", rec.Records[1].Writeset)
+	if rec.Records[1].Writeset.Entries[0].Value != "v2" || rec.Records[2].Writeset.Entries[0].Value != "v3" {
+		t.Fatalf("writeset content lost: %+v", rec.Records)
 	}
-	if len(rec.Applies) != 2 || rec.Applies[0].Local != 1 || rec.Applies[1].Local != 2 {
-		t.Fatalf("applies %+v", rec.Applies)
-	}
-	if rec.Cursor != 1 {
-		t.Fatalf("cursor %d, want 1", rec.Cursor)
+	if rec.LastVersion() != 3 {
+		t.Fatalf("last version %d, want 3", rec.LastVersion())
 	}
 	if rec.TornBytes != 0 {
 		t.Fatalf("unexpected torn tail: %d bytes", rec.TornBytes)
+	}
+}
+
+// TestRetiredFramesRefused: a CRC-valid frame of a retired kind (the
+// old format's apply, table and cursor frames) fails Open with
+// ErrRetiredFrame, and the segment is left exactly as it was — it is
+// not truncated at the frame as a torn tail would be.
+func TestRetiredFramesRefused(t *testing.T) {
+	for kind := byte(5); kind <= 7; kind++ {
+		fs := NewMemFS()
+		w, _, err := Open(Options{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		data, err := fs.ReadFile(segName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// {version 1} — the old frames all led with a varint.
+		data = append(data, frame([]byte{kind, 2})...)
+		f, err := fs.Create(segName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write(data)
+		f.Close()
+
+		fs.PowerCycle(true)
+		if _, _, err := Open(Options{FS: fs}); !errors.Is(err, ErrRetiredFrame) {
+			t.Fatalf("kind %d: open err=%v, want ErrRetiredFrame", kind, err)
+		}
+		after, err := fs.ReadFile(segName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != len(data) {
+			t.Fatalf("kind %d: segment %d bytes after the refused open, was %d", kind, len(after), len(data))
+		}
 	}
 }
 
@@ -261,16 +298,24 @@ func TestBitFlipStopsAtPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.AppendTable("t")
 	for v := int64(1); v <= 5; v++ {
-		if _, err := w.Append([]certifier.Record{{Version: v, Writeset: ws("t", v, fmt.Sprintf("v%d", v))}}); err != nil {
+		// Odd versions come from the certifier, even ones from the apply
+		// path; each is framed once either way.
+		if v%2 == 1 {
+			if _, err := w.Append([]certifier.Record{{Version: v, Writeset: ws("t", v, fmt.Sprintf("v%d", v))}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.AppendRecord(ws("t", v, fmt.Sprintf("v%d", v)), v); err != nil {
 			t.Fatal(err)
 		}
-		w.AppendApply(v, ws("t", v, fmt.Sprintf("v%d", v)))
 	}
 	w.Close()
 	data, _ := fs.ReadFile(segName)
-	orig, origLen := replay(data)
+	orig, origLen, err := replay(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if int(origLen) != len(data) || len(orig.Records) != 5 {
 		t.Fatalf("baseline replay broken: %d records, %d/%d bytes", len(orig.Records), origLen, len(data))
 	}
@@ -279,7 +324,10 @@ func TestBitFlipStopsAtPrefix(t *testing.T) {
 		for _, flip := range []byte{0x01, 0x80} {
 			mut := append([]byte(nil), data...)
 			mut[i] ^= flip
-			rec, good := replay(mut)
+			rec, good, err := replay(mut)
+			if err != nil {
+				t.Fatalf("byte %d flip %#x: %v", i, flip, err)
+			}
 			if good > int64(len(mut)) {
 				t.Fatalf("byte %d: good length %d beyond input %d", i, good, len(mut))
 			}
@@ -305,8 +353,10 @@ func TestCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.AppendTable("t")
-	for v := int64(1); v <= 10; v++ {
+	if _, err := w.Append([]certifier.Record{{Version: 1, Writeset: writeset.Schema("t")}}); err != nil {
+		t.Fatal(err)
+	}
+	for v := int64(2); v <= 10; v++ {
 		seq, err := w.Append([]certifier.Record{{Version: v, Writeset: ws("t", v%4, fmt.Sprintf("v%d", v))}})
 		if err != nil {
 			t.Fatal(err)
@@ -314,19 +364,18 @@ func TestCompaction(t *testing.T) {
 		if err := w.Sync(seq); err != nil {
 			t.Fatal(err)
 		}
-		w.AppendApply(v, ws("t", v%4, fmt.Sprintf("v%d", v)))
-		w.AppendCursor(v)
 	}
 	before := w.Size()
 
 	// A table created after the snapshot was captured but before the
-	// swap: its frame sits in the old segment only and must survive.
-	w.AppendTable("late")
+	// swap: its schema record is above the snapshot and must survive.
+	if _, err := w.Append([]certifier.Record{{Version: 11, Writeset: writeset.Schema("late")}}); err != nil {
+		t.Fatal(err)
+	}
 
 	// Snapshot at version 8: rows as of v8.
-	state := map[string]map[int64]string{"t": {0: "v8", 1: "v9?", 2: "v6", 3: "v7"}}
-	state["t"][1] = "v5" // row1 newest <=8 is v5 (9%4==1 is v9 >8)
-	if err := w.Compact(8, 8, 8, 8, []string{"t"}, state); err != nil {
+	state := map[string]map[int64]string{"t": {0: "v8", 1: "v5", 2: "v6", 3: "v7"}}
+	if err := w.Compact(8, 8, state); err != nil {
 		t.Fatal(err)
 	}
 	if w.Size() >= before {
@@ -336,7 +385,7 @@ func TestCompaction(t *testing.T) {
 		t.Fatalf("epoch %d, want 2", w.Epoch())
 	}
 	// Appends continue on the new segment.
-	seq, err := w.Append([]certifier.Record{{Version: 11, Writeset: ws("t", 11, "v11")}})
+	seq, err := w.Append([]certifier.Record{{Version: 12, Writeset: ws("t", 12, "v12")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,24 +398,21 @@ func TestCompaction(t *testing.T) {
 	if rec.Epoch != 2 || rec.Base != 8 {
 		t.Fatalf("epoch/base %d/%d, want 2/8", rec.Epoch, rec.Base)
 	}
-	if rec.Snapshot == nil || rec.SnapGlobal != 8 || rec.SnapLocal != 8 {
+	if rec.Snapshot == nil || rec.SnapVersion != 8 {
 		t.Fatalf("snapshot missing or misplaced: %+v", rec)
 	}
 	var versions []int64
 	for _, r := range rec.Records {
 		versions = append(versions, r.Version)
 	}
-	if !reflect.DeepEqual(versions, []int64{9, 10, 11}) {
-		t.Fatalf("retained records %v, want [9 10 11]", versions)
+	if !reflect.DeepEqual(versions, []int64{9, 10, 11, 12}) {
+		t.Fatalf("retained records %v, want [9 10 11 12]", versions)
 	}
-	if rec.Cursor < 8 {
-		t.Fatalf("cursor %d below snapshot", rec.Cursor)
-	}
-	if !reflect.DeepEqual(rec.Tables, []string{"t", "late"}) {
-		t.Fatalf("tables across compaction: %v (the race-window table must survive)", rec.Tables)
+	if rec.LastVersion() != 12 {
+		t.Fatalf("last version %d, want 12", rec.LastVersion())
 	}
 
-	// Restore rebuilds the database: snapshot rows then applies 9, 10.
+	// Restore rebuilds the database: snapshot rows, then records 9..12.
 	db := sidb.New()
 	if err := rec.Restore(db); err != nil {
 		t.Fatal(err)
@@ -375,19 +421,73 @@ func TestCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[1] != "v9" || rows[2] != "v10" {
+	if rows[1] != "v9" || rows[2] != "v10" || rows[12] != "v12" {
 		t.Fatalf("restored rows %v", rows)
 	}
-	if db.Version() != 10 {
-		t.Fatalf("restored local version %d, want 10", db.Version())
+	if !reflect.DeepEqual(db.Tables(), []string{"late", "t"}) {
+		t.Fatalf("tables across compaction: %v (the race-window table must survive)", db.Tables())
+	}
+	if db.Version() != 12 {
+		t.Fatalf("restored version %d, want 12", db.Version())
+	}
+}
+
+// TestCompactionKeepsEmptyTable: a table with no rows is named by the
+// snapshot and restored after a restart, though no record and no row
+// mentions it any more.
+func TestCompactionKeepsEmptyTable(t *testing.T) {
+	fs := NewMemFS()
+	w, _, err := Open(Options{FS: fs, Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, rec := range []writeset.Writeset{writeset.Schema("empty"), writeset.Schema("t"), ws("t", 1, "a")} {
+		if err := w.AppendRecord(rec, int64(v)+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Compact(3, 3, map[string]map[int64]string{"empty": {}, "t": {1: "a"}}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+
+	_, rec := reopen(t, fs, true)
+	if len(rec.Records) != 0 || rec.LastVersion() != 3 {
+		t.Fatalf("recovered %d records, last version %d; want 0 and 3", len(rec.Records), rec.LastVersion())
+	}
+	db := sidb.New()
+	if err := rec.Restore(db); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(db.Tables(), []string{"empty", "t"}) {
+		t.Fatalf("restored tables %v, want [empty t]", db.Tables())
+	}
+	if rows, err := db.Dump("empty"); err != nil || len(rows) != 0 {
+		t.Fatalf("empty table restored as %v (%v)", rows, err)
+	}
+	if db.Version() != 3 {
+		t.Fatalf("restored version %d, want 3", db.Version())
+	}
+}
+
+// TestRestoreRefusesGap: a recovered record that does not follow the
+// version before it fails the restore instead of installing around the
+// hole.
+func TestRestoreRefusesGap(t *testing.T) {
+	rec := &Recovered{Records: []certifier.Record{
+		{Version: 1, Writeset: writeset.Schema("t")},
+		{Version: 3, Writeset: ws("t", 1, "a")},
+	}}
+	if err := rec.Restore(sidb.New()); err == nil {
+		t.Fatal("restore installed records around a missing version")
 	}
 }
 
 // TestCompactRejectsStaleSnapshot pins the concurrent-compaction
-// backstop: once a segment holds a snapshot at local version L, a
-// Compact offering one below L (a capture taken before a competitor's
-// rewrite won the race) is rejected instead of regressing the log —
-// the rewrite would drop the newer snapshot frame while the applies it
+// backstop: once a segment holds a snapshot at version S, a Compact
+// offering one below S (a capture taken before a competitor's rewrite
+// won the race) is rejected instead of regressing the log — the
+// rewrite would drop the newer snapshot frame while the records it
 // superseded are already gone, losing durably acked commits.
 func TestCompactRejectsStaleSnapshot(t *testing.T) {
 	fs := NewMemFS()
@@ -395,22 +495,21 @@ func TestCompactRejectsStaleSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.AppendTable("t")
 	for v := int64(1); v <= 4; v++ {
-		if err := w.AppendApply(v, ws("t", v, fmt.Sprintf("v%d", v))); err != nil {
+		if err := w.AppendRecord(ws("t", v, fmt.Sprintf("v%d", v)), v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	newer := map[string]map[int64]string{"t": {1: "v1", 2: "v2", 3: "v3", 4: "v4"}}
-	if err := w.Compact(4, 4, 4, 4, []string{"t"}, newer); err != nil {
+	if err := w.Compact(4, 4, newer); err != nil {
 		t.Fatal(err)
 	}
 	stale := map[string]map[int64]string{"t": {1: "v1", 2: "v2"}}
-	if err := w.Compact(2, 2, 2, 2, []string{"t"}, stale); !errors.Is(err, ErrStaleSnapshot) {
+	if err := w.Compact(2, 2, stale); !errors.Is(err, ErrStaleSnapshot) {
 		t.Fatalf("stale compact: err=%v, want ErrStaleSnapshot", err)
 	}
 	// Equal is idempotent, not stale.
-	if err := w.Compact(4, 4, 4, 4, []string{"t"}, newer); err != nil {
+	if err := w.Compact(4, 4, newer); err != nil {
 		t.Fatalf("same-version compact rejected: %v", err)
 	}
 	w.Close()
@@ -418,10 +517,10 @@ func TestCompactRejectsStaleSnapshot(t *testing.T) {
 	// The guard survives a restart: the reopened segment remembers its
 	// snapshot version.
 	w2, rec := reopen(t, fs, true)
-	if rec.SnapLocal != 4 || rec.Snapshot["t"][4] != "v4" {
-		t.Fatalf("recovered snapshot local %d %+v, want 4 with v4", rec.SnapLocal, rec.Snapshot)
+	if rec.SnapVersion != 4 || rec.Snapshot["t"][4] != "v4" {
+		t.Fatalf("recovered snapshot version %d %+v, want 4 with v4", rec.SnapVersion, rec.Snapshot)
 	}
-	if err := w2.Compact(2, 2, 2, 2, []string{"t"}, stale); !errors.Is(err, ErrStaleSnapshot) {
+	if err := w2.Compact(2, 2, stale); !errors.Is(err, ErrStaleSnapshot) {
 		t.Fatalf("stale compact after reopen: err=%v, want ErrStaleSnapshot", err)
 	}
 	w2.Close()
@@ -448,7 +547,7 @@ func TestCompactionCrashLeavesOldOrNewLog(t *testing.T) {
 	w := build(cfs)
 	preOps := len(cfs.Trace())
 	state := map[string]map[int64]string{"t": {1: "x", 2: "x", 3: "x", 4: "x"}}
-	if err := w.Compact(4, 4, 4, 4, []string{"t"}, state); err != nil {
+	if err := w.Compact(4, 4, state); err != nil {
 		t.Fatal(err)
 	}
 	totalOps := len(cfs.Trace())
@@ -458,7 +557,7 @@ func TestCompactionCrashLeavesOldOrNewLog(t *testing.T) {
 			mem := NewMemFS()
 			cfs := NewCrashFS(mem, op, 0)
 			w := build(cfs)
-			err := w.Compact(4, 4, 4, 4, []string{"t"}, state)
+			err := w.Compact(4, 4, state)
 			if err == nil {
 				t.Fatalf("op %d: compaction survived its own crash", op)
 			}
@@ -566,7 +665,7 @@ func TestCloseRejectsFurtherUse(t *testing.T) {
 	if err := w.Sync(0); err == nil {
 		t.Fatal("sync after close succeeded")
 	}
-	if err := w.Compact(0, 0, 0, 0, nil, nil); err == nil {
+	if err := w.Compact(0, 0, nil); err == nil {
 		t.Fatal("compact after close succeeded")
 	}
 }
@@ -580,7 +679,6 @@ func TestDirFSRoundTrip(t *testing.T) {
 	if rec.Epoch != 1 {
 		t.Fatalf("fresh epoch %d", rec.Epoch)
 	}
-	w.AppendTable("t")
 	seq, err := w.Append([]certifier.Record{{Version: 1, Writeset: ws("t", 1, "a")}})
 	if err != nil {
 		t.Fatal(err)
@@ -588,7 +686,7 @@ func TestDirFSRoundTrip(t *testing.T) {
 	if err := w.Sync(seq); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Compact(1, 1, 1, 1, []string{"t"}, map[string]map[int64]string{"t": {1: "a"}}); err != nil {
+	if err := w.Compact(1, 1, map[string]map[int64]string{"t": {1: "a"}}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -597,7 +695,7 @@ func TestDirFSRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if rec2.Base != 1 || rec2.Snapshot == nil {
+	if rec2.Base != 1 || rec2.Snapshot == nil || rec2.LastVersion() != 1 {
 		t.Fatalf("recovered %+v", rec2)
 	}
 }
