@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/mva"
+	"repro/internal/repl"
 	"repro/internal/sidb"
 	"repro/internal/workload"
 	"repro/internal/writeset"
@@ -356,29 +357,28 @@ func BenchmarkSIDBUpdateCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkSIDBLoad installs a 4096-row table as eight 512-row load
-// chunks (repl.LoadChunkRows) into a fresh database, the apply
-// work of loading a catalog table on every replica.
+// BenchmarkSIDBLoad installs a 32768-row table, cut into load records
+// by repl.Chunks as the loader cuts it, into a fresh database: the
+// apply work of loading a catalog table on every replica.
 func BenchmarkSIDBLoad(b *testing.B) {
-	const chunk, chunks = 512, 8
-	wss := make([]writeset.Writeset, chunks)
-	for c := range wss {
-		rows := make([]int64, chunk)
-		values := make([]string, chunk)
-		for i := range rows {
-			rows[i] = int64(c*chunk + i)
-			values[i] = "item-row-" + strconv.FormatInt(rows[i], 10)
-		}
-		wss[c] = writeset.Rows("item", rows, values)
+	const rows = 1 << 15
+	ids, values := repl.Rows(rows, func(r int64) string { return "item-row-" + strconv.FormatInt(r, 10) })
+	var wss []writeset.Writeset
+	if err := repl.Chunks(ids, values, func(ids []int64, values []string) error {
+		wss = append(wss, writeset.Rows("item", ids, values))
+		return nil
+	}); err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n, err := sidb.New().ApplyBatch(wss); n != chunks || err != nil {
+		if n, err := sidb.New().ApplyBatch(wss); n != len(wss) || err != nil {
 			b.Fatalf("ApplyBatch = %d, %v", n, err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk*chunks), "ns/row")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+	b.ReportMetric(float64(len(wss)), "records")
 }
 
 func BenchmarkSIDBRead(b *testing.B) {

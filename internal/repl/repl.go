@@ -118,15 +118,22 @@ type Loader interface {
 	Load(table string, rows int, value func(int64) string) error
 }
 
-// Load-record bounds: a loader splits its rows into chunks of at most
-// LoadChunkRows rows and LoadChunkBytes value bytes (a single larger
-// value travels alone). Each chunk is one record of the replicated log
-// and, on the networked stack, one wire.Load frame, comfortably under
-// wire.MaxFrame.
-const (
-	LoadChunkRows  = 512
-	LoadChunkBytes = 1 << 20
-)
+// LoadChunkBytes bounds one load record. A loader cuts its rows into
+// chunks whose charge — each row's value length plus loadEntryOverhead
+// — stays within it (a single larger row travels alone). Each chunk is
+// one record of the replicated log and, on the networked stack, one
+// wire.Load frame, comfortably under wire.MaxFrame. The client and the
+// server cut with the same function, so a client's chunk is exactly one
+// record at the server.
+const LoadChunkBytes = 256 << 10
+
+// loadEntryOverhead is what a row costs beyond its value bytes: the
+// worst-case wire.Records entry header of a row in a within-budget
+// chunk — table dictionary index (2 bytes, under 16384 tables per
+// frame), zig-zag row varint (10), delete flag (1) and the value's
+// length prefix (3, for values under 2 MiB) — so row ids count toward
+// the budget as well.
+const loadEntryOverhead = 16
 
 // Rows evaluates value for rows [0, n), returning the row ids and
 // values a chunked loader installs.
@@ -140,13 +147,14 @@ func Rows(n int, value func(int64) string) ([]int64, []string) {
 	return rows, values
 }
 
-// Chunks calls load on consecutive chunks of rows and their values
-// within the load-record bounds, stopping at the first error.
+// Chunks calls load on consecutive chunks of rows and their values,
+// each within LoadChunkBytes, stopping at the first error. Cutting a
+// chunk again returns it whole.
 func Chunks(rows []int64, values []string, load func(rows []int64, values []string) error) error {
 	for start := 0; start < len(rows); {
-		end, size := start, 0
-		for end < len(rows) && end-start < LoadChunkRows && (end == start || size+len(values[end]) <= LoadChunkBytes) {
-			size += len(values[end])
+		end, charge := start+1, loadEntryOverhead+len(values[start])
+		for end < len(rows) && charge+loadEntryOverhead+len(values[end]) <= LoadChunkBytes {
+			charge += loadEntryOverhead + len(values[end])
 			end++
 		}
 		if err := load(rows[start:end], values[start:end]); err != nil {

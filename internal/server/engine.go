@@ -34,11 +34,12 @@ var errUnsupported = errors.New("server: operation not supported by this node")
 type engine interface {
 	// begin opens a transaction for one connection.
 	begin(readOnly bool) (repl.Txn, error)
-	// createTable and loadRows commit schema and rows as records of the
-	// group's log (refused where updates cannot run); dump is the
+	// createTable and loadChunk commit schema and rows as records of
+	// the group's log (refused where updates cannot run); loadChunk
+	// commits one repl.Chunks chunk as one record. dump is the
 	// convergence path.
 	createTable(name string) error
-	loadRows(table string, rows []int64, values []string) error
+	loadChunk(table string, rows []int64, values []string) error
 	dump(table string) (map[int64]string, error)
 	// sync applies everything committed so far (one pull).
 	sync()
@@ -395,13 +396,10 @@ func (e *mmEngine) createTable(name string) error {
 	return nil
 }
 
-// loadRows certifies values[i] at (table, rows[i]), one record per
-// repl.Chunks chunk: the load takes versions and propagates exactly
-// like commits do.
-func (e *mmEngine) loadRows(table string, rows []int64, values []string) error {
-	return repl.Chunks(rows, values, func(rows []int64, values []string) error {
-		return e.certifyWriteset(writeset.Rows(table, rows, values))
-	})
+// loadChunk certifies values[i] at (table, rows[i]) as one record:
+// the load takes versions and propagates exactly like commits do.
+func (e *mmEngine) loadChunk(table string, rows []int64, values []string) error {
+	return e.certifyWriteset(writeset.Rows(table, rows, values))
 }
 
 // certifyWriteset certifies ws outside any transaction, at this node's
@@ -1016,7 +1014,7 @@ func (e *smEngine) begin(readOnly bool) (repl.Txn, error) {
 	return &smTxn{e: e, inner: e.db.Begin(), readOnly: readOnly}, nil
 }
 
-// createTable and loadRows commit on the master (sm.Install), so
+// createTable and loadChunk commit on the master (sm.Install), so
 // slaves receive schema and rows from the propagation log; the master
 // refuses a table it already has.
 func (e *smEngine) createTable(name string) error {
@@ -1028,7 +1026,7 @@ func (e *smEngine) createTable(name string) error {
 	return e.commit(writeset.Schema(name))
 }
 
-func (e *smEngine) loadRows(table string, rows []int64, values []string) error {
+func (e *smEngine) loadChunk(table string, rows []int64, values []string) error {
 	return e.commit(writeset.Rows(table, rows, values))
 }
 

@@ -2,12 +2,14 @@ package server_test
 
 import (
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -53,7 +55,8 @@ func waitEqual(t *testing.T, primary, joiner, table string) {
 // TestSchemaAndLoadDuringAdmission: a table created and loaded while
 // a joiner sits between Join and its first long poll reaches the joiner
 // through the log — the client, which never saw the joiner, sends each
-// frame to the primary only.
+// frame to the primary only. The values are sized from
+// repl.LoadChunkBytes so the load spans several records.
 func TestSchemaAndLoadDuringAdmission(t *testing.T) {
 	prim := startPrimary(t, nil)
 	joiner := pendingJoiner(t, prim.Addr())
@@ -65,8 +68,12 @@ func TestSchemaAndLoadDuringAdmission(t *testing.T) {
 	if err := cl.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Load("t", 1500, func(r int64) string { return fmt.Sprintf("v%d", r) }); err != nil {
+	pad := strings.Repeat("x", repl.LoadChunkBytes/1000)
+	if err := cl.Load("t", 1500, func(r int64) string { return fmt.Sprintf("%sv%d", pad, r) }); err != nil {
 		t.Fatal(err)
+	}
+	if n := fetchAll(t, prim.Addr()); n < 3 {
+		t.Fatalf("schema and load took %d records, want the load to span at least two", n)
 	}
 	if err := cl.CreateTable("t"); err == nil || !strings.Contains(err.Error(), "already exists") {
 		t.Fatalf("duplicate table: %v, want the primary to refuse it", err)
@@ -76,6 +83,86 @@ func TestSchemaAndLoadDuringAdmission(t *testing.T) {
 	if n := len(dumpOf(t, joiner.Addr(), "t")); n != 1500 {
 		t.Fatalf("joiner holds %d rows, want 1500", n)
 	}
+}
+
+// dialWire opens a wire.Conn to the node at addr and completes the
+// handshake; a hang fails the test, not the suite.
+func dialWire(t *testing.T, addr string) *wire.Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+	wc := wire.NewConn(nc)
+	if _, err := call(wc, &wire.Hello{Proto: wire.ProtoVersion, PeerID: -1}); err != nil {
+		t.Fatal(err)
+	}
+	return wc
+}
+
+// call sends msg and returns the reply.
+func call(wc *wire.Conn, msg wire.Message) (wire.Message, error) {
+	if err := wc.Send(msg); err != nil {
+		return nil, err
+	}
+	return wc.Recv()
+}
+
+// fetchAll reads the whole log of the node at addr through FetchSince
+// on a wire.Conn, failing the test on any reply that does not decode,
+// and returns the number of records.
+func fetchAll(t *testing.T, addr string) int {
+	t.Helper()
+	wc := dialWire(t, addr)
+	var cursor int64
+	records := 0
+	for {
+		reply, err := call(wc, &wire.FetchSince{Version: cursor})
+		if err != nil {
+			t.Fatalf("FetchSince(%d): %v", cursor, err)
+		}
+		recs, ok := reply.(*wire.Records)
+		if !ok {
+			t.Fatalf("FetchSince(%d) answered %+v", cursor, reply)
+		}
+		if len(recs.Recs) == 0 {
+			return records
+		}
+		records += len(recs.Recs)
+		cursor = recs.Recs[len(recs.Recs)-1].Version
+	}
+}
+
+// TestSMLoadFrameOverBudget: the single-master master commits a Load
+// frame larger than repl.LoadChunkBytes as several records, as the
+// multi-master engine does. As one record, these rows would not fit a
+// FetchSince reply (each costs more there than in the Load frame), so
+// no slave could fetch it. Every reply decodes and the slave converges.
+func TestSMLoadFrameOverBudget(t *testing.T) {
+	servers, cl := startCluster(t, "sm", 2, nil)
+	if err := cl.CreateTable("blob"); err != nil {
+		t.Fatal(err)
+	}
+	// ~102 bytes a row in the Load frame (16.3 MB, under MaxFrame) but
+	// ~106 as a Records entry (17 MB, over it).
+	const rows = 160_000
+	value := strings.Repeat("x", 100)
+	load := &wire.Load{Table: "blob"}
+	load.Rows, load.Values = repl.Rows(rows, func(int64) string { return value })
+	if reply, err := call(dialWire(t, servers[0].Addr()), load); err != nil {
+		t.Fatal(err)
+	} else if _, ok := reply.(*wire.LoadOK); !ok {
+		t.Fatalf("Load frame of %d rows answered %+v", rows, reply)
+	}
+	if n := fetchAll(t, servers[0].Addr()); n < 3 {
+		t.Fatalf("schema and load took %d records, want the load cut into several", n)
+	}
+	waitFor(t, 10*time.Second, "the slave to hold every loaded row", func() bool {
+		dump, err := cl.TableDump(1, "blob")
+		return err == nil && len(dump) == rows
+	})
 }
 
 // TestFetchSinceBoundsReplies: a backlog larger than wire.MaxFrame —

@@ -794,7 +794,13 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		return &wire.CreateTableOK{}
 
 	case *wire.Load:
-		if err := s.eng.loadRows(m.Table, m.Rows, m.Values); err != nil {
+		// One record per chunk whatever the frame's size, so every
+		// record fits a FetchSince reply; a client's chunk is one
+		// chunk here too.
+		err := repl.Chunks(m.Rows, m.Values, func(rows []int64, values []string) error {
+			return s.eng.loadChunk(m.Table, rows, values)
+		})
+		if err != nil {
 			return s.errReply(err)
 		}
 		return &wire.LoadOK{}

@@ -1,8 +1,10 @@
 package sidb
 
 import (
+	"strconv"
 	"testing"
 
+	"repro/internal/repl"
 	"repro/internal/writeset"
 )
 
@@ -90,19 +92,31 @@ func TestApplyBatchOverwriteAllocs(t *testing.T) {
 	}
 }
 
-// TestLoadAllocs: installing a fresh 512-row load chunk allocates only
-// for the database, its table and the table map's growth — nothing per
-// row.
+// TestLoadAllocs: installing a fresh load record, cut by repl.Chunks
+// as the loader cuts it, allocates only for the database, its table
+// and the table map's growth — nothing per row.
 func TestLoadAllocs(t *testing.T) {
-	const rows = 512
-	ws := rowsWriteset("item", 0, rows, "item-row")
+	var ws writeset.Writeset
+	ids, values := repl.Rows(1<<15, func(r int64) string { return "item-row-" + strconv.FormatInt(r, 10) })
+	if err := repl.Chunks(ids, values, func(ids []int64, values []string) error {
+		if ws.Entries == nil {
+			ws = writeset.Rows("item", ids, values)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rows := len(ws.Entries)
+	if rows == len(ids) {
+		t.Fatalf("all %d rows fit one record; the test wants a full one", rows)
+	}
 	allocs := testing.AllocsPerRun(50, func() {
 		db := New()
 		if err := db.ApplyWriteset(ws, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if perRow := allocs / rows; perRow >= 0.05 {
+	if perRow := allocs / float64(rows); perRow >= 0.05 {
 		t.Fatalf("loading %d rows: %.0f allocs (%.3f/row), want < 0.05/row", rows, allocs, perRow)
 	}
 	t.Logf("loading %d rows: %.0f allocs", rows, allocs)
