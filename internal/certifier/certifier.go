@@ -770,13 +770,19 @@ func (c *Certifier) observeStageBatch(stage string, recs []Record, d time.Durati
 }
 
 // Since returns the committed records with versions strictly greater
-// than v, in version order — the update-propagation feed. Records are
-// sorted by version, so the suffix is located by binary search. With
-// a journal attached to an unreplicated certifier, records whose sync
-// has not completed are withheld: propagation must never outrun
-// durability. A replicated certifier never withholds — every applied
-// record already survived a Paxos quorum.
-func (c *Certifier) Since(v int64) []Record {
+// than v, in version order — the update-propagation feed — in a fresh
+// slice.
+func (c *Certifier) Since(v int64) []Record { return c.SinceInto(nil, v) }
+
+// SinceInto appends to dst the records Since(v) returns, copied under
+// the certification lock, and returns the extended slice; the
+// certifier host reads its own log into a stack buffer this way.
+// Records are sorted by version, so the suffix is located by binary
+// search. With a journal attached to an unreplicated certifier,
+// records whose sync has not completed are withheld: propagation must
+// never outrun durability. A replicated certifier never withholds —
+// every applied record already survived a Paxos quorum.
+func (c *Certifier) SinceInto(dst []Record, v int64) []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	recs := c.records
@@ -785,12 +791,7 @@ func (c *Certifier) Since(v int64) []Record {
 		recs = recs[:end]
 	}
 	i := sort.Search(len(recs), func(i int) bool { return recs[i].Version > v })
-	if i == len(recs) {
-		return nil
-	}
-	out := make([]Record, len(recs)-i)
-	copy(out, recs[i:])
-	return out
+	return append(dst, recs[i:]...)
 }
 
 // GC prunes records with versions at or below upTo. Callers must

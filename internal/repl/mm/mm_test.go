@@ -4,7 +4,7 @@
 // certifier detects system-wide write-write conflicts and assigns
 // global versions, and committed writesets are applied at every replica
 // in commit order. The design is implemented by the replica server's
-// multi-master engine (internal/server); these tests run it the way it
+// engine (internal/server); these tests run it the way it
 // is deployed — real replica servers on loopback (internal/launch)
 // driven through the pooled client.
 package mm_test

@@ -29,7 +29,7 @@ type Applier struct {
 	db *sidb.DB
 
 	mu      sync.Mutex
-	applied int64 // version cursor (global for mm, absolute master version for sm)
+	applied int64 // version cursor: the newest version of the group's log installed here
 
 	head    atomic.Int64 // newest version observed (fetched or certified)
 	total   atomic.Int64 // versions applied since start
@@ -126,10 +126,12 @@ func (a *Applier) Apply(recs []certifier.Record) int {
 	if n == 0 {
 		return 0
 	}
-	run = run[:n]
-	wss := make([]writeset.Writeset, n)
-	for j, rec := range run {
-		wss[j] = rec.Writeset
+	// A short run (the certifier host applying its own commit) gathers
+	// its writesets on the stack.
+	var buf [4]writeset.Writeset
+	wss := buf[:0]
+	for _, rec := range run[:n] {
+		wss = append(wss, rec.Writeset)
 	}
 	a.pending.Store(int64(n))
 	defer a.pending.Store(0)

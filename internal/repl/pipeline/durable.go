@@ -20,9 +20,8 @@ type Log interface {
 	// (sidb's journal hook); it writes nothing for a version the log
 	// already holds.
 	AppendRecord(ws writeset.Writeset, version int64) error
-	// Seq returns the staging sequence; Sync(seq) blocks until
-	// everything staged at or before it is durable (group fsync).
-	Seq() int64
+	// Sync(seq) blocks until everything staged at or before seq is
+	// durable (group fsync).
 	Sync(seq int64) error
 	// Size returns the live segment size in bytes.
 	Size() int64

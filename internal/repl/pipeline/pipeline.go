@@ -1,18 +1,18 @@
-// Package pipeline is the shared replication pipeline every engine in
-// this repository is built on. A replica — multi-master or
+// Package pipeline is the shared replication pipeline the replica
+// server's engine is built on. A replica — multi-master or
 // single-master, durable or in-memory — moves every
 // committed writeset through the same four stages:
 //
 //	certify → journal → apply → ack/compact
 //
-// The stages are owned here, once; the engines inject the pieces that
-// differ and delete the loops they used to copy-paste:
+// The stages are owned here, once; the engine injects the pieces that
+// differ by role:
 //
-//   - certify: a CertSource is the feed of certified records past a
-//     cursor. The mm certifier host injects its local certifier, remote
-//     mm replicas inject a wire FetchSince link, the sm master injects
-//     its propagation log. HostCert fronts the host-side certifier with
-//     group commit, latency observation and long-poll wakeups.
+//   - certify: the certifier host (which under single-master is the
+//     master) reads certified records from its local certifier, other
+//     replicas from a wire FetchSince link. HostCert fronts the
+//     host-side certifier with group commit, latency observation and
+//     long-poll wakeups.
 //   - journal: Durability is the write-ahead-log stage — version-ordered
 //     appends ahead of apply, group fsync, advisory cursors, and
 //     serialized snapshot compaction. Nodes without a WAL simply carry
@@ -33,14 +33,6 @@ import (
 	"repro/internal/certifier"
 	"repro/internal/writeset"
 )
-
-// CertSource yields every certified record with version > v in
-// ascending version order — the propagation feed the apply stage
-// drains. The local certifier, the sm propagation log and the wire
-// FetchSince client all provide one.
-type CertSource interface {
-	Since(v int64) []certifier.Record
-}
 
 // Notify wakes long-polling peers when new versions commit.
 type Notify struct {
@@ -140,15 +132,9 @@ type PeerCursors struct {
 	cursors map[int64]int64
 }
 
-// NewPeerCursors tracks a fixed expected peer count; a negative count
-// (unknown cluster size) disables pruning entirely.
-func NewPeerCursors(expected int, lag int64) *PeerCursors {
-	return NewDynamicPeerCursors(func() int { return expected }, lag)
-}
-
-// NewDynamicPeerCursors tracks an expected peer count that may change
+// NewPeerCursors tracks an expected peer count that may change
 // (elastic membership).
-func NewDynamicPeerCursors(expected func() int, lag int64) *PeerCursors {
+func NewPeerCursors(expected func() int, lag int64) *PeerCursors {
 	return &PeerCursors{expected: expected, lag: lag, cursors: make(map[int64]int64)}
 }
 
@@ -312,5 +298,6 @@ func (h *HostCert) ResolveTxn(id string) (bool, error) { return h.Base.Resolve(i
 // ForgetTxn retires a fully acknowledged decision.
 func (h *HostCert) ForgetTxn(id string) error { return h.Base.Forget(id) }
 
-// Since implements CertSource.
+// Since returns every certified record with version > v in ascending
+// version order — the propagation feed.
 func (h *HostCert) Since(v int64) []certifier.Record { return h.Base.Since(v) }

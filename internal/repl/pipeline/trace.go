@@ -206,16 +206,6 @@ func (t *Tracer) SetSlowObserver(fn func(sp Span)) {
 	t.slowObs = fn
 }
 
-// ObserveStage records one stage observation (d covering n writesets)
-// without span bookkeeping — for stages reached outside the certifier
-// path, like the single-master design's commit fsync wait.
-func (t *Tracer) ObserveStage(stage int, d time.Duration, n int) {
-	if t == nil || stage < 0 || stage >= NumStages {
-		return
-	}
-	t.observe(stage, d, n)
-}
-
 // StageTotals returns the cumulative per-stage observation counts and
 // summed nanoseconds — the wire Stats extension's payload.
 func (t *Tracer) StageTotals() (counts, nanos [NumStages]int64) {

@@ -137,7 +137,6 @@ func TestTracerNilSafe(t *testing.T) {
 	tr.PropagateSpan(1, 1, time.Now())
 	tr.ApplyBatch(0, 1, time.Millisecond, time.Now())
 	tr.Ack(1, time.Now())
-	tr.ObserveStage(StageFsync, time.Millisecond, 1)
 	if tr.CertStages() != nil {
 		t.Error("nil tracer CertStages should be nil")
 	}

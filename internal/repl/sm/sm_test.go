@@ -1,9 +1,11 @@
 // The single-master design of §5.2 end to end: the master executes all
 // updates, slaves are read-only caches that apply the master's
 // writesets in commit order, and reads balance over every node. The
-// design runs in the replica server's single-master engine; these
-// tests drive real replica servers on loopback (internal/launch)
-// through the pooled client, which pins updates to the master.
+// design runs in the replica server's one engine as a policy: the
+// master hosts the certifier and is the only node that accepts
+// updates. These tests drive real replica servers on loopback
+// (internal/launch) through the pooled client, which pins updates to
+// the master.
 package sm_test
 
 import (

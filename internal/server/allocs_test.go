@@ -50,3 +50,43 @@ func TestDispatchReadAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestDispatchUpdateAllocs pins the server half of one update
+// transaction — Begin, Write, Commit — on a one-node cluster of each
+// design: the node certifies against its own log and applies the
+// commit from it without copying the record or its writeset list.
+func TestDispatchUpdateAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		design string
+		want   float64
+	}{{"mm", 6}, {"sm", 6}} {
+		t.Run(tc.design, func(t *testing.T) {
+			s, err := New(Options{Design: tc.design, Listen: "127.0.0.1:0", Replicas: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			st := &connState{peer: -1}
+			dispatch := func(req wire.Message) {
+				if reply, isErr := s.dispatch(st, req).(*wire.Err); isErr {
+					t.Fatalf("%T: %s", req, reply.Msg)
+				}
+			}
+			dispatch(&wire.CreateTable{Name: "item"})
+			dispatch(&wire.Load{Table: "item", Rows: []int64{0, 1}, Values: []string{"stock=90", "stock=91"}})
+			dispatch(&wire.Sync{}) // a load, like a commit, is applied by the next pull
+			begin, write, commit := &wire.Begin{}, &wire.Write{Table: "item", Row: 1, Value: "stock=92"}, &wire.Commit{}
+			allocs := testing.AllocsPerRun(200, func() {
+				dispatch(begin)
+				dispatch(write)
+				if reply, ok := s.dispatch(st, commit).(*wire.CommitOK); !ok {
+					t.Fatalf("commit reply %+v", reply)
+				}
+			})
+			if allocs > tc.want {
+				t.Fatalf("dispatch Begin/Write/Commit: %.2f allocs/txn, want <= %.0f", allocs, tc.want)
+			}
+			t.Logf("%.2f allocs/txn", allocs)
+		})
+	}
+}

@@ -25,7 +25,7 @@ func TestPaxosBackupCompactsToSnapshot(t *testing.T) {
 		WALDir:       dir,
 		ElectTimeout: time.Second,
 	}
-	e, err := newMMEngine(opts, newMetrics(opts.Design, opts.ID, true, 0), make(chan struct{}))
+	e, err := newEngine(opts, newMetrics(opts.Design, opts.ID, true, 0), make(chan struct{}))
 	if err != nil {
 		t.Fatal(err)
 	}

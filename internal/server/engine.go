@@ -15,7 +15,6 @@ import (
 	"repro/internal/paxos"
 	"repro/internal/repl"
 	"repro/internal/repl/pipeline"
-	"repro/internal/repl/sm"
 	"repro/internal/sidb"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -26,64 +25,10 @@ import (
 // certification on a non-host replica).
 var errUnsupported = errors.New("server: operation not supported by this node")
 
-// engine is the design-specific node behind a replica server: it owns
-// the local database, knows how to reach the primary, and serves the
-// verbs both designs implement. The verbs only the multi-master design
-// serves (certification, 2PC, elastic membership, Paxos) are plain
-// *mmEngine methods that Server.dispatchMM calls.
-type engine interface {
-	// begin opens a transaction for one connection.
-	begin(readOnly bool) (repl.Txn, error)
-	// createTable and loadChunk commit schema and rows as records of
-	// the group's log (refused where updates cannot run); loadChunk
-	// commits one repl.Chunks chunk as one record. dump is the
-	// convergence path.
-	createTable(name string) error
-	loadChunk(table string, rows []int64, values []string) error
-	dump(table string) (map[int64]string, error)
-	// sync applies everything committed so far (one pull).
-	sync()
-	// applied is this node's applied version (global for mm, master
-	// version for sm).
-	applied() int64
-	// applyStats snapshots the apply stage (throughput, queue depth
-	// and lag) for /metrics and the wire Stats reply.
-	applyStats() pipeline.ApplyStats
-	// logLen is the number of writesets retained for propagation
-	// (certification log on the mm host, sm.Log on the sm master).
-	logLen() int
-	// rowVersions is the number of row versions the local database
-	// holds (sidb.DB.Versions): live rows plus what open snapshots pin.
-	rowVersions() int64
-	// fetchSince serves a peer's propagation pull; it fails unless this
-	// node is the primary. peer is the requester's replica id (negative
-	// for non-peer clients): long-poll cursors are tracked per replica
-	// so the primary can garbage-collect what everyone applied.
-	fetchSince(peer int64, v int64, wait time.Duration) ([]certifier.Record, error)
-	// peerGone drops a peer's propagation cursor when its connection
-	// dies (the next long poll re-adds it).
-	peerGone(peer int64)
-	// epochInfo reports the certifier election epoch (Paxos ballot
-	// round, 0 when unreplicated) and whether this node currently
-	// hosts the certification service (the sm master counts) — the
-	// /metrics failover gauges.
-	epochInfo() (int64, bool)
-	// resume reports the version durable state was recovered to at
-	// start (ok false when the node has no WAL or the log was fresh).
-	resume() (version int64, ok bool)
-	// run is the background propagation loop (the peer link); it
-	// returns when stop closes.
-	run(stop <-chan struct{})
-	// disconnect closes the network links to the primary and peers,
-	// failing any in-flight RPC immediately so run can observe stop.
-	// It must precede close: run may still be ingesting records when
-	// disconnect returns, but it no longer can after it exits.
-	disconnect()
-	// close releases local durable resources (WAL, paxos store). Only
-	// safe once run and every connection handler have returned —
-	// closing the WAL under an in-flight apply panics the pipeline.
-	close()
-}
+// errSlaveUpdate refuses an update, schema or load on a single-master
+// slave. The client sends every sm update to the master, so reaching
+// this is a routing bug, not a race.
+var errSlaveUpdate = fmt.Errorf("%w: updates must run on the master", errUnsupported)
 
 // pollInterval is the long-poll window of the propagation loop; it
 // bounds both shutdown latency and the staleness detection of a dead
@@ -91,16 +36,16 @@ type engine interface {
 const pollInterval = 250 * time.Millisecond
 
 // syncLongPoll is the long-poll window for commit-path catch-up
-// fetches (Link.Since, ring Since, smEngine.sync). Shorter than
-// pollInterval because these run inside client-visible operations, but
-// long enough that a caught-up replica parks on the primary instead of
-// spinning wait=0 round trips.
+// fetches (Link.Since, ring Since). Shorter than pollInterval because
+// these run inside client-visible operations, but long enough that a
+// caught-up replica parks on the primary instead of spinning wait=0
+// round trips.
 const syncLongPoll = 25 * time.Millisecond
 
-// certService is the certification surface the multi-master commit
-// path depends on: commit-time certification carrying the
-// transaction's cross-node trace id, the eager conflict probe, and
-// writeset retrieval for propagation. The certifier host serves it
+// certService is the certification surface the commit path depends
+// on: commit-time certification carrying the transaction's cross-node
+// trace id, the eager conflict probe, and writeset retrieval for
+// propagation. The certifier host serves it
 // from a pipeline.HostCert; other nodes reach the host through a
 // client.Link, or follow the leader through a client.LeaderRing under
 // Paxos.
@@ -170,8 +115,8 @@ func (r *remoteCert) Check(snapshot int64, ws writeset.Writeset) (bool, int64) {
 
 func (r *remoteCert) Since(v int64) []certifier.Record { return r.svc.Since(v) }
 
-// mmEngine is one multi-master node (§5.1): a local snapshot-isolated
-// database whose proxy extracts writesets, certifies them with the
+// engine is one replica node (§5): a local snapshot-isolated database
+// whose proxy extracts writesets, certifies them with the
 // certification service — hosted here (node 0, or the Paxos leader) or
 // reached over a Link — and applies certified writesets in version
 // order. The commit/apply machinery — certify stage, apply stage,
@@ -182,7 +127,14 @@ func (r *remoteCert) Since(v int64) []certifier.Record { return r.svc.Since(v) }
 // latest version this node has applied — possibly older than the
 // globally latest — so it is available without communication; the
 // certifier closes the gap at commit time.
-type mmEngine struct {
+//
+// Both designs run on it. Multi-master (§5.1) accepts updates on every
+// node. Single-master (§5.2) is the same certified log with one update
+// site: node 0 hosts the certifier and runs every update, schema and
+// load, and the slaves only apply its log. A master that certifies
+// against its own log aborts exactly the transactions its
+// first-committer-wins check would (§2).
+type engine struct {
 	db   *sidb.DB
 	ap   *pipeline.Applier // the local replica's apply stage
 	cert certService
@@ -196,6 +148,9 @@ type mmEngine struct {
 	// the backlog its puller is already fetching; the next transaction
 	// on the same node may not yet see the commit (GSI allows that).
 	async bool
+	// slave marks a single-master slave: it refuses update
+	// transactions, schema and load, which run only on the master.
+	slave bool
 	ddlMu sync.Mutex // serializes createTable's existence check and commit
 
 	stop     <-chan struct{}
@@ -229,10 +184,11 @@ type mmEngine struct {
 	staleAfter time.Duration
 }
 
-func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, error) {
-	e := &mmEngine{
+func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) {
+	e := &engine{
 		db:         sidb.New(),
 		eager:      opts.EagerCert,
+		slave:      opts.Design == "sm" && opts.ID > 0,
 		stop:       stop,
 		staleAfter: opts.StaleAfter,
 		m:          m,
@@ -264,7 +220,7 @@ func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, err
 		e.groupCommit = opts.GroupCommit
 		e.membership = elastic.NewMembership()
 		e.membership.SeedStatic(opts.Members)
-		e.cursors = pipeline.NewDynamicPeerCursors(func() int {
+		e.cursors = pipeline.NewPeerCursors(func() int {
 			return e.membership.Peers()
 		}, int64(opts.GCLag))
 		e.sw = &switchCert{}
@@ -310,7 +266,7 @@ func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, err
 			e.membership.SeedStatic(make([]string, 1))
 		}
 		gcDisabled := opts.Replicas <= 0 && len(opts.Members) == 0
-		e.cursors = pipeline.NewDynamicPeerCursors(func() int {
+		e.cursors = pipeline.NewPeerCursors(func() int {
 			if gcDisabled {
 				return -1
 			}
@@ -353,9 +309,14 @@ func newMMEngine(opts Options, m *metrics, stop <-chan struct{}) (*mmEngine, err
 	return e, nil
 }
 
-func (e *mmEngine) resume() (int64, bool) { return e.resumed, e.resumeOK }
+// resume reports the version durable state was recovered to at start
+// (ok false when the node has no WAL or the log was fresh).
+func (e *engine) resume() (int64, bool) { return e.resumed, e.resumeOK }
 
-func (e *mmEngine) epochInfo() (int64, bool) {
+// epochInfo reports the certifier election epoch (Paxos ballot round,
+// 0 when unreplicated) and whether this node currently hosts the
+// certification service — the /metrics failover gauges.
+func (e *engine) epochInfo() (int64, bool) {
 	if e.px != nil {
 		leading, _, epoch := e.px.view()
 		return int64(epoch.Round), leading
@@ -368,8 +329,11 @@ func (e *mmEngine) epochInfo() (int64, bool) {
 // cursor and the local snapshot under the apply lock pins them to the
 // same point in the version order — a writeset applied a moment later
 // must count as concurrent.
-func (e *mmEngine) begin(readOnly bool) (repl.Txn, error) {
-	t := &mmTxn{e: e, readOnly: readOnly}
+func (e *engine) begin(readOnly bool) (*txn, error) {
+	if !readOnly && e.slave {
+		return nil, errSlaveUpdate
+	}
+	t := &txn{e: e, readOnly: readOnly}
 	e.ap.Pin(func(applied int64) {
 		t.snapshot = applied
 		t.inner = e.db.Begin()
@@ -382,7 +346,10 @@ func (e *mmEngine) begin(readOnly bool) (repl.Txn, error) {
 // recovering — creates it from the log like any commit. It refuses a
 // table this node already has once caught up; ddlMu makes that check
 // and the commit one step for concurrent callers.
-func (e *mmEngine) createTable(name string) error {
+func (e *engine) createTable(name string) error {
+	if e.slave {
+		return errSlaveUpdate
+	}
 	e.ddlMu.Lock()
 	defer e.ddlMu.Unlock()
 	e.catchUp()
@@ -398,13 +365,16 @@ func (e *mmEngine) createTable(name string) error {
 
 // loadChunk certifies values[i] at (table, rows[i]) as one record:
 // the load takes versions and propagates exactly like commits do.
-func (e *mmEngine) loadChunk(table string, rows []int64, values []string) error {
+func (e *engine) loadChunk(table string, rows []int64, values []string) error {
+	if e.slave {
+		return errSlaveUpdate
+	}
 	return e.certifyWriteset(writeset.Rows(table, rows, values))
 }
 
 // certifyWriteset certifies ws outside any transaction, at this node's
 // applied snapshot.
-func (e *mmEngine) certifyWriteset(ws writeset.Writeset) error {
+func (e *engine) certifyWriteset(ws writeset.Writeset) error {
 	out, err := e.cert.CertifyTraced(e.ap.Applied(), ws, 0)
 	if err != nil {
 		return err
@@ -420,20 +390,27 @@ func (e *mmEngine) certifyWriteset(ws writeset.Writeset) error {
 // Since is a network round trip, and holding the apply lock across it
 // would stall every begin for the duration (the applier's version
 // guards make the unlocked window safe against concurrent appliers).
-func (e *mmEngine) catchUp() {
+// The host reads its own log into a stack buffer: after a commit the
+// run is usually that one record, so applying it copies nothing.
+func (e *engine) catchUp() {
+	if h := e.hostCert(); h != nil {
+		var buf [4]certifier.Record
+		e.ap.Apply(h.Base.SinceInto(buf[:0], e.ap.Applied()))
+		return
+	}
 	e.ap.Apply(e.cert.Since(e.ap.Applied()))
 }
 
-func (e *mmEngine) dump(table string) (map[int64]string, error) { return e.db.Dump(table) }
+func (e *engine) dump(table string) (map[int64]string, error) { return e.db.Dump(table) }
 
 // sync drains the certify stage into the apply stage (one pull); the
 // wire Sync handlers and the propagation loop both land here, so all
 // application serializes on the pipeline applier's lock.
-func (e *mmEngine) sync() { e.catchUp() }
+func (e *engine) sync() { e.catchUp() }
 
-func (e *mmEngine) applied() int64 { return e.ap.Applied() }
+func (e *engine) applied() int64 { return e.ap.Applied() }
 
-func (e *mmEngine) applyStats() pipeline.ApplyStats {
+func (e *engine) applyStats() pipeline.ApplyStats {
 	if h := e.hostCert(); h != nil {
 		e.ap.Observe(h.Base.Version())
 	}
@@ -444,7 +421,7 @@ func (e *mmEngine) applyStats() pipeline.ApplyStats {
 // node hosting the certifier answers them (a Paxos backup redirects).
 // trace is the submitting transaction's cross-node trace id (0
 // untraced).
-func (e *mmEngine) certify(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
+func (e *engine) certify(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
 	h := e.hostCert()
 	if h == nil {
 		if e.px != nil {
@@ -455,7 +432,7 @@ func (e *mmEngine) certify(snapshot int64, ws writeset.Writeset, trace uint64) (
 	return h.CertifyTraced(snapshot, ws, trace)
 }
 
-func (e *mmEngine) check(snapshot int64, ws writeset.Writeset) (bool, int64, error) {
+func (e *engine) check(snapshot int64, ws writeset.Writeset) (bool, int64, error) {
 	h := e.hostCert()
 	if h == nil {
 		if e.px != nil {
@@ -473,7 +450,7 @@ func (e *mmEngine) check(snapshot int64, ws writeset.Writeset) (bool, int64, err
 // primary, so a sharded client may address any member of a group.
 // Under Paxos the leader serves from its hosted certifier and everyone
 // else redirects — the leader's log is the only authority.
-func (e *mmEngine) twoPC() (twoPCService, error) {
+func (e *engine) twoPC() (twoPCService, error) {
 	if h := e.hostCert(); h != nil {
 		return h, nil
 	}
@@ -483,7 +460,7 @@ func (e *mmEngine) twoPC() (twoPCService, error) {
 	return e.link, nil
 }
 
-func (e *mmEngine) prepareTxn(p certifier.PreparedTxn) (bool, int64, error) {
+func (e *engine) prepareTxn(p certifier.PreparedTxn) (bool, int64, error) {
 	s, err := e.twoPC()
 	if err != nil {
 		return false, 0, err
@@ -494,7 +471,7 @@ func (e *mmEngine) prepareTxn(p certifier.PreparedTxn) (bool, int64, error) {
 // decideTxn applies the coordinator's decision at this group. A commit
 // enters the record log like any certified writeset; the static host
 // applies it before acking so the fragment is immediately readable.
-func (e *mmEngine) decideTxn(id string, commit bool) (int64, error) {
+func (e *engine) decideTxn(id string, commit bool) (int64, error) {
 	s, err := e.twoPC()
 	if err != nil {
 		return 0, err
@@ -506,7 +483,7 @@ func (e *mmEngine) decideTxn(id string, commit bool) (int64, error) {
 	return version, err
 }
 
-func (e *mmEngine) resolveTxn(id string) (bool, error) {
+func (e *engine) resolveTxn(id string) (bool, error) {
 	s, err := e.twoPC()
 	if err != nil {
 		return false, err
@@ -514,7 +491,7 @@ func (e *mmEngine) resolveTxn(id string) (bool, error) {
 	return s.ResolveTxn(id)
 }
 
-func (e *mmEngine) forgetTxn(id string) error {
+func (e *engine) forgetTxn(id string) error {
 	s, err := e.twoPC()
 	if err != nil {
 		return err
@@ -522,7 +499,7 @@ func (e *mmEngine) forgetTxn(id string) error {
 	return s.ForgetTxn(id)
 }
 
-func (e *mmEngine) logLen() int {
+func (e *engine) logLen() int {
 	h := e.hostCert()
 	if h == nil {
 		return 0
@@ -530,9 +507,13 @@ func (e *mmEngine) logLen() int {
 	return h.Base.LogLen()
 }
 
-func (e *mmEngine) rowVersions() int64 { return e.db.Versions() }
+func (e *engine) rowVersions() int64 { return e.db.Versions() }
 
-func (e *mmEngine) fetchSince(peer int64, v int64, wait time.Duration) ([]certifier.Record, error) {
+// fetchSince serves a peer's propagation pull; it fails unless this
+// node hosts the certifier. peer is the requester's replica id
+// (negative for non-peer clients): long-poll cursors are tracked per
+// replica so the host can garbage-collect what everyone applied.
+func (e *engine) fetchSince(peer int64, v int64, wait time.Duration) ([]certifier.Record, error) {
 	h := e.hostCert()
 	if h == nil {
 		if e.px != nil {
@@ -558,7 +539,9 @@ func (e *mmEngine) fetchSince(peer int64, v int64, wait time.Duration) ([]certif
 	return h.Since(v), nil
 }
 
-func (e *mmEngine) peerGone(peer int64) {
+// peerGone drops a peer's propagation cursor when its connection dies
+// (the next long poll re-adds it).
+func (e *engine) peerGone(peer int64) {
 	if e.cursors != nil {
 		e.cursors.Drop(peer)
 	}
@@ -569,7 +552,7 @@ func (e *mmEngine) peerGone(peer int64) {
 // past anything the joiner will need — the joiner's expected cursor
 // blocks GC until its first long poll arrives (see docs/ELASTICITY.md
 // for the ordering argument).
-func (e *mmEngine) join(addr string) (*wire.JoinOK, error) {
+func (e *engine) join(addr string) (*wire.JoinOK, error) {
 	if e.px != nil {
 		// The Paxos group's membership is fixed at boot: elastic joins
 		// would have to change the acceptor set, which this deployment
@@ -588,7 +571,7 @@ func (e *mmEngine) join(addr string) (*wire.JoinOK, error) {
 
 // leave deregisters a replica (primary only): its cursor stops gating
 // GC and clients drop it on their next membership poll.
-func (e *mmEngine) leave(id int64) error {
+func (e *engine) leave(id int64) error {
 	if e.px != nil {
 		return fmt.Errorf("%w: the replicated-certifier group is fixed at boot", errUnsupported)
 	}
@@ -606,7 +589,7 @@ func (e *mmEngine) leave(id int64) error {
 	return nil
 }
 
-func (e *mmEngine) members() (int64, []wire.Member, error) {
+func (e *engine) members() (int64, []wire.Member, error) {
 	if e.membership == nil {
 		return 0, nil, errUnsupported
 	}
@@ -616,7 +599,7 @@ func (e *mmEngine) members() (int64, []wire.Member, error) {
 
 // snapshot captures a consistent full-state snapshot (version plus all
 // tables) for a joiner's state transfer.
-func (e *mmEngine) snapshot() (int64, map[string]map[int64]string, error) {
+func (e *engine) snapshot() (int64, map[string]map[int64]string, error) {
 	if e.hostCert() == nil {
 		return 0, nil, errUnsupported
 	}
@@ -626,7 +609,7 @@ func (e *mmEngine) snapshot() (int64, map[string]map[int64]string, error) {
 // touch records liveness proof from peer: a snapshot chunk request
 // counts like a long poll, so a joiner mid-transfer is not evicted as
 // stale.
-func (e *mmEngine) touch(peer int64) {
+func (e *engine) touch(peer int64) {
 	if e.membership != nil {
 		e.membership.Touch(peer, time.Now())
 	}
@@ -643,7 +626,7 @@ func (e *mmEngine) touch(peer int64) {
 // the joiner's empty log (Compact writes and syncs it before
 // returning). The install then finds its version already in the log
 // and journals no record for it, and a restart resumes past it.
-func (e *mmEngine) installSnapshot(version int64, tables map[string]map[int64]string) error {
+func (e *engine) installSnapshot(version int64, tables map[string]map[int64]string) error {
 	if e.dur != nil {
 		if err := e.dur.W.Compact(version, version, tables); err != nil {
 			return err
@@ -657,7 +640,7 @@ func (e *mmEngine) installSnapshot(version int64, tables map[string]map[int64]st
 
 // evictStale evicts elastic members that stopped proving liveness and
 // drops their cursors, journaling each eviction.
-func (e *mmEngine) evictStale() {
+func (e *engine) evictStale() {
 	for _, id := range e.membership.EvictStale(time.Now(), e.staleAfter) {
 		e.cursors.Drop(id)
 		e.m.events.Emit(events.MemberEvicted,
@@ -668,7 +651,7 @@ func (e *mmEngine) evictStale() {
 
 // maybeGC prunes the certification log up to what every replica
 // (including this one) has applied, minus the safety lag.
-func (e *mmEngine) maybeGC() {
+func (e *engine) maybeGC() {
 	hc := e.hostCert()
 	if hc == nil {
 		return
@@ -679,7 +662,7 @@ func (e *mmEngine) maybeGC() {
 }
 
 // ingest hands fetched records to the apply stage — the puller's sink.
-func (e *mmEngine) ingest(recs []certifier.Record) {
+func (e *engine) ingest(recs []certifier.Record) {
 	if len(recs) > 0 {
 		// Propagation-side span, sampled once per fetched batch.
 		last := recs[len(recs)-1]
@@ -696,7 +679,7 @@ func (e *mmEngine) ingest(recs []certifier.Record) {
 // for its peers: a Paxos backup's cursors are never updated (its peers
 // fetch from the leader), so it compacts to its snapshot like any
 // other replica.
-func (e *mmEngine) maybeCompactDurable() {
+func (e *engine) maybeCompactDurable() {
 	if e.dur == nil {
 		return
 	}
@@ -712,7 +695,7 @@ func (e *mmEngine) maybeCompactDurable() {
 // run is the writeset propagation loop. The certifier host applies
 // from its local log on commit wakeups; other nodes long-poll the host
 // over their dedicated peer link.
-func (e *mmEngine) run(stop <-chan struct{}) {
+func (e *engine) run(stop <-chan struct{}) {
 	if e.px != nil {
 		e.runPaxos(stop)
 		return
@@ -750,7 +733,11 @@ func (e *mmEngine) run(stop <-chan struct{}) {
 	p.Run(stop)
 }
 
-func (e *mmEngine) disconnect() {
+// disconnect closes the network links to the primary and peers,
+// failing any in-flight RPC immediately so run can observe stop. It
+// must precede close: run may still be ingesting records when
+// disconnect returns, but it no longer can after it exits.
+func (e *engine) disconnect() {
 	if e.link != nil {
 		e.link.Close()
 	}
@@ -762,7 +749,10 @@ func (e *mmEngine) disconnect() {
 	}
 }
 
-func (e *mmEngine) close() {
+// close releases local durable resources (WAL, paxos store). Only safe
+// once run and every connection handler have returned — closing the
+// WAL under an in-flight apply panics the pipeline.
+func (e *engine) close() {
 	if e.px != nil {
 		e.px.close()
 	}
@@ -773,21 +763,21 @@ func (e *mmEngine) close() {
 
 // paxosPrepare, paxosAccept and paxosLearn serve the embedded Paxos
 // acceptor; errUnsupported unless this node runs one.
-func (e *mmEngine) paxosPrepare(b paxos.Ballot, slot int) (paxos.PrepareReply, error) {
+func (e *engine) paxosPrepare(b paxos.Ballot, slot int) (paxos.PrepareReply, error) {
 	if e.px == nil {
 		return paxos.PrepareReply{}, errUnsupported
 	}
 	return e.px.acc.Prepare(b, slot)
 }
 
-func (e *mmEngine) paxosAccept(b paxos.Ballot, slot int, v paxos.Value) (paxos.AcceptReply, error) {
+func (e *engine) paxosAccept(b paxos.Ballot, slot int, v paxos.Value) (paxos.AcceptReply, error) {
 	if e.px == nil {
 		return paxos.AcceptReply{}, errUnsupported
 	}
 	return e.px.acc.Accept(b, slot, v)
 }
 
-func (e *mmEngine) paxosLearn() (paxos.LearnReply, error) {
+func (e *engine) paxosLearn() (paxos.LearnReply, error) {
 	if e.px == nil {
 		return paxos.LearnReply{}, errUnsupported
 	}
@@ -797,39 +787,35 @@ func (e *mmEngine) paxosLearn() (paxos.LearnReply, error) {
 
 // leaderAddr maps a paxos id to its replica address for NotLeader
 // redirects ("" when unknown or Paxos is disabled).
-func (e *mmEngine) leaderAddr(id int) string {
+func (e *engine) leaderAddr(id int) string {
 	if e.px == nil {
 		return ""
 	}
 	return e.px.addrOf(id)
 }
 
-// mmTxn is a client transaction proxied onto this node's database.
-type mmTxn struct {
-	e        *mmEngine
+// txn is a client transaction proxied onto this node's database.
+type txn struct {
+	e        *engine
 	inner    *sidb.Txn
-	snapshot int64  // global (certifier) version of the GSI snapshot
-	version  int64  // global version assigned at commit (0 until then)
-	trace    uint64 // cross-node trace id (0 untraced)
+	snapshot int64 // global (certifier) version of the GSI snapshot
+	version  int64 // global version assigned at commit (0 until then)
+	// trace is the cross-node trace id (0 untraced); the commit path
+	// forwards it to the certification service so spans stitch end to
+	// end.
+	trace    uint64
 	readOnly bool
 	done     bool
 }
 
-var _ repl.Txn = (*mmTxn)(nil)
-
-// SetTrace attaches the transaction's cross-node trace id; the commit
-// path forwards it to the certification service so spans stitch
-// end-to-end. Call before Commit.
-func (t *mmTxn) SetTrace(trace uint64) { t.trace = trace }
-
-func (t *mmTxn) Read(table string, row int64) (string, bool, error) {
+func (t *txn) Read(table string, row int64) (string, bool, error) {
 	return t.inner.Read(table, row)
 }
 
 // Write stages a write. With eager certification the partial writeset
 // is checked against the certifier immediately and a doomed transaction
 // aborts early with repl.ErrAborted.
-func (t *mmTxn) Write(table string, row int64, value string) error {
+func (t *txn) Write(table string, row int64, value string) error {
 	if t.readOnly {
 		return repl.ErrReadOnlyTxn
 	}
@@ -847,7 +833,7 @@ func (t *mmTxn) Write(table string, row int64, value string) error {
 	return nil
 }
 
-func (t *mmTxn) Delete(table string, row int64) error {
+func (t *txn) Delete(table string, row int64) error {
 	if t.readOnly {
 		return repl.ErrReadOnlyTxn
 	}
@@ -859,7 +845,7 @@ func (t *mmTxn) Delete(table string, row int64) error {
 // version, and is acknowledged once the writeset is durable at the
 // certifier. The writeset then applies here in commit order — at once
 // on the static certifier host, through the propagation loop elsewhere.
-func (t *mmTxn) Commit() error {
+func (t *txn) Commit() error {
 	if t.done {
 		return sidb.ErrTxnDone
 	}
@@ -890,7 +876,7 @@ func (t *mmTxn) Commit() error {
 // HasWrites reports whether the transaction has staged any writes —
 // the router's test for whether this group is a real participant of a
 // cross-shard commit or just a read-side bystander.
-func (t *mmTxn) HasWrites() bool {
+func (t *txn) HasWrites() bool {
 	if t.done || t.readOnly {
 		return false
 	}
@@ -903,7 +889,7 @@ func (t *mmTxn) HasWrites() bool {
 // a yes-vote the fragment lives on, locked and journaled, in the
 // group's certifier until the coordinator's decision arrives through
 // decideTxn. An empty writeset votes yes with nothing to lock.
-func (t *mmTxn) Prepare(id string, coord int64) (vote bool, conflictWith int64, err error) {
+func (t *txn) Prepare(id string, coord int64) (vote bool, conflictWith int64, err error) {
 	if t.done {
 		return false, 0, sidb.ErrTxnDone
 	}
@@ -918,338 +904,7 @@ func (t *mmTxn) Prepare(id string, coord int64) (vote bool, conflictWith int64, 
 	})
 }
 
-// CommitVersion returns the global version a successful update commit
-// was assigned, or 0 for read-only transactions and before Commit.
-func (t *mmTxn) CommitVersion() int64 { return t.version }
-
-func (t *mmTxn) Abort() {
-	if t.done {
-		return
-	}
-	t.done = true
-	t.inner.Abort()
-}
-
-// smEngine is one single-master node: the master executes updates
-// under first-committer-wins snapshot isolation and feeds a
-// propagation log; slaves are read-only caches whose pipeline apply
-// stage installs the master's writesets in commit order over the peer
-// link.
-type smEngine struct {
-	db       *sidb.DB
-	isMaster bool
-	stop     <-chan struct{}
-	dur      *pipeline.Durability // non-nil when the node runs a WAL
-	resumed  int64                // version recovered from the WAL at start
-	resumeOK bool
-
-	// master state
-	wlog    *sm.Log
-	notify  *pipeline.Notify
-	cursors *pipeline.PeerCursors
-
-	// slave state
-	ap     *pipeline.Applier // the slave's apply stage
-	link   *client.Link      // sync pulls
-	puller *client.Link      // propagation loop
-
-	m *metrics // node instruments (stage tracer)
-}
-
-func newSMEngine(opts Options, m *metrics, stop <-chan struct{}) (*smEngine, error) {
-	e := &smEngine{db: sidb.New(), isMaster: opts.ID == 0, stop: stop, m: m}
-	var rec *wal.Recovered
-	if opts.WALDir != "" {
-		var err error
-		if e.dur, rec, err = openDurability(opts); err != nil {
-			return nil, err
-		}
-		e.dur.OnCompact = m.compactEvent
-		if err := rec.Restore(e.db); err != nil {
-			e.dur.W.Close()
-			return nil, fmt.Errorf("server: wal replay: %w", err)
-		}
-		e.db.SetJournal(e.dur.W.AppendRecord)
-		if v := rec.LastVersion(); v > 0 {
-			e.resumed, e.resumeOK = v, true
-		}
-	}
-	if e.isMaster {
-		e.wlog = sm.NewLog()
-		e.notify = pipeline.NewNotify()
-		e.cursors = pipeline.NewPeerCursors(opts.Replicas-1, int64(opts.GCLag))
-		if rec != nil {
-			// Rebuild the propagation log so restarted slaves resume
-			// their FetchSince cursors: the recovered records are the
-			// log verbatim.
-			for _, r := range rec.Records {
-				e.wlog.Append(r.Version, r.Writeset)
-			}
-		}
-	} else {
-		// The slave cursor is the master version, which the local
-		// database version tracks exactly: every change, schema and load
-		// included, arrives as a master commit applied in commit order.
-		e.ap = pipeline.NewApplier(e.db)
-		e.ap.SetTracer(m.tracer)
-		if err := e.ap.Reset(func(int64) (int64, error) { return e.db.Version(), nil }); err != nil {
-			return nil, err
-		}
-		e.link = client.NewLink(opts.Primary, opts.Design, opts.ID, opts.DialTimeout)
-		e.puller = client.NewLink(opts.Primary, opts.Design, opts.ID, opts.DialTimeout)
-		e.puller.OnRecordMeta(m.tracer.NoteCommitMeta)
-	}
-	return e, nil
-}
-
-func (e *smEngine) epochInfo() (int64, bool) { return 0, e.isMaster }
-
-func (e *smEngine) begin(readOnly bool) (repl.Txn, error) {
-	if !readOnly && !e.isMaster {
-		// The slave proxy is the only source of updates to its
-		// database (§5.2); the client driver routes updates to the
-		// master, so reaching this is a routing bug, not a race.
-		return nil, fmt.Errorf("%w: updates must run on the master", errUnsupported)
-	}
-	return &smTxn{e: e, inner: e.db.Begin(), readOnly: readOnly}, nil
-}
-
-// createTable and loadChunk commit on the master (sm.Install), so
-// slaves receive schema and rows from the propagation log; the master
-// refuses a table it already has.
-func (e *smEngine) createTable(name string) error {
-	if e.isMaster {
-		if err := e.db.CreateTable(name); err != nil {
-			return err
-		}
-	}
-	return e.commit(writeset.Schema(name))
-}
-
-func (e *smEngine) loadChunk(table string, rows []int64, values []string) error {
-	return e.commit(writeset.Rows(table, rows, values))
-}
-
-// commit installs ws on the master outside any transaction and
-// publishes it; slaves refuse.
-func (e *smEngine) commit(ws writeset.Writeset) error {
-	if !e.isMaster {
-		return fmt.Errorf("%w: updates must run on the master", errUnsupported)
-	}
-	version, err := sm.Install(e.db, ws)
-	if err != nil {
-		return err
-	}
-	return e.publish(version, ws, 0)
-}
-
-// publish gates a master commit on the group fsync (with a WAL) and
-// hands it to the propagation log, waking the slaves' long polls.
-func (e *smEngine) publish(version int64, ws writeset.Writeset, trace uint64) error {
-	if d := e.dur; d != nil {
-		// The writeset was journaled as a record by the database's
-		// journal hook inside the install; block on the group fsync before the commit is
-		// acknowledged or propagated (fail-stop on real disk failures,
-		// ambiguous outcome on a clean-shutdown race — see
-		// sm.SyncCommit).
-		syncStart := time.Now()
-		if err := sm.SyncCommit(d.W, version); err != nil {
-			return err
-		}
-		e.m.tracer.ObserveStage(pipeline.StageFsync, time.Since(syncStart), 1)
-	}
-	e.wlog.Append(version, ws)
-	e.m.tracer.NoteCommitMeta(version, trace, time.Now().UnixNano())
-	e.notify.Bump(version)
-	return nil
-}
-
-// maybeCompact rewrites the WAL around a consistent dump once the
-// segment outgrows its bound; the master keeps the records above its
-// slave horizon, exactly like propagation-log GC.
-func (e *smEngine) maybeCompact() {
-	if e.dur == nil {
-		return
-	}
-	e.dur.MaybeCompact(func() (int64, int64, map[string]map[int64]string, error) {
-		return compactCapture(e.db, e.cursors)
-	})
-}
-
-func (e *smEngine) dump(table string) (map[int64]string, error) { return e.db.Dump(table) }
-
-// sync drains the master's propagation feed into the slave's apply
-// stage (one pull); wire Sync handlers and the propagation loop both
-// land on the pipeline applier's lock.
-func (e *smEngine) sync() {
-	if e.isMaster {
-		return // the master is always current
-	}
-	// Long-poll instead of wait=0: a caught-up slave pinged by a
-	// client's Sync loop parks briefly on the master rather than
-	// burning a round trip per ping.
-	recs, err := e.link.FetchSince(e.applied(), syncLongPoll)
-	if err != nil {
-		return
-	}
-	e.ap.Apply(recs)
-}
-
-func (e *smEngine) applied() int64 {
-	if e.isMaster {
-		return e.db.Version()
-	}
-	return e.ap.Applied()
-}
-
-func (e *smEngine) applyStats() pipeline.ApplyStats {
-	if e.isMaster {
-		// The master applies nothing; its commits land through its own
-		// concurrency control.
-		return pipeline.ApplyStats{Applied: e.db.Version()}
-	}
-	return e.ap.Stats()
-}
-
-func (e *smEngine) logLen() int {
-	if !e.isMaster {
-		return 0
-	}
-	return e.wlog.Len()
-}
-
-func (e *smEngine) rowVersions() int64 { return e.db.Versions() }
-
-func (e *smEngine) fetchSince(peer int64, v int64, wait time.Duration) ([]certifier.Record, error) {
-	if !e.isMaster {
-		return nil, errUnsupported
-	}
-	if wait > 0 {
-		// A slave's long-poll cursor is the master version it has
-		// applied; the minimum across all slaves bounds log pruning.
-		e.cursors.Update(peer, v)
-		if h, ok := e.cursors.Horizon(e.db.Version()); ok {
-			e.wlog.GCBelow(h)
-		}
-		e.notify.WaitBeyond(v, wait, e.stop)
-	}
-	return e.wlog.SinceDense(v), nil
-}
-
-func (e *smEngine) peerGone(peer int64) {
-	if e.cursors != nil {
-		e.cursors.Drop(peer)
-	}
-}
-
-func (e *smEngine) resume() (int64, bool) { return e.resumed, e.resumeOK }
-
-func (e *smEngine) run(stop <-chan struct{}) {
-	if e.isMaster {
-		if e.dur == nil {
-			return
-		}
-		// The master has no propagation loop; poll only for compaction.
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(pollInterval):
-				e.maybeCompact()
-			}
-		}
-	}
-	p := &pipeline.Puller{
-		Interval: pollInterval,
-		Cursor:   e.applied,
-		Fetch:    e.puller.FetchSince,
-		Ingest: func(recs []certifier.Record) {
-			if len(recs) > 0 {
-				last := recs[len(recs)-1]
-				e.m.tracer.PropagateSpan(last.Version, len(last.Writeset.Entries), time.Now())
-			}
-			e.ap.Apply(recs)
-			e.maybeCompact()
-		},
-	}
-	p.Run(stop)
-}
-
-func (e *smEngine) disconnect() {
-	if e.link != nil {
-		e.link.Close()
-	}
-	if e.puller != nil {
-		e.puller.Close()
-	}
-}
-
-func (e *smEngine) close() {
-	if e.dur != nil {
-		e.dur.W.Close()
-	}
-}
-
-// smTxn adapts a sidb transaction to repl.Txn with the master/slave
-// proxy rules.
-type smTxn struct {
-	e        *smEngine
-	inner    *sidb.Txn
-	version  int64  // master version assigned at commit (0 until then)
-	trace    uint64 // cross-node trace id (0 untraced)
-	readOnly bool
-	done     bool
-}
-
-var _ repl.Txn = (*smTxn)(nil)
-
-// SetTrace attaches the transaction's cross-node trace id before
-// Commit; the master records it against the assigned version so
-// propagated records carry it to the slaves.
-func (t *smTxn) SetTrace(trace uint64) { t.trace = trace }
-
-func (t *smTxn) Read(table string, row int64) (string, bool, error) {
-	return t.inner.Read(table, row)
-}
-
-func (t *smTxn) Write(table string, row int64, value string) error {
-	if t.readOnly {
-		return repl.ErrReadOnlyTxn
-	}
-	return t.inner.Write(table, row, value)
-}
-
-func (t *smTxn) Delete(table string, row int64) error {
-	if t.readOnly {
-		return repl.ErrReadOnlyTxn
-	}
-	return t.inner.Delete(table, row)
-}
-
-func (t *smTxn) Commit() error {
-	if t.done {
-		return sidb.ErrTxnDone
-	}
-	t.done = true
-	ws, version, err := t.inner.Commit()
-	if err != nil {
-		if errors.Is(err, sidb.ErrConflict) {
-			return fmt.Errorf("%w (%v)", repl.ErrAborted, err)
-		}
-		return err
-	}
-	if ws.Empty() {
-		return nil
-	}
-	t.version = version
-	return t.e.publish(version, ws, t.trace)
-}
-
-// CommitVersion returns the master version a successful update commit
-// was assigned, or 0 for read-only transactions and before Commit.
-func (t *smTxn) CommitVersion() int64 { return t.version }
-
-func (t *smTxn) Abort() {
+func (t *txn) Abort() {
 	if t.done {
 		return
 	}

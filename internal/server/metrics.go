@@ -207,7 +207,7 @@ func (m *metrics) latencySeries(summaryName, summaryHelp, histName, histHelp str
 // bindEngine registers the engine-backed gauges; called once the
 // engine exists (the engine itself is built with the metrics struct
 // in hand, so this is a second wiring phase).
-func (m *metrics) bindEngine(eng engine) {
+func (m *metrics) bindEngine(eng *engine) {
 	reg := m.reg
 	reg.GaugeFunc("replicadb_applied_version", "This node's applied version.",
 		func() float64 { return float64(eng.applied()) })
@@ -234,13 +234,9 @@ func (m *metrics) bindEngine(eng engine) {
 			}
 			return 0
 		})
-	e, isMM := eng.(*mmEngine)
-	if !isMM {
-		return // single-master membership is fixed at boot
-	}
 	reg.CollectFunc("replicadb_membership_epoch", "Elastic membership epoch.", "gauge",
 		func() []obs.Sample {
-			epoch, _, err := e.members()
+			epoch, _, err := eng.members()
 			if err != nil {
 				return nil
 			}
@@ -248,7 +244,7 @@ func (m *metrics) bindEngine(eng engine) {
 		})
 	reg.CollectFunc("replicadb_members", "Cluster members known to this node.", "gauge",
 		func() []obs.Sample {
-			_, members, err := e.members()
+			_, members, err := eng.members()
 			if err != nil {
 				return nil
 			}
@@ -287,7 +283,7 @@ func (m *metrics) observeTxn(readOnly bool, d time.Duration) {
 
 // statsOK snapshots the cumulative counters for a wire Stats reply,
 // including the per-stage commit-path breakdown when tracing is on.
-func (m *metrics) statsOK(eng engine) *wire.StatsOK {
+func (m *metrics) statsOK(eng *engine) *wire.StatsOK {
 	m.txnMu.Lock()
 	rc, rns := m.readLat.Count(), m.readLat.Sum()
 	uc, uns := m.updateLat.Count(), m.updateLat.Sum()
@@ -321,7 +317,7 @@ const maxEventsServe = events.DefaultCapacity
 // handler serves the metrics listener: the Prometheus exposition on
 // /metrics (and /), the slow-transaction log on /debug/slowtxns, the
 // cluster event journal on /debug/events.
-func (m *metrics) handler(eng engine) http.Handler {
+func (m *metrics) handler() http.Handler {
 	exposition := m.reg.Handler()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {

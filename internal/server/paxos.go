@@ -164,12 +164,12 @@ func (px *paxosNode) addrOf(id int) string {
 	return px.addrs[id]
 }
 
-// --- mmEngine: replicated-certification role machinery ---
+// --- engine: replicated-certification role machinery ---
 
 // hostCert returns the currently hosted certification service, nil
 // while this node is a backup. Without Paxos the host is fixed at
 // construction and this is a plain read.
-func (e *mmEngine) hostCert() *pipeline.HostCert {
+func (e *engine) hostCert() *pipeline.HostCert {
 	e.hostMu.RLock()
 	defer e.hostMu.RUnlock()
 	return e.host
@@ -181,7 +181,7 @@ func (e *mmEngine) hostCert() *pipeline.HostCert {
 // host role. On success every in-flight and future certification on
 // this node is served locally; the old leader, if it still runs, is
 // fenced by the new epoch.
-func (e *mmEngine) promoteSelf() error {
+func (e *engine) promoteSelf() error {
 	cert, epoch, err := certifier.Promote(e.px.id, e.px.peerIDs, e.px.tr)
 	if err != nil {
 		return err
@@ -218,7 +218,7 @@ func (e *mmEngine) promoteSelf() error {
 // deposing node), and the election timer restarts. Any call still
 // racing into the old host gets NotLeaderError from the fenced
 // proposer — never an ack.
-func (e *mmEngine) stepDown(by paxos.Ballot) {
+func (e *engine) stepDown(by paxos.Ballot) {
 	e.hostMu.Lock()
 	e.host = nil
 	e.hostMu.Unlock()
@@ -236,7 +236,7 @@ func (e *mmEngine) stepDown(by paxos.Ballot) {
 // their log and watch for deposal, backups pull from the leader and
 // campaign after electAfter without progress. Node 0's first campaign
 // fires immediately, which is what elects a leader on a cold cluster.
-func (e *mmEngine) runPaxos(stop <-chan struct{}) {
+func (e *engine) runPaxos(stop <-chan struct{}) {
 	last := time.Now()
 	if e.px.id == 0 {
 		last = last.Add(-e.px.electAfter)

@@ -1,7 +1,7 @@
 // Package server implements the TCP replica server of the networked
 // deployment: each process fronts one database replica with the
-// design's middleware (a multi-master node with a local or remote
-// certifier, or a single-master master/slave node), speaks the
+// replication middleware (a node with a local or remote certifier; a
+// single-master slave is one that refuses updates), speaks the
 // internal/wire protocol to clients, and maintains peer links to the
 // primary for remote certification and writeset propagation — the paper's deployment shape (§5), where
 // replicas, the certifier and the clients are separate machines.
@@ -39,7 +39,8 @@ type Options struct {
 	// Design is the replication design this node serves: "mm" or "sm".
 	Design string
 	// ID is this node's replica id. Replica 0 is the primary: the
-	// certifier host under mm, the master under sm.
+	// certifier host, which under sm is also the only node that runs
+	// updates (the master).
 	ID int
 	// Listen is the TCP listen address (host:port; port 0 picks one).
 	Listen string
@@ -167,7 +168,7 @@ func (o Options) Validate() error {
 	case o.Join && o.Primary == "":
 		return errors.New("server: elastic join requires the primary's address")
 	case o.Paxos && !isMM:
-		return errors.New("server: a replicated certifier requires the mm design (the single-master design has no certifier)")
+		return errors.New("server: a replicated certifier requires the mm design (a single-master client sends every update to node 0, so its master cannot move)")
 	case o.Paxos && o.Join:
 		return errors.New("server: elastic join is not supported with a replicated certifier (the group is fixed at boot)")
 	case o.Paxos && len(o.Members) == 0:
@@ -200,7 +201,7 @@ func (o Options) Validate() error {
 type Server struct {
 	opts Options
 	ln   net.Listener
-	eng  engine
+	eng  *engine
 	m    *metrics
 
 	httpLn  net.Listener
@@ -258,21 +259,14 @@ func New(opts Options) (*Server, error) {
 
 	m := newMetrics(opts.Design, opts.ID, opts.DisableTrace, opts.SlowTxn)
 	stop := make(chan struct{})
-	var eng engine
-	switch opts.Design {
-	case "mm":
-		eng, err = newMMEngine(opts, m, stop)
-	case "sm":
-		eng, err = newSMEngine(opts, m, stop)
-	}
+	eng, err := newEngine(opts, m, stop)
 	if err != nil {
 		ln.Close()
 		return nil, err
 	}
 	m.bindEngine(eng)
 	if snapTables != nil {
-		// Validate admits Join only under the mm design.
-		if err := eng.(*mmEngine).installSnapshot(snapVersion, snapTables); err != nil {
+		if err := eng.installSnapshot(snapVersion, snapTables); err != nil {
 			ln.Close()
 			eng.disconnect()
 			eng.close()
@@ -297,7 +291,7 @@ func New(opts Options) (*Server, error) {
 			eng.close()
 			return nil, err
 		}
-		s.httpSrv = &http.Server{Handler: m.handler(eng)}
+		s.httpSrv = &http.Server{Handler: m.handler()}
 	}
 	return s, nil
 }
@@ -336,11 +330,10 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // the highest epoch it has seen. ok is false when the node does not run
 // a replicated certifier.
 func (s *Server) Leader() (leading bool, leader int, epoch paxos.Ballot, ok bool) {
-	e, isMM := s.eng.(*mmEngine)
-	if !isMM || e.px == nil {
+	if s.eng.px == nil {
 		return false, -1, paxos.Ballot{}, false
 	}
-	leading, leader, epoch = e.px.view()
+	leading, leader, epoch = s.eng.px.view()
 	return leading, leader, epoch, true
 }
 
@@ -399,8 +392,7 @@ func (s *Server) Start() {
 // Only an mm replica that certifies through the primary can leave: the
 // primary, sm nodes and Paxos members refuse without draining.
 func (s *Server) Leave() error {
-	e, ok := s.eng.(*mmEngine)
-	if !ok || e.link == nil {
+	if s.opts.Design == "sm" || s.eng.link == nil {
 		return fmt.Errorf("%w: only an mm replica certifying through the primary can leave the cluster", errUnsupported)
 	}
 	if s.draining.Swap(true) {
@@ -409,7 +401,7 @@ func (s *Server) Leave() error {
 	// Deregister first: routing stops cluster-wide as soon as clients
 	// observe the epoch bump, while the draining flag already refuses
 	// anything that races in over existing connections.
-	err := e.link.Leave(int64(s.opts.ID))
+	err := s.eng.link.Leave(int64(s.opts.ID))
 	deadline := time.Now().Add(drainTimeout)
 	for s.m.activeTxns.Load() > 0 {
 		if time.Now().After(deadline) {
@@ -514,7 +506,7 @@ func (s *Server) acceptLoop() {
 // request, so a reply is always encoded before its struct is refilled.
 type connState struct {
 	peer     int64
-	cur      repl.Txn
+	cur      *txn
 	readOnly bool
 	txStart  time.Time
 	snap     *snapshotStream
@@ -681,6 +673,13 @@ func newTraceID() uint64 {
 // replica id for peer links, a negative value for clients) and open
 // transaction slot.
 func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
+	if s.opts.Design == "sm" && mmOnly(msg) {
+		// The single-master design certifies only on its master, for its
+		// own updates, and keeps its boot-time membership: the paper
+		// scales its master by buying a bigger machine (§6.2.1), not by
+		// elastic joins.
+		return s.errReply(errUnsupported)
+	}
 	switch m := msg.(type) {
 	case *wire.Begin:
 		if st.cur != nil {
@@ -706,9 +705,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 			if trace == 0 {
 				trace = newTraceID()
 			}
-			if tt, ok := tx.(interface{ SetTrace(uint64) }); ok {
-				tt.SetTrace(trace)
-			}
+			tx.trace = trace
 		}
 		st.beginOK = wire.BeginOK{Applied: s.eng.applied(), Trace: trace}
 		return &st.beginOK
@@ -754,11 +751,9 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		case err == nil:
 			s.m.commits.Add(1)
 			s.m.observeTxn(st.readOnly, time.Since(st.txStart))
-			if cv, ok := cur.(interface{ CommitVersion() int64 }); ok {
-				// Ack stamp: certification verdict to the client-visible
-				// commit acknowledgement.
-				s.m.tracer.Ack(cv.CommitVersion(), time.Now())
-			}
+			// Ack stamp: certification verdict to the client-visible
+			// commit acknowledgement.
+			s.m.tracer.Ack(cur.version, time.Now())
 			st.commitOK = wire.CommitOK{Applied: s.eng.applied()}
 			return &st.commitOK
 		case errors.Is(err, repl.ErrAborted):
@@ -839,37 +834,15 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		reply.ShardID = int64(s.opts.ShardID)
 		return reply
 
-	case *wire.Certify, *wire.Check, *wire.PrepareTxn, *wire.DecideTxn, *wire.ResolveTxn, *wire.ForgetTxn,
-		*wire.Join, *wire.Leave, *wire.Members, *wire.SnapshotReq,
-		*wire.PaxosPrepare, *wire.PaxosAccept, *wire.PaxosLearn:
-		e, ok := s.eng.(*mmEngine)
-		if !ok {
-			// The single-master design needs no certifier (§2) and keeps
-			// its boot-time membership: the paper scales its master by
-			// buying a bigger machine (§6.2.1), not by elastic joins.
-			return s.errReply(errUnsupported)
-		}
-		return s.dispatchMM(e, st, msg)
-
-	default:
-		return unexpected(msg)
-	}
-}
-
-// dispatchMM serves the verbs only the multi-master design implements:
-// certification, the cross-shard 2PC surface, elastic membership and
-// the embedded Paxos acceptor.
-func (s *Server) dispatchMM(e *mmEngine, st *connState, msg wire.Message) wire.Message {
-	switch m := msg.(type) {
 	case *wire.Certify:
-		out, err := e.certify(m.Snapshot, m.WS, m.Trace)
+		out, err := s.eng.certify(m.Snapshot, m.WS, m.Trace)
 		if err != nil {
 			return s.errReply(err)
 		}
 		return &wire.CertifyOK{Committed: out.Committed, Version: out.Version, ConflictWith: out.ConflictWith}
 
 	case *wire.Check:
-		conflict, with, err := e.check(m.Snapshot, m.WS)
+		conflict, with, err := s.eng.check(m.Snapshot, m.WS)
 		if err != nil {
 			return s.errReply(err)
 		}
@@ -883,15 +856,9 @@ func (s *Server) dispatchMM(e *mmEngine, st *connState, msg wire.Message) wire.M
 		// Without one it is a raw fragment prepare carrying both, used
 		// by coordinator recovery and peer forwarding.
 		if st.cur != nil {
-			p, ok := st.cur.(interface {
-				Prepare(id string, coord int64) (bool, int64, error)
-			})
-			if !ok {
-				return s.errReply(errUnsupported)
-			}
 			// Prepare consumes the transaction either way: a yes-vote
 			// fragment lives on in the certifier, not on this conn.
-			vote, with, err := p.Prepare(m.TxnID, m.Coord)
+			vote, with, err := st.cur.Prepare(m.TxnID, m.Coord)
 			st.cur = nil
 			s.m.activeTxns.Add(-1)
 			if err != nil {
@@ -899,7 +866,7 @@ func (s *Server) dispatchMM(e *mmEngine, st *connState, msg wire.Message) wire.M
 			}
 			return &wire.PrepareTxnOK{Vote: vote, ConflictWith: with}
 		}
-		vote, with, err := e.prepareTxn(certifier.PreparedTxn{
+		vote, with, err := s.eng.prepareTxn(certifier.PreparedTxn{
 			ID: m.TxnID, Coord: m.Coord, Snapshot: m.Snapshot, Writeset: m.WS,
 		})
 		if err != nil {
@@ -908,27 +875,27 @@ func (s *Server) dispatchMM(e *mmEngine, st *connState, msg wire.Message) wire.M
 		return &wire.PrepareTxnOK{Vote: vote, ConflictWith: with}
 
 	case *wire.DecideTxn:
-		version, err := e.decideTxn(m.TxnID, m.Commit)
+		version, err := s.eng.decideTxn(m.TxnID, m.Commit)
 		if err != nil {
 			return s.errReply(err)
 		}
 		return &wire.DecideTxnOK{Version: version}
 
 	case *wire.ResolveTxn:
-		commit, err := e.resolveTxn(m.TxnID)
+		commit, err := s.eng.resolveTxn(m.TxnID)
 		if err != nil {
 			return s.errReply(err)
 		}
 		return &wire.ResolveTxnOK{Commit: commit}
 
 	case *wire.ForgetTxn:
-		if err := e.forgetTxn(m.TxnID); err != nil {
+		if err := s.eng.forgetTxn(m.TxnID); err != nil {
 			return s.errReply(err)
 		}
 		return &wire.ForgetTxnOK{}
 
 	case *wire.PaxosPrepare:
-		rep, err := e.paxosPrepare(paxos.Ballot{Round: int(m.Round), Proposer: int(m.Proposer)}, int(m.Slot))
+		rep, err := s.eng.paxosPrepare(paxos.Ballot{Round: int(m.Round), Proposer: int(m.Proposer)}, int(m.Slot))
 		if err != nil {
 			return s.errReply(err)
 		}
@@ -943,7 +910,7 @@ func (s *Server) dispatchMM(e *mmEngine, st *connState, msg wire.Message) wire.M
 		}
 
 	case *wire.PaxosAccept:
-		rep, err := e.paxosAccept(paxos.Ballot{Round: int(m.Round), Proposer: int(m.Proposer)}, int(m.Slot), paxos.Value(m.Value))
+		rep, err := s.eng.paxosAccept(paxos.Ballot{Round: int(m.Round), Proposer: int(m.Proposer)}, int(m.Slot), paxos.Value(m.Value))
 		if err != nil {
 			return s.errReply(err)
 		}
@@ -954,7 +921,7 @@ func (s *Server) dispatchMM(e *mmEngine, st *connState, msg wire.Message) wire.M
 		}
 
 	case *wire.PaxosLearn:
-		rep, err := e.paxosLearn()
+		rep, err := s.eng.paxosLearn()
 		if err != nil {
 			return s.errReply(err)
 		}
@@ -965,7 +932,7 @@ func (s *Server) dispatchMM(e *mmEngine, st *connState, msg wire.Message) wire.M
 		}
 
 	case *wire.Join:
-		jo, err := e.join(m.Addr)
+		jo, err := s.eng.join(m.Addr)
 		if err != nil {
 			return s.errReply(err)
 		}
@@ -973,13 +940,13 @@ func (s *Server) dispatchMM(e *mmEngine, st *connState, msg wire.Message) wire.M
 		return jo
 
 	case *wire.Leave:
-		if err := e.leave(m.ID); err != nil {
+		if err := s.eng.leave(m.ID); err != nil {
 			return s.errReply(err)
 		}
 		return &wire.LeaveOK{}
 
 	case *wire.Members:
-		epoch, members, err := e.members()
+		epoch, members, err := s.eng.members()
 		if err != nil {
 			return s.errReply(err)
 		}
@@ -988,9 +955,9 @@ func (s *Server) dispatchMM(e *mmEngine, st *connState, msg wire.Message) wire.M
 		return reply
 
 	case *wire.SnapshotReq:
-		e.touch(st.peer) // a chunk request is liveness proof mid-transfer
+		s.eng.touch(st.peer) // a chunk request is liveness proof mid-transfer
 		if st.snap == nil {
-			version, tables, err := e.snapshot()
+			version, tables, err := s.eng.snapshot()
 			if err != nil {
 				return s.errReply(err)
 			}
@@ -1017,8 +984,22 @@ func (s *Server) dispatchMM(e *mmEngine, st *connState, msg wire.Message) wire.M
 		}
 		return reply
 
+	default:
+		return unexpected(msg)
 	}
-	return unexpected(msg)
+}
+
+// mmOnly reports whether msg is a verb only the multi-master design
+// serves: certification, the cross-shard 2PC surface, elastic
+// membership and the embedded Paxos acceptor.
+func mmOnly(msg wire.Message) bool {
+	switch msg.(type) {
+	case *wire.Certify, *wire.Check, *wire.PrepareTxn, *wire.DecideTxn, *wire.ResolveTxn, *wire.ForgetTxn,
+		*wire.Join, *wire.Leave, *wire.Members, *wire.SnapshotReq,
+		*wire.PaxosPrepare, *wire.PaxosAccept, *wire.PaxosLearn:
+		return true
+	}
+	return false
 }
 
 // stampShard writes this group's place in the shard map onto a
@@ -1075,9 +1056,5 @@ func (s *Server) errReply(err error) wire.Message {
 
 func (s *Server) notLeaderReply(leader int, epoch int64) wire.Message {
 	s.m.notLeaderRedirects.Inc()
-	reply := &wire.NotLeader{Leader: int64(leader), Epoch: epoch}
-	if e, ok := s.eng.(*mmEngine); ok {
-		reply.Addr = e.leaderAddr(leader)
-	}
-	return reply
+	return &wire.NotLeader{Leader: int64(leader), Epoch: epoch, Addr: s.eng.leaderAddr(leader)}
 }

@@ -521,12 +521,60 @@ func TestSMAnswersMMVerbsUnsupported(t *testing.T) {
 	}
 }
 
-// TestCertLogGC verifies the certifier host prunes its retained
-// writeset log once every peer's propagation cursor has moved past
-// them (minus the safety lag), so a long-running serve process does
-// not grow without bound.
+// TestSMSlaveRefusesUpdateFrames pins the single-master update site on
+// the wire: an update Begin, a CreateTable and a Load sent straight to
+// a slave each answer Err{CodeUnsupported} there, none reaches the
+// master, and the master's version does not move.
+func TestSMSlaveRefusesUpdateFrames(t *testing.T) {
+	servers, cl := startCluster(t, "sm", 2, nil)
+	if err := cl.CreateTable("item"); err != nil {
+		t.Fatal(err)
+	}
+	master := dialWire(t, servers[0].Addr())
+	applied := func() int64 {
+		t.Helper()
+		reply, err := call(master, &wire.Sync{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok, isOK := reply.(*wire.SyncOK)
+		if !isOK {
+			t.Fatalf("master Sync answered %+v", reply)
+		}
+		return ok.Applied
+	}
+	before := applied()
+	slave := dialWire(t, servers[1].Addr())
+	for _, req := range []wire.Message{
+		&wire.Begin{ReadOnly: false},
+		&wire.CreateTable{Name: "other"},
+		&wire.Load{Table: "item", Rows: []int64{0}, Values: []string{"x"}},
+	} {
+		reply, err := call(slave, req)
+		if err != nil {
+			t.Fatalf("%T: %v", req, err)
+		}
+		if e, ok := reply.(*wire.Err); !ok || e.Code != wire.CodeUnsupported {
+			t.Fatalf("slave answered %T with %+v, want Err{CodeUnsupported}", req, reply)
+		}
+	}
+	if after := applied(); after != before {
+		t.Fatalf("master version moved from %d to %d on refused slave updates", before, after)
+	}
+}
+
+// TestCertLogGC verifies the certifier host — the single-master
+// master included — prunes its retained writeset log once every peer's
+// propagation cursor has moved past them (minus the safety lag), so a
+// long-running serve process does not grow without bound.
 func TestCertLogGC(t *testing.T) {
-	servers, cl := startCluster(t, "mm", 3, func(o *server.Options) {
+	for _, design := range []string{"mm", "sm"} {
+		t.Run(design, func(t *testing.T) { certLogGC(t, design) })
+	}
+}
+
+func certLogGC(t *testing.T, design string) {
+	servers, cl := startCluster(t, design, 3, func(o *server.Options) {
 		o.GCLag = 4
 		o.MetricsAddr = "127.0.0.1:0"
 	})

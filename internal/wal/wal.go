@@ -705,9 +705,7 @@ func (w *WAL) Sync(seq int64) error {
 }
 
 // Seq returns the sequence of the latest completed append, so
-// Sync(Seq()) is the barrier "everything journaled so far is durable"
-// — what a single-master commit waits on after its writeset was
-// journaled through the database's journal hook.
+// Sync(Seq()) is the barrier "everything journaled so far is durable".
 func (w *WAL) Seq() int64 { return w.seq.Load() }
 
 // Size returns the current segment size in bytes (the compaction
