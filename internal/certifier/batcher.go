@@ -55,9 +55,6 @@ func NewBatcher(cert *Certifier, maxBatch int) *Batcher {
 	return &Batcher{cert: cert, maxBatch: maxBatch}
 }
 
-// Certifier returns the underlying certification service.
-func (b *Batcher) Certifier() *Certifier { return b.cert }
-
 // Certify submits one certification request through the group-commit
 // path. It blocks until the request's batch is durable and returns
 // the same outcome sequential certification would have produced.

@@ -91,7 +91,8 @@ type Result struct {
 // token; Sync blocks until everything staged at or before the token is
 // durable. Sync is called outside the lock, which is what lets one
 // fsync group-commit every certification that raced into the same
-// window.
+// window. recs is a view of the certifier's log: Append copies what it
+// keeps.
 type Journal interface {
 	Append(recs []Record) (seq int64, err error)
 	Sync(seq int64) error
@@ -182,11 +183,18 @@ func (c *Certifier) SetStageObserver(f func(stage string, versions []int64, d ti
 	c.stageObs = f
 }
 
-// observeStage reports one sub-stage to the attached observer.
-func (c *Certifier) observeStage(stage string, versions []int64, d time.Duration) {
-	if c.stageObs != nil && len(versions) > 0 {
-		c.stageObs(stage, versions, d)
+// observeStage reports one sub-stage covering the consecutive versions
+// first..last to the attached observer, building the version list only
+// when one is attached.
+func (c *Certifier) observeStage(stage string, first, last int64, d time.Duration) {
+	if c.stageObs == nil || last < first {
+		return
 	}
+	vs := make([]int64, 0, last-first+1)
+	for v := first; v <= last; v++ {
+		vs = append(vs, v)
+	}
+	c.stageObs(stage, vs, d)
 }
 
 // JournalError returns the error that detached the journal of a
@@ -205,16 +213,51 @@ func (c *Certifier) detachJournalLocked(err error) {
 	c.journalErr = err
 }
 
-// markDurable publishes versions up to v as journal-durable. Journal
-// appends happen in version order and an fsync covers every byte
-// written before it, so a completed sync for v implies all versions
-// at or below v are durable too.
-func (c *Certifier) markDurable(v int64) {
-	c.mu.Lock()
-	if v > c.durable {
-		c.durable = v
+// journaledLocked applies the journal policy to the result of one
+// journal write, made under c.mu so entries reach the journal in log
+// order. It returns the journal to sync outside the lock (nil: nothing
+// to sync). On an unreplicated certifier the journal is the durability
+// authority, so a failed write is returned and the caller applies
+// nothing. On a replicated one the Paxos quorum already holds the
+// entry: a failure detaches the journal and the caller goes on.
+func (c *Certifier) journaledLocked(seq int64, err error) (Journal, int64, error) {
+	if err == nil {
+		return c.journal, seq, nil
 	}
-	c.mu.Unlock()
+	if c.proposer == nil {
+		return nil, 0, err
+	}
+	c.detachJournalLocked(err)
+	return nil, 0, nil
+}
+
+// syncJournal waits, outside c.mu, until the entry journaledLocked
+// returned is durable, then publishes versions up to v as durable (0:
+// the entry carries no record). It returns how long the sync took. A
+// failed sync is returned by an unreplicated certifier — the outcome is
+// unknown, and the records stay withheld from Since — and detaches a
+// replicated certifier's journal.
+func (c *Certifier) syncJournal(j Journal, seq, v int64) (time.Duration, error) {
+	if j == nil {
+		return 0, nil
+	}
+	start := time.Now()
+	err := j.Sync(seq)
+	d := time.Since(start)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case err == nil:
+		// Journal appends happen in log order and an fsync covers every
+		// byte written before it, so a completed sync for v implies all
+		// versions at or below v are durable too.
+		c.durable = max(c.durable, v)
+	case c.proposer == nil:
+		return d, err
+	default:
+		c.detachJournalLocked(err)
+	}
+	return d, nil
 }
 
 // NewFromRecords rebuilds a certifier from an already-recovered record
@@ -451,167 +494,247 @@ func (c *Certifier) admitLocked(ws writeset.Writeset) error {
 	return nil
 }
 
-// applyLocked installs a freshly certified record.
+// applyLocked installs a recovered record.
 func (c *Certifier) applyLocked(rec Record) {
 	c.records = append(c.records, rec)
-	for _, e := range rec.Writeset.Entries {
-		c.index[e.Key] = rec.Version
+	c.publishLocked(c.records[len(c.records)-1:])
+}
+
+// publishLocked makes records staged at the log tail committed: they
+// enter the conflict index, and the version moves to the last of them.
+func (c *Certifier) publishLocked(recs []Record) {
+	for _, rec := range recs {
+		for _, e := range rec.Writeset.Entries {
+			c.index[e.Key] = rec.Version
+		}
+		c.version = rec.Version
+		c.commits++
 	}
-	c.version = rec.Version
-	c.commits++
+}
+
+// stagedLocked returns the records staged at the log tail: appended
+// above the committed version, not yet published. Only a commit in
+// progress, which holds c.mu throughout, stages records, so no reader
+// ever sees them. The slice is clipped: a journal that appends to it
+// cannot write into the log.
+func (c *Certifier) stagedLocked() []Record {
+	i := len(c.records)
+	for i > 0 && c.records[i-1].Version > c.version {
+		i--
+	}
+	return c.records[i:len(c.records):len(c.records)]
+}
+
+// unstageLocked drops the records staged at the log tail.
+func (c *Certifier) unstageLocked() {
+	staged := c.stagedLocked()
+	clear(staged)
+	c.records = c.records[:len(c.records)-len(staged)]
 }
 
 // Certify decides an update transaction: commit (assigning the next
 // global version and persisting the writeset) or abort on conflict.
 // A snapshot older than the pruning horizon aborts: the certifier can
 // no longer certify against the full set of concurrent commits.
-// With a journal attached, a commit is acknowledged only after its
-// record is durable; journal staging happens under the lock (version
-// order) while the sync happens outside it (group commit).
+// Certify is CertifyBatch with a batch of one, run on stack buffers.
 func (c *Certifier) Certify(snapshot int64, ws writeset.Writeset) (Outcome, error) {
-	c.mu.Lock()
-	if err := c.admitLocked(ws); err != nil {
-		c.mu.Unlock()
+	reqs := [1]Request{{Snapshot: snapshot, Writeset: ws}}
+	var res [1]Result
+	if err := c.certify(reqs[:], res[:]); err != nil {
 		return Outcome{}, err
 	}
-	if conflict, with := c.conflictLocked(snapshot, ws); conflict {
-		c.aborts++
+	return res[0].Outcome, res[0].Err
+}
+
+// CertifyBatch decides a batch of requests in order, as if each had
+// been submitted to Certify back to back, but pays at most one Paxos
+// round and one journal write for the whole batch (group commit).
+// Later requests in the batch see earlier ones as committed, so
+// intra-batch conflicts abort exactly as they would have sequentially.
+// Per-request validation failures are reported in the matching Result;
+// a replication failure fails the whole batch with no state change, so
+// no caller observes a commit that was never made durable.
+func (c *Certifier) CertifyBatch(reqs []Request) ([]Result, error) {
+	results := make([]Result, len(reqs))
+	if err := c.certify(reqs, results); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// certify decides reqs into res, then orders the commits through
+// Paxos, journals them and publishes them — the one commit path. With a
+// journal attached a commit is acknowledged only after its record is
+// durable: the journal write happens under the lock (version order),
+// the sync outside it (group commit).
+func (c *Certifier) certify(reqs []Request, res []Result) error {
+	c.mu.Lock()
+	var aborts int64
+	paxosTime, err := c.proposeLocked(func() bool {
+		aborts = c.stageLocked(reqs, res)
+		return len(c.stagedLocked()) > 0
+	}, func() (paxos.Value, error) {
+		return encodeBatch(c.stagedLocked())
+	})
+	if err != nil {
+		c.unstageLocked()
 		c.mu.Unlock()
-		return Outcome{Committed: false, ConflictWith: with}, nil
+		return err
 	}
-	if c.prepConflictLocked("", ws) {
-		// A key is locked by an in-doubt cross-shard fragment; nothing
-		// may certify past its binding yes-vote (retry after it decides).
-		c.aborts++
-		c.mu.Unlock()
-		return Outcome{Committed: false}, nil
+	staged := c.stagedLocked()
+	first, last := c.version+1, c.version+int64(len(staged))
+	if paxosTime > 0 {
+		c.observeStage("paxos", first, last, paxosTime)
 	}
-	rec := Record{Version: c.version + 1, Writeset: ws}
-	replicated := c.proposer != nil
-	if replicated {
-		paxosStart := time.Now()
-		// Persist through Paxos before acknowledging the commit. A
-		// slot may turn out to hold a competing value — a deposed
-		// leader's in-flight proposal that reached only a minority and
-		// was resurrected by our prepare. That value is a chosen log
-		// entry the moment it is adopted, so it must be folded into
-		// this log (taking the version our record was about to use)
-		// and the conflict check redone before the record retries at
-		// the next slot; certifying around it would give two different
-		// records the same version, which is divergence.
-		for attempts := 0; ; attempts++ {
-			if attempts == 1000 {
-				c.mu.Unlock()
-				return Outcome{}, fmt.Errorf("certifier: proposer starved")
-			}
-			val, err := encodeRecord(rec)
-			if err != nil {
-				c.mu.Unlock()
-				return Outcome{}, err
-			}
-			_, chosen, err := c.proposer.ProposeNext(val)
-			if err != nil {
-				c.mu.Unlock()
-				return Outcome{}, replicationError(err)
-			}
-			if chosen == val {
-				break
-			}
-			if err := c.foldLocked(chosen); err != nil {
-				c.mu.Unlock()
-				return Outcome{}, err
-			}
-			if conflict, with := c.conflictLocked(snapshot, ws); conflict {
-				c.aborts++
-				c.mu.Unlock()
-				return Outcome{Committed: false, ConflictWith: with}, nil
-			}
-			if c.prepConflictLocked("", ws) {
-				c.aborts++
-				c.mu.Unlock()
-				return Outcome{Committed: false}, nil
-			}
-			rec.Version = c.version + 1
-		}
-		c.observeStage("paxos", []int64{rec.Version}, time.Since(paxosStart))
-	}
-	var seq int64
 	var j Journal
-	if c.journal != nil {
-		var err error
-		appendStart := time.Now()
-		if seq, err = c.journal.Append([]Record{rec}); err != nil {
-			if !replicated {
-				// Nothing applied, nothing durable: a clean refusal.
-				c.mu.Unlock()
-				return Outcome{}, fmt.Errorf("certifier: journal: %w", err)
-			}
-			// The quorum already holds the record; drop the cache.
-			c.detachJournalLocked(err)
-		} else {
-			j = c.journal
-			c.observeStage("journal", []int64{rec.Version}, time.Since(appendStart))
+	var seq int64
+	if len(staged) > 0 && c.journal != nil {
+		start := time.Now()
+		if j, seq, err = c.journaledLocked(c.journal.Append(staged)); err != nil {
+			c.unstageLocked()
+			c.mu.Unlock()
+			return fmt.Errorf("certifier: journal: %w", err)
 		}
+		c.observeStage("journal", first, last, time.Since(start))
 	}
-	c.applyLocked(rec)
+	c.publishLocked(staged)
+	c.aborts += aborts
 	c.mu.Unlock()
 	if j != nil {
-		syncStart := time.Now()
-		if err := j.Sync(seq); err != nil {
-			if !replicated {
-				// The record is certified in memory but its durability
-				// is unknown; withhold the acknowledgement. The durable
-				// watermark keeps it invisible to Since, so no peer can
-				// replicate it either.
-				return Outcome{}, fmt.Errorf("certifier: journal sync (commit outcome unknown): %w", err)
-			}
-			c.mu.Lock()
-			c.detachJournalLocked(err)
-			c.mu.Unlock()
-			return Outcome{Committed: true, Version: rec.Version}, nil
+		d, err := c.syncJournal(j, seq, last)
+		if err != nil {
+			return fmt.Errorf("certifier: journal sync (commit outcome unknown): %w", err)
 		}
-		c.observeStage("fsync", []int64{rec.Version}, time.Since(syncStart))
-		c.markDurable(rec.Version)
+		c.observeStage("fsync", first, last, d)
 	}
-	return Outcome{Committed: true, Version: rec.Version}, nil
+	return nil
+}
+
+// stageLocked decides reqs in order against the committed log and
+// stages each commit at the log tail, dropping whatever an earlier pass
+// staged. It fills res and returns the number of aborts.
+func (c *Certifier) stageLocked(reqs []Request, res []Result) (aborts int64) {
+	c.unstageLocked()
+	// A batch conflict-tests against its own earlier commits too; a batch
+	// of one has none, and skips the overlay.
+	var overlay map[writeset.Key]int64
+	if len(reqs) > 1 {
+		overlay = make(map[writeset.Key]int64)
+	}
+	version := c.version
+	for i, req := range reqs {
+		res[i] = Result{}
+		if err := c.admitLocked(req.Writeset); err != nil {
+			res[i].Err = err
+			continue
+		}
+		newest := int64(0)
+		for _, e := range req.Writeset.Entries {
+			if v, ok := overlay[e.Key]; ok && v > req.Snapshot && v > newest {
+				newest = v
+			}
+		}
+		if conflict, with := c.conflictLocked(req.Snapshot, req.Writeset); conflict && with > newest {
+			newest = with
+		}
+		if newest > 0 {
+			aborts++
+			res[i].Outcome = Outcome{Committed: false, ConflictWith: newest}
+			continue
+		}
+		if c.prepConflictLocked("", req.Writeset) {
+			// A key is locked by an in-doubt cross-shard fragment; nothing
+			// may certify past its binding yes-vote (retry after it decides).
+			aborts++
+			continue
+		}
+		version++
+		c.records = append(c.records, Record{Version: version, Writeset: req.Writeset})
+		if overlay != nil {
+			for _, e := range req.Writeset.Entries {
+				overlay[e.Key] = version
+			}
+		}
+		res[i].Outcome = Outcome{Committed: true, Version: version}
+	}
+	return aborts
+}
+
+// maxProposeAttempts bounds how many competing values one proposal
+// folds before it gives up.
+const maxProposeAttempts = 1000
+
+// proposeLocked runs stage, which decides an operation against the
+// current log and reports whether it has anything to persist, and on a
+// replicated certifier persists the value it then encodes through
+// Paxos before anything is acknowledged. It returns the time the Paxos
+// rounds took. A slot may turn out to hold a competing value — a
+// deposed leader's in-flight proposal that reached only a minority and
+// was resurrected by our prepare. That value is a chosen log entry the
+// moment it is adopted, so it is folded into this log (taking the
+// versions the staged records were about to use) and stage runs again,
+// redoing its checks, before the value retries at the next slot.
+// Proposing around it would give two different records the same
+// version, which is divergence.
+func (c *Certifier) proposeLocked(stage func() bool, encode func() (paxos.Value, error)) (time.Duration, error) {
+	if c.proposer == nil {
+		stage()
+		return 0, nil
+	}
+	start := time.Now()
+	for range maxProposeAttempts {
+		if !stage() {
+			return time.Since(start), nil
+		}
+		val, err := encode()
+		if err != nil {
+			return 0, err
+		}
+		_, chosen, err := c.proposer.ProposeNext(val)
+		if err != nil {
+			return 0, replicationError(err)
+		}
+		if chosen == val {
+			return time.Since(start), nil
+		}
+		if err := c.foldLocked(chosen); err != nil {
+			return 0, err
+		}
+	}
+	return 0, errors.New("certifier: proposer starved")
 }
 
 // foldLocked installs the records of a competing value chosen at a
-// Paxos slot this certifier proposed into — a deposed leader's stale
-// minority accept resurrected by our own prepare (see Certify). They
-// are committed log entries exactly as recovery finds them: journaled
-// and applied ahead of anything certified afterwards. Noops and
-// records already in the log fold to nothing; a version gap is
-// refused, because applying around a hole would stall every replica's
-// applier.
+// Paxos slot this certifier proposed into (see proposeLocked), after
+// dropping the records staged for our own value. They are committed
+// log entries exactly as recovery finds them: journaled and applied
+// ahead of anything certified afterwards. Noops and records already in
+// the log fold to nothing; a version gap is refused, because applying
+// around a hole would stall every replica's applier.
 func (c *Certifier) foldLocked(v paxos.Value) error {
 	recs, err := DecodeRecords(v)
 	if err != nil {
 		return fmt.Errorf("certifier: fold adopted value: %w", err)
 	}
-	var folded []Record
+	c.unstageLocked()
+	next := c.version + 1
 	for _, rec := range recs {
-		next := c.version + int64(len(folded)) + 1
 		if rec.Version == 0 || rec.Version < next {
 			continue
 		}
 		if rec.Version != next {
+			c.unstageLocked()
 			return fmt.Errorf("certifier: adopted value skips versions %d..%d", next, rec.Version-1)
 		}
-		folded = append(folded, rec)
+		c.records = append(c.records, rec)
+		next++
 	}
-	if len(folded) == 0 {
-		return nil
+	folded := c.stagedLocked()
+	if len(folded) > 0 && c.journal != nil {
+		// Replicated, so the policy never refuses: a failure detaches.
+		_, _, _ = c.journaledLocked(c.journal.Append(folded))
 	}
-	if c.journal != nil {
-		if _, err := c.journal.Append(folded); err != nil {
-			// The quorum already holds these records; drop the cache.
-			c.detachJournalLocked(err)
-		}
-	}
-	for _, rec := range folded {
-		c.applyLocked(rec)
-	}
+	c.publishLocked(folded)
 	return nil
 }
 
@@ -624,149 +747,6 @@ func replicationError(err error) error {
 		return NotLeaderError{Leader: dep.By.Proposer, Epoch: dep.By}
 	}
 	return fmt.Errorf("certifier: replication failed: %w", err)
-}
-
-// CertifyBatch decides a batch of requests in order, as if each had
-// been submitted to Certify back to back, but pays at most one Paxos
-// round for the whole batch (group commit). Later requests in the
-// batch see earlier ones as committed, so intra-batch conflicts abort
-// exactly as they would have sequentially. Per-request validation
-// failures are reported in the matching Result; a replication failure
-// fails the whole batch with no state change, so no caller observes a
-// commit that was never made durable.
-func (c *Certifier) CertifyBatch(reqs []Request) ([]Result, error) {
-	c.mu.Lock()
-	replicated := c.proposer != nil
-	var results []Result
-	var staged []Record
-	var aborts int64
-	var paxosTime time.Duration
-	for attempts := 0; ; attempts++ {
-		if attempts == 1000 {
-			c.mu.Unlock()
-			return nil, fmt.Errorf("certifier: proposer starved")
-		}
-		results = make([]Result, len(reqs))
-		staged = staged[:0]
-		overlay := make(map[writeset.Key]int64)
-		version := c.version
-		aborts = 0
-		for i, req := range reqs {
-			if err := c.admitLocked(req.Writeset); err != nil {
-				results[i].Err = err
-				continue
-			}
-			// Conflict test against the committed index plus this
-			// batch's tentative commits.
-			newest := int64(0)
-			for _, e := range req.Writeset.Entries {
-				if v, ok := overlay[e.Key]; ok && v > req.Snapshot && v > newest {
-					newest = v
-				}
-			}
-			if conflict, with := c.conflictLocked(req.Snapshot, req.Writeset); conflict && with > newest {
-				newest = with
-			}
-			if newest > 0 {
-				aborts++
-				results[i].Outcome = Outcome{Committed: false, ConflictWith: newest}
-				continue
-			}
-			if c.prepConflictLocked("", req.Writeset) {
-				// Locked by an in-doubt cross-shard fragment (see Certify).
-				aborts++
-				results[i].Outcome = Outcome{Committed: false}
-				continue
-			}
-			version++
-			rec := Record{Version: version, Writeset: req.Writeset}
-			staged = append(staged, rec)
-			for _, e := range req.Writeset.Entries {
-				overlay[e.Key] = version
-			}
-			results[i].Outcome = Outcome{Committed: true, Version: version}
-		}
-		if len(staged) == 0 || !replicated {
-			break
-		}
-		val, err := encodeBatch(staged)
-		if err != nil {
-			c.mu.Unlock()
-			return nil, err
-		}
-		proposeStart := time.Now()
-		_, chosen, err := c.proposer.ProposeNext(val)
-		paxosTime += time.Since(proposeStart)
-		if err != nil {
-			c.mu.Unlock()
-			return nil, replicationError(err)
-		}
-		if chosen == val {
-			break
-		}
-		// A competing value was chosen at our slot (see Certify): fold
-		// it in and re-stage the whole batch against the folded state —
-		// every version shifts, new conflicts may appear, and nothing
-		// has been acknowledged yet, so a full redo is safe.
-		if err := c.foldLocked(chosen); err != nil {
-			c.mu.Unlock()
-			return nil, err
-		}
-	}
-	if paxosTime > 0 {
-		c.observeStageBatch("paxos", staged, paxosTime)
-	}
-	var seq int64
-	var j Journal
-	if len(staged) > 0 && c.journal != nil {
-		var err error
-		appendStart := time.Now()
-		if seq, err = c.journal.Append(staged); err != nil {
-			if !replicated {
-				// Nothing applied: the whole batch fails with no state
-				// change, exactly like a replication failure.
-				c.mu.Unlock()
-				return nil, fmt.Errorf("certifier: journal: %w", err)
-			}
-			c.detachJournalLocked(err)
-		} else {
-			j = c.journal
-			c.observeStageBatch("journal", staged, time.Since(appendStart))
-		}
-	}
-	for _, rec := range staged {
-		c.applyLocked(rec)
-	}
-	c.aborts += aborts
-	c.mu.Unlock()
-	if j != nil {
-		syncStart := time.Now()
-		if err := j.Sync(seq); err != nil {
-			if !replicated {
-				return nil, fmt.Errorf("certifier: journal sync (batch outcome unknown): %w", err)
-			}
-			c.mu.Lock()
-			c.detachJournalLocked(err)
-			c.mu.Unlock()
-			return results, nil
-		}
-		c.observeStageBatch("fsync", staged, time.Since(syncStart))
-		c.markDurable(staged[len(staged)-1].Version)
-	}
-	return results, nil
-}
-
-// observeStageBatch reports one sub-stage covering a staged batch,
-// allocating the version list only when an observer is attached.
-func (c *Certifier) observeStageBatch(stage string, recs []Record, d time.Duration) {
-	if c.stageObs == nil || len(recs) == 0 {
-		return
-	}
-	vs := make([]int64, len(recs))
-	for i, r := range recs {
-		vs[i] = r.Version
-	}
-	c.stageObs(stage, vs, d)
 }
 
 // Since returns the committed records with versions strictly greater
@@ -845,15 +825,6 @@ func (c *Certifier) IndexSize() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.index)
-}
-
-// encodeRecord serializes a record for the Paxos log.
-func encodeRecord(r Record) (paxos.Value, error) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return "", fmt.Errorf("certifier: encode: %w", err)
-	}
-	return paxos.Value(b), nil
 }
 
 // encodeBatch serializes a group-committed batch as a JSON array, one

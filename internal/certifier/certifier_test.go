@@ -1,6 +1,7 @@
 package certifier
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 
@@ -16,6 +17,17 @@ func ws(keys ...int64) writeset.Writeset {
 		})
 	}
 	return w
+}
+
+// encodeRecord serializes one record as a single-record Paxos value,
+// the format logs written before every value became a batch hold;
+// DecodeRecords still reads it.
+func encodeRecord(r Record) (paxos.Value, error) {
+	b, err := json.Marshal(r)
+	if err != nil {
+		return "", err
+	}
+	return paxos.Value(b), nil
 }
 
 func TestCommitAssignsIncreasingVersions(t *testing.T) {

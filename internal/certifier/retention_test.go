@@ -224,12 +224,9 @@ func TestSinceSurvivesConcurrentPrunes(t *testing.T) {
 		wg.Add(1)
 		go func() { // fetch from wherever the horizon is
 			defer wg.Done()
+			// Fetch before checking done, so a reader scheduled only after
+			// the last commit still fetches once.
 			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
 				recs := c.Since(c.LowWater())
 				f := fetched{recs: recs}
 				for _, rec := range recs {
@@ -238,6 +235,11 @@ func TestSinceSurvivesConcurrentPrunes(t *testing.T) {
 				mu.Lock()
 				batches = append(batches, f)
 				mu.Unlock()
+				select {
+				case <-done:
+					return
+				default:
+				}
 			}
 		}()
 	}

@@ -174,80 +174,45 @@ func (c *Certifier) Prepare(p PreparedTxn) (vote bool, conflictWith int64, err e
 		c.mu.Unlock()
 		return d.Commit, 0, nil // already decided: echo the outcome
 	}
-	if conflict, with := c.conflictLocked(p.Snapshot, p.Writeset); conflict {
-		c.aborts++
-		c.mu.Unlock()
-		return false, with, nil
-	}
-	if c.prepConflictLocked(p.ID, p.Writeset) {
-		c.aborts++
-		c.mu.Unlock()
-		return false, 0, nil // blocked by a concurrent in-doubt fragment
-	}
-	if c.proposer != nil {
-		val, err := encodeTwoPC(twoPCValue{
+	// The vote is not cast until our own value is chosen: a folded
+	// competing value redoes the conflict test.
+	_, err = c.proposeLocked(func() bool {
+		var conflict bool
+		conflict, conflictWith = c.conflictLocked(p.Snapshot, p.Writeset)
+		// A concurrent in-doubt fragment holding one of the keys blocks
+		// the vote too.
+		vote = !conflict && !c.prepConflictLocked(p.ID, p.Writeset)
+		return vote
+	}, func() (paxos.Value, error) {
+		return encodeTwoPC(twoPCValue{
 			Txn: p.ID, Op: "prepare", Coord: p.Coord,
 			Snapshot: p.Snapshot, Writeset: p.Writeset,
 		})
-		if err != nil {
-			c.mu.Unlock()
-			return false, 0, err
-		}
-		// The propose loop mirrors Certify: a slot may adopt a competing
-		// value, which must be folded in and the conflict test redone —
-		// the vote is not cast until our own value is chosen.
-		for attempts := 0; ; attempts++ {
-			if attempts == 1000 {
-				c.mu.Unlock()
-				return false, 0, fmt.Errorf("certifier: proposer starved")
-			}
-			_, chosen, err := c.proposer.ProposeNext(val)
-			if err != nil {
-				c.mu.Unlock()
-				return false, 0, replicationError(err)
-			}
-			if chosen == val {
-				break
-			}
-			if err := c.foldLocked(chosen); err != nil {
-				c.mu.Unlock()
-				return false, 0, err
-			}
-			if conflict, with := c.conflictLocked(p.Snapshot, p.Writeset); conflict {
-				c.aborts++
-				c.mu.Unlock()
-				return false, with, nil
-			}
-		}
+	})
+	if err != nil {
+		c.mu.Unlock()
+		return false, 0, err
 	}
-	var seq int64
+	if !vote {
+		c.aborts++
+		c.mu.Unlock()
+		return false, conflictWith, nil
+	}
 	var j Journal
+	var seq int64
 	if tj, ok := c.journal.(TxnJournal); ok {
-		var aerr error
-		if seq, aerr = tj.AppendPrepare(p); aerr != nil {
-			if c.proposer == nil {
-				c.mu.Unlock()
-				return false, 0, fmt.Errorf("certifier: journal prepare: %w", aerr)
-			}
-			c.detachJournalLocked(aerr)
-		} else {
-			j = c.journal
+		if j, seq, err = c.journaledLocked(tj.AppendPrepare(p)); err != nil {
+			c.mu.Unlock()
+			return false, 0, fmt.Errorf("certifier: journal prepare: %w", err)
 		}
 	}
 	c.lockLocked(p)
 	c.mu.Unlock()
-	if j != nil {
-		if err := j.Sync(seq); err != nil {
-			if c.proposer == nil {
-				// The vote's durability is unknown: refuse it. The lock
-				// stays held; the coordinator's abort decision (or
-				// recovery's Resolve) will release it.
-				return false, 0, fmt.Errorf("certifier: journal sync (vote outcome unknown): %w", err)
-			}
-			c.mu.Lock()
-			c.detachJournalLocked(err)
-			c.mu.Unlock()
-		}
+	if _, err := c.syncJournal(j, seq, 0); err != nil {
+		// The vote's durability is unknown: refuse it. The lock stays
+		// held; the coordinator's abort decision (or recovery's Resolve)
+		// will release it.
+		return false, 0, fmt.Errorf("certifier: journal sync (vote outcome unknown): %w", err)
 	}
 	return true, 0, nil
 }
@@ -275,93 +240,56 @@ func (c *Certifier) Decide(id string, commit bool) (version int64, err error) {
 		c.mu.Unlock()
 		return 0, fmt.Errorf("certifier: commit decision for unknown txn %s", id)
 	}
-	var rec Record
-	if commit {
-		rec = Record{Version: c.version + 1, Writeset: p.Writeset}
-	}
-	if c.proposer != nil {
-		// The quorum must learn the decision: a promoted backup that
-		// lost the leader's memory still answers Resolve correctly. A
-		// decide-commit value doubles as the record itself (Version > 0),
-		// so pre-2PC recovery paths fold it like any commit.
-		for attempts := 0; ; attempts++ {
-			if attempts == 1000 {
-				c.mu.Unlock()
-				return 0, fmt.Errorf("certifier: proposer starved")
-			}
-			val, verr := encodeTwoPC(twoPCValue{
-				Version: rec.Version, Writeset: rec.Writeset,
-				Txn: id, Op: "decide", Commit: commit,
-			})
-			if verr != nil {
-				c.mu.Unlock()
-				return 0, verr
-			}
-			_, chosen, perr := c.proposer.ProposeNext(val)
-			if perr != nil {
-				c.mu.Unlock()
-				return 0, replicationError(perr)
-			}
-			if chosen == val {
-				break
-			}
-			// No conflict recheck: the prepared locks guarantee nothing
-			// conflicting certified since the vote. Only the version
-			// shifts under the folded records.
-			if ferr := c.foldLocked(chosen); ferr != nil {
-				c.mu.Unlock()
-				return 0, ferr
-			}
-			if commit {
-				rec.Version = c.version + 1
-			}
+	// A commit stages its record at the log tail. No conflict recheck
+	// after a fold: the prepared locks guarantee nothing conflicting
+	// certified since the vote, so only the version shifts. The quorum
+	// must learn the decision: a promoted backup that lost the leader's
+	// memory still answers Resolve correctly. A decide-commit value
+	// doubles as the record itself (Version > 0), so pre-2PC recovery
+	// paths fold it like any commit.
+	_, err = c.proposeLocked(func() bool {
+		if commit {
+			version = c.version + 1
+			c.records = append(c.records, Record{Version: version, Writeset: p.Writeset})
 		}
+		return true
+	}, func() (paxos.Value, error) {
+		return encodeTwoPC(twoPCValue{
+			Version: version, Writeset: p.Writeset,
+			Txn: id, Op: "decide", Commit: commit,
+		})
+	})
+	if err != nil {
+		c.unstageLocked()
+		c.mu.Unlock()
+		return 0, err
 	}
-	var seq int64
+	staged := c.stagedLocked()
 	var j Journal
+	var seq int64
 	if c.journal != nil {
-		var aerr error
-		if tj, ok := c.journal.(TxnJournal); ok {
-			var recs []Record
-			if commit {
-				recs = []Record{rec}
-			}
-			seq, aerr = tj.AppendDecision(id, commit, rec.Version, recs)
-		} else if commit {
-			seq, aerr = c.journal.Append([]Record{rec})
+		tj, txn := c.journal.(TxnJournal)
+		switch {
+		case txn:
+			j, seq, err = c.journaledLocked(tj.AppendDecision(id, commit, version, staged))
+		case commit:
+			j, seq, err = c.journaledLocked(c.journal.Append(staged))
 		}
-		if aerr != nil {
-			if c.proposer == nil {
-				c.mu.Unlock()
-				return 0, fmt.Errorf("certifier: journal decision: %w", aerr)
-			}
-			c.detachJournalLocked(aerr)
-		} else if c.journal != nil {
-			j = c.journal
+		if err != nil {
+			c.unstageLocked()
+			c.mu.Unlock()
+			return 0, fmt.Errorf("certifier: journal decision: %w", err)
 		}
 	}
 	c.unlockLocked(id)
-	if commit {
-		c.applyLocked(rec)
-		version = rec.Version
-	} else {
+	c.publishLocked(staged)
+	if !commit {
 		c.aborts++
 	}
 	c.decisions[id] = TwoPCDecision{Commit: commit, Version: version}
 	c.mu.Unlock()
-	if j != nil {
-		if err := j.Sync(seq); err != nil {
-			if c.proposer == nil {
-				return 0, fmt.Errorf("certifier: journal sync (decision outcome unknown): %w", err)
-			}
-			c.mu.Lock()
-			c.detachJournalLocked(err)
-			c.mu.Unlock()
-			return version, nil
-		}
-		if commit {
-			c.markDurable(version)
-		}
+	if _, err := c.syncJournal(j, seq, version); err != nil {
+		return 0, fmt.Errorf("certifier: journal sync (decision outcome unknown): %w", err)
 	}
 	return version, nil
 }
@@ -392,28 +320,22 @@ func (c *Certifier) Resolve(id string) (commit bool, err error) {
 func (c *Certifier) Forget(id string) error {
 	c.mu.Lock()
 	c.ensureTwoPCLocked()
-	_, known := c.decisions[id]
-	delete(c.decisions, id)
-	c.unlockLocked(id)
-	var seq int64
 	var j Journal
-	if known {
+	var seq int64
+	if _, known := c.decisions[id]; known {
 		if tj, ok := c.journal.(TxnJournal); ok {
-			var aerr error
-			if seq, aerr = tj.AppendForget(id); aerr != nil {
-				if c.proposer == nil {
-					c.mu.Unlock()
-					return fmt.Errorf("certifier: journal forget: %w", aerr)
-				}
-				c.detachJournalLocked(aerr)
-			} else {
-				j = c.journal
+			var err error
+			if j, seq, err = c.journaledLocked(tj.AppendForget(id)); err != nil {
+				c.mu.Unlock()
+				return fmt.Errorf("certifier: journal forget: %w", err)
 			}
 		}
 	}
+	delete(c.decisions, id)
+	c.unlockLocked(id)
 	c.mu.Unlock()
-	if j != nil {
-		return j.Sync(seq)
+	if _, err := c.syncJournal(j, seq, 0); err != nil {
+		return fmt.Errorf("certifier: journal sync (forget outcome unknown): %w", err)
 	}
 	return nil
 }

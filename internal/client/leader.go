@@ -30,19 +30,19 @@ func (e NotLeaderError) Error() string {
 	return fmt.Sprintf("client: not leader (redirect to node %d, epoch round %d)", e.Leader, e.Epoch)
 }
 
-// LeaderRing fronts a replicated certifier group for a client or a
-// joining replica: every certification RPC goes to the current leader
-// guess, and a NotLeaderError moves the guess — to the address in the
-// redirect when the deposed node knows it, through the Members
+// LeaderRing is how a replica that does not host the certifier reaches
+// the node that does: every certification RPC goes to the current
+// leader guess, and a NotLeaderError moves the guess — to the address
+// in the redirect when the deposed node knows it, through the Members
 // protocol when it only knows the id, or to the next ring member when
 // it knows nothing. Redirect chasing is bounded and backed off with
 // jitter, so a cluster mid-election sees polite retries instead of a
-// redirect storm.
+// redirect storm. A static replica's ring holds only its primary; a
+// Paxos member's holds every member, and survives failover
+// transparently.
 //
-// LeaderRing serves the same certification surface as a Link
-// (CertifyTraced/Check/Since) plus the FetchSince long poll, so a
-// server's peer link can point at the ring instead of a fixed primary
-// and survive failover transparently.
+// The ring keeps one Link per address, which the commit path and the
+// FetchSince long poll share.
 type LeaderRing struct {
 	design      string
 	peerID      int
@@ -86,7 +86,9 @@ func NewLeaderRing(addrs []string, design string, peerID int, dialTimeout time.D
 	return r
 }
 
-// Close drops every link in the ring.
+// Close drops every link in the ring and empties it, so a call that
+// races the close fails at once instead of dialing a link nobody
+// closes.
 func (r *LeaderRing) Close() {
 	r.mu.Lock()
 	links := make([]*Link, 0, len(r.links))
@@ -94,24 +96,17 @@ func (r *LeaderRing) Close() {
 		links = append(links, l)
 	}
 	r.links = make(map[string]*Link)
+	r.ring = nil
 	r.mu.Unlock()
 	for _, l := range links {
 		l.Close()
 	}
 }
 
-// LeaderAddr returns the current leader guess.
-func (r *LeaderRing) LeaderAddr() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.ring) == 0 {
-		return ""
-	}
-	return r.ring[r.cur]
-}
-
-// leader returns the link for the current guess, dialing lazily.
-func (r *LeaderRing) leader() (*Link, error) {
+// Leader returns the link to the current leader guess, dialing
+// lazily. Requests that need no redirect chasing (the 2PC verbs a
+// static replica forwards, Leave) go through it directly.
+func (r *LeaderRing) Leader() (*Link, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.ring) == 0 {
@@ -190,7 +185,11 @@ func (r *LeaderRing) rotate() {
 
 // do runs op against the current leader guess, following redirects and
 // rotating past unreachable nodes, with jittered backoff between hops.
-func (r *LeaderRing) do(op func(l *Link) error) error {
+// A request that must not run twice (once) moves on only when the
+// contacted node cannot have acted on it: after a NotLeader reply or a
+// failed dial. Any other failure — a lost reply above all — returns at
+// once, leaving the outcome unknown to the caller.
+func (r *LeaderRing) do(once bool, op func(l *Link) error) error {
 	var lastErr error
 	backoff := dialBackoffMin
 	for hop := 0; hop <= maxRedirects; hop++ {
@@ -207,6 +206,9 @@ func (r *LeaderRing) do(op func(l *Link) error) error {
 		if errors.Is(err, errEmptyRing) {
 			return err
 		}
+		if _, redirected := asNotLeader(err); once && !redirected && !errors.As(err, new(unsentError)) {
+			return err
+		}
 		lastErr = err
 	}
 	return fmt.Errorf("%w after %d attempts: %w", ErrNoLeader, maxRedirects+1, lastErr)
@@ -219,7 +221,7 @@ var errEmptyRing = errors.New("client: leader ring has no addresses")
 // NotLeaderError, or to the next ring member when the guess is
 // unreachable or failed outright.
 func (r *LeaderRing) try(op func(l *Link) error) error {
-	l, err := r.leader()
+	l, err := r.Leader()
 	if err != nil {
 		return err
 	}
@@ -244,10 +246,13 @@ func asNotLeader(err error) (NotLeaderError, bool) {
 
 // CertifyTraced submits a commit-time certification to the leader,
 // carrying the transaction's trace id and following redirects across a
-// failover.
+// failover. It sends the request at most once to a node that may act
+// on it: a lost reply is returned, never resent, since a copy reaching
+// the leader after the first committed would conflict with its own
+// record and report a committed transaction aborted.
 func (r *LeaderRing) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
 	var out certifier.Outcome
-	err := r.do(func(l *Link) error {
+	err := r.do(true, func(l *Link) error {
 		o, err := l.CertifyTraced(snapshot, ws, trace)
 		if err != nil {
 			return err
@@ -261,7 +266,7 @@ func (r *LeaderRing) CertifyTraced(snapshot int64, ws writeset.Writeset, trace u
 // Check probes for an already-certain conflict at the leader.
 // Transport failures degrade to "no conflict", like Link.Check.
 func (r *LeaderRing) Check(snapshot int64, ws writeset.Writeset) (conflict bool, with int64) {
-	_ = r.do(func(l *Link) error {
+	_ = r.do(false, func(l *Link) error {
 		c, w := l.Check(snapshot, ws)
 		conflict, with = c, w
 		return nil
@@ -276,18 +281,6 @@ func (r *LeaderRing) SetSinceWait(d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.sinceWait = d
-}
-
-// RoundTrips sums the request/reply exchanges across every link the
-// ring has dialed.
-func (r *LeaderRing) RoundTrips() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var n int64
-	for _, l := range r.links {
-		n += l.RoundTrips()
-	}
-	return n
 }
 
 // Since returns every certified record with version > v from the
@@ -308,7 +301,7 @@ func (r *LeaderRing) Since(v int64) []certifier.Record {
 // wait > 0 long-polls.
 func (r *LeaderRing) FetchSince(v int64, wait time.Duration) ([]certifier.Record, error) {
 	var recs []certifier.Record
-	err := r.do(func(l *Link) error {
+	err := r.do(false, func(l *Link) error {
 		rs, err := l.FetchSince(v, wait)
 		if err != nil {
 			return err
@@ -339,7 +332,7 @@ func (r *LeaderRing) FetchSinceOnce(v int64, wait time.Duration) ([]certifier.Re
 
 // Members polls membership from whichever ring member answers first.
 func (r *LeaderRing) Members() (epoch int64, members []wire.Member, err error) {
-	err = r.do(func(l *Link) error {
+	err = r.do(false, func(l *Link) error {
 		e, m, err := l.Members()
 		if err != nil {
 			return err

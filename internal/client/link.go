@@ -17,9 +17,9 @@ import (
 // server process becomes one node of a multi-process cluster.
 //
 // A Link is safe for concurrent use; each call checks a connection out
-// of the underlying pool. Long-polling FetchSince calls hold their
-// connection for the duration of the poll, so give the propagation
-// loop its own Link rather than sharing the commit path's.
+// of the underlying pool. A long-polling FetchSince holds its
+// connection for the duration of the poll, and concurrent calls check
+// out others.
 type Link struct {
 	pool *connPool
 	// meta, when set, observes the per-record trace id and leader

@@ -299,6 +299,9 @@ func (p *connPool) do(req wire.Message, deadline time.Duration, use func(wire.Me
 		}
 		c, fresh, err := p.get()
 		if err != nil {
+			if lastErr == nil {
+				return unsentError{err}
+			}
 			return err
 		}
 		if deadline > 0 {
@@ -330,6 +333,15 @@ func (p *connPool) do(req wire.Message, deadline time.Duration, use func(wire.Me
 	}
 	return fmt.Errorf("client: rpc to %s failed: %w", p.addr, lastErr)
 }
+
+// unsentError marks a request that never left this process: no
+// connection to the server could be had (dial, handshake, cooldown or
+// a closed pool). The server cannot have acted on it, so even a
+// request that must not run twice may go to another node.
+type unsentError struct{ err error }
+
+func (e unsentError) Error() string { return e.err.Error() }
+func (e unsentError) Unwrap() error { return e.err }
 
 func roundTrip(c *wconn, req wire.Message) (wire.Message, error) {
 	if err := c.wc.Send(req); err != nil {

@@ -1,10 +1,154 @@
 package mva
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// MultiSolution reports an exact K-class MVA solution.
+type MultiSolution struct {
+	Population  []int       // solved population per class
+	Throughput  []float64   // per-class throughput
+	Response    []float64   // per-class total residence time (excludes think)
+	Residence   [][]float64 // [class][center] residence time
+	Queue       []float64   // per-center total queue length
+	Utilization []float64   // per-center utilization summed over classes
+}
+
+// SolveMulti runs exact MVA for an arbitrary number of closed classes.
+// No model uses more than two classes, so it lives here, as the
+// reference the production solvers (Solve, SolveTwoClass) are checked
+// against.
+//
+// demands[c][m] is class c's service demand at center m; think[c] and
+// pop[c] are its think time and population. The exact recursion
+// evaluates every population vector dominated by pop, so cost is
+// O(len(centers) · K · Π(pop[c]+1)) time and O(M · Π(pop[c]+1))
+// memory — exponential in the number of classes.
+func SolveMulti(centers []Center, demands [][]float64, think []float64, pop []int) MultiSolution {
+	m := len(centers)
+	k := len(pop)
+	if m == 0 {
+		panic("mva: network needs at least one center")
+	}
+	if len(demands) != k || len(think) != k {
+		panic(fmt.Sprintf("mva: %d classes but %d demand rows, %d think times", k, len(demands), len(think)))
+	}
+	if k == 0 {
+		panic("mva: need at least one class")
+	}
+	for c := 0; c < k; c++ {
+		if len(demands[c]) != m {
+			panic(fmt.Sprintf("mva: class %d has %d demands for %d centers", c, len(demands[c]), m))
+		}
+		if pop[c] < 0 || think[c] < 0 {
+			panic("mva: negative population or think time")
+		}
+		for i, v := range demands[c] {
+			if v < 0 {
+				panic(fmt.Sprintf("mva: negative demand %v (class %d center %d)", v, c, i))
+			}
+		}
+	}
+
+	// Mixed-radix index over population vectors.
+	stride := make([]int, k)
+	size := 1
+	for c := k - 1; c >= 0; c-- {
+		stride[c] = size
+		size *= pop[c] + 1
+	}
+	// queue[idx*m + j] = Q_j at the population vector with index idx.
+	queue := make([]float64, size*m)
+
+	res := make([][]float64, k)
+	for c := range res {
+		res[c] = make([]float64, m)
+	}
+	x := make([]float64, k)
+	vec := make([]int, k)
+
+	// Enumerate population vectors in lexicographic order; every
+	// vector's predecessors (one class-c customer removed) have
+	// smaller indices, so a single pass suffices.
+	for idx := 1; idx < size; idx++ {
+		// Decode idx into vec.
+		rem := idx
+		for c := 0; c < k; c++ {
+			vec[c] = rem / stride[c]
+			rem %= stride[c]
+		}
+		for c := 0; c < k; c++ {
+			if vec[c] == 0 {
+				x[c] = 0
+				for j := 0; j < m; j++ {
+					res[c][j] = 0
+				}
+				continue
+			}
+			prev := queue[(idx-stride[c])*m:]
+			var total float64
+			for j := 0; j < m; j++ {
+				if centers[j].Kind == Delay {
+					res[c][j] = demands[c][j]
+				} else {
+					res[c][j] = demands[c][j] * (1 + prev[j])
+				}
+				total += res[c][j]
+			}
+			denom := think[c] + total
+			if denom <= 0 {
+				x[c] = 0
+			} else {
+				x[c] = float64(vec[c]) / denom
+			}
+		}
+		cur := queue[idx*m:]
+		for j := 0; j < m; j++ {
+			var q float64
+			for c := 0; c < k; c++ {
+				q += x[c] * res[c][j]
+			}
+			cur[j] = q
+		}
+	}
+
+	sol := MultiSolution{
+		Population:  append([]int(nil), pop...),
+		Throughput:  make([]float64, k),
+		Response:    make([]float64, k),
+		Residence:   make([][]float64, k),
+		Queue:       make([]float64, m),
+		Utilization: make([]float64, m),
+	}
+	final := queue[(size-1)*m:]
+	for c := 0; c < k; c++ {
+		sol.Residence[c] = append([]float64(nil), res[c]...)
+		if pop[c] > 0 {
+			sol.Throughput[c] = x[c]
+			for j := 0; j < m; j++ {
+				sol.Response[c] += res[c][j]
+			}
+		}
+	}
+	for j := 0; j < m; j++ {
+		sol.Queue[j] = final[j]
+		if centers[j].Kind == Queueing {
+			for c := 0; c < k; c++ {
+				sol.Utilization[j] += sol.Throughput[c] * demands[c][j]
+			}
+		}
+	}
+	if size == 1 {
+		// Zero population everywhere: idle network.
+		for j := 0; j < m; j++ {
+			sol.Queue[j] = 0
+		}
+	}
+	return sol
+}
 
 func TestSolveMultiMatchesSingleClass(t *testing.T) {
 	centers := []Center{{Kind: Queueing}, {Kind: Queueing}, {Kind: Delay}}

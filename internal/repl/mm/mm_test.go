@@ -470,6 +470,10 @@ func TestClusterGCPrunesAppliedLog(t *testing.T) {
 	c, cl := newCluster(t, 3, gcOptions)
 	seedTable(t, cl, "item", 20)
 	for i := 0; i < 15; i++ {
+		// Begin on a caught-up replica: once the host prunes, a snapshot
+		// below the horizon aborts, and a lagging replica would hand out
+		// one.
+		cl.Sync()
 		tx := begin(t, cl)
 		tx.Write("item", int64(i), "v")
 		if err := tx.Commit(); err != nil {

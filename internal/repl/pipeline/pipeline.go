@@ -10,7 +10,7 @@
 //
 //   - certify: the certifier host (which under single-master is the
 //     master) reads certified records from its local certifier, other
-//     replicas from a wire FetchSince link. HostCert fronts the
+//     replicas over wire FetchSince. HostCert fronts the
 //     host-side certifier with group commit, latency observation and
 //     long-poll wakeups.
 //   - journal: Durability is the write-ahead-log stage — version-ordered
@@ -22,8 +22,11 @@
 //     parallel on the inside (see applier.go).
 //   - ack/compact: Notify wakes long-polling peers when versions
 //     commit; PeerCursors tracks what every peer applied, bounding both
-//     certification-log GC and WAL compaction; Puller is the
-//     propagation loop that long-polls a primary and feeds the applier.
+//     certification-log GC and WAL compaction.
+//
+// The server's role loop drives the stages: the certifier host applies
+// its own log, every other replica long-polls the host through a
+// client.LeaderRing and feeds the applier.
 package pipeline
 
 import (
@@ -184,45 +187,6 @@ func (p *PeerCursors) Horizon(own int64) (int64, bool) {
 		return 0, false
 	}
 	return h, true
-}
-
-// Puller is the propagation loop shared by every node that pulls
-// records from a primary: long-poll for records past the local
-// cursor, hand them to the pipeline's apply stage, back off one
-// interval on errors (primary unreachable).
-type Puller struct {
-	// Interval is the long-poll window; it bounds both shutdown
-	// latency and the staleness detection of a dead primary.
-	Interval time.Duration
-	// Cursor returns the version to fetch past (the applier's cursor).
-	Cursor func() int64
-	// Fetch long-polls the primary for records past v.
-	Fetch func(v int64, wait time.Duration) ([]certifier.Record, error)
-	// Ingest hands fetched records to the apply/ack stages.
-	Ingest func(recs []certifier.Record)
-}
-
-// Run executes the loop until stop closes.
-func (p *Puller) Run(stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		recs, err := p.Fetch(p.Cursor(), p.Interval)
-		if err != nil {
-			select {
-			case <-stop:
-				return
-			case <-time.After(p.Interval):
-			}
-			continue
-		}
-		if len(recs) > 0 {
-			p.Ingest(recs)
-		}
-	}
 }
 
 // HostCert is the certification stage on the certifier host: the

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/certifier"
@@ -44,11 +45,9 @@ const syncLongPoll = 25 * time.Millisecond
 
 // certService is the certification surface the commit path depends
 // on: commit-time certification carrying the transaction's cross-node
-// trace id, the eager conflict probe, and writeset retrieval for
-// propagation. The certifier host serves it
-// from a pipeline.HostCert; other nodes reach the host through a
-// client.Link, or follow the leader through a client.LeaderRing under
-// Paxos.
+// trace id, and the eager conflict probe. The certifier host serves it
+// from a pipeline.HostCert; every other node reaches the host through
+// its client.LeaderRing.
 type certService interface {
 	// CertifyTraced submits a commit-time certification request; trace
 	// is the transaction's cross-node trace id (0 untraced).
@@ -56,9 +55,6 @@ type certService interface {
 	// Check probes a partial writeset for an already-certain conflict
 	// (eager certification, §5.1) without committing anything.
 	Check(snapshot int64, ws writeset.Writeset) (conflict bool, with int64)
-	// Since returns every certified record with version > v in
-	// ascending version order.
-	Since(v int64) []certifier.Record
 }
 
 // twoPCService is the cross-shard two-phase commit surface
@@ -72,20 +68,16 @@ type twoPCService interface {
 
 var (
 	_ certService  = (*pipeline.HostCert)(nil)
-	_ certService  = (*client.Link)(nil)
-	_ certService  = (*client.LeaderRing)(nil)
 	_ certService  = (*remoteCert)(nil)
-	_ certService  = (*switchCert)(nil)
 	_ twoPCService = (*pipeline.HostCert)(nil)
 	_ twoPCService = (*client.Link)(nil)
 )
 
-// remoteCert instruments a remote certification service (a Link to
-// the certifier host, or a LeaderRing under Paxos) with the local
+// remoteCert instruments the ring to the certifier host with the local
 // certification-latency histogram (which then measures the full
 // network round trip).
 type remoteCert struct {
-	svc certService
+	svc *client.LeaderRing
 	m   *metrics
 	t   *pipeline.Tracer
 }
@@ -113,15 +105,13 @@ func (r *remoteCert) Check(snapshot int64, ws writeset.Writeset) (bool, int64) {
 	return r.svc.Check(snapshot, ws)
 }
 
-func (r *remoteCert) Since(v int64) []certifier.Record { return r.svc.Since(v) }
-
 // engine is one replica node (§5): a local snapshot-isolated database
 // whose proxy extracts writesets, certifies them with the
 // certification service — hosted here (node 0, or the Paxos leader) or
-// reached over a Link — and applies certified writesets in version
-// order. The commit/apply machinery — certify stage, apply stage,
-// propagation pull loop, peer cursors, journal — all comes from
-// internal/repl/pipeline; this engine only wires the stages together.
+// reached over a client.LeaderRing — and applies certified writesets
+// in version order. The commit/apply machinery — certify stage, apply
+// stage, peer cursors, journal — all comes from internal/repl/pipeline;
+// this engine wires the stages together and runs the role loop.
 //
 // Under generalized snapshot isolation a transaction's snapshot is the
 // latest version this node has applied — possibly older than the
@@ -135,18 +125,17 @@ func (r *remoteCert) Since(v int64) []certifier.Record { return r.svc.Since(v) }
 // against its own log aborts exactly the transactions its
 // first-committer-wins check would (§2).
 type engine struct {
-	db   *sidb.DB
-	ap   *pipeline.Applier // the local replica's apply stage
-	cert certService
+	db *sidb.DB
+	ap *pipeline.Applier // the local replica's apply stage
 	// eager certifies partial writesets on every write, aborting doomed
 	// transactions early (§5.1).
 	eager bool
 	// async acknowledges a commit once its writeset is certified,
-	// leaving its application to the propagation loop like every other
-	// record — the paper's commit rule. Every node but the static
-	// certifier host runs this way, so a commit does not re-download
-	// the backlog its puller is already fetching; the next transaction
-	// on the same node may not yet see the commit (GSI allows that).
+	// leaving its application to the role loop like every other record
+	// — the paper's commit rule. Every node but the static certifier
+	// host runs this way, so a commit does not re-download the backlog
+	// the role loop is already fetching; the next transaction on the
+	// same node may not yet see the commit (GSI allows that).
 	async bool
 	// slave marks a single-master slave: it refuses update
 	// transactions, schema and load, which run only on the master.
@@ -154,26 +143,27 @@ type engine struct {
 	ddlMu sync.Mutex // serializes createTable's existence check and commit
 
 	stop     <-chan struct{}
-	cursors  *pipeline.PeerCursors // non-nil on the certifier host
-	link     *client.Link          // non-nil elsewhere: the commit path's link
-	puller   *client.Link          // non-nil elsewhere: the propagation link
+	cursors  *pipeline.PeerCursors // non-nil on a node that may host the certifier
 	dur      *pipeline.Durability  // non-nil when the node runs a WAL
 	resumed  int64                 // version recovered from the WAL at start
 	resumeOK bool
 
 	// host is the hosted certification service: non-nil on the static
 	// certifier host (node 0 without Paxos), and on whichever node
-	// currently leads under Paxos. hostMu guards the role swaps; read
-	// through hostCert().
-	hostMu sync.RWMutex
-	host   *pipeline.HostCert
+	// currently leads under Paxos. Read through hostCert().
+	host atomic.Pointer[pipeline.HostCert]
+
+	// ring reaches the certifier host from every node that may not host
+	// it: it holds only Primary without Paxos, and every member with
+	// Paxos. remote is the ring instrumented for the commit path. Both
+	// are nil on the static host.
+	ring   *client.LeaderRing
+	remote *remoteCert
 
 	// Replicated certification (nil without Options.Paxos): the
-	// embedded acceptor + transport + leader ring, the switchable
-	// certification service the node commits through, and what
-	// promoteSelf needs to rebuild a host.
+	// embedded acceptor and its transport, and the node's view of who
+	// leads.
 	px          *paxosNode
-	sw          *switchCert
 	m           *metrics
 	groupCommit bool
 
@@ -186,12 +176,17 @@ type engine struct {
 
 func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) {
 	e := &engine{
-		db:         sidb.New(),
-		eager:      opts.EagerCert,
-		slave:      opts.Design == "sm" && opts.ID > 0,
-		stop:       stop,
-		staleAfter: opts.StaleAfter,
-		m:          m,
+		db:    sidb.New(),
+		eager: opts.EagerCert,
+		// Only the static certifier host applies its commits before
+		// acknowledging them; everywhere else the role loop applies
+		// them, and a commit must not re-fetch the backlog it is fetching.
+		async:       opts.Paxos || opts.ID > 0,
+		slave:       opts.Design == "sm" && opts.ID > 0,
+		stop:        stop,
+		staleAfter:  opts.StaleAfter,
+		m:           m,
+		groupCommit: opts.GroupCommit,
 	}
 	e.ap = pipeline.NewApplier(e.db)
 	e.ap.SetTracer(m.tracer)
@@ -203,7 +198,8 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 		}
 		e.dur.OnCompact = m.compactEvent
 	}
-	if opts.Paxos {
+	switch {
+	case opts.Paxos:
 		// Replicated certification: this node hosts a Paxos acceptor
 		// and starts as a backup; leadership comes only from winning an
 		// election in the role loop (node 0 campaigns immediately on a
@@ -217,26 +213,13 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 			return nil, err
 		}
 		e.px = px
-		e.groupCommit = opts.GroupCommit
 		e.membership = elastic.NewMembership()
 		e.membership.SeedStatic(opts.Members)
 		e.cursors = pipeline.NewPeerCursors(func() int {
 			return e.membership.Peers()
 		}, int64(opts.GCLag))
-		e.sw = &switchCert{}
-		e.sw.set(&remoteCert{svc: px.ring, m: m, t: m.tracer})
-		e.cert = e.sw
-		// Backup-side propagation decodes the leader's trace id and
-		// commit timestamp per record; feed them to the tracer so
-		// replication lag is measured against the leader's clock.
-		px.ring.OnRecordMeta(m.tracer.NoteCommitMeta)
-		// Backup catch-up rides Since(); long-poll so a caught-up backup
-		// parks on the leader instead of spinning wait=0 fetches.
-		px.ring.SetSinceWait(syncLongPoll)
-		// The role loop applies the log (as leader) or pulls it (as
-		// backup); commits must not synchronously re-fetch the backlog.
-		e.async = true
-	} else if opts.ID == 0 {
+		e.ring = client.NewLeaderRing(opts.Members, opts.Design, opts.ID, opts.DialTimeout)
+	case opts.ID == 0:
 		// The certification log recovers from the WAL: the restarted
 		// certifier resumes at the last durably logged version, with
 		// the compaction base as its pruning horizon.
@@ -247,12 +230,7 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 		if e.dur != nil {
 			base.SetJournal(e.dur.W)
 		}
-		base.SetStageObserver(m.tracer.CertStages())
-		var batcher *certifier.Batcher
-		if opts.GroupCommit {
-			batcher = certifier.NewBatcher(base, 0)
-		}
-		e.host = &pipeline.HostCert{Base: base, Batcher: batcher, Notify: pipeline.NewNotify(), Observe: m.observeCert, Tracer: m.tracer}
+		e.host.Store(e.newHost(base))
 		e.membership = elastic.NewMembership()
 		switch {
 		case len(opts.Members) > 0:
@@ -272,17 +250,18 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 			}
 			return e.membership.Peers()
 		}, int64(opts.GCLag))
-		e.cert = e.host
-	} else {
-		e.link = client.NewLink(opts.Primary, opts.Design, opts.ID, opts.DialTimeout)
-		e.link.SetSinceWait(syncLongPoll)
-		e.puller = client.NewLink(opts.Primary, opts.Design, opts.ID, opts.DialTimeout)
-		e.puller.OnRecordMeta(m.tracer.NoteCommitMeta)
-		e.cert = &remoteCert{svc: e.link, m: m, t: m.tracer}
-		// The propagation loop applies writesets here; re-fetching the
-		// backlog synchronously on every commit would double the
-		// traffic for nothing.
-		e.async = true
+	default:
+		e.ring = client.NewLeaderRing([]string{opts.Primary}, opts.Design, opts.ID, opts.DialTimeout)
+	}
+	if e.ring != nil {
+		// Records fetched through the ring carry the host's trace id
+		// and commit timestamp; feed them to the tracer so replication
+		// lag is measured against the host's clock.
+		e.ring.OnRecordMeta(m.tracer.NoteCommitMeta)
+		// Commit-path catch-up rides Since(); long-poll so a caught-up
+		// node parks on the host instead of spinning wait=0 fetches.
+		e.ring.SetSinceWait(syncLongPoll)
+		e.remote = &remoteCert{svc: e.ring, m: m, t: m.tracer}
 	}
 	if rec != nil {
 		// Rebuild the local database from the log (snapshot + records),
@@ -307,6 +286,35 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 		}
 	}
 	return e, nil
+}
+
+// newHost builds the hosted certification service over cert: the
+// stage tracer, group commit when configured, latency observation and
+// long-poll wakeups. The static host builds it once; a Paxos node
+// builds one on every election it wins.
+func (e *engine) newHost(cert *certifier.Certifier) *pipeline.HostCert {
+	cert.SetStageObserver(e.m.tracer.CertStages())
+	var batcher *certifier.Batcher
+	if e.groupCommit {
+		batcher = certifier.NewBatcher(cert, 0)
+	}
+	return &pipeline.HostCert{Base: cert, Batcher: batcher, Notify: pipeline.NewNotify(), Observe: e.m.observeCert, Tracer: e.m.tracer}
+}
+
+// hostCert returns the hosted certification service, nil while this
+// node does not host the certifier.
+func (e *engine) hostCert() *pipeline.HostCert { return e.host.Load() }
+
+// certService returns the certification service the commit path uses
+// now: the hosted certifier while this node hosts it, the ring to the
+// host otherwise. A call in flight when the role changes finishes
+// against the service it started on; a deposed host answers it with
+// NotLeaderError, which is exactly the fencing contract.
+func (e *engine) certService() certService {
+	if h := e.hostCert(); h != nil {
+		return h
+	}
+	return e.remote
 }
 
 // resume reports the version durable state was recovered to at start
@@ -375,7 +383,7 @@ func (e *engine) loadChunk(table string, rows []int64, values []string) error {
 // certifyWriteset certifies ws outside any transaction, at this node's
 // applied snapshot.
 func (e *engine) certifyWriteset(ws writeset.Writeset) error {
-	out, err := e.cert.CertifyTraced(e.ap.Applied(), ws, 0)
+	out, err := e.certService().CertifyTraced(e.ap.Applied(), ws, 0)
 	if err != nil {
 		return err
 	}
@@ -398,7 +406,7 @@ func (e *engine) catchUp() {
 		e.ap.Apply(h.Base.SinceInto(buf[:0], e.ap.Applied()))
 		return
 	}
-	e.ap.Apply(e.cert.Since(e.ap.Applied()))
+	e.ap.Apply(e.ring.Since(e.ap.Applied()))
 }
 
 func (e *engine) dump(table string) (map[int64]string, error) { return e.db.Dump(table) }
@@ -446,10 +454,10 @@ func (e *engine) check(snapshot int64, ws writeset.Writeset) (bool, int64, error
 
 // twoPC resolves where the 2PC verbs run: on the certifier host the
 // hosted certifier itself (and a commit decision applies locally before
-// acking, like any commit); on a plain non-primary node the link to the
-// primary, so a sharded client may address any member of a group.
-// Under Paxos the leader serves from its hosted certifier and everyone
-// else redirects — the leader's log is the only authority.
+// acking, like any commit); on a plain non-primary node the ring's link
+// to the primary, so a sharded client may address any member of a
+// group. Under Paxos the leader serves from its hosted certifier and
+// everyone else redirects — the leader's log is the only authority.
 func (e *engine) twoPC() (twoPCService, error) {
 	if h := e.hostCert(); h != nil {
 		return h, nil
@@ -457,7 +465,11 @@ func (e *engine) twoPC() (twoPCService, error) {
 	if e.px != nil {
 		return nil, e.px.notLeaderErr()
 	}
-	return e.link, nil
+	l, err := e.ring.Leader()
+	if err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 func (e *engine) prepareTxn(p certifier.PreparedTxn) (bool, int64, error) {
@@ -661,7 +673,7 @@ func (e *engine) maybeGC() {
 	}
 }
 
-// ingest hands fetched records to the apply stage — the puller's sink.
+// ingest hands records fetched by the role loop to the apply stage.
 func (e *engine) ingest(recs []certifier.Record) {
 	if len(recs) > 0 {
 		// Propagation-side span, sampled once per fetched batch.
@@ -692,45 +704,69 @@ func (e *engine) maybeCompactDurable() {
 	})
 }
 
-// run is the writeset propagation loop. The certifier host applies
-// from its local log on commit wakeups; other nodes long-poll the host
-// over their dedicated peer link.
+// retryInterval paces the role loop after a failed poll of the host.
+const retryInterval = 50 * time.Millisecond
+
+// run is the role loop. A node hosting the certifier applies its own
+// log on commit wakeups, compacts, and evicts stale members; under
+// Paxos it first checks that it has not been deposed. Any other node
+// long-polls the host through the ring, one attempt per pass: a failed
+// poll moves the ring's guess, so the next pass asks the next member.
+// Under Paxos the node campaigns once no leader has answered for
+// electAfter. Node 0's first campaign fires immediately, which is what
+// elects a leader on a cold cluster.
 func (e *engine) run(stop <-chan struct{}) {
-	if e.px != nil {
-		e.runPaxos(stop)
-		return
+	answered := time.Now() // when a host last answered a poll
+	if e.px != nil && e.px.id == 0 {
+		answered = answered.Add(-e.px.electAfter)
 	}
-	if e.host != nil {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		if h := e.hostCert(); h != nil {
+			if e.px != nil && e.stepDownIfDeposed(h) {
+				answered = time.Now()
+				continue
 			}
-			e.host.Notify.WaitBeyond(e.applied(), pollInterval, stop)
+			h.Notify.WaitBeyond(e.applied(), pollInterval, stop)
 			e.catchUp()
 			e.maybeCompactDurable()
 			// Evict elastic members that stopped proving liveness — a
-			// joiner that crashed mid-state-transfer, or a replica
-			// that died without a Leave. Their ghost cursors would
-			// otherwise block certification-log GC forever.
+			// joiner that crashed mid-state-transfer, or a replica that
+			// died without a Leave. Their ghost cursors would otherwise
+			// block certification-log GC forever.
 			e.evictStale()
+			continue
+		}
+		recs, err := e.ring.FetchSinceOnce(e.applied(), pollInterval)
+		if err == nil {
+			if len(recs) > 0 {
+				e.ingest(recs)
+				// Compact whenever records arrived, even if a client's
+				// wire Sync handler won the race to apply them —
+				// otherwise a replica whose applies are always won that
+				// way would never compact.
+				e.maybeCompactDurable()
+			}
+			answered = time.Now()
+			continue
+		}
+		if e.px != nil && time.Since(answered) >= e.px.electAfter {
+			// Whether or not the campaign wins, restart the timer: a
+			// partitioned minority node must not spin on elections.
+			_ = e.promoteSelf()
+			answered = time.Now()
+			continue
+		}
+		select {
+		case <-stop:
+			return
+		case <-time.After(retryInterval):
 		}
 	}
-	p := &pipeline.Puller{
-		Interval: pollInterval,
-		Cursor:   e.applied,
-		Fetch:    e.puller.FetchSince,
-		Ingest: func(recs []certifier.Record) {
-			e.ingest(recs)
-			// Compact whenever records arrived, even if a client's wire
-			// Sync handler won the race to apply them — otherwise a
-			// replica whose applies are always won that way would never
-			// compact.
-			e.maybeCompactDurable()
-		},
-	}
-	p.Run(stop)
 }
 
 // disconnect closes the network links to the primary and peers,
@@ -738,11 +774,8 @@ func (e *engine) run(stop <-chan struct{}) {
 // must precede close: run may still be ingesting records when
 // disconnect returns, but it no longer can after it exits.
 func (e *engine) disconnect() {
-	if e.link != nil {
-		e.link.Close()
-	}
-	if e.puller != nil {
-		e.puller.Close()
+	if e.ring != nil {
+		e.ring.Close()
 	}
 	if e.px != nil {
 		e.px.disconnect()
@@ -826,7 +859,7 @@ func (t *txn) Write(table string, row int64, value string) error {
 		partial := writeset.Writeset{Entries: []writeset.Entry{
 			{Key: writeset.Key{Table: table, Row: row}, Value: value},
 		}}
-		if conflict, with := t.e.cert.Check(t.snapshot, partial); conflict {
+		if conflict, with := t.e.certService().Check(t.snapshot, partial); conflict {
 			return &repl.AbortedError{ConflictWith: with}
 		}
 	}
@@ -855,7 +888,7 @@ func (t *txn) Commit() error {
 		_, _, err := t.inner.Commit()
 		return err
 	}
-	outcome, err := t.e.cert.CertifyTraced(t.snapshot, ws, t.trace)
+	outcome, err := t.e.certService().CertifyTraced(t.snapshot, ws, t.trace)
 	// The local speculative state is discarded whatever the verdict: a
 	// certified writeset installs through the apply stage in version
 	// order.

@@ -13,47 +13,12 @@ import (
 	"repro/internal/paxoslog"
 	"repro/internal/repl/pipeline"
 	"repro/internal/wal"
-	"repro/internal/writeset"
 )
-
-// switchCert routes the cluster's certification service to whichever
-// role this node currently plays: the hosted replicated certifier
-// while leading, a redirect-following LeaderRing while backing up.
-// Role changes swap the inner service atomically; in-flight calls
-// finish against the service they started on (a deposed host answers
-// them with NotLeaderError, which is exactly the fencing contract).
-type switchCert struct {
-	mu  sync.RWMutex
-	svc certService
-}
-
-func (s *switchCert) set(svc certService) {
-	s.mu.Lock()
-	s.svc = svc
-	s.mu.Unlock()
-}
-
-func (s *switchCert) get() certService {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.svc
-}
-
-func (s *switchCert) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
-	return s.get().CertifyTraced(snapshot, ws, trace)
-}
-
-func (s *switchCert) Check(snapshot int64, ws writeset.Writeset) (bool, int64) {
-	return s.get().Check(snapshot, ws)
-}
-
-func (s *switchCert) Since(v int64) []certifier.Record { return s.get().Since(v) }
 
 // paxosNode is the replicated-certification state of one mm server:
 // the Paxos acceptor this process hosts (durable under the WAL
 // directory when the node runs one), the wire transport to its peers'
-// acceptors, the redirect-following ring it certifies through while a
-// backup, and its current view of who leads.
+// acceptors, and its current view of who leads.
 type paxosNode struct {
 	id         int
 	peerIDs    []int
@@ -63,7 +28,6 @@ type paxosNode struct {
 	acc   *paxos.Acceptor
 	store *paxoslog.Store // nil when the acceptor is volatile
 	tr    *client.PaxosTransport
-	ring  *client.LeaderRing
 
 	mu      sync.Mutex
 	leading bool
@@ -113,14 +77,10 @@ func newPaxosNode(opts Options) (*paxosNode, error) {
 		}
 		px.tr.SetPeer(i, client.NewLink(addr, opts.Design, opts.ID, opts.DialTimeout))
 	}
-	px.ring = client.NewLeaderRing(px.addrs, opts.Design, opts.ID, opts.DialTimeout)
 	return px, nil
 }
 
-func (px *paxosNode) disconnect() {
-	px.tr.Close()
-	px.ring.Close()
-}
+func (px *paxosNode) disconnect() { px.tr.Close() }
 
 func (px *paxosNode) close() {
 	if px.store != nil {
@@ -166,15 +126,6 @@ func (px *paxosNode) addrOf(id int) string {
 
 // --- engine: replicated-certification role machinery ---
 
-// hostCert returns the currently hosted certification service, nil
-// while this node is a backup. Without Paxos the host is fixed at
-// construction and this is a plain read.
-func (e *engine) hostCert() *pipeline.HostCert {
-	e.hostMu.RLock()
-	defer e.hostMu.RUnlock()
-	return e.host
-}
-
 // promoteSelf campaigns for leadership: it elects this node's fenced
 // proposer, rebuilds the certifier from the recovered quorum log,
 // re-attaches the local journal as a restart cache, and installs the
@@ -196,16 +147,7 @@ func (e *engine) promoteSelf() error {
 		e.ap.Apply(cert.Since(e.ap.Applied()))
 		cert.SetJournal(e.dur.W)
 	}
-	cert.SetStageObserver(e.m.tracer.CertStages())
-	var batcher *certifier.Batcher
-	if e.groupCommit {
-		batcher = certifier.NewBatcher(cert, 0)
-	}
-	h := &pipeline.HostCert{Base: cert, Notify: pipeline.NewNotify(), Batcher: batcher, Observe: e.m.observeCert, Tracer: e.m.tracer}
-	e.hostMu.Lock()
-	e.host = h
-	e.hostMu.Unlock()
-	e.sw.set(h)
+	e.host.Store(e.newHost(cert))
 	e.px.setLeading(epoch)
 	e.m.events.Emit(events.LeaderElected,
 		fmt.Sprintf("won certifier election at epoch round %d", epoch.Round),
@@ -219,82 +161,28 @@ func (e *engine) promoteSelf() error {
 // racing into the old host gets NotLeaderError from the fenced
 // proposer — never an ack.
 func (e *engine) stepDown(by paxos.Ballot) {
-	e.hostMu.Lock()
-	e.host = nil
-	e.hostMu.Unlock()
-	e.sw.set(&remoteCert{svc: e.px.ring, m: e.m, t: e.m.tracer})
+	e.host.Store(nil)
 	e.px.setFollower(by.Proposer, by)
 	if addr := e.px.addrOf(by.Proposer); addr != "" {
-		e.px.ring.Point(addr)
+		e.ring.Point(addr)
 	}
 	e.m.events.Emit(events.LeaderLost,
 		fmt.Sprintf("stepped down, deposed by node %d at epoch round %d", by.Proposer, by.Round),
 		map[string]string{"epoch": strconv.Itoa(by.Round), "deposed_by": strconv.Itoa(by.Proposer)})
 }
 
-// runPaxos is the role loop of a Paxos-enabled node: leaders apply
-// their log and watch for deposal, backups pull from the leader and
-// campaign after electAfter without progress. Node 0's first campaign
-// fires immediately, which is what elects a leader on a cold cluster.
-func (e *engine) runPaxos(stop <-chan struct{}) {
-	last := time.Now()
-	if e.px.id == 0 {
-		last = last.Add(-e.px.electAfter)
+// stepDownIfDeposed demotes this leader when a newer epoch exists: its
+// fenced proposer was preempted, or a higher promise on our own
+// acceptor shows a newer epoch campaigned through us — step down
+// without waiting to trip over a propose.
+func (e *engine) stepDownIfDeposed(h *pipeline.HostCert) bool {
+	if by, ok := h.Base.Deposed(); ok {
+		e.stepDown(by)
+		return true
 	}
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		if h := e.hostCert(); h != nil {
-			if by, ok := h.Base.Deposed(); ok {
-				e.stepDown(by)
-				last = time.Now()
-				continue
-			}
-			// A higher promise on our own acceptor means a newer epoch
-			// campaigned through us: step down without waiting to trip
-			// over a propose.
-			if _, promised := e.px.acc.Status(); h.Base.Epoch().Less(promised) {
-				e.stepDown(promised)
-				last = time.Now()
-				continue
-			}
-			h.Notify.WaitBeyond(e.applied(), pollInterval, stop)
-			e.catchUp()
-			e.maybeCompactDurable()
-			e.evictStale()
-			continue
-		}
-		// Backup: long-poll the leader for writesets. Any successful
-		// round trip counts as leader progress. One attempt per pass:
-		// a failed poll moves the ring's guess, and the next pass asks
-		// the next member, so the timer below measures time since a
-		// leader last answered and a new leader is found within a few
-		// passes — well inside the stagger between election timers.
-		recs, err := e.px.ring.FetchSinceOnce(e.applied(), pollInterval)
-		if err == nil {
-			if len(recs) > 0 {
-				e.ingest(recs)
-				e.maybeCompactDurable()
-			}
-			last = time.Now()
-			continue
-		}
-		if time.Since(last) >= e.px.electAfter {
-			if err := e.promoteSelf(); err == nil {
-				continue
-			}
-			// Campaign failed (no majority yet): restart the timer so a
-			// partitioned minority node does not spin on elections.
-			last = time.Now()
-			continue
-		}
-		select {
-		case <-stop:
-			return
-		case <-time.After(50 * time.Millisecond):
-		}
+	if _, promised := e.px.acc.Status(); h.Base.Epoch().Less(promised) {
+		e.stepDown(promised)
+		return true
 	}
+	return false
 }

@@ -392,7 +392,7 @@ func (s *Server) Start() {
 // Only an mm replica that certifies through the primary can leave: the
 // primary, sm nodes and Paxos members refuse without draining.
 func (s *Server) Leave() error {
-	if s.opts.Design == "sm" || s.eng.link == nil {
+	if s.opts.Design == "sm" || s.eng.px != nil || s.eng.ring == nil {
 		return fmt.Errorf("%w: only an mm replica certifying through the primary can leave the cluster", errUnsupported)
 	}
 	if s.draining.Swap(true) {
@@ -401,7 +401,10 @@ func (s *Server) Leave() error {
 	// Deregister first: routing stops cluster-wide as soon as clients
 	// observe the epoch bump, while the draining flag already refuses
 	// anything that races in over existing connections.
-	err := s.eng.link.Leave(int64(s.opts.ID))
+	l, err := s.eng.ring.Leader()
+	if err == nil {
+		err = l.Leave(int64(s.opts.ID))
+	}
 	deadline := time.Now().Add(drainTimeout)
 	for s.m.activeTxns.Load() > 0 {
 		if time.Now().After(deadline) {
