@@ -8,7 +8,8 @@
 //     and verifies convergence;
 //   - "serve" runs ONE replica as a TCP server process, so an
 //     N-replica cluster is N processes connected by the wire protocol
-//     (replica 0 hosts the certifier for mm / is the master for sm);
+//     (replica 0, or the elected leader with -paxos, hosts the
+//     certifier; under sm that node is the master, the one update site);
 //   - "bench" drives a TPC-W / RUBiS mix against a running networked
 //     cluster through the pooled client and verifies convergence over
 //     the wire;
@@ -144,8 +145,8 @@ func runMain(args []string) {
 		clients  = fs.Int("clients", 8, "concurrent clients")
 		txns     = fs.Int("txns", 100, "committed transactions per client")
 		factor   = fs.Int("factor", 100, "table scale-down factor (1 = full benchmark size)")
-		paxos    = fs.Bool("paxos", false, "replicate the certifier over the replicas with leader election (mm)")
-		batch    = fs.Bool("groupcommit", false, "batch commit certification on the certifier host (mm)")
+		paxos    = fs.Bool("paxos", false, "replicate the certifier over the replicas with leader election")
+		batch    = fs.Bool("groupcommit", false, "batch commit certification on the certifier host")
 		seed     = fs.Uint64("seed", 1, "workload seed")
 	)
 	fs.Parse(args)
@@ -165,7 +166,7 @@ func runMain(args []string) {
 		Design:      *design,
 		Paxos:       *paxos,
 		GroupCommit: *batch,
-		EagerCert:   *design == "mm",
+		EagerCert:   true,
 	}
 	if err := launch.Validate(1, *replicas, tmpl); err != nil {
 		usageExit(fs, "%v", err)
@@ -204,9 +205,7 @@ func runMain(args []string) {
 	}
 	fmt.Println("ok: all replicas identical")
 
-	if *design == "mm" {
-		printCertifier(c)
-	}
+	printCertifier(c)
 }
 
 // printCertifier sums the replicas' Stats counters into the
@@ -244,13 +243,13 @@ func serveMain(args []string) {
 		id      = fs.Int("id", 0, "this replica's id (0 hosts the certifier / is the master)")
 		listen  = fs.String("listen", "", "TCP listen address, e.g. 127.0.0.1:7000 (required)")
 		peers   = fs.String("peers", "", "comma-separated replica addresses indexed by id (peers[0] is the primary; required unless -join)")
-		join    = fs.String("join", "", "elastic join: primary address to join at startup (mm; the primary assigns the id and transfers a snapshot)")
+		join    = fs.String("join", "", "elastic join: primary address to join at startup (the primary assigns the id and transfers a snapshot)")
 		metrics = fs.String("metrics", "", "optional HTTP /metrics listen address")
-		batch   = fs.Bool("groupcommit", false, "batch commit certification on the certifier host (mm: id 0, or any node with -paxos)")
-		eager   = fs.Bool("eager", false, "eager certification on writes (mm; remote probe per write on non-primary nodes)")
+		batch   = fs.Bool("groupcommit", false, "batch commit certification on the certifier host (id 0, or any node with -paxos)")
+		eager   = fs.Bool("eager", false, "eager certification on writes (remote probe per write on non-primary nodes)")
 		walDir  = fs.String("wal-dir", "", "durable commits: write-ahead log directory (replayed on start; a restarted replica resumes via FetchSince)")
 		fsync   = fs.Bool("fsync", false, "fsync WAL commits (group commit) before acknowledging; requires -wal-dir")
-		paxos   = fs.Bool("paxos", false, "replicate the certifier over the -peers group with leader election and automatic failover (mm; composes with -wal-dir/-fsync)")
+		paxos   = fs.Bool("paxos", false, "replicate the certifier over the -peers group with leader election and automatic failover (composes with -wal-dir/-fsync)")
 		electTO = fs.Duration("elect-timeout", time.Second, "paxos: how long a backup goes without leader progress before campaigning")
 
 		shard  = fs.Int("shard", 0, "hash-partitioned deployment: this replica group's shard id (every replica of a group serves the same -shard)")
@@ -400,7 +399,7 @@ func serveMain(args []string) {
 			fmt.Printf("replicadb: autoscaler added replica on %s\n", rep.Addr())
 			return rep, nil
 		})
-		src = elastic.NewWireSource(srv.Addr(), "mm", 2*time.Second)
+		src = elastic.NewWireSource(srv.Addr(), 2*time.Second)
 		ctl, err := elastic.NewController(elastic.Config{
 			Min: *minRep, Max: *maxRep,
 			Base:        baseMix,
@@ -436,7 +435,7 @@ func serveMain(args []string) {
 	var monStop chan struct{}
 	var monSrc *elastic.WireSource
 	if *modelcheck {
-		monSrc = elastic.NewWireSource(srv.Addr(), "mm", 2*time.Second)
+		monSrc = elastic.NewWireSource(srv.Addr(), 2*time.Second)
 		mon := elastic.NewMonitor(srv.Registry(), baseMix, *think, monSrc)
 		mon.SetRecalibrate(*recal)
 		monStop = make(chan struct{})
@@ -514,14 +513,14 @@ type benchWindow struct {
 	ok   bool
 }
 
-func openBenchWindow(primary string, design string, mix workload.Mix) *benchWindow {
+func openBenchWindow(primary string, mix workload.Mix) *benchWindow {
 	// The bench driver is a zero-think closed loop (clients fire the
 	// next transaction immediately), unlike the paper's 1 s-think TPC-W
 	// clients the mix describes — so the model must be evaluated at
 	// think 0 or Little's law inflates the population ~4000x.
 	mix.Think = 0
 	w := &benchWindow{
-		src:  elastic.NewWireSource(primary, design, 2*time.Second),
+		src:  elastic.NewWireSource(primary, 2*time.Second),
 		prof: elastic.NewProfiler(mix, 0),
 	}
 	if s, err := w.src.Sample(); err == nil {
@@ -591,7 +590,7 @@ func benchMain(args []string) {
 		seed     = fs.Uint64("seed", 1, "workload seed")
 		load     = fs.Bool("load", true, "create and load the schema before driving")
 		converge = fs.Bool("converge", true, "verify replica convergence after the run")
-		watch    = fs.Bool("watch", false, "watch cluster membership and spread load onto replicas that join mid-run (mm)")
+		watch    = fs.Bool("watch", false, "watch cluster membership and spread load onto replicas that join mid-run")
 		ramp     = fs.Duration("ramp", 500*time.Millisecond, "with -json: exclude this warm-up window from steady_tps (0 disables)")
 		jsonOut  = fs.String("json", "", "write a machine-readable result to this file (\"-\" for stdout)")
 	)
@@ -608,9 +607,6 @@ func benchMain(args []string) {
 	}
 	if *factor < 1 {
 		usageExit(fs, "-factor must be >= 1 (got %d)", *factor)
-	}
-	if *watch && *design != "mm" {
-		usageExit(fs, "-watch requires -design mm")
 	}
 	mix := mustMix(fs, *mixID)
 	cat, err := workload.CatalogFor(mix)
@@ -643,13 +639,13 @@ func benchMain(args []string) {
 	var startOK bool
 	rampCh := make(chan rampPoint, 1)
 	if *jsonOut != "" {
-		bw = openBenchWindow(splitAddrs(*servers)[0], *design, mix)
+		bw = openBenchWindow(splitAddrs(*servers)[0], mix)
 		if *ramp > 0 {
 			// Sample the cluster's cumulative commit counter at the start
 			// and again at the ramp boundary, so the steady-state rate can
 			// be computed without the connection warm-up and catch-up
 			// transients the wall-clock TPS folds in.
-			rampSrc = elastic.NewWireSource(splitAddrs(*servers)[0], *design, 2*time.Second)
+			rampSrc = elastic.NewWireSource(splitAddrs(*servers)[0], 2*time.Second)
 			defer rampSrc.Close()
 			startCommits, startOK = clusterCommits(rampSrc)
 			wait := *ramp

@@ -59,7 +59,7 @@ func main() {
 		return rep, nil
 	})
 	defer scaler.Close()
-	src := elastic.NewWireSource(prim.Addr(), "mm", 2*time.Second)
+	src := elastic.NewWireSource(prim.Addr(), 2*time.Second)
 	defer src.Close()
 
 	const think = 25 * time.Millisecond

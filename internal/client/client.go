@@ -4,14 +4,18 @@
 // (repl.Drive), catalog loader and convergence checker run over TCP.
 //
 // Routing is the paper's least-loaded balancing (internal/lb):
-// transactions go to the least-loaded replica (updates pinned to the
-// master for the single-master design), one pooled connection is
-// checked out per transaction, and a replica that stops answering is
-// marked down and routed around until a later probe revives it — the
-// behavior the kill-one-replica test exercises.
+// transactions go to the least-loaded replica (single-master updates
+// go to the certifier host, which is the master), one pooled
+// connection is checked out per transaction, and a replica that stops
+// answering is marked down and routed around until a later probe
+// revives it — the behavior the kill-one-replica test exercises.
 //
-// Membership is elastic (mm design): with Options.Watch the client
-// polls the primary's member list and resizes its pool set live —
+// The client finds the certifier host by redirect: it starts at server
+// 0 and follows NotLeader replies, so a master or leader that moved
+// under Paxos stays reachable (see onHost).
+//
+// Membership is elastic: with Options.Watch the client polls the
+// certifier host's member list and resizes its pool set live —
 // replicas that join start taking traffic, replicas that leave stop
 // receiving new transactions immediately. A replica that vanishes
 // mid-transaction surfaces as repl.ErrAborted on the next operation,
@@ -23,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/lb"
@@ -32,11 +37,11 @@ import (
 
 // Options configure the driver.
 type Options struct {
-	// Servers lists replica addresses indexed by replica id; index 0
-	// is the certifier host (mm) or the master (sm).
+	// Servers lists replica addresses indexed by replica id. Index 0
+	// is the first guess of the certifier host.
 	Servers []string
-	// Design selects update routing: "mm" sends updates to any
-	// replica, "sm" pins them to server 0.
+	// Design selects update routing, and nothing else: "mm" sends
+	// updates to any replica, "sm" to the certifier host (the master).
 	Design string
 	// PoolSize caps retained idle connections per server (default 4).
 	PoolSize int
@@ -46,15 +51,15 @@ type Options struct {
 	// being optimistically re-probed (default 500ms).
 	ProbeAfter time.Duration
 	// Watch enables elastic membership: the client polls the
-	// primary's member list (mm only) and adds/retires replica pools
-	// as the cluster grows and shrinks.
+	// certifier host's member list and adds/retires replica pools as
+	// the cluster grows and shrinks.
 	Watch bool
 	// WatchInterval is the membership poll period (default 250ms).
 	WatchInterval time.Duration
 }
 
-// Validate reports the first rule the options break: no servers, an
-// unknown design, or membership watching outside the mm design.
+// Validate reports the first rule the options break: no servers or an
+// unknown design.
 func (o Options) Validate() error {
 	if len(o.Servers) == 0 {
 		return errors.New("client: no servers")
@@ -63,9 +68,6 @@ func (o Options) Validate() error {
 	case "mm", "sm":
 	default:
 		return fmt.Errorf("client: unknown design %q (mm|sm)", o.Design)
-	}
-	if o.Watch && o.Design != "mm" {
-		return errors.New("client: membership watching requires the mm design")
 	}
 	return nil
 }
@@ -83,6 +85,9 @@ type Client struct {
 	reps      []*replicaConns
 	memberIdx map[int64]int // member id -> slot index
 	epoch     int64
+	// host is the slot of the certifier host as last learned: slot 0
+	// at first, then wherever NotLeader redirects point (moveHost).
+	host atomic.Int64
 	// Shard-map fields as last published by the primary (all zero on
 	// unsharded deployments).
 	shardID    int64
@@ -205,10 +210,9 @@ func (c *Client) watchLoop() {
 }
 
 func (c *Client) pollMembership() {
-	primary := c.rep(0)
-	reply, err := primary.pool.rpc(&wire.Members{}, c.opts.WatchInterval+linkRPCDeadline)
+	reply, err := c.rpcHost(&wire.Members{}, c.opts.WatchInterval+linkRPCDeadline)
 	if err != nil {
-		return // primary unreachable: keep the current view
+		return // host unreachable: keep the current view
 	}
 	m, ok := reply.(*wire.MembersOK)
 	if !ok {
@@ -298,44 +302,93 @@ func (c *Client) reviveDue() {
 func (c *Client) BeginRead() (repl.Txn, error) { return c.begin(true) }
 
 // BeginUpdate starts an update transaction (any replica for mm, the
-// master for sm).
+// certifier host for sm).
 func (c *Client) BeginUpdate() (repl.Txn, error) { return c.begin(false) }
 
 func (c *Client) begin(readOnly bool) (repl.Txn, error) {
-	eligible := func(i int) bool {
-		if c.opts.Design == "sm" && !readOnly {
-			return i == 0
-		}
-		return true
-	}
 	c.reviveDue()
-	var lastErr error
-	attempts := c.bal.Size() + 1
-	for attempt := 0; attempt <= attempts; attempt++ {
-		idx, err := c.bal.AcquireWhere(eligible)
-		if err != nil {
-			return nil, err
-		}
-		tx, err := c.beginOn(idx, readOnly)
-		if err == nil {
-			return tx, nil
-		}
-		c.bal.Release(idx)
-		lastErr = err
-		var pe *protocolError
-		if errors.As(err, &pe) {
-			if pe.code == wire.CodeDraining {
-				// The replica is leaving: stop routing to it and try
-				// another. The next membership poll retires it.
-				c.markDown(idx)
-				continue
+	var tx *Txn
+	var err error
+	if c.opts.Design == "sm" && !readOnly {
+		err = c.onHost(false, func(idx int) error {
+			tx, err = c.beginOn(func(i int) bool { return i == idx }, false)
+			return err
+		})
+	} else {
+		for attempt := 0; attempt <= c.bal.Size()+1; attempt++ {
+			if tx, err = c.beginOn(anySlot, readOnly); err == nil || refused(err) {
+				break
 			}
-			// The server answered but refused; rerouting won't help.
-			return nil, err
 		}
-		c.markDown(idx)
 	}
-	return nil, fmt.Errorf("client: begin failed on every replica: %w", lastErr)
+	if err != nil {
+		return nil, err
+	}
+	return tx, nil
+}
+
+func anySlot(int) bool { return true }
+
+// onHost runs op against the certifier host's slot, following the host
+// the way LeaderRing.do follows the leader: a NotLeader reply points the
+// slot at the leader, any other failure moves it to the next live slot,
+// and op runs again after a jittered, doubling backoff, at most
+// maxRedirects times. A request that must not run twice (once) moves on
+// only when the contacted node cannot have acted on it: a NotLeader
+// reply, a non-host's refusal (CodeUnsupported) or a request that never
+// left. Any other failure, or one with nowhere left to move, returns.
+func (c *Client) onHost(once bool, op func(idx int) error) error {
+	var err error
+	backoff := dialBackoffMin
+	for hop := 0; hop <= maxRedirects; hop++ {
+		if hop > 0 {
+			time.Sleep(jitter(backoff))
+			backoff = min(2*backoff, dialBackoffMax)
+		}
+		idx := int(c.host.Load())
+		if err = op(idx); err == nil {
+			return nil
+		}
+		nle, redirected := asNotLeader(err)
+		var pe *protocolError
+		notActed := redirected || errors.As(err, new(unsentError)) ||
+			errors.As(err, &pe) && pe.code == wire.CodeUnsupported
+		if once && !notActed {
+			return err
+		}
+		if !redirected {
+			nle = NotLeaderError{Leader: -1}
+		}
+		if !c.moveHost(idx, nle) && !redirected {
+			return err
+		}
+	}
+	return err
+}
+
+// moveHost moves the host slot off from after a request there was not
+// served by the certifier host: to the leader nle names — by address
+// first, since a client's server list need not be indexed by replica
+// id, then by id — or, when it names none this client knows, to the
+// next live slot. It reports whether the slot moved.
+func (c *Client) moveHost(from int, nle NotLeaderError) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	to, ok := c.memberIdx[int64(nle.Leader)]
+	for i, r := range c.reps {
+		if nle.Addr != "" && r.pool.addr == nle.Addr {
+			to, ok = i, true
+		}
+	}
+	for k := 1; !ok && k < len(c.reps); k++ {
+		to = (from + k) % len(c.reps)
+		ok = !c.bal.Removed(to)
+	}
+	if !ok || to == from {
+		return false
+	}
+	c.host.CompareAndSwap(int64(from), int64(to))
+	return true
 }
 
 // protocolError is a server-level refusal (as opposed to a transport
@@ -347,9 +400,34 @@ type protocolError struct {
 
 func (e *protocolError) Error() string { return e.msg }
 
-// beginOn opens a transaction on replica idx, draining stale pooled
-// connections as it goes.
-func (c *Client) beginOn(idx int, readOnly bool) (*Txn, error) {
+// beginOn opens a transaction on the least-loaded eligible replica. On
+// failure it releases the replica's balancer slot and marks one that
+// could not be reached, or is draining to leave, down.
+func (c *Client) beginOn(eligible func(int) bool, readOnly bool) (*Txn, error) {
+	idx, err := c.bal.AcquireWhere(eligible)
+	if err != nil {
+		return nil, err
+	}
+	tx, err := c.open(idx, readOnly)
+	if err != nil {
+		c.bal.Release(idx)
+		if _, redirected := asNotLeader(err); !redirected && !refused(err) {
+			c.markDown(idx)
+		}
+	}
+	return tx, err
+}
+
+// refused reports whether err is a server's refusal that rerouting
+// will not help: any protocol error but CodeDraining.
+func refused(err error) bool {
+	var pe *protocolError
+	return errors.As(err, &pe) && pe.code != wire.CodeDraining
+}
+
+// open sends Begin to replica idx, draining stale pooled connections as
+// it goes.
+func (c *Client) open(idx int, readOnly bool) (*Txn, error) {
 	rep := c.rep(idx)
 	pool := rep.pool
 	var lastErr error
@@ -371,9 +449,13 @@ func (c *Client) beginOn(idx int, readOnly bool) (*Txn, error) {
 		switch m := reply.(type) {
 		case *wire.BeginOK:
 			return &Txn{client: c, idx: idx, rep: rep, conn: conn, readOnly: readOnly, trace: m.Trace}, nil
-		case *wire.Err:
+		case *wire.NotLeader:
 			pool.put(conn)
-			return nil, &protocolError{code: m.Code, msg: fmt.Sprintf("client: begin on %s: %s", pool.addr, m.Msg)}
+			return nil, NotLeaderError{Leader: int(m.Leader), Epoch: m.Epoch, Addr: m.Addr}
+		case *wire.Err:
+			err := &protocolError{code: m.Code, msg: fmt.Sprintf("client: begin on %s: %s", pool.addr, m.Msg)}
+			pool.put(conn)
+			return nil, err
 		default:
 			pool.discard(conn)
 			return nil, fmt.Errorf("client: begin on %s: unexpected reply %T", pool.addr, reply)
@@ -568,24 +650,23 @@ func (t *Txn) Commit() error {
 		t.fail(err)
 		return &repl.UnknownOutcomeError{Err: err}
 	}
+	// A reply may be the connection's reused decode target: read it
+	// before finish hands the connection to another transaction.
 	switch m := reply.(type) {
 	case *wire.CommitOK:
-		t.finish()
-		return nil
 	case *wire.CommitAborted:
-		t.finish()
-		return &repl.AbortedError{ConflictWith: m.ConflictWith}
+		err = &repl.AbortedError{ConflictWith: m.ConflictWith}
 	case *wire.NotLeader:
-		t.finish()
-		return &repl.UnknownOutcomeError{Err: NotLeaderError{
+		err = &repl.UnknownOutcomeError{Err: NotLeaderError{
 			Leader: int(m.Leader), Epoch: m.Epoch, Addr: m.Addr,
 		}}
 	case *wire.Err:
-		t.finish()
-		return mapErr(m)
+		err = mapErr(m)
 	default:
 		return t.fail(fmt.Errorf("client: unexpected commit reply %T", reply))
 	}
+	t.finish()
+	return err
 }
 
 // Abort implements repl.Txn.
@@ -610,20 +691,20 @@ func (t *Txn) Abort() {
 // the caller.
 const syncWait = 8 * time.Second
 
-// Sync implements repl.System. The primary first applies everything it
-// can reach and reports its applied version, the head: it covers every
-// acknowledged commit. Each replica is then asked to apply through the
-// head; one already there answers at once, one behind pulls from its
-// primary until it gets there or the shared deadline passes. A replica
-// that reports more than the head (a Paxos backup in slot 0 can lag the
-// leader; without a primary the head starts at zero) raises it, and
-// the replicas below it are asked again. Unreachable replicas are
-// skipped — their table dumps will fail loudly if anyone asks.
+// Sync implements repl.System. The certifier host first applies
+// everything it can reach and reports its applied version, the head:
+// it covers every acknowledged commit. Each replica is then asked to
+// apply through the head; one already there answers at once, one behind
+// pulls from its primary until it gets there or the shared deadline
+// passes. A replica that reports more than the head (the host slot may
+// name a Paxos backup that lags the leader) raises it, and the replicas
+// below it are asked again. Unreachable replicas are skipped — their
+// table dumps will fail loudly if anyone asks.
 func (c *Client) Sync() {
 	deadline := time.Now().Add(syncWait)
 	live := c.liveSlots()
 	applied := make([]int64, len(live))
-	head := c.syncOne(c.primarySlot(), &wire.Sync{})
+	head := c.syncOne(int(c.host.Load()), &wire.Sync{})
 	for raised := true; raised && time.Now().Before(deadline); {
 		raised = false
 		for i, slot := range live {
@@ -639,11 +720,8 @@ func (c *Client) Sync() {
 }
 
 // syncOne sends one Sync request and returns the applied version the
-// replica reported, or -1 when it did not answer (or slot is -1).
+// replica reported, or -1 when it did not answer.
 func (c *Client) syncOne(slot int, req *wire.Sync) int64 {
-	if slot < 0 {
-		return -1
-	}
 	applied := int64(-1)
 	_ = c.rep(slot).pool.do(req, 0, func(reply wire.Message) error {
 		if ok, isOK := reply.(*wire.SyncOK); isOK {
@@ -687,12 +765,12 @@ func (c *Client) TableDump(replica int, table string) (map[int64]string, error) 
 	return out, nil
 }
 
-// CreateTable implements repl.Loader: the primary commits the table's
-// schema as a record of the group's log, and Sync waits until the
+// CreateTable implements repl.Loader: the certifier host commits the
+// table's schema as a record of the group's log, and Sync waits until the
 // replicas in view have applied it. Replicas this client has not
 // discovered get it from the log like any commit.
 func (c *Client) CreateTable(name string) error {
-	if _, err := c.rpcPrimary(&wire.CreateTable{Name: name}, 0); err != nil {
+	if _, err := c.rpcHost(&wire.CreateTable{Name: name}, 0); err != nil {
 		return fmt.Errorf("client: create %q: %w", name, err)
 	}
 	c.Sync()
@@ -711,12 +789,12 @@ func (c *Client) Load(table string, rows int, value func(int64) string) error {
 }
 
 // LoadRows installs values[i] at (table, rows[i]): each repl.Chunks
-// chunk is one Load frame to the primary, which commits it as a record
+// chunk is one Load frame to the certifier host, which commits it as a record
 // of the group's log. Like a commit, it reaches every replica through
 // the log; Sync waits for that.
 func (c *Client) LoadRows(table string, rows []int64, values []string) error {
 	return repl.Chunks(rows, values, func(rows []int64, values []string) error {
-		if _, err := c.rpcPrimary(&wire.Load{Table: table, Rows: rows, Values: values}, 0); err != nil {
+		if _, err := c.rpcHost(&wire.Load{Table: table, Rows: rows, Values: values}, 0); err != nil {
 			return fmt.Errorf("client: load %q (%d rows from row %d): %w", table, len(rows), rows[0], err)
 		}
 		return nil

@@ -104,8 +104,8 @@ func (r *LeaderRing) Close() {
 }
 
 // Leader returns the link to the current leader guess, dialing
-// lazily. Requests that need no redirect chasing (the 2PC verbs a
-// static replica forwards, Leave) go through it directly.
+// lazily. Requests that need no redirect chasing (Leave) go through it
+// directly.
 func (r *LeaderRing) Leader() (*Link, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -261,6 +261,18 @@ func (r *LeaderRing) CertifyTraced(snapshot int64, ws writeset.Writeset, trace u
 		return nil
 	})
 	return out, err
+}
+
+// PrepareTxn forwards a cross-shard fragment prepare to the leader,
+// following redirects like CertifyTraced: the vote is binding, so the
+// request goes at most once to a node that may act on it.
+func (r *LeaderRing) PrepareTxn(p certifier.PreparedTxn) (vote bool, conflictWith int64, err error) {
+	err = r.do(true, func(l *Link) error {
+		var err error
+		vote, conflictWith, err = l.PrepareTxn(p)
+		return err
+	})
+	return vote, conflictWith, err
 }
 
 // Check probes for an already-certain conflict at the leader.

@@ -97,64 +97,11 @@ func (l *Link) PrepareTxn(p certifier.PreparedTxn) (vote bool, conflictWith int6
 	if err != nil {
 		return false, 0, err
 	}
-	switch m := reply.(type) {
-	case *wire.PrepareTxnOK:
-		return m.Vote, m.ConflictWith, nil
-	case *wire.Err:
-		return false, 0, fmt.Errorf("client: prepare: %s", m.Msg)
-	default:
+	m, ok := reply.(*wire.PrepareTxnOK)
+	if !ok {
 		return false, 0, fmt.Errorf("client: unexpected prepare reply %T", reply)
 	}
-}
-
-// DecideTxn forwards the coordinator's commit/abort decision for a
-// prepared fragment.
-func (l *Link) DecideTxn(id string, commit bool) (int64, error) {
-	reply, err := l.pool.rpc(&wire.DecideTxn{TxnID: id, Commit: commit}, linkRPCDeadline)
-	if err != nil {
-		return 0, err
-	}
-	switch m := reply.(type) {
-	case *wire.DecideTxnOK:
-		return m.Version, nil
-	case *wire.Err:
-		return 0, fmt.Errorf("client: decide: %s", m.Msg)
-	default:
-		return 0, fmt.Errorf("client: unexpected decide reply %T", reply)
-	}
-}
-
-// ResolveTxn asks the primary for the recorded outcome of an in-doubt
-// cross-shard transaction (presumed abort if unrecorded).
-func (l *Link) ResolveTxn(id string) (bool, error) {
-	reply, err := l.pool.rpc(&wire.ResolveTxn{TxnID: id}, linkRPCDeadline)
-	if err != nil {
-		return false, err
-	}
-	switch m := reply.(type) {
-	case *wire.ResolveTxnOK:
-		return m.Commit, nil
-	case *wire.Err:
-		return false, fmt.Errorf("client: resolve: %s", m.Msg)
-	default:
-		return false, fmt.Errorf("client: unexpected resolve reply %T", reply)
-	}
-}
-
-// ForgetTxn retires a fully acknowledged decision at the primary.
-func (l *Link) ForgetTxn(id string) error {
-	reply, err := l.pool.rpc(&wire.ForgetTxn{TxnID: id}, linkRPCDeadline)
-	if err != nil {
-		return err
-	}
-	switch m := reply.(type) {
-	case *wire.ForgetTxnOK:
-		return nil
-	case *wire.Err:
-		return fmt.Errorf("client: forget: %s", m.Msg)
-	default:
-		return fmt.Errorf("client: unexpected forget reply %T", reply)
-	}
+	return m.Vote, m.ConflictWith, nil
 }
 
 // SetSinceWait makes Since long-poll with the given window instead of

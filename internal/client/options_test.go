@@ -21,11 +21,14 @@ func TestOptionsValidate(t *testing.T) {
 		"sm":          sm,
 		"mm watching": with(mm, func(o *Options) { o.Watch = true }),
 		"tuned pool":  with(sm, func(o *Options) { o.PoolSize, o.ProbeAfter = 2, -1 }),
+		"watch on sm": with(sm, func(o *Options) { o.Watch = true }),
 	}
 	for name, o := range good {
-		if err := o.Validate(); err != nil {
-			t.Errorf("%s: Validate = %v, want nil", name, err)
-		}
+		t.Run(name, func(t *testing.T) {
+			if err := o.Validate(); err != nil {
+				t.Fatalf("Validate = %v, want nil", err)
+			}
+		})
 	}
 
 	bad := []struct {
@@ -36,7 +39,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"no servers", with(mm, func(o *Options) { o.Servers = nil }), "no servers"},
 		{"no design", with(mm, func(o *Options) { o.Design = "" }), `unknown design ""`},
 		{"unknown design", with(mm, func(o *Options) { o.Design = "nope" }), `unknown design "nope"`},
-		{"watch on sm", with(sm, func(o *Options) { o.Watch = true }), "membership watching requires the mm design"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {

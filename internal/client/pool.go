@@ -278,11 +278,12 @@ func (p *connPool) rpc(req wire.Message, deadline time.Duration) (wire.Message, 
 
 // do runs one request/reply exchange on a pooled connection, retrying
 // stale pooled connections with a bounded, jittered exponential
-// backoff between attempts. Err replies surface as errors; NotLeader
-// replies surface as a typed NotLeaderError so callers can follow the
-// redirect; any other reply goes to use, which runs before the
-// connection returns to the pool — the reply may be a decode target
-// the connection reuses for its next frame, so use must not retain it.
+// backoff between attempts. Err replies surface as a *protocolError
+// carrying the code; NotLeader replies surface as a typed
+// NotLeaderError so callers can follow the redirect; any other reply
+// goes to use, which runs before the connection returns to the pool —
+// the reply may be a decode target the connection reuses for its next
+// frame, so use must not retain it.
 // A positive deadline bounds the whole exchange (used by long polls so
 // a one-way partition cannot park the caller forever).
 func (p *connPool) do(req wire.Message, deadline time.Duration, use func(wire.Message) error) error {
@@ -324,7 +325,7 @@ func (p *connPool) do(req wire.Message, deadline time.Duration, use func(wire.Me
 		case *wire.NotLeader:
 			err = NotLeaderError{Leader: int(m.Leader), Epoch: m.Epoch, Addr: m.Addr}
 		case *wire.Err:
-			err = fmt.Errorf("client: %s: %s", p.addr, m.Msg)
+			err = &protocolError{code: m.Code, msg: fmt.Sprintf("client: %s: %s", p.addr, m.Msg)}
 		default:
 			err = use(reply)
 		}

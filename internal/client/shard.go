@@ -1,7 +1,6 @@
 package client
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -47,99 +46,82 @@ func (t *Txn) Prepare(id string, coord int64) (bool, int64, error) {
 		t.fail(err)
 		return false, 0, &repl.UnknownOutcomeError{Err: err}
 	}
+	// Read the reply before finish releases the connection (see Commit).
+	var vote bool
+	var with int64
 	switch m := reply.(type) {
 	case *wire.PrepareTxnOK:
-		t.finish()
-		return m.Vote, m.ConflictWith, nil
+		vote, with = m.Vote, m.ConflictWith
 	case *wire.CommitAborted:
 		// The server-side prepare lost certification outright.
-		t.finish()
-		return false, m.ConflictWith, nil
+		with = m.ConflictWith
 	case *wire.NotLeader:
-		t.finish()
-		return false, 0, &repl.UnknownOutcomeError{Err: NotLeaderError{
+		err = &repl.UnknownOutcomeError{Err: NotLeaderError{
 			Leader: int(m.Leader), Epoch: m.Epoch, Addr: m.Addr,
 		}}
 	case *wire.Err:
-		t.finish()
-		return false, 0, mapErr(m)
+		err = mapErr(m)
 	default:
 		return false, 0, t.fail(fmt.Errorf("client: unexpected prepare reply %T", reply))
 	}
+	t.finish()
+	return vote, with, err
 }
 
-// rpcPrimary round-trips one request on the primary's pool (member id
-// 0 — the certifier host or master, where the 2PC decision verbs,
-// schema and load frames land directly; any mm member would forward,
-// the primary just skips the hop). A positive deadline bounds the
-// exchange.
-func (c *Client) rpcPrimary(req wire.Message, deadline time.Duration) (wire.Message, error) {
-	idx := c.primarySlot()
-	if idx < 0 {
-		return nil, errors.New("client: primary membership unknown")
-	}
-	return c.rep(idx).pool.rpc(req, deadline)
-}
-
-// primarySlot returns the slot of member id 0, or -1 when unknown.
-func (c *Client) primarySlot() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if idx, ok := c.memberIdx[0]; ok {
-		return idx
-	}
-	return -1
+// rpcHost round-trips one request with the group's certifier host —
+// where the 2PC decision verbs, schema and load frames, and membership
+// polls land — following it across a move (onHost). The request goes at
+// most once to a node that may act on it. A positive deadline bounds
+// each exchange.
+func (c *Client) rpcHost(req wire.Message, deadline time.Duration) (wire.Message, error) {
+	var reply wire.Message
+	err := c.onHost(true, func(idx int) error {
+		var err error
+		reply, err = c.rep(idx).pool.rpc(req, deadline)
+		return err
+	})
+	return reply, err
 }
 
 // DecideTxn delivers the coordinator's commit/abort decision for a
 // prepared fragment to this group. Implements router.Group.
 func (c *Client) DecideTxn(id string, commit bool) (int64, error) {
-	reply, err := c.rpcPrimary(&wire.DecideTxn{TxnID: id, Commit: commit}, shardRPCDeadline)
+	reply, err := c.rpcHost(&wire.DecideTxn{TxnID: id, Commit: commit}, shardRPCDeadline)
 	if err != nil {
 		return 0, err
 	}
-	switch m := reply.(type) {
-	case *wire.DecideTxnOK:
-		return m.Version, nil
-	case *wire.Err:
-		return 0, fmt.Errorf("client: decide: %s", m.Msg)
-	default:
+	m, ok := reply.(*wire.DecideTxnOK)
+	if !ok {
 		return 0, fmt.Errorf("client: unexpected decide reply %T", reply)
 	}
+	return m.Version, nil
 }
 
 // ResolveTxn asks this group (as coordinator) for the recorded outcome
 // of an in-doubt cross-shard transaction. Implements router.Group.
 func (c *Client) ResolveTxn(id string) (bool, error) {
-	reply, err := c.rpcPrimary(&wire.ResolveTxn{TxnID: id}, shardRPCDeadline)
+	reply, err := c.rpcHost(&wire.ResolveTxn{TxnID: id}, shardRPCDeadline)
 	if err != nil {
 		return false, err
 	}
-	switch m := reply.(type) {
-	case *wire.ResolveTxnOK:
-		return m.Commit, nil
-	case *wire.Err:
-		return false, fmt.Errorf("client: resolve: %s", m.Msg)
-	default:
+	m, ok := reply.(*wire.ResolveTxnOK)
+	if !ok {
 		return false, fmt.Errorf("client: unexpected resolve reply %T", reply)
 	}
+	return m.Commit, nil
 }
 
 // ForgetTxn retires a fully acknowledged decision at this group.
 // Implements router.Group.
 func (c *Client) ForgetTxn(id string) error {
-	reply, err := c.rpcPrimary(&wire.ForgetTxn{TxnID: id}, shardRPCDeadline)
+	reply, err := c.rpcHost(&wire.ForgetTxn{TxnID: id}, shardRPCDeadline)
 	if err != nil {
 		return err
 	}
-	switch m := reply.(type) {
-	case *wire.ForgetTxnOK:
-		return nil
-	case *wire.Err:
-		return fmt.Errorf("client: forget: %s", m.Msg)
-	default:
+	if _, ok := reply.(*wire.ForgetTxnOK); !ok {
 		return fmt.Errorf("client: unexpected forget reply %T", reply)
 	}
+	return nil
 }
 
 // ShardInfo returns this group's place in the shard map as last
@@ -152,11 +134,11 @@ func (c *Client) ShardInfo() (id, count, version int64) {
 	return c.shardID, c.shardCount, c.mapVersion
 }
 
-// FetchShardInfo polls the primary's member list once and records the
+// FetchShardInfo polls the certifier host's member list once and records the
 // shard-map fields — for clients that run without Options.Watch but
 // still need to learn the topology before routing.
 func (c *Client) FetchShardInfo() (id, count, version int64, err error) {
-	reply, err := c.rpcPrimary(&wire.Members{}, shardRPCDeadline)
+	reply, err := c.rpcHost(&wire.Members{}, shardRPCDeadline)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -7,14 +7,16 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/repl"
 	"repro/internal/wire"
 )
 
 // fakeServer serves the per-transaction verbs on loopback: Begin,
 // Commit and Abort succeed, Write and Delete ack, Read returns
 // "<table>/<row>", and FetchSince answers with no records, as a leader
-// with nothing new would. It stops once the test's client has closed its
-// connections.
+// with nothing new would. A Commit after a Write to table "doomed"
+// aborts, naming the written row as the conflicting version. It stops
+// once the test's client has closed its connections.
 func fakeServer(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -47,6 +49,7 @@ func fakeServer(t *testing.T) string {
 func serveFake(nc net.Conn) {
 	defer nc.Close()
 	wc := wire.NewConn(nc)
+	doomed := int64(-1)
 	for {
 		msg, err := wc.Recv()
 		if err != nil {
@@ -60,10 +63,18 @@ func serveFake(nc net.Conn) {
 			reply = &wire.BeginOK{}
 		case *wire.Read:
 			reply = &wire.ReadOK{OK: true, Value: fmt.Sprintf("%s/%d", m.Table, m.Row)}
-		case *wire.Write, *wire.Delete:
+		case *wire.Write:
+			if m.Table == "doomed" {
+				doomed = m.Row
+			}
+			reply = &wire.WriteOK{}
+		case *wire.Delete:
 			reply = &wire.WriteOK{}
 		case *wire.Commit:
 			reply = &wire.CommitOK{}
+			if doomed >= 0 {
+				reply, doomed = &wire.CommitAborted{ConflictWith: doomed}, -1
+			}
 		case *wire.Abort:
 			reply = &wire.AbortOK{}
 		case *wire.FetchSince:
@@ -143,6 +154,43 @@ func TestFinishedTxnLeavesReusedConnAlone(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestCommitAbortReadsReplyBeforeRelease: an aborted Commit hands its
+// connection back to the pool, where another transaction may receive
+// its next CommitAborted into the same reused struct at once. The
+// abort must carry its own conflicting version, read before the
+// release. Run with -race: reading the reply after the release races
+// with the other transaction's Recv.
+func TestCommitAbortReadsReplyBeforeRelease(t *testing.T) {
+	cl, err := New(Options{Servers: []string{fakeServer(t)}, Design: "mm", PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	var wg sync.WaitGroup
+	for g := int64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); i < 100; i++ {
+				row := g*1000 + i
+				tx, err := cl.BeginUpdate()
+				if err == nil {
+					err = tx.Write("doomed", row, "x")
+				}
+				if err == nil {
+					err = tx.Commit()
+				}
+				var ab *repl.AbortedError
+				if !errors.As(err, &ab) || ab.ConflictWith != row {
+					t.Errorf("commit of row %d = %v, want an abort naming version %d", row, err, row)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestRPCRefusesReusedReply: rpc hands its reply back after the

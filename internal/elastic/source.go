@@ -18,7 +18,6 @@ import (
 // discards the window if the sum regressed.
 type WireSource struct {
 	primaryAddr string
-	design      string
 	dialTimeout time.Duration
 
 	mu    sync.Mutex
@@ -27,10 +26,9 @@ type WireSource struct {
 
 // NewWireSource creates a source polling the cluster behind the
 // primary at addr.
-func NewWireSource(primaryAddr, design string, dialTimeout time.Duration) *WireSource {
+func NewWireSource(primaryAddr string, dialTimeout time.Duration) *WireSource {
 	return &WireSource{
 		primaryAddr: primaryAddr,
-		design:      design,
 		dialTimeout: dialTimeout,
 		links:       make(map[string]*client.Link),
 	}

@@ -16,7 +16,8 @@ import (
 	"repro/internal/workload"
 )
 
-// startPrimary boots a single-replica mm primary.
+// startPrimary boots a single-replica mm primary (tweak may change the
+// design).
 func startPrimary(t *testing.T, tweak func(*server.Options)) *server.Server {
 	t.Helper()
 	opts := server.Options{
@@ -39,10 +40,10 @@ func startPrimary(t *testing.T, tweak func(*server.Options)) *server.Server {
 
 // joinReplica runs the join protocol against the primary and starts
 // the new replica.
-func joinReplica(t *testing.T, primary string) *server.Server {
+func joinReplica(t *testing.T, design, primary string) *server.Server {
 	t.Helper()
 	srv, err := server.New(server.Options{
-		Design:  "mm",
+		Design:  design,
 		Listen:  "127.0.0.1:0",
 		Join:    true,
 		Primary: primary,
@@ -56,11 +57,11 @@ func joinReplica(t *testing.T, primary string) *server.Server {
 }
 
 // watchingClient returns a pooled client with fast membership polling.
-func watchingClient(t *testing.T, primary string) *client.Client {
+func watchingClient(t *testing.T, design, primary string) *client.Client {
 	t.Helper()
 	cl, err := client.New(client.Options{
 		Servers:       []string{primary},
-		Design:        "mm",
+		Design:        design,
 		Watch:         true,
 		WatchInterval: 25 * time.Millisecond,
 		ProbeAfter:    100 * time.Millisecond,
@@ -87,10 +88,17 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // TestElasticJoinServesAndConverges is the basic online-join path:
 // data loaded on a 1-replica cluster, two replicas join live (full
 // snapshot transfer + catch-up), the watching client discovers them,
-// and a driven workload converges across all three.
+// and a driven workload converges across all three. Under sm the
+// joiners add read capacity to the master.
 func TestElasticJoinServesAndConverges(t *testing.T) {
-	prim := startPrimary(t, nil)
-	cl := watchingClient(t, prim.Addr())
+	for _, design := range []string{"mm", "sm"} {
+		t.Run(design, func(t *testing.T) { elasticJoinServesAndConverges(t, design) })
+	}
+}
+
+func elasticJoinServesAndConverges(t *testing.T, design string) {
+	prim := startPrimary(t, func(o *server.Options) { o.Design = design })
+	cl := watchingClient(t, design, prim.Addr())
 
 	mix := workload.TPCWShopping()
 	cat, err := workload.CatalogFor(mix)
@@ -108,8 +116,8 @@ func TestElasticJoinServesAndConverges(t *testing.T) {
 		t.Fatalf("pre-join drive: %+v", res)
 	}
 
-	joinReplica(t, prim.Addr())
-	joinReplica(t, prim.Addr())
+	joinReplica(t, design, prim.Addr())
+	joinReplica(t, design, prim.Addr())
 	waitFor(t, 5*time.Second, "client to discover 3 replicas", func() bool {
 		return cl.Replicas() == 3
 	})
@@ -132,7 +140,7 @@ func TestElasticJoinServesAndConverges(t *testing.T) {
 // into the exact primary state.
 func TestElasticJoinMultiChunkSnapshot(t *testing.T) {
 	prim := startPrimary(t, nil)
-	cl := watchingClient(t, prim.Addr())
+	cl := watchingClient(t, "mm", prim.Addr())
 	if err := cl.CreateTable("blob"); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +150,7 @@ func TestElasticJoinMultiChunkSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	joinReplica(t, prim.Addr())
+	joinReplica(t, "mm", prim.Addr())
 	waitFor(t, 10*time.Second, "client to discover the joiner", func() bool {
 		return cl.Replicas() == 2
 	})
@@ -153,11 +161,28 @@ func TestElasticJoinMultiChunkSnapshot(t *testing.T) {
 
 // TestLeaveMidTransactionDrains covers the graceful departure path:
 // transactions in flight on the leaving replica run to completion
-// (drain), and no transaction begun after Leave is served there.
+// (drain), and no transaction begun after Leave is served there. Under
+// sm the transactions are reads: updates run on the master alone, and
+// the slave's reads are what its departure drains.
 func TestLeaveMidTransactionDrains(t *testing.T) {
-	prim := startPrimary(t, nil)
-	joiner := joinReplica(t, prim.Addr())
-	cl := watchingClient(t, prim.Addr())
+	for _, design := range []string{"mm", "sm"} {
+		t.Run(design, func(t *testing.T) { leaveMidTransactionDrains(t, design) })
+	}
+}
+
+func leaveMidTransactionDrains(t *testing.T, design string) {
+	prim := startPrimary(t, func(o *server.Options) { o.Design = design })
+	joiner := joinReplica(t, design, prim.Addr())
+	cl := watchingClient(t, design, prim.Addr())
+	begin, use := cl.BeginUpdate, func(tx repl.Txn, row int64, value string) error {
+		return tx.Write("t", row, value)
+	}
+	if design == "sm" {
+		begin, use = cl.BeginRead, func(tx repl.Txn, row int64, _ string) error {
+			_, _, err := tx.Read("t", row)
+			return err
+		}
+	}
 
 	if err := cl.CreateTable("t"); err != nil {
 		t.Fatal(err)
@@ -171,11 +196,11 @@ func TestLeaveMidTransactionDrains(t *testing.T) {
 
 	// Two held transactions spread over both replicas (least-loaded
 	// routing), so one is in flight on the joiner when it leaves.
-	tx1, err := cl.BeginUpdate()
+	tx1, err := begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx2, err := cl.BeginUpdate()
+	tx2, err := begin()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +209,8 @@ func TestLeaveMidTransactionDrains(t *testing.T) {
 	time.Sleep(30 * time.Millisecond) // the drain is now waiting on us
 
 	for i, tx := range []repl.Txn{tx1, tx2} {
-		if err := tx.Write("t", int64(i), "drained"); err != nil {
-			t.Fatalf("write on held txn %d during drain: %v", i, err)
+		if err := use(tx, int64(i), "drained"); err != nil {
+			t.Fatalf("operation on held txn %d during drain: %v", i, err)
 		}
 		if err := tx.Commit(); err != nil {
 			t.Fatalf("commit on held txn %d during drain: %v", i, err)
@@ -198,18 +223,18 @@ func TestLeaveMidTransactionDrains(t *testing.T) {
 	// From this point nothing new may be served by the departed
 	// replica: its counters must not move while fresh transactions
 	// succeed elsewhere.
-	link := client.NewLink(joiner.Addr(), "mm", -1, time.Second)
+	link := client.NewLink(joiner.Addr(), design, -1, time.Second)
 	defer link.Close()
 	before, err := link.Stats()
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
 	for i := 0; i < 6; i++ {
-		tx, err := cl.BeginUpdate()
+		tx, err := begin()
 		if err != nil {
 			t.Fatalf("begin after leave: %v", err)
 		}
-		if err := tx.Write("t", int64(i), fmt.Sprintf("after-%d", i)); err != nil {
+		if err := use(tx, int64(i), fmt.Sprintf("after-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
@@ -228,9 +253,9 @@ func TestLeaveMidTransactionDrains(t *testing.T) {
 	})
 }
 
-// TestLeaveRefusedWithoutDraining: a node that cannot leave — the mm
-// primary, or any single-master node — refuses Leave every time and
-// keeps admitting transactions instead of draining forever.
+// TestLeaveRefusedWithoutDraining: a node that cannot leave — the
+// primary, whichever the design — refuses Leave every time and keeps
+// admitting transactions instead of draining forever.
 func TestLeaveRefusedWithoutDraining(t *testing.T) {
 	mmNodes, _ := startCluster(t, "mm", 1, nil)
 	smNodes, _ := startCluster(t, "sm", 2, nil)
@@ -241,7 +266,6 @@ func TestLeaveRefusedWithoutDraining(t *testing.T) {
 	}{
 		{"mm primary", mmNodes[0], "mm"},
 		{"sm master", smNodes[0], "sm"},
-		{"sm slave", smNodes[1], "sm"},
 	} {
 		for i := 0; i < 2; i++ {
 			if err := tc.srv.Leave(); err == nil {
@@ -269,8 +293,8 @@ func TestLeaveRefusedWithoutDraining(t *testing.T) {
 // the primary eventually evicts the ghost member.
 func TestReplicaCrashMidTransactionAborts(t *testing.T) {
 	prim := startPrimary(t, func(o *server.Options) { o.StaleAfter = 300 * time.Millisecond })
-	joiner := joinReplica(t, prim.Addr())
-	cl := watchingClient(t, prim.Addr())
+	joiner := joinReplica(t, "mm", prim.Addr())
+	cl := watchingClient(t, "mm", prim.Addr())
 
 	if err := cl.CreateTable("t"); err != nil {
 		t.Fatal(err)
@@ -345,7 +369,7 @@ func TestJoinerCrashMidStateTransfer(t *testing.T) {
 	}
 
 	// The cluster keeps serving while the ghost is pending.
-	cl := watchingClient(t, prim.Addr())
+	cl := watchingClient(t, "mm", prim.Addr())
 	if err := cl.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +402,7 @@ func TestJoinerCrashMidStateTransfer(t *testing.T) {
 // once the load stops.
 func TestElasticAutoscaleLoopback(t *testing.T) {
 	prim := startPrimary(t, nil)
-	cl := watchingClient(t, prim.Addr())
+	cl := watchingClient(t, "mm", prim.Addr())
 	if err := cl.CreateTable("acct"); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +421,7 @@ func TestElasticAutoscaleLoopback(t *testing.T) {
 		return srv, nil
 	})
 	defer scaler.Close()
-	src := elastic.NewWireSource(prim.Addr(), "mm", time.Second)
+	src := elastic.NewWireSource(prim.Addr(), time.Second)
 	defer src.Close()
 
 	const think = 20 * time.Millisecond

@@ -22,14 +22,12 @@ import (
 	"repro/internal/writeset"
 )
 
-// errUnsupported marks operations this node does not serve (e.g.
-// certification on a non-host replica).
+// errUnsupported marks operations this node does not serve.
 var errUnsupported = errors.New("server: operation not supported by this node")
 
-// errSlaveUpdate refuses an update, schema or load on a single-master
-// slave. The client sends every sm update to the master, so reaching
-// this is a routing bug, not a race.
-var errSlaveUpdate = fmt.Errorf("%w: updates must run on the master", errUnsupported)
+// errNotHost is the role gate's refusal on a node that does not host
+// the certifier and runs no Paxos (a Paxos backup redirects instead).
+var errNotHost = fmt.Errorf("%w: it does not host the certifier (under sm, the master)", errUnsupported)
 
 // pollInterval is the long-poll window of the propagation loop; it
 // bounds both shutdown latency and the staleness detection of a dead
@@ -43,11 +41,11 @@ const pollInterval = 250 * time.Millisecond
 // round trips.
 const syncLongPoll = 25 * time.Millisecond
 
-// certService is the certification surface the commit path depends
-// on: commit-time certification carrying the transaction's cross-node
-// trace id, and the eager conflict probe. The certifier host serves it
-// from a pipeline.HostCert; every other node reaches the host through
-// its client.LeaderRing.
+// certService is the certification surface a transaction depends on:
+// commit-time certification carrying its cross-node trace id, the
+// eager conflict probe, and the prepare of a cross-shard fragment. The
+// certifier host serves it from a pipeline.HostCert; every other node
+// reaches the host through its client.LeaderRing.
 type certService interface {
 	// CertifyTraced submits a commit-time certification request; trace
 	// is the transaction's cross-node trace id (0 untraced).
@@ -55,22 +53,13 @@ type certService interface {
 	// Check probes a partial writeset for an already-certain conflict
 	// (eager certification, §5.1) without committing anything.
 	Check(snapshot int64, ws writeset.Writeset) (conflict bool, with int64)
-}
-
-// twoPCService is the cross-shard two-phase commit surface
-// (pipeline.HostCert on the host, client.Link elsewhere).
-type twoPCService interface {
+	// PrepareTxn runs the first 2PC phase for one fragment.
 	PrepareTxn(p certifier.PreparedTxn) (vote bool, conflictWith int64, err error)
-	DecideTxn(id string, commit bool) (version int64, err error)
-	ResolveTxn(id string) (commit bool, err error)
-	ForgetTxn(id string) error
 }
 
 var (
-	_ certService  = (*pipeline.HostCert)(nil)
-	_ certService  = (*remoteCert)(nil)
-	_ twoPCService = (*pipeline.HostCert)(nil)
-	_ twoPCService = (*client.Link)(nil)
+	_ certService = (*pipeline.HostCert)(nil)
+	_ certService = (*remoteCert)(nil)
 )
 
 // remoteCert instruments the ring to the certifier host with the local
@@ -105,6 +94,10 @@ func (r *remoteCert) Check(snapshot int64, ws writeset.Writeset) (bool, int64) {
 	return r.svc.Check(snapshot, ws)
 }
 
+func (r *remoteCert) PrepareTxn(p certifier.PreparedTxn) (bool, int64, error) {
+	return r.svc.PrepareTxn(p)
+}
+
 // engine is one replica node (§5): a local snapshot-isolated database
 // whose proxy extracts writesets, certifies them with the
 // certification service — hosted here (node 0, or the Paxos leader) or
@@ -120,7 +113,7 @@ func (r *remoteCert) Check(snapshot int64, ws writeset.Writeset) (bool, int64) {
 //
 // Both designs run on it. Multi-master (§5.1) accepts updates on every
 // node. Single-master (§5.2) is the same certified log with one update
-// site: node 0 hosts the certifier and runs every update, schema and
+// site: the node hosting the certifier runs every update, schema and
 // load, and the slaves only apply its log. A master that certifies
 // against its own log aborts exactly the transactions its
 // first-committer-wins check would (§2).
@@ -137,10 +130,11 @@ type engine struct {
 	// the role loop is already fetching; the next transaction on the
 	// same node may not yet see the commit (GSI allows that).
 	async bool
-	// slave marks a single-master slave: it refuses update
-	// transactions, schema and load, which run only on the master.
-	slave bool
-	ddlMu sync.Mutex // serializes createTable's existence check and commit
+	// multiMaster makes every node an update site (§5.1). Without it
+	// (single-master, §5.2) only the node hosting the certifier accepts
+	// update transactions, schema and load; see updateSite.
+	multiMaster bool
+	ddlMu       sync.Mutex // serializes createTable's existence check and commit
 
 	stop     <-chan struct{}
 	cursors  *pipeline.PeerCursors // non-nil on a node that may host the certifier
@@ -182,7 +176,7 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 		// acknowledging them; everywhere else the role loop applies
 		// them, and a commit must not re-fetch the backlog it is fetching.
 		async:       opts.Paxos || opts.ID > 0,
-		slave:       opts.Design == "sm" && opts.ID > 0,
+		multiMaster: opts.Design == "mm",
 		stop:        stop,
 		staleAfter:  opts.StaleAfter,
 		m:           m,
@@ -305,6 +299,30 @@ func (e *engine) newHost(cert *certifier.Certifier) *pipeline.HostCert {
 // node does not host the certifier.
 func (e *engine) hostCert() *pipeline.HostCert { return e.host.Load() }
 
+// hosted is the role gate in front of every request only the
+// certifier host serves: it returns the hosted service, or the refusal
+// a node that does not host it answers with — a NotLeader redirect
+// under Paxos, errNotHost otherwise.
+func (e *engine) hosted() (*pipeline.HostCert, error) {
+	if h := e.hostCert(); h != nil {
+		return h, nil
+	}
+	if e.px != nil {
+		return nil, e.px.notLeaderErr()
+	}
+	return nil, errNotHost
+}
+
+// updateSite refuses an update transaction, schema or load on a node
+// that is not an update site: under sm only the certifier host is one.
+func (e *engine) updateSite() error {
+	if e.multiMaster {
+		return nil
+	}
+	_, err := e.hosted()
+	return err
+}
+
 // certService returns the certification service the commit path uses
 // now: the hosted certifier while this node hosts it, the ring to the
 // host otherwise. A call in flight when the role changes finishes
@@ -338,8 +356,10 @@ func (e *engine) epochInfo() (int64, bool) {
 // same point in the version order — a writeset applied a moment later
 // must count as concurrent.
 func (e *engine) begin(readOnly bool) (*txn, error) {
-	if !readOnly && e.slave {
-		return nil, errSlaveUpdate
+	if !readOnly {
+		if err := e.updateSite(); err != nil {
+			return nil, err
+		}
 	}
 	t := &txn{e: e, readOnly: readOnly}
 	e.ap.Pin(func(applied int64) {
@@ -355,8 +375,8 @@ func (e *engine) begin(readOnly bool) (*txn, error) {
 // table this node already has once caught up; ddlMu makes that check
 // and the commit one step for concurrent callers.
 func (e *engine) createTable(name string) error {
-	if e.slave {
-		return errSlaveUpdate
+	if err := e.updateSite(); err != nil {
+		return err
 	}
 	e.ddlMu.Lock()
 	defer e.ddlMu.Unlock()
@@ -374,8 +394,8 @@ func (e *engine) createTable(name string) error {
 // loadChunk certifies values[i] at (table, rows[i]) as one record:
 // the load takes versions and propagates exactly like commits do.
 func (e *engine) loadChunk(table string, rows []int64, values []string) error {
-	if e.slave {
-		return errSlaveUpdate
+	if err := e.updateSite(); err != nil {
+		return err
 	}
 	return e.certifyWriteset(writeset.Rows(table, rows, values))
 }
@@ -426,69 +446,46 @@ func (e *engine) applyStats() pipeline.ApplyStats {
 }
 
 // certify and check serve a peer's certification requests; only the
-// node hosting the certifier answers them (a Paxos backup redirects).
-// trace is the submitting transaction's cross-node trace id (0
-// untraced).
+// node hosting the certifier answers them. trace is the submitting
+// transaction's cross-node trace id (0 untraced).
 func (e *engine) certify(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
-	h := e.hostCert()
-	if h == nil {
-		if e.px != nil {
-			return certifier.Outcome{}, e.px.notLeaderErr()
-		}
-		return certifier.Outcome{}, errUnsupported
+	h, err := e.hosted()
+	if err != nil {
+		return certifier.Outcome{}, err
 	}
 	return h.CertifyTraced(snapshot, ws, trace)
 }
 
 func (e *engine) check(snapshot int64, ws writeset.Writeset) (bool, int64, error) {
-	h := e.hostCert()
-	if h == nil {
-		if e.px != nil {
-			return false, 0, e.px.notLeaderErr()
-		}
-		return false, 0, errUnsupported
+	h, err := e.hosted()
+	if err != nil {
+		return false, 0, err
 	}
 	conflict, with := h.Check(snapshot, ws)
 	return conflict, with, nil
 }
 
-// twoPC resolves where the 2PC verbs run: on the certifier host the
-// hosted certifier itself (and a commit decision applies locally before
-// acking, like any commit); on a plain non-primary node the ring's link
-// to the primary, so a sharded client may address any member of a
-// group. Under Paxos the leader serves from its hosted certifier and
-// everyone else redirects — the leader's log is the only authority.
-func (e *engine) twoPC() (twoPCService, error) {
-	if h := e.hostCert(); h != nil {
-		return h, nil
-	}
-	if e.px != nil {
-		return nil, e.px.notLeaderErr()
-	}
-	l, err := e.ring.Leader()
-	if err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
+// prepareTxn, decideTxn, resolveTxn and forgetTxn serve the 2PC verbs
+// sent to the group's certifier host; the leader's log is the only
+// authority. (A transaction open on a connection prepares through
+// certService instead, wherever it runs.)
 func (e *engine) prepareTxn(p certifier.PreparedTxn) (bool, int64, error) {
-	s, err := e.twoPC()
+	h, err := e.hosted()
 	if err != nil {
 		return false, 0, err
 	}
-	return s.PrepareTxn(p)
+	return h.PrepareTxn(p)
 }
 
 // decideTxn applies the coordinator's decision at this group. A commit
 // enters the record log like any certified writeset; the static host
 // applies it before acking so the fragment is immediately readable.
 func (e *engine) decideTxn(id string, commit bool) (int64, error) {
-	s, err := e.twoPC()
+	h, err := e.hosted()
 	if err != nil {
 		return 0, err
 	}
-	version, err := s.DecideTxn(id, commit)
+	version, err := h.DecideTxn(id, commit)
 	if err == nil && commit && !e.async {
 		e.catchUp()
 	}
@@ -496,19 +493,19 @@ func (e *engine) decideTxn(id string, commit bool) (int64, error) {
 }
 
 func (e *engine) resolveTxn(id string) (bool, error) {
-	s, err := e.twoPC()
+	h, err := e.hosted()
 	if err != nil {
 		return false, err
 	}
-	return s.ResolveTxn(id)
+	return h.ResolveTxn(id)
 }
 
 func (e *engine) forgetTxn(id string) error {
-	s, err := e.twoPC()
+	h, err := e.hosted()
 	if err != nil {
 		return err
 	}
-	return s.ForgetTxn(id)
+	return h.ForgetTxn(id)
 }
 
 func (e *engine) logLen() int {
@@ -526,12 +523,9 @@ func (e *engine) rowVersions() int64 { return e.db.Versions() }
 // (negative for non-peer clients): long-poll cursors are tracked per
 // replica so the host can garbage-collect what everyone applied.
 func (e *engine) fetchSince(peer int64, v int64, wait time.Duration) ([]certifier.Record, error) {
-	h := e.hostCert()
-	if h == nil {
-		if e.px != nil {
-			return nil, e.px.notLeaderErr()
-		}
-		return nil, errUnsupported
+	h, err := e.hosted()
+	if err != nil {
+		return nil, err
 	}
 	if wait > 0 {
 		// Long polls come from the dedicated propagation links, one
@@ -571,8 +565,8 @@ func (e *engine) join(addr string) (*wire.JoinOK, error) {
 		// does not support.
 		return nil, fmt.Errorf("%w: elastic join is not supported with a replicated certifier", errUnsupported)
 	}
-	if e.hostCert() == nil {
-		return nil, errUnsupported
+	if _, err := e.hosted(); err != nil {
+		return nil, err
 	}
 	id, epoch, members := e.membership.Join(addr, time.Now())
 	e.m.events.Emit(events.MemberJoined,
@@ -587,8 +581,8 @@ func (e *engine) leave(id int64) error {
 	if e.px != nil {
 		return fmt.Errorf("%w: the replicated-certifier group is fixed at boot", errUnsupported)
 	}
-	if e.hostCert() == nil {
-		return errUnsupported
+	if _, err := e.hosted(); err != nil {
+		return err
 	}
 	if id == 0 {
 		return errors.New("server: the primary cannot leave the cluster")
@@ -603,7 +597,7 @@ func (e *engine) leave(id int64) error {
 
 func (e *engine) members() (int64, []wire.Member, error) {
 	if e.membership == nil {
-		return 0, nil, errUnsupported
+		return 0, nil, errNotHost
 	}
 	epoch, members := e.membership.Snapshot()
 	return epoch, members, nil
@@ -612,8 +606,8 @@ func (e *engine) members() (int64, []wire.Member, error) {
 // snapshot captures a consistent full-state snapshot (version plus all
 // tables) for a joiner's state transfer.
 func (e *engine) snapshot() (int64, map[string]map[int64]string, error) {
-	if e.hostCert() == nil {
-		return 0, nil, errUnsupported
+	if _, err := e.hosted(); err != nil {
+		return 0, nil, err
 	}
 	return consistentDump(e.db)
 }
@@ -713,12 +707,16 @@ const retryInterval = 50 * time.Millisecond
 // long-polls the host through the ring, one attempt per pass: a failed
 // poll moves the ring's guess, so the next pass asks the next member.
 // Under Paxos the node campaigns once no leader has answered for
-// electAfter. Node 0's first campaign fires immediately, which is what
-// elects a leader on a cold cluster.
+// electAfter. On a cold cluster node 0's first campaign fires
+// immediately, which is what elects the first leader; a node 0 whose
+// acceptor restarted with a promise rejoins a group that may already
+// have a leader, so it waits like everyone else rather than depose it.
 func (e *engine) run(stop <-chan struct{}) {
 	answered := time.Now() // when a host last answered a poll
 	if e.px != nil && e.px.id == 0 {
-		answered = answered.Add(-e.px.electAfter)
+		if _, promised := e.px.acc.Status(); promised == (paxos.Ballot{}) {
+			answered = answered.Add(-e.px.electAfter)
+		}
 	}
 	for {
 		select {
@@ -932,7 +930,7 @@ func (t *txn) Prepare(id string, coord int64) (vote bool, conflictWith int64, er
 	if ws.Empty() {
 		return true, 0, nil
 	}
-	return t.e.prepareTxn(certifier.PreparedTxn{
+	return t.e.certService().PrepareTxn(certifier.PreparedTxn{
 		ID: id, Coord: coord, Snapshot: t.snapshot, Writeset: ws,
 	})
 }

@@ -57,8 +57,16 @@ func waitOneLeader(t *testing.T, servers []*server.Server, dead int) int {
 // replicated certifier: a three-node durable cluster elects a leader,
 // serves a workload, loses the leader, elects a successor with a
 // higher epoch, and keeps serving — with the survivors convergent.
+// Under sm the leader is the master: killing it moves the update site,
+// and the client follows it by redirect.
 func TestPaxosLeaderFailover(t *testing.T) {
-	servers, addrs, _ := startPaxosCluster(t, 3, nil)
+	for _, design := range []string{"mm", "sm"} {
+		t.Run(design, func(t *testing.T) { paxosLeaderFailover(t, design) })
+	}
+}
+
+func paxosLeaderFailover(t *testing.T, design string) {
+	servers, addrs, _ := startPaxosCluster(t, 3, func(o *server.Options) { o.Design = design })
 	lead := waitOneLeader(t, servers, -1)
 	_, _, epoch0, ok := servers[lead].Leader()
 	if !ok {
@@ -71,7 +79,7 @@ func TestPaxosLeaderFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	const factor = 200
-	cl, err := client.New(client.Options{Servers: addrs, Design: "mm", ProbeAfter: 100 * time.Millisecond})
+	cl, err := client.New(client.Options{Servers: addrs, Design: design, ProbeAfter: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +111,16 @@ func TestPaxosLeaderFailover(t *testing.T) {
 		t.Fatalf("failover did not advance the epoch: %+v -> %+v", epoch0, epoch1)
 	}
 
+	// The new leader goes last, so an sm client reaches it only by
+	// following a redirect from the first survivor.
 	survivors := make([]string, 0, len(addrs)-1)
 	for i, a := range addrs {
-		if i != lead {
+		if i != lead && i != newLead {
 			survivors = append(survivors, a)
 		}
 	}
-	cl2, err := client.New(client.Options{Servers: survivors, Design: "mm", ProbeAfter: 100 * time.Millisecond})
+	survivors = append(survivors, addrs[newLead])
+	cl2, err := client.New(client.Options{Servers: survivors, Design: design, ProbeAfter: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,13 @@ import (
 // Options configure one replica server process.
 type Options struct {
 	// Design is the replication design this node serves: "mm" or "sm".
+	// It decides one thing: whether a node that does not host the
+	// certifier accepts update transactions, schema and load. Under mm
+	// every node does (§5.1); under sm only the host does, and it is the
+	// master (§5.2). Everything else follows from the node's role.
 	Design string
-	// ID is this node's replica id. Replica 0 is the primary: the
-	// certifier host, which under sm is also the only node that runs
-	// updates (the master).
+	// ID is this node's replica id. Without Paxos replica 0 is the
+	// primary, the certifier host; with Paxos any member may host it.
 	ID int
 	// Listen is the TCP listen address (host:port; port 0 picks one).
 	Listen string
@@ -66,7 +69,7 @@ type Options struct {
 	// address including this node's own, and elections need a
 	// reachable majority of it.
 	Members []string
-	// Join, on an mm non-primary, asks the primary to admit this node
+	// Join, on a non-primary, asks the primary to admit this node
 	// at startup: the primary assigns the replica id (ID is ignored),
 	// transfers a consistent snapshot, and the node catches up over
 	// the ordinary propagation path before serving.
@@ -82,10 +85,10 @@ type Options struct {
 	// (default 256).
 	GCLag int
 	// GroupCommit batches commit certification on the certifier host
-	// (mm, ID 0 only, or any node with Paxos).
+	// (ID 0, or any node with Paxos).
 	GroupCommit bool
-	// EagerCert enables eager certification on writes (mm only; on a
-	// non-primary node every probe is a network round trip).
+	// EagerCert enables eager certification on writes (on a node that
+	// does not host the certifier every probe is a network round trip).
 	EagerCert bool
 	// DialTimeout bounds peer-link dials (default 2s).
 	DialTimeout time.Duration
@@ -100,10 +103,11 @@ type Options struct {
 	// Fsync makes WAL commits wait on a (group) fsync, surviving
 	// machine crashes rather than just process kills. Requires WALDir.
 	Fsync bool
-	// Paxos turns certification into a replicated state machine (mm
-	// only): this node embeds a Paxos acceptor, the group elects a
-	// certification leader with epoch fencing, and leadership fails
-	// over automatically when the leader dies. Composes with WALDir /
+	// Paxos turns certification into a replicated state machine: this
+	// node embeds a Paxos acceptor, the group elects a certification
+	// leader with epoch fencing, and leadership fails over automatically
+	// when the leader dies (under sm the master moves with it). Composes
+	// with WALDir /
 	// Fsync — the acceptor state then persists next to the WAL, so a
 	// restarted node rejoins with its promises and votes intact. The
 	// group is Members.
@@ -152,10 +156,9 @@ const (
 // Validate reports the first rule the options break; New refuses such
 // options. Zero values are valid and select the documented defaults.
 func (o Options) Validate() error {
-	isMM := o.Design == "mm"
 	shards := max(o.ShardCount, 1)
 	switch {
-	case !isMM && o.Design != "sm":
+	case o.Design != "mm" && o.Design != "sm":
 		return fmt.Errorf("server: unknown design %q (mm|sm)", o.Design)
 	case o.Listen == "":
 		return errors.New("server: listen address required")
@@ -163,22 +166,14 @@ func (o Options) Validate() error {
 		return fmt.Errorf("server: negative replica id %d", o.ID)
 	case len(o.Members) > 0 && o.ID >= len(o.Members):
 		return fmt.Errorf("server: replica id %d out of range for %d members", o.ID, len(o.Members))
-	case o.Join && !isMM:
-		return errors.New("server: elastic join requires the mm design (single-master clusters are fixed at boot)")
 	case o.Join && o.Primary == "":
 		return errors.New("server: elastic join requires the primary's address")
-	case o.Paxos && !isMM:
-		return errors.New("server: a replicated certifier requires the mm design (a single-master client sends every update to node 0, so its master cannot move)")
 	case o.Paxos && o.Join:
 		return errors.New("server: elastic join is not supported with a replicated certifier (the group is fixed at boot)")
 	case o.Paxos && len(o.Members) == 0:
 		return errors.New("server: a replicated certifier requires the member address list")
 	case !o.Join && !o.Paxos && o.ID > 0 && o.Primary == "":
 		return errors.New("server: replica id > 0 requires the primary's address")
-	case o.GroupCommit && !isMM:
-		return errors.New("server: group commit requires the mm design")
-	case o.EagerCert && !isMM:
-		return errors.New("server: eager certification requires the mm design")
 	case o.GroupCommit && !o.Paxos && (o.ID != 0 || o.Join):
 		return errors.New("server: group commit runs only on the certifier host (id 0, or any node with a replicated certifier)")
 	case o.Fsync && o.WALDir == "":
@@ -187,8 +182,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("server: negative shard count %d", o.ShardCount)
 	case o.ShardID < 0 || o.ShardID >= shards:
 		return fmt.Errorf("server: shard %d out of range for %d shard groups", o.ShardID, shards)
-	case shards > 1 && !isMM:
-		return errors.New("server: sharding requires the mm design (cross-shard commit runs 2PC over certification)")
 	case o.ElectTimeout < 0:
 		return fmt.Errorf("server: negative election timeout %s", o.ElectTimeout)
 	case o.SlowTxn < 0:
@@ -389,11 +382,11 @@ func (s *Server) Start() {
 // Call Close afterwards to release the process state. Leave is
 // idempotent; it returns an error if the deregistration failed or the
 // drain timed out (remaining transactions are then aborted by Close).
-// Only an mm replica that certifies through the primary can leave: the
-// primary, sm nodes and Paxos members refuse without draining.
+// Only a replica that certifies through the primary can leave: the
+// primary and Paxos members refuse without draining.
 func (s *Server) Leave() error {
-	if s.opts.Design == "sm" || s.eng.px != nil || s.eng.ring == nil {
-		return fmt.Errorf("%w: only an mm replica certifying through the primary can leave the cluster", errUnsupported)
+	if s.eng.px != nil || s.eng.ring == nil {
+		return fmt.Errorf("%w: only a replica certifying through the primary can leave the cluster", errUnsupported)
 	}
 	if s.draining.Swap(true) {
 		return nil
@@ -676,13 +669,6 @@ func newTraceID() uint64 {
 // replica id for peer links, a negative value for clients) and open
 // transaction slot.
 func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
-	if s.opts.Design == "sm" && mmOnly(msg) {
-		// The single-master design certifies only on its master, for its
-		// own updates, and keeps its boot-time membership: the paper
-		// scales its master by buying a bigger machine (§6.2.1), not by
-		// elastic joins.
-		return s.errReply(errUnsupported)
-	}
 	switch m := msg.(type) {
 	case *wire.Begin:
 		if st.cur != nil {
@@ -990,19 +976,6 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 	default:
 		return unexpected(msg)
 	}
-}
-
-// mmOnly reports whether msg is a verb only the multi-master design
-// serves: certification, the cross-shard 2PC surface, elastic
-// membership and the embedded Paxos acceptor.
-func mmOnly(msg wire.Message) bool {
-	switch msg.(type) {
-	case *wire.Certify, *wire.Check, *wire.PrepareTxn, *wire.DecideTxn, *wire.ResolveTxn, *wire.ForgetTxn,
-		*wire.Join, *wire.Leave, *wire.Members, *wire.SnapshotReq,
-		*wire.PaxosPrepare, *wire.PaxosAccept, *wire.PaxosLearn:
-		return true
-	}
-	return false
 }
 
 // stampShard writes this group's place in the shard map onto a

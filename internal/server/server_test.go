@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -95,18 +96,28 @@ func TestLoopbackMM(t *testing.T) {
 }
 
 // TestLoopbackMMGroupCommit runs the same cluster with group commit
-// batching on the certifier host.
+// batching on the certifier host, and the single-master cluster with
+// group commit on its master.
 func TestLoopbackMMGroupCommit(t *testing.T) {
-	_, cl := startCluster(t, "mm", 3, func(o *server.Options) { o.GroupCommit = true })
-	driveAndCheck(t, cl, 6, 20)
+	for _, design := range []string{"mm", "sm"} {
+		t.Run(design, func(t *testing.T) {
+			_, cl := startCluster(t, design, 3, func(o *server.Options) { o.GroupCommit = true })
+			driveAndCheck(t, cl, 6, 20)
+		})
+	}
 }
 
 // TestLoopbackMMEagerCert runs the cluster with eager certification:
 // a Write can come back aborted before Commit, and the driver's retry
-// loop must still converge every replica.
+// loop must still converge every replica. Under sm the master probes
+// its own certifier.
 func TestLoopbackMMEagerCert(t *testing.T) {
-	_, cl := startCluster(t, "mm", 3, func(o *server.Options) { o.EagerCert = true })
-	driveAndCheck(t, cl, 4, 25)
+	for _, design := range []string{"mm", "sm"} {
+		t.Run(design, func(t *testing.T) {
+			_, cl := startCluster(t, design, 3, func(o *server.Options) { o.EagerCert = true })
+			driveAndCheck(t, cl, 4, 25)
+		})
+	}
 }
 
 // TestConflictAbortsTyped pins the abort semantics over the wire: a
@@ -471,12 +482,16 @@ func TestHelloRejectsOtherProtocolVersion(t *testing.T) {
 	}
 }
 
-// TestSMAnswersMMVerbsUnsupported pins the single-master wire surface:
-// every verb only the multi-master design serves (certification, 2PC,
-// elastic membership, the Paxos acceptor) gets Err{CodeUnsupported}
-// from both the master and a slave, and the connection stays usable.
-func TestSMAnswersMMVerbsUnsupported(t *testing.T) {
-	servers, _ := startCluster(t, "sm", 2, nil)
+// TestNonHostAnswersAlikeInBothDesigns pins that the design shapes
+// nothing but the update site: an sm slave and an mm replica that does
+// not host the certifier answer each host-only verb (certification,
+// 2PC, elastic membership, snapshots, the Paxos acceptor) with the
+// same reply — Err{CodeUnsupported}, as neither runs Paxos — and both
+// connections stay usable.
+func TestNonHostAnswersAlikeInBothDesigns(t *testing.T) {
+	smNodes, _ := startCluster(t, "sm", 2, nil)
+	mmNodes, _ := startCluster(t, "mm", 2, nil)
+	slave, nonHost := dialWire(t, smNodes[1].Addr()), dialWire(t, mmNodes[1].Addr())
 	verbs := []wire.Message{
 		&wire.Certify{Snapshot: 1},
 		&wire.Check{Snapshot: 1},
@@ -492,32 +507,30 @@ func TestSMAnswersMMVerbsUnsupported(t *testing.T) {
 		&wire.PaxosAccept{Round: 1, Value: "v"},
 		&wire.PaxosLearn{},
 	}
-	for _, srv := range servers {
-		nc, err := net.Dial("tcp", srv.Addr())
+	for _, verb := range append(verbs, &wire.Sync{}) {
+		sm, err := call(slave, verb)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("sm slave: %T: %v", verb, err)
 		}
-		_ = nc.SetDeadline(time.Now().Add(5 * time.Second)) // a hang fails the test, not the suite
-		wc := wire.NewConn(nc)
-		if err := wc.Send(&wire.Hello{Proto: wire.ProtoVersion, PeerID: -1}); err != nil {
-			t.Fatal(err)
+		mm, err := call(nonHost, verb)
+		if err != nil {
+			t.Fatalf("mm non-host: %T: %v", verb, err)
 		}
-		if _, err := wc.Recv(); err != nil {
-			t.Fatal(err)
-		}
-		for _, verb := range verbs {
-			if err := wc.Send(verb); err != nil {
-				t.Fatal(err)
+		if _, isSync := verb.(*wire.Sync); isSync {
+			if _, ok := sm.(*wire.SyncOK); !ok {
+				t.Fatalf("sm slave connection unusable after the verbs: Sync answered %+v", sm)
 			}
-			reply, err := wc.Recv()
-			if err != nil {
-				t.Fatalf("%s: %T: %v", srv.Addr(), verb, err)
+			if _, ok := mm.(*wire.SyncOK); !ok {
+				t.Fatalf("mm non-host connection unusable after the verbs: Sync answered %+v", mm)
 			}
-			if e, ok := reply.(*wire.Err); !ok || e.Code != wire.CodeUnsupported {
-				t.Fatalf("%s: %T answered %+v, want Err{CodeUnsupported}", srv.Addr(), verb, reply)
-			}
+			continue
 		}
-		nc.Close()
+		if !reflect.DeepEqual(sm, mm) {
+			t.Errorf("%T: sm slave answered %+v, mm non-host %+v", verb, sm, mm)
+		}
+		if e, ok := sm.(*wire.Err); !ok || e.Code != wire.CodeUnsupported {
+			t.Errorf("%T answered %+v, want Err{CodeUnsupported}", verb, sm)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/repl"
@@ -102,10 +103,18 @@ func TestShardedSingleShardFastPath(t *testing.T) {
 
 // TestShardedCrossShardCommit: a transaction spanning both groups
 // commits atomically over the wire — prepare on the transaction's own
-// connection, decision verbs to each group's primary — and leaves no
-// in-doubt state behind.
+// connection, decision verbs to each group's certifier host — and
+// leaves no in-doubt state behind, in groups of either design.
 func TestShardedCrossShardCommit(t *testing.T) {
-	r, clients := startShardedGroups(t, 2, nil)
+	for _, design := range []string{"mm", "sm"} {
+		t.Run(design, func(t *testing.T) {
+			r, clients := startShardedGroups(t, 2, func(o *server.Options) { o.Design = design })
+			crossShardCommit(t, r, clients)
+		})
+	}
+}
+
+func crossShardCommit(t *testing.T, r *router.Router, clients []*client.Client) {
 	owned := ownedRows(r, 64)
 	r0, r1 := owned[0][0], owned[1][0]
 
@@ -187,5 +196,73 @@ func TestShardedCrossShardConflict(t *testing.T) {
 	}
 	if dump[r0] != fmt.Sprintf("load-%d", r0) {
 		t.Fatalf("aborted fragment leaked: %q", dump[r0])
+	}
+}
+
+// TestShardedPaxosDecideFollowsLeader: the 2PC decision verbs follow a
+// Paxos group's certifier leader. Group 0's leader moves off node 0,
+// which comes back as a backup; every cross-shard commit must still
+// commit, its decision delivered to wherever the leader now is (a
+// client that sent it to node 0 regardless got a NotLeader redirect
+// back, reported the commit's outcome unknown and left aborted
+// fragments' locks held).
+func TestShardedPaxosDecideFollowsLeader(t *testing.T) {
+	c := launchCluster(t, 2, 3, server.Options{
+		Design:       "mm",
+		Paxos:        true,
+		ElectTimeout: 200 * time.Millisecond,
+		WALDir:       t.TempDir(),
+	}, nil)
+	groups := make([]router.Group, len(c.Clients))
+	for g, cl := range c.Clients {
+		groups[g] = cl
+	}
+	r, err := router.New(1, groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CreateTable("item"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Load("item", 64, func(row int64) string { return fmt.Sprintf("load-%d", row) }); err != nil {
+		t.Fatal(err)
+	}
+
+	servers := c.Servers[0]
+	if lead := waitOneLeader(t, servers, -1); lead == 0 {
+		servers[0].Close()
+		waitOneLeader(t, servers, 0)
+		restarted, err := server.New(c.Options[0][0])
+		if err != nil {
+			t.Fatalf("restart node 0: %v", err)
+		}
+		restarted.Start()
+		servers[0] = restarted // launch's Close stops it
+	}
+	if lead := waitOneLeader(t, servers, -1); lead == 0 {
+		t.Fatal("node 0 leads group 0 again; the test needs the leader elsewhere")
+	}
+
+	owned := ownedRows(r, 64)
+	for i := 0; i < 8; i++ {
+		txn, err := r.BeginUpdate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := range owned {
+			if err := txn.Write("item", owned[g][i], fmt.Sprintf("x%d-%d", g, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatalf("cross-shard commit %d: %v", i, err)
+		}
+	}
+	if leading, _, _, _ := servers[0].Leader(); leading {
+		t.Fatal("node 0 took group 0's leadership back during the commits")
+	}
+	r.Sync()
+	if err := repl.CheckConvergence(r, []string{"item"}); err != nil {
+		t.Fatal(err)
 	}
 }
