@@ -16,6 +16,7 @@ package repro
 import (
 	"io"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/certifier"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/mva"
 	"repro/internal/repl"
 	"repro/internal/sidb"
+	"repro/internal/wal"
 	"repro/internal/workload"
 	"repro/internal/writeset"
 )
@@ -281,6 +283,42 @@ func BenchmarkCertifyBatch(b *testing.B) {
 			c.GC(c.Version() - 64)
 		}
 	}
+}
+
+// BenchmarkCertifyGroupCommit certifies from parallel callers through
+// the group-commit front end, journaled to a WAL on an in-memory file
+// system: the certifier host's commit path under -groupcommit. Each
+// caller rewrites its own row, so every request commits; allocs/op is
+// what one commit costs the heap, the caller's writeset aside.
+func BenchmarkCertifyGroupCommit(b *testing.B) {
+	c := certifier.New()
+	w, _, err := wal.Open(wal.Options{FS: wal.NewMemFS()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	c.SetJournal(w)
+	batcher := certifier.NewBatcher(c, 0)
+	var callers atomic.Int64
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		ws := writeset.Writeset{Entries: []writeset.Entry{
+			{Key: writeset.Key{Table: "t", Row: callers.Add(1)}, Value: "v"},
+		}}
+		for pb.Next() {
+			out, err := batcher.Certify(c.Version(), ws)
+			if err != nil || !out.Committed {
+				b.Errorf("Certify = %+v, %v", out, err)
+				return
+			}
+			// Prune far behind the head, as the host's peer horizon
+			// does: a snapshot below it aborts, and a caller the
+			// scheduler parked may hold one thousands of versions old.
+			if out.Version%1024 == 0 {
+				c.GC(out.Version - 1<<16)
+			}
+		}
+	})
 }
 
 // BenchmarkSIDBUpdateTxn runs the update-transaction path of one

@@ -55,3 +55,70 @@ func TestCertifyAllocs(t *testing.T) {
 		}
 	}
 }
+
+// openMemWAL returns a write-ahead log on an in-memory file system,
+// closed when the test ends.
+func openMemWAL(t *testing.T) *wal.WAL {
+	t.Helper()
+	w, _, err := wal.Open(wal.Options{FS: wal.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
+// TestBatcherCertifyAllocs pins the group-commit front end to zero
+// allocations: a parked request and its wakeup channel are recycled,
+// and the flusher certifies from its own request and result scratch.
+func TestBatcherCertifyAllocs(t *testing.T) {
+	c := certifier.New()
+	c.SetJournal(openMemWAL(t))
+	b := certifier.NewBatcher(c, 0)
+	one := writeset.Rows("t", []int64{1}, []string{"x"})
+	certify := func() {
+		if out, err := b.Certify(c.Version(), one); err != nil || !out.Committed {
+			t.Fatalf("Certify = %+v, %v", out, err)
+		}
+	}
+	for range 64 {
+		certify()
+	}
+	if got := testing.AllocsPerRun(200, certify); got != 0 {
+		t.Errorf("Batcher.Certify: %.2f allocs per call, want 0", got)
+	}
+}
+
+// TestCertifyGCCycleAllocs pins a steady commit-and-prune cycle — the
+// certifier host's life under a horizon that trails the head by a
+// fixed lag — to zero allocations: the log slides back over the head
+// GC pruned instead of growing a new array.
+func TestCertifyGCCycleAllocs(t *testing.T) {
+	const lag = 256
+	c := certifier.New()
+	one := writeset.Rows("t", []int64{1}, []string{"x"})
+	cycle := func() {
+		if _, err := c.Certify(c.Version(), one); err != nil {
+			t.Fatal(err)
+		}
+		c.GC(c.Version() - lag)
+	}
+	// Reach the steady state: the log at its lag, its array sized once.
+	for range 8 * lag {
+		cycle()
+	}
+	// One measured run of many cycles: AllocsPerRun divides by the run
+	// count in integers, which would hide a regrowth every few hundred
+	// cycles.
+	cycles := func() {
+		for range 4 * lag {
+			cycle()
+		}
+	}
+	if got := testing.AllocsPerRun(1, cycles); got != 0 {
+		t.Errorf("Certify+GC: %.0f allocs in %d cycles, want 0", got, 4*lag)
+	}
+	if n := c.LogLen(); n != lag {
+		t.Fatalf("retained %d records, want %d", n, lag)
+	}
+}

@@ -1,6 +1,7 @@
 package certifier
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/writeset"
@@ -8,7 +9,7 @@ import (
 
 // Batcher is an opt-in group-commit front end for a Certifier: it
 // collects certification requests that arrive while a flush is in
-// progress and submits them together through CertifyBatch, so one
+// progress and certifies them together as one CertifyBatch would, so one
 // Paxos round (and one lock acquisition) is amortized over every
 // request in the batch. This mirrors the paper's certifier, which
 // logs writesets in batches to keep the certification service off the
@@ -29,12 +30,22 @@ type Batcher struct {
 
 	mu        sync.Mutex
 	pending   []*pendingCert
+	spare     []*pendingCert // the array pending swaps to when a batch is cut
+	free      []*pendingCert // parked requests whose waiters have read their result
 	flushing  bool
 	batches   int64
 	certified int64
+
+	// Flusher scratch. Only the goroutine holding the flusher role
+	// touches it, and the role passes between goroutines under mu.
+	reqs    []Request
+	results []Result
 }
 
-// pendingCert is one parked request.
+// pendingCert is one parked request. done is buffered to 1: the
+// flusher sends one token per enqueue, and the waiter reads it before
+// the pendingCert goes back to the free list, so a recycled one never
+// carries a token or a result over.
 type pendingCert struct {
 	req  Request
 	res  Result
@@ -59,11 +70,16 @@ func NewBatcher(cert *Certifier, maxBatch int) *Batcher {
 // path. It blocks until the request's batch is durable and returns
 // the same outcome sequential certification would have produced.
 func (b *Batcher) Certify(snapshot int64, ws writeset.Writeset) (Outcome, error) {
-	p := &pendingCert{
-		req:  Request{Snapshot: snapshot, Writeset: ws},
-		done: make(chan struct{}),
-	}
 	b.mu.Lock()
+	var p *pendingCert
+	if n := len(b.free); n > 0 {
+		p = b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+	} else {
+		p = &pendingCert{done: make(chan struct{}, 1)}
+	}
+	p.req = Request{Snapshot: snapshot, Writeset: ws}
 	becomeFlusher := !b.flushing
 	if becomeFlusher {
 		b.flushing = true
@@ -89,7 +105,12 @@ func (b *Batcher) Certify(snapshot int64, ws writeset.Writeset) (Outcome, error)
 		}
 	}
 	<-p.done
-	return p.res.Outcome, p.res.Err
+	res := p.res
+	p.res = Result{}
+	b.mu.Lock()
+	b.free = append(b.free, p)
+	b.mu.Unlock()
+	return res.Outcome, res.Err
 }
 
 // drain flushes the backlog a retiring flusher left behind, cutting
@@ -114,28 +135,34 @@ func (b *Batcher) flushOnce() bool {
 	if n > b.maxBatch {
 		n = b.maxBatch
 	}
-	batch := b.pending[:n:n]
-	if n == len(b.pending) {
-		b.pending = nil // release the backing array
-	} else {
-		b.pending = b.pending[n:]
-	}
+	// The batch keeps the pending array; whatever it leaves behind moves
+	// to the spare one, which takes new arrivals. The previous batch's
+	// array is free to be the spare: the flusher role is exclusive, so
+	// that batch finished before this one was cut.
+	batch := b.pending[:n]
+	b.pending = append(b.spare[:0], b.pending[n:]...)
+	b.spare = batch[:0]
 	b.batches++
 	b.certified += int64(n)
 	b.mu.Unlock()
 
-	reqs := make([]Request, n)
-	for i, q := range batch {
-		reqs[i] = q.req
+	for _, q := range batch {
+		b.reqs = append(b.reqs, q.req)
+		q.req = Request{}
 	}
-	results, err := b.cert.CertifyBatch(reqs)
+	b.results = slices.Grow(b.results[:0], n)[:n]
+	err := b.cert.certify(b.reqs, b.results)
 	for i, q := range batch {
 		if err != nil {
 			q.res.Err = err
 		} else {
-			q.res = results[i]
+			q.res = b.results[i]
 		}
-		close(q.done)
+		q.done <- struct{}{}
 	}
+	clear(batch[:cap(batch)])
+	clear(b.reqs)
+	clear(b.results)
+	b.reqs = b.reqs[:0]
 	return true
 }

@@ -102,9 +102,16 @@ type Journal interface {
 // concurrent use; certification requests serialize, which is what
 // makes the decision deterministic.
 type Certifier struct {
-	mu       sync.Mutex
-	records  []Record // ascending versions, possibly pruned below lowWater
-	index    map[writeset.Key]int64
+	mu      sync.Mutex
+	records []Record // ascending versions, possibly pruned below lowWater
+	// logBuf is the whole array records is a window at the end of: the
+	// slots before records are the head GC pruned, which appendLocked
+	// reuses instead of growing.
+	logBuf []Record
+	index  map[writeset.Key]int64
+	// overlay is a batch's conflict index over its own earlier commits,
+	// kept between batches so group commit reuses its buckets.
+	overlay  map[writeset.Key]int64
 	lowWater int64 // all versions <= lowWater have been pruned
 	version  int64
 
@@ -268,7 +275,7 @@ func (c *Certifier) syncJournal(j Journal, seq, v int64) (time.Duration, error) 
 // one that GC'd to the same point.
 func NewFromRecords(recs []Record, base int64) *Certifier {
 	c := New()
-	c.records = append(c.records, recs...)
+	c.appendLocked(recs...)
 	sort.Slice(c.records, func(i, j int) bool { return c.records[i].Version < c.records[j].Version })
 	for _, rec := range c.records {
 		for _, e := range rec.Writeset.Entries {
@@ -496,7 +503,7 @@ func (c *Certifier) admitLocked(ws writeset.Writeset) error {
 
 // applyLocked installs a recovered record.
 func (c *Certifier) applyLocked(rec Record) {
-	c.records = append(c.records, rec)
+	c.appendLocked(rec)
 	c.publishLocked(c.records[len(c.records)-1:])
 }
 
@@ -619,7 +626,11 @@ func (c *Certifier) stageLocked(reqs []Request, res []Result) (aborts int64) {
 	// of one has none, and skips the overlay.
 	var overlay map[writeset.Key]int64
 	if len(reqs) > 1 {
-		overlay = make(map[writeset.Key]int64)
+		if c.overlay == nil {
+			c.overlay = make(map[writeset.Key]int64)
+		}
+		overlay = c.overlay
+		defer clear(overlay)
 	}
 	version := c.version
 	for i, req := range reqs {
@@ -649,7 +660,7 @@ func (c *Certifier) stageLocked(reqs []Request, res []Result) (aborts int64) {
 			continue
 		}
 		version++
-		c.records = append(c.records, Record{Version: version, Writeset: req.Writeset})
+		c.appendLocked(Record{Version: version, Writeset: req.Writeset})
 		if overlay != nil {
 			for _, e := range req.Writeset.Entries {
 				overlay[e.Key] = version
@@ -726,7 +737,7 @@ func (c *Certifier) foldLocked(v paxos.Value) error {
 			c.unstageLocked()
 			return fmt.Errorf("certifier: adopted value skips versions %d..%d", next, rec.Version-1)
 		}
-		c.records = append(c.records, rec)
+		c.appendLocked(rec)
 		next++
 	}
 	folded := c.stagedLocked()
@@ -779,13 +790,13 @@ func (c *Certifier) SinceInto(dst []Record, v int64) []Record {
 // snapshot predates them.
 //
 // Records are only ever appended at the tail and pruned at the head,
-// so pruning trims the head of the slice in place instead of copying
+// so pruning trims the head of the window in place instead of copying
 // the retained suffix: a horizon that advances once per commit costs
-// O(pruned) here, and the retained log is copied only when append
-// outgrows the backing array (amortised O(1) per record). The trimmed
-// prefix is zeroed so the pruned writesets are released to the
-// collector, and a backing array left mostly empty by a large prune
-// is reallocated so a long-stalled horizon does not pin its peak size.
+// O(pruned) here, and appendLocked slides the retained log back to the
+// front of the same array once the pruned head is as long as it. The
+// trimmed prefix is zeroed so the pruned writesets are released to the
+// collector, and an array left mostly empty by a large prune is
+// reallocated so a long-stalled horizon does not pin its peak size.
 func (c *Certifier) GC(upTo int64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -805,11 +816,32 @@ func (c *Certifier) GC(upTo int64) int {
 	}
 	clear(c.records[:cut])
 	c.records = c.records[cut:]
-	if cap(c.records) > 2*len(c.records)+256 {
+	if cap(c.logBuf) > 2*len(c.records)+256 {
 		c.records = append([]Record(nil), c.records...)
+		c.logBuf = c.records[:cap(c.records)]
 	}
 	c.lowWater = upTo
 	return cut
+}
+
+// appendLocked appends recs at the log tail. When the window is full
+// and GC has pruned a head at least as long as the retained log, the
+// log slides to the front of the same array; otherwise the array grows
+// to twice the log, which is what lets a steady commit-and-prune cycle
+// slide instead of reallocating.
+func (c *Certifier) appendLocked(recs ...Record) {
+	n := len(c.records)
+	if n+len(recs) > cap(c.records) {
+		if head := cap(c.logBuf) - cap(c.records); head >= n && cap(c.logBuf) >= n+len(recs) {
+			copy(c.logBuf, c.records)
+			clear(c.records)
+			c.records = c.logBuf[:n]
+		} else {
+			c.logBuf = make([]Record, 2*n+len(recs))
+			c.records = c.logBuf[:copy(c.logBuf, c.records)]
+		}
+	}
+	c.records = append(c.records, recs...)
 }
 
 // LogLen returns the number of retained records (after GC).
@@ -908,7 +940,7 @@ func Recover(log map[int]paxos.Value) (*Certifier, error) {
 			if rec.Version == 0 {
 				continue // no-op filler
 			}
-			c.records = append(c.records, rec)
+			c.appendLocked(rec)
 			if lowest == 0 || rec.Version < lowest {
 				lowest = rec.Version
 			}

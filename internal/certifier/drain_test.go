@@ -16,13 +16,14 @@ func oneRow(row int64) writeset.Writeset {
 }
 
 // fillPending enqueues n parked requests directly, as arrivals during
-// an in-flight flush would.
+// an in-flight flush would, each with the one-token done channel
+// Certify gives it.
 func fillPending(b *Batcher, start int64, n int) {
 	b.mu.Lock()
 	for i := 0; i < n; i++ {
 		b.pending = append(b.pending, &pendingCert{
 			req:  Request{Snapshot: b.cert.Version(), Writeset: oneRow(start + int64(i))},
-			done: make(chan struct{}),
+			done: make(chan struct{}, 1),
 		})
 	}
 	b.mu.Unlock()

@@ -1,9 +1,13 @@
 package certifier
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/writeset"
 )
 
 // TestStressCertifyCheckGC drives concurrent Certify, Check, Since
@@ -140,5 +144,78 @@ func TestStressBatcher(t *testing.T) {
 	}
 	if c.Version() != commits.Load() {
 		t.Fatalf("version %d != commits %d", c.Version(), commits.Load())
+	}
+}
+
+// TestBatcherOutcomesMatchReplay runs concurrent Batcher.Certify
+// callers on overlapping rows (meant for -race) and replays the
+// committed log in version order. Every commit's record must carry its
+// own caller's writeset and overlap nothing committed between the
+// caller's snapshot and its version; every abort must name a commit
+// newer than its snapshot that wrote one of its rows. A result handed
+// to the wrong caller through a recycled parked request fails one of
+// these.
+func TestBatcherOutcomesMatchReplay(t *testing.T) {
+	c := New()
+	b := NewBatcher(c, 8)
+	const workers, perWorker, rows = 8, 300, 24
+	type call struct {
+		snapshot int64
+		ws       writeset.Writeset
+		out      Outcome
+	}
+	calls := make([][]call, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := range perWorker {
+				snap := max(c.Version()-int64(rng.Intn(3)), 0)
+				tag := fmt.Sprintf("%d/%d", w, i)
+				r1 := int64(rng.Intn(rows))
+				r2 := (r1 + 1 + int64(rng.Intn(rows-1))) % rows
+				ws := writeset.New([]writeset.Entry{
+					{Key: writeset.Key{Table: "t", Row: r1}, Value: tag},
+					{Key: writeset.Key{Table: "t", Row: r2}, Value: tag},
+				})
+				out, err := b.Certify(snap, ws)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				calls[w] = append(calls[w], call{snap, ws, out})
+			}
+		}()
+	}
+	wg.Wait()
+	log := make(map[int64]writeset.Writeset)
+	for _, rec := range c.Since(0) {
+		log[rec.Version] = rec.Writeset
+	}
+	commits := 0
+	for _, cs := range calls {
+		for _, cl := range cs {
+			tag := cl.ws.Entries[0].Value
+			if !cl.out.Committed {
+				if w := cl.out.ConflictWith; w <= cl.snapshot || !log[w].Conflicts(cl.ws) {
+					t.Fatalf("%s (snapshot %d) aborted on version %d, which does not conflict with it", tag, cl.snapshot, w)
+				}
+				continue
+			}
+			commits++
+			if rec, ok := log[cl.out.Version]; !ok || rec.Entries[0].Value != tag {
+				t.Fatalf("%s was told it committed at version %d, whose record is %v", tag, cl.out.Version, rec)
+			}
+			for v := cl.snapshot + 1; v < cl.out.Version; v++ {
+				if log[v].Conflicts(cl.ws) {
+					t.Fatalf("%s committed at %d over version %d, which wrote its rows after its snapshot %d", tag, cl.out.Version, v, cl.snapshot)
+				}
+			}
+		}
+	}
+	if commits != len(log) {
+		t.Fatalf("%d callers were told they committed, the log holds %d records", commits, len(log))
 	}
 }

@@ -250,7 +250,7 @@ func (c *Certifier) Decide(id string, commit bool) (version int64, err error) {
 	_, err = c.proposeLocked(func() bool {
 		if commit {
 			version = c.version + 1
-			c.records = append(c.records, Record{Version: version, Writeset: p.Writeset})
+			c.appendLocked(Record{Version: version, Writeset: p.Writeset})
 		}
 		return true
 	}, func() (paxos.Value, error) {

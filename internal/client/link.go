@@ -26,11 +26,6 @@ type Link struct {
 	// commit timestamp during FetchSince decoding (both zero from
 	// untraced leaders).
 	meta func(version int64, trace uint64, commitNs int64)
-	// sinceWait is the long-poll window Since passes to FetchSince.
-	// Zero keeps Since immediate (commit-path latency); catch-up and
-	// sync loops set a small window so a caller already at the
-	// primary's version parks there instead of busy polling.
-	sinceWait time.Duration
 }
 
 // linkRPCDeadline bounds ordinary link RPCs so a one-way partition
@@ -61,7 +56,10 @@ func (l *Link) OnRecordMeta(fn func(version int64, trace uint64, commitNs int64)
 // untraced).
 func (l *Link) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
 	var out certifier.Outcome
-	err := l.pool.do(&wire.Certify{Snapshot: snapshot, WS: ws, Trace: trace}, linkRPCDeadline, func(reply wire.Message) error {
+	err := l.pool.doOn(func(c *wconn) wire.Message {
+		c.certify = wire.Certify{Snapshot: snapshot, WS: ws, Trace: trace}
+		return &c.certify
+	}, linkRPCDeadline, func(reply wire.Message) error {
 		m, ok := reply.(*wire.CertifyOK)
 		if !ok {
 			return fmt.Errorf("client: unexpected certify reply %T", reply)
@@ -104,28 +102,10 @@ func (l *Link) PrepareTxn(p certifier.PreparedTxn) (vote bool, conflictWith int6
 	return m.Vote, m.ConflictWith, nil
 }
 
-// SetSinceWait makes Since long-poll with the given window instead of
-// returning immediately when the primary has nothing new. Install
-// before the loops that call Since; the Link does not synchronize
-// replacement.
-func (l *Link) SetSinceWait(d time.Duration) { l.sinceWait = d }
-
 // RoundTrips returns the cumulative request/reply exchanges this link
 // has attempted — the observable a steady-state regression test pins
 // to prove catch-up long-polls instead of busy polling.
 func (l *Link) RoundTrips() int64 { return l.pool.rpcs.Load() }
-
-// Since returns every certified record with version > v, or nil when
-// the primary is unreachable (the caller simply makes no propagation
-// progress this round). With a SetSinceWait window installed the call
-// long-polls at the primary when nothing is new.
-func (l *Link) Since(v int64) []certifier.Record {
-	recs, err := l.FetchSince(v, l.sinceWait)
-	if err != nil {
-		return nil
-	}
-	return recs
-}
 
 // Join asks the primary to admit a new replica listening on addr. It
 // returns the assigned replica id, the membership
@@ -285,27 +265,33 @@ func (l *Link) PaxosLearn() (paxos.LearnReply, error) {
 	}, nil
 }
 
-// FetchSince retrieves records with version > v; wait > 0 long-polls
-// at the primary until records arrive or the wait expires.
-func (l *Link) FetchSince(v int64, wait time.Duration) ([]certifier.Record, error) {
-	req := &wire.FetchSince{Version: v}
-	if wait > 0 {
-		req.WaitMillis = uint32(wait / time.Millisecond)
-	}
-	var recs []certifier.Record
-	err := l.pool.do(req, wait+linkRPCDeadline, func(reply wire.Message) error {
+// FetchSinceInto appends to dst the records with version > v and
+// returns the extended slice; wait > 0 long-polls at the primary until
+// records arrive or the wait expires. The appended records are valid
+// until the caller reuses dst; their writesets are freshly decoded
+// and owned by the caller. On error dst comes back unchanged.
+func (l *Link) FetchSinceInto(dst []certifier.Record, v int64, wait time.Duration) ([]certifier.Record, error) {
+	err := l.pool.doOn(func(c *wconn) wire.Message {
+		c.fetch = wire.FetchSince{Version: v}
+		if wait > 0 {
+			c.fetch.WaitMillis = uint32(wait / time.Millisecond)
+		}
+		return &c.fetch
+	}, wait+linkRPCDeadline, func(reply wire.Message) error {
 		m, ok := reply.(*wire.Records)
 		if !ok {
 			return fmt.Errorf("client: unexpected fetch reply %T", reply)
 		}
-		recs = make([]certifier.Record, len(m.Recs))
-		for i, r := range m.Recs {
-			recs[i] = certifier.Record{Version: r.Version, Writeset: r.WS}
+		for _, r := range m.Recs {
+			dst = append(dst, certifier.Record{Version: r.Version, Writeset: r.WS})
 			if l.meta != nil && (r.Trace != 0 || r.CommitNs != 0) {
 				l.meta(r.Version, r.Trace, r.CommitNs)
 			}
 		}
+		// The reply is the connection's reused decode target: drop its
+		// writesets so an idle connection pins none.
+		clear(m.Recs)
 		return nil
 	})
-	return recs, err
+	return dst, err
 }

@@ -33,17 +33,20 @@ func jitter(d time.Duration) time.Duration {
 }
 
 // wconn is one established, handshaken protocol connection, plus one
-// reusable request struct per per-transaction verb. The transaction
-// holding the connection fills one in and sends it; wire.Conn.Send
-// encodes synchronously, so the struct is free again when Send returns.
+// reusable request struct per per-transaction or per-update link verb.
+// The caller holding the connection fills one in and sends it;
+// wire.Conn.Send encodes synchronously, so the struct is free again
+// when Send returns.
 type wconn struct {
 	nc net.Conn
 	wc *wire.Conn
 
-	begin wire.Begin
-	read  wire.Read
-	write wire.Write
-	del   wire.Delete
+	begin   wire.Begin
+	read    wire.Read
+	write   wire.Write
+	del     wire.Delete
+	certify wire.Certify
+	fetch   wire.FetchSince
 }
 
 func (c *wconn) close() {
@@ -287,6 +290,13 @@ func (p *connPool) rpc(req wire.Message, deadline time.Duration) (wire.Message, 
 // A positive deadline bounds the whole exchange (used by long polls so
 // a one-way partition cannot park the caller forever).
 func (p *connPool) do(req wire.Message, deadline time.Duration, use func(wire.Message) error) error {
+	return p.doOn(func(*wconn) wire.Message { return req }, deadline, use)
+}
+
+// doOn is do with the request built on each checked-out connection, so
+// a per-update verb can send the connection's reusable request struct
+// instead of allocating one per call.
+func (p *connPool) doOn(req func(c *wconn) wire.Message, deadline time.Duration, use func(wire.Message) error) error {
 	var lastErr error
 	backoff := dialBackoffMin
 	// Retry enough times to drain a pool full of stale connections
@@ -309,7 +319,7 @@ func (p *connPool) do(req wire.Message, deadline time.Duration, use func(wire.Me
 			_ = c.nc.SetDeadline(time.Now().Add(deadline))
 		}
 		p.rpcs.Add(1)
-		reply, err := roundTrip(c, req)
+		reply, err := roundTrip(c, req(c))
 		if deadline > 0 {
 			_ = c.nc.SetDeadline(time.Time{})
 		}

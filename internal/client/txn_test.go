@@ -4,17 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/repl"
 	"repro/internal/wire"
+	"repro/internal/writeset"
 )
 
 // fakeServer serves the per-transaction verbs on loopback: Begin,
 // Commit and Abort succeed, Write and Delete ack, Read returns
-// "<table>/<row>", and FetchSince answers with no records, as a leader
-// with nothing new would. A Commit after a Write to table "doomed"
+// "<table>/<row>", and FetchSince answers with the two records after
+// the requested version, each writing its own version number to row 0
+// of table "t". A Commit after a Write to table "doomed"
 // aborts, naming the written row as the conflicting version. It stops
 // once the test's client has closed its connections.
 func fakeServer(t *testing.T) string {
@@ -78,7 +81,14 @@ func serveFake(nc net.Conn) {
 		case *wire.Abort:
 			reply = &wire.AbortOK{}
 		case *wire.FetchSince:
-			reply = &wire.Records{}
+			recs := make([]wire.Record, 2)
+			for i := range recs {
+				v := m.Version + int64(i) + 1
+				recs[i] = wire.Record{Version: v, WS: writeset.New([]writeset.Entry{
+					{Key: writeset.Key{Table: "t"}, Value: strconv.FormatInt(v, 10)},
+				})}
+			}
+			reply = &wire.Records{Recs: recs}
 		default:
 			reply = &wire.Err{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("unexpected %T", msg)}
 		}

@@ -30,6 +30,7 @@
 package pipeline
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -37,35 +38,80 @@ import (
 	"repro/internal/writeset"
 )
 
-// Notify wakes long-polling peers when new versions commit.
+// Notify wakes long-polling peers when new versions commit. A parked
+// waiter owns a channel buffered to 1, reused from wait to wait: Bump
+// sends each parked waiter one token and unparks it, so publishing a
+// version allocates nothing.
 type Notify struct {
-	mu     sync.Mutex
-	latest int64
-	ch     chan struct{} // closed and replaced on every bump
+	mu      sync.Mutex
+	latest  int64
+	waiting []*waiter // parked, each owed at most one token
+	free    []*waiter // idle, with empty channels
 }
 
+// waiter is one parked long poll.
+type waiter struct{ ch chan struct{} }
+
 // NewNotify returns a Notify with no version published yet.
-func NewNotify() *Notify {
-	return &Notify{ch: make(chan struct{})}
-}
+func NewNotify() *Notify { return &Notify{} }
 
 // Bump publishes version v, waking every waiter behind it.
 func (n *Notify) Bump(v int64) {
 	n.mu.Lock()
 	if v > n.latest {
 		n.latest = v
-		close(n.ch)
-		n.ch = make(chan struct{})
+		for i, w := range n.waiting {
+			w.ch <- struct{}{}
+			n.waiting[i] = nil
+		}
+		n.waiting = n.waiting[:0]
 	}
 	n.mu.Unlock()
 }
 
-// published reports whether a version > v has been published and, if
-// not, returns the channel the next Bump closes.
-func (n *Notify) published(v int64) (bool, chan struct{}) {
+// park parks a waiter until the next Bump and returns it, or returns
+// nil when a version > v is already published. w is the caller's
+// waiter from an earlier park whose token it consumed (nil on the
+// first call, which takes an idle one): it is parked again, or goes
+// back idle when there is nothing left to wait for.
+func (n *Notify) park(v int64, w *waiter) *waiter {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.latest > v, n.ch
+	if n.latest > v {
+		if w != nil {
+			n.free = append(n.free, w)
+		}
+		return nil
+	}
+	if w == nil {
+		if k := len(n.free); k > 0 {
+			w = n.free[k-1]
+			n.free[k-1] = nil
+			n.free = n.free[:k-1]
+		} else {
+			w = &waiter{ch: make(chan struct{}, 1)}
+		}
+	}
+	n.waiting = append(n.waiting, w)
+	return w
+}
+
+// release retires w: a waiter still parked is unparked, and a token a
+// Bump sent before the lock was taken is drained, so w goes back idle
+// with an empty channel.
+func (n *Notify) release(w *waiter) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if i := slices.Index(n.waiting, w); i >= 0 {
+		last := len(n.waiting) - 1
+		n.waiting[i] = n.waiting[last]
+		n.waiting[last] = nil
+		n.waiting = n.waiting[:last]
+	} else {
+		// Bump sends under the lock, so its token is already buffered.
+		<-w.ch
+	}
+	n.free = append(n.free, w)
 }
 
 // timers recycles WaitBeyond's deadline timers. Under the timer
@@ -93,23 +139,25 @@ func putTimer(t *time.Timer) {
 // parked long polls instead of waiting out their timers). A long poll
 // runs once per peer fetch, so it allocates nothing: it returns before
 // arming a timer when a newer version is already published, and
-// otherwise borrows a pooled timer.
+// otherwise borrows a pooled timer and an idle waiter.
 func (n *Notify) WaitBeyond(v int64, timeout time.Duration, stop <-chan struct{}) {
-	done, ch := n.published(v)
-	if done {
+	w := n.park(v, nil)
+	if w == nil {
 		return
 	}
 	deadline := takeTimer(timeout)
 	defer putTimer(deadline)
 	for {
 		select {
-		case <-ch:
-			if done, ch = n.published(v); done {
+		case <-w.ch:
+			if w = n.park(v, w); w == nil {
 				return
 			}
 		case <-deadline.C:
+			n.release(w)
 			return
 		case <-stop:
+			n.release(w)
 			return
 		}
 	}
@@ -261,7 +309,3 @@ func (h *HostCert) ResolveTxn(id string) (bool, error) { return h.Base.Resolve(i
 
 // ForgetTxn retires a fully acknowledged decision.
 func (h *HostCert) ForgetTxn(id string) error { return h.Base.Forget(id) }
-
-// Since returns every certified record with version > v in ascending
-// version order — the propagation feed.
-func (h *HostCert) Since(v int64) []certifier.Record { return h.Base.Since(v) }

@@ -53,15 +53,18 @@ func TestDispatchReadAllocs(t *testing.T) {
 
 // TestDispatchUpdateAllocs pins the server half of one update
 // transaction — Begin, Write, Commit — on a one-node cluster of each
-// design: the node certifies against its own log and applies the
-// commit from it without copying the record or its writeset list.
+// design, and behind group commit: the node certifies against its own
+// log and applies the commit from it without copying the record or its
+// writeset list, a parked group-commit request is recycled, and the
+// commit's long-poll wakeup allocates nothing.
 func TestDispatchUpdateAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		design string
-		want   float64
-	}{{"mm", 6}, {"sm", 6}} {
-		t.Run(tc.design, func(t *testing.T) {
-			s, err := New(Options{Design: tc.design, Listen: "127.0.0.1:0", Replicas: 1})
+		name, design string
+		groupCommit  bool
+		want         float64
+	}{{"mm", "mm", false, 5}, {"sm", "sm", false, 5}, {"mm-groupcommit", "mm", true, 5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(Options{Design: tc.design, Listen: "127.0.0.1:0", Replicas: 1, GroupCommit: tc.groupCommit})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,5 +91,41 @@ func TestDispatchUpdateAllocs(t *testing.T) {
 			}
 			t.Logf("%.2f allocs/txn", allocs)
 		})
+	}
+}
+
+// TestDispatchFetchSinceAllocs pins the certifier host's half of a
+// propagation fetch to zero allocations: the host's log is read into
+// the connection's scratch, and the Records reply is the connection's
+// reused struct.
+func TestDispatchFetchSinceAllocs(t *testing.T) {
+	s, err := New(Options{Design: "mm", Listen: "127.0.0.1:0", Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st := &connState{peer: -1}
+	dispatch := func(req wire.Message) wire.Message {
+		reply := s.dispatch(st, req)
+		if e, isErr := reply.(*wire.Err); isErr {
+			t.Fatalf("%T: %s", req, e.Msg)
+		}
+		return reply
+	}
+	dispatch(&wire.CreateTable{Name: "item"})
+	const k = 8
+	for i := range k {
+		dispatch(&wire.Begin{})
+		dispatch(&wire.Write{Table: "item", Row: int64(i), Value: "stock=92"})
+		dispatch(&wire.Commit{})
+	}
+	fetch := &wire.FetchSince{Version: s.eng.applied() - k}
+	allocs := testing.AllocsPerRun(200, func() {
+		if reply, ok := dispatch(fetch).(*wire.Records); !ok || len(reply.Recs) != k {
+			t.Fatalf("fetch reply %+v", reply)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("dispatch FetchSince of %d records: %.2f allocs/op, want 0", k, allocs)
 	}
 }

@@ -35,7 +35,7 @@ var errNotHost = fmt.Errorf("%w: it does not host the certifier (under sm, the m
 const pollInterval = 250 * time.Millisecond
 
 // syncLongPoll is the long-poll window for commit-path catch-up
-// fetches (Link.Since, ring Since). Shorter than pollInterval because
+// fetches (the ring's SinceInto). Shorter than pollInterval because
 // these run inside client-visible operations, but long enough that a
 // caught-up replica parks on the primary instead of spinning wait=0
 // round trips.
@@ -415,18 +415,18 @@ func (e *engine) certifyWriteset(ws writeset.Writeset) error {
 
 // catchUp applies every certified writeset past the applied version.
 // The fetch happens outside the application lock: on a non-host node
-// Since is a network round trip, and holding the apply lock across it
+// it is a network round trip, and holding the apply lock across it
 // would stall every begin for the duration (the applier's version
 // guards make the unlocked window safe against concurrent appliers).
-// The host reads its own log into a stack buffer: after a commit the
-// run is usually that one record, so applying it copies nothing.
+// Either side reads into a stack buffer: after a commit the run is
+// usually that one record, so applying it copies nothing.
 func (e *engine) catchUp() {
+	var buf [4]certifier.Record
 	if h := e.hostCert(); h != nil {
-		var buf [4]certifier.Record
 		e.ap.Apply(h.Base.SinceInto(buf[:0], e.ap.Applied()))
 		return
 	}
-	e.ap.Apply(e.ring.Since(e.ap.Applied()))
+	e.ap.Apply(e.ring.SinceInto(buf[:0], e.ap.Applied()))
 }
 
 func (e *engine) dump(table string) (map[int64]string, error) { return e.db.Dump(table) }
@@ -518,11 +518,12 @@ func (e *engine) logLen() int {
 
 func (e *engine) rowVersions() int64 { return e.db.Versions() }
 
-// fetchSince serves a peer's propagation pull; it fails unless this
-// node hosts the certifier. peer is the requester's replica id
-// (negative for non-peer clients): long-poll cursors are tracked per
-// replica so the host can garbage-collect what everyone applied.
-func (e *engine) fetchSince(peer int64, v int64, wait time.Duration) ([]certifier.Record, error) {
+// fetchSince serves a peer's propagation pull, appending the records
+// to dst; it fails unless this node hosts the certifier. peer is the
+// requester's replica id (negative for non-peer clients): long-poll
+// cursors are tracked per replica so the host can garbage-collect what
+// everyone applied.
+func (e *engine) fetchSince(peer int64, v int64, wait time.Duration, dst []certifier.Record) ([]certifier.Record, error) {
 	h, err := e.hosted()
 	if err != nil {
 		return nil, err
@@ -542,7 +543,7 @@ func (e *engine) fetchSince(peer int64, v int64, wait time.Duration) ([]certifie
 		e.maybeGC()
 		h.Notify.WaitBeyond(v, wait, e.stop)
 	}
-	return h.Since(v), nil
+	return h.Base.SinceInto(dst, v), nil
 }
 
 // peerGone drops a peer's propagation cursor when its connection dies
@@ -718,6 +719,9 @@ func (e *engine) run(stop <-chan struct{}) {
 			answered = answered.Add(-e.px.electAfter)
 		}
 	}
+	// fetched is the poll's scratch: the records it holds are applied
+	// before the next poll, which reuses it.
+	var fetched []certifier.Record
 	for {
 		select {
 		case <-stop:
@@ -739,16 +743,18 @@ func (e *engine) run(stop <-chan struct{}) {
 			e.evictStale()
 			continue
 		}
-		recs, err := e.ring.FetchSinceOnce(e.applied(), pollInterval)
+		recs, err := e.ring.FetchSinceOnceInto(fetched[:0], e.applied(), pollInterval)
+		if len(recs) > 0 {
+			e.ingest(recs)
+			// Compact whenever records arrived, even if a client's
+			// wire Sync handler won the race to apply them —
+			// otherwise a replica whose applies are always won that
+			// way would never compact.
+			e.maybeCompactDurable()
+		}
+		clear(recs) // the applied writesets belong to the database now
+		fetched = recs[:0]
 		if err == nil {
-			if len(recs) > 0 {
-				e.ingest(recs)
-				// Compact whenever records arrived, even if a client's
-				// wire Sync handler won the race to apply them —
-				// otherwise a replica whose applies are always won that
-				// way would never compact.
-				e.maybeCompactDurable()
-			}
 			answered = time.Now()
 			continue
 		}

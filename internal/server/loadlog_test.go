@@ -193,7 +193,7 @@ func TestFetchSinceBoundsReplies(t *testing.T) {
 	var cursor int64
 	fetches, loaded := 0, 0
 	for {
-		recs, err := link.FetchSince(cursor, 0)
+		recs, err := link.FetchSinceInto(nil, cursor, 0)
 		if err != nil {
 			t.Fatalf("fetch %d: %v", fetches, err)
 		}

@@ -507,9 +507,15 @@ type connState struct {
 	txStart  time.Time
 	snap     *snapshotStream
 
-	beginOK  wire.BeginOK
-	readOK   wire.ReadOK
-	commitOK wire.CommitOK
+	beginOK   wire.BeginOK
+	readOK    wire.ReadOK
+	commitOK  wire.CommitOK
+	certifyOK wire.CertifyOK
+	// records is the FetchSince reply; it holds at most one replyBudget
+	// of writesets until the next fetch refills it. since is the scratch
+	// the host's log is read into, cleared once the reply is built.
+	records wire.Records
+	since   []certifier.Record
 }
 
 // snapshotStream is a pinned snapshot being streamed in chunks over
@@ -806,17 +812,19 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		if wait > maxFetchWait {
 			wait = maxFetchWait
 		}
-		recs, err := s.eng.fetchSince(st.peer, m.Version, wait)
+		recs, err := s.eng.fetchSince(st.peer, m.Version, wait, st.since[:0])
 		if err != nil {
 			return s.errReply(err)
 		}
-		recs = capRecords(recs)
-		reply := &wire.Records{Recs: make([]wire.Record, len(recs)), Compress: true}
-		for i, r := range recs {
+		clear(st.records.Recs)
+		st.records = wire.Records{Recs: st.records.Recs[:0], Compress: true}
+		for _, r := range capRecords(recs) {
 			trace, commitNs := s.m.tracer.CommitMeta(r.Version)
-			reply.Recs[i] = wire.Record{Version: r.Version, WS: r.Writeset, Trace: trace, CommitNs: commitNs}
+			st.records.Recs = append(st.records.Recs, wire.Record{Version: r.Version, WS: r.Writeset, Trace: trace, CommitNs: commitNs})
 		}
-		return reply
+		clear(recs)
+		st.since = recs[:0]
+		return &st.records
 
 	case *wire.Stats:
 		reply := s.m.statsOK(s.eng)
@@ -828,7 +836,8 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		if err != nil {
 			return s.errReply(err)
 		}
-		return &wire.CertifyOK{Committed: out.Committed, Version: out.Version, ConflictWith: out.ConflictWith}
+		st.certifyOK = wire.CertifyOK{Committed: out.Committed, Version: out.Version, ConflictWith: out.ConflictWith}
+		return &st.certifyOK
 
 	case *wire.Check:
 		conflict, with, err := s.eng.check(m.Snapshot, m.WS)

@@ -628,9 +628,10 @@ func certLogGC(t *testing.T, design string) {
 }
 
 // TestCatchUpLongPolls is the busy-poll regression test: a caught-up
-// consumer running Since in a tight loop must park on the server's
-// long-poll window, not spin wait=0 round trips. Counted through the
-// link's RPC counter at steady state.
+// consumer running SinceInto in a tight loop, as commit-path catch-up
+// does, must park on the server's long-poll window, not spin wait=0
+// round trips. Counted through the leader link's RPC counter at steady
+// state.
 func TestCatchUpLongPolls(t *testing.T) {
 	servers, cl := startCluster(t, "mm", 2, nil)
 	mix := workload.TPCWShopping()
@@ -645,10 +646,14 @@ func TestCatchUpLongPolls(t *testing.T) {
 		t.Fatalf("drive errors: %+v", res)
 	}
 
-	l := client.NewLink(servers[0].Addr(), "mm", -1, 2*time.Second)
-	defer l.Close()
+	r := client.NewLeaderRing([]string{servers[0].Addr()}, "mm", -1, 2*time.Second)
+	defer r.Close()
 	const wait = 100 * time.Millisecond
-	l.SetSinceWait(wait)
+	r.SetSinceWait(wait)
+	l, err := r.Leader()
+	if err != nil {
+		t.Fatal(err)
+	}
 	st, err := l.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -656,7 +661,7 @@ func TestCatchUpLongPolls(t *testing.T) {
 	base := l.RoundTrips() // handshake-time RPCs plus the Stats call
 	deadline := time.Now().Add(5 * wait)
 	for time.Now().Before(deadline) {
-		if recs := l.Since(st.Applied); len(recs) != 0 {
+		if recs := r.SinceInto(nil, st.Applied); len(recs) != 0 {
 			t.Fatalf("unexpected new records at steady state: %d", len(recs))
 		}
 	}

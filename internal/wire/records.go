@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/writeset"
@@ -39,13 +40,18 @@ var (
 	errRecordDict  = errors.New("wire: record table index out of range")
 )
 
-// recScratch holds transient body buffers: the plain body before
-// optional compression on the encode side, the inflated body on the
-// decode side. Decoded messages copy every retained byte out, so the
-// buffers recycle safely.
-var recScratch = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4<<10)
-	return &b
+// recScratch holds transient encode and decode state: the body buffer
+// (the plain body before optional compression on the encode side, the
+// inflated body on the decode side) and the encoder's table
+// dictionary. Decoded messages copy every retained byte out, so the
+// scratch recycles safely.
+type recScratch struct {
+	body   []byte
+	tables []string
+}
+
+var recScratches = sync.Pool{New: func() any {
+	return &recScratch{body: make([]byte, 0, 4<<10)}
 }}
 
 var flateWriters = sync.Pool{New: func() any {
@@ -53,25 +59,31 @@ var flateWriters = sync.Pool{New: func() any {
 	return w
 }}
 
-var flateReaders = sync.Pool{New: func() any {
-	return flate.NewReader(bytes.NewReader(nil))
+// inflater is a pooled flate reader with the bytes.Reader it reads
+// from, so a decompression resets both instead of allocating a source.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+}
+
+var inflaters = sync.Pool{New: func() any {
+	f := &inflater{}
+	f.fr = flate.NewReader(&f.src)
+	return f
 }}
 
 func (m *Records) encode(b []byte) []byte {
-	sp := recScratch.Get().(*[]byte)
-	body := appendRecordsBody((*sp)[:0], m.Recs)
-	if m.Compress && len(body) >= compressMin {
-		if out, ok := appendFlate(b, body); ok {
-			*sp = body
-			recScratch.Put(sp)
+	sc := recScratches.Get().(*recScratch)
+	sc.body, sc.tables = appendRecordsBody(sc.body[:0], sc.tables[:0], m.Recs)
+	clear(sc.tables)
+	defer recScratches.Put(sc)
+	if m.Compress && len(sc.body) >= compressMin {
+		if out, ok := appendFlate(b, sc.body); ok {
 			return out
 		}
 	}
 	b = append(b, 0)
-	b = append(b, body...)
-	*sp = body
-	recScratch.Put(sp)
-	return b
+	return append(b, sc.body...)
 }
 
 func (m *Records) decode(d *decoder) {
@@ -89,32 +101,32 @@ func (m *Records) decode(d *decoder) {
 	}
 	comp := d.b[d.off:]
 	d.off = len(d.b)
-	sp := recScratch.Get().(*[]byte)
-	plain, err := inflateInto((*sp)[:0], comp)
-	*sp = plain
+	sc := recScratches.Get().(*recScratch)
+	defer recScratches.Put(sc)
+	plain, err := inflateInto(sc.body[:0], comp)
+	sc.body = plain
 	if err != nil {
-		recScratch.Put(sp)
 		d.err = err
 		return
 	}
-	sub := decoder{b: plain, names: d.names}
+	sub := decoder{b: plain, names: d.names, tables: d.tables}
 	m.decodeRecordsBody(&sub)
+	d.tables = sub.tables
 	switch {
 	case sub.err != nil:
 		d.err = sub.err
 	case sub.off != len(sub.b):
 		d.err = ErrTrailingBytes
 	}
-	recScratch.Put(sp)
 }
 
-// appendRecordsBody encodes the plain (uncompressed) body.
-func appendRecordsBody(b []byte, recs []Record) []byte {
+// appendRecordsBody encodes the plain (uncompressed) body, building
+// the frame's table dictionary in tables; it returns both.
+func appendRecordsBody(b []byte, tables []string, recs []Record) ([]byte, []string) {
 	b = appendUvarint(b, uint64(len(recs)))
 	// Per-frame table dictionary: each distinct name ships once and
 	// entries reference it by index. Propagation streams touch a
 	// handful of tables, so a linear scan beats a map.
-	var tables []string
 	for _, r := range recs {
 		for _, e := range r.WS.Entries {
 			if tableIndex(tables, e.Key.Table) < 0 {
@@ -140,7 +152,7 @@ func appendRecordsBody(b []byte, recs []Record) []byte {
 			b = appendString(b, e.Value)
 		}
 	}
-	return b
+	return b, tables
 }
 
 func tableIndex(tables []string, name string) int {
@@ -162,13 +174,14 @@ func (m *Records) decodeRecordsBody(d *decoder) {
 		d.fail()
 		return
 	}
-	var tables []string
-	if nt > 0 {
-		tables = make([]string, 0, prealloc(nt))
-		for i := uint64(0); i < nt; i++ {
-			tables = append(tables, d.table())
-		}
+	// The dictionary and the record slice are the decoder's and the
+	// message's scratch from the previous frame; the writesets are not.
+	clear(d.tables)
+	tables := d.tables[:0]
+	for i := uint64(0); i < nt; i++ {
+		tables = append(tables, d.table())
 	}
+	d.tables = tables
 	if d.err != nil {
 		return
 	}
@@ -176,7 +189,8 @@ func (m *Records) decodeRecordsBody(d *decoder) {
 		d.fail()
 		return
 	}
-	m.Recs = make([]Record, 0, prealloc(n))
+	clear(m.Recs)
+	m.Recs = slices.Grow(m.Recs[:0], prealloc(n))
 	prev := int64(0)
 	for i := uint64(0); i < n; i++ {
 		var r Record
@@ -255,29 +269,30 @@ func appendFlate(b, body []byte) ([]byte, bool) {
 // inflateInto decompresses comp into dst, bounded by MaxFrame so a
 // hostile peer cannot amplify a small frame into unbounded memory.
 func inflateInto(dst, comp []byte) ([]byte, error) {
-	fr := flateReaders.Get().(io.ReadCloser)
-	if err := fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
-		flateReaders.Put(fr)
+	f := inflaters.Get().(*inflater)
+	defer func() {
+		f.src.Reset(nil) // drop the view of the caller's buffer
+		inflaters.Put(f)
+	}()
+	f.src.Reset(comp)
+	if err := f.fr.(flate.Resetter).Reset(&f.src, nil); err != nil {
 		return dst, err
 	}
 	for {
 		if len(dst) == cap(dst) {
 			dst = append(dst, 0)[:len(dst)]
 		}
-		n, err := fr.Read(dst[len(dst):cap(dst)])
+		n, err := f.fr.Read(dst[len(dst):cap(dst)])
 		dst = dst[:len(dst)+n]
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			flateReaders.Put(fr)
 			return dst, fmt.Errorf("wire: inflate: %w", err)
 		}
 		if len(dst) > MaxFrame {
-			flateReaders.Put(fr)
 			return dst, ErrFrameTooLarge
 		}
 	}
-	flateReaders.Put(fr)
 	return dst, nil
 }

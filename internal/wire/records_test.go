@@ -133,7 +133,7 @@ func TestRecordsV5BadDictIndex(t *testing.T) {
 // inside the compressed stream are an error, mirroring the frame-level
 // trailing-bytes rule.
 func TestRecordsV5CompressedTrailing(t *testing.T) {
-	body := appendRecordsBody(nil, propagationRun(20))
+	body, _ := appendRecordsBody(nil, nil, propagationRun(20))
 	body = append(body, 0xAA) // junk beyond the declared records
 	payload, ok := appendFlate(nil, body)
 	if !ok {

@@ -139,6 +139,8 @@ func grabBig(n int) *[]byte {
 // hot message structs themselves are reused by the next Recv of the
 // same type on this connection — callers must not retain them across
 // Recv calls (the request/reply discipline already guarantees this).
+// A Records reply's record slice is reused with its struct; the
+// writesets in it are fresh and may be kept.
 // Table names are interned: a name this connection has decoded before
 // comes back as the same string, not a fresh copy. Strings are
 // immutable, so sharing them is invisible to callers.
@@ -171,7 +173,7 @@ func (c *Conn) Recv() (Message, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownMessage, buf[0])
 	}
-	c.dec = decoder{b: buf[1:], names: c.names}
+	c.dec = decoder{b: buf[1:], names: c.names, tables: c.dec.tables}
 	d := &c.dec
 	m.decode(d)
 	if d.err != nil {
@@ -227,6 +229,9 @@ type decoder struct {
 	// names is the connection's table-name intern set; nil (a decoder
 	// built outside Recv) copies every name.
 	names map[string]string
+	// tables is the Records table dictionary's scratch, kept across
+	// the frames a Conn decodes.
+	tables []string
 }
 
 // Interning bounds: a connection keeps at most maxInterned table names
