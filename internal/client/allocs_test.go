@@ -11,6 +11,7 @@ import (
 	"net"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/certifier"
 	"repro/internal/wire"
@@ -80,6 +81,11 @@ func TestReadOnlyTxnAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, txn); allocs > 3 {
 		t.Fatalf("read-only transaction: %.2f allocs/op, want 3 (the Txn and two values)", allocs)
 	}
+	// The Txn is the caller's and never recycled; it stays in the
+	// 48-byte size class.
+	if size := unsafe.Sizeof(Txn{}); size > 48 {
+		t.Fatalf("client.Txn is %d bytes, want <= 48", size)
+	}
 }
 
 // stillConn is a net.Conn whose deadlines are no-ops: net.Pipe arms a
@@ -137,5 +143,49 @@ func TestFetchSinceIntoAllocs(t *testing.T) {
 			}
 			t.Logf("%.2f allocs/op", allocs)
 		})
+	}
+}
+
+// TestDecisionVerbAllocs pins the client half of the 2PC decision
+// verbs the router sends per cross-shard commit: DecideTxn, ResolveTxn
+// and ForgetTxn build their requests on the host connection's scratch
+// and read their replies in place, so none allocates.
+func TestDecisionVerbAllocs(t *testing.T) {
+	var stream bytes.Buffer
+	enc := wire.NewConn(&stream)
+	for _, m := range []wire.Message{
+		&wire.DecideTxnOK{Version: 42},
+		&wire.ResolveTxnOK{Commit: true},
+		&wire.ForgetTxnOK{},
+	} {
+		if err := enc.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl, err := New(Options{Servers: []string{"replay"}, Design: "mm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	nc, peer := net.Pipe()
+	defer peer.Close()
+	pool := cl.reps[0].pool
+	pool.idle = append(pool.idle, &wconn{nc: stillConn{nc}, wc: wire.NewConn(&replayRW{stream: stream.Bytes()})})
+
+	const id = "x18f3a2b4c5d6e7f8-42"
+	decide := func() {
+		if v, err := cl.DecideTxn(id, true); err != nil || v != 42 {
+			t.Fatalf("decide = %d, %v", v, err)
+		}
+		if commit, err := cl.ResolveTxn(id); err != nil || !commit {
+			t.Fatalf("resolve = %v, %v", commit, err)
+		}
+		if err := cl.ForgetTxn(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decide() // warm the connection's buffers and hot reply structs
+	if allocs := testing.AllocsPerRun(200, decide); allocs != 0 {
+		t.Fatalf("DecideTxn/ResolveTxn/ForgetTxn: %.2f allocs/op, want 0", allocs)
 	}
 }

@@ -428,8 +428,7 @@ func refused(err error) bool {
 // open sends Begin to replica idx, draining stale pooled connections as
 // it goes.
 func (c *Client) open(idx int, readOnly bool) (*Txn, error) {
-	rep := c.rep(idx)
-	pool := rep.pool
+	pool := c.rep(idx).pool
 	var lastErr error
 	for attempt := 0; attempt <= pool.maxIdle+1; attempt++ {
 		conn, fresh, err := pool.get()
@@ -448,7 +447,7 @@ func (c *Client) open(idx int, readOnly bool) (*Txn, error) {
 		}
 		switch m := reply.(type) {
 		case *wire.BeginOK:
-			return &Txn{client: c, idx: idx, rep: rep, conn: conn, readOnly: readOnly, trace: m.Trace}, nil
+			return &Txn{client: c, idx: idx, pool: pool, conn: conn, readOnly: readOnly, trace: m.Trace}, nil
 		case *wire.NotLeader:
 			pool.put(conn)
 			return nil, NotLeaderError{Leader: int(m.Leader), Epoch: m.Epoch, Addr: m.Addr}
@@ -464,24 +463,26 @@ func (c *Client) open(idx int, readOnly bool) (*Txn, error) {
 	return nil, fmt.Errorf("client: begin on %s: %w", pool.addr, lastErr)
 }
 
-// Txn is one transaction bound to one checked-out connection.
+// Txn is one transaction bound to one checked-out connection. The
+// caller holds the handle past the transaction's end, and a connection
+// passes to the next transaction as soon as this one finishes, so a
+// handle is never recycled: it is kept to 48 bytes instead.
 type Txn struct {
 	client *Client
 	idx    int
-	rep    *replicaConns
+	pool   *connPool
 	// conn is this transaction's alone until done is set; after that it
 	// may already serve another transaction, so every method checks
-	// done before touching it (Read, Write and Delete fill in its
-	// request scratch).
+	// done before touching it (Read, Write, Delete and Prepare fill in
+	// its request scratch).
 	conn     *wconn
+	trace    uint64
 	readOnly bool
 	done     bool
-	trace    uint64
-
-	// writes counts staged Write/Delete ops — the client-side signal a
-	// sharded router uses to tell writing participants from read-only
+	// wrote records a staged Write or Delete — the client-side signal
+	// a sharded router uses to tell writing participants from read-only
 	// bystanders (the server holds the actual writeset).
-	writes int
+	wrote bool
 }
 
 var _ repl.Txn = (*Txn)(nil)
@@ -498,7 +499,7 @@ func (t *Txn) Trace() uint64 { return t.trace }
 func (t *Txn) fail(err error) error {
 	if !t.done {
 		t.done = true
-		t.rep.pool.discard(t.conn)
+		t.pool.discard(t.conn)
 		t.client.bal.Release(t.idx)
 		t.client.markDown(t.idx)
 	}
@@ -523,7 +524,7 @@ func (t *Txn) finish() {
 		return
 	}
 	t.done = true
-	t.rep.pool.put(t.conn)
+	t.pool.put(t.conn)
 	t.client.bal.Release(t.idx)
 }
 
@@ -579,7 +580,7 @@ func (t *Txn) Write(table string, row int64, value string) error {
 	if t.done {
 		return errDone
 	}
-	t.writes++
+	t.wrote = true
 	req := &t.conn.write
 	req.Table, req.Row, req.Value = table, row, value
 	reply, err := t.exchange(req)
@@ -608,7 +609,7 @@ func (t *Txn) Delete(table string, row int64) error {
 	if t.done {
 		return errDone
 	}
-	t.writes++
+	t.wrote = true
 	req := &t.conn.del
 	req.Table, req.Row = table, row
 	reply, err := t.exchange(req)

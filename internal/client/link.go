@@ -89,17 +89,18 @@ func (l *Link) Check(snapshot int64, ws writeset.Writeset) (conflict bool, with 
 // a transport failure leaves the outcome unknown and must surface as an
 // error, never as a silent no-vote.
 func (l *Link) PrepareTxn(p certifier.PreparedTxn) (vote bool, conflictWith int64, err error) {
-	reply, err := l.pool.rpc(&wire.PrepareTxn{
-		TxnID: p.ID, Coord: p.Coord, Snapshot: p.Snapshot, WS: p.Writeset,
-	}, linkRPCDeadline)
-	if err != nil {
-		return false, 0, err
-	}
-	m, ok := reply.(*wire.PrepareTxnOK)
-	if !ok {
-		return false, 0, fmt.Errorf("client: unexpected prepare reply %T", reply)
-	}
-	return m.Vote, m.ConflictWith, nil
+	err = l.pool.doOn(func(c *wconn) wire.Message {
+		c.prepare = wire.PrepareTxn{TxnID: p.ID, Coord: p.Coord, Snapshot: p.Snapshot, WS: p.Writeset}
+		return &c.prepare
+	}, linkRPCDeadline, func(reply wire.Message) error {
+		m, ok := reply.(*wire.PrepareTxnOK)
+		if !ok {
+			return fmt.Errorf("client: unexpected prepare reply %T", reply)
+		}
+		vote, conflictWith = m.Vote, m.ConflictWith
+		return nil
+	})
+	return vote, conflictWith, err
 }
 
 // RoundTrips returns the cumulative request/reply exchanges this link

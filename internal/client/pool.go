@@ -33,7 +33,7 @@ func jitter(d time.Duration) time.Duration {
 }
 
 // wconn is one established, handshaken protocol connection, plus one
-// reusable request struct per per-transaction or per-update link verb.
+// reusable request struct per per-transaction, per-update or 2PC verb.
 // The caller holding the connection fills one in and sends it;
 // wire.Conn.Send encodes synchronously, so the struct is free again
 // when Send returns.
@@ -47,6 +47,10 @@ type wconn struct {
 	del     wire.Delete
 	certify wire.Certify
 	fetch   wire.FetchSince
+	prepare wire.PrepareTxn
+	decide  wire.DecideTxn
+	resolve wire.ResolveTxn
+	forget  wire.ForgetTxn
 }
 
 func (c *wconn) close() {

@@ -23,7 +23,7 @@ const shardRPCDeadline = 30 * time.Second
 // operations — the router's test for whether a group is a writing
 // participant (2PC) or a read-only bystander (free local commit).
 func (t *Txn) HasWrites() bool {
-	return !t.done && !t.readOnly && t.writes > 0
+	return !t.done && !t.readOnly && t.wrote
 }
 
 // Prepare runs the first 2PC phase for this transaction as one
@@ -41,7 +41,9 @@ func (t *Txn) Prepare(id string, coord int64) (bool, int64, error) {
 	if t.done {
 		return false, 0, errDone
 	}
-	reply, err := roundTrip(t.conn, &wire.PrepareTxn{TxnID: id, Coord: coord})
+	req := &t.conn.prepare
+	*req = wire.PrepareTxn{TxnID: id, Coord: coord}
+	reply, err := roundTrip(t.conn, req)
 	if err != nil {
 		t.fail(err)
 		return false, 0, &repl.UnknownOutcomeError{Err: err}
@@ -69,10 +71,10 @@ func (t *Txn) Prepare(id string, coord int64) (bool, int64, error) {
 }
 
 // rpcHost round-trips one request with the group's certifier host —
-// where the 2PC decision verbs, schema and load frames, and membership
-// polls land — following it across a move (onHost). The request goes at
-// most once to a node that may act on it. A positive deadline bounds
-// each exchange.
+// where schema and load frames, membership polls and (through doHost)
+// the 2PC decision verbs land — following it across a move (onHost).
+// The request goes at most once to a node that may act on it. A
+// positive deadline bounds each exchange.
 func (c *Client) rpcHost(req wire.Message, deadline time.Duration) (wire.Message, error) {
 	var reply wire.Message
 	err := c.onHost(true, func(idx int) error {
@@ -83,45 +85,61 @@ func (c *Client) rpcHost(req wire.Message, deadline time.Duration) (wire.Message
 	return reply, err
 }
 
+// doHost is rpcHost for a request built on the checked-out
+// connection's scratch and a reply the connection reuses: use reads
+// the reply before the connection goes back to its pool (see doOn).
+func (c *Client) doHost(req func(*wconn) wire.Message, deadline time.Duration, use func(wire.Message) error) error {
+	return c.onHost(true, func(idx int) error {
+		return c.rep(idx).pool.doOn(req, deadline, use)
+	})
+}
+
 // DecideTxn delivers the coordinator's commit/abort decision for a
 // prepared fragment to this group. Implements router.Group.
-func (c *Client) DecideTxn(id string, commit bool) (int64, error) {
-	reply, err := c.rpcHost(&wire.DecideTxn{TxnID: id, Commit: commit}, shardRPCDeadline)
-	if err != nil {
-		return 0, err
-	}
-	m, ok := reply.(*wire.DecideTxnOK)
-	if !ok {
-		return 0, fmt.Errorf("client: unexpected decide reply %T", reply)
-	}
-	return m.Version, nil
+func (c *Client) DecideTxn(id string, commit bool) (version int64, err error) {
+	err = c.doHost(func(w *wconn) wire.Message {
+		w.decide = wire.DecideTxn{TxnID: id, Commit: commit}
+		return &w.decide
+	}, shardRPCDeadline, func(reply wire.Message) error {
+		m, ok := reply.(*wire.DecideTxnOK)
+		if !ok {
+			return fmt.Errorf("client: unexpected decide reply %T", reply)
+		}
+		version = m.Version
+		return nil
+	})
+	return version, err
 }
 
 // ResolveTxn asks this group (as coordinator) for the recorded outcome
 // of an in-doubt cross-shard transaction. Implements router.Group.
-func (c *Client) ResolveTxn(id string) (bool, error) {
-	reply, err := c.rpcHost(&wire.ResolveTxn{TxnID: id}, shardRPCDeadline)
-	if err != nil {
-		return false, err
-	}
-	m, ok := reply.(*wire.ResolveTxnOK)
-	if !ok {
-		return false, fmt.Errorf("client: unexpected resolve reply %T", reply)
-	}
-	return m.Commit, nil
+func (c *Client) ResolveTxn(id string) (commit bool, err error) {
+	err = c.doHost(func(w *wconn) wire.Message {
+		w.resolve = wire.ResolveTxn{TxnID: id}
+		return &w.resolve
+	}, shardRPCDeadline, func(reply wire.Message) error {
+		m, ok := reply.(*wire.ResolveTxnOK)
+		if !ok {
+			return fmt.Errorf("client: unexpected resolve reply %T", reply)
+		}
+		commit = m.Commit
+		return nil
+	})
+	return commit, err
 }
 
 // ForgetTxn retires a fully acknowledged decision at this group.
 // Implements router.Group.
 func (c *Client) ForgetTxn(id string) error {
-	reply, err := c.rpcHost(&wire.ForgetTxn{TxnID: id}, shardRPCDeadline)
-	if err != nil {
-		return err
-	}
-	if _, ok := reply.(*wire.ForgetTxnOK); !ok {
-		return fmt.Errorf("client: unexpected forget reply %T", reply)
-	}
-	return nil
+	return c.doHost(func(w *wconn) wire.Message {
+		w.forget = wire.ForgetTxn{TxnID: id}
+		return &w.forget
+	}, shardRPCDeadline, func(reply wire.Message) error {
+		if _, ok := reply.(*wire.ForgetTxnOK); !ok {
+			return fmt.Errorf("client: unexpected forget reply %T", reply)
+		}
+		return nil
+	})
 }
 
 // ShardInfo returns this group's place in the shard map as last

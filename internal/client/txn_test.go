@@ -166,6 +166,69 @@ func TestFinishedTxnLeavesReusedConnAlone(t *testing.T) {
 	})
 }
 
+// TestFinishedTxnStaysDone: handles are not recycled, so a finished
+// one stays finished while its connection — the pool's only one —
+// serves the next transaction: its Read, Write, Commit and Prepare
+// return the use-after-finish error, its Abort is a no-op, it reports
+// no writes, and none of it reaches the connection the next
+// transaction is using.
+func TestFinishedTxnStaysDone(t *testing.T) {
+	cl, err := New(Options{Servers: []string{fakeServer(t)}, Design: "mm", PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	ta, err := cl.BeginUpdate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ta.Write("item", 1, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ta.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tb, err := cl.BeginUpdate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := ta.(*Txn), tb.(*Txn)
+	if a.conn != b.conn {
+		t.Fatal("B did not take A's pooled connection")
+	}
+	for i := int64(0); i < 3; i++ {
+		if _, _, err := a.Read("stale", i); !errors.Is(err, errDone) {
+			t.Fatalf("finished Read: %v, want errDone", err)
+		}
+		if err := a.Write("stale", i, "x"); !errors.Is(err, errDone) {
+			t.Fatalf("finished Write: %v, want errDone", err)
+		}
+		if err := a.Commit(); !errors.Is(err, errDone) {
+			t.Fatalf("finished Commit: %v, want errDone", err)
+		}
+		if _, _, err := a.Prepare("x1", 0); !errors.Is(err, errDone) {
+			t.Fatalf("finished Prepare: %v, want errDone", err)
+		}
+		a.Abort()
+		if a.HasWrites() {
+			t.Fatal("finished handle reports writes")
+		}
+		want := fmt.Sprintf("item/%d", i)
+		if v, ok, err := b.Read("item", i); err != nil || !ok || v != want {
+			t.Fatalf("B read %d = %q, %v, %v; want %q", i, v, ok, err, want)
+		}
+	}
+	if err := b.Write("item", 9, "y"); err != nil {
+		t.Fatal(err)
+	}
+	if !b.HasWrites() {
+		t.Fatal("B wrote but reports no writes")
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCommitAbortReadsReplyBeforeRelease: an aborted Commit hands its
 // connection back to the pool, where another transaction may receive
 // its next CommitAborted into the same reused struct at once. The

@@ -16,7 +16,6 @@ package router
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -208,22 +207,19 @@ func (r *Router) BeginRead() (repl.Txn, error) { return r.begin(true) }
 func (r *Router) BeginUpdate() (repl.Txn, error) { return r.begin(false) }
 
 func (r *Router) begin(readOnly bool) (repl.Txn, error) {
-	t := &rtxn{r: r, readOnly: readOnly, subs: make([]repl.Txn, len(r.groups))}
-	t.order = t.orderBuf[:0]
-	return t, nil
+	return &rtxn{r: r, readOnly: readOnly, subs: make([]repl.Txn, len(r.groups))}, nil
 }
 
 // rtxn is one routed transaction: per-group sub-transactions are begun
 // lazily on first touch, so a single-shard transaction pays for
 // exactly one — and commits through that group's ordinary path with no
-// coordinator in sight.
+// coordinator in sight. Every pass over the touched groups walks subs
+// by group index, so the writers a commit collects come out ascending.
 type rtxn struct {
 	r        *Router
 	readOnly bool
 	done     bool
 	subs     []repl.Txn // indexed by group; nil until first touch
-	order    []int      // touched groups in first-touch order
-	orderBuf [4]int     // backs order while few groups are touched
 }
 
 // sub returns (beginning if needed) the sub-transaction at the group
@@ -244,7 +240,6 @@ func (t *rtxn) sub(table string, row int64) (repl.Txn, error) {
 		return nil, err
 	}
 	t.subs[gi] = s
-	t.order = append(t.order, gi)
 	return s, nil
 }
 
@@ -278,8 +273,10 @@ func (t *rtxn) Abort() {
 		return
 	}
 	t.done = true
-	for _, gi := range t.order {
-		t.subs[gi].Abort()
+	for _, s := range t.subs {
+		if s != nil {
+			s.Abort()
+		}
 	}
 }
 
@@ -295,8 +292,11 @@ func (t *rtxn) Commit() error {
 	t.done = true
 	var buf [4]int
 	writers := buf[:0]
-	for _, gi := range t.order {
-		if p, ok := t.subs[gi].(Preparer); !ok || p.HasWrites() {
+	for gi, s := range t.subs {
+		if s == nil {
+			continue
+		}
+		if p, ok := s.(Preparer); !ok || p.HasWrites() {
 			writers = append(writers, gi)
 		}
 	}
@@ -306,11 +306,11 @@ func (t *rtxn) Commit() error {
 	// Fast path: commit the read-only bystanders (free), then the
 	// single writer — whose commit outcome is the transaction's.
 	var err error
-	for _, gi := range t.order {
-		if len(writers) == 1 && gi == writers[0] {
+	for gi, s := range t.subs {
+		if s == nil || len(writers) == 1 && gi == writers[0] {
 			continue
 		}
-		if cerr := t.subs[gi].Commit(); cerr != nil && err == nil {
+		if cerr := s.Commit(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
@@ -320,9 +320,10 @@ func (t *rtxn) Commit() error {
 	return err
 }
 
-// commit2PC coordinates the cross-shard commit. The coordinator is the
-// lowest participating group id — a deterministic choice every
-// participant can re-derive from the prepare record's Coord field.
+// commit2PC coordinates the cross-shard commit over groups, the
+// writing groups in ascending order. The coordinator is the lowest
+// participating group id — a deterministic choice every participant
+// can re-derive from the prepare record's Coord field.
 //
 // Phase 1: every participant votes via Prepare (certify + durable
 // in-doubt journal + key locks). Any no-vote aborts everywhere.
@@ -334,17 +335,15 @@ func (t *rtxn) Commit() error {
 // participant in doubt — its recovery resolves against the
 // coordinator, which still holds the decision (Forget only runs after
 // every participant acknowledged).
-func (t *rtxn) commit2PC(writers []int) error {
-	groups := append([]int(nil), writers...)
-	sort.Ints(groups)
+func (t *rtxn) commit2PC(groups []int) error {
 	coord := groups[0]
 	id := t.r.nextTxnID()
 
 	// Read-only bystander groups commit locally for free; only the
 	// writing groups coordinate.
-	for _, gi := range t.order {
-		if !contains(groups, gi) {
-			_ = t.subs[gi].Commit()
+	for gi, s := range t.subs {
+		if s != nil && !contains(groups, gi) {
+			_ = s.Commit()
 		}
 	}
 
@@ -426,7 +425,7 @@ func (t *rtxn) abortPrepared(id string, groups []int, stop int) {
 	}
 }
 
-// contains reports whether sorted slice s holds v.
+// contains reports whether s holds v.
 func contains(s []int, v int) bool {
 	for _, x := range s {
 		if x == v {

@@ -364,3 +364,71 @@ func TestFourGroupConvergence(t *testing.T) {
 		}
 	}
 }
+
+// logGroup is a Group whose one update transaction logs the 2PC calls
+// it and its group receive, in order, to a log shared across groups.
+type logGroup struct {
+	Group
+	id  int
+	log *[]string
+	tx  logTxn
+}
+
+func (g *logGroup) BeginUpdate() (repl.Txn, error) { return &g.tx, nil }
+func (g *logGroup) DecideTxn(_ string, commit bool) (int64, error) {
+	*g.log = append(*g.log, fmt.Sprintf("decide %d %v", g.id, commit))
+	return 1, nil
+}
+func (g *logGroup) ForgetTxn(string) error {
+	*g.log = append(*g.log, fmt.Sprintf("forget %d", g.id))
+	return nil
+}
+
+type logTxn struct {
+	stubTxn
+	g *logGroup
+}
+
+func (t *logTxn) Prepare(_ string, coord int64) (bool, int64, error) {
+	*t.g.log = append(*t.g.log, fmt.Sprintf("prepare %d coord %d", t.g.id, coord))
+	return true, 0, nil
+}
+
+// TestCrossShardCoordinatesAtLowestWriter: a transaction that touches
+// its groups in descending order still coordinates at the lowest
+// writing group — every prepare names it, it decides first and forgets
+// last — and a group it only read from joins no 2PC.
+func TestCrossShardCoordinatesAtLowestWriter(t *testing.T) {
+	var log []string
+	gs := make([]Group, 4)
+	for i := range gs {
+		g := &logGroup{id: i, log: &log}
+		g.tx = logTxn{stubTxn: stubTxn{writes: i != 3}, g: g}
+		gs[i] = g
+	}
+	r, err := New(1, gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := rowsOwnedBy(r, 256)
+	tx, err := r.BeginUpdate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []int{3, 2, 1} { // group 3's transaction writes nothing
+		if err := tx.Write("item", owned[g][0], "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"prepare 1 coord 1", "prepare 2 coord 1",
+		"decide 1 true", "decide 2 true",
+		"forget 2", "forget 1",
+	}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("2PC calls %q, want %q", log, want)
+	}
+}

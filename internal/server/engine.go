@@ -350,23 +350,24 @@ func (e *engine) epochInfo() (int64, bool) {
 	return 0, e.hostCert() != nil
 }
 
-// begin opens a transaction at this node's applied snapshot. GSI: no
-// communication with the certifier is needed. Taking the applied
-// cursor and the local snapshot under the apply lock pins them to the
-// same point in the version order — a writeset applied a moment later
-// must count as concurrent.
-func (e *engine) begin(readOnly bool) (*txn, error) {
+// begin opens a transaction in t, which must be zero or finished, at
+// this node's applied snapshot. GSI: no communication with the
+// certifier is needed. Taking the applied cursor and the local
+// snapshot under the apply lock pins them to the same point in the
+// version order — a writeset applied a moment later must count as
+// concurrent.
+func (e *engine) begin(readOnly bool, t *txn) error {
 	if !readOnly {
 		if err := e.updateSite(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	t := &txn{e: e, readOnly: readOnly}
+	t.e, t.readOnly, t.version, t.trace, t.done = e, readOnly, 0, 0, false
 	e.ap.Pin(func(applied int64) {
 		t.snapshot = applied
-		t.inner = e.db.Begin()
+		e.db.BeginInto(&t.inner)
 	})
-	return t, nil
+	return nil
 }
 
 // createTable commits the table's schema writeset (writeset.Schema)
@@ -831,10 +832,15 @@ func (e *engine) leaderAddr(id int) string {
 	return e.px.addrOf(id)
 }
 
-// txn is a client transaction proxied onto this node's database.
+// txn is a client transaction proxied onto this node's database. Each
+// connection holds one by value and begins every transaction in it
+// (connState.tx), so serving a transaction allocates neither it nor
+// its sidb.Txn. Nothing may keep a *txn once it has committed,
+// aborted or prepared, or once its connection has died: the next
+// Begin on that connection reuses it.
 type txn struct {
 	e        *engine
-	inner    *sidb.Txn
+	inner    sidb.Txn
 	snapshot int64 // global (certifier) version of the GSI snapshot
 	version  int64 // global version assigned at commit (0 until then)
 	// trace is the cross-node trace id (0 untraced); the commit path
@@ -908,16 +914,6 @@ func (t *txn) Commit() error {
 		t.e.catchUp()
 	}
 	return nil
-}
-
-// HasWrites reports whether the transaction has staged any writes —
-// the router's test for whether this group is a real participant of a
-// cross-shard commit or just a read-side bystander.
-func (t *txn) HasWrites() bool {
-	if t.done || t.readOnly {
-		return false
-	}
-	return !t.inner.ReadOnly()
 }
 
 // Prepare runs the first 2PC phase for this transaction's writeset as

@@ -501,7 +501,11 @@ func (s *Server) acceptLoop() {
 // to those; handleConn sends each reply before it receives the next
 // request, so a reply is always encoded before its struct is refilled.
 type connState struct {
-	peer     int64
+	peer int64
+	// tx is the connection's transaction, begun anew by every Begin;
+	// cur points at it while a transaction is open and is nil
+	// otherwise.
+	tx       txn
 	cur      *txn
 	readOnly bool
 	txStart  time.Time
@@ -511,6 +515,9 @@ type connState struct {
 	readOK    wire.ReadOK
 	commitOK  wire.CommitOK
 	certifyOK wire.CertifyOK
+	prepareOK wire.PrepareTxnOK
+	decideOK  wire.DecideTxnOK
+	resolveOK wire.ResolveTxnOK
 	// records is the FetchSince reply; it holds at most one replyBudget
 	// of writesets until the next fetch refills it. since is the scratch
 	// the host's log is read into, cleared once the reply is built.
@@ -683,11 +690,10 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		if s.draining.Load() {
 			return &wire.Err{Code: wire.CodeDraining, Msg: "replica is draining for departure"}
 		}
-		tx, err := s.eng.begin(m.ReadOnly)
-		if err != nil {
+		if err := s.eng.begin(m.ReadOnly, &st.tx); err != nil {
 			return s.errReply(err)
 		}
-		st.cur = tx
+		st.cur = &st.tx
 		st.readOnly = m.ReadOnly
 		st.txStart = time.Now()
 		s.m.activeTxns.Add(1)
@@ -700,7 +706,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 			if trace == 0 {
 				trace = newTraceID()
 			}
-			tx.trace = trace
+			st.tx.trace = trace
 		}
 		st.beginOK = wire.BeginOK{Applied: s.eng.applied(), Trace: trace}
 		return &st.beginOK
@@ -862,7 +868,8 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 			if err != nil {
 				return s.errReply(err)
 			}
-			return &wire.PrepareTxnOK{Vote: vote, ConflictWith: with}
+			st.prepareOK = wire.PrepareTxnOK{Vote: vote, ConflictWith: with}
+			return &st.prepareOK
 		}
 		vote, with, err := s.eng.prepareTxn(certifier.PreparedTxn{
 			ID: m.TxnID, Coord: m.Coord, Snapshot: m.Snapshot, Writeset: m.WS,
@@ -870,21 +877,24 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		if err != nil {
 			return s.errReply(err)
 		}
-		return &wire.PrepareTxnOK{Vote: vote, ConflictWith: with}
+		st.prepareOK = wire.PrepareTxnOK{Vote: vote, ConflictWith: with}
+		return &st.prepareOK
 
 	case *wire.DecideTxn:
 		version, err := s.eng.decideTxn(m.TxnID, m.Commit)
 		if err != nil {
 			return s.errReply(err)
 		}
-		return &wire.DecideTxnOK{Version: version}
+		st.decideOK = wire.DecideTxnOK{Version: version}
+		return &st.decideOK
 
 	case *wire.ResolveTxn:
 		commit, err := s.eng.resolveTxn(m.TxnID)
 		if err != nil {
 			return s.errReply(err)
 		}
-		return &wire.ResolveTxnOK{Commit: commit}
+		st.resolveOK = wire.ResolveTxnOK{Commit: commit}
+		return &st.resolveOK
 
 	case *wire.ForgetTxn:
 		if err := s.eng.forgetTxn(m.TxnID); err != nil {

@@ -34,6 +34,28 @@ func TestReadOnlyTxnAllocs(t *testing.T) {
 	}
 }
 
+// TestBeginIntoAllocs: a read-only transaction begun in a reused Txn
+// allocates nothing at all.
+func TestBeginIntoAllocs(t *testing.T) {
+	db := newDB(t, "item")
+	if err := db.ApplyWriteset(writeset.New([]writeset.Entry{
+		{Key: writeset.Key{Table: "item", Row: 1}, Value: "stock=91"},
+	}), 1); err != nil {
+		t.Fatal(err)
+	}
+	var tx Txn
+	allocs := testing.AllocsPerRun(200, func() {
+		db.BeginInto(&tx)
+		if _, ok, err := tx.Read("item", 1); err != nil || !ok {
+			t.Fatalf("read: ok=%v err=%v", ok, err)
+		}
+		mustCommit(t, &tx)
+	})
+	if allocs != 0 {
+		t.Fatalf("BeginInto/Read/Commit: %.2f allocs/op, want 0", allocs)
+	}
+}
+
 // TestUpdateTxnAllocs: an update transaction that writes up to 4 rows
 // and extracts its writeset allocates its Txn and one array of writes,
 // nothing more — Writeset hands the array over uncopied.

@@ -270,15 +270,34 @@ func (db *DB) Versions() int64 {
 	return db.versions
 }
 
-// Begin starts a transaction on the latest committed snapshot. Every
-// snapshot is taken here, at the current version; install's pruning
-// relies on that (see install).
+// Begin starts a transaction on the latest committed snapshot in a
+// new Txn (see BeginInto).
 func (db *DB) Begin() *Txn {
+	tx := new(Txn)
+	db.BeginInto(tx)
+	return tx
+}
+
+// BeginInto starts a transaction on the latest committed snapshot in
+// tx, which must be zero or finished: a session that runs one
+// transaction at a time reuses one Txn instead of allocating one per
+// transaction. It panics on a Txn still open, whose snapshot would
+// otherwise stay pinned and hold back every chain's pruning for good.
+// The new transaction starts with no writes; the previous one's write
+// array is never reused, because the writeset Writeset handed out
+// still owns it.
+//
+// Every snapshot is taken here, at the current version; install's
+// pruning relies on that (see install).
+func (db *DB) BeginInto(tx *Txn) {
+	if tx.db != nil && !tx.done {
+		panic("sidb: BeginInto on an open transaction")
+	}
 	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
 	snapshot := db.version
 	db.active[snapshot]++
-	return &Txn{db: db, snapshot: snapshot}
+	db.stateMu.Unlock()
+	*tx = Txn{db: db, snapshot: snapshot}
 }
 
 // oldestActiveLocked returns the oldest snapshot still in use, or the

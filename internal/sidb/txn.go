@@ -21,7 +21,7 @@ const (
 // Txn is a snapshot-isolated transaction. It is not safe for
 // concurrent use by multiple goroutines (like database connections,
 // each session owns its transaction); distinct Txns may run
-// concurrently.
+// concurrently. A finished Txn may begin again through DB.BeginInto.
 type Txn struct {
 	db       *DB
 	snapshot int64
@@ -41,9 +41,6 @@ type Txn struct {
 
 // Snapshot returns the version this transaction reads from.
 func (tx *Txn) Snapshot() int64 { return tx.snapshot }
-
-// ReadOnly reports whether the transaction has performed no writes.
-func (tx *Txn) ReadOnly() bool { return len(tx.writes) == 0 }
 
 // Read returns the value of (table, key) visible to the transaction:
 // its own write if present, else the newest committed version at or

@@ -43,6 +43,8 @@ var hotFrames = []struct {
 	{"Commit", &Commit{}},
 	{"Certify", &Certify{Snapshot: 99, WS: hotWS, Trace: 7}},
 	{"FetchSince", &FetchSince{Version: 12, WaitMillis: 250}},
+	{"PrepareTxn", &PrepareTxn{TxnID: "x18f3a2b4c5d6e7f8-42", Coord: 1}},
+	{"DecideTxn", &DecideTxn{TxnID: "x18f3a2b4c5d6e7f8-42", Commit: true}},
 }
 
 // TestHotFrameEncodeAllocs pins the zero-allocation contract on the
@@ -93,6 +95,17 @@ func TestHotFrameDecodeAllocs(t *testing.T) {
 		// Certify retains the writeset: its entries slice and one
 		// value string (table names are interned).
 		{"Certify", &Certify{Snapshot: 99, WS: hotWS, Trace: 7}, 2},
+		// The 2PC frames retain their transaction id, and a raw
+		// prepare its writeset too; their replies retain nothing.
+		{"PrepareTxn", &PrepareTxn{TxnID: "x18f3a2b4c5d6e7f8-42", Coord: 1}, 1},
+		{"PrepareTxn/raw", &PrepareTxn{TxnID: "x18f3a2b4c5d6e7f8-42", Coord: 1, Snapshot: 99, WS: hotWS}, 3},
+		{"PrepareTxnOK", &PrepareTxnOK{Vote: true, ConflictWith: 40}, 0},
+		{"DecideTxn", &DecideTxn{TxnID: "x18f3a2b4c5d6e7f8-42", Commit: true}, 1},
+		{"DecideTxnOK", &DecideTxnOK{Version: 42}, 0},
+		{"ResolveTxn", &ResolveTxn{TxnID: "x18f3a2b4c5d6e7f8-42"}, 1},
+		{"ResolveTxnOK", &ResolveTxnOK{Commit: true}, 0},
+		{"ForgetTxn", &ForgetTxn{TxnID: "x18f3a2b4c5d6e7f8-42"}, 1},
+		{"ForgetTxnOK", &ForgetTxnOK{}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,6 +127,73 @@ func TestHotFrameDecodeAllocs(t *testing.T) {
 			})
 			if allocs > tc.max {
 				t.Fatalf("%s decode: %.2f allocs/op, want <= %.0f", tc.name, allocs, tc.max)
+			}
+		})
+	}
+}
+
+// TestHotFrameRecvReusesTwoPCStructs: Recv decodes every 2PC frame
+// into the connection's one struct of its type, while what a receiver
+// may keep — the transaction id, and a raw prepare's writeset — is
+// decoded fresh each time, so a certifier holding the first frame's id
+// and writeset sees them unchanged after the next frame arrives.
+func TestHotFrameRecvReusesTwoPCStructs(t *testing.T) {
+	id := func(i int) string { return fmt.Sprintf("x18f3a2b4c5d6e7f8-%d", i) }
+	cases := []struct {
+		name string
+		msg  func(i int) Message
+		// kept returns what a receiver may retain from a decoded frame.
+		kept func(m Message) any
+	}{
+		{"PrepareTxn", func(i int) Message {
+			return &PrepareTxn{TxnID: id(i), Coord: 1, Snapshot: int64(i), WS: writeset.New([]writeset.Entry{
+				{Key: writeset.Key{Table: "item", Row: int64(i)}, Value: fmt.Sprintf("stock=%d", i)},
+			})}
+		}, func(m Message) any {
+			p := m.(*PrepareTxn)
+			return []any{p.TxnID, p.WS.Entries}
+		}},
+		{"PrepareTxnOK", func(i int) Message { return &PrepareTxnOK{Vote: true, ConflictWith: int64(i)} }, nil},
+		{"DecideTxn", func(i int) Message { return &DecideTxn{TxnID: id(i), Commit: true} },
+			func(m Message) any { return m.(*DecideTxn).TxnID }},
+		{"DecideTxnOK", func(i int) Message { return &DecideTxnOK{Version: int64(i)} }, nil},
+		{"ResolveTxn", func(i int) Message { return &ResolveTxn{TxnID: id(i)} },
+			func(m Message) any { return m.(*ResolveTxn).TxnID }},
+		{"ResolveTxnOK", func(i int) Message { return &ResolveTxnOK{Commit: true} }, nil},
+		{"ForgetTxn", func(i int) Message { return &ForgetTxn{TxnID: id(i)} },
+			func(m Message) any { return m.(*ForgetTxn).TxnID }},
+		{"ForgetTxnOK", func(i int) Message { return &ForgetTxnOK{} }, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stream bytes.Buffer
+			enc, dec := NewConn(&stream), NewConn(&stream)
+			recv := func(i int) Message {
+				t.Helper()
+				if err := enc.Send(tc.msg(i)); err != nil {
+					t.Fatal(err)
+				}
+				m, err := dec.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !Reused(m) {
+					t.Fatalf("%T is not a reused frame", m)
+				}
+				return m
+			}
+			first := recv(1)
+			var kept any // the first frame's fields, retained uncopied
+			if tc.kept != nil {
+				kept = tc.kept(first)
+			}
+			if second := recv(2); second != first {
+				t.Fatal("Recv decoded the next frame into a new struct")
+			}
+			if tc.kept != nil {
+				if got, want := fmt.Sprint(kept), fmt.Sprint(tc.kept(tc.msg(1))); got != want {
+					t.Fatalf("retained fields changed to %s, want %s", got, want)
+				}
 			}
 		})
 	}

@@ -79,7 +79,7 @@ type Conn struct {
 	// hot caches one reusable decode target per hot message type so
 	// steady-state Recv does not allocate a fresh struct per frame.
 	// Indexed by MsgType; only types marked in hotReusable are cached.
-	hot [TRecords + 1]Message
+	hot [TForgetTxnOK + 1]Message
 	// dec is Recv's decoder. It lives on the Conn because handing a
 	// stack decoder to the dynamic decode call makes it escape — one
 	// heap allocation per received frame.
@@ -186,17 +186,22 @@ func (c *Conn) Recv() (Message, error) {
 }
 
 // hotReusable marks the message types whose decode target Recv reuses
-// across frames: the per-transaction hot path plus propagation. A
-// type qualifies only when no caller retains the struct past its
-// processing — the bulk and lockstep replies (Load/Dump/Snapshot/
-// Stats/Members/Join) and the paxos frames are excluded because
-// callers hold onto them.
-var hotReusable = [TRecords + 1]bool{
+// across frames: the per-transaction hot path, the 2PC verbs, and
+// propagation. A type qualifies only when no caller retains the struct
+// past its processing — the bulk and lockstep replies (Load/Dump/
+// Snapshot/Stats/Members/Join) and the paxos frames are excluded
+// because callers hold onto them. The strings and writesets a reused
+// struct carries are still decoded fresh, so a certifier may keep a
+// PrepareTxn's TxnID and WS as it keeps a Certify's WS.
+var hotReusable = [TForgetTxnOK + 1]bool{
 	TErr: true, TBegin: true, TBeginOK: true, TRead: true, TReadOK: true,
 	TWrite: true, TWriteOK: true, TDelete: true, TCommit: true,
 	TCommitOK: true, TCommitAborted: true, TAbort: true, TAbortOK: true,
 	TSync: true, TSyncOK: true, TCertify: true, TCertifyOK: true,
 	TCheck: true, TCheckOK: true, TFetchSince: true, TRecords: true,
+	TPrepareTxn: true, TPrepareTxnOK: true, TDecideTxn: true,
+	TDecideTxnOK: true, TResolveTxn: true, TResolveTxnOK: true,
+	TForgetTxn: true, TForgetTxnOK: true,
 }
 
 // Reused reports whether Recv decodes m's type into a struct the Conn
