@@ -15,6 +15,8 @@ package repro
 
 import (
 	"io"
+	"math/rand/v2"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -397,10 +399,28 @@ func BenchmarkSIDBUpdateCommit(b *testing.B) {
 
 // BenchmarkSIDBLoad installs a 32768-row table, cut into load records
 // by repl.Chunks as the loader cuts it, into a fresh database: the
-// apply work of loading a catalog table on every replica.
+// apply work of loading a catalog table on every replica. Catalog ids
+// are dense, so every page of the table fills.
 func BenchmarkSIDBLoad(b *testing.B) {
-	const rows = 1 << 15
-	ids, values := repl.Rows(rows, func(r int64) string { return "item-row-" + strconv.FormatInt(r, 10) })
+	ids, values := repl.Rows(1<<15, func(r int64) string { return "item-row-" + strconv.FormatInt(r, 10) })
+	benchLoad(b, ids, values)
+}
+
+// BenchmarkSIDBSparseLoad is BenchmarkSIDBLoad on random int64 ids,
+// the worst case for paged rows: each row lands alone on a page.
+func BenchmarkSIDBSparseLoad(b *testing.B) {
+	ids, values := repl.Rows(1<<15, func(r int64) string { return "item-row-" + strconv.FormatInt(r, 10) })
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := range ids {
+		ids[i] = int64(rng.Uint64())
+	}
+	benchLoad(b, ids, values)
+}
+
+// benchLoad times loading ids into a fresh database and reports, from
+// one extra load, the live heap the loaded table holds per row (the
+// values are the caller's strings, so this is the table's own cost).
+func benchLoad(b *testing.B, ids []int64, values []string) {
 	var wss []writeset.Writeset
 	if err := repl.Chunks(ids, values, func(ids []int64, values []string) error {
 		wss = append(wss, writeset.Rows("item", ids, values))
@@ -408,14 +428,29 @@ func BenchmarkSIDBLoad(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
+	load := func() *sidb.DB {
+		db := sidb.New()
+		if n, err := db.ApplyBatch(wss); n != len(wss) || err != nil {
+			b.Fatalf("ApplyBatch = %d, %v", n, err)
+		}
+		return db
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db := load()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(db)
+	heap := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(ids))
+
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n, err := sidb.New().ApplyBatch(wss); n != len(wss) || err != nil {
-			b.Fatalf("ApplyBatch = %d, %v", n, err)
-		}
+		load()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/row")
+	b.ReportMetric(heap, "heapB/row")
 	b.ReportMetric(float64(len(wss)), "records")
 }
 

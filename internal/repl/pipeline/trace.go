@@ -83,7 +83,8 @@ func (s *Span) Total() time.Duration {
 // they are stashed in a bounded pending map and folded into the span
 // when it opens. Open spans that never finish (e.g. a certifier-host
 // span for a transaction whose ack happens on another node) are
-// finalized by eviction.
+// finalized by eviction. A finalized span is copied into the rings
+// and its record recycled, so a traced commit allocates no span.
 type Tracer struct {
 	slow time.Duration // slow-transaction threshold
 
@@ -97,6 +98,7 @@ type Tracer struct {
 	openOrder []int64 // insertion order, for eviction
 	pending   map[int64][NumStages]time.Duration
 	pendOrder []int64
+	free      []*Span // finalized span records, reused by the next open
 	recent    spanRing
 	slowRing  spanRing
 
@@ -155,8 +157,8 @@ func NewTracer(reg *obs.Registry, slow time.Duration) *Tracer {
 		open:     make(map[int64]*Span),
 		pending:  make(map[int64][NumStages]time.Duration),
 		meta:     make(map[int64]commitMeta),
-		recent:   spanRing{buf: make([]*Span, recentCap)},
-		slowRing: spanRing{buf: make([]*Span, slowCap)},
+		recent:   spanRing{buf: make([]Span, recentCap)},
+		slowRing: spanRing{buf: make([]Span, slowCap)},
 	}
 	if reg != nil {
 		for i := 0; i < NumStages; i++ {
@@ -350,9 +352,9 @@ func (t *Tracer) CommitSpan(version int64, keys int, start, done time.Time) {
 	if t == nil {
 		return
 	}
-	sp := &Span{Version: version, Kind: "commit", Keys: keys, Start: start, ackStart: done}
 	t.mu.Lock()
-	sp.Trace = t.meta[version].trace
+	sp := t.newSpanLocked()
+	*sp = Span{Version: version, Kind: "commit", Keys: keys, Trace: t.meta[version].trace, Start: start, ackStart: done}
 	if st, ok := t.pending[version]; ok {
 		sp.Stages = st
 		delete(t.pending, version)
@@ -376,13 +378,26 @@ func (t *Tracer) PropagateSpan(version int64, keys int, fetched time.Time) {
 	if t == nil {
 		return
 	}
-	sp := &Span{Version: version, Kind: "propagate", Keys: keys, Start: fetched}
 	t.mu.Lock()
-	sp.Trace = t.meta[version].trace
 	if _, exists := t.open[version]; !exists {
+		sp := t.newSpanLocked()
+		*sp = Span{Version: version, Kind: "propagate", Keys: keys, Trace: t.meta[version].trace, Start: fetched}
 		t.insertOpenLocked(version, sp)
 	}
 	t.mu.Unlock()
+}
+
+// newSpanLocked returns a recycled span record, or a new one when none
+// is free. The caller overwrites it whole.
+func (t *Tracer) newSpanLocked() *Span {
+	n := len(t.free)
+	if n == 0 {
+		return new(Span)
+	}
+	sp := t.free[n-1]
+	t.free[n-1] = nil
+	t.free = t.free[:n-1]
+	return sp
 }
 
 // insertOpenLocked records an open span, evicting (finalizing) the
@@ -410,7 +425,11 @@ func (t *Tracer) ApplyBatch(from, to int64, d time.Duration, end time.Time) {
 		return
 	}
 	t.observe(StageApply, d, int(to-from))
-	var lags []time.Duration
+	// The lags are observed once the lock is released, because the lag
+	// hook is the caller's code. A batch of up to len(buf) versions, the
+	// steady state, gathers them on the stack.
+	var buf [16]time.Duration
+	lags := buf[:0]
 	t.mu.Lock()
 	for v := from + 1; v <= to; v++ {
 		if m := t.meta[v]; m.commitNs > 0 {
@@ -473,9 +492,10 @@ func (t *Tracer) removeOpenLocked(version int64) {
 	}
 }
 
-// finalizeLocked moves a span into the recent ring (and the slow ring
-// past the threshold). Spans evicted without an End get one
-// synthesized from their stamps so Total stays meaningful.
+// finalizeLocked copies a span into the recent ring (and the slow ring
+// past the threshold) and frees its record for reuse; the caller has
+// already removed it from the open map. Spans evicted without an End
+// get one synthesized from their stamps so Total stays meaningful.
 func (t *Tracer) finalizeLocked(sp *Span) {
 	if sp.End.IsZero() {
 		var sum time.Duration
@@ -491,6 +511,7 @@ func (t *Tracer) finalizeLocked(sp *Span) {
 			t.slowObs(*sp)
 		}
 	}
+	t.free = append(t.free, sp)
 }
 
 // Recent returns the most recently completed spans, newest first.
@@ -532,15 +553,16 @@ func (t *Tracer) SlowThreshold() time.Duration {
 	return t.slow
 }
 
-// spanRing is a fixed-capacity overwrite ring of completed spans.
+// spanRing is a fixed-capacity overwrite ring of completed spans,
+// held by value.
 type spanRing struct {
-	buf  []*Span
+	buf  []Span
 	next int
 	full bool
 }
 
 func (r *spanRing) push(sp *Span) {
-	r.buf[r.next] = sp
+	r.buf[r.next] = *sp
 	r.next++
 	if r.next == len(r.buf) {
 		r.next, r.full = 0, true
@@ -556,7 +578,7 @@ func (r *spanRing) snapshot() []Span {
 	out := make([]Span, 0, n)
 	for i := 0; i < n; i++ {
 		idx := (r.next - 1 - i + len(r.buf)) % len(r.buf)
-		out = append(out, *r.buf[idx])
+		out = append(out, r.buf[idx])
 	}
 	return out
 }

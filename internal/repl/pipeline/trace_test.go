@@ -218,3 +218,34 @@ func TestTracerConcurrent(t *testing.T) {
 		t.Errorf("ack count = %d, want 800", counts[StageAck])
 	}
 }
+
+// TestTracerRecycledSpansKeepRings: the rings hold copies, so reusing a
+// finalized span's record for later commits leaves what Recent and Slow
+// report untouched.
+func TestTracerRecycledSpansKeepRings(t *testing.T) {
+	tr := NewTracer(nil, 10*time.Millisecond)
+	base := time.Now()
+	const n = recentCap + 50
+	for v := int64(1); v <= n; v++ {
+		verdict := base.Add(time.Millisecond)
+		if v%10 == 0 {
+			verdict = base.Add(20 * time.Millisecond) // slow
+		}
+		tr.CommitSpan(v, int(v), base, verdict)
+		tr.Ack(v, verdict)
+	}
+	recent := tr.Recent()
+	if len(recent) != recentCap {
+		t.Fatalf("recent ring = %d, want %d", len(recent), recentCap)
+	}
+	for i, sp := range recent {
+		if want := int64(n - i); sp.Version != want || sp.Keys != int(want) || sp.Kind != "commit" {
+			t.Fatalf("recent[%d] = version %d keys %d kind %q, want version %d", i, sp.Version, sp.Keys, sp.Kind, want)
+		}
+	}
+	for _, sp := range tr.Slow() {
+		if sp.Version%10 != 0 || sp.Keys != int(sp.Version) || sp.Total() != 20*time.Millisecond {
+			t.Fatalf("slow span = version %d keys %d total %v", sp.Version, sp.Keys, sp.Total())
+		}
+	}
+}

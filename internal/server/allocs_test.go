@@ -97,14 +97,14 @@ func TestDispatchReadTxnAllocs(t *testing.T) {
 // sidb.Txn, the node certifies against its own log and applies the
 // commit from it without copying the record or its writeset list, a
 // parked group-commit request is recycled, and the commit's long-poll
-// wakeup allocates nothing. What is left is the writeset's array, which
-// the certifier log keeps, and the commit's trace bookkeeping.
+// wakeup allocates nothing, and the tracer recycles the commit's span.
+// What is left is the writeset's array, which the certifier log keeps.
 func TestDispatchUpdateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name, design string
 		groupCommit  bool
 		want         float64
-	}{{"mm", "mm", false, 3}, {"sm", "sm", false, 3}, {"mm-groupcommit", "mm", true, 3}} {
+	}{{"mm", "mm", false, 1}, {"sm", "sm", false, 1}, {"mm-groupcommit", "mm", true, 1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(Options{Design: tc.design, Listen: "127.0.0.1:0", Replicas: 1, GroupCommit: tc.groupCommit})
 			if err != nil {

@@ -823,7 +823,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 			return s.errReply(err)
 		}
 		clear(st.records.Recs)
-		st.records = wire.Records{Recs: st.records.Recs[:0], Compress: true}
+		st.records = wire.Records{Recs: st.records.Recs[:0]}
 		for _, r := range capRecords(recs) {
 			trace, commitNs := s.m.tracer.CommitMeta(r.Version)
 			st.records.Recs = append(st.records.Recs, wire.Record{Version: r.Version, WS: r.Writeset, Trace: trace, CommitNs: commitNs})

@@ -3,6 +3,7 @@ package sidb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,7 +77,8 @@ func (r *refDB) commit(snapshot int64, writes map[int64]string, deletes map[int6
 // TestShardedMatchesReference drives an identical randomized
 // single-stream workload through the engine and the reference
 // model: every commit/abort decision, returned version, and read
-// result must match. Long-lived readers stay open across hundreds of
+// result must match. The model's rows are stored under the spread of
+// ids in refIDs, so the check covers the ids paging can get wrong. Long-lived readers stay open across hundreds of
 // commits and keep checking their snapshot against the reference, so
 // pruning on install is held to what open snapshots can see.
 func TestShardedMatchesReference(t *testing.T) {
@@ -127,14 +129,14 @@ func TestShardedMatchesReference(t *testing.T) {
 				mine = append(mine, row)
 			}
 			if rng.Intn(8) == 0 {
-				if err := tx.Delete("t", row); err != nil {
+				if err := tx.Delete("t", refIDs[row]); err != nil {
 					t.Fatal(err)
 				}
 				delete(p.writes, row)
 				p.deletes[row] = true
 			} else {
 				val := fmt.Sprintf("v%d-%d", step, i)
-				if err := tx.Write("t", row, val); err != nil {
+				if err := tx.Write("t", refIDs[row], val); err != nil {
 					t.Fatal(err)
 				}
 				delete(p.deletes, row)
@@ -148,7 +150,7 @@ func TestShardedMatchesReference(t *testing.T) {
 		if len(mine) > 0 && rng.Intn(2) == 0 {
 			row = mine[rng.Intn(len(mine))]
 		}
-		got, gotOK, err := tx.Read("t", row)
+		got, gotOK, err := tx.Read("t", refIDs[row])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +198,7 @@ func TestShardedMatchesReference(t *testing.T) {
 		live := readers[:0]
 		for _, r := range readers {
 			row := int64(rng.Intn(rows))
-			got, gotOK, err := r.tx.Read("t", row)
+			got, gotOK, err := r.tx.Read("t", refIDs[row])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,17 +227,40 @@ func TestShardedMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	live := 0
 	for row := int64(0); row < rows; row++ {
 		want, wantOK := ref.read(row, ref.version)
-		got, gotOK := dump[row], false
-		if _, present := dump[row]; present {
-			gotOK = true
-		}
+		got, gotOK := dump[refIDs[row]]
 		if gotOK != wantOK || (wantOK && got != want) {
-			t.Fatalf("row %d: engine %q/%v, reference %q/%v", row, got, gotOK, want, wantOK)
+			t.Fatalf("row %d (id %d): engine %q/%v, reference %q/%v", row, refIDs[row], got, gotOK, want, wantOK)
+		}
+		if wantOK {
+			live++
 		}
 	}
+	if n, err := db.RowCount("t"); err != nil || n != live || len(dump) != live {
+		t.Fatalf("RowCount = %d, %v and Dump holds %d rows; reference has %d live", n, err, len(dump), live)
+	}
 }
+
+// refIDs maps the reference model's dense rows 0..127 to the row ids
+// the engine stores them under: page edges, negative ids, the int64
+// extremes, a dense run sharing pages, and sparse ids a page apiece.
+var refIDs = func() [128]int64 {
+	var ids [128]int64
+	edges := []int64{0, 63, 64, -1, -64, -65, math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
+	n := copy(ids[:], edges)
+	for i := int64(0); n < 80; i, n = i+1, n+1 {
+		ids[n] = 1000 + i // pages 15 and 16
+	}
+	for i := int64(1); n < len(ids); i, n = i+1, n+1 {
+		ids[n] = i * 1_000_000_007
+		if i%2 == 1 {
+			ids[n] = -ids[n]
+		}
+	}
+	return ids
+}()
 
 // TestStressShardedReadersWriters hammers one database with parallel
 // read-only transactions, update committers and long-lived readers

@@ -18,8 +18,8 @@ func (tx *Txn) Scan(tableName string) (map[int64]string, error) {
 		tx.db.mu.RUnlock()
 		return nil, fmt.Errorf("%w: %q", ErrNoTable, tableName)
 	}
-	out := make(map[int64]string, len(t.rows))
-	for key, r := range t.rows {
+	out := make(map[int64]string, t.rows)
+	for key, r := range t.all() {
 		if v, ok := r.visible(tx.snapshot); ok && !v.deleted() {
 			out[key] = v.value
 		}

@@ -39,6 +39,7 @@ package sidb
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
 	"sync"
@@ -88,9 +89,9 @@ func (rv rowVersion) deleted() bool { return rv.stamp < 0 }
 // row is a version chain: the newest committed version inline, and
 // the older versions some open snapshot may still need, ascending by
 // version. older stays nil until the row's first overwrite, so loading
-// a table allocates nothing per row beyond its map slot. The chain
-// sits behind a pointer to keep the row at 32 bytes: a table's map
-// holds rows by value, slack slots included.
+// a table allocates nothing per row beyond its page slot. The chain
+// sits behind a pointer to keep the row at 32 bytes: a page holds
+// rows by value, empty slots included.
 type row struct {
 	head  rowVersion
 	older *[]rowVersion
@@ -152,9 +153,67 @@ func (r *row) push(nv rowVersion, horizon int64) int {
 	return len(older) - before
 }
 
-// table is one named table's rows.
+// pageBits sets how many consecutive row ids share a page: 64, a
+// 2 KiB page. Catalog ids are dense, so a page is full or nearly so;
+// a lone sparse id costs a whole page. Smaller pages load a dense
+// table slower, and larger ones gain little on it while doubling a
+// sparse id's cost (docs/PERF.md, "Load at memory speed", has the
+// sweep).
+const (
+	pageBits = 6
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
+
+// page holds the rows of pageSize consecutive ids. A slot whose head
+// stamp is 0 holds no row: installed versions start at 1, and a
+// tombstone's stamp is negative.
+type page [pageSize]row
+
+// table is one named table's rows, in pages keyed by id>>pageBits and
+// indexed by id&pageMask. Installing a row writes its slot in place,
+// so a load costs one map lookup per row and one insert per page, not
+// a lookup and a store per row, and the map grows by pages, not rows.
 type table struct {
-	rows map[int64]row
+	pages map[int64]*page
+	rows  int // occupied slots, tombstones included
+}
+
+func newTable() *table { return &table{pages: make(map[int64]*page)} }
+
+// row returns id's row, nil when the table has never held one.
+func (t *table) row(id int64) *row {
+	if p := t.pages[id>>pageBits]; p != nil {
+		if r := &p[id&pageMask]; r.head.stamp != 0 {
+			return r
+		}
+	}
+	return nil
+}
+
+// slot returns id's slot for install to write through, adding its
+// page when the table has none.
+func (t *table) slot(id int64) *row {
+	p := t.pages[id>>pageBits]
+	if p == nil {
+		p = new(page)
+		t.pages[id>>pageBits] = p
+	}
+	return &p[id&pageMask]
+}
+
+// all yields every row the table holds, tombstones included, in no
+// particular order.
+func (t *table) all() iter.Seq2[int64, *row] {
+	return func(yield func(int64, *row) bool) {
+		for base, p := range t.pages {
+			for i := range p {
+				if p[i].head.stamp != 0 && !yield(base<<pageBits|int64(i), &p[i]) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // DB is a snapshot-isolated multi-version database.
@@ -222,7 +281,7 @@ func (db *DB) CreateTable(name string) error {
 	if _, ok := db.tables[name]; ok {
 		return fmt.Errorf("sidb: table %q already exists", name)
 	}
-	db.tables[name] = &table{rows: make(map[int64]row)}
+	db.tables[name] = newTable()
 	return nil
 }
 
@@ -337,8 +396,8 @@ func (db *DB) readRow(k writeset.Key, snapshot int64) (v rowVersion, visible, ok
 	if !ok {
 		return rowVersion{}, false, false
 	}
-	r, found := t.rows[k.Row]
-	if !found {
+	r := t.row(k.Row)
+	if r == nil {
 		return rowVersion{}, false, true
 	}
 	v, visible = r.visible(snapshot)
@@ -356,8 +415,8 @@ func (db *DB) latestVersion(k writeset.Key) int64 {
 	if !ok {
 		return 0
 	}
-	r, ok := t.rows[k.Row]
-	if !ok {
+	r := t.row(k.Row)
+	if r == nil {
 		return 0
 	}
 	return r.head.version()
@@ -370,14 +429,26 @@ func (db *DB) latestVersion(k writeset.Key) int64 {
 func (db *DB) ApplyWriteset(ws writeset.Writeset, version int64) error {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
-	if version <= db.version {
-		return fmt.Errorf("%w: %d <= %d", ErrStaleVersion, version, db.version)
+	if err := db.checkNext(version); err != nil {
+		return err
 	}
 	if err := db.journalInstall(ws, version); err != nil {
 		return err
 	}
 	db.install(ws, version)
 	db.advance(version, false)
+	return nil
+}
+
+// checkNext rejects installing at a version not newer than the
+// current one. The current version starts at 0 and only advances, so
+// every install lands at version 1 or above and a stamp of 0 never
+// reaches a row: it marks an empty page slot. The caller holds
+// commitMu.
+func (db *DB) checkNext(version int64) error {
+	if version <= db.version {
+		return fmt.Errorf("%w: %d <= %d", ErrStaleVersion, version, db.version)
+	}
 	return nil
 }
 
@@ -429,6 +500,9 @@ func (db *DB) ApplyBatch(wss []writeset.Writeset) (int, error) {
 // version at or below the horizon or later ones — exactly what the
 // prune keeps.
 func (db *DB) install(ws writeset.Writeset, v int64) {
+	if v < 1 {
+		panic(fmt.Sprintf("sidb: install at version %d", v))
+	}
 	db.stateMu.Lock()
 	horizon := db.oldestActiveLocked()
 	db.stateMu.Unlock()
@@ -438,18 +512,18 @@ func (db *DB) install(ws writeset.Writeset, v int64) {
 	for _, e := range ws.Entries {
 		t, ok := db.tables[e.Key.Table]
 		if !ok {
-			t = &table{rows: make(map[int64]row)}
+			t = newTable()
 			db.tables[e.Key.Table] = t
 		}
 		nv := newVersion(v, e.Value, e.Delete)
-		r, ok := t.rows[e.Key.Row]
-		if !ok {
-			t.rows[e.Key.Row] = row{head: nv}
+		r := t.slot(e.Key.Row)
+		if r.head.stamp == 0 {
+			r.head = nv
+			t.rows++
 			db.versions++
 			continue
 		}
 		db.versions += int64(r.push(nv, horizon))
-		t.rows[e.Key.Row] = r
 	}
 }
 
@@ -477,7 +551,7 @@ func (db *DB) RowCount(tableName string) (int, error) {
 		return 0, fmt.Errorf("%w: %q", ErrNoTable, tableName)
 	}
 	n := 0
-	for _, r := range t.rows {
+	for _, r := range t.all() {
 		if !r.head.deleted() {
 			n++
 		}

@@ -486,8 +486,8 @@ func olderLen(t *testing.T, db *DB, table string, key int64) int {
 	t.Helper()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	r, ok := db.tables[table].rows[key]
-	if !ok {
+	r := db.tables[table].row(key)
+	if r == nil {
 		t.Fatalf("row %s/%d missing", table, key)
 	}
 	if r.older == nil {
@@ -571,7 +571,7 @@ func TestPruneBoundsChains(t *testing.T) {
 	reader.Abort()
 	overwrite(t, db, "item", 1, "after")
 	db.mu.RLock()
-	older := *db.tables["item"].rows[1].older
+	older := *db.tables["item"].row(1).older
 	db.mu.RUnlock()
 	if len(older) > 1 || db.Versions() > 2 {
 		t.Fatalf("chain holds %d older versions (%d in all) after the reader aborted", len(older), db.Versions())
@@ -596,7 +596,7 @@ func TestChainShrinksAfterReader(t *testing.T) {
 	chainCap := func() int {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		return cap(*db.tables["item"].rows[1].older)
+		return cap(*db.tables["item"].row(1).older)
 	}
 	if c := chainCap(); c < 1000 {
 		t.Fatalf("chain capacity %d with the reader open, want >= 1000", c)

@@ -215,8 +215,8 @@ func (tx *Txn) CommitAt(version int64) (writeset.Writeset, error) {
 	defer tx.db.commitMu.Unlock()
 	defer tx.db.release(tx.snapshot)
 
-	if version <= tx.db.version {
-		return writeset.Writeset{}, fmt.Errorf("%w: %d <= %d", ErrStaleVersion, version, tx.db.version)
+	if err := tx.db.checkNext(version); err != nil {
+		return writeset.Writeset{}, err
 	}
 	if err := tx.db.journalInstall(ws, version); err != nil {
 		return writeset.Writeset{}, err

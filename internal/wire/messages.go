@@ -666,15 +666,16 @@ type Record struct {
 }
 
 // Records answers FetchSince with an ascending run of records in the
-// compact propagation shape: a per-frame table dictionary,
-// delta-encoded versions and an optional DEFLATE body (see
-// records.go).
+// compact propagation shape: a per-frame table dictionary and
+// delta-encoded versions (see records.go). The server sends the body
+// plain.
 type Records struct {
 	Recs []Record
 	// Compress asks the encoder to DEFLATE the body. It is sender-side
 	// intent, never transmitted: the frame's flags byte records what
 	// actually happened (the encoder falls back to the plain body when
-	// compression does not pay).
+	// compression does not pay). The server leaves it unset; only the
+	// benchmark's codec layer sets it.
 	Compress bool
 }
 

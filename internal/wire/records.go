@@ -26,7 +26,12 @@ import (
 // When recFlate is set the body is DEFLATE-compressed (stdlib flate,
 // BestSpeed). The sender requests compression via Records.Compress and
 // falls back to the plain body whenever compression does not shrink
-// it, so compression never costs more than the flags byte.
+// it, so compression never costs more than the flags byte. The server
+// sends its FetchSince replies plain: on a cluster's network the bytes
+// DEFLATE saved cost more CPU than they were worth, compressing on the
+// host and inflating on every replica (about a sixth of a catalog
+// load's CPU). Decoders still accept compressed bodies; only the
+// benchmark's codec layer (bench/layers.go) still sets Compress.
 
 // recFlate marks a DEFLATE-compressed Records body.
 const recFlate byte = 1 << 0
