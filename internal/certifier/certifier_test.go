@@ -1,7 +1,6 @@
 package certifier
 
 import (
-	"encoding/json"
 	"sync"
 	"testing"
 
@@ -19,15 +18,18 @@ func ws(keys ...int64) writeset.Writeset {
 	return w
 }
 
-// encodeRecord serializes one record as a single-record Paxos value,
-// the format logs written before every value became a batch hold;
-// DecodeRecords still reads it.
-func encodeRecord(r Record) (paxos.Value, error) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return "", err
-	}
-	return paxos.Value(b), nil
+// batchValue encodes records as the Paxos value of one group-committed
+// batch: the frames the WAL journals for it.
+func batchValue(recs ...Record) paxos.Value {
+	b, _ := AppendRecords(nil, recs)
+	return paxos.Value(b)
+}
+
+// decodeValue decodes one Paxos value through a fresh Replay.
+func decodeValue(v paxos.Value) ([]Record, error) {
+	var rp Replay
+	err := rp.Value(v)
+	return rp.Records, err
 }
 
 func TestCommitAssignsIncreasingVersions(t *testing.T) {
@@ -288,22 +290,17 @@ func TestRecoverRejectsHoles(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rec := Record{Version: 7, Writeset: ws(1, 2, 3)}
-	v, err := encodeRecord(rec)
+	back, err := decodeValue(batchValue(Record{Version: 7, Writeset: ws(1, 2, 3)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeRecord(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Version != 7 || back.Writeset.Len() != 3 {
+	if len(back) != 1 || back[0].Version != 7 || back[0].Writeset.Len() != 3 {
 		t.Fatalf("round trip = %+v", back)
 	}
-	if noop, err := DecodeRecord("noop"); err != nil || noop.Version != 0 {
+	if noop, err := decodeValue("noop"); err != nil || len(noop) != 0 {
 		t.Fatalf("noop decode = %+v %v", noop, err)
 	}
-	if _, err := DecodeRecord("not json"); err == nil {
+	if _, err := decodeValue("not a frame"); err == nil {
 		t.Fatal("garbage decoded")
 	}
 }

@@ -24,10 +24,7 @@ func foldScenario(t *testing.T) *Certifier {
 	}
 	staleWS := ws(100)
 	staleWS.Entries[0].Value = "stale"
-	stale, err := encodeRecord(Record{Version: 4, Writeset: staleWS})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stale := batchValue(Record{Version: 4, Writeset: staleWS})
 	if rep, err := accs[0].Accept(a.Epoch(), 3, stale); err != nil || !rep.OK {
 		t.Fatalf("stale accept: %+v %v", rep, err)
 	}

@@ -3,118 +3,131 @@ package certifier
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/paxos"
 	"repro/internal/writeset"
 )
 
-// fuzzSeedRecord builds one well-formed encoded record.
-func fuzzSeedRecord(f *testing.F) paxos.Value {
-	f.Helper()
-	ws := writeset.New([]writeset.Entry{
-		{Key: writeset.Key{Table: "accounts", Row: 7}, Value: "balance=12"},
+// fuzzSeeds returns well-formed Paxos values of every kind, and the
+// malformed ones the decoder must refuse: truncated, bit-flipped,
+// trailing garbage and a writeset without its commit marker.
+func fuzzSeeds() []string {
+	ws1 := writeset.New([]writeset.Entry{
+		{Key: writeset.Key{Table: "accounts", Row: 7}, Value: "balance=\xff\xfe12"},
 		{Key: writeset.Key{Table: "audit", Row: -1}, Delete: true},
 	})
-	v, err := encodeRecord(Record{Version: 42, Writeset: ws})
-	if err != nil {
-		f.Fatal(err)
-	}
-	return v
-}
-
-// fuzzSeedBatch builds one well-formed encoded batch.
-func fuzzSeedBatch(f *testing.F) paxos.Value {
-	f.Helper()
-	ws := func(row int64) writeset.Writeset {
-		return writeset.New([]writeset.Entry{{Key: writeset.Key{Table: "t", Row: row}, Value: "x"}})
-	}
-	v, err := encodeBatch([]Record{
-		{Version: 1, Writeset: ws(1)},
-		{Version: 2, Writeset: ws(2)},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	return v
-}
-
-// FuzzDecodeRecord hammers the Paxos value decoder with malformed,
-// truncated and bit-flipped inputs: it must error cleanly, never panic
-// and never over-allocate — these bytes arrive from the network on the
-// election path.
-func FuzzDecodeRecord(f *testing.F) {
-	seed := fuzzSeedRecord(f)
-	f.Add(string(seed))
-	f.Add("")
-	f.Add("noop")
-	f.Add("{")
-	f.Add(`{"Version":-1}`)
-	f.Add(string(bytes.Repeat([]byte{0xff}, 64)))
-	for _, i := range []int{1, len(seed) / 2, len(seed) - 2} {
-		mut := []byte(seed)
-		mut[i] ^= 0x40
-		f.Add(string(mut))
-	}
-	f.Add(string(seed[:len(seed)-3])) // truncated
-
-	f.Fuzz(func(t *testing.T, data string) {
-		rec, err := DecodeRecord(paxos.Value(data)) // must not panic
-		if err != nil {
-			return
-		}
-		// A decoded record must round-trip: re-encoding and re-decoding
-		// yields the same record, so nothing decoded depends on bytes
-		// the encoder would not produce.
-		enc, err := encodeRecord(rec)
-		if err != nil {
-			t.Fatalf("accepted record does not re-encode: %v", err)
-		}
-		rec2, err := DecodeRecord(enc)
-		if err != nil {
-			t.Fatalf("re-encoded record does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(rec, rec2) {
-			t.Fatalf("round-trip diverged:\n%+v\nvs\n%+v", rec, rec2)
-		}
-	})
-}
-
-// FuzzDecodeRecords covers the batch-or-single sniffing path.
-func FuzzDecodeRecords(f *testing.F) {
-	single := fuzzSeedRecord(f)
-	batch := fuzzSeedBatch(f)
-	f.Add(string(single))
-	f.Add(string(batch))
-	f.Add("")
-	f.Add("noop")
-	f.Add("[")
-	f.Add("[{]")
-	f.Add("[]")
-	f.Add(string(bytes.Repeat([]byte{'['}, 64)))
+	batch := string(batchValue(Record{Version: 41, Writeset: ws1}, Record{Version: 42, Writeset: ws(2)}))
+	decide, _ := AppendDecision(nil, "x\xff1", true, 43, []Record{{Version: 43, Writeset: ws1}})
+	prepare := AppendPrepare(nil, PreparedTxn{ID: "x\xff1", Coord: 2, Snapshot: 40, Writeset: ws1})
+	abort, _ := AppendDecision(nil, "x2", false, 0, nil)
+	seeds := []string{batch, "", "noop", string(decide), string(prepare), string(abort)}
 	for _, i := range []int{1, len(batch) / 2, len(batch) - 2} {
 		mut := []byte(batch)
 		mut[i] ^= 0x40
-		f.Add(string(mut))
+		seeds = append(seeds, string(mut))
 	}
-	f.Add(string(batch[:len(batch)-3]))
+	return append(seeds,
+		batch[:len(batch)-3],
+		batch+"\x00\x00",
+		string(codec.WritesetFrame(nil, 1, ws(1))), // no commit marker
+		string(codec.BeginEpochFrame(nil, 1, 0)),   // a WAL-only frame
+		string(bytes.Repeat([]byte{0xff}, 64)),
+	)
+}
 
+// replayed is the state one value decodes to, with empty collections
+// normalised so a round trip compares equal.
+func replayed(t *testing.T, v paxos.Value) (Replay, error) {
+	t.Helper()
+	var rp Replay
+	err := rp.Value(v)
+	if len(rp.Decisions) == 0 {
+		rp.Decisions = nil
+	}
+	return rp, err
+}
+
+// FuzzDecodeRecord hammers the one Paxos-value decoder (Replay.Value)
+// with malformed, truncated and bit-flipped inputs: it must error
+// cleanly and never panic — these bytes arrive from the network on
+// the election path — and an accepted value must round-trip.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, s := range fuzzSeeds() {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data string) {
-		recs, err := DecodeRecords(paxos.Value(data)) // must not panic
+		rp, err := replayed(t, paxos.Value(data)) // must not panic
 		if err != nil {
 			return
 		}
-		// Accepted batches must be bounded by the input: each record
-		// costs a handful of JSON bytes at minimum, so a tiny input
-		// claiming a huge batch is impossible — a guard against decoded
-		// size amplification.
-		if len(recs) > len(data) {
-			t.Fatalf("%d records decoded from %d bytes", len(recs), len(data))
+		// Re-encode the decoded state as log frames and decode it again:
+		// the state must come back equal, so nothing decoded depends on
+		// bytes the encoders would not produce.
+		var b []byte
+		for _, p := range rp.Prepared {
+			b = AppendPrepare(b, p)
 		}
-		for _, rec := range recs {
+		for id, d := range rp.Decisions {
+			b, _ = AppendDecision(b, id, d.Commit, d.Version, nil)
+		}
+		b, _ = AppendRecords(b, rp.Records)
+		rp2, err := replayed(t, paxos.Value(b))
+		if err != nil {
+			t.Fatalf("re-encoded state does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(rp, rp2) {
+			t.Fatalf("round-trip diverged:\n%+v\nvs\n%+v", rp, rp2)
+		}
+	})
+}
+
+// FuzzDecodeRecords checks that an accepted value is bounded by its
+// input: each record and entry costs encoded bytes, so a tiny input
+// claiming a huge batch is impossible — a guard against decoded size
+// amplification.
+func FuzzDecodeRecords(f *testing.F) {
+	for _, s := range fuzzSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data string) {
+		rp, err := replayed(t, paxos.Value(data)) // must not panic
+		if err != nil {
+			return
+		}
+		if n := len(rp.Records) + len(rp.Prepared) + len(rp.Decisions); n > len(data) {
+			t.Fatalf("%d log entries decoded from %d bytes", n, len(data))
+		}
+		for _, rec := range rp.Records {
 			if len(rec.Writeset.Entries) > len(data) {
 				t.Fatalf("%d entries decoded from %d bytes", len(rec.Writeset.Entries), len(data))
 			}
 		}
 	})
+}
+
+// TestValueDecodeIsStrict pins what the fuzz seeds exercise: a Paxos
+// value decodes to its last byte or not at all — only a WAL file's
+// tail may be torn.
+func TestValueDecodeIsStrict(t *testing.T) {
+	batch := string(batchValue(Record{Version: 1, Writeset: ws(1)}, Record{Version: 2, Writeset: ws(2)}))
+	bad := map[string]string{
+		"truncated":         batch[:len(batch)-1],
+		"bit-flipped":       batch[:12] + string(batch[12]^1) + batch[13:],
+		"trailing garbage":  batch + "\x00",
+		"no commit marker":  string(codec.WritesetFrame(nil, 1, ws(1))),
+		"marker below":      string(codec.CommitFrame(codec.WritesetFrame(nil, 2, ws(1)), 1)),
+		"WAL-only frame":    string(codec.SnapshotFrame(nil, 1, nil)),
+		"over the max size": strings.Repeat("x", codec.MaxFrame+1),
+	}
+	for name, v := range bad {
+		if recs, err := decodeValue(paxos.Value(v)); err == nil {
+			t.Errorf("%s: decoded to %d records, want an error", name, len(recs))
+		}
+	}
+	if recs, err := decodeValue(paxos.Value(batch)); err != nil || len(recs) != 2 {
+		t.Fatalf("well-formed batch: %d records, %v", len(recs), err)
+	}
 }

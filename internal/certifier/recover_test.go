@@ -185,21 +185,13 @@ func TestRecoverMixedLogWithCompactedPrefix(t *testing.T) {
 	ref.GC(3)
 
 	// The compacted log a backup would recover: no-op slots for the
-	// pruned batch, then a mixed single/batch suffix.
-	log := map[int]paxos.Value{0: "noop"}
-	v4, err := encodeRecord(Record{Version: 4, Writeset: ws(4)})
-	if err != nil {
-		t.Fatal(err)
+	// pruned batch, then one-record batches.
+	log := map[int]paxos.Value{
+		0: "noop",
+		1: batchValue(Record{Version: 4, Writeset: ws(4)}),
+		2: batchValue(Record{Version: 5, Writeset: ws(5)}),
+		3: batchValue(Record{Version: 6, Writeset: ws(6)}),
 	}
-	v5, err := encodeRecord(Record{Version: 5, Writeset: ws(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := encodeBatch([]Record{{Version: 6, Writeset: ws(6)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log[1], log[2], log[3] = v4, v5, batch
 
 	r, err := Recover(log)
 	if err != nil {

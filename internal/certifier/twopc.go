@@ -22,10 +22,8 @@
 package certifier
 
 import (
-	"encoding/json"
 	"fmt"
 
-	"repro/internal/paxos"
 	"repro/internal/writeset"
 )
 
@@ -63,44 +61,6 @@ type TxnJournal interface {
 	AppendPrepare(p PreparedTxn) (seq int64, err error)
 	AppendDecision(txn string, commit bool, version int64, recs []Record) (seq int64, err error)
 	AppendForget(txn string) (seq int64, err error)
-}
-
-// twoPCValue is the Paxos encoding of a 2PC operation on a replicated
-// certifier. It deliberately embeds the Record fields: a decide-commit
-// value IS the committed record (Version > 0), so every pre-2PC
-// decoder — Recover, ReconcileLog, foldLocked — treats it as an
-// ordinary log entry, while prepares and aborts carry Version 0 and
-// are skipped by those paths. Op distinguishes the operations for the
-// 2PC-aware recovery pass.
-type twoPCValue struct {
-	Version  int64
-	Writeset writeset.Writeset
-	Txn      string
-	Op       string // "prepare" | "decide" | "forget"
-	Commit   bool
-	Coord    int64
-	Snapshot int64
-}
-
-func encodeTwoPC(v twoPCValue) (paxos.Value, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return "", fmt.Errorf("certifier: encode 2pc: %w", err)
-	}
-	return paxos.Value(b), nil
-}
-
-// decodeTwoPC extracts the 2PC operation from a Paxos value, ok=false
-// for ordinary records, batches and noops.
-func decodeTwoPC(v paxos.Value) (twoPCValue, bool) {
-	if v == "" || v == noopValue || len(v) > maxEncodedRecord || v[0] != '{' {
-		return twoPCValue{}, false
-	}
-	var t twoPCValue
-	if err := json.Unmarshal([]byte(v), &t); err != nil || t.Op == "" {
-		return twoPCValue{}, false
-	}
-	return t, true
 }
 
 // ensureTwoPCLocked lazily allocates the 2PC state (most certifiers
@@ -183,11 +143,8 @@ func (c *Certifier) Prepare(p PreparedTxn) (vote bool, conflictWith int64, err e
 		// the vote too.
 		vote = !conflict && !c.prepConflictLocked(p.ID, p.Writeset)
 		return vote
-	}, func() (paxos.Value, error) {
-		return encodeTwoPC(twoPCValue{
-			Txn: p.ID, Op: "prepare", Coord: p.Coord,
-			Snapshot: p.Snapshot, Writeset: p.Writeset,
-		})
+	}, func(b []byte) []byte {
+		return AppendPrepare(b, p)
 	})
 	if err != nil {
 		c.mu.Unlock()
@@ -244,20 +201,19 @@ func (c *Certifier) Decide(id string, commit bool) (version int64, err error) {
 	// after a fold: the prepared locks guarantee nothing conflicting
 	// certified since the vote, so only the version shifts. The quorum
 	// must learn the decision: a promoted backup that lost the leader's
-	// memory still answers Resolve correctly. A decide-commit value
-	// doubles as the record itself (Version > 0), so pre-2PC recovery
-	// paths fold it like any commit.
+	// memory still answers Resolve correctly. The value is the frames
+	// the journal writes for the decision (AppendDecision), so a
+	// decide-commit carries its record and every recovery path commits
+	// it like any other.
 	_, err = c.proposeLocked(func() bool {
 		if commit {
 			version = c.version + 1
 			c.appendLocked(Record{Version: version, Writeset: p.Writeset})
 		}
 		return true
-	}, func() (paxos.Value, error) {
-		return encodeTwoPC(twoPCValue{
-			Version: version, Writeset: p.Writeset,
-			Txn: id, Op: "decide", Commit: commit,
-		})
+	}, func(b []byte) []byte {
+		b, _ = AppendDecision(b, id, commit, version, c.stagedLocked())
+		return b
 	})
 	if err != nil {
 		c.unstageLocked()
@@ -372,6 +328,14 @@ func (c *Certifier) Decided(id string) (TwoPCDecision, bool) {
 func (c *Certifier) RestoreTwoPC(prepared []PreparedTxn, decisions map[string]TwoPCDecision) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.restoreTwoPCLocked(prepared, decisions)
+}
+
+// restoreTwoPCLocked installs replayed 2PC state (see Replay) in place
+// of the certifier's own: WAL recovery and the Paxos recovery paths
+// both end here.
+func (c *Certifier) restoreTwoPCLocked(prepared []PreparedTxn, decisions map[string]TwoPCDecision) error {
+	c.prepared, c.prepIndex, c.decisions = nil, nil, nil
 	c.ensureTwoPCLocked()
 	for id, d := range decisions {
 		c.decisions[id] = d
@@ -403,56 +367,4 @@ func (c *Certifier) RestoreTwoPC(prepared []PreparedTxn, decisions map[string]Tw
 	}
 	c.durable = c.version
 	return nil
-}
-
-// restoreTwoPCFromLog rebuilds 2PC state from a recovered Paxos log's
-// 2PC values, applied in slot order — the failover twin of
-// RestoreTwoPC. Called with c.mu held.
-func (c *Certifier) restoreTwoPCFromLogLocked(log map[int]paxos.Value) {
-	slots := make([]int, 0, len(log))
-	for s := range log {
-		slots = append(slots, s)
-	}
-	// Slot order = decision order.
-	for i := 0; i < len(slots); i++ {
-		for j := i + 1; j < len(slots); j++ {
-			if slots[j] < slots[i] {
-				slots[i], slots[j] = slots[j], slots[i]
-			}
-		}
-	}
-	c.ensureTwoPCLocked()
-	for _, s := range slots {
-		t, ok := decodeTwoPC(log[s])
-		if !ok {
-			continue
-		}
-		switch t.Op {
-		case "prepare":
-			if _, decided := c.decisions[t.Txn]; !decided {
-				c.lockLocked(PreparedTxn{
-					ID: t.Txn, Coord: t.Coord,
-					Snapshot: t.Snapshot, Writeset: t.Writeset,
-				})
-			}
-		case "decide":
-			c.unlockLocked(t.Txn)
-			c.decisions[t.Txn] = TwoPCDecision{Commit: t.Commit, Version: t.Version}
-		case "forget":
-			c.unlockLocked(t.Txn)
-			delete(c.decisions, t.Txn)
-		}
-	}
-}
-
-// RestoreTwoPCFromLog rebuilds prepared locks and decisions from a
-// recovered Paxos log — Promote and Campaign callers invoke it after
-// Recover/ReconcileLog so a promoted backup inherits every in-doubt
-// lock and can answer Resolve for decided transactions. Commit records
-// themselves were already folded by the record pass (a decide-commit
-// value doubles as a record).
-func (c *Certifier) RestoreTwoPCFromLog(log map[int]paxos.Value) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.restoreTwoPCFromLogLocked(log)
 }

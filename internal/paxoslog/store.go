@@ -6,27 +6,28 @@
 // acceptor to record its state on stable storage before answering, and
 // this package is that stable storage.
 //
-// Framing mirrors internal/wal: every record is one frame
+// Every record is one codec frame (the WAL's framing),
 //
 //	[u32 length] [u32 CRC32C(payload)] [payload]
 //
-// where payload is a kind byte followed by varints. Replay stops at
-// the first short, oversized or CRC-failing frame — the torn tail a
-// crash mid-write leaves behind — and Open truncates the file there,
-// so a recovered store is always a valid prefix of what was written.
-// Because the in-memory acceptor only replies after a persist
-// succeeds, a truncated tail can only drop promises and votes the
-// acceptor never answered for.
+// whose payload is a kind byte followed by varints; an accept record's
+// value is the certifier's log format, the frames the WAL journals for
+// the same operation. Replay stops at the first short, oversized or
+// CRC-failing frame — the torn tail a crash mid-write leaves behind —
+// and Open truncates the file there, so a recovered store is always a
+// valid prefix of what was written. Because the in-memory acceptor
+// only replies after a persist succeeds, a truncated tail can only
+// drop promises and votes the acceptor never answered for.
 package paxoslog
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/paxos"
 	"repro/internal/wal"
 )
@@ -40,19 +41,8 @@ const (
 	kindAccept byte = 2
 )
 
-const (
-	// FileName is the acceptor store's file inside its FS.
-	FileName = "acceptor.log"
-
-	// maxRecord bounds one frame; larger lengths in the file are
-	// treated as tail corruption.
-	maxRecord = 64 << 20
-
-	// headerSize is the per-frame overhead: u32 length + u32 CRC.
-	headerSize = 8
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// FileName is the acceptor store's file inside its FS.
+const FileName = "acceptor.log"
 
 // ErrClosed is returned by saves on a closed store.
 var ErrClosed = errors.New("paxoslog: closed")
@@ -105,16 +95,8 @@ func replay(data []byte) (paxos.Ballot, map[int]paxos.AcceptedSlot, int) {
 	slots := make(map[int]paxos.AcceptedSlot)
 	off := 0
 	for {
-		if len(data)-off < headerSize {
-			return promised, slots, off
-		}
-		n := binary.BigEndian.Uint32(data[off:])
-		crc := binary.BigEndian.Uint32(data[off+4:])
-		if n == 0 || n > maxRecord || int(n) > len(data)-off-headerSize {
-			return promised, slots, off
-		}
-		payload := data[off+headerSize : off+headerSize+int(n)]
-		if crc32.Checksum(payload, crcTable) != crc {
+		payload, n := codec.NextFrame(data[off:])
+		if payload == nil {
 			return promised, slots, off
 		}
 		b, slot, v, ok := decodePayload(payload)
@@ -130,89 +112,63 @@ func replay(data []byte) (paxos.Ballot, map[int]paxos.AcceptedSlot, int) {
 				slots[slot] = paxos.AcceptedSlot{Ballot: b, Value: v}
 			}
 		}
-		off += headerSize + int(n)
+		off += n
 	}
 }
 
 // decodePayload parses one record payload. For promises slot/value are
 // zero.
 func decodePayload(p []byte) (b paxos.Ballot, slot int, v paxos.Value, ok bool) {
-	kind := p[0]
-	rest := p[1:]
-	next := func() (int64, bool) {
-		x, n := binary.Varint(rest)
-		if n <= 0 {
-			return 0, false
-		}
-		rest = rest[n:]
-		return x, true
-	}
-	switch kind {
+	d := codec.NewDecoder(p[1:])
+	switch p[0] {
 	case kindPromise:
-		round, ok1 := next()
-		prop, ok2 := next()
-		if !ok1 || !ok2 || len(rest) != 0 {
-			return b, 0, "", false
-		}
-		return paxos.Ballot{Round: int(round), Proposer: int(prop)}, 0, "", true
 	case kindAccept:
-		s, ok0 := next()
-		round, ok1 := next()
-		prop, ok2 := next()
-		if !ok0 || !ok1 || !ok2 {
-			return b, 0, "", false
-		}
-		vlen, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return b, 0, "", false
-		}
-		rest = rest[n:]
-		if vlen != uint64(len(rest)) {
-			return b, 0, "", false
-		}
-		return paxos.Ballot{Round: int(round), Proposer: int(prop)}, int(s), paxos.Value(rest), true
+		slot = int(d.Varint())
 	default:
 		return b, 0, "", false
 	}
+	b = paxos.Ballot{Round: int(d.Varint()), Proposer: int(d.Varint())}
+	if p[0] == kindAccept {
+		v = paxos.Value(d.Raw())
+	}
+	if d.Err() != nil || d.Len() != 0 {
+		return paxos.Ballot{}, 0, "", false
+	}
+	return b, slot, v, true
 }
 
 // SavePromise implements paxos.Persister.
 func (s *Store) SavePromise(b paxos.Ballot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	payload := s.buf[:0]
-	payload = append(payload, kindPromise)
-	payload = binary.AppendVarint(payload, int64(b.Round))
-	payload = binary.AppendVarint(payload, int64(b.Proposer))
-	return s.appendLocked(payload)
+	frame := append(codec.OpenFrame(s.buf[:0]), kindPromise)
+	frame = binary.AppendVarint(frame, int64(b.Round))
+	frame = binary.AppendVarint(frame, int64(b.Proposer))
+	return s.appendLocked(frame)
 }
 
 // SaveAccept implements paxos.Persister.
 func (s *Store) SaveAccept(slot int, b paxos.Ballot, v paxos.Value) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	payload := s.buf[:0]
-	payload = append(payload, kindAccept)
-	payload = binary.AppendVarint(payload, int64(slot))
-	payload = binary.AppendVarint(payload, int64(b.Round))
-	payload = binary.AppendVarint(payload, int64(b.Proposer))
-	payload = binary.AppendUvarint(payload, uint64(len(v)))
-	payload = append(payload, v...)
-	return s.appendLocked(payload)
+	frame := append(codec.OpenFrame(s.buf[:0]), kindAccept)
+	frame = binary.AppendVarint(frame, int64(slot))
+	frame = binary.AppendVarint(frame, int64(b.Round))
+	frame = binary.AppendVarint(frame, int64(b.Proposer))
+	frame = codec.AppendString(frame, string(v))
+	return s.appendLocked(frame)
 }
 
-// appendLocked frames and writes one payload, syncing when configured.
-// The frame is written in a single Write call so a crash tears at most
-// one record, which replay's CRC check cuts cleanly.
-func (s *Store) appendLocked(payload []byte) error {
+// appendLocked closes and writes one frame, built at the start of
+// s.buf's array, syncing when configured. The frame is written in a
+// single Write call so a crash tears at most one record, which
+// replay's CRC check cuts cleanly.
+func (s *Store) appendLocked(frame []byte) error {
 	if s.err != nil {
 		return s.err
 	}
-	frame := make([]byte, headerSize+len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-	copy(frame[headerSize:], payload)
-	s.buf = payload // recycle the scratch buffer
+	frame = codec.CloseFrame(frame, 0)
+	s.buf = frame // recycle the scratch buffer
 	if _, err := s.f.Write(frame); err != nil {
 		s.err = fmt.Errorf("paxoslog: write: %w", err)
 		return s.err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/paxos"
 	"repro/internal/wal"
 )
@@ -122,7 +123,7 @@ func TestStoreCorruptMiddleStopsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[headerSize+2] ^= 0xff // flip a bit inside the first payload
+	data[codec.HeaderSize+2] ^= 0xff // flip a bit inside the first payload
 	f, err := fs.Create(FileName)
 	if err != nil {
 		t.Fatal(err)

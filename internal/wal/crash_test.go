@@ -38,6 +38,7 @@ import (
 	"testing"
 
 	"repro/internal/certifier"
+	"repro/internal/codec"
 	"repro/internal/repl/pipeline"
 	"repro/internal/sidb"
 	"repro/internal/writeset"
@@ -528,7 +529,7 @@ func TestCrashNamedPoints(t *testing.T) {
 	}
 	secondLoadWrite := recs[2]
 	firstCommitWrite := recs[3]
-	if got := trace[firstCommitWrite]; got.Bytes < 2*headerSize {
+	if got := trace[firstCommitWrite]; got.Bytes < 2*codec.HeaderSize {
 		t.Fatalf("misidentified commit write: %+v", got)
 	}
 	firstCommitSync := firstCommitWrite + 1

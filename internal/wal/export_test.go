@@ -1,5 +1,7 @@
 package wal
 
+import "repro/internal/codec"
+
 // SegName is the segment's file name inside a WAL directory.
 const SegName = segName
 
@@ -17,12 +19,12 @@ type Frame struct {
 func Frames(data []byte) []Frame {
 	var out []Frame
 	for off := 0; ; {
-		payload, n := nextFrame(data[off:])
+		payload, n := codec.NextFrame(data[off:])
 		if payload == nil {
 			return out
 		}
-		d := &walDecoder{b: payload[1:]}
-		out = append(out, Frame{Kind: payload[0], Version: d.varint(), Size: n})
+		d := codec.NewDecoder(payload[1:])
+		out = append(out, Frame{Kind: payload[0], Version: d.Varint(), Size: n})
 		off += n
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/launch"
 	"repro/internal/repl"
 	"repro/internal/server"
@@ -96,7 +97,7 @@ func oneRecordPerVersion(t *testing.T, tmpl server.Options) {
 			switch {
 			case f.Kind >= 5 && f.Kind <= 7:
 				t.Fatalf("node %d: retired frame kind %d (version %d)", i, f.Kind, f.Version)
-			case f.Kind == wal.KindWriteset:
+			case f.Kind == codec.KindWriteset:
 				count[f.Version]++
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/certifier"
+	"repro/internal/codec"
 )
 
 func prep(id string, coord, snapshot, row int64) certifier.PreparedTxn {
@@ -141,7 +142,7 @@ func TestTornDecisionRecommit(t *testing.T) {
 	// Tear the write after the decision frame: keep exactly
 	// [prepare..][decision frame], cut the writeset+commit frames.
 	full, _ := fs.ReadFile(segName)
-	decFrame := headerSize + len(encodeDecision(nil, "torn", true, 1))
+	decFrame := len(codec.DecisionFrame(nil, "torn", true, 1))
 	cut := preLen + decFrame
 	if cut >= len(full) {
 		t.Fatalf("nothing to tear: cut=%d len=%d", cut, len(full))

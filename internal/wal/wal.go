@@ -5,15 +5,22 @@
 // by compaction (or by a joiner's state transfer), and the cross-shard
 // 2PC frames.
 //
-// Framing. Every record is one frame:
+// Framing. Every record is one codec frame,
 //
 //	[u32 length] [u32 CRC32C(payload)] [payload]
 //
-// where payload is a kind byte followed by varint/string fields and
-// length counts the payload bytes. Replay stops at the first frame
-// that is short, oversized or fails its CRC — the torn tail a crash
-// mid-write leaves behind — and Open truncates the file there, so a
-// recovered log is always a valid prefix of what was written.
+// whose payload is a kind byte followed by varint/string fields (the
+// kinds are codec.Kind*). Replay stops at the first frame that is
+// short, oversized or fails its CRC — the torn tail a crash mid-write
+// leaves behind — and Open truncates the file there, so a recovered
+// log is always a valid prefix of what was written.
+//
+// One log format. The record and 2PC frames are the certifier's log
+// format: an operation's frames (certifier.AppendRecords,
+// AppendDecision, AppendPrepare) are the exact bytes a replicated
+// certifier proposes as its Paxos value, and replay decodes them
+// through the same certifier.Replay that recovers a Paxos log. The
+// epoch header and the snapshot are the WAL's own frames.
 //
 // One stream. Every node journals each committed version once, as the
 // same writeset-plus-commit-marker frames. The certifier stages its
@@ -48,68 +55,23 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/certifier"
+	"repro/internal/codec"
 	"repro/internal/sidb"
 	"repro/internal/writeset"
-)
-
-// Record kinds.
-const (
-	// KindBeginEpoch opens a segment: {epoch, base}. Base is the
-	// version the segment's records start above (0 for a fresh log, at
-	// most the snapshot version after compaction).
-	KindBeginEpoch byte = 1
-	// KindWriteset stages one certified writeset: {version, writeset}.
-	// It is not committed until a KindCommit at or above version.
-	KindWriteset byte = 2
-	// KindCommit commits every staged writeset with version <= its
-	// {version} — the marker that makes a group-commit batch atomic.
-	KindCommit byte = 3
-	// KindSnapshot is the full state at a version: {version, tables}.
-	// Compaction writes it in place of the records it replaces, and a
-	// joiner journals the snapshot it was sent. Every table it names is
-	// restored, empty ones included.
-	KindSnapshot byte = 4
-	// Kinds 5–7 are retired (the old apply, table and cursor frames);
-	// Open refuses a segment holding one.
-
-	// KindPrepare journals an in-doubt cross-shard fragment: {txn id,
-	// coordinator shard, snapshot, writeset}. The fragment holds key
-	// locks until a KindDecision (or, on recovery, a coordinator
-	// Resolve) settles it.
-	KindPrepare byte = 8
-	// KindDecision journals a 2PC decision: {txn id, commit, version}.
-	// A commit decision is written in the SAME write as — and ahead of
-	// — the decided record's KindWriteset/KindCommit frames, so a torn
-	// tail can lose the record but never a record-less decision
-	// (recovery re-commits from the prepared writeset).
-	KindDecision byte = 9
-	// KindForget drops a fully acknowledged decision: {txn id}.
-	KindForget byte = 10
 )
 
 const (
 	segName = "wal.log"
 	tmpName = "wal.log.tmp"
-
-	// maxRecord bounds one frame; larger lengths in the file are
-	// treated as tail corruption.
-	maxRecord = 64 << 20
-
-	// headerSize is the per-frame overhead: u32 length + u32 CRC.
-	headerSize = 8
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrClosed is returned by operations on a closed WAL.
 var ErrClosed = errors.New("wal: closed")
@@ -152,18 +114,11 @@ type Recovered struct {
 	// no snapshot.
 	Snapshot    map[string]map[int64]string
 	SnapVersion int64
-	// Records are the committed records (version order, versions >
-	// Base); staged writesets without a commit marker are not included.
-	Records []certifier.Record
-	// Prepared are the cross-shard fragments still relevant at the end
-	// of replay: in-doubt (no decision on disk) or commit-decided —
-	// the latter kept so RestoreTwoPC can re-commit a decision whose
-	// record frames were torn off. Abort-decided and forgotten
-	// fragments are dropped during replay.
-	Prepared []certifier.PreparedTxn
-	// Decisions maps txn ids to their durable 2PC decisions (forgotten
-	// ones removed during replay).
-	Decisions map[string]certifier.TwoPCDecision
+	// Replay holds the log entries above the snapshot: the committed
+	// records (version order, versions > Base; staged writesets without
+	// a commit marker are not included) and the 2PC fragments and
+	// decisions still relevant at the end of replay.
+	certifier.Replay
 	// TornBytes is how much tail was truncated at Open.
 	TornBytes int64
 }
@@ -291,7 +246,7 @@ func Open(opts Options) (*WAL, *Recovered, error) {
 			return nil, nil, fmt.Errorf("wal: create: %w", err)
 		}
 		w.f, w.epoch, w.base = f, 1, 0
-		hdr := closeFrame(encodeBeginEpoch(openFrame(nil), 1, 0), 0)
+		hdr := codec.BeginEpochFrame(nil, 1, 0)
 		if _, err := f.Write(hdr); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("wal: write epoch header: %w", err)
@@ -343,11 +298,10 @@ func Open(opts Options) (*WAL, *Recovered, error) {
 // ErrRetiredFrame.
 func replay(data []byte) (*Recovered, int64, error) {
 	rec := &Recovered{Epoch: 1}
-	var staged []certifier.Record
 	var pending [][]byte // frames since the first uncovered staged writeset
 	off, settled := 0, 0
 	for {
-		payload, n := nextFrame(data[off:])
+		payload, n := codec.NextFrame(data[off:])
 		if payload == nil {
 			break
 		}
@@ -356,23 +310,23 @@ func replay(data []byte) (*Recovered, int64, error) {
 		}
 		off += n
 		switch {
-		case payload[0] == KindWriteset:
+		case payload[0] == codec.KindWriteset:
 			pending = append(pending, payload)
-		case payload[0] == KindCommit || payload[0] == KindSnapshot:
+		case payload[0] == codec.KindCommit || payload[0] == codec.KindSnapshot:
 			// This writer's commit markers cover the whole batch staged
 			// before them (Append writes max(batch)); a snapshot
 			// supersedes staged state entirely. Either way the pending
 			// run is settled: decode it, then the settling frame.
 			for _, p := range pending {
-				decodeInto(rec, &staged, p)
+				decodeInto(rec, p)
 			}
 			pending = pending[:0]
-			decodeInto(rec, &staged, payload)
+			decodeInto(rec, payload)
 			settled = off
 		case len(pending) > 0:
 			pending = append(pending, payload)
 		default:
-			decodeInto(rec, &staged, payload)
+			decodeInto(rec, payload)
 			settled = off
 		}
 	}
@@ -386,163 +340,29 @@ func replay(data []byte) (*Recovered, int64, error) {
 	return rec, good, nil
 }
 
-// nextFrame returns the next frame's payload and total size, or nil at
-// the (possibly torn) end of the log.
-func nextFrame(b []byte) ([]byte, int) {
-	if len(b) < headerSize {
-		return nil, 0
+// decodeInto applies one valid frame payload to the recovered state:
+// the epoch header and the snapshot are the WAL's own, every other
+// frame is a log entry for the Replay. A CRC-valid frame that does not
+// decode cannot come from this writer and is skipped (the fuzz target
+// requires only no panic and replay determinism).
+func decodeInto(rec *Recovered, payload []byte) {
+	f, err := codec.DecodeFrame(payload)
+	if err != nil {
+		return
 	}
-	n := binary.BigEndian.Uint32(b)
-	if n == 0 || n > maxRecord || int(n) > len(b)-headerSize {
-		return nil, 0
-	}
-	payload := b[headerSize : headerSize+int(n)]
-	if binary.BigEndian.Uint32(b[4:]) != crc32.Checksum(payload, crcTable) {
-		return nil, 0
-	}
-	return payload, headerSize + int(n)
-}
-
-// decodeInto applies one valid payload to the recovered state.
-// Malformed field encodings inside a CRC-valid frame decode to zero
-// values (they cannot occur from this writer; the fuzz target only
-// requires no panic and replay determinism).
-func decodeInto(rec *Recovered, staged *[]certifier.Record, payload []byte) {
-	d := &walDecoder{b: payload[1:]}
-	switch payload[0] {
-	case KindBeginEpoch:
-		rec.Epoch = d.varint()
-		rec.Base = d.varint()
-	case KindWriteset:
-		v := d.varint()
-		ws := d.writeset()
-		if d.err == nil {
-			*staged = append(*staged, certifier.Record{Version: v, Writeset: ws})
-		}
-	case KindCommit:
-		v := d.varint()
-		if d.err != nil {
-			return
-		}
-		keep := (*staged)[:0]
-		for _, s := range *staged {
-			if s.Version <= v {
-				rec.Records = append(rec.Records, s)
-			} else {
-				keep = append(keep, s)
-			}
-		}
-		*staged = keep
-	case KindSnapshot:
-		version := d.varint()
-		nt := d.uvarint()
-		tables := make(map[string]map[int64]string)
-		for i := uint64(0); i < nt && d.err == nil; i++ {
-			name := d.str()
-			nr := d.uvarint()
-			rows := make(map[int64]string, clampPrealloc(nr))
-			for j := uint64(0); j < nr && d.err == nil; j++ {
-				row := d.varint()
-				rows[row] = d.str()
-			}
-			tables[name] = rows
-		}
-		if d.err != nil {
-			return
-		}
-		rec.Snapshot, rec.SnapVersion = tables, version
+	switch f.Kind {
+	case codec.KindBeginEpoch:
+		rec.Epoch, rec.Base = f.Epoch, f.Base
+	case codec.KindSnapshot:
 		// The snapshot supersedes everything replayed so far. 2PC state
 		// is reset too: compaction rewrites the segment with the
 		// snapshot first and re-carries still-live prepare/decision
 		// frames after it.
-		rec.Records = nil
-		rec.Prepared = nil
-		rec.Decisions = nil
-		*staged = nil
-	case KindPrepare:
-		id := d.str()
-		coord := d.varint()
-		snap := d.varint()
-		ws := d.writeset()
-		if d.err != nil || id == "" {
-			return
-		}
-		for _, p := range rec.Prepared {
-			if p.ID == id {
-				return // duplicate prepare frame: the first one stands
-			}
-		}
-		rec.Prepared = append(rec.Prepared, certifier.PreparedTxn{
-			ID: id, Coord: coord, Snapshot: snap, Writeset: ws,
-		})
-	case KindDecision:
-		id := d.str()
-		commit := d.byte() != 0
-		v := d.varint()
-		if d.err != nil || id == "" {
-			return
-		}
-		if rec.Decisions == nil {
-			rec.Decisions = make(map[string]certifier.TwoPCDecision)
-		}
-		rec.Decisions[id] = certifier.TwoPCDecision{Commit: commit, Version: v}
-		if !commit {
-			dropPrepared(rec, id) // locks released; the fragment is gone
-		}
-	case KindForget:
-		id := d.str()
-		if d.err != nil || id == "" {
-			return
-		}
-		delete(rec.Decisions, id)
-		dropPrepared(rec, id)
+		rec.Snapshot, rec.SnapVersion = f.Tables, f.Version
+		rec.Replay = certifier.Replay{}
+	default:
+		_ = rec.Apply(f) // fails only for the two kinds handled above
 	}
-}
-
-// dropPrepared removes one prepared fragment from the recovered state.
-func dropPrepared(rec *Recovered, id string) {
-	for i, p := range rec.Prepared {
-		if p.ID == id {
-			rec.Prepared = append(rec.Prepared[:i], rec.Prepared[i+1:]...)
-			return
-		}
-	}
-}
-
-// Frames are built in place: openFrame reserves the header at the end
-// of buf, the payload is encoded straight after it, and closeFrame
-// fills in the length and CRC, so a payload is encoded once, where it
-// is written from:
-//
-//	start := len(buf)
-//	buf = closeFrame(encodeCommit(openFrame(buf), v), start)
-
-// openFrame reserves a frame header at the end of buf.
-func openFrame(buf []byte) []byte {
-	return append(buf, make([]byte, headerSize)...)
-}
-
-// closeFrame fills in the header of the frame opened at buf[start:],
-// whose payload runs to the end of buf.
-func closeFrame(buf []byte, start int) []byte {
-	payload := buf[start+headerSize:]
-	binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
-	return buf
-}
-
-// appendRecords appends one writeset frame per record, then one
-// commit marker covering them all, and returns the buffer with the
-// highest version it framed.
-func appendRecords(buf []byte, recs []certifier.Record) ([]byte, int64) {
-	var top int64
-	for _, r := range recs {
-		start := len(buf)
-		buf = closeFrame(encodeWriteset(openFrame(buf), r.Version, r.Writeset), start)
-		top = max(top, r.Version)
-	}
-	start := len(buf)
-	return closeFrame(encodeCommit(openFrame(buf), top), start), top
 }
 
 // writeRecordsLocked writes buf, whose record frames end at version
@@ -584,7 +404,7 @@ func (w *WAL) Append(recs []certifier.Record) (int64, error) {
 	buf := takeBuf()
 	defer putBuf(buf)
 	var top int64
-	*buf, top = appendRecords(*buf, recs)
+	*buf, top = certifier.AppendRecords(*buf, recs)
 	return w.writeRecordsLocked(*buf, top)
 }
 
@@ -603,7 +423,7 @@ func (w *WAL) AppendRecord(ws writeset.Writeset, version int64) error {
 	buf := takeBuf()
 	defer putBuf(buf)
 	one := [1]certifier.Record{{Version: version, Writeset: ws}}
-	*buf, _ = appendRecords(*buf, one[:])
+	*buf, _ = certifier.AppendRecords(*buf, one[:])
 	_, err := w.writeRecordsLocked(*buf, version)
 	return err
 }
@@ -615,7 +435,7 @@ func (w *WAL) AppendPrepare(p certifier.PreparedTxn) (int64, error) {
 	defer w.mu.Unlock()
 	buf := takeBuf()
 	defer putBuf(buf)
-	*buf = closeFrame(encodePrepare(openFrame(*buf), p), 0)
+	*buf = certifier.AppendPrepare(*buf, p)
 	return w.writeLocked(*buf)
 }
 
@@ -631,11 +451,8 @@ func (w *WAL) AppendDecision(txn string, commit bool, version int64, recs []cert
 	defer w.mu.Unlock()
 	buf := takeBuf()
 	defer putBuf(buf)
-	*buf = closeFrame(encodeDecision(openFrame(*buf), txn, commit, version), 0)
 	var top int64
-	if commit && len(recs) > 0 {
-		*buf, top = appendRecords(*buf, recs)
-	}
+	*buf, top = certifier.AppendDecision(*buf, txn, commit, version, recs)
 	return w.writeRecordsLocked(*buf, top)
 }
 
@@ -645,7 +462,7 @@ func (w *WAL) AppendForget(txn string) (int64, error) {
 	defer w.mu.Unlock()
 	buf := takeBuf()
 	defer putBuf(buf)
-	*buf = closeFrame(encodeForget(openFrame(*buf), txn), 0)
+	*buf = codec.ForgetFrame(*buf, txn)
 	return w.writeLocked(*buf)
 }
 
@@ -667,7 +484,7 @@ func takeBuf() *[]byte {
 // putBuf returns b to the pool, dropping buffers a huge batch grew
 // past one record's bound so the pool never pins them.
 func putBuf(b *[]byte) {
-	if cap(*b) <= maxRecord {
+	if cap(*b) <= codec.MaxFrame {
 		bufPool.Put(b)
 	}
 }
@@ -762,9 +579,8 @@ func (w *WAL) Compact(base, snap int64, state map[string]map[int64]string) error
 		return fmt.Errorf("wal: compact read: %w", err)
 	}
 
-	buf := closeFrame(encodeBeginEpoch(openFrame(nil), w.epoch+1, base), 0)
-	start := len(buf)
-	buf = closeFrame(encodeSnapshot(openFrame(buf), snap, state), start)
+	buf := codec.BeginEpochFrame(nil, w.epoch+1, base)
+	buf = codec.SnapshotFrame(buf, snap, state)
 
 	// Carry over the still-needed tail of the old segment, frame by
 	// frame, bytes verbatim. The pre-pass collects settled 2PC txns so
@@ -772,7 +588,7 @@ func (w *WAL) Compact(base, snap int64, state map[string]map[int64]string) error
 	settled := settledTxns(old)
 	off := 0
 	for {
-		payload, n := nextFrame(old[off:])
+		payload, n := codec.NextFrame(old[off:])
 		if payload == nil {
 			break
 		}
@@ -849,20 +665,20 @@ func settledTxns(data []byte) settledSet {
 	s := settledSet{prepDone: map[string]bool{}, decDone: map[string]bool{}}
 	off := 0
 	for {
-		payload, n := nextFrame(data[off:])
+		payload, n := codec.NextFrame(data[off:])
 		if payload == nil {
 			return s
 		}
 		off += n
-		d := &walDecoder{b: payload[1:]}
+		d := codec.NewDecoder(payload[1:])
 		switch payload[0] {
-		case KindDecision:
-			id := d.str()
-			if commit := d.byte() != 0; d.err == nil && !commit {
+		case codec.KindDecision:
+			id := d.Str()
+			if commit := d.Bool(); d.Err() == nil && !commit {
 				s.prepDone[id] = true
 			}
-		case KindForget:
-			if id := d.str(); d.err == nil {
+		case codec.KindForget:
+			if id := d.Str(); d.Err() == nil {
 				s.prepDone[id] = true
 				s.decDone[id] = true
 			}
@@ -879,15 +695,15 @@ func keepFrame(payload []byte, base int64, settled settledSet) bool {
 	if len(payload) == 0 {
 		return false
 	}
-	d := &walDecoder{b: payload[1:]}
+	d := codec.NewDecoder(payload[1:])
 	switch payload[0] {
-	case KindWriteset, KindCommit:
-		return d.varint() > base
-	case KindPrepare:
-		return !settled.prepDone[d.str()]
-	case KindDecision:
-		return !settled.decDone[d.str()]
-	case KindForget:
+	case codec.KindWriteset, codec.KindCommit:
+		return d.Varint() > base
+	case codec.KindPrepare:
+		return !settled.prepDone[d.Str()]
+	case codec.KindDecision:
+		return !settled.decDone[d.Str()]
+	case codec.KindForget:
 		return false // its targets' frames were dropped with it
 	default: // old epoch header, old snapshot (rewritten fresh)
 		return false
@@ -906,197 +722,6 @@ func (w *WAL) Close() error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	return w.f.Close()
-}
-
-// --- record encodings ---
-
-func encodeBeginEpoch(b []byte, epoch, base int64) []byte {
-	b = append(b, KindBeginEpoch)
-	b = binary.AppendVarint(b, epoch)
-	return binary.AppendVarint(b, base)
-}
-
-func encodeWriteset(b []byte, version int64, ws writeset.Writeset) []byte {
-	b = append(b, KindWriteset)
-	b = binary.AppendVarint(b, version)
-	return appendWALWriteset(b, ws)
-}
-
-func encodeCommit(b []byte, version int64) []byte {
-	b = append(b, KindCommit)
-	return binary.AppendVarint(b, version)
-}
-
-func encodePrepare(b []byte, p certifier.PreparedTxn) []byte {
-	b = append(b, KindPrepare)
-	b = appendWALString(b, p.ID)
-	b = binary.AppendVarint(b, p.Coord)
-	b = binary.AppendVarint(b, p.Snapshot)
-	return appendWALWriteset(b, p.Writeset)
-}
-
-func encodeDecision(b []byte, txn string, commit bool, version int64) []byte {
-	b = append(b, KindDecision)
-	b = appendWALString(b, txn)
-	if commit {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	return binary.AppendVarint(b, version)
-}
-
-func encodeForget(b []byte, txn string) []byte {
-	b = append(b, KindForget)
-	return appendWALString(b, txn)
-}
-
-func encodeSnapshot(b []byte, version int64, state map[string]map[int64]string) []byte {
-	b = append(b, KindSnapshot)
-	b = binary.AppendVarint(b, version)
-	names := make([]string, 0, len(state))
-	for n := range state {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	b = binary.AppendUvarint(b, uint64(len(names)))
-	for _, name := range names {
-		rows := state[name]
-		b = appendWALString(b, name)
-		b = binary.AppendUvarint(b, uint64(len(rows)))
-		ids := make([]int64, 0, len(rows))
-		for id := range rows {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			b = binary.AppendVarint(b, id)
-			b = appendWALString(b, rows[id])
-		}
-	}
-	return b
-}
-
-func appendWALString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendWALWriteset(b []byte, ws writeset.Writeset) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ws.Entries)))
-	for _, e := range ws.Entries {
-		b = appendWALString(b, e.Key.Table)
-		b = binary.AppendVarint(b, e.Key.Row)
-		if e.Delete {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = appendWALString(b, e.Value)
-	}
-	return b
-}
-
-// maxPrealloc bounds slice/map preallocation from counts read out of
-// the log, so a corrupt-but-CRC-valid count cannot force a huge
-// allocation.
-const maxPrealloc = 4096
-
-func clampPrealloc(n uint64) int {
-	if n > maxPrealloc {
-		return maxPrealloc
-	}
-	return int(n)
-}
-
-// walDecoder consumes a record payload with sticky error handling.
-type walDecoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *walDecoder) fail() {
-	if d.err == nil {
-		d.err = errors.New("wal: truncated record field")
-	}
-}
-
-func (d *walDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *walDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *walDecoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *walDecoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *walDecoder) writeset() writeset.Writeset {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
-		return writeset.Writeset{}
-	}
-	if n > uint64(len(d.b)-d.off) { // each entry is >= 4 bytes
-		d.fail()
-		return writeset.Writeset{}
-	}
-	entries := make([]writeset.Entry, 0, clampPrealloc(n))
-	for i := uint64(0); i < n; i++ {
-		var e writeset.Entry
-		e.Key.Table = d.str()
-		e.Key.Row = d.varint()
-		e.Delete = d.byte() != 0
-		e.Value = d.str()
-		if d.err != nil {
-			return writeset.Writeset{}
-		}
-		entries = append(entries, e)
-	}
-	return writeset.New(entries)
 }
 
 var (

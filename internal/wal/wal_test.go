@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/certifier"
+	"repro/internal/codec"
 	"repro/internal/sidb"
 	"repro/internal/writeset"
 )
@@ -22,7 +23,7 @@ func ws(table string, row int64, value string) writeset.Writeset {
 // frame wraps an already-encoded payload in its length+CRC header, for
 // tests that hand-craft segments.
 func frame(payload []byte) []byte {
-	return closeFrame(append(openFrame(nil), payload...), 0)
+	return codec.CloseFrame(append(codec.OpenFrame(nil), payload...), 0)
 }
 
 // reopen power-cycles the fs (keeping unsynced bytes: a process kill)
@@ -148,7 +149,7 @@ func TestStagedWithoutCommitMarkerDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data = append(data, frame(encodeWriteset(nil, 2, ws("t", 2, "b")))...)
+	data = append(data, codec.WritesetFrame(nil, 2, ws("t", 2, "b"))...)
 	f, err := fs.Create(segName)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +199,7 @@ func TestTornBatchFrameCannotResurrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Write(frame(encodeWriteset(nil, 2, ws("t", 9, "never-acked"))))
+	f.Write(codec.WritesetFrame(nil, 2, ws("t", 9, "never-acked")))
 	f.Sync()
 	f.Close()
 
@@ -246,7 +247,7 @@ func TestTornTailTruncation(t *testing.T) {
 		{"garbage", []byte{0xde, 0xad, 0xbe, 0xef, 0x01}},
 		{"short header", []byte{0x00, 0x00}},
 		{"length overruns file", []byte{0x00, 0x00, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00, 0x05}},
-		{"zero length", make([]byte, headerSize)},
+		{"zero length", make([]byte, codec.HeaderSize)},
 	} {
 		t.Run(tearing.name, func(t *testing.T) {
 			fs := NewMemFS()
@@ -474,10 +475,10 @@ func TestCompactionKeepsEmptyTable(t *testing.T) {
 // version before it fails the restore instead of installing around the
 // hole.
 func TestRestoreRefusesGap(t *testing.T) {
-	rec := &Recovered{Records: []certifier.Record{
+	rec := &Recovered{Replay: certifier.Replay{Records: []certifier.Record{
 		{Version: 1, Writeset: writeset.Schema("t")},
 		{Version: 3, Writeset: ws("t", 1, "a")},
-	}}
+	}}}
 	if err := rec.Restore(sidb.New()); err == nil {
 		t.Fatal("restore installed records around a missing version")
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/codec"
 	"repro/internal/writeset"
 )
 
@@ -271,25 +272,25 @@ func TestDecodeInternsTableNames(t *testing.T) {
 
 	// Fill the set past its bound: every name still decodes exactly, and
 	// the set stops growing.
-	for i := 0; i < maxInterned+8; i++ {
+	for i := 0; i < codec.MaxInterned+8; i++ {
 		want := fmt.Sprintf("t%03d", i)
 		if got := tables(dec, &Read{Table: want, Row: 1})[0]; got != want {
 			t.Fatalf("decoded %q, want %q", got, want)
 		}
 	}
-	if len(dec.names) != maxInterned {
-		t.Fatalf("intern set holds %d names, want the cap %d", len(dec.names), maxInterned)
+	if len(dec.names) != codec.MaxInterned {
+		t.Fatalf("intern set holds %d names, want the cap %d", len(dec.names), codec.MaxInterned)
 	}
-	late := fmt.Sprintf("t%03d", maxInterned+7)
+	late := fmt.Sprintf("t%03d", codec.MaxInterned+7)
 	a, b := tables(dec, &Read{Table: late, Row: 2})[0], tables(dec, &Read{Table: late, Row: 3})[0]
 	if a != late || b != late || same(a, b) {
 		t.Fatalf("past the cap: decoded %q and %q (shared %v), want two copies of %q", a, b, same(a, b), late)
 	}
-	long := string(bytes.Repeat([]byte{'x'}, maxInternLen+1))
+	long := string(bytes.Repeat([]byte{'x'}, codec.MaxInternLen+1))
 	short := NewConn(&stream)
 	a, b = tables(short, &Read{Table: long, Row: 1})[0], tables(short, &Read{Table: long, Row: 2})[0]
 	if a != long || b != long || same(a, b) || len(short.names) != 0 {
-		t.Fatal("a name over maxInternLen was interned or decoded wrong")
+		t.Fatal("a name over codec.MaxInternLen was interned or decoded wrong")
 	}
 
 	// A fresh connection shares nothing with the first.

@@ -1,6 +1,11 @@
 package wire
 
-import "repro/internal/writeset"
+import (
+	"encoding/binary"
+
+	"repro/internal/codec"
+	"repro/internal/writeset"
+)
 
 // MsgType identifies a frame's message.
 type MsgType uint8
@@ -218,11 +223,11 @@ type Err struct {
 func (*Err) msgType() MsgType { return TErr }
 func (m *Err) encode(b []byte) []byte {
 	b = append(b, m.Code)
-	return appendString(b, m.Msg)
+	return codec.AppendString(b, m.Msg)
 }
 func (m *Err) decode(d *decoder) {
-	m.Code = d.byte()
-	m.Msg = d.str()
+	m.Code = d.Byte()
+	m.Msg = d.Str()
 }
 
 // Hello opens every connection: magic, protocol version, and the
@@ -237,17 +242,17 @@ type Hello struct {
 func (*Hello) msgType() MsgType { return THello }
 func (m *Hello) encode(b []byte) []byte {
 	b = append(b, magic[:]...)
-	b = appendUvarint(b, uint64(m.Proto))
-	return appendVarint(b, m.PeerID)
+	b = binary.AppendUvarint(b, uint64(m.Proto))
+	return binary.AppendVarint(b, m.PeerID)
 }
 func (m *Hello) decode(d *decoder) {
 	for i := range magic {
-		if d.byte() != magic[i] && d.err == nil {
-			d.err = ErrBadMagic
+		if d.Byte() != magic[i] {
+			d.Fail(ErrBadMagic)
 		}
 	}
-	m.Proto = uint32(d.uvarint())
-	m.PeerID = d.varint()
+	m.Proto = uint32(d.Uvarint())
+	m.PeerID = d.Varint()
 }
 
 // HelloOK acknowledges the handshake and identifies the server.
@@ -259,14 +264,14 @@ type HelloOK struct {
 
 func (*HelloOK) msgType() MsgType { return THelloOK }
 func (m *HelloOK) encode(b []byte) []byte {
-	b = appendUvarint(b, uint64(m.Proto))
-	b = appendString(b, m.Design)
-	return appendVarint(b, m.ID)
+	b = binary.AppendUvarint(b, uint64(m.Proto))
+	b = codec.AppendString(b, m.Design)
+	return binary.AppendVarint(b, m.ID)
 }
 func (m *HelloOK) decode(d *decoder) {
-	m.Proto = uint32(d.uvarint())
-	m.Design = d.str()
-	m.ID = d.varint()
+	m.Proto = uint32(d.Uvarint())
+	m.Design = d.Str()
+	m.ID = d.Varint()
 }
 
 // Begin starts a transaction on this connection (one at a time).
@@ -279,12 +284,12 @@ type Begin struct {
 
 func (*Begin) msgType() MsgType { return TBegin }
 func (m *Begin) encode(b []byte) []byte {
-	b = appendBool(b, m.ReadOnly)
-	return appendUvarint(b, m.Trace)
+	b = codec.AppendBool(b, m.ReadOnly)
+	return binary.AppendUvarint(b, m.Trace)
 }
 func (m *Begin) decode(d *decoder) {
-	m.ReadOnly = d.bool()
-	m.Trace = d.uvarint()
+	m.ReadOnly = d.Bool()
+	m.Trace = d.Uvarint()
 }
 
 // BeginOK acknowledges Begin; Applied is the replica's applied global
@@ -298,12 +303,12 @@ type BeginOK struct {
 
 func (*BeginOK) msgType() MsgType { return TBeginOK }
 func (m *BeginOK) encode(b []byte) []byte {
-	b = appendVarint(b, m.Applied)
-	return appendUvarint(b, m.Trace)
+	b = binary.AppendVarint(b, m.Applied)
+	return binary.AppendUvarint(b, m.Trace)
 }
 func (m *BeginOK) decode(d *decoder) {
-	m.Applied = d.varint()
-	m.Trace = d.uvarint()
+	m.Applied = d.Varint()
+	m.Trace = d.Uvarint()
 }
 
 // Read asks for one row inside the connection's transaction.
@@ -314,12 +319,12 @@ type Read struct {
 
 func (*Read) msgType() MsgType { return TRead }
 func (m *Read) encode(b []byte) []byte {
-	b = appendString(b, m.Table)
-	return appendVarint(b, m.Row)
+	b = codec.AppendString(b, m.Table)
+	return binary.AppendVarint(b, m.Row)
 }
 func (m *Read) decode(d *decoder) {
-	m.Table = d.table()
-	m.Row = d.varint()
+	m.Table = d.Table()
+	m.Row = d.Varint()
 }
 
 // ReadOK returns the visible value; OK is false for absent rows.
@@ -330,12 +335,12 @@ type ReadOK struct {
 
 func (*ReadOK) msgType() MsgType { return TReadOK }
 func (m *ReadOK) encode(b []byte) []byte {
-	b = appendBool(b, m.OK)
-	return appendString(b, m.Value)
+	b = codec.AppendBool(b, m.OK)
+	return codec.AppendString(b, m.Value)
 }
 func (m *ReadOK) decode(d *decoder) {
-	m.OK = d.bool()
-	m.Value = d.str()
+	m.OK = d.Bool()
+	m.Value = d.Str()
 }
 
 // Write stages an update inside the connection's transaction.
@@ -347,14 +352,14 @@ type Write struct {
 
 func (*Write) msgType() MsgType { return TWrite }
 func (m *Write) encode(b []byte) []byte {
-	b = appendString(b, m.Table)
-	b = appendVarint(b, m.Row)
-	return appendString(b, m.Value)
+	b = codec.AppendString(b, m.Table)
+	b = binary.AppendVarint(b, m.Row)
+	return codec.AppendString(b, m.Value)
 }
 func (m *Write) decode(d *decoder) {
-	m.Table = d.table()
-	m.Row = d.varint()
-	m.Value = d.str()
+	m.Table = d.Table()
+	m.Row = d.Varint()
+	m.Value = d.Str()
 }
 
 // WriteOK acknowledges Write or Delete.
@@ -372,12 +377,12 @@ type Delete struct {
 
 func (*Delete) msgType() MsgType { return TDelete }
 func (m *Delete) encode(b []byte) []byte {
-	b = appendString(b, m.Table)
-	return appendVarint(b, m.Row)
+	b = codec.AppendString(b, m.Table)
+	return binary.AppendVarint(b, m.Row)
 }
 func (m *Delete) decode(d *decoder) {
-	m.Table = d.table()
-	m.Row = d.varint()
+	m.Table = d.Table()
+	m.Row = d.Varint()
 }
 
 // Commit finishes the connection's transaction.
@@ -396,8 +401,8 @@ type CommitOK struct {
 }
 
 func (*CommitOK) msgType() MsgType         { return TCommitOK }
-func (m *CommitOK) encode(b []byte) []byte { return appendVarint(b, m.Applied) }
-func (m *CommitOK) decode(d *decoder)      { m.Applied = d.varint() }
+func (m *CommitOK) encode(b []byte) []byte { return binary.AppendVarint(b, m.Applied) }
+func (m *CommitOK) decode(d *decoder)      { m.Applied = d.Varint() }
 
 // CommitAborted reports a certification (write-write conflict) abort;
 // the client retries on a fresh snapshot.
@@ -406,8 +411,8 @@ type CommitAborted struct {
 }
 
 func (*CommitAborted) msgType() MsgType         { return TCommitAborted }
-func (m *CommitAborted) encode(b []byte) []byte { return appendVarint(b, m.ConflictWith) }
-func (m *CommitAborted) decode(d *decoder)      { m.ConflictWith = d.varint() }
+func (m *CommitAborted) encode(b []byte) []byte { return binary.AppendVarint(b, m.ConflictWith) }
+func (m *CommitAborted) decode(d *decoder)      { m.ConflictWith = d.Varint() }
 
 // Abort discards the connection's transaction.
 type Abort struct{}
@@ -433,12 +438,12 @@ type Sync struct {
 
 func (*Sync) msgType() MsgType { return TSync }
 func (m *Sync) encode(b []byte) []byte {
-	b = appendVarint(b, m.Through)
-	return appendUvarint(b, uint64(m.WaitMillis))
+	b = binary.AppendVarint(b, m.Through)
+	return binary.AppendUvarint(b, uint64(m.WaitMillis))
 }
 func (m *Sync) decode(d *decoder) {
-	m.Through = d.varint()
-	m.WaitMillis = uint32(d.uvarint())
+	m.Through = d.Varint()
+	m.WaitMillis = uint32(d.Uvarint())
 }
 
 // SyncOK reports the applied version after the sync.
@@ -447,8 +452,8 @@ type SyncOK struct {
 }
 
 func (*SyncOK) msgType() MsgType         { return TSyncOK }
-func (m *SyncOK) encode(b []byte) []byte { return appendVarint(b, m.Applied) }
-func (m *SyncOK) decode(d *decoder)      { m.Applied = d.varint() }
+func (m *SyncOK) encode(b []byte) []byte { return binary.AppendVarint(b, m.Applied) }
+func (m *SyncOK) decode(d *decoder)      { m.Applied = d.Varint() }
 
 // CreateTable makes an empty table on every replica of the group: the
 // receiving node commits it as a writeset (writeset.Schema) through the
@@ -458,8 +463,8 @@ type CreateTable struct {
 }
 
 func (*CreateTable) msgType() MsgType         { return TCreateTable }
-func (m *CreateTable) encode(b []byte) []byte { return appendString(b, m.Name) }
-func (m *CreateTable) decode(d *decoder)      { m.Name = d.str() }
+func (m *CreateTable) encode(b []byte) []byte { return codec.AppendString(b, m.Name) }
+func (m *CreateTable) decode(d *decoder)      { m.Name = d.Str() }
 
 // CreateTableOK acknowledges CreateTable.
 type CreateTableOK struct{}
@@ -481,33 +486,29 @@ type Load struct {
 
 func (*Load) msgType() MsgType { return TLoad }
 func (m *Load) encode(b []byte) []byte {
-	b = appendString(b, m.Table)
-	b = appendUvarint(b, uint64(len(m.Rows)))
+	b = codec.AppendString(b, m.Table)
+	b = binary.AppendUvarint(b, uint64(len(m.Rows)))
 	prev := int64(0)
 	for i, row := range m.Rows {
-		b = appendVarint(b, row-prev)
-		b = appendString(b, m.Values[i])
+		b = binary.AppendVarint(b, row-prev)
+		b = codec.AppendString(b, m.Values[i])
 		prev = row
 	}
 	return b
 }
 func (m *Load) decode(d *decoder) {
-	m.Table = d.str()
-	n := d.uvarint()
-	if d.err != nil {
+	m.Table = d.Str()
+	n := d.Count()
+	if d.Err() != nil {
 		return
 	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
-		return
-	}
-	m.Rows = make([]int64, 0, prealloc(n))
-	m.Values = make([]string, 0, prealloc(n))
+	m.Rows = make([]int64, 0, codec.Prealloc(n))
+	m.Values = make([]string, 0, codec.Prealloc(n))
 	prev := int64(0)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		prev += d.varint()
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		prev += d.Varint()
 		m.Rows = append(m.Rows, prev)
-		m.Values = append(m.Values, d.str())
+		m.Values = append(m.Values, d.Str())
 	}
 }
 
@@ -524,8 +525,8 @@ type Dump struct {
 }
 
 func (*Dump) msgType() MsgType         { return TDump }
-func (m *Dump) encode(b []byte) []byte { return appendString(b, m.Table) }
-func (m *Dump) decode(d *decoder)      { m.Table = d.str() }
+func (m *Dump) encode(b []byte) []byte { return codec.AppendString(b, m.Table) }
+func (m *Dump) decode(d *decoder)      { m.Table = d.Str() }
 
 // DumpOK returns the table contents as parallel row/value slices.
 type DumpOK struct {
@@ -535,27 +536,23 @@ type DumpOK struct {
 
 func (*DumpOK) msgType() MsgType { return TDumpOK }
 func (m *DumpOK) encode(b []byte) []byte {
-	b = appendUvarint(b, uint64(len(m.Rows)))
+	b = binary.AppendUvarint(b, uint64(len(m.Rows)))
 	for i, r := range m.Rows {
-		b = appendVarint(b, r)
-		b = appendString(b, m.Values[i])
+		b = binary.AppendVarint(b, r)
+		b = codec.AppendString(b, m.Values[i])
 	}
 	return b
 }
 func (m *DumpOK) decode(d *decoder) {
-	n := d.uvarint()
-	if d.err != nil {
+	n := d.Count()
+	if d.Err() != nil {
 		return
 	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
-		return
-	}
-	m.Rows = make([]int64, 0, prealloc(n))
-	m.Values = make([]string, 0, prealloc(n))
+	m.Rows = make([]int64, 0, codec.Prealloc(n))
+	m.Values = make([]string, 0, codec.Prealloc(n))
 	for i := uint64(0); i < n; i++ {
-		m.Rows = append(m.Rows, d.varint())
-		m.Values = append(m.Values, d.str())
+		m.Rows = append(m.Rows, d.Varint())
+		m.Values = append(m.Values, d.Str())
 	}
 }
 
@@ -571,14 +568,14 @@ type Certify struct {
 
 func (*Certify) msgType() MsgType { return TCertify }
 func (m *Certify) encode(b []byte) []byte {
-	b = appendVarint(b, m.Snapshot)
-	b = appendWriteset(b, m.WS)
-	return appendUvarint(b, m.Trace)
+	b = binary.AppendVarint(b, m.Snapshot)
+	b = codec.AppendWriteset(b, m.WS)
+	return binary.AppendUvarint(b, m.Trace)
 }
 func (m *Certify) decode(d *decoder) {
-	m.Snapshot = d.varint()
-	m.WS = decodeWriteset(d)
-	m.Trace = d.uvarint()
+	m.Snapshot = d.Varint()
+	m.WS = d.Writeset()
+	m.Trace = d.Uvarint()
 }
 
 // CertifyOK carries the certification outcome.
@@ -590,14 +587,14 @@ type CertifyOK struct {
 
 func (*CertifyOK) msgType() MsgType { return TCertifyOK }
 func (m *CertifyOK) encode(b []byte) []byte {
-	b = appendBool(b, m.Committed)
-	b = appendVarint(b, m.Version)
-	return appendVarint(b, m.ConflictWith)
+	b = codec.AppendBool(b, m.Committed)
+	b = binary.AppendVarint(b, m.Version)
+	return binary.AppendVarint(b, m.ConflictWith)
 }
 func (m *CertifyOK) decode(d *decoder) {
-	m.Committed = d.bool()
-	m.Version = d.varint()
-	m.ConflictWith = d.varint()
+	m.Committed = d.Bool()
+	m.Version = d.Varint()
+	m.ConflictWith = d.Varint()
 }
 
 // Check is the eager (non-binding) conflict probe of §5.1.
@@ -608,12 +605,12 @@ type Check struct {
 
 func (*Check) msgType() MsgType { return TCheck }
 func (m *Check) encode(b []byte) []byte {
-	b = appendVarint(b, m.Snapshot)
-	return appendWriteset(b, m.WS)
+	b = binary.AppendVarint(b, m.Snapshot)
+	return codec.AppendWriteset(b, m.WS)
 }
 func (m *Check) decode(d *decoder) {
-	m.Snapshot = d.varint()
-	m.WS = decodeWriteset(d)
+	m.Snapshot = d.Varint()
+	m.WS = d.Writeset()
 }
 
 // CheckOK reports whether the partial writeset already conflicts.
@@ -624,12 +621,12 @@ type CheckOK struct {
 
 func (*CheckOK) msgType() MsgType { return TCheckOK }
 func (m *CheckOK) encode(b []byte) []byte {
-	b = appendBool(b, m.Conflict)
-	return appendVarint(b, m.With)
+	b = codec.AppendBool(b, m.Conflict)
+	return binary.AppendVarint(b, m.With)
 }
 func (m *CheckOK) decode(d *decoder) {
-	m.Conflict = d.bool()
-	m.With = d.varint()
+	m.Conflict = d.Bool()
+	m.With = d.Varint()
 }
 
 // FetchSince asks the certifier host (mm) or master (sm) for all
@@ -644,12 +641,12 @@ type FetchSince struct {
 
 func (*FetchSince) msgType() MsgType { return TFetchSince }
 func (m *FetchSince) encode(b []byte) []byte {
-	b = appendVarint(b, m.Version)
-	return appendUvarint(b, uint64(m.WaitMillis))
+	b = binary.AppendVarint(b, m.Version)
+	return binary.AppendUvarint(b, uint64(m.WaitMillis))
 }
 func (m *FetchSince) decode(d *decoder) {
-	m.Version = d.varint()
-	m.WaitMillis = uint32(d.uvarint())
+	m.Version = d.Varint()
+	m.WaitMillis = uint32(d.Uvarint())
 }
 
 // Record is one certified writeset with its global version. Trace and
@@ -689,31 +686,24 @@ type Member struct {
 }
 
 func appendMembers(b []byte, members []Member) []byte {
-	b = appendUvarint(b, uint64(len(members)))
+	b = binary.AppendUvarint(b, uint64(len(members)))
 	for _, m := range members {
-		b = appendVarint(b, m.ID)
-		b = appendString(b, m.Addr)
+		b = binary.AppendVarint(b, m.ID)
+		b = codec.AppendString(b, m.Addr)
 	}
 	return b
 }
 
 func decodeMembers(d *decoder) []Member {
-	n := d.uvarint()
-	if d.err != nil {
+	n := d.Count()
+	if d.Err() != nil || n == 0 {
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
-		return nil
-	}
-	out := make([]Member, 0, prealloc(n))
+	out := make([]Member, 0, codec.Prealloc(n))
 	for i := uint64(0); i < n; i++ {
 		var m Member
-		m.ID = d.varint()
-		m.Addr = d.str()
+		m.ID = d.Varint()
+		m.Addr = d.Str()
 		out = append(out, m)
 	}
 	return out
@@ -730,8 +720,8 @@ type Join struct {
 }
 
 func (*Join) msgType() MsgType         { return TJoin }
-func (m *Join) encode(b []byte) []byte { return appendString(b, m.Addr) }
-func (m *Join) decode(d *decoder)      { m.Addr = d.str() }
+func (m *Join) encode(b []byte) []byte { return codec.AppendString(b, m.Addr) }
+func (m *Join) decode(d *decoder)      { m.Addr = d.Str() }
 
 // JoinOK admits the joiner: its assigned replica id, the membership
 // epoch after admission, and the current member list (joiner
@@ -750,20 +740,20 @@ type JoinOK struct {
 
 func (*JoinOK) msgType() MsgType { return TJoinOK }
 func (m *JoinOK) encode(b []byte) []byte {
-	b = appendVarint(b, m.ID)
-	b = appendVarint(b, m.Epoch)
+	b = binary.AppendVarint(b, m.ID)
+	b = binary.AppendVarint(b, m.Epoch)
 	b = appendMembers(b, m.Members)
-	b = appendVarint(b, m.ShardID)
-	b = appendVarint(b, m.ShardCount)
-	return appendVarint(b, m.MapVersion)
+	b = binary.AppendVarint(b, m.ShardID)
+	b = binary.AppendVarint(b, m.ShardCount)
+	return binary.AppendVarint(b, m.MapVersion)
 }
 func (m *JoinOK) decode(d *decoder) {
-	m.ID = d.varint()
-	m.Epoch = d.varint()
+	m.ID = d.Varint()
+	m.Epoch = d.Varint()
 	m.Members = decodeMembers(d)
-	m.ShardID = d.varint()
-	m.ShardCount = d.varint()
-	m.MapVersion = d.varint()
+	m.ShardID = d.Varint()
+	m.ShardCount = d.Varint()
+	m.MapVersion = d.Varint()
 }
 
 // Leave deregisters replica ID from the cluster: its propagation
@@ -774,8 +764,8 @@ type Leave struct {
 }
 
 func (*Leave) msgType() MsgType         { return TLeave }
-func (m *Leave) encode(b []byte) []byte { return appendVarint(b, m.ID) }
-func (m *Leave) decode(d *decoder)      { m.ID = d.varint() }
+func (m *Leave) encode(b []byte) []byte { return binary.AppendVarint(b, m.ID) }
+func (m *Leave) decode(d *decoder)      { m.ID = d.Varint() }
 
 // LeaveOK acknowledges Leave.
 type LeaveOK struct{}
@@ -818,49 +808,41 @@ type SnapshotOK struct {
 
 func (*SnapshotOK) msgType() MsgType { return TSnapshotOK }
 func (m *SnapshotOK) encode(b []byte) []byte {
-	b = appendVarint(b, m.Version)
-	b = appendBool(b, m.More)
-	b = appendUvarint(b, uint64(len(m.Tables)))
+	b = binary.AppendVarint(b, m.Version)
+	b = codec.AppendBool(b, m.More)
+	b = binary.AppendUvarint(b, uint64(len(m.Tables)))
 	for _, t := range m.Tables {
-		b = appendString(b, t.Name)
-		b = appendUvarint(b, uint64(len(t.Rows)))
+		b = codec.AppendString(b, t.Name)
+		b = binary.AppendUvarint(b, uint64(len(t.Rows)))
 		for i, r := range t.Rows {
-			b = appendVarint(b, r)
-			b = appendString(b, t.Values[i])
+			b = binary.AppendVarint(b, r)
+			b = codec.AppendString(b, t.Values[i])
 		}
 	}
 	return b
 }
 func (m *SnapshotOK) decode(d *decoder) {
-	m.Version = d.varint()
-	m.More = d.bool()
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
+	m.Version = d.Varint()
+	m.More = d.Bool()
+	n := d.Count()
+	if d.Err() != nil || n == 0 {
 		return
 	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
-		return
-	}
-	m.Tables = make([]TableSnap, 0, prealloc(n))
+	m.Tables = make([]TableSnap, 0, codec.Prealloc(n))
 	for i := uint64(0); i < n; i++ {
 		var t TableSnap
-		t.Name = d.str()
-		rows := d.uvarint()
-		if d.err != nil {
-			return
-		}
-		if rows > uint64(len(d.b)-d.off) {
-			d.fail()
+		t.Name = d.Str()
+		rows := d.Count()
+		if d.Err() != nil {
 			return
 		}
 		if rows > 0 {
-			t.Rows = make([]int64, 0, prealloc(rows))
-			t.Values = make([]string, 0, prealloc(rows))
+			t.Rows = make([]int64, 0, codec.Prealloc(rows))
+			t.Values = make([]string, 0, codec.Prealloc(rows))
 		}
 		for j := uint64(0); j < rows; j++ {
-			t.Rows = append(t.Rows, d.varint())
-			t.Values = append(t.Values, d.str())
+			t.Rows = append(t.Rows, d.Varint())
+			t.Values = append(t.Values, d.Str())
 		}
 		m.Tables = append(m.Tables, t)
 	}
@@ -891,18 +873,18 @@ type MembersOK struct {
 
 func (*MembersOK) msgType() MsgType { return TMembersOK }
 func (m *MembersOK) encode(b []byte) []byte {
-	b = appendVarint(b, m.Epoch)
+	b = binary.AppendVarint(b, m.Epoch)
 	b = appendMembers(b, m.Members)
-	b = appendVarint(b, m.ShardID)
-	b = appendVarint(b, m.ShardCount)
-	return appendVarint(b, m.MapVersion)
+	b = binary.AppendVarint(b, m.ShardID)
+	b = binary.AppendVarint(b, m.ShardCount)
+	return binary.AppendVarint(b, m.MapVersion)
 }
 func (m *MembersOK) decode(d *decoder) {
-	m.Epoch = d.varint()
+	m.Epoch = d.Varint()
 	m.Members = decodeMembers(d)
-	m.ShardID = d.varint()
-	m.ShardCount = d.varint()
-	m.MapVersion = d.varint()
+	m.ShardID = d.Varint()
+	m.ShardCount = d.Varint()
+	m.MapVersion = d.Varint()
 }
 
 // Stats asks a replica for its cumulative serving counters. The
@@ -957,54 +939,54 @@ type StatsOK struct {
 
 func (*StatsOK) msgType() MsgType { return TStatsOK }
 func (m *StatsOK) encode(b []byte) []byte {
-	b = appendVarint(b, m.ReadCommits)
-	b = appendVarint(b, m.UpdateCommits)
-	b = appendVarint(b, m.Aborts)
-	b = appendVarint(b, m.ReadNs)
-	b = appendVarint(b, m.UpdateNs)
-	b = appendVarint(b, m.Applied)
-	b = appendVarint(b, m.QueueDepth)
-	b = appendVarint(b, m.ActiveTxns)
-	b = appendVarint(b, m.AppliedTotal)
-	b = appendVarint(b, m.ApplyLag)
+	b = binary.AppendVarint(b, m.ReadCommits)
+	b = binary.AppendVarint(b, m.UpdateCommits)
+	b = binary.AppendVarint(b, m.Aborts)
+	b = binary.AppendVarint(b, m.ReadNs)
+	b = binary.AppendVarint(b, m.UpdateNs)
+	b = binary.AppendVarint(b, m.Applied)
+	b = binary.AppendVarint(b, m.QueueDepth)
+	b = binary.AppendVarint(b, m.ActiveTxns)
+	b = binary.AppendVarint(b, m.AppliedTotal)
+	b = binary.AppendVarint(b, m.ApplyLag)
 	for _, c := range m.StageCounts {
-		b = appendVarint(b, c)
+		b = binary.AppendVarint(b, c)
 	}
 	for _, ns := range m.StageNs {
-		b = appendVarint(b, ns)
+		b = binary.AppendVarint(b, ns)
 	}
-	b = appendVarint(b, m.ReplicaID)
-	b = appendVarint(b, m.Epoch)
-	b = appendBool(b, m.Leading)
-	b = appendVarint(b, m.LagCount)
-	b = appendVarint(b, m.LagSumNs)
-	b = appendVarint(b, m.LagMaxNs)
-	return appendVarint(b, m.ShardID)
+	b = binary.AppendVarint(b, m.ReplicaID)
+	b = binary.AppendVarint(b, m.Epoch)
+	b = codec.AppendBool(b, m.Leading)
+	b = binary.AppendVarint(b, m.LagCount)
+	b = binary.AppendVarint(b, m.LagSumNs)
+	b = binary.AppendVarint(b, m.LagMaxNs)
+	return binary.AppendVarint(b, m.ShardID)
 }
 func (m *StatsOK) decode(d *decoder) {
-	m.ReadCommits = d.varint()
-	m.UpdateCommits = d.varint()
-	m.Aborts = d.varint()
-	m.ReadNs = d.varint()
-	m.UpdateNs = d.varint()
-	m.Applied = d.varint()
-	m.QueueDepth = d.varint()
-	m.ActiveTxns = d.varint()
-	m.AppliedTotal = d.varint()
-	m.ApplyLag = d.varint()
+	m.ReadCommits = d.Varint()
+	m.UpdateCommits = d.Varint()
+	m.Aborts = d.Varint()
+	m.ReadNs = d.Varint()
+	m.UpdateNs = d.Varint()
+	m.Applied = d.Varint()
+	m.QueueDepth = d.Varint()
+	m.ActiveTxns = d.Varint()
+	m.AppliedTotal = d.Varint()
+	m.ApplyLag = d.Varint()
 	for i := range m.StageCounts {
-		m.StageCounts[i] = d.varint()
+		m.StageCounts[i] = d.Varint()
 	}
 	for i := range m.StageNs {
-		m.StageNs[i] = d.varint()
+		m.StageNs[i] = d.Varint()
 	}
-	m.ReplicaID = d.varint()
-	m.Epoch = d.varint()
-	m.Leading = d.bool()
-	m.LagCount = d.varint()
-	m.LagSumNs = d.varint()
-	m.LagMaxNs = d.varint()
-	m.ShardID = d.varint()
+	m.ReplicaID = d.Varint()
+	m.Epoch = d.Varint()
+	m.Leading = d.Bool()
+	m.LagCount = d.Varint()
+	m.LagSumNs = d.Varint()
+	m.LagMaxNs = d.Varint()
+	m.ShardID = d.Varint()
 }
 
 // PaxosPrepare is phase 1a of the replicated certification log,
@@ -1017,14 +999,14 @@ type PaxosPrepare struct {
 
 func (*PaxosPrepare) msgType() MsgType { return TPaxosPrepare }
 func (m *PaxosPrepare) encode(b []byte) []byte {
-	b = appendVarint(b, m.Round)
-	b = appendVarint(b, m.Proposer)
-	return appendVarint(b, m.Slot)
+	b = binary.AppendVarint(b, m.Round)
+	b = binary.AppendVarint(b, m.Proposer)
+	return binary.AppendVarint(b, m.Slot)
 }
 func (m *PaxosPrepare) decode(d *decoder) {
-	m.Round = d.varint()
-	m.Proposer = d.varint()
-	m.Slot = d.varint()
+	m.Round = d.Varint()
+	m.Proposer = d.Varint()
+	m.Slot = d.Varint()
 }
 
 // PaxosPrepareOK answers PaxosPrepare: the acceptor's promise after
@@ -1041,22 +1023,22 @@ type PaxosPrepareOK struct {
 
 func (*PaxosPrepareOK) msgType() MsgType { return TPaxosPrepareOK }
 func (m *PaxosPrepareOK) encode(b []byte) []byte {
-	b = appendBool(b, m.OK)
-	b = appendVarint(b, m.PromisedRound)
-	b = appendVarint(b, m.PromisedProposer)
-	b = appendVarint(b, m.AcceptedRound)
-	b = appendVarint(b, m.AcceptedProposer)
-	b = appendString(b, m.AcceptedValue)
-	return appendBool(b, m.HasAccepted)
+	b = codec.AppendBool(b, m.OK)
+	b = binary.AppendVarint(b, m.PromisedRound)
+	b = binary.AppendVarint(b, m.PromisedProposer)
+	b = binary.AppendVarint(b, m.AcceptedRound)
+	b = binary.AppendVarint(b, m.AcceptedProposer)
+	b = codec.AppendString(b, m.AcceptedValue)
+	return codec.AppendBool(b, m.HasAccepted)
 }
 func (m *PaxosPrepareOK) decode(d *decoder) {
-	m.OK = d.bool()
-	m.PromisedRound = d.varint()
-	m.PromisedProposer = d.varint()
-	m.AcceptedRound = d.varint()
-	m.AcceptedProposer = d.varint()
-	m.AcceptedValue = d.str()
-	m.HasAccepted = d.bool()
+	m.OK = d.Bool()
+	m.PromisedRound = d.Varint()
+	m.PromisedProposer = d.Varint()
+	m.AcceptedRound = d.Varint()
+	m.AcceptedProposer = d.Varint()
+	m.AcceptedValue = d.Str()
+	m.HasAccepted = d.Bool()
 }
 
 // PaxosAccept is phase 2a: vote for value in slot under the ballot.
@@ -1069,16 +1051,16 @@ type PaxosAccept struct {
 
 func (*PaxosAccept) msgType() MsgType { return TPaxosAccept }
 func (m *PaxosAccept) encode(b []byte) []byte {
-	b = appendVarint(b, m.Round)
-	b = appendVarint(b, m.Proposer)
-	b = appendVarint(b, m.Slot)
-	return appendString(b, m.Value)
+	b = binary.AppendVarint(b, m.Round)
+	b = binary.AppendVarint(b, m.Proposer)
+	b = binary.AppendVarint(b, m.Slot)
+	return codec.AppendString(b, m.Value)
 }
 func (m *PaxosAccept) decode(d *decoder) {
-	m.Round = d.varint()
-	m.Proposer = d.varint()
-	m.Slot = d.varint()
-	m.Value = d.str()
+	m.Round = d.Varint()
+	m.Proposer = d.Varint()
+	m.Slot = d.Varint()
+	m.Value = d.Str()
 }
 
 // PaxosAcceptOK answers PaxosAccept.
@@ -1090,14 +1072,14 @@ type PaxosAcceptOK struct {
 
 func (*PaxosAcceptOK) msgType() MsgType { return TPaxosAcceptOK }
 func (m *PaxosAcceptOK) encode(b []byte) []byte {
-	b = appendBool(b, m.OK)
-	b = appendVarint(b, m.PromisedRound)
-	return appendVarint(b, m.PromisedProposer)
+	b = codec.AppendBool(b, m.OK)
+	b = binary.AppendVarint(b, m.PromisedRound)
+	return binary.AppendVarint(b, m.PromisedProposer)
 }
 func (m *PaxosAcceptOK) decode(d *decoder) {
-	m.OK = d.bool()
-	m.PromisedRound = d.varint()
-	m.PromisedProposer = d.varint()
+	m.OK = d.Bool()
+	m.PromisedRound = d.Varint()
+	m.PromisedProposer = d.Varint()
 }
 
 // PaxosLearn asks the acceptor for its status — the first step of a
@@ -1118,14 +1100,14 @@ type PaxosLearnOK struct {
 
 func (*PaxosLearnOK) msgType() MsgType { return TPaxosLearnOK }
 func (m *PaxosLearnOK) encode(b []byte) []byte {
-	b = appendVarint(b, m.MaxSlot)
-	b = appendVarint(b, m.PromisedRound)
-	return appendVarint(b, m.PromisedProposer)
+	b = binary.AppendVarint(b, m.MaxSlot)
+	b = binary.AppendVarint(b, m.PromisedRound)
+	return binary.AppendVarint(b, m.PromisedProposer)
 }
 func (m *PaxosLearnOK) decode(d *decoder) {
-	m.MaxSlot = d.varint()
-	m.PromisedRound = d.varint()
-	m.PromisedProposer = d.varint()
+	m.MaxSlot = d.Varint()
+	m.PromisedRound = d.Varint()
+	m.PromisedProposer = d.Varint()
 }
 
 // NotLeader is the structured redirect a deposed certifier leader
@@ -1141,14 +1123,14 @@ type NotLeader struct {
 
 func (*NotLeader) msgType() MsgType { return TNotLeader }
 func (m *NotLeader) encode(b []byte) []byte {
-	b = appendVarint(b, m.Leader)
-	b = appendVarint(b, m.Epoch)
-	return appendString(b, m.Addr)
+	b = binary.AppendVarint(b, m.Leader)
+	b = binary.AppendVarint(b, m.Epoch)
+	return codec.AppendString(b, m.Addr)
 }
 func (m *NotLeader) decode(d *decoder) {
-	m.Leader = d.varint()
-	m.Epoch = d.varint()
-	m.Addr = d.str()
+	m.Leader = d.Varint()
+	m.Epoch = d.Varint()
+	m.Addr = d.Str()
 }
 
 // PrepareTxn runs the first two-phase-commit phase for one fragment
@@ -1166,16 +1148,16 @@ type PrepareTxn struct {
 
 func (*PrepareTxn) msgType() MsgType { return TPrepareTxn }
 func (m *PrepareTxn) encode(b []byte) []byte {
-	b = appendString(b, m.TxnID)
-	b = appendVarint(b, m.Coord)
-	b = appendVarint(b, m.Snapshot)
-	return appendWriteset(b, m.WS)
+	b = codec.AppendString(b, m.TxnID)
+	b = binary.AppendVarint(b, m.Coord)
+	b = binary.AppendVarint(b, m.Snapshot)
+	return codec.AppendWriteset(b, m.WS)
 }
 func (m *PrepareTxn) decode(d *decoder) {
-	m.TxnID = d.str()
-	m.Coord = d.varint()
-	m.Snapshot = d.varint()
-	m.WS = decodeWriteset(d)
+	m.TxnID = d.Str()
+	m.Coord = d.Varint()
+	m.Snapshot = d.Varint()
+	m.WS = d.Writeset()
 }
 
 // PrepareTxnOK answers PrepareTxn. Vote=true is the group's binding
@@ -1190,12 +1172,12 @@ type PrepareTxnOK struct {
 
 func (*PrepareTxnOK) msgType() MsgType { return TPrepareTxnOK }
 func (m *PrepareTxnOK) encode(b []byte) []byte {
-	b = appendBool(b, m.Vote)
-	return appendVarint(b, m.ConflictWith)
+	b = codec.AppendBool(b, m.Vote)
+	return binary.AppendVarint(b, m.ConflictWith)
 }
 func (m *PrepareTxnOK) decode(d *decoder) {
-	m.Vote = d.bool()
-	m.ConflictWith = d.varint()
+	m.Vote = d.Bool()
+	m.ConflictWith = d.Varint()
 }
 
 // DecideTxn delivers the coordinator's decision for a prepared
@@ -1209,12 +1191,12 @@ type DecideTxn struct {
 
 func (*DecideTxn) msgType() MsgType { return TDecideTxn }
 func (m *DecideTxn) encode(b []byte) []byte {
-	b = appendString(b, m.TxnID)
-	return appendBool(b, m.Commit)
+	b = codec.AppendString(b, m.TxnID)
+	return codec.AppendBool(b, m.Commit)
 }
 func (m *DecideTxn) decode(d *decoder) {
-	m.TxnID = d.str()
-	m.Commit = d.bool()
+	m.TxnID = d.Str()
+	m.Commit = d.Bool()
 }
 
 // DecideTxnOK acknowledges DecideTxn with the global version the
@@ -1224,8 +1206,8 @@ type DecideTxnOK struct {
 }
 
 func (*DecideTxnOK) msgType() MsgType         { return TDecideTxnOK }
-func (m *DecideTxnOK) encode(b []byte) []byte { return appendVarint(b, m.Version) }
-func (m *DecideTxnOK) decode(d *decoder)      { m.Version = d.varint() }
+func (m *DecideTxnOK) encode(b []byte) []byte { return binary.AppendVarint(b, m.Version) }
+func (m *DecideTxnOK) decode(d *decoder)      { m.Version = d.Varint() }
 
 // ResolveTxn asks the coordinator group for the fate of an in-doubt
 // transaction. A coordinator with no durable decision
@@ -1236,8 +1218,8 @@ type ResolveTxn struct {
 }
 
 func (*ResolveTxn) msgType() MsgType         { return TResolveTxn }
-func (m *ResolveTxn) encode(b []byte) []byte { return appendString(b, m.TxnID) }
-func (m *ResolveTxn) decode(d *decoder)      { m.TxnID = d.str() }
+func (m *ResolveTxn) encode(b []byte) []byte { return codec.AppendString(b, m.TxnID) }
+func (m *ResolveTxn) decode(d *decoder)      { m.TxnID = d.Str() }
 
 // ResolveTxnOK answers ResolveTxn.
 type ResolveTxnOK struct {
@@ -1245,8 +1227,8 @@ type ResolveTxnOK struct {
 }
 
 func (*ResolveTxnOK) msgType() MsgType         { return TResolveTxnOK }
-func (m *ResolveTxnOK) encode(b []byte) []byte { return appendBool(b, m.Commit) }
-func (m *ResolveTxnOK) decode(d *decoder)      { m.Commit = d.bool() }
+func (m *ResolveTxnOK) encode(b []byte) []byte { return codec.AppendBool(b, m.Commit) }
+func (m *ResolveTxnOK) decode(d *decoder)      { m.Commit = d.Bool() }
 
 // ForgetTxn retires a fully acknowledged decision at a group: every
 // participant has applied the outcome, so the
@@ -1257,8 +1239,8 @@ type ForgetTxn struct {
 }
 
 func (*ForgetTxn) msgType() MsgType         { return TForgetTxn }
-func (m *ForgetTxn) encode(b []byte) []byte { return appendString(b, m.TxnID) }
-func (m *ForgetTxn) decode(d *decoder)      { m.TxnID = d.str() }
+func (m *ForgetTxn) encode(b []byte) []byte { return codec.AppendString(b, m.TxnID) }
+func (m *ForgetTxn) decode(d *decoder)      { m.TxnID = d.Str() }
 
 // ForgetTxnOK acknowledges ForgetTxn.
 type ForgetTxnOK struct{}

@@ -3,12 +3,14 @@ package wire
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/writeset"
 )
 
@@ -92,43 +94,42 @@ func (m *Records) encode(b []byte) []byte {
 }
 
 func (m *Records) decode(d *decoder) {
-	flags := d.byte()
-	if d.err != nil {
+	flags := d.Byte()
+	if d.Err() != nil {
 		return
 	}
 	if flags&^recFlate != 0 {
-		d.err = fmt.Errorf("%w: %#x", errRecordFlags, flags)
+		d.Fail(fmt.Errorf("%w: %#x", errRecordFlags, flags))
 		return
 	}
 	if flags&recFlate == 0 {
 		m.decodeRecordsBody(d)
 		return
 	}
-	comp := d.b[d.off:]
-	d.off = len(d.b)
+	comp := d.Rest()
 	sc := recScratches.Get().(*recScratch)
 	defer recScratches.Put(sc)
 	plain, err := inflateInto(sc.body[:0], comp)
 	sc.body = plain
 	if err != nil {
-		d.err = err
+		d.Fail(err)
 		return
 	}
-	sub := decoder{b: plain, names: d.names, tables: d.tables}
+	sub := decoder{Decoder: d.Sub(plain), tables: d.tables}
 	m.decodeRecordsBody(&sub)
 	d.tables = sub.tables
 	switch {
-	case sub.err != nil:
-		d.err = sub.err
-	case sub.off != len(sub.b):
-		d.err = ErrTrailingBytes
+	case sub.Err() != nil:
+		d.Fail(sub.Err())
+	case sub.Len() != 0:
+		d.Fail(ErrTrailingBytes)
 	}
 }
 
 // appendRecordsBody encodes the plain (uncompressed) body, building
 // the frame's table dictionary in tables; it returns both.
 func appendRecordsBody(b []byte, tables []string, recs []Record) ([]byte, []string) {
-	b = appendUvarint(b, uint64(len(recs)))
+	b = binary.AppendUvarint(b, uint64(len(recs)))
 	// Per-frame table dictionary: each distinct name ships once and
 	// entries reference it by index. Propagation streams touch a
 	// handful of tables, so a linear scan beats a map.
@@ -139,22 +140,22 @@ func appendRecordsBody(b []byte, tables []string, recs []Record) ([]byte, []stri
 			}
 		}
 	}
-	b = appendUvarint(b, uint64(len(tables)))
+	b = binary.AppendUvarint(b, uint64(len(tables)))
 	for _, t := range tables {
-		b = appendString(b, t)
+		b = codec.AppendString(b, t)
 	}
 	prev := int64(0)
 	for _, r := range recs {
-		b = appendVarint(b, r.Version-prev)
+		b = binary.AppendVarint(b, r.Version-prev)
 		prev = r.Version
-		b = appendUvarint(b, r.Trace)
-		b = appendVarint(b, r.CommitNs)
-		b = appendUvarint(b, uint64(len(r.WS.Entries)))
+		b = binary.AppendUvarint(b, r.Trace)
+		b = binary.AppendVarint(b, r.CommitNs)
+		b = binary.AppendUvarint(b, uint64(len(r.WS.Entries)))
 		for _, e := range r.WS.Entries {
-			b = appendUvarint(b, uint64(tableIndex(tables, e.Key.Table)))
-			b = appendVarint(b, e.Key.Row)
-			b = appendBool(b, e.Delete)
-			b = appendString(b, e.Value)
+			b = binary.AppendUvarint(b, uint64(tableIndex(tables, e.Key.Table)))
+			b = binary.AppendVarint(b, e.Key.Row)
+			b = codec.AppendBool(b, e.Delete)
+			b = codec.AppendString(b, e.Value)
 		}
 	}
 	return b, tables
@@ -170,13 +171,9 @@ func tableIndex(tables []string, name string) int {
 }
 
 func (m *Records) decodeRecordsBody(d *decoder) {
-	n := d.uvarint()
-	nt := d.uvarint()
-	if d.err != nil {
-		return
-	}
-	if nt > uint64(len(d.b)-d.off) {
-		d.fail()
+	n := d.Uvarint()
+	nt := d.Count()
+	if d.Err() != nil {
 		return
 	}
 	// The dictionary and the record slice are the decoder's and the
@@ -184,27 +181,27 @@ func (m *Records) decodeRecordsBody(d *decoder) {
 	clear(d.tables)
 	tables := d.tables[:0]
 	for i := uint64(0); i < nt; i++ {
-		tables = append(tables, d.table())
+		tables = append(tables, d.Table())
 	}
 	d.tables = tables
-	if d.err != nil {
+	if d.Err() != nil {
 		return
 	}
-	if n > uint64(len(d.b)-d.off) { // each record is >= 4 bytes
-		d.fail()
+	if n > uint64(d.Len()) { // each record is >= 4 bytes
+		d.Fail(ErrTruncated)
 		return
 	}
 	clear(m.Recs)
-	m.Recs = slices.Grow(m.Recs[:0], prealloc(n))
+	m.Recs = slices.Grow(m.Recs[:0], codec.Prealloc(n))
 	prev := int64(0)
 	for i := uint64(0); i < n; i++ {
 		var r Record
-		r.Version = prev + d.varint()
+		r.Version = prev + d.Varint()
 		prev = r.Version
-		r.Trace = d.uvarint()
-		r.CommitNs = d.varint()
+		r.Trace = d.Uvarint()
+		r.CommitNs = d.Varint()
 		r.WS = decodeWSDict(d, tables)
-		if d.err != nil {
+		if d.Err() != nil {
 			return
 		}
 		m.Recs = append(m.Recs, r)
@@ -214,30 +211,26 @@ func (m *Records) decodeRecordsBody(d *decoder) {
 // decodeWSDict decodes a writeset whose entries reference the frame's
 // table dictionary by index; the entries share the dictionary strings.
 func decodeWSDict(d *decoder, tables []string) writeset.Writeset {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
+	n := d.Count()
+	if d.Err() != nil || n == 0 {
 		return writeset.Writeset{}
 	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
-		return writeset.Writeset{}
-	}
-	entries := make([]writeset.Entry, 0, prealloc(n))
+	entries := make([]writeset.Entry, 0, codec.Prealloc(n))
 	for i := uint64(0); i < n; i++ {
 		var e writeset.Entry
-		ti := d.uvarint()
-		if d.err != nil {
+		ti := d.Uvarint()
+		if d.Err() != nil {
 			return writeset.Writeset{}
 		}
 		if ti >= uint64(len(tables)) {
-			d.err = errRecordDict
+			d.Fail(errRecordDict)
 			return writeset.Writeset{}
 		}
 		e.Key.Table = tables[ti]
-		e.Key.Row = d.varint()
-		e.Delete = d.bool()
-		e.Value = d.str()
-		if d.err != nil {
+		e.Key.Row = d.Varint()
+		e.Delete = d.Bool()
+		e.Value = d.Str()
+		if d.Err() != nil {
 			return writeset.Writeset{}
 		}
 		entries = append(entries, e)

@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/writeset"
 )
 
@@ -103,9 +105,9 @@ func TestRecordsV5CompressionFallback(t *testing.T) {
 func TestRecordsV5RejectsUnknownFlags(t *testing.T) {
 	payload := (&Records{Recs: propagationRun(1)}).encode(nil)
 	payload[0] = 0x80
-	d := &decoder{b: payload}
+	d := &decoder{Decoder: codec.NewDecoder(payload)}
 	(&Records{}).decode(d)
-	if d.err == nil {
+	if d.Err() == nil {
 		t.Fatal("unknown flags decoded without error")
 	}
 }
@@ -114,17 +116,17 @@ func TestRecordsV5RejectsUnknownFlags(t *testing.T) {
 // dictionary must fail cleanly.
 func TestRecordsV5BadDictIndex(t *testing.T) {
 	var body []byte
-	body = appendUvarint(body, 1) // one record
-	body = appendUvarint(body, 0) // empty dictionary
-	body = appendVarint(body, 1)  // version
-	body = appendUvarint(body, 0) // trace
-	body = appendVarint(body, 0)  // commitNs
-	body = appendUvarint(body, 1) // one entry
-	body = appendUvarint(body, 0) // table index 0 — out of range
+	body = binary.AppendUvarint(body, 1) // one record
+	body = binary.AppendUvarint(body, 0) // empty dictionary
+	body = binary.AppendVarint(body, 1)  // version
+	body = binary.AppendUvarint(body, 0) // trace
+	body = binary.AppendVarint(body, 0)  // commitNs
+	body = binary.AppendUvarint(body, 1) // one entry
+	body = binary.AppendUvarint(body, 0) // table index 0 — out of range
 	payload := append([]byte{0}, body...)
-	d := &decoder{b: payload}
+	d := &decoder{Decoder: codec.NewDecoder(payload)}
 	(&Records{}).decode(d)
-	if d.err == nil {
+	if d.Err() == nil {
 		t.Fatal("out-of-range dictionary index decoded without error")
 	}
 }
@@ -139,9 +141,9 @@ func TestRecordsV5CompressedTrailing(t *testing.T) {
 	if !ok {
 		t.Skip("junk body did not compress; cannot exercise the path")
 	}
-	d := &decoder{b: payload}
+	d := &decoder{Decoder: codec.NewDecoder(payload)}
 	(&Records{}).decode(d)
-	if d.err == nil {
+	if d.Err() == nil {
 		t.Fatal("trailing bytes inside the compressed body decoded without error")
 	}
 }

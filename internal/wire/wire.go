@@ -29,7 +29,7 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/writeset"
+	"repro/internal/codec"
 )
 
 const (
@@ -62,7 +62,7 @@ var (
 	// ErrUnknownMessage reports an unrecognized message type byte.
 	ErrUnknownMessage = errors.New("wire: unknown message type")
 	// ErrTruncated reports a payload shorter than its message needs.
-	ErrTruncated = errors.New("wire: truncated payload")
+	ErrTruncated = codec.ErrTruncated
 	// ErrTrailingBytes reports a payload longer than its message, a
 	// framing bug or corruption.
 	ErrTrailingBytes = errors.New("wire: trailing bytes in payload")
@@ -85,7 +85,7 @@ type Conn struct {
 	// heap allocation per received frame.
 	dec decoder
 	// names interns the table names this connection has decoded (see
-	// decoder.table).
+	// codec.Decoder.Table).
 	names map[string]string
 }
 
@@ -173,13 +173,13 @@ func (c *Conn) Recv() (Message, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownMessage, buf[0])
 	}
-	c.dec = decoder{b: buf[1:], names: c.names, tables: c.dec.tables}
 	d := &c.dec
+	d.Reset(buf[1:], c.names)
 	m.decode(d)
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	if d.off != len(d.b) {
+	if d.Len() != 0 {
 		return nil, ErrTrailingBytes
 	}
 	return m, nil
@@ -226,194 +226,9 @@ func (c *Conn) messageFor(t MsgType) Message {
 	return newMessage(t)
 }
 
-// decoder consumes a payload with sticky error handling.
+// decoder is the codec's decoder plus the Records table dictionary's
+// scratch, kept across the frames a Conn decodes.
 type decoder struct {
-	b   []byte
-	off int
-	err error
-	// names is the connection's table-name intern set; nil (a decoder
-	// built outside Recv) copies every name.
-	names map[string]string
-	// tables is the Records table dictionary's scratch, kept across
-	// the frames a Conn decodes.
+	codec.Decoder
 	tables []string
-}
-
-// Interning bounds: a connection keeps at most maxInterned table names
-// of at most maxInternLen bytes each, so a peer cycling through names
-// cannot grow the set without limit. Names past either bound are
-// copied per frame.
-const (
-	maxInterned  = 64
-	maxInternLen = 128
-)
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = ErrTruncated
-	}
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off >= len(d.b) {
-		d.fail()
-		return false
-	}
-	v := d.b[d.off]
-	d.off++
-	return v != 0
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-// raw returns a length-prefixed byte string still inside the payload.
-func (d *decoder) raw() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
-		return nil
-	}
-	b := d.b[d.off : d.off+int(n)]
-	d.off += int(n)
-	return b
-}
-
-// str copies a length-prefixed string out of the payload (the buffer
-// is reused, so retained strings must own their bytes).
-func (d *decoder) str() string { return string(d.raw()) }
-
-// table decodes a table name. A connection sees the same few names on
-// every frame, so a name already in the intern set comes back as the
-// set's copy — the lookup by string(b) does not allocate — and only a
-// new name is copied (and interned while the set has room).
-func (d *decoder) table() string {
-	b := d.raw()
-	if s, ok := d.names[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if d.err == nil && d.names != nil && len(d.names) < maxInterned && len(s) <= maxInternLen {
-		d.names[s] = s
-	}
-	return s
-}
-
-// Append helpers used by message encoders.
-
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
-func appendVarint(b []byte, v int64) []byte {
-	return binary.AppendVarint(b, v)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// appendWriteset encodes a writeset: entry count, then per entry the
-// table, row, delete flag and value.
-func appendWriteset(b []byte, ws writeset.Writeset) []byte {
-	b = appendUvarint(b, uint64(len(ws.Entries)))
-	for _, e := range ws.Entries {
-		b = appendString(b, e.Key.Table)
-		b = appendVarint(b, e.Key.Row)
-		b = appendBool(b, e.Delete)
-		b = appendString(b, e.Value)
-	}
-	return b
-}
-
-// maxPrealloc bounds slice preallocation from attacker-controlled
-// element counts: a frame can claim millions of elements while
-// holding only a few bytes, and element types are much wider than
-// their 1-byte-minimum encodings. Decoders reserve at most this many
-// elements up front and let append grow the rest, so a lying count
-// fails at the truncated payload instead of amplifying into a huge
-// allocation.
-const maxPrealloc = 4096
-
-// prealloc returns the capacity to reserve for a claimed count.
-func prealloc(n uint64) int {
-	if n > maxPrealloc {
-		return maxPrealloc
-	}
-	return int(n)
-}
-
-// decodeWriteset is the inverse of appendWriteset.
-func decodeWriteset(d *decoder) writeset.Writeset {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
-		return writeset.Writeset{}
-	}
-	if n > uint64(len(d.b)-d.off) { // each entry is >= 1 byte
-		d.fail()
-		return writeset.Writeset{}
-	}
-	entries := make([]writeset.Entry, 0, prealloc(n))
-	for i := uint64(0); i < n; i++ {
-		var e writeset.Entry
-		e.Key.Table = d.table()
-		e.Key.Row = d.varint()
-		e.Delete = d.bool()
-		e.Value = d.str()
-		if d.err != nil {
-			return writeset.Writeset{}
-		}
-		entries = append(entries, e)
-	}
-	return writeset.New(entries)
 }
