@@ -230,6 +230,52 @@ func BenchmarkCertifyLongLog(b *testing.B) {
 	}
 }
 
+// BenchmarkCertifyLoad certifies a 65536-row table, cut into load
+// records by repl.Chunks as the loader cuts it, into a fresh certifier:
+// the certifier's share of loading a catalog table, where every chunk
+// is a commit whose rows enter the conflict index. It reports the time
+// per row and, from one extra load, the live heap the index holds per
+// row (the log keeps the caller's writesets, so this is the index's
+// own cost).
+func BenchmarkCertifyLoad(b *testing.B) {
+	ids, values := repl.Rows(1<<16, func(r int64) string { return "item-row-" + strconv.FormatInt(r, 10) })
+	var wss []writeset.Writeset
+	if err := repl.Chunks(ids, values, func(ids []int64, values []string) error {
+		wss = append(wss, writeset.Rows("item", ids, values))
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	load := func() *certifier.Certifier {
+		c := certifier.New()
+		for _, ws := range wss {
+			if out, err := c.Certify(c.Version(), ws); err != nil || !out.Committed {
+				b.Fatalf("Certify = %+v, %v", out, err)
+			}
+		}
+		return c
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := load()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if c.IndexSize() != len(ids) {
+		b.Fatalf("index holds %d keys, want %d", c.IndexSize(), len(ids))
+	}
+	heap := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(ids))
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		load()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/row")
+	b.ReportMetric(heap, "indexB/row")
+	b.ReportMetric(float64(len(wss)), "records")
+}
+
 // BenchmarkCertifyReplicatedSequential is the group-commit baseline:
 // 64 certification requests, each paying its own Paxos round.
 func BenchmarkCertifyReplicatedSequential(b *testing.B) {

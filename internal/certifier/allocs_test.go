@@ -122,3 +122,44 @@ func TestCertifyGCCycleAllocs(t *testing.T) {
 		t.Fatalf("retained %d records, want %d", n, lag)
 	}
 }
+
+// TestCertifyGCSteadyStateAllocs pins a steady certify-then-GC cycle
+// over a fixed hot key set to zero allocations per certify. Each hot
+// row sits on an index page of its own, and GC prunes its version
+// before the row is written again: GC zeroes the slot but keeps the
+// page, so the next write reuses it instead of allocating a new one.
+func TestCertifyGCSteadyStateAllocs(t *testing.T) {
+	const keys, lag = 512, 64
+	hot := make([]writeset.Writeset, keys)
+	for i := range hot {
+		table := "a"
+		if i%2 == 1 {
+			table = "b"
+		}
+		hot[i] = writeset.Rows(table, []int64{int64(i) * 1000}, []string{"x"})
+	}
+	c := certifier.New()
+	n := 0
+	cycle := func() {
+		if out, err := c.Certify(c.Version(), hot[n%keys]); err != nil || !out.Committed {
+			t.Fatalf("Certify = %+v, %v", out, err)
+		}
+		n++
+		c.GC(c.Version() - lag)
+	}
+	// Reach the steady state: every hot row written and pruned once.
+	for range 4 * keys {
+		cycle()
+	}
+	cycles := func() {
+		for range 4 * keys {
+			cycle()
+		}
+	}
+	if got := testing.AllocsPerRun(1, cycles); got != 0 {
+		t.Errorf("Certify+GC over %d hot rows: %.0f allocs in %d cycles, want 0", keys, got, 4*keys)
+	}
+	if got := c.IndexSize(); got != lag {
+		t.Fatalf("index holds %d keys, want the %d retained", got, lag)
+	}
+}

@@ -14,8 +14,9 @@
 // §6.1) has accepted the log entry.
 //
 // The conflict test is backed by an inverted index mapping each row
-// key to the newest committed version that wrote it, maintained
-// incrementally on commit and pruned on GC. Certification therefore
+// key to the newest committed version that wrote it, kept per table in
+// pages of 64 consecutive row ids (index.go), maintained incrementally
+// on commit and pruned on GC. Certification therefore
 // costs O(|writeset|) regardless of how long the retained log is —
 // the property §6.3 relies on when it argues the certifier is never
 // the cluster bottleneck. CertifyBatch and Batcher additionally
@@ -107,7 +108,7 @@ type Certifier struct {
 	// slots before records are the head GC pruned, which appendLocked
 	// reuses instead of growing.
 	logBuf []Record
-	index  map[writeset.Key]int64
+	index  conflictIndex
 	// overlay is a batch's conflict index over its own earlier commits,
 	// kept between batches so group commit reuses its buckets.
 	overlay  map[writeset.Key]int64
@@ -156,7 +157,7 @@ type Certifier struct {
 // New creates an unreplicated certifier, useful for tests and the
 // single-master design (which needs none).
 func New() *Certifier {
-	return &Certifier{index: make(map[writeset.Key]int64)}
+	return &Certifier{}
 }
 
 // SetJournal attaches the durability journal: from now on every
@@ -280,7 +281,7 @@ func NewFromRecords(recs []Record, base int64) *Certifier {
 	sort.Slice(c.records, func(i, j int) bool { return c.records[i].Version < c.records[j].Version })
 	for _, rec := range c.records {
 		for _, e := range rec.Writeset.Entries {
-			c.index[e.Key] = rec.Version
+			c.index.set(e.Key, rec.Version)
 		}
 		if rec.Version > c.version {
 			c.version = rec.Version
@@ -452,7 +453,7 @@ func (c *Certifier) conflictLocked(snapshot int64, ws writeset.Writeset) (bool, 
 	}
 	newest := int64(0)
 	for _, e := range ws.Entries {
-		if v, ok := c.index[e.Key]; ok && v > snapshot && v > newest {
+		if v := c.index.get(e.Key); v > snapshot && v > newest {
 			newest = v
 		}
 	}
@@ -479,7 +480,7 @@ func (c *Certifier) applyLocked(rec Record) {
 func (c *Certifier) publishLocked(recs []Record) {
 	for _, rec := range recs {
 		for _, e := range rec.Writeset.Entries {
-			c.index[e.Key] = rec.Version
+			c.index.set(e.Key, rec.Version)
 		}
 		c.version = rec.Version
 		c.commits++
@@ -779,13 +780,11 @@ func (c *Certifier) GC(upTo int64) int {
 	}
 	cut := sort.Search(len(c.records), func(i int) bool { return c.records[i].Version > upTo })
 	for _, r := range c.records[:cut] {
-		// Drop index entries whose newest writer is itself pruned; a
+		// Clear index slots whose newest writer is itself pruned; a
 		// newer record may have overwritten the key, in which case the
-		// index entry is still live.
+		// slot is still live. The pages stay.
 		for _, e := range r.Writeset.Entries {
-			if v, ok := c.index[e.Key]; ok && v <= upTo {
-				delete(c.index, e.Key)
-			}
+			c.index.prune(e.Key, upTo)
 		}
 	}
 	clear(c.records[:cut])
@@ -830,5 +829,5 @@ func (c *Certifier) LogLen() int {
 func (c *Certifier) IndexSize() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.index)
+	return c.index.live
 }

@@ -21,9 +21,7 @@ func gcCopyOnPrune(c *Certifier, upTo int64) int {
 	cut := sort.Search(len(c.records), func(i int) bool { return c.records[i].Version > upTo })
 	for _, r := range c.records[:cut] {
 		for _, e := range r.Writeset.Entries {
-			if v, ok := c.index[e.Key]; ok && v <= upTo {
-				delete(c.index, e.Key)
-			}
+			c.index.prune(e.Key, upTo)
 		}
 	}
 	c.records = append(c.records[:0:0], c.records[cut:]...)

@@ -14,24 +14,8 @@ import (
 )
 
 // ErrTruncated reports a field that runs past the end of its input, or
-// an element count larger than the bytes left to hold the elements.
+// an element count whose elements cannot fit in the bytes left.
 var ErrTruncated = errors.New("codec: truncated payload")
-
-// maxPrealloc bounds slice and map preallocation from decoded element
-// counts: an input can claim millions of elements while holding only a
-// few bytes, and element types are much wider than their 1-byte minimum
-// encodings. Decoders reserve at most this many elements up front and
-// let append grow the rest, so a lying count fails at the truncated
-// input instead of amplifying into a huge allocation.
-const maxPrealloc = 4096
-
-// Prealloc returns the capacity to reserve for a decoded count.
-func Prealloc(n uint64) int {
-	if n > maxPrealloc {
-		return maxPrealloc
-	}
-	return int(n)
-}
 
 // Interning bounds: an intern set keeps at most MaxInterned table names
 // of at most MaxInternLen bytes each, so a peer cycling through names
@@ -124,12 +108,18 @@ func (d *Decoder) Byte() byte {
 
 func (d *Decoder) Bool() bool { return d.Byte() != 0 }
 
-// Count reads an element count. Every element takes at least one byte,
-// so a count above the unread length fails the decode (and returns 0)
-// before anything is allocated for it.
-func (d *Decoder) Count() uint64 {
-	n := d.Uvarint()
-	if n > uint64(d.Len()) {
+// Count reads the count of elements that each encode in at least w
+// bytes. A count whose elements cannot fit in the unread bytes, n*w >
+// Len(), fails the decode (and returns 0) before anything is allocated
+// for it, so a decoder sizes its array at exactly the count it gets:
+// what it allocates is bounded by the input's own length.
+func (d *Decoder) Count(w int) uint64 { return d.Fit(d.Uvarint(), w) }
+
+// Fit returns n when n elements of at least w bytes each fit in the
+// unread bytes, and otherwise fails the decode and returns 0: Count
+// for a count read earlier than the elements it counts.
+func (d *Decoder) Fit(n uint64, w int) uint64 {
+	if n > uint64(d.Len()/w) {
 		d.Fail(ErrTruncated)
 		return 0
 	}
@@ -171,15 +161,24 @@ func (d *Decoder) Table() string {
 	return s
 }
 
+// Minimum encoded widths, for Count. A writeset entry is a table name
+// (or dictionary index), row, delete flag and value length. A row of a
+// load, dump or snapshot is an id and a value length, as is a member
+// (id and address); a snapshot's table is a name and a row count.
+const (
+	EntryWidth = 4
+	RowWidth   = 2
+)
+
 // Writeset decodes what AppendWriteset encodes.
 func (d *Decoder) Writeset() writeset.Writeset {
-	n := d.Count()
+	n := d.Count(EntryWidth)
 	if d.err != nil || n == 0 {
 		return writeset.Writeset{}
 	}
-	entries := make([]writeset.Entry, 0, Prealloc(n))
-	for i := uint64(0); i < n; i++ {
-		var e writeset.Entry
+	entries := make([]writeset.Entry, n)
+	for i := range entries {
+		e := &entries[i]
 		e.Key.Table = d.Table()
 		e.Key.Row = d.Varint()
 		e.Delete = d.Bool()
@@ -187,7 +186,6 @@ func (d *Decoder) Writeset() writeset.Writeset {
 		if d.err != nil {
 			return writeset.Writeset{}
 		}
-		entries = append(entries, e)
 	}
 	return writeset.New(entries)
 }

@@ -234,12 +234,12 @@ func DecodeFrame(payload []byte) (Frame, error) {
 
 // decodeTables decodes a snapshot's tables.
 func decodeTables(d *Decoder) map[string]map[int64]string {
-	nt := d.Count()
-	tables := make(map[string]map[int64]string, Prealloc(nt))
+	nt := d.Count(RowWidth)
+	tables := make(map[string]map[int64]string, nt)
 	for i := uint64(0); i < nt && d.Err() == nil; i++ {
 		name := d.Str()
-		nr := d.Count()
-		rows := make(map[int64]string, Prealloc(nr))
+		nr := d.Count(RowWidth)
+		rows := make(map[int64]string, nr)
 		for j := uint64(0); j < nr && d.Err() == nil; j++ {
 			row := d.Varint()
 			rows[row] = d.Str()

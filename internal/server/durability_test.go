@@ -180,6 +180,91 @@ func TestDurableHostRestart(t *testing.T) {
 	}
 }
 
+// TestDurableHostRestartKeepsTwoPCState restarts an unreplicated
+// certifier host from its WAL after it prepared one cross-shard
+// fragment and decided another commit: the in-doubt fragment's key
+// stays locked until its decision arrives, and Resolve answers commit
+// for the decided one instead of presuming abort.
+func TestDurableHostRestartKeepsTwoPCState(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() (*server.Server, *client.Client) {
+		srv, err := server.New(server.Options{
+			Design:   "mm",
+			ID:       0,
+			Listen:   "127.0.0.1:0",
+			Replicas: 1,
+			WALDir:   dir,
+			Fsync:    true,
+		})
+		if err != nil {
+			t.Fatalf("boot: %v", err)
+		}
+		srv.Start()
+		cl, err := client.New(client.Options{Servers: []string{srv.Addr()}, Design: "mm"})
+		if err != nil {
+			srv.Close()
+			t.Fatal(err)
+		}
+		return srv, cl
+	}
+	prepare := func(cl *client.Client, id string, row int64, value string) {
+		t.Helper()
+		tx, err := cl.BeginUpdate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Write("t", row, value); err != nil {
+			t.Fatal(err)
+		}
+		if vote, with, err := tx.(*client.Txn).Prepare(id, 0); !vote || err != nil {
+			t.Fatalf("prepare %s: vote %v (conflict with %d), %v", id, vote, with, err)
+		}
+	}
+	srv, cl := boot()
+	if err := cl.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	commitRow(t, cl, "t", 1, "v1")
+	commitRow(t, cl, "t", 2, "v1")
+	prepare(cl, "in-doubt", 1, "x")
+	prepare(cl, "decided", 2, "y")
+	if _, err := cl.DecideTxn("decided", true); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	srv.Close()
+
+	srv, cl = boot()
+	defer srv.Close()
+	defer cl.Close()
+	if commit, err := cl.ResolveTxn("decided"); err != nil || !commit {
+		t.Fatalf("Resolve(decided) after restart = %v, %v; want commit", commit, err)
+	}
+	tx, err := cl.BeginUpdate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write("t", 1, "z"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !errors.Is(err, repl.ErrAborted) {
+		t.Fatalf("a write to the in-doubt row after restart: %v, want an abort", err)
+	}
+	// The decision releases the lock, and the row takes writes again.
+	if _, err := cl.DecideTxn("in-doubt", false); err != nil {
+		t.Fatal(err)
+	}
+	commitRow(t, cl, "t", 1, "z")
+	cl.Sync()
+	rows, err := cl.TableDump(0, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows[1] != "z" || rows[2] != "y" {
+		t.Fatalf("rows after restart: %v, want 1=z 2=y", rows)
+	}
+}
+
 // TestDurableSMMasterRestart restarts a WAL-backed single-master
 // node: committed updates survive and a slave keeps pulling from the
 // rebuilt propagation log.

@@ -216,13 +216,22 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 	case opts.ID == 0:
 		// The certification log recovers from the WAL: the restarted
 		// certifier resumes at the last durably logged version, with
-		// the compaction base as its pruning horizon.
+		// the compaction base as its pruning horizon, and with its
+		// in-doubt 2PC fragments locked and its decisions recorded. The
+		// journal goes on first, so a decision whose record tore off
+		// the log is re-journaled as it is re-committed.
 		base := certifier.New()
 		if rec != nil {
 			base = certifier.NewFromRecords(rec.Records, rec.Base)
 		}
 		if e.dur != nil {
 			base.SetJournal(e.dur.W)
+		}
+		if rec != nil {
+			if err := base.RestoreTwoPC(rec.Prepared, rec.Decisions); err != nil {
+				e.dur.W.Close()
+				return nil, fmt.Errorf("server: restore 2PC state: %w", err)
+			}
 		}
 		e.host.Store(e.newHost(base))
 		e.membership = elastic.NewMembership()

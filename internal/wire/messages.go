@@ -498,17 +498,17 @@ func (m *Load) encode(b []byte) []byte {
 }
 func (m *Load) decode(d *decoder) {
 	m.Table = d.Str()
-	n := d.Count()
+	n := d.Count(codec.RowWidth)
 	if d.Err() != nil {
 		return
 	}
-	m.Rows = make([]int64, 0, codec.Prealloc(n))
-	m.Values = make([]string, 0, codec.Prealloc(n))
+	m.Rows = make([]int64, n)
+	m.Values = make([]string, n)
 	prev := int64(0)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := range m.Rows {
 		prev += d.Varint()
-		m.Rows = append(m.Rows, prev)
-		m.Values = append(m.Values, d.Str())
+		m.Rows[i] = prev
+		m.Values[i] = d.Str()
 	}
 }
 
@@ -544,16 +544,22 @@ func (m *DumpOK) encode(b []byte) []byte {
 	return b
 }
 func (m *DumpOK) decode(d *decoder) {
-	n := d.Count()
-	if d.Err() != nil {
-		return
+	m.Rows, m.Values = decodeRows(d)
+}
+
+// decodeRows decodes a row count, then each row's id and value; no
+// rows decode to nil slices.
+func decodeRows(d *decoder) ([]int64, []string) {
+	n := d.Count(codec.RowWidth)
+	if d.Err() != nil || n == 0 {
+		return nil, nil
 	}
-	m.Rows = make([]int64, 0, codec.Prealloc(n))
-	m.Values = make([]string, 0, codec.Prealloc(n))
-	for i := uint64(0); i < n; i++ {
-		m.Rows = append(m.Rows, d.Varint())
-		m.Values = append(m.Values, d.Str())
+	rows, values := make([]int64, n), make([]string, n)
+	for i := range rows {
+		rows[i] = d.Varint()
+		values[i] = d.Str()
 	}
+	return rows, values
 }
 
 // Certify submits a commit-time certification request to the
@@ -695,16 +701,14 @@ func appendMembers(b []byte, members []Member) []byte {
 }
 
 func decodeMembers(d *decoder) []Member {
-	n := d.Count()
+	n := d.Count(codec.RowWidth)
 	if d.Err() != nil || n == 0 {
 		return nil
 	}
-	out := make([]Member, 0, codec.Prealloc(n))
-	for i := uint64(0); i < n; i++ {
-		var m Member
-		m.ID = d.Varint()
-		m.Addr = d.Str()
-		out = append(out, m)
+	out := make([]Member, n)
+	for i := range out {
+		out[i].ID = d.Varint()
+		out[i].Addr = d.Str()
 	}
 	return out
 }
@@ -824,26 +828,15 @@ func (m *SnapshotOK) encode(b []byte) []byte {
 func (m *SnapshotOK) decode(d *decoder) {
 	m.Version = d.Varint()
 	m.More = d.Bool()
-	n := d.Count()
+	n := d.Count(codec.RowWidth)
 	if d.Err() != nil || n == 0 {
 		return
 	}
-	m.Tables = make([]TableSnap, 0, codec.Prealloc(n))
-	for i := uint64(0); i < n; i++ {
+	m.Tables = make([]TableSnap, 0, n)
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		var t TableSnap
 		t.Name = d.Str()
-		rows := d.Count()
-		if d.Err() != nil {
-			return
-		}
-		if rows > 0 {
-			t.Rows = make([]int64, 0, codec.Prealloc(rows))
-			t.Values = make([]string, 0, codec.Prealloc(rows))
-		}
-		for j := uint64(0); j < rows; j++ {
-			t.Rows = append(t.Rows, d.Varint())
-			t.Values = append(t.Values, d.Str())
-		}
+		t.Rows, t.Values = decodeRows(d)
 		m.Tables = append(m.Tables, t)
 	}
 }

@@ -170,9 +170,13 @@ func tableIndex(tables []string, name string) int {
 	return -1
 }
 
+// recordWidth is the fewest bytes a record encodes in: version, trace,
+// commit time and entry count.
+const recordWidth = 4
+
 func (m *Records) decodeRecordsBody(d *decoder) {
 	n := d.Uvarint()
-	nt := d.Count()
+	nt := d.Count(1)
 	if d.Err() != nil {
 		return
 	}
@@ -187,12 +191,12 @@ func (m *Records) decodeRecordsBody(d *decoder) {
 	if d.Err() != nil {
 		return
 	}
-	if n > uint64(d.Len()) { // each record is >= 4 bytes
-		d.Fail(ErrTruncated)
+	n = d.Fit(n, recordWidth)
+	if d.Err() != nil {
 		return
 	}
 	clear(m.Recs)
-	m.Recs = slices.Grow(m.Recs[:0], codec.Prealloc(n))
+	m.Recs = slices.Grow(m.Recs[:0], int(n))
 	prev := int64(0)
 	for i := uint64(0); i < n; i++ {
 		var r Record
@@ -211,13 +215,13 @@ func (m *Records) decodeRecordsBody(d *decoder) {
 // decodeWSDict decodes a writeset whose entries reference the frame's
 // table dictionary by index; the entries share the dictionary strings.
 func decodeWSDict(d *decoder, tables []string) writeset.Writeset {
-	n := d.Count()
+	n := d.Count(codec.EntryWidth)
 	if d.Err() != nil || n == 0 {
 		return writeset.Writeset{}
 	}
-	entries := make([]writeset.Entry, 0, codec.Prealloc(n))
-	for i := uint64(0); i < n; i++ {
-		var e writeset.Entry
+	entries := make([]writeset.Entry, n)
+	for i := range entries {
+		e := &entries[i]
 		ti := d.Uvarint()
 		if d.Err() != nil {
 			return writeset.Writeset{}
@@ -233,7 +237,6 @@ func decodeWSDict(d *decoder, tables []string) writeset.Writeset {
 		if d.Err() != nil {
 			return writeset.Writeset{}
 		}
-		entries = append(entries, e)
 	}
 	return writeset.New(entries)
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -169,4 +170,69 @@ func FuzzRecords(f *testing.F) {
 		got := roundTrip(t, &Records{Recs: recs, Compress: compress}).(*Records)
 		recordsEqual(t, got.Recs, recs)
 	})
+}
+
+// TestLyingCountsAllocateNothing: a count whose elements fit the bytes
+// left at one byte each, but not at their minimum width, fails the
+// decode before its array is allocated, for every counted array a
+// message decodes into a fresh slice.
+func TestLyingCountsAllocateNothing(t *testing.T) {
+	// elems is a count of n elements followed by too few bytes for them
+	// at width w, but at least n.
+	elems := func(b []byte, n, w int) []byte {
+		b = binary.AppendUvarint(b, uint64(n))
+		return append(b, make([]byte, n*w-1)...)
+	}
+	cases := []struct {
+		name    string
+		msg     interface{ decode(*decoder) }
+		payload []byte
+	}{
+		{"Load", &Load{}, elems(codec.AppendString(nil, ""), 5, codec.RowWidth)},
+		{"DumpOK", &DumpOK{}, elems(nil, 5, codec.RowWidth)},
+		{"SnapshotOK", &SnapshotOK{}, elems([]byte{2, 0}, 5, codec.RowWidth)},
+		{"MembersOK", &MembersOK{}, elems([]byte{2}, 5, codec.RowWidth)},
+		// Records: flags, the record count, an empty dictionary, then too
+		// few bytes for the records.
+		{"Records", &Records{}, append([]byte{0, 5, 0}, make([]byte, 5*recordWidth-1)...)},
+		// One record whose entry count outruns its bytes; the record
+		// slice is the message's reused scratch.
+		{"Records/entries", &Records{}, elems([]byte{0, 1, 0, 2, 0, 0}, 5, codec.EntryWidth)},
+	}
+	for _, tc := range cases {
+		var d decoder
+		allocs := testing.AllocsPerRun(100, func() {
+			d.Reset(tc.payload, nil)
+			tc.msg.decode(&d)
+		})
+		if !errors.Is(d.Err(), ErrTruncated) {
+			t.Fatalf("%s: decode err = %v, want ErrTruncated", tc.name, d.Err())
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a lying count allocated %.0f times, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// BenchmarkDecodeLoadRecords decodes one FetchSince reply carrying a
+// catalog load record: a chunk of rows cut at repl.LoadChunkBytes
+// (256 KiB), as a replica decodes each record of a catalog load.
+func BenchmarkDecodeLoadRecords(b *testing.B) {
+	var entries []writeset.Entry
+	size := 0
+	for row := int64(0); size < 256<<10; row++ {
+		v := fmt.Sprintf("bid-%d user=%d item=%d qty=1 max=%d.50", row, row%9973, row%4099, 10+row%90)
+		entries = append(entries, writeset.Entry{Key: writeset.Key{Table: "bids", Row: row}, Value: v})
+		size += len(v) + 16 // the loader's per-row charge (repl.Chunks)
+	}
+	msg := &Records{Recs: []Record{{Version: 7, WS: writeset.New(entries)}}}
+	c := NewConn(&sinkRW{frame: benchFrame(b, msg)})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Recv(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(entries)), "ns/row")
 }
