@@ -8,7 +8,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// Per-experiment output is written by cmd/experiments; the benchmarks
+// Per-experiment output is written by replicadb experiments; the benchmarks
 // here time the same drivers on reduced sweeps so `go test -bench`
 // terminates in minutes, not hours.
 package repro

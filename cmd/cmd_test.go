@@ -1,8 +1,8 @@
-// Package cmd_test builds and exercises every command-line binary end
-// to end: each tool is compiled once into a temporary directory and
-// run with representative flags, checking output and exit codes. These
-// are the regression tests that keep the user-facing entry points of
-// the reproduction working.
+// Package cmd_test builds the replicadb command and exercises every
+// mode end to end: the binary is compiled once into a temporary
+// directory and run with representative flags, checking output and
+// exit codes. These are the regression tests that keep the user-facing
+// entry point of the reproduction working.
 package cmd_test
 
 import (
@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -27,21 +28,40 @@ import (
 	"repro/internal/router"
 )
 
-// buildAll compiles the four binaries once per test binary run.
-func buildAll(t *testing.T) map[string]string {
+var (
+	buildOnce sync.Once
+	binDir    string
+	binPath   string
+	buildErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
+// replicadbBin compiles cmd/replicadb once per test process and
+// returns the binary's path.
+func replicadbBin(t *testing.T) string {
 	t.Helper()
-	dir := t.TempDir()
-	bins := map[string]string{}
-	for _, name := range []string{"predict", "profiledb", "experiments", "replicadb"} {
-		out := filepath.Join(dir, name)
-		cmd := exec.Command("go", "build", "-o", out, "./"+name)
+	buildOnce.Do(func() {
+		if binDir, buildErr = os.MkdirTemp("", "replicadb-test"); buildErr != nil {
+			return
+		}
+		binPath = filepath.Join(binDir, "replicadb")
+		cmd := exec.Command("go", "build", "-o", binPath, "./replicadb")
 		cmd.Dir = "." // cmd/ directory
 		if b, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, b)
+			buildErr = fmt.Errorf("build replicadb: %v\n%s", err, b)
 		}
-		bins[name] = out
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
-	return bins
+	return binPath
 }
 
 // run executes a built binary and returns combined output.
@@ -70,24 +90,24 @@ func TestCommandLineTools(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
-	bins := buildAll(t)
+	bin := replicadbBin(t)
 
 	t.Run("predict basic", func(t *testing.T) {
-		out := run(t, bins["predict"], "-mix", "tpcw-shopping", "-design", "mm", "-replicas", "4")
+		out := run(t, bin, "predict", "-mix", "tpcw-shopping", "-design", "mm", "-replicas", "4")
 		if !strings.Contains(out, "multi-master") || !strings.Contains(out, "throughput") {
 			t.Fatalf("output:\n%s", out)
 		}
 	})
 
 	t.Run("predict capacity plan", func(t *testing.T) {
-		out := run(t, bins["predict"], "-mix", "tpcw-ordering", "-design", "sm", "-replicas", "8", "-target", "1000")
+		out := run(t, bin, "predict", "-mix", "tpcw-ordering", "-design", "sm", "-replicas", "8", "-target", "1000")
 		if !strings.Contains(out, "NOT reachable") {
 			t.Fatalf("impossible target not reported:\n%s", out)
 		}
 	})
 
 	t.Run("predict rejects unknown mix", func(t *testing.T) {
-		out := runExpectFailure(t, bins["predict"], "-mix", "nope")
+		out := runExpectFailure(t, bin, "predict", "-mix", "nope")
 		if !strings.Contains(out, "unknown mix") {
 			t.Fatalf("output:\n%s", out)
 		}
@@ -95,34 +115,34 @@ func TestCommandLineTools(t *testing.T) {
 
 	t.Run("profiledb to predict params handoff", func(t *testing.T) {
 		params := filepath.Join(t.TempDir(), "params.json")
-		out := run(t, bins["profiledb"], "-mix", "rubis-bidding", "-out", params)
+		out := run(t, bin, "profile", "-mix", "rubis-bidding", "-out", params)
 		if !strings.Contains(out, "L(1) measured") {
 			t.Fatalf("output:\n%s", out)
 		}
 		if _, err := os.Stat(params); err != nil {
 			t.Fatal(err)
 		}
-		out = run(t, bins["predict"], "-params", params, "-design", "mm", "-replicas", "4")
+		out = run(t, bin, "predict", "-params", params, "-design", "mm", "-replicas", "4")
 		if !strings.Contains(out, "RUBiS bidding") {
 			t.Fatalf("params file did not carry the mix:\n%s", out)
 		}
 	})
 
 	t.Run("experiments list and quick run", func(t *testing.T) {
-		out := run(t, bins["experiments"], "-list")
+		out := run(t, bin, "experiments", "-list")
 		for _, id := range []string{"fig6", "fig14", "certifier", "wan", "ablation-hotspot"} {
 			if !strings.Contains(out, id) {
 				t.Fatalf("-list missing %s:\n%s", id, out)
 			}
 		}
-		out = run(t, bins["experiments"], "-exp", "table2,network")
+		out = run(t, bin, "experiments", "-exp", "table2,network")
 		if !strings.Contains(out, "TPC-W parameters") || !strings.Contains(out, "Gbit") {
 			t.Fatalf("output:\n%s", out)
 		}
 	})
 
 	t.Run("experiments csv", func(t *testing.T) {
-		out := run(t, bins["experiments"], "-exp", "fig6", "-quick", "-format", "csv")
+		out := run(t, bin, "experiments", "-exp", "fig6", "-quick", "-format", "csv")
 		if !strings.HasPrefix(out, "figure,series,replicas,measured,predicted,rel_error") {
 			t.Fatalf("csv output:\n%s", out)
 		}
@@ -132,14 +152,14 @@ func TestCommandLineTools(t *testing.T) {
 	})
 
 	t.Run("experiments rejects unknown id", func(t *testing.T) {
-		out := runExpectFailure(t, bins["experiments"], "-exp", "fig99")
+		out := runExpectFailure(t, bin, "experiments", "-exp", "fig99")
 		if !strings.Contains(out, "unknown experiment") {
 			t.Fatalf("output:\n%s", out)
 		}
 	})
 
 	t.Run("replicadb mm with paxos", func(t *testing.T) {
-		out := run(t, bins["replicadb"], "-design", "mm", "-replicas", "3", "-paxos",
+		out := run(t, bin, "-design", "mm", "-replicas", "3", "-paxos",
 			"-clients", "4", "-txns", "20")
 		if !strings.Contains(out, "all replicas identical") {
 			t.Fatalf("convergence not reported:\n%s", out)
@@ -150,7 +170,7 @@ func TestCommandLineTools(t *testing.T) {
 	})
 
 	t.Run("replicadb sm", func(t *testing.T) {
-		out := run(t, bins["replicadb"], "-design", "sm", "-replicas", "3",
+		out := run(t, bin, "-design", "sm", "-replicas", "3",
 			"-mix", "rubis-bidding", "-clients", "4", "-txns", "20")
 		if !strings.Contains(out, "all replicas identical") {
 			t.Fatalf("output:\n%s", out)
@@ -161,7 +181,7 @@ func TestCommandLineTools(t *testing.T) {
 	})
 
 	t.Run("replicadb sm with paxos", func(t *testing.T) {
-		out := run(t, bins["replicadb"], "-design", "sm", "-replicas", "3", "-paxos", "-groupcommit",
+		out := run(t, bin, "-design", "sm", "-replicas", "3", "-paxos", "-groupcommit",
 			"-mix", "rubis-bidding", "-clients", "4", "-txns", "20")
 		if !strings.Contains(out, "all replicas identical") {
 			t.Fatalf("convergence not reported:\n%s", out)
@@ -190,13 +210,13 @@ func runExpectUsage(t *testing.T, bin string, args ...string) string {
 
 // TestReplicadbFlagValidation pins the up-front flag-combination
 // checks: invalid invocations exit 2 with a usage message instead of
-// failing deep in setup.
+// failing deep in setup, and the message is the first line printed,
+// so no work ran before it.
 func TestReplicadbFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
-	bins := buildAll(t)
-	bin := bins["replicadb"]
+	bin := replicadbBin(t)
 	cases := []struct {
 		name string
 		args []string
@@ -220,12 +240,22 @@ func TestReplicadbFlagValidation(t *testing.T) {
 		{"serve apply-workers removed", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-apply-workers", "2"}, "flag provided but not defined: -apply-workers"},
 		{"serve groupwindow removed", []string{"serve", "-design", "mm", "-listen", "127.0.0.1:0", "-peers", "a:1", "-groupcommit", "-groupwindow", "1ms"}, "flag provided but not defined: -groupwindow"},
 		{"unknown mode", []string{"frobnicate"}, "unknown mode"},
+		{"bench json removed", []string{"bench", "-design", "mm", "-servers", "a:1", "-json", "x"}, "flag provided but not defined: -json"},
+		{"predict profile unknown design", []string{"predict", "-profile", "-design", "bogus"}, "unknown design"},
+		{"predict zero replicas", []string{"predict", "-replicas", "0"}, "-replicas must be >= 1"},
+		{"experiments unknown id after a valid one", []string{"experiments", "-exp", "table2,bogus"}, "unknown experiment"},
+		{"experiments unknown format", []string{"experiments", "-exp", "table2", "-format", "xml"}, "unknown format"},
+		{"experiments bad replica count", []string{"experiments", "-exp", "fig6", "-replicas", "4,0"}, "bad replica count"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			out := runExpectUsage(t, bin, tc.args...)
-			if !strings.Contains(out, tc.want) {
+			i := strings.Index(out, tc.want)
+			if i < 0 {
 				t.Fatalf("output missing %q:\n%s", tc.want, out)
+			}
+			if strings.Contains(out[:i], "\n") {
+				t.Fatalf("output before %q shows work ran first:\n%s", tc.want, out)
 			}
 		})
 	}
@@ -329,8 +359,7 @@ func TestReplicadbCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
-	bins := buildAll(t)
-	bin := bins["replicadb"]
+	bin := replicadbBin(t)
 	addrs := reservePorts(t, 2)
 	peers := strings.Join(addrs, ",")
 	walDirs := []string{t.TempDir(), t.TempDir()}
@@ -415,8 +444,7 @@ func TestReplicadbNetworkedCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
-	bins := buildAll(t)
-	bin := bins["replicadb"]
+	bin := replicadbBin(t)
 	ports := reservePorts(t, 6)
 	addrs, metricsAddrs := ports[:3], ports[3:]
 	peers := strings.Join(addrs, ",")
@@ -557,8 +585,7 @@ func TestReplicadbPaxosLeaderKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
-	bins := buildAll(t)
-	bin := bins["replicadb"]
+	bin := replicadbBin(t)
 	ports := reservePorts(t, 6)
 	addrs, metricsAddrs := ports[:3], ports[3:]
 	peers := strings.Join(addrs, ",")
@@ -596,7 +623,8 @@ func TestReplicadbPaxosLeaderKill(t *testing.T) {
 
 	// One process must announce leadership.
 	leaderOf := func(skip int) int {
-		deadline := time.Now().Add(15 * time.Second)
+		start := time.Now()
+		deadline := start.Add(15 * time.Second)
 		for time.Now().Before(deadline) {
 			for i := range procs {
 				if i == skip {
@@ -609,7 +637,16 @@ func TestReplicadbPaxosLeaderKill(t *testing.T) {
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
-		t.Fatal("no process announced certification leadership")
+		var logs strings.Builder
+		for i := range procs {
+			if i == skip {
+				continue
+			}
+			b, _ := os.ReadFile(logPath(i))
+			fmt.Fprintf(&logs, "--- replica %d log, last lines ---\n%s\n", i, lastLines(string(b), 20))
+		}
+		t.Fatalf("no process announced certification leadership after %s\n%s",
+			time.Since(start).Round(time.Millisecond), logs.String())
 		return -1
 	}
 	lead := leaderOf(-1)
@@ -671,6 +708,15 @@ func TestReplicadbPaxosLeaderKill(t *testing.T) {
 	}
 }
 
+// lastLines returns the last n lines of s.
+func lastLines(s string, n int) string {
+	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
+	if len(lines) > n {
+		lines = lines[len(lines)-n:]
+	}
+	return strings.Join(lines, "\n")
+}
+
 // TestReplicadbShardedCluster is the horizontal-scaling acceptance
 // path across OS processes: two shard groups of two mm replicas each
 // (four `replicadb serve -shard i -shards 2` processes with fsync'd
@@ -683,8 +729,7 @@ func TestReplicadbShardedCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
-	bins := buildAll(t)
-	bin := bins["replicadb"]
+	bin := replicadbBin(t)
 	addrs := reservePorts(t, 4)
 	groupAddrs := [][]string{{addrs[0], addrs[1]}, {addrs[2], addrs[3]}}
 	walDirs := make([]string, 4)

@@ -1,6 +1,8 @@
-// Command replicadb runs the live replicated-database middleware (the
-// functional prototypes of §5, not the performance simulation) in
-// four modes:
+// Command replicadb is the repository's one command. It runs the
+// paper's loop end to end: profile a standalone database, predict the
+// replicated system, regenerate the evaluation, and run the live
+// replicated-database middleware (the functional prototypes of §5, not
+// the performance simulation). Its modes:
 //
 //   - the default "run" mode boots a multi-master or single-master
 //     cluster of replica servers on loopback inside this process,
@@ -12,10 +14,16 @@
 //     certifier; under sm that node is the master, the one update site);
 //   - "bench" drives a TPC-W / RUBiS mix against a running networked
 //     cluster through the pooled client and verifies convergence over
-//     the wire;
+//     the wire (repeatable throughput measurements come from bench/);
 //   - "status" polls a running cluster and renders the operator
 //     dashboard: leadership, per-replica apply and replication lag,
-//     commit-path stage means, and the live MVA model residual.
+//     commit-path stage means, and the live MVA model residual;
+//   - "profile" runs the §4 standalone-profiling pipeline on the
+//     simulated standalone database and can write the measured
+//     parameters for "predict";
+//   - "predict" evaluates the analytical models across replica counts
+//     and plans capacity for a target throughput;
+//   - "experiments" regenerates the paper's tables and figures.
 //
 // Usage:
 //
@@ -32,8 +40,13 @@
 //	    -servers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 \
 //	    -mix tpcw-shopping -clients 8 -txns 100
 //
-// Flag combinations are validated up front; invalid ones exit 2 with
-// a usage message.
+//	replicadb profile -mix tpcw-ordering -out params.json
+//	replicadb predict -params params.json -design sm
+//	replicadb predict -mix rubis-bidding -design both -replicas 8 -target 100
+//	replicadb experiments -exp fig6,fig7 -quick
+//
+// Flag combinations are validated up front, before any work; invalid
+// ones exit 2 with a usage message. Runtime failures exit 1.
 package main
 
 import (
@@ -75,8 +88,14 @@ func main() {
 		benchMain(args)
 	case "status":
 		statusMain(args)
+	case "profile":
+		profileMain(args)
+	case "predict":
+		predictMain(args)
+	case "experiments":
+		experimentsMain(args)
 	default:
-		fmt.Fprintf(os.Stderr, "replicadb: unknown mode %q (run|serve|bench|status)\n", mode)
+		fmt.Fprintf(os.Stderr, "replicadb: unknown mode %q (run|serve|bench|status|profile|predict|experiments)\n", mode)
 		os.Exit(2)
 	}
 }
@@ -461,122 +480,6 @@ func serveMain(args []string) {
 	}
 }
 
-// benchResult is the machine-readable record one bench run emits with
-// -json. Repeatable performance measurements come from the bench/
-// harness instead (bench/README.md, bench/CALIBRATION.md).
-type benchResult struct {
-	Design        string  `json:"design"`
-	Mix           string  `json:"mix"`
-	Clients       int     `json:"clients"`
-	TxnsPerClient int     `json:"txns_per_client"`
-	Factor        int     `json:"factor"`
-	Seed          uint64  `json:"seed"`
-	ElapsedSec    float64 `json:"elapsed_sec"`
-	TPS           float64 `json:"tps"`
-	Commits       int64   `json:"commits"`
-	ReadCommits   int64   `json:"read_commits"`
-	UpdateCommits int64   `json:"update_commits"`
-	Aborts        int64   `json:"aborts"`
-	Errors        int64   `json:"errors"`
-	Unknown       int64   `json:"unknown_outcomes"`
-	ReadP50Ms     float64 `json:"read_p50_ms"`
-	ReadP99Ms     float64 `json:"read_p99_ms"`
-	UpdateP50Ms   float64 `json:"update_p50_ms"`
-	UpdateP99Ms   float64 `json:"update_p99_ms"`
-	ReplicasStart int     `json:"replicas_start"`
-	ReplicasEnd   int     `json:"replicas_end"`
-	Converged     bool    `json:"converged"`
-	// Ramp-up exclusion: TPS above includes connection warm-up and
-	// joiner catch-up inside its window. RampSec/RampCommits report the
-	// excluded warm-up slice, and SteadyTPS is the cluster commit rate
-	// over the post-ramp window only (absent when the run finished
-	// inside the ramp, or the cluster's counters could not be sampled).
-	RampSec     float64 `json:"ramp_sec,omitempty"`
-	RampCommits int64   `json:"ramp_commits,omitempty"`
-	SteadyTPS   float64 `json:"steady_tps,omitempty"`
-	// StageMeanUs is the cluster-wide mean per-writeset latency of each
-	// commit-path stage over the run, in microseconds (absent when the
-	// target cluster runs with tracing disabled).
-	StageMeanUs map[string]float64 `json:"stage_mean_us,omitempty"`
-	// Model holds the MVA residual evaluated over the run's window.
-	Model *elastic.ModelError `json:"model,omitempty"`
-}
-
-// benchWindow samples the cluster's cumulative counters before and
-// after the drive and folds the window into the stage breakdown and
-// the model residual. Either can come back empty: a cohort change
-// (replica joined mid-run) discards the window, and an untraced
-// cluster reports no stage counters.
-type benchWindow struct {
-	src  *elastic.WireSource
-	prof *elastic.Profiler
-	ok   bool
-}
-
-func openBenchWindow(primary string, mix workload.Mix) *benchWindow {
-	// The bench driver is a zero-think closed loop (clients fire the
-	// next transaction immediately), unlike the paper's 1 s-think TPC-W
-	// clients the mix describes — so the model must be evaluated at
-	// think 0 or Little's law inflates the population ~4000x.
-	mix.Think = 0
-	w := &benchWindow{
-		src:  elastic.NewWireSource(primary, 2*time.Second),
-		prof: elastic.NewProfiler(mix, 0),
-	}
-	if s, err := w.src.Sample(); err == nil {
-		w.prof.Observe(s)
-		w.ok = true
-	}
-	return w
-}
-
-func (w *benchWindow) close(out *benchResult, design string) {
-	defer w.src.Close()
-	if !w.ok {
-		return
-	}
-	s, err := w.src.Sample()
-	if err != nil {
-		return
-	}
-	load, ok := w.prof.Observe(s)
-	if !ok {
-		return
-	}
-	stages := make(map[string]float64, pipeline.NumStages)
-	for i, mean := range load.StageMeans {
-		if mean > 0 {
-			stages[pipeline.StageNames[i]] = mean * 1e6
-		}
-	}
-	if len(stages) > 0 {
-		out.StageMeanUs = stages
-	}
-	// The residual only speaks for the multi-master model.
-	if design == "mm" {
-		if me, ok := elastic.EvalModel(w.prof, load, load.Members); ok {
-			out.Model = &me
-		}
-	}
-}
-
-// clusterCommits samples the cluster-wide cumulative commit count for
-// the ramp-up exclusion window.
-func clusterCommits(src *elastic.WireSource) (int64, bool) {
-	s, err := src.Sample()
-	if err != nil {
-		return 0, false
-	}
-	return s.ReadCommits + s.UpdateCommits, true
-}
-
-// rampPoint marks the cluster commit counter at the ramp boundary.
-type rampPoint struct {
-	commits int64
-	at      time.Time
-	ok      bool
-}
-
 // benchMain drives a networked cluster through the pooled client.
 func benchMain(args []string) {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
@@ -591,8 +494,6 @@ func benchMain(args []string) {
 		load     = fs.Bool("load", true, "create and load the schema before driving")
 		converge = fs.Bool("converge", true, "verify replica convergence after the run")
 		watch    = fs.Bool("watch", false, "watch cluster membership and spread load onto replicas that join mid-run")
-		ramp     = fs.Duration("ramp", 500*time.Millisecond, "with -json: exclude this warm-up window from steady_tps (0 disables)")
-		jsonOut  = fs.String("json", "", "write a machine-readable result to this file (\"-\" for stdout)")
 	)
 	fs.Parse(args)
 
@@ -633,47 +534,13 @@ func benchMain(args []string) {
 
 	fmt.Printf("driving %d clients x %d transactions over TCP (%s mix: %.0f%% reads / %.0f%% updates)...\n",
 		*clients, *txns, mix.Name, mix.Pr*100, mix.Pw*100)
-	var bw *benchWindow
-	var rampSrc *elastic.WireSource
-	var startCommits int64
-	var startOK bool
-	rampCh := make(chan rampPoint, 1)
-	if *jsonOut != "" {
-		bw = openBenchWindow(splitAddrs(*servers)[0], mix)
-		if *ramp > 0 {
-			// Sample the cluster's cumulative commit counter at the start
-			// and again at the ramp boundary, so the steady-state rate can
-			// be computed without the connection warm-up and catch-up
-			// transients the wall-clock TPS folds in.
-			rampSrc = elastic.NewWireSource(splitAddrs(*servers)[0], 2*time.Second)
-			defer rampSrc.Close()
-			startCommits, startOK = clusterCommits(rampSrc)
-			wait := *ramp
-			go func() {
-				time.Sleep(wait)
-				c, ok := clusterCommits(rampSrc)
-				rampCh <- rampPoint{commits: c, at: time.Now(), ok: ok}
-			}()
-		}
-	}
-	replicasStart := cl.Replicas()
 	start := time.Now()
 	res := repl.Drive(cl, cat, mix, *clients, *txns, *factor, *seed)
-	elapsed := time.Since(start)
-	// The end-of-drive counter sample must land before the convergence
-	// check below, whose read transactions would inflate it.
-	var endCommits int64
-	var endOK bool
-	endAt := time.Now()
-	if rampSrc != nil {
-		endCommits, endOK = clusterCommits(rampSrc)
-	}
-	printDriveResult(res, elapsed)
+	printDriveResult(res, time.Since(start))
 	if res.Errors > 0 {
 		fatal("unexpected errors during the run")
 	}
 
-	converged := false
 	if *converge {
 		fmt.Print("checking replica convergence... ")
 		if err := repl.CheckConvergence(cl, tableNames(cat)); err != nil {
@@ -681,54 +548,6 @@ func benchMain(args []string) {
 			fatal("%v", err)
 		}
 		fmt.Printf("ok: all %d replicas identical\n", cl.Replicas())
-		converged = true
-	}
-
-	if *jsonOut != "" {
-		out := benchResult{
-			Design:        *design,
-			Mix:           mix.ID(),
-			Clients:       *clients,
-			TxnsPerClient: *txns,
-			Factor:        *factor,
-			Seed:          *seed,
-			ElapsedSec:    elapsed.Seconds(),
-			TPS:           float64(res.Commits) / elapsed.Seconds(),
-			Commits:       res.Commits,
-			ReadCommits:   res.ReadCommits,
-			UpdateCommits: res.UpdateCommits,
-			Aborts:        res.Aborts,
-			Errors:        res.Errors,
-			Unknown:       res.Unknown,
-			ReadP50Ms:     ms(res.ReadLatency.Quantile(0.50)),
-			ReadP99Ms:     ms(res.ReadLatency.Quantile(0.99)),
-			UpdateP50Ms:   ms(res.UpdateLatency.Quantile(0.50)),
-			UpdateP99Ms:   ms(res.UpdateLatency.Quantile(0.99)),
-			ReplicasStart: replicasStart,
-			ReplicasEnd:   cl.Replicas(),
-			Converged:     converged,
-		}
-		var rp rampPoint
-		select {
-		case rp = <-rampCh:
-		default: // the run finished inside the ramp window
-		}
-		if rp.ok && startOK && endOK && endAt.After(rp.at) && endCommits >= rp.commits {
-			out.RampSec = rp.at.Sub(start).Seconds()
-			out.RampCommits = rp.commits - startCommits
-			out.SteadyTPS = float64(endCommits-rp.commits) / endAt.Sub(rp.at).Seconds()
-		}
-		bw.close(&out, *design)
-		buf, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fatal("json: %v", err)
-		}
-		buf = append(buf, '\n')
-		if *jsonOut == "-" {
-			os.Stdout.Write(buf)
-		} else if err := os.WriteFile(*jsonOut, buf, 0o644); err != nil {
-			fatal("json: %v", err)
-		}
 	}
 }
 
@@ -742,7 +561,7 @@ type statusReplica struct {
 	Epoch      int64   `json:"epoch"`
 	Applied    int64   `json:"applied"`
 	Behind     int64   `json:"versions_behind"`
-	QueueDepth int64   `json:"queue_depth"`
+	QueueDepth int64   `json:"queue_depth"` // the apply backlog, StatsOK.ApplyLag
 	ActiveTxns int64   `json:"active_txns"`
 	Commits    int64   `json:"commits"`
 	Aborts     int64   `json:"aborts"`
@@ -778,12 +597,15 @@ type statusPoller struct {
 }
 
 func newStatusPoller(servers []string, design string, mix workload.Mix) *statusPoller {
+	// The populations status infers come from zero-think closed-loop
+	// bench clients, so the model runs at think 0, not at the mix's
+	// think time, or Little's law inflates the population ~4000x.
+	// NewProfiler reads a think of 0 as "the mix's", hence the copy.
+	mix.Think = 0
 	p := &statusPoller{
 		design: design,
 		links:  make(map[string]*client.Link),
-		// The status profiler evaluates the model at think 0: the
-		// populations it infers come from closed-loop bench clients.
-		prof: elastic.NewProfiler(mix, 0),
+		prof:   elastic.NewProfiler(mix, 0),
 	}
 	for _, a := range servers {
 		p.addAddr(a)
@@ -843,7 +665,7 @@ func (p *statusPoller) poll() statusReport {
 		row.Leading = st.Leading
 		row.Epoch = st.Epoch
 		row.Applied = st.Applied
-		row.QueueDepth = st.QueueDepth
+		row.QueueDepth = st.ApplyLag
 		row.ActiveTxns = st.ActiveTxns
 		row.Commits = st.ReadCommits + st.UpdateCommits
 		row.Aborts = st.Aborts
@@ -865,16 +687,7 @@ func (p *statusPoller) poll() statusReport {
 		rep.Replicas = append(rep.Replicas, row)
 
 		polled = append(polled, addr)
-		sample.ReadCommits += st.ReadCommits
-		sample.UpdateCommits += st.UpdateCommits
-		sample.Aborts += st.Aborts
-		sample.ReadNs += st.ReadNs
-		sample.UpdateNs += st.UpdateNs
-		for i := range sample.StageCounts {
-			sample.StageCounts[i] += st.StageCounts[i]
-			sample.StageNs[i] += st.StageNs[i]
-		}
-		sample.Members++
+		sample.Add(st)
 	}
 	rep.Polled = len(p.addrs)
 	for i := range rep.Replicas {
@@ -1026,9 +839,6 @@ func statusMain(args []string) {
 		fatal("status: no replica answered")
 	}
 }
-
-// ms renders a duration in (fractional) milliseconds for JSON.
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // splitAddrs splits a comma-separated address list, trimming blanks.
 func splitAddrs(s string) []string {

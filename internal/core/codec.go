@@ -17,8 +17,8 @@ type paramsFile struct {
 const currentParamsVersion = 1
 
 // WriteParams serializes model parameters as JSON, the hand-off format
-// between the profiling step (cmd/profiledb) and the prediction step
-// (cmd/predict) — §4 produces a parameter file once, predictions are
+// between the profiling step (replicadb profile) and the prediction step
+// (replicadb predict) — §4 produces a parameter file once, predictions are
 // then rerun freely.
 func WriteParams(w io.Writer, p Params) error {
 	if err := p.Validate(); err != nil {

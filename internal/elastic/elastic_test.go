@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -70,6 +71,21 @@ func TestMembershipEvictsStaleJoinersOnly(t *testing.T) {
 	}
 	if !m.Contains(0) {
 		t.Fatal("static member evicted")
+	}
+}
+
+// TestSampleAdd pins the one fold of replicas' Stats counters into a
+// cluster sample that both the wire source and the status dashboard use.
+func TestSampleAdd(t *testing.T) {
+	var s Sample
+	s.Add(&wire.StatsOK{ReadCommits: 3, UpdateCommits: 2, Aborts: 1, ReadNs: 30, UpdateNs: 20,
+		StageCounts: [6]int64{1, 0, 0, 0, 2, 0}, StageNs: [6]int64{10, 0, 0, 0, 40, 0}})
+	s.Add(&wire.StatsOK{ReadCommits: 4, UpdateCommits: 1, ReadNs: 40, UpdateNs: 10, ApplyLag: 9,
+		StageCounts: [6]int64{0, 0, 0, 0, 1, 0}, StageNs: [6]int64{0, 0, 0, 0, 5, 0}})
+	want := Sample{ReadCommits: 7, UpdateCommits: 3, Aborts: 1, ReadNs: 70, UpdateNs: 30, Members: 2,
+		StageCounts: [6]int64{1, 0, 0, 0, 3, 0}, StageNs: [6]int64{10, 0, 0, 0, 45, 0}}
+	if s != want {
+		t.Fatalf("folded sample = %+v, want %+v", s, want)
 	}
 }
 

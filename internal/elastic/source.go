@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/wire"
 )
 
 // WireSource samples a networked cluster: it asks the primary for the
@@ -69,16 +70,7 @@ func (s *WireSource) Sample() (Sample, error) {
 			continue // excluded from the cohort: the window is discarded
 		}
 		polled = append(polled, addr)
-		out.ReadCommits += st.ReadCommits
-		out.UpdateCommits += st.UpdateCommits
-		out.Aborts += st.Aborts
-		out.ReadNs += st.ReadNs
-		out.UpdateNs += st.UpdateNs
-		for i := range out.StageCounts {
-			out.StageCounts[i] += st.StageCounts[i]
-			out.StageNs[i] += st.StageNs[i]
-		}
-		out.Members++
+		out.Add(st)
 	}
 	sort.Strings(polled)
 	out.Cohort = strings.Join(polled, ",")
@@ -92,6 +84,21 @@ func (s *WireSource) Sample() (Sample, error) {
 	}
 	s.mu.Unlock()
 	return out, nil
+}
+
+// Add folds one replica's Stats counters into the cluster-wide sum
+// and counts it as a member. The caller sets Cohort.
+func (s *Sample) Add(st *wire.StatsOK) {
+	s.ReadCommits += st.ReadCommits
+	s.UpdateCommits += st.UpdateCommits
+	s.Aborts += st.Aborts
+	s.ReadNs += st.ReadNs
+	s.UpdateNs += st.UpdateNs
+	for i := range s.StageCounts {
+		s.StageCounts[i] += st.StageCounts[i]
+		s.StageNs[i] += st.StageNs[i]
+	}
+	s.Members++
 }
 
 // Close releases every pooled link.

@@ -73,7 +73,7 @@ func scalability(mixes []workload.Mix, design core.Design, o Options) (throughpu
 
 // figureCache shares the expensive simulation sweeps between the
 // throughput and response-time variants of each figure pair when a
-// single process renders several experiments (cmd/experiments -exp
+// single process renders several experiments (replicadb experiments -exp
 // all). Keyed by (benchmark, design, options fingerprint).
 type pairKey struct {
 	bench  string

@@ -296,7 +296,6 @@ func (m *metrics) statsOK(eng *engine) *wire.StatsOK {
 		ReadNs:        rns,
 		UpdateNs:      uns,
 		Applied:       eng.applied(),
-		QueueDepth:    ap.Lag,
 		ActiveTxns:    m.activeTxns.Load(),
 		AppliedTotal:  ap.Total,
 		ApplyLag:      ap.Lag,

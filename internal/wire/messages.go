@@ -891,8 +891,8 @@ func (m *Stats) decode(*decoder)        {}
 
 // StatsOK carries one replica's cumulative counters: per-class commit
 // counts and summed client-visible latencies (nanoseconds), abort
-// count, the applied version, the propagation queue depth, and the
-// apply stage's cumulative throughput counter and current lag.
+// count, the applied version, and the apply stage's cumulative
+// throughput counter and current lag (its backlog of versions).
 // AppliedTotal is monotone, so pollers difference successive samples
 // into applied-versions/sec the same way the elastic profiler
 // differences commit counts.
@@ -903,7 +903,6 @@ type StatsOK struct {
 	ReadNs        int64
 	UpdateNs      int64
 	Applied       int64
-	QueueDepth    int64
 	ActiveTxns    int64
 	AppliedTotal  int64
 	ApplyLag      int64
@@ -938,7 +937,6 @@ func (m *StatsOK) encode(b []byte) []byte {
 	b = binary.AppendVarint(b, m.ReadNs)
 	b = binary.AppendVarint(b, m.UpdateNs)
 	b = binary.AppendVarint(b, m.Applied)
-	b = binary.AppendVarint(b, m.QueueDepth)
 	b = binary.AppendVarint(b, m.ActiveTxns)
 	b = binary.AppendVarint(b, m.AppliedTotal)
 	b = binary.AppendVarint(b, m.ApplyLag)
@@ -963,7 +961,6 @@ func (m *StatsOK) decode(d *decoder) {
 	m.ReadNs = d.Varint()
 	m.UpdateNs = d.Varint()
 	m.Applied = d.Varint()
-	m.QueueDepth = d.Varint()
 	m.ActiveTxns = d.Varint()
 	m.AppliedTotal = d.Varint()
 	m.ApplyLag = d.Varint()

@@ -113,7 +113,7 @@ func allMessages() []Message {
 		&MembersOK{Epoch: 9, ShardID: 1, ShardCount: 2, MapVersion: 1},
 		&Stats{},
 		&StatsOK{ReadCommits: 10, UpdateCommits: 4, Aborts: 1, ReadNs: 1e9,
-			UpdateNs: 5e8, Applied: 44, QueueDepth: 2, ActiveTxns: 3,
+			UpdateNs: 5e8, Applied: 44, ActiveTxns: 3,
 			AppliedTotal: 123, ApplyLag: 7,
 			StageCounts: [6]int64{100, 0, 90, 90, 80, 100},
 			StageNs:     [6]int64{5e6, 0, 2e6, 9e6, 1e6, 3e5},
