@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/paxos"
 	"repro/internal/writeset"
 )
@@ -146,9 +147,9 @@ type Certifier struct {
 
 	// Two-phase commit state (twopc.go), allocated lazily: in-doubt
 	// prepared fragments, their key locks, and recorded decisions.
-	prepared  map[string]PreparedTxn
-	prepIndex map[writeset.Key]string
-	decisions map[string]TwoPCDecision
+	prepared  map[codec.TxnID]PreparedTxn
+	prepIndex map[writeset.Key]codec.TxnID
+	decisions map[codec.TxnID]TwoPCDecision
 
 	commits int64
 	aborts  int64
@@ -622,7 +623,7 @@ func (c *Certifier) stageLocked(reqs []Request, res []Result) (aborts int64) {
 			res[i].Outcome = Outcome{Committed: false, ConflictWith: newest}
 			continue
 		}
-		if c.prepConflictLocked("", req.Writeset) {
+		if c.prepConflictLocked(codec.TxnID{}, req.Writeset) {
 			// A key is locked by an in-doubt cross-shard fragment; nothing
 			// may certify past its binding yes-vote (retry after it decides).
 			aborts++

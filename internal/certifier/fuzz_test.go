@@ -3,6 +3,7 @@ package certifier
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,10 +21,16 @@ func fuzzSeeds() []string {
 		{Key: writeset.Key{Table: "audit", Row: -1}, Delete: true},
 	})
 	batch := string(batchValue(Record{Version: 41, Writeset: ws1}, Record{Version: 42, Writeset: ws(2)}))
-	decide, _ := AppendDecision(nil, "x\xff1", true, 43, []Record{{Version: 43, Writeset: ws1}})
-	prepare := AppendPrepare(nil, PreparedTxn{ID: "x\xff1", Coord: 2, Snapshot: 40, Writeset: ws1})
-	abort, _ := AppendDecision(nil, "x2", false, 0, nil)
-	seeds := []string{batch, "", "noop", string(decide), string(prepare), string(abort)}
+	x1, x2 := codec.TxnID{Epoch: -1, Seq: 1 << 40}, codec.TxnID{Epoch: 2, Seq: 2}
+	decide, _ := AppendDecision(nil, x1, true, 43, []Record{{Version: 43, Writeset: ws1}}, nil)
+	prepare := AppendPrepare(nil, PreparedTxn{ID: x1, Coord: 2, Snapshot: 40, Writeset: ws1})
+	abort, _ := AppendDecision(nil, x2, false, 0, nil, []codec.TxnID{x2})
+	// A participant's decide-and-retire after its prepare, and a
+	// coordinator's decide retiring an earlier decision.
+	retired, _ := AppendDecision(slices.Clip(prepare), x1, true, 43, []Record{{Version: 43, Writeset: ws1}}, []codec.TxnID{x1})
+	piggy, _ := AppendDecision(nil, x2, true, 0, nil, []codec.TxnID{x1})
+	seeds := []string{batch, "", "noop", string(decide), string(prepare), string(abort),
+		string(retired), string(piggy), string(codec.ForgetFrame(nil, []codec.TxnID{x1, x2}))}
 	for _, i := range []int{1, len(batch) / 2, len(batch) - 2} {
 		mut := []byte(batch)
 		mut[i] ^= 0x40
@@ -71,7 +78,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			b = AppendPrepare(b, p)
 		}
 		for id, d := range rp.Decisions {
-			b, _ = AppendDecision(b, id, d.Commit, d.Version, nil)
+			b, _ = AppendDecision(b, id, d.Commit, d.Version, nil, nil)
 		}
 		b, _ = AppendRecords(b, rp.Records)
 		rp2, err := replayed(t, paxos.Value(b))

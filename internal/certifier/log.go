@@ -18,8 +18,10 @@ import (
 //   - a batch of commits is one writeset frame per record, then one
 //     commit marker covering them all (AppendRecords);
 //   - a 2PC decision is its decision frame, followed for a commit by the
-//     decided record's frames (AppendDecision);
-//   - a 2PC prepare is its single frame (AppendPrepare).
+//     decided record's frames, and then by a forget frame for the
+//     decisions it retires (AppendDecision);
+//   - a 2PC prepare is its single frame (AppendPrepare);
+//   - a retirement on its own is one forget frame (codec.ForgetFrame).
 //
 // Every reader decodes through Replay: WAL recovery feeds it a
 // segment's frames, and Recover, ReconcileLog and foldLocked feed it
@@ -37,18 +39,24 @@ func AppendRecords(b []byte, recs []Record) ([]byte, int64) {
 	return codec.CommitFrame(b, top), top
 }
 
-// AppendDecision appends a 2PC decision frame and, for a commit, the
-// decided records' frames (AppendRecords). The decision leads: a WAL
-// tail torn inside the write can lose the record but never the
-// decision, and recovery re-commits the record from the prepared
-// writeset (RestoreTwoPC). It returns the buffer with the highest
-// version it framed (0: none).
-func AppendDecision(b []byte, txn string, commit bool, version int64, recs []Record) ([]byte, int64) {
+// AppendDecision appends a 2PC decision frame, for a commit the
+// decided records' frames (AppendRecords), and, when retire is not
+// empty, one forget frame for the decisions it retires. The decision
+// leads and the retirement trails: a WAL tail torn inside the write
+// can lose the retirement or the record but never the decision, and
+// recovery re-commits the record from the prepared writeset
+// (RestoreTwoPC). It returns the buffer with the highest version it
+// framed (0: none).
+func AppendDecision(b []byte, txn codec.TxnID, commit bool, version int64, recs []Record, retire []codec.TxnID) ([]byte, int64) {
 	b = codec.DecisionFrame(b, txn, commit, version)
-	if !commit || len(recs) == 0 {
-		return b, 0
+	var top int64
+	if commit && len(recs) > 0 {
+		b, top = AppendRecords(b, recs)
 	}
-	return AppendRecords(b, recs)
+	if len(retire) > 0 {
+		b = codec.ForgetFrame(b, retire)
+	}
+	return b, top
 }
 
 // AppendPrepare appends the frame of an in-doubt fragment.
@@ -68,9 +76,11 @@ type Replay struct {
 	// lost. Abort-decided and forgotten fragments are dropped.
 	Prepared []PreparedTxn
 	// Decisions are the 2PC decisions not yet forgotten.
-	Decisions map[string]TwoPCDecision
+	Decisions map[codec.TxnID]TwoPCDecision
 	// staged are writesets no commit marker has covered yet.
 	staged []Record
+	// at indexes Prepared by id.
+	at map[codec.TxnID]int
 }
 
 // Apply folds one decoded frame into the state. Epoch headers and
@@ -92,27 +102,34 @@ func (r *Replay) Apply(f codec.Frame) error {
 		}
 		r.staged = keep
 	case codec.KindPrepare:
-		if f.Txn == "" || r.prepared(f.Txn) >= 0 {
+		if f.Txn.IsZero() {
+			return nil
+		}
+		if _, dup := r.at[f.Txn]; dup {
 			return nil // a duplicate prepare: the first one stands
 		}
+		if r.at == nil {
+			r.at = make(map[codec.TxnID]int)
+		}
+		r.at[f.Txn] = len(r.Prepared)
 		r.Prepared = append(r.Prepared, PreparedTxn{
 			ID: f.Txn, Coord: f.Coord, Snapshot: f.Snapshot, Writeset: f.Writeset,
 		})
 	case codec.KindDecision:
-		if f.Txn == "" {
+		if f.Txn.IsZero() {
 			return nil
 		}
 		if r.Decisions == nil {
-			r.Decisions = make(map[string]TwoPCDecision)
+			r.Decisions = make(map[codec.TxnID]TwoPCDecision)
 		}
 		r.Decisions[f.Txn] = TwoPCDecision{Commit: f.Commit, Version: f.Version}
 		if !f.Commit {
 			r.drop(f.Txn) // locks released; the fragment is gone
 		}
 	case codec.KindForget:
-		if f.Txn != "" {
-			delete(r.Decisions, f.Txn)
-			r.drop(f.Txn)
+		for _, id := range f.Forget {
+			delete(r.Decisions, id)
+			r.drop(id)
 		}
 	default:
 		return fmt.Errorf("certifier: a kind %d frame is not a log entry", f.Kind)
@@ -120,15 +137,24 @@ func (r *Replay) Apply(f codec.Frame) error {
 	return nil
 }
 
-// prepared returns the index of txn's fragment in Prepared, or -1.
-func (r *Replay) prepared(txn string) int {
-	return slices.IndexFunc(r.Prepared, func(p PreparedTxn) bool { return p.ID == txn })
-}
-
-// drop removes txn's fragment from Prepared.
-func (r *Replay) drop(txn string) {
-	if i := r.prepared(txn); i >= 0 {
-		r.Prepared = slices.Delete(r.Prepared, i, i+1)
+// drop removes txn's fragment from Prepared in constant time: the last
+// fragment takes its place.
+func (r *Replay) drop(txn codec.TxnID) {
+	i, ok := r.at[txn]
+	if !ok {
+		return
+	}
+	delete(r.at, txn)
+	last := len(r.Prepared) - 1
+	if i != last {
+		r.Prepared[i] = r.Prepared[last]
+		r.at[r.Prepared[i].ID] = i
+	}
+	r.Prepared[last] = PreparedTxn{}
+	r.Prepared = r.Prepared[:last]
+	if last == 0 {
+		// Emptied state equals state that never held a fragment.
+		r.Prepared, r.at = nil, nil
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/paxos"
 	"repro/internal/writeset"
 )
@@ -23,7 +24,8 @@ func binWS(row int64) writeset.Writeset {
 // Each must hand back the committed bytes, not a lossy re-encoding of
 // them.
 func TestLogIsBinarySafe(t *testing.T) {
-	const doubt, decided = "tx\xff\xfe", "tx\xfe\xff"
+	// Two ids whose encodings differ only in byte order.
+	doubt, decided := codec.TxnID{Epoch: 1, Seq: 2}, codec.TxnID{Epoch: 2, Seq: 1}
 	ids := []int{0, 1, 2}
 	c, tr, err := NewReplicated(3)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 // policyJournal is a TxnJournal whose writes or syncs fail on demand.
@@ -17,10 +19,10 @@ func (j *policyJournal) write() (int64, error) {
 	return int64(j.writes), j.appendErr
 }
 
-func (j *policyJournal) Append([]Record) (int64, error)           { return j.write() }
-func (j *policyJournal) AppendPrepare(PreparedTxn) (int64, error) { return j.write() }
-func (j *policyJournal) AppendForget(string) (int64, error)       { return j.write() }
-func (j *policyJournal) AppendDecision(string, bool, int64, []Record) (int64, error) {
+func (j *policyJournal) Append([]Record) (int64, error)            { return j.write() }
+func (j *policyJournal) AppendPrepare(PreparedTxn) (int64, error)  { return j.write() }
+func (j *policyJournal) AppendForget([]codec.TxnID) (int64, error) { return j.write() }
+func (j *policyJournal) AppendDecision(codec.TxnID, bool, int64, []Record, []codec.TxnID) (int64, error) {
 	return j.write()
 }
 
@@ -68,7 +70,7 @@ func TestJournalPolicy(t *testing.T) {
 		{
 			name: "Prepare",
 			run: func(c *Certifier) error {
-				_, _, err := c.Prepare(prep("t", 0, 3))
+				_, _, err := c.Prepare(prep(tid("t"), 0, 3))
 				return err
 			},
 			applied: func(c *Certifier) bool { return len(c.InDoubt()) == 1 },
@@ -76,15 +78,15 @@ func TestJournalPolicy(t *testing.T) {
 		{
 			name: "Decide(commit)",
 			setup: func(c *Certifier) error {
-				_, _, err := c.Prepare(prep("t", 0, 3))
+				_, _, err := c.Prepare(prep(tid("t"), 0, 3))
 				return err
 			},
 			run: func(c *Certifier) error {
-				_, err := c.Decide("t", true)
+				_, err := c.Decide(tid("t"), true)
 				return err
 			},
 			applied: func(c *Certifier) bool {
-				_, decided := c.Decided("t")
+				_, decided := c.Decided(tid("t"))
 				return decided && len(c.InDoubt()) == 0
 			},
 			records: true,
@@ -92,15 +94,15 @@ func TestJournalPolicy(t *testing.T) {
 		{
 			name: "Forget",
 			setup: func(c *Certifier) error {
-				if _, _, err := c.Prepare(prep("t", 0, 3)); err != nil {
+				if _, _, err := c.Prepare(prep(tid("t"), 0, 3)); err != nil {
 					return err
 				}
-				_, err := c.Decide("t", true)
+				_, err := c.Decide(tid("t"), true)
 				return err
 			},
-			run: func(c *Certifier) error { return c.Forget("t") },
+			run: func(c *Certifier) error { return c.Forget(tid("t")) },
 			applied: func(c *Certifier) bool {
-				_, decided := c.Decided("t")
+				_, decided := c.Decided(tid("t"))
 				return !decided
 			},
 		},
@@ -202,19 +204,19 @@ func TestPlainJournalSkipsTwoPCEntries(t *testing.T) {
 	j := &plainJournal{}
 	c := New()
 	c.SetJournal(j)
-	if vote, _, err := c.Prepare(prep("t", 0, 3)); err != nil || !vote {
+	if vote, _, err := c.Prepare(prep(tid("t"), 0, 3)); err != nil || !vote {
 		t.Fatalf("prepare: %v %v", vote, err)
 	}
 	if j.appends != 0 || j.syncs != 0 {
 		t.Fatalf("prepare reached a plain journal: %d appends, %d syncs", j.appends, j.syncs)
 	}
-	if _, err := c.Decide("t", true); err != nil {
+	if _, err := c.Decide(tid("t"), true); err != nil {
 		t.Fatal(err)
 	}
 	if j.appends != 1 || j.syncs != 1 {
 		t.Fatalf("commit decision: %d appends, %d syncs, want 1 and 1", j.appends, j.syncs)
 	}
-	if err := c.Forget("t"); err != nil {
+	if err := c.Forget(tid("t")); err != nil {
 		t.Fatal(err)
 	}
 	if j.appends != 1 || j.syncs != 1 {

@@ -24,6 +24,7 @@ package certifier
 import (
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/writeset"
 )
 
@@ -32,7 +33,7 @@ import (
 // globally unique transaction id the router coordinator minted.
 type PreparedTxn struct {
 	// ID is the cross-shard transaction id (unique across restarts).
-	ID string
+	ID codec.TxnID
 	// Coord is the coordinator shard group's id — where Resolve asks.
 	Coord int64
 	// Snapshot is the GSI snapshot the fragment was certified against.
@@ -52,33 +53,36 @@ type TwoPCDecision struct {
 
 // TxnJournal is the optional two-phase-commit extension of Journal: a
 // write-ahead log that can journal prepares, decisions and forgets.
-// AppendDecision writes the decision frame and, for commits, the
-// decided record's writeset and commit marker in ONE write — with the
-// decision frame first, so a torn tail can lose the record but never
-// the decision (recovery re-commits from the prepared writeset; see
-// RestoreTwoPC). All three return a sequence for Journal.Sync.
+// AppendDecision writes the decision frame, for commits the decided
+// record's writeset and commit marker, and then the retirement of the
+// decisions in retire, in ONE write: the frames the package-level
+// AppendDecision builds. A torn tail cuts a suffix: it can lose the
+// retirement or the record but never the decision (recovery re-commits
+// from the prepared writeset; see RestoreTwoPC). All three return a
+// sequence for Journal.Sync.
 type TxnJournal interface {
 	AppendPrepare(p PreparedTxn) (seq int64, err error)
-	AppendDecision(txn string, commit bool, version int64, recs []Record) (seq int64, err error)
-	AppendForget(txn string) (seq int64, err error)
+	AppendDecision(txn codec.TxnID, commit bool, version int64, recs []Record, retire []codec.TxnID) (seq int64, err error)
+	AppendForget(txns []codec.TxnID) (seq int64, err error)
 }
 
 // ensureTwoPCLocked lazily allocates the 2PC state (most certifiers
 // never see a cross-shard transaction).
 func (c *Certifier) ensureTwoPCLocked() {
 	if c.prepared == nil {
-		c.prepared = make(map[string]PreparedTxn)
-		c.prepIndex = make(map[writeset.Key]string)
-		c.decisions = make(map[string]TwoPCDecision)
+		c.prepared = make(map[codec.TxnID]PreparedTxn)
+		c.prepIndex = make(map[writeset.Key]codec.TxnID)
+		c.decisions = make(map[codec.TxnID]TwoPCDecision)
 	}
 }
 
 // prepConflictLocked reports whether ws overlaps a key locked by a
-// prepared transaction other than id. Such an overlap blocks both
+// prepared transaction other than id (the zero id for an ordinary
+// certification). Such an overlap blocks both
 // ordinary certification and competing prepares: the prepared fragment
 // holds a binding yes-vote and nothing may certify past its lock until
 // the decision lands.
-func (c *Certifier) prepConflictLocked(id string, ws writeset.Writeset) bool {
+func (c *Certifier) prepConflictLocked(id codec.TxnID, ws writeset.Writeset) bool {
 	if len(c.prepIndex) == 0 {
 		return false
 	}
@@ -100,7 +104,7 @@ func (c *Certifier) lockLocked(p PreparedTxn) {
 }
 
 // unlockLocked releases a prepared transaction's key locks.
-func (c *Certifier) unlockLocked(id string) {
+func (c *Certifier) unlockLocked(id codec.TxnID) {
 	p, ok := c.prepared[id]
 	if !ok {
 		return
@@ -182,13 +186,24 @@ func (c *Certifier) Prepare(p PreparedTxn) (vote bool, conflictWith int64, err e
 // call is idempotent — a duplicate returns the recorded outcome.
 // Deciding commit for a transaction this certifier never prepared is
 // an error (the prepare's durability was the vote's whole point).
-func (c *Certifier) Decide(id string, commit bool) (version int64, err error) {
+//
+// retire lists decisions to retire in the same journal write and Paxos
+// value, after the decision's record frames: id itself at a
+// participant (nobody resolves against a participant) and for an abort
+// (presumed abort needs no record of one), and at the coordinator the
+// earlier decisions every participant has since acknowledged.
+func (c *Certifier) Decide(id codec.TxnID, commit bool, retire ...codec.TxnID) (version int64, err error) {
 	c.mu.Lock()
 	c.ensureTwoPCLocked()
 	if d, ok := c.decisions[id]; ok {
 		c.mu.Unlock()
 		if d.Commit != commit {
 			return 0, fmt.Errorf("certifier: txn %s already decided %v", id, d.Commit)
+		}
+		if len(retire) > 0 {
+			if err := c.Forget(retire...); err != nil {
+				return 0, err
+			}
 		}
 		return d.Version, nil
 	}
@@ -203,8 +218,8 @@ func (c *Certifier) Decide(id string, commit bool) (version int64, err error) {
 	// must learn the decision: a promoted backup that lost the leader's
 	// memory still answers Resolve correctly. The value is the frames
 	// the journal writes for the decision (AppendDecision), so a
-	// decide-commit carries its record and every recovery path commits
-	// it like any other.
+	// decide-commit carries its record and its retirements, and every
+	// recovery path replays them like any other.
 	_, err = c.proposeLocked(func() bool {
 		if commit {
 			version = c.version + 1
@@ -212,7 +227,7 @@ func (c *Certifier) Decide(id string, commit bool) (version int64, err error) {
 		}
 		return true
 	}, func(b []byte) []byte {
-		b, _ = AppendDecision(b, id, commit, version, c.stagedLocked())
+		b, _ = AppendDecision(b, id, commit, version, c.stagedLocked(), retire)
 		return b
 	})
 	if err != nil {
@@ -227,7 +242,7 @@ func (c *Certifier) Decide(id string, commit bool) (version int64, err error) {
 		tj, txn := c.journal.(TxnJournal)
 		switch {
 		case txn:
-			j, seq, err = c.journaledLocked(tj.AppendDecision(id, commit, version, staged))
+			j, seq, err = c.journaledLocked(tj.AppendDecision(id, commit, version, staged, retire))
 		case commit:
 			j, seq, err = c.journaledLocked(c.journal.Append(staged))
 		}
@@ -243,6 +258,7 @@ func (c *Certifier) Decide(id string, commit bool) (version int64, err error) {
 		c.aborts++
 	}
 	c.decisions[id] = TwoPCDecision{Commit: commit, Version: version}
+	c.retireLocked(retire)
 	c.mu.Unlock()
 	if _, err := c.syncJournal(j, seq, version); err != nil {
 		return 0, fmt.Errorf("certifier: journal sync (decision outcome unknown): %w", err)
@@ -250,12 +266,20 @@ func (c *Certifier) Decide(id string, commit bool) (version int64, err error) {
 	return version, nil
 }
 
+// retireLocked drops the decisions, and any fragments, of ids.
+func (c *Certifier) retireLocked(ids []codec.TxnID) {
+	for _, id := range ids {
+		delete(c.decisions, id)
+		c.unlockLocked(id)
+	}
+}
+
 // Resolve answers a recovering participant's in-doubt inquiry at the
 // coordinator group: the recorded decision if one exists, otherwise
 // PRESUMED ABORT — and the abort is written down (journaled, and
 // proposed when replicated) before it is answered, so a delayed
 // commit decision for the same transaction can never contradict it.
-func (c *Certifier) Resolve(id string) (commit bool, err error) {
+func (c *Certifier) Resolve(id codec.TxnID) (commit bool, err error) {
 	c.mu.Lock()
 	c.ensureTwoPCLocked()
 	if d, ok := c.decisions[id]; ok {
@@ -269,26 +293,41 @@ func (c *Certifier) Resolve(id string) (commit bool, err error) {
 	return false, nil
 }
 
-// Forget discards a fully acknowledged transaction's decision record —
-// the coordinator calls it once every participant has applied the
-// decision, bounding the decisions map. Presumed abort makes
-// forgetting aborts safe immediately.
-func (c *Certifier) Forget(id string) error {
+// Forget retires fully acknowledged decisions — the coordinator's,
+// once every participant has applied them — bounding the decisions
+// map. Presumed abort makes forgetting aborts safe immediately. The
+// retirement is journaled and, on a replicated certifier, proposed, so
+// a promoted backup or a restarted leader reconciling with the quorum
+// log does not reinstate what was retired.
+func (c *Certifier) Forget(ids ...codec.TxnID) error {
 	c.mu.Lock()
 	c.ensureTwoPCLocked()
+	known := false
+	for _, id := range ids {
+		_, decided := c.decisions[id]
+		_, prepared := c.prepared[id]
+		known = known || decided || prepared
+	}
+	if !known {
+		c.mu.Unlock()
+		return nil
+	}
+	if _, err := c.proposeLocked(func() bool { return true }, func(b []byte) []byte {
+		return codec.ForgetFrame(b, ids)
+	}); err != nil {
+		c.mu.Unlock()
+		return err
+	}
 	var j Journal
 	var seq int64
-	if _, known := c.decisions[id]; known {
-		if tj, ok := c.journal.(TxnJournal); ok {
-			var err error
-			if j, seq, err = c.journaledLocked(tj.AppendForget(id)); err != nil {
-				c.mu.Unlock()
-				return fmt.Errorf("certifier: journal forget: %w", err)
-			}
+	if tj, ok := c.journal.(TxnJournal); ok {
+		var err error
+		if j, seq, err = c.journaledLocked(tj.AppendForget(ids)); err != nil {
+			c.mu.Unlock()
+			return fmt.Errorf("certifier: journal forget: %w", err)
 		}
 	}
-	delete(c.decisions, id)
-	c.unlockLocked(id)
+	c.retireLocked(ids)
 	c.mu.Unlock()
 	if _, err := c.syncJournal(j, seq, 0); err != nil {
 		return fmt.Errorf("certifier: journal sync (forget outcome unknown): %w", err)
@@ -309,9 +348,17 @@ func (c *Certifier) InDoubt() []PreparedTxn {
 	return out
 }
 
+// TwoPCCounts returns how many fragments are in doubt and how many
+// decisions are recorded, without copying either.
+func (c *Certifier) TwoPCCounts() (inDoubt, decisions int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.prepared), len(c.decisions)
+}
+
 // Decided returns the recorded decision for a transaction, if any —
 // the fast path Resolve consults, exposed for status tooling.
-func (c *Certifier) Decided(id string) (TwoPCDecision, bool) {
+func (c *Certifier) Decided(id codec.TxnID) (TwoPCDecision, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d, ok := c.decisions[id]
@@ -325,7 +372,7 @@ func (c *Certifier) Decided(id string) (TwoPCDecision, bool) {
 // re-committed from the prepared writeset at that same version. The
 // journal, if any, must be attached first so the re-commit is
 // re-journaled.
-func (c *Certifier) RestoreTwoPC(prepared []PreparedTxn, decisions map[string]TwoPCDecision) error {
+func (c *Certifier) RestoreTwoPC(prepared []PreparedTxn, decisions map[codec.TxnID]TwoPCDecision) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.restoreTwoPCLocked(prepared, decisions)
@@ -334,7 +381,7 @@ func (c *Certifier) RestoreTwoPC(prepared []PreparedTxn, decisions map[string]Tw
 // restoreTwoPCLocked installs replayed 2PC state (see Replay) in place
 // of the certifier's own: WAL recovery and the Paxos recovery paths
 // both end here.
-func (c *Certifier) restoreTwoPCLocked(prepared []PreparedTxn, decisions map[string]TwoPCDecision) error {
+func (c *Certifier) restoreTwoPCLocked(prepared []PreparedTxn, decisions map[codec.TxnID]TwoPCDecision) error {
 	c.prepared, c.prepIndex, c.decisions = nil, nil, nil
 	c.ensureTwoPCLocked()
 	for id, d := range decisions {

@@ -1,14 +1,23 @@
 package certifier
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/paxos"
 )
 
-func prep(id string, snapshot int64, keys ...int64) PreparedTxn {
+func prep(id codec.TxnID, snapshot int64, keys ...int64) PreparedTxn {
 	return PreparedTxn{ID: id, Snapshot: snapshot, Writeset: ws(keys...)}
+}
+
+// tid names a test transaction: the same name is always the same id.
+func tid(name string) codec.TxnID {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return codec.TxnID{Epoch: 1, Seq: int64(h.Sum64() >> 1)}
 }
 
 // TestPrepareDecideCommit walks the happy path: a prepared fragment
@@ -20,7 +29,7 @@ func TestPrepareDecideCommit(t *testing.T) {
 	if out, _ := c.Certify(0, ws(1)); !out.Committed {
 		t.Fatal("seed certify failed")
 	}
-	vote, _, err := c.Prepare(prep("t1", c.Version(), 10))
+	vote, _, err := c.Prepare(prep(tid("t1"), c.Version(), 10))
 	if err != nil || !vote {
 		t.Fatalf("prepare: vote=%v err=%v", vote, err)
 	}
@@ -34,16 +43,16 @@ func TestPrepareDecideCommit(t *testing.T) {
 		t.Fatal("disjoint certify blocked by unrelated lock")
 	}
 	want := c.Version() + 1
-	ver, err := c.Decide("t1", true)
+	ver, err := c.Decide(tid("t1"), true)
 	if err != nil || ver != want {
 		t.Fatalf("decide: version=%d err=%v, want %d", ver, err, want)
 	}
 	// Idempotent: a duplicate decide echoes the recorded outcome.
-	if v2, err := c.Decide("t1", true); err != nil || v2 != ver {
+	if v2, err := c.Decide(tid("t1"), true); err != nil || v2 != ver {
 		t.Fatalf("duplicate decide: %d %v", v2, err)
 	}
 	// A contradictory duplicate is an error, never a silent flip.
-	if _, err := c.Decide("t1", false); err == nil {
+	if _, err := c.Decide(tid("t1"), false); err == nil {
 		t.Fatal("contradictory decide accepted")
 	}
 	recs := c.Since(ver - 1)
@@ -57,10 +66,10 @@ func TestPrepareDecideCommit(t *testing.T) {
 	if len(c.InDoubt()) != 0 {
 		t.Fatalf("in doubt after decide: %+v", c.InDoubt())
 	}
-	if err := c.Forget("t1"); err != nil {
+	if err := c.Forget(tid("t1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Decided("t1"); ok {
+	if _, ok := c.Decided(tid("t1")); ok {
 		t.Fatal("decision survived Forget")
 	}
 }
@@ -72,31 +81,31 @@ func TestPrepareDecideCommit(t *testing.T) {
 func TestPrepareConflicts(t *testing.T) {
 	c := New()
 	c.Certify(0, ws(1))
-	vote, with, err := c.Prepare(prep("stale", 0, 1))
+	vote, with, err := c.Prepare(prep(tid("stale"), 0, 1))
 	if err != nil || vote {
 		t.Fatalf("stale prepare voted yes (err=%v)", err)
 	}
 	if with != 1 {
 		t.Fatalf("conflict attributed to version %d, want 1", with)
 	}
-	if vote, _, _ := c.Prepare(prep("a", c.Version(), 5)); !vote {
+	if vote, _, _ := c.Prepare(prep(tid("a"), c.Version(), 5)); !vote {
 		t.Fatal("clean prepare voted no")
 	}
-	if vote, _, _ := c.Prepare(prep("b", c.Version(), 5, 6)); vote {
+	if vote, _, _ := c.Prepare(prep(tid("b"), c.Version(), 5, 6)); vote {
 		t.Fatal("overlapping prepare voted yes")
 	}
-	if vote, _, _ := c.Prepare(prep("a", c.Version(), 5)); !vote {
+	if vote, _, _ := c.Prepare(prep(tid("a"), c.Version(), 5)); !vote {
 		t.Fatal("duplicate prepare flipped its vote")
 	}
 	// Abort releases the lock; the key is immediately certifiable.
-	if ver, err := c.Decide("a", false); err != nil || ver != 0 {
+	if ver, err := c.Decide(tid("a"), false); err != nil || ver != 0 {
 		t.Fatalf("abort decide: %d %v", ver, err)
 	}
 	if out, _ := c.Certify(c.Version(), ws(5)); !out.Committed {
 		t.Fatal("abort did not release the lock")
 	}
 	// Commit for a transaction never prepared here is an error.
-	if _, err := c.Decide("ghost", true); err == nil {
+	if _, err := c.Decide(tid("ghost"), true); err == nil {
 		t.Fatal("commit decision for unknown txn accepted")
 	}
 }
@@ -107,21 +116,21 @@ func TestPrepareConflicts(t *testing.T) {
 // contradict the answer it already gave.
 func TestPresumedAbortResolve(t *testing.T) {
 	c := New()
-	commit, err := c.Resolve("ghost")
+	commit, err := c.Resolve(tid("ghost"))
 	if err != nil || commit {
 		t.Fatalf("resolve unknown: commit=%v err=%v", commit, err)
 	}
-	if d, ok := c.Decided("ghost"); !ok || d.Commit {
+	if d, ok := c.Decided(tid("ghost")); !ok || d.Commit {
 		t.Fatalf("presumed abort not recorded: %+v ok=%v", d, ok)
 	}
-	if _, err := c.Decide("ghost", true); err == nil {
+	if _, err := c.Decide(tid("ghost"), true); err == nil {
 		t.Fatal("commit accepted after presumed abort was answered")
 	}
 	// Resolve echoes a recorded commit too.
 	c.Certify(0, ws(1))
-	c.Prepare(prep("x", c.Version(), 2))
-	c.Decide("x", true)
-	if commit, err := c.Resolve("x"); err != nil || !commit {
+	c.Prepare(prep(tid("x"), c.Version(), 2))
+	c.Decide(tid("x"), true)
+	if commit, err := c.Resolve(tid("x")); err != nil || !commit {
 		t.Fatalf("resolve decided commit: %v %v", commit, err)
 	}
 }
@@ -131,7 +140,7 @@ func TestPresumedAbortResolve(t *testing.T) {
 func TestPreparedLockBlocksBatch(t *testing.T) {
 	c := New()
 	c.Certify(0, ws(1))
-	if vote, _, _ := c.Prepare(prep("p", c.Version(), 7)); !vote {
+	if vote, _, _ := c.Prepare(prep(tid("p"), c.Version(), 7)); !vote {
 		t.Fatal("prepare voted no")
 	}
 	snap := c.Version()
@@ -162,13 +171,13 @@ func TestReplicatedPrepareSurvivesPromote(t *testing.T) {
 		t.Fatalf("seed: %+v %v", out, err)
 	}
 	// One decided-abort txn and one still in doubt at failover time.
-	if vote, _, err := a.Prepare(prep("dead", a.Version(), 40)); err != nil || !vote {
+	if vote, _, err := a.Prepare(prep(tid("dead"), a.Version(), 40)); err != nil || !vote {
 		t.Fatalf("prepare dead: %v %v", vote, err)
 	}
-	if _, err := a.Decide("dead", false); err != nil {
+	if _, err := a.Decide(tid("dead"), false); err != nil {
 		t.Fatal(err)
 	}
-	if vote, _, err := a.Prepare(prep("doubt", a.Version(), 50)); err != nil || !vote {
+	if vote, _, err := a.Prepare(prep(tid("doubt"), a.Version(), 50)); err != nil || !vote {
 		t.Fatalf("prepare doubt: %v %v", vote, err)
 	}
 
@@ -177,17 +186,17 @@ func TestReplicatedPrepareSurvivesPromote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(b.InDoubt()); got != 1 || b.InDoubt()[0].ID != "doubt" {
+	if got := len(b.InDoubt()); got != 1 || b.InDoubt()[0].ID != tid("doubt") {
 		t.Fatalf("promoted in-doubt set: %+v", b.InDoubt())
 	}
 	if out, _ := b.Certify(b.Version(), ws(50)); out.Committed {
 		t.Fatal("promoted leader certified past an inherited lock")
 	}
-	if commit, err := b.Resolve("dead"); err != nil || commit {
+	if commit, err := b.Resolve(tid("dead")); err != nil || commit {
 		t.Fatalf("promoted leader lost the abort decision: %v %v", commit, err)
 	}
 	want := b.Version() + 1
-	ver, err := b.Decide("doubt", true)
+	ver, err := b.Decide(tid("doubt"), true)
 	if err != nil || ver != want {
 		t.Fatalf("promoted decide: %d %v want %d", ver, err, want)
 	}
@@ -203,8 +212,8 @@ type recordingTxnJournal struct {
 	synced   int64
 	syncErr  error
 	prepares []PreparedTxn
-	decides  []string
-	forgets  []string
+	decides  []codec.TxnID
+	forgets  []codec.TxnID
 	appends  [][]Record
 }
 
@@ -227,7 +236,7 @@ func (r *recordingTxnJournal) AppendPrepare(p PreparedTxn) (int64, error) {
 	r.seq++
 	return r.seq, nil
 }
-func (r *recordingTxnJournal) AppendDecision(txn string, commit bool, version int64, recs []Record) (int64, error) {
+func (r *recordingTxnJournal) AppendDecision(txn codec.TxnID, commit bool, version int64, recs []Record, _ []codec.TxnID) (int64, error) {
 	r.decides = append(r.decides, txn)
 	if commit {
 		r.appends = append(r.appends, recs)
@@ -235,8 +244,8 @@ func (r *recordingTxnJournal) AppendDecision(txn string, commit bool, version in
 	r.seq++
 	return r.seq, nil
 }
-func (r *recordingTxnJournal) AppendForget(txn string) (int64, error) {
-	r.forgets = append(r.forgets, txn)
+func (r *recordingTxnJournal) AppendForget(txns []codec.TxnID) (int64, error) {
+	r.forgets = append(r.forgets, txns...)
 	r.seq++
 	return r.seq, nil
 }
@@ -247,20 +256,20 @@ func TestTwoPCJournaling(t *testing.T) {
 	j := &recordingTxnJournal{}
 	c := New()
 	c.SetJournal(j)
-	if vote, _, err := c.Prepare(prep("t", 0, 3)); err != nil || !vote {
+	if vote, _, err := c.Prepare(prep(tid("t"), 0, 3)); err != nil || !vote {
 		t.Fatalf("prepare: %v %v", vote, err)
 	}
-	if len(j.prepares) != 1 || j.prepares[0].ID != "t" || j.synced != j.seq {
+	if len(j.prepares) != 1 || j.prepares[0].ID != tid("t") || j.synced != j.seq {
 		t.Fatalf("prepare not journaled+synced: %+v synced=%d seq=%d", j.prepares, j.synced, j.seq)
 	}
-	ver, err := c.Decide("t", true)
+	ver, err := c.Decide(tid("t"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(j.decides) != 1 || len(j.appends) != 1 || j.appends[0][0].Version != ver || j.synced != j.seq {
 		t.Fatalf("decision not journaled with its record: decides=%v appends=%+v", j.decides, j.appends)
 	}
-	if err := c.Forget("t"); err != nil {
+	if err := c.Forget(tid("t")); err != nil {
 		t.Fatal(err)
 	}
 	if len(j.forgets) != 1 || j.synced != j.seq {
@@ -275,7 +284,7 @@ func TestPrepareSyncFailureRefusesVote(t *testing.T) {
 	j := &recordingTxnJournal{syncErr: errSyncFailed}
 	c := New()
 	c.SetJournal(j)
-	vote, _, err := c.Prepare(prep("t", 0, 3))
+	vote, _, err := c.Prepare(prep(tid("t"), 0, 3))
 	if vote {
 		t.Fatal("voted yes on an undurable prepare")
 	}
@@ -304,8 +313,8 @@ func TestRestoreTwoPCRecommitsTornDecision(t *testing.T) {
 		{Version: 2, Writeset: ws(2)},
 	}
 	c := NewFromRecords(base, 0)
-	prepared := []PreparedTxn{prep("t", 2, 9)}
-	decisions := map[string]TwoPCDecision{"t": {Commit: true, Version: 3}}
+	prepared := []PreparedTxn{prep(tid("t"), 2, 9)}
+	decisions := map[codec.TxnID]TwoPCDecision{tid("t"): {Commit: true, Version: 3}}
 	if err := c.RestoreTwoPC(prepared, decisions); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +330,7 @@ func TestRestoreTwoPCRecommitsTornDecision(t *testing.T) {
 	}
 	// A gap between the decision and the log is corruption, not a tear.
 	c2 := NewFromRecords(base, 0)
-	bad := map[string]TwoPCDecision{"t": {Commit: true, Version: 5}}
+	bad := map[codec.TxnID]TwoPCDecision{tid("t"): {Commit: true, Version: 5}}
 	if err := c2.RestoreTwoPC(prepared, bad); err == nil {
 		t.Fatal("version gap accepted")
 	}
@@ -331,20 +340,65 @@ func TestRestoreTwoPCRecommitsTornDecision(t *testing.T) {
 // recovery and stays queryable via InDoubt until resolved.
 func TestRestoreTwoPCInDoubt(t *testing.T) {
 	c := NewFromRecords([]Record{{Version: 1, Writeset: ws(1)}}, 0)
-	if err := c.RestoreTwoPC([]PreparedTxn{prep("d", 1, 4)}, nil); err != nil {
+	if err := c.RestoreTwoPC([]PreparedTxn{prep(tid("d"), 1, 4)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.InDoubt(); len(got) != 1 || got[0].ID != "d" {
+	if got := c.InDoubt(); len(got) != 1 || got[0].ID != tid("d") {
 		t.Fatalf("in doubt: %+v", got)
 	}
 	if out, _ := c.Certify(c.Version(), ws(4)); out.Committed {
 		t.Fatal("certified past a recovered in-doubt lock")
 	}
 	// Resolution (here: abort) releases it.
-	if _, err := c.Decide("d", false); err != nil {
+	if _, err := c.Decide(tid("d"), false); err != nil {
 		t.Fatal(err)
 	}
 	if out, _ := c.Certify(c.Version(), ws(4)); !out.Committed {
 		t.Fatal("lock survived resolution")
+	}
+}
+
+// TestPromoteForgetsRetiredDecisions: retirements travel in the Paxos
+// log like the decisions they retire, so a backup promoted after 100
+// prepare/decide/retire cycles inherits no in-doubt fragment and no
+// decision — whether the cycle retired through Forget or in the
+// decide's own value — and every decided record.
+func TestPromoteForgetsRetiredDecisions(t *testing.T) {
+	const cycles = 100
+	ids := []int{0, 1, 2}
+	c, tr, err := NewReplicated(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range int64(cycles) {
+		id := codec.TxnID{Epoch: 1, Seq: i + 1}
+		if vote, _, err := c.Prepare(prep(id, c.Version(), i)); err != nil || !vote {
+			t.Fatalf("cycle %d prepare: %v %v", i, vote, err)
+		}
+		if i%2 == 0 {
+			if _, err := c.Decide(id, true); err != nil {
+				t.Fatalf("cycle %d decide: %v", i, err)
+			}
+			if err := c.Forget(id); err != nil {
+				t.Fatalf("cycle %d forget: %v", i, err)
+			}
+		} else if _, err := c.Decide(id, true, id); err != nil {
+			t.Fatalf("cycle %d decide-and-retire: %v", i, err)
+		}
+	}
+	p, _, err := Promote(1, ids, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := p.InDoubt(); len(in) != 0 {
+		t.Fatalf("promoted backup holds %d in-doubt fragments", len(in))
+	}
+	for i := range int64(cycles) {
+		if d, ok := p.Decided(codec.TxnID{Epoch: 1, Seq: i + 1}); ok {
+			t.Fatalf("promoted backup resurrected cycle %d's decision %+v", i, d)
+		}
+	}
+	if p.Version() != cycles || len(p.Since(0)) != cycles {
+		t.Fatalf("promoted backup at version %d with %d records, want %d", p.Version(), len(p.Since(0)), cycles)
 	}
 }

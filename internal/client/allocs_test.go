@@ -14,6 +14,7 @@ import (
 	"unsafe"
 
 	"repro/internal/certifier"
+	"repro/internal/codec"
 	"repro/internal/wire"
 	"repro/internal/writeset"
 )
@@ -172,7 +173,7 @@ func TestDecisionVerbAllocs(t *testing.T) {
 	pool := cl.reps[0].pool
 	pool.idle = append(pool.idle, &wconn{nc: stillConn{nc}, wc: wire.NewConn(&replayRW{stream: stream.Bytes()})})
 
-	const id = "x18f3a2b4c5d6e7f8-42"
+	id := codec.TxnID{Epoch: 0x18f3a2b4c5d6e7f8, Seq: 42}
 	decide := func() {
 		if v, err := cl.DecideTxn(id, true); err != nil || v != 42 {
 			t.Fatalf("decide = %d, %v", v, err)

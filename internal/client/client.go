@@ -483,6 +483,9 @@ type Txn struct {
 	// a sharded router uses to tell writing participants from read-only
 	// bystanders (the server holds the actual writeset).
 	wrote bool
+	// deciding marks a 2PC decide in flight after the transaction ended
+	// (SendDecide): conn and pool are then the host connection's.
+	deciding bool
 }
 
 var _ repl.Txn = (*Txn)(nil)
@@ -643,10 +646,35 @@ func (t *Txn) Delete(table string, row int64) error {
 // shut, so the client reports the ambiguity rather than invent an
 // abort.
 func (t *Txn) Commit() error {
+	if err := t.SendCommit(); err != nil {
+		return err
+	}
+	return t.RecvCommit()
+}
+
+// SendCommit sends the commit request, the first half of Commit;
+// RecvCommit reads its reply. Between the halves the connection stays
+// this transaction's, so a router can have every group's commit in
+// flight at once. A failed send ends the transaction with its outcome
+// unknown, and RecvCommit then reports errDone.
+func (t *Txn) SendCommit() error {
 	if t.done {
 		return errDone
 	}
-	reply, err := roundTrip(t.conn, &wire.Commit{})
+	if err := t.conn.wc.Send(&wire.Commit{}); err != nil {
+		t.fail(err)
+		return &repl.UnknownOutcomeError{Err: err}
+	}
+	return nil
+}
+
+// RecvCommit reads the reply SendCommit asked for and ends the
+// transaction.
+func (t *Txn) RecvCommit() error {
+	if t.done {
+		return errDone
+	}
+	reply, err := t.conn.wc.Recv()
 	if err != nil {
 		t.fail(err)
 		return &repl.UnknownOutcomeError{Err: err}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/repl"
 	"repro/internal/wire"
 	"repro/internal/writeset"
@@ -206,7 +207,7 @@ func TestFinishedTxnStaysDone(t *testing.T) {
 		if err := a.Commit(); !errors.Is(err, errDone) {
 			t.Fatalf("finished Commit: %v, want errDone", err)
 		}
-		if _, _, err := a.Prepare("x1", 0); !errors.Is(err, errDone) {
+		if _, _, err := a.Prepare(codec.TxnID{Epoch: 1, Seq: 1}, 0); !errors.Is(err, errDone) {
 			t.Fatalf("finished Prepare: %v, want errDone", err)
 		}
 		a.Abort()

@@ -73,6 +73,7 @@ func TestFramesRoundTrip(t *testing.T) {
 		"item":  {0: "a", 63: "", math.MaxInt64: "z"},
 		"empty": {},
 	}
+	tx := TxnID{Epoch: -1 << 62, Seq: 7}
 	cases := []struct {
 		frame []byte
 		want  Frame
@@ -82,9 +83,9 @@ func TestFramesRoundTrip(t *testing.T) {
 		{CommitFrame(nil, 41), Frame{Kind: KindCommit, Version: 41}},
 		{SnapshotFrame(nil, 42, state), Frame{Kind: KindSnapshot, Version: 42, Tables: state}},
 		{SnapshotFrame(nil, 43, nil), Frame{Kind: KindSnapshot, Version: 43, Tables: map[string]map[int64]string{}}},
-		{PrepareFrame(nil, "tx\xff", 2, 40, ws), Frame{Kind: KindPrepare, Txn: "tx\xff", Coord: 2, Snapshot: 40, Writeset: ws}},
-		{DecisionFrame(nil, "tx\xff", true, 44), Frame{Kind: KindDecision, Txn: "tx\xff", Commit: true, Version: 44}},
-		{ForgetFrame(nil, "tx\xff"), Frame{Kind: KindForget, Txn: "tx\xff"}},
+		{PrepareFrame(nil, tx, 2, 40, ws), Frame{Kind: KindPrepare, Txn: tx, Coord: 2, Snapshot: 40, Writeset: ws}},
+		{DecisionFrame(nil, tx, true, 44), Frame{Kind: KindDecision, Txn: tx, Commit: true, Version: 44}},
+		{ForgetFrame(nil, []TxnID{tx, {Epoch: 2, Seq: 1}}), Frame{Kind: KindForget, Forget: []TxnID{tx, {Epoch: 2, Seq: 1}}}},
 	}
 	for _, tc := range cases {
 		payload, size := NextFrame(tc.frame)

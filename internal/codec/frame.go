@@ -79,19 +79,27 @@ const (
 	// joiner journals the snapshot it was sent. Every table it names is
 	// restored, empty ones included.
 	KindSnapshot byte = 4
-	// Kinds 5–7 are retired (the old apply, table and cursor frames).
+	// Kinds 5–7 are retired (the old apply, table and cursor frames),
+	// and so are 8–10 (the 2PC frames while a transaction id was a
+	// string).
 
 	// KindPrepare holds an in-doubt cross-shard fragment: {txn id,
 	// coordinator shard, snapshot, writeset}. The fragment holds key
 	// locks until a KindDecision settles it.
-	KindPrepare byte = 8
+	KindPrepare byte = 11
 	// KindDecision holds a 2PC decision: {txn id, commit, version}. A
 	// commit decision is followed, in the same write or Paxos value, by
 	// the decided record's KindWriteset and KindCommit frames.
-	KindDecision byte = 9
-	// KindForget drops a fully acknowledged decision: {txn id}.
-	KindForget byte = 10
+	KindDecision byte = 12
+	// KindForget retires decisions: {count, txn ids}. A decision retired
+	// in the write that makes it follows its record frames, so a torn
+	// tail can lose the retirement but never the record.
+	KindForget byte = 13
 )
+
+// Retired reports whether kind is a retired frame kind (5–10): a log
+// holding one was written by an older format and cannot be replayed.
+func Retired(kind byte) bool { return kind >= 5 && kind <= 10 }
 
 // ErrUnknownKind reports a frame whose kind byte is none of the above.
 var ErrUnknownKind = errors.New("codec: unknown frame kind")
@@ -116,27 +124,27 @@ func CommitFrame(b []byte, version int64) []byte {
 	return CloseFrame(binary.AppendVarint(b, version), start)
 }
 
-func PrepareFrame(b []byte, txn string, coord, snapshot int64, ws writeset.Writeset) []byte {
+func PrepareFrame(b []byte, txn TxnID, coord, snapshot int64, ws writeset.Writeset) []byte {
 	start := len(b)
 	b = append(OpenFrame(b), KindPrepare)
-	b = AppendString(b, txn)
+	b = AppendTxnID(b, txn)
 	b = binary.AppendVarint(b, coord)
 	b = binary.AppendVarint(b, snapshot)
 	return CloseFrame(AppendWriteset(b, ws), start)
 }
 
-func DecisionFrame(b []byte, txn string, commit bool, version int64) []byte {
+func DecisionFrame(b []byte, txn TxnID, commit bool, version int64) []byte {
 	start := len(b)
 	b = append(OpenFrame(b), KindDecision)
-	b = AppendString(b, txn)
+	b = AppendTxnID(b, txn)
 	b = AppendBool(b, commit)
 	return CloseFrame(binary.AppendVarint(b, version), start)
 }
 
-func ForgetFrame(b []byte, txn string) []byte {
+func ForgetFrame(b []byte, txns []TxnID) []byte {
 	start := len(b)
 	b = append(OpenFrame(b), KindForget)
-	return CloseFrame(AppendString(b, txn), start)
+	return CloseFrame(AppendTxnIDs(b, txns), start)
 }
 
 // SnapshotFrame encodes a full state with tables and rows in sorted
@@ -176,8 +184,10 @@ type Frame struct {
 	Epoch, Base int64
 	// Version: KindWriteset, KindCommit, KindDecision, KindSnapshot.
 	Version int64
-	// Txn: KindPrepare, KindDecision, KindForget.
-	Txn string
+	// Txn: KindPrepare, KindDecision.
+	Txn TxnID
+	// Forget: KindForget.
+	Forget []TxnID
 	// Coord and Snapshot: KindPrepare.
 	Coord, Snapshot int64
 	// Commit: KindDecision.
@@ -210,16 +220,16 @@ func DecodeFrame(payload []byte) (Frame, error) {
 		f.Version = d.Varint()
 		f.Tables = decodeTables(&d)
 	case KindPrepare:
-		f.Txn = d.Str()
+		f.Txn = d.TxnID()
 		f.Coord = d.Varint()
 		f.Snapshot = d.Varint()
 		f.Writeset = d.Writeset()
 	case KindDecision:
-		f.Txn = d.Str()
+		f.Txn = d.TxnID()
 		f.Commit = d.Bool()
 		f.Version = d.Varint()
 	case KindForget:
-		f.Txn = d.Str()
+		f.Forget = d.TxnIDs(nil)
 	default:
 		return Frame{}, fmt.Errorf("%w %d", ErrUnknownKind, f.Kind)
 	}

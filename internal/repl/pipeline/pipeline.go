@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/certifier"
+	"repro/internal/codec"
 	"repro/internal/writeset"
 )
 
@@ -294,10 +295,11 @@ func (h *HostCert) PrepareTxn(p certifier.PreparedTxn) (bool, int64, error) {
 	return vote, with, err
 }
 
-// DecideTxn applies the coordinator's decision; a commit lands in the
+// DecideTxn applies the coordinator's decision, retiring the decisions
+// in retire in the same write (certifier.Decide); a commit lands in the
 // record log, so long-pollers are woken just like an ordinary commit.
-func (h *HostCert) DecideTxn(id string, commit bool) (int64, error) {
-	version, err := h.Base.Decide(id, commit)
+func (h *HostCert) DecideTxn(id codec.TxnID, commit bool, retire []codec.TxnID) (int64, error) {
+	version, err := h.Base.Decide(id, commit, retire...)
 	if err == nil && commit && version > 0 {
 		h.Notify.Bump(version)
 	}
@@ -305,7 +307,11 @@ func (h *HostCert) DecideTxn(id string, commit bool) (int64, error) {
 }
 
 // ResolveTxn answers an in-doubt inquiry (coordinator side).
-func (h *HostCert) ResolveTxn(id string) (bool, error) { return h.Base.Resolve(id) }
+func (h *HostCert) ResolveTxn(id codec.TxnID) (bool, error) { return h.Base.Resolve(id) }
 
-// ForgetTxn retires a fully acknowledged decision.
-func (h *HostCert) ForgetTxn(id string) error { return h.Base.Forget(id) }
+// ForgetTxn retires fully acknowledged decisions.
+func (h *HostCert) ForgetTxn(ids []codec.TxnID) error { return h.Base.Forget(ids...) }
+
+// TwoPC reports the certifier's in-doubt fragments and recorded
+// decisions.
+func (h *HostCert) TwoPC() (inDoubt, decisions int) { return h.Base.TwoPCCounts() }

@@ -3,6 +3,7 @@ package router
 import (
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/repl"
 )
 
@@ -21,32 +22,43 @@ func (g *stubGroup) BeginUpdate() (repl.Txn, error) { return &g.rw, nil }
 
 type stubTxn struct{ writes bool }
 
-func (*stubTxn) Read(string, int64) (string, bool, error)   { return "v", true, nil }
-func (*stubTxn) Write(string, int64, string) error          { return nil }
-func (*stubTxn) Delete(string, int64) error                 { return nil }
-func (*stubTxn) Commit() error                              { return nil }
-func (*stubTxn) Abort()                                     {}
-func (*stubTxn) Prepare(string, int64) (bool, int64, error) { return true, 0, nil }
-func (t *stubTxn) HasWrites() bool                          { return t.writes }
+func (*stubTxn) Read(string, int64) (string, bool, error)                { return "v", true, nil }
+func (*stubTxn) Write(string, int64, string) error                       { return nil }
+func (*stubTxn) Delete(string, int64) error                              { return nil }
+func (*stubTxn) Commit() error                                           { return nil }
+func (*stubTxn) Abort()                                                  {}
+func (t *stubTxn) HasWrites() bool                                       { return t.writes }
+func (*stubTxn) SendCommit() error                                       { return nil }
+func (*stubTxn) RecvCommit() error                                       { return nil }
+func (*stubTxn) SendPrepare(codec.TxnID, int64) error                    { return nil }
+func (*stubTxn) RecvPrepare() (bool, int64, error)                       { return true, 0, nil }
+func (*stubTxn) SendDecide(codec.TxnID, bool, bool, []codec.TxnID) error { return nil }
+func (*stubTxn) RecvDecide() error                                       { return nil }
 
 // TestRoutedTxnAllocs pins the router's per-transaction cost: a routed
 // transaction allocates itself and its per-group slot slice, nothing
 // per touched group or per commit — read-only or update, one group or
-// all of them (bystanders that only read commit without a writer list).
+// all of them (bystanders that only read commit without a writer list),
+// and a cross-shard commit neither: its id is a value, each phase is
+// one scatter with no goroutine, channel or closure, and the
+// coordinator's retirements reuse their lists.
 func TestRoutedTxnAllocs(t *testing.T) {
 	gs := []Group{newStubGroup(), newStubGroup(), newStubGroup()}
 	r, err := New(1, gs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	owned := rowsOwnedBy(r, 64)
 	for _, tc := range []struct {
 		name     string
 		readOnly bool
-		rows     int64
+		rows     []int64
 	}{
-		{"read-one-row", true, 1},
-		{"read-every-group", true, 64},
-		{"update-one-row", false, 1},
+		{"read-one-row", true, []int64{0}},
+		{"read-every-group", true, rowsUpTo(64)},
+		{"update-one-row", false, []int64{0}},
+		{"cross-two-writers", false, []int64{owned[0][0], owned[1][0]}},
+		{"cross-three-writers", false, []int64{owned[2][0], owned[0][0], owned[1][0]}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(200, func() {
@@ -54,7 +66,7 @@ func TestRoutedTxnAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for row := int64(0); row < tc.rows; row++ {
+				for _, row := range tc.rows {
 					if tc.readOnly {
 						_, _, err = tx.Read("item", row)
 					} else {
@@ -73,6 +85,15 @@ func TestRoutedTxnAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// rowsUpTo returns rows 0..n-1.
+func rowsUpTo(n int64) []int64 {
+	rows := make([]int64, n)
+	for i := range rows {
+		rows[i] = int64(i)
+	}
+	return rows
 }
 
 // TestAbortReachesEveryTouchedGroup: Abort aborts each begun

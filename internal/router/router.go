@@ -16,9 +16,11 @@ package router
 import (
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/repl"
 )
 
@@ -48,8 +50,8 @@ func (m Map) Locate(table string, row int64) int {
 }
 
 // Group is one shard group as the router sees it: the full replicated
-// system and loader surface plus the participant-side 2PC calls. The
-// pooled client satisfies it.
+// system and loader surface plus the group-level 2PC calls. The pooled
+// client satisfies it.
 type Group interface {
 	repl.System
 	repl.Loader
@@ -58,22 +60,41 @@ type Group interface {
 	// the rows it owns.
 	LoadRows(table string, rows []int64, values []string) error
 
-	// DecideTxn applies a coordinator decision at this group.
-	DecideTxn(id string, commit bool) (version int64, err error)
+	// DecideTxn applies a coordinator decision at this group's
+	// certifier host, following the host as it moves, and retires the
+	// decisions in retire in the same write. The router calls it where
+	// a sub-transaction's decide halves did not settle the decision.
+	DecideTxn(id codec.TxnID, commit bool, retire ...codec.TxnID) (version int64, err error)
 	// ResolveTxn answers an in-doubt inquiry (coordinator side).
-	ResolveTxn(id string) (commit bool, err error)
-	// ForgetTxn retires an acknowledged decision.
-	ForgetTxn(id string) error
+	ResolveTxn(id codec.TxnID) (commit bool, err error)
+	// ForgetTxn retires acknowledged decisions in one request.
+	ForgetTxn(ids ...codec.TxnID) error
 }
 
-// Preparer is the 2PC vote a group's transaction must expose: extract
-// the staged writeset and run the first phase at the group's
-// certifier. HasWrites distinguishes real participants from read-side
-// bystanders — a group a cross-shard transaction only read from never
-// joins the 2PC. The pooled client's transaction implements it.
-type Preparer interface {
-	Prepare(id string, coord int64) (vote bool, conflictWith int64, err error)
+// Sub is the sub-transaction a Group must begin: a repl.Txn whose
+// commit, 2PC vote and 2PC decision each split into a send and a
+// receive half, so the router puts one message per group in flight
+// before it reads any reply — one scatter per phase, on each group's
+// own connection, with no goroutine. HasWrites tells writing
+// participants from read-side bystanders: a group a cross-shard
+// transaction only read from never joins the 2PC. The pooled client's
+// transaction implements it.
+type Sub interface {
+	repl.Txn
 	HasWrites() bool
+	// SendCommit and RecvCommit are the halves of Commit.
+	SendCommit() error
+	RecvCommit() error
+	// SendPrepare and RecvPrepare run the first 2PC phase at the
+	// group's certifier: certify, journal in doubt, lock the keys.
+	SendPrepare(id codec.TxnID, coord int64) error
+	RecvPrepare() (vote bool, conflictWith int64, err error)
+	// SendDecide and RecvDecide deliver the decision for the prepared
+	// transaction; retire retires it in the same write, forget retires
+	// earlier decisions with it. Any failure of either half leaves the
+	// decision to Group.DecideTxn.
+	SendDecide(id codec.TxnID, commit, retire bool, forget []codec.TxnID) error
+	RecvDecide() error
 }
 
 // UnknownOutcomeError reports a cross-shard commit whose decision
@@ -82,7 +103,7 @@ type Preparer interface {
 // be either committed or aborted. Callers must not retry blindly —
 // they resolve against the recovered coordinator instead.
 type UnknownOutcomeError struct {
-	TxnID string
+	TxnID codec.TxnID
 	Err   error
 }
 
@@ -103,6 +124,16 @@ type Router struct {
 	// with a forgotten decision.
 	epoch int64
 	seq   atomic.Int64
+
+	// mu guards retire and spare. retire[g] holds the ids of decisions
+	// group g made as coordinator whose participants have all
+	// acknowledged: the next commit decide the router sends g as
+	// coordinator retires them, and Sync retires what is left. spare
+	// holds emptied lists for reuse, so retirement allocates nothing
+	// once the lists have grown.
+	mu     sync.Mutex
+	retire [][]codec.TxnID
+	spare  [][]codec.TxnID
 }
 
 // New builds a router over the given groups. The shard map's group
@@ -115,6 +146,7 @@ func New(version int64, groups []Group) (*Router, error) {
 		m:      Map{Version: version, Shards: len(groups)},
 		groups: groups,
 		epoch:  time.Now().UnixNano(),
+		retire: make([][]codec.TxnID, len(groups)),
 	}, nil
 }
 
@@ -128,8 +160,47 @@ func (r *Router) Group(i int) Group { return r.groups[i] }
 func (r *Router) Groups() int { return len(r.groups) }
 
 // nextTxnID mints a globally unique cross-shard transaction id.
-func (r *Router) nextTxnID() string {
-	return fmt.Sprintf("x%x-%d", r.epoch, r.seq.Add(1))
+func (r *Router) nextTxnID() codec.TxnID {
+	return codec.TxnID{Epoch: r.epoch, Seq: r.seq.Add(1)}
+}
+
+// takeRetire removes and returns group g's pending retirements,
+// leaving g an emptied spare list to collect new ones in.
+func (r *Router) takeRetire(g int) []codec.TxnID {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ids := r.retire[g]
+	if len(ids) == 0 {
+		return nil
+	}
+	r.retire[g] = nil
+	if n := len(r.spare); n > 0 {
+		r.retire[g], r.spare = r.spare[n-1], r.spare[:n-1]
+	}
+	return ids
+}
+
+// settleRetire ends a retirement takeRetire began: ids go back to
+// group g's list when the group did not retire them, and their list
+// becomes a spare.
+func (r *Router) settleRetire(g int, ids []codec.TxnID, retired bool) {
+	if ids == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !retired {
+		r.retire[g] = append(r.retire[g], ids...)
+	}
+	r.spare = append(r.spare, ids[:0])
+}
+
+// addRetire queues the retirement of coordinator group g's decision
+// for id.
+func (r *Router) addRetire(g int, id codec.TxnID) {
+	r.mu.Lock()
+	r.retire[g] = append(r.retire[g], id)
+	r.mu.Unlock()
 }
 
 // CreateTable implements repl.Loader: every group carries every
@@ -163,9 +234,14 @@ func (r *Router) Load(table string, rows int, value func(int64) string) error {
 	return nil
 }
 
-// Sync implements repl.System: every group drains its apply queues.
+// Sync implements repl.System: every group retires, in one ForgetTxn,
+// the coordinator decisions no later decide has retired, and drains
+// its apply queues.
 func (r *Router) Sync() {
-	for _, g := range r.groups {
+	for i, g := range r.groups {
+		if ids := r.takeRetire(i); ids != nil {
+			r.settleRetire(i, ids, g.ForgetTxn(ids...) == nil)
+		}
 		g.Sync()
 	}
 }
@@ -207,7 +283,7 @@ func (r *Router) BeginRead() (repl.Txn, error) { return r.begin(true) }
 func (r *Router) BeginUpdate() (repl.Txn, error) { return r.begin(false) }
 
 func (r *Router) begin(readOnly bool) (repl.Txn, error) {
-	return &rtxn{r: r, readOnly: readOnly, subs: make([]repl.Txn, len(r.groups))}, nil
+	return &rtxn{r: r, readOnly: readOnly, subs: make([]Sub, len(r.groups))}, nil
 }
 
 // rtxn is one routed transaction: per-group sub-transactions are begun
@@ -219,25 +295,33 @@ type rtxn struct {
 	r        *Router
 	readOnly bool
 	done     bool
-	subs     []repl.Txn // indexed by group; nil until first touch
+	// subs is indexed by group; nil until first touch. Once Commit has
+	// begun, a sub whose send half failed is set back to nil: its
+	// exchange is settled, and there is no reply to read.
+	subs []Sub
 }
 
 // sub returns (beginning if needed) the sub-transaction at the group
 // owning (table, row).
-func (t *rtxn) sub(table string, row int64) (repl.Txn, error) {
+func (t *rtxn) sub(table string, row int64) (Sub, error) {
 	gi := t.r.m.Locate(table, row)
 	if s := t.subs[gi]; s != nil {
 		return s, nil
 	}
-	var s repl.Txn
+	var tx repl.Txn
 	var err error
 	if t.readOnly {
-		s, err = t.r.groups[gi].BeginRead()
+		tx, err = t.r.groups[gi].BeginRead()
 	} else {
-		s, err = t.r.groups[gi].BeginUpdate()
+		tx, err = t.r.groups[gi].BeginUpdate()
 	}
 	if err != nil {
 		return nil, err
+	}
+	s, ok := tx.(Sub)
+	if !ok {
+		tx.Abort()
+		return nil, fmt.Errorf("router: group %d transaction %T cannot split its exchanges", gi, tx)
 	}
 	t.subs[gi] = s
 	return s, nil
@@ -283,7 +367,9 @@ func (t *rtxn) Abort() {
 // Commit implements repl.Txn. Zero or one WRITING group is the fast
 // path: that group's own commit (certification, journal, propagation)
 // IS the transaction's commit, no coordination anywhere — groups that
-// were only read from commit locally for free. Two or more writing
+// were only read from commit locally for free. Every touched group's
+// commit goes out before any reply is read, so the fast path is one
+// round trip however many groups were read. Two or more writing
 // groups run 2PC over certification.
 func (t *rtxn) Commit() error {
 	if t.done {
@@ -293,136 +379,167 @@ func (t *rtxn) Commit() error {
 	var buf [4]int
 	writers := buf[:0]
 	for gi, s := range t.subs {
-		if s == nil {
-			continue
-		}
-		if p, ok := s.(Preparer); !ok || p.HasWrites() {
+		if s != nil && s.HasWrites() {
 			writers = append(writers, gi)
 		}
 	}
 	if len(writers) >= 2 {
 		return t.commit2PC(writers)
 	}
-	// Fast path: commit the read-only bystanders (free), then the
-	// single writer — whose commit outcome is the transaction's.
+	writer := -1
+	if len(writers) == 1 {
+		writer = writers[0]
+	}
 	var err error
 	for gi, s := range t.subs {
-		if s == nil || len(writers) == 1 && gi == writers[0] {
+		if s == nil {
 			continue
 		}
-		if cerr := s.Commit(); cerr != nil && err == nil {
-			err = cerr
+		if e := s.SendCommit(); e != nil {
+			t.subs[gi] = nil
+			err = outcome(err, e, gi, writer)
 		}
 	}
-	if len(writers) == 1 {
-		return t.subs[writers[0]].Commit()
+	for gi, s := range t.subs {
+		if s != nil {
+			err = outcome(err, s.RecvCommit(), gi, writer)
+		}
 	}
 	return err
 }
 
-// commit2PC coordinates the cross-shard commit over groups, the
-// writing groups in ascending order. The coordinator is the lowest
-// participating group id — a deterministic choice every participant
-// can re-derive from the prepare record's Coord field.
+// outcome folds group gi's commit error e into the transaction's err:
+// the writer's outcome is the transaction's (writer < 0: there is
+// none), and without a writer the first bystander failure is.
+func outcome(err, e error, gi, writer int) error {
+	if e != nil && (gi == writer || writer < 0 && err == nil) {
+		return e
+	}
+	return err
+}
+
+// commit2PC coordinates the cross-shard commit over the writing
+// groups, in ascending order. The coordinator is the lowest writing
+// group — a deterministic choice every participant can re-derive from
+// the prepare record's Coord field. Each phase is one scatter: every
+// message of the phase goes out, each on its group's connection,
+// before any reply is read.
 //
-// Phase 1: every participant votes via Prepare (certify + durable
-// in-doubt journal + key locks). Any no-vote aborts everywhere.
+// Phase 1: every writer votes (certify + durable in-doubt journal +
+// key locks), while the read-only bystanders commit locally for free.
+// A no-vote or an error aborts at every writer whose prepare was sent.
 // Phase 2: the COORDINATOR group's durable decision is the commit
-// point; after it lands, the remaining participants are decided (each
-// journals the decision and routes its fragment through its ordinary
-// record log), and the decision is retired everywhere once all have
-// acknowledged. A decide failure after the commit point leaves that
-// participant in doubt — its recovery resolves against the
-// coordinator, which still holds the decision (Forget only runs after
-// every participant acknowledged).
-func (t *rtxn) commit2PC(groups []int) error {
-	coord := groups[0]
+// point; it also retires the coordinator's earlier decisions whose
+// participants all acknowledged. Then every participant decides and
+// retires its decision in one write, and the commit returns once all
+// have answered. A participant that cannot be told stays in doubt and
+// resolves against the coordinator on recovery, so the coordinator's
+// decision is queued for retirement only once every participant
+// acknowledged it.
+func (t *rtxn) commit2PC(writers []int) error {
+	coord := writers[0]
 	id := t.r.nextTxnID()
 
-	// Read-only bystander groups commit locally for free; only the
-	// writing groups coordinate.
+	var failed error
 	for gi, s := range t.subs {
-		if s != nil && !contains(groups, gi) {
-			_ = s.Commit()
+		if s == nil {
+			continue
+		}
+		if !contains(writers, gi) {
+			if s.SendCommit() != nil {
+				t.subs[gi] = nil
+			}
+			continue
+		}
+		if err := s.SendPrepare(id, int64(coord)); err != nil {
+			t.subs[gi] = nil
+			if failed == nil {
+				failed = fmt.Errorf("router: prepare at group %d: %w", gi, err)
+			}
 		}
 	}
-
 	voted := true
 	var conflictWith int64
-	for _, gi := range groups {
-		p, ok := t.subs[gi].(Preparer)
-		if !ok {
-			t.abortPrepared(id, groups, gi)
-			return fmt.Errorf("router: group %d transaction %T cannot prepare", gi, t.subs[gi])
+	for gi, s := range t.subs {
+		if s == nil {
+			continue
 		}
-		vote, with, err := p.Prepare(id, int64(coord))
-		if err != nil {
-			// The vote's durability is unknown — the group may hold the
-			// lock. An explicit abort decision releases it either way
-			// (no coordinator decision exists yet, so abort is safe).
-			_, _ = t.r.groups[gi].DecideTxn(id, false)
-			_ = t.r.groups[gi].ForgetTxn(id)
-			t.abortPrepared(id, groups, gi)
-			return fmt.Errorf("router: prepare at group %d: %w", gi, err)
+		if !contains(writers, gi) {
+			_ = s.RecvCommit()
+			continue
 		}
-		if !vote {
+		vote, with, err := s.RecvPrepare()
+		switch {
+		case err != nil:
+			if failed == nil {
+				failed = fmt.Errorf("router: prepare at group %d: %w", gi, err)
+			}
+		case !vote && voted:
 			voted, conflictWith = false, with
-			// This group journaled no vote; the earlier ones did and
-			// must be aborted durably.
-			t.abortPrepared(id, groups, gi)
-			break
 		}
 	}
-	if !voted {
+	if failed != nil || !voted {
+		// A writer that voted yes holds binding locks only a decision
+		// releases, and one whose vote failed may hold them too: no
+		// coordinator decision exists yet, so abort is safe everywhere,
+		// and presumed abort lets each retire at once.
+		t.decideAll(writers, id, false)
+		if failed != nil {
+			return failed
+		}
 		return &repl.AbortedError{ConflictWith: conflictWith}
 	}
 
-	// Commit point: the coordinator group's durable decision.
-	if _, err := t.r.groups[coord].DecideTxn(id, true); err != nil {
+	// Commit point: the coordinator group's durable decision, which
+	// retires the coordinator's earlier ones.
+	forget := t.r.takeRetire(coord)
+	s := t.subs[coord]
+	err := s.SendDecide(id, true, false, forget)
+	if err == nil {
+		err = s.RecvDecide()
+	}
+	if err != nil {
+		err = t.decideSync(coord, id, true, forget...)
+	}
+	t.r.settleRetire(coord, forget, err == nil)
+	if err != nil {
 		// The decide may or may not have reached the coordinator's
 		// journal/quorum before the failure. Only the recovered
 		// coordinator knows; surface that honestly.
 		return &UnknownOutcomeError{TxnID: id, Err: err}
 	}
-	for _, gi := range groups[1:] {
-		if _, err := t.r.groups[gi].DecideTxn(id, true); err != nil {
-			// Committed (the coordinator decided) but this participant
-			// could not be told; it is in doubt and will resolve on
-			// recovery. The commit ack stands. Keep the coordinator's
-			// decision available for that resolution — skip Forget.
-			return nil
-		}
+	if t.decideAll(writers[1:], id, true) {
+		t.r.addRetire(coord, id)
 	}
-	// Every participant applied the decision; retire it, coordinator
-	// last so Resolve keeps working until nobody needs it. Forget
-	// failures are harmless (the decision is retried-forgotten or
-	// compacted later), so errors are not propagated.
-	for i := len(groups) - 1; i >= 1; i-- {
-		_ = t.r.groups[groups[i]].ForgetTxn(id)
-	}
-	_ = t.r.groups[coord].ForgetTxn(id)
 	return nil
 }
 
-// abortPrepared durably aborts txn id at every group before stop
-// (exclusive) and locally aborts the rest of the sub-transactions.
-// Called when a vote fails partway: the groups that voted yes hold
-// binding locks that only a decision releases.
-func (t *rtxn) abortPrepared(id string, groups []int, stop int) {
+// decideAll delivers decision commit for id to every group in groups
+// as one scatter, each retiring it in the same write, and reports
+// whether all of them acknowledged. A group whose decide halves do not
+// settle it is decided through Group.DecideTxn; a group that still
+// cannot be told is left in doubt.
+func (t *rtxn) decideAll(groups []int, id codec.TxnID, commit bool) bool {
+	acked := true
 	for _, gi := range groups {
-		if gi >= stop {
-			break
-		}
-		_, _ = t.r.groups[gi].DecideTxn(id, false)
-		// Presumed abort: nobody ever needs to resolve an abort, so the
-		// decision record can be retired immediately.
-		_ = t.r.groups[gi].ForgetTxn(id)
-	}
-	for _, gi := range groups {
-		if gi >= stop {
-			t.subs[gi].Abort()
+		if s := t.subs[gi]; s == nil || s.SendDecide(id, commit, true, nil) != nil {
+			t.subs[gi] = nil
+			acked = t.decideSync(gi, id, commit, id) == nil && acked
 		}
 	}
+	for _, gi := range groups {
+		if s := t.subs[gi]; s != nil && s.RecvDecide() != nil {
+			acked = t.decideSync(gi, id, commit, id) == nil && acked
+		}
+	}
+	return acked
+}
+
+// decideSync decides through the group's synchronous DecideTxn, which
+// follows the certifier host across redirects.
+func (t *rtxn) decideSync(gi int, id codec.TxnID, commit bool, retire ...codec.TxnID) error {
+	_, err := t.r.groups[gi].DecideTxn(id, commit, retire...)
+	return err
 }
 
 // contains reports whether s holds v.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/launch"
 	"repro/internal/repl"
 	"repro/internal/server"
@@ -375,11 +376,12 @@ type logGroup struct {
 }
 
 func (g *logGroup) BeginUpdate() (repl.Txn, error) { return &g.tx, nil }
-func (g *logGroup) DecideTxn(_ string, commit bool) (int64, error) {
+func (g *logGroup) Sync()                          {}
+func (g *logGroup) DecideTxn(_ codec.TxnID, commit bool, _ ...codec.TxnID) (int64, error) {
 	*g.log = append(*g.log, fmt.Sprintf("decide %d %v", g.id, commit))
 	return 1, nil
 }
-func (g *logGroup) ForgetTxn(string) error {
+func (g *logGroup) ForgetTxn(...codec.TxnID) error {
 	*g.log = append(*g.log, fmt.Sprintf("forget %d", g.id))
 	return nil
 }
@@ -389,15 +391,25 @@ type logTxn struct {
 	g *logGroup
 }
 
-func (t *logTxn) Prepare(_ string, coord int64) (bool, int64, error) {
+func (t *logTxn) SendPrepare(_ codec.TxnID, coord int64) error {
 	*t.g.log = append(*t.g.log, fmt.Sprintf("prepare %d coord %d", t.g.id, coord))
-	return true, 0, nil
+	return nil
+}
+
+// SendDecide logs a decision, and its retirement when it carries one.
+func (t *logTxn) SendDecide(_ codec.TxnID, commit, retire bool, _ []codec.TxnID) error {
+	*t.g.log = append(*t.g.log, fmt.Sprintf("decide %d %v", t.g.id, commit))
+	if retire {
+		*t.g.log = append(*t.g.log, fmt.Sprintf("forget %d", t.g.id))
+	}
+	return nil
 }
 
 // TestCrossShardCoordinatesAtLowestWriter: a transaction that touches
 // its groups in descending order still coordinates at the lowest
 // writing group — every prepare names it, it decides first and forgets
-// last — and a group it only read from joins no 2PC.
+// last (at the participant's decide-and-retire, then at Sync) — and a
+// group it only read from joins no 2PC.
 func TestCrossShardCoordinatesAtLowestWriter(t *testing.T) {
 	var log []string
 	gs := make([]Group, 4)
@@ -423,6 +435,7 @@ func TestCrossShardCoordinatesAtLowestWriter(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	r.Sync()
 	want := []string{
 		"prepare 1 coord 1", "prepare 2 coord 1",
 		"decide 1 true", "decide 2 true",
@@ -431,4 +444,220 @@ func TestCrossShardCoordinatesAtLowestWriter(t *testing.T) {
 	if fmt.Sprint(log) != fmt.Sprint(want) {
 		t.Fatalf("2PC calls %q, want %q", log, want)
 	}
+}
+
+// tripLog records the exchanges of a commit over tripGroups: every send
+// and receive of a sub-transaction's split exchange and every
+// synchronous group call, and how many of them ran one after another.
+// Sends made before any reply is read share one round trip.
+type tripLog struct {
+	events []string
+	rounds int
+	open   bool // a round's sends are out and no reply has been read
+}
+
+func (l *tripLog) send(format string, args ...any) {
+	if !l.open {
+		l.rounds++
+		l.open = true
+	}
+	l.events = append(l.events, "send "+fmt.Sprintf(format, args...))
+}
+
+func (l *tripLog) recv(format string, args ...any) {
+	l.open = false
+	l.events = append(l.events, "recv "+fmt.Sprintf(format, args...))
+}
+
+func (l *tripLog) call(format string, args ...any) {
+	l.rounds++
+	l.open = false
+	l.events = append(l.events, "call "+fmt.Sprintf(format, args...))
+}
+
+// reset starts a new count and returns the events so far.
+func (l *tripLog) reset() []string {
+	ev := l.events
+	*l = tripLog{}
+	return ev
+}
+
+// tripGroup is a Group whose transactions log to a shared tripLog. vote
+// is its prepare vote; failDecide makes the receive half of its decide
+// fail, as a NotLeader redirect would.
+type tripGroup struct {
+	Group
+	id         int
+	log        *tripLog
+	vote       bool
+	failDecide bool
+}
+
+func (g *tripGroup) BeginRead() (repl.Txn, error)   { return &tripTxn{g: g}, nil }
+func (g *tripGroup) BeginUpdate() (repl.Txn, error) { return &tripTxn{g: g}, nil }
+func (g *tripGroup) Sync()                          {}
+func (g *tripGroup) DecideTxn(id codec.TxnID, commit bool, retire ...codec.TxnID) (int64, error) {
+	g.log.call("decide %d %v %s retire %v", g.id, commit, id, retire)
+	return 1, nil
+}
+func (g *tripGroup) ForgetTxn(ids ...codec.TxnID) error {
+	g.log.call("forget %d %v", g.id, ids)
+	return nil
+}
+
+type tripTxn struct {
+	g     *tripGroup
+	wrote bool
+}
+
+func (*tripTxn) Read(string, int64) (string, bool, error) { return "v", true, nil }
+func (t *tripTxn) Write(string, int64, string) error      { t.wrote = true; return nil }
+func (t *tripTxn) Delete(string, int64) error             { t.wrote = true; return nil }
+func (*tripTxn) Commit() error                            { return errors.New("commit is split") }
+func (*tripTxn) Abort()                                   {}
+func (t *tripTxn) HasWrites() bool                        { return t.wrote }
+func (t *tripTxn) SendCommit() error                      { t.g.log.send("commit %d", t.g.id); return nil }
+func (t *tripTxn) RecvCommit() error                      { t.g.log.recv("commit %d", t.g.id); return nil }
+func (t *tripTxn) SendPrepare(id codec.TxnID, coord int64) error {
+	t.g.log.send("prepare %d coord %d", t.g.id, coord)
+	return nil
+}
+func (t *tripTxn) RecvPrepare() (bool, int64, error) {
+	t.g.log.recv("prepare %d", t.g.id)
+	if !t.g.vote {
+		return false, 7, nil
+	}
+	return true, 0, nil
+}
+func (t *tripTxn) SendDecide(id codec.TxnID, commit, retire bool, forget []codec.TxnID) error {
+	t.g.log.send("decide %d %v %s retire %v forget %v", t.g.id, commit, id, retire, forget)
+	return nil
+}
+func (t *tripTxn) RecvDecide() error {
+	t.g.log.recv("decide %d", t.g.id)
+	if t.g.failDecide {
+		return errors.New("not the leader")
+	}
+	return nil
+}
+
+// TestCrossShardRoundTrips pins the sequential exchanges a commit puts
+// on its ack path: one scatter per phase plus the coordinator's commit
+// point, the participants' retirement riding their decide, the
+// coordinator's riding its next decide or Sync, and no ForgetTxn after
+// a no-vote.
+func TestCrossShardRoundTrips(t *testing.T) {
+	var log tripLog
+	gs := make([]Group, 4)
+	tgs := make([]*tripGroup, 4)
+	for i := range gs {
+		tgs[i] = &tripGroup{id: i, log: &log, vote: true}
+		gs[i] = tgs[i]
+	}
+	r, err := New(1, gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := rowsOwnedBy(r, 256)
+	// commit runs one transaction that reads at the groups in reads and
+	// writes at those in writes, and returns its rounds and events.
+	commit := func(t *testing.T, reads, writes []int) (int, []string, error) {
+		t.Helper()
+		log.reset()
+		tx, err := r.BeginUpdate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range reads {
+			if _, _, err := tx.Read("item", owned[g][0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, g := range writes {
+			if err := tx.Write("item", owned[g][0], "v"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err = tx.Commit()
+		rounds := log.rounds
+		return rounds, log.reset(), err
+	}
+	id := func(seq int64) codec.TxnID { return codec.TxnID{Epoch: r.epoch, Seq: seq} }
+
+	t.Run("read-at-A-write-at-B", func(t *testing.T) {
+		rounds, ev, err := commit(t, []int{0}, []int{1})
+		if err != nil || rounds != 1 {
+			t.Fatalf("commit: %v after %d rounds, want 1: %q", err, rounds, ev)
+		}
+	})
+	t.Run("two-writers", func(t *testing.T) {
+		rounds, ev, err := commit(t, nil, []int{1, 0})
+		want := []string{
+			"send prepare 0 coord 0", "send prepare 1 coord 0", "recv prepare 0", "recv prepare 1",
+			fmt.Sprintf("send decide 0 true %s retire false forget []", id(1)), "recv decide 0",
+			fmt.Sprintf("send decide 1 true %s retire true forget []", id(1)), "recv decide 1",
+		}
+		if err != nil || rounds != 3 || fmt.Sprint(ev) != fmt.Sprint(want) {
+			t.Fatalf("commit: %v after %d rounds, want 3:\n%q\nwant\n%q", err, rounds, ev, want)
+		}
+	})
+	t.Run("three-writers", func(t *testing.T) {
+		// The coordinator's decide retires the previous commit's
+		// decision, and the participants' decides go out together.
+		rounds, ev, err := commit(t, []int{3}, []int{2, 1, 0})
+		want := []string{
+			"send prepare 0 coord 0", "send prepare 1 coord 0", "send prepare 2 coord 0", "send commit 3",
+			"recv prepare 0", "recv prepare 1", "recv prepare 2", "recv commit 3",
+			fmt.Sprintf("send decide 0 true %s retire false forget [%s]", id(2), id(1)), "recv decide 0",
+			fmt.Sprintf("send decide 1 true %s retire true forget []", id(2)),
+			fmt.Sprintf("send decide 2 true %s retire true forget []", id(2)),
+			"recv decide 1", "recv decide 2",
+		}
+		if err != nil || rounds != 3 || fmt.Sprint(ev) != fmt.Sprint(want) {
+			t.Fatalf("commit: %v after %d rounds, want 3:\n%q\nwant\n%q", err, rounds, ev, want)
+		}
+	})
+	t.Run("no-vote", func(t *testing.T) {
+		tgs[2].vote = false
+		defer func() { tgs[2].vote = true }()
+		rounds, ev, err := commit(t, nil, []int{0, 1, 2})
+		var aborted *repl.AbortedError
+		if !errors.As(err, &aborted) || aborted.ConflictWith != 7 {
+			t.Fatalf("commit = %v, want an abort with version 7", err)
+		}
+		want := []string{
+			"send prepare 0 coord 0", "send prepare 1 coord 0", "send prepare 2 coord 0",
+			"recv prepare 0", "recv prepare 1", "recv prepare 2",
+			fmt.Sprintf("send decide 0 false %s retire true forget []", id(3)),
+			fmt.Sprintf("send decide 1 false %s retire true forget []", id(3)),
+			fmt.Sprintf("send decide 2 false %s retire true forget []", id(3)),
+			"recv decide 0", "recv decide 1", "recv decide 2",
+		}
+		if rounds != 2 || fmt.Sprint(ev) != fmt.Sprint(want) {
+			t.Fatalf("%d rounds, want 2:\n%q\nwant\n%q", rounds, ev, want)
+		}
+	})
+	t.Run("redirected-decide", func(t *testing.T) {
+		// A participant whose decide reply fails is decided through the
+		// group's host-following DecideTxn, retiring in the same call.
+		tgs[1].failDecide = true
+		defer func() { tgs[1].failDecide = false }()
+		rounds, ev, err := commit(t, nil, []int{0, 1})
+		last := fmt.Sprintf("call decide 1 true %s retire [%s]", id(4), id(4))
+		if err != nil || rounds != 4 || ev[len(ev)-1] != last {
+			t.Fatalf("commit: %v after %d rounds, want 4 ending in %q: %q", err, rounds, last, ev)
+		}
+	})
+	t.Run("sync-flushes-coordinator-ids", func(t *testing.T) {
+		log.reset()
+		r.Sync()
+		want := []string{fmt.Sprintf("call forget 0 [%s]", id(4))}
+		if ev := log.reset(); fmt.Sprint(ev) != fmt.Sprint(want) {
+			t.Fatalf("Sync sent %q, want %q", ev, want)
+		}
+		r.Sync()
+		if ev := log.reset(); len(ev) != 0 {
+			t.Fatalf("second Sync sent %q, want nothing", ev)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/wire"
 )
 
@@ -16,8 +17,8 @@ func BenchmarkDispatchTxn(b *testing.B) {
 	begin, beginRO := &wire.Begin{}, &wire.Begin{ReadOnly: true}
 	read, write := &wire.Read{Table: "item", Row: 1}, &wire.Write{Table: "item", Row: 1, Value: "stock=92"}
 	commit := &wire.Commit{}
-	prepare := &wire.PrepareTxn{TxnID: "x1", Coord: 0}
-	decide, forget := &wire.DecideTxn{TxnID: "x1", Commit: true}, &wire.ForgetTxn{TxnID: "x1"}
+	prepare := &wire.PrepareTxn{TxnID: codec.TxnID{Epoch: 1, Seq: 1}, Coord: 0}
+	decide, forget := &wire.DecideTxn{TxnID: codec.TxnID{Epoch: 1, Seq: 1}, Commit: true}, &wire.ForgetTxn{IDs: []codec.TxnID{{Epoch: 1, Seq: 1}}}
 	for _, bc := range []struct {
 		name string
 		txn  []wire.Message

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/certifier"
 	"repro/internal/client"
+	"repro/internal/codec"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -207,7 +208,7 @@ func TestDurableHostRestartKeepsTwoPCState(t *testing.T) {
 		}
 		return srv, cl
 	}
-	prepare := func(cl *client.Client, id string, row int64, value string) {
+	prepare := func(cl *client.Client, id codec.TxnID, row int64, value string) {
 		t.Helper()
 		tx, err := cl.BeginUpdate()
 		if err != nil {
@@ -226,9 +227,9 @@ func TestDurableHostRestartKeepsTwoPCState(t *testing.T) {
 	}
 	commitRow(t, cl, "t", 1, "v1")
 	commitRow(t, cl, "t", 2, "v1")
-	prepare(cl, "in-doubt", 1, "x")
-	prepare(cl, "decided", 2, "y")
-	if _, err := cl.DecideTxn("decided", true); err != nil {
+	prepare(cl, codec.TxnID{Epoch: 1, Seq: 1}, 1, "x")
+	prepare(cl, codec.TxnID{Epoch: 1, Seq: 2}, 2, "y")
+	if _, err := cl.DecideTxn(codec.TxnID{Epoch: 1, Seq: 2}, true); err != nil {
 		t.Fatal(err)
 	}
 	cl.Close()
@@ -237,7 +238,7 @@ func TestDurableHostRestartKeepsTwoPCState(t *testing.T) {
 	srv, cl = boot()
 	defer srv.Close()
 	defer cl.Close()
-	if commit, err := cl.ResolveTxn("decided"); err != nil || !commit {
+	if commit, err := cl.ResolveTxn(codec.TxnID{Epoch: 1, Seq: 2}); err != nil || !commit {
 		t.Fatalf("Resolve(decided) after restart = %v, %v; want commit", commit, err)
 	}
 	tx, err := cl.BeginUpdate()
@@ -251,7 +252,7 @@ func TestDurableHostRestartKeepsTwoPCState(t *testing.T) {
 		t.Fatalf("a write to the in-doubt row after restart: %v, want an abort", err)
 	}
 	// The decision releases the lock, and the row takes writes again.
-	if _, err := cl.DecideTxn("in-doubt", false); err != nil {
+	if _, err := cl.DecideTxn(codec.TxnID{Epoch: 1, Seq: 1}, false); err != nil {
 		t.Fatal(err)
 	}
 	commitRow(t, cl, "t", 1, "z")

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/certifier"
 	"repro/internal/client"
+	"repro/internal/codec"
 	"repro/internal/elastic"
 	"repro/internal/obs/events"
 	"repro/internal/paxos"
@@ -490,19 +491,19 @@ func (e *engine) prepareTxn(p certifier.PreparedTxn) (bool, int64, error) {
 // decideTxn applies the coordinator's decision at this group. A commit
 // enters the record log like any certified writeset; the static host
 // applies it before acking so the fragment is immediately readable.
-func (e *engine) decideTxn(id string, commit bool) (int64, error) {
+func (e *engine) decideTxn(id codec.TxnID, commit bool, retire []codec.TxnID) (int64, error) {
 	h, err := e.hosted()
 	if err != nil {
 		return 0, err
 	}
-	version, err := h.DecideTxn(id, commit)
+	version, err := h.DecideTxn(id, commit, retire)
 	if err == nil && commit && !e.async {
 		e.catchUp()
 	}
 	return version, err
 }
 
-func (e *engine) resolveTxn(id string) (bool, error) {
+func (e *engine) resolveTxn(id codec.TxnID) (bool, error) {
 	h, err := e.hosted()
 	if err != nil {
 		return false, err
@@ -510,12 +511,22 @@ func (e *engine) resolveTxn(id string) (bool, error) {
 	return h.ResolveTxn(id)
 }
 
-func (e *engine) forgetTxn(id string) error {
+func (e *engine) forgetTxn(ids []codec.TxnID) error {
 	h, err := e.hosted()
 	if err != nil {
 		return err
 	}
-	return h.ForgetTxn(id)
+	return h.ForgetTxn(ids)
+}
+
+// twoPC reports the hosted certifier's in-doubt fragments and recorded
+// decisions: zero on a node that does not host it, and on an unsharded
+// group, which never prepares.
+func (e *engine) twoPC() (inDoubt, decisions int) {
+	if h := e.hostCert(); h != nil {
+		return h.TwoPC()
+	}
+	return 0, 0
 }
 
 func (e *engine) logLen() int {
@@ -931,7 +942,7 @@ func (t *txn) Commit() error {
 // a yes-vote the fragment lives on, locked and journaled, in the
 // group's certifier until the coordinator's decision arrives through
 // decideTxn. An empty writeset votes yes with nothing to lock.
-func (t *txn) Prepare(id string, coord int64) (vote bool, conflictWith int64, err error) {
+func (t *txn) Prepare(id codec.TxnID, coord int64) (vote bool, conflictWith int64, err error) {
 	if t.done {
 		return false, 0, sidb.ErrTxnDone
 	}

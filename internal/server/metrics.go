@@ -225,6 +225,10 @@ func (m *metrics) bindEngine(eng *engine) {
 		func() float64 { return float64(eng.applyStats().Lag) })
 	reg.GaugeFunc("replicadb_applied_versions_per_sec", "Apply throughput over the recent window.",
 		func() float64 { return eng.applyStats().Rate })
+	reg.GaugeFunc("replicadb_twopc_in_doubt", "Prepared cross-shard fragments awaiting a decision at this node's certifier.",
+		func() float64 { n, _ := eng.twoPC(); return float64(n) })
+	reg.GaugeFunc("replicadb_twopc_decisions", "Cross-shard decisions this node's certifier holds, not yet retired.",
+		func() float64 { _, n := eng.twoPC(); return float64(n) })
 	reg.GaugeFunc("replicadb_certifier_epoch", "Certifier election epoch (Paxos ballot round).",
 		func() float64 { e, _ := eng.epochInfo(); return float64(e) })
 	reg.GaugeFunc("replicadb_certifier_leading", "1 when this node hosts the certifier.",

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/wire"
 )
 
@@ -35,13 +36,13 @@ func TestPreparedFragmentSurvivesNextTxn(t *testing.T) {
 
 	dispatch(&wire.Begin{})
 	dispatch(&wire.Write{Table: "item", Row: 0, Value: "prepared"})
-	if ok, isOK := dispatch(&wire.PrepareTxn{TxnID: "x1", Coord: 0}).(*wire.PrepareTxnOK); !isOK || !ok.Vote {
+	if ok, isOK := dispatch(&wire.PrepareTxn{TxnID: codec.TxnID{Epoch: 1, Seq: 1}, Coord: 0}).(*wire.PrepareTxnOK); !isOK || !ok.Vote {
 		t.Fatalf("prepare reply %+v, want a yes vote", ok)
 	}
 	dispatch(&wire.Begin{})
 	dispatch(&wire.Write{Table: "item", Row: 1, Value: "next"})
 	dispatch(&wire.Write{Table: "item", Row: 2, Value: "next"})
-	if ok, isOK := dispatch(&wire.DecideTxn{TxnID: "x1", Commit: true}).(*wire.DecideTxnOK); !isOK || ok.Version == 0 {
+	if ok, isOK := dispatch(&wire.DecideTxn{TxnID: codec.TxnID{Epoch: 1, Seq: 1}, Commit: true}).(*wire.DecideTxnOK); !isOK || ok.Version == 0 {
 		t.Fatalf("decide reply %+v, want a commit version", ok)
 	}
 	dispatch(&wire.Abort{})

@@ -881,7 +881,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		return &st.prepareOK
 
 	case *wire.DecideTxn:
-		version, err := s.eng.decideTxn(m.TxnID, m.Commit)
+		version, err := s.eng.decideTxn(m.TxnID, m.Commit, m.Retire)
 		if err != nil {
 			return s.errReply(err)
 		}
@@ -897,7 +897,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		return &st.resolveOK
 
 	case *wire.ForgetTxn:
-		if err := s.eng.forgetTxn(m.TxnID); err != nil {
+		if err := s.eng.forgetTxn(m.IDs); err != nil {
 			return s.errReply(err)
 		}
 		return &wire.ForgetTxnOK{}

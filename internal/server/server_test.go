@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/codec"
 	"repro/internal/launch"
 	"repro/internal/repl"
 	"repro/internal/server"
@@ -495,10 +496,10 @@ func TestNonHostAnswersAlikeInBothDesigns(t *testing.T) {
 	verbs := []wire.Message{
 		&wire.Certify{Snapshot: 1},
 		&wire.Check{Snapshot: 1},
-		&wire.PrepareTxn{TxnID: "x", Snapshot: 1},
-		&wire.DecideTxn{TxnID: "x", Commit: true},
-		&wire.ResolveTxn{TxnID: "x"},
-		&wire.ForgetTxn{TxnID: "x"},
+		&wire.PrepareTxn{TxnID: codec.TxnID{Epoch: 1, Seq: 1}, Snapshot: 1},
+		&wire.DecideTxn{TxnID: codec.TxnID{Epoch: 1, Seq: 1}, Commit: true},
+		&wire.ResolveTxn{TxnID: codec.TxnID{Epoch: 1, Seq: 1}},
+		&wire.ForgetTxn{IDs: []codec.TxnID{{Epoch: 1, Seq: 1}}},
 		&wire.Join{Addr: "127.0.0.1:1"},
 		&wire.Leave{ID: 1},
 		&wire.Members{},

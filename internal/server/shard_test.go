@@ -266,3 +266,60 @@ func TestShardedPaxosDecideFollowsLeader(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShardedTwoPCGaugesRetire: the 2PC gauges count what a host's
+// certifier holds. After cross-shard commits the coordinator host
+// holds exactly the last commit's decision — each earlier one was
+// retired by the next commit's decide, each participant's by its own —
+// and after the router's Sync every node reads 0 on both.
+func TestShardedTwoPCGaugesRetire(t *testing.T) {
+	c := launchCluster(t, 2, 2, server.Options{Design: "mm"}, func(o *server.Options) {
+		o.MetricsAddr = "127.0.0.1:0"
+	})
+	groups := make([]router.Group, len(c.Clients))
+	for g, cl := range c.Clients {
+		groups[g] = cl
+	}
+	r, err := router.New(1, groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CreateTable("item"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Load("item", 64, func(row int64) string { return fmt.Sprintf("load-%d", row) }); err != nil {
+		t.Fatal(err)
+	}
+	owned := ownedRows(r, 64)
+	for i := 0; i < 10; i++ {
+		txn, err := r.BeginUpdate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := range owned {
+			if err := txn.Write("item", owned[g][i], fmt.Sprintf("x%d-%d", g, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatalf("cross-shard commit %d: %v", i, err)
+		}
+	}
+	gauges := func(g, i int) (inDoubt, decisions float64) {
+		body := httpGet(t, "http://"+c.Servers[g][i].MetricsAddr()+"/metrics")
+		return metricValue(t, body, "replicadb_twopc_in_doubt"), metricValue(t, body, "replicadb_twopc_decisions")
+	}
+	for g, want := range []float64{1, 0} {
+		if inDoubt, decisions := gauges(g, 0); inDoubt != 0 || decisions != want {
+			t.Fatalf("group %d host before Sync: in doubt %v, decisions %v; want 0, %v", g, inDoubt, decisions, want)
+		}
+	}
+	r.Sync()
+	for g := range c.Servers {
+		for i := range c.Servers[g] {
+			if inDoubt, decisions := gauges(g, i); inDoubt != 0 || decisions != 0 {
+				t.Fatalf("group %d node %d after Sync: in doubt %v, decisions %v; want 0", g, i, inDoubt, decisions)
+			}
+		}
+	}
+}

@@ -39,15 +39,15 @@ func journaledPaxosRun(t *testing.T) (*certifier.Certifier, *MemFS, map[int]paxo
 		t.Fatal(err)
 	}
 	for i, id := range []string{"commit\xff", "abort\xff", "doubt\xff"} {
-		p := certifier.PreparedTxn{ID: id, Coord: 1, Snapshot: c.Version(), Writeset: ws("t", int64(10+i), id)}
+		p := certifier.PreparedTxn{ID: tid(id), Coord: 1, Snapshot: c.Version(), Writeset: ws("t", int64(10+i), id)}
 		if vote, _, err := c.Prepare(p); err != nil || !vote {
 			t.Fatalf("prepare %q: %v %v", id, vote, err)
 		}
 	}
-	if _, err := c.Decide("commit\xff", true); err != nil {
+	if _, err := c.Decide(tid("commit\xff"), true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Decide("abort\xff", false); err != nil {
+	if _, err := c.Decide(tid("abort\xff"), false); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -101,12 +101,12 @@ func TestWALAndPaxosRecoverTheSameState(t *testing.T) {
 			t.Fatalf("%s records %q, leader %q", name, got, want)
 		}
 		in := c.InDoubt()
-		if len(in) != 1 || in[0].ID != "doubt\xff" || !reflect.DeepEqual(in[0].Writeset, ws("t", 12, "doubt\xff")) {
+		if len(in) != 1 || in[0].ID != tid("doubt\xff") || !reflect.DeepEqual(in[0].Writeset, ws("t", 12, "doubt\xff")) {
 			t.Fatalf("%s in-doubt set %q", name, in)
 		}
 		for _, id := range []string{"commit\xff", "abort\xff"} {
-			got, ok := c.Decided(id)
-			want, _ := leader.Decided(id)
+			got, ok := c.Decided(tid(id))
+			want, _ := leader.Decided(tid(id))
 			if !ok || got != want {
 				t.Fatalf("%s decision for %q: %+v, leader %+v", name, id, got, want)
 			}

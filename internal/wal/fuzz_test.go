@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/certifier"
+	"repro/internal/codec"
 	"repro/internal/writeset"
 )
 
@@ -26,9 +27,37 @@ func fuzzSeedLog(tb testing.TB) []byte {
 		{Version: 3, Writeset: ws("items", 1, "y")},
 	})
 	w.AppendRecord(ws("items", 1, "y"), 3) // already held: writes nothing
-	w.AppendPrepare(certifier.PreparedTxn{ID: "x1", Coord: 1, Snapshot: 3, Writeset: ws("items", 4, "p")})
+	w.AppendPrepare(certifier.PreparedTxn{ID: tid("x1"), Coord: 1, Snapshot: 3, Writeset: ws("items", 4, "p")})
 	w.Compact(2, 2, map[string]map[int64]string{"items": {0: "a", 1: "b", 2: "c"}, "empty": {}})
 	w.AppendRecord(ws("items", 2, "z"), 4)
+	w.Close()
+	data, err := fs.ReadFile(segName)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// fuzzTwoPCLog builds a valid log of the 2PC frame kinds: prepares, a
+// participant's decide-and-retire, a coordinator's decide retiring an
+// earlier decision, an abort, and a multi-id forget.
+func fuzzTwoPCLog(tb testing.TB) []byte {
+	tb.Helper()
+	fs := NewMemFS()
+	w, _, err := Open(Options{FS: fs})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a, b, c := tid("a"), tid("b"), tid("c")
+	w.AppendRecord(writeset.Schema("items"), 1)
+	w.AppendPrepare(certifier.PreparedTxn{ID: a, Coord: 0, Snapshot: 1, Writeset: ws("items", 1, "a")})
+	w.AppendPrepare(certifier.PreparedTxn{ID: b, Coord: 1, Snapshot: 1, Writeset: ws("items", 2, "b")})
+	w.AppendDecision(a, true, 2, []certifier.Record{{Version: 2, Writeset: ws("items", 1, "a")}}, nil)
+	w.AppendDecision(b, true, 3, []certifier.Record{{Version: 3, Writeset: ws("items", 2, "b")}}, []codec.TxnID{b})
+	w.AppendPrepare(certifier.PreparedTxn{ID: c, Coord: 0, Snapshot: 3, Writeset: ws("items", 3, "c")})
+	w.AppendDecision(c, true, 4, []certifier.Record{{Version: 4, Writeset: ws("items", 3, "c")}}, []codec.TxnID{a})
+	w.AppendDecision(tid("d"), false, 0, nil, []codec.TxnID{tid("d")})
+	w.AppendForget([]codec.TxnID{c, tid("e")})
 	w.Close()
 	data, err := fs.ReadFile(segName)
 	if err != nil {
@@ -55,6 +84,10 @@ func FuzzWALDecode(f *testing.F) {
 	}
 	f.Add(seed[:len(seed)-3]) // torn tail
 	f.Add(append(append([]byte(nil), seed...), 0x00, 0x00))
+	twoPC := fuzzTwoPCLog(f)
+	f.Add(twoPC)
+	f.Add(twoPC[:len(twoPC)-5])                                          // a retirement torn off its decide
+	f.Add(append(append([]byte(nil), twoPC...), frame([]byte{9, 2})...)) // a retired kind
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, good, err := replay(data) // must not panic

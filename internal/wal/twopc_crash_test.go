@@ -87,8 +87,8 @@ func runTwoPCScript(arm0, cut0, arm1, cut1 int) *twoPCRun {
 	abortBoth := func(id string, upto int) {
 		for gi := 0; gi < upto; gi++ {
 			if g := groups[gi]; !g.dead {
-				_, _ = g.cert.Decide(id, false)
-				_ = g.cert.Forget(id)
+				_, _ = g.cert.Decide(tid(id), false)
+				_ = g.cert.Forget(tid(id))
 			}
 		}
 		r.aborted = append(r.aborted, id)
@@ -109,7 +109,7 @@ func runTwoPCScript(arm0, cut0, arm1, cut1 int) *twoPCRun {
 			continue
 		}
 		vote0, _, err0 := r.g0.cert.Prepare(certifier.PreparedTxn{
-			ID: id, Coord: 0, Snapshot: r.g0.cert.Version(),
+			ID: tid(id), Coord: 0, Snapshot: r.g0.cert.Version(),
 			Writeset: ws("t", rowA, fragVal(0, id)),
 		})
 		if err0 != nil || !vote0 {
@@ -117,7 +117,7 @@ func runTwoPCScript(arm0, cut0, arm1, cut1 int) *twoPCRun {
 			continue
 		}
 		vote1, _, err1 := r.g1.cert.Prepare(certifier.PreparedTxn{
-			ID: id, Coord: 0, Snapshot: r.g1.cert.Version(),
+			ID: tid(id), Coord: 0, Snapshot: r.g1.cert.Version(),
 			Writeset: ws("t", rowB, fragVal(1, id)),
 		})
 		if err1 != nil || !vote1 {
@@ -125,17 +125,17 @@ func runTwoPCScript(arm0, cut0, arm1, cut1 int) *twoPCRun {
 			continue
 		}
 		// Commit point: the coordinator group's durable decision.
-		if _, err := r.g0.cert.Decide(id, true); err != nil {
+		if _, err := r.g0.cert.Decide(tid(id), true); err != nil {
 			r.unknown = append(r.unknown, id)
 			continue
 		}
 		r.acked = append(r.acked, id)
-		if _, err := r.g1.cert.Decide(id, true); err != nil {
+		if _, err := r.g1.cert.Decide(tid(id), true); err != nil {
 			// Ack stands; the participant resolves on recovery.
 			continue
 		}
-		_ = r.g1.cert.Forget(id)
-		_ = r.g0.cert.Forget(id)
+		_ = r.g1.cert.Forget(tid(id))
+		_ = r.g0.cert.Forget(tid(id))
 	}
 
 	// A certain conflict: re-prepare row 0 against a stale snapshot.
@@ -146,7 +146,7 @@ func runTwoPCScript(arm0, cut0, arm1, cut1 int) *twoPCRun {
 		id := "stale"
 		x0Committed := len(r.acked) > 0 && r.acked[0] == "x0"
 		vote, _, err := r.g0.cert.Prepare(certifier.PreparedTxn{
-			ID: id, Coord: 0, Snapshot: 0,
+			ID: tid(id), Coord: 0, Snapshot: 0,
 			Writeset: ws("t", 0, fragVal(0, id)),
 		})
 		if err == nil && vote && x0Committed {

@@ -1,17 +1,25 @@
 package wal
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/certifier"
 	"repro/internal/codec"
 )
 
-func prep(id string, coord, snapshot, row int64) certifier.PreparedTxn {
+func prep(id codec.TxnID, coord, snapshot, row int64) certifier.PreparedTxn {
 	return certifier.PreparedTxn{
 		ID: id, Coord: coord, Snapshot: snapshot,
-		Writeset: ws("t", row, "prep-"+id),
+		Writeset: ws("t", row, "prep-"+id.String()),
 	}
+}
+
+// tid names a test transaction: the same name is always the same id.
+func tid(name string) codec.TxnID {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return codec.TxnID{Epoch: 1, Seq: int64(h.Sum64() >> 1)}
 }
 
 // TestTwoPCRoundTrip replays the full prepare → decide → forget
@@ -22,7 +30,7 @@ func TestTwoPCRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := prep("x1", 2, 0, 7)
+	p := prep(tid("x1"), 2, 0, 7)
 	seq, err := w.AppendPrepare(p)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +41,7 @@ func TestTwoPCRoundTrip(t *testing.T) {
 	w.Close()
 
 	w, rec := reopen(t, fs, true)
-	if len(rec.Prepared) != 1 || rec.Prepared[0].ID != "x1" ||
+	if len(rec.Prepared) != 1 || rec.Prepared[0].ID != tid("x1") ||
 		rec.Prepared[0].Coord != 2 || rec.Prepared[0].Writeset.Entries[0].Key.Row != 7 {
 		t.Fatalf("prepared after cycle: %+v", rec.Prepared)
 	}
@@ -43,7 +51,7 @@ func TestTwoPCRoundTrip(t *testing.T) {
 
 	// Commit decision: decision frame + the decided record, one write.
 	recs := []certifier.Record{{Version: 1, Writeset: p.Writeset}}
-	seq, err = w.AppendDecision("x1", true, 1, recs)
+	seq, err = w.AppendDecision(tid("x1"), true, 1, recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +61,7 @@ func TestTwoPCRoundTrip(t *testing.T) {
 	w.Close()
 
 	w, rec = reopen(t, fs, true)
-	d, ok := rec.Decisions["x1"]
+	d, ok := rec.Decisions[tid("x1")]
 	if !ok || !d.Commit || d.Version != 1 {
 		t.Fatalf("decision after cycle: %+v ok=%v", d, ok)
 	}
@@ -67,7 +75,7 @@ func TestTwoPCRoundTrip(t *testing.T) {
 		t.Fatalf("prepared entry dropped by commit decision: %+v", rec.Prepared)
 	}
 
-	seq, err = w.AppendForget("x1")
+	seq, err = w.AppendForget([]codec.TxnID{tid("x1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +98,10 @@ func TestTwoPCAbortDropsPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendPrepare(prep("a", 0, 0, 1)); err != nil {
+	if _, err := w.AppendPrepare(prep(tid("a"), 0, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := w.AppendDecision("a", false, 0, nil)
+	seq, err := w.AppendDecision(tid("a"), false, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +113,7 @@ func TestTwoPCAbortDropsPrepared(t *testing.T) {
 	if len(rec.Prepared) != 0 {
 		t.Fatalf("aborted prepare survived replay: %+v", rec.Prepared)
 	}
-	d, ok := rec.Decisions["a"]
+	d, ok := rec.Decisions[tid("a")]
 	if !ok || d.Commit {
 		t.Fatalf("abort decision lost: %+v ok=%v", d, ok)
 	}
@@ -123,7 +131,7 @@ func TestTornDecisionRecommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := prep("torn", 1, 0, 9)
+	p := prep(tid("torn"), 1, 0, 9)
 	seq, err := w.AppendPrepare(p)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +142,7 @@ func TestTornDecisionRecommit(t *testing.T) {
 	pre, _ := fs.ReadFile(segName)
 	preLen := len(pre)
 	recs := []certifier.Record{{Version: 1, Writeset: p.Writeset}}
-	if _, err := w.AppendDecision("torn", true, 1, recs); err != nil {
+	if _, err := w.AppendDecision(tid("torn"), true, 1, recs, nil); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -142,7 +150,7 @@ func TestTornDecisionRecommit(t *testing.T) {
 	// Tear the write after the decision frame: keep exactly
 	// [prepare..][decision frame], cut the writeset+commit frames.
 	full, _ := fs.ReadFile(segName)
-	decFrame := len(codec.DecisionFrame(nil, "torn", true, 1))
+	decFrame := len(codec.DecisionFrame(nil, tid("torn"), true, 1))
 	cut := preLen + decFrame
 	if cut >= len(full) {
 		t.Fatalf("nothing to tear: cut=%d len=%d", cut, len(full))
@@ -156,7 +164,7 @@ func TestTornDecisionRecommit(t *testing.T) {
 	if len(rec.Records) != 0 {
 		t.Fatalf("torn record resurrected: %+v", rec.Records)
 	}
-	d, ok := rec.Decisions["torn"]
+	d, ok := rec.Decisions[tid("torn")]
 	if !ok || !d.Commit || d.Version != 1 {
 		t.Fatalf("decision lost with the tear: %+v ok=%v", d, ok)
 	}
@@ -180,6 +188,59 @@ func TestTornDecisionRecommit(t *testing.T) {
 	}
 }
 
+// TestDecideAndRetireTornTail: a participant's decide-and-retire is
+// one write — decision, record, then the retirement — so a tear at any
+// byte of it loses a suffix: the retirement alone (the decision
+// survives, to be retired again later), the record too (re-committed
+// from the prepare), or everything (still in doubt). A record never
+// outlives its decision, and a retirement never outlives its record.
+func TestDecideAndRetireTornTail(t *testing.T) {
+	fs := NewMemFS()
+	w, _, err := Open(Options{FS: fs, Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := tid("retire")
+	p := prep(id, 1, 0, 9)
+	if _, err := w.AppendPrepare(p); err != nil {
+		t.Fatal(err)
+	}
+	pre, _ := fs.ReadFile(segName)
+	recs := []certifier.Record{{Version: 1, Writeset: p.Writeset}}
+	if _, err := w.AppendDecision(id, true, 1, recs, []codec.TxnID{id}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	full, _ := fs.ReadFile(segName)
+	for cut := len(pre); cut <= len(full); cut++ {
+		torn := NewMemFS()
+		f, _ := torn.Create(segName)
+		f.Write(full[:cut])
+		f.Close()
+		w2, rec := reopen(t, torn, true)
+		_, decided := rec.Decisions[id]
+		switch {
+		case cut == len(full):
+			if decided || len(rec.Prepared) != 0 || len(rec.Records) != 1 {
+				t.Fatalf("whole write: decided %v, prepared %+v, records %+v", decided, rec.Prepared, rec.Records)
+			}
+		case len(rec.Records) == 1:
+			if !decided || len(rec.Prepared) != 1 {
+				t.Fatalf("cut %d: record without its decision and fragment", cut)
+			}
+		case decided:
+			if len(rec.Prepared) != 1 {
+				t.Fatalf("cut %d: decision without the fragment to re-commit", cut)
+			}
+		default:
+			if len(rec.Prepared) != 1 {
+				t.Fatalf("cut %d: in-doubt fragment lost", cut)
+			}
+		}
+		w2.Close()
+	}
+}
+
 // TestCompactRetiresSettledTwoPC: compaction keeps in-doubt prepares
 // and undecided/unforgotten decisions but drops settled ones.
 func TestCompactRetiresSettledTwoPC(t *testing.T) {
@@ -190,24 +251,24 @@ func TestCompactRetiresSettledTwoPC(t *testing.T) {
 	}
 	// aborted+decided: fully settled once the abort is on disk (the
 	// decision itself survives until a Forget retires it).
-	if _, err := w.AppendPrepare(prep("settled", 0, 0, 1)); err != nil {
+	if _, err := w.AppendPrepare(prep(tid("settled"), 0, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendDecision("settled", false, 0, nil); err != nil {
+	if _, err := w.AppendDecision(tid("settled"), false, 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendForget("settled"); err != nil {
+	if _, err := w.AppendForget([]codec.TxnID{tid("settled")}); err != nil {
 		t.Fatal(err)
 	}
 	// still in doubt: must survive compaction.
-	if _, err := w.AppendPrepare(prep("doubt", 1, 0, 2)); err != nil {
+	if _, err := w.AppendPrepare(prep(tid("doubt"), 1, 0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	// decided but not forgotten: the decision must survive.
-	if _, err := w.AppendPrepare(prep("decided", 1, 0, 3)); err != nil {
+	if _, err := w.AppendPrepare(prep(tid("decided"), 1, 0, 3)); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := w.AppendDecision("decided", false, 0, nil)
+	seq, err := w.AppendDecision(tid("decided"), false, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,13 +281,13 @@ func TestCompactRetiresSettledTwoPC(t *testing.T) {
 	w.Close()
 
 	_, rec := reopen(t, fs, true)
-	if len(rec.Prepared) != 1 || rec.Prepared[0].ID != "doubt" {
+	if len(rec.Prepared) != 1 || rec.Prepared[0].ID != tid("doubt") {
 		t.Fatalf("compaction kept wrong prepares: %+v", rec.Prepared)
 	}
-	if _, ok := rec.Decisions["decided"]; !ok {
+	if _, ok := rec.Decisions[tid("decided")]; !ok {
 		t.Fatal("unforgotten decision dropped by compaction")
 	}
-	if _, ok := rec.Decisions["settled"]; ok {
+	if _, ok := rec.Decisions[tid("settled")]; ok {
 		t.Fatal("forgotten decision survived compaction")
 	}
 }

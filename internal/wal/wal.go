@@ -50,8 +50,9 @@
 // a reused version and resurrect a never-acked writeset. Recovery
 // rebuilds the database as the latest snapshot plus the records above
 // it, and resumes at Recovered.LastVersion. Kinds 5–7 (the apply,
-// table and cursor frames of the retired two-stream format) are
-// refused with ErrRetiredFrame rather than skipped.
+// table and cursor frames of the retired two-stream format) and 8–10
+// (the 2PC frames of string transaction ids) are refused with
+// ErrRetiredFrame rather than skipped.
 package wal
 
 import (
@@ -85,9 +86,10 @@ var ErrStaleSnapshot = errors.New("wal: compact: snapshot older than the segment
 
 // ErrRetiredFrame is returned by Open for a segment holding a CRC-valid
 // frame of a retired kind (5–7: the apply, table and cursor frames of
-// the old two-stream format). Replaying such a log without them would
-// bring the node up with an empty database, so Open refuses it and
-// leaves the file untouched.
+// the old two-stream format; 8–10: the 2PC frames of string
+// transaction ids). Replaying such a log without them would bring the
+// node up with an empty database, or without its in-doubt locks, so
+// Open refuses it and leaves the file untouched.
 var ErrRetiredFrame = errors.New("wal: segment holds a retired frame kind")
 
 // Options configure Open.
@@ -305,7 +307,7 @@ func replay(data []byte) (*Recovered, int64, error) {
 		if payload == nil {
 			break
 		}
-		if k := payload[0]; k >= 5 && k <= 7 {
+		if k := payload[0]; codec.Retired(k) {
 			return nil, 0, fmt.Errorf("%w: kind %d at offset %d", ErrRetiredFrame, k, off)
 		}
 		off += n
@@ -439,30 +441,32 @@ func (w *WAL) AppendPrepare(p certifier.PreparedTxn) (int64, error) {
 	return w.writeLocked(*buf)
 }
 
-// AppendDecision journals a 2PC decision and, for commits, the decided
-// record's writeset and commit marker — all in ONE write, decision
-// frame first. The ordering is the recovery argument: a torn tail cuts
-// a suffix, so the surviving prefixes are exactly {nothing},
-// {decision}, {decision+writeset} or everything; a record can never
-// outlive its decision, while a record-less commit decision is
-// re-committed from the prepared writeset at recovery.
-func (w *WAL) AppendDecision(txn string, commit bool, version int64, recs []certifier.Record) (int64, error) {
+// AppendDecision journals a 2PC decision, for commits the decided
+// record's writeset and commit marker, and the retirement of the
+// decisions in retire — all in ONE write, decision frame first and
+// retirement last. The ordering is the recovery argument: a torn tail
+// cuts a suffix, so the surviving prefixes are exactly {nothing},
+// {decision}, {decision+writeset}, {decision+record} or everything; a
+// record can never outlive its decision, nor a retirement its record,
+// while a record-less commit decision is re-committed from the
+// prepared writeset at recovery.
+func (w *WAL) AppendDecision(txn codec.TxnID, commit bool, version int64, recs []certifier.Record, retire []codec.TxnID) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	buf := takeBuf()
 	defer putBuf(buf)
 	var top int64
-	*buf, top = certifier.AppendDecision(*buf, txn, commit, version, recs)
+	*buf, top = certifier.AppendDecision(*buf, txn, commit, version, recs, retire)
 	return w.writeRecordsLocked(*buf, top)
 }
 
-// AppendForget journals the retirement of a decision record.
-func (w *WAL) AppendForget(txn string) (int64, error) {
+// AppendForget journals the retirement of decision records.
+func (w *WAL) AppendForget(txns []codec.TxnID) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	buf := takeBuf()
 	defer putBuf(buf)
-	*buf = codec.ForgetFrame(*buf, txn)
+	*buf = codec.ForgetFrame(*buf, txns)
 	return w.writeLocked(*buf)
 }
 
@@ -656,13 +660,14 @@ func (w *WAL) Compact(base, snap int64, state map[string]map[int64]string) error
 // re-commits them), decDone holds txns whose decision frames are
 // droppable (forgotten).
 type settledSet struct {
-	prepDone map[string]bool
-	decDone  map[string]bool
+	prepDone map[codec.TxnID]bool
+	decDone  map[codec.TxnID]bool
 }
 
 // settledTxns scans a segment for the settled 2PC transactions.
 func settledTxns(data []byte) settledSet {
-	s := settledSet{prepDone: map[string]bool{}, decDone: map[string]bool{}}
+	s := settledSet{prepDone: map[codec.TxnID]bool{}, decDone: map[codec.TxnID]bool{}}
+	var ids []codec.TxnID
 	off := 0
 	for {
 		payload, n := codec.NextFrame(data[off:])
@@ -673,12 +678,13 @@ func settledTxns(data []byte) settledSet {
 		d := codec.NewDecoder(payload[1:])
 		switch payload[0] {
 		case codec.KindDecision:
-			id := d.Str()
+			id := d.TxnID()
 			if commit := d.Bool(); d.Err() == nil && !commit {
 				s.prepDone[id] = true
 			}
 		case codec.KindForget:
-			if id := d.Str(); d.Err() == nil {
+			ids = d.TxnIDs(ids)
+			for _, id := range ids {
 				s.prepDone[id] = true
 				s.decDone[id] = true
 			}
@@ -700,9 +706,9 @@ func keepFrame(payload []byte, base int64, settled settledSet) bool {
 	case codec.KindWriteset, codec.KindCommit:
 		return d.Varint() > base
 	case codec.KindPrepare:
-		return !settled.prepDone[d.Str()]
+		return !settled.prepDone[d.TxnID()]
 	case codec.KindDecision:
-		return !settled.decDone[d.Str()]
+		return !settled.decDone[d.TxnID()]
 	case codec.KindForget:
 		return false // its targets' frames were dropped with it
 	default: // old epoch header, old snapshot (rewritten fresh)

@@ -91,11 +91,12 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestRetiredFramesRefused: a CRC-valid frame of a retired kind (the
-// old format's apply, table and cursor frames) fails Open with
+// old format's apply, table and cursor frames, and the 2PC frames of
+// string transaction ids) fails Open with
 // ErrRetiredFrame, and the segment is left exactly as it was — it is
 // not truncated at the frame as a torn tail would be.
 func TestRetiredFramesRefused(t *testing.T) {
-	for kind := byte(5); kind <= 7; kind++ {
+	for kind := byte(5); kind <= 10; kind++ {
 		fs := NewMemFS()
 		w, _, err := Open(Options{FS: fs})
 		if err != nil {

@@ -32,6 +32,13 @@ var hotWS = writeset.New([]writeset.Entry{
 	{Key: writeset.Key{Table: "item", Row: 42}, Value: "stock=91 qty=3"},
 })
 
+// hotTxn is a cross-shard transaction id as a router mints it.
+var hotTxn = codec.TxnID{Epoch: 0x18f3a2b4c5d6e7f8, Seq: 42}
+
+// hotRetire are the ids a decide retires: a coordinator's piggybacked
+// earlier decisions, or the ids of a Sync's one ForgetTxn.
+var hotRetire = []codec.TxnID{{Epoch: hotTxn.Epoch, Seq: 39}, {Epoch: hotTxn.Epoch, Seq: 40}, {Epoch: hotTxn.Epoch, Seq: 41}}
+
 // hotFrames are the read- and commit-path messages a loaded cluster
 // exchanges per transaction; their encode path must not allocate.
 var hotFrames = []struct {
@@ -44,8 +51,9 @@ var hotFrames = []struct {
 	{"Commit", &Commit{}},
 	{"Certify", &Certify{Snapshot: 99, WS: hotWS, Trace: 7}},
 	{"FetchSince", &FetchSince{Version: 12, WaitMillis: 250}},
-	{"PrepareTxn", &PrepareTxn{TxnID: "x18f3a2b4c5d6e7f8-42", Coord: 1}},
-	{"DecideTxn", &DecideTxn{TxnID: "x18f3a2b4c5d6e7f8-42", Commit: true}},
+	{"PrepareTxn", &PrepareTxn{TxnID: hotTxn, Coord: 1}},
+	{"DecideTxn", &DecideTxn{TxnID: hotTxn, Commit: true, Retire: hotRetire}},
+	{"ForgetTxn", &ForgetTxn{IDs: hotRetire}},
 }
 
 // TestHotFrameEncodeAllocs pins the zero-allocation contract on the
@@ -96,16 +104,19 @@ func TestHotFrameDecodeAllocs(t *testing.T) {
 		// Certify retains the writeset: its entries slice and one
 		// value string (table names are interned).
 		{"Certify", &Certify{Snapshot: 99, WS: hotWS, Trace: 7}, 2},
-		// The 2PC frames retain their transaction id, and a raw
-		// prepare its writeset too; their replies retain nothing.
-		{"PrepareTxn", &PrepareTxn{TxnID: "x18f3a2b4c5d6e7f8-42", Coord: 1}, 1},
-		{"PrepareTxn/raw", &PrepareTxn{TxnID: "x18f3a2b4c5d6e7f8-42", Coord: 1, Snapshot: 99, WS: hotWS}, 3},
+		// A 2PC transaction id is a value, and the id lists of a decide
+		// and a forget decode into their reused struct: the 2PC frames
+		// and their replies allocate nothing, and a raw prepare only
+		// its writeset.
+		{"PrepareTxn", &PrepareTxn{TxnID: hotTxn, Coord: 1}, 0},
+		{"PrepareTxn/raw", &PrepareTxn{TxnID: hotTxn, Coord: 1, Snapshot: 99, WS: hotWS}, 2},
 		{"PrepareTxnOK", &PrepareTxnOK{Vote: true, ConflictWith: 40}, 0},
-		{"DecideTxn", &DecideTxn{TxnID: "x18f3a2b4c5d6e7f8-42", Commit: true}, 1},
+		{"DecideTxn", &DecideTxn{TxnID: hotTxn, Commit: true}, 0},
+		{"DecideTxn/retire", &DecideTxn{TxnID: hotTxn, Commit: true, Retire: hotRetire}, 0},
 		{"DecideTxnOK", &DecideTxnOK{Version: 42}, 0},
-		{"ResolveTxn", &ResolveTxn{TxnID: "x18f3a2b4c5d6e7f8-42"}, 1},
+		{"ResolveTxn", &ResolveTxn{TxnID: hotTxn}, 0},
 		{"ResolveTxnOK", &ResolveTxnOK{Commit: true}, 0},
-		{"ForgetTxn", &ForgetTxn{TxnID: "x18f3a2b4c5d6e7f8-42"}, 1},
+		{"ForgetTxn", &ForgetTxn{IDs: hotRetire}, 0},
 		{"ForgetTxnOK", &ForgetTxnOK{}, 0},
 	}
 	for _, tc := range cases {
@@ -139,7 +150,7 @@ func TestHotFrameDecodeAllocs(t *testing.T) {
 // decoded fresh each time, so a certifier holding the first frame's id
 // and writeset sees them unchanged after the next frame arrives.
 func TestHotFrameRecvReusesTwoPCStructs(t *testing.T) {
-	id := func(i int) string { return fmt.Sprintf("x18f3a2b4c5d6e7f8-%d", i) }
+	id := func(i int) codec.TxnID { return codec.TxnID{Epoch: hotTxn.Epoch, Seq: int64(i)} }
 	cases := []struct {
 		name string
 		msg  func(i int) Message
@@ -161,8 +172,7 @@ func TestHotFrameRecvReusesTwoPCStructs(t *testing.T) {
 		{"ResolveTxn", func(i int) Message { return &ResolveTxn{TxnID: id(i)} },
 			func(m Message) any { return m.(*ResolveTxn).TxnID }},
 		{"ResolveTxnOK", func(i int) Message { return &ResolveTxnOK{Commit: true} }, nil},
-		{"ForgetTxn", func(i int) Message { return &ForgetTxn{TxnID: id(i)} },
-			func(m Message) any { return m.(*ForgetTxn).TxnID }},
+		{"ForgetTxn", func(i int) Message { return &ForgetTxn{IDs: []codec.TxnID{id(i)}} }, nil},
 		{"ForgetTxnOK", func(i int) Message { return &ForgetTxnOK{} }, nil},
 	}
 	for _, tc := range cases {

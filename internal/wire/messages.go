@@ -1130,7 +1130,7 @@ func (m *NotLeader) decode(d *decoder) {
 // group id coordinating the transaction — where a recovering
 // participant sends ResolveTxn.
 type PrepareTxn struct {
-	TxnID    string
+	TxnID    codec.TxnID
 	Coord    int64
 	Snapshot int64
 	WS       writeset.Writeset
@@ -1138,13 +1138,13 @@ type PrepareTxn struct {
 
 func (*PrepareTxn) msgType() MsgType { return TPrepareTxn }
 func (m *PrepareTxn) encode(b []byte) []byte {
-	b = codec.AppendString(b, m.TxnID)
+	b = codec.AppendTxnID(b, m.TxnID)
 	b = binary.AppendVarint(b, m.Coord)
 	b = binary.AppendVarint(b, m.Snapshot)
 	return codec.AppendWriteset(b, m.WS)
 }
 func (m *PrepareTxn) decode(d *decoder) {
-	m.TxnID = d.Str()
+	m.TxnID = d.TxnID()
 	m.Coord = d.Varint()
 	m.Snapshot = d.Varint()
 	m.WS = d.Writeset()
@@ -1173,20 +1173,26 @@ func (m *PrepareTxnOK) decode(d *decoder) {
 // DecideTxn delivers the coordinator's decision for a prepared
 // transaction to a participant group. Commit routes the
 // fragment through the group's ordinary record log; abort releases
-// its locks.
+// its locks. Retire lists decisions the group retires in the same
+// journal write and Paxos value: TxnID itself at a participant and for
+// an abort, and the coordinator's earlier decisions, piggybacked.
+// A reused struct decodes Retire into its old backing array.
 type DecideTxn struct {
-	TxnID  string
+	TxnID  codec.TxnID
 	Commit bool
+	Retire []codec.TxnID
 }
 
 func (*DecideTxn) msgType() MsgType { return TDecideTxn }
 func (m *DecideTxn) encode(b []byte) []byte {
-	b = codec.AppendString(b, m.TxnID)
-	return codec.AppendBool(b, m.Commit)
+	b = codec.AppendTxnID(b, m.TxnID)
+	b = codec.AppendBool(b, m.Commit)
+	return codec.AppendTxnIDs(b, m.Retire)
 }
 func (m *DecideTxn) decode(d *decoder) {
-	m.TxnID = d.Str()
+	m.TxnID = d.TxnID()
 	m.Commit = d.Bool()
+	m.Retire = d.TxnIDs(m.Retire)
 }
 
 // DecideTxnOK acknowledges DecideTxn with the global version the
@@ -1204,12 +1210,12 @@ func (m *DecideTxnOK) decode(d *decoder)      { m.Version = d.Varint() }
 // answers abort — and records that abort durably first (presumed
 // abort), so a late commit can never contradict the answer.
 type ResolveTxn struct {
-	TxnID string
+	TxnID codec.TxnID
 }
 
 func (*ResolveTxn) msgType() MsgType         { return TResolveTxn }
-func (m *ResolveTxn) encode(b []byte) []byte { return codec.AppendString(b, m.TxnID) }
-func (m *ResolveTxn) decode(d *decoder)      { m.TxnID = d.Str() }
+func (m *ResolveTxn) encode(b []byte) []byte { return codec.AppendTxnID(b, m.TxnID) }
+func (m *ResolveTxn) decode(d *decoder)      { m.TxnID = d.TxnID() }
 
 // ResolveTxnOK answers ResolveTxn.
 type ResolveTxnOK struct {
@@ -1220,17 +1226,17 @@ func (*ResolveTxnOK) msgType() MsgType         { return TResolveTxnOK }
 func (m *ResolveTxnOK) encode(b []byte) []byte { return codec.AppendBool(b, m.Commit) }
 func (m *ResolveTxnOK) decode(d *decoder)      { m.Commit = d.Bool() }
 
-// ForgetTxn retires a fully acknowledged decision at a group: every
-// participant has applied the outcome, so the
-// decision record can stop occupying the journal and the decisions
-// map.
+// ForgetTxn retires fully acknowledged decisions at a group: every
+// participant has applied their outcomes, so the decision records can
+// stop occupying the journal and the decisions map. A reused struct
+// decodes IDs into its old backing array.
 type ForgetTxn struct {
-	TxnID string
+	IDs []codec.TxnID
 }
 
 func (*ForgetTxn) msgType() MsgType         { return TForgetTxn }
-func (m *ForgetTxn) encode(b []byte) []byte { return codec.AppendString(b, m.TxnID) }
-func (m *ForgetTxn) decode(d *decoder)      { m.TxnID = d.Str() }
+func (m *ForgetTxn) encode(b []byte) []byte { return codec.AppendTxnIDs(b, m.IDs) }
+func (m *ForgetTxn) decode(d *decoder)      { m.IDs = d.TxnIDs(m.IDs) }
 
 // ForgetTxnOK acknowledges ForgetTxn.
 type ForgetTxnOK struct{}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/writeset"
 )
 
@@ -33,14 +34,14 @@ func TestTwoPCFramesRoundTrip(t *testing.T) {
 		{Key: writeset.Key{Table: "stock", Row: -3}, Delete: true},
 	})
 	msgs := []Message{
-		&PrepareTxn{TxnID: "r0-17-1", Coord: 2, Snapshot: 41, WS: ws},
+		&PrepareTxn{TxnID: codec.TxnID{Epoch: 17, Seq: 1}, Coord: 2, Snapshot: 41, WS: ws},
 		&PrepareTxnOK{Vote: true},
 		&PrepareTxnOK{Vote: false, ConflictWith: 40},
-		&DecideTxn{TxnID: "r0-17-1", Commit: true},
+		&DecideTxn{TxnID: codec.TxnID{Epoch: 17, Seq: 1}, Commit: true, Retire: []codec.TxnID{{Epoch: 17, Seq: 1}}},
 		&DecideTxnOK{Version: 42},
-		&ResolveTxn{TxnID: "r0-17-1"},
+		&ResolveTxn{TxnID: codec.TxnID{Epoch: 17, Seq: 1}},
 		&ResolveTxnOK{Commit: false},
-		&ForgetTxn{TxnID: "r0-17-1"},
+		&ForgetTxn{IDs: []codec.TxnID{{Epoch: 17, Seq: 1}, {Epoch: 17, Seq: 2}}},
 		&ForgetTxnOK{},
 	}
 	for _, m := range msgs {
@@ -89,10 +90,11 @@ func FuzzShardMap(f *testing.F) {
 // FuzzTwoPCFrames fuzzes the prepare/decide codec through full
 // frames.
 func FuzzTwoPCFrames(f *testing.F) {
-	f.Add("t1", int64(0), int64(0), "item", int64(7), "v", false, true, int64(8))
-	f.Add("", int64(-2), int64(1<<50), "", int64(-1), "", true, false, int64(0))
-	f.Fuzz(func(t *testing.T, id string, coord, snap int64,
+	f.Add(int64(1), int64(1), int64(0), int64(0), "item", int64(7), "v", false, true, int64(8))
+	f.Add(int64(-1<<63), int64(0), int64(-2), int64(1<<50), "", int64(-1), "", true, false, int64(0))
+	f.Fuzz(func(t *testing.T, epoch, seq, coord, snap int64,
 		table string, row int64, value string, del, commit bool, version int64) {
+		id := codec.TxnID{Epoch: epoch, Seq: seq}
 		p := &PrepareTxn{TxnID: id, Coord: coord, Snapshot: snap,
 			WS: writeset.New([]writeset.Entry{
 				{Key: writeset.Key{Table: table, Row: row}, Delete: del, Value: value},

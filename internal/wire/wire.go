@@ -40,7 +40,7 @@ const (
 	// connection. Each message has exactly one payload shape. Any change
 	// to a frame's shape — a field added, removed or re-encoded, or a
 	// message type added — bumps ProtoVersion.
-	ProtoVersion = 9
+	ProtoVersion = 10
 
 	// MaxFrame bounds one frame (type byte + payload) to keep a
 	// misbehaving peer from forcing unbounded allocation.
@@ -192,7 +192,8 @@ func (c *Conn) Recv() (Message, error) {
 // Snapshot/Stats/Members/Join) and the paxos frames are excluded
 // because callers hold onto them. The strings and writesets a reused
 // struct carries are still decoded fresh, so a certifier may keep a
-// PrepareTxn's TxnID and WS as it keeps a Certify's WS.
+// PrepareTxn's WS as it keeps a Certify's WS; the id lists of DecideTxn
+// and ForgetTxn are the exception, reused with their struct.
 var hotReusable = [TForgetTxnOK + 1]bool{
 	TErr: true, TBegin: true, TBeginOK: true, TRead: true, TReadOK: true,
 	TWrite: true, TWriteOK: true, TDelete: true, TCommit: true,

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/writeset"
 )
 
@@ -130,13 +131,13 @@ func allMessages() []Message {
 		&PaxosLearnOK{MaxSlot: -1, PromisedRound: 0, PromisedProposer: 0},
 		&PaxosLearnOK{MaxSlot: 41, PromisedRound: 7, PromisedProposer: 2},
 		&NotLeader{Leader: 2, Epoch: 7, Addr: "127.0.0.1:7002"},
-		&PrepareTxn{TxnID: "r0-17-1", Coord: 2, Snapshot: 41, WS: ws},
+		&PrepareTxn{TxnID: codec.TxnID{Epoch: 17, Seq: 1}, Coord: 2, Snapshot: 41, WS: ws},
 		&PrepareTxnOK{Vote: false, ConflictWith: 40},
-		&DecideTxn{TxnID: "r0-17-1", Commit: true},
+		&DecideTxn{TxnID: codec.TxnID{Epoch: 17, Seq: 1}, Commit: true, Retire: []codec.TxnID{{Epoch: 17, Seq: 1}}},
 		&DecideTxnOK{Version: 42},
-		&ResolveTxn{TxnID: "r0-17-1"},
+		&ResolveTxn{TxnID: codec.TxnID{Epoch: 17, Seq: 1}},
 		&ResolveTxnOK{Commit: true},
-		&ForgetTxn{TxnID: "r0-17-1"},
+		&ForgetTxn{IDs: []codec.TxnID{{Epoch: 17, Seq: 1}, {Epoch: 17, Seq: 2}}},
 		&ForgetTxnOK{},
 	}
 }
