@@ -147,7 +147,7 @@ type Certifier struct {
 
 	// Two-phase commit state (twopc.go), allocated lazily: in-doubt
 	// prepared fragments, their key locks, and recorded decisions.
-	prepared  map[codec.TxnID]PreparedTxn
+	prepared  map[codec.TxnID]inDoubt
 	prepIndex map[writeset.Key]codec.TxnID
 	decisions map[codec.TxnID]TwoPCDecision
 

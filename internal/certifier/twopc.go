@@ -23,6 +23,7 @@ package certifier
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/writeset"
@@ -40,6 +41,12 @@ type PreparedTxn struct {
 	Snapshot int64
 	// Writeset is this group's fragment of the transaction.
 	Writeset writeset.Writeset
+}
+
+// inDoubt is a prepared fragment and when this certifier locked it.
+type inDoubt struct {
+	PreparedTxn
+	since time.Time
 }
 
 // TwoPCDecision is a durable commit/abort decision for one prepared
@@ -70,7 +77,7 @@ type TxnJournal interface {
 // never see a cross-shard transaction).
 func (c *Certifier) ensureTwoPCLocked() {
 	if c.prepared == nil {
-		c.prepared = make(map[codec.TxnID]PreparedTxn)
+		c.prepared = make(map[codec.TxnID]inDoubt)
 		c.prepIndex = make(map[writeset.Key]codec.TxnID)
 		c.decisions = make(map[codec.TxnID]TwoPCDecision)
 	}
@@ -94,10 +101,11 @@ func (c *Certifier) prepConflictLocked(id codec.TxnID, ws writeset.Writeset) boo
 	return false
 }
 
-// lockLocked installs a prepared transaction and its key locks.
+// lockLocked installs a prepared transaction and its key locks,
+// stamped with the time it was locked.
 func (c *Certifier) lockLocked(p PreparedTxn) {
 	c.ensureTwoPCLocked()
-	c.prepared[p.ID] = p
+	c.prepared[p.ID] = inDoubt{PreparedTxn: p, since: time.Now()}
 	for _, e := range p.Writeset.Entries {
 		c.prepIndex[e.Key] = p.ID
 	}
@@ -343,9 +351,22 @@ func (c *Certifier) InDoubt() []PreparedTxn {
 	defer c.mu.Unlock()
 	out := make([]PreparedTxn, 0, len(c.prepared))
 	for _, p := range c.prepared {
-		out = append(out, p)
+		out = append(out, p.PreparedTxn)
 	}
 	return out
+}
+
+// OldestInDoubt returns how long before now the oldest in-doubt
+// fragment was locked, 0 with none in doubt. A fragment restored from
+// a log counts from its restore.
+func (c *Certifier) OldestInDoubt(now time.Time) time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var oldest time.Duration
+	for _, p := range c.prepared {
+		oldest = max(oldest, now.Sub(p.since))
+	}
+	return oldest
 }
 
 // TwoPCCounts returns how many fragments are in doubt and how many

@@ -95,14 +95,14 @@ type stillConn struct{ net.Conn }
 
 func (stillConn) SetDeadline(time.Time) error { return nil }
 
-// TestFetchSinceIntoAllocs pins the replica half of a propagation
-// fetch: a Records reply replayed through Link.FetchSinceInto into a
-// reused scratch slice allocates only what the caller owns — each
-// writeset's entries and each value — whether the body came plain or
-// DEFLATE-compressed. The request is the connection's scratch, the
-// reply and its table dictionary are the connection's decode targets,
-// and table names are interned.
-func TestFetchSinceIntoAllocs(t *testing.T) {
+// TestFetchSinceAllocs pins the replica half of a propagation fetch:
+// a Records reply replayed through Link.FetchSince into an apply
+// callback allocates only the value strings a replica installs, whether
+// the body came plain or DEFLATE-compressed. The request is the
+// connection's scratch; the reply, its table dictionary, its entry
+// arena and the records handed to apply are the connection's reused
+// decode targets; and table names are interned.
+func TestFetchSinceAllocs(t *testing.T) {
 	const recs, entries = 4, 2
 	run := make([]wire.Record, recs)
 	for i := range run {
@@ -128,19 +128,22 @@ func TestFetchSinceIntoAllocs(t *testing.T) {
 			nc, peer := net.Pipe()
 			defer peer.Close()
 			l.pool.idle = append(l.pool.idle, &wconn{nc: stillConn{nc}, wc: wire.NewConn(&replayRW{stream: stream.Bytes()})})
-			var scratch []certifier.Record
-			fetch := func() {
-				got, err := l.FetchSinceInto(scratch[:0], 0, 0)
-				if err != nil || len(got) != recs {
-					t.Fatalf("fetch: %d records, %v", len(got), err)
+			got := 0
+			apply := func(rs []certifier.Record) {
+				for _, r := range rs {
+					got += len(r.Writeset.Entries)
 				}
-				clear(got)
-				scratch = got[:0]
 			}
-			fetch() // warm the connection's buffers, reply and dictionary
-			allocs, want := testing.AllocsPerRun(200, fetch), float64(recs*(1+entries))
+			fetch := func() {
+				got = 0
+				if n, err := l.FetchSince(0, 0, apply); err != nil || n != recs || got != recs*entries {
+					t.Fatalf("fetch: %d records, %d entries, %v", n, got, err)
+				}
+			}
+			fetch() // warm the connection's buffers, reply, dictionary and arena
+			allocs, want := testing.AllocsPerRun(200, fetch), float64(recs*entries)
 			if allocs > want {
-				t.Fatalf("FetchSinceInto: %.2f allocs/op, want <= %.0f (each record's entries and values)", allocs, want)
+				t.Fatalf("FetchSince: %.2f allocs/op, want <= %.0f (each value)", allocs, want)
 			}
 			t.Logf("%.2f allocs/op", allocs)
 		})

@@ -53,7 +53,7 @@ type LeaderRing struct {
 	ring      []string         // candidate addresses, seed order first
 	cur       int              // index of the current leader guess
 	meta      func(version int64, trace uint64, commitNs int64)
-	sinceWait time.Duration // long-poll window for SinceInto
+	sinceWait time.Duration // long-poll window for Since
 }
 
 // ErrNoLeader reports that the redirect budget ran out without
@@ -286,46 +286,49 @@ func (r *LeaderRing) Check(snapshot int64, ws writeset.Writeset) (conflict bool,
 	return conflict, with
 }
 
-// SetSinceWait makes SinceInto long-poll with the given window instead
-// of returning immediately when the leader has nothing new: commit-path
+// SetSinceWait makes Since long-poll with the given window instead of
+// returning immediately when the leader has nothing new: commit-path
 // catch-up runs it in loops, and a caller already at the leader's
 // version should park there instead of busy polling. Install before
-// the loops that call SinceInto.
+// the loops that call Since.
 func (r *LeaderRing) SetSinceWait(d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.sinceWait = d
 }
 
-// SinceInto appends to dst every certified record with version > v
-// from the leader and returns the extended slice, or dst unchanged
-// when no leader is reachable. With a SetSinceWait window installed
-// the call long-polls when nothing is new.
-func (r *LeaderRing) SinceInto(dst []certifier.Record, v int64) []certifier.Record {
+// Since hands apply every certified record with version > v from the
+// leader, under Link.FetchSince's contract: the records are valid only
+// until apply returns. It returns how many there were, 0 when no
+// leader is reachable. With a SetSinceWait window installed the call
+// long-polls when nothing is new.
+func (r *LeaderRing) Since(v int64, apply func([]certifier.Record)) int {
 	r.mu.Lock()
 	wait := r.sinceWait
 	r.mu.Unlock()
+	n := 0
 	_ = r.do(false, func(l *Link) error {
 		var err error
-		dst, err = l.FetchSinceInto(dst, v, wait)
+		n, err = l.FetchSince(v, wait, apply)
 		return err
 	})
-	return dst
+	return n
 }
 
-// FetchSinceOnceInto appends to dst the records with version > v from
-// the current leader guess, asked once: on failure it moves the guess
-// for the next call. A backup's election timer polls with it, so a
-// dead leader costs one round trip per poll instead of the whole
-// redirect budget, and the timer measures how long since a leader
-// last answered. wait > 0 long-polls.
-func (r *LeaderRing) FetchSinceOnceInto(dst []certifier.Record, v int64, wait time.Duration) ([]certifier.Record, error) {
+// FetchSinceOnce hands apply the records with version > v from the
+// current leader guess, asked once, under Link.FetchSince's contract:
+// on failure it moves the guess for the next call. A backup's election
+// timer polls with it, so a dead leader costs one round trip per poll
+// instead of the whole redirect budget, and the timer measures how
+// long since a leader last answered. wait > 0 long-polls.
+func (r *LeaderRing) FetchSinceOnce(v int64, wait time.Duration, apply func([]certifier.Record)) (int, error) {
+	n := 0
 	err := r.try(func(l *Link) error {
 		var err error
-		dst, err = l.FetchSinceInto(dst, v, wait)
+		n, err = l.FetchSince(v, wait, apply)
 		return err
 	})
-	return dst, err
+	return n, err
 }
 
 // Members polls membership from whichever ring member answers first.

@@ -4,9 +4,11 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/certifier"
 )
 
-// TestFetchSinceOnceMovesGuess: FetchSinceOnceInto asks the current leader
+// TestFetchSinceOnceMovesGuess: FetchSinceOnce asks the current leader
 // guess exactly once. Against a dead guess it fails without trying the
 // rest of the ring, moves the guess to the next member, and the next
 // call reaches the live node there.
@@ -21,13 +23,13 @@ func TestFetchSinceOnceMovesGuess(t *testing.T) {
 
 	r := NewLeaderRing([]string{dead, live}, "mm", -1, time.Second)
 	t.Cleanup(r.Close)
-	if _, err := r.FetchSinceOnceInto(nil, 0, 0); err == nil {
+	if _, err := r.FetchSinceOnce(0, 0, func([]certifier.Record) {}); err == nil {
 		t.Fatal("fetch from a dead guess succeeded")
 	}
 	if got := r.LeaderAddr(); got != live {
 		t.Fatalf("guess after a failed fetch = %s, want the next member %s", got, live)
 	}
-	if _, err := r.FetchSinceOnceInto(nil, 0, 0); err != nil {
+	if _, err := r.FetchSinceOnce(0, 0, func([]certifier.Record) {}); err != nil {
 		t.Fatalf("fetch from the live member: %v", err)
 	}
 	if got := r.LeaderAddr(); got != live {

@@ -74,7 +74,10 @@ func (l *Link) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uint64)
 // Transport failures degrade to "no conflict": the probe is an
 // optimization, commit-time certification remains authoritative.
 func (l *Link) Check(snapshot int64, ws writeset.Writeset) (conflict bool, with int64) {
-	_ = l.pool.do(&wire.Check{Snapshot: snapshot, WS: ws}, linkRPCDeadline, func(reply wire.Message) error {
+	_ = l.pool.doOn(func(c *wconn) wire.Message {
+		c.check = wire.Check{Snapshot: snapshot, WS: ws}
+		return &c.check
+	}, linkRPCDeadline, func(reply wire.Message) error {
 		if m, ok := reply.(*wire.CheckOK); ok {
 			conflict, with = m.Conflict, m.With
 		}
@@ -266,13 +269,20 @@ func (l *Link) PaxosLearn() (paxos.LearnReply, error) {
 	}, nil
 }
 
-// FetchSinceInto appends to dst the records with version > v and
-// returns the extended slice; wait > 0 long-polls at the primary until
-// records arrive or the wait expires. The appended records are valid
-// until the caller reuses dst; their writesets are freshly decoded
-// and owned by the caller. On error dst comes back unchanged.
-func (l *Link) FetchSinceInto(dst []certifier.Record, v int64, wait time.Duration) ([]certifier.Record, error) {
+// FetchSince hands apply the records with version > v and returns how
+// many there were; wait > 0 long-polls at the primary until records
+// arrive or the wait expires. apply runs while the connection is still
+// checked out, before the reply goes back to the pool with it: the
+// records and their entry arrays are the connection's scratch, valid
+// only until apply returns, so apply copies whatever it keeps but the
+// value strings. apply is not called on error, nor when nothing is
+// new. Whatever apply locks is taken while a connection is held:
+// nothing may wait on this link while holding such a lock.
+func (l *Link) FetchSince(v int64, wait time.Duration, apply func([]certifier.Record)) (int, error) {
+	var conn *wconn
+	n := 0
 	err := l.pool.doOn(func(c *wconn) wire.Message {
+		conn = c
 		c.fetch = wire.FetchSince{Version: v}
 		if wait > 0 {
 			c.fetch.WaitMillis = uint32(wait / time.Millisecond)
@@ -283,16 +293,21 @@ func (l *Link) FetchSinceInto(dst []certifier.Record, v int64, wait time.Duratio
 		if !ok {
 			return fmt.Errorf("client: unexpected fetch reply %T", reply)
 		}
+		recs := conn.recs[:0]
 		for _, r := range m.Recs {
-			dst = append(dst, certifier.Record{Version: r.Version, Writeset: r.WS})
+			recs = append(recs, certifier.Record{Version: r.Version, Writeset: r.WS})
 			if l.meta != nil && (r.Trace != 0 || r.CommitNs != 0) {
 				l.meta(r.Version, r.Trace, r.CommitNs)
 			}
 		}
-		// The reply is the connection's reused decode target: drop its
-		// writesets so an idle connection pins none.
-		clear(m.Recs)
+		if len(recs) > 0 {
+			apply(recs)
+		}
+		n = len(recs)
+		clear(recs)
+		conn.recs = recs[:0]
+		m.Clear()
 		return nil
 	})
-	return dst, err
+	return n, err
 }

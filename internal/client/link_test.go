@@ -1,6 +1,7 @@
 package client
 
 import (
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -12,48 +13,82 @@ import (
 
 // TestConcurrentFetchesOwnTheirRecords runs two goroutines fetching
 // through one Link (meant for -race). Both check connections out of the
-// same pool, whose Records replies are decode targets the connections
-// reuse, and each reuses its own scratch slice: every fetch must return
-// exactly the records after its own cursor, and the writesets it kept
-// must be intact after every later fetch on either goroutine.
+// same pool, whose Records replies, entry arenas and record scratch the
+// connections reuse: each fetch's apply must see exactly the records
+// after its own cursor, and see them intact for the whole callback
+// while the other goroutine fetches on the same pool and while apply
+// itself fetches again on the link, which would reuse the outer
+// fetch's connection were it back in the pool.
 func TestConcurrentFetchesOwnTheirRecords(t *testing.T) {
 	l := NewLink(fakeServer(t), "mm", -1, time.Second)
 	t.Cleanup(l.Close)
+	// check reports whether recs are exactly the two records after from.
+	check := func(recs []certifier.Record, from int64, when string) bool {
+		if len(recs) != 2 {
+			t.Errorf("fetch from %d %s: %d records, want 2", from, when, len(recs))
+			return false
+		}
+		for j, r := range recs {
+			want := from + int64(j) + 1
+			if r.Version != want || len(r.Writeset.Entries) != 1 || r.Writeset.Entries[0].Value != strconv.FormatInt(want, 10) {
+				t.Errorf("fetch from %d %s: record %d is version %d with %v, want version %d", from, when, j, r.Version, r.Writeset.Entries, want)
+				return false
+			}
+		}
+		return true
+	}
+	fetch := func(from int64, apply func([]certifier.Record)) bool {
+		if n, err := l.FetchSince(from, 0, apply); err != nil || n != 2 {
+			t.Errorf("fetch from %d: %d records, %v", from, n, err)
+			return false
+		}
+		return true
+	}
 	var wg sync.WaitGroup
 	for g := range 2 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var scratch []certifier.Record
-			kept := make(map[int64]writeset.Writeset)
 			for i := range 200 {
 				from := int64(g*1_000_000 + i*10)
-				recs, err := l.FetchSinceInto(scratch[:0], from, 0)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if len(recs) != 2 {
-					t.Errorf("fetch from %d returned %d records, want 2", from, len(recs))
-					return
-				}
-				for j, r := range recs {
-					if want := from + int64(j) + 1; r.Version != want || r.Writeset.Entries[0].Value != strconv.FormatInt(want, 10) {
-						t.Errorf("fetch from %d: record %d is version %d with %q, want version %d", from, j, r.Version, r.Writeset.Entries[0].Value, want)
+				ok := fetch(from, func(recs []certifier.Record) {
+					if !check(recs, from, "on entry") {
 						return
 					}
-					kept[r.Version] = r.Writeset
-				}
-				clear(recs)
-				scratch = recs[:0]
-			}
-			for v, ws := range kept {
-				if got := ws.Entries[0].Value; got != strconv.FormatInt(v, 10) {
-					t.Errorf("writeset of version %d changed to %q after later fetches", v, got)
+					inner := from + 500_000
+					fetch(inner, func(recs []certifier.Record) { check(recs, inner, "nested") })
+					runtime.Gosched() // let the other goroutine fetch
+					check(recs, from, "on return")
+				})
+				if !ok {
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestIdleConnectionPinsNoWriteset: the writeset a certify, check or
+// prepare sent is dropped from the connection's request scratch before
+// the connection goes back to the pool, whatever the reply, so an idle
+// connection pins no values and keeps no alias into a write array its
+// owner reuses.
+func TestIdleConnectionPinsNoWriteset(t *testing.T) {
+	l := NewLink(fakeServer(t), "mm", -1, time.Second)
+	t.Cleanup(l.Close)
+	ws := writeset.New([]writeset.Entry{{Key: writeset.Key{Table: "item", Row: 1}, Value: "v"}})
+	// The fake server refuses all three; each still ends the exchange.
+	_, _ = l.CertifyTraced(1, ws, 0)
+	_, _ = l.Check(1, ws)
+	_, _, _ = l.PrepareTxn(certifier.PreparedTxn{Snapshot: 1, Writeset: ws})
+	if len(l.pool.idle) == 0 {
+		t.Fatal("no connection went back to the pool")
+	}
+	for _, c := range l.pool.idle {
+		if c.certify.WS.Entries != nil || c.check.WS.Entries != nil || c.prepare.WS.Entries != nil {
+			t.Fatalf("idle connection holds writesets: certify %v, check %v, prepare %v",
+				c.certify.WS.Entries, c.check.WS.Entries, c.prepare.WS.Entries)
+		}
+	}
 }

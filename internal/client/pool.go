@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/certifier"
 	"repro/internal/wire"
+	"repro/internal/writeset"
 )
 
 // Dial backoff bounds. After a fresh dial (or handshake) fails, the
@@ -46,11 +48,23 @@ type wconn struct {
 	write   wire.Write
 	del     wire.Delete
 	certify wire.Certify
+	check   wire.Check
 	fetch   wire.FetchSince
 	prepare wire.PrepareTxn
 	decide  wire.DecideTxn
 	resolve wire.ResolveTxn
 	forget  wire.ForgetTxn
+	// recs is FetchSince's record scratch, handed to its apply.
+	recs []certifier.Record
+}
+
+// clearRequests drops what the last exchange left in the connection's
+// request scratch: a writeset in certify, check or prepare would pin
+// the values, and alias a write array its owner reuses.
+func (c *wconn) clearRequests() {
+	c.certify.WS = writeset.Writeset{}
+	c.check.WS = writeset.Writeset{}
+	c.prepare.WS = writeset.Writeset{}
 }
 
 func (c *wconn) close() {
@@ -183,6 +197,7 @@ func (p *connPool) noteDialFailure(err error) {
 
 // put returns a healthy connection for reuse; surplus ones are closed.
 func (p *connPool) put(c *wconn) {
+	c.clearRequests()
 	p.mu.Lock()
 	delete(p.active, c)
 	if p.closed || p.retired || len(p.idle) >= p.maxIdle {

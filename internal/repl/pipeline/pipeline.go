@@ -249,6 +249,26 @@ type HostCert struct {
 	Notify  *Notify
 	Observe func(time.Duration) // certification latency hook (may be nil)
 	Tracer  *Tracer             // commit-path stage tracer (may be nil)
+
+	// sinceMu guards since, Since's copy of the log suffix it applies.
+	sinceMu sync.Mutex
+	since   []certifier.Record
+}
+
+// Since hands apply the records past v in the certifier log, copied
+// into the host's scratch, which is valid only until apply returns;
+// apply is not called when nothing is new. It is the contract
+// client.Link.FetchSince gives a replica, so the host and the replicas
+// apply through one callback. Calls serialize: apply runs under
+// sinceMu, which orders before the apply stage's lock.
+func (h *HostCert) Since(v int64, apply func([]certifier.Record)) {
+	h.sinceMu.Lock()
+	defer h.sinceMu.Unlock()
+	h.since = h.Base.SinceInto(h.since[:0], v)
+	if len(h.since) > 0 {
+		apply(h.since)
+		clear(h.since)
+	}
 }
 
 // CertifyTraced submits one commit-time certification request, waking
@@ -315,3 +335,7 @@ func (h *HostCert) ForgetTxn(ids []codec.TxnID) error { return h.Base.Forget(ids
 // TwoPC reports the certifier's in-doubt fragments and recorded
 // decisions.
 func (h *HostCert) TwoPC() (inDoubt, decisions int) { return h.Base.TwoPCCounts() }
+
+// OldestInDoubt reports how long the certifier's oldest in-doubt
+// fragment has been locked, 0 with none.
+func (h *HostCert) OldestInDoubt() time.Duration { return h.Base.OldestInDoubt(time.Now()) }

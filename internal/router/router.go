@@ -134,6 +134,27 @@ type Router struct {
 	mu     sync.Mutex
 	retire [][]codec.TxnID
 	spare  [][]codec.TxnID
+
+	// Commit counters (see Stats).
+	single, cross, exchanges atomic.Int64
+}
+
+// Stats counts the commits a router has run and the sequential
+// exchanges they made, which a client's own count of its calls cannot
+// see: a routed commit makes them inside one Commit call.
+type Stats struct {
+	// Single counts commits with at most one writing group, which
+	// commit without 2PC; Cross counts those that ran 2PC.
+	Single, Cross int64
+	// Exchanges counts the sequential exchanges of both kinds: one per
+	// scatter whose replies were awaited (a phase), and one per
+	// synchronous fallback decide.
+	Exchanges int64
+}
+
+// Stats returns the router's commit counters.
+func (r *Router) Stats() Stats {
+	return Stats{Single: r.single.Load(), Cross: r.cross.Load(), Exchanges: r.exchanges.Load()}
 }
 
 // New builds a router over the given groups. The shard map's group
@@ -299,6 +320,8 @@ type rtxn struct {
 	// begun, a sub whose send half failed is set back to nil: its
 	// exchange is settled, and there is no reply to read.
 	subs []Sub
+	// trips counts the commit's sequential exchanges (Stats.Exchanges).
+	trips int
 }
 
 // sub returns (beginning if needed) the sub-transaction at the group
@@ -384,13 +407,17 @@ func (t *rtxn) Commit() error {
 		}
 	}
 	if len(writers) >= 2 {
-		return t.commit2PC(writers)
+		err := t.commit2PC(writers)
+		t.r.cross.Add(1)
+		t.r.exchanges.Add(int64(t.trips))
+		return err
 	}
 	writer := -1
 	if len(writers) == 1 {
 		writer = writers[0]
 	}
 	var err error
+	sent := false
 	for gi, s := range t.subs {
 		if s == nil {
 			continue
@@ -398,13 +425,20 @@ func (t *rtxn) Commit() error {
 		if e := s.SendCommit(); e != nil {
 			t.subs[gi] = nil
 			err = outcome(err, e, gi, writer)
+		} else {
+			sent = true
 		}
+	}
+	if sent {
+		t.trips++ // one exchange: a reply is left to read
 	}
 	for gi, s := range t.subs {
 		if s != nil {
 			err = outcome(err, s.RecvCommit(), gi, writer)
 		}
 	}
+	t.r.single.Add(1)
+	t.r.exchanges.Add(int64(t.trips))
 	return err
 }
 
@@ -441,6 +475,7 @@ func (t *rtxn) commit2PC(writers []int) error {
 	id := t.r.nextTxnID()
 
 	var failed error
+	sent := false
 	for gi, s := range t.subs {
 		if s == nil {
 			continue
@@ -448,6 +483,8 @@ func (t *rtxn) commit2PC(writers []int) error {
 		if !contains(writers, gi) {
 			if s.SendCommit() != nil {
 				t.subs[gi] = nil
+			} else {
+				sent = true
 			}
 			continue
 		}
@@ -456,7 +493,12 @@ func (t *rtxn) commit2PC(writers []int) error {
 			if failed == nil {
 				failed = fmt.Errorf("router: prepare at group %d: %w", gi, err)
 			}
+		} else {
+			sent = true
 		}
+	}
+	if sent {
+		t.trips++
 	}
 	voted := true
 	var conflictWith int64
@@ -496,6 +538,7 @@ func (t *rtxn) commit2PC(writers []int) error {
 	s := t.subs[coord]
 	err := s.SendDecide(id, true, false, forget)
 	if err == nil {
+		t.trips++
 		err = s.RecvDecide()
 	}
 	if err != nil {
@@ -521,11 +564,17 @@ func (t *rtxn) commit2PC(writers []int) error {
 // cannot be told is left in doubt.
 func (t *rtxn) decideAll(groups []int, id codec.TxnID, commit bool) bool {
 	acked := true
+	sent := false
 	for _, gi := range groups {
 		if s := t.subs[gi]; s == nil || s.SendDecide(id, commit, true, nil) != nil {
 			t.subs[gi] = nil
 			acked = t.decideSync(gi, id, commit, id) == nil && acked
+		} else {
+			sent = true
 		}
+	}
+	if sent {
+		t.trips++
 	}
 	for _, gi := range groups {
 		if s := t.subs[gi]; s != nil && s.RecvDecide() != nil {
@@ -538,6 +587,7 @@ func (t *rtxn) decideAll(groups []int, id codec.TxnID, commit bool) bool {
 // decideSync decides through the group's synchronous DecideTxn, which
 // follows the certifier host across redirects.
 func (t *rtxn) decideSync(gi int, id codec.TxnID, commit bool, retire ...codec.TxnID) error {
+	t.trips++
 	_, err := t.r.groups[gi].DecideTxn(id, commit, retire...)
 	return err
 }

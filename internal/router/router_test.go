@@ -545,7 +545,8 @@ func (t *tripTxn) RecvDecide() error {
 // on its ack path: one scatter per phase plus the coordinator's commit
 // point, the participants' retirement riding their decide, the
 // coordinator's riding its next decide or Sync, and no ForgetTxn after
-// a no-vote.
+// a no-vote. The router's Stats count each commit by kind and the same
+// number of exchanges as the rounds the log counts.
 func TestCrossShardRoundTrips(t *testing.T) {
 	var log tripLog
 	gs := make([]Group, 4)
@@ -560,10 +561,13 @@ func TestCrossShardRoundTrips(t *testing.T) {
 	}
 	owned := rowsOwnedBy(r, 256)
 	// commit runs one transaction that reads at the groups in reads and
-	// writes at those in writes, and returns its rounds and events.
+	// writes at those in writes, and returns its rounds and events. The
+	// router's own counters must agree: one commit of the right kind,
+	// and as many exchanges as the log counted rounds.
 	commit := func(t *testing.T, reads, writes []int) (int, []string, error) {
 		t.Helper()
 		log.reset()
+		before := r.Stats()
 		tx, err := r.BeginUpdate()
 		if err != nil {
 			t.Fatal(err)
@@ -580,6 +584,15 @@ func TestCrossShardRoundTrips(t *testing.T) {
 		}
 		err = tx.Commit()
 		rounds := log.rounds
+		after := r.Stats()
+		got := Stats{Single: after.Single - before.Single, Cross: after.Cross - before.Cross, Exchanges: after.Exchanges - before.Exchanges}
+		want := Stats{Single: 1, Exchanges: int64(rounds)}
+		if len(writes) >= 2 {
+			want.Single, want.Cross = 0, 1
+		}
+		if got != want {
+			t.Errorf("router stats moved by %+v, want %+v", got, want)
+		}
 		return rounds, log.reset(), err
 	}
 	id := func(seq int64) codec.TxnID { return codec.TxnID{Epoch: r.epoch, Seq: seq} }

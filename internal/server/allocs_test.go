@@ -6,6 +6,7 @@
 package server
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/wire"
@@ -99,18 +100,47 @@ func TestDispatchReadTxnAllocs(t *testing.T) {
 // parked group-commit request is recycled, and the commit's long-poll
 // wakeup allocates nothing, and the tracer recycles the commit's span.
 // What is left is the writeset's array, which the certifier log keeps.
+//
+// The mm-nonhost case commits at replica 1 of a two-node cluster whose
+// host runs in the same process, so the count is the whole commit's,
+// at both nodes: the replica reuses its released write array and
+// fetches the commit into its connection's entry arena. What is left
+// is the host's decoded writeset array and value string, which its log
+// keeps; the value string the replica fetches and installs; and the
+// host's span for the commit, which no ack closes there, so the host's
+// tracer recycles it only by eviction once its open-span window fills.
 func TestDispatchUpdateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name, design string
 		groupCommit  bool
+		nonHost      bool
 		want         float64
-	}{{"mm", "mm", false, 1}, {"sm", "sm", false, 1}, {"mm-groupcommit", "mm", true, 1}} {
+	}{
+		{"mm", "mm", false, false, 1},
+		{"sm", "sm", false, false, 1},
+		{"mm-groupcommit", "mm", true, false, 1},
+		{"mm-nonhost", "mm", false, true, 4},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(Options{Design: tc.design, Listen: "127.0.0.1:0", Replicas: 1, GroupCommit: tc.groupCommit})
+			opts := Options{Design: tc.design, Listen: "127.0.0.1:0", Replicas: 1, GroupCommit: tc.groupCommit}
+			if tc.nonHost {
+				opts.Replicas = 2
+				host, err := New(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer host.Close()
+				host.Start()
+				opts.ID, opts.Primary = 1, host.Addr()
+			}
+			s, err := New(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			if tc.nonHost {
+				s.Start()
+			}
 			st := &connState{peer: -1}
 			dispatch := func(req wire.Message) {
 				if reply, isErr := s.dispatch(st, req).(*wire.Err); isErr {
@@ -126,6 +156,11 @@ func TestDispatchUpdateAllocs(t *testing.T) {
 				dispatch(write)
 				if reply, ok := s.dispatch(st, commit).(*wire.CommitOK); !ok {
 					t.Fatalf("commit reply %+v", reply)
+				}
+				// A replica applies its commit through the role loop:
+				// wait for it, so the next transaction's snapshot sees it.
+				for s.eng.applied() < st.tx.version {
+					runtime.Gosched()
 				}
 			})
 			if allocs > tc.want {

@@ -36,7 +36,7 @@ var errNotHost = fmt.Errorf("%w: it does not host the certifier (under sm, the m
 const pollInterval = 250 * time.Millisecond
 
 // syncLongPoll is the long-poll window for commit-path catch-up
-// fetches (the ring's SinceInto). Shorter than pollInterval because
+// fetches (the ring's Since). Shorter than pollInterval because
 // these run inside client-visible operations, but long enough that a
 // caught-up replica parks on the primary instead of spinning wait=0
 // round trips.
@@ -167,6 +167,13 @@ type engine struct {
 	// before a silent elastic member is evicted.
 	membership *elastic.Membership
 	staleAfter time.Duration
+
+	// apply and ingest hand fetched records to the apply stage: catch-up
+	// and the role loop pass them to every fetch, bound once here so a
+	// fetch allocates no closure. The records are the fetch's scratch,
+	// valid only while the callback runs (see client.Link.FetchSince);
+	// the apply stage keeps only their value strings.
+	apply, ingest func([]certifier.Record)
 }
 
 func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) {
@@ -185,6 +192,13 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 	}
 	e.ap = pipeline.NewApplier(e.db)
 	e.ap.SetTracer(m.tracer)
+	e.apply = func(recs []certifier.Record) { e.ap.Apply(recs) }
+	e.ingest = func(recs []certifier.Record) {
+		// Propagation-side span, sampled once per fetched batch.
+		last := recs[len(recs)-1]
+		m.tracer.PropagateSpan(last.Version, len(last.Writeset.Entries), time.Now())
+		e.ap.Apply(recs)
+	}
 	var rec *wal.Recovered
 	if opts.WALDir != "" {
 		var err error
@@ -429,15 +443,15 @@ func (e *engine) certifyWriteset(ws writeset.Writeset) error {
 // it is a network round trip, and holding the apply lock across it
 // would stall every begin for the duration (the applier's version
 // guards make the unlocked window safe against concurrent appliers).
-// Either side reads into a stack buffer: after a commit the run is
-// usually that one record, so applying it copies nothing.
+// The lock order is fetch, then apply: the apply lock is taken inside
+// the callback, while the host's scratch or the link's connection is
+// held, and nothing that holds the apply lock (Pin, Reset) fetches.
 func (e *engine) catchUp() {
-	var buf [4]certifier.Record
 	if h := e.hostCert(); h != nil {
-		e.ap.Apply(h.Base.SinceInto(buf[:0], e.ap.Applied()))
+		h.Since(e.ap.Applied(), e.apply)
 		return
 	}
-	e.ap.Apply(e.ring.SinceInto(buf[:0], e.ap.Applied()))
+	e.ring.Since(e.ap.Applied(), e.apply)
 }
 
 func (e *engine) dump(table string) (map[int64]string, error) { return e.db.Dump(table) }
@@ -527,6 +541,16 @@ func (e *engine) twoPC() (inDoubt, decisions int) {
 		return h.TwoPC()
 	}
 	return 0, 0
+}
+
+// inDoubtAge reports how long the hosted certifier's oldest in-doubt
+// fragment has been locked: 0 with none, and on a node that does not
+// host the certifier.
+func (e *engine) inDoubtAge() time.Duration {
+	if h := e.hostCert(); h != nil {
+		return h.OldestInDoubt()
+	}
+	return 0
 }
 
 func (e *engine) logLen() int {
@@ -689,16 +713,6 @@ func (e *engine) maybeGC() {
 	}
 }
 
-// ingest hands records fetched by the role loop to the apply stage.
-func (e *engine) ingest(recs []certifier.Record) {
-	if len(recs) > 0 {
-		// Propagation-side span, sampled once per fetched batch.
-		last := recs[len(recs)-1]
-		e.m.tracer.PropagateSpan(last.Version, len(last.Writeset.Entries), time.Now())
-	}
-	e.ap.Apply(recs)
-}
-
 // maybeCompactDurable rewrites the WAL around a fresh consistent
 // snapshot once the segment outgrows its bound. Only the background
 // loops call it: on the wire Sync request path a full-segment rewrite
@@ -740,9 +754,6 @@ func (e *engine) run(stop <-chan struct{}) {
 			answered = answered.Add(-e.px.electAfter)
 		}
 	}
-	// fetched is the poll's scratch: the records it holds are applied
-	// before the next poll, which reuses it.
-	var fetched []certifier.Record
 	for {
 		select {
 		case <-stop:
@@ -764,17 +775,14 @@ func (e *engine) run(stop <-chan struct{}) {
 			e.evictStale()
 			continue
 		}
-		recs, err := e.ring.FetchSinceOnceInto(fetched[:0], e.applied(), pollInterval)
-		if len(recs) > 0 {
-			e.ingest(recs)
+		n, err := e.ring.FetchSinceOnce(e.applied(), pollInterval, e.ingest)
+		if n > 0 {
 			// Compact whenever records arrived, even if a client's
 			// wire Sync handler won the race to apply them —
 			// otherwise a replica whose applies are always won that
 			// way would never compact.
 			e.maybeCompactDurable()
 		}
-		clear(recs) // the applied writesets belong to the database now
-		fetched = recs[:0]
 		if err == nil {
 			answered = time.Now()
 			continue
@@ -918,11 +926,13 @@ func (t *txn) Commit() error {
 		_, _, err := t.inner.Commit()
 		return err
 	}
-	outcome, err := t.e.certService().CertifyTraced(t.snapshot, ws, t.trace)
+	svc := t.e.certService()
+	outcome, err := svc.CertifyTraced(t.snapshot, ws, t.trace)
 	// The local speculative state is discarded whatever the verdict: a
 	// certified writeset installs through the apply stage in version
 	// order.
 	t.inner.Abort()
+	releaseIfSent(svc, &t.inner)
 	if err != nil {
 		return err
 	}
@@ -952,9 +962,24 @@ func (t *txn) Prepare(id codec.TxnID, coord int64) (vote bool, conflictWith int6
 	if ws.Empty() {
 		return true, 0, nil
 	}
-	return t.e.certService().PrepareTxn(certifier.PreparedTxn{
+	svc := t.e.certService()
+	vote, conflictWith, err = svc.PrepareTxn(certifier.PreparedTxn{
 		ID: id, Coord: coord, Snapshot: t.snapshot, Writeset: ws,
 	})
+	releaseIfSent(svc, &t.inner)
+	return vote, conflictWith, err
+}
+
+// releaseIfSent lets the connection's next transaction reuse inner's
+// write array when its writeset went to the remote certification
+// service: the request was encoded and the exchange is over, so nothing
+// holds the array. On the certifier host the log keeps a committed
+// writeset and a prepared fragment keeps its own, so the array is
+// never released there.
+func releaseIfSent(svc certService, inner *sidb.Txn) {
+	if _, remote := svc.(*remoteCert); remote {
+		inner.ReleaseWrites()
+	}
 }
 
 func (t *txn) Abort() {

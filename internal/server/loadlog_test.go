@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/certifier"
 	"repro/internal/client"
 	"repro/internal/repl"
 	"repro/internal/server"
@@ -193,18 +194,19 @@ func TestFetchSinceBoundsReplies(t *testing.T) {
 	var cursor int64
 	fetches, loaded := 0, 0
 	for {
-		recs, err := link.FetchSinceInto(nil, cursor, 0)
+		n, err := link.FetchSince(cursor, 0, func(recs []certifier.Record) {
+			for _, r := range recs {
+				loaded += len(r.Writeset.Entries)
+			}
+			cursor = recs[len(recs)-1].Version
+		})
 		if err != nil {
 			t.Fatalf("fetch %d: %v", fetches, err)
 		}
-		if len(recs) == 0 {
+		if n == 0 {
 			break
 		}
 		fetches++
-		for _, r := range recs {
-			loaded += len(r.Writeset.Entries)
-		}
-		cursor = recs[len(recs)-1].Version
 	}
 	if loaded != rows+1 { // the rows plus the schema record's tombstone
 		t.Fatalf("fetched %d entries, want %d", loaded, rows+1)

@@ -227,6 +227,8 @@ func (m *metrics) bindEngine(eng *engine) {
 		func() float64 { return eng.applyStats().Rate })
 	reg.GaugeFunc("replicadb_twopc_in_doubt", "Prepared cross-shard fragments awaiting a decision at this node's certifier.",
 		func() float64 { n, _ := eng.twoPC(); return float64(n) })
+	reg.GaugeFunc("replicadb_twopc_in_doubt_oldest_seconds", "Age of the oldest prepared cross-shard fragment awaiting a decision at this node's certifier; 0 with none.",
+		func() float64 { return eng.inDoubtAge().Seconds() })
 	reg.GaugeFunc("replicadb_twopc_decisions", "Cross-shard decisions this node's certifier holds, not yet retired.",
 		func() float64 { _, n := eng.twoPC(); return float64(n) })
 	reg.GaugeFunc("replicadb_certifier_epoch", "Certifier election epoch (Paxos ballot round).",

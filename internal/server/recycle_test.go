@@ -2,12 +2,14 @@ package server
 
 import (
 	"net"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/codec"
 	"repro/internal/wire"
+	"repro/internal/writeset"
 )
 
 // TestPreparedFragmentSurvivesNextTxn: a connection reuses its txn and
@@ -120,5 +122,48 @@ func TestKilledConnReleasesSnapshot(t *testing.T) {
 	// Unpinned, row 1 keeps its head and the one version before it.
 	if after := s.eng.rowVersions(); after > before+1 {
 		t.Fatalf("row versions grew from %d to %d over 10 overwrites: a snapshot is still pinned", before, after)
+	}
+}
+
+// TestHostLogKeepsWritesetAcrossNextTxn: on the certifier host a
+// committed writeset is the log's record, so the connection's next
+// transaction must write into a fresh array, never the committed one.
+// The next write on the connection leaves the record a FetchSince
+// serves unchanged, under both designs.
+func TestHostLogKeepsWritesetAcrossNextTxn(t *testing.T) {
+	for _, design := range []string{"mm", "sm"} {
+		t.Run(design, func(t *testing.T) {
+			s, err := New(Options{Design: design, Listen: "127.0.0.1:0", Replicas: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			st, peer := &connState{peer: -1}, &connState{peer: -1}
+			dispatch := func(st *connState, req wire.Message) wire.Message {
+				t.Helper()
+				reply := s.dispatch(st, req)
+				if e, isErr := reply.(*wire.Err); isErr {
+					t.Fatalf("%T: %s", req, e.Msg)
+				}
+				return reply
+			}
+			dispatch(st, &wire.CreateTable{Name: "item"})
+			dispatch(st, &wire.Begin{})
+			dispatch(st, &wire.Write{Table: "item", Row: 1, Value: "committed"})
+			dispatch(st, &wire.Commit{})
+			v := s.eng.applied()
+
+			dispatch(st, &wire.Begin{})
+			dispatch(st, &wire.Write{Table: "item", Row: 2, Value: "next"})
+			recs := dispatch(peer, &wire.FetchSince{Version: v - 1}).(*wire.Records).Recs
+			if len(recs) != 1 || recs[0].Version != v {
+				t.Fatalf("fetch after version %d returned %+v", v-1, recs)
+			}
+			want := []writeset.Entry{{Key: writeset.Key{Table: "item", Row: 1}, Value: "committed"}}
+			if got := recs[0].WS.Entries; !slices.Equal(got, want) {
+				t.Fatalf("host log record changed to %v after the next write, want %v", got, want)
+			}
+			dispatch(st, &wire.Abort{})
+		})
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/certifier"
 	"repro/internal/client"
 	"repro/internal/codec"
 	"repro/internal/launch"
@@ -629,7 +630,7 @@ func certLogGC(t *testing.T, design string) {
 }
 
 // TestCatchUpLongPolls is the busy-poll regression test: a caught-up
-// consumer running SinceInto in a tight loop, as commit-path catch-up
+// consumer running Since in a tight loop, as commit-path catch-up
 // does, must park on the server's long-poll window, not spin wait=0
 // round trips. Counted through the leader link's RPC counter at steady
 // state.
@@ -662,8 +663,8 @@ func TestCatchUpLongPolls(t *testing.T) {
 	base := l.RoundTrips() // handshake-time RPCs plus the Stats call
 	deadline := time.Now().Add(5 * wait)
 	for time.Now().Before(deadline) {
-		if recs := r.SinceInto(nil, st.Applied); len(recs) != 0 {
-			t.Fatalf("unexpected new records at steady state: %d", len(recs))
+		if n := r.Since(st.Applied, func([]certifier.Record) {}); n != 0 {
+			t.Fatalf("unexpected new records at steady state: %d", n)
 		}
 	}
 	rpcs := l.RoundTrips() - base

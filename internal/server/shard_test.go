@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/codec"
 	"repro/internal/repl"
 	"repro/internal/router"
 	"repro/internal/server"
@@ -321,5 +322,50 @@ func TestShardedTwoPCGaugesRetire(t *testing.T) {
 				t.Fatalf("group %d node %d after Sync: in doubt %v, decisions %v; want 0", g, i, inDoubt, decisions)
 			}
 		}
+	}
+}
+
+// TestTwoPCInDoubtAgeGauge: a fragment held in doubt makes the host's
+// oldest-in-doubt gauge rise while it waits, every other node reads 0,
+// and the gauge falls back to 0 once the fragment is decided.
+func TestTwoPCInDoubtAgeGauge(t *testing.T) {
+	c := launchCluster(t, 1, 2, server.Options{Design: "mm"}, func(o *server.Options) {
+		o.MetricsAddr = "127.0.0.1:0"
+	})
+	cl := c.Clients[0]
+	if err := cl.CreateTable("item"); err != nil {
+		t.Fatal(err)
+	}
+	age := func(i int) float64 {
+		body := httpGet(t, "http://"+c.Servers[0][i].MetricsAddr()+"/metrics")
+		return metricValue(t, body, "replicadb_twopc_in_doubt_oldest_seconds")
+	}
+	if a := age(0); a != 0 {
+		t.Fatalf("age with nothing in doubt = %v, want 0", a)
+	}
+	tx, err := cl.BeginUpdate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write("item", 1, "held"); err != nil {
+		t.Fatal(err)
+	}
+	id := codec.TxnID{Epoch: 1, Seq: 1}
+	if vote, _, err := tx.(*client.Txn).Prepare(id, 0); err != nil || !vote {
+		t.Fatalf("prepare: vote %v, %v", vote, err)
+	}
+	first := age(0)
+	time.Sleep(50 * time.Millisecond)
+	if later := age(0); first <= 0 || later < first+0.04 {
+		t.Fatalf("age while in doubt: %v, then %v 50ms later; want it positive and rising", first, later)
+	}
+	if a := age(1); a != 0 {
+		t.Fatalf("age at a node that does not host the certifier = %v, want 0", a)
+	}
+	if _, err := cl.DecideTxn(id, false, id); err != nil {
+		t.Fatal(err)
+	}
+	if a := age(0); a != 0 {
+		t.Fatalf("age after the decision = %v, want 0", a)
 	}
 }

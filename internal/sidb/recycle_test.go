@@ -82,3 +82,42 @@ func TestBeginIntoLeavesHandedOutWritesetAlone(t *testing.T) {
 		})
 	}
 }
+
+// TestBeginIntoReusesReleasedWrites: once ReleaseWrites says nothing
+// holds a finished transaction's writeset, the next transaction begun
+// in the same Txn writes into that array, cleared; without the release
+// the writeset taken stays intact while the next transaction writes.
+func TestBeginIntoReusesReleasedWrites(t *testing.T) {
+	db := newDB(t, "item")
+	var tx Txn
+	db.BeginInto(&tx)
+	tx.Write("item", 1, "first")
+	tx.Write("item", 2, "first")
+	sent := tx.Writeset() // as a proxy sends it to a remote certifier
+	tx.Abort()
+	tx.ReleaseWrites()
+
+	db.BeginInto(&tx)
+	if v, ok, _ := tx.Read("item", 1); ok {
+		t.Fatalf("a released write leaked into the next transaction: %q", v)
+	}
+	tx.Write("item", 3, "second")
+	kept := tx.Writeset() // as the certifier host's log keeps it
+	if &kept.Entries[0] != &sent.Entries[0] {
+		t.Fatal("the next transaction did not reuse the released write array")
+	}
+	if got := kept.Entries[0]; got.Key.Row != 3 || got.Value != "second" || len(kept.Entries) != 1 {
+		t.Fatalf("reused array holds %v, want the one new write", kept.Entries)
+	}
+	if _, _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	db.BeginInto(&tx)
+	tx.Write("item", 4, "third")
+	tx.Write("item", 5, "third")
+	if got := kept.Entries[0]; len(kept.Entries) != 1 || got.Key.Row != 3 || got.Value != "second" {
+		t.Fatalf("an unreleased writeset changed to %v after the next transaction wrote", kept.Entries)
+	}
+	tx.Abort()
+}

@@ -342,9 +342,10 @@ func (db *DB) Begin() *Txn {
 // transaction at a time reuses one Txn instead of allocating one per
 // transaction. It panics on a Txn still open, whose snapshot would
 // otherwise stay pinned and hold back every chain's pruning for good.
-// The new transaction starts with no writes; the previous one's write
-// array is never reused, because the writeset Writeset handed out
-// still owns it.
+// The new transaction starts with no writes. The previous one's write
+// array is reused, cleared, only when ReleaseWrites said nothing holds
+// it; otherwise the writeset Writeset handed out still owns it, and
+// the new transaction allocates its own on its first write.
 //
 // Every snapshot is taken here, at the current version; install's
 // pruning relies on that (see install).
@@ -356,7 +357,12 @@ func (db *DB) BeginInto(tx *Txn) {
 	snapshot := db.version
 	db.active[snapshot]++
 	db.stateMu.Unlock()
-	*tx = Txn{db: db, snapshot: snapshot}
+	var writes []writeset.Entry
+	if tx.released {
+		clear(tx.writes)
+		writes = tx.writes[:0]
+	}
+	*tx = Txn{db: db, snapshot: snapshot, writes: writes}
 }
 
 // oldestActiveLocked returns the oldest snapshot still in use, or the

@@ -36,7 +36,10 @@ type Txn struct {
 	// in-place rewrite copies the slice first, so a writeset taken
 	// mid-transaction never changes.
 	shared bool
-	done   bool
+	// released is set by ReleaseWrites: nothing holds the write array
+	// any more, so the next BeginInto reuses it.
+	released bool
+	done     bool
 }
 
 // Snapshot returns the version this transaction reads from.
@@ -225,6 +228,15 @@ func (tx *Txn) CommitAt(version int64) (writeset.Writeset, error) {
 	tx.db.advance(version, true)
 	return ws, nil
 }
+
+// ReleaseWrites declares that no writeset this transaction handed out
+// is still in use, so the next transaction begun in this Txn by
+// DB.BeginInto reuses the write array instead of allocating one. Only
+// the holder of every handed-out writeset may call it: a proxy whose
+// writeset went into a request that is encoded and gone. A writeset
+// kept anywhere — a certifier log, a prepared fragment — must never be
+// released.
+func (tx *Txn) ReleaseWrites() { tx.released = true }
 
 // Abort discards the transaction. Aborting twice is harmless.
 func (tx *Txn) Abort() {

@@ -335,6 +335,48 @@ func TestRecvReleasesOversizedBuffer(t *testing.T) {
 	}
 }
 
+// TestRecvReleasesOversizedArena: a catalog-load frame's records are
+// decoded whole, but the connection keeps no entry arena above
+// recvRetain bytes after it — a load record gets an entry array of its
+// own, as a large frame gets a read buffer of its own — while a
+// propagation frame's arena is kept for the next one.
+func TestRecvReleasesOversizedArena(t *testing.T) {
+	const rows = 4 * arenaMax // a small frame, a large arena
+	values := make([]string, rows)
+	keys := make([]int64, rows)
+	for i := range values {
+		keys[i], values[i] = int64(i), fmt.Sprintf("v%d", i)
+	}
+	load := []Record{{Version: 1, WS: writeset.Rows("item", keys, values)}}
+	var stream bytes.Buffer
+	enc, dec := NewConn(&stream), NewConn(&stream)
+	recv := func(recs []Record) *Records {
+		t.Helper()
+		if err := enc.Send(&Records{Recs: recs}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := dec.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m.(*Records)
+		recordsEqual(t, got.Recs, recs)
+		return got
+	}
+	if len(enc.wbuf) > recvRetain {
+		t.Fatalf("load frame of %d bytes takes the pooled read path; want the arena bound alone under test", len(enc.wbuf))
+	}
+	if got := recv(propagationRun(4)); got.entries == nil {
+		t.Fatal("a propagation frame kept no arena")
+	}
+	if got := recv(load); cap(got.entries) > arenaMax {
+		t.Fatalf("connection kept an arena of %d entries after a load frame, want <= %d", cap(got.entries), arenaMax)
+	}
+	if got := recv(propagationRun(4)); got.entries == nil || cap(got.entries) > arenaMax {
+		t.Fatalf("propagation frame after a load: arena of %d entries", cap(got.entries))
+	}
+}
+
 func benchFrame(b *testing.B, msg Message) []byte {
 	b.Helper()
 	enc := NewConn(&sinkRW{})

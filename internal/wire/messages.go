@@ -672,6 +672,12 @@ type Record struct {
 // compact propagation shape: a per-frame table dictionary and
 // delta-encoded versions (see records.go). The server sends the body
 // plain.
+//
+// A decoded Records owns its value strings but not its entry arrays:
+// every record's entries are slices of one arena the struct keeps and
+// the next frame decoded into it overwrites. Since Recv reuses the
+// struct per connection, a receiver that keeps a decoded writeset past
+// the next Records frame on its connection must copy the entries.
 type Records struct {
 	Recs []Record
 	// Compress asks the encoder to DEFLATE the body. It is sender-side
@@ -680,6 +686,19 @@ type Records struct {
 	// compression does not pay). The server leaves it unset; only the
 	// benchmark's codec layer sets it.
 	Compress bool
+	// entries is the decode arena, at most arenaMax entries; a writeset
+	// that would not fit (a catalog-load record) gets its own array.
+	entries []writeset.Entry
+}
+
+// Clear drops the decoded records and the values their arena holds,
+// keeping both arrays for the next frame, so a connection that sits
+// idle after a fetch pins no writeset.
+func (m *Records) Clear() {
+	clear(m.Recs)
+	m.Recs = m.Recs[:0]
+	clear(m.entries)
+	m.entries = m.entries[:0]
 }
 
 func (*Records) msgType() MsgType { return TRecords }

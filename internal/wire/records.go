@@ -9,6 +9,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/codec"
 	"repro/internal/writeset"
@@ -50,7 +51,7 @@ var (
 // recScratch holds transient encode and decode state: the body buffer
 // (the plain body before optional compression on the encode side, the
 // inflated body on the decode side) and the encoder's table
-// dictionary. Decoded messages copy every retained byte out, so the
+// dictionary. Decoded values are copied out of the body, so the
 // scratch recycles safely.
 type recScratch struct {
 	body   []byte
@@ -180,8 +181,8 @@ func (m *Records) decodeRecordsBody(d *decoder) {
 	if d.Err() != nil {
 		return
 	}
-	// The dictionary and the record slice are the decoder's and the
-	// message's scratch from the previous frame; the writesets are not.
+	// The dictionary, the record slice and the entry arena are the
+	// decoder's and the message's scratch from the previous frame.
 	clear(d.tables)
 	tables := d.tables[:0]
 	for i := uint64(0); i < nt; i++ {
@@ -197,48 +198,69 @@ func (m *Records) decodeRecordsBody(d *decoder) {
 	}
 	clear(m.Recs)
 	m.Recs = slices.Grow(m.Recs[:0], int(n))
+	arena := m.entries[:0]
 	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		var r Record
 		r.Version = prev + d.Varint()
 		prev = r.Version
 		r.Trace = d.Uvarint()
 		r.CommitNs = d.Varint()
-		r.WS = decodeWSDict(d, tables)
-		if d.Err() != nil {
-			return
-		}
+		r.WS, arena = decodeWSDict(d, tables, arena)
 		m.Recs = append(m.Recs, r)
+	}
+	// Growing the arena mid-frame leaves the records before the growth
+	// in the old array, which nothing else writes.
+	if cap(arena) <= arenaMax {
+		m.entries = arena
 	}
 }
 
+// arenaMax bounds the entries a Records arena holds, to recvRetain
+// bytes, so a connection pins no more for its entries than for its
+// read buffer.
+const arenaMax = recvRetain / int(unsafe.Sizeof(writeset.Entry{}))
+
 // decodeWSDict decodes a writeset whose entries reference the frame's
 // table dictionary by index; the entries share the dictionary strings.
-func decodeWSDict(d *decoder, tables []string) writeset.Writeset {
+// They are appended to arena, which is returned, unless they would
+// take it past arenaMax: such a writeset (a catalog-load record) gets
+// an array of its own, as a large frame gets a read buffer of its own.
+func decodeWSDict(d *decoder, tables []string, arena []writeset.Entry) (writeset.Writeset, []writeset.Entry) {
 	n := d.Count(codec.EntryWidth)
 	if d.Err() != nil || n == 0 {
-		return writeset.Writeset{}
+		return writeset.Writeset{}, arena
 	}
-	entries := make([]writeset.Entry, n)
-	for i := range entries {
-		e := &entries[i]
+	own := len(arena)+int(n) > arenaMax
+	var dst []writeset.Entry
+	if own {
+		dst = make([]writeset.Entry, 0, n)
+	} else {
+		dst = slices.Grow(arena, int(n))
+	}
+	start := len(dst)
+	for range n {
 		ti := d.Uvarint()
 		if d.Err() != nil {
-			return writeset.Writeset{}
+			return writeset.Writeset{}, arena
 		}
 		if ti >= uint64(len(tables)) {
 			d.Fail(errRecordDict)
-			return writeset.Writeset{}
+			return writeset.Writeset{}, arena
 		}
-		e.Key.Table = tables[ti]
-		e.Key.Row = d.Varint()
+		e := writeset.Entry{Key: writeset.Key{Table: tables[ti], Row: d.Varint()}}
 		e.Delete = d.Bool()
 		e.Value = d.Str()
 		if d.Err() != nil {
-			return writeset.Writeset{}
+			return writeset.Writeset{}, arena
 		}
+		dst = append(dst, e)
 	}
-	return writeset.New(entries)
+	ws := writeset.New(dst[start:len(dst):len(dst)])
+	if own {
+		return ws, arena
+	}
+	return ws, dst
 }
 
 // sliceWriter adapts append to io.Writer for the pooled flate writer.

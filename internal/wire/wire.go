@@ -139,8 +139,8 @@ func grabBig(n int) *[]byte {
 // hot message structs themselves are reused by the next Recv of the
 // same type on this connection — callers must not retain them across
 // Recv calls (the request/reply discipline already guarantees this).
-// A Records reply's record slice is reused with its struct; the
-// writesets in it are fresh and may be kept.
+// A Records reply's record slice and entry arena are reused with its
+// struct; only its value strings are fresh and may be kept.
 // Table names are interned: a name this connection has decoded before
 // comes back as the same string, not a fresh copy. Strings are
 // immutable, so sharing them is invisible to callers.
@@ -193,7 +193,8 @@ func (c *Conn) Recv() (Message, error) {
 // because callers hold onto them. The strings and writesets a reused
 // struct carries are still decoded fresh, so a certifier may keep a
 // PrepareTxn's WS as it keeps a Certify's WS; the id lists of DecideTxn
-// and ForgetTxn are the exception, reused with their struct.
+// and ForgetTxn and the entry arrays of Records are the exception,
+// reused with their struct.
 var hotReusable = [TForgetTxnOK + 1]bool{
 	TErr: true, TBegin: true, TBeginOK: true, TRead: true, TReadOK: true,
 	TWrite: true, TWriteOK: true, TDelete: true, TCommit: true,
