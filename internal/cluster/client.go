@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"time"
+
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -61,7 +63,7 @@ func (s *system) submit(rng *stats.Rand, isUpdate bool, start float64, done func
 			rt := s.sim.Now() - start
 			s.commits++
 			s.respAll.Add(rt)
-			s.respHist.Add(rt)
+			s.respHist.Record(time.Duration(rt * float64(time.Second)))
 			if isUpdate {
 				s.updateCommits++
 				s.respWrite.Add(rt)

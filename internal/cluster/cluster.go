@@ -215,7 +215,7 @@ type system struct {
 	respAll   stats.Welford
 	respRead  stats.Welford
 	respWrite stats.Welford
-	respHist  *stats.Histogram
+	respHist  *stats.Latency
 	snapLag   stats.Welford
 }
 
@@ -230,8 +230,7 @@ func Run(cfg Config) (Result, error) {
 		sim:        des.New(),
 		rng:        stats.NewRand(cfg.Seed ^ 0xDB15CA1E),
 		lastWriter: make(map[int32]int64),
-		// 1 ms buckets to 60 s cover every workload the paper runs.
-		respHist: stats.NewHistogram(0, 60, 60000),
+		respHist:   stats.NewLatency(),
 	}
 	if cfg.HotspotTheta > 0 && cfg.HeapTableSize > 0 {
 		sys.hotspot = stats.NewZipf(cfg.HeapTableSize, cfg.HotspotTheta)
@@ -298,9 +297,9 @@ func (s *system) result() Result {
 		ReadResponse:    s.respRead.Mean(),
 		WriteResponse:   s.respWrite.Mean(),
 		ResponseCI95:    s.respAll.CI95(),
-		ResponseP50:     s.respHist.Quantile(0.50),
-		ResponseP95:     s.respHist.Quantile(0.95),
-		ResponseP99:     s.respHist.Quantile(0.99),
+		ResponseP50:     s.respHist.Quantile(0.50).Seconds(),
+		ResponseP95:     s.respHist.Quantile(0.95).Seconds(),
+		ResponseP99:     s.respHist.Quantile(0.99).Seconds(),
 		Commits:         s.commits,
 		UpdateCommits:   s.updateCommits,
 		UpdateAborts:    s.updateAborts,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/des"
 	"repro/internal/stats"
@@ -71,7 +72,7 @@ func simulateCertifier(rate float64, seed uint64) certifierStats {
 	measuring := false
 
 	var delays stats.Welford
-	hist := stats.NewHistogram(0, 0.1, 1000)
+	hist := stats.NewLatency()
 	var batches stats.Welford
 	var busyTime, busyStart float64
 	writes := 0
@@ -98,7 +99,7 @@ func simulateCertifier(rate float64, seed uint64) certifierStats {
 				for _, r := range batch {
 					d := now - r.arrived
 					delays.Add(d)
-					hist.Add(d)
+					hist.Record(time.Duration(d * float64(time.Second)))
 				}
 			}
 			startWrite()
@@ -122,7 +123,7 @@ func simulateCertifier(rate float64, seed uint64) certifierStats {
 	window := horizon - warm
 	return certifierStats{
 		meanDelay:    delays.Mean(),
-		p95Delay:     hist.Quantile(0.95),
+		p95Delay:     hist.Quantile(0.95).Seconds(),
 		meanBatch:    batches.Mean(),
 		busy:         busyTime / window,
 		writesPerSec: float64(writes) / window,

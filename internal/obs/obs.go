@@ -3,12 +3,14 @@
 // place that knows how to render them in the Prometheus text
 // exposition format (text/plain; version=0.0.4).
 //
-// The registry is deliberately small and dependency-free. Instruments
+// The registry is deliberately small: it imports the standard library
+// and internal/stats, itself a leaf, and nothing else. Instruments
 // are lock-free on the hot path (atomics), registration takes a lock,
 // and exposition walks the registered families in sorted name order so
-// scrapes are stable. Histograms use explicit bucket bounds and
-// produce mergeable snapshots, which is what lets per-node stage
-// histograms fold into a cluster-wide view.
+// scrapes are stable. Every histogram is a stats.Latency, rendered at
+// scrape time under one fixed set of bucket bounds, so per-node
+// families fold into a cluster-wide view by summing their exposition
+// (RegistrySnapshot.Merge).
 package obs
 
 import (
@@ -21,7 +23,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"repro/internal/stats"
 )
 
 // Label is one constant key=value pair attached to an instrument.
@@ -161,10 +164,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds d to the current value (not atomic across racing Adds with
-// Set, but fine for single-writer gauges).
-func (g *Gauge) Add(d float64) { g.Set(g.Value() + d) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -198,8 +197,8 @@ func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...Labe
 }
 
 // funcCollector adapts a sample-producing callback into a family —
-// the escape hatch for series backed by external state (e.g. the
-// stats.Latency histograms the drivers already keep).
+// the escape hatch for series computed at scrape time from external
+// state (e.g. a membership view that may be unavailable).
 type funcCollector struct{ f func() []Sample }
 
 func (c funcCollector) collect() []Sample { return c.f() }
@@ -213,179 +212,84 @@ func (r *Registry) CollectFunc(name, help, typ string, f func() []Sample, labels
 	r.register(name, help, typ, renderLabels(labels), funcCollector{f})
 }
 
-// DefBuckets returns the default latency bucket bounds in seconds:
-// exponential from 25µs to ~13s (factor 2), a range that spans a
-// cached in-memory certify (~µs) through a multi-second fsync stall.
-func DefBuckets() []float64 {
-	b := make([]float64, 20)
+// The registry's histogram bucket bounds: 20 upper edges doubling from
+// 25µs to ~13s, a range that spans a cached in-memory certify (~µs)
+// through a multi-second fsync stall. bucketLE holds their exposition
+// values with "+Inf" last; bucketNs holds the same edges in
+// nanoseconds with math.MaxInt64 last, so the final cumulative count
+// is every observation.
+var bucketLE, bucketNs = defBuckets()
+
+func defBuckets() (le []string, ns []int64) {
 	v := 25e-6
-	for i := range b {
-		b[i] = v
+	for range 20 {
+		le = append(le, formatFloat(v))
+		ns = append(ns, int64(math.Round(v*1e9)))
 		v *= 2
 	}
-	return b
+	return append(le, "+Inf"), append(ns, math.MaxInt64)
 }
 
-// Histogram is a fixed-bucket histogram with atomic counts. Bounds are
-// upper bucket edges in ascending order; a +Inf bucket is implicit.
-// Observe is lock-free and safe for concurrent use.
-type Histogram struct {
-	labels  string
-	bounds  []float64
-	counts  []atomic.Uint64 // len(bounds)+1, last is the +Inf overflow
-	count   atomic.Uint64
-	sumBits atomic.Uint64 // float64 sum of observations (seconds)
+// latencyHistogram renders a stats.Latency as one histogram series.
+type latencyHistogram struct {
+	l      *stats.Latency
+	labels string
+	les    []string // the series' label set with each bucket's le added
 }
 
-// Histogram registers and returns a histogram. bounds must be sorted
-// ascending; nil selects DefBuckets.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	if bounds == nil {
-		bounds = DefBuckets()
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q bounds not ascending", name))
-		}
-	}
-	h := &Histogram{
-		labels: renderLabels(labels),
-		bounds: bounds,
-		counts: make([]atomic.Uint64, len(bounds)+1),
+// LatencyHistogram registers l as a histogram series under the
+// registry's bucket bounds, in seconds. l keeps its own precision:
+// an observation within 1/64 of a bound may count in the bucket on
+// the other side of it.
+func (r *Registry) LatencyHistogram(name, help string, l *stats.Latency, labels ...Label) {
+	h := &latencyHistogram{l: l, labels: renderLabels(labels)}
+	for _, le := range bucketLE {
+		h.les = append(h.les, mergeLabels(h.labels, `le="`+le+`"`))
 	}
 	r.register(name, help, "histogram", h.labels, h)
-	return h
 }
 
-// Observe records one observation (in seconds).
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, nw) {
-			return
-		}
+func (h *latencyHistogram) collect() []Sample {
+	cum := h.l.Cumulative(bucketNs)
+	out := make([]Sample, 0, len(cum)+2)
+	for i, c := range cum {
+		out = append(out, Sample{Suffix: "_bucket", Labels: h.les[i], Value: float64(c)})
 	}
-}
-
-// ObserveDuration records one duration observation.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Snapshot captures the histogram's current state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.counts)),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	s.Count = h.count.Load()
-	s.Sum = math.Float64frombits(h.sumBits.Load())
-	return s
-}
-
-func (h *Histogram) collect() []Sample {
-	return h.Snapshot().samples(h.labels)
-}
-
-// HistogramSnapshot is a point-in-time copy of a histogram, usable for
-// merging across nodes and quantile estimation.
-type HistogramSnapshot struct {
-	Bounds []float64 // upper edges, ascending (+Inf implicit)
-	Counts []uint64  // per-bucket (not cumulative), len(Bounds)+1
-	Count  uint64
-	Sum    float64
-}
-
-// Merge folds other into s. The bucket layouts must match.
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) error {
-	if len(other.Bounds) != len(s.Bounds) {
-		return fmt.Errorf("obs: merge with mismatched bucket count %d != %d", len(other.Bounds), len(s.Bounds))
-	}
-	for i, b := range other.Bounds {
-		if b != s.Bounds[i] {
-			return fmt.Errorf("obs: merge with mismatched bound %v != %v", b, s.Bounds[i])
-		}
-	}
-	for i, c := range other.Counts {
-		s.Counts[i] += c
-	}
-	s.Count += other.Count
-	s.Sum += other.Sum
-	return nil
-}
-
-// Quantile estimates the q-quantile by linear interpolation within the
-// containing bucket. Observations in the +Inf bucket report the top
-// finite bound.
-func (s *HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum uint64
-	for i, c := range s.Counts {
-		prev := float64(cum)
-		cum += c
-		if float64(cum) >= rank && c > 0 {
-			if i >= len(s.Bounds) {
-				return s.Bounds[len(s.Bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = s.Bounds[i-1]
-			}
-			frac := (rank - prev) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lo + frac*(s.Bounds[i]-lo)
-		}
-	}
-	if len(s.Bounds) == 0 {
-		return 0
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
-// samples renders the snapshot as exposition lines with cumulative
-// bucket counts.
-func (s HistogramSnapshot) samples(labels string) []Sample {
-	out := make([]Sample, 0, len(s.Counts)+2)
-	var cum uint64
-	for i, c := range s.Counts {
-		cum += c
-		le := "+Inf"
-		if i < len(s.Bounds) {
-			le = formatFloat(s.Bounds[i])
-		}
-		out = append(out, Sample{
-			Suffix: "_bucket",
-			Labels: mergeLabels(labels, `le="`+le+`"`),
-			Value:  float64(cum),
-		})
-	}
-	out = append(out,
-		Sample{Suffix: "_sum", Labels: labels, Value: s.Sum},
-		Sample{Suffix: "_count", Labels: labels, Value: float64(s.Count)},
+	return append(out,
+		Sample{Suffix: "_sum", Labels: h.labels, Value: float64(h.l.Sum()) / 1e9},
+		Sample{Suffix: "_count", Labels: h.labels, Value: float64(cum[len(cum)-1])},
 	)
-	return out
+}
+
+// summaryQuantiles are the quantiles a latency summary reports.
+var summaryQuantiles = [...]float64{0.5, 0.95, 0.99}
+
+// latencySummary renders a stats.Latency as one summary series.
+type latencySummary struct {
+	l      *stats.Latency
+	labels string
+	qs     [len(summaryQuantiles)]string // the label set with each quantile added
+}
+
+// LatencySummary registers l as a summary series (p50, p95 and p99 in
+// seconds, with _sum and _count).
+func (r *Registry) LatencySummary(name, help string, l *stats.Latency, labels ...Label) {
+	s := &latencySummary{l: l, labels: renderLabels(labels)}
+	for i, q := range summaryQuantiles {
+		s.qs[i] = mergeLabels(s.labels, `quantile="`+formatFloat(q)+`"`)
+	}
+	r.register(name, help, "summary", s.labels, s)
+}
+
+func (s *latencySummary) collect() []Sample {
+	out := make([]Sample, 0, len(summaryQuantiles)+2)
+	for i, q := range summaryQuantiles {
+		out = append(out, Sample{Labels: s.qs[i], Value: s.l.Quantile(q).Seconds()})
+	}
+	return append(out,
+		Sample{Suffix: "_sum", Labels: s.labels, Value: float64(s.l.Sum()) / 1e9},
+		Sample{Suffix: "_count", Labels: s.labels, Value: float64(s.l.Count())},
+	)
 }
 
 // formatFloat renders a float the way the exposition format expects:

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 func TestCounterGaugeExposition(t *testing.T) {
@@ -40,23 +42,28 @@ func TestCounterGaugeExposition(t *testing.T) {
 
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "latency", []float64{0.01, 0.1, 1}, L("stage", "certify"))
+	l := stats.NewLatency()
+	r.LatencyHistogram("lat_seconds", "latency", l, L("stage", "certify"))
 	for i := 0; i < 90; i++ {
-		h.Observe(0.005) // first bucket
+		l.Record(5 * time.Millisecond) // under le=0.0064
 	}
 	for i := 0; i < 9; i++ {
-		h.Observe(0.05) // second bucket
+		l.Record(50 * time.Millisecond) // under le=0.0512
 	}
-	h.Observe(5) // +Inf
+	l.Record(20 * time.Second) // +Inf
 
 	var b strings.Builder
 	r.WriteText(&b)
 	out := b.String()
 	for _, want := range []string{
-		`lat_seconds_bucket{stage="certify",le="0.01"} 90`,
-		`lat_seconds_bucket{stage="certify",le="0.1"} 99`,
-		`lat_seconds_bucket{stage="certify",le="1"} 99`,
+		"# TYPE lat_seconds histogram",
+		`lat_seconds_bucket{stage="certify",le="0.0032"} 0`,
+		`lat_seconds_bucket{stage="certify",le="0.0064"} 90`,
+		`lat_seconds_bucket{stage="certify",le="0.0256"} 90`,
+		`lat_seconds_bucket{stage="certify",le="0.0512"} 99`,
+		`lat_seconds_bucket{stage="certify",le="13.1072"} 99`,
 		`lat_seconds_bucket{stage="certify",le="+Inf"} 100`,
+		`lat_seconds_sum{stage="certify"} 20.9`,
 		`lat_seconds_count{stage="certify"} 100`,
 	} {
 		if !strings.Contains(out, want) {
@@ -64,56 +71,80 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 		}
 	}
 
-	s := h.Snapshot()
-	if got := s.Quantile(0.5); got <= 0 || got > 0.01 {
-		t.Errorf("p50 = %v, want in (0, 0.01]", got)
+	// The quantiles come from the histogram itself, within its 1/64
+	// relative error; the top one is the exact maximum.
+	near := func(got, want time.Duration) bool {
+		return math.Abs(float64(got-want)) <= float64(want)/64
 	}
-	if got := s.Quantile(0.95); got <= 0.01 || got > 0.1 {
-		t.Errorf("p95 = %v, want in (0.01, 0.1]", got)
+	if got := l.Quantile(0.5); !near(got, 5*time.Millisecond) {
+		t.Errorf("p50 = %v, want about 5ms", got)
 	}
-	// +Inf observations report the top finite bound.
-	if got := s.Quantile(1); got != 1 {
-		t.Errorf("p100 = %v, want 1", got)
+	if got := l.Quantile(0.95); !near(got, 50*time.Millisecond) {
+		t.Errorf("p95 = %v, want about 50ms", got)
+	}
+	if got := l.Quantile(1); got != 20*time.Second {
+		t.Errorf("p100 = %v, want 20s", got)
 	}
 }
 
+// TestHistogramBoundaryLandsInLowerBucket: le is inclusive. Every
+// bound is 3125·2^k ns, whose HDR bucket midpoint sits below it, so an
+// observation exactly on a bound counts under that bound, not the next.
 func TestHistogramBoundaryLandsInLowerBucket(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("b_seconds", "", []float64{0.1, 1})
-	h.Observe(0.1) // le="0.1" is inclusive
-	s := h.Snapshot()
-	if s.Counts[0] != 1 {
-		t.Fatalf("boundary observation landed in bucket %v, want first", s.Counts)
+	for i, bound := range bucketNs[:len(bucketNs)-1] {
+		l := stats.NewLatency()
+		l.Record(time.Duration(bound))
+		cum := l.Cumulative(bucketNs)
+		if cum[i] != 1 || (i > 0 && cum[i-1] != 0) {
+			t.Fatalf("observation at le=%s landed at %v", bucketLE[i], cum)
+		}
 	}
 }
 
+// TestHistogramSnapshotMerge: two nodes' histogram families fold into
+// a cluster-wide one through their exposition, bucket for bucket, and
+// the fold equals one histogram that recorded both nodes' observations.
 func TestHistogramSnapshotMerge(t *testing.T) {
-	r := NewRegistry()
-	a := r.Histogram("m_seconds", "", []float64{0.01, 0.1}, L("node", "a"))
-	b := r.Histogram("m_seconds", "", []float64{0.01, 0.1}, L("node", "b"))
-	a.Observe(0.005)
-	a.Observe(0.05)
-	b.Observe(0.05)
-	b.Observe(7)
-
-	s := a.Snapshot()
-	if err := s.Merge(b.Snapshot()); err != nil {
+	node := func(ds ...time.Duration) *Registry {
+		r := NewRegistry()
+		l := stats.NewLatency()
+		for _, d := range ds {
+			l.Record(d)
+		}
+		r.LatencyHistogram("m_seconds", "", l, L("stage", "apply"))
+		return r
+	}
+	a := []time.Duration{5 * time.Millisecond, 50 * time.Millisecond}
+	b := []time.Duration{50 * time.Millisecond, 7 * time.Second}
+	s := node(a...).Snapshot()
+	if err := s.Merge(node(b...).Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if s.Count != 4 {
-		t.Errorf("merged count = %d, want 4", s.Count)
+	want := node(append(a, b...)...).Snapshot()
+	got, wf := s.Family("m_seconds"), want.Family("m_seconds")
+	if len(got.Samples) != len(wf.Samples) {
+		t.Fatalf("merged %d samples, want %d", len(got.Samples), len(wf.Samples))
 	}
-	if want := 0.005 + 0.05 + 0.05 + 7; math.Abs(s.Sum-want) > 1e-9 {
-		t.Errorf("merged sum = %v, want %v", s.Sum, want)
+	for i, ws := range wf.Samples {
+		if gs := got.Samples[i]; gs.Suffix != ws.Suffix || gs.Labels != ws.Labels || math.Abs(gs.Value-ws.Value) > 1e-9 {
+			t.Errorf("merged sample %d = %+v, want %+v", i, gs, ws)
+		}
 	}
-	if s.Counts[1] != 2 {
-		t.Errorf("merged bucket counts = %v", s.Counts)
+	if v, ok := sampleValue(s, "m_seconds", "_count", `{stage="apply"}`); !ok || v != 4 {
+		t.Errorf("merged count = %v, %v; want 4", v, ok)
 	}
+}
 
-	bad := HistogramSnapshot{Bounds: []float64{1, 2}, Counts: make([]uint64, 3)}
-	if err := s.Merge(bad); err == nil {
-		t.Error("merge with mismatched bounds should fail")
+// sampleValue returns the value of one suffixed series in a snapshot.
+func sampleValue(s RegistrySnapshot, name, suffix, labels string) (float64, bool) {
+	if f := s.Family(name); f != nil {
+		for _, sm := range f.Samples {
+			if sm.Suffix == suffix && sm.Labels == labels {
+				return sm.Value, true
+			}
+		}
 	}
+	return 0, false
 }
 
 func TestCollectFunc(t *testing.T) {
@@ -154,9 +185,14 @@ func TestConflictingTypePanics(t *testing.T) {
 	r.Gauge("t_total", "", L("a", "2"))
 }
 
+// TestConcurrentObserve records into a registered histogram and a
+// counter from several goroutines while the registry is scraped: no
+// observation is lost and the exposition stays well formed (+Inf equal
+// to _count). Run it under -race.
 func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("c_seconds", "", nil)
+	l := stats.NewLatency()
+	r.LatencyHistogram("c_seconds", "", l)
 	cnt := r.Counter("c_total", "")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -164,7 +200,7 @@ func TestConcurrentObserve(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				h.ObserveDuration(50 * time.Microsecond)
+				l.Record(50 * time.Microsecond)
 				cnt.Inc()
 			}
 		}()
@@ -173,35 +209,37 @@ func TestConcurrentObserve(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			var b strings.Builder
-			r.WriteText(&b)
+			s := r.Snapshot()
+			inf, okInf := sampleValue(s, "c_seconds", "_bucket", `{le="+Inf"}`)
+			n, okN := sampleValue(s, "c_seconds", "_count", "")
+			if !okInf || !okN || inf != n {
+				t.Errorf("+Inf bucket %v (%v) != count %v (%v)", inf, okInf, n, okN)
+			}
 		}
 	}()
 	wg.Wait()
 	<-done
-	if got := h.Count(); got != 4000 {
+	if got := l.Count(); got != 4000 {
 		t.Errorf("count = %d, want 4000", got)
 	}
 	if got := cnt.Value(); got != 4000 {
 		t.Errorf("counter = %d, want 4000", got)
 	}
-	s := h.Snapshot()
-	if math.Abs(s.Sum-4000*50e-6) > 1e-6 {
-		t.Errorf("sum = %v, want %v", s.Sum, 4000*50e-6)
+	if got := l.Sum(); got != int64(4000*50*time.Microsecond) {
+		t.Errorf("sum = %v, want %v", time.Duration(got), 4000*50*time.Microsecond)
 	}
 }
 
 func TestDefBucketsAscending(t *testing.T) {
-	b := DefBuckets()
-	if len(b) == 0 {
-		t.Fatal("no default buckets")
+	if len(bucketNs) != 21 || len(bucketLE) != len(bucketNs) {
+		t.Fatalf("%d bounds, %d labels; want 20 finite bounds and +Inf", len(bucketNs), len(bucketLE))
 	}
-	for i := 1; i < len(b); i++ {
-		if b[i] <= b[i-1] {
-			t.Fatalf("default buckets not ascending at %d: %v", i, b)
+	for i := 1; i < len(bucketNs); i++ {
+		if bucketNs[i] <= bucketNs[i-1] {
+			t.Fatalf("bucket bounds not ascending at %d: %v", i, bucketNs)
 		}
 	}
-	if b[0] > 50e-6 || b[len(b)-1] < 5 {
-		t.Errorf("default bucket range [%v, %v] too narrow", b[0], b[len(b)-1])
+	if bucketNs[0] != 25_000 || bucketNs[19] < 5e9 || bucketNs[20] != math.MaxInt64 || bucketLE[20] != "+Inf" {
+		t.Errorf("bucket range [%d, %d] ns, top %d %q", bucketNs[0], bucketNs[19], bucketNs[20], bucketLE[20])
 	}
 }

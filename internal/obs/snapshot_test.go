@@ -3,6 +3,9 @@ package obs
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/stats"
 )
 
 // buildTestRegistry assembles one of every instrument kind, including
@@ -21,10 +24,12 @@ func buildTestRegistry() *Registry {
 			{Labels: `{kind="b"}`, Value: 2},
 		}
 	})
-	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 1}, L("stage", "apply"))
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
+	l := stats.NewLatency()
+	l.Record(50 * time.Millisecond)
+	l.Record(500 * time.Millisecond)
+	l.Record(5 * time.Second)
+	r.LatencyHistogram("test_latency_seconds", "Latency.", l, L("stage", "apply"))
+	r.LatencySummary("test_latency_summary_seconds", "Latency quantiles.", l)
 	return r
 }
 
@@ -46,9 +51,12 @@ func TestRegistrySnapshotIncludesAllCollectors(t *testing.T) {
 	if f == nil || f.Type != "histogram" {
 		t.Fatalf("histogram family = %+v", f)
 	}
-	// 2 finite buckets + +Inf + _sum + _count.
-	if len(f.Samples) != 5 {
-		t.Fatalf("histogram samples = %d, want 5", len(f.Samples))
+	// 20 finite buckets + +Inf + _sum + _count.
+	if len(f.Samples) != 23 {
+		t.Fatalf("histogram samples = %d, want 23", len(f.Samples))
+	}
+	if v, ok := s.Value("test_latency_summary_seconds", `{quantile="0.99"}`); !ok || v != 5 {
+		t.Fatalf("summary p99 = %v, %v", v, ok)
 	}
 }
 

@@ -271,13 +271,28 @@ func (h *HostCert) Since(v int64, apply func([]certifier.Record)) {
 	}
 }
 
-// CertifyTraced submits one commit-time certification request, waking
-// long-pollers on commit. trace is the submitting transaction's
-// cross-node trace id (0 for untraced callers). On commit the host
-// stamps the authoritative commit wall-clock and records both against
-// the assigned version, which is what propagated Records carry to the
-// replicas and what the replication-lag observer measures against.
+// CertifyTraced submits one commit-time certification request for a
+// transaction this node serves, waking long-pollers on commit. trace
+// is the submitting transaction's cross-node trace id (0 for untraced
+// callers). On commit the host stamps the authoritative commit
+// wall-clock and records both against the assigned version, which is
+// what propagated Records carry to the replicas and what the
+// replication-lag observer measures against, and opens the commit's
+// span, which this node's acknowledgement closes.
 func (h *HostCert) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
+	return h.certify(snapshot, ws, trace, true)
+}
+
+// CertifyPeer serves a certification request another node submitted
+// for a transaction it serves. It notes the commit's trace metadata as
+// CertifyTraced does but opens no span: the submitting node opens the
+// commit's span, times its certify stage across the round trip, and
+// acknowledges the client.
+func (h *HostCert) CertifyPeer(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
+	return h.certify(snapshot, ws, trace, false)
+}
+
+func (h *HostCert) certify(snapshot int64, ws writeset.Writeset, trace uint64, span bool) (certifier.Outcome, error) {
 	start := time.Now()
 	var out certifier.Outcome
 	var err error
@@ -292,7 +307,9 @@ func (h *HostCert) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uin
 	if err == nil && out.Committed {
 		done := time.Now()
 		h.Tracer.NoteCommitMeta(out.Version, trace, done.UnixNano())
-		h.Tracer.CommitSpan(out.Version, len(ws.Entries), start, done)
+		if span {
+			h.Tracer.CommitSpan(out.Version, len(ws.Entries), start, done)
+		}
 		h.Notify.Bump(out.Version)
 	}
 	return out, err

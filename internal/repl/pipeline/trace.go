@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // Commit-path stages, in pipeline order. The indexes are shared with
@@ -81,14 +82,14 @@ func (s *Span) Total() time.Duration {
 // (paxos, journal, fsync) can arrive before the submitting side knows
 // its version — the version is assigned inside certification — so
 // they are stashed in a bounded pending map and folded into the span
-// when it opens. Open spans that never finish (e.g. a certifier-host
-// span for a transaction whose ack happens on another node) are
-// finalized by eviction. A finalized span is copied into the rings
+// when it opens. Open spans that never finish (e.g. the span of a
+// catalog load, which no client acknowledgement closes) are finalized
+// by eviction. A finalized span is copied into the rings
 // and its record recycled, so a traced commit allocates no span.
 type Tracer struct {
 	slow time.Duration // slow-transaction threshold
 
-	hist [NumStages]*obs.Histogram
+	hist [NumStages]*stats.Latency
 
 	counts [NumStages]atomic.Int64
 	nanos  [NumStages]atomic.Int64
@@ -162,9 +163,10 @@ func NewTracer(reg *obs.Registry, slow time.Duration) *Tracer {
 	}
 	if reg != nil {
 		for i := 0; i < NumStages; i++ {
-			t.hist[i] = reg.Histogram("replicadb_stage_latency_seconds",
+			t.hist[i] = stats.NewLatency()
+			reg.LatencyHistogram("replicadb_stage_latency_seconds",
 				"Commit-path latency by pipeline stage.",
-				nil, obs.L("stage", StageNames[i]))
+				t.hist[i], obs.L("stage", StageNames[i]))
 		}
 	}
 	return t
@@ -179,7 +181,7 @@ func (t *Tracer) observe(stage int, d time.Duration, n int) {
 		d = 0
 	}
 	if h := t.hist[stage]; h != nil {
-		h.ObserveDuration(d)
+		h.Record(d)
 	}
 	t.counts[stage].Add(int64(n))
 	t.nanos[stage].Add(int64(d))

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/certifier"
 	"repro/internal/obs"
+	"repro/internal/writeset"
 )
 
 func TestTracerCommitSpanAssembly(t *testing.T) {
@@ -247,5 +249,43 @@ func TestTracerRecycledSpansKeepRings(t *testing.T) {
 		if sp.Version%10 != 0 || sp.Keys != int(sp.Version) || sp.Total() != 20*time.Millisecond {
 			t.Fatalf("slow span = version %d keys %d total %v", sp.Version, sp.Keys, sp.Total())
 		}
+	}
+}
+
+// TestHostCertOpensSpansOnlyForItsOwnCommits: the certifier host notes
+// the trace metadata of every commit, but opens a commit span, and
+// counts a certify stage, only for a commit it serves itself. A peer's
+// commit is acknowledged at the peer, so a span opened for it here
+// would never close.
+func TestHostCertOpensSpansOnlyForItsOwnCommits(t *testing.T) {
+	tr := NewTracer(nil, 0)
+	h := &HostCert{Base: certifier.New(), Notify: NewNotify(), Tracer: tr}
+	const n = 10
+	for i := range n {
+		trace := uint64(100 + i)
+		out, err := h.CertifyPeer(h.Base.Version(), writeset.Rows("item", []int64{int64(i)}, []string{"v"}), trace)
+		if err != nil || !out.Committed {
+			t.Fatalf("peer commit %d: %+v, %v", i, out, err)
+		}
+		if got, commitNs := tr.CommitMeta(out.Version); got != trace || commitNs == 0 {
+			t.Fatalf("version %d meta = (%d, %d), want trace %d and a commit time", out.Version, got, commitNs, trace)
+		}
+	}
+	counts, _ := tr.StageTotals()
+	if len(tr.open) != 0 || counts[StageCertify] != 0 {
+		t.Fatalf("after %d peer commits: %d open spans, %d certify stages; want none", n, len(tr.open), counts[StageCertify])
+	}
+
+	out, err := h.CertifyTraced(h.Base.Version(), writeset.Rows("item", []int64{0}, []string{"w"}), 7)
+	if err != nil || !out.Committed {
+		t.Fatalf("own commit: %+v, %v", out, err)
+	}
+	if sp := tr.open[out.Version]; sp == nil || sp.Trace != 7 {
+		t.Fatalf("own commit's span = %+v, want one open with trace 7", sp)
+	}
+	tr.Ack(out.Version, time.Now())
+	counts, _ = tr.StageTotals()
+	if len(tr.open) != 0 || counts[StageCertify] != 1 || counts[StageAck] != 1 {
+		t.Fatalf("after the ack: %d open spans, counts %v", len(tr.open), counts)
 	}
 }

@@ -266,7 +266,6 @@ func Drive(sys System, cat workload.Catalog, mix workload.Mix, clients, txnsPerC
 		go func() {
 			defer wg.Done()
 			var local DriveResult
-			readLat, updateLat := stats.NewLatency(), stats.NewLatency()
 			for i := 0; i < txnsPerClient; i++ {
 				tpl := cat.Pick(mix, rng)
 				rows := cat.Tables[tpl.Table] / factor
@@ -287,9 +286,9 @@ func Drive(sys System, cat workload.Catalog, mix workload.Mix, clients, txnsPerC
 					continue
 				}
 				if tpl.ReadOnly {
-					readLat.Record(time.Since(start))
+					res.ReadLatency.Record(time.Since(start))
 				} else {
-					updateLat.Record(time.Since(start))
+					res.UpdateLatency.Record(time.Since(start))
 				}
 			}
 			mu.Lock()
@@ -302,8 +301,6 @@ func Drive(sys System, cat workload.Catalog, mix workload.Mix, clients, txnsPerC
 			if res.FirstError == "" {
 				res.FirstError = local.FirstError
 			}
-			res.ReadLatency.Merge(readLat)
-			res.UpdateLatency.Merge(updateLat)
 			mu.Unlock()
 		}()
 	}

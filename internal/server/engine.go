@@ -472,13 +472,14 @@ func (e *engine) applyStats() pipeline.ApplyStats {
 
 // certify and check serve a peer's certification requests; only the
 // node hosting the certifier answers them. trace is the submitting
-// transaction's cross-node trace id (0 untraced).
+// transaction's cross-node trace id (0 untraced). The peer serves the
+// transaction, so the commit's span is the peer's, not this node's.
 func (e *engine) certify(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
 	h, err := e.hosted()
 	if err != nil {
 		return certifier.Outcome{}, err
 	}
-	return h.CertifyTraced(snapshot, ws, trace)
+	return h.CertifyPeer(snapshot, ws, trace)
 }
 
 func (e *engine) check(snapshot int64, ws writeset.Writeset) (bool, int64, error) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,28 +38,15 @@ type metrics struct {
 	activeConns atomic.Int64
 	activeTxns  atomic.Int64
 
-	certMu  sync.Mutex
 	certLat *stats.Latency
 
 	// Per-class client-visible transaction latency (Begin to commit
 	// acknowledgement), the live counterpart of the histograms
 	// repl.Drive keeps client-side. Counts double as per-class commit
 	// counters.
-	txnMu     sync.Mutex
 	readLat   *stats.Latency
 	updateLat *stats.Latency
 }
-
-// latBounds are the explicit bucket bounds (in nanoseconds) the
-// stats.Latency-backed series expose, mirroring obs.DefBuckets.
-var latBounds = func() []int64 {
-	secs := obs.DefBuckets()
-	ns := make([]int64, len(secs))
-	for i, s := range secs {
-		ns[i] = int64(s * 1e9)
-	}
-	return ns
-}()
 
 func newMetrics(design string, id int, disableTrace bool, slowTxn time.Duration) *metrics {
 	reg := obs.NewRegistry()
@@ -94,9 +80,10 @@ func newMetrics(design string, id int, disableTrace bool, slowTxn time.Duration)
 		// bound: no committed-elsewhere write has taken longer than this
 		// to become visible here.
 		replica := obs.L("replica", strconv.Itoa(id))
-		lagHist := reg.Histogram("replicadb_replication_lag_seconds",
-			"Commit-to-visible replication lag observed at this replica.", nil, replica)
-		m.tracer.SetLagObserver(lagHist.ObserveDuration)
+		lag := stats.NewLatency()
+		reg.LatencyHistogram("replicadb_replication_lag_seconds",
+			"Commit-to-visible replication lag observed at this replica.", lag, replica)
+		m.tracer.SetLagObserver(lag.Record)
 		reg.GaugeFunc("replicadb_replication_lag_max_seconds",
 			"Largest commit-to-visible replication lag observed (staleness bound).",
 			func() float64 {
@@ -137,71 +124,28 @@ func newMetrics(design string, id int, disableTrace bool, slowTxn time.Duration)
 	reg.GaugeFunc("replicadb_active_transactions", "Transactions in progress.",
 		func() float64 { return float64(m.activeTxns.Load()) })
 
-	m.latencySeries("replicadb_cert_latency_seconds",
-		"Certification round-trip latency (summary quantiles).",
-		"replicadb_cert_latency_histogram_seconds",
-		"Certification round-trip latency (bucketed).",
-		&m.certMu, func() *stats.Latency { return m.certLat })
-	m.latencySeries("replicadb_read_latency_seconds",
-		"Read-only transaction serving latency (summary quantiles).",
-		"replicadb_read_latency_histogram_seconds",
-		"Read-only transaction serving latency (bucketed).",
-		&m.txnMu, func() *stats.Latency { return m.readLat })
-	m.latencySeries("replicadb_update_latency_seconds",
-		"Update transaction serving latency (summary quantiles).",
-		"replicadb_update_latency_histogram_seconds",
-		"Update transaction serving latency (bucketed).",
-		&m.txnMu, func() *stats.Latency { return m.updateLat })
+	// Each latency series renders twice from one histogram: as a
+	// summary under its pre-registry name and as a bucketed histogram.
+	for _, ls := range []struct {
+		name, what string
+		l          *stats.Latency
+	}{
+		{"cert", "Certification round-trip latency", m.certLat},
+		{"read", "Read-only transaction serving latency", m.readLat},
+		{"update", "Update transaction serving latency", m.updateLat},
+	} {
+		reg.LatencySummary("replicadb_"+ls.name+"_latency_seconds", ls.what+" (summary quantiles).", ls.l)
+		reg.LatencyHistogram("replicadb_"+ls.name+"_latency_histogram_seconds", ls.what+" (bucketed).", ls.l)
+	}
 	reg.GaugeFunc("replicadb_read_commits", "Committed read-only transactions.",
-		func() float64 { m.txnMu.Lock(); defer m.txnMu.Unlock(); return float64(m.readLat.Count()) })
+		func() float64 { return float64(m.readLat.Count()) })
 	reg.GaugeFunc("replicadb_update_commits", "Committed update transactions.",
-		func() float64 { m.txnMu.Lock(); defer m.txnMu.Unlock(); return float64(m.updateLat.Count()) })
+		func() float64 { return float64(m.updateLat.Count()) })
 	reg.GaugeFunc("replicadb_cert_latency_count", "Certification round trips recorded.",
-		func() float64 { m.certMu.Lock(); defer m.certMu.Unlock(); return float64(m.certLat.Count()) })
+		func() float64 { return float64(m.certLat.Count()) })
 	reg.GaugeFunc("replicadb_cert_latency_max_seconds", "Largest certification round trip.",
-		func() float64 { m.certMu.Lock(); defer m.certMu.Unlock(); return m.certLat.Max().Seconds() })
+		func() float64 { return m.certLat.Max().Seconds() })
 	return m
-}
-
-// latencySeries registers one stats.Latency-backed latency series as
-// both a Prometheus summary (p50/p95/p99 quantiles + sum + count,
-// keeping the pre-registry series names) and an explicit-bucket
-// histogram family — the drivers keep recording into the HDR
-// histogram once; the registry renders both shapes from it at scrape
-// time.
-func (m *metrics) latencySeries(summaryName, summaryHelp, histName, histHelp string, mu *sync.Mutex, lat func() *stats.Latency) {
-	m.reg.CollectFunc(summaryName, summaryHelp, "summary", func() []obs.Sample {
-		mu.Lock()
-		l := lat()
-		q50, q95, q99 := l.Quantile(0.50), l.Quantile(0.95), l.Quantile(0.99)
-		count, sum := l.Count(), l.Sum()
-		mu.Unlock()
-		return []obs.Sample{
-			{Labels: `{quantile="0.5"}`, Value: q50.Seconds()},
-			{Labels: `{quantile="0.95"}`, Value: q95.Seconds()},
-			{Labels: `{quantile="0.99"}`, Value: q99.Seconds()},
-			{Suffix: "_sum", Value: float64(sum) / 1e9},
-			{Suffix: "_count", Value: float64(count)},
-		}
-	})
-	m.reg.CollectFunc(histName, histHelp, "histogram", func() []obs.Sample {
-		mu.Lock()
-		l := lat()
-		cum := l.Cumulative(latBounds)
-		count, sum := l.Count(), l.Sum()
-		mu.Unlock()
-		out := make([]obs.Sample, 0, len(cum)+3)
-		for i, c := range cum {
-			le := strconv.FormatFloat(float64(latBounds[i])/1e9, 'g', -1, 64)
-			out = append(out, obs.Sample{Suffix: "_bucket", Labels: `{le="` + le + `"}`, Value: float64(c)})
-		}
-		out = append(out,
-			obs.Sample{Suffix: "_bucket", Labels: `{le="+Inf"}`, Value: float64(count)},
-			obs.Sample{Suffix: "_sum", Value: float64(sum) / 1e9},
-			obs.Sample{Suffix: "_count", Value: float64(count)},
-		)
-		return out
-	})
 }
 
 // bindEngine registers the engine-backed gauges; called once the
@@ -270,37 +214,27 @@ func (m *metrics) compactEvent(sizeBefore, sizeAfter int64) {
 }
 
 // observeCert records one certification round trip.
-func (m *metrics) observeCert(d time.Duration) {
-	m.certMu.Lock()
-	m.certLat.Record(d)
-	m.certMu.Unlock()
-}
+func (m *metrics) observeCert(d time.Duration) { m.certLat.Record(d) }
 
 // observeTxn records one committed transaction's serving latency.
 func (m *metrics) observeTxn(readOnly bool, d time.Duration) {
-	m.txnMu.Lock()
 	if readOnly {
 		m.readLat.Record(d)
 	} else {
 		m.updateLat.Record(d)
 	}
-	m.txnMu.Unlock()
 }
 
 // statsOK snapshots the cumulative counters for a wire Stats reply,
 // including the per-stage commit-path breakdown when tracing is on.
 func (m *metrics) statsOK(eng *engine) *wire.StatsOK {
-	m.txnMu.Lock()
-	rc, rns := m.readLat.Count(), m.readLat.Sum()
-	uc, uns := m.updateLat.Count(), m.updateLat.Sum()
-	m.txnMu.Unlock()
 	ap := eng.applyStats()
 	ok := &wire.StatsOK{
-		ReadCommits:   rc,
-		UpdateCommits: uc,
+		ReadCommits:   m.readLat.Count(),
+		UpdateCommits: m.updateLat.Count(),
 		Aborts:        m.aborts.Value(),
-		ReadNs:        rns,
-		UpdateNs:      uns,
+		ReadNs:        m.readLat.Sum(),
+		UpdateNs:      m.updateLat.Sum(),
 		Applied:       eng.applied(),
 		ActiveTxns:    m.activeTxns.Load(),
 		AppliedTotal:  ap.Total,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/repl"
 	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -123,6 +124,49 @@ func TestCommitPathTracing(t *testing.T) {
 	}
 	if st.StageNs[0] <= 0 {
 		t.Errorf("StatsOK certify ns = %d, want > 0", st.StageNs[0])
+	}
+}
+
+// TestPeerCommitsTracedOnce: commits served by the non-host replica
+// of a traced two-node cluster are certified at the host but traced
+// only at the replica, which opens their spans, times their certify
+// round trips and acknowledges them. The two nodes' certify stage
+// counts grow by one per commit between them, not two.
+func TestPeerCommitsTracedOnce(t *testing.T) {
+	servers, cl := startCluster(t, "mm", 2, nil)
+	if err := cl.CreateTable("item"); err != nil {
+		t.Fatal(err)
+	}
+	certifyCounts := func() (host, replica int64) {
+		var counts [2]int64
+		for i, srv := range servers {
+			link := client.NewLink(srv.Addr(), "mm", -1, time.Second)
+			st, err := link.Stats()
+			link.Close()
+			if err != nil {
+				t.Fatalf("stats %d: %v", i, err)
+			}
+			counts[i] = st.StageCounts[0] // certify
+		}
+		return counts[0], counts[1]
+	}
+	host0, replica0 := certifyCounts()
+	wc := dialWire(t, servers[1].Addr())
+	const n = 20
+	for i := range n {
+		for _, msg := range []wire.Message{&wire.Begin{}, &wire.Write{Table: "item", Row: int64(i), Value: "v"}, &wire.Commit{}} {
+			reply, err := call(wc, msg)
+			if err != nil {
+				t.Fatalf("%T: %v", msg, err)
+			}
+			if e, ok := reply.(*wire.Err); ok {
+				t.Fatalf("%T: %s", msg, e.Msg)
+			}
+		}
+	}
+	host, replica := certifyCounts()
+	if dh, dr := host-host0, replica-replica0; dh != 0 || dr != n {
+		t.Fatalf("%d commits served at the replica: host counted %d certify stages, replica %d; want 0 and %d", n, dh, dr, n)
 	}
 }
 

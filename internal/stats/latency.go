@@ -2,26 +2,32 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"sync/atomic"
 	"time"
 )
 
-// Latency is an HDR-style log-linear histogram of durations, built for
-// client-perceived transaction latencies: constant-time recording, a
-// bounded relative error (the top five significand bits are kept, so
-// quantile estimates are within ~3% of the true value), and cheap
-// merging across concurrent recorders. Durations are bucketed in
-// nanoseconds; values below 32 ns are counted exactly.
+// Latency is an HDR-style log-linear histogram of durations, and the
+// repo's one histogram type: client-perceived transaction latencies,
+// the servers' per-class, certify, stage and lag series, and the
+// simulators' response times all record into one. Recording is
+// constant-time with a bounded relative error (the top six significant
+// bits are kept, so a bucket is at most 1/32 of its values wide and
+// its midpoint representative is within 1/64 of each). Durations are
+// bucketed in nanoseconds; values below 32 ns are counted exactly.
 //
-// A Latency is not safe for concurrent use: each recorder keeps its
-// own and the results are folded together with Merge, the same pattern
-// Welford uses.
+// Record is lock-free — bucket counts, count and sum are atomic adds,
+// min and max move by compare-and-swap — so any number of goroutines
+// may record into one Latency while others read it. A reader racing
+// recorders sees every observation its Count includes in the buckets,
+// min and max, because Record bumps the count last.
 type Latency struct {
-	counts []int64
-	count  int64
-	sum    int64
-	min    int64
-	max    int64
+	counts []atomic.Int64
+	count  atomic.Int64
+	sum    atomic.Int64
+	min    atomic.Int64 // math.MaxInt64 until the first observation
+	max    atomic.Int64
 }
 
 const (
@@ -31,14 +37,17 @@ const (
 	// latSub is the number of linear sub-buckets per power of two
 	// above the exact range.
 	latSub = 32
-	// latBuckets covers every non-negative int64 nanosecond value:
-	// exponents 6..64 each contribute latSub sub-buckets.
-	latBuckets = latExact + (64-5)*latSub
+	// latBuckets covers every non-negative int64 nanosecond value: an
+	// int64 has at most 63 significant bits, so exponents 6..63 each
+	// contribute latSub sub-buckets.
+	latBuckets = latExact + (63-5)*latSub
 )
 
 // NewLatency returns an empty histogram.
 func NewLatency() *Latency {
-	return &Latency{counts: make([]int64, latBuckets)}
+	l := &Latency{counts: make([]atomic.Int64, latBuckets)}
+	l.min.Store(math.MaxInt64)
+	return l
 }
 
 // latBucket maps a nanosecond value to its bucket index.
@@ -50,7 +59,7 @@ func latBucket(ns int64) int {
 	if u < latExact {
 		return int(u)
 	}
-	e := bits.Len64(u) // 6..64 here
+	e := bits.Len64(u) // 6..63 here
 	mant := int(u>>(uint(e)-6)) & (latSub - 1)
 	return latExact + (e-6)*latSub + mant
 }
@@ -68,119 +77,90 @@ func latValue(b int) int64 {
 	return int64(low + width/2)
 }
 
-// Record adds one observation.
+// Record adds one observation; negative durations count as zero. It
+// is safe for concurrent use and does not allocate.
 func (l *Latency) Record(d time.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
+	ns := max(int64(d), 0)
+	for cur := l.min.Load(); ns < cur; cur = l.min.Load() {
+		if l.min.CompareAndSwap(cur, ns) {
+			break
+		}
 	}
-	l.counts[latBucket(ns)]++
-	l.count++
-	l.sum += ns
-	if l.count == 1 {
-		l.min, l.max = ns, ns
-		return
+	for cur := l.max.Load(); ns > cur; cur = l.max.Load() {
+		if l.max.CompareAndSwap(cur, ns) {
+			break
+		}
 	}
-	if ns < l.min {
-		l.min = ns
-	}
-	if ns > l.max {
-		l.max = ns
-	}
+	l.counts[latBucket(ns)].Add(1)
+	l.sum.Add(ns)
+	l.count.Add(1) // last: see the type comment
 }
 
 // Count returns the number of observations.
-func (l *Latency) Count() int64 { return l.count }
+func (l *Latency) Count() int64 { return l.count.Load() }
 
 // Sum returns the exact sum of all observations in nanoseconds. The
 // live profiler differences cumulative (Count, Sum) pairs between
 // samples to get windowed means without resetting the histogram.
-func (l *Latency) Sum() int64 { return l.sum }
+func (l *Latency) Sum() int64 { return l.sum.Load() }
 
 // Mean returns the arithmetic mean, or 0 with no observations.
 func (l *Latency) Mean() time.Duration {
-	if l.count == 0 {
+	n := l.Count()
+	if n == 0 {
 		return 0
 	}
-	return time.Duration(l.sum / l.count)
+	return time.Duration(l.Sum() / n)
 }
 
 // Min returns the smallest observation, or 0 with no observations.
-func (l *Latency) Min() time.Duration { return time.Duration(l.min) }
+func (l *Latency) Min() time.Duration {
+	if l.Count() == 0 {
+		return 0
+	}
+	return time.Duration(l.min.Load())
+}
 
 // Max returns the largest observation, or 0 with no observations.
-func (l *Latency) Max() time.Duration { return time.Duration(l.max) }
+func (l *Latency) Max() time.Duration { return time.Duration(l.max.Load()) }
 
 // Quantile estimates the q-quantile (0 <= q <= 1). The estimate is
 // clamped into [Min, Max], so Quantile(1) == Max exactly.
 func (l *Latency) Quantile(q float64) time.Duration {
-	if l.count == 0 {
+	n := l.Count()
+	if n == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q*float64(l.count) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank >= l.count {
-		return time.Duration(l.max)
+	q = min(max(q, 0), 1)
+	lo, hi := l.min.Load(), l.max.Load()
+	rank := max(int64(q*float64(n)+0.5), 1)
+	if rank >= n {
+		return time.Duration(hi)
 	}
 	var cum int64
-	for b, c := range l.counts {
-		cum += c
+	for b := range l.counts {
+		cum += l.counts[b].Load()
 		if cum >= rank {
-			v := latValue(b)
-			if v < l.min {
-				v = l.min
-			}
-			if v > l.max {
-				v = l.max
-			}
-			return time.Duration(v)
+			return time.Duration(min(max(latValue(b), lo), hi))
 		}
 	}
-	return time.Duration(l.max)
-}
-
-// Merge folds other into l, as if all of other's observations had been
-// recorded into l. A nil or empty other is a no-op.
-func (l *Latency) Merge(other *Latency) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	for b, c := range other.counts {
-		l.counts[b] += c
-	}
-	if l.count == 0 || other.min < l.min {
-		l.min = other.min
-	}
-	if l.count == 0 || other.max > l.max {
-		l.max = other.max
-	}
-	l.count += other.count
-	l.sum += other.sum
+	return time.Duration(hi)
 }
 
 // Cumulative buckets the recorded observations under the given upper
 // bounds (nanoseconds, ascending): result[i] counts observations whose
-// representative bucket value is <= bounds[i]. Together with Count and
-// Sum this is exactly the shape of a Prometheus histogram with
-// explicit buckets, which is how the drivers' HDR histograms surface
-// on /metrics without re-recording every observation twice. The
-// mapping inherits the histogram's ~3% relative value error.
+// representative bucket value is <= bounds[i], so a last bound of
+// math.MaxInt64 counts every observation. Together with Sum this is
+// exactly the shape of a Prometheus histogram with explicit buckets,
+// which is how every histogram surfaces on /metrics (obs renders it).
+// An observation within 1/64 of a bound may be counted on the other
+// side of it.
 func (l *Latency) Cumulative(bounds []int64) []int64 {
 	out := make([]int64, len(bounds))
-	if l.count == 0 || len(bounds) == 0 {
-		return out
-	}
 	i := 0
 	var cum int64
-	for b, c := range l.counts {
+	for b := range l.counts {
+		c := l.counts[b].Load()
 		if c == 0 {
 			continue
 		}
@@ -203,12 +183,13 @@ func (l *Latency) Cumulative(bounds []int64) []int64 {
 // Summary renders the standard percentile line used by the drivers,
 // e.g. "p50=1.2ms p95=3.4ms p99=8ms max=12ms (n=500)".
 func (l *Latency) Summary() string {
-	if l.count == 0 {
+	n := l.Count()
+	if n == 0 {
 		return "no observations"
 	}
 	return fmt.Sprintf("p50=%s p95=%s p99=%s max=%s (n=%d)",
 		round(l.Quantile(0.50)), round(l.Quantile(0.95)),
-		round(l.Quantile(0.99)), round(l.Max()), l.count)
+		round(l.Quantile(0.99)), round(l.Max()), n)
 }
 
 // round trims a duration to a readable precision for summaries.

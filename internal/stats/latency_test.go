@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -47,40 +50,90 @@ func TestLatencyQuantileAccuracy(t *testing.T) {
 	if l.Quantile(1) != l.Max() {
 		t.Errorf("p100 %v != max %v", l.Quantile(1), l.Max())
 	}
+	if l.Min() != time.Microsecond || l.Max() != n*time.Microsecond {
+		t.Errorf("min %v, max %v; want 1µs and %v", l.Min(), l.Max(), n*time.Microsecond)
+	}
 }
 
-func TestLatencyMergeMatchesSequential(t *testing.T) {
+// TestLatencyConcurrentRecord records one fixed set of durations from
+// 8 goroutines while a scraper reads the histogram, and checks that the
+// result equals a sequential recording of the same set exactly. Run it
+// under -race: Record must need no lock.
+func TestLatencyConcurrentRecord(t *testing.T) {
+	const workers, per = 8, 5000
 	rng := rand.New(rand.NewSource(7))
-	whole, a, b := NewLatency(), NewLatency(), NewLatency()
-	for i := 0; i < 20000; i++ {
-		d := time.Duration(rng.Int63n(int64(3 * time.Second)))
+	set := make([]time.Duration, workers*per)
+	for i := range set {
+		set[i] = time.Duration(rng.Int63n(int64(3 * time.Second)))
+	}
+	whole := NewLatency()
+	for _, d := range set {
 		whole.Record(d)
-		if i%2 == 0 {
-			a.Record(d)
-		} else {
-			b.Record(d)
+	}
+
+	conc := NewLatency()
+	bounds := []int64{int64(time.Millisecond), int64(time.Second), math.MaxInt64}
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cum := conc.Cumulative(bounds)
+			if cum[0] > cum[1] || cum[1] > cum[2] {
+				t.Errorf("cumulative not monotone: %v", cum)
+			}
+			if q := conc.Quantile(0.99); q < conc.Quantile(0.5) {
+				t.Errorf("p99 %v below p50", q)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, d := range set[w*per : (w+1)*per] {
+				conc.Record(d)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-scraped
+
+	if conc.Count() != whole.Count() || conc.Sum() != whole.Sum() || conc.Min() != whole.Min() || conc.Max() != whole.Max() {
+		t.Fatalf("concurrent %v (sum %d) vs sequential %v (sum %d)", conc.Summary(), conc.Sum(), whole.Summary(), whole.Sum())
+	}
+	for q := 0.0; q <= 1; q += 0.01 {
+		if conc.Quantile(q) != whole.Quantile(q) {
+			t.Fatalf("q=%.2f: concurrent %v, sequential %v", q, conc.Quantile(q), whole.Quantile(q))
 		}
 	}
-	a.Merge(b)
-	a.Merge(nil)          // no-op
-	a.Merge(NewLatency()) // no-op
-	if a.Count() != whole.Count() || a.Min() != whole.Min() || a.Max() != whole.Max() || a.Mean() != whole.Mean() {
-		t.Fatalf("merge mismatch: %v vs %v", a.Summary(), whole.Summary())
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Fatalf("q=%.2f: merged %v, sequential %v", q, a.Quantile(q), whole.Quantile(q))
-		}
+	if got, want := conc.Cumulative(bounds), whole.Cumulative(bounds); !slices.Equal(got, want) {
+		t.Fatalf("cumulative: concurrent %v, sequential %v", got, want)
 	}
 }
 
-func TestLatencyMergeIntoEmpty(t *testing.T) {
-	a, b := NewLatency(), NewLatency()
-	b.Record(5 * time.Millisecond)
-	b.Record(10 * time.Millisecond)
-	a.Merge(b)
-	if a.Count() != 2 || a.Min() != 5*time.Millisecond || a.Max() != 10*time.Millisecond {
-		t.Fatalf("merge into empty: %v", a.Summary())
+// TestLatencyClampsToRange pins both ends of the bucket range: a
+// negative duration counts as zero in the first bucket, and the largest
+// int64 lands in the last bucket, with Quantile(1) returning it.
+func TestLatencyClampsToRange(t *testing.T) {
+	if got := latBucket(math.MaxInt64); got != latBuckets-1 {
+		t.Fatalf("MaxInt64 lands in bucket %d, want the last (%d)", got, latBuckets-1)
+	}
+	l := NewLatency()
+	l.Record(-5)
+	l.Record(time.Duration(math.MaxInt64))
+	if l.counts[0].Load() != 1 || l.counts[latBuckets-1].Load() != 1 {
+		t.Fatalf("edge buckets hold %d and %d, want 1 and 1", l.counts[0].Load(), l.counts[latBuckets-1].Load())
+	}
+	if l.Min() != 0 || l.Quantile(1) != time.Duration(math.MaxInt64) || l.Max() != time.Duration(math.MaxInt64) {
+		t.Fatalf("min %v, p100 %v, max %v", l.Min(), l.Quantile(1), l.Max())
 	}
 }
 

@@ -143,72 +143,6 @@ func (t *TimeWeighted) Reset(now float64) {
 	t.area = 0
 }
 
-// Histogram is a fixed-bucket histogram over [lo, hi) with values
-// outside the range clamped into the edge buckets. It is used for
-// response-time distributions.
-type Histogram struct {
-	lo, hi  float64
-	buckets []int64
-	total   int64
-}
-
-// NewHistogram creates a histogram with n buckets over [lo, hi).
-// It panics if n <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int(float64(len(h.buckets)) * (x - h.lo) / (h.hi - h.lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Quantile returns an estimate of the q-quantile (0 <= q <= 1) using
-// linear interpolation within the containing bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.total)
-	var cum float64
-	width := (h.hi - h.lo) / float64(len(h.buckets))
-	for i, c := range h.buckets {
-		next := cum + float64(c)
-		if next >= target && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.lo + width*(float64(i)+frac)
-		}
-		cum = next
-	}
-	return h.hi
-}
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// NumBuckets returns the number of buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
 // Mean computes the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

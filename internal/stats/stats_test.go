@@ -281,35 +281,6 @@ func TestTimeWeightedResetCarriesValue(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Fatalf("median = %v, want about 50", med)
-	}
-	if q := h.Quantile(0); q < 0 || q > 2 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := h.Quantile(1); q < 98 || q > 100 {
-		t.Fatalf("q1 = %v", q)
-	}
-}
-
-func TestHistogramClamps(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(-5)
-	h.Add(50)
-	if h.Bucket(0) != 1 || h.Bucket(9) != 1 {
-		t.Fatalf("clamping failed: %v %v", h.Bucket(0), h.Bucket(9))
-	}
-	if h.Total() != 2 {
-		t.Fatalf("total = %d", h.Total())
-	}
-}
-
 func TestMeanMedian(t *testing.T) {
 	if Mean(nil) != 0 || Median(nil) != 0 {
 		t.Fatal("empty-slice mean/median should be 0")
