@@ -283,7 +283,7 @@ func serveMain(args []string) {
 		minRep     = fs.Int("min", 1, "autoscaler: minimum replica count")
 		maxRep     = fs.Int("max", 4, "autoscaler: maximum replica count")
 		profMix    = fs.String("profile-mix", "tpcw-shopping", "autoscaler: standalone profile supplying the model's service demands")
-		think      = fs.Float64("think", 0, "autoscaler: live client think time in seconds (0: the profile's)")
+		think      = fs.Float64("think", 0, "live client think time in seconds the model runs at (-autoscale and -modelcheck; 0: clients that do not think, as replicadb bench's)")
 	)
 	fs.Parse(args)
 
@@ -394,86 +394,79 @@ func serveMain(args []string) {
 		fmt.Printf("replicadb: metrics on http://%s/metrics\n", addr)
 	}
 
-	var ctlStop chan struct{}
+	// One live-model loop: one window samples the cluster each second
+	// and hands the tick to the residual gauges and the autoscaler, so
+	// the residual grades the model the autoscaler steers with.
+	var loopStop, loopDone chan struct{}
 	var scaler *elastic.LocalScaler
-	var src *elastic.WireSource
-	if *autoscale {
-		// The baseline is the statically configured cluster (never
-		// scaled away); only replicas spawned here are elastic.
-		baseline := len(peerList)
-		if baseline < 1 {
-			baseline = 1
+	if *autoscale || *modelcheck {
+		src := elastic.NewWireSource([]string{srv.Addr()}, 2*time.Second)
+		defer src.Close()
+		var consumers []func(elastic.Tick)
+		if *modelcheck {
+			consumers = append(consumers, elastic.NewMonitor(srv.Registry()).Observe)
+			fmt.Printf("replicadb: exporting MVA model residuals against the %s profile\n", baseMix.ID())
 		}
-		scaler = elastic.NewLocalScaler(baseline, func() (elastic.Replica, error) {
-			rep, err := server.New(server.Options{
-				Design:  "mm",
-				Listen:  "127.0.0.1:0",
-				Join:    true,
-				Primary: srv.Addr(),
+		if *autoscale {
+			// The baseline is the statically configured cluster (never
+			// scaled away); only replicas spawned here are elastic.
+			scaler = elastic.NewLocalScaler(len(peerList), func() (elastic.Replica, error) {
+				rep, err := server.New(server.Options{
+					Design:  "mm",
+					Listen:  "127.0.0.1:0",
+					Join:    true,
+					Primary: srv.Addr(),
+				})
+				if err != nil {
+					return nil, err
+				}
+				rep.Start()
+				fmt.Printf("replicadb: autoscaler added replica on %s\n", rep.Addr())
+				return rep, nil
 			})
+			ctl, err := elastic.NewController(elastic.Config{Min: *minRep, Max: *maxRep}, scaler)
 			if err != nil {
-				return nil, err
+				fatal("autoscaler: %v", err)
 			}
-			rep.Start()
-			fmt.Printf("replicadb: autoscaler added replica on %s\n", rep.Addr())
-			return rep, nil
-		})
-		src = elastic.NewWireSource(srv.Addr(), 2*time.Second)
-		ctl, err := elastic.NewController(elastic.Config{
-			Min: *minRep, Max: *maxRep,
-			Base:        baseMix,
-			Think:       *think,
-			Recalibrate: *recal,
-		}, scaler, src)
-		if err != nil {
-			fatal("autoscaler: %v", err)
+			// Every attempted scaling step lands in the node's event
+			// journal with the MVA inputs that motivated it.
+			ctl.OnDecision(func(d elastic.Decision) {
+				msg := fmt.Sprintf("scale %s: %d -> %d replicas (util %.2f, ~%.0f clients)",
+					d.Direction, d.Current, d.Target, d.Util, d.Clients)
+				fields := map[string]string{
+					"direction": d.Direction,
+					"target":    strconv.Itoa(d.Target),
+					"current":   strconv.Itoa(d.Current),
+					"clients":   fmt.Sprintf("%.1f", d.Clients),
+					"util":      fmt.Sprintf("%.3f", d.Util),
+				}
+				if d.Err != nil {
+					fields["error"] = d.Err.Error()
+					msg += ": " + d.Err.Error()
+				}
+				srv.Events().Emit(events.ScaleDecision, msg, fields)
+			})
+			consumers = append(consumers, ctl.Observe)
+			fmt.Printf("replicadb: autoscaling %d..%d replicas against the %s profile\n", *minRep, *maxRep, baseMix.ID())
 		}
-		// Every attempted scaling step lands in the node's event journal
-		// with the MVA inputs that motivated it.
-		ctl.OnDecision(func(d elastic.Decision) {
-			msg := fmt.Sprintf("scale %s: %d -> %d replicas (util %.2f, ~%.0f clients)",
-				d.Direction, d.Current, d.Target, d.Util, d.Clients)
-			fields := map[string]string{
-				"direction": d.Direction,
-				"target":    strconv.Itoa(d.Target),
-				"current":   strconv.Itoa(d.Current),
-				"clients":   fmt.Sprintf("%.1f", d.Clients),
-				"util":      fmt.Sprintf("%.3f", d.Util),
-			}
-			if d.Err != nil {
-				fields["error"] = d.Err.Error()
-				msg += ": " + d.Err.Error()
-			}
-			srv.Events().Emit(events.ScaleDecision, msg, fields)
-		})
-		ctlStop = make(chan struct{})
-		go ctl.Run(ctlStop)
-		fmt.Printf("replicadb: autoscaling %d..%d replicas against the %s profile\n", *minRep, *maxRep, baseMix.ID())
-	}
-
-	var monStop chan struct{}
-	var monSrc *elastic.WireSource
-	if *modelcheck {
-		monSrc = elastic.NewWireSource(srv.Addr(), 2*time.Second)
-		mon := elastic.NewMonitor(srv.Registry(), baseMix, *think, monSrc)
-		mon.SetRecalibrate(*recal)
-		monStop = make(chan struct{})
-		go mon.Run(time.Second, monStop)
-		fmt.Printf("replicadb: exporting MVA model residuals against the %s profile\n", baseMix.ID())
+		win := elastic.NewWindow(src, baseMix, *think, *recal)
+		loopStop, loopDone = make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(loopDone)
+			win.Run(time.Second, loopStop, consumers...)
+		}()
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("replicadb: shutting down")
-	if ctlStop != nil {
-		close(ctlStop)
-		scaler.Close()
-		src.Close()
+	if loopStop != nil {
+		close(loopStop)
+		<-loopDone
 	}
-	if monStop != nil {
-		close(monStop)
-		monSrc.Close()
+	if scaler != nil {
+		scaler.Close()
 	}
 	if err := srv.Close(); err != nil {
 		fatal("shutdown: %v", err)
@@ -586,77 +579,34 @@ type statusReport struct {
 	Model       *elastic.ModelError `json:"model,omitempty"`
 }
 
-// statusPoller polls every known replica's Stats counters and keeps a
-// profiler across polls so watch mode reports the model residual of
-// each inter-poll window.
+// statusPoller renders the ticks of one live-model window as status
+// reports, so watch mode reports the model residual of each
+// inter-poll window.
 type statusPoller struct {
 	design string
-	links  map[string]*client.Link
-	addrs  []string // stable poll order; grows as members are discovered
-	prof   *elastic.Profiler
+	win    *elastic.Window
 }
 
-func newStatusPoller(servers []string, design string, mix workload.Mix) *statusPoller {
-	// The populations status infers come from zero-think closed-loop
-	// bench clients, so the model runs at think 0, not at the mix's
-	// think time, or Little's law inflates the population ~4000x.
-	// NewProfiler reads a think of 0 as "the mix's", hence the copy.
-	mix.Think = 0
-	p := &statusPoller{
-		design: design,
-		links:  make(map[string]*client.Link),
-		prof:   elastic.NewProfiler(mix, 0),
-	}
-	for _, a := range servers {
-		p.addAddr(a)
-	}
-	return p
+// newStatusPoller builds a poller over src; the model runs at think
+// 0, the think time of the bench clients whose load status reads.
+func newStatusPoller(src elastic.Source, design string, mix workload.Mix) *statusPoller {
+	return &statusPoller{design: design, win: elastic.NewWindow(src, mix, 0, false)}
 }
 
-func (p *statusPoller) addAddr(addr string) {
-	if addr == "" {
-		return
-	}
-	if _, ok := p.links[addr]; ok {
-		return
-	}
-	p.links[addr] = client.NewLink(addr, p.design, -1, 2*time.Second)
-	p.addrs = append(p.addrs, addr)
-}
-
-func (p *statusPoller) close() {
-	for _, l := range p.links {
-		l.Close()
-	}
-}
-
-// poll takes one cluster snapshot. Membership is re-discovered from
-// the first replica that answers Members, so replicas that joined
-// after the -servers list was written still show up.
+// poll takes one cluster snapshot.
 func (p *statusPoller) poll() statusReport {
-	for _, addr := range p.addrs {
-		_, members, err := p.links[addr].Members()
-		if err != nil {
-			continue
-		}
-		for _, m := range members {
-			p.addAddr(m.Addr)
-		}
-		break
-	}
-
+	t, _ := p.win.Step()
 	rep := statusReport{
 		When:   time.Now().Format(time.RFC3339),
 		Design: p.design,
 		Leader: -1,
+		Polled: len(t.Rows),
 	}
-	sample := elastic.Sample{When: time.Now()}
-	var polled []string
-	for _, addr := range p.addrs {
-		row := statusReplica{Addr: addr}
-		st, err := p.links[addr].Stats()
-		if err != nil {
-			row.Error = err.Error()
+	for _, r := range t.Rows {
+		row := statusReplica{Addr: r.Addr}
+		st := r.Stats
+		if r.Err != nil {
+			row.Error = r.Err.Error()
 			rep.Replicas = append(rep.Replicas, row)
 			continue
 		}
@@ -685,11 +635,7 @@ func (p *statusPoller) poll() statusReport {
 		}
 		rep.Up++
 		rep.Replicas = append(rep.Replicas, row)
-
-		polled = append(polled, addr)
-		sample.Add(st)
 	}
-	rep.Polled = len(p.addrs)
 	for i := range rep.Replicas {
 		if rep.Replicas[i].Error == "" {
 			rep.Replicas[i].Behind = rep.MaxApplied - rep.Replicas[i].Applied
@@ -698,6 +644,7 @@ func (p *statusPoller) poll() statusReport {
 	// Cumulative per-stage means across the cluster (lifetime, not
 	// windowed — status is a snapshot tool).
 	stages := make(map[string]float64, pipeline.NumStages)
+	sample := t.Sample
 	for i := range sample.StageCounts {
 		if sample.StageCounts[i] > 0 {
 			stages[pipeline.StageNames[i]] =
@@ -709,12 +656,8 @@ func (p *statusPoller) poll() statusReport {
 	}
 	// Model residual over the window since the previous poll (mm only;
 	// the first poll just seeds the baseline).
-	sort.Strings(polled)
-	sample.Cohort = strings.Join(polled, ",")
-	if load, ok := p.prof.Observe(sample); ok && p.design == "mm" {
-		if me, ok := elastic.EvalModel(p.prof, load, load.Members); ok {
-			rep.Model = &me
-		}
+	if t.ModelOK && p.design == "mm" {
+		rep.Model = &t.Model
 	}
 	return rep
 }
@@ -795,8 +738,9 @@ func statusMain(args []string) {
 	}
 	mix := mustMix(fs, *profMix)
 
-	p := newStatusPoller(splitAddrs(*servers), *design, mix)
-	defer p.close()
+	src := elastic.NewWireSource(splitAddrs(*servers), 2*time.Second)
+	defer src.Close()
+	p := newStatusPoller(src, *design, mix)
 
 	emit := func(r statusReport) {
 		if *jsonOut {

@@ -59,20 +59,20 @@ func main() {
 		return rep, nil
 	})
 	defer scaler.Close()
-	src := elastic.NewWireSource(prim.Addr(), 2*time.Second)
+	src := elastic.NewWireSource([]string{prim.Addr()}, 2*time.Second)
 	defer src.Close()
 
 	const think = 25 * time.Millisecond
 	ctl, err := elastic.NewController(elastic.Config{
 		Min: 1, Max: 3,
-		Interval: 100 * time.Millisecond,
 		Cooldown: 300 * time.Millisecond,
-		Base:     workload.TPCWShopping(), // standalone profile: service demands
-		Think:    think.Seconds(),
-	}, scaler, src)
+	}, scaler)
 	check(err)
+	// The window samples the cluster every 100ms and profiles it over
+	// the standalone profile's service demands.
+	win := elastic.NewWindow(src, workload.TPCWShopping(), think.Seconds(), false)
 	stop := make(chan struct{})
-	go ctl.Run(stop)
+	go win.Run(100*time.Millisecond, stop, ctl.Observe)
 	defer close(stop)
 
 	// Phase 1: rising update load from 16 closed-loop clients.

@@ -2,12 +2,10 @@ package elastic
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/workload"
 )
 
 // Scaler changes the cluster size one replica at a time: LocalScaler
@@ -22,17 +20,6 @@ type Scaler interface {
 	ScaleDown() error
 }
 
-// Source supplies cumulative serving counters for the whole cluster.
-type Source interface {
-	Sample() (Sample, error)
-}
-
-// FuncSource adapts a function to Source.
-type FuncSource func() (Sample, error)
-
-// Sample implements Source.
-func (f FuncSource) Sample() (Sample, error) { return f() }
-
 // Config tunes the autoscaling controller.
 type Config struct {
 	// Min and Max bound the replica count (Min >= 1).
@@ -44,22 +31,10 @@ type Config struct {
 	// LowUtil — the gap is the hysteresis that stops flapping when
 	// load hovers near a threshold. Defaults: 0.75 / 0.45.
 	HighUtil, LowUtil float64
-	// Interval is the control period (default 1s): one sample, one
-	// prediction, at most one scaling step.
-	Interval time.Duration
 	// Cooldown is the minimum time between scaling operations
-	// (default 2·Interval), so a join's warm-up transient cannot
-	// immediately trigger another decision.
+	// (default 2s), so a join's warm-up transient cannot immediately
+	// trigger another decision.
 	Cooldown time.Duration
-	// Base is the standalone-calibrated workload profile supplying
-	// the service demands (§4); the live profiler refreshes the rest.
-	Base workload.Mix
-	// Think is the live clients' think time; zero uses Base.Think.
-	Think float64
-	// Recalibrate folds each usable window's live stage-derived
-	// service demands into the calibrated profile (EWMA), so the
-	// predictor steers with demands the real servers exhibit.
-	Recalibrate bool
 }
 
 func (c *Config) fill() error {
@@ -78,14 +53,8 @@ func (c *Config) fill() error {
 	if c.LowUtil >= c.HighUtil {
 		return fmt.Errorf("elastic: low-util %v must be below high-util %v", c.LowUtil, c.HighUtil)
 	}
-	if c.Interval <= 0 {
-		c.Interval = time.Second
-	}
 	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * c.Interval
-	}
-	if err := c.Base.Validate(); err != nil {
-		return fmt.Errorf("elastic: base mix: %w", err)
+		c.Cooldown = 2 * time.Second
 	}
 	return nil
 }
@@ -111,14 +80,12 @@ type Status struct {
 	Util       float64 // predicted busiest-resource utilization at current size
 }
 
-// Controller periodically samples the live cluster, runs the MVA
-// model over the live profile, and steers the replica count into the
-// target utilization band. Create with NewController, drive with Run.
+// Controller steers the replica count into the target utilization
+// band by the MVA model over a Window's live profile. Create with
+// NewController and hand it the window's ticks (Window.Run).
 type Controller struct {
 	cfg    Config
 	scaler Scaler
-	src    Source
-	prof   *Profiler
 
 	mu        sync.Mutex
 	lastScale time.Time
@@ -128,30 +95,18 @@ type Controller struct {
 
 // OnDecision registers a hook fired after every attempted scaling
 // step (successful or not), outside the controller's lock. At most
-// one hook; call before Run.
+// one hook; call before the window runs.
 func (c *Controller) OnDecision(fn func(Decision)) { c.onDecide = fn }
 
-// Recalibrate replaces the profiler's service demands with
-// live-measured per-operation demands (seconds per transaction at the
-// given resource), folding them in through the profiler's EWMA so one
-// noisy measurement window cannot whipsaw the model. Zero-valued
-// fields leave the corresponding demand untouched.
-func (c *Controller) Recalibrate(d Demands) { c.prof.Recalibrate(d) }
-
 // NewController validates the configuration and builds a controller.
-func NewController(cfg Config, scaler Scaler, src Source) (*Controller, error) {
+func NewController(cfg Config, scaler Scaler) (*Controller, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	if scaler == nil || src == nil {
-		return nil, fmt.Errorf("elastic: controller needs a scaler and a source")
+	if scaler == nil {
+		return nil, fmt.Errorf("elastic: controller needs a scaler")
 	}
-	return &Controller{
-		cfg:    cfg,
-		scaler: scaler,
-		src:    src,
-		prof:   NewProfiler(cfg.Base, cfg.Think),
-	}, nil
+	return &Controller{cfg: cfg, scaler: scaler}, nil
 }
 
 // Status returns the latest decision snapshot.
@@ -161,38 +116,14 @@ func (c *Controller) Status() Status {
 	return c.status
 }
 
-// Run executes control ticks until stop closes.
-func (c *Controller) Run(stop <-chan struct{}) {
-	ticker := time.NewTicker(c.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			c.Step(time.Now())
-		}
-	}
-}
-
-// Step runs one control tick: sample, profile, predict, and move at
-// most one replica toward the target. Exposed so tests and the DES
-// harness can drive the controller without real time.
-func (c *Controller) Step(now time.Time) {
-	s, err := c.src.Sample()
-	if err != nil {
+// Observe runs one control decision on a tick's window: predict, and
+// move at most one replica toward the target. The cooldown is measured
+// on the tick's sample time, so tests can drive it without real time.
+func (c *Controller) Observe(t Tick) {
+	if !t.OK {
 		return
 	}
-	load, ok := c.prof.Observe(s)
-	if !ok {
-		return
-	}
-	if c.cfg.Recalibrate {
-		if d, ok := LiveDemands(load); ok {
-			c.prof.Recalibrate(d)
-		}
-	}
-	params := c.prof.Params(load)
+	now, load, params := t.Sample.When, t.Load, t.Params
 	cur := c.scaler.Replicas()
 	target := Decide(c.cfg, params, load.Clients, cur)
 
@@ -200,7 +131,7 @@ func (c *Controller) Step(now time.Time) {
 	c.status.Target = target
 	c.status.Replicas = cur
 	c.status.Clients = load.Clients
-	c.status.Util = utilAt(c.cfg, params, load.Clients, cur)
+	c.status.Util = utilAt(params, load.Clients, cur)
 	cooling := now.Sub(c.lastScale) < c.cfg.Cooldown
 	if target == cur || cooling {
 		c.mu.Unlock()
@@ -209,6 +140,7 @@ func (c *Controller) Step(now time.Time) {
 	c.lastScale = now
 	c.mu.Unlock()
 
+	var err error
 	dir := "up"
 	if target > cur {
 		err = c.scaler.ScaleUp()
@@ -238,33 +170,14 @@ func (c *Controller) Step(now time.Time) {
 	}
 }
 
-// maxModelClients bounds the per-replica client population fed to the
-// exact MVA recursion (cost is linear in it); a wild Little's-law
-// estimate during a latency spike must not stall the control loop.
-const maxModelClients = 4096
-
 // utilAt predicts the busiest-resource utilization of an n-replica
-// cluster serving `clients` closed-loop clients, by splitting the
-// population evenly across replicas (the load balancer's behavior)
-// and solving the per-replica MVA model of §3.3.2.
-func utilAt(cfg Config, params core.Params, clients float64, n int) float64 {
+// cluster serving `clients` closed-loop clients.
+func utilAt(params core.Params, clients float64, n int) float64 {
 	if n < 1 || clients <= 0 {
 		return 0
 	}
-	per := int(math.Ceil(clients / float64(n)))
-	if per < 1 {
-		per = 1
-	}
-	if per > maxModelClients {
-		per = maxModelClients
-	}
-	params.Mix.Clients = per
-	pred := core.PredictMM(params, n)
-	u := pred.Replica.UtilCPU
-	if pred.Replica.UtilDisk > u {
-		u = pred.Replica.UtilDisk
-	}
-	return u
+	pred := predictAt(params, clients, n)
+	return max(pred.Replica.UtilCPU, pred.Replica.UtilDisk)
 }
 
 // Decide computes the target replica count for a live profile: the
@@ -287,13 +200,13 @@ func Decide(cfg Config, params core.Params, clients float64, current int) int {
 	}
 	target := cfg.Max
 	for n := cfg.Min; n <= cfg.Max; n++ {
-		if utilAt(cfg, params, clients, n) <= cfg.HighUtil {
+		if utilAt(params, clients, n) <= cfg.HighUtil {
 			target = n
 			break
 		}
 	}
 	if target < current {
-		for target < current && utilAt(cfg, params, clients, target) > cfg.LowUtil {
+		for target < current && utilAt(params, clients, target) > cfg.LowUtil {
 			target++
 		}
 	}

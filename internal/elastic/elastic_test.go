@@ -150,23 +150,24 @@ func TestProfilerObserveWindows(t *testing.T) {
 	}
 }
 
-// testConfig returns a controller config over the TPC-W shopping
-// demands with a 100ms think time.
+// testConfig returns a controller config; testThink is the think time
+// the tests' windows and profilers run at over the TPC-W shopping
+// demands.
 func testConfig() Config {
 	return Config{
 		Min: 1, Max: 5,
 		HighUtil: 0.75, LowUtil: 0.45,
-		Base:  workload.TPCWShopping(),
-		Think: 0.1,
 	}
 }
+
+const testThink = 0.1
 
 func TestDecideScalesWithOfferedLoad(t *testing.T) {
 	cfg := testConfig()
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	prof := NewProfiler(cfg.Base, cfg.Think)
+	prof := NewProfiler(workload.TPCWShopping(), testThink)
 	params := prof.Params(Load{Throughput: 100, ReadRate: 80, UpdateRate: 20, MeanUpdate: 0.02})
 
 	targets := make([]int, 0, 4)
@@ -195,7 +196,7 @@ func TestDecideHysteresisAndIdle(t *testing.T) {
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	prof := NewProfiler(cfg.Base, cfg.Think)
+	prof := NewProfiler(workload.TPCWShopping(), testThink)
 	params := prof.Params(Load{Throughput: 100, ReadRate: 80, UpdateRate: 20, MeanUpdate: 0.02})
 
 	// Find a population whose fresh target is n, then verify a cluster
@@ -206,7 +207,7 @@ func TestDecideHysteresisAndIdle(t *testing.T) {
 	for c := 4.0; c < 200; c += 1 {
 		n := Decide(cfg, params, c, cfg.Min)
 		if n > 1 && n < cfg.Max {
-			u := utilAt(cfg, params, c, n)
+			u := utilAt(params, c, n)
 			if u > cfg.LowUtil && u <= cfg.HighUtil {
 				clients, fresh = c, n
 				break
@@ -272,7 +273,6 @@ func TestLocalScaler(t *testing.T) {
 
 func TestControllerStepsOncePerCooldown(t *testing.T) {
 	cfg := testConfig()
-	cfg.Interval = 10 * time.Millisecond
 	cfg.Cooldown = time.Hour // one op, then frozen
 	n := 1
 	scaler := &funcScaler{n: &n}
@@ -283,13 +283,11 @@ func TestControllerStepsOncePerCooldown(t *testing.T) {
 		commits += 200 // heavy update traffic: 200 commits/sec
 		return Sample{When: at(sampleAt), UpdateCommits: commits, UpdateNs: commits * 20e6}, nil
 	})
-	ctl, err := NewController(cfg, scaler, src)
+	ctl, err := NewController(cfg, scaler)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		ctl.Step(at(float64(i)))
-	}
+	steer(t, NewWindow(src, workload.TPCWShopping(), testThink, false), ctl, 5)
 	if n != 2 {
 		t.Fatalf("cooldown violated: replicas = %d after 5 ticks", n)
 	}
@@ -312,4 +310,16 @@ func (f *funcScaler) ScaleDown() error {
 	}
 	*f.n--
 	return nil
+}
+
+// steer steps w n times and hands each tick to ctl, as Window.Run does.
+func steer(t *testing.T, w *Window, ctl *Controller, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		tick, err := w.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl.Observe(tick)
+	}
 }

@@ -92,20 +92,12 @@ type Profiler struct {
 }
 
 // NewProfiler creates a profiler over a standalone-calibrated base
-// mix. think overrides the mix's think time when positive (the live
-// deployment's clients may not match the benchmark's 1 s think).
+// mix. think is the live clients' think time in seconds; 0 means they
+// do not think (as `replicadb bench` clients do). The mix's own think
+// time describes the benchmark's emulated browsers, not the live
+// clients, and is not used.
 func NewProfiler(base workload.Mix, think float64) *Profiler {
-	if think <= 0 {
-		think = base.Think
-	}
 	return &Profiler{base: base, think: think}
-}
-
-// Reset forgets the previous sample (after membership churn).
-func (p *Profiler) Reset() {
-	p.mu.Lock()
-	p.have = false
-	p.mu.Unlock()
 }
 
 // Observe folds in one cumulative sample. It returns the Load over
@@ -118,7 +110,6 @@ func (p *Profiler) Observe(s Sample) (Load, bool) {
 	p.mu.Lock()
 	prev, had := p.prev, p.have
 	p.prev, p.have = s, true
-	think := p.think
 	p.mu.Unlock()
 	if !had || s.Cohort != prev.Cohort {
 		return Load{}, false
@@ -151,7 +142,7 @@ func (p *Profiler) Observe(s Sample) (Load, bool) {
 	// one transaction (mean response R, weighted by class) plus think.
 	if l.Throughput > 0 {
 		r := (l.MeanRead*l.ReadRate + l.MeanUpdate*l.UpdateRate) / l.Throughput
-		l.Clients = l.Throughput * (r + think)
+		l.Clients = l.Throughput * (r + p.think)
 	}
 	l.Members = s.Members
 	// Stage means are advisory: a stage counter moving backwards (a
@@ -179,9 +170,8 @@ const maxAbort = 0.5
 func (p *Profiler) Params(l Load) core.Params {
 	p.mu.Lock()
 	mix := p.base
-	think := p.think
 	p.mu.Unlock()
-	mix.Think = think
+	mix.Think = p.think
 	if l.Throughput > 0 {
 		mix.Pr = l.ReadRate / l.Throughput
 		mix.Pw = 1 - mix.Pr
@@ -255,10 +245,10 @@ func LiveDemands(l Load) (Demands, bool) {
 }
 
 // Recalibrate folds live-measured service demands into the calibrated
-// base profile through an EWMA, so the MVA predictor (and the residual
-// monitor built on the same profiler) runs against demands the real
-// server exhibited rather than the standalone calibration alone.
-// Zero-valued entries leave the calibrated value untouched.
+// base profile through an EWMA, so the MVA model a Window grades and
+// steers with runs against demands the real server exhibited rather
+// than the standalone calibration alone. Zero-valued entries leave the
+// calibrated value untouched.
 func (p *Profiler) Recalibrate(d Demands) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -272,13 +262,4 @@ func (p *Profiler) Recalibrate(d Demands) {
 	fold(&p.base.RC, d.RC)
 	fold(&p.base.WC, d.WC)
 	fold(&p.base.WS, d.WS)
-}
-
-// Demands reports the profiler's current per-class service demands
-// (calibrated base folded with any live recalibration), for status
-// displays and tests.
-func (p *Profiler) Demands() Demands {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return Demands{RC: p.base.RC, WC: p.base.WC, WS: p.base.WS}
 }

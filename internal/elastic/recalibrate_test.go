@@ -61,7 +61,7 @@ func TestRecalibrateEWMAFold(t *testing.T) {
 	live := Demands{}
 	live.RC[workload.CPU] = 2 * base.RC[workload.CPU]
 	p.Recalibrate(live)
-	got := p.Demands()
+	got := p.base
 	want := (1-demandEWMA)*base.RC[workload.CPU] + demandEWMA*2*base.RC[workload.CPU]
 	if !near(got.RC[workload.CPU], want) {
 		t.Fatalf("RC cpu after fold = %v, want %v", got.RC[workload.CPU], want)
@@ -77,7 +77,7 @@ func TestRecalibrateEWMAFold(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p.Recalibrate(live)
 	}
-	got = p.Demands()
+	got = p.base
 	if !near(got.RC[workload.CPU], 2*base.RC[workload.CPU]) {
 		t.Fatalf("EWMA did not converge: %v", got.RC[workload.CPU])
 	}
@@ -94,7 +94,6 @@ func TestRecalibrateEWMAFold(t *testing.T) {
 // decision hook with its MVA inputs.
 func TestControllerRecalibratesAndReportsDecisions(t *testing.T) {
 	cfg := testConfig()
-	cfg.Recalibrate = true
 	cfg.Cooldown = time.Nanosecond
 	n := 1
 	scaler := &funcScaler{n: &n}
@@ -108,18 +107,17 @@ func TestControllerRecalibratesAndReportsDecisions(t *testing.T) {
 		s.StageNs = [6]int64{commits * 1e5, 0, commits * 2e5, commits * 1e6, commits * 3e5, commits * 5e4}
 		return s, nil
 	})
-	ctl, err := NewController(cfg, scaler, src)
+	ctl, err := NewController(cfg, scaler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var decisions []Decision
 	ctl.OnDecision(func(d Decision) { decisions = append(decisions, d) })
 
-	before := ctl.prof.Demands()
-	for i := 0; i < 6; i++ {
-		ctl.Step(at(float64(i)))
-	}
-	after := ctl.prof.Demands()
+	win := NewWindow(src, workload.TPCWShopping(), testThink, true)
+	before := win.prof.base
+	steer(t, win, ctl, 6)
+	after := win.prof.base
 	if after.WS == before.WS {
 		t.Fatal("recalibration left the writeset demand untouched")
 	}
@@ -153,15 +151,13 @@ func TestControllerRecalibratesAndReportsDecisions(t *testing.T) {
 	// A failing scaler surfaces through the hook's Err.
 	n2 := 5
 	failing := &failScaler{n: n2}
-	ctl2, err := NewController(cfg, failing, src)
+	ctl2, err := NewController(cfg, failing)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var failed []Decision
 	ctl2.OnDecision(func(d Decision) { failed = append(failed, d) })
-	for i := 0; i < 6; i++ {
-		ctl2.Step(at(float64(100 + i)))
-	}
+	steer(t, win, ctl2, 6)
 	found := false
 	for _, d := range failed {
 		if d.Err != nil {

@@ -2,12 +2,9 @@ package elastic
 
 import (
 	"math"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
 // ModelError compares one live Load window against the MVA model's
@@ -34,28 +31,17 @@ type ModelError struct {
 	ObservedAbort  float64 `json:"observed_abort_rate"`
 }
 
-// EvalModel evaluates the MVA model against one observed Load window
-// on a cluster of `replicas` nodes, using the profiler's calibrated
-// base demands refreshed with the window's live mix — exactly the
-// parameters the autoscaler's Decide would use, so the residual
-// reported here is the error of the model actually steering the
-// cluster. ok=false when the window carries nothing to compare (no
-// throughput, or no replica count).
-func EvalModel(p *Profiler, l Load, replicas int) (ModelError, bool) {
+// EvalModel grades the MVA model against one observed Load window on
+// a cluster of `replicas` nodes, with the model inputs params — a
+// Window passes the same Params its Controller decides from, so the
+// residual reported here is the error of the model actually steering
+// the cluster. ok=false when the window carries nothing to compare
+// (no throughput, or no replica count).
+func EvalModel(params core.Params, l Load, replicas int) (ModelError, bool) {
 	if replicas < 1 || l.Throughput <= 0 || l.Clients <= 0 {
 		return ModelError{}, false
 	}
-	params := p.Params(l)
-	per := int(math.Ceil(l.Clients / float64(replicas)))
-	if per < 1 {
-		per = 1
-	}
-	if per > maxModelClients {
-		per = maxModelClients
-	}
-	params.Mix.Clients = per
-	pred := core.PredictMM(params, replicas)
-
+	pred := predictAt(params, l.Clients, replicas)
 	me := ModelError{
 		Replicas:         replicas,
 		Clients:          l.Clients,
@@ -73,98 +59,59 @@ func EvalModel(p *Profiler, l Load, replicas int) (ModelError, bool) {
 	return me, true
 }
 
-// Monitor continuously evaluates the MVA model against the live
-// cluster and exports the prediction and its residual as gauges —
-// `replicadb_model_*` on /metrics. It runs its own profiler over its
-// own source so it can watch a cluster whether or not the autoscaler
-// is engaged.
-type Monitor struct {
-	prof *Profiler
-	src  Source
+// maxModelClients bounds the per-replica client population fed to the
+// exact MVA recursion (cost is linear in it); a wild Little's-law
+// estimate during a latency spike must not stall the control loop.
+const maxModelClients = 4096
 
+// predictAt solves the per-replica MVA model of §3.3.2 for an
+// n-replica cluster serving `clients` closed-loop clients, split
+// evenly across the replicas as the load balancer splits them.
+func predictAt(params core.Params, clients float64, n int) core.Prediction {
+	params.Mix.Clients = min(max(int(math.Ceil(clients/float64(n))), 1), maxModelClients)
+	return core.PredictMM(params, n)
+}
+
+// Monitor exports a Window's model grade as gauges —
+// `replicadb_model_*` on /metrics — so a cluster's residual can be
+// watched whether or not the autoscaler is engaged.
+type Monitor struct {
 	predTPS, obsTPS, errTPS       *obs.Gauge
 	predLat, obsLat, errLat       *obs.Gauge
 	predAbort, obsAbort, replicas *obs.Gauge
-
-	recal bool
-
-	mu   sync.Mutex
-	last ModelError
-	ok   bool
 }
 
-// SetRecalibrate enables live demand recalibration: every usable
-// window's stage-derived demands are folded into the profiler before
-// the model is evaluated, so the exported residual measures the model
-// the autoscaler would actually steer with — live-profiled demands,
-// not the standalone calibration alone. Call before Run.
-func (m *Monitor) SetRecalibrate(on bool) { m.recal = on }
-
-// Profiler exposes the monitor's profiler, so callers can share its
-// live-recalibrated demands (e.g. `replicadb status` renders them).
-func (m *Monitor) Profiler() *Profiler { return m.prof }
-
-// NewMonitor builds a monitor over a calibrated base mix and a stats
-// source, registering its gauges on reg. think overrides the base
-// mix's think time when positive.
-func NewMonitor(reg *obs.Registry, base workload.Mix, think float64, src Source) *Monitor {
-	return newMonitor(reg, base, think, src, nil)
+// NewMonitor registers the model gauges on reg.
+func NewMonitor(reg *obs.Registry) *Monitor {
+	return &Monitor{
+		predTPS: reg.Gauge("replicadb_model_predicted_tps",
+			"MVA-predicted system throughput for the last observed window."),
+		obsTPS: reg.Gauge("replicadb_model_observed_tps",
+			"Observed system throughput over the last window."),
+		errTPS: reg.Gauge("replicadb_model_tps_error",
+			"Signed relative throughput residual (predicted-observed)/observed."),
+		predLat: reg.Gauge("replicadb_model_predicted_latency_seconds",
+			"MVA-predicted mean transaction response time."),
+		obsLat: reg.Gauge("replicadb_model_observed_latency_seconds",
+			"Observed mean transaction response time over the last window."),
+		errLat: reg.Gauge("replicadb_model_latency_error",
+			"Signed relative latency residual (predicted-observed)/observed."),
+		predAbort: reg.Gauge("replicadb_model_predicted_abort_rate",
+			"MVA-predicted abort probability."),
+		obsAbort: reg.Gauge("replicadb_model_observed_abort_rate",
+			"Observed abort fraction over the last window."),
+		replicas: reg.Gauge("replicadb_model_replicas",
+			"Replica count the model was evaluated at."),
+	}
 }
 
-// NewShardMonitor is NewMonitor for one replica group of a
-// hash-partitioned deployment: every gauge carries a `shard` label, so
-// one registry (one /metrics endpoint, one scrape) exports each
-// group's residual side by side. Each group's load profile is its own
-// — the hash partitions the keyspace, not the offered mix, so the MVA
-// model applies per group exactly as it does to a standalone cluster.
-func NewShardMonitor(reg *obs.Registry, base workload.Mix, think float64, src Source, shard string) *Monitor {
-	return newMonitor(reg, base, think, src, []obs.Label{obs.L("shard", shard)})
-}
-
-func newMonitor(reg *obs.Registry, base workload.Mix, think float64, src Source, labels []obs.Label) *Monitor {
-	m := &Monitor{prof: NewProfiler(base, think), src: src}
-	m.predTPS = reg.Gauge("replicadb_model_predicted_tps",
-		"MVA-predicted system throughput for the last observed window.", labels...)
-	m.obsTPS = reg.Gauge("replicadb_model_observed_tps",
-		"Observed system throughput over the last window.", labels...)
-	m.errTPS = reg.Gauge("replicadb_model_tps_error",
-		"Signed relative throughput residual (predicted-observed)/observed.", labels...)
-	m.predLat = reg.Gauge("replicadb_model_predicted_latency_seconds",
-		"MVA-predicted mean transaction response time.", labels...)
-	m.obsLat = reg.Gauge("replicadb_model_observed_latency_seconds",
-		"Observed mean transaction response time over the last window.", labels...)
-	m.errLat = reg.Gauge("replicadb_model_latency_error",
-		"Signed relative latency residual (predicted-observed)/observed.", labels...)
-	m.predAbort = reg.Gauge("replicadb_model_predicted_abort_rate",
-		"MVA-predicted abort probability.", labels...)
-	m.obsAbort = reg.Gauge("replicadb_model_observed_abort_rate",
-		"Observed abort fraction over the last window.", labels...)
-	m.replicas = reg.Gauge("replicadb_model_replicas",
-		"Replica count the model was evaluated at.", labels...)
-	return m
-}
-
-// Step takes one sample and, when it closes a usable window, refreshes
-// the exported residual. It returns the evaluation for callers that
-// want it (the bench watcher records the final one).
-func (m *Monitor) Step() (ModelError, bool) {
-	s, err := m.src.Sample()
-	if err != nil {
-		return ModelError{}, false
+// Observe exports a tick's model grade; a tick without one leaves the
+// gauges at the last grade.
+func (m *Monitor) Observe(t Tick) {
+	if !t.ModelOK {
+		return
 	}
-	load, ok := m.prof.Observe(s)
-	if !ok {
-		return ModelError{}, false
-	}
-	if m.recal {
-		if d, ok := LiveDemands(load); ok {
-			m.prof.Recalibrate(d)
-		}
-	}
-	me, ok := EvalModel(m.prof, load, load.Members)
-	if !ok {
-		return ModelError{}, false
-	}
+	me := t.Model
 	m.predTPS.Set(me.PredictedTPS)
 	m.obsTPS.Set(me.ObservedTPS)
 	m.errTPS.Set(me.TPSError)
@@ -174,32 +121,4 @@ func (m *Monitor) Step() (ModelError, bool) {
 	m.predAbort.Set(me.PredictedAbort)
 	m.obsAbort.Set(me.ObservedAbort)
 	m.replicas.Set(float64(me.Replicas))
-	m.mu.Lock()
-	m.last, m.ok = me, true
-	m.mu.Unlock()
-	return me, true
-}
-
-// Last returns the most recent evaluation, if any window completed.
-func (m *Monitor) Last() (ModelError, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.last, m.ok
-}
-
-// Run evaluates the model every interval until stop closes.
-func (m *Monitor) Run(interval time.Duration, stop <-chan struct{}) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			m.Step()
-		}
-	}
 }

@@ -1,7 +1,9 @@
 package elastic
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +21,7 @@ func TestEvalModel(t *testing.T) {
 		Clients:   100 * (0.026 + 0.1),
 	}
 
-	me, ok := EvalModel(p, load, 2)
+	me, ok := EvalModel(p.Params(load), load, 2)
 	if !ok {
 		t.Fatal("EvalModel returned no evaluation")
 	}
@@ -39,10 +41,10 @@ func TestEvalModel(t *testing.T) {
 	}
 
 	// Degenerate windows evaluate to nothing.
-	if _, ok := EvalModel(p, Load{}, 2); ok {
+	if _, ok := EvalModel(p.Params(load), Load{}, 2); ok {
 		t.Fatal("empty load evaluated")
 	}
-	if _, ok := EvalModel(p, load, 0); ok {
+	if _, ok := EvalModel(p.Params(load), load, 0); ok {
 		t.Fatal("zero replicas evaluated")
 	}
 }
@@ -67,20 +69,19 @@ func TestMonitorExportsResiduals(t *testing.T) {
 		}
 		return s, nil
 	})
-	mon := NewMonitor(reg, workload.TPCWShopping(), 0.5, src)
+	win := NewWindow(src, workload.TPCWShopping(), 0.5, false)
+	mon := NewMonitor(reg)
 
-	if _, ok := mon.Step(); ok {
+	if tick, _ := win.Step(); tick.OK || tick.ModelOK {
 		t.Fatal("first sample closed a window")
 	}
-	me, ok := mon.Step()
-	if !ok {
-		t.Fatal("second sample closed no window")
+	tick, err := win.Step()
+	if err != nil || !tick.ModelOK {
+		t.Fatalf("second sample closed no graded window: %+v, %v", tick, err)
 	}
-	if me.Replicas != 2 || me.ObservedTPS != 150 {
+	mon.Observe(tick)
+	if me := tick.Model; me.Replicas != 2 || me.ObservedTPS != 150 {
 		t.Fatalf("me = %+v", me)
-	}
-	if last, ok := mon.Last(); !ok || last != me {
-		t.Fatalf("Last() = %+v, %v", last, ok)
 	}
 
 	var b strings.Builder
@@ -121,5 +122,61 @@ func TestProfilerStageMeans(t *testing.T) {
 	}
 	if l.StageMeans[4] != 0.0005 {
 		t.Fatalf("apply mean = %v, want 0.5ms", l.StageMeans[4])
+	}
+}
+
+// TestWindowSamplesOncePerTick: with the residual gauges and the
+// autoscaler both on, one window feeds both, so each tick takes one
+// sample, and the controller's decision and the exported residual come
+// from the same window.
+func TestWindowSamplesOncePerTick(t *testing.T) {
+	var samples atomic.Int64
+	src := FuncSource(func() (Sample, error) {
+		n := samples.Add(1)
+		return Sample{When: at(float64(n)), Cohort: "a", Members: 1,
+			UpdateCommits: 200 * n, UpdateNs: 200 * n * 20e6}, nil
+	})
+	reg := obs.NewRegistry()
+	mon := NewMonitor(reg)
+	replicas := 1
+	ctl, err := NewController(testConfig(), &funcScaler{n: &replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for the ticks taken plus any that run before the stop, so
+	// the loop never blocks on a full channel.
+	ticks := make(chan Tick, 64)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		NewWindow(src, workload.TPCWShopping(), testThink, false).Run(time.Millisecond, stop,
+			mon.Observe, ctl.Observe, func(t Tick) { ticks <- t })
+	}()
+	var last Tick
+	for i := 0; i < 5; i++ {
+		last = <-ticks
+	}
+	close(stop)
+	<-done
+	taken := int64(5) // counting any tick that ran before the stop
+	for len(ticks) > 0 {
+		last = <-ticks
+		taken++
+	}
+	if got := samples.Load(); got != taken {
+		t.Fatalf("%d samples for %d ticks", got, taken)
+	}
+	if !last.ModelOK {
+		t.Fatalf("last tick carries no model grade: %+v", last)
+	}
+	if st := ctl.Status(); st.Clients != last.Load.Clients || st.Clients != last.Model.Clients {
+		t.Fatalf("controller decided at %v clients, the model graded %v", st.Clients, last.Model.Clients)
+	}
+	var b strings.Builder
+	reg.WriteText(&b)
+	want := fmt.Sprintf("replicadb_model_observed_tps %g", last.Model.ObservedTPS)
+	if !strings.Contains(b.String(), want) {
+		t.Fatalf("exposition missing %q:\n%s", want, b.String())
 	}
 }

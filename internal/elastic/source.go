@@ -1,7 +1,8 @@
 package elastic
 
 import (
-	"fmt"
+	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -11,25 +12,36 @@ import (
 	"repro/internal/wire"
 )
 
-// WireSource samples a networked cluster: it asks the primary for the
-// current membership, polls every member's Stats counters over pooled
-// links, and sums them. Links to departed members are closed lazily.
-// A member that fails to answer is skipped — its counters simply
-// don't move this window, and the profiler's monotonicity check
-// discards the window if the sum regressed.
+// Row is one replica's answer to a poll: its Stats counters, or the
+// error that stood in for them.
+type Row struct {
+	Addr  string
+	Stats *wire.StatsOK // nil when Err is set
+	Err   error
+}
+
+// WireSource samples a networked cluster over pooled links. Each
+// sample asks the first seed that answers Members for the current
+// membership, polls the seeds and every member with an address, and
+// sums the counters of each (shard, replica) once — a seed that is
+// also a member under another address is not counted twice. When no
+// seed answers Members the seeds alone are polled. A replica that
+// fails to answer is skipped: its counters simply don't move this
+// window, and the cohort change makes the profiler discard it. Links
+// to departed members are closed lazily.
 type WireSource struct {
-	primaryAddr string
+	seeds       []string
 	dialTimeout time.Duration
 
 	mu    sync.Mutex
 	links map[string]*client.Link
 }
 
-// NewWireSource creates a source polling the cluster behind the
-// primary at addr.
-func NewWireSource(primaryAddr string, dialTimeout time.Duration) *WireSource {
+// NewWireSource creates a source polling the cluster reachable from
+// the seed addresses.
+func NewWireSource(seeds []string, dialTimeout time.Duration) *WireSource {
 	return &WireSource{
-		primaryAddr: primaryAddr,
+		seeds:       seeds,
 		dialTimeout: dialTimeout,
 		links:       make(map[string]*client.Link),
 	}
@@ -46,29 +58,42 @@ func (s *WireSource) linkFor(addr string) *client.Link {
 	return l
 }
 
-// Sample implements Source.
-func (s *WireSource) Sample() (Sample, error) {
-	_, members, err := s.linkFor(s.primaryAddr).Members()
-	if err != nil {
-		return Sample{}, fmt.Errorf("elastic: membership poll: %w", err)
-	}
-	// The primary is polled by its known address; boot-time member
-	// records may not carry addresses (pre-elastic configuration).
-	addrs := []string{s.primaryAddr}
-	for _, m := range members {
-		if m.ID != 0 && m.Addr != "" && m.Addr != s.primaryAddr {
-			addrs = append(addrs, m.Addr)
+var errNoReplica = errors.New("elastic: no replica answered")
+
+// Sample implements Source: the summed counters and one row per polled
+// address (seeds first, then members in the order Members lists
+// them). It fails only when no replica answered.
+func (s *WireSource) Sample() (Sample, []Row, error) {
+	addrs := slices.Clone(s.seeds)
+	for _, seed := range s.seeds {
+		_, members, err := s.linkFor(seed).Members()
+		if err != nil {
+			continue
 		}
+		for _, m := range members {
+			if m.Addr != "" && !slices.Contains(addrs, m.Addr) {
+				addrs = append(addrs, m.Addr)
+			}
+		}
+		break
 	}
-	live := make(map[string]bool, len(addrs))
 	out := Sample{When: time.Now()}
+	rows := make([]Row, 0, len(addrs))
+	type replica struct{ shard, id int64 }
+	seen := make(map[replica]bool, len(addrs))
 	polled := make([]string, 0, len(addrs))
 	for _, addr := range addrs {
-		live[addr] = true
 		st, err := s.linkFor(addr).Stats()
 		if err != nil {
-			continue // excluded from the cohort: the window is discarded
+			rows = append(rows, Row{Addr: addr, Err: err})
+			continue
 		}
+		key := replica{st.ShardID, st.ReplicaID}
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		rows = append(rows, Row{Addr: addr, Stats: st})
 		polled = append(polled, addr)
 		out.Add(st)
 	}
@@ -77,13 +102,16 @@ func (s *WireSource) Sample() (Sample, error) {
 	// Drop links to members that are gone.
 	s.mu.Lock()
 	for addr, l := range s.links {
-		if !live[addr] {
+		if !slices.Contains(addrs, addr) {
 			l.Close()
 			delete(s.links, addr)
 		}
 	}
 	s.mu.Unlock()
-	return out, nil
+	if len(polled) == 0 {
+		return Sample{}, rows, errNoReplica
+	}
+	return out, rows, nil
 }
 
 // Add folds one replica's Stats counters into the cluster-wide sum

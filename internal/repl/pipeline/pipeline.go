@@ -284,7 +284,8 @@ func (h *HostCert) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uin
 }
 
 // CertifyPeer serves a certification request another node submitted
-// for a transaction it serves. It notes the commit's trace metadata as
+// for a transaction it serves, or a catalog record (CreateTable, Load)
+// that no client acknowledges. It notes the commit's trace metadata as
 // CertifyTraced does but opens no span: the submitting node opens the
 // commit's span, times its certify stage across the round trip, and
 // acknowledges the client.

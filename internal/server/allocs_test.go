@@ -106,9 +106,7 @@ func TestDispatchReadTxnAllocs(t *testing.T) {
 // at both nodes: the replica reuses its released write array and
 // fetches the commit into its connection's entry arena. What is left
 // is the host's decoded writeset array and value string, which its log
-// keeps; the value string the replica fetches and installs; and the
-// host's span for the commit, which no ack closes there, so the host's
-// tracer recycles it only by eviction once its open-span window fills.
+// keeps; and the value string the replica fetches and installs.
 func TestDispatchUpdateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name, design string
@@ -119,7 +117,7 @@ func TestDispatchUpdateAllocs(t *testing.T) {
 		{"mm", "mm", false, false, 1},
 		{"sm", "sm", false, false, 1},
 		{"mm-groupcommit", "mm", true, false, 1},
-		{"mm-nonhost", "mm", false, true, 4},
+		{"mm-nonhost", "mm", false, true, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := Options{Design: tc.design, Listen: "127.0.0.1:0", Replicas: 1, GroupCommit: tc.groupCommit}

@@ -3,6 +3,7 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -421,23 +422,21 @@ func TestElasticAutoscaleLoopback(t *testing.T) {
 		return srv, nil
 	})
 	defer scaler.Close()
-	src := elastic.NewWireSource(prim.Addr(), time.Second)
+	src := elastic.NewWireSource([]string{prim.Addr()}, time.Second)
 	defer src.Close()
 
 	const think = 20 * time.Millisecond
 	ctl, err := elastic.NewController(elastic.Config{
 		Min: 1, Max: 3,
-		Interval: 40 * time.Millisecond,
 		Cooldown: 60 * time.Millisecond,
-		Base:     workload.TPCWShopping(),
-		Think:    think.Seconds(),
-	}, scaler, src)
+	}, scaler)
 	if err != nil {
 		t.Fatal(err)
 	}
+	win := elastic.NewWindow(src, workload.TPCWShopping(), think.Seconds(), false)
 	stopCtl := make(chan struct{})
 	ctlDone := make(chan struct{})
-	go func() { defer close(ctlDone); ctl.Run(stopCtl) }()
+	go func() { defer close(ctlDone); win.Run(40*time.Millisecond, stopCtl, ctl.Observe) }()
 
 	// Rising closed-loop update load: every commit writes one unique
 	// row, recorded client-side for the no-loss check.
@@ -531,7 +530,7 @@ func TestElasticAutoscaleLoopback(t *testing.T) {
 	// back to one replica.
 	stopCtl2 := make(chan struct{})
 	ctlDone2 := make(chan struct{})
-	go func() { defer close(ctlDone2); ctl.Run(stopCtl2) }()
+	go func() { defer close(ctlDone2); win.Run(40*time.Millisecond, stopCtl2, ctl.Observe) }()
 	waitFor(t, 20*time.Second, "controller to shrink back to 1 replica", func() bool {
 		return scaler.Replicas() == 1
 	})
@@ -540,5 +539,36 @@ func TestElasticAutoscaleLoopback(t *testing.T) {
 	st := ctl.Status()
 	if st.Ups < 2 || st.Downs < 2 {
 		t.Fatalf("controller status = %+v, want >=2 ups and downs", st)
+	}
+}
+
+// TestWireSourceCountsEachReplicaOnce: the source polls its seeds and
+// the members the first seed that answers Members lists, and counts
+// each (shard, replica) once, even when a seed names a member under
+// another address. Seeds that cannot list members are polled alone.
+func TestWireSourceCountsEachReplicaOnce(t *testing.T) {
+	prim := startPrimary(t, nil)
+	rep := joinReplica(t, "mm", prim.Addr())
+	_, port, err := net.SplitHostPort(rep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The joiner hosts no membership; the primary lists it under its
+	// 127.0.0.1 address, which the seed names as localhost.
+	alias := net.JoinHostPort("localhost", port)
+	src := elastic.NewWireSource([]string{alias, prim.Addr()}, time.Second)
+	defer src.Close()
+	s, rows, err := src.Sample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Members != 2 || len(rows) != 2 || rows[0].Addr != alias || rows[1].Addr != prim.Addr() {
+		t.Fatalf("sample over %d members, rows %+v; want the joiner and the primary once each", s.Members, rows)
+	}
+
+	alone := elastic.NewWireSource([]string{rep.Addr()}, time.Second)
+	defer alone.Close()
+	if s, rows, err := alone.Sample(); err != nil || s.Members != 1 || len(rows) != 1 {
+		t.Fatalf("seed-only sample over %d members, rows %+v, err %v; want the seed alone", s.Members, rows, err)
 	}
 }

@@ -76,10 +76,14 @@ type remoteCert struct {
 // the certifier host can stitch its certify/paxos/journal/fsync spans
 // under the same id.
 func (r *remoteCert) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
+	return r.certify(snapshot, ws, trace, true)
+}
+
+func (r *remoteCert) certify(snapshot int64, ws writeset.Writeset, trace uint64, span bool) (certifier.Outcome, error) {
 	start := time.Now()
 	out, err := r.svc.CertifyTraced(snapshot, ws, trace)
 	r.m.observeCert(time.Since(start))
-	if err == nil && out.Committed {
+	if span && err == nil && out.Committed {
 		// The commit span at a non-host node: the certify stage spans
 		// the full network round trip to the certifier host. The trace
 		// id binds locally too; the authoritative commit timestamp
@@ -426,9 +430,16 @@ func (e *engine) loadChunk(table string, rows []int64, values []string) error {
 }
 
 // certifyWriteset certifies ws outside any transaction, at this node's
-// applied snapshot.
+// applied snapshot. A catalog record is no client's commit: no
+// acknowledgement closes a span for it, so none is opened.
 func (e *engine) certifyWriteset(ws writeset.Writeset) error {
-	out, err := e.certService().CertifyTraced(e.ap.Applied(), ws, 0)
+	var out certifier.Outcome
+	var err error
+	if h := e.hostCert(); h != nil {
+		out, err = h.CertifyPeer(e.ap.Applied(), ws, 0)
+	} else {
+		out, err = e.remote.certify(e.ap.Applied(), ws, 0, false)
+	}
 	if err != nil {
 		return err
 	}

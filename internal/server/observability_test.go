@@ -170,6 +170,31 @@ func TestPeerCommitsTracedOnce(t *testing.T) {
 	}
 }
 
+// TestCatalogLoadOpensNoCommitSpans: CreateTable and Load chunks are
+// certified as records of the group's log but are no client's commit,
+// so neither node opens a commit span for them. After a catalog load
+// and a short drive on a traced two-node cluster, each node has
+// counted one certify stage per acknowledged commit.
+func TestCatalogLoadOpensNoCommitSpans(t *testing.T) {
+	c := launchCluster(t, 1, 2, server.Options{Design: "mm"}, nil)
+	driveAndCheck(t, c.Clients[0], 2, 10)
+	stats, err := c.Stats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acks int64
+	for i, st := range stats {
+		certify, ack := st.StageCounts[0], st.StageCounts[5]
+		if certify != ack {
+			t.Errorf("node %d counted %d certify stages for %d acknowledged commits", i, certify, ack)
+		}
+		acks += ack
+	}
+	if acks == 0 {
+		t.Fatal("no commit was acknowledged")
+	}
+}
+
 // TestTracingDisabled: -notrace servers must not register stage
 // histograms, answer 404 on /debug/slowtxns, and report a zero stage
 // breakdown over the wire — the instrumentation-off configuration the

@@ -127,7 +127,15 @@ func (l *Latency) Max() time.Duration { return time.Duration(l.max.Load()) }
 // Quantile estimates the q-quantile (0 <= q <= 1). The estimate is
 // clamped into [Min, Max], so Quantile(1) == Max exactly.
 func (l *Latency) Quantile(q float64) time.Duration {
-	n := l.Count()
+	// The rank is taken of the buckets' own sum, read in the same pass
+	// as the buckets: a count loaded apart from them trails what
+	// recorders add during the scan and pulls the estimate low.
+	var counts [latBuckets]int64
+	var n int64
+	for b := range l.counts {
+		counts[b] = l.counts[b].Load()
+		n += counts[b]
+	}
 	if n == 0 {
 		return 0
 	}
@@ -138,8 +146,8 @@ func (l *Latency) Quantile(q float64) time.Duration {
 		return time.Duration(hi)
 	}
 	var cum int64
-	for b := range l.counts {
-		cum += l.counts[b].Load()
+	for b, c := range counts {
+		cum += c
 		if cum >= rank {
 			return time.Duration(min(max(latValue(b), lo), hi))
 		}
