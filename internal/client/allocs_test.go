@@ -89,6 +89,56 @@ func TestReadOnlyTxnAllocs(t *testing.T) {
 	}
 }
 
+// TestUpdateTxnAllocs pins the client half of an update transaction:
+// Begin, a Write and Commit allocate the Txn alone. Under sm the Begin
+// goes through the follower to the certifier host (the master), so the
+// sm row pins that the redirect policy costs nothing when the guess is
+// right.
+func TestUpdateTxnAllocs(t *testing.T) {
+	var stream bytes.Buffer
+	enc := wire.NewConn(&stream)
+	for _, m := range []wire.Message{
+		&wire.BeginOK{Applied: 7},
+		&wire.WriteOK{},
+		&wire.CommitOK{Applied: 8},
+	} {
+		if err := enc.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, design := range []string{"mm", "sm"} {
+		t.Run(design, func(t *testing.T) {
+			cl, err := New(Options{Servers: []string{"replay"}, Design: design})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			nc, peer := net.Pipe()
+			defer peer.Close()
+			pool := cl.reps[0].pool
+			pool.idle = append(pool.idle, &wconn{nc: nc, wc: wire.NewConn(&replayRW{stream: stream.Bytes()})})
+			txn := func() {
+				tx, err := cl.BeginUpdate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Write("item", 1, "stock=90"); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			txn() // warm the connection's buffers and hot reply structs
+			allocs := testing.AllocsPerRun(200, txn)
+			if allocs > 1 {
+				t.Fatalf("%s update transaction: %.2f allocs/op, want 1 (the Txn)", design, allocs)
+			}
+			t.Logf("%.2f allocs/op", allocs)
+		})
+	}
+}
+
 // stillConn is a net.Conn whose deadlines are no-ops: net.Pipe arms a
 // timer per SetDeadline, which would count against the gate below.
 type stillConn struct{ net.Conn }

@@ -12,7 +12,8 @@
 //
 // The client finds the certifier host by redirect: it starts at server
 // 0 and follows NotLeader replies, so a master or leader that moved
-// under Paxos stays reachable (see onHost).
+// under Paxos stays reachable. It follows the host the way a replica's
+// LeaderRing does, through the package's one follower.
 //
 // Membership is elastic: with Options.Watch the client polls the
 // certifier host's member list and resizes its pool set live —
@@ -27,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/lb"
@@ -45,8 +45,6 @@ type Options struct {
 	Design string
 	// PoolSize caps retained idle connections per server (default 4).
 	PoolSize int
-	// DialTimeout bounds connection establishment (default 2s).
-	DialTimeout time.Duration
 	// ProbeAfter is how long a server marked down is skipped before
 	// being optimistically re-probed (default 500ms).
 	ProbeAfter time.Duration
@@ -85,9 +83,9 @@ type Client struct {
 	reps      []*replicaConns
 	memberIdx map[int64]int // member id -> slot index
 	epoch     int64
-	// host is the slot of the certifier host as last learned: slot 0
-	// at first, then wherever NotLeader redirects point (moveHost).
-	host atomic.Int64
+	// follow holds the slot of the certifier host as last learned:
+	// slot 0 at first, then wherever redirects and failures move it.
+	follow follower
 	// Shard-map fields as last published by the primary (all zero on
 	// unsharded deployments).
 	shardID    int64
@@ -127,10 +125,11 @@ func New(opts Options) (*Client, error) {
 		bal:       lb.New(len(opts.Servers)),
 		memberIdx: make(map[int64]int),
 	}
+	c.follow.set = c
 	for i, addr := range opts.Servers {
 		c.reps = append(c.reps, &replicaConns{
 			id:   int64(i),
-			pool: newConnPool(addr, opts.Design, -1, opts.DialTimeout, opts.PoolSize),
+			pool: newConnPool(addr, opts.Design, -1, dialTimeout, opts.PoolSize),
 		})
 		c.memberIdx[int64(i)] = i
 	}
@@ -209,17 +208,29 @@ func (c *Client) watchLoop() {
 	}
 }
 
-func (c *Client) pollMembership() {
-	reply, err := c.rpcHost(&wire.Members{}, c.opts.WatchInterval+linkRPCDeadline)
+// fetchMembers asks the certifier host for its member list once and
+// records the shard-map fields the reply carries.
+func (c *Client) fetchMembers(deadline time.Duration) (*wire.MembersOK, error) {
+	reply, err := c.rpcHost(&wire.Members{}, deadline)
 	if err != nil {
-		return // host unreachable: keep the current view
+		return nil, err
 	}
 	m, ok := reply.(*wire.MembersOK)
 	if !ok {
-		return
+		return nil, fmt.Errorf("client: unexpected members reply %T", reply)
 	}
 	c.mu.Lock()
 	c.shardID, c.shardCount, c.mapVersion = m.ShardID, m.ShardCount, m.MapVersion
+	c.mu.Unlock()
+	return m, nil
+}
+
+func (c *Client) pollMembership() {
+	m, err := c.fetchMembers(c.opts.WatchInterval + linkRPCDeadline)
+	if err != nil {
+		return // host unreachable: keep the current view
+	}
+	c.mu.Lock()
 	if m.Epoch == c.epoch {
 		c.mu.Unlock()
 		return
@@ -249,7 +260,7 @@ func (c *Client) pollMembership() {
 		}
 		rc := &replicaConns{
 			id:   id,
-			pool: newConnPool(mem.Addr, c.opts.Design, -1, c.opts.DialTimeout, c.opts.PoolSize),
+			pool: newConnPool(mem.Addr, c.opts.Design, -1, dialTimeout, c.opts.PoolSize),
 		}
 		c.reps = append(c.reps, rc)
 		idx := c.bal.Add()
@@ -310,7 +321,7 @@ func (c *Client) begin(readOnly bool) (repl.Txn, error) {
 	var tx *Txn
 	var err error
 	if c.opts.Design == "sm" && !readOnly {
-		err = c.onHost(false, func(idx int) error {
+		err = c.follow.do(false, func(idx int) error {
 			tx, err = c.beginOn(func(i int) bool { return i == idx }, false)
 			return err
 		})
@@ -329,66 +340,31 @@ func (c *Client) begin(readOnly bool) (repl.Txn, error) {
 
 func anySlot(int) bool { return true }
 
-// onHost runs op against the certifier host's slot, following the host
-// the way LeaderRing.do follows the leader: a NotLeader reply points the
-// slot at the leader, any other failure moves it to the next live slot,
-// and op runs again after a jittered, doubling backoff, at most
-// maxRedirects times. A request that must not run twice (once) moves on
-// only when the contacted node cannot have acted on it: a NotLeader
-// reply, a non-host's refusal (CodeUnsupported) or a request that never
-// left. Any other failure, or one with nowhere left to move, returns.
-func (c *Client) onHost(once bool, op func(idx int) error) error {
-	var err error
-	backoff := dialBackoffMin
-	for hop := 0; hop <= maxRedirects; hop++ {
-		if hop > 0 {
-			time.Sleep(jitter(backoff))
-			backoff = min(2*backoff, dialBackoffMax)
-		}
-		idx := int(c.host.Load())
-		if err = op(idx); err == nil {
-			return nil
-		}
-		nle, redirected := asNotLeader(err)
-		var pe *protocolError
-		notActed := redirected || errors.As(err, new(unsentError)) ||
-			errors.As(err, &pe) && pe.code == wire.CodeUnsupported
-		if once && !notActed {
-			return err
-		}
-		if !redirected {
-			nle = NotLeaderError{Leader: -1}
-		}
-		if !c.moveHost(idx, nle) && !redirected {
-			return err
-		}
-	}
-	return err
-}
-
-// moveHost moves the host slot off from after a request there was not
-// served by the certifier host: to the leader nle names — by address
+// named implements hostSet: the live slot a redirect names, by address
 // first, since a client's server list need not be indexed by replica
-// id, then by id — or, when it names none this client knows, to the
-// next live slot. It reports whether the slot moved.
-func (c *Client) moveHost(from int, nle NotLeaderError) bool {
+// id or use the server's own address strings, then by id.
+func (c *Client) named(nle NotLeaderError) (int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	to, ok := c.memberIdx[int64(nle.Leader)]
 	for i, r := range c.reps {
-		if nle.Addr != "" && r.pool.addr == nle.Addr {
-			to, ok = i, true
+		if r.pool.addr == nle.Addr && nle.Addr != "" && !c.bal.Removed(i) {
+			return i, true
 		}
 	}
-	for k := 1; !ok && k < len(c.reps); k++ {
-		to = (from + k) % len(c.reps)
-		ok = !c.bal.Removed(to)
+	idx, ok := c.memberIdx[int64(nle.Leader)]
+	return idx, ok
+}
+
+// after implements hostSet: the next live slot.
+func (c *Client) after(from int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k := 1; k < len(c.reps); k++ {
+		if to := (from + k) % len(c.reps); !c.bal.Removed(to) {
+			return to
+		}
 	}
-	if !ok || to == from {
-		return false
-	}
-	c.host.CompareAndSwap(int64(from), int64(to))
-	return true
+	return from
 }
 
 // protocolError is a server-level refusal (as opposed to a transport
@@ -733,7 +709,7 @@ func (c *Client) Sync() {
 	deadline := time.Now().Add(syncWait)
 	live := c.liveSlots()
 	applied := make([]int64, len(live))
-	head := c.syncOne(int(c.host.Load()), &wire.Sync{})
+	head := c.syncOne(c.follow.host(), &wire.Sync{})
 	for raised := true; raised && time.Now().Before(deadline); {
 		raised = false
 		for i, slot := range live {

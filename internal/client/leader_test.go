@@ -3,7 +3,6 @@ package client
 import (
 	"net"
 	"testing"
-	"time"
 
 	"repro/internal/certifier"
 )
@@ -21,7 +20,7 @@ func TestFetchSinceOnceMovesGuess(t *testing.T) {
 	ln.Close()
 	live := fakeServer(t)
 
-	r := NewLeaderRing([]string{dead, live}, "mm", -1, time.Second)
+	r := NewLeaderRing([]string{dead, live}, "mm", -1)
 	t.Cleanup(r.Close)
 	if _, err := r.FetchSinceOnce(0, 0, func([]certifier.Record) {}); err == nil {
 		t.Fatal("fetch from a dead guess succeeded")

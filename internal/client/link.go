@@ -34,10 +34,10 @@ type Link struct {
 const linkRPCDeadline = 30 * time.Second
 
 // NewLink creates a link from replica peerID to the primary at addr
-// serving the given design ("" skips the check). No connection is
-// dialed until first use.
-func NewLink(addr, design string, peerID int, dialTimeout time.Duration) *Link {
-	return &Link{pool: newConnPool(addr, design, int64(peerID), dialTimeout, 4)}
+// serving the given design ("" skips the check); timeout bounds a dial
+// (0 means dialTimeout). No connection is dialed until first use.
+func NewLink(addr, design string, peerID int, timeout time.Duration) *Link {
+	return &Link{pool: newConnPool(addr, design, int64(peerID), timeout, 4)}
 }
 
 // Close drops the link's pooled connections and interrupts in-flight

@@ -2,7 +2,6 @@ package client
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/paxos"
 )
@@ -14,57 +13,32 @@ import (
 // own vote never crosses the network, so a single-node quorum check
 // or the common fast path costs no RPC.
 //
-// Peers may be registered and replaced at runtime (the membership
-// protocol can move a peer's address); an unregistered peer is
-// unreachable, which Paxos tolerates by construction.
+// It owns no connection: a peer is reached over the node's LeaderRing's
+// link to the peer's address, so a node dials each peer once for
+// certification, catch-up and Paxos alike. A peer with no address, or
+// any peer once the ring is closed, is unreachable, which Paxos
+// tolerates by construction.
 type PaxosTransport struct {
 	self  int
 	local *paxos.Acceptor
-
-	mu    sync.Mutex
-	links map[int]*Link
+	ring  *LeaderRing
+	addrs []string // indexed by paxos id
 }
 
 // NewPaxosTransport creates a transport for node self whose local
-// acceptor is served in-process.
-func NewPaxosTransport(self int, local *paxos.Acceptor) *PaxosTransport {
-	return &PaxosTransport{self: self, local: local, links: make(map[int]*Link)}
-}
-
-// SetPeer registers (or replaces) the link used to reach node id's
-// embedded acceptor. A nil link unregisters the peer.
-func (t *PaxosTransport) SetPeer(id int, l *Link) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if l == nil {
-		delete(t.links, id)
-		return
-	}
-	t.links[id] = l
-}
-
-// Close closes every registered peer link.
-func (t *PaxosTransport) Close() {
-	t.mu.Lock()
-	links := make([]*Link, 0, len(t.links))
-	for _, l := range t.links {
-		links = append(links, l)
-	}
-	t.links = make(map[int]*Link)
-	t.mu.Unlock()
-	for _, l := range links {
-		l.Close()
-	}
+// acceptor is served in-process and whose peer id reaches addrs[id]
+// through ring.
+func NewPaxosTransport(self int, local *paxos.Acceptor, ring *LeaderRing, addrs []string) *PaxosTransport {
+	return &PaxosTransport{self: self, local: local, ring: ring, addrs: addrs}
 }
 
 func (t *PaxosTransport) peer(to int) (*Link, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	l, ok := t.links[to]
-	if !ok {
-		return nil, fmt.Errorf("%w: no link to node %d", paxos.ErrUnreachable, to)
+	if to >= 0 && to < len(t.addrs) && t.addrs[to] != "" {
+		if l := t.ring.Link(t.addrs[to]); l != nil {
+			return l, nil
+		}
 	}
-	return l, nil
+	return nil, fmt.Errorf("%w: no link to node %d", paxos.ErrUnreachable, to)
 }
 
 // Prepare implements paxos.Transport.

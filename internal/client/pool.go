@@ -24,6 +24,10 @@ const (
 	dialBackoffMax = 1 * time.Second
 )
 
+// dialTimeout bounds connection establishment for the pooled client
+// and a replica's ring.
+const dialTimeout = 2 * time.Second
+
 // jitter spreads a delay over [d/2, d] so callers backing off from the
 // same failure do not reconverge in lockstep.
 func jitter(d time.Duration) time.Duration {
@@ -111,9 +115,9 @@ type connPool struct {
 	lastDialErr   error
 }
 
-func newConnPool(addr, wantDesign string, peerID int64, dialTimeout time.Duration, maxIdle int) *connPool {
-	if dialTimeout <= 0 {
-		dialTimeout = 2 * time.Second
+func newConnPool(addr, wantDesign string, peerID int64, timeout time.Duration, maxIdle int) *connPool {
+	if timeout <= 0 {
+		timeout = dialTimeout
 	}
 	if maxIdle <= 0 {
 		maxIdle = 4
@@ -122,7 +126,7 @@ func newConnPool(addr, wantDesign string, peerID int64, dialTimeout time.Duratio
 		addr:        addr,
 		wantDesign:  wantDesign,
 		peerID:      peerID,
-		dialTimeout: dialTimeout,
+		dialTimeout: timeout,
 		maxIdle:     maxIdle,
 		active:      make(map[*wconn]struct{}),
 	}

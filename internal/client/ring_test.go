@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/wire"
 	"repro/internal/writeset"
@@ -15,10 +14,10 @@ import (
 func (r *LeaderRing) LeaderAddr() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.ring) == 0 {
-		return ""
+	if idx := r.follow.host(); idx < len(r.ring) {
+		return r.ring[idx]
 	}
-	return r.ring[r.cur]
+	return ""
 }
 
 // fakeHost serves the handshake and answers every Certify with the
@@ -84,7 +83,7 @@ func TestRingCertifySentOnce(t *testing.T) {
 
 	t.Run("lost reply", func(t *testing.T) {
 		host, certifies := fakeHost(t, func() wire.Message { return nil })
-		r := NewLeaderRing([]string{host}, "mm", -1, time.Second)
+		r := NewLeaderRing([]string{host}, "mm", -1)
 		t.Cleanup(r.Close)
 		if _, err := r.CertifyTraced(0, ws, 0); err == nil {
 			t.Fatal("certify with a lost reply succeeded")
@@ -98,7 +97,7 @@ func TestRingCertifySentOnce(t *testing.T) {
 		backup, backupCertifies := fakeHost(t, func() wire.Message {
 			return &wire.NotLeader{Leader: 1, Epoch: 1, Addr: leader}
 		})
-		r := NewLeaderRing([]string{backup, leader}, "mm", -1, time.Second)
+		r := NewLeaderRing([]string{backup, leader}, "mm", -1)
 		t.Cleanup(r.Close)
 		if out, err := r.CertifyTraced(0, ws, 0); err != nil || !out.Committed {
 			t.Fatalf("certify through a redirect: %+v %v", out, err)
@@ -115,7 +114,7 @@ func TestRingCertifySentOnce(t *testing.T) {
 		dead := ln.Addr().String()
 		ln.Close()
 		leader, certifies := fakeHost(t, committed)
-		r := NewLeaderRing([]string{dead, leader}, "mm", -1, time.Second)
+		r := NewLeaderRing([]string{dead, leader}, "mm", -1)
 		t.Cleanup(r.Close)
 		if out, err := r.CertifyTraced(0, ws, 0); err != nil || !out.Committed {
 			t.Fatalf("certify past a dead guess: %+v %v", out, err)

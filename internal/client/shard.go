@@ -111,7 +111,7 @@ func (t *Txn) SendDecide(id codec.TxnID, commit, retire bool, forget []codec.Txn
 	if !t.done || t.deciding {
 		return errNotPrepared
 	}
-	pool := t.client.rep(int(t.client.host.Load())).pool
+	pool := t.client.rep(t.client.follow.host()).pool
 	w, _, err := pool.get()
 	if err != nil {
 		return err
@@ -163,12 +163,12 @@ var errNotPrepared = errors.New("client: no prepared transaction to decide")
 
 // rpcHost round-trips one request with the group's certifier host —
 // where schema and load frames, membership polls and (through doHost)
-// the 2PC decision verbs land — following it across a move (onHost).
-// The request goes at most once to a node that may act on it. A
-// positive deadline bounds each exchange.
+// the 2PC decision verbs land — following it across a move. The
+// request goes at most once to a node that may act on it. A positive
+// deadline bounds each exchange.
 func (c *Client) rpcHost(req wire.Message, deadline time.Duration) (wire.Message, error) {
 	var reply wire.Message
-	err := c.onHost(true, func(idx int) error {
+	err := c.follow.do(true, func(idx int) error {
 		var err error
 		reply, err = c.rep(idx).pool.rpc(req, deadline)
 		return err
@@ -180,7 +180,7 @@ func (c *Client) rpcHost(req wire.Message, deadline time.Duration) (wire.Message
 // connection's scratch and a reply the connection reuses: use reads
 // the reply before the connection goes back to its pool (see doOn).
 func (c *Client) doHost(req func(*wconn) wire.Message, deadline time.Duration, use func(wire.Message) error) error {
-	return c.onHost(true, func(idx int) error {
+	return c.follow.do(true, func(idx int) error {
 		return c.rep(idx).pool.doOn(req, deadline, use)
 	})
 }
@@ -249,16 +249,9 @@ func (c *Client) ShardInfo() (id, count, version int64) {
 // shard-map fields — for clients that run without Options.Watch but
 // still need to learn the topology before routing.
 func (c *Client) FetchShardInfo() (id, count, version int64, err error) {
-	reply, err := c.rpcHost(&wire.Members{}, shardRPCDeadline)
+	m, err := c.fetchMembers(shardRPCDeadline)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	m, ok := reply.(*wire.MembersOK)
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("client: unexpected members reply %T", reply)
-	}
-	c.mu.Lock()
-	c.shardID, c.shardCount, c.mapVersion = m.ShardID, m.ShardCount, m.MapVersion
-	c.mu.Unlock()
 	return m.ShardID, m.ShardCount, m.MapVersion, nil
 }

@@ -44,29 +44,26 @@ type Cluster struct {
 }
 
 // replicaOptions derives replica i of group g from the template:
-// its id, a loopback listen address, the group's size, its primary's
-// address (or, with Paxos, the group's member list), its shard
-// coordinates when there are several groups and its own WAL directory
-// under tmpl.WALDir. Group commit stays on the certifier host only,
-// unless Paxos makes every member a potential host. addrs holds the
-// addresses of the group's replicas started so far (all of them with
-// Paxos, where they are reserved up front).
+// its id, its listen address, the group's size and member list (so the
+// primary publishes every member's address), its primary's address
+// unless Paxos makes the member list the certification group, its
+// shard coordinates when there are several groups and its own WAL
+// directory under tmpl.WALDir. Group commit stays on the certifier
+// host only, unless Paxos makes every member a potential host. addrs
+// holds the group's addresses, indexed by replica id.
 func replicaOptions(tmpl server.Options, groups, replicas, g, i int, addrs []string) server.Options {
 	o := tmpl
 	o.ID = i
-	o.Listen = "127.0.0.1:0"
+	o.Listen = addrs[i]
 	o.Replicas = replicas
+	o.Members = addrs
 	if groups > 1 {
 		o.ShardID, o.ShardCount = g, groups
 	}
 	if tmpl.WALDir != "" {
 		o.WALDir = filepath.Join(tmpl.WALDir, fmt.Sprintf("g%d-r%d", g, i))
 	}
-	switch {
-	case tmpl.Paxos:
-		o.Listen = addrs[i]
-		o.Members = addrs
-	case i > 0:
+	if !tmpl.Paxos && i > 0 {
 		o.Primary = addrs[0]
 		o.GroupCommit = false
 	}
@@ -111,16 +108,13 @@ func Start(groups, replicas int, tmpl server.Options) (*Cluster, error) {
 
 // startGroup boots group g and its client.
 func (c *Cluster) startGroup(groups, replicas, g int, tmpl server.Options) error {
-	var addrs []string
-	if tmpl.Paxos {
-		// Every member needs the complete address list before any of
-		// them listens, so the ports are reserved (and released) up
-		// front and each server binds its pre-assigned address; the
-		// tiny reuse race is acceptable on loopback.
-		var err error
-		if addrs, err = reserve(replicas); err != nil {
-			return err
-		}
+	// Every replica needs the complete address list before any of them
+	// listens, so the ports are reserved (and released) up front and
+	// each server binds its pre-assigned address; the tiny reuse race
+	// is acceptable on loopback.
+	addrs, err := reserve(replicas)
+	if err != nil {
+		return err
 	}
 	c.Servers = append(c.Servers, nil)
 	c.Options = append(c.Options, nil)
@@ -131,12 +125,8 @@ func (c *Cluster) startGroup(groups, replicas, g int, tmpl server.Options) error
 			return fmt.Errorf("launch: group %d replica %d: %w", g, i, err)
 		}
 		srv.Start()
-		opts.Listen = srv.Addr() // a restart binds the same port
 		c.Servers[g] = append(c.Servers[g], srv)
 		c.Options[g] = append(c.Options[g], opts)
-		if !tmpl.Paxos {
-			addrs = append(addrs, srv.Addr())
-		}
 	}
 	if tmpl.Paxos {
 		if err := waitLeader(c.Servers[g]); err != nil {

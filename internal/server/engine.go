@@ -154,8 +154,9 @@ type engine struct {
 
 	// ring reaches the certifier host from every node that may not host
 	// it: it holds only Primary without Paxos, and every member with
-	// Paxos. remote is the ring instrumented for the commit path. Both
-	// are nil on the static host.
+	// Paxos, whose transport reaches the peers' acceptors over the
+	// ring's links. remote is the ring instrumented for the commit
+	// path. Both are nil on the static host.
 	ring   *client.LeaderRing
 	remote *remoteCert
 
@@ -218,7 +219,8 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 		// election in the role loop (node 0 campaigns immediately on a
 		// cold cluster). Until then the commit path follows the leader
 		// ring, and certification requests answer NotLeader.
-		px, err := newPaxosNode(opts)
+		e.ring = client.NewLeaderRing(opts.Members, opts.Design, opts.ID)
+		px, err := newPaxosNode(opts, e.ring)
 		if err != nil {
 			if e.dur != nil {
 				e.dur.W.Close()
@@ -231,7 +233,6 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 		e.cursors = pipeline.NewPeerCursors(func() int {
 			return e.membership.Peers()
 		}, int64(opts.GCLag))
-		e.ring = client.NewLeaderRing(opts.Members, opts.Design, opts.ID, opts.DialTimeout)
 	case opts.ID == 0:
 		// The certification log recovers from the WAL: the restarted
 		// certifier resumes at the last durably logged version, with
@@ -273,16 +274,13 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 			return e.membership.Peers()
 		}, int64(opts.GCLag))
 	default:
-		e.ring = client.NewLeaderRing([]string{opts.Primary}, opts.Design, opts.ID, opts.DialTimeout)
+		e.ring = client.NewLeaderRing([]string{opts.Primary}, opts.Design, opts.ID)
 	}
 	if e.ring != nil {
 		// Records fetched through the ring carry the host's trace id
 		// and commit timestamp; feed them to the tracer so replication
 		// lag is measured against the host's clock.
 		e.ring.OnRecordMeta(m.tracer.NoteCommitMeta)
-		// Commit-path catch-up rides Since(); long-poll so a caught-up
-		// node parks on the host instead of spinning wait=0 fetches.
-		e.ring.SetSinceWait(syncLongPoll)
 		e.remote = &remoteCert{svc: e.ring, m: m, t: m.tracer}
 	}
 	if rec != nil {
@@ -462,7 +460,9 @@ func (e *engine) catchUp() {
 		h.Since(e.ap.Applied(), e.apply)
 		return
 	}
-	e.ring.Since(e.ap.Applied(), e.apply)
+	// Long-poll, so a caught-up node parks on the host instead of
+	// spinning wait=0 fetches.
+	e.ring.Since(e.ap.Applied(), syncLongPoll, e.apply)
 }
 
 func (e *engine) dump(table string) (map[int64]string, error) { return e.db.Dump(table) }
@@ -814,16 +814,14 @@ func (e *engine) run(stop <-chan struct{}) {
 	}
 }
 
-// disconnect closes the network links to the primary and peers,
-// failing any in-flight RPC immediately so run can observe stop. It
-// must precede close: run may still be ingesting records when
-// disconnect returns, but it no longer can after it exits.
+// disconnect closes the ring's links to the primary and peers (the
+// Paxos transport's among them), failing any in-flight RPC immediately
+// so run can observe stop. It must precede close: run may still be
+// ingesting records when disconnect returns, but it no longer can
+// after it exits.
 func (e *engine) disconnect() {
 	if e.ring != nil {
 		e.ring.Close()
-	}
-	if e.px != nil {
-		e.px.disconnect()
 	}
 }
 

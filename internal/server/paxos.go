@@ -36,8 +36,9 @@ type paxosNode struct {
 }
 
 // newPaxosNode opens this node's acceptor (restored from its durable
-// store when a WAL directory is configured) and dials the peer links.
-func newPaxosNode(opts Options) (*paxosNode, error) {
+// store when a WAL directory is configured); the transport reaches the
+// peers over ring's links.
+func newPaxosNode(opts Options, ring *client.LeaderRing) (*paxosNode, error) {
 	n := len(opts.Members)
 	px := &paxosNode{
 		id:     opts.ID,
@@ -70,17 +71,9 @@ func newPaxosNode(opts Options) (*paxosNode, error) {
 	} else {
 		px.acc = paxos.NewAcceptor(opts.ID)
 	}
-	px.tr = client.NewPaxosTransport(opts.ID, px.acc)
-	for i, addr := range px.addrs {
-		if i == px.id || addr == "" {
-			continue
-		}
-		px.tr.SetPeer(i, client.NewLink(addr, opts.Design, opts.ID, opts.DialTimeout))
-	}
+	px.tr = client.NewPaxosTransport(opts.ID, px.acc, ring, px.addrs)
 	return px, nil
 }
-
-func (px *paxosNode) disconnect() { px.tr.Close() }
 
 func (px *paxosNode) close() {
 	if px.store != nil {

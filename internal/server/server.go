@@ -90,8 +90,6 @@ type Options struct {
 	// EagerCert enables eager certification on writes (on a node that
 	// does not host the certifier every probe is a network round trip).
 	EagerCert bool
-	// DialTimeout bounds peer-link dials (default 2s).
-	DialTimeout time.Duration
 	// WALDir enables durable commits: the node journals its state into
 	// a write-ahead log in this directory, replays it on start, and —
 	// on the certifier host — acknowledges commits only once their
@@ -299,14 +297,14 @@ func New(opts Options) (*Server, error) {
 // count as liveness proof and a transfer longer than StaleAfter does
 // not get the joiner evicted as stale.
 func runJoin(opts *Options, selfAddr string) (int64, map[string]map[int64]string, error) {
-	admit := client.NewLink(opts.Primary, opts.Design, -1, opts.DialTimeout)
+	admit := client.NewLink(opts.Primary, opts.Design, -1, 0)
 	jo, err := admit.Join(selfAddr)
 	admit.Close()
 	if err != nil {
 		return 0, nil, fmt.Errorf("server: join rejected by primary: %w", err)
 	}
 	opts.ID = int(jo.ID)
-	snapLink := client.NewLink(opts.Primary, opts.Design, opts.ID, opts.DialTimeout)
+	snapLink := client.NewLink(opts.Primary, opts.Design, opts.ID, 0)
 	defer snapLink.Close()
 	version, tables, err := snapLink.Snapshot()
 	if err != nil {

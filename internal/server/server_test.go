@@ -397,7 +397,7 @@ func TestBoundedAccept(t *testing.T) {
 	c3 := make(chan error, 1)
 	go func() {
 		c, err := client.New(client.Options{
-			Servers: []string{addr}, Design: "mm", DialTimeout: 2 * time.Second,
+			Servers: []string{addr}, Design: "mm",
 		})
 		if err != nil {
 			c3 <- err
@@ -648,10 +648,9 @@ func TestCatchUpLongPolls(t *testing.T) {
 		t.Fatalf("drive errors: %+v", res)
 	}
 
-	r := client.NewLeaderRing([]string{servers[0].Addr()}, "mm", -1, 2*time.Second)
+	r := client.NewLeaderRing([]string{servers[0].Addr()}, "mm", -1)
 	defer r.Close()
 	const wait = 100 * time.Millisecond
-	r.SetSinceWait(wait)
 	l, err := r.Leader()
 	if err != nil {
 		t.Fatal(err)
@@ -663,7 +662,7 @@ func TestCatchUpLongPolls(t *testing.T) {
 	base := l.RoundTrips() // handshake-time RPCs plus the Stats call
 	deadline := time.Now().Add(5 * wait)
 	for time.Now().Before(deadline) {
-		if n := r.Since(st.Applied, func([]certifier.Record) {}); n != 0 {
+		if n := r.Since(st.Applied, wait, func([]certifier.Record) {}); n != 0 {
 			t.Fatalf("unexpected new records at steady state: %d", n)
 		}
 	}
