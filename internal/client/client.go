@@ -3,12 +3,15 @@
 // repl.System and repl.Loader interfaces, so the workload driver
 // (repl.Drive), catalog loader and convergence checker run over TCP.
 //
-// Routing is the paper's least-loaded balancing (internal/lb):
-// transactions go to the least-loaded replica (single-master updates
-// go to the certifier host, which is the master), one pooled
-// connection is checked out per transaction, and a replica that stops
-// answering is marked down and routed around until a later probe
-// revives it — the behavior the kill-one-replica test exercises.
+// Routing is the paper's least-loaded balancing (§5), kept in the
+// client's slot table, its one record of each replica: id, connection
+// pool, outstanding transactions and departure. Transactions go to
+// the least-loaded replica (single-master updates go to the certifier
+// host, which is the master), and one pooled connection is checked out
+// per transaction. A replica that fails is down while its pool backs
+// off (50 ms doubling to 1 s, reset by a successful dial); new
+// transactions route around it and the pool's next dial, once per
+// step, probes it — the behavior the kill-one-replica test exercises.
 //
 // The client finds the certifier host by redirect: it starts at server
 // 0 and follows NotLeader replies, so a master or leader that moved
@@ -16,7 +19,7 @@
 // LeaderRing does, through the package's one follower.
 //
 // Membership is elastic: with Options.Watch the client polls the
-// certifier host's member list and resizes its pool set live —
+// certifier host's member list and resizes its slot table live —
 // replicas that join start taking traffic, replicas that leave stop
 // receiving new transactions immediately. A replica that vanishes
 // mid-transaction surfaces as repl.ErrAborted on the next operation,
@@ -27,10 +30,10 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
-	"repro/internal/lb"
 	"repro/internal/repl"
 	"repro/internal/wire"
 )
@@ -45,9 +48,6 @@ type Options struct {
 	Design string
 	// PoolSize caps retained idle connections per server (default 4).
 	PoolSize int
-	// ProbeAfter is how long a server marked down is skipped before
-	// being optimistically re-probed (default 500ms).
-	ProbeAfter time.Duration
 	// Watch enables elastic membership: the client polls the
 	// certifier host's member list and adds/retires replica pools as
 	// the cluster grows and shrinks.
@@ -74,15 +74,13 @@ func (o Options) Validate() error {
 // for concurrent use by many workload goroutines.
 type Client struct {
 	opts Options
-	bal  *lb.Balancer
 
-	// mu guards the slot table; slot indices are stable and shared
-	// with the balancer (departed replicas are tombstoned, never
-	// renumbered).
-	mu        sync.Mutex
-	reps      []*replicaConns
-	memberIdx map[int64]int // member id -> slot index
-	epoch     int64
+	// mu guards the slot table. Slot indices are stable: a departed
+	// replica keeps its slot, retired, and is never renumbered.
+	mu    sync.Mutex
+	reps  []*replicaConns
+	next  int // where the next least-loaded scan starts
+	epoch int64
 	// follow holds the slot of the certifier host as last learned:
 	// slot 0 at first, then wherever redirects and failures move it.
 	follow follower
@@ -96,17 +94,20 @@ type Client struct {
 	watchWG   sync.WaitGroup
 }
 
-// replicaConns is the per-replica pool plus down-state.
+// replicaConns is one slot of the table. Whether the replica departed
+// (pool.retired) and whether it is down (pool backing off) are its
+// pool's state.
 type replicaConns struct {
-	id   int64
+	id   int64 // member id
 	pool *connPool
-
-	mu        sync.Mutex
-	downUntil time.Time
+	load int // outstanding transactions, guarded by Client.mu
 }
 
 var _ repl.System = (*Client)(nil)
 var _ repl.Loader = (*Client)(nil)
+
+// errNoReplica reports that no live slot can take a transaction.
+var errNoReplica = errors.New("client: no live replica")
 
 // New creates a driver over the given servers, once opts.Validate
 // passes. No connections are dialed until first use.
@@ -114,24 +115,13 @@ func New(opts Options) (*Client, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.ProbeAfter <= 0 {
-		opts.ProbeAfter = 500 * time.Millisecond
-	}
 	if opts.WatchInterval <= 0 {
 		opts.WatchInterval = 250 * time.Millisecond
 	}
-	c := &Client{
-		opts:      opts,
-		bal:       lb.New(len(opts.Servers)),
-		memberIdx: make(map[int64]int),
-	}
+	c := &Client{opts: opts}
 	c.follow.set = c
 	for i, addr := range opts.Servers {
-		c.reps = append(c.reps, &replicaConns{
-			id:   int64(i),
-			pool: newConnPool(addr, opts.Design, -1, dialTimeout, opts.PoolSize),
-		})
-		c.memberIdx[int64(i)] = i
+		c.admit(int64(i), addr)
 	}
 	if opts.Watch {
 		c.stopWatch = make(chan struct{})
@@ -142,6 +132,15 @@ func New(opts Options) (*Client, error) {
 		}()
 	}
 	return c, nil
+}
+
+// admit appends a slot for member id at addr. The caller holds c.mu or
+// has not shared c yet.
+func (c *Client) admit(id int64, addr string) {
+	c.reps = append(c.reps, &replicaConns{
+		id:   id,
+		pool: newConnPool(addr, c.opts.Design, -1, dialTimeout, c.opts.PoolSize),
+	})
 }
 
 // Close stops the membership watcher and releases every pooled
@@ -179,8 +178,8 @@ func (c *Client) liveSlots() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]int, 0, len(c.reps))
-	for i := range c.reps {
-		if !c.bal.Removed(i) {
+	for i, r := range c.reps {
+		if !r.pool.retired.Load() {
 			out = append(out, i)
 		}
 	}
@@ -190,11 +189,64 @@ func (c *Client) liveSlots() []int {
 // Replicas returns the number of live replica servers.
 func (c *Client) Replicas() int { return len(c.liveSlots()) }
 
+// slotOf returns the live slot of member id, or -1. c.mu is held.
+func (c *Client) slotOf(id int64) int {
+	return slices.IndexFunc(c.reps, func(r *replicaConns) bool {
+		return r.id == id && !r.pool.retired.Load()
+	})
+}
+
+// acquire takes a slot for a new transaction in one critical section
+// and returns it with its pool. host >= 0 names the slot (the
+// certifier host's, under sm), whatever its load or health; host < 0
+// picks the least-loaded live slot. Ties rotate: the scan starts one
+// slot further on every acquisition, so equally loaded replicas take
+// turns and survivors above a departed slot are not starved. A down
+// slot is picked only when every live slot is down.
+func (c *Client) acquire(host int) (int, *connPool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	best := host
+	if host < 0 {
+		now := time.Now().UnixNano()
+		bestDown := false
+		for off := range len(c.reps) {
+			i := (c.next + off) % len(c.reps)
+			r := c.reps[i]
+			if r.pool.retired.Load() {
+				continue
+			}
+			down := now < r.pool.until.Load()
+			if best < 0 || bestDown && !down || down == bestDown && r.load < c.reps[best].load {
+				best, bestDown = i, down
+			}
+		}
+		c.next++
+	}
+	if best < 0 || c.reps[best].pool.retired.Load() {
+		return 0, nil, errNoReplica
+	}
+	r := c.reps[best]
+	r.load++
+	return best, r.pool, nil
+}
+
+// release returns the slot a transaction acquired. Releasing below
+// zero panics: it means a double release.
+func (c *Client) release(idx int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r := c.reps[idx]
+	if r.load <= 0 {
+		panic("client: release without acquire")
+	}
+	r.load--
+}
+
 // watchLoop polls the primary's membership and reconciles the slot
-// table: new members get pools and balancer slots, departed members
-// are tombstoned (new transactions stop immediately; connections
-// already serving a transaction finish it — the server drains before
-// deregistering).
+// table: new members get slots, departed members are retired (new
+// transactions stop immediately; connections already serving a
+// transaction finish it — the server drains before deregistering).
 func (c *Client) watchLoop() {
 	ticker := time.NewTicker(c.opts.WatchInterval)
 	defer ticker.Stop()
@@ -231,44 +283,20 @@ func (c *Client) pollMembership() {
 		return // host unreachable: keep the current view
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if m.Epoch == c.epoch {
-		c.mu.Unlock()
 		return
 	}
 	c.epoch = m.Epoch
-	current := make(map[int64]wire.Member, len(m.Members))
+	for _, r := range c.reps {
+		if !r.pool.retired.Load() && !slices.ContainsFunc(m.Members, func(mem wire.Member) bool { return mem.ID == r.id }) {
+			r.pool.retire()
+		}
+	}
 	for _, mem := range m.Members {
-		current[mem.ID] = mem
-	}
-	// Tombstone departed members.
-	var retired []*replicaConns
-	for id, idx := range c.memberIdx {
-		if _, still := current[id]; still {
-			continue
+		if mem.Addr != "" && c.slotOf(mem.ID) < 0 {
+			c.admit(mem.ID, mem.Addr)
 		}
-		if !c.bal.Removed(idx) {
-			c.bal.Remove(idx)
-			retired = append(retired, c.reps[idx])
-		}
-		delete(c.memberIdx, id)
-	}
-	// Admit joiners. The slot entry is appended before the balancer
-	// slot exists, so an index the balancer hands out always resolves.
-	for id, mem := range current {
-		if _, have := c.memberIdx[id]; have || mem.Addr == "" {
-			continue
-		}
-		rc := &replicaConns{
-			id:   id,
-			pool: newConnPool(mem.Addr, c.opts.Design, -1, dialTimeout, c.opts.PoolSize),
-		}
-		c.reps = append(c.reps, rc)
-		idx := c.bal.Add()
-		c.memberIdx[id] = idx
-	}
-	c.mu.Unlock()
-	for _, rc := range retired {
-		rc.pool.retire()
 	}
 }
 
@@ -279,36 +307,6 @@ func (c *Client) Epoch() int64 {
 	return c.epoch
 }
 
-// markDown records a replica failure for routing.
-func (c *Client) markDown(idx int) {
-	r := c.rep(idx)
-	r.mu.Lock()
-	r.downUntil = time.Now().Add(c.opts.ProbeAfter)
-	r.mu.Unlock()
-	c.bal.SetHealthy(idx, false)
-}
-
-// reviveDue optimistically re-admits down replicas whose probe
-// interval has passed; a still-dead replica is re-marked on the next
-// failed begin. It runs on every Begin, so it walks the slot table in
-// place rather than copying it.
-func (c *Client) reviveDue() {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, r := range c.reps {
-		if c.bal.Removed(i) || c.bal.Healthy(i) {
-			continue
-		}
-		r.mu.Lock()
-		due := now.After(r.downUntil)
-		r.mu.Unlock()
-		if due {
-			c.bal.SetHealthy(i, true)
-		}
-	}
-}
-
 // BeginRead starts a read-only transaction on a least-loaded replica.
 func (c *Client) BeginRead() (repl.Txn, error) { return c.begin(true) }
 
@@ -317,17 +315,18 @@ func (c *Client) BeginRead() (repl.Txn, error) { return c.begin(true) }
 func (c *Client) BeginUpdate() (repl.Txn, error) { return c.begin(false) }
 
 func (c *Client) begin(readOnly bool) (repl.Txn, error) {
-	c.reviveDue()
 	var tx *Txn
 	var err error
 	if c.opts.Design == "sm" && !readOnly {
 		err = c.follow.do(false, func(idx int) error {
-			tx, err = c.beginOn(func(i int) bool { return i == idx }, false)
+			tx, err = c.beginOn(idx, false)
 			return err
 		})
 	} else {
-		for attempt := 0; attempt <= c.bal.Size()+1; attempt++ {
-			if tx, err = c.beginOn(anySlot, readOnly); err == nil || refused(err) {
+		// A failed Begin leaves its replica backing off, so the next
+		// attempt goes to another.
+		for attempt := 0; ; attempt++ {
+			if tx, err = c.beginOn(-1, readOnly); err == nil || refused(err) || attempt > c.Replicas() {
 				break
 			}
 		}
@@ -338,8 +337,6 @@ func (c *Client) begin(readOnly bool) (repl.Txn, error) {
 	return tx, nil
 }
 
-func anySlot(int) bool { return true }
-
 // named implements hostSet: the live slot a redirect names, by address
 // first, since a client's server list need not be indexed by replica
 // id or use the server's own address strings, then by id.
@@ -347,12 +344,12 @@ func (c *Client) named(nle NotLeaderError) (int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, r := range c.reps {
-		if r.pool.addr == nle.Addr && nle.Addr != "" && !c.bal.Removed(i) {
+		if r.pool.addr == nle.Addr && nle.Addr != "" && !r.pool.retired.Load() {
 			return i, true
 		}
 	}
-	idx, ok := c.memberIdx[int64(nle.Leader)]
-	return idx, ok
+	idx := c.slotOf(int64(nle.Leader))
+	return idx, idx >= 0
 }
 
 // after implements hostSet: the next live slot.
@@ -360,7 +357,7 @@ func (c *Client) after(from int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k := 1; k < len(c.reps); k++ {
-		if to := (from + k) % len(c.reps); !c.bal.Removed(to) {
+		if to := (from + k) % len(c.reps); !c.reps[to].pool.retired.Load() {
 			return to
 		}
 	}
@@ -376,24 +373,6 @@ type protocolError struct {
 
 func (e *protocolError) Error() string { return e.msg }
 
-// beginOn opens a transaction on the least-loaded eligible replica. On
-// failure it releases the replica's balancer slot and marks one that
-// could not be reached, or is draining to leave, down.
-func (c *Client) beginOn(eligible func(int) bool, readOnly bool) (*Txn, error) {
-	idx, err := c.bal.AcquireWhere(eligible)
-	if err != nil {
-		return nil, err
-	}
-	tx, err := c.open(idx, readOnly)
-	if err != nil {
-		c.bal.Release(idx)
-		if _, redirected := asNotLeader(err); !redirected && !refused(err) {
-			c.markDown(idx)
-		}
-	}
-	return tx, err
-}
-
 // refused reports whether err is a server's refusal that rerouting
 // will not help: any protocol error but CodeDraining.
 func refused(err error) bool {
@@ -401,42 +380,26 @@ func refused(err error) bool {
 	return errors.As(err, &pe) && pe.code != wire.CodeDraining
 }
 
-// open sends Begin to replica idx, draining stale pooled connections as
-// it goes.
-func (c *Client) open(idx int, readOnly bool) (*Txn, error) {
-	pool := c.rep(idx).pool
-	var lastErr error
-	for attempt := 0; attempt <= pool.maxIdle+1; attempt++ {
-		conn, fresh, err := pool.get()
-		if err != nil {
-			return nil, err
-		}
-		conn.begin = wire.Begin{ReadOnly: readOnly}
-		reply, err := roundTrip(conn, &conn.begin)
-		if err != nil {
-			pool.discard(conn)
-			lastErr = err
-			if fresh {
-				return nil, err
-			}
-			continue // stale pooled connection, try the next
-		}
-		switch m := reply.(type) {
-		case *wire.BeginOK:
-			return &Txn{client: c, idx: idx, pool: pool, conn: conn, readOnly: readOnly, trace: m.Trace}, nil
-		case *wire.NotLeader:
-			pool.put(conn)
-			return nil, NotLeaderError{Leader: int(m.Leader), Epoch: m.Epoch, Addr: m.Addr}
-		case *wire.Err:
-			err := &protocolError{code: m.Code, msg: fmt.Sprintf("client: begin on %s: %s", pool.addr, m.Msg)}
-			pool.put(conn)
-			return nil, err
-		default:
-			pool.discard(conn)
-			return nil, fmt.Errorf("client: begin on %s: unexpected reply %T", pool.addr, reply)
-		}
+// beginOn acquires a slot (see acquire) and sends Begin to its
+// replica, releasing the slot if that fails.
+func (c *Client) beginOn(host int, readOnly bool) (*Txn, error) {
+	idx, pool, err := c.acquire(host)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("client: begin on %s: %w", pool.addr, lastErr)
+	conn, reply, err := pool.exchange(func(w *wconn) wire.Message {
+		w.begin = wire.Begin{ReadOnly: readOnly}
+		return &w.begin
+	}, 0)
+	if err == nil {
+		if m, ok := reply.(*wire.BeginOK); ok {
+			return &Txn{client: c, idx: idx, pool: pool, conn: conn, readOnly: readOnly, trace: m.Trace}, nil
+		}
+		pool.discard(conn)
+		err = fmt.Errorf("client: begin on %s: unexpected reply %T", pool.addr, reply)
+	}
+	c.release(idx)
+	return nil, err
 }
 
 // Txn is one transaction bound to one checked-out connection. The
@@ -473,14 +436,14 @@ var _ repl.Txn = (*Txn)(nil)
 func (t *Txn) Trace() uint64 { return t.trace }
 
 // fail tears the transaction down after a transport error: the
-// connection state is unknown, so it is discarded, and the replica is
-// marked down so new transactions route around it.
+// connection state is unknown, so it is discarded, and the pool backs
+// off so new transactions route around the replica.
 func (t *Txn) fail(err error) error {
 	if !t.done {
 		t.done = true
 		t.pool.discard(t.conn)
-		t.client.bal.Release(t.idx)
-		t.client.markDown(t.idx)
+		t.pool.backoff(err)
+		t.client.release(t.idx)
 	}
 	return err
 }
@@ -504,7 +467,7 @@ func (t *Txn) finish() {
 	}
 	t.done = true
 	t.pool.put(t.conn)
-	t.client.bal.Release(t.idx)
+	t.client.release(t.idx)
 }
 
 // errDone mirrors the engines' use-after-finish error.
@@ -735,17 +698,6 @@ func (c *Client) syncOne(slot int, req *wire.Sync) int64 {
 		return nil
 	})
 	return applied
-}
-
-// RoundTrips sums the pooled request/reply exchanges across every
-// replica pool (Sync, dumps, loads, membership — not per-transaction
-// ops, which own their connection). Steady-state tests difference it.
-func (c *Client) RoundTrips() int64 {
-	var n int64
-	for _, r := range c.slots() {
-		n += r.pool.rpcs.Load()
-	}
-	return n
 }
 
 // TableDump implements repl.System over the live replicas (departed

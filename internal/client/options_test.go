@@ -20,7 +20,7 @@ func TestOptionsValidate(t *testing.T) {
 		"mm":          mm,
 		"sm":          sm,
 		"mm watching": with(mm, func(o *Options) { o.Watch = true }),
-		"tuned pool":  with(sm, func(o *Options) { o.PoolSize, o.ProbeAfter = 2, -1 }),
+		"tuned pool":  with(sm, func(o *Options) { o.PoolSize = 2 }),
 		"watch on sm": with(sm, func(o *Options) { o.Watch = true }),
 	}
 	for name, o := range good {

@@ -13,12 +13,13 @@ import (
 	"repro/internal/writeset"
 )
 
-// Dial backoff bounds. After a fresh dial (or handshake) fails, the
-// pool enters a cooldown that starts at dialBackoffMin and doubles per
-// consecutive failure up to dialBackoffMax; a successful dial resets
-// it. Retries inside one rpc call sleep the same jittered schedule, so
-// a dead replica costs one timed-out dial and then fails fast instead
-// of hammering the address from every caller at once.
+// Backoff bounds. A pool backs off after a failure that says its
+// server may be down (see backoff): it refuses to dial for a step that
+// starts at dialBackoffMin and doubles per failure up to
+// dialBackoffMax, and a successful dial resets it. While a pool backs
+// off, the client routes new transactions around its replica, so a
+// dead replica costs one timed-out dial per step instead of one per
+// caller.
 const (
 	dialBackoffMin = 50 * time.Millisecond
 	dialBackoffMax = 1 * time.Second
@@ -96,23 +97,30 @@ type connPool struct {
 	// belongs to a server's peer link, -1 for ordinary clients.
 	peerID int64
 
-	// rpcs counts request/reply exchanges attempted through rpc(),
-	// including retries. Steady-state regression tests read it to
-	// prove catch-up paths long-poll instead of busy polling.
-	rpcs atomic.Int64
+	// rpcs counts the request/reply exchanges attempted, stale
+	// connections included, and dials the dials. Tests read them to
+	// prove catch-up paths long-poll instead of busy polling and a dead
+	// replica is dialed once per backoff step.
+	rpcs  atomic.Int64
+	dials atomic.Int64
+	// retired marks the pool of a replica that left the cluster: the
+	// client routes no new transaction to it and put closes what comes
+	// back.
+	retired atomic.Bool
+	// until is when the current backoff step ends, in Unix nanoseconds
+	// (0 when the server answered the last dial); the client's routing
+	// reads it without taking mu.
+	until atomic.Int64
 
-	mu      sync.Mutex
-	idle    []*wconn
-	active  map[*wconn]struct{}
-	closed  bool
-	retired bool
-	// Cooldown after a failed fresh dial: until cooldownUntil passes,
-	// get() fails immediately with the remembered error instead of
-	// dialing again. cooldownDur doubles per consecutive failure
-	// (bounded by dialBackoffMax) and resets on a successful dial.
-	cooldownUntil time.Time
-	cooldownDur   time.Duration
-	lastDialErr   error
+	mu     sync.Mutex
+	idle   []*wconn
+	active map[*wconn]struct{}
+	closed bool
+	// step is the length of the current backoff step, 0 when not
+	// backing off; probing is set while one caller dials to end it.
+	step    time.Duration
+	probing bool
+	lastErr error
 }
 
 func newConnPool(addr, wantDesign string, peerID int64, timeout time.Duration, maxIdle int) *connPool {
@@ -135,7 +143,10 @@ func newConnPool(addr, wantDesign string, peerID int64, timeout time.Duration, m
 // get returns a connection and whether it was freshly dialed. Pooled
 // connections may have gone stale (the server restarted or died);
 // callers retry IO failures on pooled connections and treat failures
-// on fresh ones as the server being down.
+// on fresh ones as the server being down. While the pool backs off it
+// hands out idle connections but dials only once the step has ended,
+// and then from one caller; the others fail fast until that probe
+// is done.
 func (p *connPool) get() (*wconn, bool, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -149,28 +160,37 @@ func (p *connPool) get() (*wconn, bool, error) {
 		p.mu.Unlock()
 		return c, false, nil
 	}
-	if time.Now().Before(p.cooldownUntil) {
-		err := p.lastDialErr
-		p.mu.Unlock()
-		return nil, true, fmt.Errorf("client: %s cooling down after dial failure: %w", p.addr, err)
+	if p.step > 0 {
+		now := time.Now().UnixNano()
+		if p.probing || now < p.until.Load() {
+			err := p.lastErr
+			p.mu.Unlock()
+			return nil, true, fmt.Errorf("client: %s backing off after failure: %w", p.addr, err)
+		}
+		// Routing keeps avoiding the replica while the probe dials.
+		p.probing = true
+		p.until.Store(now + int64(p.dialTimeout))
 	}
 	p.mu.Unlock()
 
+	p.dials.Add(1)
 	nc, err := net.DialTimeout("tcp", p.addr, p.dialTimeout)
 	if err != nil {
-		p.noteDialFailure(err)
+		p.backoff(err)
 		return nil, true, err
 	}
 	c := &wconn{nc: nc, wc: wire.NewConn(nc)}
+	// A handshake that never ends would hold the probe forever.
+	_ = nc.SetDeadline(time.Now().Add(p.dialTimeout))
 	if err := handshake(c, p.wantDesign, p.peerID); err != nil {
 		c.close()
-		p.noteDialFailure(err)
+		p.backoff(err)
 		return nil, true, err
 	}
+	_ = nc.SetDeadline(time.Time{})
 	p.mu.Lock()
-	p.cooldownDur = 0
-	p.cooldownUntil = time.Time{}
-	p.lastDialErr = nil
+	p.step, p.probing, p.lastErr = 0, false, nil
+	p.until.Store(0)
 	if p.closed {
 		p.mu.Unlock()
 		c.close()
@@ -181,22 +201,24 @@ func (p *connPool) get() (*wconn, bool, error) {
 	return c, true, nil
 }
 
-// noteDialFailure records a failed fresh dial and extends the
-// per-replica cooldown: doubling per consecutive failure, bounded by
-// dialBackoffMax, jittered so independent clients spread out.
-func (p *connPool) noteDialFailure(err error) {
+// backoff starts a backoff step after err, a failure that says the
+// server may be down: a failed dial or handshake, a transport failure
+// on a fresh connection or inside a transaction, or a CodeDraining
+// refusal. The step doubles per failure, bounded by dialBackoffMax and
+// jittered so independent clients spread out. A failure while a step
+// runs — another transaction on the same dead server — leaves it be;
+// only the probe that ends a step, or a failure after it, starts the
+// next.
+func (p *connPool) backoff(err error) {
 	p.mu.Lock()
-	if p.cooldownDur == 0 {
-		p.cooldownDur = dialBackoffMin
-	} else if p.cooldownDur < dialBackoffMax {
-		p.cooldownDur *= 2
-		if p.cooldownDur > dialBackoffMax {
-			p.cooldownDur = dialBackoffMax
-		}
+	defer p.mu.Unlock()
+	p.lastErr = err
+	now := time.Now()
+	if p.probing || now.UnixNano() >= p.until.Load() {
+		p.step = min(max(2*p.step, dialBackoffMin), dialBackoffMax)
+		p.until.Store(now.Add(jitter(p.step)).UnixNano())
+		p.probing = false
 	}
-	p.cooldownUntil = time.Now().Add(jitter(p.cooldownDur))
-	p.lastDialErr = err
-	p.mu.Unlock()
 }
 
 // put returns a healthy connection for reuse; surplus ones are closed.
@@ -204,7 +226,7 @@ func (p *connPool) put(c *wconn) {
 	c.clearRequests()
 	p.mu.Lock()
 	delete(p.active, c)
-	if p.closed || p.retired || len(p.idle) >= p.maxIdle {
+	if p.closed || p.retired.Load() || len(p.idle) >= p.maxIdle {
 		p.mu.Unlock()
 		c.close()
 		return
@@ -221,7 +243,7 @@ func (p *connPool) retire() {
 	p.mu.Lock()
 	idle := p.idle
 	p.idle = nil
-	p.retired = true
+	p.retired.Store(true)
 	p.mu.Unlock()
 	for _, c := range idle {
 		c.close()
@@ -302,41 +324,49 @@ func (p *connPool) rpc(req wire.Message, deadline time.Duration) (wire.Message, 
 	return reply, err
 }
 
-// do runs one request/reply exchange on a pooled connection, retrying
-// stale pooled connections with a bounded, jittered exponential
-// backoff between attempts. Err replies surface as a *protocolError
-// carrying the code; NotLeader replies surface as a typed
-// NotLeaderError so callers can follow the redirect; any other reply
-// goes to use, which runs before the connection returns to the pool —
-// the reply may be a decode target the connection reuses for its next
-// frame, so use must not retain it.
+// do runs one request/reply exchange on a pooled connection (see
+// exchange) and hands the reply to use, which runs before the
+// connection returns to the pool — the reply may be a decode target the
+// connection reuses for its next frame, so use must not retain it.
 // A positive deadline bounds the whole exchange (used by long polls so
 // a one-way partition cannot park the caller forever).
 func (p *connPool) do(req wire.Message, deadline time.Duration, use func(wire.Message) error) error {
 	return p.doOn(func(*wconn) wire.Message { return req }, deadline, use)
 }
 
-// doOn is do with the request built on each checked-out connection, so
+// doOn is do with the request built on the checked-out connection, so
 // a per-update verb can send the connection's reusable request struct
 // instead of allocating one per call.
 func (p *connPool) doOn(req func(c *wconn) wire.Message, deadline time.Duration, use func(wire.Message) error) error {
+	c, reply, err := p.exchange(req, deadline)
+	if err != nil {
+		return err
+	}
+	err = use(reply)
+	p.put(c)
+	return err
+}
+
+// exchange is the pool's one checkout-and-exchange loop: it checks a
+// connection out, sends it req(c) and reads the reply. A pooled
+// connection that fails is stale, which says nothing about the server,
+// so the next is tried at once; a fresh one that fails puts the pool
+// into backoff and ends the loop. A NotLeader reply comes back as a
+// NotLeaderError and an Err reply as a *protocolError carrying its
+// code, both with the connection back in the pool; any other reply
+// comes back with its connection still checked out, for the caller to
+// put back or keep.
+func (p *connPool) exchange(req func(c *wconn) wire.Message, deadline time.Duration) (*wconn, wire.Message, error) {
 	var lastErr error
-	backoff := dialBackoffMin
-	// Retry enough times to drain a pool full of stale connections
-	// plus one fresh dial.
-	for attempt := 0; attempt <= p.maxIdle+1; attempt++ {
-		if attempt > 0 {
-			time.Sleep(jitter(backoff))
-			if backoff < dialBackoffMax {
-				backoff *= 2
-			}
-		}
+	// Enough attempts to drain a pool full of stale connections plus
+	// one fresh dial.
+	for range p.maxIdle + 2 {
 		c, fresh, err := p.get()
 		if err != nil {
 			if lastErr == nil {
-				return unsentError{err}
+				return nil, nil, unsentError{err}
 			}
-			return err
+			return nil, nil, err
 		}
 		if deadline > 0 {
 			_ = c.nc.SetDeadline(time.Now().Add(deadline))
@@ -350,22 +380,28 @@ func (p *connPool) doOn(req func(c *wconn) wire.Message, deadline time.Duration,
 			p.discard(c)
 			lastErr = err
 			if fresh {
-				return err
+				p.backoff(err)
+				return nil, nil, err
 			}
 			continue
 		}
+		// The reply may be the connection's reused decode target: read
+		// it before the connection goes back to the pool.
 		switch m := reply.(type) {
 		case *wire.NotLeader:
 			err = NotLeaderError{Leader: int(m.Leader), Epoch: m.Epoch, Addr: m.Addr}
 		case *wire.Err:
 			err = &protocolError{code: m.Code, msg: fmt.Sprintf("client: %s: %s", p.addr, m.Msg)}
+			if m.Code == wire.CodeDraining {
+				p.backoff(err)
+			}
 		default:
-			err = use(reply)
+			return c, reply, nil
 		}
 		p.put(c)
-		return err
+		return nil, nil, err
 	}
-	return fmt.Errorf("client: rpc to %s failed: %w", p.addr, lastErr)
+	return nil, nil, fmt.Errorf("client: rpc to %s failed: %w", p.addr, lastErr)
 }
 
 // unsentError marks a request that never left this process: no

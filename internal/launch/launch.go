@@ -23,11 +23,6 @@ import (
 	"repro/internal/wire"
 )
 
-// probeAfter is how long the clients skip a replica marked down before
-// re-probing it: short, so a stopped server is routed around quickly
-// and a restarted one is picked up again.
-const probeAfter = 100 * time.Millisecond
-
 // Cluster is a running set of replica groups.
 type Cluster struct {
 	// Servers[g][i] is replica i of group g; replica 0 is the group's
@@ -133,7 +128,7 @@ func (c *Cluster) startGroup(groups, replicas, g int, tmpl server.Options) error
 			return fmt.Errorf("launch: group %d: %w", g, err)
 		}
 	}
-	cl, err := client.New(client.Options{Servers: addrs, Design: tmpl.Design, ProbeAfter: probeAfter})
+	cl, err := client.New(client.Options{Servers: addrs, Design: tmpl.Design})
 	if err != nil {
 		return err
 	}

@@ -101,7 +101,7 @@ func TestDurableComposesWithReplicatedCertifier(t *testing.T) {
 			t.Fatalf("member %d did not resume from its WAL", i)
 		}
 	}
-	again, err := client.New(client.Options{Servers: c.Addrs(0), Design: "mm", ProbeAfter: 100 * time.Millisecond})
+	again, err := client.New(client.Options{Servers: c.Addrs(0), Design: "mm"})
 	if err != nil {
 		t.Fatal(err)
 	}

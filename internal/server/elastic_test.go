@@ -65,7 +65,6 @@ func watchingClient(t *testing.T, design, primary string) *client.Client {
 		Design:        design,
 		Watch:         true,
 		WatchInterval: 25 * time.Millisecond,
-		ProbeAfter:    100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

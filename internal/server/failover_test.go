@@ -79,7 +79,7 @@ func paxosLeaderFailover(t *testing.T, design string) {
 		t.Fatal(err)
 	}
 	const factor = 200
-	cl, err := client.New(client.Options{Servers: addrs, Design: design, ProbeAfter: 100 * time.Millisecond})
+	cl, err := client.New(client.Options{Servers: addrs, Design: design})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func paxosLeaderFailover(t *testing.T, design string) {
 		}
 	}
 	survivors = append(survivors, addrs[newLead])
-	cl2, err := client.New(client.Options{Servers: survivors, Design: design, ProbeAfter: 100 * time.Millisecond})
+	cl2, err := client.New(client.Options{Servers: survivors, Design: design})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestPaxosLeaderRestartRejoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	const factor = 200
-	cl, err := client.New(client.Options{Servers: addrs, Design: "mm", ProbeAfter: 100 * time.Millisecond})
+	cl, err := client.New(client.Options{Servers: addrs, Design: "mm"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestPaxosLaggingBackupPromotesAndRestarts(t *testing.T) {
 		for _, i := range nodes {
 			sv = append(sv, addrs[i])
 		}
-		cl, err := client.New(client.Options{Servers: sv, Design: "mm", ProbeAfter: 100 * time.Millisecond})
+		cl, err := client.New(client.Options{Servers: sv, Design: "mm"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -269,7 +269,7 @@ func TestFailoverMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	const factor = 200
-	cl, err := client.New(client.Options{Servers: addrs, Design: "mm", ProbeAfter: 100 * time.Millisecond})
+	cl, err := client.New(client.Options{Servers: addrs, Design: "mm"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestFailoverMetrics(t *testing.T) {
 			survivors = append(survivors, a)
 		}
 	}
-	cl2, err := client.New(client.Options{Servers: survivors, Design: "mm", ProbeAfter: 100 * time.Millisecond})
+	cl2, err := client.New(client.Options{Servers: survivors, Design: "mm"})
 	if err != nil {
 		t.Fatal(err)
 	}
