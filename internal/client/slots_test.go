@@ -26,6 +26,13 @@ func TestSlotTable(t *testing.T) {
 	}{
 		{name: "least loaded", slots: 3, ops: "a a a a r1 a", want: []int{0, 1, 2, 0, 1}},
 		{
+			// Ties go to the first slot scanned from a cursor that
+			// advances once per pick, so a release replays exactly.
+			name: "rotation is deterministic", slots: 3,
+			ops:  "a a a a r0 a a a a",
+			want: []int{0, 1, 2, 0, 1, 2, 0, 1},
+		},
+		{
 			// Each round holds one transaction on every survivor, so
 			// each takes exactly one: slot 0 gets no more than slot 3.
 			name: "ties rotate past a departed slot", slots: 4,
@@ -66,6 +73,15 @@ func TestSlotTable(t *testing.T) {
 				t.Fatalf("acquired %v, want %v", got, row.want)
 			}
 		})
+	}
+}
+
+// TestNewRefusesNoServers: a client, and so its slot table, is never
+// built over zero replicas.
+func TestNewRefusesNoServers(t *testing.T) {
+	c, err := New(Options{Design: "mm"})
+	if err == nil || c != nil {
+		t.Fatalf("New with no servers = %v, %v; want nil and an error", c, err)
 	}
 }
 
