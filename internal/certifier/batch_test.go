@@ -320,7 +320,7 @@ func TestRecoverBatchedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1 := paxos.NewProposer(1, []int{0, 1, 2}, tr)
-	log, err := p1.Recover(1, "noop") // slot 0 = batch, slot 1 = single
+	_, log, err := p1.Campaign("noop") // slot 0 = batch, slot 1 = single
 	if err != nil {
 		t.Fatal(err)
 	}

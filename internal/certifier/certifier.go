@@ -306,8 +306,8 @@ func (c *Certifier) LowWater() int64 {
 
 // NewReplicated creates a certifier whose log is replicated across
 // nodes in-process Paxos acceptors (the paper uses a leader and two
-// backups, so nodes is typically 3). It returns the certifier and the
-// transport, which tests use to inject failures.
+// backups, so nodes is typically 3), led by node 0. It returns the
+// certifier and the transport, which tests use to inject failures.
 func NewReplicated(nodes int) (*Certifier, *paxos.LocalTransport, error) {
 	if nodes < 1 {
 		return nil, nil, fmt.Errorf("certifier: %d replication nodes", nodes)
@@ -319,35 +319,27 @@ func NewReplicated(nodes int) (*Certifier, *paxos.LocalTransport, error) {
 		ids[i] = i
 	}
 	tr := paxos.NewLocalTransport(accs...)
-	c := New()
-	c.proposer = paxos.NewProposer(0, ids, tr)
-	return c, tr, nil
+	c, _, err := Promote(0, ids, tr)
+	return c, tr, err
 }
 
-// NewReplicatedOver creates a certifier replicating through an
-// externally supplied transport — the networked deployment, where
-// acceptors live inside each replica's server. With fenced true the
-// proposer deposes itself on preemption (returning NotLeaderError from
-// Certify) instead of outbidding, which is what leader election
-// requires: a deposed leader can never ack a commit the new leader did
-// not learn.
-func NewReplicatedOver(id int, peers []int, tr paxos.Transport, fenced bool) *Certifier {
+// NewReplicatedOver creates an empty certifier replicating through an
+// externally supplied transport, as node id of peers. Its first
+// certification elects it when the group's log holds no values; over
+// a log that does, Campaign learns them first.
+func NewReplicatedOver(id int, peers []int, tr paxos.Transport) *Certifier {
 	c := New()
-	p := paxos.NewProposer(id, peers, tr)
-	p.SetFenced(fenced)
-	c.proposer = p
+	c.proposer = paxos.NewProposer(id, peers, tr)
 	return c
 }
 
 // Promote elects node id leader of the certification group and
 // rebuilds the certifier from the recovered Paxos log — the backup
 // promotion path after a leader failure. It returns the promoted
-// certifier and its epoch (the winning ballot). The fenced proposer it
-// installs guarantees the new leader is itself deposed cleanly when an
-// even newer epoch appears.
+// certifier and its epoch (the winning ballot). The proposer it
+// installs is deposed cleanly when an even newer epoch appears.
 func Promote(id int, peers []int, tr paxos.Transport) (*Certifier, paxos.Ballot, error) {
 	p := paxos.NewProposer(id, peers, tr)
-	p.SetFenced(true)
 	epoch, log, err := p.Campaign(noopValue)
 	if err != nil {
 		return nil, paxos.Ballot{}, fmt.Errorf("certifier: promote: %w", err)
@@ -392,7 +384,7 @@ func (c *Certifier) Epoch() paxos.Ballot {
 	return p.CurrentBallot()
 }
 
-// Deposed reports whether this certifier's fenced proposer has been
+// Deposed reports whether this certifier's proposer has been
 // preempted by a higher epoch (and by which ballot); always false on
 // an unreplicated certifier. A deposed certifier answers every
 // certification with NotLeaderError until re-elected via Campaign.
@@ -545,20 +537,21 @@ func (c *Certifier) CertifyBatch(reqs []Request) ([]Result, error) {
 // the sync outside it (group commit).
 func (c *Certifier) certify(reqs []Request, res []Result) error {
 	c.mu.Lock()
-	var aborts int64
-	paxosTime, err := c.proposeLocked(func() bool {
-		aborts = c.stageLocked(reqs, res)
-		return len(c.stagedLocked()) > 0
-	}, func(b []byte) []byte {
-		b, _ = AppendRecords(b, c.stagedLocked())
-		return b
-	})
+	aborts := c.stageLocked(reqs, res)
+	staged := c.stagedLocked()
+	var paxosTime time.Duration
+	var err error
+	if len(staged) > 0 {
+		paxosTime, err = c.proposeLocked(func(b []byte) []byte {
+			b, _ = AppendRecords(b, staged)
+			return b
+		})
+	}
 	if err != nil {
 		c.unstageLocked()
 		c.mu.Unlock()
 		return err
 	}
-	staged := c.stagedLocked()
 	first, last := c.version+1, c.version+int64(len(staged))
 	if paxosTime > 0 {
 		c.observeStage("paxos", first, last, paxosTime)
@@ -588,10 +581,9 @@ func (c *Certifier) certify(reqs []Request, res []Result) error {
 }
 
 // stageLocked decides reqs in order against the committed log and
-// stages each commit at the log tail, dropping whatever an earlier pass
-// staged. It fills res and returns the number of aborts.
+// stages each commit at the log tail. It fills res and returns the
+// number of aborts.
 func (c *Certifier) stageLocked(reqs []Request, res []Result) (aborts int64) {
-	c.unstageLocked()
 	// A batch conflict-tests against its own earlier commits too; a batch
 	// of one has none, and skips the overlay.
 	var overlay map[writeset.Key]int64
@@ -641,88 +633,29 @@ func (c *Certifier) stageLocked(reqs []Request, res []Result) (aborts int64) {
 	return aborts
 }
 
-// maxProposeAttempts bounds how many competing values one proposal
-// folds before it gives up.
-const maxProposeAttempts = 1000
-
 // maxValBuf bounds the proposal buffer a certifier keeps between
 // proposals, so one huge batch (a bulk load) does not pin its size.
 const maxValBuf = 1 << 20
 
-// proposeLocked runs stage, which decides an operation against the
-// current log and reports whether it has anything to persist, and on a
-// replicated certifier persists the value encode then appends to the
-// buffer it is given (the operation's log frames) through Paxos before
-// anything is acknowledged. It returns the time the Paxos
-// rounds took. A slot may turn out to hold a competing value — a
-// deposed leader's in-flight proposal that reached only a minority and
-// was resurrected by our prepare. That value is a chosen log entry the
-// moment it is adopted, so it is folded into this log (taking the
-// versions the staged records were about to use) and stage runs again,
-// redoing its checks, before the value retries at the next slot.
-// Proposing around it would give two different records the same
-// version, which is divergence.
-func (c *Certifier) proposeLocked(stage func() bool, encode func(b []byte) []byte) (time.Duration, error) {
+// proposeLocked persists, on a replicated certifier, the value encode
+// appends to the buffer it is given (an operation's log frames) through
+// Paxos before anything is acknowledged, and returns the time the round
+// took; an unreplicated certifier encodes nothing. The leader's
+// campaign recovered every value chosen before its term, so the round
+// chooses this value or fails: it never meets another leader's.
+func (c *Certifier) proposeLocked(encode func(b []byte) []byte) (time.Duration, error) {
 	if c.proposer == nil {
-		stage()
 		return 0, nil
 	}
 	start := time.Now()
-	for range maxProposeAttempts {
-		if !stage() {
-			return time.Since(start), nil
-		}
-		b := encode(c.valBuf[:0])
-		if cap(b) <= maxValBuf {
-			c.valBuf = b
-		}
-		val := paxos.Value(b) // the one copy, which the acceptors keep
-		_, chosen, err := c.proposer.ProposeNext(val)
-		if err != nil {
-			return 0, replicationError(err)
-		}
-		if chosen == val {
-			return time.Since(start), nil
-		}
-		if err := c.foldLocked(chosen); err != nil {
-			return 0, err
-		}
+	b := encode(c.valBuf[:0])
+	if cap(b) <= maxValBuf {
+		c.valBuf = b
 	}
-	return 0, errors.New("certifier: proposer starved")
-}
-
-// foldLocked installs the records of a competing value chosen at a
-// Paxos slot this certifier proposed into (see proposeLocked), after
-// dropping the records staged for our own value. They are committed
-// log entries exactly as recovery finds them: journaled and applied
-// ahead of anything certified afterwards. Noops and records already in
-// the log fold to nothing; a version gap is refused, because applying
-// around a hole would stall every replica's applier.
-func (c *Certifier) foldLocked(v paxos.Value) error {
-	var rp Replay
-	if err := rp.Value(v); err != nil {
-		return fmt.Errorf("certifier: fold adopted value: %w", err)
+	if _, err := c.proposer.Propose(paxos.Value(b)); err != nil { // the one copy, which the acceptors keep
+		return 0, replicationError(err)
 	}
-	c.unstageLocked()
-	next := c.version + 1
-	for _, rec := range rp.Records {
-		if rec.Version < next {
-			continue
-		}
-		if rec.Version != next {
-			c.unstageLocked()
-			return fmt.Errorf("certifier: adopted value skips versions %d..%d", next, rec.Version-1)
-		}
-		c.appendLocked(rec)
-		next++
-	}
-	folded := c.stagedLocked()
-	if len(folded) > 0 && c.journal != nil {
-		// Replicated, so the policy never refuses: a failure detaches.
-		_, _, _ = c.journaledLocked(c.journal.Append(folded))
-	}
-	c.publishLocked(folded)
-	return nil
+	return time.Since(start), nil
 }
 
 // replicationError converts a Propose failure into the caller-facing

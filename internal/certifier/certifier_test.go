@@ -260,7 +260,7 @@ func TestLeaderFailoverRecoversLog(t *testing.T) {
 	}
 	// Promote node 1; the old leader's proposer is gone.
 	p1 := paxos.NewProposer(1, []int{0, 1, 2}, tr)
-	log, err := p1.Recover(4, "noop") // slots 0..4 hold versions 1..5
+	_, log, err := p1.Campaign("noop") // slots 0..4 hold versions 1..5
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,5 +321,46 @@ func TestCertifyAfterManyGCCycles(t *testing.T) {
 	}
 	if c.Version() != 100 {
 		t.Fatalf("version after GC cycles = %d", c.Version())
+	}
+}
+
+// countingTransport counts the prepares and accepts a certifier's
+// proposer sends.
+type countingTransport struct {
+	paxos.Transport
+	prepares, accepts int
+}
+
+func (c *countingTransport) Prepare(to int, b paxos.Ballot, from int) (paxos.PrepareReply, error) {
+	c.prepares++
+	return c.Transport.Prepare(to, b, from)
+}
+
+func (c *countingTransport) Accept(to int, b paxos.Ballot, slot int, v paxos.Value) (paxos.AcceptReply, error) {
+	c.accepts++
+	return c.Transport.Accept(to, b, slot, v)
+}
+
+// TestSteadyCertifySendsNoPrepare pins multi-Paxos on a 3-node group:
+// the election prepares each acceptor once, and a certification after
+// it is phase 2 alone, three accepts and no prepare.
+func TestSteadyCertifySendsNoPrepare(t *testing.T) {
+	accs := []*paxos.Acceptor{paxos.NewAcceptor(0), paxos.NewAcceptor(1), paxos.NewAcceptor(2)}
+	ct := &countingTransport{Transport: paxos.NewLocalTransport(accs...)}
+	c, _, err := Promote(0, []int{0, 1, 2}, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct.prepares != 3 || ct.accepts != 0 {
+		t.Fatalf("election over an empty log sent %d prepares and %d accepts, want 3 and 0", ct.prepares, ct.accepts)
+	}
+	for i := int64(1); i <= 10; i++ {
+		ct.prepares, ct.accepts = 0, 0
+		if out, err := c.Certify(c.Version(), ws(i)); err != nil || !out.Committed {
+			t.Fatalf("certify %d: %+v %v", i, out, err)
+		}
+		if ct.prepares != 0 || ct.accepts != 3 {
+			t.Fatalf("certify %d sent %d prepares and %d accepts, want 0 and 3", i, ct.prepares, ct.accepts)
+		}
 	}
 }

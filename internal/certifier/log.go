@@ -24,8 +24,7 @@ import (
 //   - a retirement on its own is one forget frame (codec.ForgetFrame).
 //
 // Every reader decodes through Replay: WAL recovery feeds it a
-// segment's frames, and Recover, ReconcileLog and foldLocked feed it
-// Paxos values.
+// segment's frames, and Recover and ReconcileLog feed it Paxos values.
 
 // AppendRecords appends one writeset frame per record, then one commit
 // marker covering them all, and returns the buffer with the highest

@@ -55,7 +55,6 @@ func TestLogIsBinarySafe(t *testing.T) {
 	if len(want) != 4 {
 		t.Fatalf("leader log holds %d records, want 4", len(want))
 	}
-	maxSlot := c.ReplicationSlots() - 1
 
 	sameRecords := func(t *testing.T, r *Certifier) {
 		t.Helper()
@@ -75,7 +74,7 @@ func TestLogIsBinarySafe(t *testing.T) {
 	}
 
 	t.Run("Recover", func(t *testing.T) {
-		log, err := paxos.NewProposer(1, ids, tr).Recover(maxSlot, "noop")
+		_, log, err := paxos.NewProposer(1, ids, tr).Campaign("noop")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +85,7 @@ func TestLogIsBinarySafe(t *testing.T) {
 		sameRecords(t, r)
 	})
 	t.Run("ReconcileLog", func(t *testing.T) {
-		r := NewReplicatedOver(2, ids, tr, true)
+		r := NewReplicatedOver(2, ids, tr)
 		if _, err := r.Campaign(); err != nil {
 			t.Fatal(err)
 		}
@@ -122,17 +121,20 @@ func TestLogIsBinarySafe(t *testing.T) {
 			t.Fatal("scratch certifier has no slot 3")
 		}
 		// Leader a certifies versions 1..3; its proposal for version 4
-		// reaches only its own acceptor. The new leader b folds it in.
+		// reaches its own acceptor and node 1's. The new leader b's
+		// campaign recovers it through node 1, and Recover folds it in.
 		accs := []*paxos.Acceptor{paxos.NewAcceptor(0), paxos.NewAcceptor(1), paxos.NewAcceptor(2)}
 		ftr := paxos.NewLocalTransport(accs...)
-		a := NewReplicatedOver(0, ids, ftr, true)
+		a := NewReplicatedOver(0, ids, ftr)
 		for i := int64(1); i <= 3; i++ {
 			if _, err := a.Certify(i-1, ws(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if rep, err := accs[0].Accept(a.Epoch(), 3, stale); err != nil || !rep.OK {
-			t.Fatalf("stale accept: %+v %v", rep, err)
+		for _, acc := range accs[:2] {
+			if rep, err := acc.Accept(a.Epoch(), 3, stale); err != nil || !rep.OK {
+				t.Fatalf("stale accept: %+v %v", rep, err)
+			}
 		}
 		ftr.SetDown(0, true)
 		b, _, err := Promote(1, ids, ftr)

@@ -114,7 +114,7 @@ func TestRecoverMixedBatchedAndSingleEntries(t *testing.T) {
 	}
 
 	p1 := paxos.NewProposer(1, []int{0, 1, 2}, tr)
-	log, err := p1.Recover(4, "noop")
+	_, log, err := p1.Campaign("noop")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,26 +146,16 @@ func (c *Certifier) Prepare(p PreparedTxn) (vote bool, conflictWith int64, err e
 		c.mu.Unlock()
 		return d.Commit, 0, nil // already decided: echo the outcome
 	}
-	// The vote is not cast until our own value is chosen: a folded
-	// competing value redoes the conflict test.
-	_, err = c.proposeLocked(func() bool {
-		var conflict bool
-		conflict, conflictWith = c.conflictLocked(p.Snapshot, p.Writeset)
-		// A concurrent in-doubt fragment holding one of the keys blocks
-		// the vote too.
-		vote = !conflict && !c.prepConflictLocked(p.ID, p.Writeset)
-		return vote
-	}, func(b []byte) []byte {
-		return AppendPrepare(b, p)
-	})
-	if err != nil {
-		c.mu.Unlock()
-		return false, 0, err
-	}
-	if !vote {
+	// A concurrent in-doubt fragment holding one of the keys blocks the
+	// vote too. The vote is not cast until the prepare is chosen.
+	if conflict, with := c.conflictLocked(p.Snapshot, p.Writeset); conflict || c.prepConflictLocked(p.ID, p.Writeset) {
 		c.aborts++
 		c.mu.Unlock()
-		return false, conflictWith, nil
+		return false, with, nil
+	}
+	if _, err := c.proposeLocked(func(b []byte) []byte { return AppendPrepare(b, p) }); err != nil {
+		c.mu.Unlock()
+		return false, 0, err
 	}
 	var j Journal
 	var seq int64
@@ -220,21 +210,19 @@ func (c *Certifier) Decide(id codec.TxnID, commit bool, retire ...codec.TxnID) (
 		c.mu.Unlock()
 		return 0, fmt.Errorf("certifier: commit decision for unknown txn %s", id)
 	}
-	// A commit stages its record at the log tail. No conflict recheck
-	// after a fold: the prepared locks guarantee nothing conflicting
-	// certified since the vote, so only the version shifts. The quorum
-	// must learn the decision: a promoted backup that lost the leader's
-	// memory still answers Resolve correctly. The value is the frames
-	// the journal writes for the decision (AppendDecision), so a
-	// decide-commit carries its record and its retirements, and every
-	// recovery path replays them like any other.
-	_, err = c.proposeLocked(func() bool {
-		if commit {
-			version = c.version + 1
-			c.appendLocked(Record{Version: version, Writeset: p.Writeset})
-		}
-		return true
-	}, func(b []byte) []byte {
+	// A commit stages its record at the log tail, with no conflict
+	// recheck: the prepared locks guarantee nothing conflicting
+	// certified since the vote. The quorum must learn the decision: a
+	// promoted backup that lost the leader's memory still answers
+	// Resolve correctly. The value is the frames the journal writes for
+	// the decision (AppendDecision), so a decide-commit carries its
+	// record and its retirements, and every recovery path replays them
+	// like any other.
+	if commit {
+		version = c.version + 1
+		c.appendLocked(Record{Version: version, Writeset: p.Writeset})
+	}
+	_, err = c.proposeLocked(func(b []byte) []byte {
 		b, _ = AppendDecision(b, id, commit, version, c.stagedLocked(), retire)
 		return b
 	})
@@ -320,9 +308,7 @@ func (c *Certifier) Forget(ids ...codec.TxnID) error {
 		c.mu.Unlock()
 		return nil
 	}
-	if _, err := c.proposeLocked(func() bool { return true }, func(b []byte) []byte {
-		return codec.ForgetFrame(b, ids)
-	}); err != nil {
+	if _, err := c.proposeLocked(func(b []byte) []byte { return codec.ForgetFrame(b, ids) }); err != nil {
 		c.mu.Unlock()
 		return err
 	}

@@ -166,7 +166,7 @@ func TestPreparedLockBlocksBatch(t *testing.T) {
 func TestReplicatedPrepareSurvivesPromote(t *testing.T) {
 	accs := []*paxos.Acceptor{paxos.NewAcceptor(0), paxos.NewAcceptor(1), paxos.NewAcceptor(2)}
 	tr := paxos.NewLocalTransport(accs...)
-	a := NewReplicatedOver(0, []int{0, 1, 2}, tr, true)
+	a := NewReplicatedOver(0, []int{0, 1, 2}, tr)
 	if out, err := a.Certify(0, ws(1)); err != nil || !out.Committed {
 		t.Fatalf("seed: %+v %v", out, err)
 	}

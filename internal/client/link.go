@@ -211,11 +211,11 @@ func (l *Link) Stats() (*wire.StatsOK, error) {
 	return m, nil
 }
 
-// PaxosPrepare relays a Paxos phase-1a request to the acceptor
-// embedded in the peer server.
-func (l *Link) PaxosPrepare(b paxos.Ballot, slot int) (paxos.PrepareReply, error) {
+// PaxosPrepare relays a Paxos phase-1a request for the slots from on
+// to the acceptor embedded in the peer server.
+func (l *Link) PaxosPrepare(b paxos.Ballot, from int) (paxos.PrepareReply, error) {
 	reply, err := l.pool.rpc(&wire.PaxosPrepare{
-		Round: int64(b.Round), Proposer: int64(b.Proposer), Slot: int64(slot),
+		Round: int64(b.Round), Proposer: int64(b.Proposer), From: int64(from),
 	}, linkRPCDeadline)
 	if err != nil {
 		return paxos.PrepareReply{}, err
@@ -224,13 +224,20 @@ func (l *Link) PaxosPrepare(b paxos.Ballot, slot int) (paxos.PrepareReply, error
 	if !ok {
 		return paxos.PrepareReply{}, fmt.Errorf("client: unexpected prepare reply %T", reply)
 	}
-	return paxos.PrepareReply{
-		OK:             m.OK,
-		Promised:       paxos.Ballot{Round: int(m.PromisedRound), Proposer: int(m.PromisedProposer)},
-		AcceptedBallot: paxos.Ballot{Round: int(m.AcceptedRound), Proposer: int(m.AcceptedProposer)},
-		AcceptedValue:  paxos.Value(m.AcceptedValue),
-		HasAccepted:    m.HasAccepted,
-	}, nil
+	rep := paxos.PrepareReply{
+		OK:       m.OK,
+		Promised: paxos.Ballot{Round: int(m.PromisedRound), Proposer: int(m.PromisedProposer)},
+		Votes:    make([]paxos.Vote, len(m.Votes)),
+		More:     m.More,
+	}
+	for i, v := range m.Votes {
+		rep.Votes[i] = paxos.Vote{
+			Slot:   int(v.Slot),
+			Ballot: paxos.Ballot{Round: int(v.Round), Proposer: int(v.Proposer)},
+			Value:  paxos.Value(v.Value),
+		}
+	}
+	return rep, nil
 }
 
 // PaxosAccept relays a Paxos phase-2a request to the acceptor embedded
@@ -248,23 +255,6 @@ func (l *Link) PaxosAccept(b paxos.Ballot, slot int, v paxos.Value) (paxos.Accep
 	}
 	return paxos.AcceptReply{
 		OK:       m.OK,
-		Promised: paxos.Ballot{Round: int(m.PromisedRound), Proposer: int(m.PromisedProposer)},
-	}, nil
-}
-
-// PaxosLearn asks the peer's acceptor for its highest voted slot and
-// current promise, the first step of an election.
-func (l *Link) PaxosLearn() (paxos.LearnReply, error) {
-	reply, err := l.pool.rpc(&wire.PaxosLearn{}, linkRPCDeadline)
-	if err != nil {
-		return paxos.LearnReply{}, err
-	}
-	m, ok := reply.(*wire.PaxosLearnOK)
-	if !ok {
-		return paxos.LearnReply{}, fmt.Errorf("client: unexpected learn reply %T", reply)
-	}
-	return paxos.LearnReply{
-		MaxSlot:  int(m.MaxSlot),
 		Promised: paxos.Ballot{Round: int(m.PromisedRound), Proposer: int(m.PromisedProposer)},
 	}, nil
 }

@@ -42,15 +42,15 @@ func (t *PaxosTransport) peer(to int) (*Link, error) {
 }
 
 // Prepare implements paxos.Transport.
-func (t *PaxosTransport) Prepare(to int, b paxos.Ballot, slot int) (paxos.PrepareReply, error) {
+func (t *PaxosTransport) Prepare(to int, b paxos.Ballot, from int) (paxos.PrepareReply, error) {
 	if to == t.self {
-		return t.local.Prepare(b, slot)
+		return t.local.Prepare(b, from)
 	}
 	l, err := t.peer(to)
 	if err != nil {
 		return paxos.PrepareReply{}, err
 	}
-	rep, err := l.PaxosPrepare(b, slot)
+	rep, err := l.PaxosPrepare(b, from)
 	if err != nil {
 		return paxos.PrepareReply{}, fmt.Errorf("%w: node %d: %v", paxos.ErrUnreachable, to, err)
 	}
@@ -69,23 +69,6 @@ func (t *PaxosTransport) Accept(to int, b paxos.Ballot, slot int, v paxos.Value)
 	rep, err := l.PaxosAccept(b, slot, v)
 	if err != nil {
 		return paxos.AcceptReply{}, fmt.Errorf("%w: node %d: %v", paxos.ErrUnreachable, to, err)
-	}
-	return rep, nil
-}
-
-// Learn implements paxos.Transport.
-func (t *PaxosTransport) Learn(to int) (paxos.LearnReply, error) {
-	if to == t.self {
-		maxSlot, promised := t.local.Status()
-		return paxos.LearnReply{MaxSlot: maxSlot, Promised: promised}, nil
-	}
-	l, err := t.peer(to)
-	if err != nil {
-		return paxos.LearnReply{}, err
-	}
-	rep, err := l.PaxosLearn()
-	if err != nil {
-		return paxos.LearnReply{}, fmt.Errorf("%w: node %d: %v", paxos.ErrUnreachable, to, err)
 	}
 	return rep, nil
 }

@@ -2,10 +2,11 @@
 // in-process transports. The paper's certifier is "replicated using
 // Paxos [Lamport 1998] for fault-tolerance" with a leader and two
 // backups (§5.1, §6.1); this package provides that replication: a
-// sequence of slots is agreed upon by a majority of acceptors, a
-// stable leader skips the prepare phase (classic multi-Paxos), and a
-// new leader's first action is to re-learn and close any slots the old
-// leader left open.
+// sequence of slots is agreed upon by a majority of acceptors. A leader
+// runs phase 1 once per term (classic multi-Paxos): its campaign's
+// prepare covers every slot, reads back the acceptors' votes page by
+// page, and closes every slot the old leader left open. From then on
+// each proposal is phase 2 alone.
 //
 // The implementation favours clarity over throughput: calls are
 // synchronous method invocations through a Transport that tests use to
@@ -39,15 +40,8 @@ func (b Ballot) Less(o Ballot) bool {
 // String renders "round.proposer".
 func (b Ballot) String() string { return fmt.Sprintf("%d.%d", b.Round, b.Proposer) }
 
-// accepted is an acceptor's record for one slot.
-type accepted struct {
-	ballot Ballot
-	value  Value
-	has    bool
-}
-
-// AcceptedSlot is one slot's restored voting record, as a durable
-// acceptor store hands it back on recovery.
+// AcceptedSlot is one slot's vote: the ballot it was cast at and the
+// value. A durable acceptor store hands the votes back on recovery.
 type AcceptedSlot struct {
 	Ballot Ballot
 	Value  Value
@@ -68,33 +62,52 @@ type Persister interface {
 	SaveAccept(slot int, b Ballot, v Value) error
 }
 
-// Acceptor is the persistent voting state of one node.
+// Acceptor is the persistent voting state of one node. Its one promise
+// covers every slot.
 type Acceptor struct {
 	mu       sync.Mutex
 	id       int
 	promised Ballot
-	slots    map[int]accepted
+	slots    map[int]AcceptedSlot
+	top      int       // highest voted slot, -1 when none
 	persist  Persister // nil: volatile (in-process tests)
 }
 
 // NewAcceptor creates a volatile acceptor with the given id.
 func NewAcceptor(id int) *Acceptor {
-	return &Acceptor{id: id, slots: make(map[int]accepted)}
+	return RestoreAcceptor(id, nil, Ballot{}, nil)
 }
 
 // RestoreAcceptor rebuilds a durable acceptor from its persisted
-// state: the highest promise and the per-slot votes a store replayed.
-// Subsequent promises and votes are written through p before any
-// reply leaves this node.
+// state: the highest promise and the per-slot votes a store replayed,
+// which the acceptor takes over. Subsequent promises and votes are
+// written through p before any reply leaves this node.
 func RestoreAcceptor(id int, p Persister, promised Ballot, slots map[int]AcceptedSlot) *Acceptor {
-	a := &Acceptor{id: id, promised: promised, slots: make(map[int]accepted, len(slots)), persist: p}
+	if slots == nil {
+		slots = make(map[int]AcceptedSlot)
+	}
+	a := &Acceptor{id: id, promised: promised, slots: slots, top: -1, persist: p}
 	for s, rec := range slots {
-		a.slots[s] = accepted{ballot: rec.Ballot, value: rec.Value, has: true}
+		a.top = max(a.top, s)
 		if a.promised.Less(rec.Ballot) {
 			a.promised = rec.Ballot
 		}
 	}
 	return a
+}
+
+// Promised returns the acceptor's current promise.
+func (a *Acceptor) Promised() Ballot {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.promised
+}
+
+// Vote is one acceptor vote, as a prepare reply carries it.
+type Vote struct {
+	Slot   int
+	Ballot Ballot
+	Value  Value
 }
 
 // PrepareReply answers a prepare request.
@@ -103,20 +116,34 @@ type PrepareReply struct {
 	// Promised is the acceptor's promise after the call (its current
 	// promise if the request was rejected).
 	Promised Ballot
-	// Accepted reports any value this acceptor already accepted for
-	// the slot, which the proposer must adopt.
-	AcceptedBallot Ballot
-	AcceptedValue  Value
-	HasAccepted    bool
+	// Votes are the acceptor's votes at slots at or above the request's
+	// first slot, in slot order; a proposer must adopt them.
+	Votes []Vote
+	// More reports that the acceptor holds votes past the last one in
+	// Votes, which the byte budget held back: the reply covers the
+	// slots up to that last vote's, and the next page starts after it.
+	More bool
 }
 
-// Prepare handles phase 1a for one slot. A raised promise is persisted
-// before the reply; a persist failure surfaces as an error the caller
-// treats like an unreachable node (nothing was promised).
-func (a *Acceptor) Prepare(b Ballot, slot int) (PrepareReply, error) {
+// prepareBudget bounds the value bytes, plus voteOverhead per vote, of
+// one prepare reply, keeping it well inside the wire's 16 MiB frame.
+// A reply always carries at least one vote, so a campaign pages
+// through a log of any length.
+const (
+	prepareBudget = 4 << 20
+	voteOverhead  = 32
+)
+
+// Prepare handles phase 1a at ballot b for every slot: it promises b
+// and returns the votes at slots from on, up to the byte budget. A
+// promise moves only to a later round, so each term has a round of
+// its own: the epoch. A raised promise is persisted before the reply;
+// a persist failure surfaces as an error the caller treats like an
+// unreachable node (nothing was promised).
+func (a *Acceptor) Prepare(b Ballot, from int) (PrepareReply, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if b.Less(a.promised) {
+	if b != a.promised && b.Round <= a.promised.Round {
 		return PrepareReply{OK: false, Promised: a.promised}, nil
 	}
 	if a.persist != nil && a.promised.Less(b) {
@@ -125,14 +152,20 @@ func (a *Acceptor) Prepare(b Ballot, slot int) (PrepareReply, error) {
 		}
 	}
 	a.promised = b
-	acc := a.slots[slot]
-	return PrepareReply{
-		OK:             true,
-		Promised:       a.promised,
-		AcceptedBallot: acc.ballot,
-		AcceptedValue:  acc.value,
-		HasAccepted:    acc.has,
-	}, nil
+	rep := PrepareReply{OK: true, Promised: b}
+	size := 0
+	for s := max(from, 0); s <= a.top; s++ {
+		acc, ok := a.slots[s]
+		if !ok {
+			continue
+		}
+		if size += len(acc.Value) + voteOverhead; size > prepareBudget && len(rep.Votes) > 0 {
+			rep.More = true
+			break
+		}
+		rep.Votes = append(rep.Votes, Vote{Slot: s, Ballot: acc.Ballot, Value: acc.Value})
+	}
+	return rep, nil
 }
 
 // AcceptReply answers an accept request.
@@ -156,57 +189,20 @@ func (a *Acceptor) Accept(b Ballot, slot int, v Value) (AcceptReply, error) {
 		}
 	}
 	a.promised = b
-	a.slots[slot] = accepted{ballot: b, value: v, has: true}
+	a.slots[slot] = AcceptedSlot{Ballot: b, Value: v}
+	a.top = max(a.top, slot)
 	return AcceptReply{OK: true, Promised: b}, nil
-}
-
-// MaxSlot returns the highest slot this acceptor has voted on, or -1.
-func (a *Acceptor) MaxSlot() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	max := -1
-	for s := range a.slots {
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
-// Status reports the acceptor's highest voted slot and current
-// promise — what a campaigning proposer learns before picking a
-// ballot that outbids every live promise.
-func (a *Acceptor) Status() (maxSlot int, promised Ballot) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	maxSlot = -1
-	for s := range a.slots {
-		if s > maxSlot {
-			maxSlot = s
-		}
-	}
-	return maxSlot, a.promised
-}
-
-// LearnReply answers a learn (status) request during an election.
-type LearnReply struct {
-	// MaxSlot is the highest slot the acceptor voted on, or -1.
-	MaxSlot int
-	// Promised is the acceptor's current promise.
-	Promised Ballot
 }
 
 // Transport delivers acceptor calls, allowing tests to sever links.
 // The production implementation speaks the wire protocol's Paxos
 // frames to acceptors embedded in each replica server.
 type Transport interface {
-	// Prepare sends a prepare to the acceptor with the given id.
-	Prepare(to int, b Ballot, slot int) (PrepareReply, error)
+	// Prepare sends a prepare at b for the slots from on to the
+	// acceptor with the given id.
+	Prepare(to int, b Ballot, from int) (PrepareReply, error)
 	// Accept sends an accept to the acceptor with the given id.
 	Accept(to int, b Ballot, slot int, v Value) (AcceptReply, error)
-	// Learn asks the acceptor with the given id for its status (highest
-	// voted slot, current promise) — the first step of an election.
-	Learn(to int) (LearnReply, error)
 }
 
 // ErrUnreachable reports a severed link.
@@ -250,12 +246,12 @@ func (t *LocalTransport) get(id int) (*Acceptor, error) {
 }
 
 // Prepare implements Transport.
-func (t *LocalTransport) Prepare(to int, b Ballot, slot int) (PrepareReply, error) {
+func (t *LocalTransport) Prepare(to int, b Ballot, from int) (PrepareReply, error) {
 	a, err := t.get(to)
 	if err != nil {
 		return PrepareReply{}, err
 	}
-	return a.Prepare(b, slot)
+	return a.Prepare(b, from)
 }
 
 // Accept implements Transport.
@@ -265,14 +261,4 @@ func (t *LocalTransport) Accept(to int, b Ballot, slot int, v Value) (AcceptRepl
 		return AcceptReply{}, err
 	}
 	return a.Accept(b, slot, v)
-}
-
-// Learn implements Transport.
-func (t *LocalTransport) Learn(to int) (LearnReply, error) {
-	a, err := t.get(to)
-	if err != nil {
-		return LearnReply{}, err
-	}
-	maxSlot, promised := a.Status()
-	return LearnReply{MaxSlot: maxSlot, Promised: promised}, nil
 }

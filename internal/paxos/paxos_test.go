@@ -3,6 +3,8 @@ package paxos
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -17,6 +19,23 @@ func cluster(n int) ([]*Acceptor, []int, *LocalTransport) {
 		ids = append(ids, i)
 	}
 	return accs, ids, NewLocalTransport(accs...)
+}
+
+// propose offers v through p, campaigning whenever p does not lead — a
+// rival deposed it, or its first proposal met values it has not
+// learned — as a replicated service does on taking over.
+func propose(p *Proposer, v Value) (int, error) {
+	for range 1000 {
+		slot, err := p.Propose(v)
+		var dep DeposedError
+		if !errors.As(err, &dep) && !errors.Is(err, ErrNotLeader) {
+			return slot, err
+		}
+		if _, _, err := p.Campaign("noop"); err != nil {
+			return 0, err
+		}
+	}
+	return 0, fmt.Errorf("proposer %d starved", p.id)
 }
 
 func TestBallotOrdering(t *testing.T) {
@@ -60,8 +79,8 @@ func TestAcceptorPromiseBlocksOldBallots(t *testing.T) {
 	if rep, err := a.Prepare(high, 0); err != nil || !rep.OK {
 		t.Fatal("first prepare rejected")
 	}
-	if rep, err := a.Prepare(low, 0); err != nil || rep.OK {
-		t.Fatal("old ballot prepared after newer promise")
+	if rep, err := a.Prepare(low, 0); err != nil || rep.OK || rep.Promised != high {
+		t.Fatal("old ballot prepared after newer promise, or its rejection hid the promise")
 	}
 	if rep, err := a.Accept(low, 0, "x"); err != nil || rep.OK {
 		t.Fatal("old ballot accepted after newer promise")
@@ -78,8 +97,11 @@ func TestPrepareReturnsAcceptedValue(t *testing.T) {
 	a.Accept(b1, 3, "first")
 	b2 := Ballot{Round: 2, Proposer: 1}
 	rep, err := a.Prepare(b2, 3)
-	if err != nil || !rep.OK || !rep.HasAccepted || rep.AcceptedValue != "first" {
+	if err != nil || !rep.OK || len(rep.Votes) != 1 || rep.Votes[0] != (Vote{Slot: 3, Ballot: b1, Value: "first"}) {
 		t.Fatalf("prepare did not surface accepted value: %+v (%v)", rep, err)
+	}
+	if rep, _ := a.Prepare(b2, 4); len(rep.Votes) != 0 || rep.More {
+		t.Fatalf("prepare from slot 4 returned votes below it: %+v", rep)
 	}
 }
 
@@ -100,17 +122,7 @@ func TestValueSurvivesLeaderChange(t *testing.T) {
 	tr.SetDown(0, true) // old leader unreachable
 
 	p1 := NewProposer(1, ids, tr)
-	maxSlot := -1
-	for _, id := range []int{1, 2} {
-		a, err := tr.get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := a.MaxSlot(); s > maxSlot {
-			maxSlot = s
-		}
-	}
-	log, err := p1.Recover(maxSlot, "noop")
+	_, log, err := p1.Campaign("noop")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,22 +157,22 @@ func TestMinoritySeveredStillDecides(t *testing.T) {
 }
 
 func TestCompetingProposersAgree(t *testing.T) {
-	// Two proposers interleave proposals; for every slot both must
-	// observe the same decided value (the fundamental safety
-	// property).
+	// Two proposers interleave proposals, each deposing the other by
+	// campaigning; for every slot both must observe the same decided
+	// value (the fundamental safety property).
 	_, ids, tr := cluster(3)
 	p0 := NewProposer(0, ids, tr)
 	p1 := NewProposer(1, ids, tr)
 	for i := 0; i < 10; i++ {
-		if _, err := p0.Propose(Value(fmt.Sprintf("a%d", i))); err != nil {
+		if _, err := propose(p0, Value(fmt.Sprintf("a%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p1.Propose(Value(fmt.Sprintf("b%d", i))); err != nil {
+		if _, err := propose(p1, Value(fmt.Sprintf("b%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Compare overlapping views.
-	for slot := 0; slot < 10; slot++ {
+	for slot := 0; slot < 20; slot++ {
 		v0, ok0 := p0.Chosen(slot)
 		v1, ok1 := p1.Chosen(slot)
 		if ok0 && ok1 && v0 != v1 {
@@ -170,22 +182,24 @@ func TestCompetingProposersAgree(t *testing.T) {
 }
 
 func TestConcurrentProposersSafety(t *testing.T) {
-	// Hammer the cluster from several goroutines. Afterwards, replay
-	// the acceptors: every slot with a majority-accepted value must be
-	// consistent across the proposers' chosen maps.
+	// Hammer the cluster from several goroutines, each proposer
+	// campaigning whenever another deposed it. Afterwards every slot
+	// with a majority-accepted value must be consistent across the
+	// proposers' chosen maps. A ballot embeds its proposer's id, so
+	// each proposer has an id of its own.
 	_, ids, tr := cluster(3)
 	const workers = 4
 	const perWorker = 15
 	proposers := make([]*Proposer, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		proposers[w] = NewProposer(w%3, ids, tr)
+		proposers[w] = NewProposer(w, ids, tr)
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				_, err := proposers[w].Propose(Value(fmt.Sprintf("w%d-%d", w, i)))
+				_, err := propose(proposers[w], Value(fmt.Sprintf("w%d-%d", w, i)))
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -221,11 +235,11 @@ func TestRecoverIdempotent(t *testing.T) {
 	p := NewProposer(0, ids, tr)
 	p.Propose("a")
 	p.Propose("b")
-	log1, err := p.Recover(1, "noop")
+	_, log1, err := p.Campaign("noop")
 	if err != nil {
 		t.Fatal(err)
 	}
-	log2, err := p.Recover(1, "noop")
+	_, log2, err := p.Campaign("noop")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,20 +275,20 @@ func TestNodeRestore(t *testing.T) {
 
 func TestProposerContentionSameSlot(t *testing.T) {
 	// Two fresh proposers both target slot 0. Exactly one value wins
-	// the slot, and the loser adopts the winner's value before landing
-	// its own in a later slot — the convergence the election path
-	// depends on.
+	// the slot, and the loser's campaign learns the winner's value
+	// before it lands its own in a later slot — the convergence the
+	// election path depends on.
 	_, ids, tr := cluster(3)
 	p0 := NewProposer(0, ids, tr)
 	p1 := NewProposer(1, ids, tr)
-	s0, err := p0.Propose("winner")
+	s0, err := propose(p0, "winner")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s0 != 0 {
 		t.Fatalf("first proposal landed in slot %d", s0)
 	}
-	s1, err := p1.Propose("loser")
+	s1, err := propose(p1, "loser")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +317,6 @@ func TestCampaignElectsAndRecovers(t *testing.T) {
 	// the full log under a strictly higher ballot.
 	_, ids, tr := cluster(3)
 	p0 := NewProposer(0, ids, tr)
-	p0.SetFenced(true)
 	want := map[int]Value{}
 	for i := 0; i < 5; i++ {
 		v := Value(fmt.Sprintf("v%d", i))
@@ -316,7 +329,6 @@ func TestCampaignElectsAndRecovers(t *testing.T) {
 	tr.SetDown(0, true)
 
 	p1 := NewProposer(1, ids, tr)
-	p1.SetFenced(true)
 	epoch, log, err := p1.Campaign("noop")
 	if err != nil {
 		t.Fatal(err)
@@ -339,16 +351,14 @@ func TestCampaignElectsAndRecovers(t *testing.T) {
 }
 
 func TestFencedLeaderDeposedCannotAck(t *testing.T) {
-	// A fenced leader preempted by a campaign must fail with
-	// DeposedError — never outbid its way back to acking.
+	// A leader preempted by a campaign must fail with DeposedError —
+	// never outbid its way back to acking.
 	_, ids, tr := cluster(3)
 	p0 := NewProposer(0, ids, tr)
-	p0.SetFenced(true)
 	if _, err := p0.Propose("pre"); err != nil {
 		t.Fatal(err)
 	}
 	p1 := NewProposer(1, ids, tr)
-	p1.SetFenced(true)
 	epoch, _, err := p1.Campaign("noop")
 	if err != nil {
 		t.Fatal(err)
@@ -384,22 +394,30 @@ func TestCampaignNeedsMajority(t *testing.T) {
 	}
 }
 
-func TestLearnReportsStatus(t *testing.T) {
+// TestPrepareReportsStatus: a prepare tells a campaign what an
+// election needs — a promise's votes end at the highest voted slot,
+// and a rejection carries the promise to outbid, which a prepare must
+// pass in round, not only in proposer id.
+func TestPrepareReportsStatus(t *testing.T) {
 	_, ids, tr := cluster(3)
 	p := NewProposer(0, ids, tr)
 	p.Propose("a")
 	p.Propose("b")
-	rep, err := tr.Learn(1)
+	rep, err := tr.Prepare(1, p.CurrentBallot(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.MaxSlot != 1 {
-		t.Fatalf("MaxSlot = %d, want 1", rep.MaxSlot)
+	if !rep.OK || rep.More || len(rep.Votes) != 2 || rep.Votes[1].Slot != 1 {
+		t.Fatalf("prepare at the leader's ballot = %+v, want the votes at slots 0 and 1", rep)
 	}
-	if rep.Promised != p.CurrentBallot() {
-		t.Fatalf("Promised = %s, want %s", rep.Promised, p.CurrentBallot())
+	rep, err = tr.Prepare(1, Ballot{Round: p.CurrentBallot().Round, Proposer: 2}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := tr.Learn(99); !errors.Is(err, ErrUnreachable) {
+	if rep.OK || rep.Promised != p.CurrentBallot() || len(rep.Votes) != 0 {
+		t.Fatalf("stale prepare = %+v, want a rejection carrying %s and no votes", rep, p.CurrentBallot())
+	}
+	if _, err := tr.Prepare(99, Ballot{}, 0); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("unknown node: %v", err)
 	}
 }
@@ -429,13 +447,13 @@ func TestPersistFailureAbortsReply(t *testing.T) {
 	if _, err := a.Prepare(b, 0); err == nil {
 		t.Fatal("prepare succeeded despite persist failure")
 	}
-	if _, promised := a.Status(); promised != (Ballot{}) {
+	if promised := a.Promised(); promised != (Ballot{}) {
 		t.Fatalf("promise leaked into memory: %s", promised)
 	}
 	if _, err := a.Accept(b, 0, "x"); err == nil {
 		t.Fatal("accept succeeded despite persist failure")
 	}
-	if a.MaxSlot() != -1 {
+	if a.top != -1 || len(a.slots) != 0 {
 		t.Fatal("vote leaked into memory")
 	}
 }
@@ -454,7 +472,7 @@ func TestRestoreAcceptorHonorsPromises(t *testing.T) {
 	if err != nil || !rep.OK {
 		t.Fatalf("prepare above restored promise failed: %+v (%v)", rep, err)
 	}
-	if !rep.HasAccepted || rep.AcceptedValue != "kept" {
+	if len(rep.Votes) != 1 || rep.Votes[0].Value != "kept" {
 		t.Fatalf("restored vote not surfaced: %+v", rep)
 	}
 }
@@ -482,5 +500,120 @@ func TestQuickProposeSequenceIsDense(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFreshProposerLeadsOnlyOverEmptyLog: a fresh proposer's first
+// proposal opens its term only over a log with no values and no term.
+// Another leader's promise deposes it; values no term holds make it
+// return ErrNotLeader. Either way it proposes nothing, and its
+// campaign learns the values.
+func TestFreshProposerLeadsOnlyOverEmptyLog(t *testing.T) {
+	accs, ids, tr := cluster(3)
+	p0 := NewProposer(0, ids, tr)
+	if slot, err := p0.Propose("a"); err != nil || slot != 0 {
+		t.Fatalf("fresh proposer over an empty log: slot %d, %v", slot, err)
+	}
+	p1 := NewProposer(1, ids, tr)
+	var dep DeposedError
+	if _, err := p1.Propose("b"); !errors.As(err, &dep) || dep.By != p0.CurrentBallot() {
+		t.Fatalf("fresh proposer inside a term: %v, want deposed by %s", err, p0.CurrentBallot())
+	}
+	if n := p1.ChosenCount(); n != 0 {
+		t.Fatalf("refused proposer knows %d slots", n)
+	}
+	if _, log, err := p1.Campaign("noop"); err != nil || len(log) != 1 || log[0] != "a" {
+		t.Fatalf("campaign after the refusal: %q %v", log, err)
+	}
+	if slot, err := p1.Propose("b"); err != nil || slot != 1 {
+		t.Fatalf("proposal after the campaign: slot %d, %v", slot, err)
+	}
+
+	accs, ids, tr = cluster(3)
+	for _, a := range accs {
+		a.Accept(Ballot{Round: 1, Proposer: 0}, 0, "old")
+	}
+	if _, err := NewProposer(1, ids, tr).Propose("b"); !errors.Is(err, ErrNotLeader) {
+		t.Fatalf("fresh proposer over values no term holds: %v, want ErrNotLeader", err)
+	}
+}
+
+// countingTransport counts the prepares a proposer sends, and those
+// that won a promise.
+type countingTransport struct {
+	Transport
+	prepares, promises int
+}
+
+func (c *countingTransport) Prepare(to int, b Ballot, from int) (PrepareReply, error) {
+	c.prepares++
+	rep, err := c.Transport.Prepare(to, b, from)
+	if rep.OK {
+		c.promises++
+	}
+	return rep, err
+}
+
+// TestCampaignPagesThroughLongLog: a log longer than one prepare reply
+// is read in pages. Each vote is a quarter of the budget, so a page
+// holds four, and nine votes take three rounds of promises, after the
+// one round the old leader's promise rejects; every value is recovered
+// at its slot.
+func TestCampaignPagesThroughLongLog(t *testing.T) {
+	const votes, perPage = 9, 4
+	_, ids, tr := cluster(3)
+	p0 := NewProposer(0, ids, tr)
+	want := make([]Value, votes)
+	for i := range want {
+		want[i] = Value(fmt.Sprintf("%d:", i) + strings.Repeat("v", prepareBudget/perPage-voteOverhead-3))
+		if _, err := p0.Propose(want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ct := &countingTransport{Transport: tr}
+	_, log, err := NewProposer(1, ids, ct).Campaign("noop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := (votes + perPage - 1) / perPage
+	if rounds := ct.promises / len(ids); rounds != pages || ct.prepares != len(ids)*(pages+1) {
+		t.Fatalf("campaign over %d votes won %d rounds of promises in %d prepares, want %d in %d", votes, rounds, ct.prepares, pages, len(ids)*(pages+1))
+	}
+	if len(log) != votes {
+		t.Fatalf("recovered %d slots, want %d", len(log), votes)
+	}
+	for i, v := range want {
+		if log[i] != v {
+			t.Fatalf("slot %d recovered a %d-byte value, not the one chosen there", i, len(log[i]))
+		}
+	}
+}
+
+// TestCampaignAdoptsHighestVoteAndClosesHoles: where promises disagree
+// the vote with the highest ballot wins, a slot no promise voted on
+// below the highest voted one is closed with noop, and a vote only a
+// severed acceptor holds is not seen.
+func TestCampaignAdoptsHighestVoteAndClosesHoles(t *testing.T) {
+	accs, ids, tr := cluster(3)
+	low, high := Ballot{Round: 1, Proposer: 0}, Ballot{Round: 2, Proposer: 1}
+	for _, v := range []struct {
+		acc, slot int
+		b         Ballot
+		val       Value
+	}{
+		{0, 0, low, "old"}, {1, 2, low, "kept"}, {1, 0, high, "new"}, {2, 3, high, "unseen"},
+	} {
+		if rep, err := accs[v.acc].Accept(v.b, v.slot, v.val); err != nil || !rep.OK {
+			t.Fatalf("seed vote %+v: %+v %v", v, rep, err)
+		}
+	}
+	tr.SetDown(2, true)
+	_, log, err := NewProposer(0, ids, tr).Campaign("noop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]Value{0: "new", 1: "noop", 2: "kept"}
+	if !maps.Equal(log, want) {
+		t.Fatalf("campaign recovered %q, want %q", log, want)
 	}
 }

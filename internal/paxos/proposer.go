@@ -3,20 +3,23 @@ package paxos
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"sync"
 )
 
 // ErrNoMajority reports that a quorum could not be assembled.
 var ErrNoMajority = errors.New("paxos: no majority")
 
-// ErrSlotTaken reports that the slot was already decided with a
-// different value (a competing proposer won it); the caller should
-// retry its value in a later slot.
-var ErrSlotTaken = errors.New("paxos: slot decided with another value")
+// ErrNotLeader reports a proposal from a proposer that leads no term
+// and cannot open one at the proposal: the log holds values it has not
+// learned. Campaign learns them.
+var ErrNotLeader = errors.New("paxos: proposer has not won a campaign")
 
-// DeposedError reports that a fenced proposer saw a higher ballot: a
-// new leader has been elected and this proposer must stop acking
-// commits. The ballot that deposed it identifies the usurper's epoch.
+// DeposedError reports that a leader saw a higher ballot: a new leader
+// has been elected and this proposer must stop acking commits. The
+// ballot that deposed it identifies the usurper's epoch.
 type DeposedError struct {
 	By Ballot
 }
@@ -25,13 +28,16 @@ func (e DeposedError) Error() string {
 	return fmt.Sprintf("paxos: proposer deposed by ballot %s", e.By)
 }
 
-// Proposer drives consensus for a replicated log from one node. A
-// stable proposer that has completed a prepare round for its ballot
-// may run phase 2 directly for subsequent slots (multi-Paxos); when it
-// is preempted by a higher ballot it re-prepares with a higher round —
-// unless it is fenced, in which case preemption deposes it permanently
-// (until the next Campaign) so a stale leader can never ack a commit a
-// newer leader did not learn.
+// maxOutbids bounds how many times one campaign outbids a competing
+// ballot before it reports a livelock.
+const maxOutbids = 100
+
+// Proposer drives consensus for a replicated log from one node. It
+// leads once a campaign wins: the campaign's one prepare holds a
+// majority's promise for every slot, so each proposal after it is
+// phase 2 alone (multi-Paxos). A higher ballot deposes it, and it
+// refuses every proposal until it campaigns again, so a stale leader
+// can never ack a commit a newer leader did not learn.
 type Proposer struct {
 	mu        sync.Mutex
 	id        int
@@ -39,39 +45,26 @@ type Proposer struct {
 	transport Transport
 
 	ballot    Ballot
-	prepared  map[int]bool // slots prepared under the current ballot
-	stable    bool         // ballot has majority promises (leadership)
-	fenced    bool         // preemption deposes instead of outbidding
-	deposed   bool
-	deposedBy Ballot
+	leading   bool
+	deposedBy Ballot // the ballot that ended the last term; zero while none did
 
-	chosen   map[int]Value
-	nextSlot int
+	chosen []Value // the decided log: slot i holds chosen[i]
 }
 
-// NewProposer creates a proposer for the given membership.
+// NewProposer creates a proposer for the given membership. Its first
+// proposal campaigns, and leads only over a log with no values: over
+// any other, Campaign learns them first.
 func NewProposer(id int, peers []int, tr Transport) *Proposer {
 	return &Proposer{
 		id:        id,
 		peers:     append([]int(nil), peers...),
 		transport: tr,
 		ballot:    Ballot{Round: 1, Proposer: id},
-		prepared:  make(map[int]bool),
-		chosen:    make(map[int]Value),
 	}
 }
 
 // majority returns the quorum size.
 func (p *Proposer) majority() int { return len(p.peers)/2 + 1 }
-
-// SetFenced switches the proposer between outbidding on preemption
-// (false, the in-process default) and deposing itself (true, what a
-// replicated certifier leader needs for epoch fencing).
-func (p *Proposer) SetFenced(fenced bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fenced = fenced
-}
 
 // CurrentBallot returns the proposer's current ballot — its epoch once
 // it leads.
@@ -81,88 +74,129 @@ func (p *Proposer) CurrentBallot() Ballot {
 	return p.ballot
 }
 
-// Deposed reports whether a fenced proposer has been preempted, and by
-// which ballot. A deposed proposer refuses every propose until the
-// next Campaign.
+// Deposed reports whether a higher ballot ended this proposer's term,
+// and which. A deposed proposer refuses every propose until the next
+// Campaign.
 func (p *Proposer) Deposed() (Ballot, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.deposedBy, p.deposed
+	return p.deposedBy, !p.leading && p.deposedBy != Ballot{}
 }
 
-// Campaign elects this proposer leader: it learns the acceptors' state
-// from a majority, picks a ballot that outbids every promise it saw,
-// and recovers all slots up to the highest voted one (closing holes
-// with noop). It returns the winning ballot — the new epoch — and the
-// recovered log. Campaign clears a deposed state: it is the only way a
-// fenced, deposed proposer comes back.
+// Campaign elects this proposer leader. It outbids its own ballot and
+// prepares every slot it does not know at once; a rejection, which
+// carries a promise in the same round or a later one, outbids that
+// round and starts again. With a majority of promises it runs phase 2
+// over each page of votes the promises carry — the vote with the
+// highest ballot at each slot, a noop in each hole below the highest
+// voted one — until no promise holds votes further on. It returns the
+// winning ballot — the new epoch — and the recovered log. Campaign
+// clears a deposed state: it is the only way a deposed proposer comes
+// back.
 func (p *Proposer) Campaign(noop Value) (Ballot, map[int]Value, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	learned := 0
-	maxSlot := -1
-	var maxPromised Ballot
+	p.leading = false
+	p.ballot = Ballot{Round: p.ballot.Round + 1, Proposer: p.id}
+	for outbids := 0; ; {
+		more, higher, err := p.recoverPageLocked(noop)
+		switch {
+		case err != nil:
+			return Ballot{}, nil, err
+		case higher != Ballot{}:
+			if outbids++; outbids > maxOutbids {
+				return Ballot{}, nil, fmt.Errorf("paxos: livelock: outbid %d times campaigning", maxOutbids)
+			}
+			p.ballot = Ballot{Round: higher.Round + 1, Proposer: p.id}
+		case !more:
+			p.leading, p.deposedBy = true, Ballot{}
+			return p.ballot, maps.Collect(slices.All(p.chosen)), nil
+		}
+	}
+}
+
+// recoverPageLocked runs one page of a campaign at p.ballot: a prepare,
+// then phase 2 for every slot up to the highest vote the page covers.
+// It reports whether some promise held votes back, or the higher
+// ballot that preempted p.
+func (p *Proposer) recoverPageLocked(noop Value) (more bool, higher Ballot, err error) {
+	from := len(p.chosen)
+	best, end, higher, err := p.prepareLocked()
+	if err != nil || higher != (Ballot{}) {
+		return false, higher, err
+	}
+	if end <= from {
+		return false, Ballot{}, fmt.Errorf("paxos: a promise's page ends at slot %d, before slot %d", end, from)
+	}
+	top := from - 1
+	for s := range best {
+		if s < end {
+			top = max(top, s)
+		}
+	}
+	for s := from; s <= top; s++ {
+		v := noop
+		if b, ok := best[s]; ok {
+			v = b.Value
+		}
+		acks, h := p.acceptLocked(s, v)
+		if acks < p.majority() {
+			if h != (Ballot{}) {
+				return false, h, nil
+			}
+			return false, Ballot{}, fmt.Errorf("%w: %d/%d accepts for slot %d", ErrNoMajority, acks, len(p.peers), s)
+		}
+		p.chosen = append(p.chosen, v)
+	}
+	return end != math.MaxInt, Ballot{}, nil
+}
+
+// prepareLocked sends every peer a prepare at p.ballot for the slots
+// from the first one p does not know. With a majority of promises it
+// returns, per slot, the vote with the highest ballot among them, and
+// the slot their page ends at: after the last vote of the shortest
+// promise that held votes back, math.MaxInt when none did. Without a
+// majority it returns the highest promise a rejection carried, or
+// ErrNoMajority when no rejection came.
+func (p *Proposer) prepareLocked() (best map[int]Vote, end int, higher Ballot, err error) {
+	from := len(p.chosen)
+	best, end = make(map[int]Vote), math.MaxInt
+	promises := 0
 	for _, peer := range p.peers {
-		rep, err := p.transport.Learn(peer)
-		if err != nil {
-			continue
-		}
-		learned++
-		if rep.MaxSlot > maxSlot {
-			maxSlot = rep.MaxSlot
-		}
-		if maxPromised.Less(rep.Promised) {
-			maxPromised = rep.Promised
-		}
-	}
-	if learned < p.majority() {
-		return Ballot{}, nil, fmt.Errorf("%w: %d/%d acceptors answered learn", ErrNoMajority, learned, len(p.peers))
-	}
-	// Outbid every promise a majority reported. Learn replies can be
-	// stale by the time we prepare, so preemption during recovery still
-	// bumps the round further (campaigns may outbid even when fenced).
-	round := maxPromised.Round + 1
-	if round <= p.ballot.Round {
-		round = p.ballot.Round + 1
-	}
-	p.ballot = Ballot{Round: round, Proposer: p.id}
-	p.stable = false
-	p.prepared = make(map[int]bool)
-	p.deposed = false
-	for slot := 0; slot <= maxSlot; slot++ {
-		if _, ok := p.chosen[slot]; ok {
-			continue
-		}
-		v, err := p.decideLocked(slot, noop, true)
-		if err != nil {
-			return Ballot{}, nil, err
-		}
-		p.chosen[slot] = v
-	}
-	if p.nextSlot <= maxSlot {
-		p.nextSlot = maxSlot + 1
-	}
-	// Make leadership stable even when the log is empty (cold cluster):
-	// prepare slot nextSlot so the first Propose runs phase 2 only and
-	// the ballot is known to hold majority promises.
-	if !p.stable {
-		if _, err := p.prepareLocked(p.nextSlot, true); err != nil {
-			return Ballot{}, nil, err
+		rep, err := p.transport.Prepare(peer, p.ballot, from)
+		switch {
+		case err != nil:
+		case !rep.OK:
+			higher = maxBallot(higher, rep.Promised)
+		default:
+			promises++
+			for _, v := range rep.Votes {
+				if b, ok := best[v.Slot]; !ok || b.Ballot.Less(v.Ballot) {
+					best[v.Slot] = v
+				}
+			}
+			if rep.More {
+				end = min(end, rep.Votes[len(rep.Votes)-1].Slot+1)
+			}
 		}
 	}
-	out := make(map[int]Value, len(p.chosen))
-	for s, v := range p.chosen {
-		out[s] = v
+	switch {
+	case promises >= p.majority():
+		return best, end, Ballot{}, nil
+	case higher != Ballot{}:
+		return nil, 0, higher, nil
 	}
-	return p.ballot, out, nil
+	return nil, 0, Ballot{}, fmt.Errorf("%w: %d/%d promises from slot %d", ErrNoMajority, promises, len(p.peers), from)
 }
 
 // Chosen returns the value decided for slot, if known locally.
 func (p *Proposer) Chosen(slot int) (Value, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	v, ok := p.chosen[slot]
-	return v, ok
+	if slot < 0 || slot >= len(p.chosen) {
+		return "", false
+	}
+	return p.chosen[slot], true
 }
 
 // ChosenCount returns the number of slots this proposer knows to be
@@ -173,173 +207,81 @@ func (p *Proposer) ChosenCount() int {
 	return len(p.chosen)
 }
 
-// Propose reaches consensus on v in the next free slot and returns the
-// slot it was chosen in. If a competing value already owns the slot,
-// the proposer adopts it, records it, and retries v in the next slot.
+// Propose runs phase 2 for v at the next slot under the term's ballot
+// and returns the slot v was chosen in. A rejection carrying a higher
+// ballot deposes the proposer; a missing majority leaves it leading
+// and the slot free for the next proposal. A fresh proposer's first
+// proposal opens its term: over a log with no values, the campaign's
+// prepare is all the term needs.
 func (p *Proposer) Propose(v Value) (int, error) {
-	for attempts := 0; attempts < 1000; attempts++ {
-		slot, chosen, err := p.ProposeNext(v)
-		if err != nil {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.leading {
+		if err := p.openTermLocked(); err != nil {
 			return 0, err
 		}
-		if chosen == v {
-			return slot, nil
-		}
-		// Slot held a competing value; try the next slot for ours.
 	}
-	return 0, fmt.Errorf("paxos: proposer %d starved", p.id)
+	slot := len(p.chosen)
+	acks, higher := p.acceptLocked(slot, v)
+	switch {
+	case acks >= p.majority():
+		p.chosen = append(p.chosen, v)
+		return slot, nil
+	case higher != Ballot{}:
+		p.leading, p.deposedBy = false, higher
+		return 0, DeposedError{By: higher}
+	}
+	return 0, fmt.Errorf("%w: %d/%d accepts for slot %d", ErrNoMajority, acks, len(p.peers), slot)
 }
 
-// ProposeNext runs one slot's worth of Propose: it offers v at the
-// next unused slot and returns the value actually chosen there, which
-// is v itself or a competing value the prepare phase was obliged to
-// adopt — typically a deposed leader's in-flight proposal that reached
-// only a minority of acceptors and is resurrected by our phase 1.
-// Callers replicating a state machine must fold an adopted value into
-// their state before retrying, exactly as they would a recovered log
-// entry: it is a chosen log entry from the moment this method returns.
-func (p *Proposer) ProposeNext(v Value) (int, Value, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	slot := p.nextSlot
-	chosen, err := p.decideLocked(slot, v, false)
-	if err != nil {
-		return 0, "", err
+// openTermLocked opens a fresh proposer's first term at its first
+// proposal. Over a log with no values and no term the prepare is all a
+// term needs; over any other it proposes nothing: another leader's
+// promise deposes it, and values it has not learned return
+// ErrNotLeader.
+func (p *Proposer) openTermLocked() error {
+	switch {
+	case p.deposedBy != Ballot{}:
+		return DeposedError{By: p.deposedBy}
+	case len(p.chosen) > 0:
+		return ErrNotLeader
 	}
-	p.chosen[slot] = chosen
-	p.nextSlot = slot + 1
-	return slot, chosen, nil
+	p.ballot = Ballot{Round: p.ballot.Round + 1, Proposer: p.id}
+	best, _, higher, err := p.prepareLocked()
+	switch {
+	case err != nil:
+		return err
+	case higher != Ballot{}:
+		p.deposedBy = higher
+		return DeposedError{By: higher}
+	case len(best) > 0:
+		return fmt.Errorf("%w: the log holds values; campaign to learn them", ErrNotLeader)
+	}
+	p.leading = true
+	return nil
 }
 
-// Recover closes all slots up to and including maxSlot by proposing
-// no-op values where nothing was accepted, returning the recovered
-// log. New leaders call it to learn the previous leader's decisions.
-func (p *Proposer) Recover(maxSlot int, noop Value) (map[int]Value, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for slot := 0; slot <= maxSlot; slot++ {
-		if _, ok := p.chosen[slot]; ok {
-			continue
+// acceptLocked sends phase 2a for v at slot to every peer and returns
+// the number of acceptances and the highest promise a rejection
+// carried (zero when none did).
+func (p *Proposer) acceptLocked(slot int, v Value) (acks int, higher Ballot) {
+	for _, peer := range p.peers {
+		rep, err := p.transport.Accept(peer, p.ballot, slot, v)
+		switch {
+		case err != nil:
+		case rep.OK:
+			acks++
+		default:
+			higher = maxBallot(higher, rep.Promised)
 		}
-		v, err := p.decideLocked(slot, noop, false)
-		if err != nil {
-			return nil, err
-		}
-		p.chosen[slot] = v
 	}
-	if p.nextSlot <= maxSlot {
-		p.nextSlot = maxSlot + 1
-	}
-	out := make(map[int]Value, len(p.chosen))
-	for s, v := range p.chosen {
-		out[s] = v
-	}
-	return out, nil
+	return acks, higher
 }
 
-// depose records that a higher ballot preempted a fenced proposer.
-func (p *Proposer) deposeLocked(by Ballot) error {
-	p.stable = false
-	p.deposed = true
-	if p.deposedBy.Less(by) {
-		p.deposedBy = by
+// maxBallot returns the later of two ballots.
+func maxBallot(a, b Ballot) Ballot {
+	if a.Less(b) {
+		return b
 	}
-	return DeposedError{By: p.deposedBy}
-}
-
-// decideLocked runs full Paxos for one slot and returns the value
-// actually chosen (ours, or one adopted from a previous round). With
-// campaigning true, preemption always outbids; otherwise a fenced
-// proposer is deposed instead.
-func (p *Proposer) decideLocked(slot int, v Value, campaigning bool) (Value, error) {
-	if p.deposed && !campaigning {
-		return "", DeposedError{By: p.deposedBy}
-	}
-	for round := 0; round < 100; round++ {
-		// Phase 1: skippable while the ballot is stable and the slot
-		// has not been prepared under it.
-		if !p.stable || !p.prepared[slot] {
-			adopted, err := p.prepareLocked(slot, campaigning)
-			if err != nil {
-				return "", err
-			}
-			if adopted != nil {
-				v = *adopted
-			}
-		}
-		// Phase 2.
-		acks := 0
-		preempted := false
-		var higher Ballot
-		for _, peer := range p.peers {
-			rep, err := p.transport.Accept(peer, p.ballot, slot, v)
-			if err != nil {
-				continue
-			}
-			if rep.OK {
-				acks++
-			} else if p.ballot.Less(rep.Promised) {
-				preempted, higher = true, rep.Promised
-			}
-		}
-		if acks >= p.majority() {
-			return v, nil
-		}
-		if !preempted {
-			return "", fmt.Errorf("%w: %d/%d accepts for slot %d", ErrNoMajority, acks, len(p.peers), slot)
-		}
-		if p.fenced && !campaigning {
-			return "", p.deposeLocked(higher)
-		}
-		// Preempted: outbid and re-prepare.
-		p.stable = false
-		p.prepared = make(map[int]bool)
-		p.ballot = Ballot{Round: higher.Round + 1, Proposer: p.id}
-	}
-	return "", fmt.Errorf("paxos: livelock proposing slot %d", slot)
-}
-
-// prepareLocked runs phase 1 for a slot. It returns the value this
-// proposer is obliged to adopt (the accepted value with the highest
-// ballot among promises), or nil when free to propose its own.
-func (p *Proposer) prepareLocked(slot int, campaigning bool) (*Value, error) {
-	for round := 0; round < 100; round++ {
-		promises := 0
-		var adopt *Value
-		var adoptBallot Ballot
-		preempted := false
-		var higher Ballot
-		for _, peer := range p.peers {
-			rep, err := p.transport.Prepare(peer, p.ballot, slot)
-			if err != nil {
-				continue
-			}
-			if !rep.OK {
-				if p.ballot.Less(rep.Promised) {
-					preempted, higher = true, rep.Promised
-				}
-				continue
-			}
-			promises++
-			if rep.HasAccepted && (adopt == nil || adoptBallot.Less(rep.AcceptedBallot)) {
-				val := rep.AcceptedValue
-				adopt, adoptBallot = &val, rep.AcceptedBallot
-			}
-		}
-		if promises >= p.majority() {
-			p.stable = true
-			p.prepared[slot] = true
-			return adopt, nil
-		}
-		if !preempted {
-			return nil, fmt.Errorf("%w: %d/%d promises for slot %d", ErrNoMajority, promises, len(p.peers), slot)
-		}
-		if p.fenced && !campaigning {
-			return nil, p.deposeLocked(higher)
-		}
-		p.stable = false
-		p.prepared = make(map[int]bool)
-		p.ballot = Ballot{Round: higher.Round + 1, Proposer: p.id}
-	}
-	return nil, fmt.Errorf("paxos: livelock preparing slot %d", slot)
+	return a
 }

@@ -122,7 +122,7 @@ func runLeaderWorkload(t *testing.T, cfs0 *wal.CrashFS, fsync bool, commits int,
 	}
 	tr := paxos.NewLocalTransport(a0, a1, a2)
 	tr.SetDown(2, true) // node 2 misses the whole workload
-	cert := certifier.NewReplicatedOver(0, []int{0, 1, 2}, tr, true)
+	cert := certifier.NewReplicatedOver(0, []int{0, 1, 2}, tr)
 	w, _, err := wal.Open(wal.Options{FS: cfs0, Fsync: fsync})
 	if err != nil {
 		// Crashed while opening the journal: served nothing.

@@ -762,7 +762,7 @@ const retryInterval = 50 * time.Millisecond
 func (e *engine) run(stop <-chan struct{}) {
 	answered := time.Now() // when a host last answered a poll
 	if e.px != nil && e.px.id == 0 {
-		if _, promised := e.px.acc.Status(); promised == (paxos.Ballot{}) {
+		if e.px.acc.Promised() == (paxos.Ballot{}) {
 			answered = answered.Add(-e.px.electAfter)
 		}
 	}
@@ -837,13 +837,13 @@ func (e *engine) close() {
 	}
 }
 
-// paxosPrepare, paxosAccept and paxosLearn serve the embedded Paxos
-// acceptor; errUnsupported unless this node runs one.
-func (e *engine) paxosPrepare(b paxos.Ballot, slot int) (paxos.PrepareReply, error) {
+// paxosPrepare and paxosAccept serve the embedded Paxos acceptor;
+// errUnsupported unless this node runs one.
+func (e *engine) paxosPrepare(b paxos.Ballot, from int) (paxos.PrepareReply, error) {
 	if e.px == nil {
 		return paxos.PrepareReply{}, errUnsupported
 	}
-	return e.px.acc.Prepare(b, slot)
+	return e.px.acc.Prepare(b, from)
 }
 
 func (e *engine) paxosAccept(b paxos.Ballot, slot int, v paxos.Value) (paxos.AcceptReply, error) {
@@ -851,14 +851,6 @@ func (e *engine) paxosAccept(b paxos.Ballot, slot int, v paxos.Value) (paxos.Acc
 		return paxos.AcceptReply{}, errUnsupported
 	}
 	return e.px.acc.Accept(b, slot, v)
-}
-
-func (e *engine) paxosLearn() (paxos.LearnReply, error) {
-	if e.px == nil {
-		return paxos.LearnReply{}, errUnsupported
-	}
-	maxSlot, promised := e.px.acc.Status()
-	return paxos.LearnReply{MaxSlot: maxSlot, Promised: promised}, nil
 }
 
 // leaderAddr maps a paxos id to its replica address for NotLeader

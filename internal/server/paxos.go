@@ -15,10 +15,10 @@ import (
 	"repro/internal/wal"
 )
 
-// paxosNode is the replicated-certification state of one mm server:
-// the Paxos acceptor this process hosts (durable under the WAL
-// directory when the node runs one), the wire transport to its peers'
-// acceptors, and its current view of who leads.
+// paxosNode is the replicated-certification state of one server, under
+// either design: the Paxos acceptor this process hosts (durable under
+// the WAL directory when the node runs one), the wire transport to its
+// peers' acceptors, and its current view of who leads.
 type paxosNode struct {
 	id         int
 	peerIDs    []int
@@ -119,7 +119,7 @@ func (px *paxosNode) addrOf(id int) string {
 
 // --- engine: replicated-certification role machinery ---
 
-// promoteSelf campaigns for leadership: it elects this node's fenced
+// promoteSelf campaigns for leadership: it elects this node's
 // proposer, rebuilds the certifier from the recovered quorum log,
 // re-attaches the local journal as a restart cache, and installs the
 // host role. On success every in-flight and future certification on
@@ -151,7 +151,7 @@ func (e *engine) promoteSelf() error {
 // stepDown demotes a deposed leader to a backup: the host role is
 // dropped, the commit path goes back through the ring (pointed at the
 // deposing node), and the election timer restarts. Any call still
-// racing into the old host gets NotLeaderError from the fenced
+// racing into the old host gets NotLeaderError from the deposed
 // proposer — never an ack.
 func (e *engine) stepDown(by paxos.Ballot) {
 	e.host.Store(nil)
@@ -165,7 +165,7 @@ func (e *engine) stepDown(by paxos.Ballot) {
 }
 
 // stepDownIfDeposed demotes this leader when a newer epoch exists: its
-// fenced proposer was preempted, or a higher promise on our own
+// proposer was preempted, or a higher promise on our own
 // acceptor shows a newer epoch campaigned through us — step down
 // without waiting to trip over a propose.
 func (e *engine) stepDownIfDeposed(h *pipeline.HostCert) bool {
@@ -173,7 +173,7 @@ func (e *engine) stepDownIfDeposed(h *pipeline.HostCert) bool {
 		e.stepDown(by)
 		return true
 	}
-	if _, promised := e.px.acc.Status(); h.Base.Epoch().Less(promised) {
+	if promised := e.px.acc.Promised(); h.Base.Epoch().Less(promised) {
 		e.stepDown(promised)
 		return true
 	}

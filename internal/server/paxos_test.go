@@ -4,12 +4,15 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/paxos"
 )
 
 // TestPaxosNodeDialsEachPeerOnce: a member of a three-node Paxos group
 // holds one connection pool per peer address. Its transport's acceptor
-// calls ride the same link its ring reaches that peer over, so a Learn
-// sent to a peer counts one round trip on the ring's link to it.
+// calls ride the same link its ring reaches that peer over, so a
+// Prepare sent to a peer counts one round trip on the ring's link to
+// it.
 func TestPaxosNodeDialsEachPeerOnce(t *testing.T) {
 	const n = 3
 	addrs := make([]string, n)
@@ -64,11 +67,11 @@ func TestPaxosNodeDialsEachPeerOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := l.RoundTrips()
-		if _, err := e.px.tr.Learn(peer); err != nil {
-			t.Fatalf("learn from peer %d: %v", peer, err)
+		if _, err := e.px.tr.Prepare(peer, paxos.Ballot{}, 0); err != nil {
+			t.Fatalf("prepare at peer %d: %v", peer, err)
 		}
 		if got := l.RoundTrips() - base; got != 1 {
-			t.Fatalf("a Learn to peer %d made %d round trips on the ring's link to %s, want 1: the transport dials the peer on a pool of its own", peer, got, addr)
+			t.Fatalf("a Prepare to peer %d made %d round trips on the ring's link to %s, want 1: the transport dials the peer on a pool of its own", peer, got, addr)
 		}
 	}
 }

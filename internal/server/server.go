@@ -901,19 +901,22 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		return &wire.ForgetTxnOK{}
 
 	case *wire.PaxosPrepare:
-		rep, err := s.eng.paxosPrepare(paxos.Ballot{Round: int(m.Round), Proposer: int(m.Proposer)}, int(m.Slot))
+		rep, err := s.eng.paxosPrepare(paxos.Ballot{Round: int(m.Round), Proposer: int(m.Proposer)}, int(m.From))
 		if err != nil {
 			return s.errReply(err)
 		}
-		return &wire.PaxosPrepareOK{
+		ok := &wire.PaxosPrepareOK{
 			OK:               rep.OK,
 			PromisedRound:    int64(rep.Promised.Round),
 			PromisedProposer: int64(rep.Promised.Proposer),
-			AcceptedRound:    int64(rep.AcceptedBallot.Round),
-			AcceptedProposer: int64(rep.AcceptedBallot.Proposer),
-			AcceptedValue:    string(rep.AcceptedValue),
-			HasAccepted:      rep.HasAccepted,
+			Votes:            make([]wire.PaxosVote, len(rep.Votes)),
+			More:             rep.More,
 		}
+		for i, v := range rep.Votes {
+			ok.Votes[i] = wire.PaxosVote{Slot: int64(v.Slot), Round: int64(v.Ballot.Round),
+				Proposer: int64(v.Ballot.Proposer), Value: string(v.Value)}
+		}
+		return ok
 
 	case *wire.PaxosAccept:
 		rep, err := s.eng.paxosAccept(paxos.Ballot{Round: int(m.Round), Proposer: int(m.Proposer)}, int(m.Slot), paxos.Value(m.Value))
@@ -922,17 +925,6 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		}
 		return &wire.PaxosAcceptOK{
 			OK:               rep.OK,
-			PromisedRound:    int64(rep.Promised.Round),
-			PromisedProposer: int64(rep.Promised.Proposer),
-		}
-
-	case *wire.PaxosLearn:
-		rep, err := s.eng.paxosLearn()
-		if err != nil {
-			return s.errReply(err)
-		}
-		return &wire.PaxosLearnOK{
-			MaxSlot:          int64(rep.MaxSlot),
 			PromisedRound:    int64(rep.Promised.Round),
 			PromisedProposer: int64(rep.Promised.Proposer),
 		}

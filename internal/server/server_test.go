@@ -507,7 +507,6 @@ func TestNonHostAnswersAlikeInBothDesigns(t *testing.T) {
 		&wire.SnapshotReq{},
 		&wire.PaxosPrepare{Round: 1},
 		&wire.PaxosAccept{Round: 1, Value: "v"},
-		&wire.PaxosLearn{},
 	}
 	for _, verb := range append(verbs, &wire.Sync{}) {
 		sm, err := call(slave, verb)

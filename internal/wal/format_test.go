@@ -51,7 +51,7 @@ func journaledPaxosRun(t *testing.T) (*certifier.Certifier, *MemFS, map[int]paxo
 		t.Fatal(err)
 	}
 	w.Close()
-	log, err := paxos.NewProposer(1, []int{0, 1, 2}, tr).Recover(c.ReplicationSlots()-1, "noop")
+	_, log, err := paxos.NewProposer(1, []int{0, 1, 2}, tr).Campaign("noop")
 	if err != nil {
 		t.Fatal(err)
 	}

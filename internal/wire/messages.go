@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 
 	"repro/internal/codec"
 	"repro/internal/writeset"
@@ -63,8 +64,6 @@ const (
 	TPaxosPrepareOK MsgType = 41
 	TPaxosAccept    MsgType = 42
 	TPaxosAcceptOK  MsgType = 43
-	TPaxosLearn     MsgType = 44
-	TPaxosLearnOK   MsgType = 45
 	TNotLeader      MsgType = 46
 
 	// Horizontal partitioning. The router's cross-shard two-phase
@@ -187,10 +186,6 @@ func newMessage(t MsgType) Message {
 		return &PaxosAccept{}
 	case TPaxosAcceptOK:
 		return &PaxosAcceptOK{}
-	case TPaxosLearn:
-		return &PaxosLearn{}
-	case TPaxosLearnOK:
-		return &PaxosLearnOK{}
 	case TNotLeader:
 		return &NotLeader{}
 	case TPrepareTxn:
@@ -999,35 +994,53 @@ func (m *StatsOK) decode(d *decoder) {
 }
 
 // PaxosPrepare is phase 1a of the replicated certification log,
-// addressed to the acceptor embedded in this server.
+// addressed to the acceptor embedded in this server: a promise for
+// every slot, and the acceptor's votes from slot From on.
 type PaxosPrepare struct {
 	Round    int64
 	Proposer int64
-	Slot     int64
+	From     int64
 }
 
 func (*PaxosPrepare) msgType() MsgType { return TPaxosPrepare }
 func (m *PaxosPrepare) encode(b []byte) []byte {
 	b = binary.AppendVarint(b, m.Round)
 	b = binary.AppendVarint(b, m.Proposer)
-	return binary.AppendVarint(b, m.Slot)
+	return binary.AppendVarint(b, m.From)
 }
 func (m *PaxosPrepare) decode(d *decoder) {
 	m.Round = d.Varint()
 	m.Proposer = d.Varint()
-	m.Slot = d.Varint()
+	m.From = d.Varint()
 }
 
+// PaxosVote is one acceptor vote: the slot, the ballot it was cast at
+// and the value.
+type PaxosVote struct {
+	Slot     int64
+	Round    int64
+	Proposer int64
+	Value    string
+}
+
+// paxosVoteWidth is the fewest bytes a PaxosVote encodes in: three
+// one-byte varints and an empty value's length prefix.
+const paxosVoteWidth = 4
+
+// errPageOrder reports a PaxosPrepareOK whose votes do not ascend by
+// slot, or that holds votes back without carrying any.
+var errPageOrder = errors.New("wire: paxos votes out of slot order")
+
 // PaxosPrepareOK answers PaxosPrepare: the acceptor's promise after
-// the call and any value it already accepted for the slot.
+// the call and its votes at slots From on, in ascending slot order.
+// More reports votes past the last one, which the acceptor's byte
+// budget held back for the next page.
 type PaxosPrepareOK struct {
 	OK               bool
 	PromisedRound    int64
 	PromisedProposer int64
-	AcceptedRound    int64
-	AcceptedProposer int64
-	AcceptedValue    string
-	HasAccepted      bool
+	Votes            []PaxosVote
+	More             bool
 }
 
 func (*PaxosPrepareOK) msgType() MsgType { return TPaxosPrepareOK }
@@ -1035,19 +1048,41 @@ func (m *PaxosPrepareOK) encode(b []byte) []byte {
 	b = codec.AppendBool(b, m.OK)
 	b = binary.AppendVarint(b, m.PromisedRound)
 	b = binary.AppendVarint(b, m.PromisedProposer)
-	b = binary.AppendVarint(b, m.AcceptedRound)
-	b = binary.AppendVarint(b, m.AcceptedProposer)
-	b = codec.AppendString(b, m.AcceptedValue)
-	return codec.AppendBool(b, m.HasAccepted)
+	b = binary.AppendUvarint(b, uint64(len(m.Votes)))
+	for _, v := range m.Votes {
+		b = binary.AppendVarint(b, v.Slot)
+		b = binary.AppendVarint(b, v.Round)
+		b = binary.AppendVarint(b, v.Proposer)
+		b = codec.AppendString(b, v.Value)
+	}
+	return codec.AppendBool(b, m.More)
 }
 func (m *PaxosPrepareOK) decode(d *decoder) {
 	m.OK = d.Bool()
 	m.PromisedRound = d.Varint()
 	m.PromisedProposer = d.Varint()
-	m.AcceptedRound = d.Varint()
-	m.AcceptedProposer = d.Varint()
-	m.AcceptedValue = d.Str()
-	m.HasAccepted = d.Bool()
+	n := d.Count(paxosVoteWidth)
+	if d.Err() != nil {
+		return
+	}
+	m.Votes = nil
+	if n > 0 {
+		m.Votes = make([]PaxosVote, n)
+	}
+	for i := range m.Votes {
+		v := &m.Votes[i]
+		v.Slot = d.Varint()
+		v.Round = d.Varint()
+		v.Proposer = d.Varint()
+		v.Value = d.Str()
+		if i > 0 && v.Slot <= m.Votes[i-1].Slot {
+			d.Fail(errPageOrder)
+			return
+		}
+	}
+	if m.More = d.Bool(); m.More && n == 0 {
+		d.Fail(errPageOrder)
+	}
 }
 
 // PaxosAccept is phase 2a: vote for value in slot under the ballot.
@@ -1087,34 +1122,6 @@ func (m *PaxosAcceptOK) encode(b []byte) []byte {
 }
 func (m *PaxosAcceptOK) decode(d *decoder) {
 	m.OK = d.Bool()
-	m.PromisedRound = d.Varint()
-	m.PromisedProposer = d.Varint()
-}
-
-// PaxosLearn asks the acceptor for its status — the first step of a
-// leader election.
-type PaxosLearn struct{}
-
-func (*PaxosLearn) msgType() MsgType         { return TPaxosLearn }
-func (m *PaxosLearn) encode(b []byte) []byte { return b }
-func (m *PaxosLearn) decode(*decoder)        {}
-
-// PaxosLearnOK answers PaxosLearn: the highest voted slot (-1 when
-// none) and the acceptor's current promise.
-type PaxosLearnOK struct {
-	MaxSlot          int64
-	PromisedRound    int64
-	PromisedProposer int64
-}
-
-func (*PaxosLearnOK) msgType() MsgType { return TPaxosLearnOK }
-func (m *PaxosLearnOK) encode(b []byte) []byte {
-	b = binary.AppendVarint(b, m.MaxSlot)
-	b = binary.AppendVarint(b, m.PromisedRound)
-	return binary.AppendVarint(b, m.PromisedProposer)
-}
-func (m *PaxosLearnOK) decode(d *decoder) {
-	m.MaxSlot = d.Varint()
 	m.PromisedRound = d.Varint()
 	m.PromisedProposer = d.Varint()
 }

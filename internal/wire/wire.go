@@ -40,7 +40,7 @@ const (
 	// connection. Each message has exactly one payload shape. Any change
 	// to a frame's shape — a field added, removed or re-encoded, or a
 	// message type added — bumps ProtoVersion.
-	ProtoVersion = 10
+	ProtoVersion = 11
 
 	// MaxFrame bounds one frame (type byte + payload) to keep a
 	// misbehaving peer from forcing unbounded allocation.

@@ -121,15 +121,15 @@ func allMessages() []Message {
 			ReplicaID:   2, Epoch: 3, Leading: true,
 			LagCount: 50, LagSumNs: 4e7, LagMaxNs: 3e6, ShardID: 1},
 		&StatsOK{}, // tracing disabled: all stage fields zero
-		&PaxosPrepare{Round: 3, Proposer: 1, Slot: 12},
-		&PaxosPrepareOK{OK: true, PromisedRound: 3, PromisedProposer: 1,
-			AcceptedRound: 2, AcceptedProposer: 0, AcceptedValue: `{"Version":1}`, HasAccepted: true},
+		&PaxosPrepare{Round: 3, Proposer: 1, From: 12},
+		&PaxosPrepareOK{OK: true, PromisedRound: 3, PromisedProposer: 1, Votes: []PaxosVote{
+			{Slot: 12, Round: 2, Proposer: 0, Value: `{"Version":1}`},
+			{Slot: 14, Round: 3, Proposer: 1, Value: ""},
+		}, More: true},
+		&PaxosPrepareOK{OK: true, PromisedRound: 3, PromisedProposer: 1},
 		&PaxosPrepareOK{OK: false, PromisedRound: 9, PromisedProposer: 2},
 		&PaxosAccept{Round: 3, Proposer: 1, Slot: 12, Value: `{"Version":1}`},
 		&PaxosAcceptOK{OK: true, PromisedRound: 3, PromisedProposer: 1},
-		&PaxosLearn{},
-		&PaxosLearnOK{MaxSlot: -1, PromisedRound: 0, PromisedProposer: 0},
-		&PaxosLearnOK{MaxSlot: 41, PromisedRound: 7, PromisedProposer: 2},
 		&NotLeader{Leader: 2, Epoch: 7, Addr: "127.0.0.1:7002"},
 		&PrepareTxn{TxnID: codec.TxnID{Epoch: 17, Seq: 1}, Coord: 2, Snapshot: 41, WS: ws},
 		&PrepareTxnOK{Vote: false, ConflictWith: 40},
