@@ -204,8 +204,12 @@ func TestBatcherAmortizesPaxosRounds(t *testing.T) {
 		gate:           make(chan struct{}),
 		first:          make(chan struct{}),
 	}
-	c := New()
-	c.proposer = paxos.NewProposer(0, ids, gt)
+	// The campaign over an empty log sends prepares alone, so it wins
+	// before the gate holds any accept.
+	c, _, err := Promote(0, ids, gt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := NewBatcher(c, 0)
 
 	var wg sync.WaitGroup

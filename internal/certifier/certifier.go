@@ -36,18 +36,24 @@ import (
 	"repro/internal/writeset"
 )
 
-// NotLeaderError reports a certification request sent to a deposed
-// leader: a newer epoch exists and this node must stop acknowledging
-// commits. Callers redirect to the new leader (identified by the
-// epoch's proposer id) and retry.
+// NotLeaderError reports a certification request sent to a certifier
+// whose Paxos term is over: a newer epoch deposed it, or a proposal
+// missed its majority. A request whose proposal failed has an unknown
+// outcome — the next campaign may yet choose its value. Callers
+// redirect to the leader, when one is named, and retry.
 type NotLeaderError struct {
-	// Leader is the paxos proposer id of the deposing epoch.
+	// Leader is the paxos proposer id of the deposing epoch, -1 when
+	// no ballot deposed the term.
 	Leader int
-	// Epoch is the ballot that deposed this node.
+	// Epoch is the ballot that deposed this node, or with Leader -1 the
+	// ballot of its own term that ended.
 	Epoch paxos.Ballot
 }
 
 func (e NotLeaderError) Error() string {
+	if e.Leader < 0 {
+		return fmt.Sprintf("certifier: not leader (term %s ended, leader unknown)", e.Epoch)
+	}
 	return fmt.Sprintf("certifier: not leader (deposed by node %d, epoch %s)", e.Leader, e.Epoch)
 }
 
@@ -270,32 +276,6 @@ func (c *Certifier) syncJournal(j Journal, seq, v int64) (time.Duration, error) 
 	return d, nil
 }
 
-// NewFromRecords rebuilds a certifier from an already-recovered record
-// sequence — the WAL replay path, the journaled twin of Recover. base
-// is the version the recovered history starts from (the compaction
-// snapshot version); it becomes the pruning horizon, so the restarted
-// certifier rejects snapshots predating its retained log exactly like
-// one that GC'd to the same point.
-func NewFromRecords(recs []Record, base int64) *Certifier {
-	c := New()
-	c.appendLocked(recs...)
-	sort.Slice(c.records, func(i, j int) bool { return c.records[i].Version < c.records[j].Version })
-	for _, rec := range c.records {
-		for _, e := range rec.Writeset.Entries {
-			c.index.set(e.Key, rec.Version)
-		}
-		if rec.Version > c.version {
-			c.version = rec.Version
-		}
-		c.commits++
-	}
-	c.lowWater = base
-	if c.version < base {
-		c.version = base
-	}
-	return c
-}
-
 // LowWater returns the pruning horizon: all versions at or below it
 // have been garbage-collected (or compacted away before recovery).
 func (c *Certifier) LowWater() int64 {
@@ -323,21 +303,11 @@ func NewReplicated(nodes int) (*Certifier, *paxos.LocalTransport, error) {
 	return c, tr, err
 }
 
-// NewReplicatedOver creates an empty certifier replicating through an
-// externally supplied transport, as node id of peers. Its first
-// certification elects it when the group's log holds no values; over
-// a log that does, Campaign learns them first.
-func NewReplicatedOver(id int, peers []int, tr paxos.Transport) *Certifier {
-	c := New()
-	c.proposer = paxos.NewProposer(id, peers, tr)
-	return c
-}
-
 // Promote elects node id leader of the certification group and
 // rebuilds the certifier from the recovered Paxos log — the backup
 // promotion path after a leader failure. It returns the promoted
 // certifier and its epoch (the winning ballot). The proposer it
-// installs is deposed cleanly when an even newer epoch appears.
+// installs leads until its first failed proposal ends the term.
 func Promote(id int, peers []int, tr paxos.Transport) (*Certifier, paxos.Ballot, error) {
 	p := paxos.NewProposer(id, peers, tr)
 	epoch, log, err := p.Campaign(noopValue)
@@ -352,26 +322,6 @@ func Promote(id int, peers []int, tr paxos.Transport) (*Certifier, paxos.Ballot,
 	return c, epoch, nil
 }
 
-// Campaign re-elects an existing replicated certifier's proposer —
-// the warm-restart path, after the local state was rebuilt from a WAL
-// and reconciled with the Paxos log. It returns the new epoch.
-func (c *Certifier) Campaign() (paxos.Ballot, error) {
-	c.mu.Lock()
-	p := c.proposer
-	c.mu.Unlock()
-	if p == nil {
-		return paxos.Ballot{}, fmt.Errorf("certifier: campaign on an unreplicated certifier")
-	}
-	epoch, log, err := p.Campaign(noopValue)
-	if err != nil {
-		return paxos.Ballot{}, fmt.Errorf("certifier: campaign: %w", err)
-	}
-	if err := c.ReconcileLog(log); err != nil {
-		return paxos.Ballot{}, err
-	}
-	return epoch, nil
-}
-
 // Epoch returns the replicated certifier's current ballot (its epoch
 // while it leads), or the zero ballot when unreplicated.
 func (c *Certifier) Epoch() paxos.Ballot {
@@ -384,18 +334,19 @@ func (c *Certifier) Epoch() paxos.Ballot {
 	return p.CurrentBallot()
 }
 
-// Deposed reports whether this certifier's proposer has been
-// preempted by a higher epoch (and by which ballot); always false on
-// an unreplicated certifier. A deposed certifier answers every
-// certification with NotLeaderError until re-elected via Campaign.
-func (c *Certifier) Deposed() (paxos.Ballot, bool) {
+// TermEnded reports whether this certifier's Paxos term is over, and
+// the ballot that deposed it — zero when a proposal missed its
+// majority instead; always false on an unreplicated certifier. A
+// certifier whose term ended answers every certification with
+// NotLeaderError: a node leads again only through a fresh Promote.
+func (c *Certifier) TermEnded() (paxos.Ballot, bool) {
 	c.mu.Lock()
 	p := c.proposer
 	c.mu.Unlock()
 	if p == nil {
 		return paxos.Ballot{}, false
 	}
-	return p.Deposed()
+	return p.TermEnded()
 }
 
 // Version returns the latest committed global version.
@@ -653,20 +604,23 @@ func (c *Certifier) proposeLocked(encode func(b []byte) []byte) (time.Duration, 
 		c.valBuf = b
 	}
 	if _, err := c.proposer.Propose(paxos.Value(b)); err != nil { // the one copy, which the acceptors keep
-		return 0, replicationError(err)
+		return 0, replicationError(err, c.proposer.CurrentBallot())
 	}
 	return time.Since(start), nil
 }
 
-// replicationError converts a Propose failure into the caller-facing
-// error: a deposal becomes the structured NotLeaderError clients use
-// to find the new leader; anything else stays a replication failure.
-func replicationError(err error) error {
+// replicationError converts a Propose failure of the term at ballot
+// term into the structured NotLeaderError clients use to find the
+// leader: every failed proposal ends the term, and leaves the request's
+// outcome unknown. A deposal names the new leader; any other failure
+// names none and carries the ended term, which tells a relay the
+// request may be in that term's last proposal.
+func replicationError(err error, term paxos.Ballot) error {
 	var dep paxos.DeposedError
 	if errors.As(err, &dep) {
 		return NotLeaderError{Leader: dep.By.Proposer, Epoch: dep.By}
 	}
-	return fmt.Errorf("certifier: replication failed: %w", err)
+	return NotLeaderError{Leader: -1, Epoch: term}
 }
 
 // Since returns the committed records with versions strictly greater

@@ -1,6 +1,7 @@
 package certifier
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -213,6 +214,10 @@ func TestReplicatedCertifierCommits(t *testing.T) {
 	}
 }
 
+// TestReplicatedCertifierNeedsMajority: a certification that misses
+// its majority is not acknowledged, and it ends the term with its
+// outcome unknown. Once a backup is back, a fresh Promote recovers the
+// vote its own acceptor kept, and certification resumes above it.
 func TestReplicatedCertifierNeedsMajority(t *testing.T) {
 	c, tr, err := NewReplicated(3)
 	if err != nil {
@@ -220,12 +225,23 @@ func TestReplicatedCertifierNeedsMajority(t *testing.T) {
 	}
 	tr.SetDown(1, true)
 	tr.SetDown(2, true)
-	if _, err := c.Certify(0, ws(1)); err == nil {
-		t.Fatal("commit acknowledged without a majority")
+	_, err = c.Certify(0, ws(1))
+	var nle NotLeaderError
+	if !errors.As(err, &nle) || nle.Leader != -1 || nle.Epoch != c.Epoch() {
+		t.Fatalf("certify without a majority: %v, want NotLeaderError naming no leader but the ended term %s", err, c.Epoch())
+	}
+	if _, ended := c.TermEnded(); !ended {
+		t.Fatal("a missed majority left the term open")
 	}
 	// Restore one backup: majority available again.
 	tr.SetDown(1, false)
-	out, err := c.Certify(0, ws(1))
+	if c, _, err = Promote(0, []int{0, 1, 2}, tr); err != nil {
+		t.Fatal(err)
+	}
+	if v := c.Version(); v != 1 {
+		t.Fatalf("promoted at version %d, want 1: the orphaned vote is recovered", v)
+	}
+	out, err := c.Certify(c.Version(), ws(1))
 	if err != nil || !out.Committed {
 		t.Fatalf("post-restore commit: %+v %v", out, err)
 	}

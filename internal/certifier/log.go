@@ -24,7 +24,7 @@ import (
 //   - a retirement on its own is one forget frame (codec.ForgetFrame).
 //
 // Every reader decodes through Replay: WAL recovery feeds it a
-// segment's frames, and Recover and ReconcileLog feed it Paxos values.
+// segment's frames, and Recover feeds it Paxos values.
 
 // AppendRecords appends one writeset frame per record, then one commit
 // marker covering them all, and returns the buffer with the highest
@@ -44,7 +44,7 @@ func AppendRecords(b []byte, recs []Record) ([]byte, int64) {
 // leads and the retirement trails: a WAL tail torn inside the write
 // can lose the retirement or the record but never the decision, and
 // recovery re-commits the record from the prepared writeset
-// (RestoreTwoPC). It returns the buffer with the highest version it
+// (Restore). It returns the buffer with the highest version it
 // framed (0: none).
 func AppendDecision(b []byte, txn codec.TxnID, commit bool, version int64, recs []Record, retire []codec.TxnID) ([]byte, int64) {
 	b = codec.DecisionFrame(b, txn, commit, version)
@@ -70,7 +70,7 @@ type Replay struct {
 	// covered, in the order the markers committed them.
 	Records []Record
 	// Prepared are the cross-shard fragments still relevant: in doubt
-	// (no decision) or commit-decided — the latter kept so RestoreTwoPC
+	// (no decision) or commit-decided — the latter kept so Restore
 	// can re-commit a decision whose record frames a torn WAL tail
 	// lost. Abort-decided and forgotten fragments are dropped.
 	Prepared []PreparedTxn
@@ -205,6 +205,23 @@ func replayLog(log map[int]paxos.Value) (*Replay, error) {
 	return &rp, nil
 }
 
+// Restore builds a certifier from a replayed log — a static host's
+// WAL, or the Paxos log Recover replays. base is the version the
+// replayed history starts from (the compaction snapshot version, or
+// the version below the first recovered record); it becomes the
+// version and the pruning horizon, so the certifier rejects snapshots
+// predating its retained log exactly like one that GC'd to the same
+// point. The journal j (nil: none) is attached before the log is
+// installed: a commit decision whose record frames a torn WAL tail
+// lost is re-committed from the prepared writeset, and re-journaled.
+func Restore(rp *Replay, base int64, j Journal) (*Certifier, error) {
+	c := &Certifier{version: base, lowWater: base, journal: j}
+	if err := c.installLocked(rp); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // installLocked folds a replayed log into c: every record above the
 // current version, in version order, then the log's 2PC state.
 func (c *Certifier) installLocked(rp *Replay) error {
@@ -236,29 +253,9 @@ func Recover(log map[int]paxos.Value) (*Certifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := New()
+	var base int64
 	if len(rp.Records) > 0 {
-		c.lowWater = rp.Records[0].Version - 1
+		base = rp.Records[0].Version - 1
 	}
-	if err := c.installLocked(rp); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// ReconcileLog folds a recovered Paxos log into this certifier: every
-// record above the locally known version, and the log's 2PC state,
-// which replaces the local one (the quorum log holds every 2PC entry a
-// journal could). A restarted leader whose WAL lags the acceptor group
-// (it crashed between a successful propose and the journal sync)
-// catches up here before serving, so it can never reassign a version
-// the quorum already decided.
-func (c *Certifier) ReconcileLog(log map[int]paxos.Value) error {
-	rp, err := replayLog(log)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.installLocked(rp)
+	return Restore(rp, base, nil)
 }

@@ -83,10 +83,13 @@ func TestLogIsBinarySafe(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameRecords(t, r)
+		sameTwoPC(t, r)
 	})
 	t.Run("ReconcileLog", func(t *testing.T) {
-		r := NewReplicatedOver(2, ids, tr)
-		if _, err := r.Campaign(); err != nil {
+		// Node 2 saw none of the traffic as leader: promoting it folds
+		// the quorum log in, records and 2PC state alike.
+		r, _, err := Promote(2, ids, tr)
+		if err != nil {
 			t.Fatal(err)
 		}
 		sameRecords(t, r)
@@ -125,7 +128,10 @@ func TestLogIsBinarySafe(t *testing.T) {
 		// campaign recovers it through node 1, and Recover folds it in.
 		accs := []*paxos.Acceptor{paxos.NewAcceptor(0), paxos.NewAcceptor(1), paxos.NewAcceptor(2)}
 		ftr := paxos.NewLocalTransport(accs...)
-		a := NewReplicatedOver(0, ids, ftr)
+		a, _, err := Promote(0, ids, ftr)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := int64(1); i <= 3; i++ {
 			if _, err := a.Certify(i-1, ws(i)); err != nil {
 				t.Fatal(err)

@@ -16,7 +16,10 @@ func staleVoteScenario(t *testing.T, held bool) *Certifier {
 	t.Helper()
 	accs := []*paxos.Acceptor{paxos.NewAcceptor(0), paxos.NewAcceptor(1), paxos.NewAcceptor(2)}
 	tr := paxos.NewLocalTransport(accs...)
-	a := NewReplicatedOver(0, []int{0, 1, 2}, tr)
+	a, _, err := Promote(0, []int{0, 1, 2}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := int64(1); i <= 3; i++ {
 		if out, err := a.Certify(i-1, ws(i)); err != nil || !out.Committed {
 			t.Fatalf("seed certify %d: %+v %v", i, out, err)

@@ -65,7 +65,7 @@ type TwoPCDecision struct {
 // decisions in retire, in ONE write: the frames the package-level
 // AppendDecision builds. A torn tail cuts a suffix: it can lose the
 // retirement or the record but never the decision (recovery re-commits
-// from the prepared writeset; see RestoreTwoPC). All three return a
+// from the prepared writeset; see Restore). All three return a
 // sequence for Journal.Sync.
 type TxnJournal interface {
 	AppendPrepare(p PreparedTxn) (seq int64, err error)
@@ -372,22 +372,12 @@ func (c *Certifier) Decided(id codec.TxnID) (TwoPCDecision, bool) {
 	return d, ok
 }
 
-// RestoreTwoPC reinstates recovered 2PC state after NewFromRecords:
-// decisions are re-recorded, undecided prepares re-lock their keys
-// (in doubt until resolved), and a commit decision whose record frames
-// were torn off the log — Version above the recovered history — is
-// re-committed from the prepared writeset at that same version. The
-// journal, if any, must be attached first so the re-commit is
-// re-journaled.
-func (c *Certifier) RestoreTwoPC(prepared []PreparedTxn, decisions map[codec.TxnID]TwoPCDecision) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.restoreTwoPCLocked(prepared, decisions)
-}
-
 // restoreTwoPCLocked installs replayed 2PC state (see Replay) in place
-// of the certifier's own: WAL recovery and the Paxos recovery paths
-// both end here.
+// of the certifier's own, for Restore: decisions are re-recorded,
+// undecided prepares re-lock their keys (in doubt until resolved), and
+// a commit decision whose record frames were torn off the log —
+// Version above the recovered history — is re-committed from the
+// prepared writeset at that same version, and re-journaled.
 func (c *Certifier) restoreTwoPCLocked(prepared []PreparedTxn, decisions map[codec.TxnID]TwoPCDecision) error {
 	c.prepared, c.prepIndex, c.decisions = nil, nil, nil
 	c.ensureTwoPCLocked()

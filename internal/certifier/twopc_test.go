@@ -166,7 +166,10 @@ func TestPreparedLockBlocksBatch(t *testing.T) {
 func TestReplicatedPrepareSurvivesPromote(t *testing.T) {
 	accs := []*paxos.Acceptor{paxos.NewAcceptor(0), paxos.NewAcceptor(1), paxos.NewAcceptor(2)}
 	tr := paxos.NewLocalTransport(accs...)
-	a := NewReplicatedOver(0, []int{0, 1, 2}, tr)
+	a, _, err := Promote(0, []int{0, 1, 2}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out, err := a.Certify(0, ws(1)); err != nil || !out.Committed {
 		t.Fatalf("seed: %+v %v", out, err)
 	}
@@ -312,10 +315,10 @@ func TestRestoreTwoPCRecommitsTornDecision(t *testing.T) {
 		{Version: 1, Writeset: ws(1)},
 		{Version: 2, Writeset: ws(2)},
 	}
-	c := NewFromRecords(base, 0)
 	prepared := []PreparedTxn{prep(tid("t"), 2, 9)}
 	decisions := map[codec.TxnID]TwoPCDecision{tid("t"): {Commit: true, Version: 3}}
-	if err := c.RestoreTwoPC(prepared, decisions); err != nil {
+	c, err := Restore(&Replay{Records: base, Prepared: prepared, Decisions: decisions}, 0, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Version() != 3 {
@@ -329,9 +332,8 @@ func TestRestoreTwoPCRecommitsTornDecision(t *testing.T) {
 		t.Fatalf("re-committed txn still in doubt: %+v", c.InDoubt())
 	}
 	// A gap between the decision and the log is corruption, not a tear.
-	c2 := NewFromRecords(base, 0)
 	bad := map[codec.TxnID]TwoPCDecision{tid("t"): {Commit: true, Version: 5}}
-	if err := c2.RestoreTwoPC(prepared, bad); err == nil {
+	if _, err := Restore(&Replay{Records: base, Prepared: prepared, Decisions: bad}, 0, nil); err == nil {
 		t.Fatal("version gap accepted")
 	}
 }
@@ -339,8 +341,11 @@ func TestRestoreTwoPCRecommitsTornDecision(t *testing.T) {
 // TestRestoreTwoPCInDoubt: an undecided prepare relocks its keys on
 // recovery and stays queryable via InDoubt until resolved.
 func TestRestoreTwoPCInDoubt(t *testing.T) {
-	c := NewFromRecords([]Record{{Version: 1, Writeset: ws(1)}}, 0)
-	if err := c.RestoreTwoPC([]PreparedTxn{prep(tid("d"), 1, 4)}, nil); err != nil {
+	c, err := Restore(&Replay{
+		Records:  []Record{{Version: 1, Writeset: ws(1)}},
+		Prepared: []PreparedTxn{prep(tid("d"), 1, 4)},
+	}, 0, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := c.InDoubt(); len(got) != 1 || got[0].ID != tid("d") {

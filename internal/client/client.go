@@ -577,13 +577,13 @@ func (t *Txn) Delete(table string, row int64) error {
 // reconcile instead of retrying.
 //
 // A NotLeader redirect at commit time is ambiguous in the same way: a
-// replica deposed mid-proposal never acked, but a minority of
-// acceptors may hold its value, and the new leader's hole recovery is
-// allowed to choose it — the commit may land without an ack ever
-// existing. Only the deposed replica's fence knows it is closed; the
-// redirect cannot say whether the writeset was proposed before it
-// shut, so the client reports the ambiguity rather than invent an
-// abort.
+// replica whose proposal failed — deposed, or short of a majority —
+// never acked, but a minority of acceptors may hold its value, and the
+// next leader's recovery is allowed to choose it — the commit may land
+// without an ack ever existing. Only the old leader's fence knows it is
+// closed; the redirect cannot say whether the writeset was proposed
+// before it shut, so the client reports the ambiguity rather than
+// invent an abort.
 func (t *Txn) Commit() error {
 	if err := t.SendCommit(); err != nil {
 		return err

@@ -11,14 +11,18 @@ import (
 
 // NotLeaderError reports that the contacted replica is not (or no
 // longer) the certifier leader. It carries the redirect: the paxos id
-// of the node the contacted replica believes leads, the epoch round
-// that deposed it, and — when the server knows it — the leader's
-// address. A server fills Addr from its member list whenever it names
-// a leader, so Addr is empty only when it knows no leader (a replica
-// mid-election) or no address for it.
+// of the node the contacted replica believes leads, that leader's epoch
+// round, and — when the server knows it — the leader's address. A
+// server fills Addr from its member list whenever it names a leader, so
+// Addr is empty only when it knows no leader (a replica mid-election)
+// or no address for it. A redirect naming no leader carries, in Epoch,
+// the round of the leader's term that ended at a missed majority, in a
+// proposal that may carry the request — the contacted replica's own
+// term, or the one its relay reached — and 0 when the request was not
+// acted on.
 type NotLeaderError struct {
 	Leader int    // paxos id of the believed leader, -1 when unknown
-	Epoch  int64  // round of the deposing ballot, 0 when unknown
+	Epoch  int64  // round of the leader's ballot, or of the ended term
 	Addr   string // leader address, "" when the server does not know it
 }
 
@@ -74,10 +78,14 @@ type hostSet interface {
 //     candidate. With one candidate the guess stays and the loop asks
 //     it again after the backoff, so a restarting host is waited out.
 //   - A request that must not run twice (once) moves on only when the
-//     contacted node cannot have acted on it: a NotLeader reply, a
-//     non-host's refusal (CodeUnsupported) or a request that never
-//     left. Any other failure — a lost reply above all — returns at
-//     once, leaving the outcome to the caller.
+//     contacted node cannot have acted on it: a NotLeader reply that
+//     names a leader or no epoch, a non-host's refusal
+//     (CodeUnsupported) or a request that never left. Any other
+//     failure returns at once, leaving the outcome to the caller: a
+//     lost reply above all, and a NotLeader naming no leader but an
+//     ended term, whose last proposal may carry the request — the
+//     next campaign may yet choose it, so a resent copy would conflict
+//     with it.
 //   - When maxRedirects hops pass without an answer the loop returns
 //     the last error wrapped in ErrNoLeader.
 type follower struct {
@@ -130,10 +138,13 @@ func (f *follower) try(op func(idx int) error) error {
 }
 
 // notActed reports whether a failed request cannot have been acted on:
-// a NotLeader redirect, a non-host's refusal, or a request that never
-// left this process.
+// a NotLeader redirect that names a leader or no ended term, a
+// non-host's refusal, or a request that never left this process.
 func notActed(err error) bool {
-	if _, redirected := asNotLeader(err); redirected || errors.As(err, new(unsentError)) {
+	if nle, redirected := asNotLeader(err); redirected {
+		return nle.Leader >= 0 || nle.Epoch == 0
+	}
+	if errors.As(err, new(unsentError)) {
 		return true
 	}
 	var pe *protocolError

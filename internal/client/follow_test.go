@@ -66,6 +66,16 @@ func TestFollowerPolicy(t *testing.T) {
 			want:  want{reads: []int32{1, 0}},
 		},
 		{
+			// The host's proposal, which may carry the request, missed
+			// its majority: the next campaign may yet choose it.
+			name: "ended term is not resent",
+			nodes: []node{
+				{answer: func([]string) wire.Message { return &wire.NotLeader{Leader: -1, Epoch: 2} }},
+				commits,
+			},
+			want: want{reads: []int32{1, 0}},
+		},
+		{
 			name: "non-host refusal",
 			nodes: []node{
 				{answer: func([]string) wire.Message {

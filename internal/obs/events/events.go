@@ -25,7 +25,8 @@ type Type string
 const (
 	// LeaderElected: this node won a certifier election.
 	LeaderElected Type = "leader_elected"
-	// LeaderLost: this node stepped down (deposed by a higher epoch).
+	// LeaderLost: this node stepped down (its term ended: a higher epoch
+	// deposed it, or a proposal missed its majority).
 	LeaderLost Type = "leader_lost"
 	// MemberJoined: the primary admitted a new replica.
 	MemberJoined Type = "member_joined"

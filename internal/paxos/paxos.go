@@ -6,7 +6,8 @@
 // runs phase 1 once per term (classic multi-Paxos): its campaign's
 // prepare covers every slot, reads back the acceptors' votes page by
 // page, and closes every slot the old leader left open. From then on
-// each proposal is phase 2 alone.
+// each proposal is phase 2 alone, and the first phase 2 that fails
+// ends the term.
 //
 // The implementation favours clarity over throughput: calls are
 // synchronous method invocations through a Transport that tests use to

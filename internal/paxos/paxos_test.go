@@ -21,9 +21,17 @@ func cluster(n int) ([]*Acceptor, []int, *LocalTransport) {
 	return accs, ids, NewLocalTransport(accs...)
 }
 
-// propose offers v through p, campaigning whenever p does not lead — a
-// rival deposed it, or its first proposal met values it has not
-// learned — as a replicated service does on taking over.
+// lead campaigns p into a term, failing the test if it loses.
+func lead(t *testing.T, p *Proposer) {
+	t.Helper()
+	if _, _, err := p.Campaign("noop"); err != nil {
+		t.Fatalf("proposer %d campaign: %v", p.id, err)
+	}
+}
+
+// propose offers v through p, campaigning whenever p does not lead — it
+// has not campaigned yet, or a rival deposed it — as a replicated
+// service does on taking over.
 func propose(p *Proposer, v Value) (int, error) {
 	for range 1000 {
 		slot, err := p.Propose(v)
@@ -56,6 +64,7 @@ func TestBallotOrdering(t *testing.T) {
 func TestSingleProposerDecides(t *testing.T) {
 	_, ids, tr := cluster(3)
 	p := NewProposer(0, ids, tr)
+	lead(t, p)
 	for i := 0; i < 10; i++ {
 		v := Value(fmt.Sprintf("cmd-%d", i))
 		slot, err := p.Propose(v)
@@ -110,6 +119,7 @@ func TestValueSurvivesLeaderChange(t *testing.T) {
 	// must observe exactly the same log.
 	_, ids, tr := cluster(3)
 	p0 := NewProposer(0, ids, tr)
+	lead(t, p0)
 	want := map[int]Value{}
 	for i := 0; i < 5; i++ {
 		v := Value(fmt.Sprintf("v%d", i))
@@ -133,13 +143,23 @@ func TestValueSurvivesLeaderChange(t *testing.T) {
 	}
 }
 
+// TestNoMajorityFails: a phase 2 that misses its majority fails, and
+// it ends the term: no ballot deposed it, and the proposer refuses the
+// next proposal until it campaigns again.
 func TestNoMajorityFails(t *testing.T) {
 	_, ids, tr := cluster(3)
+	p := NewProposer(0, ids, tr)
+	lead(t, p)
 	tr.SetDown(1, true)
 	tr.SetDown(2, true)
-	p := NewProposer(0, ids, tr)
 	if _, err := p.Propose("x"); !errors.Is(err, ErrNoMajority) {
 		t.Fatalf("expected ErrNoMajority, got %v", err)
+	}
+	if by, ended := p.TermEnded(); !ended || by != (Ballot{}) {
+		t.Fatalf("after a missed majority TermEnded = %s, %v; want the term ended with no deposing ballot", by, ended)
+	}
+	if _, err := p.Propose("y"); !errors.Is(err, ErrNotLeader) {
+		t.Fatalf("proposal after the term ended: %v, want ErrNotLeader", err)
 	}
 }
 
@@ -147,6 +167,7 @@ func TestMinoritySeveredStillDecides(t *testing.T) {
 	_, ids, tr := cluster(3)
 	tr.SetDown(2, true)
 	p := NewProposer(0, ids, tr)
+	lead(t, p)
 	slot, err := p.Propose("survives")
 	if err != nil {
 		t.Fatal(err)
@@ -233,6 +254,7 @@ func TestConcurrentProposersSafety(t *testing.T) {
 func TestRecoverIdempotent(t *testing.T) {
 	_, ids, tr := cluster(3)
 	p := NewProposer(0, ids, tr)
+	lead(t, p)
 	p.Propose("a")
 	p.Propose("b")
 	_, log1, err := p.Campaign("noop")
@@ -268,6 +290,7 @@ func TestNodeRestore(t *testing.T) {
 	tr.SetDown(2, true)
 	tr.SetDown(2, false)
 	p := NewProposer(0, ids, tr)
+	lead(t, p)
 	if _, err := p.Propose("x"); err != nil {
 		t.Fatal(err)
 	}
@@ -317,6 +340,7 @@ func TestCampaignElectsAndRecovers(t *testing.T) {
 	// the full log under a strictly higher ballot.
 	_, ids, tr := cluster(3)
 	p0 := NewProposer(0, ids, tr)
+	lead(t, p0)
 	want := map[int]Value{}
 	for i := 0; i < 5; i++ {
 		v := Value(fmt.Sprintf("v%d", i))
@@ -355,6 +379,7 @@ func TestFencedLeaderDeposedCannotAck(t *testing.T) {
 	// never outbid its way back to acking.
 	_, ids, tr := cluster(3)
 	p0 := NewProposer(0, ids, tr)
+	lead(t, p0)
 	if _, err := p0.Propose("pre"); err != nil {
 		t.Fatal(err)
 	}
@@ -401,6 +426,7 @@ func TestCampaignNeedsMajority(t *testing.T) {
 func TestPrepareReportsStatus(t *testing.T) {
 	_, ids, tr := cluster(3)
 	p := NewProposer(0, ids, tr)
+	lead(t, p)
 	p.Propose("a")
 	p.Propose("b")
 	rep, err := tr.Prepare(1, p.CurrentBallot(), 0)
@@ -484,6 +510,9 @@ func TestQuickProposeSequenceIsDense(t *testing.T) {
 		k := int(n%20) + 1
 		_, ids, tr := cluster(3)
 		p := NewProposer(0, ids, tr)
+		if _, _, err := p.Campaign("noop"); err != nil {
+			return false
+		}
 		for i := 0; i < k; i++ {
 			slot, err := p.Propose(Value(fmt.Sprintf("%d", i)))
 			if err != nil || slot != i {
@@ -503,46 +532,16 @@ func TestQuickProposeSequenceIsDense(t *testing.T) {
 	}
 }
 
-// TestFreshProposerLeadsOnlyOverEmptyLog: a fresh proposer's first
-// proposal opens its term only over a log with no values and no term.
-// Another leader's promise deposes it; values no term holds make it
-// return ErrNotLeader. Either way it proposes nothing, and its
-// campaign learns the values.
-func TestFreshProposerLeadsOnlyOverEmptyLog(t *testing.T) {
-	accs, ids, tr := cluster(3)
-	p0 := NewProposer(0, ids, tr)
-	if slot, err := p0.Propose("a"); err != nil || slot != 0 {
-		t.Fatalf("fresh proposer over an empty log: slot %d, %v", slot, err)
-	}
-	p1 := NewProposer(1, ids, tr)
-	var dep DeposedError
-	if _, err := p1.Propose("b"); !errors.As(err, &dep) || dep.By != p0.CurrentBallot() {
-		t.Fatalf("fresh proposer inside a term: %v, want deposed by %s", err, p0.CurrentBallot())
-	}
-	if n := p1.ChosenCount(); n != 0 {
-		t.Fatalf("refused proposer knows %d slots", n)
-	}
-	if _, log, err := p1.Campaign("noop"); err != nil || len(log) != 1 || log[0] != "a" {
-		t.Fatalf("campaign after the refusal: %q %v", log, err)
-	}
-	if slot, err := p1.Propose("b"); err != nil || slot != 1 {
-		t.Fatalf("proposal after the campaign: slot %d, %v", slot, err)
-	}
-
-	accs, ids, tr = cluster(3)
-	for _, a := range accs {
-		a.Accept(Ballot{Round: 1, Proposer: 0}, 0, "old")
-	}
-	if _, err := NewProposer(1, ids, tr).Propose("b"); !errors.Is(err, ErrNotLeader) {
-		t.Fatalf("fresh proposer over values no term holds: %v, want ErrNotLeader", err)
-	}
-}
-
-// countingTransport counts the prepares a proposer sends, and those
-// that won a promise.
+// countingTransport counts the prepares a proposer sends, those that
+// won a promise, and the accepts it sends.
 type countingTransport struct {
 	Transport
-	prepares, promises int
+	prepares, promises, accepts int
+}
+
+func (c *countingTransport) Accept(to int, b Ballot, slot int, v Value) (AcceptReply, error) {
+	c.accepts++
+	return c.Transport.Accept(to, b, slot, v)
 }
 
 func (c *countingTransport) Prepare(to int, b Ballot, from int) (PrepareReply, error) {
@@ -563,6 +562,7 @@ func TestCampaignPagesThroughLongLog(t *testing.T) {
 	const votes, perPage = 9, 4
 	_, ids, tr := cluster(3)
 	p0 := NewProposer(0, ids, tr)
+	lead(t, p0)
 	want := make([]Value, votes)
 	for i := range want {
 		want[i] = Value(fmt.Sprintf("%d:", i) + strings.Repeat("v", prepareBudget/perPage-voteOverhead-3))
@@ -615,5 +615,64 @@ func TestCampaignAdoptsHighestVoteAndClosesHoles(t *testing.T) {
 	want := map[int]Value{0: "new", 1: "noop", 2: "kept"}
 	if !maps.Equal(log, want) {
 		t.Fatalf("campaign recovered %q, want %q", log, want)
+	}
+}
+
+// voteLog is a Persister that records every vote an acceptor casts,
+// and the (slot, ballot) pairs it was asked to vote two different
+// values at.
+type voteLog struct {
+	votes map[[3]int]Value // slot, ballot round, ballot proposer
+	twice [][3]int
+}
+
+func (l *voteLog) SavePromise(Ballot) error { return nil }
+func (l *voteLog) SaveAccept(slot int, b Ballot, v Value) error {
+	k := [3]int{slot, b.Round, b.Proposer}
+	if old, ok := l.votes[k]; ok && old != v {
+		l.twice = append(l.twice, k)
+	}
+	l.votes[k] = v
+	return nil
+}
+
+// TestFailedPhase2EndsTerm: a leader whose phase 2 misses its majority
+// sends nothing more at that ballot. Its next proposal is refused
+// without an accept, so no acceptor ever votes two values at one
+// (slot, ballot), and the next campaign recovers the orphaned vote —
+// or closes the slot with a noop — instead of choosing a second value
+// there.
+func TestFailedPhase2EndsTerm(t *testing.T) {
+	votes := &voteLog{votes: make(map[[3]int]Value)}
+	accs := []*Acceptor{RestoreAcceptor(0, votes, Ballot{}, nil), NewAcceptor(1), NewAcceptor(2)}
+	tr := NewLocalTransport(accs...)
+	ct := &countingTransport{Transport: tr}
+	ids := []int{0, 1, 2}
+	p := NewProposer(0, ids, ct)
+	if _, _, err := p.Campaign("noop"); err != nil {
+		t.Fatal(err)
+	}
+	tr.SetDown(1, true)
+	tr.SetDown(2, true)
+	if _, err := p.Propose("v1"); !errors.Is(err, ErrNoMajority) {
+		t.Fatalf("propose v1 with two acceptors severed: %v, want ErrNoMajority", err)
+	}
+	sent := ct.accepts
+	if _, err := p.Propose("v2"); err == nil {
+		t.Fatal("a leader whose phase 2 missed its majority proposed again")
+	}
+	if n := ct.accepts - sent; n != 0 {
+		t.Errorf("the refused proposal sent %d accepts, want 0", n)
+	}
+	tr.SetDown(1, false)
+	_, log, err := p.Campaign("noop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log[0] != "v1" && log[0] != "noop" {
+		t.Errorf("campaign over {0, 1} chose %q at slot 0, want the orphaned v1 or a noop", log[0])
+	}
+	if len(votes.twice) > 0 {
+		t.Fatalf("acceptor 0 voted two values at (slot, round, proposer) %v", votes.twice)
 	}
 }

@@ -13,9 +13,9 @@ import (
 var ErrNoMajority = errors.New("paxos: no majority")
 
 // ErrNotLeader reports a proposal from a proposer that leads no term
-// and cannot open one at the proposal: the log holds values it has not
-// learned. Campaign learns them.
-var ErrNotLeader = errors.New("paxos: proposer has not won a campaign")
+// and that no ballot deposed: no campaign of its has won, or its last
+// phase 2 missed its majority. Campaign opens its next term.
+var ErrNotLeader = errors.New("paxos: proposer leads no term")
 
 // DeposedError reports that a leader saw a higher ballot: a new leader
 // has been elected and this proposer must stop acking commits. The
@@ -32,12 +32,14 @@ func (e DeposedError) Error() string {
 // ballot before it reports a livelock.
 const maxOutbids = 100
 
-// Proposer drives consensus for a replicated log from one node. It
-// leads once a campaign wins: the campaign's one prepare holds a
-// majority's promise for every slot, so each proposal after it is
-// phase 2 alone (multi-Paxos). A higher ballot deposes it, and it
-// refuses every proposal until it campaigns again, so a stale leader
-// can never ack a commit a newer leader did not learn.
+// Proposer drives consensus for a replicated log from one node. A
+// term has one way in and one way out. It leads once a campaign wins:
+// the campaign's one prepare holds a majority's promise for every
+// slot, so each proposal after it is phase 2 alone (multi-Paxos). The
+// first phase 2 that fails — a higher ballot, or a missed majority —
+// ends the term, and it refuses every proposal until it campaigns
+// again, so a stale leader can never ack a commit a newer leader did
+// not learn.
 type Proposer struct {
 	mu        sync.Mutex
 	id        int
@@ -46,14 +48,13 @@ type Proposer struct {
 
 	ballot    Ballot
 	leading   bool
-	deposedBy Ballot // the ballot that ended the last term; zero while none did
+	deposedBy Ballot // the ballot that ended the last term; zero when none did
 
 	chosen []Value // the decided log: slot i holds chosen[i]
 }
 
-// NewProposer creates a proposer for the given membership. Its first
-// proposal campaigns, and leads only over a log with no values: over
-// any other, Campaign learns them first.
+// NewProposer creates a proposer for the given membership. It leads no
+// term until its Campaign wins.
 func NewProposer(id int, peers []int, tr Transport) *Proposer {
 	return &Proposer{
 		id:        id,
@@ -74,13 +75,14 @@ func (p *Proposer) CurrentBallot() Ballot {
 	return p.ballot
 }
 
-// Deposed reports whether a higher ballot ended this proposer's term,
-// and which. A deposed proposer refuses every propose until the next
+// TermEnded reports whether the proposer leads no term — its last one
+// ended, or no campaign of its has won — and the ballot that deposed
+// it, zero when none did. It refuses every proposal until the next
 // Campaign.
-func (p *Proposer) Deposed() (Ballot, bool) {
+func (p *Proposer) TermEnded() (by Ballot, ended bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.deposedBy, !p.leading && p.deposedBy != Ballot{}
+	return p.deposedBy, !p.leading
 }
 
 // Campaign elects this proposer leader. It outbids its own ballot and
@@ -90,9 +92,9 @@ func (p *Proposer) Deposed() (Ballot, bool) {
 // over each page of votes the promises carry — the vote with the
 // highest ballot at each slot, a noop in each hole below the highest
 // voted one — until no promise holds votes further on. It returns the
-// winning ballot — the new epoch — and the recovered log. Campaign
-// clears a deposed state: it is the only way a deposed proposer comes
-// back.
+// winning ballot — the new epoch — and the recovered log. Campaign is
+// the only way a proposer starts leading, and the only way back after
+// its term ended.
 func (p *Proposer) Campaign(noop Value) (Ballot, map[int]Value, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -208,57 +210,35 @@ func (p *Proposer) ChosenCount() int {
 }
 
 // Propose runs phase 2 for v at the next slot under the term's ballot
-// and returns the slot v was chosen in. A rejection carrying a higher
-// ballot deposes the proposer; a missing majority leaves it leading
-// and the slot free for the next proposal. A fresh proposer's first
-// proposal opens its term: over a log with no values, the campaign's
-// prepare is all the term needs.
+// and returns the slot v was chosen in. A phase 2 that fails ends the
+// term: a rejection carrying a higher ballot deposes the proposer, and
+// a missed majority leaves v's fate unknown — the acceptors that took
+// it keep it, and the next campaign either chooses it or closes the
+// slot with a noop. So no ballot ever carries two values at one slot.
+// A proposer that leads no term proposes nothing: it returns
+// DeposedError when a ballot ended its term, ErrNotLeader otherwise.
 func (p *Proposer) Propose(v Value) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.leading {
-		if err := p.openTermLocked(); err != nil {
-			return 0, err
-		}
+	switch {
+	case p.leading:
+	case p.deposedBy != Ballot{}:
+		return 0, DeposedError{By: p.deposedBy}
+	default:
+		return 0, ErrNotLeader
 	}
 	slot := len(p.chosen)
 	acks, higher := p.acceptLocked(slot, v)
-	switch {
-	case acks >= p.majority():
+	if acks >= p.majority() {
 		p.chosen = append(p.chosen, v)
 		return slot, nil
-	case higher != Ballot{}:
-		p.leading, p.deposedBy = false, higher
+	}
+	p.leading = false
+	if higher != (Ballot{}) {
+		p.deposedBy = higher
 		return 0, DeposedError{By: higher}
 	}
 	return 0, fmt.Errorf("%w: %d/%d accepts for slot %d", ErrNoMajority, acks, len(p.peers), slot)
-}
-
-// openTermLocked opens a fresh proposer's first term at its first
-// proposal. Over a log with no values and no term the prepare is all a
-// term needs; over any other it proposes nothing: another leader's
-// promise deposes it, and values it has not learned return
-// ErrNotLeader.
-func (p *Proposer) openTermLocked() error {
-	switch {
-	case p.deposedBy != Ballot{}:
-		return DeposedError{By: p.deposedBy}
-	case len(p.chosen) > 0:
-		return ErrNotLeader
-	}
-	p.ballot = Ballot{Round: p.ballot.Round + 1, Proposer: p.id}
-	best, _, higher, err := p.prepareLocked()
-	switch {
-	case err != nil:
-		return err
-	case higher != Ballot{}:
-		p.deposedBy = higher
-		return DeposedError{By: higher}
-	case len(best) > 0:
-		return fmt.Errorf("%w: the log holds values; campaign to learn them", ErrNotLeader)
-	}
-	p.leading = true
-	return nil
 }
 
 // acceptLocked sends phase 2a for v at slot to every peer and returns

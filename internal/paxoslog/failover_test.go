@@ -122,7 +122,15 @@ func runLeaderWorkload(t *testing.T, cfs0 *wal.CrashFS, fsync bool, commits int,
 	}
 	tr := paxos.NewLocalTransport(a0, a1, a2)
 	tr.SetDown(2, true) // node 2 misses the whole workload
-	cert := certifier.NewReplicatedOver(0, []int{0, 1, 2}, tr)
+	cert, _, err := certifier.Promote(0, []int{0, 1, 2}, tr)
+	if err != nil {
+		// With acceptors 0 and 1 up only a crash can fail the campaign:
+		// then there is no leader and no ack.
+		if !cfs0.Crashed() {
+			t.Fatalf("campaign over acceptors 0 and 1 failed without a crash: %v", err)
+		}
+		return len(cfs0.Trace())
+	}
 	w, _, err := wal.Open(wal.Options{FS: cfs0, Fsync: fsync})
 	if err != nil {
 		// Crashed while opening the journal: served nothing.
@@ -208,7 +216,7 @@ func runFailoverCase(t *testing.T, name string, fsync, keepUnsynced bool, armAt,
 		if err == nil {
 			t.Fatalf("%s: deposed leader acked a commit", name)
 		}
-		if errors.As(err, &nle) {
+		if errors.As(err, &nle) && nle.Leader >= 0 {
 			if nle.Leader != 2 {
 				t.Fatalf("%s: redirect points at node %d, want 2", name, nle.Leader)
 			}
@@ -216,8 +224,9 @@ func runFailoverCase(t *testing.T, name string, fsync, keepUnsynced bool, armAt,
 				t.Fatalf("%s: redirect epoch %s below winner %s", name, nle.Epoch, epoch)
 			}
 		}
-		// A dead disk may surface as a replication failure instead of a
-		// deposal — also not an ack, also safe.
+		// A dead disk may end the term at a missed majority instead of a
+		// deposal, and the redirect names no leader — also not an ack,
+		// also safe.
 	}
 
 	// The old leader's journal, replayed after the crash, must agree

@@ -57,7 +57,10 @@ func TestDurableCommitsJournalBeforeAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	recovered := certifier.NewFromRecords(rec.Records, rec.Base)
+	recovered, err := certifier.Restore(&rec.Replay, rec.Base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := recovered.Version(); got != live {
 		t.Fatalf("journal recovered version %d, live certifier %d", got, live)
 	}

@@ -237,21 +237,19 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 		// The certification log recovers from the WAL: the restarted
 		// certifier resumes at the last durably logged version, with
 		// the compaction base as its pruning horizon, and with its
-		// in-doubt 2PC fragments locked and its decisions recorded. The
-		// journal goes on first, so a decision whose record tore off
-		// the log is re-journaled as it is re-committed.
-		base := certifier.New()
+		// in-doubt 2PC fragments locked and its decisions recorded.
+		rp, from := &certifier.Replay{}, int64(0)
 		if rec != nil {
-			base = certifier.NewFromRecords(rec.Records, rec.Base)
+			rp, from = &rec.Replay, rec.Base
 		}
+		var j certifier.Journal
 		if e.dur != nil {
-			base.SetJournal(e.dur.W)
+			j = e.dur.W
 		}
-		if rec != nil {
-			if err := base.RestoreTwoPC(rec.Prepared, rec.Decisions); err != nil {
-				e.dur.W.Close()
-				return nil, fmt.Errorf("server: restore 2PC state: %w", err)
-			}
+		base, err := certifier.Restore(rp, from, j)
+		if err != nil {
+			e.dur.W.Close() // only a WAL's replay can fail
+			return nil, fmt.Errorf("server: restore certifier: %w", err)
 		}
 		e.host.Store(e.newHost(base))
 		e.membership = elastic.NewMembership()
@@ -328,13 +326,18 @@ func (e *engine) hostCert() *pipeline.HostCert { return e.host.Load() }
 // hosted is the role gate in front of every request only the
 // certifier host serves: it returns the hosted service, or the refusal
 // a node that does not host it answers with — a NotLeader redirect
-// under Paxos, errNotHost otherwise.
+// under Paxos, errNotHost otherwise. The refused request was not acted
+// on, so a redirect naming no leader names no ended term either.
 func (e *engine) hosted() (*pipeline.HostCert, error) {
 	if h := e.hostCert(); h != nil {
 		return h, nil
 	}
 	if e.px != nil {
-		return nil, e.px.notLeaderErr()
+		_, leader, epoch := e.leaderView()
+		if leader < 0 {
+			epoch = paxos.Ballot{}
+		}
+		return nil, certifier.NotLeaderError{Leader: leader, Epoch: epoch}
 	}
 	return nil, errNotHost
 }
@@ -352,8 +355,8 @@ func (e *engine) updateSite() error {
 // certService returns the certification service the commit path uses
 // now: the hosted certifier while this node hosts it, the ring to the
 // host otherwise. A call in flight when the role changes finishes
-// against the service it started on; a deposed host answers it with
-// NotLeaderError, which is exactly the fencing contract.
+// against the service it started on; a host whose term ended answers
+// it with NotLeaderError, which is exactly the fencing contract.
 func (e *engine) certService() certService {
 	if h := e.hostCert(); h != nil {
 		return h
@@ -370,7 +373,7 @@ func (e *engine) resume() (int64, bool) { return e.resumed, e.resumeOK }
 // certification service — the /metrics failover gauges.
 func (e *engine) epochInfo() (int64, bool) {
 	if e.px != nil {
-		leading, _, epoch := e.px.view()
+		leading, _, epoch := e.leaderView()
 		return int64(epoch.Round), leading
 	}
 	return 0, e.hostCert() != nil
@@ -751,7 +754,7 @@ const retryInterval = 50 * time.Millisecond
 
 // run is the role loop. A node hosting the certifier applies its own
 // log on commit wakeups, compacts, and evicts stale members; under
-// Paxos it first checks that it has not been deposed. Any other node
+// Paxos it first checks that its term has not ended. Any other node
 // long-polls the host through the ring, one attempt per pass: a failed
 // poll moves the ring's guess, so the next pass asks the next member.
 // Under Paxos the node campaigns once no leader has answered for
@@ -773,7 +776,7 @@ func (e *engine) run(stop <-chan struct{}) {
 		default:
 		}
 		if h := e.hostCert(); h != nil {
-			if e.px != nil && e.stepDownIfDeposed(h) {
+			if e.px != nil && e.stepDownIfEnded(h) {
 				answered = time.Now()
 				continue
 			}

@@ -1,6 +1,10 @@
 package server_test
 
 import (
+	"errors"
+	"fmt"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -309,6 +313,187 @@ func TestPaxosLaggingBackupPromotesAndRestarts(t *testing.T) {
 		}
 		if len(rows) != 12 || rows[9] != "without-b" || rows[10] != "after-failover" || rows[11] != "after-restart" {
 			t.Fatalf("survivor %d holds %v", i, rows)
+		}
+	}
+}
+
+// TestMissedMajorityIsUnknownOutcome: a leader whose phase 2 misses
+// its majority acknowledges nothing. Its term ends there, the client
+// learns the commit's outcome is unknown — the next campaign may yet
+// choose its value — and the leader steps down naming no leader.
+func TestMissedMajorityIsUnknownOutcome(t *testing.T) {
+	c := launchCluster(t, 1, 3, server.Options{Design: "mm", Paxos: true, ElectTimeout: 200 * time.Millisecond}, nil)
+	if err := c.Clients[0].CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	servers := c.Servers[0]
+	lead := waitOneLeader(t, servers, -1)
+	for i, s := range servers {
+		if i != lead {
+			s.Close()
+		}
+	}
+	cl, err := client.New(client.Options{Servers: []string{c.Addrs(0)[lead]}, Design: "mm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	tx, err := cl.BeginUpdate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write("t", 1, "v"); err != nil {
+		t.Fatal(err)
+	}
+	var unknown *repl.UnknownOutcomeError
+	if err := tx.Commit(); !errors.As(err, &unknown) {
+		t.Fatalf("commit on a leader that lost its majority: %v, want an unknown outcome", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		leading, leader, _, _ := servers[lead].Leader()
+		if !leading {
+			if leader != -1 {
+				t.Fatalf("the leader stepped down naming leader %d, want none (-1)", leader)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the leader still leads 5s after its term ended")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRelayedMissedMajorityIsUnknownOutcome: a backup relays its
+// client's commit to a leader whose phase 2 then misses its majority.
+// The leader's answer names no leader but its ended term, so the relay
+// returns it at once instead of resending: a resent copy would meet
+// the orphaned vote the next campaign recovers, conflict with it and
+// report aborted a transaction that may have committed. The client
+// learns the outcome is unknown, never an abort. Node 0 reaches node 1
+// at an address nobody serves, so node 0 leads over {0, 2}, and
+// closing node 2 cuts its majority while node 1 still reaches it.
+func TestRelayedMissedMajorityIsUnknownOutcome(t *testing.T) {
+	addrs := make([]string, 4)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	members, unserved := addrs[:3], addrs[3]
+	servers := make([]*server.Server, 3)
+	for i := range servers {
+		opts := server.Options{
+			Design: "mm", Paxos: true, ElectTimeout: 200 * time.Millisecond,
+			ID: i, Listen: members[i], Replicas: 3, Members: members,
+		}
+		if i == 0 {
+			opts.Members = []string{members[0], unserved, members[2]}
+		}
+		srv, err := server.New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Start()
+		t.Cleanup(func() { srv.Close() })
+		servers[i] = srv
+	}
+	if lead := waitOneLeader(t, servers, -1); lead != 0 {
+		t.Fatalf("node %d leads, want node 0", lead)
+	}
+	dial := func(addr string) *client.Client {
+		cl, err := client.New(client.Options{Servers: []string{addr}, Design: "mm"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	if err := dial(members[0]).CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	backup := dial(members[1])
+	commit := func(row int64) error {
+		tx, err := backup.BeginUpdate()
+		if err != nil {
+			return err
+		}
+		if err := tx.Write("t", row, "v"); err != nil {
+			tx.Abort()
+			return err
+		}
+		return tx.Commit()
+	}
+	// The relay works while node 0 holds its majority (once node 1 has
+	// fetched the table).
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		err := commit(0)
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("commit through backup 1 before the cut: %v", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	servers[2].Close()
+	err := commit(1)
+	var unknown *repl.UnknownOutcomeError
+	if errors.Is(err, repl.ErrAborted) || !errors.As(err, &unknown) {
+		t.Fatalf("commit relayed to a leader that lost its majority: %v, want an unknown outcome", err)
+	}
+}
+
+// TestBackupViewReadsPromise: a backup reads who leads from its own
+// acceptor's promise, so after an election each backup names the
+// leader and its epoch, and reports that epoch in its stats. A backup
+// the campaign did not reach learns the epoch from the leader's next
+// accept, so the test commits until every backup has seen one.
+func TestBackupViewReadsPromise(t *testing.T) {
+	c := launchCluster(t, 1, 3, server.Options{Design: "mm", Paxos: true, ElectTimeout: 200 * time.Millisecond}, nil)
+	cl := c.Clients[0]
+	if err := cl.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	servers := c.Servers[0]
+	lead := waitOneLeader(t, servers, -1)
+	_, _, epoch, _ := servers[lead].Leader()
+	for row, deadline := int64(0), time.Now().Add(5*time.Second); ; row++ {
+		var wrong []string
+		stats, err := c.Stats(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range servers {
+			if i == lead {
+				continue
+			}
+			leading, leader, e, _ := s.Leader()
+			if leading || leader != lead || e != epoch {
+				wrong = append(wrong, fmt.Sprintf("backup %d: leading %v, leader %d, epoch %s; want leader %d at epoch %s", i, leading, leader, e, lead, epoch))
+			}
+			if stats[i].Epoch != stats[lead].Epoch || stats[i].Epoch != int64(epoch.Round) {
+				wrong = append(wrong, fmt.Sprintf("backup %d reports epoch %d in its stats, the leader %d", i, stats[i].Epoch, stats[lead].Epoch))
+			}
+		}
+		if len(wrong) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d commits:\n%s", row, strings.Join(wrong, "\n"))
+		}
+		tx, err := cl.BeginUpdate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Write("t", row, "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/certifier"
@@ -17,8 +16,9 @@ import (
 
 // paxosNode is the replicated-certification state of one server, under
 // either design: the Paxos acceptor this process hosts (durable under
-// the WAL directory when the node runs one), the wire transport to its
-// peers' acceptors, and its current view of who leads.
+// the WAL directory when the node runs one) and the wire transport to
+// its peers' acceptors. Who leads is read from the acceptor's promise
+// (engine.leaderView).
 type paxosNode struct {
 	id         int
 	peerIDs    []int
@@ -28,11 +28,6 @@ type paxosNode struct {
 	acc   *paxos.Acceptor
 	store *paxoslog.Store // nil when the acceptor is volatile
 	tr    *client.PaxosTransport
-
-	mu      sync.Mutex
-	leading bool
-	leader  int // best guess of the current leader id, -1 unknown
-	epoch   paxos.Ballot
 }
 
 // newPaxosNode opens this node's acceptor (restored from its durable
@@ -41,9 +36,8 @@ type paxosNode struct {
 func newPaxosNode(opts Options, ring *client.LeaderRing) (*paxosNode, error) {
 	n := len(opts.Members)
 	px := &paxosNode{
-		id:     opts.ID,
-		addrs:  append([]string(nil), opts.Members...),
-		leader: -1,
+		id:    opts.ID,
+		addrs: append([]string(nil), opts.Members...),
 		// Staggered election timeouts: lower ids campaign first, and
 		// each successive id waits a full extra ElectTimeout, giving
 		// the winner that long to serve its first ring request before
@@ -81,35 +75,6 @@ func (px *paxosNode) close() {
 	}
 }
 
-func (px *paxosNode) setLeading(epoch paxos.Ballot) {
-	px.mu.Lock()
-	px.leading, px.leader, px.epoch = true, px.id, epoch
-	px.mu.Unlock()
-}
-
-func (px *paxosNode) setFollower(leader int, epoch paxos.Ballot) {
-	px.mu.Lock()
-	px.leading, px.leader = false, leader
-	if px.epoch.Less(epoch) {
-		px.epoch = epoch
-	}
-	px.mu.Unlock()
-}
-
-// view returns the node's current role and leader guess.
-func (px *paxosNode) view() (leading bool, leader int, epoch paxos.Ballot) {
-	px.mu.Lock()
-	defer px.mu.Unlock()
-	return px.leading, px.leader, px.epoch
-}
-
-// notLeaderErr builds the structured redirect a non-leader answers
-// certification requests with.
-func (px *paxosNode) notLeaderErr() error {
-	_, leader, epoch := px.view()
-	return certifier.NotLeaderError{Leader: leader, Epoch: epoch}
-}
-
 func (px *paxosNode) addrOf(id int) string {
 	if id < 0 || id >= len(px.addrs) {
 		return ""
@@ -141,41 +106,60 @@ func (e *engine) promoteSelf() error {
 		cert.SetJournal(e.dur.W)
 	}
 	e.host.Store(e.newHost(cert))
-	e.px.setLeading(epoch)
 	e.m.events.Emit(events.LeaderElected,
 		fmt.Sprintf("won certifier election at epoch round %d", epoch.Round),
 		map[string]string{"epoch": strconv.Itoa(epoch.Round)})
 	return nil
 }
 
-// stepDown demotes a deposed leader to a backup: the host role is
-// dropped, the commit path goes back through the ring (pointed at the
-// deposing node), and the election timer restarts. Any call still
-// racing into the old host gets NotLeaderError from the deposed
-// proposer — never an ack.
-func (e *engine) stepDown(by paxos.Ballot) {
+// leaderView reports this node's view of the replicated certifier.
+// While it hosts the certifier it leads, at the hosted certifier's
+// epoch, until the role loop steps it down. Otherwise its epoch is its
+// acceptor's promise — every campaign that won through this node
+// promised there, and a leader's accepts raise the promise of every
+// acceptor they reach — and its leader guess is that epoch's proposer,
+// or -1 when the acceptor never promised, or when the epoch is this
+// node's own: its campaign lost or its term ended.
+func (e *engine) leaderView() (leading bool, leader int, epoch paxos.Ballot) {
+	if h := e.hostCert(); h != nil {
+		return true, e.px.id, h.Base.Epoch()
+	}
+	epoch = e.px.acc.Promised()
+	leader = epoch.Proposer
+	if epoch == (paxos.Ballot{}) || leader == e.px.id {
+		leader = -1
+	}
+	return false, leader, epoch
+}
+
+// stepDownIfEnded demotes this leader to a backup once its term is
+// over: its proposer's term ended — a higher ballot deposed it, or a
+// proposal missed its majority — or a higher promise on our own
+// acceptor shows a newer epoch campaigned through us, so it steps down
+// without waiting to trip over a propose. The host role is dropped,
+// the commit path goes back through the ring, and the election timer
+// restarts. A deposing ballot points the ring at its node; a term that
+// ended at a missed majority names no leader, and the ring keeps its
+// guess. Any call still racing into the old host gets NotLeaderError
+// from the proposer, whose term is over — never an ack.
+func (e *engine) stepDownIfEnded(h *pipeline.HostCert) bool {
+	by, ended := h.Base.TermEnded()
+	if promised := e.px.acc.Promised(); by == (paxos.Ballot{}) && h.Base.Epoch().Less(promised) {
+		by, ended = promised, true
+	}
+	if !ended {
+		return false
+	}
 	e.host.Store(nil)
-	e.px.setFollower(by.Proposer, by)
+	if by == (paxos.Ballot{}) {
+		e.m.events.Emit(events.LeaderLost, "stepped down, a proposal missed its majority", nil)
+		return true
+	}
 	if addr := e.px.addrOf(by.Proposer); addr != "" {
 		e.ring.Point(addr)
 	}
 	e.m.events.Emit(events.LeaderLost,
 		fmt.Sprintf("stepped down, deposed by node %d at epoch round %d", by.Proposer, by.Round),
 		map[string]string{"epoch": strconv.Itoa(by.Round), "deposed_by": strconv.Itoa(by.Proposer)})
-}
-
-// stepDownIfDeposed demotes this leader when a newer epoch exists: its
-// proposer was preempted, or a higher promise on our own
-// acceptor shows a newer epoch campaigned through us — step down
-// without waiting to trip over a propose.
-func (e *engine) stepDownIfDeposed(h *pipeline.HostCert) bool {
-	if by, ok := h.Base.Deposed(); ok {
-		e.stepDown(by)
-		return true
-	}
-	if promised := e.px.acc.Promised(); h.Base.Epoch().Less(promised) {
-		e.stepDown(promised)
-		return true
-	}
-	return false
+	return true
 }

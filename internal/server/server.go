@@ -324,7 +324,7 @@ func (s *Server) Leader() (leading bool, leader int, epoch paxos.Ballot, ok bool
 	if s.eng.px == nil {
 		return false, -1, paxos.Ballot{}, false
 	}
-	leading, leader, epoch = s.eng.px.view()
+	leading, leader, epoch = s.eng.leaderView()
 	return leading, leader, epoch, true
 }
 

@@ -271,7 +271,10 @@ func recoverNode(t *testing.T, fs *MemFS, keepUnsynced bool) (*Recovered, *certi
 		t.Fatalf("recovery open: %v", err)
 	}
 	w.Close()
-	cert := certifier.NewFromRecords(rec.Records, rec.Base)
+	cert, err := certifier.Restore(&rec.Replay, rec.Base, nil)
+	if err != nil {
+		t.Fatalf("restore certifier: %v", err)
+	}
 	db := sidb.New()
 	if err := rec.Restore(db); err != nil {
 		t.Fatalf("restore: %v", err)

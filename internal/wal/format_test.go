@@ -92,8 +92,8 @@ func TestWALAndPaxosRecoverTheSameState(t *testing.T) {
 	}
 	w, rec := reopen(t, fs, false)
 	defer w.Close()
-	fromWAL := certifier.NewFromRecords(rec.Records, rec.Base)
-	if err := fromWAL.RestoreTwoPC(rec.Prepared, rec.Decisions); err != nil {
+	fromWAL, err := certifier.Restore(&rec.Replay, rec.Base, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for name, c := range map[string]*certifier.Certifier{"paxos": fromPaxos, "wal": fromWAL} {

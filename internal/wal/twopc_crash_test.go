@@ -167,9 +167,8 @@ func recoverTwoPCGroup(t *testing.T, g *twoPCGroup, keepUnsynced bool) *certifie
 		t.Fatalf("recovery open: %v", err)
 	}
 	t.Cleanup(func() { w.Close() })
-	cert := certifier.NewFromRecords(rec.Records, rec.Base)
-	cert.SetJournal(w)
-	if err := cert.RestoreTwoPC(rec.Prepared, rec.Decisions); err != nil {
+	cert, err := certifier.Restore(&rec.Replay, rec.Base, w)
+	if err != nil {
 		t.Fatalf("restore 2pc: %v", err)
 	}
 	return cert

@@ -69,7 +69,7 @@ func TestTwoPCRoundTrip(t *testing.T) {
 		t.Fatalf("decided record after cycle: %+v", rec.Records)
 	}
 	// The prepared entry survives a commit decision on purpose: a torn
-	// record needs the writeset for the re-commit. RestoreTwoPC sees
+	// record needs the writeset for the re-commit. Restore sees
 	// Version <= recovered version and reinstates nothing.
 	if len(rec.Prepared) != 1 {
 		t.Fatalf("prepared entry dropped by commit decision: %+v", rec.Prepared)
@@ -122,7 +122,7 @@ func TestTwoPCAbortDropsPrepared(t *testing.T) {
 // TestTornDecisionRecommit pins the whole torn-tail recovery chain:
 // AppendDecision puts the decision frame FIRST in its single write, so
 // a tear between decision and record leaves {prepare, decision} on
-// disk with the record gone. Replay surfaces both; RestoreTwoPC
+// disk with the record gone. Replay surfaces both; Restore
 // re-commits the fragment from the prepared writeset at the decided
 // version — the acked commit survives the tear.
 func TestTornDecisionRecommit(t *testing.T) {
@@ -174,9 +174,8 @@ func TestTornDecisionRecommit(t *testing.T) {
 
 	// Recovery re-commits: the certifier ends at the decided version
 	// with the fragment in its log, re-journaled through the WAL.
-	c := certifier.NewFromRecords(rec.Records, rec.Base)
-	c.SetJournal(w2)
-	if err := c.RestoreTwoPC(rec.Prepared, rec.Decisions); err != nil {
+	c, err := certifier.Restore(&rec.Replay, rec.Base, w2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Version() != 1 {

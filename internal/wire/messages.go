@@ -1126,11 +1126,14 @@ func (m *PaxosAcceptOK) decode(d *decoder) {
 	m.PromisedProposer = d.Varint()
 }
 
-// NotLeader is the structured redirect a deposed certifier leader
-// answers certification requests with: the paxos id of the node that
-// deposed it (-1 when unknown), the deposing epoch (round of the
-// winning ballot), and that node's address when known ("" otherwise —
-// the client falls back to the Members protocol).
+// NotLeader is the structured redirect a node that does not host the
+// certifier answers certification requests with: the paxos id of the
+// node it believes leads (-1 when it knows none), that leader's epoch
+// round, and the leader's address when known ("" otherwise — the
+// client falls back to the Members protocol). With no leader named, a
+// nonzero Epoch is the round of the leader's term that ended at a
+// missed majority, in a proposal that may carry the request; 0 says
+// the request was not acted on.
 type NotLeader struct {
 	Leader int64
 	Epoch  int64
