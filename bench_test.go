@@ -339,13 +339,15 @@ func BenchmarkCertifyBatch(b *testing.B) {
 // caller rewrites its own row, so every request commits; allocs/op is
 // what one commit costs the heap, the caller's writeset aside.
 func BenchmarkCertifyGroupCommit(b *testing.B) {
-	c := certifier.New()
 	w, _, err := wal.Open(wal.Options{FS: wal.NewMemFS()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer w.Close()
-	c.SetJournal(w)
+	c, err := certifier.Restore(&certifier.Replay{}, 0, w)
+	if err != nil {
+		b.Fatal(err)
+	}
 	batcher := certifier.NewBatcher(c, 0)
 	var callers atomic.Int64
 	b.ReportAllocs()

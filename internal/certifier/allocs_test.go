@@ -39,12 +39,7 @@ func TestCertifyAllocs(t *testing.T) {
 	for _, tc := range cases {
 		c := certifier.New()
 		if tc.wal {
-			w, _, err := wal.Open(wal.Options{FS: wal.NewMemFS()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w.Close()
-			c.SetJournal(w)
+			c = journaled(t, openMemWAL(t))
 		}
 		// Warm the log's backing array and the index.
 		for range 64 {
@@ -72,8 +67,7 @@ func openMemWAL(t *testing.T) *wal.WAL {
 // allocations: a parked request and its wakeup channel are recycled,
 // and the flusher certifies from its own request and result scratch.
 func TestBatcherCertifyAllocs(t *testing.T) {
-	c := certifier.New()
-	c.SetJournal(openMemWAL(t))
+	c := journaled(t, openMemWAL(t))
 	b := certifier.NewBatcher(c, 0)
 	one := writeset.Rows("t", []int64{1}, []string{"x"})
 	certify := func() {

@@ -128,24 +128,19 @@ type Certifier struct {
 	proposer *paxos.Proposer
 	valBuf   []byte
 
-	// journal (optional): certified records are staged under mu and
-	// synced before the commit is acknowledged. durable is the newest
-	// version whose journal sync has completed: records above it exist
-	// in memory but are withheld from Since, so a peer can never
-	// replicate a commit that a power loss could still erase here —
-	// the version would be reassigned on recovery and the peer, having
-	// already applied the old record at that version, would silently
-	// skip the new one forever.
-	//
-	// With a proposer attached the roles invert: the Paxos majority is
-	// the durability authority (a commit is durable once accepted by a
-	// quorum) and the journal is a best-effort local cache that speeds
-	// up restart. A journal failure then detaches the journal (recorded
-	// in journalErr) instead of failing the commit, and Since never
-	// withholds — every applied record is already majority-durable.
-	journal    Journal
-	journalErr error
-	durable    int64
+	// journal (optional; a static host's write-ahead log, attached by
+	// Restore): certified records are staged under mu and synced before
+	// the commit is acknowledged. durable is the newest version whose
+	// journal sync has completed: records above it exist in memory but
+	// are withheld from Since, so a peer can never replicate a commit
+	// that a power loss could still erase here — the version would be
+	// reassigned on recovery and the peer, having already applied the
+	// old record at that version, would silently skip the new one
+	// forever. A replicated certifier journals nothing: the acceptors'
+	// votes are its log, and every record it publishes is already
+	// majority-durable.
+	journal Journal
+	durable int64
 
 	// stageObs (optional) receives the duration of each internal
 	// certification sub-stage, for commit-path tracing.
@@ -165,25 +160,6 @@ type Certifier struct {
 // single-master design (which needs none).
 func New() *Certifier {
 	return &Certifier{}
-}
-
-// SetJournal attaches the durability journal: from now on every
-// certified record is staged in j (in version order, under the
-// certification lock) and synced before Certify or CertifyBatch
-// acknowledges the commit. Attach before serving traffic.
-//
-// On an unreplicated certifier the journal IS the durability
-// authority: a journal failure refuses or withholds the commit. On a
-// Paxos-replicated certifier the acceptor majority is the authority —
-// a version the quorum accepted can never be reused — so the journal
-// is a restart cache: a failure detaches it (see JournalError) and the
-// commit is still acknowledged.
-func (c *Certifier) SetJournal(j Journal) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.journal = j
-	c.journalErr = nil
-	c.durable = c.version // recovered history is durable by definition
 }
 
 // SetStageObserver attaches a callback invoked with the duration of
@@ -213,46 +189,11 @@ func (c *Certifier) observeStage(stage string, first, last int64, d time.Duratio
 	c.stageObs(stage, vs, d)
 }
 
-// JournalError returns the error that detached the journal of a
-// replicated certifier, or nil while the journal is healthy.
-func (c *Certifier) JournalError() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.journalErr
-}
-
-// detachJournalLocked drops a failing journal on a replicated
-// certifier: the Paxos log holds every record, so losing the local
-// cache costs a slower restart, not correctness.
-func (c *Certifier) detachJournalLocked(err error) {
-	c.journal = nil
-	c.journalErr = err
-}
-
-// journaledLocked applies the journal policy to the result of one
-// journal write, made under c.mu so entries reach the journal in log
-// order. It returns the journal to sync outside the lock (nil: nothing
-// to sync). On an unreplicated certifier the journal is the durability
-// authority, so a failed write is returned and the caller applies
-// nothing. On a replicated one the Paxos quorum already holds the
-// entry: a failure detaches the journal and the caller goes on.
-func (c *Certifier) journaledLocked(seq int64, err error) (Journal, int64, error) {
-	if err == nil {
-		return c.journal, seq, nil
-	}
-	if c.proposer == nil {
-		return nil, 0, err
-	}
-	c.detachJournalLocked(err)
-	return nil, 0, nil
-}
-
-// syncJournal waits, outside c.mu, until the entry journaledLocked
-// returned is durable, then publishes versions up to v as durable (0:
-// the entry carries no record). It returns how long the sync took. A
-// failed sync is returned by an unreplicated certifier — the outcome is
-// unknown, and the records stay withheld from Since — and detaches a
-// replicated certifier's journal.
+// syncJournal waits, outside c.mu, until the journal entry at seq is
+// durable, then publishes versions up to v as durable (0: the entry
+// carries no record). It returns how long the sync took. A failed sync
+// is returned — the outcome is unknown, and the records stay withheld
+// from Since.
 func (c *Certifier) syncJournal(j Journal, seq, v int64) (time.Duration, error) {
 	if j == nil {
 		return 0, nil
@@ -260,19 +201,15 @@ func (c *Certifier) syncJournal(j Journal, seq, v int64) (time.Duration, error) 
 	start := time.Now()
 	err := j.Sync(seq)
 	d := time.Since(start)
+	if err != nil {
+		return d, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch {
-	case err == nil:
-		// Journal appends happen in log order and an fsync covers every
-		// byte written before it, so a completed sync for v implies all
-		// versions at or below v are durable too.
-		c.durable = max(c.durable, v)
-	case c.proposer == nil:
-		return d, err
-	default:
-		c.detachJournalLocked(err)
-	}
+	// Journal appends happen in log order and an fsync covers every
+	// byte written before it, so a completed sync for v implies all
+	// versions at or below v are durable too.
+	c.durable = max(c.durable, v)
 	return d, nil
 }
 
@@ -507,11 +444,14 @@ func (c *Certifier) certify(reqs []Request, res []Result) error {
 	if paxosTime > 0 {
 		c.observeStage("paxos", first, last, paxosTime)
 	}
-	var j Journal
+	j := c.journal
+	if len(staged) == 0 {
+		j = nil
+	}
 	var seq int64
-	if len(staged) > 0 && c.journal != nil {
+	if j != nil {
 		start := time.Now()
-		if j, seq, err = c.journaledLocked(c.journal.Append(staged)); err != nil {
+		if seq, err = j.Append(staged); err != nil {
 			c.unstageLocked()
 			c.mu.Unlock()
 			return fmt.Errorf("certifier: journal: %w", err)
@@ -632,15 +572,15 @@ func (c *Certifier) Since(v int64) []Record { return c.SinceInto(nil, v) }
 // the certification lock, and returns the extended slice; the
 // certifier host reads its own log into a stack buffer this way.
 // Records are sorted by version, so the suffix is located by binary
-// search. With a journal attached to an unreplicated certifier,
-// records whose sync has not completed are withheld: propagation must
-// never outrun durability. A replicated certifier never withholds —
-// every applied record already survived a Paxos quorum.
+// search. With a journal attached, records whose sync has not
+// completed are withheld: propagation must never outrun durability. A
+// replicated certifier has no journal, and every record it publishes
+// already survived a Paxos quorum.
 func (c *Certifier) SinceInto(dst []Record, v int64) []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	recs := c.records
-	if c.journal != nil && c.proposer == nil {
+	if c.journal != nil {
 		end := sort.Search(len(recs), func(i int) bool { return recs[i].Version > c.durable })
 		recs = recs[:end]
 	}

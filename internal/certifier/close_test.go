@@ -33,8 +33,7 @@ func TestCommitDuringCloseReturnsAmbiguousOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := certifier.New()
-	c.SetJournal(closingJournal{w})
+	c := journaled(t, closingJournal{w})
 	_, err = c.Certify(0, writeset.Rows("t", []int64{1}, []string{"x"}))
 	if err == nil {
 		t.Fatal("commit acknowledged although its durability is unknown")
@@ -48,4 +47,15 @@ func TestCommitDuringCloseReturnsAmbiguousOutcome(t *testing.T) {
 	if recs := c.Since(0); len(recs) != 0 {
 		t.Fatalf("record of unknown durability served to peers: %+v", recs)
 	}
+}
+
+// journaled returns an empty unreplicated certifier journaling to j,
+// attached the one way a journal is: by Restore.
+func journaled(t *testing.T, j certifier.Journal) *certifier.Certifier {
+	t.Helper()
+	c, err := certifier.Restore(&certifier.Replay{}, 0, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

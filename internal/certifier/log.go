@@ -214,6 +214,8 @@ func replayLog(log map[int]paxos.Value) (*Replay, error) {
 // point. The journal j (nil: none) is attached before the log is
 // installed: a commit decision whose record frames a torn WAL tail
 // lost is re-committed from the prepared writeset, and re-journaled.
+// Restore is the only way a certifier gets a journal; a replicated
+// certifier has none, its acceptors' votes being its log.
 func Restore(rp *Replay, base int64, j Journal) (*Certifier, error) {
 	c := &Certifier{version: base, lowWater: base, journal: j}
 	if err := c.installLocked(rp); err != nil {

@@ -31,16 +31,27 @@ func (j *policyJournal) Sync(int64) error {
 	return j.syncErr
 }
 
+// journaled returns an empty unreplicated certifier journaling to j,
+// attached the one way a journal is: by Restore.
+func journaled(t *testing.T, j Journal) *Certifier {
+	t.Helper()
+	c, err := Restore(&Replay{}, 0, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestJournalPolicy pins the one journal policy every journaled
-// operation follows. Unreplicated, the journal is the durability
-// authority: a failed write refuses and applies nothing, and a failed
-// sync reports the outcome unknown and keeps any record withheld from
-// Since. Replicated, the Paxos quorum is: either failure detaches the
-// journal and the operation succeeds.
+// operation follows. The journal is the durability authority: a failed
+// write refuses and applies nothing, and a failed sync reports the
+// outcome unknown and keeps any record withheld from Since. (A
+// replicated certifier has no journal: its acceptors' votes are its
+// log.)
 func TestJournalPolicy(t *testing.T) {
 	ops := []struct {
 		name string
-		// setup runs before the failing journal is attached.
+		// setup runs before the journal starts failing.
 		setup func(c *Certifier) error
 		run   func(c *Certifier) error
 		// applied reports whether the operation took effect.
@@ -107,79 +118,45 @@ func TestJournalPolicy(t *testing.T) {
 			},
 		},
 	}
-	certifiers := []struct {
-		name string
-		make func(t *testing.T) *Certifier
-	}{
-		{"unreplicated", func(*testing.T) *Certifier { return New() }},
-		{"replicated", func(t *testing.T) *Certifier {
-			c, _, err := NewReplicated(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		}},
-	}
 	failures := []struct {
-		name    string
-		journal func() *policyJournal
+		name string
+		fail func(j *policyJournal)
 	}{
-		{"append fails", func() *policyJournal { return &policyJournal{appendErr: errors.New("disk full")} }},
-		{"sync fails", func() *policyJournal { return &policyJournal{syncErr: errors.New("fsync failed")} }},
+		{"append fails", func(j *policyJournal) { j.appendErr = errors.New("disk full") }},
+		{"sync fails", func(j *policyJournal) { j.syncErr = errors.New("fsync failed") }},
 	}
 	for _, op := range ops {
-		for _, cc := range certifiers {
-			for _, f := range failures {
-				t.Run(op.name+"/"+cc.name+"/"+f.name, func(t *testing.T) {
-					c := cc.make(t)
-					if op.setup != nil {
-						if err := op.setup(c); err != nil {
-							t.Fatalf("setup: %v", err)
-						}
+		for _, f := range failures {
+			t.Run(op.name+"/unreplicated/"+f.name, func(t *testing.T) {
+				j := &policyJournal{}
+				c := journaled(t, j)
+				if op.setup != nil {
+					if err := op.setup(c); err != nil {
+						t.Fatalf("setup: %v", err)
 					}
-					before := len(c.Since(0))
-					j := f.journal()
-					c.SetJournal(j)
-					err := op.run(c)
-					replicated := cc.name == "replicated"
-					switch {
-					case replicated:
-						if err != nil {
-							t.Fatalf("replicated certifier failed the operation: %v", err)
-						}
-						if !op.applied(c) {
-							t.Fatal("operation not applied")
-						}
-						if c.JournalError() == nil {
-							t.Fatal("failing journal still attached")
-						}
-						writes := j.writes
-						if _, err := c.Certify(c.Version(), ws(9)); err != nil || j.writes != writes {
-							t.Fatalf("detached journal still written: %v, %d writes after %d", err, j.writes, writes)
-						}
-					case f.name == "append fails":
-						if err == nil {
-							t.Fatal("journal write failure not reported")
-						}
-						if op.applied(c) {
-							t.Fatal("operation applied although its journal write failed")
-						}
-						if len(c.Since(0)) != before {
-							t.Fatal("log changed although the journal write failed")
-						}
-					default:
-						if err == nil || !strings.Contains(err.Error(), "outcome unknown") {
-							t.Fatalf("err = %v, want an outcome-unknown error", err)
-						}
-						if op.records && len(c.Since(0)) != before {
-							t.Fatalf("record of unknown durability served: %+v", c.Since(0))
-						}
+				}
+				before := len(c.Since(0))
+				f.fail(j)
+				err := op.run(c)
+				if f.name == "append fails" {
+					if err == nil {
+						t.Fatal("journal write failure not reported")
 					}
-					if !replicated && c.JournalError() != nil {
-						t.Fatal("unreplicated certifier detached its journal")
+					if op.applied(c) {
+						t.Fatal("operation applied although its journal write failed")
 					}
-				})
-			}
+					if len(c.Since(0)) != before {
+						t.Fatal("log changed although the journal write failed")
+					}
+					return
+				}
+				if err == nil || !strings.Contains(err.Error(), "outcome unknown") {
+					t.Fatalf("err = %v, want an outcome-unknown error", err)
+				}
+				if op.records && len(c.Since(0)) != before {
+					t.Fatalf("record of unknown durability served: %+v", c.Since(0))
+				}
+			})
 		}
 	}
 }
@@ -202,8 +179,7 @@ func (j *plainJournal) Sync(int64) error {
 // decision still journals and syncs its record.
 func TestPlainJournalSkipsTwoPCEntries(t *testing.T) {
 	j := &plainJournal{}
-	c := New()
-	c.SetJournal(j)
+	c := journaled(t, j)
 	if vote, _, err := c.Prepare(prep(tid("t"), 0, 3)); err != nil || !vote {
 		t.Fatalf("prepare: %v %v", vote, err)
 	}

@@ -35,8 +35,7 @@ func (g *gateJournal) Sync(seq int64) error {
 // be reassigned on recovery and the peer would skip its replacement).
 func TestSinceWithholdsUndurableRecords(t *testing.T) {
 	g := &gateJournal{appended: make(chan struct{}), release: make(chan struct{})}
-	c := New()
-	c.SetJournal(g)
+	c := journaled(t, g)
 	done := make(chan Outcome, 1)
 	go func() {
 		out, err := c.Certify(0, ws(1))
@@ -65,8 +64,7 @@ func TestSinceWithholdsUndurableRecords(t *testing.T) {
 func TestSinceWithholdsAfterSyncFailure(t *testing.T) {
 	g := &gateJournal{appended: make(chan struct{}), release: make(chan struct{}), err: errors.New("disk gone")}
 	close(g.release)
-	c := New()
-	c.SetJournal(g)
+	c := journaled(t, g)
 	if _, err := c.Certify(0, ws(1)); err == nil {
 		t.Fatal("certify acknowledged a commit whose sync failed")
 	}

@@ -160,7 +160,8 @@ func (c *Certifier) Prepare(p PreparedTxn) (vote bool, conflictWith int64, err e
 	var j Journal
 	var seq int64
 	if tj, ok := c.journal.(TxnJournal); ok {
-		if j, seq, err = c.journaledLocked(tj.AppendPrepare(p)); err != nil {
+		j = c.journal
+		if seq, err = tj.AppendPrepare(p); err != nil {
 			c.mu.Unlock()
 			return false, 0, fmt.Errorf("certifier: journal prepare: %w", err)
 		}
@@ -234,19 +235,18 @@ func (c *Certifier) Decide(id codec.TxnID, commit bool, retire ...codec.TxnID) (
 	staged := c.stagedLocked()
 	var j Journal
 	var seq int64
-	if c.journal != nil {
-		tj, txn := c.journal.(TxnJournal)
-		switch {
-		case txn:
-			j, seq, err = c.journaledLocked(tj.AppendDecision(id, commit, version, staged, retire))
-		case commit:
-			j, seq, err = c.journaledLocked(c.journal.Append(staged))
-		}
-		if err != nil {
-			c.unstageLocked()
-			c.mu.Unlock()
-			return 0, fmt.Errorf("certifier: journal decision: %w", err)
-		}
+	switch tj, txn := c.journal.(TxnJournal); {
+	case txn:
+		j = c.journal
+		seq, err = tj.AppendDecision(id, commit, version, staged, retire)
+	case commit && c.journal != nil:
+		j = c.journal
+		seq, err = j.Append(staged)
+	}
+	if err != nil {
+		c.unstageLocked()
+		c.mu.Unlock()
+		return 0, fmt.Errorf("certifier: journal decision: %w", err)
 	}
 	c.unlockLocked(id)
 	c.publishLocked(staged)
@@ -315,8 +315,9 @@ func (c *Certifier) Forget(ids ...codec.TxnID) error {
 	var j Journal
 	var seq int64
 	if tj, ok := c.journal.(TxnJournal); ok {
+		j = c.journal
 		var err error
-		if j, seq, err = c.journaledLocked(tj.AppendForget(ids)); err != nil {
+		if seq, err = tj.AppendForget(ids); err != nil {
 			c.mu.Unlock()
 			return fmt.Errorf("certifier: journal forget: %w", err)
 		}

@@ -257,8 +257,7 @@ func (r *recordingTxnJournal) AppendForget(txns []codec.TxnID) (int64, error) {
 // synced before it is acknowledged.
 func TestTwoPCJournaling(t *testing.T) {
 	j := &recordingTxnJournal{}
-	c := New()
-	c.SetJournal(j)
+	c := journaled(t, j)
 	if vote, _, err := c.Prepare(prep(tid("t"), 0, 3)); err != nil || !vote {
 		t.Fatalf("prepare: %v %v", vote, err)
 	}
@@ -285,8 +284,7 @@ func TestTwoPCJournaling(t *testing.T) {
 // whole point of the prepare.
 func TestPrepareSyncFailureRefusesVote(t *testing.T) {
 	j := &recordingTxnJournal{syncErr: errSyncFailed}
-	c := New()
-	c.SetJournal(j)
+	c := journaled(t, j)
 	vote, _, err := c.Prepare(prep(tid("t"), 0, 3))
 	if vote {
 		t.Fatal("voted yes on an undurable prepare")

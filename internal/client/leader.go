@@ -1,10 +1,12 @@
 package client
 
 import (
+	"errors"
 	"sync"
 	"time"
 
 	"repro/internal/certifier"
+	"repro/internal/repl"
 	"repro/internal/writeset"
 )
 
@@ -166,15 +168,29 @@ func (r *LeaderRing) onLeader(once bool, op func(l *Link) error) error {
 	})
 }
 
+// relay runs a request that must not run twice — a commit's
+// certification, a fragment's prepare — through the follower, which
+// sends it at most once to a node that may act on it. A failure after
+// which that node may have acted — a lost reply above all — comes back
+// as repl.UnknownOutcomeError: the relaying server answers its client
+// with an unknown outcome, never an internal fault.
+func (r *LeaderRing) relay(op func(l *Link) error) error {
+	err := r.onLeader(true, op)
+	if err == nil || notActed(err) || errors.Is(err, ErrNoLeader) || errors.Is(err, errNoHosts) {
+		return err
+	}
+	return &repl.UnknownOutcomeError{Err: err}
+}
+
 // CertifyTraced submits a commit-time certification to the leader,
 // carrying the transaction's trace id and following redirects across a
-// failover. It sends the request at most once to a node that may act
-// on it: a lost reply is returned, never resent, since a copy reaching
-// the leader after the first committed would conflict with its own
-// record and report a committed transaction aborted.
+// failover. It relays the request: a lost reply is returned as an
+// unknown outcome, never resent, since a copy reaching the leader after
+// the first committed would conflict with its own record and report a
+// committed transaction aborted.
 func (r *LeaderRing) CertifyTraced(snapshot int64, ws writeset.Writeset, trace uint64) (certifier.Outcome, error) {
 	var out certifier.Outcome
-	err := r.onLeader(true, func(l *Link) error {
+	err := r.relay(func(l *Link) error {
 		o, err := l.CertifyTraced(snapshot, ws, trace)
 		if err != nil {
 			return err
@@ -186,10 +202,10 @@ func (r *LeaderRing) CertifyTraced(snapshot int64, ws writeset.Writeset, trace u
 }
 
 // PrepareTxn forwards a cross-shard fragment prepare to the leader,
-// following redirects like CertifyTraced: the vote is binding, so the
-// request goes at most once to a node that may act on it.
+// relayed like CertifyTraced: the vote is binding, so the request goes
+// at most once to a node that may act on it.
 func (r *LeaderRing) PrepareTxn(p certifier.PreparedTxn) (vote bool, conflictWith int64, err error) {
-	err = r.onLeader(true, func(l *Link) error {
+	err = r.relay(func(l *Link) error {
 		var err error
 		vote, conflictWith, err = l.PrepareTxn(p)
 		return err

@@ -1,9 +1,10 @@
 // Package codec owns the bytes of every binary format the repository
 // writes: the varint, string and writeset encodings, the CRC-checked
 // frame, and the log frame kinds. The wire protocol's messages, the
-// WAL's segments, the Paxos values the certifier proposes and the
-// acceptor's log all encode and decode through it, so a writeset or a
-// log frame has one spelling wherever it is stored or sent.
+// WAL's segments (a Paxos acceptor's promises and votes among their
+// frames) and the Paxos values the certifier proposes all encode and
+// decode through it, so a writeset or a log frame has one spelling
+// wherever it is stored or sent.
 package codec
 
 import (

@@ -86,6 +86,9 @@ func TestFramesRoundTrip(t *testing.T) {
 		{PrepareFrame(nil, tx, 2, 40, ws), Frame{Kind: KindPrepare, Txn: tx, Coord: 2, Snapshot: 40, Writeset: ws}},
 		{DecisionFrame(nil, tx, true, 44), Frame{Kind: KindDecision, Txn: tx, Commit: true, Version: 44}},
 		{ForgetFrame(nil, []TxnID{tx, {Epoch: 2, Seq: 1}}), Frame{Kind: KindForget, Forget: []TxnID{tx, {Epoch: 2, Seq: 1}}}},
+		{PromiseFrame(nil, 7, 2), Frame{Kind: KindPromise, Round: 7, Proposer: 2}},
+		{VoteFrame(nil, 9, 7, 2, "\xff\x00v"), Frame{Kind: KindVote, Slot: 9, Round: 7, Proposer: 2, Value: []byte("\xff\x00v")}},
+		{VoteFrame(nil, 0, 1, 0, ""), Frame{Kind: KindVote, Round: 1, Value: []byte{}}},
 	}
 	for _, tc := range cases {
 		payload, size := NextFrame(tc.frame)

@@ -95,6 +95,15 @@ const (
 	// in the write that makes it follows its record frames, so a torn
 	// tail can lose the retirement but never the record.
 	KindForget byte = 13
+
+	// KindPromise records a Paxos acceptor's raised promise: {round,
+	// proposer}. It and KindVote are a WAL's own frames, never part of
+	// a Paxos value.
+	KindPromise byte = 14
+	// KindVote records an acceptor's vote: {slot, round, proposer,
+	// value}. The value is opaque bytes (a replicated certifier's
+	// value is itself log frames); voting at a ballot also promises it.
+	KindVote byte = 15
 )
 
 // Retired reports whether kind is a retired frame kind (5–10): a log
@@ -147,6 +156,22 @@ func ForgetFrame(b []byte, txns []TxnID) []byte {
 	return CloseFrame(AppendTxnIDs(b, txns), start)
 }
 
+func PromiseFrame(b []byte, round, proposer int64) []byte {
+	start := len(b)
+	b = append(OpenFrame(b), KindPromise)
+	b = binary.AppendVarint(b, round)
+	return CloseFrame(binary.AppendVarint(b, proposer), start)
+}
+
+func VoteFrame(b []byte, slot, round, proposer int64, value string) []byte {
+	start := len(b)
+	b = append(OpenFrame(b), KindVote)
+	b = binary.AppendVarint(b, slot)
+	b = binary.AppendVarint(b, round)
+	b = binary.AppendVarint(b, proposer)
+	return CloseFrame(AppendString(b, value), start)
+}
+
 // SnapshotFrame encodes a full state with tables and rows in sorted
 // order, so equal states encode to equal bytes.
 func SnapshotFrame(b []byte, version int64, state map[string]map[int64]string) []byte {
@@ -196,6 +221,11 @@ type Frame struct {
 	Writeset writeset.Writeset
 	// Tables: KindSnapshot.
 	Tables map[string]map[int64]string
+	// Round and Proposer (a ballot): KindPromise, KindVote.
+	Round, Proposer int64
+	// Slot and Value: KindVote. Value still points into the payload.
+	Slot  int64
+	Value []byte
 }
 
 // DecodeFrame decodes one frame payload (as NextFrame returns it). A
@@ -230,6 +260,14 @@ func DecodeFrame(payload []byte) (Frame, error) {
 		f.Version = d.Varint()
 	case KindForget:
 		f.Forget = d.TxnIDs(nil)
+	case KindPromise:
+		f.Round = d.Varint()
+		f.Proposer = d.Varint()
+	case KindVote:
+		f.Slot = d.Varint()
+		f.Round = d.Varint()
+		f.Proposer = d.Varint()
+		f.Value = d.Raw()
 	default:
 		return Frame{}, fmt.Errorf("%w %d", ErrUnknownKind, f.Kind)
 	}

@@ -68,11 +68,9 @@ func TestDurableCommitsJournalBeforeAck(t *testing.T) {
 
 // TestDurableComposesWithReplicatedCertifier: a WAL and the
 // Paxos-replicated certifier run together — every commit goes through
-// a Paxos round AND lands in the journals, and a group restarted from
-// its journals and acceptor logs alone recovers every commit and keeps
-// certifying. Because the quorum, not the journal, is the durability
-// authority, a dead journal under a replicated certifier detaches
-// instead of withholding acks.
+// a Paxos round, whose votes and records land in each node's one log,
+// and a group restarted from those logs alone recovers every commit
+// and keeps certifying.
 func TestDurableComposesWithReplicatedCertifier(t *testing.T) {
 	c, cl := newCluster(t, 3, func(o *server.Options) {
 		o.Paxos = true
@@ -136,32 +134,6 @@ func TestDurableComposesWithReplicatedCertifier(t *testing.T) {
 			t.Fatalf("member %d missed the post-restart commit: %q", r, got[0])
 		}
 	}
-
-	// A dead journal under the replicated certifier: the commit is still
-	// acknowledged and the journal detaches.
-	w, _, err := wal.Open(wal.Options{FS: wal.NewMemFS(), Fsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cert, _, err := certifier.NewReplicated(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cert.SetJournal(w)
-	certify := func(label string) {
-		t.Helper()
-		ws := writeset.Rows("t", []int64{1}, []string{label})
-		if out, err := cert.Certify(cert.Version(), ws); err != nil || !out.Committed {
-			t.Fatalf("%s: %+v %v", label, out, err)
-		}
-	}
-	certify("live journal")
-	w.Close() // the journal dies
-	certify("dead journal")
-	if cert.JournalError() == nil {
-		t.Fatal("dead journal did not detach")
-	}
-	certify("detached journal")
 }
 
 // TestDurableRequiresJournal pins the option validation: fsync needs a
@@ -181,8 +153,10 @@ func TestDurableJournalFailureWithholdsAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := certifier.New()
-	base.SetJournal(w)
+	base, err := certifier.Restore(&certifier.Replay{}, 0, w)
+	if err != nil {
+		t.Fatal(err)
+	}
 	host := &pipeline.HostCert{Base: base, Notify: pipeline.NewNotify()}
 	ws := writeset.Rows("t", []int64{1}, []string{"x"})
 	if out, err := host.CertifyTraced(0, ws, 0); err != nil || !out.Committed {

@@ -366,6 +366,28 @@ func TestJoinRejectsNonEmptyWAL(t *testing.T) {
 	}
 }
 
+// TestAcceptorLogRefusedAtBoot: a WAL directory that still holds an
+// acceptor.log — a Paxos acceptor's separate store in the earlier
+// two-log layout — is refused at boot, before the WAL is opened:
+// starting without its promises could break one a proposer already
+// acted on.
+func TestAcceptorLogRefusedAtBoot(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "acceptor.log"), []byte("promises"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := server.New(server.Options{
+		Design: "mm", Paxos: true, ID: 0, Listen: "127.0.0.1:0",
+		Members: []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}, WALDir: dir,
+	})
+	if !errors.Is(err, server.ErrAcceptorLog) {
+		t.Fatalf("boot over a directory holding acceptor.log: %v, want ErrAcceptorLog", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wal.log")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the refused boot created a WAL segment: %v", err)
+	}
+}
+
 // TestWALSurvivesTornTailOnDisk writes a real on-disk WAL, corrupts
 // its tail, and restarts the server over it: recovery truncates the
 // tear and serves the clean prefix.

@@ -1,19 +1,32 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"repro/internal/repl/pipeline"
 	"repro/internal/sidb"
 	"repro/internal/wal"
 )
 
-// openDurability opens (or creates) the node's WAL, replays it, and
-// wraps it in the pipeline's journal stage. A joiner must start from
-// an empty log: its state comes from the snapshot transfer, and mixing
-// a previous incarnation's replay with a fresh snapshot would
-// double-apply history.
-func openDurability(opts Options) (*pipeline.Durability, *wal.Recovered, error) {
+// ErrAcceptorLog refuses a WAL directory that holds an acceptor.log:
+// the separate acceptor store of an earlier layout, whose promises and
+// votes now live in wal.log. Booting without them could let the
+// acceptor break a promise a proposer already acted on, so the node
+// refuses to start rather than drop them.
+var ErrAcceptorLog = errors.New("server: WAL directory holds an acceptor.log from an earlier layout")
+
+// openDurability opens (or creates) the node's WAL and replays it. A
+// joiner must start from an empty log: its state comes from the
+// snapshot transfer, and mixing a previous incarnation's replay with a
+// fresh snapshot would double-apply history.
+func openDurability(opts Options) (*wal.WAL, *wal.Recovered, error) {
+	legacy := filepath.Join(opts.WALDir, "acceptor.log")
+	if _, err := os.Stat(legacy); err == nil {
+		return nil, nil, fmt.Errorf("%w: %s", ErrAcceptorLog, legacy)
+	}
 	w, rec, err := wal.Open(wal.Options{Dir: opts.WALDir, Fsync: opts.Fsync})
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: open wal: %w", err)
@@ -23,7 +36,7 @@ func openDurability(opts Options) (*pipeline.Durability, *wal.Recovered, error) 
 		return nil, nil, fmt.Errorf("server: -join requires an empty WAL directory "+
 			"(found state at epoch %d — restart with -id/-peers to recover it instead)", rec.Epoch)
 	}
-	return pipeline.NewDurability(w, walCompactBytes), rec, nil
+	return w, rec, nil
 }
 
 // consistentDump captures one database's full contents plus the

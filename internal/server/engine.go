@@ -204,12 +204,14 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 		m.tracer.PropagateSpan(last.Version, len(last.Writeset.Entries), time.Now())
 		e.ap.Apply(recs)
 	}
+	var w *wal.WAL
 	var rec *wal.Recovered
 	if opts.WALDir != "" {
 		var err error
-		if e.dur, rec, err = openDurability(opts); err != nil {
+		if w, rec, err = openDurability(opts); err != nil {
 			return nil, err
 		}
+		e.dur = pipeline.NewDurability(w, walCompactBytes)
 		e.dur.OnCompact = m.compactEvent
 	}
 	switch {
@@ -220,14 +222,7 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 		// cold cluster). Until then the commit path follows the leader
 		// ring, and certification requests answer NotLeader.
 		e.ring = client.NewLeaderRing(opts.Members, opts.Design, opts.ID)
-		px, err := newPaxosNode(opts, e.ring)
-		if err != nil {
-			if e.dur != nil {
-				e.dur.W.Close()
-			}
-			return nil, err
-		}
-		e.px = px
+		e.px = newPaxosNode(opts, e.ring, w, rec)
 		e.membership = elastic.NewMembership()
 		e.membership.SeedStatic(opts.Members)
 		e.cursors = pipeline.NewPeerCursors(func() int {
@@ -828,13 +823,10 @@ func (e *engine) disconnect() {
 	}
 }
 
-// close releases local durable resources (WAL, paxos store). Only safe
-// once run and every connection handler have returned — closing the
-// WAL under an in-flight apply panics the pipeline.
+// close releases the node's WAL, its Paxos acceptor's store among
+// it. Only safe once run and every connection handler have returned —
+// closing the WAL under an in-flight apply panics the pipeline.
 func (e *engine) close() {
-	if e.px != nil {
-		e.px.close()
-	}
 	if e.dur != nil {
 		e.dur.W.Close()
 	}

@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/repl"
 	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/internal/workload"
+	"repro/internal/writeset"
 )
 
 // startPaxosCluster boots an n-node replicated-certifier cluster
@@ -444,6 +447,101 @@ func TestRelayedMissedMajorityIsUnknownOutcome(t *testing.T) {
 	var unknown *repl.UnknownOutcomeError
 	if errors.Is(err, repl.ErrAborted) || !errors.As(err, &unknown) {
 		t.Fatalf("commit relayed to a leader that lost its majority: %v, want an unknown outcome", err)
+	}
+}
+
+// TestRelayedLostReplyIsUnknownOutcome: a backup relays its client's
+// commit to a host that reads the request and closes the connection,
+// so the relay cannot know whether the host acted on it. The client
+// learns the outcome is unknown — not an internal fault, never an
+// abort — and the relay does not send the request again. The host is
+// a stand-in speaking the wire protocol: it serves the table's schema
+// record to the backup's fetches and drops every certification.
+func TestRelayedLostReplyIsUnknownOutcome(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var certifies atomic.Int64
+	go standInHost(ln, &certifies)
+
+	srv, err := server.New(server.Options{Design: "mm", ID: 1, Listen: "127.0.0.1:0", Primary: ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	t.Cleanup(func() { srv.Close() })
+	cl, err := client.New(client.Options{Servers: []string{srv.Addr()}, Design: "mm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+
+	// Write once the backup has fetched the table.
+	var tx repl.Txn
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if tx, err = cl.BeginUpdate(); err != nil {
+			t.Fatal(err)
+		}
+		if err = tx.Write("t", 1, "v"); err == nil {
+			break
+		}
+		tx.Abort()
+		if time.Now().After(deadline) {
+			t.Fatalf("backup never learned the table: %v", err)
+		}
+	}
+	err = tx.Commit()
+	var unknown *repl.UnknownOutcomeError
+	if errors.Is(err, repl.ErrAborted) || !errors.As(err, &unknown) {
+		t.Fatalf("commit whose relayed reply was lost: %v, want an unknown outcome", err)
+	}
+	if n := certifies.Load(); n != 1 {
+		t.Fatalf("the host read %d copies of the relayed commit, want 1", n)
+	}
+}
+
+// standInHost serves ln as a certifier host that has committed one
+// record, table t's schema, and that reads each certification request
+// (counting it in certifies) and then closes the connection unanswered.
+func standInHost(ln net.Listener, certifies *atomic.Int64) {
+	for {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer nc.Close()
+			wc := wire.NewConn(nc)
+			for {
+				msg, err := wc.Recv()
+				if err != nil {
+					return
+				}
+				var reply wire.Message
+				switch m := msg.(type) {
+				case *wire.Hello:
+					reply = &wire.HelloOK{Proto: wire.ProtoVersion, Design: "mm"}
+				case *wire.FetchSince:
+					recs := &wire.Records{}
+					if m.Version < 1 {
+						recs.Recs = []wire.Record{{Version: 1, WS: writeset.Schema("t")}}
+					} else {
+						time.Sleep(min(time.Duration(m.WaitMillis)*time.Millisecond, 100*time.Millisecond))
+					}
+					reply = recs
+				case *wire.Certify:
+					certifies.Add(1)
+					return
+				default:
+					reply = &wire.Err{Code: wire.CodeUnsupported, Msg: fmt.Sprintf("stand-in host: %T", msg)}
+				}
+				if wc.Send(reply) != nil {
+					return
+				}
+			}
+		}()
 	}
 }
 

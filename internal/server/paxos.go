@@ -9,15 +9,14 @@ import (
 	"repro/internal/client"
 	"repro/internal/obs/events"
 	"repro/internal/paxos"
-	"repro/internal/paxoslog"
 	"repro/internal/repl/pipeline"
 	"repro/internal/wal"
 )
 
 // paxosNode is the replicated-certification state of one server, under
-// either design: the Paxos acceptor this process hosts (durable under
-// the WAL directory when the node runs one) and the wire transport to
-// its peers' acceptors. Who leads is read from the acceptor's promise
+// either design: the Paxos acceptor this process hosts (durable in the
+// node's WAL when it runs one) and the wire transport to its peers'
+// acceptors. Who leads is read from the acceptor's promise
 // (engine.leaderView).
 type paxosNode struct {
 	id         int
@@ -25,15 +24,14 @@ type paxosNode struct {
 	addrs      []string // indexed by paxos id
 	electAfter time.Duration
 
-	acc   *paxos.Acceptor
-	store *paxoslog.Store // nil when the acceptor is volatile
-	tr    *client.PaxosTransport
+	acc *paxos.Acceptor
+	tr  *client.PaxosTransport
 }
 
-// newPaxosNode opens this node's acceptor (restored from its durable
-// store when a WAL directory is configured); the transport reaches the
-// peers over ring's links.
-func newPaxosNode(opts Options, ring *client.LeaderRing) (*paxosNode, error) {
+// newPaxosNode builds this node's acceptor — persisting into w and
+// restored from rec, its replay, when the node runs a WAL (w nil:
+// volatile); the transport reaches the peers over ring's links.
+func newPaxosNode(opts Options, ring *client.LeaderRing, w *wal.WAL, rec *wal.Recovered) *paxosNode {
 	n := len(opts.Members)
 	px := &paxosNode{
 		id:    opts.ID,
@@ -51,28 +49,13 @@ func newPaxosNode(opts Options, ring *client.LeaderRing) (*paxosNode, error) {
 	for i := 0; i < n; i++ {
 		px.peerIDs = append(px.peerIDs, i)
 	}
-	if opts.WALDir != "" {
-		fsys, err := wal.DirFS(opts.WALDir)
-		if err != nil {
-			return nil, fmt.Errorf("server: paxos store: %w", err)
-		}
-		store, promised, slots, err := paxoslog.Open(fsys, opts.Fsync)
-		if err != nil {
-			return nil, fmt.Errorf("server: paxos store: %w", err)
-		}
-		px.store = store
-		px.acc = paxos.RestoreAcceptor(opts.ID, store, promised, slots)
+	if w != nil {
+		px.acc = paxos.RestoreAcceptor(opts.ID, w, rec.Promised, rec.Votes)
 	} else {
 		px.acc = paxos.NewAcceptor(opts.ID)
 	}
 	px.tr = client.NewPaxosTransport(opts.ID, px.acc, ring, px.addrs)
-	return px, nil
-}
-
-func (px *paxosNode) close() {
-	if px.store != nil {
-		px.store.Close()
-	}
+	return px
 }
 
 func (px *paxosNode) addrOf(id int) string {
@@ -85,25 +68,16 @@ func (px *paxosNode) addrOf(id int) string {
 // --- engine: replicated-certification role machinery ---
 
 // promoteSelf campaigns for leadership: it elects this node's
-// proposer, rebuilds the certifier from the recovered quorum log,
-// re-attaches the local journal as a restart cache, and installs the
-// host role. On success every in-flight and future certification on
-// this node is served locally; the old leader, if it still runs, is
-// fenced by the new epoch.
+// proposer, rebuilds the certifier from the recovered quorum log and
+// installs the host role. The certifier journals nothing — the
+// acceptors' votes are its log, and the apply path journals what the
+// database installs. On success every in-flight and future
+// certification on this node is served locally; the old leader, if it
+// still runs, is fenced by the new epoch.
 func (e *engine) promoteSelf() error {
 	cert, epoch, err := certifier.Promote(e.px.id, e.px.peerIDs, e.px.tr)
 	if err != nil {
 		return err
-	}
-	if e.dur != nil {
-		// Install the recovered log up to the certifier's version before
-		// attaching the journal. The certifier journals only the versions
-		// it certifies from here on; the ones below reach the log through
-		// the apply path, and only while the log holds nothing above
-		// them. Applying them first keeps the log one dense record
-		// stream.
-		e.ap.Apply(cert.Since(e.ap.Applied()))
-		cert.SetJournal(e.dur.W)
 	}
 	e.host.Store(e.newHost(cert))
 	e.m.events.Emit(events.LeaderElected,

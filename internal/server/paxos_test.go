@@ -24,6 +24,9 @@ func TestPaxosNodeDialsEachPeerOnce(t *testing.T) {
 		addrs[i] = ln.Addr().String()
 		ln.Close()
 	}
+	// Every node binds its listener (in New) before any starts, so node
+	// 0's first campaign never meets a refused dial and leaves its ring
+	// link to a peer in backoff.
 	servers := make([]*Server, n)
 	for i := range servers {
 		s, err := New(Options{
@@ -37,9 +40,11 @@ func TestPaxosNodeDialsEachPeerOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Start()
 		t.Cleanup(func() { s.Close() })
 		servers[i] = s
+	}
+	for _, s := range servers {
+		s.Start()
 	}
 	var lead *Server
 	for deadline := time.Now().Add(10 * time.Second); lead == nil; {

@@ -1026,6 +1026,13 @@ func (s *Server) errReply(err error) wire.Message {
 		// an internal fault — redirect with the leader unknown so a
 		// commit caught in the gap counts as unknown-outcome.
 		return s.notLeaderReply(-1, 0)
+	case errors.As(err, new(*repl.UnknownOutcomeError)):
+		// The relay lost the host's answer to a request it may have
+		// acted on. A client reads a NotLeader naming no leader at
+		// commit or prepare as an unknown outcome; its epoch is the term
+		// this node last saw (0 without Paxos).
+		epoch, _ := s.eng.epochInfo()
+		return s.notLeaderReply(-1, epoch)
 	case errors.Is(err, repl.ErrAborted):
 		return &wire.CommitAborted{ConflictWith: repl.ConflictWith(err)}
 	case errors.Is(err, repl.ErrReadOnlyTxn):

@@ -654,11 +654,23 @@ func TestCatchUpLongPolls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := l.Stats()
-	if err != nil {
-		t.Fatal(err)
+	// The host applies the commits it certified for the other node in
+	// its role loop, so right after Drive its Applied can trail its
+	// certifier's version: wait until a fetch from Applied finds
+	// nothing new before sampling.
+	var st *wire.StatsOK
+	for settle := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if st, err = l.Stats(); err != nil {
+			t.Fatal(err)
+		}
+		if r.Since(st.Applied, 0, func([]certifier.Record) {}) == 0 {
+			break
+		}
+		if time.Now().After(settle) {
+			t.Fatalf("the host's applied version %d never reached its certifier's", st.Applied)
+		}
 	}
-	base := l.RoundTrips() // handshake-time RPCs plus the Stats call
+	base := l.RoundTrips() // the RPCs above
 	deadline := time.Now().Add(5 * wait)
 	for time.Now().Before(deadline) {
 		if n := r.Since(st.Applied, wait, func([]certifier.Record) {}); n != 0 {

@@ -147,8 +147,10 @@ func runCrashScript(t *testing.T, armAt, cut int) *crashRun {
 		}
 		t.Fatalf("open: %v", err)
 	}
-	cert := certifier.New()
-	cert.SetJournal(w)
+	cert, err := certifier.Restore(&certifier.Replay{}, 0, w)
+	if err != nil {
+		t.Fatal(err)
+	}
 	db := sidb.New()
 	db.SetJournal(w.AppendRecord)
 	ap := pipeline.NewApplier(db)

@@ -1,4 +1,4 @@
-package paxoslog_test
+package wal_test
 
 import (
 	"errors"
@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/certifier"
 	"repro/internal/paxos"
-	"repro/internal/paxoslog"
 	"repro/internal/wal"
 	"repro/internal/writeset"
 )
@@ -34,19 +33,22 @@ func checkRecord(t *testing.T, name string, rec certifier.Record) {
 	}
 }
 
-// openNode opens a durable acceptor for node id over fsys.
-func openNode(id int, fsys wal.FS, fsync bool) (*paxos.Acceptor, *paxoslog.Store, error) {
-	store, promised, slots, err := paxoslog.Open(fsys, fsync)
+// openNode opens node id's log over fsys and restores its acceptor
+// from it, as a Paxos node boots: the acceptor persists its promises
+// and votes into the same WAL the node's apply path journals to.
+func openNode(id int, fsys wal.FS, fsync bool) (*paxos.Acceptor, *wal.WAL, *wal.Recovered, error) {
+	w, rec, err := wal.Open(wal.Options{FS: fsys, Fsync: fsync})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return paxos.RestoreAcceptor(id, store, promised, slots), store, nil
+	return paxos.RestoreAcceptor(id, w, rec.Promised, rec.Votes), w, rec, nil
 }
 
-// TestLeaderKillFailoverSweep is the PR's acceptance proof: it kills
-// the certifier leader at every traced filesystem operation (paxoslog
-// promise/vote persists, WAL journal appends and fsyncs — with and
-// without torn writes, under power-loss and process-kill semantics),
+// TestLeaderKillFailoverSweep kills the certifier leader at every
+// traced filesystem operation of its one log (the acceptor's promise
+// and vote writes and fsyncs, the apply path's record appends — with
+// and without torn writes, under power-loss and process-kill
+// semantics),
 // then elects a backup and asserts that no acked commit is lost, no
 // phantom commit appears, the log stays a dense prefix, the deposed
 // leader cannot ack, and the cluster resumes committing on the new
@@ -85,8 +87,8 @@ func TestLeaderKillFailoverSweep(t *testing.T) {
 	}
 }
 
-// runLeaderWorkload boots leader node 0 over cfs0 (durable acceptor +
-// WAL journal on the same filesystem), runs the commit workload with
+// runLeaderWorkload boots leader node 0 over cfs0 (its acceptor and
+// the apply path's records in one WAL), runs the commit workload with
 // node 2 severed, and returns the number of traced ops. When state is
 // non-nil the live objects and ack bookkeeping are stored into it.
 type leaderState struct {
@@ -94,30 +96,27 @@ type leaderState struct {
 	tr    *paxos.LocalTransport
 	a1    *paxos.Acceptor
 	a2    *paxos.Acceptor
-	fs1   *wal.MemFS
-	fs2   *wal.MemFS
 	acked int // transactions 0..acked-1 were acknowledged
 	alive bool
 }
 
 func runLeaderWorkload(t *testing.T, cfs0 *wal.CrashFS, fsync bool, commits int, state *leaderState) int {
 	t.Helper()
-	fs1, fs2 := wal.NewMemFS(), wal.NewMemFS()
-	a1, _, err := openNode(1, fs1, true)
+	a1, _, _, err := openNode(1, wal.NewMemFS(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _, err := openNode(2, fs2, true)
+	a2, _, _, err := openNode(2, wal.NewMemFS(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if state != nil {
-		state.a1, state.a2, state.fs1, state.fs2 = a1, a2, fs1, fs2
+		state.a1, state.a2 = a1, a2
 	}
 
-	a0, _, err := openNode(0, cfs0, fsync)
+	a0, w, _, err := openNode(0, cfs0, fsync)
 	if err != nil {
-		// Crashed before the acceptor store existed: no leader, no acks.
+		// Crashed while opening the log: no leader, no acks.
 		return len(cfs0.Trace())
 	}
 	tr := paxos.NewLocalTransport(a0, a1, a2)
@@ -131,12 +130,6 @@ func runLeaderWorkload(t *testing.T, cfs0 *wal.CrashFS, fsync bool, commits int,
 		}
 		return len(cfs0.Trace())
 	}
-	w, _, err := wal.Open(wal.Options{FS: cfs0, Fsync: fsync})
-	if err != nil {
-		// Crashed while opening the journal: served nothing.
-		return len(cfs0.Trace())
-	}
-	cert.SetJournal(w)
 	if state != nil {
 		state.cert, state.tr, state.alive = cert, tr, true
 	}
@@ -160,6 +153,10 @@ func runLeaderWorkload(t *testing.T, cfs0 *wal.CrashFS, fsync bool, commits int,
 			}
 			state.acked = i + 1
 		}
+		// The apply path journals the installed version, unsynced.
+		if err := w.AppendRecord(txnWS(i), out.Version); err != nil {
+			break
+		}
 	}
 	return len(cfs0.Trace())
 }
@@ -174,7 +171,7 @@ func runFailoverCase(t *testing.T, name string, fsync, keepUnsynced bool, armAt,
 	// The leader host dies and restarts: its disk keeps what the crash
 	// model says a real crash preserves.
 	fs0.PowerCycle(keepUnsynced)
-	a0r, _, err := openNode(0, fs0, fsync)
+	a0r, _, rec0, err := openNode(0, fs0, fsync)
 	if err != nil {
 		t.Fatalf("%s: restart node 0: %v", name, err)
 	}
@@ -229,15 +226,13 @@ func runFailoverCase(t *testing.T, name string, fsync, keepUnsynced bool, armAt,
 		// also safe.
 	}
 
-	// The old leader's journal, replayed after the crash, must agree
-	// with the quorum log: every committed record it kept is the same
-	// transaction the new leader recovered.
-	if _, rec, err := wal.Open(wal.Options{FS: fs0, Fsync: fsync}); err == nil {
-		for _, r := range rec.Records {
-			checkRecord(t, name+"/journal", r)
-			if r.Version > int64(len(recs)) {
-				t.Fatalf("%s: journal holds version %d beyond the quorum log (%d)", name, r.Version, len(recs))
-			}
+	// The records the old leader's apply path journaled, replayed at its
+	// restart, must agree with the quorum log: every record it kept is
+	// the same transaction the new leader recovered.
+	for _, r := range rec0.Records {
+		checkRecord(t, name+"/journal", r)
+		if r.Version > int64(len(recs)) {
+			t.Fatalf("%s: journal holds version %d beyond the quorum log (%d)", name, r.Version, len(recs))
 		}
 	}
 
@@ -260,7 +255,7 @@ func runFailoverCase(t *testing.T, name string, fsync, keepUnsynced bool, armAt,
 func TestFailoverEpochsMonotonic(t *testing.T) {
 	var accs []*paxos.Acceptor
 	for i := 0; i < 3; i++ {
-		a, _, err := openNode(i, wal.NewMemFS(), true)
+		a, _, _, err := openNode(i, wal.NewMemFS(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,5 +294,66 @@ func TestFailoverEpochsMonotonic(t *testing.T) {
 			}
 		}
 		lastCert = c
+	}
+}
+
+// TestPaxosLeaderSyncsOneLog: on a three-node Paxos group with fsync,
+// a leader's steady-state certification syncs one file, wal.log, once:
+// for its own acceptor's vote. The certifier journals nothing, and the
+// apply path's record append does not sync. Each backup likewise syncs
+// its wal.log once per certification, for its vote.
+func TestPaxosLeaderSyncsOneLog(t *testing.T) {
+	fss := make([]*wal.CrashFS, 3)
+	accs := make([]*paxos.Acceptor, 3)
+	var w0 *wal.WAL
+	for i := range accs {
+		fss[i] = wal.NewCrashFS(wal.NewMemFS(), -1, 0) // never crashes: it only counts
+		a, w, _, err := openNode(i, fss[i], true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		if i == 0 {
+			w0 = w
+		}
+		accs[i] = a
+	}
+	cert, _, err := certifier.Promote(0, []int{0, 1, 2}, paxos.NewLocalTransport(accs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs := func() []map[string]int {
+		out := make([]map[string]int, len(fss))
+		for i, fs := range fss {
+			out[i] = map[string]int{}
+			for _, op := range fs.Trace() {
+				if op.Kind == "sync" {
+					out[i][op.Name]++
+				}
+			}
+		}
+		return out
+	}
+	const certifies = 10
+	before := syncs()
+	for i := range certifies {
+		out, err := cert.Certify(cert.Version(), txnWS(i))
+		if err != nil || !out.Committed {
+			t.Fatalf("certify %d: %+v %v", i, out, err)
+		}
+		if err := w0.AppendRecord(txnWS(i), out.Version); err != nil { // the leader's apply path
+			t.Fatal(err)
+		}
+	}
+	for node, after := range syncs() {
+		for name, n := range after {
+			n -= before[node][name]
+			if name != "wal.log" && n != 0 {
+				t.Errorf("node %d synced %s %d times over %d certifications", node, name, n, certifies)
+			}
+		}
+		if n := after["wal.log"] - before[node]["wal.log"]; n != certifies {
+			t.Errorf("node %d synced wal.log %d times over %d certifications, want one each", node, n, certifies)
+		}
 	}
 }

@@ -12,11 +12,12 @@ import (
 	"repro/internal/paxos"
 )
 
-// journaledPaxosRun drives one replicated certifier, journaling to a
-// WAL, through a batch, a single commit, a 2PC commit, a 2PC abort and
-// a prepare left in doubt — values and ids include bytes that are not
-// valid UTF-8. It returns the certifier, the WAL's filesystem and the
-// Paxos log a new leader recovers.
+// journaledPaxosRun drives two certifiers through the same script — a
+// batch, a single commit, a 2PC commit, a 2PC abort and a prepare left
+// in doubt, with values and ids that are not valid UTF-8: one journaling
+// to a WAL, one replicated over three acceptors. It returns the
+// journaling certifier, the WAL's filesystem and the Paxos log a new
+// leader of the replicated one recovers.
 func journaledPaxosRun(t *testing.T) (*certifier.Certifier, *MemFS, map[int]paxos.Value) {
 	t.Helper()
 	fs := NewMemFS()
@@ -24,44 +25,49 @@ func journaledPaxosRun(t *testing.T) (*certifier.Certifier, *MemFS, map[int]paxo
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, tr, err := certifier.NewReplicated(3)
+	journaled, err := certifier.Restore(&certifier.Replay{}, 0, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetJournal(w)
-	if _, err := c.CertifyBatch([]certifier.Request{
-		{Snapshot: 0, Writeset: ws("t", 1, "\xff\xfea")},
-		{Snapshot: 0, Writeset: ws("t", 2, "b")},
-	}); err != nil {
+	replicated, tr, err := certifier.NewReplicated(3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Certify(c.Version(), ws("t\xfe", 3, "c")); err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range []string{"commit\xff", "abort\xff", "doubt\xff"} {
-		p := certifier.PreparedTxn{ID: tid(id), Coord: 1, Snapshot: c.Version(), Writeset: ws("t", int64(10+i), id)}
-		if vote, _, err := c.Prepare(p); err != nil || !vote {
-			t.Fatalf("prepare %q: %v %v", id, vote, err)
+	for _, c := range []*certifier.Certifier{journaled, replicated} {
+		if _, err := c.CertifyBatch([]certifier.Request{
+			{Snapshot: 0, Writeset: ws("t", 1, "\xff\xfea")},
+			{Snapshot: 0, Writeset: ws("t", 2, "b")},
+		}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := c.Decide(tid("commit\xff"), true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Decide(tid("abort\xff"), false); err != nil {
-		t.Fatal(err)
+		if _, err := c.Certify(c.Version(), ws("t\xfe", 3, "c")); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range []string{"commit\xff", "abort\xff", "doubt\xff"} {
+			p := certifier.PreparedTxn{ID: tid(id), Coord: 1, Snapshot: c.Version(), Writeset: ws("t", int64(10+i), id)}
+			if vote, _, err := c.Prepare(p); err != nil || !vote {
+				t.Fatalf("prepare %q: %v %v", id, vote, err)
+			}
+		}
+		if _, err := c.Decide(tid("commit\xff"), true); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Decide(tid("abort\xff"), false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	w.Close()
 	_, log, err := paxos.NewProposer(1, []int{0, 1, 2}, tr).Campaign("noop")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, fs, log
+	return journaled, fs, log
 }
 
 // TestPaxosValuesAreWALFrames pins the one log format: the value a
-// replicated certifier proposes for an operation is the exact bytes
-// its WAL appends for it, so the segment after its epoch header is the
-// chosen values, slot by slot.
+// replicated certifier proposes for an operation is the exact bytes a
+// journaling certifier's WAL appends for it, so the segment after its
+// epoch header is the chosen values, slot by slot.
 func TestPaxosValuesAreWALFrames(t *testing.T) {
 	_, fs, log := journaledPaxosRun(t)
 	var values []byte

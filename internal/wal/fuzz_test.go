@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/certifier"
 	"repro/internal/codec"
+	"repro/internal/paxos"
 	"repro/internal/writeset"
 )
 
@@ -66,6 +67,35 @@ func fuzzTwoPCLog(tb testing.TB) []byte {
 	return data
 }
 
+// fuzzPaxosLog builds a valid log of a Paxos node: its acceptor's
+// promises and votes — a superseded vote, a value of log frames and one
+// that is not valid UTF-8 — among the apply path's records, and a
+// compaction that carries the promise and votes in force.
+func fuzzPaxosLog(tb testing.TB) []byte {
+	tb.Helper()
+	fs := NewMemFS()
+	w, _, err := Open(Options{FS: fs})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	value, _ := certifier.AppendRecords(nil, []certifier.Record{{Version: 1, Writeset: writeset.Schema("items")}})
+	w.SavePromise(ballot(1, 0))
+	w.SaveAccept(0, ballot(1, 0), paxos.Value(value))
+	w.AppendRecord(writeset.Schema("items"), 1)
+	w.SaveAccept(1, ballot(1, 0), "\xff\xfe")
+	w.SavePromise(ballot(2, 1))
+	w.SaveAccept(1, ballot(2, 1), "noop")
+	w.Compact(1, 1, map[string]map[int64]string{"items": {}})
+	w.SaveAccept(2, ballot(2, 1), "")
+	w.AppendRecord(ws("items", 1, "y"), 2)
+	w.Close()
+	data, err := fs.ReadFile(segName)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
 // FuzzWALDecode feeds arbitrary bytes (seeded with valid and
 // bit-flipped logs) to the replay parser: it must never panic, must
 // stop at the first bad frame (the accepted prefix re-parses to the
@@ -88,6 +118,14 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(twoPC)
 	f.Add(twoPC[:len(twoPC)-5])                                          // a retirement torn off its decide
 	f.Add(append(append([]byte(nil), twoPC...), frame([]byte{9, 2})...)) // a retired kind
+	px := fuzzPaxosLog(f)
+	f.Add(px)
+	f.Add(px[:len(px)-4]) // a record torn after the votes
+	for _, i := range []int{len(px) / 3, len(px) / 2} {
+		mut := append([]byte(nil), px...)
+		mut[i] ^= 0x11
+		f.Add(mut)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, good, err := replay(data) // must not panic
@@ -137,6 +175,14 @@ func TestFuzzCorpusSmoke(t *testing.T) {
 	if len(rec.Records) != 2 || rec.Records[0].Version != 3 || rec.Records[1].Version != 4 ||
 		rec.Base != 2 || rec.SnapVersion != 2 || len(rec.Snapshot) != 2 || len(rec.Prepared) != 1 {
 		t.Fatalf("seed log recovered %+v", rec)
+	}
+	px, good, err := replay(fuzzPaxosLog(t))
+	if err != nil || px.Promised != ballot(2, 1) || len(px.Votes) != 3 || px.Votes[1].Value != "noop" ||
+		len(px.Records) != 1 || px.Records[0].Version != 2 {
+		t.Fatalf("Paxos seed log recovered %+v (%v)", px, err)
+	}
+	if want := int64(len(fuzzPaxosLog(t))); good != want {
+		t.Fatalf("Paxos seed log torn at %d/%d", good, want)
 	}
 	// Every single-byte corruption still yields a clean prefix parse.
 	for i := range seed {

@@ -39,8 +39,7 @@ func newTwoPCGroup(armAt, cut int) *twoPCGroup {
 		return g
 	}
 	g.w = w
-	g.cert = certifier.New()
-	g.cert.SetJournal(w)
+	g.cert, _ = certifier.Restore(&certifier.Replay{}, 0, w) // an empty log restores
 	return g
 }
 

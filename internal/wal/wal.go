@@ -2,8 +2,8 @@
 // commits durable: a single append-only segment of length-prefixed,
 // CRC-framed records holding one stream — the committed versions as
 // certified writesets with commit markers, full-state snapshots written
-// by compaction (or by a joiner's state transfer), and the cross-shard
-// 2PC frames.
+// by compaction (or by a joiner's state transfer), the cross-shard
+// 2PC frames, and on a Paxos node its acceptor's promises and votes.
 //
 // Framing. Every record is one codec frame,
 //
@@ -23,13 +23,21 @@
 // epoch header and the snapshot are the WAL's own frames.
 //
 // One stream. Every node journals each committed version once, as the
-// same writeset-plus-commit-marker frames. The certifier stages its
-// records through Append; the apply path journals what the database
-// installs through AppendRecord, which writes nothing for a version at
-// or below the highest one the log holds. On the certifier host the
-// certifier always journals a version before the database installs
-// it, so the apply path writes nothing there; on every other node the
-// apply path is the only writer.
+// same writeset-plus-commit-marker frames. The static certifier host's
+// certifier stages its records through Append; the apply path journals
+// what the database installs through AppendRecord, which writes
+// nothing for a version at or below the highest one the log holds. On
+// the static host the certifier always journals a version before the
+// database installs it, so the apply path writes nothing there; on
+// every other node the apply path is the only writer of records.
+//
+// One log per node. On a Paxos node the WAL is also the acceptor's
+// stable storage (paxos.Persister): each promise and vote is one frame,
+// written and synced before the acceptor replies. A replicated
+// certifier journals nothing — the acceptors' votes are its log — so a
+// certification syncs each node's segment once, for its vote, and the
+// apply path's records ride the next sync. Open hands back the highest
+// promise and the newest vote per slot, and compaction carries them.
 //
 // Durability contract. Append stages certified writesets followed by a
 // commit marker in one write; Sync blocks until everything staged at
@@ -65,6 +73,7 @@ import (
 
 	"repro/internal/certifier"
 	"repro/internal/codec"
+	"repro/internal/paxos"
 	"repro/internal/sidb"
 	"repro/internal/writeset"
 )
@@ -121,8 +130,35 @@ type Recovered struct {
 	// a commit marker are not included) and the 2PC fragments and
 	// decisions still relevant at the end of replay.
 	certifier.Replay
+	// Promised and Votes are a Paxos acceptor's state, what
+	// paxos.RestoreAcceptor takes: the highest promise and the newest
+	// vote per slot (nil when the log holds none).
+	Promised paxos.Ballot
+	Votes    map[int]paxos.AcceptedSlot
 	// TornBytes is how much tail was truncated at Open.
 	TornBytes int64
+	// acc is the bytes of the acceptor frames Open kept.
+	acc int64
+}
+
+// note folds one promise or vote frame into the acceptor state. A vote
+// at a ballot also promises it.
+func (r *Recovered) note(f codec.Frame) {
+	b := paxos.Ballot{Round: int(f.Round), Proposer: int(f.Proposer)}
+	if r.Promised.Less(b) {
+		r.Promised = b
+	}
+	if f.Kind != codec.KindVote {
+		return
+	}
+	slot := int(f.Slot)
+	if old, ok := r.Votes[slot]; ok && !old.Ballot.Less(b) {
+		return
+	}
+	if r.Votes == nil {
+		r.Votes = make(map[int]paxos.AcceptedSlot)
+	}
+	r.Votes[slot] = paxos.AcceptedSlot{Ballot: b, Value: paxos.Value(f.Value)}
 }
 
 // LastVersion returns the newest version the log holds — its last
@@ -186,6 +222,7 @@ type WAL struct {
 	mu     sync.Mutex // serializes writes, compaction and close
 	f      File
 	size   int64
+	acc    int64 // bytes of acceptor frames in the segment, which compaction carries
 	epoch  int64
 	base   int64
 	snap   int64 // version of the segment's snapshot (0: none)
@@ -276,7 +313,7 @@ func Open(opts Options) (*WAL, *Recovered, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: reopen: %w", err)
 	}
-	w.f, w.size = f, good
+	w.f, w.size, w.acc = f, good, rec.acc
 	w.epoch, w.base, w.snap, w.last = rec.Epoch, rec.Base, rec.SnapVersion, rec.LastVersion()
 	return w, rec, nil
 }
@@ -302,6 +339,7 @@ func replay(data []byte) (*Recovered, int64, error) {
 	rec := &Recovered{Epoch: 1}
 	var pending [][]byte // frames since the first uncovered staged writeset
 	off, settled := 0, 0
+	var accSettled int64
 	for {
 		payload, n := codec.NextFrame(data[off:])
 		if payload == nil {
@@ -311,6 +349,9 @@ func replay(data []byte) (*Recovered, int64, error) {
 			return nil, 0, fmt.Errorf("%w: kind %d at offset %d", ErrRetiredFrame, k, off)
 		}
 		off += n
+		if acceptorFrame(payload[0]) {
+			rec.acc += int64(n)
+		}
 		switch {
 		case payload[0] == codec.KindWriteset:
 			pending = append(pending, payload)
@@ -324,17 +365,17 @@ func replay(data []byte) (*Recovered, int64, error) {
 			}
 			pending = pending[:0]
 			decodeInto(rec, payload)
-			settled = off
+			settled, accSettled = off, rec.acc
 		case len(pending) > 0:
 			pending = append(pending, payload)
 		default:
 			decodeInto(rec, payload)
-			settled = off
+			settled, accSettled = off, rec.acc
 		}
 	}
 	good := int64(off)
 	if len(pending) > 0 {
-		good = int64(settled)
+		good, rec.acc = int64(settled), accSettled
 	}
 	sort.SliceStable(rec.Records, func(i, j int) bool {
 		return rec.Records[i].Version < rec.Records[j].Version
@@ -342,11 +383,16 @@ func replay(data []byte) (*Recovered, int64, error) {
 	return rec, good, nil
 }
 
+// acceptorFrame reports whether kind is one of a Paxos acceptor's
+// frames.
+func acceptorFrame(kind byte) bool { return kind == codec.KindPromise || kind == codec.KindVote }
+
 // decodeInto applies one valid frame payload to the recovered state:
-// the epoch header and the snapshot are the WAL's own, every other
-// frame is a log entry for the Replay. A CRC-valid frame that does not
-// decode cannot come from this writer and is skipped (the fuzz target
-// requires only no panic and replay determinism).
+// the epoch header, the snapshot and the acceptor frames are the WAL's
+// own, every other frame is a log entry for the Replay. A CRC-valid
+// frame that does not decode cannot come from this writer and is
+// skipped (the fuzz target requires only no panic and replay
+// determinism).
 func decodeInto(rec *Recovered, payload []byte) {
 	f, err := codec.DecodeFrame(payload)
 	if err != nil {
@@ -362,8 +408,10 @@ func decodeInto(rec *Recovered, payload []byte) {
 		// frames after it.
 		rec.Snapshot, rec.SnapVersion = f.Tables, f.Version
 		rec.Replay = certifier.Replay{}
+	case codec.KindPromise, codec.KindVote:
+		rec.note(f)
 	default:
-		_ = rec.Apply(f) // fails only for the two kinds handled above
+		_ = rec.Apply(f) // fails only for the kinds handled above
 	}
 }
 
@@ -412,7 +460,7 @@ func (w *WAL) Append(recs []certifier.Record) (int64, error) {
 
 // AppendRecord journals one installed version: the apply path's call,
 // with the signature of sidb's journal hook. It writes nothing for a
-// version the log already holds — on the certifier host, whose
+// version the log already holds — on the static certifier host, whose
 // certifier journaled the version before handing it out, that is every
 // version. It does not sync; the record is durable with the next Sync.
 // It does not allocate.
@@ -468,6 +516,40 @@ func (w *WAL) AppendForget(txns []codec.TxnID) (int64, error) {
 	defer putBuf(buf)
 	*buf = codec.ForgetFrame(*buf, txns)
 	return w.writeLocked(*buf)
+}
+
+// SavePromise implements paxos.Persister: it appends the promise frame
+// and syncs it before returning, so the acceptor replies only once the
+// promise is durable.
+func (w *WAL) SavePromise(b paxos.Ballot) error {
+	buf := takeBuf()
+	*buf = codec.PromiseFrame(*buf, int64(b.Round), int64(b.Proposer))
+	return w.save(buf)
+}
+
+// SaveAccept implements paxos.Persister: it appends the vote frame and
+// syncs it before returning.
+func (w *WAL) SaveAccept(slot int, b paxos.Ballot, v paxos.Value) error {
+	buf := takeBuf()
+	*buf = codec.VoteFrame(*buf, int64(slot), int64(b.Round), int64(b.Proposer), string(v))
+	return w.save(buf)
+}
+
+// save writes one acceptor frame and syncs it, then returns buf to the
+// pool. The sync runs outside mu, so the apply path's appends do not
+// wait on it.
+func (w *WAL) save(buf *[]byte) error {
+	defer putBuf(buf)
+	w.mu.Lock()
+	seq, err := w.writeLocked(*buf)
+	if err == nil {
+		w.acc += int64(len(*buf))
+	}
+	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return w.Sync(seq)
 }
 
 // takeBuf/putBuf reuse append buffers across calls: every Append*
@@ -529,12 +611,14 @@ func (w *WAL) Sync(seq int64) error {
 // Sync(Seq()) is the barrier "everything journaled so far is durable".
 func (w *WAL) Seq() int64 { return w.seq.Load() }
 
-// Size returns the current segment size in bytes (the compaction
-// trigger input).
+// Size returns the segment size in bytes less its acceptor frames: the
+// compaction trigger input. Compaction carries the acceptor's promise
+// and votes, so counting them would re-trigger it on bytes it cannot
+// drop.
 func (w *WAL) Size() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.size
+	return w.size - w.acc
 }
 
 // Epoch returns the current segment epoch.
@@ -547,7 +631,8 @@ func (w *WAL) Epoch() int64 {
 // Compact rewrites the log around a full-state snapshot taken at
 // version snap: the new segment holds a fresh epoch header, the
 // snapshot, and every frame of the old segment still needed — records
-// (and their markers) above base, live 2PC frames. base <= snap bounds
+// (and their markers) above base, live 2PC frames, the acceptor's
+// highest promise and its newest vote per slot. base <= snap bounds
 // which records are dropped: a primary (the certifier host, the
 // single-master master) passes its peer-cursor horizon so a lagging
 // peer's pending records survive compaction even though the snapshot
@@ -588,16 +673,21 @@ func (w *WAL) Compact(base, snap int64, state map[string]map[int64]string) error
 
 	// Carry over the still-needed tail of the old segment, frame by
 	// frame, bytes verbatim. The pre-pass collects settled 2PC txns so
-	// their prepare/decision frames can be dropped.
-	settled := settledTxns(old)
+	// their prepare/decision frames can be dropped, and the acceptor
+	// frames still in force.
+	plan := planCompaction(old)
+	var acc int64
 	off := 0
 	for {
 		payload, n := codec.NextFrame(old[off:])
 		if payload == nil {
 			break
 		}
-		if keepFrame(payload, base, settled) {
+		if keepFrame(payload, off, base, plan) {
 			buf = append(buf, old[off:off+n]...)
+			if acceptorFrame(payload[0]) {
+				acc += int64(n)
+			}
 		}
 		off += n
 	}
@@ -646,7 +736,7 @@ func (w *WAL) Compact(base, snap int64, state map[string]map[int64]string) error
 	w.f = newF
 	w.synced = w.seq.Load()
 	w.syncMu.Unlock()
-	w.size = int64(len(buf))
+	w.size, w.acc = int64(len(buf)), acc
 	w.epoch++
 	w.base = base
 	w.snap = snap
@@ -654,27 +744,59 @@ func (w *WAL) Compact(base, snap int64, state map[string]map[int64]string) error
 	return nil
 }
 
-// settledSet is the compaction pre-pass result over 2PC frames:
+// compactPlan is the compaction pre-pass result. Over 2PC frames:
 // prepDone holds txns whose prepare frames are droppable
 // (abort-decided or forgotten — their locks are released and nothing
 // re-commits them), decDone holds txns whose decision frames are
-// droppable (forgotten).
-type settledSet struct {
+// droppable (forgotten). Over acceptor frames: acc holds the offsets
+// of the frames still in force, the highest promise and each slot's
+// newest vote.
+type compactPlan struct {
 	prepDone map[codec.TxnID]bool
 	decDone  map[codec.TxnID]bool
+	acc      map[int]bool
 }
 
-// settledTxns scans a segment for the settled 2PC transactions.
-func settledTxns(data []byte) settledSet {
-	s := settledSet{prepDone: map[codec.TxnID]bool{}, decDone: map[codec.TxnID]bool{}}
+// planCompaction scans a segment for the settled 2PC transactions and
+// the acceptor frames in force.
+func planCompaction(data []byte) compactPlan {
+	s := compactPlan{prepDone: map[codec.TxnID]bool{}, decDone: map[codec.TxnID]bool{}, acc: map[int]bool{}}
 	var ids []codec.TxnID
+	type frameAt struct {
+		b  paxos.Ballot
+		at int
+	}
+	promise := frameAt{at: -1}
+	votes := map[int64]frameAt{}
 	off := 0
 	for {
 		payload, n := codec.NextFrame(data[off:])
 		if payload == nil {
+			if promise.at >= 0 {
+				s.acc[promise.at] = true
+			}
+			for _, v := range votes {
+				s.acc[v.at] = true
+			}
 			return s
 		}
+		at := off
 		off += n
+		if acceptorFrame(payload[0]) {
+			f, err := codec.DecodeFrame(payload)
+			if err != nil {
+				continue
+			}
+			b := paxos.Ballot{Round: int(f.Round), Proposer: int(f.Proposer)}
+			if f.Kind == codec.KindPromise {
+				if promise.at < 0 || promise.b.Less(b) {
+					promise = frameAt{b, at}
+				}
+			} else if v, ok := votes[f.Slot]; !ok || v.b.Less(b) {
+				votes[f.Slot] = frameAt{b, at}
+			}
+			continue
+		}
 		d := codec.NewDecoder(payload[1:])
 		switch payload[0] {
 		case codec.KindDecision:
@@ -692,12 +814,13 @@ func settledTxns(data []byte) settledSet {
 	}
 }
 
-// keepFrame reports whether an old-segment frame survives compaction.
-// Commit markers follow the writesets they cover: one at or below base
-// can only cover dropped writesets. Prepare and decision frames of
-// settled transactions are dropped; live ones are carried so recovery
-// still finds every in-doubt lock and unforgotten decision.
-func keepFrame(payload []byte, base int64, settled settledSet) bool {
+// keepFrame reports whether the old-segment frame at offset at
+// survives compaction. Commit markers follow the writesets they cover:
+// one at or below base can only cover dropped writesets. Prepare and
+// decision frames of settled transactions are dropped; live ones are
+// carried so recovery still finds every in-doubt lock and unforgotten
+// decision. Of the acceptor frames only those in force are carried.
+func keepFrame(payload []byte, at int, base int64, plan compactPlan) bool {
 	if len(payload) == 0 {
 		return false
 	}
@@ -706,9 +829,11 @@ func keepFrame(payload []byte, base int64, settled settledSet) bool {
 	case codec.KindWriteset, codec.KindCommit:
 		return d.Varint() > base
 	case codec.KindPrepare:
-		return !settled.prepDone[d.TxnID()]
+		return !plan.prepDone[d.TxnID()]
 	case codec.KindDecision:
-		return !settled.decDone[d.TxnID()]
+		return !plan.decDone[d.TxnID()]
+	case codec.KindPromise, codec.KindVote:
+		return plan.acc[at]
 	case codec.KindForget:
 		return false // its targets' frames were dropped with it
 	default: // old epoch header, old snapshot (rewritten fresh)
@@ -733,4 +858,5 @@ func (w *WAL) Close() error {
 var (
 	_ certifier.Journal    = (*WAL)(nil)
 	_ certifier.TxnJournal = (*WAL)(nil)
+	_ paxos.Persister      = (*WAL)(nil)
 )
