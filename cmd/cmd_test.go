@@ -514,9 +514,7 @@ func TestReplicadbNetworkedCluster(t *testing.T) {
 
 	// Scrape /metrics from every node and validate the exposition
 	// parses; the lag histogram family must exist everywhere and have
-	// counted applies on at least one node. The merged cluster view must
-	// also carry the summed counts.
-	var merged obs.RegistrySnapshot
+	// counted applies on at least one node.
 	var scrapedLag float64
 	for i, maddr := range metricsAddrs {
 		body, ctype := httpGet(t, "http://"+maddr+"/metrics")
@@ -536,22 +534,9 @@ func TestReplicadbNetworkedCluster(t *testing.T) {
 				scrapedLag += sm.Value
 			}
 		}
-		if err := merged.Merge(snap); err != nil {
-			t.Fatalf("merging node %d scrape: %v", i, err)
-		}
 	}
 	if scrapedLag == 0 {
 		t.Fatal("no node's scraped lag histogram counted an apply")
-	}
-	mf := merged.Family("replicadb_replication_lag_seconds")
-	var mergedLag float64
-	for _, sm := range mf.Samples {
-		if sm.Suffix == "_count" {
-			mergedLag += sm.Value
-		}
-	}
-	if mergedLag != scrapedLag {
-		t.Fatalf("merged lag count = %v, want %v", mergedLag, scrapedLag)
 	}
 
 	// The event journal endpoint answers machine-readable JSON.

@@ -272,7 +272,7 @@ func serveMain(args []string) {
 		electTO = fs.Duration("elect-timeout", time.Second, "paxos: how long a backup goes without leader progress before campaigning")
 
 		shard  = fs.Int("shard", 0, "hash-partitioned deployment: this replica group's shard id (every replica of a group serves the same -shard)")
-		shards = fs.Int("shards", 1, "hash-partitioned deployment: total shard groups in the map (1: unsharded; clients route by the map stamped on Join/Members)")
+		shards = fs.Int("shards", 1, "hash-partitioned deployment: total shard groups, which bounds -shard (1: unsharded; clients route by their own map of as many groups)")
 
 		notrace = fs.Bool("notrace", false, "disable commit-path stage tracing (per-stage histograms, /debug/slowtxns)")
 		slowMs  = fs.Int("slow-ms", 0, "slow-transaction threshold in milliseconds for /debug/slowtxns (0: default 50ms)")
@@ -362,7 +362,7 @@ func serveMain(args []string) {
 	}
 	fmt.Printf("replicadb: serving %s %s on %s\n", *design, role, srv.Addr())
 	if *shards > 1 {
-		fmt.Printf("replicadb: shard group %d of %d (clients route by the published shard map)\n", *shard, *shards)
+		fmt.Printf("replicadb: shard group %d of %d (clients route by their own shard map)\n", *shard, *shards)
 	}
 	if *paxos {
 		fmt.Printf("replicadb: certification replicated over %d nodes (election timeout %s)\n",

@@ -96,7 +96,7 @@ func TestCertifyBatchReplicatedUsesOneSlot(t *testing.T) {
 			t.Fatalf("request %d: %+v", i, res)
 		}
 	}
-	if got := c.ReplicationSlots(); got != 1 {
+	if got := proposerOf(c).ChosenCount(); got != 1 {
 		t.Fatalf("32 batched commits used %d Paxos slots, want 1", got)
 	}
 }
@@ -249,7 +249,7 @@ func TestBatcherAmortizesPaxosRounds(t *testing.T) {
 	if c.Version() != stragglers+1 {
 		t.Fatalf("version = %d, want %d", c.Version(), stragglers+1)
 	}
-	if slots := c.ReplicationSlots(); slots != 2 {
+	if slots := proposerOf(c).ChosenCount(); slots != 2 {
 		t.Fatalf("%d Paxos slots for %d requests, want 2 (1 + one group commit)", slots, stragglers+1)
 	}
 }

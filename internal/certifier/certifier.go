@@ -25,7 +25,6 @@
 package certifier
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -91,17 +90,21 @@ type Result struct {
 	Err     error
 }
 
-// Journal is the durability hook a write-ahead log implements: Append
-// stages freshly certified records (called under the certification
-// lock, so the journal receives them in version order — the property
-// recovery's dense-prefix guarantee rests on) and returns a sequence
-// token; Sync blocks until everything staged at or before the token is
-// durable. Sync is called outside the lock, which is what lets one
-// fsync group-commit every certification that raced into the same
-// window. recs is a view of the certifier's log: Append copies what it
-// keeps.
-type Journal interface {
-	Append(recs []Record) (seq int64, err error)
+// Log is the certifier's persistence: a static host's write-ahead log,
+// or the Paxos group a leader proposes to (Promote). Every operation
+// hands AppendFrames its log frames (log.go) exactly once, under the
+// certification lock, so the log receives them in version order — the
+// property recovery's dense-prefix guarantee rests on. top is the
+// highest version the frames commit, 0 when they commit none.
+// AppendFrames returns a sequence token, or 0 when the frames are
+// durable at return (a Paxos round: the acceptors persisted them
+// before voting). Sync blocks until everything appended at or before
+// the token is durable; it is called outside the lock, which is what
+// lets one fsync group-commit every certification that raced into the
+// same window. frames is the certifier's buffer: AppendFrames copies
+// what it keeps.
+type Log interface {
+	AppendFrames(frames []byte, top int64) (seq int64, err error)
 	Sync(seq int64) error
 }
 
@@ -122,24 +125,16 @@ type Certifier struct {
 	lowWater int64 // all versions <= lowWater have been pruned
 	version  int64
 
-	// Replication (optional): the certification log is proposed to a
-	// Paxos group before a commit is acknowledged. valBuf is the buffer
-	// proposals are encoded in, reused across proposals.
-	proposer *paxos.Proposer
-	valBuf   []byte
-
-	// journal (optional; a static host's write-ahead log, attached by
-	// Restore): certified records are staged under mu and synced before
-	// the commit is acknowledged. durable is the newest version whose
-	// journal sync has completed: records above it exist in memory but
-	// are withheld from Since, so a peer can never replicate a commit
-	// that a power loss could still erase here — the version would be
-	// reassigned on recovery and the peer, having already applied the
-	// old record at that version, would silently skip the new one
-	// forever. A replicated certifier journals nothing: the acceptors'
-	// votes are its log, and every record it publishes is already
-	// majority-durable.
-	journal Journal
+	// log (nil: volatile) persists every operation before it is
+	// acknowledged; frames is the buffer operations are encoded in,
+	// reused across them. durable is the newest version the log holds
+	// durably: records above it exist in memory but are withheld from
+	// Since, so a peer can never replicate a commit that a power loss
+	// could still erase here — the version would be reassigned on
+	// recovery and the peer, having already applied the old record at
+	// that version, would silently skip the new one forever.
+	log     Log
+	frames  []byte
 	durable int64
 
 	// stageObs (optional) receives the duration of each internal
@@ -189,27 +184,54 @@ func (c *Certifier) observeStage(stage string, first, last int64, d time.Duratio
 	c.stageObs(stage, vs, d)
 }
 
-// syncJournal waits, outside c.mu, until the journal entry at seq is
-// durable, then publishes versions up to v as durable (0: the entry
-// carries no record). It returns how long the sync took. A failed sync
-// is returned — the outcome is unknown, and the records stay withheld
-// from Since.
-func (c *Certifier) syncJournal(j Journal, seq, v int64) (time.Duration, error) {
-	if j == nil {
+// maxFrames bounds the frame buffer a certifier keeps between
+// operations, so one huge batch (a bulk load) does not pin its size.
+const maxFrames = 1 << 20
+
+// logLocked encodes one operation's frames, which commit versions up to
+// top (0: none), and appends them to the log. It returns the token to
+// sync outside c.mu (syncLog) and how long the append took. An append
+// durable at return — a Paxos round, or no log at all — returns token 0
+// and publishes top as durable here, under the same lock; without a log
+// nothing is encoded and the append takes no time.
+func (c *Certifier) logLocked(top int64, encode func(b []byte) []byte) (seq int64, took time.Duration, err error) {
+	if c.log != nil {
+		start := time.Now()
+		b := encode(c.frames[:0])
+		if cap(b) <= maxFrames {
+			c.frames = b
+		}
+		if seq, err = c.log.AppendFrames(b, top); err != nil {
+			return 0, 0, err
+		}
+		took = time.Since(start)
+	}
+	if seq == 0 {
+		c.durable = max(c.durable, top)
+	}
+	return seq, took, nil
+}
+
+// syncLog waits, outside c.mu, until the log entry at seq is durable
+// (0: it already is), then publishes versions up to top as durable. It
+// returns how long the sync took. A failed sync is returned — the
+// outcome is unknown, and the records stay withheld from Since.
+func (c *Certifier) syncLog(seq, top int64) (time.Duration, error) {
+	if seq == 0 {
 		return 0, nil
 	}
 	start := time.Now()
-	err := j.Sync(seq)
+	err := c.log.Sync(seq)
 	d := time.Since(start)
 	if err != nil {
 		return d, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Journal appends happen in log order and an fsync covers every
-	// byte written before it, so a completed sync for v implies all
-	// versions at or below v are durable too.
-	c.durable = max(c.durable, v)
+	// Appends happen in log order and a sync covers every byte written
+	// before it, so a completed sync for top implies all versions at or
+	// below top are durable too.
+	c.durable = max(c.durable, top)
 	return d, nil
 }
 
@@ -219,71 +241,6 @@ func (c *Certifier) LowWater() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lowWater
-}
-
-// NewReplicated creates a certifier whose log is replicated across
-// nodes in-process Paxos acceptors (the paper uses a leader and two
-// backups, so nodes is typically 3), led by node 0. It returns the
-// certifier and the transport, which tests use to inject failures.
-func NewReplicated(nodes int) (*Certifier, *paxos.LocalTransport, error) {
-	if nodes < 1 {
-		return nil, nil, fmt.Errorf("certifier: %d replication nodes", nodes)
-	}
-	accs := make([]*paxos.Acceptor, nodes)
-	ids := make([]int, nodes)
-	for i := range accs {
-		accs[i] = paxos.NewAcceptor(i)
-		ids[i] = i
-	}
-	tr := paxos.NewLocalTransport(accs...)
-	c, _, err := Promote(0, ids, tr)
-	return c, tr, err
-}
-
-// Promote elects node id leader of the certification group and
-// rebuilds the certifier from the recovered Paxos log — the backup
-// promotion path after a leader failure. It returns the promoted
-// certifier and its epoch (the winning ballot). The proposer it
-// installs leads until its first failed proposal ends the term.
-func Promote(id int, peers []int, tr paxos.Transport) (*Certifier, paxos.Ballot, error) {
-	p := paxos.NewProposer(id, peers, tr)
-	epoch, log, err := p.Campaign(noopValue)
-	if err != nil {
-		return nil, paxos.Ballot{}, fmt.Errorf("certifier: promote: %w", err)
-	}
-	c, err := Recover(log) // inherits in-doubt locks and decisions too
-	if err != nil {
-		return nil, paxos.Ballot{}, err
-	}
-	c.proposer = p
-	return c, epoch, nil
-}
-
-// Epoch returns the replicated certifier's current ballot (its epoch
-// while it leads), or the zero ballot when unreplicated.
-func (c *Certifier) Epoch() paxos.Ballot {
-	c.mu.Lock()
-	p := c.proposer
-	c.mu.Unlock()
-	if p == nil {
-		return paxos.Ballot{}
-	}
-	return p.CurrentBallot()
-}
-
-// TermEnded reports whether this certifier's Paxos term is over, and
-// the ballot that deposed it — zero when a proposal missed its
-// majority instead; always false on an unreplicated certifier. A
-// certifier whose term ended answers every certification with
-// NotLeaderError: a node leads again only through a fresh Promote.
-func (c *Certifier) TermEnded() (paxos.Ballot, bool) {
-	c.mu.Lock()
-	p := c.proposer
-	c.mu.Unlock()
-	if p == nil {
-		return paxos.Ballot{}, false
-	}
-	return p.TermEnded()
 }
 
 // Version returns the latest committed global version.
@@ -299,16 +256,6 @@ func (c *Certifier) Stats() (commits, aborts int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.commits, c.aborts
-}
-
-// ReplicationSlots returns the number of Paxos log slots this
-// certifier has decided, or 0 when unreplicated. Batched commits
-// occupy one slot per batch, which is what makes group commit cheap.
-func (c *Certifier) ReplicationSlots() int {
-	if c.proposer == nil {
-		return 0
-	}
-	return c.proposer.ChosenCount()
 }
 
 // Check performs the conflict test without committing: it reports
@@ -403,8 +350,9 @@ func (c *Certifier) Certify(snapshot int64, ws writeset.Writeset) (Outcome, erro
 }
 
 // CertifyBatch decides a batch of requests in order, as if each had
-// been submitted to Certify back to back, but pays at most one Paxos
-// round and one journal write for the whole batch (group commit).
+// been submitted to Certify back to back, but pays at most one log
+// append — one Paxos round, or one journal write — for the whole batch
+// (group commit).
 // Later requests in the batch see earlier ones as committed, so
 // intra-batch conflicts abort exactly as they would have sequentially.
 // Per-request validation failures are reported in the matching Result;
@@ -418,51 +366,43 @@ func (c *Certifier) CertifyBatch(reqs []Request) ([]Result, error) {
 	return results, nil
 }
 
-// certify decides reqs into res, then orders the commits through
-// Paxos, journals them and publishes them — the one commit path. With a
-// journal attached a commit is acknowledged only after its record is
-// durable: the journal write happens under the lock (version order),
-// the sync outside it (group commit).
+// certify decides reqs into res, then logs the commits and publishes
+// them — the one commit path. A commit is acknowledged only once its
+// record is durable: the append happens under the lock (version order),
+// a sync it needs outside it (group commit). A log durable at append is
+// a Paxos round, reported as the "paxos" stage; any other append is the
+// "journal" stage, and its sync the "fsync" stage.
 func (c *Certifier) certify(reqs []Request, res []Result) error {
 	c.mu.Lock()
 	aborts := c.stageLocked(reqs, res)
 	staged := c.stagedLocked()
-	var paxosTime time.Duration
-	var err error
+	first, last := c.version+1, c.version+int64(len(staged))
+	var seq int64
 	if len(staged) > 0 {
-		paxosTime, err = c.proposeLocked(func(b []byte) []byte {
+		var took time.Duration
+		var err error
+		seq, took, err = c.logLocked(last, func(b []byte) []byte {
 			b, _ = AppendRecords(b, staged)
 			return b
 		})
-	}
-	if err != nil {
-		c.unstageLocked()
-		c.mu.Unlock()
-		return err
-	}
-	first, last := c.version+1, c.version+int64(len(staged))
-	if paxosTime > 0 {
-		c.observeStage("paxos", first, last, paxosTime)
-	}
-	j := c.journal
-	if len(staged) == 0 {
-		j = nil
-	}
-	var seq int64
-	if j != nil {
-		start := time.Now()
-		if seq, err = j.Append(staged); err != nil {
+		if err != nil {
 			c.unstageLocked()
 			c.mu.Unlock()
-			return fmt.Errorf("certifier: journal: %w", err)
+			return err
 		}
-		c.observeStage("journal", first, last, time.Since(start))
+		if took > 0 {
+			stage := "journal"
+			if seq == 0 {
+				stage = "paxos"
+			}
+			c.observeStage(stage, first, last, took)
+		}
 	}
 	c.publishLocked(staged)
 	c.aborts += aborts
 	c.mu.Unlock()
-	if j != nil {
-		d, err := c.syncJournal(j, seq, last)
+	if seq != 0 {
+		d, err := c.syncLog(seq, last)
 		if err != nil {
 			return fmt.Errorf("certifier: journal sync (commit outcome unknown): %w", err)
 		}
@@ -524,45 +464,6 @@ func (c *Certifier) stageLocked(reqs []Request, res []Result) (aborts int64) {
 	return aborts
 }
 
-// maxValBuf bounds the proposal buffer a certifier keeps between
-// proposals, so one huge batch (a bulk load) does not pin its size.
-const maxValBuf = 1 << 20
-
-// proposeLocked persists, on a replicated certifier, the value encode
-// appends to the buffer it is given (an operation's log frames) through
-// Paxos before anything is acknowledged, and returns the time the round
-// took; an unreplicated certifier encodes nothing. The leader's
-// campaign recovered every value chosen before its term, so the round
-// chooses this value or fails: it never meets another leader's.
-func (c *Certifier) proposeLocked(encode func(b []byte) []byte) (time.Duration, error) {
-	if c.proposer == nil {
-		return 0, nil
-	}
-	start := time.Now()
-	b := encode(c.valBuf[:0])
-	if cap(b) <= maxValBuf {
-		c.valBuf = b
-	}
-	if _, err := c.proposer.Propose(paxos.Value(b)); err != nil { // the one copy, which the acceptors keep
-		return 0, replicationError(err, c.proposer.CurrentBallot())
-	}
-	return time.Since(start), nil
-}
-
-// replicationError converts a Propose failure of the term at ballot
-// term into the structured NotLeaderError clients use to find the
-// leader: every failed proposal ends the term, and leaves the request's
-// outcome unknown. A deposal names the new leader; any other failure
-// names none and carries the ended term, which tells a relay the
-// request may be in that term's last proposal.
-func replicationError(err error, term paxos.Ballot) error {
-	var dep paxos.DeposedError
-	if errors.As(err, &dep) {
-		return NotLeaderError{Leader: dep.By.Proposer, Epoch: dep.By}
-	}
-	return NotLeaderError{Leader: -1, Epoch: term}
-}
-
 // Since returns the committed records with versions strictly greater
 // than v, in version order — the update-propagation feed — in a fresh
 // slice.
@@ -572,18 +473,14 @@ func (c *Certifier) Since(v int64) []Record { return c.SinceInto(nil, v) }
 // the certification lock, and returns the extended slice; the
 // certifier host reads its own log into a stack buffer this way.
 // Records are sorted by version, so the suffix is located by binary
-// search. With a journal attached, records whose sync has not
-// completed are withheld: propagation must never outrun durability. A
-// replicated certifier has no journal, and every record it publishes
-// already survived a Paxos quorum.
+// search. Records whose log sync has not completed are withheld:
+// propagation must never outrun durability.
 func (c *Certifier) SinceInto(dst []Record, v int64) []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	recs := c.records
-	if c.journal != nil {
-		end := sort.Search(len(recs), func(i int) bool { return recs[i].Version > c.durable })
-		recs = recs[:end]
-	}
+	end := sort.Search(len(recs), func(i int) bool { return recs[i].Version > c.durable })
+	recs = recs[:end]
 	i := sort.Search(len(recs), func(i int) bool { return recs[i].Version > v })
 	return append(dst, recs[i:]...)
 }

@@ -9,6 +9,9 @@ import (
 	"repro/internal/writeset"
 )
 
+// proposerOf returns the proposer a promoted certifier logs through.
+func proposerOf(c *Certifier) *paxos.Proposer { return c.log.(paxosLog).p }
+
 func ws(keys ...int64) writeset.Writeset {
 	var w writeset.Writeset
 	for _, k := range keys {
@@ -227,10 +230,10 @@ func TestReplicatedCertifierNeedsMajority(t *testing.T) {
 	tr.SetDown(2, true)
 	_, err = c.Certify(0, ws(1))
 	var nle NotLeaderError
-	if !errors.As(err, &nle) || nle.Leader != -1 || nle.Epoch != c.Epoch() {
-		t.Fatalf("certify without a majority: %v, want NotLeaderError naming no leader but the ended term %s", err, c.Epoch())
+	if !errors.As(err, &nle) || nle.Leader != -1 || nle.Epoch != proposerOf(c).CurrentBallot() {
+		t.Fatalf("certify without a majority: %v, want NotLeaderError naming no leader but the ended term %s", err, proposerOf(c).CurrentBallot())
 	}
-	if _, ended := c.TermEnded(); !ended {
+	if _, ended := proposerOf(c).TermEnded(); !ended {
 		t.Fatal("a missed majority left the term open")
 	}
 	// Restore one backup: majority available again.

@@ -2,8 +2,10 @@ package certifier_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/certifier"
 	"repro/internal/repl"
@@ -51,11 +53,40 @@ func TestCommitDuringCloseReturnsAmbiguousOutcome(t *testing.T) {
 
 // journaled returns an empty unreplicated certifier journaling to j,
 // attached the one way a journal is: by Restore.
-func journaled(t *testing.T, j certifier.Journal) *certifier.Certifier {
+func journaled(t *testing.T, j certifier.Log) *certifier.Certifier {
 	t.Helper()
 	c, err := certifier.Restore(&certifier.Replay{}, 0, j)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestLogStages: a certify reports the stages of the log it crossed —
+// a Paxos round on a replicated certifier, a journal append and its
+// fsync on a WAL host — and none of the other log's.
+func TestLogStages(t *testing.T) {
+	stages := func(c *certifier.Certifier) []string {
+		var got []string
+		c.SetStageObserver(func(stage string, _ []int64, _ time.Duration) { got = append(got, stage) })
+		if _, err := c.Certify(0, writeset.Rows("t", []int64{1}, []string{"x"})); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	replicated, _, err := certifier.NewReplicated(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stages(replicated); !slices.Equal(got, []string{"paxos"}) {
+		t.Errorf("replicated certify stages %v, want [paxos]", got)
+	}
+	w, _, err := wal.Open(wal.Options{FS: wal.NewMemFS(), Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got := stages(journaled(t, w)); !slices.Equal(got, []string{"journal", "fsync"}) {
+		t.Errorf("WAL host certify stages %v, want [journal fsync]", got)
+	}
 }

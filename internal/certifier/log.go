@@ -11,9 +11,9 @@ import (
 )
 
 // The certification log has one format: the codec's frames. An
-// operation is the same bytes wherever it is logged — the WAL journals
-// them, and a replicated certifier proposes them as the operation's
-// Paxos value:
+// operation is encoded once and handed to the certifier's Log as the
+// same bytes wherever it is logged — the WAL journals them, and a
+// replicated certifier proposes them as the operation's Paxos value:
 //
 //   - a batch of commits is one writeset frame per record, then one
 //     commit marker covering them all (AppendRecords);
@@ -211,13 +211,12 @@ func replayLog(log map[int]paxos.Value) (*Replay, error) {
 // the version below the first recovered record); it becomes the
 // version and the pruning horizon, so the certifier rejects snapshots
 // predating its retained log exactly like one that GC'd to the same
-// point. The journal j (nil: none) is attached before the log is
+// point. The log l (nil: volatile) is attached before the replay is
 // installed: a commit decision whose record frames a torn WAL tail
-// lost is re-committed from the prepared writeset, and re-journaled.
-// Restore is the only way a certifier gets a journal; a replicated
-// certifier has none, its acceptors' votes being its log.
-func Restore(rp *Replay, base int64, j Journal) (*Certifier, error) {
-	c := &Certifier{version: base, lowWater: base, journal: j}
+// lost is re-committed from the prepared writeset, and logged again.
+// A replicated certifier gets its Paxos log from Promote instead.
+func Restore(rp *Replay, base int64, l Log) (*Certifier, error) {
+	c := &Certifier{version: base, lowWater: base, log: l}
 	if err := c.installLocked(rp); err != nil {
 		return nil, err
 	}

@@ -119,7 +119,7 @@ func TestLogIsBinarySafe(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		stale, ok := s.proposer.Chosen(3)
+		stale, ok := proposerOf(s).Chosen(3)
 		if !ok {
 			t.Fatal("scratch certifier has no slot 3")
 		}
@@ -138,7 +138,7 @@ func TestLogIsBinarySafe(t *testing.T) {
 			}
 		}
 		for _, acc := range accs[:2] {
-			if rep, err := acc.Accept(a.Epoch(), 3, stale); err != nil || !rep.OK {
+			if rep, err := acc.Accept(proposerOf(a).CurrentBallot(), 3, stale); err != nil || !rep.OK {
 				t.Fatalf("stale accept: %+v %v", rep, err)
 			}
 		}

@@ -4,26 +4,17 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"repro/internal/codec"
 )
 
-// policyJournal is a TxnJournal whose writes or syncs fail on demand.
+// policyJournal is a Log whose writes or syncs fail on demand.
 type policyJournal struct {
 	appendErr, syncErr error
 	writes, syncs      int
 }
 
-func (j *policyJournal) write() (int64, error) {
+func (j *policyJournal) AppendFrames([]byte, int64) (int64, error) {
 	j.writes++
 	return int64(j.writes), j.appendErr
-}
-
-func (j *policyJournal) Append([]Record) (int64, error)            { return j.write() }
-func (j *policyJournal) AppendPrepare(PreparedTxn) (int64, error)  { return j.write() }
-func (j *policyJournal) AppendForget([]codec.TxnID) (int64, error) { return j.write() }
-func (j *policyJournal) AppendDecision(codec.TxnID, bool, int64, []Record, []codec.TxnID) (int64, error) {
-	return j.write()
 }
 
 func (j *policyJournal) Sync(int64) error {
@@ -31,9 +22,9 @@ func (j *policyJournal) Sync(int64) error {
 	return j.syncErr
 }
 
-// journaled returns an empty unreplicated certifier journaling to j,
+// journaled returns an empty unreplicated certifier logging to j,
 // attached the one way a journal is: by Restore.
-func journaled(t *testing.T, j Journal) *Certifier {
+func journaled(t *testing.T, j Log) *Certifier {
 	t.Helper()
 	c, err := Restore(&Replay{}, 0, j)
 	if err != nil {
@@ -158,44 +149,5 @@ func TestJournalPolicy(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// plainJournal is a Journal without the 2PC extension.
-type plainJournal struct{ appends, syncs int }
-
-func (j *plainJournal) Append([]Record) (int64, error) {
-	j.appends++
-	return int64(j.appends), nil
-}
-
-func (j *plainJournal) Sync(int64) error {
-	j.syncs++
-	return nil
-}
-
-// TestPlainJournalSkipsTwoPCEntries: a journal that cannot record
-// prepares and forgets gets no entry and no sync for them; a commit
-// decision still journals and syncs its record.
-func TestPlainJournalSkipsTwoPCEntries(t *testing.T) {
-	j := &plainJournal{}
-	c := journaled(t, j)
-	if vote, _, err := c.Prepare(prep(tid("t"), 0, 3)); err != nil || !vote {
-		t.Fatalf("prepare: %v %v", vote, err)
-	}
-	if j.appends != 0 || j.syncs != 0 {
-		t.Fatalf("prepare reached a plain journal: %d appends, %d syncs", j.appends, j.syncs)
-	}
-	if _, err := c.Decide(tid("t"), true); err != nil {
-		t.Fatal(err)
-	}
-	if j.appends != 1 || j.syncs != 1 {
-		t.Fatalf("commit decision: %d appends, %d syncs, want 1 and 1", j.appends, j.syncs)
-	}
-	if err := c.Forget(tid("t")); err != nil {
-		t.Fatal(err)
-	}
-	if j.appends != 1 || j.syncs != 1 {
-		t.Fatalf("forget reached a plain journal: %d appends, %d syncs", j.appends, j.syncs)
 	}
 }

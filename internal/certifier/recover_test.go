@@ -8,7 +8,7 @@ import (
 	"repro/internal/paxos"
 )
 
-// gateJournal is a Journal whose Sync blocks until released (or fails
+// gateJournal is a Log whose Sync blocks until released (or fails
 // with err), for observing the not-yet-durable window.
 type gateJournal struct {
 	seq      int64
@@ -17,7 +17,7 @@ type gateJournal struct {
 	err      error
 }
 
-func (g *gateJournal) Append(recs []Record) (int64, error) {
+func (g *gateJournal) AppendFrames([]byte, int64) (int64, error) {
 	g.seq++
 	close(g.appended)
 	return g.seq, nil

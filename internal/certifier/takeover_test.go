@@ -33,7 +33,7 @@ func staleVoteScenario(t *testing.T, held bool) *Certifier {
 		holders = accs[:2]
 	}
 	for _, acc := range holders {
-		if rep, err := acc.Accept(a.Epoch(), 3, stale); err != nil || !rep.OK {
+		if rep, err := acc.Accept(proposerOf(a).CurrentBallot(), 3, stale); err != nil || !rep.OK {
 			t.Fatalf("stale accept: %+v %v", rep, err)
 		}
 	}
@@ -70,7 +70,7 @@ func TestCertifyOverwritesUnrecoveredVote(t *testing.T) {
 	if len(recs) != 1 || recs[0].Writeset.Entries[0].Key.Row != 200 {
 		t.Fatalf("log suffix %+v, want only the new leader's record", recs)
 	}
-	v, _ := b.proposer.Chosen(3)
+	v, _ := proposerOf(b).Chosen(3)
 	if chosen, err := decodeValue(v); err != nil || len(chosen) != 1 || chosen[0].Writeset.Entries[0].Key.Row != 200 {
 		t.Fatalf("slot 3 holds %+v (%v), not the new leader's record", chosen, err)
 	}

@@ -58,21 +58,6 @@ type TwoPCDecision struct {
 	Version int64
 }
 
-// TxnJournal is the optional two-phase-commit extension of Journal: a
-// write-ahead log that can journal prepares, decisions and forgets.
-// AppendDecision writes the decision frame, for commits the decided
-// record's writeset and commit marker, and then the retirement of the
-// decisions in retire, in ONE write: the frames the package-level
-// AppendDecision builds. A torn tail cuts a suffix: it can lose the
-// retirement or the record but never the decision (recovery re-commits
-// from the prepared writeset; see Restore). All three return a
-// sequence for Journal.Sync.
-type TxnJournal interface {
-	AppendPrepare(p PreparedTxn) (seq int64, err error)
-	AppendDecision(txn codec.TxnID, commit bool, version int64, recs []Record, retire []codec.TxnID) (seq int64, err error)
-	AppendForget(txns []codec.TxnID) (seq int64, err error)
-}
-
 // ensureTwoPCLocked lazily allocates the 2PC state (most certifiers
 // never see a cross-shard transaction).
 func (c *Certifier) ensureTwoPCLocked() {
@@ -129,8 +114,9 @@ func (c *Certifier) unlockLocked(id codec.TxnID) {
 // conflict test of Certify, but on success the fragment is journaled
 // in doubt and its keys locked instead of committing. vote=true is a
 // binding promise that a later Decide(id, true) will commit. Prepare
-// is idempotent on id. A replicated certifier proposes the prepare to
-// its Paxos group first, so a promoted backup inherits the lock.
+// is idempotent on id. The prepare is logged first — on a replicated
+// certifier proposed to its Paxos group, so a promoted backup inherits
+// the lock.
 func (c *Certifier) Prepare(p PreparedTxn) (vote bool, conflictWith int64, err error) {
 	c.mu.Lock()
 	c.ensureTwoPCLocked()
@@ -153,22 +139,14 @@ func (c *Certifier) Prepare(p PreparedTxn) (vote bool, conflictWith int64, err e
 		c.mu.Unlock()
 		return false, with, nil
 	}
-	if _, err := c.proposeLocked(func(b []byte) []byte { return AppendPrepare(b, p) }); err != nil {
+	seq, _, err := c.logLocked(0, func(b []byte) []byte { return AppendPrepare(b, p) })
+	if err != nil {
 		c.mu.Unlock()
 		return false, 0, err
 	}
-	var j Journal
-	var seq int64
-	if tj, ok := c.journal.(TxnJournal); ok {
-		j = c.journal
-		if seq, err = tj.AppendPrepare(p); err != nil {
-			c.mu.Unlock()
-			return false, 0, fmt.Errorf("certifier: journal prepare: %w", err)
-		}
-	}
 	c.lockLocked(p)
 	c.mu.Unlock()
-	if _, err := c.syncJournal(j, seq, 0); err != nil {
+	if _, err := c.syncLog(seq, 0); err != nil {
 		// The vote's durability is unknown: refuse it. The lock stays
 		// held; the coordinator's abort decision (or recovery's Resolve)
 		// will release it.
@@ -179,15 +157,14 @@ func (c *Certifier) Prepare(p PreparedTxn) (vote bool, conflictWith int64, err e
 
 // Decide applies the coordinator's decision to a prepared transaction.
 // Commit assigns the next global version and routes the fragment
-// through the ordinary record log (journal, Paxos, Since) so every
+// through the ordinary record log (the log, Since) so every
 // downstream consumer sees a normal commit; abort releases the locks.
 // The decision is journaled durably before Decide returns, and the
 // call is idempotent — a duplicate returns the recorded outcome.
 // Deciding commit for a transaction this certifier never prepared is
 // an error (the prepare's durability was the vote's whole point).
 //
-// retire lists decisions to retire in the same journal write and Paxos
-// value, after the decision's record frames: id itself at a
+// retire lists decisions to retire in the same log append, after the decision's record frames: id itself at a
 // participant (nobody resolves against a participant) and for an abort
 // (presumed abort needs no record of one), and at the coordinator the
 // earlier decisions every participant has since acknowledged.
@@ -215,38 +192,22 @@ func (c *Certifier) Decide(id codec.TxnID, commit bool, retire ...codec.TxnID) (
 	// recheck: the prepared locks guarantee nothing conflicting
 	// certified since the vote. The quorum must learn the decision: a
 	// promoted backup that lost the leader's memory still answers
-	// Resolve correctly. The value is the frames the journal writes for
-	// the decision (AppendDecision), so a decide-commit carries its
-	// record and its retirements, and every recovery path replays them
-	// like any other.
+	// Resolve correctly. The frames are the decision's (AppendDecision),
+	// so a decide-commit carries its record and its retirements, and
+	// every recovery path replays them like any other.
 	if commit {
 		version = c.version + 1
 		c.appendLocked(Record{Version: version, Writeset: p.Writeset})
 	}
-	_, err = c.proposeLocked(func(b []byte) []byte {
-		b, _ = AppendDecision(b, id, commit, version, c.stagedLocked(), retire)
+	staged := c.stagedLocked()
+	seq, _, err := c.logLocked(version, func(b []byte) []byte {
+		b, _ = AppendDecision(b, id, commit, version, staged, retire)
 		return b
 	})
 	if err != nil {
 		c.unstageLocked()
 		c.mu.Unlock()
 		return 0, err
-	}
-	staged := c.stagedLocked()
-	var j Journal
-	var seq int64
-	switch tj, txn := c.journal.(TxnJournal); {
-	case txn:
-		j = c.journal
-		seq, err = tj.AppendDecision(id, commit, version, staged, retire)
-	case commit && c.journal != nil:
-		j = c.journal
-		seq, err = j.Append(staged)
-	}
-	if err != nil {
-		c.unstageLocked()
-		c.mu.Unlock()
-		return 0, fmt.Errorf("certifier: journal decision: %w", err)
 	}
 	c.unlockLocked(id)
 	c.publishLocked(staged)
@@ -256,7 +217,7 @@ func (c *Certifier) Decide(id codec.TxnID, commit bool, retire ...codec.TxnID) (
 	c.decisions[id] = TwoPCDecision{Commit: commit, Version: version}
 	c.retireLocked(retire)
 	c.mu.Unlock()
-	if _, err := c.syncJournal(j, seq, version); err != nil {
+	if _, err := c.syncLog(seq, version); err != nil {
 		return 0, fmt.Errorf("certifier: journal sync (decision outcome unknown): %w", err)
 	}
 	return version, nil
@@ -272,8 +233,7 @@ func (c *Certifier) retireLocked(ids []codec.TxnID) {
 
 // Resolve answers a recovering participant's in-doubt inquiry at the
 // coordinator group: the recorded decision if one exists, otherwise
-// PRESUMED ABORT — and the abort is written down (journaled, and
-// proposed when replicated) before it is answered, so a delayed
+// PRESUMED ABORT — and the abort is logged before it is answered, so a delayed
 // commit decision for the same transaction can never contradict it.
 func (c *Certifier) Resolve(id codec.TxnID) (commit bool, err error) {
 	c.mu.Lock()
@@ -292,8 +252,7 @@ func (c *Certifier) Resolve(id codec.TxnID) (commit bool, err error) {
 // Forget retires fully acknowledged decisions — the coordinator's,
 // once every participant has applied them — bounding the decisions
 // map. Presumed abort makes forgetting aborts safe immediately. The
-// retirement is journaled and, on a replicated certifier, proposed, so
-// a promoted backup or a restarted leader reconciling with the quorum
+// retirement is logged, so a promoted backup or a restarted leader reconciling with the quorum
 // log does not reinstate what was retired.
 func (c *Certifier) Forget(ids ...codec.TxnID) error {
 	c.mu.Lock()
@@ -308,23 +267,14 @@ func (c *Certifier) Forget(ids ...codec.TxnID) error {
 		c.mu.Unlock()
 		return nil
 	}
-	if _, err := c.proposeLocked(func(b []byte) []byte { return codec.ForgetFrame(b, ids) }); err != nil {
+	seq, _, err := c.logLocked(0, func(b []byte) []byte { return codec.ForgetFrame(b, ids) })
+	if err != nil {
 		c.mu.Unlock()
 		return err
 	}
-	var j Journal
-	var seq int64
-	if tj, ok := c.journal.(TxnJournal); ok {
-		j = c.journal
-		var err error
-		if seq, err = tj.AppendForget(ids); err != nil {
-			c.mu.Unlock()
-			return fmt.Errorf("certifier: journal forget: %w", err)
-		}
-	}
 	c.retireLocked(ids)
 	c.mu.Unlock()
-	if _, err := c.syncJournal(j, seq, 0); err != nil {
+	if _, err := c.syncLog(seq, 0); err != nil {
 		return fmt.Errorf("certifier: journal sync (forget outcome unknown): %w", err)
 	}
 	return nil
@@ -378,7 +328,7 @@ func (c *Certifier) Decided(id codec.TxnID) (TwoPCDecision, bool) {
 // undecided prepares re-lock their keys (in doubt until resolved), and
 // a commit decision whose record frames were torn off the log —
 // Version above the recovered history — is re-committed from the
-// prepared writeset at that same version, and re-journaled.
+// prepared writeset at that same version, and logged again.
 func (c *Certifier) restoreTwoPCLocked(prepared []PreparedTxn, decisions map[codec.TxnID]TwoPCDecision) error {
 	c.prepared, c.prepIndex, c.decisions = nil, nil, nil
 	c.ensureTwoPCLocked()
@@ -400,13 +350,15 @@ func (c *Certifier) restoreTwoPCLocked(prepared []PreparedTxn, decisions map[cod
 				return fmt.Errorf("certifier: recovered decision for %s at version %d, log at %d",
 					p.ID, d.Version, c.version)
 			}
-			rec := Record{Version: d.Version, Writeset: p.Writeset}
-			if c.journal != nil {
-				if _, err := c.journal.Append([]Record{rec}); err != nil {
-					return fmt.Errorf("certifier: re-journal recovered decision: %w", err)
-				}
+			recs := []Record{{Version: d.Version, Writeset: p.Writeset}}
+			_, _, err := c.logLocked(d.Version, func(b []byte) []byte {
+				b, _ = AppendRecords(b, recs)
+				return b
+			})
+			if err != nil {
+				return fmt.Errorf("certifier: re-log recovered decision: %w", err)
 			}
-			c.applyLocked(rec)
+			c.applyLocked(recs[0])
 		}
 		// Decided (commit landed, or abort): nothing to reinstate.
 	}

@@ -209,23 +209,45 @@ func TestReplicatedPrepareSurvivesPromote(t *testing.T) {
 	}
 }
 
-// recordingTxnJournal captures 2PC journal traffic for assertion.
-type recordingTxnJournal struct {
+// recordingLog captures the 2PC traffic in the frames appended to it.
+type recordingLog struct {
 	seq      int64
 	synced   int64
 	syncErr  error
-	prepares []PreparedTxn
+	prepares []codec.TxnID
 	decides  []codec.TxnID
 	forgets  []codec.TxnID
 	appends  [][]Record
 }
 
-func (r *recordingTxnJournal) Append(recs []Record) (int64, error) {
-	r.appends = append(r.appends, recs)
+func (r *recordingLog) AppendFrames(frames []byte, _ int64) (int64, error) {
+	var recs []Record
+	for off := 0; off < len(frames); {
+		payload, n := codec.NextFrame(frames[off:])
+		f, err := codec.DecodeFrame(payload)
+		if err != nil {
+			return 0, err
+		}
+		switch f.Kind {
+		case codec.KindPrepare:
+			r.prepares = append(r.prepares, f.Txn)
+		case codec.KindDecision:
+			r.decides = append(r.decides, f.Txn)
+		case codec.KindWriteset:
+			recs = append(recs, Record{Version: f.Version, Writeset: f.Writeset})
+		case codec.KindForget:
+			r.forgets = append(r.forgets, f.Forget...)
+		}
+		off += n
+	}
+	if recs != nil {
+		r.appends = append(r.appends, recs)
+	}
 	r.seq++
 	return r.seq, nil
 }
-func (r *recordingTxnJournal) Sync(seq int64) error {
+
+func (r *recordingLog) Sync(seq int64) error {
 	if r.syncErr != nil {
 		return r.syncErr
 	}
@@ -234,34 +256,16 @@ func (r *recordingTxnJournal) Sync(seq int64) error {
 	}
 	return nil
 }
-func (r *recordingTxnJournal) AppendPrepare(p PreparedTxn) (int64, error) {
-	r.prepares = append(r.prepares, p)
-	r.seq++
-	return r.seq, nil
-}
-func (r *recordingTxnJournal) AppendDecision(txn codec.TxnID, commit bool, version int64, recs []Record, _ []codec.TxnID) (int64, error) {
-	r.decides = append(r.decides, txn)
-	if commit {
-		r.appends = append(r.appends, recs)
-	}
-	r.seq++
-	return r.seq, nil
-}
-func (r *recordingTxnJournal) AppendForget(txns []codec.TxnID) (int64, error) {
-	r.forgets = append(r.forgets, txns...)
-	r.seq++
-	return r.seq, nil
-}
 
 // TestTwoPCJournaling asserts every 2PC transition is journaled and
 // synced before it is acknowledged.
 func TestTwoPCJournaling(t *testing.T) {
-	j := &recordingTxnJournal{}
+	j := &recordingLog{}
 	c := journaled(t, j)
 	if vote, _, err := c.Prepare(prep(tid("t"), 0, 3)); err != nil || !vote {
 		t.Fatalf("prepare: %v %v", vote, err)
 	}
-	if len(j.prepares) != 1 || j.prepares[0].ID != tid("t") || j.synced != j.seq {
+	if len(j.prepares) != 1 || j.prepares[0] != tid("t") || j.synced != j.seq {
 		t.Fatalf("prepare not journaled+synced: %+v synced=%d seq=%d", j.prepares, j.synced, j.seq)
 	}
 	ver, err := c.Decide(tid("t"), true)
@@ -283,7 +287,7 @@ func TestTwoPCJournaling(t *testing.T) {
 // journal sync fails must NOT vote yes — the vote's durability is the
 // whole point of the prepare.
 func TestPrepareSyncFailureRefusesVote(t *testing.T) {
-	j := &recordingTxnJournal{syncErr: errSyncFailed}
+	j := &recordingLog{syncErr: errSyncFailed}
 	c := journaled(t, j)
 	vote, _, err := c.Prepare(prep(tid("t"), 0, 3))
 	if vote {

@@ -84,11 +84,6 @@ type Client struct {
 	// follow holds the slot of the certifier host as last learned:
 	// slot 0 at first, then wherever redirects and failures move it.
 	follow follower
-	// Shard-map fields as last published by the primary (all zero on
-	// unsharded deployments).
-	shardID    int64
-	shardCount int64
-	mapVersion int64
 
 	stopWatch chan struct{}
 	watchWG   sync.WaitGroup
@@ -260,8 +255,7 @@ func (c *Client) watchLoop() {
 	}
 }
 
-// fetchMembers asks the certifier host for its member list once and
-// records the shard-map fields the reply carries.
+// fetchMembers asks the certifier host for its member list once.
 func (c *Client) fetchMembers(deadline time.Duration) (*wire.MembersOK, error) {
 	reply, err := c.rpcHost(&wire.Members{}, deadline)
 	if err != nil {
@@ -271,9 +265,6 @@ func (c *Client) fetchMembers(deadline time.Duration) (*wire.MembersOK, error) {
 	if !ok {
 		return nil, fmt.Errorf("client: unexpected members reply %T", reply)
 	}
-	c.mu.Lock()
-	c.shardID, c.shardCount, c.mapVersion = m.ShardID, m.ShardCount, m.MapVersion
-	c.mu.Unlock()
 	return m, nil
 }
 

@@ -234,24 +234,3 @@ func (c *Client) ForgetTxn(ids ...codec.TxnID) error {
 		return nil
 	})
 }
-
-// ShardInfo returns this group's place in the shard map as last
-// published over MembersOK/JoinOK: shard id, total groups, and the
-// map version. All zero on an unsharded deployment or before the first
-// membership exchange.
-func (c *Client) ShardInfo() (id, count, version int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shardID, c.shardCount, c.mapVersion
-}
-
-// FetchShardInfo polls the certifier host's member list once and records the
-// shard-map fields — for clients that run without Options.Watch but
-// still need to learn the topology before routing.
-func (c *Client) FetchShardInfo() (id, count, version int64, err error) {
-	m, err := c.fetchMembers(shardRPCDeadline)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return m.ShardID, m.ShardCount, m.MapVersion, nil
-}

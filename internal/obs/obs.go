@@ -18,7 +18,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -307,34 +306,10 @@ func formatFloat(v float64) string {
 }
 
 // WriteText renders every registered family in the Prometheus text
-// exposition format, families sorted by name.
+// exposition format, families sorted by name: its Snapshot, rendered.
 func (r *Registry) WriteText(w io.Writer) {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, n := range names {
-		fams = append(fams, r.families[n])
-	}
-	r.mu.Unlock()
-	for _, f := range fams {
-		f.mu.Lock()
-		cols := make([]collector, len(f.cols))
-		copy(cols, f.cols)
-		f.mu.Unlock()
-		if f.help != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
-		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
-		for _, c := range cols {
-			for _, s := range c.collect() {
-				fmt.Fprintf(w, "%s%s%s %s\n", f.name, s.Suffix, s.Labels, formatFloat(s.Value))
-			}
-		}
-	}
+	s := r.Snapshot()
+	s.WriteText(w)
 }
 
 // Handler serves the exposition over HTTP.

@@ -101,40 +101,6 @@ func TestHistogramBoundaryLandsInLowerBucket(t *testing.T) {
 	}
 }
 
-// TestHistogramSnapshotMerge: two nodes' histogram families fold into
-// a cluster-wide one through their exposition, bucket for bucket, and
-// the fold equals one histogram that recorded both nodes' observations.
-func TestHistogramSnapshotMerge(t *testing.T) {
-	node := func(ds ...time.Duration) *Registry {
-		r := NewRegistry()
-		l := stats.NewLatency()
-		for _, d := range ds {
-			l.Record(d)
-		}
-		r.LatencyHistogram("m_seconds", "", l, L("stage", "apply"))
-		return r
-	}
-	a := []time.Duration{5 * time.Millisecond, 50 * time.Millisecond}
-	b := []time.Duration{50 * time.Millisecond, 7 * time.Second}
-	s := node(a...).Snapshot()
-	if err := s.Merge(node(b...).Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	want := node(append(a, b...)...).Snapshot()
-	got, wf := s.Family("m_seconds"), want.Family("m_seconds")
-	if len(got.Samples) != len(wf.Samples) {
-		t.Fatalf("merged %d samples, want %d", len(got.Samples), len(wf.Samples))
-	}
-	for i, ws := range wf.Samples {
-		if gs := got.Samples[i]; gs.Suffix != ws.Suffix || gs.Labels != ws.Labels || math.Abs(gs.Value-ws.Value) > 1e-9 {
-			t.Errorf("merged sample %d = %+v, want %+v", i, gs, ws)
-		}
-	}
-	if v, ok := sampleValue(s, "m_seconds", "_count", `{stage="apply"}`); !ok || v != 4 {
-		t.Errorf("merged count = %v, %v; want 4", v, ok)
-	}
-}
-
 // sampleValue returns the value of one suffixed series in a snapshot.
 func sampleValue(s RegistrySnapshot, name, suffix, labels string) (float64, bool) {
 	if f := s.Family(name); f != nil {

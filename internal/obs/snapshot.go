@@ -20,15 +20,14 @@ type FamilySnapshot struct {
 
 // RegistrySnapshot is a point-in-time copy of a whole registry,
 // families sorted by name. Snapshots are plain data: they can cross
-// the wire as JSON, merge across nodes, and render back to exposition
-// text.
+// the wire as JSON and render back to exposition text.
 type RegistrySnapshot struct {
 	Families []FamilySnapshot
 }
 
 // Snapshot collects every registered family — including GaugeFunc and
 // CollectFunc-backed series, whose callbacks run at snapshot time
-// exactly as they do at scrape time — into a mergeable copy.
+// exactly as they do at scrape time — into a plain copy.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
@@ -66,59 +65,8 @@ func (s *RegistrySnapshot) Family(name string) *FamilySnapshot {
 	return nil
 }
 
-// Value returns the value of the series with the given rendered label
-// set ("" for an unlabeled series) inside the named family.
-func (s *RegistrySnapshot) Value(name, labels string) (float64, bool) {
-	f := s.Family(name)
-	if f == nil {
-		return 0, false
-	}
-	for _, sm := range f.Samples {
-		if sm.Suffix == "" && sm.Labels == labels {
-			return sm.Value, true
-		}
-	}
-	return 0, false
-}
-
-// Merge folds other into s, building the cluster-wide view: samples
-// that share (family, suffix, labels) have their values summed —
-// correct for counters and histogram series, and the convention this
-// package adopts for gauges too (cluster totals; per-node values stay
-// distinguishable when the emitting node labels its series, as every
-// replicadb per-replica series does). Samples and families present in
-// only one snapshot are kept as-is. A family registered with
-// different types on the two sides is an error.
-func (s *RegistrySnapshot) Merge(other RegistrySnapshot) error {
-	for _, of := range other.Families {
-		f := s.Family(of.Name)
-		if f == nil {
-			s.Families = append(s.Families, of)
-			continue
-		}
-		if f.Type != of.Type {
-			return fmt.Errorf("obs: merge: family %q is %s here, %s there", of.Name, f.Type, of.Type)
-		}
-		for _, os := range of.Samples {
-			merged := false
-			for i := range f.Samples {
-				if f.Samples[i].Suffix == os.Suffix && f.Samples[i].Labels == os.Labels {
-					f.Samples[i].Value += os.Value
-					merged = true
-					break
-				}
-			}
-			if !merged {
-				f.Samples = append(f.Samples, os)
-			}
-		}
-	}
-	sort.Slice(s.Families, func(i, j int) bool { return s.Families[i].Name < s.Families[j].Name })
-	return nil
-}
-
-// WriteText renders the snapshot in the exposition format, exactly as
-// Registry.WriteText renders the live registry.
+// WriteText renders the snapshot in the exposition format; a scrape
+// (Registry.WriteText) is the live registry's snapshot rendered here.
 func (s *RegistrySnapshot) WriteText(w io.Writer) {
 	for _, f := range s.Families {
 		if f.Help != "" {

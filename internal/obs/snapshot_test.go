@@ -35,16 +35,16 @@ func buildTestRegistry() *Registry {
 
 func TestRegistrySnapshotIncludesAllCollectors(t *testing.T) {
 	s := buildTestRegistry().Snapshot()
-	if v, ok := s.Value("test_commits_total", `{replica="0"}`); !ok || v != 7 {
+	if v, ok := sampleValue(s, "test_commits_total", "", `{replica="0"}`); !ok || v != 7 {
 		t.Fatalf("counter = %v, %v", v, ok)
 	}
-	if v, ok := s.Value("test_queue_depth", ""); !ok || v != 3.5 {
+	if v, ok := sampleValue(s, "test_queue_depth", "", ""); !ok || v != 3.5 {
 		t.Fatalf("gauge = %v, %v", v, ok)
 	}
-	if v, ok := s.Value("test_applied_version", ""); !ok || v != 42 {
+	if v, ok := sampleValue(s, "test_applied_version", "", ""); !ok || v != 42 {
 		t.Fatalf("gaugefunc = %v, %v", v, ok)
 	}
-	if v, ok := s.Value("test_custom", `{kind="b"}`); !ok || v != 2 {
+	if v, ok := sampleValue(s, "test_custom", "", `{kind="b"}`); !ok || v != 2 {
 		t.Fatalf("collectfunc = %v, %v", v, ok)
 	}
 	f := s.Family("test_latency_seconds")
@@ -55,44 +55,8 @@ func TestRegistrySnapshotIncludesAllCollectors(t *testing.T) {
 	if len(f.Samples) != 23 {
 		t.Fatalf("histogram samples = %d, want 23", len(f.Samples))
 	}
-	if v, ok := s.Value("test_latency_summary_seconds", `{quantile="0.99"}`); !ok || v != 5 {
+	if v, ok := sampleValue(s, "test_latency_summary_seconds", "", `{quantile="0.99"}`); !ok || v != 5 {
 		t.Fatalf("summary p99 = %v, %v", v, ok)
-	}
-}
-
-func TestSnapshotMergeSums(t *testing.T) {
-	a := buildTestRegistry().Snapshot()
-	b := buildTestRegistry().Snapshot()
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if v, _ := a.Value("test_commits_total", `{replica="0"}`); v != 14 {
-		t.Fatalf("merged counter = %v, want 14", v)
-	}
-	if v, _ := a.Value("test_custom", `{kind="a"}`); v != 2 {
-		t.Fatalf("merged collectfunc = %v, want 2", v)
-	}
-	f := a.Family("test_latency_seconds")
-	for _, sm := range f.Samples {
-		if sm.Suffix == "_count" && sm.Value != 6 {
-			t.Fatalf("merged histogram count = %v, want 6", sm.Value)
-		}
-	}
-	// A family only the other side has is adopted.
-	other := NewRegistry()
-	other.Counter("test_only_there", "").Inc()
-	o := other.Snapshot()
-	if err := a.Merge(o); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if v, ok := a.Value("test_only_there", ""); !ok || v != 1 {
-		t.Fatalf("adopted family = %v, %v", v, ok)
-	}
-	// Type conflicts are refused.
-	bad := NewRegistry()
-	bad.Gauge("test_commits_total", "")
-	if err := a.Merge(bad.Snapshot()); err == nil {
-		t.Fatal("type-conflicting merge accepted")
 	}
 }
 
@@ -185,10 +149,10 @@ func TestParseTextAcceptsRealWorldShapes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if v, ok := snap.Value("up", ""); !ok || v != 1 {
+	if v, ok := sampleValue(snap, "up", "", ""); !ok || v != 1 {
 		t.Fatalf("up = %v, %v", v, ok)
 	}
-	if v, ok := snap.Value("lag", `{replica="0",quote="say \"hi\""}`); !ok || v != 0.25 {
+	if v, ok := sampleValue(snap, "lag", "", `{replica="0",quote="say \"hi\""}`); !ok || v != 0.25 {
 		t.Fatalf("escaped-label series = %v, %v", v, ok)
 	}
 	f := snap.Family("lat")
@@ -200,7 +164,7 @@ func TestParseTextAcceptsRealWorldShapes(t *testing.T) {
 	if q == nil || q.Type != "summary" || len(q.Samples) != 4 {
 		t.Fatalf("summary family = %+v", q)
 	}
-	if v, ok := snap.Value("lq", `{quantile="0.99"}`); !ok || v != 0.4 {
+	if v, ok := sampleValue(snap, "lq", "", `{quantile="0.99"}`); !ok || v != 0.4 {
 		t.Fatalf("summary quantile = %v, %v", v, ok)
 	}
 }

@@ -13,16 +13,15 @@ import (
 // wal dependency so the wal package's own tests can drive an Applier
 // without an import cycle.
 type Log interface {
-	// Append stages freshly certified records (the certifier's
-	// journal; see certifier.Journal for the ordering contract).
-	Append(recs []certifier.Record) (seq int64, err error)
+	// AppendFrames and Sync are the static certifier host's
+	// certifier.Log: AppendFrames writes one operation's frames, and
+	// Sync(seq) blocks until everything written at or before seq is
+	// durable (group fsync).
+	certifier.Log
 	// AppendRecord journals one version the local database installs
 	// (sidb's journal hook); it writes nothing for a version the log
 	// already holds.
 	AppendRecord(ws writeset.Writeset, version int64) error
-	// Sync(seq) blocks until everything staged at or before seq is
-	// durable (group fsync).
-	Sync(seq int64) error
 	// Size returns the live segment size in bytes.
 	Size() int64
 	// Compact rewrites the segment around a consistent snapshot.

@@ -174,12 +174,6 @@ func New(version int64, groups []Group) (*Router, error) {
 // Map returns the shard map clients route by.
 func (r *Router) Map() Map { return r.m }
 
-// Group returns shard group i (status tooling and tests).
-func (r *Router) Group(i int) Group { return r.groups[i] }
-
-// Groups returns the number of shard groups.
-func (r *Router) Groups() int { return len(r.groups) }
-
 // nextTxnID mints a globally unique cross-shard transaction id.
 func (r *Router) nextTxnID() codec.TxnID {
 	return codec.TxnID{Epoch: r.epoch, Seq: r.seq.Add(1)}

@@ -237,11 +237,11 @@ func newEngine(opts Options, m *metrics, stop <-chan struct{}) (*engine, error) 
 		if rec != nil {
 			rp, from = &rec.Replay, rec.Base
 		}
-		var j certifier.Journal
+		var l certifier.Log
 		if e.dur != nil {
-			j = e.dur.W
+			l = e.dur.W
 		}
-		base, err := certifier.Restore(rp, from, j)
+		base, err := certifier.Restore(rp, from, l)
 		if err != nil {
 			e.dur.W.Close() // only a WAL's replay can fail
 			return nil, fmt.Errorf("server: restore certifier: %w", err)
@@ -771,7 +771,7 @@ func (e *engine) run(stop <-chan struct{}) {
 		default:
 		}
 		if h := e.hostCert(); h != nil {
-			if e.px != nil && e.stepDownIfEnded(h) {
+			if e.px != nil && e.stepDownIfEnded() {
 				answered = time.Now()
 				continue
 			}

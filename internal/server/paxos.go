@@ -3,13 +3,13 @@ package server
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/certifier"
 	"repro/internal/client"
 	"repro/internal/obs/events"
 	"repro/internal/paxos"
-	"repro/internal/repl/pipeline"
 	"repro/internal/wal"
 )
 
@@ -17,15 +17,17 @@ import (
 // either design: the Paxos acceptor this process hosts (durable in the
 // node's WAL when it runs one) and the wire transport to its peers'
 // acceptors. Who leads is read from the acceptor's promise
-// (engine.leaderView).
+// (engine.leaderView). term is the proposer of the last term this node
+// won, stored before the host role it backs; it is nil until then.
 type paxosNode struct {
 	id         int
 	peerIDs    []int
 	addrs      []string // indexed by paxos id
 	electAfter time.Duration
 
-	acc *paxos.Acceptor
-	tr  *client.PaxosTransport
+	acc  *paxos.Acceptor
+	tr   *client.PaxosTransport
+	term atomic.Pointer[paxos.Proposer]
 }
 
 // newPaxosNode builds this node's acceptor — persisting into w and
@@ -69,17 +71,19 @@ func (px *paxosNode) addrOf(id int) string {
 
 // promoteSelf campaigns for leadership: it elects this node's
 // proposer, rebuilds the certifier from the recovered quorum log and
-// installs the host role. The certifier journals nothing — the
-// acceptors' votes are its log, and the apply path journals what the
-// database installs. On success every in-flight and future
-// certification on this node is served locally; the old leader, if it
-// still runs, is fenced by the new epoch.
+// installs the host role. The certifier logs through the term's
+// proposer — the acceptors' votes are its log, and the apply path
+// journals what the database installs. On success every in-flight and
+// future certification on this node is served locally; the old
+// leader, if it still runs, is fenced by the new epoch.
 func (e *engine) promoteSelf() error {
-	cert, epoch, err := certifier.Promote(e.px.id, e.px.peerIDs, e.px.tr)
+	cert, term, err := certifier.Promote(e.px.id, e.px.peerIDs, e.px.tr)
 	if err != nil {
 		return err
 	}
+	e.px.term.Store(term)
 	e.host.Store(e.newHost(cert))
+	epoch := term.CurrentBallot()
 	e.m.events.Emit(events.LeaderElected,
 		fmt.Sprintf("won certifier election at epoch round %d", epoch.Round),
 		map[string]string{"epoch": strconv.Itoa(epoch.Round)})
@@ -87,16 +91,16 @@ func (e *engine) promoteSelf() error {
 }
 
 // leaderView reports this node's view of the replicated certifier.
-// While it hosts the certifier it leads, at the hosted certifier's
-// epoch, until the role loop steps it down. Otherwise its epoch is its
+// While it hosts the certifier it leads, at its term's epoch, until
+// the role loop steps it down. Otherwise its epoch is its
 // acceptor's promise — every campaign that won through this node
 // promised there, and a leader's accepts raise the promise of every
 // acceptor they reach — and its leader guess is that epoch's proposer,
 // or -1 when the acceptor never promised, or when the epoch is this
 // node's own: its campaign lost or its term ended.
 func (e *engine) leaderView() (leading bool, leader int, epoch paxos.Ballot) {
-	if h := e.hostCert(); h != nil {
-		return true, e.px.id, h.Base.Epoch()
+	if e.hostCert() != nil {
+		return true, e.px.id, e.px.term.Load().CurrentBallot()
 	}
 	epoch = e.px.acc.Promised()
 	leader = epoch.Proposer
@@ -107,18 +111,20 @@ func (e *engine) leaderView() (leading bool, leader int, epoch paxos.Ballot) {
 }
 
 // stepDownIfEnded demotes this leader to a backup once its term is
-// over: its proposer's term ended — a higher ballot deposed it, or a
-// proposal missed its majority — or a higher promise on our own
-// acceptor shows a newer epoch campaigned through us, so it steps down
-// without waiting to trip over a propose. The host role is dropped,
-// the commit path goes back through the ring, and the election timer
-// restarts. A deposing ballot points the ring at its node; a term that
-// ended at a missed majority names no leader, and the ring keeps its
-// guess. Any call still racing into the old host gets NotLeaderError
-// from the proposer, whose term is over — never an ack.
-func (e *engine) stepDownIfEnded(h *pipeline.HostCert) bool {
-	by, ended := h.Base.TermEnded()
-	if promised := e.px.acc.Promised(); by == (paxos.Ballot{}) && h.Base.Epoch().Less(promised) {
+// over: its term's proposer reports the term ended — a higher ballot
+// deposed it, or a proposal missed its majority — or a higher promise
+// on our own acceptor shows a newer epoch campaigned through us, so
+// it steps down without waiting to trip over a propose. The host role
+// is dropped, the commit path goes back through the ring, and the
+// election timer restarts. A deposing ballot points the ring at its
+// node; a term that ended at a missed majority names no leader, and
+// the ring keeps its guess. Any call still racing into the old host
+// gets NotLeaderError from the proposer, whose term is over — never
+// an ack.
+func (e *engine) stepDownIfEnded() bool {
+	term := e.px.term.Load()
+	by, ended := term.TermEnded()
+	if promised := e.px.acc.Promised(); by == (paxos.Ballot{}) && term.CurrentBallot().Less(promised) {
 		by, ended = promised, true
 	}
 	if !ended {

@@ -125,18 +125,12 @@ type Options struct {
 	// hash-partitioned deployment: the group owns the keys that
 	// internal/router's table-aware hash maps to ShardID out of
 	// ShardCount groups. Both default to the unsharded single group
-	// (0 of 1). The values are stamped onto JoinOK/MembersOK replies so
-	// clients learn the shard map from any member; routing itself
-	// happens client-side, the server only answers the per-fragment 2PC
-	// verbs for keys it owns.
+	// (0 of 1). Routing happens client-side (internal/router builds its
+	// own map); the server only answers the per-fragment 2PC verbs for
+	// keys it owns, and reports ShardID in its Stats.
 	ShardID    int
 	ShardCount int
 }
-
-// shardMapVersion is the version stamped on the published shard map.
-// The map is boot-static in this PR (resharding would bump it), so a
-// constant marks "a sharded deployment" vs the zero "unsharded".
-const shardMapVersion = 1
 
 const (
 	// idleTimeout closes connections that send nothing for this long, so
@@ -934,7 +928,6 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		if err != nil {
 			return s.errReply(err)
 		}
-		s.stampShard(&jo.ShardID, &jo.ShardCount, &jo.MapVersion)
 		return jo
 
 	case *wire.Leave:
@@ -948,9 +941,7 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 		if err != nil {
 			return s.errReply(err)
 		}
-		reply := &wire.MembersOK{Epoch: epoch, Members: members}
-		s.stampShard(&reply.ShardID, &reply.ShardCount, &reply.MapVersion)
-		return reply
+		return &wire.MembersOK{Epoch: epoch, Members: members}
 
 	case *wire.SnapshotReq:
 		s.eng.touch(st.peer) // a chunk request is liveness proof mid-transfer
@@ -985,18 +976,6 @@ func (s *Server) dispatch(st *connState, msg wire.Message) wire.Message {
 	default:
 		return unexpected(msg)
 	}
-}
-
-// stampShard writes this group's place in the shard map onto a
-// membership reply. Unsharded deployments (ShardCount <= 1 and no
-// explicit id) publish all-zero fields.
-func (s *Server) stampShard(id, count, mapv *int64) {
-	if s.opts.ShardCount <= 1 && s.opts.ShardID == 0 {
-		return
-	}
-	*id = int64(s.opts.ShardID)
-	*count = int64(s.opts.ShardCount)
-	*mapv = shardMapVersion
 }
 
 func unexpected(msg wire.Message) wire.Message {

@@ -14,8 +14,8 @@ import (
 )
 
 // startShardedGroups boots n independent replica groups of two mm
-// servers each, every group stamped with its place in the shard map,
-// and returns a router over pooled clients — the full networked
+// servers each, every group given its place in the shard map, and
+// returns a router over pooled clients — the full networked
 // sharded deployment on loopback.
 func startShardedGroups(t *testing.T, n int, tweak func(*server.Options)) (*router.Router, []*client.Client) {
 	t.Helper()
@@ -47,25 +47,6 @@ func ownedRows(r *router.Router, rows int) map[int][]int64 {
 		out[g] = append(out[g], row)
 	}
 	return out
-}
-
-// TestShardMapPublished: every group's servers stamp their shard
-// coordinates onto the membership reply, and the pooled client
-// records them.
-func TestShardMapPublished(t *testing.T) {
-	_, clients := startShardedGroups(t, 2, nil)
-	for g, cl := range clients {
-		id, count, version, err := cl.FetchShardInfo()
-		if err != nil {
-			t.Fatalf("group %d: %v", g, err)
-		}
-		if id != int64(g) || count != 2 || version == 0 {
-			t.Fatalf("group %d shard info = (%d,%d,%d), want (%d,2,>0)", g, id, count, version, g)
-		}
-		if mid, mcount, _ := cl.ShardInfo(); mid != id || mcount != count {
-			t.Fatalf("group %d cached shard info = (%d,%d)", g, mid, mcount)
-		}
-	}
 }
 
 // TestShardedSingleShardFastPath: a one-group transaction over the

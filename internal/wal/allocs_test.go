@@ -12,8 +12,8 @@ import (
 )
 
 // TestWALAppendAllocs pins the commit-path appends to zero allocations
-// on the production filesystem: each frames its records in place in a
-// pooled buffer and writes it once.
+// on the production filesystem: each writes its frames once, framed in
+// a reused buffer — the certifier's own, or the WAL's pooled one.
 func TestWALAppendAllocs(t *testing.T) {
 	w, _, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
@@ -26,11 +26,22 @@ func TestWALAppendAllocs(t *testing.T) {
 	}
 	apply := ws("item", 7, "stock=91 qty=3")
 	version := int64(0)
+	var frames []byte
 	for _, c := range []struct {
 		name string
 		op   func() error
 	}{
-		// The certifier's call: each frames fresh versions.
+		// The certifier's call: the frames of fresh versions, encoded in
+		// its reused buffer.
+		{"AppendFrames", func() error {
+			version += 2
+			batch[0].Version, batch[1].Version = version-1, version
+			var top int64
+			frames, top = certifier.AppendRecords(frames[:0], batch)
+			_, err := w.AppendFrames(frames, top)
+			return err
+		}},
+		// A batch of records, framed in the pooled buffer.
 		{"Append", func() error {
 			version += 2
 			batch[0].Version, batch[1].Version = version-1, version

@@ -179,10 +179,11 @@ func runFailoverCase(t *testing.T, name string, fsync, keepUnsynced bool, armAt,
 	// Elect node 2 with node 1 down: majority {restored 0, 2}.
 	tr2 := paxos.NewLocalTransport(a0r, st.a1, st.a2)
 	tr2.SetDown(1, true)
-	newCert, epoch, err := certifier.Promote(2, []int{0, 1, 2}, tr2)
+	newCert, term, err := certifier.Promote(2, []int{0, 1, 2}, tr2)
 	if err != nil {
 		t.Fatalf("%s: promote: %v", name, err)
 	}
+	epoch := term.CurrentBallot()
 	if epoch.Proposer != 2 {
 		t.Fatalf("%s: epoch %s not owned by node 2", name, epoch)
 	}
@@ -269,10 +270,11 @@ func TestFailoverEpochsMonotonic(t *testing.T) {
 	var lastCert *certifier.Certifier
 	version := int64(0)
 	for round, id := range leaders {
-		c, epoch, err := certifier.Promote(id, peers, tr)
+		c, term, err := certifier.Promote(id, peers, tr)
 		if err != nil {
 			t.Fatalf("round %d: promote %d: %v", round, id, err)
 		}
+		epoch := term.CurrentBallot()
 		if !prev.Less(epoch) {
 			t.Fatalf("round %d: epoch %s does not outbid %s", round, epoch, prev)
 		}

@@ -28,7 +28,7 @@ func fuzzSeedLog(tb testing.TB) []byte {
 		{Version: 3, Writeset: ws("items", 1, "y")},
 	})
 	w.AppendRecord(ws("items", 1, "y"), 3) // already held: writes nothing
-	w.AppendPrepare(certifier.PreparedTxn{ID: tid("x1"), Coord: 1, Snapshot: 3, Writeset: ws("items", 4, "p")})
+	appendPrepare(w, certifier.PreparedTxn{ID: tid("x1"), Coord: 1, Snapshot: 3, Writeset: ws("items", 4, "p")})
 	w.Compact(2, 2, map[string]map[int64]string{"items": {0: "a", 1: "b", 2: "c"}, "empty": {}})
 	w.AppendRecord(ws("items", 2, "z"), 4)
 	w.Close()
@@ -51,14 +51,14 @@ func fuzzTwoPCLog(tb testing.TB) []byte {
 	}
 	a, b, c := tid("a"), tid("b"), tid("c")
 	w.AppendRecord(writeset.Schema("items"), 1)
-	w.AppendPrepare(certifier.PreparedTxn{ID: a, Coord: 0, Snapshot: 1, Writeset: ws("items", 1, "a")})
-	w.AppendPrepare(certifier.PreparedTxn{ID: b, Coord: 1, Snapshot: 1, Writeset: ws("items", 2, "b")})
-	w.AppendDecision(a, true, 2, []certifier.Record{{Version: 2, Writeset: ws("items", 1, "a")}}, nil)
-	w.AppendDecision(b, true, 3, []certifier.Record{{Version: 3, Writeset: ws("items", 2, "b")}}, []codec.TxnID{b})
-	w.AppendPrepare(certifier.PreparedTxn{ID: c, Coord: 0, Snapshot: 3, Writeset: ws("items", 3, "c")})
-	w.AppendDecision(c, true, 4, []certifier.Record{{Version: 4, Writeset: ws("items", 3, "c")}}, []codec.TxnID{a})
-	w.AppendDecision(tid("d"), false, 0, nil, []codec.TxnID{tid("d")})
-	w.AppendForget([]codec.TxnID{c, tid("e")})
+	appendPrepare(w, certifier.PreparedTxn{ID: a, Coord: 0, Snapshot: 1, Writeset: ws("items", 1, "a")})
+	appendPrepare(w, certifier.PreparedTxn{ID: b, Coord: 1, Snapshot: 1, Writeset: ws("items", 2, "b")})
+	appendDecision(w, a, true, 2, []certifier.Record{{Version: 2, Writeset: ws("items", 1, "a")}}, nil)
+	appendDecision(w, b, true, 3, []certifier.Record{{Version: 3, Writeset: ws("items", 2, "b")}}, []codec.TxnID{b})
+	appendPrepare(w, certifier.PreparedTxn{ID: c, Coord: 0, Snapshot: 3, Writeset: ws("items", 3, "c")})
+	appendDecision(w, c, true, 4, []certifier.Record{{Version: 4, Writeset: ws("items", 3, "c")}}, []codec.TxnID{a})
+	appendDecision(w, tid("d"), false, 0, nil, []codec.TxnID{tid("d")})
+	appendForget(w, []codec.TxnID{c, tid("e")})
 	w.Close()
 	data, err := fs.ReadFile(segName)
 	if err != nil {

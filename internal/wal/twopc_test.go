@@ -22,6 +22,21 @@ func tid(name string) codec.TxnID {
 	return codec.TxnID{Epoch: 1, Seq: int64(h.Sum64() >> 1)}
 }
 
+// appendPrepare, appendDecision and appendForget log a 2PC operation's
+// frames as the certifier does: in one AppendFrames.
+func appendPrepare(w *WAL, p certifier.PreparedTxn) (int64, error) {
+	return w.AppendFrames(certifier.AppendPrepare(nil, p), 0)
+}
+
+func appendDecision(w *WAL, txn codec.TxnID, commit bool, version int64, recs []certifier.Record, retire []codec.TxnID) (int64, error) {
+	b, top := certifier.AppendDecision(nil, txn, commit, version, recs, retire)
+	return w.AppendFrames(b, top)
+}
+
+func appendForget(w *WAL, txns []codec.TxnID) (int64, error) {
+	return w.AppendFrames(codec.ForgetFrame(nil, txns), 0)
+}
+
 // TestTwoPCRoundTrip replays the full prepare → decide → forget
 // lifecycle through a power cycle at each stage.
 func TestTwoPCRoundTrip(t *testing.T) {
@@ -31,7 +46,7 @@ func TestTwoPCRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := prep(tid("x1"), 2, 0, 7)
-	seq, err := w.AppendPrepare(p)
+	seq, err := appendPrepare(w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +66,7 @@ func TestTwoPCRoundTrip(t *testing.T) {
 
 	// Commit decision: decision frame + the decided record, one write.
 	recs := []certifier.Record{{Version: 1, Writeset: p.Writeset}}
-	seq, err = w.AppendDecision(tid("x1"), true, 1, recs, nil)
+	seq, err = appendDecision(w, tid("x1"), true, 1, recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +90,7 @@ func TestTwoPCRoundTrip(t *testing.T) {
 		t.Fatalf("prepared entry dropped by commit decision: %+v", rec.Prepared)
 	}
 
-	seq, err = w.AppendForget([]codec.TxnID{tid("x1")})
+	seq, err = appendForget(w, []codec.TxnID{tid("x1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +113,10 @@ func TestTwoPCAbortDropsPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendPrepare(prep(tid("a"), 0, 0, 1)); err != nil {
+	if _, err := appendPrepare(w, prep(tid("a"), 0, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := w.AppendDecision(tid("a"), false, 0, nil, nil)
+	seq, err := appendDecision(w, tid("a"), false, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +147,7 @@ func TestTornDecisionRecommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := prep(tid("torn"), 1, 0, 9)
-	seq, err := w.AppendPrepare(p)
+	seq, err := appendPrepare(w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +157,7 @@ func TestTornDecisionRecommit(t *testing.T) {
 	pre, _ := fs.ReadFile(segName)
 	preLen := len(pre)
 	recs := []certifier.Record{{Version: 1, Writeset: p.Writeset}}
-	if _, err := w.AppendDecision(tid("torn"), true, 1, recs, nil); err != nil {
+	if _, err := appendDecision(w, tid("torn"), true, 1, recs, nil); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -201,12 +216,12 @@ func TestDecideAndRetireTornTail(t *testing.T) {
 	}
 	id := tid("retire")
 	p := prep(id, 1, 0, 9)
-	if _, err := w.AppendPrepare(p); err != nil {
+	if _, err := appendPrepare(w, p); err != nil {
 		t.Fatal(err)
 	}
 	pre, _ := fs.ReadFile(segName)
 	recs := []certifier.Record{{Version: 1, Writeset: p.Writeset}}
-	if _, err := w.AppendDecision(id, true, 1, recs, []codec.TxnID{id}); err != nil {
+	if _, err := appendDecision(w, id, true, 1, recs, []codec.TxnID{id}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -250,24 +265,24 @@ func TestCompactRetiresSettledTwoPC(t *testing.T) {
 	}
 	// aborted+decided: fully settled once the abort is on disk (the
 	// decision itself survives until a Forget retires it).
-	if _, err := w.AppendPrepare(prep(tid("settled"), 0, 0, 1)); err != nil {
+	if _, err := appendPrepare(w, prep(tid("settled"), 0, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendDecision(tid("settled"), false, 0, nil, nil); err != nil {
+	if _, err := appendDecision(w, tid("settled"), false, 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendForget([]codec.TxnID{tid("settled")}); err != nil {
+	if _, err := appendForget(w, []codec.TxnID{tid("settled")}); err != nil {
 		t.Fatal(err)
 	}
 	// still in doubt: must survive compaction.
-	if _, err := w.AppendPrepare(prep(tid("doubt"), 1, 0, 2)); err != nil {
+	if _, err := appendPrepare(w, prep(tid("doubt"), 1, 0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	// decided but not forgotten: the decision must survive.
-	if _, err := w.AppendPrepare(prep(tid("decided"), 1, 0, 3)); err != nil {
+	if _, err := appendPrepare(w, prep(tid("decided"), 1, 0, 3)); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := w.AppendDecision(tid("decided"), false, 0, nil, nil)
+	seq, err := appendDecision(w, tid("decided"), false, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,4 +304,54 @@ func TestCompactRetiresSettledTwoPC(t *testing.T) {
 	if _, ok := rec.Decisions[tid("settled")]; ok {
 		t.Fatal("forgotten decision survived compaction")
 	}
+}
+
+// TestAppendFramesRaisesVersionMark: frames that commit records raise
+// the WAL's highest-version mark to the top version they commit, while
+// a batch of only prepare or forget frames leaves it where it was.
+// AppendRecord writes nothing at or below the mark — what keeps the
+// static host's apply hook from journaling a version its certifier
+// already logged — and journals every version above it.
+func TestAppendFramesRaisesVersionMark(t *testing.T) {
+	w, _, err := Open(Options{FS: NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	applied := func(version int64, want bool) {
+		t.Helper()
+		before := w.Size()
+		if err := w.AppendRecord(ws("t", version, "applied"), version); err != nil {
+			t.Fatal(err)
+		}
+		if wrote := w.Size() > before; wrote != want {
+			t.Fatalf("AppendRecord(%d) wrote %v, want %v", version, wrote, want)
+		}
+	}
+	// Prepare and forget frames commit nothing: the mark stays at 0.
+	if _, err := appendPrepare(w, prep(tid("p"), 0, 0, 9)); err != nil {
+		t.Fatal(err)
+	}
+	applied(1, true)
+	if _, err := appendForget(w, []codec.TxnID{tid("p")}); err != nil {
+		t.Fatal(err)
+	}
+	applied(2, true)
+	// A decide-commit carries its record: the mark rises to it.
+	recs := []certifier.Record{{Version: 3, Writeset: ws("t", 3, "decided")}}
+	if _, err := appendDecision(w, tid("d"), true, 3, recs, nil); err != nil {
+		t.Fatal(err)
+	}
+	applied(3, false)
+	// A certified batch raises the mark to its top version.
+	b, top := certifier.AppendRecords(nil, []certifier.Record{
+		{Version: 4, Writeset: ws("t", 4, "a")},
+		{Version: 5, Writeset: ws("t", 5, "b")},
+	})
+	if _, err := w.AppendFrames(b, top); err != nil {
+		t.Fatal(err)
+	}
+	applied(4, false)
+	applied(5, false)
+	applied(6, true)
 }

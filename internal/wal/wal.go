@@ -17,19 +17,21 @@
 //
 // One log format. The record and 2PC frames are the certifier's log
 // format: an operation's frames (certifier.AppendRecords,
-// AppendDecision, AppendPrepare) are the exact bytes a replicated
-// certifier proposes as its Paxos value, and replay decodes them
-// through the same certifier.Replay that recovers a Paxos log. The
-// epoch header and the snapshot are the WAL's own frames.
+// AppendDecision, AppendPrepare, codec.ForgetFrame) are the exact
+// bytes a replicated certifier proposes as its Paxos value, and replay
+// decodes them through the same certifier.Replay that recovers a Paxos
+// log. The epoch header and the snapshot are the WAL's own frames.
 //
 // One stream. Every node journals each committed version once, as the
-// same writeset-plus-commit-marker frames. The static certifier host's
-// certifier stages its records through Append; the apply path journals
-// what the database installs through AppendRecord, which writes
-// nothing for a version at or below the highest one the log holds. On
-// the static host the certifier always journals a version before the
-// database installs it, so the apply path writes nothing there; on
-// every other node the apply path is the only writer of records.
+// same writeset-plus-commit-marker frames. The WAL is the static
+// certifier host's certifier.Log: the certifier hands AppendFrames
+// each operation's frames with the highest version they commit, which
+// raises the log's version mark. The apply path journals what the
+// database installs through AppendRecord, which writes nothing for a
+// version at or below that mark. On the static host the certifier
+// always logs a version before the database installs it, so the apply
+// path writes nothing there; on every other node the apply path is the
+// only writer of records.
 //
 // One log per node. On a Paxos node the WAL is also the acceptor's
 // stable storage (paxos.Persister): each promise and vote is one frame,
@@ -39,15 +41,16 @@
 // apply path's records ride the next sync. Open hands back the highest
 // promise and the newest vote per slot, and compaction carries them.
 //
-// Durability contract. Append stages certified writesets followed by a
-// commit marker in one write; Sync blocks until everything staged at
-// or before the returned sequence is fsynced. Concurrent commits share
-// fsyncs (group commit): whichever caller reaches the disk first syncs
-// everything written so far and the rest observe that they are already
-// durable, so one fsync amortizes over every commit that raced into
-// the same window — the same combining the certifier's Batcher does
-// for Paxos rounds, which Sync piggybacks on when group commit batches
-// many records into a single Append.
+// Durability contract. AppendFrames writes an operation's frames —
+// for a certified batch, its writesets followed by a commit marker —
+// in one write; Sync blocks until everything written at or before the
+// returned sequence is fsynced. Concurrent commits share fsyncs
+// (group commit): whichever caller reaches the disk first syncs
+// everything written so far and the rest observe that they are
+// already durable, so one fsync amortizes over every commit that
+// raced into the same window — the same combining the certifier's
+// Batcher does for Paxos rounds, which Sync piggybacks on when group
+// commit batches many records into a single AppendFrames.
 //
 // Recovery semantics. A certified writeset counts as committed only
 // once a commit marker at or above its version is on disk; staged
@@ -357,7 +360,7 @@ func replay(data []byte) (*Recovered, int64, error) {
 			pending = append(pending, payload)
 		case payload[0] == codec.KindCommit || payload[0] == codec.KindSnapshot:
 			// This writer's commit markers cover the whole batch staged
-			// before them (Append writes max(batch)); a snapshot
+			// before them (AppendRecords marks max(batch)); a snapshot
 			// supersedes staged state entirely. Either way the pending
 			// run is settled: decode it, then the settling frame.
 			for _, p := range pending {
@@ -415,10 +418,32 @@ func decodeInto(rec *Recovered, payload []byte) {
 	}
 }
 
-// writeRecordsLocked writes buf, whose record frames end at version
-// top, and raises last to top. The caller holds mu.
-func (w *WAL) writeRecordsLocked(buf []byte, top int64) (int64, error) {
-	seq, err := w.writeLocked(buf)
+// AppendFrames writes one operation's log frames — the certifier's
+// (certifier.Log) — in one write, and raises the highest-version mark
+// to top, the highest version the frames commit (0: none). It does not
+// sync: call Sync with the returned sequence to make the frames durable
+// before acknowledging.
+func (w *WAL) AppendFrames(frames []byte, top int64) (int64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.appendLocked(frames, top)
+}
+
+// Append writes certified records (in version order) as the certifier
+// logs a batch: their frames (certifier.AppendRecords) in one
+// AppendFrames.
+func (w *WAL) Append(recs []certifier.Record) (int64, error) {
+	buf := takeBuf()
+	defer putBuf(buf)
+	var top int64
+	*buf, top = certifier.AppendRecords(*buf, recs)
+	return w.AppendFrames(*buf, top)
+}
+
+// appendLocked writes frames and raises last to top. The caller holds
+// mu.
+func (w *WAL) appendLocked(frames []byte, top int64) (int64, error) {
+	seq, err := w.writeLocked(frames)
 	if err == nil {
 		w.last = max(w.last, top)
 	}
@@ -441,23 +466,6 @@ func (w *WAL) writeLocked(buf []byte) (int64, error) {
 	return w.seq.Add(1), nil
 }
 
-// Append stages certified writesets (in version order) followed by one
-// commit marker, in a single write. It implements the staging half of
-// certifier.Journal; call Sync with the returned sequence to make the
-// batch durable before acknowledging.
-func (w *WAL) Append(recs []certifier.Record) (int64, error) {
-	if len(recs) == 0 {
-		return w.seq.Load(), w.stickyErr()
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	buf := takeBuf()
-	defer putBuf(buf)
-	var top int64
-	*buf, top = certifier.AppendRecords(*buf, recs)
-	return w.writeRecordsLocked(*buf, top)
-}
-
 // AppendRecord journals one installed version: the apply path's call,
 // with the signature of sidb's journal hook. It writes nothing for a
 // version the log already holds — on the static certifier host, whose
@@ -474,48 +482,8 @@ func (w *WAL) AppendRecord(ws writeset.Writeset, version int64) error {
 	defer putBuf(buf)
 	one := [1]certifier.Record{{Version: version, Writeset: ws}}
 	*buf, _ = certifier.AppendRecords(*buf, one[:])
-	_, err := w.writeRecordsLocked(*buf, version)
+	_, err := w.appendLocked(*buf, version)
 	return err
-}
-
-// AppendPrepare journals an in-doubt cross-shard fragment; implements
-// certifier.TxnJournal. Sync the returned sequence before voting yes.
-func (w *WAL) AppendPrepare(p certifier.PreparedTxn) (int64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	buf := takeBuf()
-	defer putBuf(buf)
-	*buf = certifier.AppendPrepare(*buf, p)
-	return w.writeLocked(*buf)
-}
-
-// AppendDecision journals a 2PC decision, for commits the decided
-// record's writeset and commit marker, and the retirement of the
-// decisions in retire — all in ONE write, decision frame first and
-// retirement last. The ordering is the recovery argument: a torn tail
-// cuts a suffix, so the surviving prefixes are exactly {nothing},
-// {decision}, {decision+writeset}, {decision+record} or everything; a
-// record can never outlive its decision, nor a retirement its record,
-// while a record-less commit decision is re-committed from the
-// prepared writeset at recovery.
-func (w *WAL) AppendDecision(txn codec.TxnID, commit bool, version int64, recs []certifier.Record, retire []codec.TxnID) (int64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	buf := takeBuf()
-	defer putBuf(buf)
-	var top int64
-	*buf, top = certifier.AppendDecision(*buf, txn, commit, version, recs, retire)
-	return w.writeRecordsLocked(*buf, top)
-}
-
-// AppendForget journals the retirement of decision records.
-func (w *WAL) AppendForget(txns []codec.TxnID) (int64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	buf := takeBuf()
-	defer putBuf(buf)
-	*buf = codec.ForgetFrame(*buf, txns)
-	return w.writeLocked(*buf)
 }
 
 // SavePromise implements paxos.Persister: it appends the promise frame
@@ -552,10 +520,10 @@ func (w *WAL) save(buf *[]byte) error {
 	return w.Sync(seq)
 }
 
-// takeBuf/putBuf reuse append buffers across calls: every Append*
-// frames its records in place in a pooled buffer, writes it with one
-// write, and returns it (appends serialize on mu, so the pool usually
-// holds one warm buffer). The pool holds the *[]byte itself, so
+// takeBuf/putBuf reuse append buffers across calls: Append,
+// AppendRecord and the acceptor's saves frame in place in a pooled buffer, write it with
+// one write, and return it (appends serialize on mu, so the pool
+// usually holds one warm buffer). The pool holds the *[]byte itself, so
 // returning a buffer boxes nothing, and a steady-state append
 // allocates nothing.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -856,7 +824,6 @@ func (w *WAL) Close() error {
 }
 
 var (
-	_ certifier.Journal    = (*WAL)(nil)
-	_ certifier.TxnJournal = (*WAL)(nil)
-	_ paxos.Persister      = (*WAL)(nil)
+	_ certifier.Log   = (*WAL)(nil)
+	_ paxos.Persister = (*WAL)(nil)
 )

@@ -748,30 +748,18 @@ type JoinOK struct {
 	ID      int64
 	Epoch   int64
 	Members []Member
-	// Shard map block: which shard group this server belongs to, how
-	// many groups partition the keyspace, and the map version clients
-	// use to detect a re-partition. ShardCount 0 means unsharded.
-	ShardID    int64
-	ShardCount int64
-	MapVersion int64
 }
 
 func (*JoinOK) msgType() MsgType { return TJoinOK }
 func (m *JoinOK) encode(b []byte) []byte {
 	b = binary.AppendVarint(b, m.ID)
 	b = binary.AppendVarint(b, m.Epoch)
-	b = appendMembers(b, m.Members)
-	b = binary.AppendVarint(b, m.ShardID)
-	b = binary.AppendVarint(b, m.ShardCount)
-	return binary.AppendVarint(b, m.MapVersion)
+	return appendMembers(b, m.Members)
 }
 func (m *JoinOK) decode(d *decoder) {
 	m.ID = d.Varint()
 	m.Epoch = d.Varint()
 	m.Members = decodeMembers(d)
-	m.ShardID = d.Varint()
-	m.ShardCount = d.Varint()
-	m.MapVersion = d.Varint()
 }
 
 // Leave deregisters replica ID from the cluster: its propagation
@@ -869,29 +857,16 @@ func (m *Members) decode(*decoder)        {}
 type MembersOK struct {
 	Epoch   int64
 	Members []Member
-	// Shard map block, mirroring JoinOK: the answering group's shard
-	// id, the group count and the map version. Clients poll Members
-	// anyway for membership churn, so the shard map rides along for
-	// free.
-	ShardID    int64
-	ShardCount int64
-	MapVersion int64
 }
 
 func (*MembersOK) msgType() MsgType { return TMembersOK }
 func (m *MembersOK) encode(b []byte) []byte {
 	b = binary.AppendVarint(b, m.Epoch)
-	b = appendMembers(b, m.Members)
-	b = binary.AppendVarint(b, m.ShardID)
-	b = binary.AppendVarint(b, m.ShardCount)
-	return binary.AppendVarint(b, m.MapVersion)
+	return appendMembers(b, m.Members)
 }
 func (m *MembersOK) decode(d *decoder) {
 	m.Epoch = d.Varint()
 	m.Members = decodeMembers(d)
-	m.ShardID = d.Varint()
-	m.ShardCount = d.Varint()
-	m.MapVersion = d.Varint()
 }
 
 // Stats asks a replica for its cumulative serving counters. The

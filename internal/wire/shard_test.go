@@ -8,24 +8,6 @@ import (
 	"repro/internal/writeset"
 )
 
-// TestShardMapV6RoundTrip: the shard-map block on JoinOK/MembersOK and
-// the shard id on StatsOK survive the wire intact.
-func TestShardMapV6RoundTrip(t *testing.T) {
-	msgs := []Message{
-		&JoinOK{ID: 3, Epoch: 5, Members: []Member{{ID: 0, Addr: "a:1"}},
-			ShardID: 2, ShardCount: 4, MapVersion: 9},
-		&MembersOK{Epoch: 9, Members: []Member{{ID: 0, Addr: "a:1"}},
-			ShardID: 1, ShardCount: 2, MapVersion: 3},
-		&StatsOK{ReadCommits: 10, ReplicaID: 2, ShardID: 3},
-	}
-	for _, m := range msgs {
-		got := roundTrip(t, m)
-		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("%T mismatch: %+v vs %+v", m, got, m)
-		}
-	}
-}
-
 // TestTwoPCFramesRoundTrip covers the two-phase-commit request/reply
 // pairs.
 func TestTwoPCFramesRoundTrip(t *testing.T) {
@@ -61,30 +43,6 @@ func TestTwoPCFramesRoundTrip(t *testing.T) {
 			t.Fatalf("%T mismatch: %+v vs %+v", m, got, m)
 		}
 	}
-}
-
-// FuzzShardMap fuzzes the membership replies' shard-map block
-// through full frames.
-func FuzzShardMap(f *testing.F) {
-	f.Add(int64(0), int64(1), "a:1", int64(0), int64(0), int64(0))
-	f.Add(int64(3), int64(5), "10.0.0.1:7001", int64(2), int64(4), int64(9))
-	f.Add(int64(-1), int64(-7), "", int64(-3), int64(1<<40), int64(-9))
-	f.Fuzz(func(t *testing.T, id, epoch int64, addr string, shard, count, mapv int64) {
-		m := &JoinOK{ID: id, Epoch: epoch,
-			Members: []Member{{ID: id, Addr: addr}},
-			ShardID: shard, ShardCount: count, MapVersion: mapv}
-		got := roundTrip(t, m).(*JoinOK)
-		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("JoinOK mismatch: %+v vs %+v", got, m)
-		}
-
-		mo := &MembersOK{Epoch: epoch, Members: m.Members,
-			ShardID: shard, ShardCount: count, MapVersion: mapv}
-		gmo := roundTrip(t, mo).(*MembersOK)
-		if !reflect.DeepEqual(gmo, mo) {
-			t.Fatalf("MembersOK mismatch: %+v vs %+v", gmo, mo)
-		}
-	})
 }
 
 // FuzzTwoPCFrames fuzzes the prepare/decide codec through full

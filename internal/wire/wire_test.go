@@ -100,7 +100,6 @@ func allMessages() []Message {
 		&Records{Recs: []Record{{Version: 10, WS: ws, Trace: 5, CommitNs: 1e18}, {Version: 11}}},
 		&Join{Addr: "127.0.0.1:7003"},
 		&JoinOK{ID: 3, Epoch: 5, Members: []Member{{ID: 0, Addr: "a:1"}, {ID: 3, Addr: "b:2"}}},
-		&JoinOK{ID: 3, Epoch: 5, ShardID: 1, ShardCount: 2, MapVersion: 1},
 		&Leave{ID: 3},
 		&LeaveOK{},
 		&SnapshotReq{},
@@ -111,7 +110,6 @@ func allMessages() []Message {
 		&SnapshotOK{Version: 41},
 		&Members{},
 		&MembersOK{Epoch: 9, Members: []Member{{ID: 0, Addr: "a:1"}}},
-		&MembersOK{Epoch: 9, ShardID: 1, ShardCount: 2, MapVersion: 1},
 		&Stats{},
 		&StatsOK{ReadCommits: 10, UpdateCommits: 4, Aborts: 1, ReadNs: 1e9,
 			UpdateNs: 5e8, Applied: 44, ActiveTxns: 3,
